@@ -186,8 +186,10 @@ func newHBStateCtx(ctx context.Context, ev *seg.Evaluator, context sdl.Query, cf
 	defer spCuts.End()
 	// Prime the context selection before fanning out: every initial
 	// cut starts from it, and on a cold cache W workers would all
-	// miss the same key at once and each pay the full-table scan.
-	if _, err := ev.Select(context); err != nil {
+	// miss the same key at once and each pay the full-table scan. The
+	// chunked form caches the selection without building a flat view
+	// nothing downstream reads.
+	if _, err := ev.SelectChunked(context); err != nil {
 		return nil, err
 	}
 	type initial struct {

@@ -448,10 +448,9 @@ func TestFloatRangeChunkedKeepsNaNInSkippedChunks(t *testing.T) {
 	}
 }
 
-// TestFloatCutPointCanonicalZero pins branch-independent zero
-// canonicalization at the engine level: whether the median runs
-// through the parallel rank selection or the sequential quickselect
-// fallback, a zero cut point is +0.0 ("0"), never -0.0 ("-0").
+// TestFloatCutPointCanonicalZero pins zero canonicalization at the
+// engine level: whatever zero the data holds at the selected rank, a
+// zero cut point is +0.0 ("0"), never -0.0 ("-0").
 func TestFloatCutPointCanonicalZero(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	col := NewFloatColumn("v", []float64{-1, negZero, 5, negZero})
@@ -463,6 +462,22 @@ func TestFloatCutPointCanonicalZero(t *testing.T) {
 	for _, p := range FloatCutPointsChunked(col, cs, 3) {
 		if p == 0 && math.Signbit(p) {
 			t.Fatal("cut point rendered as -0")
+		}
+	}
+}
+
+// TestFloatMinMaxCanonicalZero pins that a zero bound is +0.0 in
+// both min/max scans, whichever zero a row order puts first.
+func TestFloatMinMaxCanonicalZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, vals := range [][]float64{{negZero, 0}, {0, negZero}, {negZero, negZero}} {
+		col := NewFloatColumn("v", vals)
+		lo, hi, _ := FloatMinMax(col, AllRows(len(vals)))
+		clo, chi, _ := FloatMinMaxChunked(col, AllRowsChunked(len(vals), 64))
+		for _, b := range []float64{lo, hi, clo, chi} {
+			if b != 0 || math.Signbit(b) {
+				t.Fatalf("rows %v: bounds (%v,%v) chunked (%v,%v), want +0", vals, lo, hi, clo, chi)
+			}
 		}
 	}
 }

@@ -95,7 +95,8 @@ func IntMinMaxChunked(col IntValued, cs *ChunkedSelection) (min, max int64, ok b
 
 // FloatMinMaxChunked is IntMinMaxChunked over floats, ignoring NaN
 // exactly like FloatMinMax: NaN rows never seed or move a bound, and
-// an all-NaN selection yields NaN bounds.
+// an all-NaN selection yields NaN bounds. A zero bound is +0.0
+// whichever zero the scan met first (posZero).
 func FloatMinMaxChunked(col FloatValued, cs *ChunkedSelection) (min, max float64, ok bool) {
 	if cs.Len() == 0 {
 		return 0, 0, false
@@ -132,13 +133,15 @@ func FloatMinMaxChunked(col FloatValued, cs *ChunkedSelection) (min, max float64
 			max = maxs[c]
 		}
 	}
-	return min, max, true
+	return posZero(min), posZero(max), true
 }
 
 // statWorkers reserves scan-pool slots for a chunked order-statistic
-// computation (per-chunk sorts), returning the worker count to hand
-// to internal/stats and the paired release. Routing the sort through
-// the same slot budget (reserveSegSlots) as the scans keeps nested
+// computation (per-chunk radix sorts, or the banded string counts),
+// returning the worker count to hand to internal/stats and the
+// paired release. With no slot free the count is 1 and the same
+// per-chunk path runs on the calling goroutine. Routing the sort
+// through the same slot budget (reserveSegSlots) as the scans keeps nested
 // parallelism — many advise workers each computing cut points — from
 // oversubscribing the scheduler, exactly like the chunked scans
 // themselves. Reserve only after the gather phase: the gather takes
@@ -179,45 +182,15 @@ func gatherIntScratch(col IntValued, cs *ChunkedSelection) (chunks [][]int64, re
 	}
 }
 
-// flattenInt64Scratch concatenates per-chunk shards into one pooled
-// vector of exactly n elements.
-func flattenInt64Scratch(chunks [][]int64, n int) (*[]int64, []int64) {
-	p := int64Scratch.Get(n)
-	out := (*p)[:0]
-	for _, ch := range chunks {
-		out = append(out, ch...)
-	}
-	//lint:pooledescape deliberate ownership transfer: every caller defers Put(p) before using out
-	return p, out
-}
-
-func flattenFloat64Scratch(chunks [][]float64, n int) (*[]float64, []float64) {
-	p := float64Scratch.Get(n)
-	out := (*p)[:0]
-	for _, ch := range chunks {
-		out = append(out, ch...)
-	}
-	//lint:pooledescape deliberate ownership transfer: every caller defers Put(p) before using out
-	return p, out
-}
-
-// posZero canonicalizes -0.0 to +0.0. The chunked rank selection
-// always returns +0.0 for a selected zero; the sequential fallbacks
-// (quickselect, flat sort) return whichever zero's bit pattern sat
-// at the rank, and the two must not render differently ("-0" vs
-// "0") based on which branch a call happened to take.
+// posZero canonicalizes -0.0 to +0.0. The rank selection always
+// returns +0.0 for a selected zero; a min/max scan keeps whichever
+// zero it met first, so without this a row permutation could flip a
+// piece bound between "-0" and "0".
 func posZero(v float64) float64 {
 	if v == 0 {
 		return 0
 	}
 	return v
-}
-
-func posZeros(vals []float64) []float64 {
-	for i, v := range vals {
-		vals[i] = posZero(v)
-	}
-	return vals
 }
 
 // gatherFloatFinite is GatherFloatChunked minus NaN values, into
@@ -261,14 +234,11 @@ func gatherFloatFinite(col FloatValued, cs *ChunkedSelection) (chunks [][]float6
 }
 
 // IntMedianChunked returns the upper median of col over cs — the
-// Definition 5 cut point. With parallelism granted it never
-// materializes a flat vector: per-chunk gather, per-chunk parallel
-// sort, then one rank selection across the sorted shards. Sequential
-// calls take the O(n) quickselect over the flattened shards instead
-// — sorting only pays for itself when the chunks sort concurrently —
-// and both algorithms return the same k-th smallest element, so the
-// choice never shows in the output. ok is false when the selection
-// is empty.
+// Definition 5 cut point. It never materializes a flat vector:
+// per-chunk gather into pooled scratch, per-chunk O(n) radix sort on
+// as many workers as the scan pool grants (one included), then one
+// rank selection across the sorted shards. ok is false when the
+// selection is empty.
 func IntMedianChunked(col IntValued, cs *ChunkedSelection) (int64, bool) {
 	if cs.Len() == 0 {
 		return 0, false
@@ -277,11 +247,6 @@ func IntMedianChunked(col IntValued, cs *ChunkedSelection) (int64, bool) {
 	defer put()
 	workers, release := statWorkers(cs)
 	defer release()
-	if workers <= 1 {
-		p, flat := flattenInt64Scratch(chunks, cs.Len())
-		defer int64Scratch.Put(p)
-		return stats.MedianInt64(flat), true
-	}
 	return stats.MedianInt64Chunks(chunks, workers), true
 }
 
@@ -299,11 +264,6 @@ func FloatMedianChunked(col FloatValued, cs *ChunkedSelection) (float64, bool) {
 	}
 	workers, release := statWorkers(cs)
 	defer release()
-	if workers <= 1 {
-		p, flat := flattenFloat64Scratch(chunks, n)
-		defer float64Scratch.Put(p)
-		return posZero(stats.MedianFloat64(flat)), true
-	}
 	return stats.MedianFloat64Chunks(chunks, workers), true
 }
 
@@ -317,11 +277,6 @@ func IntCutPointsChunked(col IntValued, cs *ChunkedSelection, arity int) []int64
 	defer put()
 	workers, release := statWorkers(cs)
 	defer release()
-	if workers <= 1 {
-		p, flat := flattenInt64Scratch(chunks, cs.Len())
-		defer int64Scratch.Put(p)
-		return stats.EquiDepthPoints(flat, arity)
-	}
 	return stats.EquiDepthPointsChunks(chunks, arity, workers)
 }
 
@@ -338,11 +293,6 @@ func FloatCutPointsChunked(col FloatValued, cs *ChunkedSelection, arity int) []f
 	}
 	workers, release := statWorkers(cs)
 	defer release()
-	if workers <= 1 {
-		p, flat := flattenFloat64Scratch(chunks, n)
-		defer float64Scratch.Put(p)
-		return posZeros(stats.EquiDepthPointsFloat64(flat, arity))
-	}
 	return stats.EquiDepthPointsChunksFloat64(chunks, arity, workers)
 }
 

@@ -178,6 +178,15 @@ func (c *StringColumn) codeFor(s string) uint32 {
 func (c *StringColumn) appendValue(v Value)       { c.codes = append(c.codes, c.codeFor(v.AsString())) }
 func (c *StringColumn) setValue(row int, v Value) { c.codes[row] = c.codeFor(v.AsString()) }
 
+// Mutable reports whether the table accepts AppendRows and
+// UpdateRows: true exactly for memory-backed tables. Any other
+// table's epoch stamp never moves, so state kept only to refresh
+// derived results after a mutation is dead weight there.
+func (t *Table) Mutable() bool {
+	_, ok := t.backend.(*MemoryBackend)
+	return ok
+}
+
 // mutable returns the table's columns as mutable columns, or an
 // error naming the first column that is not in-memory. Mutation is
 // gated to memory-backed tables: a colfile-backed table's columns
@@ -186,7 +195,7 @@ func (c *StringColumn) setValue(row int, v Value) { c.codes[row] = c.codeFor(v.A
 // segment-file append scheme is a ROADMAP item). Mutate a file's
 // data by loading it into memory or re-running ingest.
 func (t *Table) mutable() ([]mutableColumn, error) {
-	if _, ok := t.backend.(*MemoryBackend); !ok {
+	if !t.Mutable() {
 		return nil, fmt.Errorf("engine: table %q is not memory-backed (%T): .chc-backed tables are read-only; reload the data in memory to mutate it", t.name, t.backend)
 	}
 	out := make([]mutableColumn, len(t.cols))

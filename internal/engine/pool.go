@@ -4,12 +4,13 @@ import "charles/internal/pool"
 
 // Pooled scratch buffers for the chunked hot paths. The order
 // statistics behind every cut point (medians, equi-depth quantiles)
-// gather the extent's values into transient buffers, consume them,
-// and drop them — on a warm advisor that is the single largest
-// source of steady-state garbage, so the gather targets and flatten
-// buffers recycle through internal/pool. Anything that escapes to a
-// caller (filter results, bitmaps, cached selections) is never
-// pooled.
+// gather the extent's values per chunk into transient buffers,
+// radix-sort them in place (the sort's own scratch is pooled in
+// internal/stats), read the ranks, and drop them — on a warm advisor
+// that is the single largest source of steady-state garbage, so the
+// gather targets recycle through internal/pool. Anything that
+// escapes to a caller (filter results, bitmaps, cached selections,
+// the cut cache's sorted runs) is never pooled.
 var (
 	int64Scratch   pool.Slice[int64]
 	float64Scratch pool.Slice[float64]

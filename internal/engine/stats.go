@@ -93,8 +93,9 @@ func IntMinMax(col IntValued, sel Selection) (min, max int64, ok bool) {
 // ignoring NaN values — NaN compares false against everything, so
 // letting one seed a running bound would poison it and make the
 // result depend on where chunk boundaries fall. When every value is
-// NaN the bounds come back NaN. ok is false when the selection is
-// empty.
+// NaN the bounds come back NaN. A zero bound is +0.0 whichever zero
+// the scan met first, so the bounds never depend on row order. ok is
+// false when the selection is empty.
 func FloatMinMax(col FloatValued, sel Selection) (min, max float64, ok bool) {
 	if len(sel) == 0 {
 		return 0, 0, false
@@ -128,7 +129,7 @@ func FloatMinMax(col FloatValued, sel Selection) (min, max float64, ok bool) {
 			max = maxs[c]
 		}
 	}
-	return min, max, true
+	return posZero(min), posZero(max), true
 }
 
 // IntMedian returns the upper median of col over sel (the Definition

@@ -2,7 +2,9 @@ package seg
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"charles/internal/engine"
@@ -87,6 +89,37 @@ func TestCutQueryFloat(t *testing.T) {
 	left, _ := children[0].Constraint("v")
 	if left.Range.Hi.AsFloat() != 3.5 {
 		t.Fatalf("float median = %v, want 3.5", left.Range.Hi)
+	}
+}
+
+// TestCutQueryFloatSignedZeroBound pins that a zero bound does not
+// depend on row order: -0.0 and +0.0 compare equal, so a min/max scan
+// keeps whichever it meets first, and without canonicalization one
+// row order rendered the low piece as "[-0, 1)" and another as
+// "[0, 1)".
+func TestCutQueryFloatSignedZeroBound(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	var want string
+	for _, vals := range [][]float64{
+		{negZero, 0, 1, 2},
+		{0, negZero, 1, 2},
+		{2, 1, 0, negZero},
+		{1, negZero, 2, 0},
+	} {
+		tab := engine.MustNewTable("t", engine.NewFloatColumn("v", vals))
+		children, err := CutQuery(evalFor(t, tab), sdl.ContextAll(tab), "v", DefaultCutOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprint(children)
+		if strings.Contains(got, "-0") {
+			t.Fatalf("rows %v: cut rendered a negative zero: %s", vals, got)
+		}
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Fatalf("rows %v: cut %s, want %s (row order moved a bound)", vals, got, want)
+		}
 	}
 }
 

@@ -3,21 +3,27 @@
 // 5.1 calls the median/quantile math the vertical-scalability
 // bottleneck, and unlike selections it cannot be spliced — the k-th
 // smallest of a multiset is a global property. What can be reused is
-// the per-chunk SORTED RUNS the chunked rank selection works over: a
-// mutation invalidates only the dirty chunks' runs, so a warm
-// re-advise re-sorts ~1% of the data and resolves the ranks over the
-// spliced runs, byte-identical to a cold computation by the
-// order-statistic argument (chunked.go). Nominal cuts cache per-chunk
-// count vectors the same way; counts are additive over chunks.
+// the per-chunk SORTED RUNS the chunked rank selection works over
+// (each chunk radix-sorted on its own, chunked.go): a mutation
+// invalidates only the dirty chunks' runs, so a warm re-advise
+// re-sorts ~1% of the data and resolves the ranks over the spliced
+// runs, byte-identical to a cold computation by the order-statistic
+// argument. Nominal cuts cache per-chunk count vectors the same way;
+// counts are additive over chunks.
 //
 // Entries are keyed by (query, attribute, cut options) and stamped
 // with the table epoch exactly like cachedSel: equal versions serve
 // the cached pieces outright, comparable stamps refresh dirty chunks
-// only, anything else recomputes in full. Sampled cut points, float
-// and bool columns, and the numeric-nominal fallback cache their
-// pieces for version-equal reuse but always recompute when stale —
-// floats deliberately so: a sorted run cannot reproduce the scan-order
-// tie between -0.0 and +0.0 that FloatMinMaxChunked's bounds carry.
+// only, anything else recomputes in full. Refreshable state (runs,
+// count vectors) is retained only where a refresh can happen: on a
+// table that accepts mutation (engine.Table.Mutable), for extents of
+// at least cutStateMinRows rows. A read-only .chc table's stamp never
+// moves, so its entries keep the pieces alone. Sampled cut points,
+// float and bool columns, and the numeric-nominal fallback cache
+// their pieces for version-equal reuse but always recompute when
+// stale. Floats could join the splice — their bounds are canonical
+// (+0.0 for either zero), so sorted runs reproduce them — but stay
+// version-equal-only until ROADMAP's next order-statistics slice.
 package seg
 
 import (
@@ -28,10 +34,10 @@ import (
 )
 
 // cutStateMinRows is the selection size below which refreshable state
-// (sorted runs, count vectors) is not retained: tiny extents resort
-// in microseconds, and the long tail of small segments would
-// otherwise dominate entry count. Pieces are still cached for
-// version-equal reuse.
+// (sorted runs, count vectors) is not retained, even on a mutable
+// table: tiny extents re-sort in microseconds, and the long tail of
+// small segments would otherwise dominate entry count. Pieces are
+// still cached for version-equal reuse.
 const cutStateMinRows = 1 << 12
 
 // cachedCut is one cut-point cache entry: the computed pieces plus
@@ -110,7 +116,8 @@ func (e *Evaluator) cutPieces(q sdl.Query, attr string, col engine.Column, cs *e
 			return pieces, nil
 		}
 	}
-	pieces, state, err := e.computeCut(attr, col, cs, pointSel, opt, cs.Len() >= cutStateMinRows)
+	retain := e.tab.Mutable() && cs.Len() >= cutStateMinRows
+	pieces, state, err := e.computeCut(attr, col, cs, pointSel, opt, retain)
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,10 @@ package seg
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
+	"charles/internal/colfile"
 	"charles/internal/engine"
 	"charles/internal/sdl"
 )
@@ -150,5 +152,52 @@ func TestCutCacheCachingOff(t *testing.T) {
 	}
 	if off.CacheLen() != 0 {
 		t.Fatal("uncached evaluator stored selections")
+	}
+}
+
+// TestCutCacheRetainsStateOnlyWhenMutable pins the retention rule: a
+// read-only .chc table's stamp never moves, so its cut entries keep
+// the pieces but no sorted runs or count vectors, while a
+// memory-backed table's entries keep both for the splice refresh.
+// The pieces agree across the two backends.
+func TestCutCacheRetainsStateOnlyWhenMutable(t *testing.T) {
+	mem := cutCacheTable(t)
+	path := filepath.Join(t.TempDir(), "t.chc")
+	if err := colfile.Write(path, mem, colfile.WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	file, err := colfile.OpenTable(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	if !mem.Mutable() || file.Mutable() {
+		t.Fatalf("Mutable(): memory %v, .chc %v; want true, false", mem.Mutable(), file.Mutable())
+	}
+	pieces := map[string]string{}
+	for _, tc := range []struct {
+		name   string
+		tab    *engine.Table
+		retain bool
+	}{{"memory", mem, true}, {".chc", file, false}} {
+		ev := NewEvaluator(tc.tab)
+		ctx := sdl.ContextAll(tc.tab)
+		for _, attr := range []string{"v", "s"} {
+			got := fmt.Sprint(childKeys(t, ev, ctx, attr))
+			if want, ok := pieces[attr]; ok && got != want {
+				t.Fatalf("%s cut on %s diverged from memory:\n%s\n%s", attr, tc.name, got, want)
+			}
+			pieces[attr] = got
+		}
+		ev.cutMu.RLock()
+		if len(ev.cuts) != 2 {
+			t.Fatalf("%s: %d cut entries, want 2", tc.name, len(ev.cuts))
+		}
+		for key, ent := range ev.cuts {
+			if kept := ent.intRuns != nil || ent.strCounts != nil; kept != tc.retain {
+				t.Fatalf("%s entry %q: refreshable state kept = %v, want %v", tc.name, key, kept, tc.retain)
+			}
+		}
+		ev.cutMu.RUnlock()
 	}
 }

@@ -1,13 +1,15 @@
 // Chunked order statistics: the cut-point math (medians, equi-depth
 // quantiles) over data that arrives as per-chunk slices instead of
 // one flat vector. Section 5.1 names exactly these calculations as
-// the vertical-scalability bottleneck; the chunked forms sort every
-// chunk independently on the worker pool and then resolve the
-// requested ranks by value-space binary search over the sorted
-// chunks, so no step ever concatenates, copies or re-sorts the whole
-// extent. Every function returns exactly what its flat counterpart
-// returns on the concatenation of the chunks: the k-th smallest of a
-// multiset does not depend on how the multiset is sharded.
+// the vertical-scalability bottleneck. Every chunk is radix-sorted
+// independently on the worker pool (radix.go: O(n), no comparisons),
+// and the requested ranks are then resolved by value-space binary
+// search over the sorted chunks, so no step ever concatenates or
+// copies the whole extent. The sorted chunks are also the runs the
+// cut cache retains and splices on a mutable table. Every function
+// returns exactly what its flat counterpart returns on the
+// concatenation of the chunks: the k-th smallest of a multiset does
+// not depend on how the multiset is sharded or sorted.
 package stats
 
 import (
@@ -17,20 +19,22 @@ import (
 	"charles/internal/par"
 )
 
-// SortInt64Chunks sorts every chunk ascending in place, one chunk
-// per worker-pool task.
+// SortInt64Chunks radix-sorts every chunk ascending in place, one
+// chunk per worker-pool task.
 func SortInt64Chunks(chunks [][]int64, workers int) {
 	_ = par.ForEach(par.Workers(workers), len(chunks), func(c int) error {
-		sort.Slice(chunks[c], func(i, j int) bool { return chunks[c][i] < chunks[c][j] })
+		sortInt64s(chunks[c])
 		return nil
 	})
 }
 
-// SortFloat64Chunks sorts every chunk ascending in place, one chunk
-// per worker-pool task.
+// SortFloat64Chunks radix-sorts every chunk ascending in place, one
+// chunk per worker-pool task. Zeros come back as +0.0 (float64Key's
+// canonical form); the chunks should be NaN-free, as every rank
+// selection over them requires.
 func SortFloat64Chunks(chunks [][]float64, workers int) {
 	_ = par.ForEach(par.Workers(workers), len(chunks), func(c int) error {
-		sort.Float64s(chunks[c])
+		sortFloat64s(chunks[c])
 		return nil
 	})
 }
@@ -42,8 +46,8 @@ func int64Key(v int64) uint64 { return uint64(v) ^ (1 << 63) }
 
 func int64FromKey(u uint64) int64 { return int64(u ^ (1 << 63)) }
 
-// float64Key maps a non-NaN float64 to uint64 preserving IEEE-754
-// order: non-negative values set the sign bit, negative values are
+// float64Key maps a float64 to uint64 preserving IEEE-754 order:
+// non-negative values set the sign bit, negative values are
 // bit-complemented. -0.0 is collapsed onto +0.0 first — the two
 // compare equal, so counting cannot separate their raw keys, and
 // without the collapse the search would converge on the -0.0 key
@@ -51,8 +55,13 @@ func int64FromKey(u uint64) int64 { return int64(u ^ (1 << 63)) }
 // differently in canonical query strings). With it, any selected
 // zero comes back as +0.0, deterministically. The map is then
 // monotone on the non-NaN range, letting the rank search bisect
-// float values through integer midpoints.
+// float values through integer midpoints. NaN, which has no rank,
+// maps to key 0, below -Inf, so the radix sort puts it first as
+// sort.Float64s does.
 func float64Key(v float64) uint64 {
+	if v != v {
+		return 0
+	}
 	if v == 0 {
 		v = 0 // +0.0, whatever the sign bit said
 	}
@@ -178,8 +187,8 @@ func MedianFloat64Chunks(chunks [][]float64, workers int) float64 {
 // EquiDepthPointsChunks returns exactly what EquiDepthPoints returns
 // on the concatenation of the chunks: up to arity−1 strictly
 // increasing equi-depth points, duplicates collapsed and points
-// equal to the global minimum dropped. Chunks are sorted in place in
-// parallel; each point is then one rank selection.
+// equal to the global minimum dropped. Chunks are radix-sorted in
+// place in parallel; each point is then one rank selection.
 func EquiDepthPointsChunks(chunks [][]int64, arity, workers int) []int64 {
 	n := 0
 	for _, ch := range chunks {

@@ -1,7 +1,5 @@
 package stats
 
-import "sort"
-
 // ordered covers the element types Charles selects over.
 type ordered interface {
 	~int64 | ~float64
@@ -137,12 +135,12 @@ func quantileIndex(n int, q float64) int {
 // i/arity for i in 1..arity−1. The points are strictly increasing:
 // duplicate quantile values (heavy duplicates in the data) are
 // collapsed, so fewer than arity−1 points may be returned. vals is
-// reordered in place.
+// radix-sorted in place.
 func EquiDepthPoints(vals []int64, arity int) []int64 {
 	if arity < 2 || len(vals) == 0 {
 		return nil
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	sortInt64s(vals)
 	points := make([]int64, 0, arity-1)
 	for i := 1; i < arity; i++ {
 		p := vals[quantileIndex(len(vals), float64(i)/float64(arity))]
@@ -155,12 +153,14 @@ func EquiDepthPoints(vals []int64, arity int) []int64 {
 	return points
 }
 
-// EquiDepthPointsFloat64 is EquiDepthPoints for float64 data.
+// EquiDepthPointsFloat64 is EquiDepthPoints for float64 data. A zero
+// point is always +0.0; NaN sorts first, so any NaN in vals leaves no
+// point above the minimum.
 func EquiDepthPointsFloat64(vals []float64, arity int) []float64 {
 	if arity < 2 || len(vals) == 0 {
 		return nil
 	}
-	sort.Float64s(vals)
+	sortFloat64s(vals)
 	points := make([]float64, 0, arity-1)
 	for i := 1; i < arity; i++ {
 		p := vals[quantileIndex(len(vals), float64(i)/float64(arity))]
