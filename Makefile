@@ -83,16 +83,19 @@ lint:
 		echo "govulncheck ./..."; govulncheck ./...; \
 	else echo "govulncheck not installed; skipping"; fi
 
-# Short native-fuzz pass over the .chc parsers and the chunked order
+# Short native-fuzz pass over the .chc parsers, the chunked order
 # statistics (radix sort + rank selection against a slices.Sort
-# reference): enough budget to exercise the mutators on every seed
-# class, small enough for CI. The exec-denominated minimize budget
+# reference) and the filter kernels (both drivers, with and without
+# zone maps, against a row-at-a-time Contains / membership reference):
+# enough budget to exercise the mutators on every seed class, small
+# enough for CI. The exec-denominated minimize budget
 # keeps a newly found interesting input from eating the wall-clock
 # budget.
 fuzz-smoke:
 	$(GO) test ./internal/colfile -run=NONE -fuzz=FuzzReadPage -fuzztime=20s -fuzzminimizetime=30x
 	$(GO) test ./internal/colfile -run=NONE -fuzz=FuzzOpenColumnFile -fuzztime=20s -fuzzminimizetime=30x
 	$(GO) test ./internal/stats -run=NONE -fuzz=FuzzEquiDepthChunks -fuzztime=20s -fuzzminimizetime=30x
+	$(GO) test ./internal/engine -run=NONE -fuzz=FuzzFilterKernels -fuzztime=20s -fuzzminimizetime=30x
 
 # Chaos gate: the failpoint suite under the race detector. Every
 # TestChaos* test arms an internal/fault failpoint (catalogue in

@@ -225,13 +225,13 @@ func BenchmarkE7Vertical(b *testing.B) {
 func BenchmarkE7ColumnVsRow(b *testing.B) {
 	tab := table(b, "voc", 100000, 1)
 	ton := tab.MustColumn("tonnage").(*engine.IntColumn)
-	all := tab.All()
+	all, chunked := tab.All(), tab.AllChunked()
 	r := engine.IntRange{Lo: 200, Hi: 600, LoIncl: true, HiIncl: true}
 	rt := engine.NewRowTable(tab)
 	tonIdx := rt.ColumnIndex("tonnage")
 	b.Run("CountColumn", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = engine.FilterIntRange(ton, all, r)
+			_ = engine.FilterIntRangeChunked(ton, chunked, r, nil)
 		}
 	})
 	b.Run("CountRow", func(b *testing.B) {
@@ -388,11 +388,11 @@ func BenchmarkE11Lazy(b *testing.B) {
 func BenchmarkEngineFilterIntRange(b *testing.B) {
 	tab := table(b, "voc", 100000, 1)
 	ton := tab.MustColumn("tonnage").(*engine.IntColumn)
-	all := tab.All()
+	all := tab.AllChunked()
 	r := engine.IntRange{Lo: 200, Hi: 600, LoIncl: true, HiIncl: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = engine.FilterIntRange(ton, all, r)
+		_ = engine.FilterIntRangeChunked(ton, all, r, nil)
 	}
 }
 
@@ -429,11 +429,11 @@ func BenchmarkEngineIntersectCount(b *testing.B) {
 func BenchmarkEngineStringFilter(b *testing.B) {
 	tab := table(b, "voc", 100000, 1)
 	col := tab.MustColumn("type_of_boat").(*engine.StringColumn)
-	all := tab.All()
+	all := tab.AllChunked()
 	want := []string{"fluit", "jacht"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = engine.FilterStringSet(col, all, want)
+		_ = engine.FilterStringSetChunked(col, all, want, nil)
 	}
 }
 
@@ -590,7 +590,8 @@ func BenchmarkE15ParallelCells(b *testing.B) {
 // pool. The outputs are identical at every width (the chunked
 // equivalence property tests pin this); the wall-clock should fall
 // as workers rise on multi-core hardware. The single-width flat
-// subbenchmark is the pre-chunking baseline for the same scan.
+// subbenchmark is the pre-chunking baseline for the same pipeline:
+// no zone map, and the median and pack over the flat selection.
 func BenchmarkE16ChunkedScan(b *testing.B) {
 	const nRows = 1_000_000
 	tab := table(b, "voc", nRows, 1)
@@ -605,10 +606,9 @@ func BenchmarkE16ChunkedScan(b *testing.B) {
 	b.Run("flat/workers=1", func(b *testing.B) {
 		engine.SetScanWorkers(1)
 		defer engine.SetScanWorkers(0)
-		flat := tab.All()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sel := engine.FilterIntRange(ton, flat, r)
+			sel := engine.FilterIntRangeChunked(ton, all, r, nil).Flat()
 			if _, ok := engine.IntMedian(ton, sel); !ok {
 				b.Fatal("empty selection")
 			}

@@ -80,12 +80,33 @@ func (b *Bitmap) chunkWordCount(c int) int {
 	return (top + 63) / 64
 }
 
-// setSegBits sets every row of seg in words (rows local to base) and
-// returns the count set.
+// packChunk sets chunk c's words from seg, a non-empty sorted run of
+// rows inside chunk c, and returns the count set.
+func (b *Bitmap) packChunk(c int, seg Selection) int {
+	words := make([]uint64, b.chunkWordCount(c))
+	b.chunks[c] = words
+	return setSegBits(words, seg, int32(c*b.chunkRows))
+}
+
+// setSegBits sets every row of seg in the zeroed words (rows local to
+// base) and returns the count set. seg is sorted, so the rows of one
+// word arrive together: the word accumulates in a register, is
+// cleared by mask (not by branch) when a row lands in the next word,
+// and is stored after every row without being read back. That avoids
+// both a load-OR-store chain through memory and a word-boundary
+// branch, which at the ≈50% density of a median child mispredicts
+// about once per word; storing only at boundaries measured slower at
+// every density but a fully contiguous run.
 func setSegBits(words []uint64, seg Selection, base int32) int {
+	var w uint64
+	cur := uint32(0)
 	for _, row := range seg {
-		local := row - base
-		words[local>>6] |= 1 << (uint(local) & 63)
+		local := uint32(row - base)
+		wi := local >> 6
+		w &= -uint64(b2i(wi == cur))
+		cur = wi
+		w |= 1 << (local & 63)
+		words[wi] = w
 	}
 	return len(seg)
 }
@@ -97,13 +118,9 @@ func NewBitmapChunked(cs *ChunkedSelection) *Bitmap {
 	b := newBitmapShell(cs.NumRows(), cs.ChunkRows(), cs.NumChunks())
 	b.ones = cs.Len()
 	forEachSeg(cs, func(c int) {
-		seg := cs.Seg(c)
-		if len(seg) == 0 {
-			return
+		if seg := cs.Seg(c); len(seg) > 0 {
+			b.packChunk(c, seg)
 		}
-		words := make([]uint64, b.chunkWordCount(c))
-		setSegBits(words, seg, int32(c*b.chunkRows))
-		b.chunks[c] = words
 	})
 	return b
 }

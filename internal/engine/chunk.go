@@ -344,16 +344,10 @@ func (t *Table) WarmSummaries() int {
 
 // intChunkBounds scans one chunk's [lo, hi) rows for min/max.
 func intChunkBounds(col IntValued, lo, hi int) (mn, mx int64) {
-	mn = col.Int64(lo)
-	mx = mn
-	for r := lo + 1; r < hi; r++ {
-		v := col.Int64(r)
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
+	vals := col.Int64s()[lo:hi]
+	mn, mx = vals[0], vals[0]
+	for _, v := range vals[1:] {
+		mn, mx = min(mn, v), max(mx, v)
 	}
 	return mn, mx
 }
@@ -363,8 +357,7 @@ func intChunkBounds(col IntValued, lo, hi int) (mn, mx int64) {
 func floatChunkBounds(col FloatValued, lo, hi int) (mn, mx float64, pure bool) {
 	mn, mx = math.NaN(), math.NaN()
 	pure = true
-	for r := lo; r < hi; r++ {
-		v := col.Float64(r)
+	for _, v := range col.Float64s()[lo:hi] {
 		if v != v { // NaN
 			pure = false
 			continue

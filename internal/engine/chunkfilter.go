@@ -2,6 +2,19 @@ package engine
 
 import "charles/internal/par"
 
+// The chunked filters: every Filter*Chunked (and, in bitmapfilter.go,
+// every Filter*ChunkedBitmap) resolves its predicate once into a
+// filterPlan — a zone-map verdict per chunk plus one of the row
+// kernels in filter.go — and hands it to a driver that fans the
+// chunks out across the scan workers. A skipped chunk costs nothing,
+// a taken chunk passes its parent segment through by reference, and
+// a scanned chunk costs a load, some arithmetic and a store per row
+// (no call, hash or data-dependent branch except in the int/float set
+// and summary-less string range kernels: a string set is a bitset
+// over dictionary codes precisely so its test is a bit extract).
+// Scanned rows are compacted into pooled scratch and copied out at
+// exact length, so a cached child selection holds exactly its rows.
+
 // reserveSegSlots reserves extra scan-pool goroutines for a
 // per-chunk fan-out over cs: nothing for selections too small to
 // parallelize, and never more than chunks−1 — slots beyond that
@@ -65,11 +78,25 @@ const (
 	chunkTake
 )
 
-// filterSegs is the shared chunked-filter driver: verdict prunes or
-// passes whole chunks from the zone map, scan narrows the rest
-// through the same typed kernels the flat filters use, and the
-// per-chunk outputs are reassembled in chunk order.
-func filterSegs(cs *ChunkedSelection, verdict func(c int) chunkVerdict, scan func(seg Selection) Selection) *ChunkedSelection {
+// filterPlan is one predicate resolved for a chunked scan: the
+// zone-map verdict per chunk, the row kernel for the chunks the
+// verdict leaves to scan, and none when no row can match (the driver
+// then returns the empty result without visiting a chunk). The
+// row-id and bitmap drivers consume the same plan, so the two output
+// representations share every decision.
+type filterPlan struct {
+	verdict func(c int) chunkVerdict
+	scan    scanKernel
+	none    bool
+}
+
+// filterSegs is the row-id chunked-filter driver: the verdict prunes
+// or passes whole chunks from the zone map, the kernel narrows the
+// rest, and the per-chunk outputs are reassembled in chunk order.
+func filterSegs(cs *ChunkedSelection, p filterPlan) *ChunkedSelection {
+	if p.none {
+		return emptyLike(cs)
+	}
 	m := metricsHook.Load()
 	m.VectorKernels.Inc()
 	out := make([]Selection, cs.NumChunks())
@@ -78,17 +105,40 @@ func filterSegs(cs *ChunkedSelection, verdict func(c int) chunkVerdict, scan fun
 		if len(seg) == 0 {
 			return
 		}
-		v := verdict(c)
+		v := p.verdict(c)
 		m.countVerdict(v)
 		switch v {
 		case chunkSkip:
 		case chunkTake:
 			out[c] = seg
 		default:
-			out[c] = scan(seg)
+			out[c] = scanSeg(seg, p.scan)
 		}
 	})
 	return NewChunkedSelection(cs.nRows, cs.chunkRows, out)
+}
+
+// scanSeg runs a kernel over seg into pooled scratch and returns the
+// matches as an exact-length selection: nil when none match, seg
+// itself when all do (what a take verdict would have passed), and a
+// right-sized copy otherwise. A narrow child therefore never pins a
+// parent-sized array in the evaluator's selection cache.
+func scanSeg(seg Selection, scan scanKernel) Selection {
+	p := int32Scratch.Get(len(seg))
+	matched := (*p)[:scan(seg, *p)]
+	var out Selection
+	switch len(matched) {
+	case 0:
+	case len(seg):
+		out = seg
+	default:
+		// make+copy of one named slice compiles to a single
+		// non-zeroing allocation.
+		out = make(Selection, len(matched))
+		copy(out, matched)
+	}
+	int32Scratch.Put(p)
+	return out
 }
 
 // emptyLike returns the all-empty selection in cs's layout.
@@ -123,8 +173,8 @@ func intRangeVerdict(sum *ChunkSummary, r IntRange) func(c int) chunkVerdict {
 
 // floatRangeVerdict is intRangeVerdict over floats, complicated by
 // NaN: FloatRange.Contains(NaN) is true (NaN fails both exclusion
-// comparisons), so the flat filter keeps NaN rows in every range and
-// the chunked path must match it exactly. Skipping therefore needs
+// comparisons), so the range kernel keeps NaN rows in every range and
+// the verdicts must match it exactly. Skipping therefore needs
 // the zone map's proof that the chunk is NaN-free — its finite
 // bounds say nothing about NaN rows, which would always match.
 // Taking needs no such proof: if the NaN-ignoring bounds fall inside
@@ -151,62 +201,74 @@ func floatRangeVerdict(sum *ChunkSummary, r FloatRange) func(c int) chunkVerdict
 // in r, chunk by chunk, skipping chunks the zone map rules out and
 // passing through chunks it proves fully inside.
 func FilterIntRangeChunked(col IntValued, cs *ChunkedSelection, r IntRange, sum *ChunkSummary) *ChunkedSelection {
-	return filterSegs(cs, intRangeVerdict(sum, r), func(seg Selection) Selection {
-		return scanIntRange(col, seg, r)
-	})
+	return filterSegs(cs, intRangePlan(col, r, sum))
+}
+
+func intRangePlan(col IntValued, r IntRange, sum *ChunkSummary) filterPlan {
+	return filterPlan{verdict: intRangeVerdict(sum, r), scan: r.span().kernel(col.Int64s())}
 }
 
 // FilterFloatRangeChunked is FilterIntRangeChunked over floats.
 func FilterFloatRangeChunked(col FloatValued, cs *ChunkedSelection, r FloatRange, sum *ChunkSummary) *ChunkedSelection {
-	return filterSegs(cs, floatRangeVerdict(sum, r), func(seg Selection) Selection {
-		return scanFloatRange(col, seg, r)
-	})
+	return filterSegs(cs, floatRangePlan(col, r, sum))
+}
+
+func floatRangePlan(col FloatValued, r FloatRange, sum *ChunkSummary) filterPlan {
+	return filterPlan{verdict: floatRangeVerdict(sum, r), scan: r.span().kernel(col.Float64s())}
 }
 
 // FilterIntSetChunked narrows cs to rows whose int64 value appears
 // in values. The zone map prunes chunks whose value interval misses
 // the set's hull [min(values), max(values)].
 func FilterIntSetChunked(col IntValued, cs *ChunkedSelection, values []int64, sum *ChunkSummary) *ChunkedSelection {
-	if len(values) == 0 {
-		return emptyLike(cs)
-	}
-	want, wmin, wmax := int64Set(values)
-	verdict := scanAlways
-	if sum != nil {
-		verdict = func(c int) chunkVerdict {
-			lo, hi := sum.IntBounds(c)
-			if hi < wmin || lo > wmax {
-				return chunkSkip
-			}
-			return chunkScan
-		}
-	}
-	return filterSegs(cs, verdict, func(seg Selection) Selection {
-		return scanIntSet(col, seg, want)
-	})
+	return filterSegs(cs, intSetPlan(col, values, sum))
 }
 
-// FilterFloatSetChunked is FilterIntSetChunked over floats. NaN rows
-// never match a set (map lookups cannot find NaN keys), so — unlike
-// the float range filter — hull skipping needs no NaN-free proof.
-func FilterFloatSetChunked(col FloatValued, cs *ChunkedSelection, values []float64, sum *ChunkSummary) *ChunkedSelection {
-	if len(values) == 0 {
-		return emptyLike(cs)
-	}
-	want, wmin, wmax := float64Set(values)
-	verdict := scanAlways
+func intSetPlan(col IntValued, values []int64, sum *ChunkSummary) filterPlan {
+	var bounds func(c int) (lo, hi int64)
 	if sum != nil {
+		bounds = sum.IntBounds
+	}
+	return setPlan(col.Int64s(), values, bounds)
+}
+
+// FilterFloatSetChunked is FilterIntSetChunked over floats.
+func FilterFloatSetChunked(col FloatValued, cs *ChunkedSelection, values []float64, sum *ChunkSummary) *ChunkedSelection {
+	return filterSegs(cs, floatSetPlan(col, values, sum))
+}
+
+func floatSetPlan(col FloatValued, values []float64, sum *ChunkSummary) filterPlan {
+	var bounds func(c int) (lo, hi float64)
+	if sum != nil {
+		bounds = func(c int) (lo, hi float64) {
+			lo, hi, _ = sum.FloatBounds(c)
+			return lo, hi
+		}
+	}
+	return setPlan(col.Float64s(), values, bounds)
+}
+
+// setPlan is the int and float set plan: a map probe per row, and a
+// skip for every chunk whose [lo, hi] (bounds is nil without a zone
+// map) misses the set's hull. NaN rows never match a set, so — unlike
+// the float range filter — skipping needs no NaN-free proof.
+func setPlan[T int64 | float64](vals, values []T, bounds func(c int) (lo, hi T)) filterPlan {
+	if len(values) == 0 {
+		return filterPlan{none: true}
+	}
+	want, wlo, whi := hullSet(values)
+	verdict := scanAlways
+	if bounds != nil {
 		verdict = func(c int) chunkVerdict {
-			lo, hi, _ := sum.FloatBounds(c)
-			if hi < wmin || lo > wmax {
+			if lo, hi := bounds(c); hi < wlo || lo > whi {
 				return chunkSkip
 			}
 			return chunkScan
 		}
 	}
-	return filterSegs(cs, verdict, func(seg Selection) Selection {
-		return scanFloatSet(col, seg, want)
-	})
+	return filterPlan{verdict: verdict, scan: func(seg, buf Selection) int {
+		return scanSet(vals, want, seg, buf)
+	}}
 }
 
 // codeSetVerdict classifies a chunk against a wanted dictionary-code
@@ -214,24 +276,25 @@ func FilterFloatSetChunked(col FloatValued, cs *ChunkedSelection, values []float
 // none of the wanted codes, take when every distinct code it holds
 // is wanted (so the whole segment passes through by reference), scan
 // otherwise. Chunks whose sparse code list overflowed always scan.
-func codeSetVerdict(sum *ChunkSummary, want map[uint32]struct{}) func(c int) chunkVerdict {
+// The dense form ANDs the chunk's presence words with want's; a
+// presence bit past want's words (a summary built over a larger
+// dictionary) is simply unwanted.
+func codeSetVerdict(sum *ChunkSummary, want codeSet) func(c int) chunkVerdict {
 	if sum == nil || (sum.codeBits == nil && sum.codeList == nil) {
 		return scanAlways
 	}
 	if sum.codeBits != nil {
-		wantBits := make([]uint64, (sum.dictLen+63)/64)
-		for code := range want {
-			if int(code) < sum.dictLen {
-				wantBits[code>>6] |= 1 << (code & 63)
-			}
-		}
 		return func(c int) chunkVerdict {
 			anyWanted, allWanted := false, true
 			for i, present := range sum.codeBits[c] {
-				if present&wantBits[i] != 0 {
+				var w uint64
+				if i < len(want) {
+					w = want[i]
+				}
+				if present&w != 0 {
 					anyWanted = true
 				}
-				if present&^wantBits[i] != 0 {
+				if present&^w != 0 {
 					allWanted = false
 				}
 			}
@@ -251,7 +314,7 @@ func codeSetVerdict(sum *ChunkSummary, want map[uint32]struct{}) func(c int) chu
 		}
 		anyWanted, allWanted := false, true
 		for _, code := range sum.codeList[c] {
-			if _, ok := want[code]; ok {
+			if want.has(code) {
 				anyWanted = true
 			} else {
 				allWanted = false
@@ -296,24 +359,22 @@ func boolSetVerdict(sum *ChunkSummary, wantTrue, wantFalse bool) func(c int) chu
 // zone map prunes chunks holding no wanted code and passes chunks
 // wholesale when every code they hold is wanted.
 func FilterStringSetChunked(col *StringColumn, cs *ChunkedSelection, values []string, sum *ChunkSummary) *ChunkedSelection {
-	if len(values) == 0 {
-		return emptyLike(cs)
-	}
+	return filterSegs(cs, stringSetPlan(col, values, sum))
+}
+
+func stringSetPlan(col *StringColumn, values []string, sum *ChunkSummary) filterPlan {
 	want := stringCodeSet(col, values)
-	if len(want) == 0 {
-		return emptyLike(cs)
+	if want == nil {
+		return filterPlan{none: true}
 	}
-	codes := col.Codes()
-	return filterSegs(cs, codeSetVerdict(sum, want), func(seg Selection) Selection {
-		return scanCodeSet(codes, seg, want)
-	})
+	return filterPlan{verdict: codeSetVerdict(sum, want), scan: want.kernel(col.Codes())}
 }
 
 // FilterStringRangeChunked narrows cs to rows whose string value
 // lies in the lexicographic interval [lo, hi]. With a presence
 // summary the range is resolved to the set of dictionary codes it
 // covers — one pass over the dictionary, not the rows — which both
-// turns the per-row test into a dense code probe and lets the same
+// turns the per-row test into a bit extract and lets the same
 // verdicts prune and pass chunks exactly like an explicit value set.
 // Without one that can actually prune (pruning ablated, a
 // summary-less caller, or a sparse summary every chunk of which
@@ -322,30 +383,34 @@ func FilterStringSetChunked(col *StringColumn, cs *ChunkedSelection, values []st
 // from would make narrow selections over high-cardinality columns
 // *slower* than the scan.
 func FilterStringRangeChunked(col *StringColumn, cs *ChunkedSelection, lo, hi string, loIncl, hiIncl bool, sum *ChunkSummary) *ChunkedSelection {
+	return filterSegs(cs, stringRangePlan(col, strRange{lo, hi, loIncl, hiIncl}, sum))
+}
+
+func stringRangePlan(col *StringColumn, r strRange, sum *ChunkSummary) filterPlan {
 	if sum == nil || !sum.canPruneCodes() {
-		return filterSegs(cs, scanAlways, func(seg Selection) Selection {
-			return scanStringRange(col, seg, lo, hi, loIncl, hiIncl)
-		})
+		return filterPlan{verdict: scanAlways, scan: r.kernel(col)}
 	}
-	want := stringRangeCodeSet(col, lo, hi, loIncl, hiIncl)
-	if len(want) == 0 {
-		return emptyLike(cs)
+	want := r.codeSet(col)
+	if want == nil {
+		return filterPlan{none: true}
 	}
-	codes := col.Codes()
-	return filterSegs(cs, codeSetVerdict(sum, want), func(seg Selection) Selection {
-		return scanCodeSet(codes, seg, want)
-	})
+	return filterPlan{verdict: codeSetVerdict(sum, want), scan: want.kernel(col.Codes())}
 }
 
 // FilterBoolSetChunked narrows cs to rows whose boolean value
 // appears in values, skipping chunks that hold no wanted value and
 // passing chunks every row of which must match.
 func FilterBoolSetChunked(col *BoolColumn, cs *ChunkedSelection, values []bool, sum *ChunkSummary) *ChunkedSelection {
+	return filterSegs(cs, boolSetPlan(col, values, sum))
+}
+
+func boolSetPlan(col *BoolColumn, values []bool, sum *ChunkSummary) filterPlan {
 	wantTrue, wantFalse := boolWants(values)
 	if !wantTrue && !wantFalse {
-		return emptyLike(cs)
+		return filterPlan{none: true}
 	}
-	return filterSegs(cs, boolSetVerdict(sum, wantTrue, wantFalse), func(seg Selection) Selection {
-		return scanBoolSet(col, seg, wantTrue, wantFalse)
-	})
+	vals := col.Bools()
+	return filterPlan{verdict: boolSetVerdict(sum, wantTrue, wantFalse), scan: func(seg, buf Selection) int {
+		return scanBoolSet(vals, wantTrue, wantFalse, seg, buf)
+	}}
 }

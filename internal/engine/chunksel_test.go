@@ -127,9 +127,10 @@ func chunkTestTable(t *testing.T, nRows, chunkRows int, rng *rand.Rand) *Table {
 }
 
 // TestChunkedFiltersMatchMonolithic is the central equivalence
-// property: every chunked filter must produce exactly the selection
-// its monolithic counterpart produces, for every adversarial parent
-// selection shape, with and without the zone map.
+// property: every chunked filter, row-id and bitmap alike, must
+// produce exactly the selection the naive row-at-a-time reference
+// produces, for every adversarial parent selection shape, with and
+// without the zone map.
 func TestChunkedFiltersMatchMonolithic(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, nRows := range []int{1, 130, 1000} {
@@ -159,40 +160,16 @@ func TestChunkedFiltersMatchMonolithic(t *testing.T) {
 		for _, sel := range adversarialSelections(nRows, chunkRows, rng) {
 			cs := ChunkSelection(sel, nRows, chunkRows)
 			for _, r := range ranges {
-				want := FilterIntRange(ton, sel, r)
-				selEqual(t, "FilterIntRangeChunked+zonemap", FilterIntRangeChunked(ton, cs, r, tonSum), want)
-				selEqual(t, "FilterIntRangeChunked", FilterIntRangeChunked(ton, cs, r, nil), want)
+				checkIntRange(t, ton, tonSum, cs, r)
 			}
-			fr := FloatRange{Lo: 5, Hi: 30, LoIncl: true, HiIncl: true}
-			selEqual(t, "FilterFloatRangeChunked+zonemap",
-				FilterFloatRangeChunked(speed, cs, fr, speedSum), FilterFloatRange(speed, sel, fr))
-			frAll := FloatRange{Lo: math.Inf(-1), Hi: math.Inf(1), LoIncl: true, HiIncl: true}
-			selEqual(t, "FilterFloatRangeChunked NaN-excluding take",
-				FilterFloatRangeChunked(speed, cs, frAll, speedSum), FilterFloatRange(speed, sel, frAll))
-			selEqual(t, "FilterIntSetChunked",
-				FilterIntSetChunked(ton, cs, []int64{0, 17, 100, 999}, tonSum),
-				FilterIntSet(ton, sel, []int64{0, 17, 100, 999}))
-			selEqual(t, "FilterFloatSetChunked",
-				FilterFloatSetChunked(speed, cs, []float64{3, 20}, speedSum),
-				FilterFloatSet(speed, sel, []float64{3, 20}))
-			selEqual(t, "FilterStringSetChunked+zonemap",
-				FilterStringSetChunked(typ, cs, []string{"fluit", "galjoot"}, typSum),
-				FilterStringSet(typ, sel, []string{"fluit", "galjoot"}))
-			selEqual(t, "FilterStringSetChunked",
-				FilterStringSetChunked(typ, cs, []string{"fluit", "galjoot"}, nil),
-				FilterStringSet(typ, sel, []string{"fluit", "galjoot"}))
-			selEqual(t, "FilterStringRangeChunked+zonemap",
-				FilterStringRangeChunked(typ, cs, "g", "k", true, false, typSum),
-				FilterStringRange(typ, sel, "g", "k", true, false))
-			selEqual(t, "FilterStringRangeChunked",
-				FilterStringRangeChunked(typ, cs, "g", "k", true, false, nil),
-				FilterStringRange(typ, sel, "g", "k", true, false))
-			selEqual(t, "FilterBoolSetChunked+zonemap",
-				FilterBoolSetChunked(armed, cs, []bool{true}, armedSum),
-				FilterBoolSet(armed, sel, []bool{true}))
-			selEqual(t, "FilterBoolSetChunked",
-				FilterBoolSetChunked(armed, cs, []bool{true}, nil),
-				FilterBoolSet(armed, sel, []bool{true}))
+			checkFloatRange(t, speed, speedSum, cs, FloatRange{Lo: 5, Hi: 30, LoIncl: true, HiIncl: true})
+			checkFloatRange(t, speed, speedSum, cs, FloatRange{Lo: math.Inf(-1), Hi: math.Inf(1), LoIncl: true, HiIncl: true})
+			checkIntSet(t, ton, tonSum, cs, []int64{0, 17, 100, 999})
+			checkFloatSet(t, speed, speedSum, cs, []float64{3, 20})
+			checkStringSet(t, typ, typSum, cs, []string{"fluit", "galjoot"})
+			checkStringRange(t, typ, typSum, cs, "g", "k", true, false)
+			checkBoolSet(t, armed, armedSum, cs, []bool{true})
+			checkBoolSet(t, armed, armedSum, cs, []bool{true, false})
 		}
 	}
 }
@@ -348,7 +325,7 @@ func TestChunkedParallelLoopsRace(t *testing.T) {
 	sum := tab.SummaryByName("v")
 	cs := tab.AllChunked()
 	r := IntRange{Lo: 100, Hi: 800, LoIncl: true, HiIncl: false}
-	wantSel := FilterIntRange(col, AllRows(nRows), r)
+	wantSel := naiveFilter(AllRows(nRows), func(row int32) bool { return r.Contains(vals[row]) })
 	got := FilterIntRangeChunked(col, cs, r, sum)
 	selEqual(t, "parallel FilterIntRangeChunked", got, wantSel)
 	wantMed, _ := IntMedian(col, AllRows(nRows))
@@ -409,9 +386,9 @@ func TestSetChunkRowsSameWidthIsNoOp(t *testing.T) {
 
 // TestFloatRangeChunkedKeepsNaNInSkippedChunks is the regression
 // test for the zone-map NaN hazard: FloatRange.Contains(NaN) is true
-// (the flat filter keeps NaN rows in every range), so a chunk whose
-// finite bounds miss the range entirely may only be skipped when the
-// zone map proves it NaN-free.
+// (range filters keep NaN rows), so a chunk whose finite bounds miss
+// the range entirely may only be skipped when the zone map proves it
+// NaN-free.
 func TestFloatRangeChunkedKeepsNaNInSkippedChunks(t *testing.T) {
 	const chunkRows = 64
 	vals := make([]float64, 2*chunkRows)
@@ -426,13 +403,13 @@ func TestFloatRangeChunkedKeepsNaNInSkippedChunks(t *testing.T) {
 	tab.SetChunkRows(chunkRows)
 	col := tab.MustColumn("v").(*FloatColumn)
 	r := FloatRange{Lo: 10, Hi: 30, LoIncl: true, HiIncl: true}
-	want := FilterFloatRange(col, AllRows(len(vals)), r)
+	want := naiveFilter(AllRows(len(vals)), func(row int32) bool { return r.Contains(vals[row]) })
 	got := FilterFloatRangeChunked(col, tab.AllChunked(), r, tab.SummaryByName("v"))
 	selEqual(t, "NaN in skip-candidate chunk", got, want)
 	if got.Len() != chunkRows+1 { // chunk 1 plus the NaN row
 		t.Fatalf("kept %d rows, want %d (the NaN row must survive)", got.Len(), chunkRows+1)
 	}
-	// An all-NaN chunk is taken wholesale, like the flat filter.
+	// An all-NaN chunk is taken wholesale: every row matches.
 	allNaN := make([]float64, chunkRows)
 	for i := range allNaN {
 		allNaN[i] = math.NaN()
@@ -440,7 +417,7 @@ func TestFloatRangeChunkedKeepsNaNInSkippedChunks(t *testing.T) {
 	tab2 := MustNewTable("nan2", NewFloatColumn("v", allNaN))
 	tab2.SetChunkRows(chunkRows)
 	col2 := tab2.MustColumn("v").(*FloatColumn)
-	want2 := FilterFloatRange(col2, AllRows(chunkRows), r)
+	want2 := naiveFilter(AllRows(chunkRows), func(row int32) bool { return r.Contains(allNaN[row]) })
 	got2 := FilterFloatRangeChunked(col2, tab2.AllChunked(), r, tab2.SummaryByName("v"))
 	selEqual(t, "all-NaN chunk", got2, want2)
 	if got2.Len() != chunkRows {

@@ -13,6 +13,7 @@ import (
 // copy — downstream chunked order statistics consume the shards
 // directly.
 func GatherIntChunked(col IntValued, cs *ChunkedSelection) [][]int64 {
+	src := col.Int64s()
 	out := make([][]int64, cs.NumChunks())
 	forEachSeg(cs, func(c int) {
 		seg := cs.Seg(c)
@@ -21,7 +22,7 @@ func GatherIntChunked(col IntValued, cs *ChunkedSelection) [][]int64 {
 		}
 		vals := make([]int64, len(seg))
 		for i, row := range seg {
-			vals[i] = col.Int64(int(row))
+			vals[i] = src[row]
 		}
 		out[c] = vals
 	})
@@ -30,6 +31,7 @@ func GatherIntChunked(col IntValued, cs *ChunkedSelection) [][]int64 {
 
 // GatherFloatChunked is GatherIntChunked for float columns.
 func GatherFloatChunked(col FloatValued, cs *ChunkedSelection) [][]float64 {
+	src := col.Float64s()
 	out := make([][]float64, cs.NumChunks())
 	forEachSeg(cs, func(c int) {
 		seg := cs.Seg(c)
@@ -38,7 +40,7 @@ func GatherFloatChunked(col FloatValued, cs *ChunkedSelection) [][]float64 {
 		}
 		vals := make([]float64, len(seg))
 		for i, row := range seg {
-			vals[i] = col.Float64(int(row))
+			vals[i] = src[row]
 		}
 		out[c] = vals
 	})
@@ -52,6 +54,7 @@ func IntMinMaxChunked(col IntValued, cs *ChunkedSelection) (min, max int64, ok b
 	if cs.Len() == 0 {
 		return 0, 0, false
 	}
+	src := col.Int64s()
 	nc := cs.NumChunks()
 	mins := make([]int64, nc)
 	maxs := make([]int64, nc)
@@ -61,10 +64,10 @@ func IntMinMaxChunked(col IntValued, cs *ChunkedSelection) (min, max int64, ok b
 		if len(seg) == 0 {
 			return
 		}
-		lo := col.Int64(int(seg[0]))
+		lo := src[seg[0]]
 		hi := lo
 		for _, row := range seg[1:] {
-			v := col.Int64(int(row))
+			v := src[row]
 			if v < lo {
 				lo = v
 			}
@@ -101,6 +104,7 @@ func FloatMinMaxChunked(col FloatValued, cs *ChunkedSelection) (min, max float64
 	if cs.Len() == 0 {
 		return 0, 0, false
 	}
+	src := col.Float64s()
 	nc := cs.NumChunks()
 	mins := make([]float64, nc)
 	maxs := make([]float64, nc)
@@ -108,7 +112,7 @@ func FloatMinMaxChunked(col FloatValued, cs *ChunkedSelection) (min, max float64
 		seg := cs.Seg(c)
 		lo, hi := math.NaN(), math.NaN()
 		for _, row := range seg {
-			v := col.Float64(int(row))
+			v := src[row]
 			if v != v { // NaN
 				continue
 			}
@@ -158,6 +162,7 @@ func statWorkers(cs *ChunkedSelection) (workers int, release func()) {
 // stops allocating gather targets. Callers must not retain any shard
 // past release.
 func gatherIntScratch(col IntValued, cs *ChunkedSelection) (chunks [][]int64, release func()) {
+	src := col.Int64s()
 	nc := cs.NumChunks()
 	chunks = make([][]int64, nc)
 	ptrs := make([]*[]int64, nc)
@@ -169,7 +174,7 @@ func gatherIntScratch(col IntValued, cs *ChunkedSelection) (chunks [][]int64, re
 		p := int64Scratch.Get(len(seg))
 		vals := *p
 		for i, row := range seg {
-			vals[i] = col.Int64(int(row))
+			vals[i] = src[row]
 		}
 		ptrs[c], chunks[c] = p, vals
 	})
@@ -203,6 +208,7 @@ func posZero(v float64) float64 {
 // finite-value total. Callers must not retain any shard past
 // release.
 func gatherFloatFinite(col FloatValued, cs *ChunkedSelection) (chunks [][]float64, n int, release func()) {
+	src := col.Float64s()
 	nc := cs.NumChunks()
 	chunks = make([][]float64, nc)
 	ptrs := make([]*[]float64, nc)
@@ -214,7 +220,7 @@ func gatherFloatFinite(col FloatValued, cs *ChunkedSelection) (chunks [][]float6
 		p := float64Scratch.Get(len(seg))
 		vals := (*p)[:0]
 		for _, row := range seg {
-			v := col.Float64(int(row))
+			v := src[row]
 			if v == v { // not NaN
 				vals = append(vals, v)
 			}

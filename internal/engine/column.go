@@ -21,6 +21,10 @@ type IntValued interface {
 	Column
 	// Int64 returns the raw integer payload at the given row.
 	Int64(row int) int64
+	// Int64s exposes the backing vector, indexed by row id: the hot
+	// loops (filter kernels, gathers, min/max) index it directly
+	// instead of paying an interface call per row.
+	Int64s() []int64
 }
 
 // FloatValued is implemented by columns whose values are exposed as
@@ -29,6 +33,8 @@ type FloatValued interface {
 	Column
 	// Float64 returns the raw float payload at the given row.
 	Float64(row int) float64
+	// Float64s exposes the backing vector, indexed by row id.
+	Float64s() []float64
 }
 
 // IntColumn is a dense vector of int64 values.

@@ -30,52 +30,75 @@ func TestFloatRangeContains(t *testing.T) {
 	}
 }
 
+// flatFilter runs a chunked filter over a flat selection at the
+// smallest chunk width and returns its flat result: the shape the
+// small hand-checked cases below read best in.
+func flatFilter(sel Selection, nRows int, filter func(cs *ChunkedSelection) *ChunkedSelection) Selection {
+	return filter(ChunkSelection(sel, nRows, minChunkRows)).Flat()
+}
+
 func TestFilterIntRange(t *testing.T) {
 	col := NewIntColumn("tonnage", []int64{100, 200, 300, 400, 500})
-	sel := AllRows(5)
-	got := FilterIntRange(col, sel, IntRange{Lo: 200, Hi: 400, LoIncl: true, HiIncl: false})
+	filter := func(sel Selection, r IntRange) Selection {
+		return flatFilter(sel, 5, func(cs *ChunkedSelection) *ChunkedSelection {
+			return FilterIntRangeChunked(col, cs, r, nil)
+		})
+	}
+	got := filter(AllRows(5), IntRange{Lo: 200, Hi: 400, LoIncl: true, HiIncl: false})
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("FilterIntRange = %v, want [1 2]", got)
+		t.Fatalf("FilterIntRangeChunked = %v, want [1 2]", got)
 	}
 	// Filtering a narrowed selection only looks at its rows.
-	got = FilterIntRange(col, Selection{0, 4}, IntRange{Lo: 0, Hi: 1000, LoIncl: true, HiIncl: true})
+	got = filter(Selection{0, 4}, IntRange{Lo: 0, Hi: 1000, LoIncl: true, HiIncl: true})
 	if len(got) != 2 || got[0] != 0 || got[1] != 4 {
-		t.Fatalf("FilterIntRange on subset = %v, want [0 4]", got)
+		t.Fatalf("FilterIntRangeChunked on subset = %v, want [0 4]", got)
 	}
 }
 
 func TestFilterFloatRange(t *testing.T) {
 	col := NewFloatColumn("speed", []float64{1, 2, 3, 4})
-	got := FilterFloatRange(col, AllRows(4), FloatRange{Lo: 2, Hi: 3, LoIncl: true, HiIncl: true})
+	got := flatFilter(AllRows(4), 4, func(cs *ChunkedSelection) *ChunkedSelection {
+		return FilterFloatRangeChunked(col, cs, FloatRange{Lo: 2, Hi: 3, LoIncl: true, HiIncl: true}, nil)
+	})
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("FilterFloatRange = %v", got)
+		t.Fatalf("FilterFloatRangeChunked = %v", got)
 	}
 }
 
 func TestFilterStringSet(t *testing.T) {
 	col := NewStringColumn("harbour", []string{"bantam", "surat", "zeeland", "bantam", "surat"})
-	got := FilterStringSet(col, AllRows(5), []string{"bantam", "zeeland"})
-	if len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("FilterStringSet = %v, want [0 2 3]", got)
+	filter := func(values []string) Selection {
+		return flatFilter(AllRows(5), 5, func(cs *ChunkedSelection) *ChunkedSelection {
+			return FilterStringSetChunked(col, cs, values, nil)
+		})
 	}
-	if got := FilterStringSet(col, AllRows(5), nil); len(got) != 0 {
+	got := filter([]string{"bantam", "zeeland"})
+	if len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("FilterStringSetChunked = %v, want [0 2 3]", got)
+	}
+	if got := filter(nil); len(got) != 0 {
 		t.Fatalf("empty set selected %v", got)
 	}
-	if got := FilterStringSet(col, AllRows(5), []string{"amsterdam"}); len(got) != 0 {
+	if got := filter([]string{"amsterdam"}); len(got) != 0 {
 		t.Fatalf("unknown value selected %v", got)
 	}
 }
 
 func TestFilterBoolSet(t *testing.T) {
 	col := NewBoolColumn("armed", []bool{true, false, true, false})
-	if got := FilterBoolSet(col, AllRows(4), []bool{true}); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("FilterBoolSet(true) = %v", got)
+	filter := func(values []bool) Selection {
+		return flatFilter(AllRows(4), 4, func(cs *ChunkedSelection) *ChunkedSelection {
+			return FilterBoolSetChunked(col, cs, values, nil)
+		})
 	}
-	if got := FilterBoolSet(col, AllRows(4), []bool{true, false}); len(got) != 4 {
-		t.Fatalf("FilterBoolSet(both) = %v", got)
+	if got := filter([]bool{true}); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Fatalf("FilterBoolSetChunked(true) = %v", got)
 	}
-	if got := FilterBoolSet(col, AllRows(4), nil); len(got) != 0 {
-		t.Fatalf("FilterBoolSet(none) = %v", got)
+	if got := filter([]bool{true, false}); len(got) != 4 {
+		t.Fatalf("FilterBoolSetChunked(both) = %v", got)
+	}
+	if got := filter(nil); len(got) != 0 {
+		t.Fatalf("FilterBoolSetChunked(none) = %v", got)
 	}
 }
 
@@ -87,12 +110,13 @@ func TestFilterPreservesSortedProperty(t *testing.T) {
 		}
 		return vals
 	}())
+	all := AllRowsChunked(500, minChunkRows)
 	f := func(lo, hi uint8) bool {
 		l, h := int64(lo), int64(hi)
 		if l > h {
 			l, h = h, l
 		}
-		got := FilterIntRange(col, AllRows(500), IntRange{Lo: l, Hi: h, LoIncl: true, HiIncl: true})
+		got := FilterIntRangeChunked(col, all, IntRange{Lo: l, Hi: h, LoIncl: true, HiIncl: true}, nil).Flat()
 		return got.IsSorted() || len(got) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -103,13 +127,14 @@ func TestFilterPreservesSortedProperty(t *testing.T) {
 func TestFilterMatchesNaiveScanProperty(t *testing.T) {
 	vals := []int64{5, 1, 9, 3, 7, 5, 2, 8, 5, 0}
 	col := NewIntColumn("v", vals)
+	all := AllRowsChunked(len(vals), minChunkRows)
 	f := func(lo, hi uint8) bool {
 		l, h := int64(lo%12), int64(hi%12)
 		if l > h {
 			l, h = h, l
 		}
 		r := IntRange{Lo: l, Hi: h, LoIncl: true, HiIncl: false}
-		got := FilterIntRange(col, AllRows(len(vals)), r)
+		got := FilterIntRangeChunked(col, all, r, nil).Flat()
 		want := Selection{}
 		for i, v := range vals {
 			if v >= l && v < h {

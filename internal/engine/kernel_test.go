@@ -1,0 +1,450 @@
+package engine
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// naiveFilter is the reference every filter kernel is held to: the
+// rows of sel for which keep says yes, tested one at a time.
+func naiveFilter(sel Selection, keep func(row int32) bool) Selection {
+	out := Selection{}
+	for _, row := range sel {
+		if keep(row) {
+			out = append(out, row)
+		}
+	}
+	return out
+}
+
+func sameRows(a, b Selection) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+type (
+	rowsFilter   func(cs *ChunkedSelection, sum *ChunkSummary) *ChunkedSelection
+	bitmapFilter func(cs *ChunkedSelection, sum *ChunkSummary) *Bitmap
+)
+
+// checkKernel holds both drivers of one predicate — row ids and
+// bitmap — to the naive reference over cs, with the column's zone map
+// (verdicts engaged) and without it (every chunk scanned). It also
+// pins the output shapes: every row-id segment is exact-length, and
+// a chunk with no match allocates no bitmap words.
+func checkKernel(t testing.TB, name string, cs *ChunkedSelection, sum *ChunkSummary, rows rowsFilter, bits bitmapFilter, keep func(row int32) bool) {
+	t.Helper()
+	want := naiveFilter(cs.Flat(), keep)
+	for _, s := range []*ChunkSummary{sum, nil} {
+		got := rows(cs, s)
+		if !sameRows(got.Flat(), want) || got.Len() != len(want) {
+			t.Fatalf("%s (zone map %v): rows %v, want %v", name, s != nil, got.Flat(), want)
+		}
+		for c := 0; c < got.NumChunks(); c++ {
+			if seg := got.Seg(c); cap(seg) != len(seg) {
+				t.Fatalf("%s: chunk %d holds %d rows in a %d-row array", name, c, len(seg), cap(seg))
+			}
+		}
+		bm := bits(cs, s)
+		if bm.Count() != len(want) || !sameRows(bm.Selection(), want) {
+			t.Fatalf("%s (zone map %v): bitmap %v, want %v", name, s != nil, bm.Selection(), want)
+		}
+		for c, words := range bm.chunks {
+			if words != nil && len(got.Seg(c)) == 0 {
+				t.Fatalf("%s: chunk %d matched nothing but allocated bitmap words", name, c)
+			}
+		}
+	}
+}
+
+func checkIntRange(t testing.TB, col IntValued, sum *ChunkSummary, cs *ChunkedSelection, r IntRange) {
+	t.Helper()
+	vals := col.Int64s()
+	checkKernel(t, fmt.Sprintf("int range %+v", r), cs, sum,
+		func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
+			return FilterIntRangeChunked(col, cs, r, s)
+		},
+		func(cs *ChunkedSelection, s *ChunkSummary) *Bitmap { return FilterIntRangeChunkedBitmap(col, cs, r, s) },
+		func(row int32) bool { return r.Contains(vals[row]) })
+}
+
+func checkFloatRange(t testing.TB, col FloatValued, sum *ChunkSummary, cs *ChunkedSelection, r FloatRange) {
+	t.Helper()
+	vals := col.Float64s()
+	checkKernel(t, fmt.Sprintf("float range %+v", r), cs, sum,
+		func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
+			return FilterFloatRangeChunked(col, cs, r, s)
+		},
+		func(cs *ChunkedSelection, s *ChunkSummary) *Bitmap {
+			return FilterFloatRangeChunkedBitmap(col, cs, r, s)
+		},
+		func(row int32) bool { return r.Contains(vals[row]) })
+}
+
+func checkIntSet(t testing.TB, col IntValued, sum *ChunkSummary, cs *ChunkedSelection, values []int64) {
+	t.Helper()
+	vals := col.Int64s()
+	checkKernel(t, fmt.Sprintf("int set %v", values), cs, sum,
+		func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
+			return FilterIntSetChunked(col, cs, values, s)
+		},
+		func(cs *ChunkedSelection, s *ChunkSummary) *Bitmap {
+			return FilterIntSetChunkedBitmap(col, cs, values, s)
+		},
+		func(row int32) bool {
+			for _, v := range values {
+				if vals[row] == v {
+					return true
+				}
+			}
+			return false
+		})
+}
+
+// checkFloatSet's reference is ==, under which NaN matches nothing
+// (the set filters' documented convention) and -0 matches +0.
+func checkFloatSet(t testing.TB, col FloatValued, sum *ChunkSummary, cs *ChunkedSelection, values []float64) {
+	t.Helper()
+	vals := col.Float64s()
+	checkKernel(t, fmt.Sprintf("float set %v", values), cs, sum,
+		func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
+			return FilterFloatSetChunked(col, cs, values, s)
+		},
+		func(cs *ChunkedSelection, s *ChunkSummary) *Bitmap {
+			return FilterFloatSetChunkedBitmap(col, cs, values, s)
+		},
+		func(row int32) bool {
+			for _, v := range values {
+				if vals[row] == v {
+					return true
+				}
+			}
+			return false
+		})
+}
+
+func checkStringSet(t testing.TB, col *StringColumn, sum *ChunkSummary, cs *ChunkedSelection, values []string) {
+	t.Helper()
+	want := map[string]bool{}
+	for _, v := range values {
+		want[v] = true
+	}
+	checkKernel(t, fmt.Sprintf("string set %q (dict %d)", values, col.Cardinality()), cs, sum,
+		func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
+			return FilterStringSetChunked(col, cs, values, s)
+		},
+		func(cs *ChunkedSelection, s *ChunkSummary) *Bitmap {
+			return FilterStringSetChunkedBitmap(col, cs, values, s)
+		},
+		func(row int32) bool { return want[col.Str(int(row))] })
+}
+
+func checkStringRange(t testing.TB, col *StringColumn, sum *ChunkSummary, cs *ChunkedSelection, lo, hi string, loIncl, hiIncl bool) {
+	t.Helper()
+	checkKernel(t, fmt.Sprintf("string range %q..%q %v/%v (dict %d)", lo, hi, loIncl, hiIncl, col.Cardinality()), cs, sum,
+		func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
+			return FilterStringRangeChunked(col, cs, lo, hi, loIncl, hiIncl, s)
+		},
+		func(cs *ChunkedSelection, s *ChunkSummary) *Bitmap {
+			return FilterStringRangeChunkedBitmap(col, cs, lo, hi, loIncl, hiIncl, s)
+		},
+		func(row int32) bool {
+			v := col.Str(int(row))
+			return (lo < v || (loIncl && lo == v)) && (v < hi || (hiIncl && v == hi))
+		})
+}
+
+func checkBoolSet(t testing.TB, col *BoolColumn, sum *ChunkSummary, cs *ChunkedSelection, values []bool) {
+	t.Helper()
+	checkKernel(t, fmt.Sprintf("bool set %v", values), cs, sum,
+		func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
+			return FilterBoolSetChunked(col, cs, values, s)
+		},
+		func(cs *ChunkedSelection, s *ChunkSummary) *Bitmap {
+			return FilterBoolSetChunkedBitmap(col, cs, values, s)
+		},
+		func(row int32) bool {
+			for _, v := range values {
+				if col.Bool(int(row)) == v {
+					return true
+				}
+			}
+			return false
+		})
+}
+
+// kernelSelections is adversarialSelections in chunked form; an
+// empty table has only the empty selection.
+func kernelSelections(nRows, chunkRows int, rng *rand.Rand) []*ChunkedSelection {
+	if nRows == 0 {
+		return []*ChunkedSelection{AllRowsChunked(0, chunkRows)}
+	}
+	var out []*ChunkedSelection
+	for _, sel := range adversarialSelections(nRows, chunkRows, rng) {
+		out = append(out, ChunkSelection(sel, nRows, chunkRows))
+	}
+	return out
+}
+
+var inclusivities = [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}}
+
+// TestIntRangeKernelEdges drives the one-compare int kernel through
+// the int64 domain's edges: bounds at MinInt64/MaxInt64 under every
+// inclusivity (an exclusive bound there empties the range), Lo > Hi,
+// and point ranges, over values that sit on those edges.
+func TestIntRangeKernelEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const nRows, chunkRows = 300, 64
+	edges := []int64{math.MinInt64, math.MinInt64 + 1, -5, 0, 5, math.MaxInt64 - 1, math.MaxInt64}
+	vals := make([]int64, nRows)
+	for i := range vals {
+		if rng.Intn(3) == 0 {
+			vals[i] = edges[rng.Intn(len(edges))]
+		} else {
+			vals[i] = rng.Int63n(21) - 10
+		}
+	}
+	tab := MustNewTable("ints", NewIntColumn("v", vals))
+	tab.SetChunkRows(chunkRows)
+	col, sum := tab.MustColumn("v").(IntValued), tab.SummaryByName("v")
+	for _, cs := range kernelSelections(nRows, chunkRows, rng) {
+		for _, lo := range edges {
+			for _, hi := range edges {
+				for _, in := range inclusivities {
+					checkIntRange(t, col, sum, cs, IntRange{Lo: lo, Hi: hi, LoIncl: in[0], HiIncl: in[1]})
+				}
+			}
+		}
+		checkIntSet(t, col, sum, cs, []int64{math.MinInt64, 0, math.MaxInt64})
+		checkIntSet(t, col, sum, cs, []int64{3, 1 << 40})
+	}
+}
+
+// TestFloatRangeKernelEdges drives the key-space float kernel through
+// every bound that has a special meaning — ±Inf, NaN (an open side),
+// ±0 (both zeros on the same side of the bound), subnormals and
+// ±MaxFloat64 — under every inclusivity, over values holding NaNs of
+// both signs, both zeros, infinities and subnormals.
+func TestFloatRangeKernelEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const nRows, chunkRows = 300, 64
+	negZero := math.Copysign(0, -1)
+	sub := math.SmallestNonzeroFloat64
+	bounds := []float64{math.Inf(-1), -math.MaxFloat64, -1.5, -sub, negZero, 0, sub, 1.5, math.MaxFloat64, math.Inf(1), math.NaN()}
+	special := append([]float64{
+		math.Float64frombits(0xfff8000000000001), // negative quiet NaN
+		math.Float64frombits(0x7ff0000000000001), // signaling NaN
+		-2 * sub, 2 * sub, math.Nextafter(1.5, 2), math.Nextafter(-1.5, -2),
+	}, bounds...)
+	vals := make([]float64, nRows)
+	for i := range vals {
+		if rng.Intn(3) == 0 {
+			vals[i] = special[rng.Intn(len(special))]
+		} else {
+			vals[i] = float64(rng.Intn(9)-4) / 2
+		}
+	}
+	tab := MustNewTable("floats", NewFloatColumn("v", vals))
+	tab.SetChunkRows(chunkRows)
+	col, sum := tab.MustColumn("v").(FloatValued), tab.SummaryByName("v")
+	for _, cs := range kernelSelections(nRows, chunkRows, rng) {
+		for _, lo := range bounds {
+			for _, hi := range bounds {
+				for _, in := range inclusivities {
+					checkFloatRange(t, col, sum, cs, FloatRange{Lo: lo, Hi: hi, LoIncl: in[0], HiIncl: in[1]})
+				}
+			}
+		}
+		checkFloatSet(t, col, sum, cs, []float64{negZero, 1.5, math.NaN()})
+		checkFloatSet(t, col, sum, cs, []float64{math.Inf(1), sub})
+	}
+}
+
+// TestCodeSetKernelDictionaries drives the bitset code kernels across
+// the word edges of the bitset (dictionaries of 63, 64 and 65 codes),
+// the degenerate dictionaries (0 and 1), and a dictionary past
+// denseCodeDictMax, whose zone map is the sparse code list. Sets mix
+// present, absent and duplicate values; ranges take bounds from
+// inside, between and outside the dictionary.
+func TestCodeSetKernelDictionaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	const chunkRows = 64
+	for _, dictLen := range []int{0, 1, 63, 64, 65, denseCodeDictMax + 7} {
+		nRows := 300
+		if dictLen == 0 {
+			nRows = 0
+		}
+		dict := make([]string, dictLen)
+		for i := range dict {
+			dict[i] = fmt.Sprintf("s%05d", i*2)
+		}
+		rng.Shuffle(len(dict), func(i, j int) { dict[i], dict[j] = dict[j], dict[i] })
+		codes := make([]uint32, nRows)
+		for i := range codes {
+			codes[i] = uint32(rng.Intn(dictLen))
+			if i >= 128 && i < 192 {
+				codes[i] = 0 // one single-code chunk: a take candidate
+			}
+		}
+		strCol, err := NewStringColumnFromDict("s", codes, dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bools := make([]bool, nRows)
+		for i := range bools {
+			bools[i] = rng.Intn(2) == 0 || (i >= 64 && i < 128)
+		}
+		tab := MustNewTable("dict", strCol, NewBoolColumn("b", bools))
+		tab.SetChunkRows(chunkRows)
+		col, sum := tab.MustColumn("s").(*StringColumn), tab.SummaryByName("s")
+		if dictLen > denseCodeDictMax && sum.codeList == nil {
+			t.Fatalf("dict %d: expected the sparse presence summary", dictLen)
+		}
+		bcol, bsum := tab.MustColumn("b").(*BoolColumn), tab.SummaryByName("b")
+		pick := func() string {
+			if dictLen == 0 || rng.Intn(4) == 0 {
+				return fmt.Sprintf("s%05d", 2*rng.Intn(dictLen+2)+1) // between or past the values
+			}
+			return dict[rng.Intn(dictLen)]
+		}
+		for _, cs := range kernelSelections(nRows, chunkRows, rng) {
+			checkStringSet(t, col, sum, cs, nil)
+			checkStringSet(t, col, sum, cs, []string{"absent"})
+			for k := 0; k < 6; k++ {
+				values := make([]string, 1+rng.Intn(5))
+				for i := range values {
+					values[i] = pick()
+				}
+				checkStringSet(t, col, sum, cs, values)
+				for _, in := range inclusivities {
+					checkStringRange(t, col, sum, cs, pick(), pick(), in[0], in[1])
+				}
+			}
+			if dictLen > 0 {
+				checkStringSet(t, col, sum, cs, dict) // every code: a take everywhere
+				checkStringRange(t, col, sum, cs, "", "t", true, true)
+			}
+			for _, values := range [][]bool{nil, {true}, {false}, {true, false}, {false, false}} {
+				checkBoolSet(t, bcol, bsum, cs, values)
+			}
+		}
+	}
+}
+
+// FuzzFilterKernels holds every kernel, through both drivers and with
+// and without zone maps, to the naive references on decoded inputs:
+// raw supplies one 64-bit word per row, read as an int, as a float
+// (so NaN payloads, ±0, subnormals and infinities all occur) and,
+// reduced, as a dictionary code; seed picks the parent selection;
+// the bounds and inclusivity bits build every predicate.
+func FuzzFilterKernels(f *testing.F) {
+	word := func(ws ...uint64) []byte {
+		var b []byte
+		for _, w := range ws {
+			for i := 0; i < 8; i++ {
+				b = append(b, byte(w>>(8*i)))
+			}
+		}
+		return b
+	}
+	f.Add(word(0, 1, 2, 3, 1<<63, 1<<63-1, 0x7ff8000000000000, 0xfff0000000000000), uint64(1), int64(1), int64(2), 0.0, 1.0, uint8(0xff))
+	f.Add(word(0x8000000000000000, 0, 1, 0x7ff0000000000000), uint64(7), int64(math.MinInt64), int64(math.MaxInt64), math.Copysign(0, -1), math.Inf(1), uint8(0))
+	f.Add(word(5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5), uint64(3), int64(math.MaxInt64), int64(math.MinInt64), math.NaN(), -math.MaxFloat64, uint8(0x5a))
+	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, lo, hi int64, flo, fhi float64, incl uint8) {
+		const chunkRows = 64
+		nRows := len(raw) / 8
+		if nRows > 16*chunkRows {
+			nRows = 16 * chunkRows
+		}
+		dictLen := 1 + int(incl>>2)%70 // 1..70: across the 64-code word edge
+		dict := make([]string, dictLen)
+		for i := range dict {
+			dict[i] = fmt.Sprintf("s%02d", i)
+		}
+		ints := make([]int64, nRows)
+		floats := make([]float64, nRows)
+		codes := make([]uint32, nRows)
+		bools := make([]bool, nRows)
+		for i := range ints {
+			var w uint64
+			for k := 0; k < 8; k++ {
+				w |= uint64(raw[8*i+k]) << (8 * k)
+			}
+			ints[i], floats[i] = int64(w), math.Float64frombits(w)
+			codes[i] = uint32(w % uint64(dictLen))
+			bools[i] = w&1 == 1
+		}
+		strCol, err := NewStringColumnFromDict("s", codes, dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab := MustNewTable("fuzz", NewIntColumn("i", ints), NewFloatColumn("f", floats), strCol, NewBoolColumn("b", bools))
+		tab.SetChunkRows(chunkRows)
+		rng := rand.New(rand.NewSource(int64(seed)))
+		p := rng.Float64()
+		var sel Selection
+		for r := 0; r < nRows; r++ {
+			if rng.Float64() < p {
+				sel = append(sel, int32(r))
+			}
+		}
+		cs := ChunkSelection(sel, nRows, chunkRows)
+		icol, isum := tab.MustColumn("i").(IntValued), tab.SummaryByName("i")
+		fcol, fsum := tab.MustColumn("f").(FloatValued), tab.SummaryByName("f")
+		scol, ssum := tab.MustColumn("s").(*StringColumn), tab.SummaryByName("s")
+		bcol, bsum := tab.MustColumn("b").(*BoolColumn), tab.SummaryByName("b")
+
+		checkIntRange(t, icol, isum, cs, IntRange{Lo: lo, Hi: hi, LoIncl: incl&1 != 0, HiIncl: incl&2 != 0})
+		checkIntSet(t, icol, isum, cs, []int64{lo, hi})
+		checkFloatRange(t, fcol, fsum, cs, FloatRange{Lo: flo, Hi: fhi, LoIncl: incl&4 != 0, HiIncl: incl&8 != 0})
+		checkFloatSet(t, fcol, fsum, cs, []float64{flo, fhi})
+		var values []string
+		for d := 0; d < dictLen; d++ {
+			if uint64(lo)>>(d%64)&1 != 0 {
+				values = append(values, dict[d])
+			}
+		}
+		checkStringSet(t, scol, ssum, cs, values)
+		slo, shi := dict[uint64(hi)%uint64(dictLen)], fmt.Sprintf("s%02d", uint64(lo)%80)
+		checkStringRange(t, scol, ssum, cs, slo, shi, incl&16 != 0, incl&32 != 0)
+		checkBoolSet(t, bcol, bsum, cs, []bool{incl&64 != 0, incl&128 == 0})
+	})
+}
+
+// TestCodeSetVerdictShortWantSet pins the dense verdict against a
+// wanted set with fewer words than the presence summary (a summary
+// built over a larger dictionary): codes past the set are unwanted,
+// never wanted.
+func TestCodeSetVerdictShortWantSet(t *testing.T) {
+	dict := make([]string, 130)
+	for i := range dict {
+		dict[i] = fmt.Sprintf("s%03d", i)
+	}
+	codes := make([]uint32, 128)
+	for i := range codes {
+		codes[i] = 100 // chunk 0: only code 100
+	}
+	codes[64] = 0 // chunk 1: codes 0 and 100
+	col, err := NewStringColumnFromDict("s", codes, dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := MustNewTable("short", col)
+	tab.SetChunkRows(64)
+	verdict := codeSetVerdict(tab.SummaryByName("s"), codeSet{1}) // {code 0}, one word
+	if got := verdict(0); got != chunkSkip {
+		t.Fatalf("chunk of unwanted codes: verdict %d, want skip", got)
+	}
+	if got := verdict(1); got != chunkScan {
+		t.Fatalf("mixed chunk: verdict %d, want scan", got)
+	}
+}

@@ -8,7 +8,7 @@ import (
 
 // Metrics is the engine's instrumentation hook: counters for the
 // zone-map verdicts the chunked filter drivers hand down and for
-// which kernel family (vector row-id vs fused bitmap) served each
+// which driver (row-id selection vs bitmap words) served each
 // filter. Fields are nil-safe obs counters, so a partially-populated
 // hook records only what it names; the default hook records nothing.
 // The hook influences nothing — verdicts and kernels are chosen
@@ -21,7 +21,7 @@ type Metrics struct {
 	ZoneTake *obs.Counter
 	ZoneScan *obs.Counter
 	// VectorKernels / FusedKernels count driver invocations by
-	// output representation: row-id selections vs fused bitmaps.
+	// output representation: row-id selections vs bitmaps.
 	VectorKernels *obs.Counter
 	FusedKernels  *obs.Counter
 }

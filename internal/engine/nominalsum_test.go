@@ -19,6 +19,11 @@ func clusteredStringTable(nRows, chunkRows, runLen int) *Table {
 	return tab
 }
 
+// naiveStringFilter is naiveFilter over a string column's values.
+func naiveStringFilter(col *StringColumn, sel Selection, keep func(v string) bool) Selection {
+	return naiveFilter(sel, func(row int32) bool { return keep(col.Str(int(row))) })
+}
+
 // TestNominalVerdictSkipTakeScan pins the presence verdicts chunk by
 // chunk on a clustered layout: chunks holding none of the wanted
 // values skip, chunks holding only wanted values take, mixed chunks
@@ -149,8 +154,8 @@ func TestNominalEdgeCases(t *testing.T) {
 // TestNominalSparseSummaryAndOverflow exercises the large-dictionary
 // form: sorted per-chunk code lists when chunks are low-diversity,
 // the overflow mark (always scan) when a chunk's distinct count
-// exceeds the list cap, and end-to-end equivalence with the flat
-// filter either way.
+// exceeds the list cap, and end-to-end equivalence with the naive
+// row-at-a-time filter either way.
 func TestNominalSparseSummaryAndOverflow(t *testing.T) {
 	// 5000 distinct values (> denseCodeDictMax) in runs of 4: with
 	// 64-row chunks every chunk holds 16 distinct codes — well under
@@ -177,14 +182,14 @@ func TestNominalSparseSummaryAndOverflow(t *testing.T) {
 	wantVals := []string{"u0000", "u2500", "u4999"}
 	selEqual(t, "sparse set filter",
 		FilterStringSetChunked(col, all, wantVals, sum),
-		FilterStringSet(col, flatAll, wantVals))
+		naiveStringFilter(col, flatAll, func(v string) bool { return v == "u0000" || v == "u2500" || v == "u4999" }))
 	verdict := codeSetVerdict(sum, stringCodeSet(col, wantVals))
 	if got := verdict(1); got != chunkSkip {
 		t.Fatalf("uninvolved chunk verdict = %d, want skip", got)
 	}
 
 	// All-distinct rows push every full chunk past the list cap:
-	// overflow chunks must scan, and results must still match flat.
+	// overflow chunks must scan, and results must still match naive.
 	big := make([]string, 4992)
 	for i := range big {
 		big[i] = fmt.Sprintf("w%05d", i)
@@ -211,7 +216,7 @@ func TestNominalSparseSummaryAndOverflow(t *testing.T) {
 	}
 	selEqual(t, "overflow set filter",
 		FilterStringSetChunked(ocol, otab.AllChunked(), []string{"w00000", "w04000"}, osum),
-		FilterStringSet(ocol, otab.All(), []string{"w00000", "w04000"}))
+		naiveStringFilter(ocol, otab.All(), func(v string) bool { return v == "w00000" || v == "w04000" }))
 	// An all-overflowed summary cannot prune: the string-range filter
 	// must refuse the O(dictionary) code-set resolution and take the
 	// direct comparison scan — with identical results.
@@ -223,13 +228,13 @@ func TestNominalSparseSummaryAndOverflow(t *testing.T) {
 	}
 	selEqual(t, "overflow string range",
 		FilterStringRangeChunked(ocol, otab.AllChunked(), "w00100", "w00300", true, true, osum),
-		FilterStringRange(ocol, otab.All(), "w00100", "w00300", true, true))
+		naiveStringFilter(ocol, otab.All(), func(v string) bool { return "w00100" <= v && v <= "w00300" }))
 }
 
 // TestNominalSummaryReShard pins the layout-snapshot contract: a
 // re-shard swaps in fresh summaries sized to the new chunk count,
 // the old snapshot stays internally consistent, and filters after
-// the re-shard agree with the flat scan.
+// the re-shard agree with the naive scan.
 func TestNominalSummaryReShard(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	vals := make([]string, 1000)
@@ -260,13 +265,12 @@ func TestNominalSummaryReShard(t *testing.T) {
 	// filtering an old-layout selection with the old summary is
 	// correct (the evaluator guarantees it never mixes layouts).
 	oldCS := AllRowsChunked(1000, 64)
+	bd := naiveStringFilter(col, tab.All(), func(v string) bool { return v == "b" || v == "d" })
 	selEqual(t, "old layout + old summary",
-		FilterStringSetChunked(col, oldCS, []string{"b", "d"}, oldSum),
-		FilterStringSet(col, tab.All(), []string{"b", "d"}))
+		FilterStringSetChunked(col, oldCS, []string{"b", "d"}, oldSum), bd)
 	// And the new layout with the new summary agrees too.
 	selEqual(t, "new layout + new summary",
-		FilterStringSetChunked(col, tab.AllChunked(), []string{"b", "d"}, newSum),
-		FilterStringSet(col, tab.All(), []string{"b", "d"}))
+		FilterStringSetChunked(col, tab.AllChunked(), []string{"b", "d"}, newSum), bd)
 	if !reflect.DeepEqual(
 		FilterStringSetChunked(col, oldCS, []string{"b", "d"}, oldSum).Flat(),
 		FilterStringSetChunked(col, tab.AllChunked(), []string{"b", "d"}, newSum).Flat()) {

@@ -114,30 +114,3 @@ func runChunks(chunks []Selection, fn func(i int)) {
 		return nil
 	})
 }
-
-// parallelFilter runs a per-chunk filter over sel and concatenates
-// the chunk outputs in order. filterChunk is called once per chunk
-// with a contiguous sub-selection, so typed inner loops stay free of
-// per-row indirection; on small selections it is called exactly once
-// with sel itself, making the sequential path identical to the
-// pre-parallel code.
-func parallelFilter(sel Selection, filterChunk func(Selection) Selection) Selection {
-	chunks, release := statChunks(sel)
-	defer release()
-	if len(chunks) == 1 {
-		return filterChunk(sel)
-	}
-	outs := make([]Selection, len(chunks))
-	runChunks(chunks, func(i int) {
-		outs[i] = filterChunk(chunks[i])
-	})
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	out := make(Selection, 0, total)
-	for _, o := range outs {
-		out = append(out, o...)
-	}
-	return out
-}

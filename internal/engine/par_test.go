@@ -33,24 +33,25 @@ func parTable(t *testing.T) (*IntColumn, *FloatColumn, *StringColumn, Selection)
 
 func TestParallelFiltersMatchSequential(t *testing.T) {
 	ic, fc, sc, all := parTable(t)
-	var seqInt, parInt, seqFloat, parFloat, seqStr, parStr Selection
+	// 16 chunks, so the chunked drivers fan out at width 4.
+	cs := AllRowsChunked(len(all), 1<<12)
+	var seqInt, parInt, seqFloat, parFloat, seqStr, parStr, seqBits, parBits Selection
 	r := IntRange{Lo: 100, Hi: 700, LoIncl: true, HiIncl: false}
 	fr := FloatRange{Lo: 50, Hi: 200, LoIncl: true, HiIncl: true}
 	want := []string{"v3", "v7", "v11"}
-	withScanWorkers(t, 1, func() {
-		seqInt = FilterIntRange(ic, all, r)
-		seqFloat = FilterFloatRange(fc, all, fr)
-		seqStr = FilterStringSet(sc, all, want)
-	})
-	withScanWorkers(t, 4, func() {
-		parInt = FilterIntRange(ic, all, r)
-		parFloat = FilterFloatRange(fc, all, fr)
-		parStr = FilterStringSet(sc, all, want)
-	})
+	run := func() (ints, floats, strs, bits Selection) {
+		return FilterIntRangeChunked(ic, cs, r, nil).Flat(),
+			FilterFloatRangeChunked(fc, cs, fr, nil).Flat(),
+			FilterStringSetChunked(sc, cs, want, nil).Flat(),
+			FilterIntRangeChunkedBitmap(ic, cs, r, nil).Selection()
+	}
+	withScanWorkers(t, 1, func() { seqInt, seqFloat, seqStr, seqBits = run() })
+	withScanWorkers(t, 4, func() { parInt, parFloat, parStr, parBits = run() })
 	for name, pair := range map[string][2]Selection{
 		"int":    {seqInt, parInt},
 		"float":  {seqFloat, parFloat},
 		"string": {seqStr, parStr},
+		"bitmap": {seqBits, parBits},
 	} {
 		seq, par := pair[0], pair[1]
 		if len(seq) == 0 {
@@ -148,9 +149,10 @@ func TestFloatMinMaxIgnoresNaNAcrossChunkings(t *testing.T) {
 // budget drains back to zero after parallel scans.
 func TestScanSlotsReleased(t *testing.T) {
 	_, fc, _, all := parTable(t)
+	cs := AllRowsChunked(len(all), 1<<12)
 	withScanWorkers(t, 4, func() {
 		for i := 0; i < 10; i++ {
-			FilterFloatRange(fc, all, FloatRange{Lo: 0, Hi: 100, LoIncl: true, HiIncl: true})
+			FilterFloatRangeChunked(fc, cs, FloatRange{Lo: 0, Hi: 100, LoIncl: true, HiIncl: true}, nil)
 			FloatMinMax(fc, all)
 		}
 	})

@@ -8,10 +8,14 @@ import "charles/internal/pool"
 // radix-sort them in place (the sort's own scratch is pooled in
 // internal/stats), read the ranks, and drop them — on a warm advisor
 // that is the single largest source of steady-state garbage, so the
-// gather targets recycle through internal/pool. Anything that
-// escapes to a caller (filter results, bitmaps, cached selections,
-// the cut cache's sorted runs) is never pooled.
+// gather targets recycle through internal/pool. The filter kernels
+// compact each scanned chunk's matching row ids into int32 scratch
+// the same way; the driver then copies them out at exact length or
+// packs them into bitmap words. Anything that escapes to a caller
+// (filter results, bitmaps, cached selections, the cut cache's
+// sorted runs) is never pooled.
 var (
+	int32Scratch   pool.Slice[int32]
 	int64Scratch   pool.Slice[int64]
 	float64Scratch pool.Slice[float64]
 )

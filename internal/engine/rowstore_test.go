@@ -17,13 +17,13 @@ func TestRowTableMatchesColumnar(t *testing.T) {
 	}
 	r := IntRange{Lo: 150, Hi: 300, LoIncl: true, HiIncl: true}
 	rowCount := rt.CountIntRange(tonIdx, r)
-	colCount := len(FilterIntRange(tab.MustColumn("tonnage").(*IntColumn), tab.All(), r))
+	colCount := FilterIntRangeChunked(tab.MustColumn("tonnage").(*IntColumn), tab.AllChunked(), r, nil).Len()
 	if rowCount != colCount {
 		t.Fatalf("row count %d != column count %d", rowCount, colCount)
 	}
 	typeIdx := rt.ColumnIndex("type")
 	rowSet := rt.CountStringSet(typeIdx, []string{"fluit"})
-	colSet := len(FilterStringSet(tab.MustColumn("type").(*StringColumn), tab.All(), []string{"fluit"}))
+	colSet := FilterStringSetChunked(tab.MustColumn("type").(*StringColumn), tab.AllChunked(), []string{"fluit"}, nil).Len()
 	if rowSet != colSet || rowSet != 2 {
 		t.Fatalf("string set counts: row %d col %d, want 2", rowSet, colSet)
 	}

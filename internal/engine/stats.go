@@ -10,6 +10,7 @@ import (
 // rows. Works for integer and date columns alike. Large selections
 // scatter chunk-at-a-time on all scan workers.
 func GatherInt(col IntValued, sel Selection) []int64 {
+	src := col.Int64s()
 	out := make([]int64, len(sel))
 	chunks, release := statChunks(sel)
 	defer release()
@@ -17,7 +18,7 @@ func GatherInt(col IntValued, sel Selection) []int64 {
 	runChunks(chunks, func(c int) {
 		base := offsets[c]
 		for i, row := range chunks[c] {
-			out[base+i] = col.Int64(int(row))
+			out[base+i] = src[row]
 		}
 	})
 	return out
@@ -26,6 +27,7 @@ func GatherInt(col IntValued, sel Selection) []int64 {
 // GatherFloat materializes the float64 values of col at the selected
 // rows.
 func GatherFloat(col FloatValued, sel Selection) []float64 {
+	src := col.Float64s()
 	out := make([]float64, len(sel))
 	chunks, release := statChunks(sel)
 	defer release()
@@ -33,7 +35,7 @@ func GatherFloat(col FloatValued, sel Selection) []float64 {
 	runChunks(chunks, func(c int) {
 		base := offsets[c]
 		for i, row := range chunks[c] {
-			out[base+i] = col.Float64(int(row))
+			out[base+i] = src[row]
 		}
 	})
 	return out
@@ -58,16 +60,17 @@ func IntMinMax(col IntValued, sel Selection) (min, max int64, ok bool) {
 	if len(sel) == 0 {
 		return 0, 0, false
 	}
+	src := col.Int64s()
 	chunks, release := statChunks(sel)
 	defer release()
 	mins := make([]int64, len(chunks))
 	maxs := make([]int64, len(chunks))
 	runChunks(chunks, func(c int) {
 		chunk := chunks[c]
-		lo := col.Int64(int(chunk[0]))
+		lo := src[chunk[0]]
 		hi := lo
 		for _, row := range chunk[1:] {
-			v := col.Int64(int(row))
+			v := src[row]
 			if v < lo {
 				lo = v
 			}
@@ -100,6 +103,7 @@ func FloatMinMax(col FloatValued, sel Selection) (min, max float64, ok bool) {
 	if len(sel) == 0 {
 		return 0, 0, false
 	}
+	src := col.Float64s()
 	chunks, release := statChunks(sel)
 	defer release()
 	mins := make([]float64, len(chunks))
@@ -107,7 +111,7 @@ func FloatMinMax(col FloatValued, sel Selection) (min, max float64, ok bool) {
 	runChunks(chunks, func(c int) {
 		lo, hi := math.NaN(), math.NaN()
 		for _, row := range chunks[c] {
-			v := col.Float64(int(row))
+			v := src[row]
 			if v != v { // NaN
 				continue
 			}
@@ -254,15 +258,17 @@ func DistinctCount(col Column, sel Selection) int {
 		}
 		return 0
 	case IntValued:
+		vals := c.Int64s()
 		seen := make(map[int64]struct{}, 64)
 		for _, row := range sel {
-			seen[c.Int64(int(row))] = struct{}{}
+			seen[vals[row]] = struct{}{}
 		}
 		return len(seen)
 	case FloatValued:
+		vals := c.Float64s()
 		seen := make(map[float64]struct{}, 64)
 		for _, row := range sel {
-			seen[c.Float64(int(row))] = struct{}{}
+			seen[vals[row]] = struct{}{}
 		}
 		return len(seen)
 	default:
@@ -281,12 +287,13 @@ func FloatMeanVar(col FloatValued, sel Selection) (mean, variance float64, ok bo
 	if len(sel) == 0 {
 		return 0, 0, false
 	}
+	vals := col.Float64s()
 	for _, row := range sel {
-		mean += col.Float64(int(row))
+		mean += vals[row]
 	}
 	mean /= float64(len(sel))
 	for _, row := range sel {
-		d := col.Float64(int(row)) - mean
+		d := vals[row] - mean
 		variance += d * d
 	}
 	variance /= float64(len(sel))

@@ -121,8 +121,9 @@ func runE7(opt Options) ([]*Table, error) {
 		}
 		medianTime := time.Since(start)
 		r := engine.IntRange{Lo: 200, Hi: 600, LoIncl: true, HiIncl: true}
+		chunked := tab.AllChunked()
 		start = time.Now()
-		_ = engine.FilterIntRange(ton, all, r)
+		_ = engine.FilterIntRangeChunked(ton, chunked, r, nil)
 		countTime := time.Since(start)
 		ev := seg.NewEvaluator(tab)
 		ctx, err := sdl.ContextOn(tab, "type_of_boat", "tonnage", "departure_harbour", "trip")
@@ -153,11 +154,12 @@ func runE7(opt Options) ([]*Table, error) {
 	tab := dataset.VOC(opt.rows(200000), opt.Seed)
 	rt := engine.NewRowTable(tab)
 	ton := tab.MustColumn("tonnage").(*engine.IntColumn)
-	all := tab.All()
+	all, chunked := tab.All(), tab.AllChunked()
 	r := engine.IntRange{Lo: 200, Hi: 600, LoIncl: true, HiIncl: true}
 
+	// No zone map: both executors pay the full scan.
 	start := time.Now()
-	colCount := len(engine.FilterIntRange(ton, all, r))
+	colCount := engine.FilterIntRangeChunked(ton, chunked, r, nil).Len()
 	colCountTime := time.Since(start)
 	tonIdx := rt.ColumnIndex("tonnage")
 	start = time.Now()

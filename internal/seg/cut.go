@@ -230,14 +230,16 @@ func floatPieces(attr string, col engine.FloatValued, cs *engine.ChunkedSelectio
 // categorical column. Documented deviation: the paper's Definition 5
 // simply cannot split such a column.
 //
-// Counting iterates the typed values and keys the map on the raw
-// 64-bit payload: one integer map op per row, no Value boxing and no
-// string formatting in the loop. Values are formatted once per
-// distinct value at the end, where nominalPieces needs the canonical
-// strings for ordering; the ordering itself is deterministic (ties
-// broken on the value string) regardless of map iteration order,
-// which TestNumericNominalFallbackDeterministic pins.
-func numericNominalFallback(attr string, col engine.Column, sel engine.Selection, opt CutOptions) []sdl.Constraint {
+// Counting walks cs chunk by chunk over the column's backing slice —
+// no flat copy of the selection is built or cached — and keys the map
+// on the raw 64-bit payload: one integer map op per row, no Value
+// boxing and no string formatting in the loop. Values are formatted
+// once per distinct value at the end, where nominalPieces needs the
+// canonical strings for ordering; the ordering itself is
+// deterministic (ties broken on the value string) regardless of map
+// iteration order, which TestNumericNominalFallbackDeterministic
+// pins.
+func numericNominalFallback(attr string, col engine.Column, cs *engine.ChunkedSelection, opt CutOptions) []sdl.Constraint {
 	// The fallback only fires on near-constant extents, so the
 	// distinct count is small; a modest size hint avoids both rehash
 	// churn and a |sel|-sized over-allocation.
@@ -245,8 +247,11 @@ func numericNominalFallback(attr string, col engine.Column, sel engine.Selection
 	var toValue func(bits uint64) engine.Value
 	switch col := col.(type) {
 	case engine.IntValued:
-		for _, row := range sel {
-			counts[uint64(col.Int64(int(row)))]++
+		vals := col.Int64s()
+		for c := 0; c < cs.NumChunks(); c++ {
+			for _, row := range cs.Seg(c) {
+				counts[uint64(vals[row])]++
+			}
 		}
 		if col.Kind() == engine.KindDate {
 			toValue = func(bits uint64) engine.Value { return engine.Date(int64(bits)) }
@@ -254,16 +259,19 @@ func numericNominalFallback(attr string, col engine.Column, sel engine.Selection
 			toValue = func(bits uint64) engine.Value { return engine.Int(int64(bits)) }
 		}
 	case engine.FloatValued:
-		for _, row := range sel {
-			v := col.Float64(int(row))
-			if v != v {
-				// Canonicalize NaN: every payload renders as the one
-				// string "NaN", so distinct NaN bit patterns must
-				// count as one value exactly like the string-keyed
-				// counting always did.
-				v = math.NaN()
+		vals := col.Float64s()
+		for c := 0; c < cs.NumChunks(); c++ {
+			for _, row := range cs.Seg(c) {
+				v := vals[row]
+				if v != v {
+					// Canonicalize NaN: every payload renders as the
+					// one string "NaN", so distinct NaN bit patterns
+					// must count as one value exactly like the
+					// string-keyed counting always did.
+					v = math.NaN()
+				}
+				counts[math.Float64bits(v)]++
 			}
-			counts[math.Float64bits(v)]++
 		}
 		toValue = func(bits uint64) engine.Value { return engine.Float(math.Float64frombits(bits)) }
 	default:

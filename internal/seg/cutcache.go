@@ -159,7 +159,7 @@ func (e *Evaluator) computeCut(attr string, col engine.Column, cs *engine.Chunke
 	case *engine.FloatColumn:
 		pieces, err = floatPieces(attr, col, cs, pointSel, opt)
 		if err == nil && len(pieces) < 2 {
-			pieces = numericNominalFallback(attr, col, cs.Flat(), opt)
+			pieces = numericNominalFallback(attr, col, cs, opt)
 		}
 	case engine.IntValued:
 		if retain && pointSel == nil {
@@ -169,7 +169,7 @@ func (e *Evaluator) computeCut(attr string, col engine.Column, cs *engine.Chunke
 			pieces, err = intPieces(attr, col, cs, pointSel, opt)
 		}
 		if err == nil && len(pieces) < 2 {
-			pieces = numericNominalFallback(attr, col, cs.Flat(), opt)
+			pieces = numericNominalFallback(attr, col, cs, opt)
 		}
 	default:
 		return nil, state, errCutKind(attr, col)
@@ -223,7 +223,7 @@ func (e *Evaluator) refreshCut(key string, ent cachedCut, attr string, col engin
 		}
 		pieces = intPiecesFromRuns(attr, col, runs, opt)
 		if len(pieces) < 2 {
-			pieces = numericNominalFallback(attr, col, cs.Flat(), opt)
+			pieces = numericNominalFallback(attr, col, cs, opt)
 		}
 		state.intRuns = runs
 	default:

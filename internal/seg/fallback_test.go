@@ -112,8 +112,8 @@ func TestNumericNominalFallbackMatchesStringKeyed(t *testing.T) {
 		t.Fatalf("majority value 200 not in first piece %s", children[0])
 	}
 
-	// Float fallback: NaN matches no set constraint (the documented
-	// float64Set convention, unchanged from the string-keyed
+	// Float fallback: NaN matches no set constraint (the float set
+	// filter's documented convention, unchanged from the string-keyed
 	// implementation), so the pieces partition exactly the non-NaN
 	// extent — finding more or fewer rows than that means the
 	// bits-keyed counting drifted.
