@@ -184,13 +184,16 @@ func TestChunkedStatsMatchMonolithic(t *testing.T) {
 	ton := tab.MustColumn("ton").(*IntColumn)
 	typ := tab.MustColumn("type").(*StringColumn)
 	armed := tab.MustColumn("armed").(*BoolColumn)
-	// A NaN-free float column: the flat median path (quickselect)
-	// does not tolerate NaN, chunked or not.
-	pure := make([]float64, nRows)
-	for i := range pure {
-		pure[i] = float64(rng.Intn(200)) / 4
+	// Both float paths drop NaN before selecting, so the column holds
+	// some; an all-NaN selection's bounds are NaN on both paths.
+	speedVals := make([]float64, nRows)
+	for i := range speedVals {
+		speedVals[i] = float64(rng.Intn(200)) / 4
+		if rng.Intn(50) == 0 {
+			speedVals[i] = math.NaN()
+		}
 	}
-	speed := NewFloatColumn("speed", pure)
+	speed := NewFloatColumn("speed", speedVals)
 	for _, sel := range adversarialSelections(nRows, chunkRows, rng) {
 		cs := ChunkSelection(sel, nRows, chunkRows)
 		wantMin, wantMax, wantOK := IntMinMax(ton, sel)
@@ -200,19 +203,13 @@ func TestChunkedStatsMatchMonolithic(t *testing.T) {
 		}
 		fMin, fMax, fOK := FloatMinMax(speed, sel)
 		cMin, cMax, cOK := FloatMinMaxChunked(speed, cs)
-		if cMin != fMin || cMax != fMax || cOK != fOK {
+		if math.Float64bits(cMin) != math.Float64bits(fMin) || math.Float64bits(cMax) != math.Float64bits(fMax) || cOK != fOK {
 			t.Fatalf("FloatMinMaxChunked = (%v,%v,%v), want (%v,%v,%v)", cMin, cMax, cOK, fMin, fMax, fOK)
 		}
 		if wm, wok := IntMedian(ton, sel.Clone()); true {
 			gm, gok := IntMedianChunked(ton, cs)
 			if gm != wm || gok != wok {
 				t.Fatalf("IntMedianChunked = (%d,%v), want (%d,%v)", gm, gok, wm, wok)
-			}
-		}
-		if wm, wok := FloatMedian(speed, sel.Clone()); true {
-			gm, gok := FloatMedianChunked(speed, cs)
-			if gm != wm || gok != wok {
-				t.Fatalf("FloatMedianChunked = (%v,%v), want (%v,%v)", gm, gok, wm, wok)
 			}
 		}
 		for _, arity := range []int{2, 3, 7} {
@@ -350,21 +347,20 @@ func TestFloatOrderStatsDeterministicWithNaN(t *testing.T) {
 	wantMed := finite[len(finite)/2] // upper median of the finite values
 	for _, chunkRows := range []int{64, 128} {
 		cs := AllRowsChunked(len(vals), chunkRows)
-		got, ok := FloatMedianChunked(col, cs)
-		if !ok || got != wantMed {
-			t.Fatalf("chunkRows=%d: FloatMedianChunked = (%v,%v), want (%v,true)", chunkRows, got, ok, wantMed)
-		}
 		points := FloatCutPointsChunked(col, cs, 2)
 		if len(points) != 1 || points[0] != wantMed {
 			t.Fatalf("chunkRows=%d: FloatCutPointsChunked = %v, want [%v]", chunkRows, points, wantMed)
 		}
 	}
-	allNaN := NewFloatColumn("n", []float64{math.NaN(), math.NaN()})
-	if _, ok := FloatMedianChunked(allNaN, AllRowsChunked(2, 64)); ok {
-		t.Fatal("all-NaN extent reported a median")
+	if points := FloatCutPoints(col, AllRows(len(vals)), 2); len(points) != 1 || points[0] != wantMed {
+		t.Fatalf("FloatCutPoints = %v, want [%v]", points, wantMed)
 	}
+	allNaN := NewFloatColumn("n", []float64{math.NaN(), math.NaN()})
 	if pts := FloatCutPointsChunked(allNaN, AllRowsChunked(2, 64), 2); pts != nil {
 		t.Fatalf("all-NaN extent produced cut points %v", pts)
+	}
+	if pts := FloatCutPoints(allNaN, AllRows(2), 2); pts != nil {
+		t.Fatalf("all-NaN selection produced cut points %v", pts)
 	}
 }
 
@@ -432,9 +428,9 @@ func TestFloatCutPointCanonicalZero(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	col := NewFloatColumn("v", []float64{-1, negZero, 5, negZero})
 	cs := AllRowsChunked(4, 64)
-	med, ok := FloatMedianChunked(col, cs)
-	if !ok || med != 0 || math.Signbit(med) {
-		t.Fatalf("median = %v (signbit %v), want canonical +0", med, math.Signbit(med))
+	med := FloatCutPointsChunked(col, cs, 2)
+	if len(med) != 1 || med[0] != 0 || math.Signbit(med[0]) {
+		t.Fatalf("median point = %v, want canonical +0", med)
 	}
 	for _, p := range FloatCutPointsChunked(col, cs, 3) {
 		if p == 0 && math.Signbit(p) {

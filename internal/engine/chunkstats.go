@@ -99,53 +99,68 @@ func IntMinMaxChunked(col IntValued, cs *ChunkedSelection) (min, max int64, ok b
 // FloatMinMaxChunked is IntMinMaxChunked over floats, ignoring NaN
 // exactly like FloatMinMax: NaN rows never seed or move a bound, and
 // an all-NaN selection yields NaN bounds. A zero bound is +0.0
-// whichever zero the scan met first (posZero).
+// whichever zero the scan met first.
 func FloatMinMaxChunked(col FloatValued, cs *ChunkedSelection) (min, max float64, ok bool) {
 	if cs.Len() == 0 {
 		return 0, 0, false
 	}
 	src := col.Float64s()
 	nc := cs.NumChunks()
-	mins := make([]float64, nc)
-	maxs := make([]float64, nc)
+	los := make([]uint64, nc)
+	his := make([]uint64, nc)
 	forEachSeg(cs, func(c int) {
-		seg := cs.Seg(c)
-		lo, hi := math.NaN(), math.NaN()
-		for _, row := range seg {
-			v := src[row]
-			if v != v { // NaN
-				continue
-			}
-			if lo != lo || v < lo {
-				lo = v
-			}
-			if hi != hi || v > hi {
-				hi = v
-			}
-		}
-		mins[c], maxs[c] = lo, hi
+		los[c], his[c] = floatKeyBounds(src, cs.Seg(c))
 	})
-	min, max = math.NaN(), math.NaN()
-	for c := 0; c < nc; c++ {
-		if len(cs.Seg(c)) == 0 {
-			continue
-		}
-		if mins[c] == mins[c] && (min != min || mins[c] < min) {
-			min = mins[c]
-		}
-		if maxs[c] == maxs[c] && (max != max || maxs[c] > max) {
-			max = maxs[c]
-		}
+	lo, hi := reduceKeyBounds(los, his)
+	return stats.Float64FromKey(lo), stats.Float64FromKey(hi), true
+}
+
+// floatKeyBounds reduces src over rows to its smallest stats.Float64Key
+// minus one and its largest key, branch-free. A NaN's key is 0, so the
+// minus one wraps it to MaxUint64 where the minimum never picks it, and
+// the maximum never picks it either; an all-NaN (or empty) set yields
+// (MaxUint64, 0).
+func floatKeyBounds(src []float64, rows Selection) (loMinus1, hi uint64) {
+	loMinus1 = math.MaxUint64
+	for _, row := range rows {
+		k := stats.Float64Key(src[row])
+		loMinus1, hi = min(loMinus1, k-1), max(hi, k)
 	}
-	return posZero(min), posZero(max), true
+	return loMinus1, hi
+}
+
+// gatherKeys is floatKeyBounds that also writes the keys of src's
+// numbers at rows to keys, dropping NaN without a branch: every key is
+// stored, and the cursor advances past a number's only. It returns how
+// many it kept. len(keys) must be at least len(rows).
+func gatherKeys(keys []uint64, src []float64, rows Selection) (m int, loMinus1, hi uint64) {
+	loMinus1 = math.MaxUint64
+	for _, row := range rows {
+		k := stats.Float64Key(src[row])
+		keys[m] = k
+		m += b2i(k != 0) // only a NaN's key is 0
+		loMinus1, hi = min(loMinus1, k-1), max(hi, k)
+	}
+	return m, loMinus1, hi
+}
+
+// reduceKeyBounds folds per-part floatKeyBounds results into the
+// smallest and largest key: NaN's key 0 for both when no part held a
+// number, which stats.Float64FromKey decodes to NaN.
+func reduceKeyBounds(los, his []uint64) (lo, hi uint64) {
+	lo = math.MaxUint64
+	for i := range los {
+		lo, hi = min(lo, los[i]), max(hi, his[i])
+	}
+	return lo + 1, hi
 }
 
 // statWorkers reserves scan-pool slots for a chunked order-statistic
-// computation (per-chunk radix sorts, or the banded string counts),
-// returning the worker count to hand to internal/stats and the
-// paired release. With no slot free the count is 1 and the same
-// per-chunk path runs on the calling goroutine. Routing the sort
-// through the same slot budget (reserveSegSlots) as the scans keeps nested
+// computation (per-chunk radix sorts, the float radix select, or the
+// banded string counts), returning the worker count to hand to
+// internal/stats and the paired release. With no slot free the count
+// is 1 and the same path runs on the calling goroutine. Routing the
+// work through the same slot budget (reserveSegSlots) as the scans keeps nested
 // parallelism — many advise workers each computing cut points — from
 // oversubscribing the scheduler, exactly like the chunked scans
 // themselves. Reserve only after the gather phase: the gather takes
@@ -187,53 +202,37 @@ func gatherIntScratch(col IntValued, cs *ChunkedSelection) (chunks [][]int64, re
 	}
 }
 
-// posZero canonicalizes -0.0 to +0.0. The rank selection always
-// returns +0.0 for a selected zero; a min/max scan keeps whichever
-// zero it met first, so without this a row permutation could flip a
-// piece bound between "-0" and "0".
-func posZero(v float64) float64 {
-	if v == 0 {
-		return 0
-	}
-	return v
-}
-
-// gatherFloatFinite is GatherFloatChunked minus NaN values, into
-// pooled scratch buffers: the order statistics (medians, equi-depth
-// points) need a totally ordered multiset, and NaN has no rank.
+// gatherFloatKeys gathers col over cs as stats.Float64Key keys into
+// pooled scratch, one shard per chunk, dropping NaN values: the order
+// statistics need a totally ordered multiset and NaN has no rank.
 // Dropping it here — always, in every branch — keeps the cut points
 // deterministic: they depend only on the finite values, never on
-// which algorithm or worker count a particular call happened to get.
-// (This mirrors the NaN convention of FloatMinMax.) n is the
-// finite-value total. Callers must not retain any shard past
-// release.
-func gatherFloatFinite(col FloatValued, cs *ChunkedSelection) (chunks [][]float64, n int, release func()) {
+// which worker count a particular call happened to get. (This mirrors
+// the NaN convention of FloatMinMax.) lo and hi are the smallest and
+// largest key gathered, reduced as the keys are written; both are 0
+// when there is none. Callers must not retain any shard past release.
+func gatherFloatKeys(col FloatValued, cs *ChunkedSelection) (chunks [][]uint64, lo, hi uint64, release func()) {
 	src := col.Float64s()
 	nc := cs.NumChunks()
-	chunks = make([][]float64, nc)
-	ptrs := make([]*[]float64, nc)
+	chunks = make([][]uint64, nc)
+	ptrs := make([]*[]uint64, nc)
+	los := make([]uint64, nc)
+	his := make([]uint64, nc)
 	forEachSeg(cs, func(c int) {
 		seg := cs.Seg(c)
+		los[c] = math.MaxUint64
 		if len(seg) == 0 {
 			return
 		}
-		p := float64Scratch.Get(len(seg))
-		vals := (*p)[:0]
-		for _, row := range seg {
-			v := src[row]
-			if v == v { // not NaN
-				vals = append(vals, v)
-			}
-		}
-		ptrs[c], chunks[c] = p, vals
+		p := uint64Scratch.Get(len(seg))
+		m, klo, khi := gatherKeys(*p, src, seg)
+		ptrs[c], chunks[c], los[c], his[c] = p, (*p)[:m], klo, khi
 	})
-	for _, ch := range chunks {
-		n += len(ch)
-	}
-	return chunks, n, func() {
+	lo, hi = reduceKeyBounds(los, his)
+	return chunks, lo, hi, func() {
 		for _, p := range ptrs {
 			if p != nil {
-				float64Scratch.Put(p)
+				uint64Scratch.Put(p)
 			}
 		}
 	}
@@ -256,23 +255,6 @@ func IntMedianChunked(col IntValued, cs *ChunkedSelection) (int64, bool) {
 	return stats.MedianInt64Chunks(chunks, workers), true
 }
 
-// FloatMedianChunked is IntMedianChunked for float columns. NaN
-// values carry no rank and are excluded before selection; an all-NaN
-// extent has no median (ok = false).
-func FloatMedianChunked(col FloatValued, cs *ChunkedSelection) (float64, bool) {
-	if cs.Len() == 0 {
-		return 0, false
-	}
-	chunks, n, put := gatherFloatFinite(col, cs)
-	defer put()
-	if n == 0 {
-		return 0, false
-	}
-	workers, release := statWorkers(cs)
-	defer release()
-	return stats.MedianFloat64Chunks(chunks, workers), true
-}
-
 // IntCutPointsChunked returns the same strictly increasing
 // equi-depth points as IntCutPoints, computed shard-at-a-time.
 func IntCutPointsChunked(col IntValued, cs *ChunkedSelection, arity int) []int64 {
@@ -287,19 +269,17 @@ func IntCutPointsChunked(col IntValued, cs *ChunkedSelection, arity int) []int64
 }
 
 // FloatCutPointsChunked is IntCutPointsChunked for float columns,
-// with NaN values excluded like FloatMedianChunked.
+// with NaN values excluded (gatherFloatKeys). The points are
+// radix-selected from the gathered keys; nothing is sorted.
 func FloatCutPointsChunked(col FloatValued, cs *ChunkedSelection, arity int) []float64 {
 	if cs.Len() == 0 {
 		return nil
 	}
-	chunks, n, put := gatherFloatFinite(col, cs)
+	keys, lo, hi, put := gatherFloatKeys(col, cs)
 	defer put()
-	if n == 0 {
-		return nil
-	}
 	workers, release := statWorkers(cs)
 	defer release()
-	return stats.EquiDepthPointsChunksFloat64(chunks, arity, workers)
+	return stats.EquiDepthPointsFloat64Keys(keys, lo, hi, arity, workers)
 }
 
 // StringValueCountsChunked returns the per-value frequencies of col

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"math"
-
-	"charles/internal/stats"
-)
+import "charles/internal/stats"
 
 // GatherInt materializes the int64 values of col at the selected
 // rows. Works for integer and date columns alike. Large selections
@@ -106,34 +102,13 @@ func FloatMinMax(col FloatValued, sel Selection) (min, max float64, ok bool) {
 	src := col.Float64s()
 	chunks, release := statChunks(sel)
 	defer release()
-	mins := make([]float64, len(chunks))
-	maxs := make([]float64, len(chunks))
+	los := make([]uint64, len(chunks))
+	his := make([]uint64, len(chunks))
 	runChunks(chunks, func(c int) {
-		lo, hi := math.NaN(), math.NaN()
-		for _, row := range chunks[c] {
-			v := src[row]
-			if v != v { // NaN
-				continue
-			}
-			if lo != lo || v < lo {
-				lo = v
-			}
-			if hi != hi || v > hi {
-				hi = v
-			}
-		}
-		mins[c], maxs[c] = lo, hi
+		los[c], his[c] = floatKeyBounds(src, chunks[c])
 	})
-	min, max = math.NaN(), math.NaN()
-	for c := range chunks {
-		if mins[c] == mins[c] && (min != min || mins[c] < min) {
-			min = mins[c]
-		}
-		if maxs[c] == maxs[c] && (max != max || maxs[c] > max) {
-			max = maxs[c]
-		}
-	}
-	return posZero(min), posZero(max), true
+	lo, hi := reduceKeyBounds(los, his)
+	return stats.Float64FromKey(lo), stats.Float64FromKey(hi), true
 }
 
 // IntMedian returns the upper median of col over sel (the Definition
@@ -143,15 +118,6 @@ func IntMedian(col IntValued, sel Selection) (int64, bool) {
 		return 0, false
 	}
 	return stats.MedianInt64(GatherInt(col, sel)), true
-}
-
-// FloatMedian returns the upper median of col over sel. ok is false
-// when the selection is empty.
-func FloatMedian(col FloatValued, sel Selection) (float64, bool) {
-	if len(sel) == 0 {
-		return 0, false
-	}
-	return stats.MedianFloat64(GatherFloat(col, sel)), true
 }
 
 // IntCutPoints returns up to arity−1 strictly increasing equi-depth
@@ -164,7 +130,8 @@ func IntCutPoints(col IntValued, sel Selection, arity int) []int64 {
 	return stats.EquiDepthPoints(GatherInt(col, sel), arity)
 }
 
-// FloatCutPoints is IntCutPoints for float columns.
+// FloatCutPoints is IntCutPoints for float columns. NaN values have
+// no rank and are dropped first, as FloatCutPointsChunked drops them.
 func FloatCutPoints(col FloatValued, sel Selection, arity int) []float64 {
 	if len(sel) == 0 {
 		return nil

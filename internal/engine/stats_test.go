@@ -57,11 +57,17 @@ func TestIntMedian(t *testing.T) {
 	}
 }
 
+// TestFloatMedian pins the arity-2 float cut point as the upper
+// median, on the flat and the chunked path.
 func TestFloatMedian(t *testing.T) {
-	col := NewFloatColumn("v", []float64{1, 2, 3})
-	med, ok := FloatMedian(col, AllRows(3))
-	if !ok || med != 2 {
-		t.Fatalf("FloatMedian = %v %v", med, ok)
+	col := NewFloatColumn("v", []float64{3, 1, 2, 4})
+	for _, med := range [][]float64{
+		FloatCutPoints(col, AllRows(4), 2),
+		FloatCutPointsChunked(col, AllRowsChunked(4, 64), 2),
+	} {
+		if len(med) != 1 || med[0] != 3 { // upper median of {1,2,3,4}
+			t.Fatalf("median point = %v, want [3]", med)
+		}
 	}
 }
 

@@ -383,6 +383,42 @@ func TestCutQuerySampledStaysValid(t *testing.T) {
 	}
 }
 
+// TestCutQuerySampledFloatIgnoresNaN is the regression test for a NaN
+// in a sampled float cut: the sampled points must drop NaN like the
+// exact ones, or NaN ranks below every number, no point lies above
+// the minimum, and the median cut falls through to the
+// numeric-nominal fallback's set pieces.
+func TestCutQuerySampledFloatIgnoresNaN(t *testing.T) {
+	vals := make([]float64, 4097)
+	vals[0] = math.NaN() // row 0 is always in the systematic sample
+	for i := 1; i < len(vals); i++ {
+		vals[i] = float64((i - 1) % 100)
+	}
+	tab := engine.MustNewTable("t", engine.NewFloatColumn("v", vals))
+	ctx := sdl.ContextAll(tab)
+	for _, sample := range []int{0, 512} {
+		opt := DefaultCutOptions()
+		opt.SampleSize = sample
+		children, err := CutQuery(evalFor(t, tab), ctx, "v", opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(children) != 2 {
+			t.Fatalf("sample=%d: %d pieces, want 2", sample, len(children))
+		}
+		for _, q := range children {
+			if c, _ := q.Constraint("v"); c.Kind != sdl.KindRange {
+				t.Fatalf("sample=%d: piece %v is not a range: the median cut degraded to a nominal one", sample, c)
+			}
+		}
+		lo, _ := children[0].Constraint("v")
+		hi, _ := children[1].Constraint("v")
+		if lo.Range.Lo.AsFloat() != 0 || hi.Range.Hi.AsFloat() != 99 || lo.Range.Hi.AsFloat() != hi.Range.Lo.AsFloat() {
+			t.Fatalf("sample=%d: pieces %v, %v, want [0, p) and [p, 99]", sample, lo, hi)
+		}
+	}
+}
+
 func TestCutSegmentationDoublesDepth(t *testing.T) {
 	tab, ev := figure2Table(t)
 	ctx := context2(t, tab)

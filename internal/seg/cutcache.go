@@ -3,8 +3,8 @@
 // 5.1 calls the median/quantile math the vertical-scalability
 // bottleneck, and unlike selections it cannot be spliced — the k-th
 // smallest of a multiset is a global property. What can be reused is
-// the per-chunk SORTED RUNS the chunked rank selection works over
-// (each chunk radix-sorted on its own, chunked.go): a mutation
+// the per-chunk SORTED RUNS the int rank selection works over (each
+// chunk radix-sorted on its own, stats/chunked.go): a mutation
 // invalidates only the dirty chunks' runs, so a warm re-advise
 // re-sorts ~1% of the data and resolves the ranks over the spliced
 // runs, byte-identical to a cold computation by the order-statistic
@@ -21,9 +21,10 @@
 // moves, so its entries keep the pieces alone. Sampled cut points,
 // float and bool columns, and the numeric-nominal fallback cache
 // their pieces for version-equal reuse but always recompute when
-// stale. Floats could join the splice — their bounds are canonical
-// (+0.0 for either zero), so sorted runs reproduce them — but stay
-// version-equal-only until ROADMAP's next order-statistics slice.
+// stale. Float points are radix-selected, never sorted, so no float
+// run exists to retain; if a workload ever mutated float columns, a
+// float splice would retain per-chunk key histograms (additive over
+// chunks, like the count vectors), not runs.
 package seg
 
 import (

@@ -77,32 +77,6 @@ func TestKthSortedInt64ChunksMatchesSort(t *testing.T) {
 	}
 }
 
-func TestKthSortedFloat64ChunksMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	cases := [][]float64{
-		{0},
-		{-1.5, 2.5},
-		{math.Inf(-1), math.Inf(1), 0, -0.25, 1e300, -1e300, 1e-300},
-		{3.25, 3.25, 3.25},
-	}
-	mixed := make([]float64, 257)
-	for i := range mixed {
-		mixed[i] = (rng.Float64() - 0.5) * 1e6
-	}
-	cases = append(cases, mixed)
-	for _, vals := range cases {
-		sorted := append([]float64(nil), vals...)
-		sort.Float64s(sorted)
-		chunks := chunkFloat64(vals, rng)
-		SortFloat64Chunks(chunks, 2)
-		for k := 0; k < len(vals); k++ {
-			if got := KthSortedFloat64Chunks(chunks, k); got != sorted[k] {
-				t.Fatalf("kth(%d) = %v, want %v (vals %v)", k, got, sorted[k], vals)
-			}
-		}
-	}
-}
-
 func TestMedianChunksMatchesFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, vals := range int64Cases(rng) {
@@ -115,9 +89,10 @@ func TestMedianChunksMatchesFlat(t *testing.T) {
 	for i := range fvals {
 		fvals[i] = float64(rng.Intn(50)) / 2
 	}
-	want := MedianFloat64(append([]float64(nil), fvals...))
-	if got := MedianFloat64Chunks(chunkFloat64(fvals, rng), 3); got != want {
-		t.Fatalf("MedianFloat64Chunks = %v, want %v", got, want)
+	sorted := append([]float64(nil), fvals...)
+	sort.Float64s(sorted)
+	if got, want := selectFloat64Ranks(chunkFloat64(fvals, rng), []int{len(fvals) / 2}, 3)[0], sorted[len(fvals)/2]; got != want {
+		t.Fatalf("float median = %v, want %v", got, want)
 	}
 }
 
@@ -155,9 +130,9 @@ func TestKthChunksPanicsOutOfRange(t *testing.T) {
 }
 
 // TestKthFloatChunksCanonicalZero pins the -0.0 collapse: a selected
-// zero always comes back as +0.0 — the rank search cannot tell the
-// two apart by counting, and "-0" must never leak into canonical
-// renderings — regardless of which zero's bit pattern the data held.
+// zero always comes back as +0.0 — no rank can tell the two apart,
+// and "-0" must never leak into canonical renderings — regardless of
+// which zero's bit pattern the data held.
 func TestKthFloatChunksCanonicalZero(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	for _, chunks := range [][][]float64{
@@ -165,8 +140,7 @@ func TestKthFloatChunksCanonicalZero(t *testing.T) {
 		{{-1, negZero}, {5}},
 		{{negZero}, {-1}, {0, 5}},
 	} {
-		SortFloat64Chunks(chunks, 1)
-		got := KthSortedFloat64Chunks(chunks, 1) // rank 1 of {-1, ±0, 5}-shaped data
+		got := selectFloat64Ranks(chunks, []int{1}, 1)[0] // rank 1 of {-1, ±0, 5}-shaped data
 		if got != 0 || math.Signbit(got) {
 			t.Fatalf("kth(1) = %v (signbit %v), want canonical +0", got, math.Signbit(got))
 		}

@@ -1,15 +1,11 @@
 package stats
 
-// ordered covers the element types Charles selects over.
-type ordered interface {
-	~int64 | ~float64
-}
-
 // quickSelect returns the k-th smallest element (0-based) of v,
 // reordering v in place. Expected O(n): iterative quickselect with a
 // median-of-three pivot and three-way (Dutch national flag)
 // partitioning, which stays linear on inputs with heavy duplicates.
-func quickSelect[T ordered](v []T, k int) T {
+// It panics if k is out of range; callers own the bounds check.
+func quickSelect(v []int64, k int) int64 {
 	if k < 0 || k >= len(v) {
 		panic("stats: quickselect index out of range")
 	}
@@ -44,7 +40,7 @@ func quickSelect[T ordered](v []T, k int) T {
 }
 
 // pivotValue returns the median of v[lo], v[mid], v[hi] by value.
-func pivotValue[T ordered](v []T, lo, hi int) T {
+func pivotValue(v []int64, lo, hi int) int64 {
 	mid := lo + (hi-lo)/2
 	a, b, c := v[lo], v[mid], v[hi]
 	switch {
@@ -69,51 +65,11 @@ func pivotValue[T ordered](v []T, lo, hi int) T {
 	}
 }
 
-// QuickSelectInt64 returns the k-th smallest element (0-based) of
-// vals, reordering vals in place. It panics if k is out of range;
-// callers own the bounds check.
-func QuickSelectInt64(vals []int64, k int) int64 {
-	return quickSelect(vals, k)
-}
-
-// QuickSelectFloat64 returns the k-th smallest element (0-based) of
-// vals, reordering vals in place. NaN values must not be present.
-func QuickSelectFloat64(vals []float64, k int) float64 {
-	return quickSelect(vals, k)
-}
-
 // MedianInt64 returns the upper median vals[n/2] (the cut point used
 // by Definition 5: the left piece takes values strictly below it).
 // vals is reordered in place. It panics on empty input.
 func MedianInt64(vals []int64) int64 {
 	return quickSelect(vals, len(vals)/2)
-}
-
-// MedianFloat64 returns the upper median vals[n/2], reordering vals
-// in place. It panics on empty input.
-func MedianFloat64(vals []float64) float64 {
-	return quickSelect(vals, len(vals)/2)
-}
-
-// QuantilesInt64 returns the values at the given quantile fractions
-// (each in (0,1)), computed as the element at index floor(q*n)
-// clamped to [0, n-1]. vals is reordered in place. The result
-// preserves the order of qs.
-func QuantilesInt64(vals []int64, qs []float64) []int64 {
-	out := make([]int64, len(qs))
-	for i, q := range qs {
-		out[i] = quickSelect(vals, quantileIndex(len(vals), q))
-	}
-	return out
-}
-
-// QuantilesFloat64 is QuantilesInt64 for float64 data.
-func QuantilesFloat64(vals []float64, qs []float64) []float64 {
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = quickSelect(vals, quantileIndex(len(vals), q))
-	}
-	return out
 }
 
 func quantileIndex(n int, q float64) int {
@@ -153,22 +109,10 @@ func EquiDepthPoints(vals []int64, arity int) []int64 {
 	return points
 }
 
-// EquiDepthPointsFloat64 is EquiDepthPoints for float64 data. A zero
-// point is always +0.0; NaN sorts first, so any NaN in vals leaves no
-// point above the minimum.
+// EquiDepthPointsFloat64 is EquiDepthPoints for float64 data: the
+// same select as EquiDepthPointsChunksFloat64 over one chunk, so NaN
+// values are dropped before any rank is read and a zero point is
+// +0.0. vals is not reordered.
 func EquiDepthPointsFloat64(vals []float64, arity int) []float64 {
-	if arity < 2 || len(vals) == 0 {
-		return nil
-	}
-	sortFloat64s(vals)
-	points := make([]float64, 0, arity-1)
-	for i := 1; i < arity; i++ {
-		p := vals[quantileIndex(len(vals), float64(i)/float64(arity))]
-		if len(points) == 0 || p > points[len(points)-1] {
-			if p > vals[0] {
-				points = append(points, p)
-			}
-		}
-	}
-	return points
+	return EquiDepthPointsChunksFloat64([][]float64{vals}, arity, 1)
 }

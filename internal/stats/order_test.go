@@ -19,26 +19,8 @@ func TestQuickSelectInt64MatchesSort(t *testing.T) {
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 		k := rng.Intn(n)
 		work := append([]int64(nil), vals...)
-		if got, want := QuickSelectInt64(work, k), sorted[k]; got != want {
+		if got, want := quickSelect(work, k), sorted[k]; got != want {
 			t.Fatalf("trial %d: QuickSelect(k=%d) = %d, want %d", trial, k, got, want)
-		}
-	}
-}
-
-func TestQuickSelectFloat64MatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(200)
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = float64(rng.Intn(40)) / 4
-		}
-		sorted := append([]float64(nil), vals...)
-		sort.Float64s(sorted)
-		k := rng.Intn(n)
-		work := append([]float64(nil), vals...)
-		if got, want := QuickSelectFloat64(work, k), sorted[k]; got != want {
-			t.Fatalf("trial %d: QuickSelect(k=%d) = %v, want %v", trial, k, got, want)
 		}
 	}
 }
@@ -49,7 +31,7 @@ func TestQuickSelectPanicsOutOfRange(t *testing.T) {
 			t.Fatal("expected panic for out-of-range k")
 		}
 	}()
-	QuickSelectInt64([]int64{1, 2, 3}, 3)
+	quickSelect([]int64{1, 2, 3}, 3)
 }
 
 func TestMedianInt64UpperMedian(t *testing.T) {
@@ -93,11 +75,14 @@ func TestQuantilesInt64(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	got := QuantilesInt64(append([]int64(nil), vals...), []float64{0.25, 0.5, 0.75})
+	got := EquiDepthPoints(vals, 4)
 	want := []int64{25, 50, 75}
+	if len(got) != len(want) {
+		t.Fatalf("quartiles = %v, want %v", got, want)
+	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("quantiles = %v, want %v", got, want)
+			t.Fatalf("quartiles = %v, want %v", got, want)
 		}
 	}
 }
