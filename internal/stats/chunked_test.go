@@ -77,6 +77,33 @@ func TestKthSortedInt64ChunksMatchesSort(t *testing.T) {
 	}
 }
 
+// TestKthSortedFloat64ChunksMatchesSort selects each rank on its own,
+// so every round of the select narrows to a single bucket.
+func TestKthSortedFloat64ChunksMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	cases := [][]float64{
+		{0},
+		{-1.5, 2.5},
+		{math.Inf(-1), math.Inf(1), 0, -0.25, 1e300, -1e300, 1e-300},
+		{3.25, 3.25, 3.25},
+	}
+	mixed := make([]float64, 257)
+	for i := range mixed {
+		mixed[i] = (rng.Float64() - 0.5) * 1e6
+	}
+	cases = append(cases, mixed)
+	for _, vals := range cases {
+		sorted := append([]float64(nil), vals...)
+		sort.Float64s(sorted)
+		chunks := chunkFloat64(vals, rng)
+		for k := 0; k < len(vals); k++ {
+			if got := selectFloat64Ranks(chunks, []int{k}, 2)[0]; got != sorted[k] {
+				t.Fatalf("kth(%d) = %v, want %v (vals %v)", k, got, sorted[k], vals)
+			}
+		}
+	}
+}
+
 func TestMedianChunksMatchesFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, vals := range int64Cases(rng) {

@@ -25,6 +25,25 @@ func TestQuickSelectInt64MatchesSort(t *testing.T) {
 	}
 }
 
+// TestQuickSelectFloat64MatchesSort selects one random rank of a small,
+// duplicate-heavy float column held in a single chunk.
+func TestQuickSelectFloat64MatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(200)
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = float64(rng.Intn(40)) / 4
+		}
+		sorted := append([]float64(nil), vals...)
+		sort.Float64s(sorted)
+		k := rng.Intn(n)
+		if got, want := selectFloat64Ranks([][]float64{vals}, []int{k}, 1)[0], sorted[k]; got != want {
+			t.Fatalf("trial %d: select(k=%d) = %v, want %v", trial, k, got, want)
+		}
+	}
+}
+
 func TestQuickSelectPanicsOutOfRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {

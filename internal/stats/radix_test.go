@@ -224,10 +224,10 @@ func selectFloat64Ranks(chunks [][]float64, ranks []int, workers int) []float64 
 	return vals
 }
 
-// TestRadixSelectFloat64MatchesReference selects every rank at once,
-// over a random sharding with empty chunks, and requires the slices.Sort
-// order with every zero as +0.0.
-func TestRadixSelectFloat64MatchesReference(t *testing.T) {
+// TestRadixSortFloat64MatchesReference selects every rank at once, over
+// a random sharding with empty chunks, which must reproduce the
+// slices.Sort order with every zero as +0.0.
+func TestRadixSortFloat64MatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, workers := range []int{1, 4} {
 		for _, vals := range radixFloat64Cases(rng) {
