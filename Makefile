@@ -8,7 +8,7 @@ GO ?= go
 # baselines never overwrite each other in the artifact history.
 BENCH_OUT ?= BENCH_10.json
 
-.PHONY: all build test test-race bench bench-smoke bench-json bench-scale bench-delta fmt fmt-check vet lint fuzz-smoke chaos metrics-smoke docs-check ci
+.PHONY: all build test test-race bench bench-smoke bench-json bench-scale bench-delta fmt fmt-check vet lint layers-build fuzz-smoke chaos metrics-smoke docs-check ci
 
 all: build
 
@@ -83,14 +83,20 @@ lint:
 		echo "govulncheck ./..."; govulncheck ./...; \
 	else echo "govulncheck not installed; skipping"; fi
 
+# The per-layer probes build only under the layers tag, so a plain
+# build never compiles them; building them here makes a refactor that
+# breaks a probe fail in CI rather than in a traced benchmark run.
+layers-build:
+	$(GO) build -tags layers -o /dev/null ./bench/layers
+
 # Short native-fuzz pass over the .chc parsers, the chunked order
-# statistics (radix sort + rank selection against a slices.Sort
-# reference) and the filter kernels (both drivers, with and without
-# zone maps, against a row-at-a-time Contains / membership reference):
-# enough budget to exercise the mutators on every seed class, small
-# enough for CI. The exec-denominated minimize budget
-# keeps a newly found interesting input from eating the wall-clock
-# budget.
+# statistics (radix select and narrow-span value counts against a
+# slices.Sort reference) and the filter kernels (both drivers, with
+# and without zone maps, against a row-at-a-time Contains /
+# membership reference): enough budget to exercise the mutators on
+# every seed class, small enough for CI. The exec-denominated
+# minimize budget keeps a newly found interesting input from eating
+# the wall-clock budget.
 fuzz-smoke:
 	$(GO) test ./internal/colfile -run=NONE -fuzz=FuzzReadPage -fuzztime=20s -fuzzminimizetime=30x
 	$(GO) test ./internal/colfile -run=NONE -fuzz=FuzzOpenColumnFile -fuzztime=20s -fuzzminimizetime=30x
@@ -117,4 +123,4 @@ metrics-smoke:
 docs-check:
 	$(GO) test -run='TestDocs' .
 
-ci: fmt-check vet lint build test-race chaos fuzz-smoke metrics-smoke docs-check bench-json bench-delta
+ci: fmt-check vet lint build layers-build test-race chaos fuzz-smoke metrics-smoke docs-check bench-json bench-delta

@@ -133,8 +133,12 @@ func TestDeltaAdviseByteIdentical(t *testing.T) {
 // against a from-scratch rebuild at every step, across worker counts
 // and chunk widths — the advise output must never diverge. Run under
 // -race it also shakes out unsynchronized mutation of derived state.
+// The context holds a narrow int (tonnage, whose cut entries retain
+// per-chunk value counts when they fit) and a wide date
+// (departure_date, whose entries retain nothing), and some tonnage
+// updates land outside the counted window, forcing a full recompute.
 func TestDeltaAdviseProperty(t *testing.T) {
-	const context = "(type_of_boat:, tonnage:, departure_harbour:)"
+	const context = "(type_of_boat:, tonnage:, departure_harbour:, departure_date:)"
 	for _, workers := range []int{1, 4} {
 		for _, chunkRows := range []int{1 << 10, 1 << 16} {
 			t.Run(fmt.Sprintf("workers=%d/chunkRows=%d", workers, chunkRows), func(t *testing.T) {
@@ -190,6 +194,9 @@ func TestDeltaAdviseProperty(t *testing.T) {
 						for i := range vals {
 							if col == "tonnage" {
 								vals[i] = charles.Int(int64(100 + rng.Intn(900)))
+								if rng.Intn(8) == 0 {
+									vals[i] = charles.Int(int64(5000 + rng.Intn(5000))) // outside any window
+								}
 							} else {
 								vals[i] = charles.Str([3]string{"fluit", "jacht", "pinas"}[rng.Intn(3)])
 							}

@@ -48,52 +48,42 @@ func GatherFloatChunked(col FloatValued, cs *ChunkedSelection) [][]float64 {
 }
 
 // IntMinMaxChunked returns the minimum and maximum of col over cs by
-// reducing per-chunk partials in chunk order. ok is false when the
-// selection is empty.
-func IntMinMaxChunked(col IntValued, cs *ChunkedSelection) (min, max int64, ok bool) {
+// reducing per-chunk partials. ok is false when the selection is
+// empty.
+func IntMinMaxChunked(col IntValued, cs *ChunkedSelection) (lo, hi int64, ok bool) {
 	if cs.Len() == 0 {
 		return 0, 0, false
 	}
 	src := col.Int64s()
 	nc := cs.NumChunks()
-	mins := make([]int64, nc)
-	maxs := make([]int64, nc)
-	seen := make([]bool, nc)
+	los := make([]int64, nc)
+	his := make([]int64, nc)
 	forEachSeg(cs, func(c int) {
-		seg := cs.Seg(c)
-		if len(seg) == 0 {
-			return
-		}
-		lo := src[seg[0]]
-		hi := lo
-		for _, row := range seg[1:] {
-			v := src[row]
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		mins[c], maxs[c], seen[c] = lo, hi, true
+		los[c], his[c] = intBounds(src, cs.Seg(c))
 	})
-	first := true
-	for c := 0; c < nc; c++ {
-		if !seen[c] {
-			continue
-		}
-		if first {
-			min, max, first = mins[c], maxs[c], false
-			continue
-		}
-		if mins[c] < min {
-			min = mins[c]
-		}
-		if maxs[c] > max {
-			max = maxs[c]
-		}
+	lo, hi = reduceIntBounds(los, his)
+	return lo, hi, true
+}
+
+// intBounds reduces src over rows to its minimum and maximum,
+// branch-free; an empty set yields (MaxInt64, MinInt64), which no
+// reduction picks.
+func intBounds(src []int64, rows Selection) (lo, hi int64) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	for _, row := range rows {
+		v := src[row]
+		lo, hi = min(lo, v), max(hi, v)
 	}
-	return min, max, true
+	return lo, hi
+}
+
+// reduceIntBounds folds per-part intBounds results.
+func reduceIntBounds(los, his []int64) (lo, hi int64) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	for i := range los {
+		lo, hi = min(lo, los[i]), max(hi, his[i])
+	}
+	return lo, hi
 }
 
 // FloatMinMaxChunked is IntMinMaxChunked over floats, ignoring NaN
@@ -156,7 +146,7 @@ func reduceKeyBounds(los, his []uint64) (lo, hi uint64) {
 }
 
 // statWorkers reserves scan-pool slots for a chunked order-statistic
-// computation (per-chunk radix sorts, the float radix select, or the
+// computation (the radix select, per-chunk value counts, or the
 // banded string counts), returning the worker count to hand to
 // internal/stats and the paired release. With no slot free the count
 // is 1 and the same path runs on the calling goroutine. Routing the
@@ -171,32 +161,41 @@ func statWorkers(cs *ChunkedSelection) (workers int, release func()) {
 	return extra + 1, release
 }
 
-// gatherIntScratch is GatherIntChunked into pooled scratch buffers:
-// the shards feed one order-statistic computation and go straight
-// back to the pool via release, so a warm advisor's cut-point math
-// stops allocating gather targets. Callers must not retain any shard
-// past release.
-func gatherIntScratch(col IntValued, cs *ChunkedSelection) (chunks [][]int64, release func()) {
+// gatherIntKeys is gatherFloatKeys for int and date columns: col over
+// cs as stats.Int64Key keys in pooled scratch, one shard per chunk,
+// nothing dropped. lo and hi are the smallest and largest key,
+// reduced as the keys are written (MaxUint64 and 0 when cs is empty).
+// Callers must not retain any shard past release.
+func gatherIntKeys(col IntValued, cs *ChunkedSelection) (chunks [][]uint64, lo, hi uint64, release func()) {
 	src := col.Int64s()
 	nc := cs.NumChunks()
-	chunks = make([][]int64, nc)
-	ptrs := make([]*[]int64, nc)
+	chunks = make([][]uint64, nc)
+	ptrs := make([]*[]uint64, nc)
+	los := make([]uint64, nc)
+	his := make([]uint64, nc)
 	forEachSeg(cs, func(c int) {
 		seg := cs.Seg(c)
+		los[c] = math.MaxUint64
 		if len(seg) == 0 {
 			return
 		}
-		p := int64Scratch.Get(len(seg))
-		vals := *p
+		p := uint64Scratch.Get(len(seg))
+		ks, klo, khi := *p, uint64(math.MaxUint64), uint64(0)
 		for i, row := range seg {
-			vals[i] = src[row]
+			k := stats.Int64Key(src[row])
+			ks[i] = k
+			klo, khi = min(klo, k), max(khi, k)
 		}
-		ptrs[c], chunks[c] = p, vals
+		ptrs[c], chunks[c], los[c], his[c] = p, ks, klo, khi
 	})
-	return chunks, func() {
+	lo = math.MaxUint64
+	for c := range los {
+		lo, hi = min(lo, los[c]), max(hi, his[c])
+	}
+	return chunks, lo, hi, func() {
 		for _, p := range ptrs {
 			if p != nil {
-				int64Scratch.Put(p)
+				uint64Scratch.Put(p)
 			}
 		}
 	}
@@ -239,47 +238,202 @@ func gatherFloatKeys(col FloatValued, cs *ChunkedSelection) (chunks [][]uint64, 
 }
 
 // IntMedianChunked returns the upper median of col over cs — the
-// Definition 5 cut point. It never materializes a flat vector:
-// per-chunk gather into pooled scratch, per-chunk O(n) radix sort on
-// as many workers as the scan pool grants (one included), then one
-// rank selection across the sorted shards. ok is false when the
-// selection is empty.
+// Definition 5 cut point — radix-selected from keys gathered per
+// chunk into pooled scratch: nothing is sorted and no flat vector is
+// built. ok is false when the selection is empty.
 func IntMedianChunked(col IntValued, cs *ChunkedSelection) (int64, bool) {
 	if cs.Len() == 0 {
 		return 0, false
 	}
-	chunks, put := gatherIntScratch(col, cs)
+	keys, lo, hi, put := gatherIntKeys(col, cs)
 	defer put()
 	workers, release := statWorkers(cs)
 	defer release()
-	return stats.MedianInt64Chunks(chunks, workers), true
+	return stats.KthInt64Keys(keys, lo, hi, cs.Len()/2, workers), true
+}
+
+// NumCut is one exact numeric cut-point computation over a selection:
+// the extent's bounds and its equi-depth points, strictly increasing
+// and none equal to Min. An empty extent has no points.
+type NumCut[T int64 | float64] struct {
+	Min, Max T
+	Points   []T
+}
+
+// IntCounts is the refreshable form of an int or date extent that a
+// mutable table's cut cache retains in place of its values: per chunk,
+// the count of each value in the window [Lo, Lo+Cells), nil for a
+// chunk with no selected row. Counts add across chunks, so a splice
+// recounts the dirty chunks only. The vectors are immutable once
+// returned: a splice shares the clean chunks' vectors between entries.
+type IntCounts struct {
+	Lo     int64
+	Cells  int
+	Chunks [][]int
 }
 
 // IntCutPointsChunked returns the same strictly increasing
 // equi-depth points as IntCutPoints, computed shard-at-a-time.
 func IntCutPointsChunked(col IntValued, cs *ChunkedSelection, arity int) []int64 {
+	cut, _ := IntCutChunked(col, cs, arity, false)
+	return cut.Points
+}
+
+// IntCutChunked computes col's exact cut over cs with one pass over
+// the rows: keys are gathered per chunk into pooled scratch, the
+// bounds reduced as they are written, and the points radix-selected
+// from the keys. With retain set, a span narrow enough to count
+// (stats.CountCells) whose per-chunk vectors take no more cells than
+// cs has rows is counted per chunk instead, and the counts come back
+// for the cut cache to splice; otherwise counts is nil.
+func IntCutChunked(col IntValued, cs *ChunkedSelection, arity int, retain bool) (cut NumCut[int64], counts *IntCounts) {
 	if cs.Len() == 0 {
-		return nil
+		return cut, nil
 	}
-	chunks, put := gatherIntScratch(col, cs)
+	keys, lo, hi, put := gatherIntKeys(col, cs)
 	defer put()
 	workers, release := statWorkers(cs)
 	defer release()
-	return stats.EquiDepthPointsChunks(chunks, arity, workers)
+	if cells, ok := stats.CountCells(lo, hi); ok && retain && countsFit(cs, cells) {
+		counts = &IntCounts{Lo: stats.Int64FromKey(lo), Cells: cells, Chunks: make([][]int, len(keys))}
+		_ = par.ForEach(workers, len(keys), func(c int) error {
+			if len(keys[c]) > 0 {
+				counts.Chunks[c] = stats.CountInt64Keys(keys[c], lo, cells)
+			}
+			return nil
+		})
+		return counts.cut(arity), counts
+	}
+	cut = NumCut[int64]{Min: stats.Int64FromKey(lo), Max: stats.Int64FromKey(hi)}
+	cut.Points = stats.EquiDepthPointsInt64Keys(keys, lo, hi, arity, workers)
+	return cut, nil
 }
 
-// FloatCutPointsChunked is IntCutPointsChunked for float columns,
-// with NaN values excluded (gatherFloatKeys). The points are
-// radix-selected from the gathered keys; nothing is sorted.
+// IntCutSplice brings retained counts up to date after a mutation and
+// reads the cut off them: dirty chunks are recounted from the current
+// selection, clean chunks keep their vectors. Sound for the same
+// reason selection splicing is — a selection restricted to a clean
+// chunk, and hence its value multiset, is a pure function of that
+// chunk's unchanged rows. counts is nil when the spliced vectors no
+// longer fit the extent (countsFit); the cut is exact either way. ok
+// is false, and the caller must recompute in full, on a structural
+// mismatch or when a dirty chunk holds a value outside the window.
+func IntCutSplice(col IntValued, cs *ChunkedSelection, old *IntCounts, dirty []bool, arity int) (cut NumCut[int64], counts *IntCounts, ok bool) {
+	chunks, ok := spliceCounts(cs, old.Chunks, dirty)
+	if !ok {
+		return cut, nil, false
+	}
+	keys, lo, hi, put := gatherIntKeys(col, RestrictChunked(cs, dirty))
+	defer put()
+	wlo := stats.Int64Key(old.Lo)
+	if lo <= hi && (lo < wlo || hi-wlo >= uint64(old.Cells)) {
+		return cut, nil, false
+	}
+	for c, ks := range keys {
+		if len(ks) > 0 {
+			chunks[c] = stats.CountInt64Keys(ks, wlo, old.Cells)
+		}
+	}
+	counts = &IntCounts{Lo: old.Lo, Cells: old.Cells, Chunks: chunks}
+	cut = counts.cut(arity)
+	if !countsFit(cs, counts.Cells) {
+		counts = nil
+	}
+	return cut, counts, true
+}
+
+// cut sums the per-chunk vectors and reads the bounds and the
+// equi-depth points off the total.
+func (ic *IntCounts) cut(arity int) NumCut[int64] {
+	total := make([]int, ic.Cells)
+	for _, v := range ic.Chunks {
+		for i, k := range v {
+			total[i] += k
+		}
+	}
+	first, last := -1, -1
+	for i, k := range total {
+		if k > 0 {
+			last = i
+			if first < 0 {
+				first = i
+			}
+		}
+	}
+	if first < 0 {
+		return NumCut[int64]{}
+	}
+	return NumCut[int64]{
+		Min:    ic.Lo + int64(first),
+		Max:    ic.Lo + int64(last),
+		Points: stats.EquiDepthPointsCounts(total, ic.Lo, arity),
+	}
+}
+
+// countsFit reports whether per-chunk vectors of cells counts, one per
+// chunk holding a selected row, take no more cells than cs has rows:
+// retained counts are then never larger than the values they stand
+// for.
+func countsFit(cs *ChunkedSelection, cells int) bool {
+	nonEmpty := 0
+	for c := 0; c < cs.NumChunks(); c++ {
+		nonEmpty += b2i(len(cs.Seg(c)) > 0)
+	}
+	return nonEmpty*cells <= cs.Len()
+}
+
+// spliceCounts is the clean half of a count-vector splice: a vector
+// per chunk of cs, old's for every clean chunk and nil for the dirty
+// ones the caller recounts. ok is false on a structural mismatch — a
+// stamp and selection of a different chunk count, or a clean chunk
+// whose vector no longer counts its selected rows.
+func spliceCounts(cs *ChunkedSelection, old [][]int, dirty []bool) (counts [][]int, ok bool) {
+	nc := cs.NumChunks()
+	if len(dirty) != nc {
+		return nil, false
+	}
+	counts = make([][]int, nc)
+	for c := 0; c < nc; c++ {
+		if dirty[c] {
+			continue
+		}
+		if c >= len(old) {
+			return nil, false
+		}
+		n := 0
+		for _, k := range old[c] {
+			n += k
+		}
+		if n != len(cs.Seg(c)) {
+			return nil, false
+		}
+		counts[c] = old[c]
+	}
+	return counts, true
+}
+
+// FloatCutPointsChunked is IntCutPointsChunked for float columns.
 func FloatCutPointsChunked(col FloatValued, cs *ChunkedSelection, arity int) []float64 {
+	return FloatCutChunked(col, cs, arity).Points
+}
+
+// FloatCutChunked is IntCutChunked for float columns, never retaining:
+// keys and bounds from one gather with NaN values excluded
+// (gatherFloatKeys), the points radix-selected from the keys. An
+// all-NaN extent has NaN bounds and no points.
+func FloatCutChunked(col FloatValued, cs *ChunkedSelection, arity int) NumCut[float64] {
 	if cs.Len() == 0 {
-		return nil
+		return NumCut[float64]{}
 	}
 	keys, lo, hi, put := gatherFloatKeys(col, cs)
 	defer put()
 	workers, release := statWorkers(cs)
 	defer release()
-	return stats.EquiDepthPointsFloat64Keys(keys, lo, hi, arity, workers)
+	return NumCut[float64]{
+		Min:    stats.Float64FromKey(lo),
+		Max:    stats.Float64FromKey(hi),
+		Points: stats.EquiDepthPointsFloat64Keys(keys, lo, hi, arity, workers),
+	}
 }
 
 // StringValueCountsChunked returns the per-value frequencies of col
@@ -366,11 +520,7 @@ func BoolValueCountsChunked(col *BoolColumn, cs *ChunkedSelection) []stats.Value
 }
 
 // IntSortedRuns gathers col over cs into one freshly allocated sorted
-// slice per chunk — the retainable form of the cut-point math that
-// the incremental-advise cut cache keeps across advises. Unlike
-// gatherIntScratch the shards are owned by the caller and must be
-// treated as immutable once returned (they may be shared between an
-// old and a spliced cache entry).
+// slice per chunk. Kept for bench/layers probes.
 func IntSortedRuns(col IntValued, cs *ChunkedSelection) [][]int64 {
 	runs := GatherIntChunked(col, cs)
 	workers, release := statWorkers(cs)
@@ -379,15 +529,10 @@ func IntSortedRuns(col IntValued, cs *ChunkedSelection) [][]int64 {
 	return runs
 }
 
-// IntSortedRunsSplice refreshes cached sorted runs after a mutation:
-// dirty chunks are re-gathered from the current selection and
-// re-sorted, clean chunks reuse the old runs unchanged. Sound for the
-// same reason selection splicing is — a selection restricted to a
-// clean chunk is a pure function of that chunk's unchanged rows, so
-// its sorted value multiset cannot have moved. ok is false when a
-// clean chunk's cached run does not match the current selection's
-// segment length (a structural mismatch; the caller must recompute in
-// full).
+// IntSortedRunsSplice refreshes sorted runs after a mutation: dirty
+// chunks are re-gathered and re-sorted, clean chunks reuse the old
+// runs. ok is false on a structural mismatch. Kept for bench/layers
+// probes.
 func IntSortedRunsSplice(col IntValued, cs *ChunkedSelection, old [][]int64, dirty []bool) (runs [][]int64, ok bool) {
 	nc := cs.NumChunks()
 	if len(dirty) != nc {
@@ -410,35 +555,6 @@ func IntSortedRunsSplice(col IntValued, cs *ChunkedSelection, old [][]int64, dir
 		}
 	}
 	return runs, true
-}
-
-// IntRunsBounds returns the minimum and maximum over sorted runs —
-// the run endpoints, no scan. ok is false when every run is empty.
-func IntRunsBounds(runs [][]int64) (min, max int64, ok bool) {
-	for _, r := range runs {
-		if len(r) == 0 {
-			continue
-		}
-		if !ok {
-			min, max, ok = r[0], r[len(r)-1], true
-			continue
-		}
-		if r[0] < min {
-			min = r[0]
-		}
-		if r[len(r)-1] > max {
-			max = r[len(r)-1]
-		}
-	}
-	return min, max, ok
-}
-
-// IntCutPointsSorted is IntCutPointsChunked over already-sorted runs:
-// pure rank selection, no gather and no sort. The equi-depth points
-// of a multiset do not depend on its sharding or on who sorted it, so
-// the result is byte-identical to the scratch-based computation.
-func IntCutPointsSorted(runs [][]int64, arity int) []int64 {
-	return stats.EquiDepthPointsSorted(runs, arity)
 }
 
 // StringChunkCounts returns per-chunk value frequencies of col over
@@ -474,29 +590,12 @@ func StringChunkCounts(col *StringColumn, cs *ChunkedSelection) [][]int {
 // the missing tail is implicitly zero. ok is false on a structural
 // mismatch.
 func StringChunkCountsSplice(col *StringColumn, cs *ChunkedSelection, old [][]int, dirty []bool) (counts [][]int, ok bool) {
-	nc := cs.NumChunks()
-	if len(dirty) != nc {
+	counts, ok = spliceCounts(cs, old, dirty)
+	if !ok {
 		return nil, false
 	}
-	counts = make([][]int, nc)
-	for c := 0; c < nc; c++ {
-		if dirty[c] {
-			continue
-		}
-		if c >= len(old) {
-			return nil, false
-		}
-		n := 0
-		for _, k := range old[c] {
-			n += k
-		}
-		if n != len(cs.Seg(c)) {
-			return nil, false
-		}
-		counts[c] = old[c]
-	}
 	fresh := StringChunkCounts(col, RestrictChunked(cs, dirty))
-	for c := 0; c < nc; c++ {
+	for c := range counts {
 		if dirty[c] {
 			counts[c] = fresh[c]
 		}

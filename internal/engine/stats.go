@@ -52,40 +52,20 @@ func chunkOffsets(chunks []Selection) []int {
 // IntMinMax returns the minimum and maximum of col over sel. ok is
 // false when the selection is empty. Large selections reduce
 // per-chunk partials computed on all scan workers.
-func IntMinMax(col IntValued, sel Selection) (min, max int64, ok bool) {
+func IntMinMax(col IntValued, sel Selection) (lo, hi int64, ok bool) {
 	if len(sel) == 0 {
 		return 0, 0, false
 	}
 	src := col.Int64s()
 	chunks, release := statChunks(sel)
 	defer release()
-	mins := make([]int64, len(chunks))
-	maxs := make([]int64, len(chunks))
+	los := make([]int64, len(chunks))
+	his := make([]int64, len(chunks))
 	runChunks(chunks, func(c int) {
-		chunk := chunks[c]
-		lo := src[chunk[0]]
-		hi := lo
-		for _, row := range chunk[1:] {
-			v := src[row]
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		mins[c], maxs[c] = lo, hi
+		los[c], his[c] = intBounds(src, chunks[c])
 	})
-	min, max = mins[0], maxs[0]
-	for c := 1; c < len(chunks); c++ {
-		if mins[c] < min {
-			min = mins[c]
-		}
-		if maxs[c] > max {
-			max = maxs[c]
-		}
-	}
-	return min, max, true
+	lo, hi = reduceIntBounds(los, his)
+	return lo, hi, true
 }
 
 // FloatMinMax returns the minimum and maximum of col over sel,
@@ -190,61 +170,6 @@ func BoolValueCounts(col *BoolColumn, sel Selection) []stats.ValueCount {
 		out = append(out, stats.ValueCount{Value: "true", Count: nTrue})
 	}
 	return out
-}
-
-// DistinctCount returns the number of distinct values of col over
-// sel. For string columns it counts live dictionary codes; for other
-// kinds it hashes raw payloads.
-func DistinctCount(col Column, sel Selection) int {
-	switch c := col.(type) {
-	case *StringColumn:
-		seen := make([]bool, c.Cardinality())
-		n := 0
-		codes := c.Codes()
-		for _, row := range sel {
-			if !seen[codes[row]] {
-				seen[codes[row]] = true
-				n++
-			}
-		}
-		return n
-	case *BoolColumn:
-		var sawTrue, sawFalse bool
-		for _, row := range sel {
-			if c.Bool(int(row)) {
-				sawTrue = true
-			} else {
-				sawFalse = true
-			}
-			if sawTrue && sawFalse {
-				return 2
-			}
-		}
-		if sawTrue || sawFalse {
-			return 1
-		}
-		return 0
-	case IntValued:
-		vals := c.Int64s()
-		seen := make(map[int64]struct{}, 64)
-		for _, row := range sel {
-			seen[vals[row]] = struct{}{}
-		}
-		return len(seen)
-	case FloatValued:
-		vals := c.Float64s()
-		seen := make(map[float64]struct{}, 64)
-		for _, row := range sel {
-			seen[vals[row]] = struct{}{}
-		}
-		return len(seen)
-	default:
-		seen := make(map[string]struct{}, 64)
-		for _, row := range sel {
-			seen[col.Value(int(row)).String()] = struct{}{}
-		}
-		return len(seen)
-	}
 }
 
 // FloatMeanVar returns the mean and population variance of col over

@@ -115,29 +115,6 @@ func TestBoolValueCounts(t *testing.T) {
 	}
 }
 
-func TestDistinctCount(t *testing.T) {
-	tab := smallTable(t)
-	all := tab.All()
-	if n := DistinctCount(tab.MustColumn("type"), all); n != 3 {
-		t.Fatalf("distinct types = %d, want 3", n)
-	}
-	if n := DistinctCount(tab.MustColumn("tonnage"), all); n != 4 {
-		t.Fatalf("distinct tonnages = %d, want 4", n)
-	}
-	if n := DistinctCount(tab.MustColumn("speed"), all); n != 4 {
-		t.Fatalf("distinct speeds = %d, want 4", n)
-	}
-	if n := DistinctCount(tab.MustColumn("armed"), all); n != 2 {
-		t.Fatalf("distinct armed = %d, want 2", n)
-	}
-	if n := DistinctCount(tab.MustColumn("armed"), Selection{0}); n != 1 {
-		t.Fatalf("distinct armed (one row) = %d, want 1", n)
-	}
-	if n := DistinctCount(tab.MustColumn("armed"), Selection{}); n != 0 {
-		t.Fatalf("distinct armed (empty) = %d, want 0", n)
-	}
-}
-
 func TestFloatMeanVar(t *testing.T) {
 	col := NewFloatColumn("v", []float64{2, 4, 4, 4, 5, 5, 7, 9})
 	mean, variance, ok := FloatMeanVar(col, AllRows(8))

@@ -71,8 +71,8 @@ func CutQuery(ev *Evaluator, q sdl.Query, attr string, opt CutOptions) ([]sdl.Qu
 	// regardless: a sampled dictionary could miss rare values, and
 	// rows holding them would fall outside every piece, breaking
 	// Definition 3. Counting is a single O(n) pass, so there is
-	// nothing to save anyway — sampling targets the sort-based
-	// medians.)
+	// nothing to save anyway — sampling targets the numeric medians
+	// and quantiles.)
 	var pointSel engine.Selection
 	if opt.SampleSize > 0 && cs.Len() > opt.SampleSize {
 		pointSel = stats.StridedInt32(cs.Flat(), opt.SampleSize)
@@ -124,45 +124,65 @@ func childQuery(q sdl.Query, piece sdl.Constraint) (sdl.Query, bool, error) {
 	return q.WithConstraint(merged), true, nil
 }
 
-func intPieces(attr string, col engine.IntValued, cs *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions) ([]sdl.Constraint, error) {
-	min, max, _ := engine.IntMinMaxChunked(col, cs)
-	if min == max {
-		return nil, nil
-	}
-	var points []int64
+// intPieces computes an int or date cut's pieces. Exact points and
+// the bounds come from one pass (engine.IntCutChunked), which with
+// retain set may also return the per-chunk counts the cut cache keeps;
+// sampled points are estimated from pointSel and the bounds still
+// taken over the full extent.
+func intPieces(attr string, col engine.IntValued, cs *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions, retain bool) ([]sdl.Constraint, *engine.IntCounts) {
+	var cut engine.NumCut[int64]
+	var counts *engine.IntCounts
 	if pointSel != nil {
-		points = engine.IntCutPoints(col, pointSel, opt.Arity)
+		cut.Min, cut.Max, _ = engine.IntMinMaxChunked(col, cs)
+		cut.Points = engine.IntCutPoints(col, pointSel, opt.Arity)
 	} else {
-		points = engine.IntCutPointsChunked(col, cs, opt.Arity)
+		cut, counts = engine.IntCutChunked(col, cs, opt.Arity, retain)
 	}
-	points = clampIntPoints(points, min, max)
-	if len(points) == 0 {
-		return nil, nil
-	}
-	return intRangePieces(attr, col, min, max, points), nil
+	return intCutPieces(attr, col, cut), counts
 }
 
-// intRangePieces assembles the half-open range constraints for the
-// bounds [min, p0), [p0, p1), ..., [p_last, max] — the shared tail of
-// the scratch-based and cached-run int cut paths.
-func intRangePieces(attr string, col engine.IntValued, min, max int64, points []int64) []sdl.Constraint {
-	mk := func(days int64) engine.Value {
-		if col.Kind() == engine.KindDate {
-			return engine.Date(days)
-		}
-		return engine.Int(days)
+// intCutPieces is rangePieces with int or date bound values.
+func intCutPieces(attr string, col engine.IntValued, cut engine.NumCut[int64]) []sdl.Constraint {
+	mk := engine.Int
+	if col.Kind() == engine.KindDate {
+		mk = engine.Date
 	}
-	bounds := append([]int64{min}, points...)
-	out := make([]sdl.Constraint, 0, len(bounds))
-	for i := range bounds {
-		lo := bounds[i]
-		var c sdl.Constraint
-		if i == len(bounds)-1 {
-			c = sdl.RangeC(attr, mk(lo), mk(max), true, true)
-		} else {
-			c = sdl.RangeC(attr, mk(lo), mk(bounds[i+1]), true, false)
+	return rangePieces(attr, cut, mk)
+}
+
+func floatPieces(attr string, col engine.FloatValued, cs *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions) []sdl.Constraint {
+	var cut engine.NumCut[float64]
+	if pointSel != nil {
+		cut.Min, cut.Max, _ = engine.FloatMinMaxChunked(col, cs)
+		cut.Points = engine.FloatCutPoints(col, pointSel, opt.Arity)
+	} else {
+		cut = engine.FloatCutChunked(col, cs, opt.Arity)
+	}
+	return rangePieces(attr, cut, engine.Float)
+}
+
+// rangePieces assembles the half-open range constraints for the
+// bounds [min, p0), [p0, p1), ..., [p_last, max], or nil when no
+// point falls in the exact (min, max] interior. Only sampled points
+// can fall outside it, when the sample missed the extremes; they are
+// dropped.
+func rangePieces[T int64 | float64](attr string, cut engine.NumCut[T], mk func(T) engine.Value) []sdl.Constraint {
+	bounds := []T{cut.Min}
+	for _, p := range cut.Points {
+		if p > cut.Min && p <= cut.Max {
+			bounds = append(bounds, p)
 		}
-		out = append(out, c)
+	}
+	if len(bounds) == 1 {
+		return nil
+	}
+	out := make([]sdl.Constraint, 0, len(bounds))
+	for i, lo := range bounds {
+		if i == len(bounds)-1 {
+			out = append(out, sdl.RangeC(attr, mk(lo), mk(cut.Max), true, true))
+		} else {
+			out = append(out, sdl.RangeC(attr, mk(lo), mk(bounds[i+1]), true, false))
+		}
 	}
 	return out
 }
@@ -171,54 +191,6 @@ func intRangePieces(attr string, col engine.IntValued, min, max int64, points []
 // uncached dispatch return.
 func errCutKind(attr string, col engine.Column) error {
 	return fmt.Errorf("seg: cannot cut column %q of kind %v", attr, col.Kind())
-}
-
-// clampIntPoints drops sampled cut points that fall outside the
-// exact (min, max] interior — possible when the sample missed the
-// extremes.
-func clampIntPoints(points []int64, min, max int64) []int64 {
-	out := points[:0]
-	for _, p := range points {
-		if p > min && p <= max {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func floatPieces(attr string, col engine.FloatValued, cs *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions) ([]sdl.Constraint, error) {
-	min, max, _ := engine.FloatMinMaxChunked(col, cs)
-	if min == max {
-		return nil, nil
-	}
-	var points []float64
-	if pointSel != nil {
-		points = engine.FloatCutPoints(col, pointSel, opt.Arity)
-	} else {
-		points = engine.FloatCutPointsChunked(col, cs, opt.Arity)
-	}
-	clamped := points[:0]
-	for _, p := range points {
-		if p > min && p <= max {
-			clamped = append(clamped, p)
-		}
-	}
-	if len(clamped) == 0 {
-		return nil, nil
-	}
-	bounds := append([]float64{min}, clamped...)
-	out := make([]sdl.Constraint, 0, len(bounds))
-	for i := range bounds {
-		lo := bounds[i]
-		var c sdl.Constraint
-		if i == len(bounds)-1 {
-			c = sdl.RangeC(attr, engine.Float(lo), engine.Float(max), true, true)
-		} else {
-			c = sdl.RangeC(attr, engine.Float(lo), engine.Float(bounds[i+1]), true, false)
-		}
-		out = append(out, c)
-	}
-	return out, nil
 }
 
 // numericNominalFallback rescues numeric columns the median cut

@@ -3,28 +3,31 @@
 // 5.1 calls the median/quantile math the vertical-scalability
 // bottleneck, and unlike selections it cannot be spliced — the k-th
 // smallest of a multiset is a global property. What can be reused is
-// the per-chunk SORTED RUNS the int rank selection works over (each
-// chunk radix-sorted on its own, stats/chunked.go): a mutation
-// invalidates only the dirty chunks' runs, so a warm re-advise
-// re-sorts ~1% of the data and resolves the ranks over the spliced
-// runs, byte-identical to a cold computation by the order-statistic
-// argument. Nominal cuts cache per-chunk count vectors the same way;
-// counts are additive over chunks.
+// a per-chunk summary the ranks resolve over: per-chunk VALUE COUNTS,
+// for string columns by dictionary code and for a narrow int or date
+// column over the window [min, max] of its extent
+// (engine.IntCounts). Counts add across chunks, so a mutation
+// invalidates only the dirty chunks' vectors: a warm re-advise
+// recounts ~1% of the data and reads the ranks off the summed
+// vectors, byte-identical to a cold computation by the
+// order-statistic argument.
 //
 // Entries are keyed by (query, attribute, cut options) and stamped
 // with the table epoch exactly like cachedSel: equal versions serve
 // the cached pieces outright, comparable stamps refresh dirty chunks
-// only, anything else recomputes in full. Refreshable state (runs,
-// count vectors) is retained only where a refresh can happen: on a
-// table that accepts mutation (engine.Table.Mutable), for extents of
-// at least cutStateMinRows rows. A read-only .chc table's stamp never
-// moves, so its entries keep the pieces alone. Sampled cut points,
+// only, anything else recomputes in full. Count vectors are retained
+// only where a refresh can happen: on a table that accepts mutation
+// (engine.Table.Mutable), for extents of at least cutStateMinRows
+// rows — and, for an int or date column, only when its span is narrow
+// enough to count (below the select's 2 048 buckets) and the vectors
+// take no more cells than the extent has rows. A read-only .chc
+// table's stamp never moves, so its entries keep the pieces alone. A
+// refresh whose dirty chunk holds an int outside the entry's window
+// recomputes in full. Sampled cut points, wide int and date spans,
 // float and bool columns, and the numeric-nominal fallback cache
 // their pieces for version-equal reuse but always recompute when
-// stale. Float points are radix-selected, never sorted, so no float
-// run exists to retain; if a workload ever mutated float columns, a
-// float splice would retain per-chunk key histograms (additive over
-// chunks, like the count vectors), not runs.
+// stale: their points are radix-selected and nothing is left to
+// splice.
 package seg
 
 import (
@@ -34,24 +37,24 @@ import (
 	"charles/internal/sdl"
 )
 
-// cutStateMinRows is the selection size below which refreshable state
-// (sorted runs, count vectors) is not retained, even on a mutable
-// table: tiny extents re-sort in microseconds, and the long tail of
-// small segments would otherwise dominate entry count. Pieces are
-// still cached for version-equal reuse.
+// cutStateMinRows is the selection size below which count vectors
+// are not retained, even on a mutable table: tiny extents recompute
+// in microseconds, and the long tail of small segments would otherwise
+// dominate entry count. Pieces are still cached for version-equal
+// reuse.
 const cutStateMinRows = 1 << 12
 
 // cachedCut is one cut-point cache entry: the computed pieces plus
 // the epoch stamp they were computed under, and — for exact cuts over
-// int-valued and string columns — the per-chunk state a stale entry
-// refreshes from. Runs and count vectors are immutable once stored:
-// a splice shares the clean chunks' slices between the old and new
+// narrow int-valued and string columns — the per-chunk counts a stale
+// entry refreshes from. Count vectors are immutable once stored: a
+// splice shares the clean chunks' vectors between the old and new
 // entry.
 type cachedCut struct {
 	pieces []sdl.Constraint
 	stamp  *engine.EpochStamp
-	// intRuns holds per-chunk sorted values (IntColumn, DateColumn).
-	intRuns [][]int64
+	// intCounts holds per-chunk value counts (IntColumn, DateColumn).
+	intCounts *engine.IntCounts
 	// strCounts holds per-chunk value frequencies by dictionary code.
 	strCounts [][]int
 }
@@ -125,24 +128,24 @@ func (e *Evaluator) cutPieces(q sdl.Query, attr string, col engine.Column, cs *e
 	if len(pieces) >= 2 {
 		e.countCutPointCalc()
 	}
-	e.storeCut(key, cachedCut{pieces: pieces, stamp: cur, intRuns: state.intRuns, strCounts: state.strCounts})
+	e.storeCut(key, cachedCut{pieces: pieces, stamp: cur, intCounts: state.intCounts, strCounts: state.strCounts})
 	return pieces, nil
 }
 
 // cutState carries the refreshable per-chunk state a computation
 // chose to retain.
 type cutState struct {
-	intRuns   [][]int64
+	intCounts *engine.IntCounts
 	strCounts [][]int
 }
 
 // computeCut runs the full cut-point computation for one column kind.
-// With retain set, the exact int and string paths go through the
-// retainable per-chunk forms (sorted runs, count vectors) so the
-// entry can be refreshed chunk-at-a-time later; the results are
-// pinned byte-identical to the scratch-based forms. Everything else —
-// sampled points, floats, bools, the degenerate fallback — takes
-// exactly the code path the uncached evaluator takes.
+// With retain set, the exact string path and a narrow exact int path
+// count per chunk so the entry can be refreshed chunk-at-a-time
+// later; the results are pinned byte-identical to the uncached forms.
+// Everything else — sampled points, wide int spans, floats, bools,
+// the degenerate fallback — takes exactly the code path the uncached
+// evaluator takes.
 func (e *Evaluator) computeCut(attr string, col engine.Column, cs *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions, retain bool) ([]sdl.Constraint, cutState, error) {
 	var state cutState
 	var pieces []sdl.Constraint
@@ -158,18 +161,13 @@ func (e *Evaluator) computeCut(attr string, col engine.Column, cs *engine.Chunke
 	case *engine.BoolColumn:
 		pieces, err = nominalPieces(attr, engine.BoolValueCountsChunked(col, cs), boolSetValue, opt)
 	case *engine.FloatColumn:
-		pieces, err = floatPieces(attr, col, cs, pointSel, opt)
-		if err == nil && len(pieces) < 2 {
+		pieces = floatPieces(attr, col, cs, pointSel, opt)
+		if len(pieces) < 2 {
 			pieces = numericNominalFallback(attr, col, cs, opt)
 		}
 	case engine.IntValued:
-		if retain && pointSel == nil {
-			state.intRuns = engine.IntSortedRuns(col, cs)
-			pieces = intPiecesFromRuns(attr, col, state.intRuns, opt)
-		} else {
-			pieces, err = intPieces(attr, col, cs, pointSel, opt)
-		}
-		if err == nil && len(pieces) < 2 {
+		pieces, state.intCounts = intPieces(attr, col, cs, pointSel, opt, retain)
+		if len(pieces) < 2 {
 			pieces = numericNominalFallback(attr, col, cs, opt)
 		}
 	default:
@@ -179,13 +177,13 @@ func (e *Evaluator) computeCut(attr string, col engine.Column, cs *engine.Chunke
 }
 
 // refreshCut brings a stale cut entry up to stamp cur by splicing:
-// dirty chunks are re-gathered and re-sorted (or recounted) from the
-// query's current selection, clean chunks reuse the cached runs.
-// Sound for the same reason selection splicing is — a selection
-// restricted to a clean chunk, and hence its value multiset, is a
-// pure function of that chunk's unchanged rows. Entries with no
-// retained state, structural mismatches, and sampled points all
-// return false and recompute in full.
+// dirty chunks are recounted from the query's current selection,
+// clean chunks reuse the cached count vectors. Sound for the same
+// reason selection splicing is — a selection restricted to a clean
+// chunk, and hence its value multiset, is a pure function of that
+// chunk's unchanged rows. Entries with no retained state, structural
+// mismatches, int values outside the entry's window, and sampled
+// points all return false and recompute in full.
 func (e *Evaluator) refreshCut(key string, ent cachedCut, attr string, col engine.Column, cs *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions, cur *engine.EpochStamp) ([]sdl.Constraint, bool) {
 	if pointSel != nil {
 		return nil, false
@@ -215,18 +213,18 @@ func (e *Evaluator) refreshCut(key string, ent cachedCut, attr string, col engin
 		}
 		state.strCounts = counts
 	case engine.IntValued:
-		if ent.intRuns == nil {
+		if ent.intCounts == nil {
 			return nil, false
 		}
-		runs, ok := engine.IntSortedRunsSplice(col, cs, ent.intRuns, dirty)
+		cut, counts, ok := engine.IntCutSplice(col, cs, ent.intCounts, dirty, opt.Arity)
 		if !ok {
 			return nil, false
 		}
-		pieces = intPiecesFromRuns(attr, col, runs, opt)
+		pieces = intCutPieces(attr, col, cut)
 		if len(pieces) < 2 {
 			pieces = numericNominalFallback(attr, col, cs, opt)
 		}
-		state.intRuns = runs
+		state.intCounts = counts
 	default:
 		return nil, false
 	}
@@ -234,22 +232,6 @@ func (e *Evaluator) refreshCut(key string, ent cachedCut, attr string, col engin
 	if len(pieces) >= 2 {
 		e.countCutPointCalc()
 	}
-	e.storeCut(key, cachedCut{pieces: pieces, stamp: cur, intRuns: state.intRuns, strCounts: state.strCounts})
+	e.storeCut(key, cachedCut{pieces: pieces, stamp: cur, intCounts: state.intCounts, strCounts: state.strCounts})
 	return pieces, true
-}
-
-// intPiecesFromRuns is intPieces over cached sorted runs: bounds from
-// the run endpoints, points by rank selection — no gather, no sort,
-// no scan. Identical output to intPieces by the order-statistic
-// argument.
-func intPiecesFromRuns(attr string, col engine.IntValued, runs [][]int64, opt CutOptions) []sdl.Constraint {
-	min, max, ok := engine.IntRunsBounds(runs)
-	if !ok || min == max {
-		return nil
-	}
-	points := clampIntPoints(engine.IntCutPointsSorted(runs, opt.Arity), min, max)
-	if len(points) == 0 {
-		return nil
-	}
-	return intRangePieces(attr, col, min, max, points)
 }

@@ -12,22 +12,52 @@ import (
 
 // cutCacheTable is large enough (≥ cutStateMinRows) that cut entries
 // retain refreshable state, chunked small enough that mutations dirty
-// a strict subset of chunks.
+// a strict subset of chunks. Its int columns sit on every side of the
+// retention rule: v spans 999 (countable, and 8 chunks × 1 000 cells
+// fit its 8 192 rows), w spans 1 500 (countable, but 8 × 1 501 cells
+// would outnumber the rows), and the date column d spans ~70 000 days
+// (too wide to count).
 func cutCacheTable(t *testing.T) *engine.Table {
 	t.Helper()
 	const rows = 2 * cutStateMinRows
 	ints := make([]int64, rows)
+	wide := make([]int64, rows)
+	days := make([]int64, rows)
 	strs := make([]string, rows)
 	for i := range ints {
 		ints[i] = int64(i % 1000)
+		wide[i] = int64(i % 1501)
+		days[i] = int64(i*37%70000) - 25000
 		strs[i] = [4]string{"fluit", "jacht", "pinas", "galjoot"}[i%4]
 	}
 	tab := engine.MustNewTable("t",
 		engine.NewIntColumn("v", ints),
 		engine.NewStringColumn("s", strs),
+		engine.NewIntColumn("w", wide),
+		engine.NewDateColumn("d", days),
 	)
 	tab.SetChunkRows(1024)
 	return tab
+}
+
+// appendCutRow appends one row to a cutCacheTable.
+func appendCutRow(t *testing.T, tab *engine.Table, v int64, s string) {
+	t.Helper()
+	if err := tab.AppendRows([]engine.Value{engine.Int(v), engine.String_(s), engine.Int(v), engine.Date(v)}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// updateCutRows sets attr to vals[i] on rows first, first+1, ….
+func updateCutRows(t *testing.T, tab *engine.Table, attr string, first int32, vals []engine.Value) {
+	t.Helper()
+	sel := make(engine.Selection, len(vals))
+	for i := range sel {
+		sel[i] = first + int32(i)
+	}
+	if err := tab.UpdateRows(sel, attr, vals); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // childKeys renders a cut result in comparable form.
@@ -42,6 +72,22 @@ func childKeys(t *testing.T, ev *Evaluator, q sdl.Query, attr string) []string {
 		keys[i] = c.Key()
 	}
 	return keys
+}
+
+// matchCold requires ev's cuts on attrs to equal a cold evaluator's.
+func matchCold(t *testing.T, ev *Evaluator, tab *engine.Table, attrs ...string) {
+	t.Helper()
+	cold := NewEvaluator(tab)
+	ctx := sdl.ContextAll(tab)
+	for _, attr := range attrs {
+		warm, want := childKeys(t, ev, ctx, attr), childKeys(t, cold, ctx, attr)
+		if fmt.Sprint(warm) != fmt.Sprint(want) {
+			t.Fatalf("%s: warm cut diverged from cold cut:\nwarm %v\ncold %v", attr, warm, want)
+		}
+	}
+	if got := cold.Counters().CutRefreshes; got != 0 {
+		t.Fatalf("cold evaluator took %d cut refreshes", got)
+	}
 }
 
 // TestCutCacheVersionEqualHit pins that a repeated cut on an
@@ -70,9 +116,10 @@ func TestCutCacheVersionEqualHit(t *testing.T) {
 }
 
 // TestCutCacheRefreshAfterMutation pins the incremental path: after
-// mutations that move the median and grow the string dictionary, a
-// warm evaluator's cuts go through the splice refresh (CutRefreshes
-// advances) and match a cold evaluator's cuts exactly.
+// an in-window update that moves the median and appends that grow the
+// string dictionary, a warm evaluator's cuts go through the splice
+// refresh (CutRefreshes advances) and match a cold evaluator's cuts
+// exactly.
 func TestCutCacheRefreshAfterMutation(t *testing.T) {
 	tab := cutCacheTable(t)
 	ev := NewEvaluator(tab)
@@ -80,36 +127,63 @@ func TestCutCacheRefreshAfterMutation(t *testing.T) {
 	childKeys(t, ev, ctx, "v")
 	childKeys(t, ev, ctx, "s")
 
-	// Shift the upper half of one chunk far right (moves the median)
-	// and append rows with a brand-new string value (grows the dict).
-	sel := make(engine.Selection, 512)
-	vals := make([]engine.Value, len(sel))
-	for i := range sel {
-		sel[i] = int32(3*1024 + i)
-		vals[i] = engine.Int(int64(100000 + i))
+	// Push half of one chunk to the top of v's window [0, 999] (moves
+	// the median) and append rows with a brand-new string value (grows
+	// the dict).
+	vals := make([]engine.Value, 512)
+	for i := range vals {
+		vals[i] = engine.Int(999)
 	}
-	if err := tab.UpdateRows(sel, "v", vals); err != nil {
-		t.Fatal(err)
-	}
+	updateCutRows(t, tab, "v", 3*1024, vals)
 	for i := 0; i < 8; i++ {
-		if err := tab.AppendRows([]engine.Value{engine.Int(7), engine.String_("kof")}); err != nil {
-			t.Fatal(err)
-		}
+		appendCutRow(t, tab, 7, "kof")
 	}
 
-	cold := NewEvaluator(tab)
-	for _, attr := range []string{"v", "s"} {
-		warmKeys := childKeys(t, ev, ctx, attr)
-		coldKeys := childKeys(t, cold, ctx, attr)
-		if fmt.Sprint(warmKeys) != fmt.Sprint(coldKeys) {
-			t.Fatalf("%s: warm refresh diverged from cold cut:\nwarm %v\ncold %v", attr, warmKeys, coldKeys)
-		}
-	}
+	matchCold(t, ev, tab, "v", "s")
 	if got := ev.Counters().CutRefreshes; got < 2 {
 		t.Fatalf("CutRefreshes = %d, want ≥2 (int and string cuts)", got)
 	}
-	if got := cold.Counters().CutRefreshes; got != 0 {
-		t.Fatalf("cold evaluator took %d cut refreshes", got)
+	// The appends opened a ninth chunk, and 9 × 1 000 cells outnumber
+	// the 8 200 rows: the refreshed entry keeps its pieces but no
+	// counts.
+	ev.cutMu.RLock()
+	ent := ev.cuts[cutKey(ctx, "v", DefaultCutOptions().normalize())]
+	ev.cutMu.RUnlock()
+	if ent.intCounts != nil {
+		t.Fatalf("refreshed entry kept %d-chunk counts past the size rule", len(ent.intCounts.Chunks))
+	}
+}
+
+// TestCutCacheRecomputesOutsideWindow pins the count splice's
+// bail-out: a dirty chunk holding a value outside the entry's window
+// recomputes in full instead of refreshing — once when a value drops
+// below the window, once when the span grows past what can be counted
+// — and the cut still matches a cold evaluator. A wide-span date cut,
+// which retains nothing, recomputes the same way.
+func TestCutCacheRecomputesOutsideWindow(t *testing.T) {
+	for _, tc := range []struct {
+		name, attr string
+		val        engine.Value
+	}{
+		{"below window", "v", engine.Int(-1)},
+		{"span past 2048", "v", engine.Int(5000)},
+		{"wide date", "d", engine.Date(12345)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tab := cutCacheTable(t)
+			ev := NewEvaluator(tab)
+			childKeys(t, ev, sdl.ContextAll(tab), tc.attr)
+			updateCutRows(t, tab, tc.attr, 5*1024, []engine.Value{tc.val})
+			calcs := ev.Counters().CutPointCalcs
+			matchCold(t, ev, tab, tc.attr)
+			ctr := ev.Counters()
+			if ctr.CutRefreshes != 0 {
+				t.Fatalf("stale entry took %d cut refreshes, want a full recompute", ctr.CutRefreshes)
+			}
+			if ctr.CutPointCalcs != calcs+1 {
+				t.Fatalf("CutPointCalcs %d -> %d, want one recompute", calcs, ctr.CutPointCalcs)
+			}
+		})
 	}
 }
 
@@ -121,9 +195,7 @@ func TestCutCacheWidthChangeRecomputes(t *testing.T) {
 	ev := NewEvaluator(tab)
 	ctx := sdl.ContextAll(tab)
 	childKeys(t, ev, ctx, "v")
-	if err := tab.AppendRows([]engine.Value{engine.Int(999999), engine.String_("kof")}); err != nil {
-		t.Fatal(err)
-	}
+	appendCutRow(t, tab, 999, "kof")
 	tab.SetChunkRows(2048)
 	warmKeys := childKeys(t, ev, ctx, "v")
 	coldKeys := childKeys(t, NewEvaluator(tab), ctx, "v")
@@ -143,7 +215,7 @@ func TestCutCacheCachingOff(t *testing.T) {
 	off := NewEvaluator(tab)
 	off.SetCaching(false)
 	ctx := sdl.ContextAll(tab)
-	for _, attr := range []string{"v", "s"} {
+	for _, attr := range []string{"v", "s", "w", "d"} {
 		a := childKeys(t, on, ctx, attr)
 		b := childKeys(t, off, ctx, attr)
 		if fmt.Sprint(a) != fmt.Sprint(b) {
@@ -157,9 +229,12 @@ func TestCutCacheCachingOff(t *testing.T) {
 
 // TestCutCacheRetainsStateOnlyWhenMutable pins the retention rule: a
 // read-only .chc table's stamp never moves, so its cut entries keep
-// the pieces but no sorted runs or count vectors, while a
-// memory-backed table's entries keep both for the splice refresh.
-// The pieces agree across the two backends.
+// the pieces but no count vectors, while a memory-backed table's
+// entries keep them for the splice refresh — string counts always,
+// int counts only for a countable span whose vectors take no more
+// cells than the extent has rows (v, not w or the date column d). No
+// entry holds the values themselves. The pieces agree across the two
+// backends.
 func TestCutCacheRetainsStateOnlyWhenMutable(t *testing.T) {
 	mem := cutCacheTable(t)
 	path := filepath.Join(t.TempDir(), "t.chc")
@@ -174,30 +249,61 @@ func TestCutCacheRetainsStateOnlyWhenMutable(t *testing.T) {
 	if !mem.Mutable() || file.Mutable() {
 		t.Fatalf("Mutable(): memory %v, .chc %v; want true, false", mem.Mutable(), file.Mutable())
 	}
+	attrs := []string{"v", "s", "w", "d"}
 	pieces := map[string]string{}
 	for _, tc := range []struct {
 		name   string
 		tab    *engine.Table
-		retain bool
-	}{{"memory", mem, true}, {".chc", file, false}} {
+		retain map[string]bool
+	}{
+		{"memory", mem, map[string]bool{"v": true, "s": true}},
+		{".chc", file, map[string]bool{}},
+	} {
 		ev := NewEvaluator(tc.tab)
 		ctx := sdl.ContextAll(tc.tab)
-		for _, attr := range []string{"v", "s"} {
+		for _, attr := range attrs {
 			got := fmt.Sprint(childKeys(t, ev, ctx, attr))
 			if want, ok := pieces[attr]; ok && got != want {
 				t.Fatalf("%s cut on %s diverged from memory:\n%s\n%s", attr, tc.name, got, want)
 			}
 			pieces[attr] = got
-		}
-		ev.cutMu.RLock()
-		if len(ev.cuts) != 2 {
-			t.Fatalf("%s: %d cut entries, want 2", tc.name, len(ev.cuts))
-		}
-		for key, ent := range ev.cuts {
-			if kept := ent.intRuns != nil || ent.strCounts != nil; kept != tc.retain {
-				t.Fatalf("%s entry %q: refreshable state kept = %v, want %v", tc.name, key, kept, tc.retain)
+			ev.cutMu.RLock()
+			ent, ok := ev.cuts[cutKey(ctx, attr, DefaultCutOptions().normalize())]
+			ev.cutMu.RUnlock()
+			if !ok {
+				t.Fatalf("%s: no cut entry for %s", tc.name, attr)
+			}
+			if kept := ent.intCounts != nil || ent.strCounts != nil; kept != tc.retain[attr] {
+				t.Fatalf("%s entry for %s: count vectors kept = %v, want %v", tc.name, attr, kept, tc.retain[attr])
+			}
+			if ic := ent.intCounts; ic != nil {
+				checkIntCounts(t, ic, tc.tab.NumRows())
 			}
 		}
-		ev.cutMu.RUnlock()
+	}
+}
+
+// checkIntCounts requires retained int counts to cover every row once
+// and to be no larger than the rows they summarise.
+func checkIntCounts(t *testing.T, ic *engine.IntCounts, rows int) {
+	t.Helper()
+	n, cells := 0, 0
+	for _, v := range ic.Chunks {
+		if v == nil {
+			continue
+		}
+		if len(v) != ic.Cells {
+			t.Fatalf("count vector of %d cells, window has %d", len(v), ic.Cells)
+		}
+		cells += len(v)
+		for _, k := range v {
+			n += k
+		}
+	}
+	if n != rows {
+		t.Fatalf("count vectors hold %d rows, want %d", n, rows)
+	}
+	if cells > rows {
+		t.Fatalf("count vectors take %d cells for %d rows", cells, rows)
 	}
 }

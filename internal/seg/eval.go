@@ -38,8 +38,8 @@ type Counters struct {
 	// path, neither a full eval nor a plain hit.
 	DeltaRefreshes int
 	// CutRefreshes counts cached cut points brought up to date the
-	// same way: dirty chunks re-gathered and re-sorted (or
-	// recounted), clean chunks' sorted runs and count vectors reused.
+	// same way: dirty chunks recounted, clean chunks' count vectors
+	// reused.
 	CutRefreshes int
 	// CutCacheHits counts cut-point sets served straight from the cut
 	// cache without recomputation.

@@ -1,41 +1,46 @@
 // Chunked order statistics: the cut-point math (medians, equi-depth
 // quantiles) over data that arrives as per-chunk slices instead of
 // one flat vector. Section 5.1 names exactly these calculations as
-// the vertical-scalability bottleneck. Int and date values are
-// radix-sorted chunk by chunk on the worker pool (radix.go: O(n), no
-// comparisons) and the requested ranks resolved by value-space binary
-// search over the sorted chunks; those sorted chunks are the runs the
-// cut cache retains and splices on a mutable table. Float values are
-// never sorted: they become order-preserving keys and the requested
-// ranks are radix-selected (selectKeys, radix.go), since nothing
-// retains a float run. No step concatenates the whole extent. Every
-// function returns exactly what its flat counterpart returns on the
-// concatenation of the chunks: the k-th smallest of a multiset does
-// not depend on how the multiset is sharded, sorted or selected.
+// the vertical-scalability bottleneck. No order statistic sorts its
+// input (SortInt64Chunks and KthSortedInt64Chunks remain only for the
+// layer probes). Int, date and float values become order-preserving
+// uint64 keys and the requested ranks are radix-selected (selectKeys,
+// radix.go); over an int span below radixBuckets that select is a
+// single value count.
+// A mutable table's cut cache retains such a narrow int or date
+// column as per-chunk value counts (CountInt64Keys), which add across
+// chunks, and reads its ranks off their sum by one prefix walk
+// (EquiDepthPointsCounts). No step concatenates the whole extent.
+// Every function returns exactly what its flat counterpart returns on
+// the concatenation of the chunks: the k-th smallest of a multiset
+// does not depend on how the multiset is sharded, selected or counted.
 package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"charles/internal/par"
 )
 
-// SortInt64Chunks radix-sorts every chunk ascending in place, one
-// chunk per worker-pool task.
+// SortInt64Chunks sorts every chunk ascending in place, one chunk per
+// worker-pool task. Kept for bench/layers probes.
 func SortInt64Chunks(chunks [][]int64, workers int) {
 	_ = par.ForEach(par.Workers(workers), len(chunks), func(c int) error {
-		sortInt64s(chunks[c])
+		slices.Sort(chunks[c])
 		return nil
 	})
 }
 
-// int64Key maps int64 to uint64 preserving order (flip the sign
-// bit), so rank binary searches can bisect the value space without
+// Int64Key maps int64 to uint64 preserving order (flip the sign
+// bit), so int and date values share the float keys' radix select
+// and rank binary searches can bisect the value space without
 // signed-midpoint overflow.
-func int64Key(v int64) uint64 { return uint64(v) ^ (1 << 63) }
+func Int64Key(v int64) uint64 { return uint64(v) ^ (1 << 63) }
 
-func int64FromKey(u uint64) int64 { return int64(u ^ (1 << 63)) }
+// Int64FromKey inverts Int64Key.
+func Int64FromKey(u uint64) int64 { return int64(u ^ (1 << 63)) }
 
 // Float64Key maps a float64 to uint64 preserving IEEE-754 order:
 // non-negative values set the sign bit, negative values are
@@ -71,7 +76,7 @@ func Float64FromKey(u uint64) float64 {
 // value space: the answer is the smallest value v with
 // count(≤ v) ≥ k+1, located through O(64) probes of c·log(chunk)
 // comparisons each — no merge, no copy. Panics when k is out of
-// range.
+// range. Kept for bench/layers probes.
 func KthSortedInt64Chunks(chunks [][]int64, k int) int64 {
 	n := 0
 	loK, hiK := uint64(math.MaxUint64), uint64(0)
@@ -80,19 +85,14 @@ func KthSortedInt64Chunks(chunks [][]int64, k int) int64 {
 		if len(ch) == 0 {
 			continue
 		}
-		if f := int64Key(ch[0]); f < loK {
-			loK = f
-		}
-		if l := int64Key(ch[len(ch)-1]); l > hiK {
-			hiK = l
-		}
+		loK, hiK = min(loK, Int64Key(ch[0])), max(hiK, Int64Key(ch[len(ch)-1]))
 	}
 	if k < 0 || k >= n {
 		panic("stats: chunked rank out of range")
 	}
 	for loK < hiK {
 		mid := loK + (hiK-loK)/2
-		v := int64FromKey(mid)
+		v := Int64FromKey(mid)
 		le := 0
 		for _, ch := range chunks {
 			le += sort.Search(len(ch), func(i int) bool { return ch[i] > v })
@@ -103,26 +103,15 @@ func KthSortedInt64Chunks(chunks [][]int64, k int) int64 {
 			loK = mid + 1
 		}
 	}
-	return int64FromKey(loK)
-}
-
-// MedianInt64Chunks returns the upper median (the element at global
-// sorted index n/2 — what MedianInt64 returns on the concatenation).
-// Chunks are sorted in place. Panics on empty input.
-func MedianInt64Chunks(chunks [][]int64, workers int) int64 {
-	SortInt64Chunks(chunks, workers)
-	n := 0
-	for _, ch := range chunks {
-		n += len(ch)
-	}
-	return KthSortedInt64Chunks(chunks, n/2)
+	return Int64FromKey(loK)
 }
 
 // EquiDepthPointsChunks returns exactly what EquiDepthPoints returns
 // on the concatenation of the chunks: up to arity−1 strictly
 // increasing equi-depth points, duplicates collapsed and points
-// equal to the global minimum dropped. Chunks are radix-sorted in
-// place in parallel; each point is then one rank selection.
+// equal to the global minimum dropped. The chunks are read, not
+// reordered: their values become Int64Key keys in pooled scratch and
+// the points are selected from those.
 func EquiDepthPointsChunks(chunks [][]int64, arity, workers int) []int64 {
 	n := 0
 	for _, ch := range chunks {
@@ -131,34 +120,38 @@ func EquiDepthPointsChunks(chunks [][]int64, arity, workers int) []int64 {
 	if arity < 2 || n == 0 {
 		return nil
 	}
-	SortInt64Chunks(chunks, workers)
-	return EquiDepthPointsSorted(chunks, arity)
+	kp := uint64Scratch.Get(n)
+	defer uint64Scratch.Put(kp)
+	keys := make([][]uint64, len(chunks))
+	los := make([]uint64, len(chunks))
+	his := make([]uint64, len(chunks))
+	off := 0
+	for c, ch := range chunks {
+		keys[c] = (*kp)[off : off+len(ch)]
+		off += len(ch)
+	}
+	_ = par.ForEach(par.Workers(workers), len(chunks), func(c int) error {
+		los[c], his[c] = int64Keys(keys[c], chunks[c])
+		return nil
+	})
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for c := range chunks {
+		lo, hi = min(lo, los[c]), max(hi, his[c])
+	}
+	return EquiDepthPointsInt64Keys(keys, lo, hi, arity, workers)
 }
 
-// EquiDepthPointsSorted is the rank-selection half of
-// EquiDepthPointsChunks: the chunks must already be sorted ascending
-// (for example, cached sorted runs from an earlier computation). The
-// k-th smallest of a multiset does not depend on who sorted it, so
-// the result is identical to EquiDepthPointsChunks on the same data.
-func EquiDepthPointsSorted(chunks [][]int64, arity int) []int64 {
-	n := 0
-	for _, ch := range chunks {
-		n += len(ch)
+// int64Keys writes the keys of vals to ks and returns the smallest
+// and largest (MaxUint64 and 0 when vals is empty). len(ks) must be
+// at least len(vals).
+func int64Keys(ks []uint64, vals []int64) (lo, hi uint64) {
+	lo = math.MaxUint64
+	for i, v := range vals {
+		k := Int64Key(v)
+		ks[i] = k
+		lo, hi = min(lo, k), max(hi, k)
 	}
-	if arity < 2 || n == 0 {
-		return nil
-	}
-	min := KthSortedInt64Chunks(chunks, 0)
-	points := make([]int64, 0, arity-1)
-	for i := 1; i < arity; i++ {
-		p := KthSortedInt64Chunks(chunks, quantileIndex(n, float64(i)/float64(arity)))
-		if len(points) == 0 || p > points[len(points)-1] {
-			if p > min {
-				points = append(points, p)
-			}
-		}
-	}
-	return points
+	return lo, hi
 }
 
 // EquiDepthPointsChunksFloat64 is EquiDepthPointsChunks for float64
@@ -212,14 +205,23 @@ func float64Keys(ks []uint64, vals []float64) (m int, loMinus1, hi uint64) {
 	return m, loMinus1, hi
 }
 
-// EquiDepthPointsFloat64Keys is the float equi-depth computation over
-// chunks of Float64Key keys, none of them NaN's, whose smallest key is
-// lo and largest hi: the keys at the quantile ranks are radix-selected
-// (selectKeys), which overwrites the chunks — they are the caller's
-// scratch. Points come back strictly increasing, none equal to the
-// minimum — as EquiDepthPoints defines them — and a zero point is
-// +0.0.
+// EquiDepthPointsInt64Keys is the int and date equi-depth computation
+// over chunks of Int64Key keys whose smallest key is lo and largest
+// hi: the keys at the quantile ranks are radix-selected (selectKeys),
+// which overwrites the chunks — they are the caller's scratch. Points
+// come back strictly increasing, none equal to the minimum, as
+// EquiDepthPoints defines them.
+func EquiDepthPointsInt64Keys(chunks [][]uint64, lo, hi uint64, arity, workers int) []int64 {
+	return equiDepthKeys(chunks, lo, hi, arity, workers, Int64FromKey)
+}
+
+// EquiDepthPointsFloat64Keys is EquiDepthPointsInt64Keys over chunks
+// of Float64Key keys, none of them NaN's. A zero point is +0.0.
 func EquiDepthPointsFloat64Keys(chunks [][]uint64, lo, hi uint64, arity, workers int) []float64 {
+	return equiDepthKeys(chunks, lo, hi, arity, workers, Float64FromKey)
+}
+
+func equiDepthKeys[T int64 | float64](chunks [][]uint64, lo, hi uint64, arity, workers int, decode func(uint64) T) []T {
 	n := 0
 	for _, ch := range chunks {
 		n += len(ch)
@@ -227,17 +229,111 @@ func EquiDepthPointsFloat64Keys(chunks [][]uint64, lo, hi uint64, arity, workers
 	if arity < 2 || n == 0 {
 		return nil
 	}
+	ranks := equiDepthRanks(n, arity)
+	keys := make([]uint64, len(ranks))
+	selectKeys(chunks, n, lo, hi, ranks, keys, par.Workers(workers))
+	return pointsAbove(keys, lo, decode)
+}
+
+// KthInt64Keys returns the value at 0-based rank k of chunks of
+// Int64Key keys whose smallest key is lo and largest hi, radix-selected
+// (selectKeys overwrites the chunks). Panics when k is out of range.
+func KthInt64Keys(chunks [][]uint64, lo, hi uint64, k, workers int) int64 {
+	n := 0
+	for _, ch := range chunks {
+		n += len(ch)
+	}
+	if k < 0 || k >= n {
+		panic("stats: chunked rank out of range")
+	}
+	var out [1]uint64
+	selectKeys(chunks, n, lo, hi, []int{k}, out[:], par.Workers(workers))
+	return Int64FromKey(out[0])
+}
+
+// CountCells returns how many value-count cells keys in [lo, hi]
+// take, and whether the span is narrow enough to count: below
+// radixBuckets, where one select histogram already holds one value
+// per bucket.
+func CountCells(lo, hi uint64) (cells int, ok bool) {
+	if hi-lo >= radixBuckets {
+		return 0, false
+	}
+	return int(hi-lo) + 1, true
+}
+
+// CountInt64Keys returns a fresh vector of cells value counts: cell i
+// counts the keys equal to lo+i. Every key must lie in
+// [lo, lo+cells), and cells must come from CountCells.
+func CountInt64Keys(keys []uint64, lo uint64, cells int) []int {
+	hp := countScratch.Get(2 * radixBuckets)
+	defer countScratch.Put(hp)
+	clear(*hp)
+	h := (*[radixBuckets]int)(*hp)
+	h2 := (*[radixBuckets]int)((*hp)[radixBuckets:])
+	countDigits(h, h2, keys, lo, 0)
+	v := make([]int, cells)
+	for i := range v {
+		v[i] = h[i] + h2[i]
+	}
+	return v
+}
+
+// EquiDepthPointsCounts is EquiDepthPoints over a multiset given as
+// value counts — value lo+i occurs counts[i] times, the sum of the
+// per-chunk vectors CountInt64Keys returns: the ranks resolve by one
+// prefix walk over the counts.
+func EquiDepthPointsCounts(counts []int, lo int64, arity int) []int64 {
+	n, first := 0, -1
+	for i, c := range counts {
+		if first < 0 && c > 0 {
+			first = i
+		}
+		n += c
+	}
+	if arity < 2 || n == 0 {
+		return nil
+	}
+	ranks := equiDepthRanks(n, arity)
+	keys := make([]uint64, len(ranks))
+	base := Int64Key(lo)
+	countRanks(counts, base, ranks, keys)
+	return pointsAbove(keys, base+uint64(first), Int64FromKey)
+}
+
+// countRanks sets out[i] to the key at 0-based rank ranks[i] of the
+// multiset in which key lo+d occurs counts[d] times. ranks must be
+// ascending and below the multiset's size.
+func countRanks(counts []int, lo uint64, ranks []int, out []uint64) {
+	d, below := 0, 0
+	for i, r := range ranks {
+		for below+counts[d] <= r {
+			below += counts[d]
+			d++
+		}
+		out[i] = lo + uint64(d)
+	}
+}
+
+// equiDepthRanks returns the ascending 0-based ranks of the arity−1
+// equi-depth quantiles of n values.
+func equiDepthRanks(n, arity int) []int {
 	ranks := make([]int, arity-1)
 	for i := range ranks {
 		ranks[i] = quantileIndex(n, float64(i+1)/float64(arity))
 	}
-	keys := make([]uint64, len(ranks))
-	selectKeys(chunks, n, lo, hi, ranks, keys, par.Workers(workers))
-	points := make([]float64, 0, len(keys))
-	last := lo // rank 0: a point equal to the minimum splits off nothing
+	return ranks
+}
+
+// pointsAbove decodes the keys selected at the quantile ranks into
+// points, strictly increasing and none at or below the minimum key
+// lo: a point equal to the minimum splits off nothing.
+func pointsAbove[T int64 | float64](keys []uint64, lo uint64, decode func(uint64) T) []T {
+	points := make([]T, 0, len(keys))
+	last := lo
 	for _, k := range keys {
 		if k > last {
-			points = append(points, Float64FromKey(k))
+			points = append(points, decode(k))
 			last = k
 		}
 	}

@@ -108,8 +108,9 @@ func TestMedianChunksMatchesFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, vals := range int64Cases(rng) {
 		want := MedianInt64(append([]int64(nil), vals...))
-		if got := MedianInt64Chunks(chunkInt64(vals, rng), 3); got != want {
-			t.Fatalf("MedianInt64Chunks = %d, want %d", got, want)
+		keys, lo, hi := int64KeyChunks(chunkInt64(vals, rng))
+		if got := KthInt64Keys(keys, lo, hi, len(vals)/2, 3); got != want {
+			t.Fatalf("KthInt64Keys median = %d, want %d", got, want)
 		}
 	}
 	fvals := make([]float64, 101)

@@ -90,23 +90,12 @@ func quantileIndex(n int, q float64) int {
 // arity pieces of (approximately) equal depth, i.e. the quantiles at
 // i/arity for i in 1..arity−1. The points are strictly increasing:
 // duplicate quantile values (heavy duplicates in the data) are
-// collapsed, so fewer than arity−1 points may be returned. vals is
-// radix-sorted in place.
+// collapsed, so fewer than arity−1 points may be returned, and a
+// point equal to the minimum splits off nothing, so it is dropped.
+// This is the same select as EquiDepthPointsChunks over one chunk;
+// vals is not reordered.
 func EquiDepthPoints(vals []int64, arity int) []int64 {
-	if arity < 2 || len(vals) == 0 {
-		return nil
-	}
-	sortInt64s(vals)
-	points := make([]int64, 0, arity-1)
-	for i := 1; i < arity; i++ {
-		p := vals[quantileIndex(len(vals), float64(i)/float64(arity))]
-		if len(points) == 0 || p > points[len(points)-1] {
-			if p > vals[0] { // a point equal to the minimum splits off nothing
-				points = append(points, p)
-			}
-		}
-	}
-	return points
+	return EquiDepthPointsChunks([][]int64{vals}, arity, 1)
 }
 
 // EquiDepthPointsFloat64 is EquiDepthPoints for float64 data: the

@@ -9,18 +9,18 @@ import (
 	"charles/internal/pool"
 )
 
-// Two radix algorithms share one digit width. Int and date values are
-// radix SORTED (radixSort, LSD): their per-chunk sorted runs are what
-// the cut cache splices on a mutable table. It is O(n) per pass, and
-// it runs only as many 11-bit passes as the value span max − min has
-// bits — a narrow int or date column (a span under 2^22) takes two, a
-// constant one none — and skips any pass whose digit every value
-// shares. Float values are radix SELECTED (selectKeys, MSD): a float's
-// order-preserving key spans nearly all 64 bits, so sorting it would
-// take six scatter passes to read arity − 1 ranks, while the select
-// histograms the top bits once and gathers only the buckets that hold
-// a wanted rank. If a workload ever mutated float columns, a float
-// splice would retain per-chunk key histograms, not sorted runs.
+// Every order statistic is a radix SELECT (selectKeys, MSD) over
+// order-preserving uint64 keys — Int64Key for int and date values,
+// Float64Key for floats — and the data is never sorted: one round
+// histograms the top radixBits bits of key − min, then gathers and
+// refines only the buckets holding a wanted rank, down to a sort of at
+// most selectSortMax candidates, so reading arity − 1 ranks costs a
+// pass or two over the data. When the span max − min is
+// below radixBuckets a bucket is one value: the first histogram is a
+// value count and the ranks resolve from it with no gather. The same
+// narrow-span count, kept per chunk (CountInt64Keys), is what a
+// mutable table's cut cache retains for an int or date column: counts
+// add across chunks, so a splice recounts the dirty chunks only.
 // 2^11 buckets keep one histogram (16 KiB) cache resident.
 const (
 	radixBits    = 11
@@ -39,76 +39,12 @@ const bandGap = 16
 // radixBuckets counters however few keys it reads.
 const selectSortMax = radixBuckets
 
-// Scratch for the sort and the select: the sort's ping-pong half, the
-// select's float keys and candidates, and the digit counters. Nothing
-// here outlives one call.
+// Scratch for the select: keys, bucket candidates and digit counters.
+// Nothing here outlives one call.
 var (
-	int64Scratch  pool.Slice[int64]
 	uint64Scratch pool.Slice[uint64]
 	countScratch  pool.Slice[int]
 )
-
-// radixSort sorts v ascending given its minimum lo and maximum hi,
-// ping-ponging through tmp (len(v) elements). Digits are taken from
-// x − lo, which is exact in wrapping arithmetic for any span. All
-// per-pass histograms are counted in one read of v.
-func radixSort(v, tmp []int64, lo, hi int64) {
-	n := len(v)
-	span := uint64(hi - lo)
-	if n < 2 || span == 0 {
-		return
-	}
-	passes := (bits.Len64(span) + radixBits - 1) / radixBits
-	cp := countScratch.Get(passes * radixBuckets)
-	defer countScratch.Put(cp)
-	counts := *cp
-	clear(counts)
-	for _, x := range v {
-		d := uint64(x - lo)
-		for p := 0; p < passes; p++ {
-			counts[p<<radixBits|int(d>>(p*radixBits)&radixMask)]++
-		}
-	}
-	src, dst := v, tmp
-	for p := 0; p < passes; p++ {
-		shift := p * radixBits
-		c := counts[p<<radixBits : (p+1)<<radixBits]
-		if c[int(uint64(src[0]-lo)>>shift&radixMask)] == n {
-			continue // every value shares this digit: the pass is the identity
-		}
-		sum := 0
-		for i, k := range c {
-			c[i] = sum
-			sum += k
-		}
-		for _, x := range src {
-			d := int(uint64(x-lo) >> shift & radixMask)
-			dst[c[d]] = x
-			c[d]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &v[0] {
-		copy(v, src)
-	}
-}
-
-// sortInt64s sorts vals ascending in place.
-func sortInt64s(vals []int64) {
-	if len(vals) < 2 {
-		return
-	}
-	lo, hi := vals[0], vals[0]
-	for _, v := range vals[1:] {
-		lo, hi = min(lo, v), max(hi, v)
-	}
-	if lo == hi {
-		return
-	}
-	tp := int64Scratch.Get(len(vals))
-	defer int64Scratch.Put(tp)
-	radixSort(vals, *tp, lo, hi)
-}
 
 // selectKeys sets out[i] to the key at 0-based rank ranks[i] of the
 // multiset held by chunks: n keys, the smallest lo and the largest hi.

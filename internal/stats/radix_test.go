@@ -8,12 +8,17 @@ import (
 	"testing"
 )
 
-// The int radix sort, the float radix select and everything routed
+// The radix select, the narrow-span value counts and everything routed
 // through them are checked against references built on slices.Sort,
-// which shares no code with either: sorted output and selected ranks
-// element for element, and equi-depth points and medians read
-// straight off the reference order.
+// which shares no code with either: selected ranks element for
+// element, and equi-depth points and medians read straight off the
+// reference order.
 
+// radixInt64Cases are int and date shapes for both sides of the
+// count/select choice: spans of 2 047, 2 048 and 2 049 (the last
+// countable span and the first two that are not), the int64 extremes
+// together, negative dates — days before 1970 — narrow and wide, and
+// constant columns, each small and past the select's sort cutoff.
 func radixInt64Cases(rng *rand.Rand) [][]int64 {
 	cases := [][]int64{
 		nil,
@@ -27,9 +32,9 @@ func radixInt64Cases(rng *rand.Rand) [][]int64 {
 		{5, 5, 5, 5, 5, 5},                            // all equal
 		{math.MinInt64, math.MinInt64, math.MinInt64}, // all equal at an extreme
 	}
-	// Random inputs past one digit's width, so several passes run and
-	// some are skipped: heavy duplicates, a narrow span (two passes),
-	// a span straddling zero, and the full 64-bit range (six passes).
+	// Random inputs below and past the select's sort cutoff: heavy
+	// duplicates, a 2^20 span (two select rounds), a span straddling
+	// zero, the full 64-bit range, and only a high bit varying.
 	gens := []func() int64{
 		func() int64 { return int64(rng.Intn(3)) },
 		func() int64 { return 1_000_000 + rng.Int63n(1<<20) },
@@ -45,6 +50,29 @@ func radixInt64Cases(rng *rand.Rand) [][]int64 {
 			}
 			cases = append(cases, vals)
 		}
+	}
+	// spanned draws n values in [lo, lo+span] with both ends present, so
+	// the span is exact.
+	spanned := func(lo, span int64, n int) []int64 {
+		vals := []int64{lo + span, lo}
+		for len(vals) < n {
+			vals = append(vals, lo+rng.Int63n(span+1))
+		}
+		return vals
+	}
+	const epoch1900 = -25567 // 1900-01-01 in days since 1970-01-01
+	for _, n := range []int{5, 5001} {
+		cases = append(cases,
+			spanned(-1000, radixBuckets-1, n),
+			spanned(-1000, radixBuckets, n),
+			spanned(-1000, radixBuckets+1, n),
+			spanned(math.MaxInt64-radixBuckets+1, radixBuckets-1, n), // countable at the top edge
+			spanned(math.MinInt64, radixBuckets-1, n),                // and at the bottom
+			spanned(epoch1900, 364, n),                               // dates within 1900
+			spanned(epoch1900, 70400, n),                             // two centuries of dates
+			append(spanned(0, 3, n), math.MinInt64, math.MaxInt64),   // both extremes, dense middle
+			slices.Repeat([]int64{epoch1900}, n),                     // a constant date
+		)
 	}
 	return cases
 }
@@ -179,25 +207,123 @@ func canonKeys(vals []float64) []uint64 {
 	return out
 }
 
+// int64KeyChunks converts chunks to Int64Key keys, returning them with
+// their smallest and largest key.
+func int64KeyChunks(chunks [][]int64) (keys [][]uint64, lo, hi uint64) {
+	lo = math.MaxUint64
+	for _, ch := range chunks {
+		ks := make([]uint64, len(ch))
+		clo, chi := int64Keys(ks, ch)
+		lo, hi = min(lo, clo), max(hi, chi)
+		keys = append(keys, ks)
+	}
+	return keys, lo, hi
+}
+
+// selectInt64Ranks runs the radix select over the keys of chunks for
+// every rank in ranks, which must be ascending.
+func selectInt64Ranks(chunks [][]int64, ranks []int, workers int) []int64 {
+	keys, lo, hi := int64KeyChunks(chunks)
+	n := 0
+	for _, ks := range keys {
+		n += len(ks)
+	}
+	out := make([]uint64, len(ranks))
+	selectKeys(keys, n, lo, hi, ranks, out, workers)
+	vals := make([]int64, len(out))
+	for i, k := range out {
+		vals[i] = Int64FromKey(k)
+	}
+	return vals
+}
+
+// summedCounts is the cut cache's count path up to the rank walk: one
+// CountInt64Keys vector per non-empty chunk over the chunks' span,
+// summed. ok is false when the span is too wide to count.
+func summedCounts(chunks [][]int64) (total []int, lo int64, ok bool) {
+	keys, klo, khi := int64KeyChunks(chunks)
+	cells, ok := CountCells(klo, khi)
+	if !ok {
+		return nil, 0, false
+	}
+	total = make([]int, cells)
+	for _, ks := range keys {
+		if len(ks) == 0 {
+			continue
+		}
+		for i, c := range CountInt64Keys(ks, klo, cells) {
+			total[i] += c
+		}
+	}
+	return total, Int64FromKey(klo), true
+}
+
+// TestRadixSortInt64MatchesReference reads every rank of each int
+// case off the radix select and, where the span is narrow enough, off
+// the summed per-chunk value counts, over a random sharding with empty
+// chunks; both must reproduce the slices.Sort order. SortInt64Chunks,
+// kept for the layer probes, must sort every chunk.
 func TestRadixSortInt64MatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for _, vals := range radixInt64Cases(rng) {
-		want := slices.Clone(vals)
-		slices.Sort(want)
-		got := slices.Clone(vals)
-		sortInt64s(got)
-		if !slices.Equal(got, want) {
-			t.Fatalf("sortInt64s(%d values) diverged from slices.Sort", len(vals))
-		}
-		chunks := shard(vals, rng)
-		SortInt64Chunks(chunks, 2)
-		for c, ch := range chunks {
-			if !slices.IsSorted(ch) {
-				t.Fatalf("SortInt64Chunks left chunk %d unsorted", c)
+	counted := 0
+	for _, workers := range []int{1, 4} {
+		for _, vals := range radixInt64Cases(rng) {
+			want := slices.Clone(vals)
+			slices.Sort(want)
+			ranks := make([]int, len(vals))
+			for i := range ranks {
+				ranks[i] = i
+			}
+			if got := selectInt64Ranks(shard(vals, rng), ranks, workers); !slices.Equal(got, want) {
+				t.Fatalf("workers=%d: select of %d values diverged from slices.Sort", workers, len(vals))
+			}
+			if total, lo, ok := summedCounts(shard(vals, rng)); ok && len(vals) > 0 {
+				counted++
+				out := make([]uint64, len(ranks))
+				countRanks(total, Int64Key(lo), ranks, out)
+				for i, k := range out {
+					if Int64FromKey(k) != want[i] {
+						t.Fatalf("count walk over %d values: rank %d = %d, want %d", len(vals), i, Int64FromKey(k), want[i])
+					}
+				}
+			}
+			chunks := shard(vals, rng)
+			SortInt64Chunks(chunks, workers)
+			for c, ch := range chunks {
+				if !slices.IsSorted(ch) {
+					t.Fatalf("SortInt64Chunks left chunk %d unsorted", c)
+				}
+			}
+			if flat := slices.Concat(chunks...); len(flat) != len(vals) {
+				t.Fatalf("SortInt64Chunks changed the value count: %d -> %d", len(vals), len(flat))
 			}
 		}
-		if flat := slices.Concat(chunks...); len(flat) != len(vals) {
-			t.Fatalf("SortInt64Chunks changed the value count: %d -> %d", len(vals), len(flat))
+	}
+	if counted == 0 {
+		t.Fatal("no case reached the count path")
+	}
+}
+
+// TestCountCellsBoundary pins the count/select choice at its edge:
+// spans below radixBuckets count, wider ones select — and the key
+// difference is taken in unsigned arithmetic, so the int64 extremes
+// never wrap into a countable span.
+func TestCountCellsBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		lo, hi int64
+		cells  int
+		ok     bool
+	}{
+		{0, 0, 1, true},
+		{-1000, -1000 + radixBuckets - 1, radixBuckets, true},
+		{-1000, -1000 + radixBuckets, 0, false},
+		{-1000, -1000 + radixBuckets + 1, 0, false},
+		{math.MinInt64, math.MaxInt64, 0, false},
+		{math.MaxInt64 - 5, math.MaxInt64, 6, true},
+	} {
+		cells, ok := CountCells(Int64Key(tc.lo), Int64Key(tc.hi))
+		if cells != tc.cells || ok != tc.ok {
+			t.Fatalf("CountCells(%d, %d) = %d, %v; want %d, %v", tc.lo, tc.hi, cells, ok, tc.cells, tc.ok)
 		}
 	}
 }
@@ -275,15 +401,30 @@ func TestOrderStatisticsChunksMatchReference(t *testing.T) {
 			sorted := slices.Clone(vals)
 			slices.Sort(sorted)
 			for _, arity := range []int{2, 3, 7} {
-				if got, want := EquiDepthPointsChunks(shard(vals, rng), arity, workers), refEquiDepth(sorted, arity); !slices.Equal(got, want) {
+				want := refEquiDepth(sorted, arity)
+				if got := EquiDepthPointsChunks(shard(vals, rng), arity, workers); !slices.Equal(got, want) {
 					t.Fatalf("workers=%d arity=%d: EquiDepthPointsChunks = %v, want %v", workers, arity, got, want)
+				}
+				if total, lo, ok := summedCounts(shard(vals, rng)); ok {
+					if got := EquiDepthPointsCounts(total, lo, arity); !slices.Equal(got, want) {
+						t.Fatalf("arity=%d: EquiDepthPointsCounts = %v, want %v", arity, got, want)
+					}
+					// A spliced window can be wider than the values it
+					// still counts: empty cells on either side.
+					if lo > math.MinInt64+1 {
+						padded := slices.Concat([]int{0, 0}, total, []int{0, 0})
+						if got := EquiDepthPointsCounts(padded, lo-2, arity); !slices.Equal(got, want) {
+							t.Fatalf("arity=%d: EquiDepthPointsCounts over a padded window = %v, want %v", arity, got, want)
+						}
+					}
 				}
 			}
 			if len(vals) == 0 {
 				continue
 			}
-			if got, want := MedianInt64Chunks(shard(vals, rng), workers), sorted[len(sorted)/2]; got != want {
-				t.Fatalf("workers=%d: MedianInt64Chunks = %d, want %d", workers, got, want)
+			keys, lo, hi := int64KeyChunks(shard(vals, rng))
+			if got, want := KthInt64Keys(keys, lo, hi, len(vals)/2, workers), sorted[len(sorted)/2]; got != want {
+				t.Fatalf("workers=%d: KthInt64Keys median = %d, want %d", workers, got, want)
 			}
 		}
 		for _, vals := range radixFloat64Cases(rng) {
@@ -310,8 +451,11 @@ func TestOrderStatisticsChunksMatchReference(t *testing.T) {
 // read both as int64 and as float64 bits), a sharding (one chunk
 // width per byte of cuts, 0 meaning an empty chunk), an arity and a
 // replicate byte, and requires the chunked equi-depth points and
-// median to equal the slices.Sort reference. narrow folds the ints
-// into a span of 16 so duplicates and short spans are common. rep
+// median to equal the slices.Sort reference — for ints both from the
+// radix select and, when the span is narrow enough to count, from the
+// summed per-chunk value counts. narrow folds the ints into a span of
+// 16 so duplicates and countable spans are common; unfolded words
+// span too widely to count. rep
 // repeats every word 1 + 16·(rep>>1) times, so a few words cross the
 // float select's small-input cutoff and reach its refining rounds: as
 // exact duplicates when rep is even, spread over consecutive bit
@@ -331,6 +475,8 @@ func FuzzEquiDepthChunks(f *testing.F) {
 	f.Add(word(fbits(math.Inf(-1)), fbits(math.Inf(1)), 1, fbits(math.MaxFloat64)), []byte{}, uint8(5), false, uint8(0))
 	f.Add(word(fbits(1.5), fbits(1e300), fbits(math.Copysign(0, -1))), []byte{200, 0, 100}, uint8(1), false, uint8(201))
 	f.Add(word(fbits(7.25), fbits(-3), 5), []byte{}, uint8(0), true, uint8(200))
+	f.Add(word(0, 2047, 1000), []byte{90, 0, 200}, uint8(1), false, uint8(200)) // widest countable span, past the sort cutoff
+	f.Add(word(0, 2048, 1000), []byte{90, 0, 200}, uint8(1), false, uint8(200)) // narrowest selected one
 	f.Fuzz(func(t *testing.T, data, cuts []byte, arityByte uint8, narrow bool, rep uint8) {
 		copies := 1 + 16*int(rep>>1)
 		var ints []int64
@@ -389,16 +535,23 @@ func FuzzEquiDepthChunks(f *testing.F) {
 		slices.Sort(sortedInts)
 		sortedFloats := slices.Clone(floats)
 		slices.Sort(sortedFloats)
+		wantInts := refEquiDepth(sortedInts, arity)
+		if total, lo, ok := summedCounts(intChunks()); ok {
+			if got := EquiDepthPointsCounts(total, lo, arity); !slices.Equal(got, wantInts) {
+				t.Fatalf("int counts arity=%d: got %v, want %v", arity, got, wantInts)
+			}
+		}
 		for _, workers := range []int{1, 3} {
-			if got, want := EquiDepthPointsChunks(intChunks(), arity, workers), refEquiDepth(sortedInts, arity); !slices.Equal(got, want) {
-				t.Fatalf("int arity=%d workers=%d: got %v, want %v", arity, workers, got, want)
+			if got := EquiDepthPointsChunks(intChunks(), arity, workers); !slices.Equal(got, wantInts) {
+				t.Fatalf("int arity=%d workers=%d: got %v, want %v", arity, workers, got, wantInts)
 			}
 			got := EquiDepthPointsChunksFloat64(floatChunks(), arity, workers)
 			if want := refEquiDepth(sortedFloats, arity); !slices.Equal(canonKeys(got), canonKeys(want)) {
 				t.Fatalf("float arity=%d workers=%d: got %v, want %v", arity, workers, got, want)
 			}
 			if len(ints) > 0 {
-				if got, want := MedianInt64Chunks(intChunks(), workers), sortedInts[len(ints)/2]; got != want {
+				keys, lo, hi := int64KeyChunks(intChunks())
+				if got, want := KthInt64Keys(keys, lo, hi, len(ints)/2, workers), sortedInts[len(ints)/2]; got != want {
 					t.Fatalf("int median workers=%d: got %d, want %d", workers, got, want)
 				}
 			}
