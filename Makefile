@@ -91,9 +91,12 @@ layers-build:
 
 # Short native-fuzz pass over the .chc parsers, the chunked order
 # statistics (radix select and narrow-span value counts against a
-# slices.Sort reference) and the filter kernels (both drivers, with
+# slices.Sort reference), the filter kernels (both drivers, with
 # and without zone maps, against a row-at-a-time Contains /
-# membership reference): enough budget to exercise the mutators on
+# membership reference) and the partition kernels (every child of a
+# one-pass cut against its one-piece filter, and every packed bitmap
+# against NewBitmapChunked, at 1 and 4 scan workers): enough budget
+# to exercise the mutators on
 # every seed class, small enough for CI. The exec-denominated
 # minimize budget keeps a newly found interesting input from eating
 # the wall-clock budget.
@@ -102,6 +105,7 @@ fuzz-smoke:
 	$(GO) test ./internal/colfile -run=NONE -fuzz=FuzzOpenColumnFile -fuzztime=20s -fuzzminimizetime=30x
 	$(GO) test ./internal/stats -run=NONE -fuzz=FuzzEquiDepthChunks -fuzztime=20s -fuzzminimizetime=30x
 	$(GO) test ./internal/engine -run=NONE -fuzz=FuzzFilterKernels -fuzztime=20s -fuzzminimizetime=30x
+	$(GO) test ./internal/engine -run=NONE -fuzz=FuzzPartitionKernels -fuzztime=20s -fuzzminimizetime=30x
 
 # Chaos gate: the failpoint suite under the race detector. Every
 # TestChaos* test arms an internal/fault failpoint (catalogue in

@@ -62,7 +62,7 @@ func newServerMetrics(ev *seg.Evaluator) *serverMetrics {
 		ZoneSkip:      reg.NewCounter("charles_engine_zone_skip_total", "chunks skipped whole by a zone-map verdict"),
 		ZoneTake:      reg.NewCounter("charles_engine_zone_take_total", "chunks passed through whole by a zone-map verdict"),
 		ZoneScan:      reg.NewCounter("charles_engine_zone_scan_total", "chunks scanned row by row"),
-		VectorKernels: reg.NewCounter("charles_engine_vector_kernels_total", "chunked filters answered with row-id selections"),
+		VectorKernels: reg.NewCounter("charles_engine_vector_kernels_total", "chunked filters answered with row-id selections, one per predicate or cut child"),
 		FusedKernels:  reg.NewCounter("charles_engine_fused_kernels_total", "chunked filters fused straight into bitmap words"),
 	})
 
@@ -71,7 +71,7 @@ func newServerMetrics(ev *seg.Evaluator) *serverMetrics {
 	// proves the PR 8 epoch-splice path engaged in production).
 	ev.SetEvalMetrics(&seg.EvalMetrics{
 		FullEvals:      reg.NewCounter("charles_seg_full_evals_total", "full constraint-chain query evaluations (selection cache misses)"),
-		NarrowEvals:    reg.NewCounter("charles_seg_narrow_evals_total", "incremental parent-to-child evaluations"),
+		NarrowEvals:    reg.NewCounter("charles_seg_narrow_evals_total", "cut children evaluated from their parent's selection"),
 		CacheHits:      reg.NewCounter("charles_seg_cache_hits_total", "selections and bitmaps served from the evaluator cache"),
 		CutPointCalcs:  reg.NewCounter("charles_seg_cut_point_calcs_total", "median/quantile cut-point computations"),
 		CutCacheHits:   reg.NewCounter("charles_seg_cut_cache_hits_total", "cut-point sets served from the cut cache"),

@@ -2,27 +2,29 @@ package engine
 
 import "charles/internal/par"
 
-// The chunked filters: every Filter*Chunked (and, in bitmapfilter.go,
-// every Filter*ChunkedBitmap) resolves its predicate once into a
-// filterPlan — a zone-map verdict per chunk plus one of the row
-// kernels in filter.go — and hands it to a driver that fans the
-// chunks out across the scan workers. A skipped chunk costs nothing,
-// a taken chunk passes its parent segment through by reference, and
-// a scanned chunk costs a load, some arithmetic and a store per row
-// (no call, hash or data-dependent branch except in the int/float set
-// and summary-less string range kernels: a string set is a bitset
-// over dictionary codes precisely so its test is a bit extract).
-// Scanned rows are compacted into pooled scratch and copied out at
-// exact length, so a cached child selection holds exactly its rows.
+// The chunked filters: every predicate resolves once into a Pred — a
+// zone-map verdict per chunk plus its row test, both as a
+// single-predicate kernel (filter.go) and in the form the partition
+// kernels share across predicates on one column (partition.go) — and
+// a driver fans the chunks out across the scan workers. A skipped
+// chunk costs nothing, a taken chunk passes its parent segment
+// through by reference, and a scanned chunk costs a load, some
+// arithmetic and a store per row (no call, hash or data-dependent
+// branch except in the int/float set and summary-less string range
+// kernels: a string set is a bitset over dictionary codes precisely so
+// its test is a bit extract). Scanned rows are compacted into pooled
+// scratch and copied out at exact length, so a cached child selection
+// holds exactly its rows. The row-id filter, the partition driver and
+// the bitmap driver (bitmapfilter.go) all consume the same Preds.
 
 // reserveSegSlots reserves extra scan-pool goroutines for a
 // per-chunk fan-out over cs: nothing for selections too small to
 // parallelize, and never more than chunks−1 — slots beyond that
 // would idle while starving concurrent scans. The paired release
 // must always be called. This is the single reservation policy for
-// every chunked operation (filters, gathers, reductions, the
-// order-statistic sorts), so the sequential-threshold and cap rules
-// cannot drift between them.
+// every chunked operation (filters, partitions, bitmap packing, key
+// gathers, reductions and value counts), so the sequential-threshold
+// and cap rules cannot drift between them.
 func reserveSegSlots(cs *ChunkedSelection) (extra int, release func()) {
 	workers := ScanWorkers()
 	nc := cs.NumChunks()
@@ -78,22 +80,29 @@ const (
 	chunkTake
 )
 
-// filterPlan is one predicate resolved for a chunked scan: the
-// zone-map verdict per chunk, the row kernel for the chunks the
-// verdict leaves to scan, and none when no row can match (the driver
-// then returns the empty result without visiting a chunk). The
-// row-id and bitmap drivers consume the same plan, so the two output
-// representations share every decision.
-type filterPlan struct {
+// Pred is one predicate over one column, resolved for a chunked
+// scan: the zone-map verdict per chunk, the single-predicate row
+// kernel, the same test in the form the partition kernels share with
+// other predicates on the column, and none when no row can match (the
+// drivers then return the empty result without visiting a chunk).
+// Every driver — row ids, bitmap, partition — consumes the same Pred,
+// so the output representations share every decision. Build one with
+// a *Pred constructor; the zero Pred is not valid.
+type Pred struct {
 	verdict func(c int) chunkVerdict
 	scan    scanKernel
+	test    rowTest
 	none    bool
 }
 
-// filterSegs is the row-id chunked-filter driver: the verdict prunes
-// or passes whole chunks from the zone map, the kernel narrows the
-// rest, and the per-chunk outputs are reassembled in chunk order.
-func filterSegs(cs *ChunkedSelection, p filterPlan) *ChunkedSelection {
+// FilterChunked is the row-id chunked-filter driver: it narrows cs to
+// the rows p keeps, chunk by chunk — the verdict prunes or passes whole
+// chunks from the zone map, the kernel narrows the rest, and the
+// per-chunk outputs are reassembled in chunk order. It is
+// PartitionChunked for one predicate, kept apart because the delta
+// refreshes run it over selections that are empty in all but a few
+// chunks, where the partition's per-call set-up would dominate.
+func FilterChunked(cs *ChunkedSelection, p Pred) *ChunkedSelection {
 	if p.none {
 		return emptyLike(cs)
 	}
@@ -112,32 +121,30 @@ func filterSegs(cs *ChunkedSelection, p filterPlan) *ChunkedSelection {
 		case chunkTake:
 			out[c] = seg
 		default:
-			out[c] = scanSeg(seg, p.scan)
+			buf := int32Scratch.Get(len(seg))
+			out[c] = exactSeg(seg, (*buf)[:p.scan(seg, *buf)])
+			int32Scratch.Put(buf)
 		}
 	})
 	return NewChunkedSelection(cs.nRows, cs.chunkRows, out)
 }
 
-// scanSeg runs a kernel over seg into pooled scratch and returns the
-// matches as an exact-length selection: nil when none match, seg
-// itself when all do (what a take verdict would have passed), and a
-// right-sized copy otherwise. A narrow child therefore never pins a
+// exactSeg returns a scanned chunk's matches as an exact-length
+// selection: nil when none match, seg itself when all do (what a take
+// verdict would have passed), and a right-sized copy of the pooled
+// scratch otherwise. A narrow child therefore never pins a
 // parent-sized array in the evaluator's selection cache.
-func scanSeg(seg Selection, scan scanKernel) Selection {
-	p := int32Scratch.Get(len(seg))
-	matched := (*p)[:scan(seg, *p)]
-	var out Selection
+func exactSeg(seg, matched Selection) Selection {
 	switch len(matched) {
 	case 0:
+		return nil
 	case len(seg):
-		out = seg
-	default:
-		// make+copy of one named slice compiles to a single
-		// non-zeroing allocation.
-		out = make(Selection, len(matched))
-		copy(out, matched)
+		return seg
 	}
-	int32Scratch.Put(p)
+	// make+copy of one named slice compiles to a single non-zeroing
+	// allocation.
+	out := make(Selection, len(matched))
+	copy(out, matched)
 	return out
 }
 
@@ -201,43 +208,60 @@ func floatRangeVerdict(sum *ChunkSummary, r FloatRange) func(c int) chunkVerdict
 // in r, chunk by chunk, skipping chunks the zone map rules out and
 // passing through chunks it proves fully inside.
 func FilterIntRangeChunked(col IntValued, cs *ChunkedSelection, r IntRange, sum *ChunkSummary) *ChunkedSelection {
-	return filterSegs(cs, intRangePlan(col, r, sum))
+	return FilterChunked(cs, IntRangePred(col, r, sum))
 }
 
-func intRangePlan(col IntValued, r IntRange, sum *ChunkSummary) filterPlan {
-	return filterPlan{verdict: intRangeVerdict(sum, r), scan: r.span().kernel(col.Int64s())}
+// IntRangePred resolves an int or date range predicate. A range no
+// int64 satisfies still runs its verdicts, then scans nothing.
+func IntRangePred(col IntValued, r IntRange, sum *ChunkSummary) Pred {
+	s := r.span()
+	p := Pred{verdict: intRangeVerdict(sum, r), scan: s.kernel(col.Int64s())}
+	if !s.empty {
+		p.test = rowTest{kind: testIntRange, ints: col.Int64s(), ispan: s}
+	}
+	return p
 }
 
 // FilterFloatRangeChunked is FilterIntRangeChunked over floats.
 func FilterFloatRangeChunked(col FloatValued, cs *ChunkedSelection, r FloatRange, sum *ChunkSummary) *ChunkedSelection {
-	return filterSegs(cs, floatRangePlan(col, r, sum))
+	return FilterChunked(cs, FloatRangePred(col, r, sum))
 }
 
-func floatRangePlan(col FloatValued, r FloatRange, sum *ChunkSummary) filterPlan {
-	return filterPlan{verdict: floatRangeVerdict(sum, r), scan: r.span().kernel(col.Float64s())}
+// FloatRangePred is IntRangePred over floats: NaN rows match it.
+func FloatRangePred(col FloatValued, r FloatRange, sum *ChunkSummary) Pred {
+	s := r.span()
+	return Pred{
+		verdict: floatRangeVerdict(sum, r),
+		scan:    s.kernel(col.Float64s()),
+		test:    rowTest{kind: testFloatRange, floats: col.Float64s(), fspan: s},
+	}
 }
 
 // FilterIntSetChunked narrows cs to rows whose int64 value appears
 // in values. The zone map prunes chunks whose value interval misses
 // the set's hull [min(values), max(values)].
 func FilterIntSetChunked(col IntValued, cs *ChunkedSelection, values []int64, sum *ChunkSummary) *ChunkedSelection {
-	return filterSegs(cs, intSetPlan(col, values, sum))
+	return FilterChunked(cs, IntSetPred(col, values, sum))
 }
 
-func intSetPlan(col IntValued, values []int64, sum *ChunkSummary) filterPlan {
+// IntSetPred resolves an int or date value-set predicate.
+func IntSetPred(col IntValued, values []int64, sum *ChunkSummary) Pred {
 	var bounds func(c int) (lo, hi int64)
 	if sum != nil {
 		bounds = sum.IntBounds
 	}
-	return setPlan(col.Int64s(), values, bounds)
+	p, want := setPred(col.Int64s(), values, bounds)
+	p.test = rowTest{kind: testIntSet, ints: col.Int64s(), iset: want}
+	return p
 }
 
 // FilterFloatSetChunked is FilterIntSetChunked over floats.
 func FilterFloatSetChunked(col FloatValued, cs *ChunkedSelection, values []float64, sum *ChunkSummary) *ChunkedSelection {
-	return filterSegs(cs, floatSetPlan(col, values, sum))
+	return FilterChunked(cs, FloatSetPred(col, values, sum))
 }
 
-func floatSetPlan(col FloatValued, values []float64, sum *ChunkSummary) filterPlan {
+// FloatSetPred is IntSetPred over floats: NaN rows match no set.
+func FloatSetPred(col FloatValued, values []float64, sum *ChunkSummary) Pred {
 	var bounds func(c int) (lo, hi float64)
 	if sum != nil {
 		bounds = func(c int) (lo, hi float64) {
@@ -245,16 +269,19 @@ func floatSetPlan(col FloatValued, values []float64, sum *ChunkSummary) filterPl
 			return lo, hi
 		}
 	}
-	return setPlan(col.Float64s(), values, bounds)
+	p, want := setPred(col.Float64s(), values, bounds)
+	p.test = rowTest{kind: testFloatSet, floats: col.Float64s(), fset: want}
+	return p
 }
 
-// setPlan is the int and float set plan: a map probe per row, and a
-// skip for every chunk whose [lo, hi] (bounds is nil without a zone
-// map) misses the set's hull. NaN rows never match a set, so — unlike
-// the float range filter — skipping needs no NaN-free proof.
-func setPlan[T int64 | float64](vals, values []T, bounds func(c int) (lo, hi T)) filterPlan {
+// setPred is the int and float set predicate, returned with its
+// membership map: a map probe per row, and a skip for every chunk
+// whose [lo, hi] (bounds is nil without a zone map) misses the set's
+// hull. NaN rows never match a set, so — unlike the float range
+// filter — skipping needs no NaN-free proof.
+func setPred[T int64 | float64](vals, values []T, bounds func(c int) (lo, hi T)) (Pred, map[T]struct{}) {
 	if len(values) == 0 {
-		return filterPlan{none: true}
+		return Pred{none: true}, nil
 	}
 	want, wlo, whi := hullSet(values)
 	verdict := scanAlways
@@ -266,9 +293,9 @@ func setPlan[T int64 | float64](vals, values []T, bounds func(c int) (lo, hi T))
 			return chunkScan
 		}
 	}
-	return filterPlan{verdict: verdict, scan: func(seg, buf Selection) int {
+	return Pred{verdict: verdict, scan: func(seg, buf Selection) int {
 		return scanSet(vals, want, seg, buf)
-	}}
+	}}, want
 }
 
 // codeSetVerdict classifies a chunk against a wanted dictionary-code
@@ -359,58 +386,70 @@ func boolSetVerdict(sum *ChunkSummary, wantTrue, wantFalse bool) func(c int) chu
 // zone map prunes chunks holding no wanted code and passes chunks
 // wholesale when every code they hold is wanted.
 func FilterStringSetChunked(col *StringColumn, cs *ChunkedSelection, values []string, sum *ChunkSummary) *ChunkedSelection {
-	return filterSegs(cs, stringSetPlan(col, values, sum))
+	return FilterChunked(cs, StringSetPred(col, values, sum))
 }
 
-func stringSetPlan(col *StringColumn, values []string, sum *ChunkSummary) filterPlan {
-	want := stringCodeSet(col, values)
+// StringSetPred resolves a string value-set predicate to a dense
+// bitset over the column's dictionary codes.
+func StringSetPred(col *StringColumn, values []string, sum *ChunkSummary) Pred {
+	return codeSetPred(col, stringCodeSet(col, values), sum)
+}
+
+func codeSetPred(col *StringColumn, want codeSet, sum *ChunkSummary) Pred {
 	if want == nil {
-		return filterPlan{none: true}
+		return Pred{none: true}
 	}
-	return filterPlan{verdict: codeSetVerdict(sum, want), scan: want.kernel(col.Codes())}
+	return Pred{
+		verdict: codeSetVerdict(sum, want),
+		scan:    want.kernel(col.Codes()),
+		test:    rowTest{kind: testCodeSet, codes: col.Codes(), want: want},
+	}
 }
 
 // FilterStringRangeChunked narrows cs to rows whose string value
-// lies in the lexicographic interval [lo, hi]. With a presence
-// summary the range is resolved to the set of dictionary codes it
-// covers — one pass over the dictionary, not the rows — which both
-// turns the per-row test into a bit extract and lets the same
-// verdicts prune and pass chunks exactly like an explicit value set.
-// Without one that can actually prune (pruning ablated, a
+// lies in the lexicographic interval [lo, hi].
+func FilterStringRangeChunked(col *StringColumn, cs *ChunkedSelection, lo, hi string, loIncl, hiIncl bool, sum *ChunkSummary) *ChunkedSelection {
+	return FilterChunked(cs, StringRangePred(col, lo, hi, loIncl, hiIncl, sum))
+}
+
+// StringRangePred resolves a lexicographic interval predicate. With
+// a presence summary the range is resolved to the set of dictionary
+// codes it covers — one pass over the dictionary, not the rows —
+// which both turns the per-row test into a bit extract and lets the
+// same verdicts prune and pass chunks exactly like an explicit value
+// set. Without one that can actually prune (pruning ablated, a
 // summary-less caller, or a sparse summary every chunk of which
 // overflowed) the per-row string comparison scan runs directly:
 // paying O(dictionary) to build a code set no verdict will profit
 // from would make narrow selections over high-cardinality columns
 // *slower* than the scan.
-func FilterStringRangeChunked(col *StringColumn, cs *ChunkedSelection, lo, hi string, loIncl, hiIncl bool, sum *ChunkSummary) *ChunkedSelection {
-	return filterSegs(cs, stringRangePlan(col, strRange{lo, hi, loIncl, hiIncl}, sum))
-}
-
-func stringRangePlan(col *StringColumn, r strRange, sum *ChunkSummary) filterPlan {
+func StringRangePred(col *StringColumn, lo, hi string, loIncl, hiIncl bool, sum *ChunkSummary) Pred {
+	r := strRange{lo, hi, loIncl, hiIncl}
 	if sum == nil || !sum.canPruneCodes() {
-		return filterPlan{verdict: scanAlways, scan: r.kernel(col)}
+		return Pred{verdict: scanAlways, scan: r.kernel(col)}
 	}
-	want := r.codeSet(col)
-	if want == nil {
-		return filterPlan{none: true}
-	}
-	return filterPlan{verdict: codeSetVerdict(sum, want), scan: want.kernel(col.Codes())}
+	return codeSetPred(col, r.codeSet(col), sum)
 }
 
 // FilterBoolSetChunked narrows cs to rows whose boolean value
 // appears in values, skipping chunks that hold no wanted value and
 // passing chunks every row of which must match.
 func FilterBoolSetChunked(col *BoolColumn, cs *ChunkedSelection, values []bool, sum *ChunkSummary) *ChunkedSelection {
-	return filterSegs(cs, boolSetPlan(col, values, sum))
+	return FilterChunked(cs, BoolSetPred(col, values, sum))
 }
 
-func boolSetPlan(col *BoolColumn, values []bool, sum *ChunkSummary) filterPlan {
+// BoolSetPred resolves a bool value-set predicate.
+func BoolSetPred(col *BoolColumn, values []bool, sum *ChunkSummary) Pred {
 	wantTrue, wantFalse := boolWants(values)
 	if !wantTrue && !wantFalse {
-		return filterPlan{none: true}
+		return Pred{none: true}
 	}
 	vals := col.Bools()
-	return filterPlan{verdict: boolSetVerdict(sum, wantTrue, wantFalse), scan: func(seg, buf Selection) int {
-		return scanBoolSet(vals, wantTrue, wantFalse, seg, buf)
-	}}
+	return Pred{
+		verdict: boolSetVerdict(sum, wantTrue, wantFalse),
+		scan: func(seg, buf Selection) int {
+			return scanBoolSet(vals, wantTrue, wantFalse, seg, buf)
+		},
+		test: rowTest{kind: testBoolSet, bools: vals, wantTrue: wantTrue, wantFalse: wantFalse},
+	}
 }

@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"charles/internal/obs"
 )
 
 // naiveFilter is the reference every filter kernel is held to: the
@@ -447,4 +451,368 @@ func TestCodeSetVerdictShortWantSet(t *testing.T) {
 	if got := verdict(1); got != chunkScan {
 		t.Fatalf("mixed chunk: verdict %d, want scan", got)
 	}
+}
+
+// partPiece is one predicate of a fuzzed partition: its Pred for the
+// partition, and the one-piece filter the partition must agree with.
+type partPiece struct {
+	name   string
+	pred   func(sum *ChunkSummary) Pred
+	filter func(cs *ChunkedSelection, sum *ChunkSummary) *ChunkedSelection
+}
+
+func countingMetrics() *Metrics {
+	return &Metrics{ZoneSkip: &obs.Counter{}, ZoneTake: &obs.Counter{}, ZoneScan: &obs.Counter{},
+		VectorKernels: &obs.Counter{}, FusedKernels: &obs.Counter{}}
+}
+
+// metricCounts reads a counting hook: skip, take, scan, vector, fused.
+func metricCounts(m *Metrics) [5]int64 {
+	return [5]int64{m.ZoneSkip.Value(), m.ZoneTake.Value(), m.ZoneScan.Value(), m.VectorKernels.Value(), m.FusedKernels.Value()}
+}
+
+// checkPartition holds PartitionChunked over pieces to one filter per
+// piece, with the zone map and without it, at scan workers 1 and 4:
+// every child equals its piece's filter chunk for chunk (exact-length
+// segments), every packed bitmap equals NewBitmapChunked of its child
+// (no words for an empty chunk), the unpacked pass returns the same
+// children, and the metrics hook counts exactly what the per-piece
+// filters count.
+func checkPartition(t testing.TB, cs *ChunkedSelection, sum *ChunkSummary, pieces []partPiece) {
+	t.Helper()
+	defer SetScanWorkers(0)
+	defer SetMetrics(nil)
+	for _, workers := range []int{1, 4} {
+		SetScanWorkers(workers)
+		for _, s := range []*ChunkSummary{sum, nil} {
+			where := fmt.Sprintf("workers %d, zone map %v", workers, s != nil)
+			preds := make([]Pred, len(pieces))
+			for i, p := range pieces {
+				preds[i] = p.pred(s)
+			}
+			m := countingMetrics()
+			SetMetrics(m)
+			children, bms := PartitionChunked(cs, preds, true)
+			got := metricCounts(m)
+			m = countingMetrics()
+			SetMetrics(m)
+			for i, p := range pieces {
+				want, child := p.filter(cs, s), children[i]
+				if child.NumRows() != want.NumRows() || child.NumChunks() != want.NumChunks() || child.Len() != want.Len() {
+					t.Fatalf("%s (%s): child holds %d rows in %d chunks, filter %d in %d", p.name, where, child.Len(), child.NumChunks(), want.Len(), want.NumChunks())
+				}
+				for c := 0; c < want.NumChunks(); c++ {
+					if g := child.Seg(c); !sameRows(g, want.Seg(c)) || cap(g) != len(g) {
+						t.Fatalf("%s (%s): chunk %d holds %v (cap %d), filter %v", p.name, where, c, g, cap(g), want.Seg(c))
+					}
+				}
+				ref, bm := NewBitmapChunked(child), bms[i]
+				if bm.Count() != ref.Count() || bm.NumRows() != ref.NumRows() || bm.ChunkRows() != ref.ChunkRows() || len(bm.chunks) != len(ref.chunks) {
+					t.Fatalf("%s (%s): packed bitmap of %d rows, child %d", p.name, where, bm.Count(), ref.Count())
+				}
+				for c := range ref.chunks {
+					if (bm.chunks[c] == nil) != (ref.chunks[c] == nil) || !slices.Equal(bm.chunks[c], ref.chunks[c]) {
+						t.Fatalf("%s (%s): packed chunk %d differs from NewBitmapChunked", p.name, where, c)
+					}
+				}
+			}
+			if want := metricCounts(m); got != want {
+				t.Fatalf("%s: partition counted skip/take/scan/vector/fused %v, per-piece filters %v", where, got, want)
+			}
+			plain, none := PartitionChunked(cs, preds, false)
+			if none != nil {
+				t.Fatalf("%s: unpacked partition returned bitmaps", where)
+			}
+			for i := range plain {
+				if !sameRows(plain[i].Flat(), children[i].Flat()) {
+					t.Fatalf("%s (%s): unpacked child differs from packed", pieces[i].name, where)
+				}
+			}
+		}
+	}
+}
+
+// partFloatEdges are the float values with a special meaning to a
+// range or set test.
+var partFloatEdges = []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1), -1.5, 1.5}
+
+// rangePieces draws arity cut-shaped range pieces over vals: adjacent
+// [b_i, b_i+1), the last one closed, on sorted bounds drawn mostly from
+// the column's values and otherwise from edges; one piece in four is
+// an arbitrary range instead — overlapping, inverted or empty.
+func rangePieces[T int64 | float64](vals, edges []T, rng *rand.Rand, arity int, piece func(lo, hi T, loIncl, hiIncl bool) partPiece) []partPiece {
+	draw := func() T {
+		if len(vals) > 0 && rng.Intn(5) != 0 {
+			return vals[rng.Intn(len(vals))]
+		}
+		return edges[rng.Intn(len(edges))]
+	}
+	bounds := make([]T, arity+1)
+	for i := range bounds {
+		bounds[i] = draw()
+	}
+	slices.Sort(bounds)
+	pieces := make([]partPiece, arity)
+	for i := range pieces {
+		if rng.Intn(4) == 0 {
+			pieces[i] = piece(draw(), draw(), rng.Intn(2) == 0, rng.Intn(2) == 0)
+		} else {
+			pieces[i] = piece(bounds[i], bounds[i+1], true, i == arity-1)
+		}
+	}
+	return pieces
+}
+
+// valueSets draws arity value sets for nominal-fallback pieces: 0–4
+// values each, mostly ones the column holds, otherwise from extra; an
+// empty set matches nothing.
+func valueSets[T int64 | float64](vals, extra []T, rng *rand.Rand, arity int) [][]T {
+	sets := make([][]T, arity)
+	for i := range sets {
+		for k := rng.Intn(5); k > 0; k-- {
+			if len(vals) > 0 && rng.Intn(4) != 0 {
+				sets[i] = append(sets[i], vals[rng.Intn(len(vals))])
+			} else {
+				sets[i] = append(sets[i], extra[rng.Intn(len(extra))])
+			}
+		}
+	}
+	return sets
+}
+
+// Shape bits of FuzzPartitionKernels: the low three pick the column
+// kind and piece family, the rest transform the column.
+const (
+	partSorted = 1 << 3 // sort the values, so whole chunks fall to one side of a piece
+	partBig    = 1 << 4 // tile the rows past parallelScanMinRows, so workers 4 fans out
+	partSmall  = 1 << 5 // fold the values into a small domain holding NaN and ±0
+)
+
+// FuzzPartitionKernels holds the partition driver to one filter per
+// piece (checkPartition). raw supplies one 64-bit word per row; shape
+// picks the column — int or date ranges, float ranges, int or float
+// sets (the nominal fallback), string sets or ranges, bool sets — and
+// whether its values are sorted (so the verdicts take and skip whole
+// chunks), folded into a small domain with NaN and ±0, or tiled past
+// the parallel-scan threshold; seed draws the parent selection, with
+// empty chunks, and 2–7 pieces, empty spans and sets included.
+func FuzzPartitionKernels(f *testing.F) {
+	word := func(ws ...uint64) []byte {
+		var b []byte
+		for _, w := range ws {
+			for i := 0; i < 8; i++ {
+				b = append(b, byte(w>>(8*i)))
+			}
+		}
+		return b
+	}
+	mixed := word(0, 1, 2, 3, 1<<63, 1<<63-1, 0x7ff8000000000000, 0xfff0000000000000, 5, 9, 12, 7)
+	f.Add(mixed, uint64(1), uint8(0))
+	f.Add(mixed, uint64(2), uint8(1|partSorted|partSmall))
+	f.Add(mixed, uint64(3), uint8(2|partSmall))
+	f.Add(mixed, uint64(4), uint8(3|partSmall|partSorted))
+	f.Add(mixed, uint64(5), uint8(4|partSmall))
+	f.Add(mixed, uint64(6<<8|6), uint8(5|partSorted))
+	f.Add(mixed, uint64(40<<8|3), uint8(6))
+	f.Add(mixed, uint64(7), uint8(7|partSorted))
+	f.Add(mixed, uint64(9), uint8(7))
+	f.Add(mixed, uint64(14), uint8(7))
+	f.Add(mixed, uint64(8), uint8(2|partBig|partSorted|partSmall))
+	f.Add(mixed, uint64(11), uint8(5|partBig))
+	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, shape uint8) {
+		const chunkRows = 64
+		n := min(len(raw)/8, 16*chunkRows)
+		words := make([]uint64, n)
+		for i := range words {
+			for k := 0; k < 8; k++ {
+				words[i] |= uint64(raw[8*i+k]) << (8 * k)
+			}
+		}
+		nRows := n
+		big := shape&partBig != 0 && n > 0
+		if big {
+			nRows = 640 * chunkRows
+		}
+		word := func(r int) uint64 { return words[r%n] }
+		sorted, small := shape&partSorted != 0, shape&partSmall != 0
+		rng := rand.New(rand.NewSource(int64(seed)))
+		arity := 2 + int(seed%6)
+		ints := func() []int64 {
+			vals := make([]int64, nRows)
+			for r := range vals {
+				vals[r] = int64(word(r))
+				if small {
+					vals[r] = int64(word(r)%13) - 6
+				}
+			}
+			if sorted {
+				slices.Sort(vals)
+			}
+			return vals
+		}
+		floats := func() []float64 {
+			vals := make([]float64, nRows)
+			for r := range vals {
+				w := word(r)
+				vals[r] = math.Float64frombits(w)
+				if small {
+					vals[r] = float64(int64(w%13)-6) / 2
+					if w%5 == 0 {
+						vals[r] = partFloatEdges[(w/5)%uint64(len(partFloatEdges))]
+					}
+				}
+			}
+			if sorted {
+				slices.SortFunc(vals, func(a, b float64) int { return cmp.Compare(floatKey(a), floatKey(b)) })
+			}
+			return vals
+		}
+		var col Column
+		var pieces []partPiece
+		switch kind := shape & 7; kind {
+		case 0, 1:
+			var ic IntValued = NewIntColumn("v", ints())
+			if kind == 1 {
+				ic = NewDateColumn("v", ic.Int64s())
+			}
+			col = ic
+			pieces = rangePieces(ic.Int64s(), []int64{math.MinInt64, math.MaxInt64, 0, -1, 1}, rng, arity,
+				func(lo, hi int64, loIncl, hiIncl bool) partPiece {
+					r := IntRange{Lo: lo, Hi: hi, LoIncl: loIncl, HiIncl: hiIncl}
+					return partPiece{
+						name: fmt.Sprintf("int range %+v", r),
+						pred: func(s *ChunkSummary) Pred { return IntRangePred(ic, r, s) },
+						filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
+							return FilterIntRangeChunked(ic, cs, r, s)
+						},
+					}
+				})
+		case 2:
+			fc := NewFloatColumn("v", floats())
+			col = fc
+			pieces = rangePieces(fc.Float64s(), partFloatEdges, rng, arity,
+				func(lo, hi float64, loIncl, hiIncl bool) partPiece {
+					r := FloatRange{Lo: lo, Hi: hi, LoIncl: loIncl, HiIncl: hiIncl}
+					return partPiece{
+						name: fmt.Sprintf("float range %+v", r),
+						pred: func(s *ChunkSummary) Pred { return FloatRangePred(fc, r, s) },
+						filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
+							return FilterFloatRangeChunked(fc, cs, r, s)
+						},
+					}
+				})
+		case 3:
+			ic := NewIntColumn("v", ints())
+			col = ic
+			for _, set := range valueSets(ic.Int64s(), []int64{math.MinInt64, 0, 99, math.MaxInt64}, rng, arity) {
+				pieces = append(pieces, partPiece{
+					name: fmt.Sprintf("int set %v", set),
+					pred: func(s *ChunkSummary) Pred { return IntSetPred(ic, set, s) },
+					filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
+						return FilterIntSetChunked(ic, cs, set, s)
+					},
+				})
+			}
+		case 4:
+			fc := NewFloatColumn("v", floats())
+			col = fc
+			for _, set := range valueSets(fc.Float64s(), partFloatEdges, rng, arity) {
+				pieces = append(pieces, partPiece{
+					name: fmt.Sprintf("float set %v", set),
+					pred: func(s *ChunkSummary) Pred { return FloatSetPred(fc, set, s) },
+					filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
+						return FilterFloatSetChunked(fc, cs, set, s)
+					},
+				})
+			}
+		case 5, 6:
+			dictLen := 1 + int(seed>>8)%70
+			dict := make([]string, dictLen)
+			for i := range dict {
+				dict[i] = fmt.Sprintf("s%02d", i)
+			}
+			codes := make([]uint32, nRows)
+			for r := range codes {
+				codes[r] = uint32(word(r) % uint64(dictLen))
+			}
+			if sorted {
+				slices.Sort(codes)
+			}
+			sc, err := NewStringColumnFromDict("v", codes, dict)
+			if err != nil {
+				t.Fatal(err)
+			}
+			col = sc
+			pick := func() string {
+				if rng.Intn(4) == 0 {
+					return fmt.Sprintf("s%02d~", rng.Intn(dictLen+2)) // between or past the values
+				}
+				return dict[rng.Intn(dictLen)]
+			}
+			for i := 0; i < arity; i++ {
+				if kind == 5 {
+					var values []string
+					for k := rng.Intn(5); k > 0; k-- {
+						values = append(values, pick())
+					}
+					pieces = append(pieces, partPiece{
+						name: fmt.Sprintf("string set %q", values),
+						pred: func(s *ChunkSummary) Pred { return StringSetPred(sc, values, s) },
+						filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
+							return FilterStringSetChunked(sc, cs, values, s)
+						},
+					})
+					continue
+				}
+				lo, hi, loIncl, hiIncl := pick(), pick(), rng.Intn(2) == 0, rng.Intn(2) == 0
+				pieces = append(pieces, partPiece{
+					name: fmt.Sprintf("string range %q..%q %v/%v", lo, hi, loIncl, hiIncl),
+					pred: func(s *ChunkSummary) Pred { return StringRangePred(sc, lo, hi, loIncl, hiIncl, s) },
+					filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
+						return FilterStringRangeChunked(sc, cs, lo, hi, loIncl, hiIncl, s)
+					},
+				})
+			}
+		case 7:
+			bools := make([]bool, nRows)
+			for r := range bools {
+				bools[r] = word(r)&1 == 1
+			}
+			if sorted {
+				slices.SortFunc(bools, func(a, b bool) int { return b2i(a) - b2i(b) })
+			}
+			bc := NewBoolColumn("v", bools)
+			col = bc
+			for i := 0; i < arity; i++ {
+				var values []bool
+				for k := rng.Intn(3); k > 0; k-- {
+					values = append(values, rng.Intn(2) == 0)
+				}
+				pieces = append(pieces, partPiece{
+					name: fmt.Sprintf("bool set %v", values),
+					pred: func(s *ChunkSummary) Pred { return BoolSetPred(bc, values, s) },
+					filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
+						return FilterBoolSetChunked(bc, cs, values, s)
+					},
+				})
+			}
+		}
+		tab := MustNewTable("fuzz", col)
+		tab.SetChunkRows(chunkRows)
+		p := rng.Float64()
+		if big {
+			p = 0.97
+		}
+		drop := make([]bool, numChunksFor(nRows, chunkRows))
+		for c := range drop {
+			drop[c] = (big && c%9 == 4) || (!big && rng.Intn(4) == 0)
+		}
+		var sel Selection
+		for r := 0; r < nRows; r++ {
+			if !drop[r/chunkRows] && rng.Float64() < p {
+				sel = append(sel, int32(r))
+			}
+		}
+		checkPartition(t, ChunkSelection(sel, nRows, chunkRows), tab.SummaryByName("v"), pieces)
+	})
 }

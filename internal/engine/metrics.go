@@ -9,7 +9,12 @@ import (
 // Metrics is the engine's instrumentation hook: counters for the
 // zone-map verdicts the chunked filter drivers hand down and for
 // which driver (row-id selection vs bitmap words) served each
-// filter. Fields are nil-safe obs counters, so a partially-populated
+// filter. A partition pass (PartitionChunked: a cut's children in one
+// pass) counts as one row-id filter per piece — a VectorKernels per
+// piece that can match and one verdict per such piece per non-empty
+// chunk — so the counts do not depend on whether children were
+// evaluated together; the bitmaps it packs count nothing. Fields are
+// nil-safe obs counters, so a partially-populated
 // hook records only what it names; the default hook records nothing.
 // The hook influences nothing — verdicts and kernels are chosen
 // before it is consulted — so installing it can never change output.
@@ -21,7 +26,8 @@ type Metrics struct {
 	ZoneTake *obs.Counter
 	ZoneScan *obs.Counter
 	// VectorKernels / FusedKernels count driver invocations by
-	// output representation: row-id selections vs bitmaps.
+	// output representation: row-id selections (per predicate) vs
+	// bitmaps built by the fused filter→bitmap scan.
 	VectorKernels *obs.Counter
 	FusedKernels  *obs.Counter
 }

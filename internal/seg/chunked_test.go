@@ -63,32 +63,51 @@ func TestSelectChunkedMatchesAcrossLayouts(t *testing.T) {
 }
 
 // TestNarrowChunkedTouchesOnlyParentChunks pins the narrow-eval
-// skipping: a parent confined to a few chunks must produce a child
-// whose segments are empty wherever the parent's were.
+// skipping: the children of a cut whose parent is confined to the
+// first chunk hold rows only there, partition the parent, and equal a
+// cold evaluation of each child query.
 func TestNarrowChunkedTouchesOnlyParentChunks(t *testing.T) {
-	tab := dataset.VOC(4000, 7)
+	const n = 4000
+	ids := make([]int64, n)
+	tonnage := make([]int64, n)
+	rng := rand.New(rand.NewSource(7))
+	for i := range ids {
+		ids[i] = int64(i)
+		tonnage[i] = rng.Int63n(10000)
+	}
+	tab := engine.MustNewTable("t", engine.NewIntColumn("id", ids), engine.NewIntColumn("tonnage", tonnage))
 	tab.SetChunkRows(256)
 	ev := NewEvaluator(tab)
 	// A parent confined to the first chunk by construction.
-	parentSel := engine.Selection{}
-	for r := int32(0); r < 200; r++ {
-		parentSel = append(parentSel, r)
-	}
-	parentCS := engine.ChunkSelection(parentSel, tab.NumRows(), tab.ChunkRows())
-	parent := sdl.MustQuery(sdl.Any("tonnage"))
-	c := sdl.ClosedRange("tonnage", engine.Int(0), engine.Int(10000))
-	child := parent.WithConstraint(c)
-	childCS, err := ev.NarrowChunked(parentCS, child, c)
+	parent := sdl.MustQuery(sdl.ClosedRange("id", engine.Int(0), engine.Int(199)))
+	s, err := Cut(ev, singleton(parent, 200), "tonnage", DefaultCutOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < childCS.NumChunks(); i++ {
-		if len(childCS.Seg(i)) != 0 {
-			t.Fatalf("chunk %d has rows although the parent was confined to chunk 0", i)
+	if s.Depth() < 2 {
+		t.Fatalf("cut did not split: %v", s.Queries)
+	}
+	cold := NewEvaluator(tab)
+	for _, child := range s.Queries {
+		childCS, err := ev.SelectChunked(child)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < childCS.NumChunks(); i++ {
+			if len(childCS.Seg(i)) != 0 {
+				t.Fatalf("chunk %d has rows although the parent was confined to chunk 0", i)
+			}
+		}
+		want, err := cold.SelectChunked(child)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameChunked(childCS, want) {
+			t.Fatalf("child %s differs from a cold evaluation", child)
 		}
 	}
-	if childCS.Len() == 0 {
-		t.Fatal("covering range should keep the whole parent")
+	if s.Total() != 200 {
+		t.Fatalf("children cover %d rows, want the parent's 200", s.Total())
 	}
 }
 

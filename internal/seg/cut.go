@@ -310,6 +310,14 @@ func nominalPieces(attr string, vcs []stats.ValueCount, mk func(string) engine.V
 // be split are kept whole, so the result is always a valid partition
 // of the same context.
 func Cut(ev *Evaluator, s *Segmentation, attr string, opt CutOptions) (*Segmentation, error) {
+	return cutSeg(ev, s, attr, opt, false)
+}
+
+// cutSeg is Cut, with pairSides marking a cut whose result becomes an
+// HB-cuts candidate that INDEP will pair — the initial cuts and the
+// outermost cut of a COMPOSE — so its partition passes also pack the
+// dense children's bitmaps (Evaluator.cutChildren).
+func cutSeg(ev *Evaluator, s *Segmentation, attr string, opt CutOptions, pairSides bool) (*Segmentation, error) {
 	out := &Segmentation{CutAttrs: addAttr(s.CutAttrs, attr)}
 	anySplit := false
 	for i, q := range s.Queries {
@@ -334,21 +342,15 @@ func Cut(ev *Evaluator, s *Segmentation, attr string, opt CutOptions) (*Segmenta
 		if err != nil {
 			return nil, err
 		}
-		for _, child := range children {
-			c, ok := child.Constraint(attr)
-			if !ok {
-				return nil, fmt.Errorf("seg: cut child lost its %q constraint", attr)
+		childCS, err := ev.cutChildren(parentCS, children, attr, pairSides)
+		if err != nil {
+			return nil, err
+		}
+		for j, child := range children {
+			if n := childCS[j].Len(); n > 0 {
+				out.Queries = append(out.Queries, child)
+				out.Counts = append(out.Counts, n)
 			}
-			childCS, err := ev.NarrowChunked(parentCS, child, c)
-			if err != nil {
-				return nil, err
-			}
-			count := childCS.Len()
-			if count == 0 {
-				continue
-			}
-			out.Queries = append(out.Queries, child)
-			out.Counts = append(out.Counts, count)
 		}
 	}
 	if !anySplit {
@@ -372,7 +374,7 @@ func InitialCut(ev *Evaluator, context sdl.Query, attr string, opt CutOptions) (
 	if count == 0 {
 		return nil, false, fmt.Errorf("seg: context %s selects no rows", context)
 	}
-	s, err := Cut(ev, singleton(context, count), attr, opt)
+	s, err := cutSeg(ev, singleton(context, count), attr, opt, true)
 	if err != nil {
 		return nil, false, err
 	}
@@ -384,13 +386,14 @@ func InitialCut(ev *Evaluator, context sdl.Query, attr string, opt CutOptions) (
 
 // Compose implements COMPOSE(S1, S2) (Definition 7): S1 is cut
 // successively on each attribute S2 is based on, innermost last
-// (CUT_att1(CUT_att2(...CUT_attN(S1)))).
+// (CUT_att1(CUT_att2(...CUT_attN(S1)))). Only the outermost cut's
+// result is a candidate INDEP pairs, so only it packs bitmaps.
 func Compose(ev *Evaluator, s1, s2 *Segmentation, opt CutOptions) (*Segmentation, error) {
 	out := s1
 	attrs := s2.CutAttrs
 	for i := len(attrs) - 1; i >= 0; i-- {
 		var err error
-		out, err = Cut(ev, out, attrs[i], opt)
+		out, err = cutSeg(ev, out, attrs[i], opt, i == 0)
 		if err != nil {
 			return nil, err
 		}

@@ -9,6 +9,7 @@ package seg
 import (
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -22,9 +23,9 @@ import (
 type Counters struct {
 	// FullEvals counts constraint-by-constraint query evaluations.
 	FullEvals int
-	// NarrowEvals counts incremental child evaluations (filtering a
-	// parent's selection by one new constraint), the cheap path cuts
-	// take.
+	// NarrowEvals counts child evaluations from a parent's selection
+	// (the parent narrowed by one new constraint), the cheap path cuts
+	// take: one per child a cut's partition pass evaluates.
 	NarrowEvals int
 	// CacheHits counts selections served from the query cache.
 	CacheHits int
@@ -117,8 +118,9 @@ var cacheSeed = maphash.MakeSeed()
 // and cached chunk-at-a-time over the table's row-range layout:
 // every predicate narrows the per-chunk segments independently
 // across the scan worker pool, zone maps skip chunks a range cannot
-// match, and narrow (parent→child) evaluations touch only the chunks
-// where the parent selection has rows. The cache is sharded behind
+// match, and a cut's children are partitioned from the parent's
+// selection in one pass that touches only the chunks where the parent
+// has rows. The cache is sharded behind
 // fine-grained reader/writer locks and the counters are atomic, so
 // one Evaluator safely serves many goroutines — the foundation of
 // the parallel advisor core and the multi-session server.
@@ -127,8 +129,9 @@ type Evaluator struct {
 	shards   [cacheShards]cacheShard
 	bmShards [cacheShards]bitmapShard
 	// cutMu guards cuts, the cut-point cache (cutcache.go). Cut
-	// entries are far fewer and far larger than selections — sorted
-	// value runs, not row ids — so one stripe suffices.
+	// entries are far fewer than selections — pieces, plus per-chunk
+	// value counts where a refresh can splice them — so one stripe
+	// suffices.
 	cutMu   sync.RWMutex
 	cuts    map[string]cachedCut
 	caching atomic.Bool
@@ -412,10 +415,11 @@ func (e *Evaluator) packedSelection(q sdl.Query, cs *engine.ChunkedSelection) *e
 
 // SelectBitmap returns R(Q) word-packed, the form the dense side of
 // the pairwise operators consumes. Cached forms are served in
-// cheapest-first order: the packed cache directly, then the chunked
-// selection cache (one packing pass). Only when neither holds the
-// query does it evaluate — and then the final predicate runs as a
-// fused filter→bitmap scan (engine.Filter*ChunkedBitmap) that writes
+// cheapest-first order: the packed cache directly (where a candidate
+// cut's partition pass already put its dense children), then the
+// chunked selection cache (one packing pass). Only when neither holds
+// the query does it evaluate — and then the final predicate runs as a
+// fused filter→bitmap scan (engine.FilterChunkedBitmap) that writes
 // the bitmap words straight from the typed comparison loop, never
 // materializing the row-id selection it would otherwise build and
 // immediately discard. The returned bitmap must not be mutated.
@@ -633,60 +637,113 @@ func (e *Evaluator) Count(q sdl.Query) (int, error) {
 	return cs.Len(), nil
 }
 
-// Narrow filters a parent query's selection by one additional (or
-// refined) constraint and caches the result under the child query's
-// key. child must equal parent.WithConstraint(c). It is the flat
-// compatibility form of NarrowChunked.
-func (e *Evaluator) Narrow(parentSel engine.Selection, child sdl.Query, c sdl.Constraint) (engine.Selection, error) {
-	cs, err := e.NarrowChunked(engine.ChunkSelection(parentSel, e.tab.NumRows(), e.tab.ChunkRows()), child, c)
-	if err != nil {
-		return nil, err
+// cutChildren evaluates the children of one cut from their parent's
+// selection and caches each under its own key. children[i] is the
+// parent query with attr's constraint replaced by its piece (Cut's
+// childQuery), so child i is the parent's extent narrowed by that one
+// constraint, and only chunks where the parent has rows are touched.
+// The children share engine partition passes
+// (engine.PartitionChunked), while counters and caching stay per
+// child: a child cached at the current version is served as is
+// (CacheHits); children stale with the same dirty chunks share one
+// pass over just those chunks of the parent and are spliced into
+// their cached segments (DeltaRefreshes); the rest share one pass over
+// the whole parent (NarrowEvals). pairSides marks a cut whose result
+// becomes an HB-cuts candidate that INDEP will pair: a whole-parent
+// pass then also packs each child's bitmap words while the chunk is
+// hot, and a child dense enough to be a bitmap pair side is stored in
+// the packed cache, where SelectBitmap finds it instead of re-packing.
+func (e *Evaluator) cutChildren(parentCS *engine.ChunkedSelection, children []sdl.Query, attr string, pairSides bool) ([]*engine.ChunkedSelection, error) {
+	keys := make([]string, len(children))
+	cons := make([]sdl.Constraint, len(children))
+	for i, child := range children {
+		c, ok := child.Constraint(attr)
+		if !ok {
+			return nil, fmt.Errorf("seg: cut child lost its %q constraint", attr)
+		}
+		keys[i], cons[i] = child.Key(), c
 	}
-	return cs.Flat(), nil
-}
-
-// NarrowChunked filters a parent query's chunked selection by one
-// additional (or refined) constraint and caches the result under the
-// child query's key. It is the incremental path CUT takes: the
-// child's extent is a subset of the parent's, so only the changed
-// predicate is applied — and only over the chunks where the parent
-// has rows, since empty parent segments are skipped outright.
-func (e *Evaluator) NarrowChunked(parentCS *engine.ChunkedSelection, child sdl.Query, c sdl.Constraint) (*engine.ChunkedSelection, error) {
-	key := child.Key()
+	out := make([]*engine.ChunkedSelection, len(children))
 	caching := e.caching.Load()
 	cur := e.tab.Stamp()
-	if caching {
-		if ent, ok := e.cached(key); ok {
-			if ent.stamp.Version() == cur.Version() {
-				e.countCacheHit()
-				return ent.cs, nil
-			}
-			// Stale after mutation: parentCS is the child's current
-			// parent selection, so re-filtering just its dirty-chunk
-			// segments and splicing reproduces the child exactly —
-			// cheaper than refreshChunked's full constraint chain.
-			if dirty := e.deltaDirty(ent.stamp, ent.cs.NumRows(), ent.cs.ChunkRows(), cur); dirty != nil &&
-				parentCS.NumRows() == cur.NumRows() && parentCS.ChunkRows() == cur.ChunkRows() {
-				fresh, err := e.applyConstraint(engine.RestrictChunked(parentCS, dirty), c)
-				if err != nil {
-					return nil, err
-				}
-				cs := engine.SpliceChunked(ent.cs, fresh, dirty)
-				e.countDeltaRefresh()
-				e.store(key, cs, cur)
-				return cs, nil
-			}
+	olds := make([]*engine.ChunkedSelection, len(children))
+	var stale, full []int
+	var dirty []bool
+	canSplice := parentCS.NumRows() == cur.NumRows() && parentCS.ChunkRows() == cur.ChunkRows()
+	for i, key := range keys {
+		if !caching {
+			full = append(full, i)
+			continue
+		}
+		ent, ok := e.cached(key)
+		if ok && ent.stamp.Version() == cur.Version() {
+			e.countCacheHit()
+			out[i] = ent.cs
+			continue
+		}
+		var d []bool
+		if ok && canSplice {
+			d = e.deltaDirty(ent.stamp, ent.cs.NumRows(), ent.cs.ChunkRows(), cur)
+		}
+		if d != nil && (dirty == nil || slices.Equal(d, dirty)) {
+			dirty, olds[i] = d, ent.cs
+			stale = append(stale, i)
+		} else {
+			full = append(full, i)
 		}
 	}
-	cs, err := e.applyConstraint(parentCS, c)
+	if len(stale) > 0 {
+		if err := e.partitionInto(engine.RestrictChunked(parentCS, dirty), attr, cons, stale, false, func(i int, cs *engine.ChunkedSelection, _ *engine.Bitmap) {
+			cs = engine.SpliceChunked(olds[i], cs, dirty)
+			e.countDeltaRefresh()
+			e.store(keys[i], cs, cur)
+			out[i] = cs
+		}); err != nil {
+			return nil, err
+		}
+	}
+	if len(full) > 0 {
+		nRows := e.tab.NumRows()
+		pack := pairSides && caching && engine.DenseEnough(parentCS.Len(), nRows)
+		if err := e.partitionInto(parentCS, attr, cons, full, pack, func(i int, cs *engine.ChunkedSelection, bm *engine.Bitmap) {
+			e.countNarrowEval()
+			if caching {
+				e.store(keys[i], cs, cur)
+				if bm != nil && engine.DenseEnough(cs.Len(), nRows) {
+					e.storeBitmap(keys[i], bm, cur)
+				}
+			}
+			out[i] = cs
+		}); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// partitionInto runs one partition pass over cs for the constraints
+// cons[i], i in which, handing each child (and its packed bitmap when
+// pack is set) to done.
+func (e *Evaluator) partitionInto(cs *engine.ChunkedSelection, attr string, cons []sdl.Constraint, which []int, pack bool, done func(i int, cs *engine.ChunkedSelection, bm *engine.Bitmap)) error {
+	cs, col, sum, err := e.resolveConstraint(cs, attr)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	e.countNarrowEval()
-	if caching {
-		e.store(key, cs, cur)
+	preds := make([]engine.Pred, len(which))
+	for j, i := range which {
+		if preds[j], err = constraintPred(col, cons[i], sum); err != nil {
+			return err
+		}
 	}
-	return cs, nil
+	parts, bms := engine.PartitionChunked(cs, preds, pack)
+	for j, i := range which {
+		var bm *engine.Bitmap
+		if bms != nil {
+			bm = bms[j]
+		}
+		done(i, parts[j], bm)
+	}
+	return nil
 }
 
 // resolveConstraint prepares one predicate application: it takes a
@@ -718,11 +775,71 @@ func (e *Evaluator) resolveConstraint(cs *engine.ChunkedSelection, attr string) 
 	return cs, col, sum, nil
 }
 
-// applyConstraint dispatches one predicate to the engine's typed
-// chunked column filters, handing every predicate the column's zone
-// map so provably disjoint chunks are skipped and provably covered
-// ones pass through untouched — numeric bounds for ranges, nominal
-// presence sets for string/bool predicates.
+// constraintPred resolves one constraint over col into the engine's
+// chunked predicate, sum being the column's zone map (nil when pruning
+// is off). It is the one dispatch behind every evaluation form — row-id
+// filters, fused bitmap scans and cut partitions — so they agree on
+// every constraint by construction.
+func constraintPred(col engine.Column, c sdl.Constraint, sum *engine.ChunkSummary) (engine.Pred, error) {
+	switch col := col.(type) {
+	case *engine.StringColumn:
+		switch c.Kind {
+		case sdl.KindSet:
+			vals := make([]string, len(c.Set))
+			for i, v := range c.Set {
+				vals[i] = v.AsString()
+			}
+			return engine.StringSetPred(col, vals, sum), nil
+		case sdl.KindRange:
+			return engine.StringRangePred(col,
+				c.Range.Lo.AsString(), c.Range.Hi.AsString(),
+				c.Range.LoIncl, c.Range.HiIncl, sum), nil
+		}
+	case *engine.BoolColumn:
+		if c.Kind == sdl.KindSet {
+			vals := make([]bool, len(c.Set))
+			for i, v := range c.Set {
+				vals[i] = v.AsBool()
+			}
+			return engine.BoolSetPred(col, vals, sum), nil
+		}
+		return engine.Pred{}, fmt.Errorf("seg: %s: range constraint on bool column", c.Attr)
+	case *engine.FloatColumn:
+		switch c.Kind {
+		case sdl.KindRange:
+			return engine.FloatRangePred(col, engine.FloatRange{
+				Lo: c.Range.Lo.AsFloat(), Hi: c.Range.Hi.AsFloat(),
+				LoIncl: c.Range.LoIncl, HiIncl: c.Range.HiIncl,
+			}, sum), nil
+		case sdl.KindSet:
+			vals := make([]float64, len(c.Set))
+			for i, v := range c.Set {
+				vals[i] = v.AsFloat()
+			}
+			return engine.FloatSetPred(col, vals, sum), nil
+		}
+	case engine.IntValued: // IntColumn and DateColumn
+		switch c.Kind {
+		case sdl.KindRange:
+			return engine.IntRangePred(col, engine.IntRange{
+				Lo: c.Range.Lo.AsInt(), Hi: c.Range.Hi.AsInt(),
+				LoIncl: c.Range.LoIncl, HiIncl: c.Range.HiIncl,
+			}, sum), nil
+		case sdl.KindSet:
+			vals := make([]int64, len(c.Set))
+			for i, v := range c.Set {
+				vals[i] = v.AsInt()
+			}
+			return engine.IntSetPred(col, vals, sum), nil
+		}
+	}
+	return engine.Pred{}, fmt.Errorf("seg: %s: unsupported %v constraint on %v column", c.Attr, c.Kind, col.Kind())
+}
+
+// applyConstraint narrows cs by one predicate, handing it the
+// column's zone map so provably disjoint chunks are skipped and
+// provably covered ones pass through untouched — numeric bounds for
+// ranges, nominal presence sets for string/bool predicates.
 func (e *Evaluator) applyConstraint(cs *engine.ChunkedSelection, c sdl.Constraint) (*engine.ChunkedSelection, error) {
 	if c.IsAny() {
 		return cs, nil
@@ -731,67 +848,17 @@ func (e *Evaluator) applyConstraint(cs *engine.ChunkedSelection, c sdl.Constrain
 	if err != nil {
 		return nil, err
 	}
-	switch col := col.(type) {
-	case *engine.StringColumn:
-		switch c.Kind {
-		case sdl.KindSet:
-			vals := make([]string, len(c.Set))
-			for i, v := range c.Set {
-				vals[i] = v.AsString()
-			}
-			return engine.FilterStringSetChunked(col, cs, vals, sum), nil
-		case sdl.KindRange:
-			return engine.FilterStringRangeChunked(col, cs,
-				c.Range.Lo.AsString(), c.Range.Hi.AsString(),
-				c.Range.LoIncl, c.Range.HiIncl, sum), nil
-		}
-	case *engine.BoolColumn:
-		if c.Kind == sdl.KindSet {
-			vals := make([]bool, len(c.Set))
-			for i, v := range c.Set {
-				vals[i] = v.AsBool()
-			}
-			return engine.FilterBoolSetChunked(col, cs, vals, sum), nil
-		}
-		return nil, fmt.Errorf("seg: %s: range constraint on bool column", c.Attr)
-	case *engine.FloatColumn:
-		switch c.Kind {
-		case sdl.KindRange:
-			return engine.FilterFloatRangeChunked(col, cs, engine.FloatRange{
-				Lo: c.Range.Lo.AsFloat(), Hi: c.Range.Hi.AsFloat(),
-				LoIncl: c.Range.LoIncl, HiIncl: c.Range.HiIncl,
-			}, sum), nil
-		case sdl.KindSet:
-			vals := make([]float64, len(c.Set))
-			for i, v := range c.Set {
-				vals[i] = v.AsFloat()
-			}
-			return engine.FilterFloatSetChunked(col, cs, vals, sum), nil
-		}
-	case engine.IntValued: // IntColumn and DateColumn
-		switch c.Kind {
-		case sdl.KindRange:
-			return engine.FilterIntRangeChunked(col, cs, engine.IntRange{
-				Lo: c.Range.Lo.AsInt(), Hi: c.Range.Hi.AsInt(),
-				LoIncl: c.Range.LoIncl, HiIncl: c.Range.HiIncl,
-			}, sum), nil
-		case sdl.KindSet:
-			vals := make([]int64, len(c.Set))
-			for i, v := range c.Set {
-				vals[i] = v.AsInt()
-			}
-			return engine.FilterIntSetChunked(col, cs, vals, sum), nil
-		}
+	p, err := constraintPred(col, c, sum)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("seg: %s: unsupported %v constraint on %v column", c.Attr, c.Kind, col.Kind())
+	return engine.FilterChunked(cs, p), nil
 }
 
 // applyConstraintBitmap is applyConstraint fused into bitmap
-// construction: the same verdicts and typed kernels, but the
-// predicate loop writes the word-packed bitmap directly instead of
-// materializing a selection that would only be packed and dropped.
-// The dispatch must mirror applyConstraint case for case — the two
-// are the vector and bitmap forms of one evaluation.
+// construction: the same predicate, but its loop packs the word
+// bitmap directly instead of materializing a selection that would
+// only be packed and dropped.
 func (e *Evaluator) applyConstraintBitmap(cs *engine.ChunkedSelection, c sdl.Constraint) (*engine.Bitmap, error) {
 	if c.IsAny() {
 		return engine.NewBitmapChunked(cs), nil
@@ -800,57 +867,9 @@ func (e *Evaluator) applyConstraintBitmap(cs *engine.ChunkedSelection, c sdl.Con
 	if err != nil {
 		return nil, err
 	}
-	switch col := col.(type) {
-	case *engine.StringColumn:
-		switch c.Kind {
-		case sdl.KindSet:
-			vals := make([]string, len(c.Set))
-			for i, v := range c.Set {
-				vals[i] = v.AsString()
-			}
-			return engine.FilterStringSetChunkedBitmap(col, cs, vals, sum), nil
-		case sdl.KindRange:
-			return engine.FilterStringRangeChunkedBitmap(col, cs,
-				c.Range.Lo.AsString(), c.Range.Hi.AsString(),
-				c.Range.LoIncl, c.Range.HiIncl, sum), nil
-		}
-	case *engine.BoolColumn:
-		if c.Kind == sdl.KindSet {
-			vals := make([]bool, len(c.Set))
-			for i, v := range c.Set {
-				vals[i] = v.AsBool()
-			}
-			return engine.FilterBoolSetChunkedBitmap(col, cs, vals, sum), nil
-		}
-		return nil, fmt.Errorf("seg: %s: range constraint on bool column", c.Attr)
-	case *engine.FloatColumn:
-		switch c.Kind {
-		case sdl.KindRange:
-			return engine.FilterFloatRangeChunkedBitmap(col, cs, engine.FloatRange{
-				Lo: c.Range.Lo.AsFloat(), Hi: c.Range.Hi.AsFloat(),
-				LoIncl: c.Range.LoIncl, HiIncl: c.Range.HiIncl,
-			}, sum), nil
-		case sdl.KindSet:
-			vals := make([]float64, len(c.Set))
-			for i, v := range c.Set {
-				vals[i] = v.AsFloat()
-			}
-			return engine.FilterFloatSetChunkedBitmap(col, cs, vals, sum), nil
-		}
-	case engine.IntValued: // IntColumn and DateColumn
-		switch c.Kind {
-		case sdl.KindRange:
-			return engine.FilterIntRangeChunkedBitmap(col, cs, engine.IntRange{
-				Lo: c.Range.Lo.AsInt(), Hi: c.Range.Hi.AsInt(),
-				LoIncl: c.Range.LoIncl, HiIncl: c.Range.HiIncl,
-			}, sum), nil
-		case sdl.KindSet:
-			vals := make([]int64, len(c.Set))
-			for i, v := range c.Set {
-				vals[i] = v.AsInt()
-			}
-			return engine.FilterIntSetChunkedBitmap(col, cs, vals, sum), nil
-		}
+	p, err := constraintPred(col, c, sum)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("seg: %s: unsupported %v constraint on %v column", c.Attr, c.Kind, col.Kind())
+	return engine.FilterChunkedBitmap(cs, p), nil
 }

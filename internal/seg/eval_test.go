@@ -65,32 +65,56 @@ func TestSetCachingOff(t *testing.T) {
 	}
 }
 
+// TestNarrowMatchesFullEval pins the narrow (parent→child)
+// evaluation a cut makes: every child equals a cold evaluation of the
+// child query, and after an append outside the parent's extent (the
+// pieces, and so the child keys, stay the same) re-cutting splices the
+// stale children instead of evaluating them again.
 func TestNarrowMatchesFullEval(t *testing.T) {
 	tab, ev := figure2Table(t)
-	_ = tab
 	parent := sdl.MustQuery(sdl.SetC("type", engine.String_("fluit")))
-	parentSel, err := ev.Select(parent)
+	n, err := ev.Count(parent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sdl.ClosedRange("tonnage", engine.Int(0), engine.Int(2000))
-	child := parent.WithConstraint(c)
-	narrowed, err := ev.Narrow(parentSel, child, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev2 := NewEvaluator(tab)
-	full, err := ev2.Select(child)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(narrowed) != len(full) {
-		t.Fatalf("narrow %v != full %v", narrowed, full)
-	}
-	for i := range narrowed {
-		if narrowed[i] != full[i] {
-			t.Fatalf("narrow %v != full %v", narrowed, full)
+	cut := func() *Segmentation {
+		t.Helper()
+		s, err := Cut(ev, singleton(parent, n), "tonnage", DefaultCutOptions())
+		if err != nil {
+			t.Fatal(err)
 		}
+		if s.Depth() < 2 {
+			t.Fatalf("fluit tonnage did not split: %v", s.Queries)
+		}
+		cold := NewEvaluator(tab)
+		for i, child := range s.Queries {
+			got, err := ev.SelectChunked(child)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := cold.SelectChunked(child)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameChunked(got, want) || s.Counts[i] != want.Len() {
+				t.Fatalf("child %s: narrow %v (count %d) != full %v", child, got.Flat(), s.Counts[i], want.Flat())
+			}
+		}
+		return s
+	}
+	first := cut()
+	if err := tab.AppendRows([]engine.Value{engine.String_("jacht"), engine.Int(4000), engine.Int(1790)}); err != nil {
+		t.Fatal(err)
+	}
+	before := ev.Counters()
+	second := cut()
+	after := ev.Counters()
+	if first.Key() != second.Key() {
+		t.Fatalf("an append outside the parent moved the pieces: %s -> %s", first.Key(), second.Key())
+	}
+	// One refresh for the parent itself, one splice per child.
+	if got, want := after.DeltaRefreshes-before.DeltaRefreshes, 1+second.Depth(); got != want || after.NarrowEvals != before.NarrowEvals {
+		t.Fatalf("re-cut after append: %d delta refreshes (want %d), narrow evals %d -> %d", got, want, before.NarrowEvals, after.NarrowEvals)
 	}
 }
 
