@@ -198,7 +198,7 @@ func newHBStateCtx(ctx context.Context, ev *seg.Evaluator, context sdl.Query, cf
 	}
 	cuts := make([]initial, len(attrs))
 	err := par.ForEachCtx(ctx, cfg.Workers, len(attrs), func(i int) error {
-		s, ok, err := seg.InitialCut(ev, context, attrs[i], cfg.Cut)
+		s, ok, err := seg.InitialCandidate(ev, context, attrs[i], cfg.Cut, cfg.Selection)
 		if err != nil {
 			return err
 		}
@@ -263,7 +263,7 @@ func (st *hbState) step() (*seg.Segmentation, bool, error) {
 		return nil, false, nil
 	}
 	spCompose := tr.Start("compose")
-	composed, err := seg.Compose(st.ev, s1.seg, s2.seg, st.cfg.Cut)
+	composed, err := seg.ComposeCandidate(st.ev, s1.seg, s2.seg, st.cfg.Cut, st.cfg.Selection, st.cfg.MaxDepth)
 	spCompose.End()
 	if err != nil {
 		return nil, false, err

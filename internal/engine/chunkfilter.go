@@ -3,9 +3,9 @@ package engine
 import "charles/internal/par"
 
 // The chunked filters: every predicate resolves once into a Pred — a
-// zone-map verdict per chunk plus its row test, both as a
-// single-predicate kernel (filter.go) and in the form the partition
-// kernels share across predicates on one column (partition.go) — and
+// zone-map verdict per chunk plus its row test, as a single-predicate
+// kernel (filter.go) and, for ranges and code sets, in the operand
+// form a binary cut's shared row loop reads (partition.go) — and
 // a driver fans the chunks out across the scan workers. A skipped
 // chunk costs nothing, a taken chunk passes its parent segment
 // through by reference, and a scanned chunk costs a load, some
@@ -14,8 +14,9 @@ import "charles/internal/par"
 // kernels: a string set is a bitset over dictionary codes precisely so
 // its test is a bit extract). Scanned rows are compacted into pooled
 // scratch and copied out at exact length, so a cached child selection
-// holds exactly its rows. The row-id filter, the partition driver and
-// the bitmap driver (bitmapfilter.go) all consume the same Preds.
+// holds exactly its rows. The partition driver (the row-id filter is
+// its one-predicate case) and the bitmap driver (bitmapfilter.go)
+// consume the same Preds.
 
 // reserveSegSlots reserves extra scan-pool goroutines for a
 // per-chunk fan-out over cs: nothing for selections too small to
@@ -82,8 +83,8 @@ const (
 
 // Pred is one predicate over one column, resolved for a chunked
 // scan: the zone-map verdict per chunk, the single-predicate row
-// kernel, the same test in the form the partition kernels share with
-// other predicates on the column, and none when no row can match (the
+// kernel, for a range or code set the same test in the form the
+// two-piece partition kernels share, and none when no row can match (the
 // drivers then return the empty result without visiting a chunk).
 // Every driver — row ids, bitmap, partition — consumes the same Pred,
 // so the output representations share every decision. Build one with
@@ -99,34 +100,10 @@ type Pred struct {
 // the rows p keeps, chunk by chunk — the verdict prunes or passes whole
 // chunks from the zone map, the kernel narrows the rest, and the
 // per-chunk outputs are reassembled in chunk order. It is
-// PartitionChunked for one predicate, kept apart because the delta
-// refreshes run it over selections that are empty in all but a few
-// chunks, where the partition's per-call set-up would dominate.
+// PartitionChunked for one predicate.
 func FilterChunked(cs *ChunkedSelection, p Pred) *ChunkedSelection {
-	if p.none {
-		return emptyLike(cs)
-	}
-	m := metricsHook.Load()
-	m.VectorKernels.Inc()
-	out := make([]Selection, cs.NumChunks())
-	forEachSeg(cs, func(c int) {
-		seg := cs.Seg(c)
-		if len(seg) == 0 {
-			return
-		}
-		v := p.verdict(c)
-		m.countVerdict(v)
-		switch v {
-		case chunkSkip:
-		case chunkTake:
-			out[c] = seg
-		default:
-			buf := int32Scratch.Get(len(seg))
-			out[c] = exactSeg(seg, (*buf)[:p.scan(seg, *buf)])
-			int32Scratch.Put(buf)
-		}
-	})
-	return NewChunkedSelection(cs.nRows, cs.chunkRows, out)
+	parts, _ := PartitionChunked(cs, []Pred{p}, false)
+	return parts[0]
 }
 
 // exactSeg returns a scanned chunk's matches as an exact-length
@@ -250,9 +227,7 @@ func IntSetPred(col IntValued, values []int64, sum *ChunkSummary) Pred {
 	if sum != nil {
 		bounds = sum.IntBounds
 	}
-	p, want := setPred(col.Int64s(), values, bounds)
-	p.test = rowTest{kind: testIntSet, ints: col.Int64s(), iset: want}
-	return p
+	return setPred(col.Int64s(), values, bounds)
 }
 
 // FilterFloatSetChunked is FilterIntSetChunked over floats.
@@ -269,19 +244,16 @@ func FloatSetPred(col FloatValued, values []float64, sum *ChunkSummary) Pred {
 			return lo, hi
 		}
 	}
-	p, want := setPred(col.Float64s(), values, bounds)
-	p.test = rowTest{kind: testFloatSet, floats: col.Float64s(), fset: want}
-	return p
+	return setPred(col.Float64s(), values, bounds)
 }
 
-// setPred is the int and float set predicate, returned with its
-// membership map: a map probe per row, and a skip for every chunk
-// whose [lo, hi] (bounds is nil without a zone map) misses the set's
-// hull. NaN rows never match a set, so — unlike the float range
-// filter — skipping needs no NaN-free proof.
-func setPred[T int64 | float64](vals, values []T, bounds func(c int) (lo, hi T)) (Pred, map[T]struct{}) {
+// setPred is the int and float set predicate: a map probe per row,
+// and a skip for every chunk whose [lo, hi] (bounds is nil without a
+// zone map) misses the set's hull. NaN rows never match a set, so —
+// unlike the float range filter — skipping needs no NaN-free proof.
+func setPred[T int64 | float64](vals, values []T, bounds func(c int) (lo, hi T)) Pred {
 	if len(values) == 0 {
-		return Pred{none: true}, nil
+		return Pred{none: true}
 	}
 	want, wlo, whi := hullSet(values)
 	verdict := scanAlways
@@ -295,7 +267,7 @@ func setPred[T int64 | float64](vals, values []T, bounds func(c int) (lo, hi T))
 	}
 	return Pred{verdict: verdict, scan: func(seg, buf Selection) int {
 		return scanSet(vals, want, seg, buf)
-	}}, want
+	}}
 }
 
 // codeSetVerdict classifies a chunk against a wanted dictionary-code
@@ -450,6 +422,5 @@ func BoolSetPred(col *BoolColumn, values []bool, sum *ChunkSummary) Pred {
 		scan: func(seg, buf Selection) int {
 			return scanBoolSet(vals, wantTrue, wantFalse, seg, buf)
 		},
-		test: rowTest{kind: testBoolSet, bools: vals, wantTrue: wantTrue, wantFalse: wantFalse},
 	}
 }

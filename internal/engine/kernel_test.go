@@ -619,6 +619,16 @@ func FuzzPartitionKernels(f *testing.F) {
 	f.Add(mixed, uint64(14), uint8(7))
 	f.Add(mixed, uint64(8), uint8(2|partBig|partSorted|partSmall))
 	f.Add(mixed, uint64(11), uint8(5|partBig))
+	// Binary cuts (seed%6 == 0), which scan in the two-piece loops: int,
+	// date, float with NaN and ±0, string sets over a one-word and a
+	// two-word dictionary, and string ranges.
+	f.Add(mixed, uint64(6), uint8(0))
+	f.Add(mixed, uint64(12), uint8(1|partSmall))
+	f.Add(mixed, uint64(18), uint8(2|partSmall))
+	f.Add(mixed, uint64(24), uint8(2|partBig))
+	f.Add(mixed, uint64(42<<8|6), uint8(5))
+	f.Add(mixed, uint64(66<<8), uint8(5|partBig))
+	f.Add(mixed, uint64(66<<8|6), uint8(6))
 	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, shape uint8) {
 		const chunkRows = 64
 		n := min(len(raw)/8, 16*chunkRows)

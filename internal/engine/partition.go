@@ -2,20 +2,24 @@ package engine
 
 // The partition driver. A CUT's children are its parent's selection
 // narrowed by one piece each, all on the cut's column; filtering the
-// parent once per piece reads every parent row once per piece. The
-// partition driver reads it once. Per chunk it runs every piece's zone
-// verdict, hands a piece the chunk by reference when its verdict takes
-// it and nothing when it skips, and runs one row loop for the pieces
-// left to scan: each row and its value are loaded once, then every
-// scanning piece stores the row at its own cursor and advances the
-// cursor by its own 0/1 test. Each piece keeps its own test — nothing
-// assumes the pieces are disjoint or cover the parent — so child i is
-// exactly FilterChunked(parent, preds[i]), NaN rows included: they
-// match every float range and no float set.
+// parent once per piece costs a driver call, a verdict pass and a
+// scratch round trip per piece. The partition driver makes one pass.
+// Per chunk it runs every piece's zone verdict, hands a piece the
+// chunk by reference when its verdict takes it and nothing when it
+// skips, and scans the pieces left into one scratch buffer. A binary
+// cut's two pieces share one row loop: each row and its value are
+// loaded once, then each piece stores the row at its own cursor and
+// advances the cursor by its own 0/1 test. Any other scan runs each
+// piece's own kernel in turn (a loop over k pieces' tests per row
+// runs slower than k separate kernels). Each piece keeps its own test
+// — nothing assumes the pieces are disjoint or cover the parent — so
+// child i is exactly FilterChunked(parent, preds[i]), NaN rows
+// included: they match every float range and no float set.
 
-// testKind names the form of a Pred's row test the partition kernels
-// share across pieces. testOpaque has only its own scan kernel: a
-// range no int64 satisfies, and the summary-less string range.
+// testKind names the form of a Pred's row test the two-piece
+// partition kernels share. testOpaque has only its own scan kernel:
+// int/float/bool sets, a range no int64 satisfies, and the
+// summary-less string range.
 type testKind uint8
 
 const (
@@ -23,25 +27,18 @@ const (
 	testIntRange
 	testFloatRange
 	testCodeSet
-	testIntSet
-	testFloatSet
-	testBoolSet
 )
 
 // rowTest is a Pred's row test in shared form: the column's backing
 // slice plus the operand its kind resolves to.
 type rowTest struct {
-	kind                testKind
-	ints                []int64
-	floats              []float64
-	codes               []uint32
-	bools               []bool
-	ispan               intSpan
-	fspan               floatSpan
-	want                codeSet
-	iset                map[int64]struct{}
-	fset                map[float64]struct{}
-	wantTrue, wantFalse bool
+	kind   testKind
+	ints   []int64
+	floats []float64
+	codes  []uint32
+	ispan  intSpan
+	fspan  floatSpan
+	want   codeSet
 }
 
 // partInline is the piece count whose per-chunk bookkeeping stays on
@@ -140,63 +137,29 @@ func partitionChunk(seg Selection, c int, preds []Pred, live []int, segs [][]Sel
 
 // scanPieces runs one chunk's row loop for the pieces in scan
 // (indices into preds), writing piece scan[j]'s matches into outs[j]
-// and their count into ns[j]. A lone scanning piece runs its own
-// kernel. Two or more of one shared test kind share one row loop; a
-// mix of kinds (a cut's pieces are all ranges or all sets, so a cut
-// never produces one) or an opaque test runs each piece's own kernel
-// in turn.
+// and their count into ns[j]. Two pieces of one shared test kind —
+// every binary cut of an int, date, float or string column — share
+// one row loop; anything else (one scanning piece, wider cuts, set
+// and bool pieces, opaque tests) runs each piece's own kernel in turn.
 func scanPieces(preds []Pred, scan []int, seg Selection, outs []Selection, ns []int) {
-	kind := preds[scan[0]].test.kind
-	for _, i := range scan[1:] {
-		if preds[i].test.kind != kind {
-			kind = testOpaque
+	if len(scan) == 2 {
+		a, b := &preds[scan[0]].test, &preds[scan[1]].test
+		if a.kind == b.kind {
+			switch a.kind {
+			case testIntRange:
+				ns[0], ns[1] = partIntRange2(a.ints, a.ispan, b.ispan, seg, outs[0], outs[1])
+				return
+			case testFloatRange:
+				ns[0], ns[1] = partFloatRange2(a.floats, a.fspan, b.fspan, seg, outs[0], outs[1])
+				return
+			case testCodeSet:
+				ns[0], ns[1] = partCodeSet2(a.codes, a.want, b.want, seg, outs[0], outs[1])
+				return
+			}
 		}
 	}
-	if len(scan) == 1 || kind == testOpaque {
-		for j, i := range scan {
-			ns[j] = preds[i].scan(seg, outs[j])
-		}
-		return
-	}
-	var tsArr [partInline]*rowTest
-	ts := tsArr[:0]
-	for _, i := range scan {
-		ts = append(ts, &preds[i].test)
-	}
-	two := len(ts) == 2
-	switch kind {
-	case testIntRange:
-		if two {
-			ns[0], ns[1] = partIntRange2(ts[0].ints, ts[0].ispan, ts[1].ispan, seg, outs[0], outs[1])
-			return
-		}
-		partIntRanges(ts[0].ints, ts, seg, outs, ns)
-	case testFloatRange:
-		if two {
-			ns[0], ns[1] = partFloatRange2(ts[0].floats, ts[0].fspan, ts[1].fspan, seg, outs[0], outs[1])
-			return
-		}
-		partFloatRanges(ts[0].floats, ts, seg, outs, ns)
-	case testCodeSet:
-		if two {
-			ns[0], ns[1] = partCodeSet2(ts[0].codes, ts[0].want, ts[1].want, seg, outs[0], outs[1])
-			return
-		}
-		partCodeSets(ts[0].codes, ts, seg, outs, ns)
-	case testIntSet:
-		sets := make([]map[int64]struct{}, len(ts))
-		for j, t := range ts {
-			sets[j] = t.iset
-		}
-		partSets(ts[0].ints, sets, seg, outs, ns)
-	case testFloatSet:
-		sets := make([]map[float64]struct{}, len(ts))
-		for j, t := range ts {
-			sets[j] = t.fset
-		}
-		partSets(ts[0].floats, sets, seg, outs, ns)
-	case testBoolSet:
-		partBoolSets(ts[0].bools, ts, seg, outs, ns)
+	for j, i := range scan {
+		ns[j] = preds[i].scan(seg, outs[j])
 	}
 }
 
@@ -221,16 +184,6 @@ func partIntRange2(vals []int64, a, b intSpan, seg, outA, outB Selection) (na, n
 	return na, nb
 }
 
-func partIntRanges(vals []int64, ts []*rowTest, seg Selection, outs []Selection, ns []int) {
-	for _, row := range seg {
-		v := vals[row]
-		for j, t := range ts {
-			outs[j][ns[j]] = row
-			ns[j] += b2i(uint64(v-t.ispan.lo) <= t.ispan.span)
-		}
-	}
-}
-
 // partFloatRange2 is the two-piece float range loop; the key and the
 // NaN test are computed once per row.
 //
@@ -247,17 +200,6 @@ func partFloatRange2(vals []float64, a, b floatSpan, seg, outA, outB Selection) 
 		nb += b2i(k-bLo <= bSpan) | nan
 	}
 	return na, nb
-}
-
-func partFloatRanges(vals []float64, ts []*rowTest, seg Selection, outs []Selection, ns []int) {
-	for _, row := range seg {
-		v := vals[row]
-		k, nan := floatKey(v), b2i(v != v)
-		for j, t := range ts {
-			outs[j][ns[j]] = row
-			ns[j] += b2i(k-t.fspan.lo <= t.fspan.span) | nan
-		}
-	}
 }
 
 // partCodeSet2 is the two-piece code-set loop: every binary cut of a
@@ -289,38 +231,4 @@ func partCodeSet2(codes []uint32, a, b codeSet, seg, outA, outB Selection) (na, 
 		nb += int(b[w] >> bit & 1)
 	}
 	return na, nb
-}
-
-func partCodeSets(codes []uint32, ts []*rowTest, seg Selection, outs []Selection, ns []int) {
-	for _, row := range seg {
-		code := codes[row]
-		w, bit := code>>6, code&63
-		for j, t := range ts {
-			outs[j][ns[j]] = row
-			ns[j] += int(t.want[w] >> bit & 1)
-		}
-	}
-}
-
-// partSets is the int and float set loop of the numeric nominal
-// fallback: one map probe per piece per row.
-func partSets[T int64 | float64](vals []T, sets []map[T]struct{}, seg Selection, outs []Selection, ns []int) {
-	for _, row := range seg {
-		v := vals[row]
-		for j, want := range sets {
-			_, ok := want[v]
-			outs[j][ns[j]] = row
-			ns[j] += b2i(ok)
-		}
-	}
-}
-
-func partBoolSets(vals []bool, ts []*rowTest, seg Selection, outs []Selection, ns []int) {
-	for _, row := range seg {
-		v := b2i(vals[row])
-		for j, t := range ts {
-			outs[j][ns[j]] = row
-			ns[j] += v&b2i(t.wantTrue) | (v^1)&b2i(t.wantFalse)
-		}
-	}
 }

@@ -310,21 +310,31 @@ func nominalPieces(attr string, vcs []stats.ValueCount, mk func(string) engine.V
 // be split are kept whole, so the result is always a valid partition
 // of the same context.
 func Cut(ev *Evaluator, s *Segmentation, attr string, opt CutOptions) (*Segmentation, error) {
-	return cutSeg(ev, s, attr, opt, false)
+	return cutSeg(ev, s, attr, opt, 0)
 }
 
-// cutSeg is Cut, with pairSides marking a cut whose result becomes an
-// HB-cuts candidate that INDEP will pair — the initial cuts and the
-// outermost cut of a COMPOSE — so its partition passes also pack the
-// dense children's bitmaps (Evaluator.cutChildren).
-func cutSeg(ev *Evaluator, s *Segmentation, attr string, opt CutOptions, pairSides bool) (*Segmentation, error) {
-	out := &Segmentation{CutAttrs: addAttr(s.CutAttrs, attr)}
-	anySplit := false
+// cutSeg is Cut for a result INDEP may pair: packBelow > 0 marks one
+// that becomes an HB-cuts candidate as long as it has fewer than
+// packBelow queries. When its queries cut into fewer pieces than
+// that, the partition passes also pack the dense children's bitmaps
+// (Evaluator.cutChildren); a cut with more pieces may leave packBelow
+// queries, which HB-cuts discards unpaired, so it packs nothing.
+func cutSeg(ev *Evaluator, s *Segmentation, attr string, opt CutOptions, packBelow int) (*Segmentation, error) {
+	kids := make([][]sdl.Query, len(s.Queries))
+	pieces := 0
 	for i, q := range s.Queries {
 		children, err := CutQuery(ev, q, attr, opt)
 		if err != nil {
 			return nil, err
 		}
+		kids[i] = children
+		pieces += len(children)
+	}
+	pairSides := pieces < packBelow
+	out := &Segmentation{CutAttrs: addAttr(s.CutAttrs, attr)}
+	anySplit := false
+	for i, q := range s.Queries {
+		children := kids[i]
 		if len(children) == 1 {
 			// Degenerate cut: the query survives whole and its count
 			// is already known, so the parent selection is never
@@ -362,11 +372,33 @@ func cutSeg(ev *Evaluator, s *Segmentation, attr string, opt CutOptions, pairSid
 	return out, nil
 }
 
+// candidatePack is cutSeg's packBelow for a candidate INDEP pairs under
+// rep until it reaches maxDepth queries: RepVector pairs no bitmap, so
+// nothing is packed for it.
+func candidatePack(rep SelectionRep, maxDepth int) int {
+	if rep == RepVector {
+		return 0
+	}
+	return maxDepth
+}
+
 // InitialCut builds the binary segmentation CUT_attr(context), the
 // seed candidates of HB-cuts (Figure 4, lines 3-5). The boolean is
 // false when the attribute cannot be split (constant within the
 // context).
 func InitialCut(ev *Evaluator, context sdl.Query, attr string, opt CutOptions) (*Segmentation, bool, error) {
+	return initialCut(ev, context, attr, opt, 0)
+}
+
+// InitialCandidate is InitialCut for HB-cuts, which pairs every seed
+// candidate with INDEP under rep: unless rep is RepVector, the cut
+// also packs its dense children's bitmaps, so building the INDEP
+// sides re-packs none of them.
+func InitialCandidate(ev *Evaluator, context sdl.Query, attr string, opt CutOptions, rep SelectionRep) (*Segmentation, bool, error) {
+	return initialCut(ev, context, attr, opt, candidatePack(rep, math.MaxInt))
+}
+
+func initialCut(ev *Evaluator, context sdl.Query, attr string, opt CutOptions, pack int) (*Segmentation, bool, error) {
 	count, err := ev.Count(context)
 	if err != nil {
 		return nil, false, err
@@ -374,7 +406,7 @@ func InitialCut(ev *Evaluator, context sdl.Query, attr string, opt CutOptions) (
 	if count == 0 {
 		return nil, false, fmt.Errorf("seg: context %s selects no rows", context)
 	}
-	s, err := cutSeg(ev, singleton(context, count), attr, opt, true)
+	s, err := cutSeg(ev, singleton(context, count), attr, opt, pack)
 	if err != nil {
 		return nil, false, err
 	}
@@ -386,14 +418,30 @@ func InitialCut(ev *Evaluator, context sdl.Query, attr string, opt CutOptions) (
 
 // Compose implements COMPOSE(S1, S2) (Definition 7): S1 is cut
 // successively on each attribute S2 is based on, innermost last
-// (CUT_att1(CUT_att2(...CUT_attN(S1)))). Only the outermost cut's
-// result is a candidate INDEP pairs, so only it packs bitmaps.
+// (CUT_att1(CUT_att2(...CUT_attN(S1)))).
 func Compose(ev *Evaluator, s1, s2 *Segmentation, opt CutOptions) (*Segmentation, error) {
+	return compose(ev, s1, s2, opt, 0)
+}
+
+// ComposeCandidate is Compose for HB-cuts, which pairs the result
+// with INDEP under rep unless it reaches maxDepth queries (a deeper
+// composition stops the search unpaired). Only the outermost cut's
+// result is that candidate, so only it may pack bitmaps: unless rep is
+// RepVector, and only when it cannot reach maxDepth pieces.
+func ComposeCandidate(ev *Evaluator, s1, s2 *Segmentation, opt CutOptions, rep SelectionRep, maxDepth int) (*Segmentation, error) {
+	return compose(ev, s1, s2, opt, candidatePack(rep, maxDepth))
+}
+
+func compose(ev *Evaluator, s1, s2 *Segmentation, opt CutOptions, pack int) (*Segmentation, error) {
 	out := s1
 	attrs := s2.CutAttrs
 	for i := len(attrs) - 1; i >= 0; i-- {
+		outer := 0
+		if i == 0 {
+			outer = pack
+		}
 		var err error
-		out, err = cutSeg(ev, out, attrs[i], opt, i == 0)
+		out, err = cutSeg(ev, out, attrs[i], opt, outer)
 		if err != nil {
 			return nil, err
 		}

@@ -43,13 +43,13 @@ type cutOutcome struct {
 // split parent is cached at the current version with exactly a cold
 // SelectChunked's segments, and a fresh packed entry for a child
 // equals a cold SelectBitmap; when the cut evaluated every child and
-// packs (pairSides, caching on, parent dense enough), every child
-// dense enough to be a bitmap pair side has one. The result's counts
-// are the cold counts.
-func checkCut(t *testing.T, ev *Evaluator, in *Segmentation, attr string, opt CutOptions, pairSides bool) cutOutcome {
+// packs (fewer pieces than packBelow, caching on, parent dense
+// enough), every child dense enough to be a bitmap pair side has one.
+// The result's counts are the cold counts.
+func checkCut(t *testing.T, ev *Evaluator, in *Segmentation, attr string, opt CutOptions, packBelow int) cutOutcome {
 	t.Helper()
 	before := ev.Counters()
-	out, err := cutSeg(ev, in, attr, opt, pairSides)
+	out, err := cutSeg(ev, in, attr, opt, packBelow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,17 +62,19 @@ func checkCut(t *testing.T, ev *Evaluator, in *Segmentation, attr string, opt Cu
 	tab := ev.Table()
 	nRows, version := tab.NumRows(), tab.Stamp().Version()
 	caching := ev.caching.Load()
-	var packs []bool
+	var denseParent []bool
+	pieces := 0
 	for i, q := range in.Queries {
 		children, err := CutQuery(ev, q, attr, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
+		pieces += len(children)
 		if len(children) < 2 {
 			continue
 		}
 		for range children {
-			packs = append(packs, pairSides && caching && engine.DenseEnough(in.Counts[i], nRows))
+			denseParent = append(denseParent, engine.DenseEnough(in.Counts[i], nRows))
 		}
 		res.children = append(res.children, children...)
 	}
@@ -95,7 +97,7 @@ func checkCut(t *testing.T, ev *Evaluator, in *Segmentation, attr string, opt Cu
 		}
 		pe, packed := ev.cachedPacked(child.Key())
 		packed = packed && pe.stamp.Version() == version
-		if packs[k] && evaluatedAll && engine.DenseEnough(want.Len(), nRows) && !packed {
+		if pieces < packBelow && denseParent[k] && evaluatedAll && engine.DenseEnough(want.Len(), nRows) && !packed {
 			t.Fatalf("cut on %s: dense child %s (%d rows) was not packed", attr, child, want.Len())
 		}
 		if packed {
@@ -169,7 +171,7 @@ func TestCutChildrenMatchColdEvaluation(t *testing.T) {
 			}
 			var first *Segmentation
 			for _, attr := range ctx.Attrs() {
-				r := checkCut(t, ev, singleton(ctx, n), attr, DefaultCutOptions(), true)
+				r := checkCut(t, ev, singleton(ctx, n), attr, DefaultCutOptions(), math.MaxInt)
 				if len(r.children) < 2 || r.delta.NarrowEvals != len(r.children) {
 					t.Fatalf("initial cut on %s: %d narrow evals for %d children", attr, r.delta.NarrowEvals, len(r.children))
 				}
@@ -178,11 +180,11 @@ func TestCutChildrenMatchColdEvaluation(t *testing.T) {
 				}
 			}
 			arity3 := CutOptions{Arity: 3}
-			inner := checkCut(t, ev, first, "tonnage", arity3, false)
+			inner := checkCut(t, ev, first, "tonnage", arity3, 0)
 			if got := packedCount(ev, inner.children); got != 0 {
 				t.Fatalf("a cut that is no candidate packed %d children", got)
 			}
-			outer := checkCut(t, ev, inner.out, "departure_date", arity3, true)
+			outer := checkCut(t, ev, inner.out, "departure_date", arity3, math.MaxInt)
 			for _, r := range []cutOutcome{inner, outer} {
 				if r.delta.NarrowEvals != len(r.children) {
 					t.Fatalf("composed cut: %d narrow evals for %d children", r.delta.NarrowEvals, len(r.children))
@@ -219,7 +221,7 @@ func TestCutPartitionKeepsNaNTraps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := checkCut(t, ev, singleton(ctx, n), "redshift", DefaultCutOptions(), true)
+		r := checkCut(t, ev, singleton(ctx, n), "redshift", DefaultCutOptions(), math.MaxInt)
 		k := r.out.Depth()
 		if want := n + len(rows)*(k-1); k < 2 || r.out.Total() != want {
 			t.Fatalf("pruning %v: range cut into %d children covers %d rows, want %d (every NaN row in every child)", pruning, k, r.out.Total(), want)
@@ -228,7 +230,7 @@ func TestCutPartitionKeepsNaNTraps(t *testing.T) {
 
 	status := skewedStatusTable(t)
 	ev := NewEvaluator(status)
-	r := checkCut(t, ev, singleton(sdl.ContextAll(status), status.NumRows()), "latency", DefaultCutOptions(), true)
+	r := checkCut(t, ev, singleton(sdl.ContextAll(status), status.NumRows()), "latency", DefaultCutOptions(), math.MaxInt)
 	nonNaN := 0
 	for _, v := range status.MustColumn("latency").(*engine.FloatColumn).Float64s() {
 		if v == v {
@@ -335,46 +337,95 @@ func TestCutChildrenSpliceAfterMutation(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, attr := range []string{"tonnage", "type_of_boat"} {
-				checkCut(t, ev, singleton(ctx, n), attr, DefaultCutOptions(), true)
+				checkCut(t, ev, singleton(ctx, n), attr, DefaultCutOptions(), math.MaxInt)
 			}
 		})
 	}
 }
 
-// TestComposePacksOnlyOutermostCut pins which cuts of a COMPOSE pack
-// bitmaps: only the outermost, whose result is the candidate INDEP
-// pairs. The inner cut's children are cached as selections alone.
-func TestComposePacksOnlyOutermostCut(t *testing.T) {
+// TestCandidateCutsPackOnlyPairedResults pins which cuts pack
+// bitmaps: only those whose result HB-cuts pairs with bitmap sides.
+// Plain InitialCut and Compose pack nothing; InitialCandidate packs
+// its dense children; ComposeCandidate packs only its outermost cut,
+// and only while the result stays below maxDepth queries; under
+// RepVector neither packs.
+func TestCandidateCutsPackOnlyPairedResults(t *testing.T) {
 	tab := dataset.VOC(20000, 4)
 	tab.SetChunkRows(1024)
 	ctx, err := sdl.ContextOn(tab, "type_of_boat", "tonnage", "departure_date")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := NewEvaluator(tab)
-	s1, ok, err := InitialCut(ev, ctx, "tonnage", DefaultCutOptions())
-	if err != nil || !ok {
-		t.Fatalf("initial cut: %v ok=%v", err, ok)
-	}
 	s2 := &Segmentation{CutAttrs: []string{"departure_date", "type_of_boat"}}
-	composed, err := Compose(ev, s1, s2, DefaultCutOptions())
-	if err != nil {
-		t.Fatal(err)
+	dense := func(s *Segmentation) int {
+		n := 0
+		for _, c := range s.Counts {
+			if engine.DenseEnough(c, tab.NumRows()) {
+				n++
+			}
+		}
+		return n
 	}
-	inner, err := Cut(NewEvaluator(tab), s1, "type_of_boat", DefaultCutOptions())
+	run := func(initial func(ev *Evaluator) (*Segmentation, bool, error), compose func(ev *Evaluator, s1 *Segmentation) (*Segmentation, error)) (ev *Evaluator, s1, composed *Segmentation) {
+		t.Helper()
+		ev = NewEvaluator(tab)
+		s1, ok, err := initial(ev)
+		if err != nil || !ok {
+			t.Fatalf("initial cut: %v ok=%v", err, ok)
+		}
+		composed, err = compose(ev, s1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev, s1, composed
+	}
+	opt := DefaultCutOptions()
+	initialCand := func(rep SelectionRep) func(ev *Evaluator) (*Segmentation, bool, error) {
+		return func(ev *Evaluator) (*Segmentation, bool, error) {
+			return InitialCandidate(ev, ctx, "tonnage", opt, rep)
+		}
+	}
+	composeCand := func(rep SelectionRep, maxDepth int) func(ev *Evaluator, s1 *Segmentation) (*Segmentation, error) {
+		return func(ev *Evaluator, s1 *Segmentation) (*Segmentation, error) {
+			return ComposeCandidate(ev, s1, s2, opt, rep, maxDepth)
+		}
+	}
+
+	ev, s1, composed := run(initialCand(RepAuto), composeCand(RepAuto, 12))
+	if got, want := packedCount(ev, s1.Queries), dense(s1); want == 0 || got != want {
+		t.Fatalf("InitialCandidate packed %d children, want its %d dense ones", got, want)
+	}
+	inner, err := Cut(NewEvaluator(tab), s1, "type_of_boat", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := packedCount(ev, inner.Queries); got != 0 {
 		t.Fatalf("the inner cut of a COMPOSE packed %d of its %d children", got, inner.Depth())
 	}
-	dense := 0
-	for _, n := range composed.Counts {
-		if engine.DenseEnough(n, tab.NumRows()) {
-			dense++
-		}
+	if got, want := packedCount(ev, composed.Queries), dense(composed); composed.Depth() >= 12 || want == 0 || got != want {
+		t.Fatalf("the outermost cut packed %d children, want its %d dense ones", got, want)
 	}
-	if got := packedCount(ev, composed.Queries); dense == 0 || got != dense {
-		t.Fatalf("the outermost cut packed %d children, want its %d dense ones", got, dense)
+
+	// A composition that may reach maxDepth is not paired: nothing of
+	// it is packed.
+	ev, _, composed = run(initialCand(RepAuto), composeCand(RepAuto, composed.Depth()))
+	if got := packedCount(ev, composed.Queries); got != 0 {
+		t.Fatalf("a composition at maxDepth packed %d children", got)
+	}
+
+	for name, r := range map[string]struct {
+		initial func(ev *Evaluator) (*Segmentation, bool, error)
+		compose func(ev *Evaluator, s1 *Segmentation) (*Segmentation, error)
+	}{
+		"plain": {
+			func(ev *Evaluator) (*Segmentation, bool, error) { return InitialCut(ev, ctx, "tonnage", opt) },
+			func(ev *Evaluator, s1 *Segmentation) (*Segmentation, error) { return Compose(ev, s1, s2, opt) },
+		},
+		"vector": {initialCand(RepVector), composeCand(RepVector, 12)},
+	} {
+		ev, s1, composed := run(r.initial, r.compose)
+		if got := packedCount(ev, s1.Queries) + packedCount(ev, composed.Queries); got != 0 {
+			t.Fatalf("%s: packed %d children", name, got)
+		}
 	}
 }
