@@ -1,9 +1,12 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"charles/internal/dataset"
+	"charles/internal/engine"
 	"charles/internal/sdl"
 	"charles/internal/seg"
 )
@@ -100,5 +103,79 @@ func TestStreamErrorPropagation(t *testing.T) {
 	tab := dataset.Figure3(100, 1)
 	if _, err := NewStream(seg.NewEvaluator(tab), sdl.Query{}, DefaultConfig()); err == nil {
 		t.Fatal("empty context accepted")
+	}
+}
+
+// TestStreamAcrossAppend runs a stream whose Next calls span an
+// append. Its candidates were cut at the first version and carry
+// partition proofs and counts from it, so every INDEP the stream
+// evaluates after the append must count the full table at the new
+// version: equal to INDEP of hand-built copies, which carry no proof.
+func TestStreamAcrossAppend(t *testing.T) {
+	tab := dataset.VOC(4000, 3)
+	tab.SetChunkRows(512)
+	ctx, err := sdl.ContextOn(tab, "type_of_boat", "tonnage", "departure_harbour", "built")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStream(seg.NewEvaluator(tab), ctx, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The initial answers, then one composition at the first version.
+	for range len(st.st.cand) + 1 {
+		if _, ok, err := st.Next(); err != nil || !ok {
+			t.Fatalf("next: ok=%v err=%v", ok, err)
+		}
+	}
+	seen := maps.Clone(st.st.indep)
+	cands := slices.Clone(st.st.cand)
+
+	// Append copies of the heaviest boats' rows, which shifts how the
+	// context attributes depend on each other.
+	heavy, err := sdl.ParseBound("(tonnage:[600,1000])", tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := seg.NewEvaluator(tab).Select(heavy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]engine.Value
+	for _, r := range sel {
+		row := make([]engine.Value, tab.NumCols())
+		for c := range row {
+			row[c] = tab.Column(c).Value(int(r))
+		}
+		rows = append(rows, row)
+	}
+	if err := tab.AppendRows(rows...); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, ok, err := st.Next(); err != nil || !ok {
+		t.Fatalf("next after the append: ok=%v err=%v", ok, err)
+	}
+	byID := map[int]*seg.Segmentation{}
+	for _, c := range cands {
+		byID[c.id] = &seg.Segmentation{Queries: c.seg.Queries, CutAttrs: c.seg.CutAttrs, Counts: c.seg.Counts}
+	}
+	full := seg.NewEvaluator(tab)
+	checked := 0
+	for key, got := range st.st.indep {
+		if _, ok := seen[key]; ok {
+			continue
+		}
+		want, err := seg.IndepOpt(full, byID[key[0]], byID[key[1]], seg.PairOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("INDEP of candidates %v after the append = %v, full table at the new version %v", key, got, want)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no INDEP evaluated after the append (test premise)")
 	}
 }

@@ -102,7 +102,7 @@ type Pred struct {
 // per-chunk outputs are reassembled in chunk order. It is
 // PartitionChunked for one predicate.
 func FilterChunked(cs *ChunkedSelection, p Pred) *ChunkedSelection {
-	parts, _ := PartitionChunked(cs, []Pred{p}, false)
+	parts, _ := PartitionChunked(cs, []Pred{p}, nil)
 	return parts[0]
 }
 

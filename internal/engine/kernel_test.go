@@ -475,10 +475,12 @@ func metricCounts(m *Metrics) [5]int64 {
 // piece, with the zone map and without it, at scan workers 1 and 4:
 // every child equals its piece's filter chunk for chunk (exact-length
 // segments), every packed bitmap equals NewBitmapChunked of its child
-// (no words for an empty chunk), the unpacked pass returns the same
+// (no words for an empty chunk), the piece at index unpacked — packing
+// off, as for the last piece of a proven cut — gets a nil bitmap while
+// the others are still packed, the unpacked pass returns the same
 // children, and the metrics hook counts exactly what the per-piece
 // filters count.
-func checkPartition(t testing.TB, cs *ChunkedSelection, sum *ChunkSummary, pieces []partPiece) {
+func checkPartition(t testing.TB, cs *ChunkedSelection, sum *ChunkSummary, pieces []partPiece, unpacked int) {
 	t.Helper()
 	defer SetScanWorkers(0)
 	defer SetMetrics(nil)
@@ -490,9 +492,13 @@ func checkPartition(t testing.TB, cs *ChunkedSelection, sum *ChunkSummary, piece
 			for i, p := range pieces {
 				preds[i] = p.pred(s)
 			}
+			pack := make([]bool, len(pieces))
+			for i := range pack {
+				pack[i] = i != unpacked
+			}
 			m := countingMetrics()
 			SetMetrics(m)
-			children, bms := PartitionChunked(cs, preds, true)
+			children, bms := PartitionChunked(cs, preds, pack)
 			got := metricCounts(m)
 			m = countingMetrics()
 			SetMetrics(m)
@@ -507,6 +513,12 @@ func checkPartition(t testing.TB, cs *ChunkedSelection, sum *ChunkSummary, piece
 					}
 				}
 				ref, bm := NewBitmapChunked(child), bms[i]
+				if i == unpacked {
+					if bm != nil {
+						t.Fatalf("%s (%s): piece with packing off got a bitmap", p.name, where)
+					}
+					continue
+				}
 				if bm.Count() != ref.Count() || bm.NumRows() != ref.NumRows() || bm.ChunkRows() != ref.ChunkRows() || len(bm.chunks) != len(ref.chunks) {
 					t.Fatalf("%s (%s): packed bitmap of %d rows, child %d", p.name, where, bm.Count(), ref.Count())
 				}
@@ -519,7 +531,7 @@ func checkPartition(t testing.TB, cs *ChunkedSelection, sum *ChunkSummary, piece
 			if want := metricCounts(m); got != want {
 				t.Fatalf("%s: partition counted skip/take/scan/vector/fused %v, per-piece filters %v", where, got, want)
 			}
-			plain, none := PartitionChunked(cs, preds, false)
+			plain, none := PartitionChunked(cs, preds, nil)
 			if none != nil {
 				t.Fatalf("%s: unpacked partition returned bitmaps", where)
 			}
@@ -595,7 +607,8 @@ const (
 // whether its values are sorted (so the verdicts take and skip whole
 // chunks), folded into a small domain with NaN and ±0, or tiled past
 // the parallel-scan threshold; seed draws the parent selection, with
-// empty chunks, and 2–7 pieces, empty spans and sets included.
+// empty chunks, 2–7 pieces, empty spans and sets included, and the one
+// piece whose packing is off.
 func FuzzPartitionKernels(f *testing.F) {
 	word := func(ws ...uint64) []byte {
 		var b []byte
@@ -823,6 +836,6 @@ func FuzzPartitionKernels(f *testing.F) {
 				sel = append(sel, int32(r))
 			}
 		}
-		checkPartition(t, ChunkSelection(sel, nRows, chunkRows), tab.SummaryByName("v"), pieces)
+		checkPartition(t, ChunkSelection(sel, nRows, chunkRows), tab.SummaryByName("v"), pieces, rng.Intn(len(pieces)))
 	})
 }

@@ -48,13 +48,15 @@ const partInline = 8
 // PartitionChunked narrows cs by each of preds — predicates over one
 // column — in one pass, returning child i equal to FilterChunked(cs,
 // preds[i]): exact-length segments, or cs's own segment by reference
-// where every row matched. With pack set it also returns each child's
-// bitmap, equal to NewBitmapChunked of the child; a chunk's words are
-// packed in the chunk's own task, right after the kernel wrote its
-// matches and while they are still in cache. The metrics hook counts
-// what one filter per pred would: a VectorKernels per pred that can
-// match, and one verdict per such pred per non-empty chunk.
-func PartitionChunked(cs *ChunkedSelection, preds []Pred, pack bool) ([]*ChunkedSelection, []*Bitmap) {
+// where every row matched. pack, when non-nil, is aligned with preds:
+// the returned bitmaps then hold, for each pack[i] set, child i's
+// bitmap, equal to NewBitmapChunked of the child, and nil for every
+// other piece. A chunk's words are packed in the chunk's own task,
+// right after the kernel wrote its matches and while they are still
+// in cache. The metrics hook counts what one filter per pred would: a
+// VectorKernels per pred that can match, and one verdict per such
+// pred per non-empty chunk.
+func PartitionChunked(cs *ChunkedSelection, preds []Pred, pack []bool) ([]*ChunkedSelection, []*Bitmap) {
 	nc := cs.NumChunks()
 	m := metricsHook.Load()
 	segs := make([][]Selection, len(preds))
@@ -68,10 +70,12 @@ func PartitionChunked(cs *ChunkedSelection, preds []Pred, pack bool) ([]*Chunked
 		live = append(live, i)
 	}
 	var bms []*Bitmap
-	if pack {
+	if pack != nil {
 		bms = make([]*Bitmap, len(preds))
 		for i := range bms {
-			bms[i] = newBitmapShell(cs.nRows, cs.chunkRows, nc)
+			if pack[i] {
+				bms[i] = newBitmapShell(cs.nRows, cs.chunkRows, nc)
+			}
 		}
 	}
 	if len(live) > 0 {
@@ -84,7 +88,7 @@ func PartitionChunked(cs *ChunkedSelection, preds []Pred, pack bool) ([]*Chunked
 		} else {
 			out[i] = NewChunkedSelection(cs.nRows, cs.chunkRows, segs[i])
 		}
-		if pack {
+		if bms != nil && bms[i] != nil {
 			bms[i].ones = out[i].Len()
 		}
 	}
@@ -93,7 +97,7 @@ func PartitionChunked(cs *ChunkedSelection, preds []Pred, pack bool) ([]*Chunked
 
 // partitionChunk is one chunk's task: the verdicts, one scratch buffer
 // holding every scanning piece's output, the shared row loop, the
-// exact-length copies and, with bms, the bitmap words.
+// exact-length copies and the words of every bitmap in bms.
 func partitionChunk(seg Selection, c int, preds []Pred, live []int, segs [][]Selection, bms []*Bitmap, m *Metrics) {
 	if len(seg) == 0 {
 		return
@@ -128,7 +132,7 @@ func partitionChunk(seg Selection, c int, preds []Pred, live []int, segs [][]Sel
 	}
 	if bms != nil {
 		for _, i := range live {
-			if s := segs[i][c]; len(s) > 0 {
+			if s := segs[i][c]; len(s) > 0 && bms[i] != nil {
 				bms[i].packChunk(c, s)
 			}
 		}

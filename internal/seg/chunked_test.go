@@ -80,7 +80,7 @@ func TestNarrowChunkedTouchesOnlyParentChunks(t *testing.T) {
 	ev := NewEvaluator(tab)
 	// A parent confined to the first chunk by construction.
 	parent := sdl.MustQuery(sdl.ClosedRange("id", engine.Int(0), engine.Int(199)))
-	s, err := Cut(ev, singleton(parent, 200), "tonnage", DefaultCutOptions())
+	s, err := Cut(ev, singleton(parent, 200, ""), "tonnage", DefaultCutOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -319,7 +319,16 @@ func Cut(ev *Evaluator, s *Segmentation, attr string, opt CutOptions) (*Segmenta
 // that, the partition passes also pack the dense children's bitmaps
 // (Evaluator.cutChildren); a cut with more pieces may leave packBelow
 // queries, which HB-cuts discards unpaired, so it packs nothing.
+//
+// The result keeps s's partition proof when that proof names the
+// current fingerprint and every split query's children sum to the
+// query's count. The sum fails in exactly the two NaN cases: a float
+// range cut puts a NaN row in every child, the numeric nominal
+// fallback puts it in none. A proven result's last piece is never
+// paired (INDEP derives it from the counts), so it is not packed.
 func cutSeg(ev *Evaluator, s *Segmentation, attr string, opt CutOptions, packBelow int) (*Segmentation, error) {
+	fp := ev.Table().Fingerprint()
+	proven := s.provenAt(fp)
 	kids := make([][]sdl.Query, len(s.Queries))
 	pieces := 0
 	for i, q := range s.Queries {
@@ -352,22 +361,35 @@ func cutSeg(ev *Evaluator, s *Segmentation, attr string, opt CutOptions, packBel
 		if err != nil {
 			return nil, err
 		}
-		childCS, err := ev.cutChildren(parentCS, children, attr, pairSides)
+		packed := 0
+		if pairSides {
+			packed = len(children)
+			if proven && i == len(s.Queries)-1 {
+				packed--
+			}
+		}
+		childCS, err := ev.cutChildren(parentCS, children, attr, packed)
 		if err != nil {
 			return nil, err
 		}
+		sum := 0
 		for j, child := range children {
 			if n := childCS[j].Len(); n > 0 {
 				out.Queries = append(out.Queries, child)
 				out.Counts = append(out.Counts, n)
+				sum += n
 			}
 		}
+		proven = proven && sum == s.Counts[i]
 	}
 	if !anySplit {
 		// Nothing split: the attribute is constant in every piece.
 		// Keep the original attribute set so callers can detect the
 		// no-op.
-		return &Segmentation{Queries: s.Queries, CutAttrs: s.CutAttrs, Counts: s.Counts}, nil
+		out = &Segmentation{Queries: s.Queries, CutAttrs: s.CutAttrs, Counts: s.Counts}
+	}
+	if proven {
+		out.proof = s.proof
 	}
 	return out, nil
 }
@@ -399,6 +421,7 @@ func InitialCandidate(ev *Evaluator, context sdl.Query, attr string, opt CutOpti
 }
 
 func initialCut(ev *Evaluator, context sdl.Query, attr string, opt CutOptions, pack int) (*Segmentation, bool, error) {
+	fp := ev.Table().Fingerprint()
 	count, err := ev.Count(context)
 	if err != nil {
 		return nil, false, err
@@ -406,7 +429,7 @@ func initialCut(ev *Evaluator, context sdl.Query, attr string, opt CutOptions, p
 	if count == 0 {
 		return nil, false, fmt.Errorf("seg: context %s selects no rows", context)
 	}
-	s, err := cutSeg(ev, singleton(context, count), attr, opt, pack)
+	s, err := cutSeg(ev, singleton(context, count, fp), attr, opt, pack)
 	if err != nil {
 		return nil, false, err
 	}

@@ -484,7 +484,7 @@ func TestComposeOnEmptyAttrSetIsIdentity(t *testing.T) {
 	ctx := context2(t, tab)
 	a := setA(t, ev, ctx)
 	count, _ := ev.Count(ctx)
-	id, err := Compose(ev, a, singleton(ctx, count), DefaultCutOptions())
+	id, err := Compose(ev, a, singleton(ctx, count, ""), DefaultCutOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

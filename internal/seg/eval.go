@@ -648,12 +648,13 @@ func (e *Evaluator) Count(q sdl.Query) (int, error) {
 // (CacheHits); children stale with the same dirty chunks share one
 // pass over just those chunks of the parent and are spliced into
 // their cached segments (DeltaRefreshes); the rest share one pass over
-// the whole parent (NarrowEvals). pairSides marks a cut whose result
-// becomes an HB-cuts candidate that INDEP will pair: a whole-parent
-// pass then also packs each child's bitmap words while the chunk is
-// hot, and a child dense enough to be a bitmap pair side is stored in
-// the packed cache, where SelectBitmap finds it instead of re-packing.
-func (e *Evaluator) cutChildren(parentCS *engine.ChunkedSelection, children []sdl.Query, attr string, pairSides bool) ([]*engine.ChunkedSelection, error) {
+// the whole parent (NarrowEvals). The first packed children are pair
+// sides INDEP will read (the cut's result becomes an HB-cuts
+// candidate): a whole-parent pass also packs their bitmap words while
+// the chunk is hot, and a child dense enough to be a bitmap pair side
+// is stored in the packed cache, where SelectBitmap finds it instead
+// of re-packing.
+func (e *Evaluator) cutChildren(parentCS *engine.ChunkedSelection, children []sdl.Query, attr string, packed int) ([]*engine.ChunkedSelection, error) {
 	keys := make([]string, len(children))
 	cons := make([]sdl.Constraint, len(children))
 	for i, child := range children {
@@ -693,7 +694,7 @@ func (e *Evaluator) cutChildren(parentCS *engine.ChunkedSelection, children []sd
 		}
 	}
 	if len(stale) > 0 {
-		if err := e.partitionInto(engine.RestrictChunked(parentCS, dirty), attr, cons, stale, false, func(i int, cs *engine.ChunkedSelection, _ *engine.Bitmap) {
+		if err := e.partitionInto(engine.RestrictChunked(parentCS, dirty), attr, cons, stale, 0, func(i int, cs *engine.ChunkedSelection, _ *engine.Bitmap) {
 			cs = engine.SpliceChunked(olds[i], cs, dirty)
 			e.countDeltaRefresh()
 			e.store(keys[i], cs, cur)
@@ -704,8 +705,10 @@ func (e *Evaluator) cutChildren(parentCS *engine.ChunkedSelection, children []sd
 	}
 	if len(full) > 0 {
 		nRows := e.tab.NumRows()
-		pack := pairSides && caching && engine.DenseEnough(parentCS.Len(), nRows)
-		if err := e.partitionInto(parentCS, attr, cons, full, pack, func(i int, cs *engine.ChunkedSelection, bm *engine.Bitmap) {
+		if !caching || !engine.DenseEnough(parentCS.Len(), nRows) {
+			packed = 0
+		}
+		if err := e.partitionInto(parentCS, attr, cons, full, packed, func(i int, cs *engine.ChunkedSelection, bm *engine.Bitmap) {
 			e.countNarrowEval()
 			if caching {
 				e.store(keys[i], cs, cur)
@@ -722,17 +725,24 @@ func (e *Evaluator) cutChildren(parentCS *engine.ChunkedSelection, children []sd
 }
 
 // partitionInto runs one partition pass over cs for the constraints
-// cons[i], i in which, handing each child (and its packed bitmap when
-// pack is set) to done.
-func (e *Evaluator) partitionInto(cs *engine.ChunkedSelection, attr string, cons []sdl.Constraint, which []int, pack bool, done func(i int, cs *engine.ChunkedSelection, bm *engine.Bitmap)) error {
+// cons[i], i in which, handing each child to done — with its packed
+// bitmap when i < packed, nil otherwise.
+func (e *Evaluator) partitionInto(cs *engine.ChunkedSelection, attr string, cons []sdl.Constraint, which []int, packed int, done func(i int, cs *engine.ChunkedSelection, bm *engine.Bitmap)) error {
 	cs, col, sum, err := e.resolveConstraint(cs, attr)
 	if err != nil {
 		return err
 	}
 	preds := make([]engine.Pred, len(which))
+	var pack []bool
+	if packed > 0 {
+		pack = make([]bool, len(which))
+	}
 	for j, i := range which {
 		if preds[j], err = constraintPred(col, cons[i], sum); err != nil {
 			return err
+		}
+		if pack != nil {
+			pack[j] = i < packed
 		}
 	}
 	parts, bms := engine.PartitionChunked(cs, preds, pack)

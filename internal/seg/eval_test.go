@@ -79,7 +79,7 @@ func TestNarrowMatchesFullEval(t *testing.T) {
 	}
 	cut := func() *Segmentation {
 		t.Helper()
-		s, err := Cut(ev, singleton(parent, n), "tonnage", DefaultCutOptions())
+		s, err := Cut(ev, singleton(parent, n, ""), "tonnage", DefaultCutOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,8 +14,8 @@ import (
 // SelectionRep selects the physical representation of segment
 // selections inside the pairwise operators (PRODUCT, CellCounts,
 // INDEP). Section 5.1 names segment-pair evaluation as the vertical
-// bottleneck: every INDEP costs a full |S1|×|S2| contingency table,
-// one intersection count per cell. Dense selections count faster as
+// bottleneck: every INDEP costs a contingency table, one intersection
+// count per counted cell. Dense selections count faster as
 // word-packed bitmaps (AND + popcount); sparse ones stay cheaper as
 // sorted row-id vectors.
 type SelectionRep uint8
@@ -112,7 +112,8 @@ func (m *PairMemo) put(key string, s *pairSide) {
 // pairSide holds one segmentation's selections, each in exactly the
 // representation the options chose for it: segment i is either
 // bitmap-packed (bms[i] non-nil) or a flat row-id vector (sels[i]
-// non-nil), never materialized as both.
+// non-nil), never materialized as both. A side built for a derived
+// table holds every segment but the last.
 type pairSide struct {
 	sels []engine.Selection
 	bms  []*engine.Bitmap
@@ -132,25 +133,36 @@ type pairSide struct {
 // the assembled side is shared across every operator call of the
 // advise that mentions the same segmentation. Task errors are rare
 // but cancellation is not, and it must surface — or a half-built
-// side would be memoized as complete.
-func buildSide(ev *Evaluator, s *Segmentation, opt PairOptions) (*pairSide, error) {
+// side would be memoized as complete. fp is the table fingerprint the
+// caller read; derived marks a side for a derived table, which leaves
+// out the last segment.
+func buildSide(ev *Evaluator, s *Segmentation, opt PairOptions, fp string, derived bool) (*pairSide, error) {
+	n := len(s.Queries)
 	var memoKey string
 	if opt.Memo != nil {
 		// The representation knob changes which segments get packed,
-		// so sides built under different reps never alias. The table
-		// fingerprint keys out sides built before a mutation: a memo
-		// can outlive one advise (a Stream holds its across Next
-		// calls), and a stale side would silently miscount cells.
-		// The fingerprint is cached per table version, so this stays
-		// a single concatenation on the warm path.
-		memoKey = ev.Table().Fingerprint() + "\x00" + opt.Rep.String() + "\x00" + s.Key()
+		// so sides built under different reps never alias, and the
+		// shape marker keeps a side without its last segment apart
+		// from a whole one. The table fingerprint keys out sides
+		// built before a mutation: a memo can outlive one advise (a
+		// Stream holds its across Next calls), and a stale side would
+		// silently miscount cells. The fingerprint is cached per
+		// table version, so this stays a single concatenation on the
+		// warm path.
+		shape := "\x00"
+		if derived {
+			shape = "\x00-"
+		}
+		memoKey = fp + shape + opt.Rep.String() + "\x00" + s.Key()
 		if side, ok := opt.Memo.get(memoKey); ok {
 			ev.countPairMemoHit()
 			return side, nil
 		}
 		ev.countPairMemoMiss()
 	}
-	n := len(s.Queries)
+	if derived {
+		n--
+	}
 	sels := make([]engine.Selection, n)
 	bms := make([]*engine.Bitmap, n)
 	nRows := ev.Table().NumRows()
@@ -214,69 +226,35 @@ func Product(ev *Evaluator, s1, s2 *Segmentation) (*Segmentation, error) {
 	return ProductOpt(ev, s1, s2, PairOptions{})
 }
 
-// prodCell is one (i, j) conjunction of the product's positional
-// merge buffer.
-type prodCell struct {
-	q     sdl.Query
-	count int
-}
-
 // ProductOpt implements the SDL product S1 × S2 (Definition 8):
-// every pairwise conjunction (Q1i, Q2j). Provably empty conjunctions
-// and pairs whose extents do not overlap are dropped, so the result
-// is a partition of the common context with strictly positive
-// counts. The cell loop fans out across opt.Workers; cells land in a
-// pooled positional buffer and are merged in (i, j) order, so the
-// output is byte-identical to the sequential nested loop at every
-// width.
+// every pairwise conjunction (Q1i, Q2j). Pairs whose extents do not
+// overlap are dropped, as are provably empty conjunctions, so the
+// result is a partition of the common context with strictly positive
+// counts. The counts are the contingency table cellCountsInto fills;
+// only cells with a positive count are conjoined, in (i, j) order, so
+// the output is identical at every width.
 func ProductOpt(ev *Evaluator, s1, s2 *Segmentation, opt PairOptions) (*Segmentation, error) {
 	opt = opt.normalize()
-	a, err := buildSide(ev, s1, opt)
-	if err != nil {
-		return nil, err
-	}
-	b, err := buildSide(ev, s2, opt)
-	if err != nil {
-		return nil, err
-	}
-	n1, n2 := len(s1.Queries), len(s2.Queries)
-	cellsPtr := prodCellScratch.Get(n1 * n2)
-	cells := *cellsPtr
-	// The loop below relies on zeroed cells (count == 0 means "pair
-	// dropped") and the queries parked in a recycled buffer must not
-	// outlive the call, so every buffer is cleared on its way back to
-	// the pool — which also means every get hands out zeroed memory
-	// (fresh allocations already are).
-	defer func() {
-		clear(cells)
-		prodCellScratch.Put(cellsPtr)
-	}()
-	err = par.ForEachCtx(opt.Ctx, opt.Workers, n1*n2, func(k int) error {
-		i, j := k/n2, k%n2
-		q, nonEmpty, err := sdl.Conjoin(s1.Queries[i], s2.Queries[j])
-		if err != nil {
-			return err
-		}
-		if !nonEmpty {
-			return nil
-		}
-		count := cellCount(a, i, b, j)
-		if count == 0 {
-			return nil
-		}
-		cells[k] = prodCell{q: q, count: count}
-		return nil
-	})
-	if err != nil {
+	n2 := len(s2.Queries)
+	flatPtr := cellScratch.Get(len(s1.Queries) * n2)
+	defer cellScratch.Put(flatPtr)
+	flat := *flatPtr
+	if err := cellCountsInto(ev, s1, s2, opt, flat); err != nil {
 		return nil, err
 	}
 	out := &Segmentation{CutAttrs: mergeAttrs(s1.CutAttrs, s2.CutAttrs)}
-	for k := range cells {
-		if cells[k].count == 0 {
+	for k, count := range flat {
+		if count == 0 {
 			continue
 		}
-		out.Queries = append(out.Queries, cells[k].q)
-		out.Counts = append(out.Counts, cells[k].count)
+		q, nonEmpty, err := sdl.Conjoin(s1.Queries[k/n2], s2.Queries[k%n2])
+		if err != nil {
+			return nil, err
+		}
+		if nonEmpty {
+			out.Queries = append(out.Queries, q)
+			out.Counts = append(out.Counts, count)
+		}
 	}
 	return out, nil
 }
@@ -288,27 +266,53 @@ func CellCounts(ev *Evaluator, s1, s2 *Segmentation) ([][]int, error) {
 }
 
 // cellCountsInto fills flat (row-major, length n1×n2) with the joint
-// contingency table — the shared core of CellCounts, INDEP and the
-// chi-squared rule. Each segmentation's selections are gathered and
-// packed once, then the cell loop fans out across opt.Workers; every
-// cell writes its own slot, so the table is deterministic at every
-// width. Cell errors are impossible once both sides are built; only
-// cancellation can surface, and a cancelled table must not be read
-// as all-zero counts.
+// contingency table — the shared core of PRODUCT, CellCounts, INDEP
+// and the chi-squared rule. Each segmentation's selections are
+// gathered and packed once, then the cell loop fans out across
+// opt.Workers; every cell writes its own slot, so the table is
+// deterministic at every width. Cell errors are impossible once both
+// sides are built; only cancellation can surface, and a cancelled
+// table must not be read as all-zero counts.
+//
+// When both segmentations carry partition proofs of one context at
+// the current fingerprint, the table's row sums are s1.Counts and its
+// column sums s2.Counts, so only the cells i < n1−1, j < n2−1 are
+// counted: the last column is Counts[i] − Σ of its row and the last
+// row s2.Counts[j] − Σ of its column. A binary pair then costs one
+// intersection instead of four. Any other pair counts every cell.
 func cellCountsInto(ev *Evaluator, s1, s2 *Segmentation, opt PairOptions, flat []int) error {
-	a, err := buildSide(ev, s1, opt)
+	fp := ev.Table().Fingerprint()
+	derived := sameContextAt(s1, s2, fp)
+	a, err := buildSide(ev, s1, opt, fp, derived)
 	if err != nil {
 		return err
 	}
-	b, err := buildSide(ev, s2, opt)
+	b, err := buildSide(ev, s2, opt, fp, derived)
 	if err != nil {
 		return err
 	}
 	n2 := len(s2.Queries)
-	return par.ForEachCtx(opt.Ctx, opt.Workers, len(flat), func(k int) error {
-		flat[k] = cellCount(a, k/n2, b, k%n2)
+	m1, m2 := len(a.bms), len(b.bms)
+	if err := par.ForEachCtx(opt.Ctx, opt.Workers, m1*m2, func(k int) error {
+		i, j := k/m2, k%m2
+		flat[i*n2+j] = cellCount(a, i, b, j)
 		return nil
-	})
+	}); err != nil || !derived {
+		return err
+	}
+	last := flat[m1*n2:]
+	copy(last, s2.Counts)
+	for i := 0; i < m1; i++ {
+		row := flat[i*n2 : (i+1)*n2]
+		rest := s1.Counts[i]
+		for j, c := range row[:m2] {
+			rest -= c
+			last[j] -= c
+		}
+		row[m2] = rest
+		last[m2] -= rest
+	}
+	return nil
 }
 
 // CellCountsOpt returns the joint contingency table cells[i][j] =

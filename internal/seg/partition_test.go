@@ -171,7 +171,7 @@ func TestCutChildrenMatchColdEvaluation(t *testing.T) {
 			}
 			var first *Segmentation
 			for _, attr := range ctx.Attrs() {
-				r := checkCut(t, ev, singleton(ctx, n), attr, DefaultCutOptions(), math.MaxInt)
+				r := checkCut(t, ev, singleton(ctx, n, ""), attr, DefaultCutOptions(), math.MaxInt)
 				if len(r.children) < 2 || r.delta.NarrowEvals != len(r.children) {
 					t.Fatalf("initial cut on %s: %d narrow evals for %d children", attr, r.delta.NarrowEvals, len(r.children))
 				}
@@ -221,7 +221,7 @@ func TestCutPartitionKeepsNaNTraps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := checkCut(t, ev, singleton(ctx, n), "redshift", DefaultCutOptions(), math.MaxInt)
+		r := checkCut(t, ev, singleton(ctx, n, ""), "redshift", DefaultCutOptions(), math.MaxInt)
 		k := r.out.Depth()
 		if want := n + len(rows)*(k-1); k < 2 || r.out.Total() != want {
 			t.Fatalf("pruning %v: range cut into %d children covers %d rows, want %d (every NaN row in every child)", pruning, k, r.out.Total(), want)
@@ -230,7 +230,7 @@ func TestCutPartitionKeepsNaNTraps(t *testing.T) {
 
 	status := skewedStatusTable(t)
 	ev := NewEvaluator(status)
-	r := checkCut(t, ev, singleton(sdl.ContextAll(status), status.NumRows()), "latency", DefaultCutOptions(), math.MaxInt)
+	r := checkCut(t, ev, singleton(sdl.ContextAll(status), status.NumRows(), ""), "latency", DefaultCutOptions(), math.MaxInt)
 	nonNaN := 0
 	for _, v := range status.MustColumn("latency").(*engine.FloatColumn).Float64s() {
 		if v == v {
@@ -282,7 +282,7 @@ func TestCutChildrenSpliceAfterMutation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := ev.cutChildren(parent, children, "tonnage", true)
+				got, err := ev.cutChildren(parent, children, "tonnage", len(children))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -337,7 +337,7 @@ func TestCutChildrenSpliceAfterMutation(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, attr := range []string{"tonnage", "type_of_boat"} {
-				checkCut(t, ev, singleton(ctx, n), attr, DefaultCutOptions(), math.MaxInt)
+				checkCut(t, ev, singleton(ctx, n, ""), attr, DefaultCutOptions(), math.MaxInt)
 			}
 		})
 	}
@@ -348,7 +348,8 @@ func TestCutChildrenSpliceAfterMutation(t *testing.T) {
 // Plain InitialCut and Compose pack nothing; InitialCandidate packs
 // its dense children; ComposeCandidate packs only its outermost cut,
 // and only while the result stays below maxDepth queries; under
-// RepVector neither packs.
+// RepVector neither packs. The candidates carry partition proofs, so
+// their last piece — which INDEP derives, never pairs — is not packed.
 func TestCandidateCutsPackOnlyPairedResults(t *testing.T) {
 	tab := dataset.VOC(20000, 4)
 	tab.SetChunkRows(1024)
@@ -358,8 +359,11 @@ func TestCandidateCutsPackOnlyPairedResults(t *testing.T) {
 	}
 	s2 := &Segmentation{CutAttrs: []string{"departure_date", "type_of_boat"}}
 	dense := func(s *Segmentation) int {
+		if !s.provenAt(tab.Fingerprint()) {
+			t.Fatalf("candidate %s carries no partition proof", s)
+		}
 		n := 0
-		for _, c := range s.Counts {
+		for _, c := range s.Counts[:s.Depth()-1] {
 			if engine.DenseEnough(c, tab.NumRows()) {
 				n++
 			}
@@ -393,7 +397,7 @@ func TestCandidateCutsPackOnlyPairedResults(t *testing.T) {
 
 	ev, s1, composed := run(initialCand(RepAuto), composeCand(RepAuto, 12))
 	if got, want := packedCount(ev, s1.Queries), dense(s1); want == 0 || got != want {
-		t.Fatalf("InitialCandidate packed %d children, want its %d dense ones", got, want)
+		t.Fatalf("InitialCandidate packed %d children, want its %d dense ones but the last", got, want)
 	}
 	inner, err := Cut(NewEvaluator(tab), s1, "type_of_boat", opt)
 	if err != nil {
@@ -403,7 +407,7 @@ func TestCandidateCutsPackOnlyPairedResults(t *testing.T) {
 		t.Fatalf("the inner cut of a COMPOSE packed %d of its %d children", got, inner.Depth())
 	}
 	if got, want := packedCount(ev, composed.Queries), dense(composed); composed.Depth() >= 12 || want == 0 || got != want {
-		t.Fatalf("the outermost cut packed %d children, want its %d dense ones", got, want)
+		t.Fatalf("the outermost cut packed %d children, want its %d dense ones but the last", got, want)
 	}
 
 	// A composition that may reach maxDepth is not paired: nothing of

@@ -14,5 +14,4 @@ import "charles/internal/pool"
 var (
 	cellScratch     pool.Slice[int]
 	marginalScratch pool.Slice[float64]
-	prodCellScratch pool.Slice[prodCell]
 )

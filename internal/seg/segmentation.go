@@ -37,6 +37,36 @@ type Segmentation struct {
 	// strings each time was the single largest steady-state
 	// allocation of the warm pairwise path.
 	key atomic.Pointer[string]
+
+	// proof, when set, certifies that Queries partition proof.context
+	// exactly and Counts are their extents at table version
+	// proof.fingerprint. Only the constructors that can establish it
+	// set it (singleton, and cutSeg from a proven parent); a
+	// segmentation built by hand carries none. The pairwise operators
+	// derive a contingency table's last row and column from Counts
+	// only under a proof naming the current fingerprint.
+	proof *partitionProof
+}
+
+// partitionProof is a segmentation's certificate of exact partition:
+// the table fingerprint its counts were taken at and the key of the
+// context query it partitions.
+type partitionProof struct {
+	fingerprint string
+	context     string
+}
+
+// provenAt reports whether s carries a partition proof naming table
+// fingerprint fp.
+func (s *Segmentation) provenAt(fp string) bool {
+	return s.proof != nil && s.proof.fingerprint == fp
+}
+
+// sameContextAt reports whether s1 and s2 both carry partition proofs
+// naming fingerprint fp and the same context: their contingency table
+// has row sums s1.Counts and column sums s2.Counts.
+func sameContextAt(s1, s2 *Segmentation, fp string) bool {
+	return s1.provenAt(fp) && s2.provenAt(fp) && s1.proof.context == s2.proof.context
 }
 
 // Depth returns the number of segments — the "amount of information"
@@ -157,9 +187,15 @@ func (s *Segmentation) String() string {
 }
 
 // singleton wraps a context query as a 1-segment segmentation, the
-// unit COMPOSE and CUT build from.
-func singleton(q sdl.Query, count int) *Segmentation {
-	return &Segmentation{Queries: []sdl.Query{q}, CutAttrs: nil, Counts: []int{count}}
+// unit COMPOSE and CUT build from. fp, when non-empty, is the table
+// fingerprint count = |R(q)| was taken at, and the segmentation then
+// carries the partition proof for context q.
+func singleton(q sdl.Query, count int, fp string) *Segmentation {
+	s := &Segmentation{Queries: []sdl.Query{q}, CutAttrs: nil, Counts: []int{count}}
+	if fp != "" {
+		s.proof = &partitionProof{fingerprint: fp, context: q.Key()}
+	}
+	return s
 }
 
 // mergeAttrs returns the sorted union of two attribute sets.
