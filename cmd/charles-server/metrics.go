@@ -79,6 +79,7 @@ func newServerMetrics(ev *seg.Evaluator) *serverMetrics {
 		CutRefreshes:   reg.NewCounter("charles_delta_cut_refreshes_total", "cached cut points spliced up to date after a mutation"),
 		PairMemoHits:   reg.NewCounter("charles_seg_pair_memo_hits_total", "pairwise operand sides reused from a PairMemo"),
 		PairMemoMisses: reg.NewCounter("charles_seg_pair_memo_misses_total", "pairwise operand sides built fresh"),
+		PairTableHits:  reg.NewCounter("charles_seg_pair_table_hits_total", "contingency tables served from the evaluator's pair-table tier"),
 	})
 
 	panicsRecovered := reg.NewCounter("charles_panics_recovered_total",

@@ -194,3 +194,55 @@ func TestSelectionRepDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestRevisitedAdviseIdentical pins the pair-table tier end to end:
+// advising a context again on the same Advisor — the second run's
+// contingency tables all come from the evaluator's tier — renders
+// byte-identically and does exactly the same INDEP and composition
+// work, sequentially and with 4 goroutines re-advising at once.
+func TestRevisitedAdviseIdentical(t *testing.T) {
+	adv, ctx := concurrencyFixture(t, 2)
+	first, err := adv.Advise(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := charles.RenderRanked(first, len(first.Segmentations)) + rankedFingerprint(first)
+	check := func(res *charles.Result) error {
+		if got := charles.RenderRanked(res, len(res.Segmentations)) + rankedFingerprint(res); got != want {
+			return fmt.Errorf("revisited advise differs:\n--- got ---\n%s--- want ---\n%s", got, want)
+		}
+		if res.IndepEvals != first.IndepEvals || res.Iterations != first.Iterations {
+			return fmt.Errorf("revisited advise did %d INDEP evals in %d iterations, first %d in %d",
+				res.IndepEvals, res.Iterations, first.IndepEvals, first.Iterations)
+		}
+		return nil
+	}
+	hits := adv.Evaluator().Counters().PairTableHits
+	second, err := adv.Advise(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := check(second); err != nil {
+		t.Fatal(err)
+	}
+	if adv.Evaluator().Counters().PairTableHits == hits {
+		t.Fatal("the revisited advise took no table from the pair-table tier (test premise)")
+	}
+	const goroutines = 4
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		g := g
+		go func() {
+			defer wg.Done()
+			res, err := adv.Advise(ctx)
+			if err == nil {
+				err = check(res)
+			}
+			if err != nil {
+				t.Errorf("goroutine %d: %v", g, err)
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -196,6 +196,17 @@ func (c Constraint) Validate() error {
 // mutating operations return copies.
 type Query struct {
 	constraints []Constraint
+	// key is the canonical form, rendered once by the constructors.
+	// Every cache in the evaluator looks a query up by it, several
+	// times per advise step, so copies share it instead of
+	// re-rendering. It is empty only in the zero Query.
+	key string
+}
+
+// newQuery wraps constraints already in canonical order and renders
+// their key.
+func newQuery(cs []Constraint) Query {
+	return Query{constraints: cs, key: render(cs)}
 }
 
 // NewQuery builds a query from predicates, validating each and
@@ -212,7 +223,7 @@ func NewQuery(cs ...Constraint) (Query, error) {
 			return Query{}, fmt.Errorf("sdl: duplicate predicate on %q", c.Attr)
 		}
 	}
-	return Query{constraints: sorted}, nil
+	return newQuery(sorted), nil
 }
 
 // MustQuery is NewQuery that panics on error, for static queries in
@@ -259,7 +270,7 @@ func (q Query) WithConstraint(c Constraint) Query {
 	if !inserted {
 		out = append(out, c)
 	}
-	return Query{constraints: out}
+	return newQuery(out)
 }
 
 // Attrs returns every attribute the query mentions, constrained or
@@ -297,20 +308,27 @@ func (q Query) NumConstraints() int {
 }
 
 // Equal reports whether two queries have identical canonical forms.
-func (q Query) Equal(o Query) bool { return q.String() == o.String() }
+func (q Query) Equal(o Query) bool { return q.Key() == o.Key() }
 
 // Key returns the canonical cache key for the query (its canonical
 // string form; constraints and sets are always kept sorted).
-func (q Query) Key() string { return q.String() }
+func (q Query) Key() string {
+	if q.key == "" {
+		return "()" // the zero Query
+	}
+	return q.key
+}
 
 var _ fmt.Stringer = Query{}
 
 // String renders the canonical SDL form, e.g.
 // (date: [1550-01-01, 1650-12-31], tonnage:, type: {fluit, jacht}).
-func (q Query) String() string {
+func (q Query) String() string { return q.Key() }
+
+func render(cs []Constraint) string {
 	var b strings.Builder
 	b.WriteByte('(')
-	for i, c := range q.constraints {
+	for i, c := range cs {
 		if i > 0 {
 			b.WriteString(", ")
 		}

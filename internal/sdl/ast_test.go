@@ -1,7 +1,9 @@
 package sdl
 
 import (
+	"strings"
 	"testing"
+	"unsafe"
 
 	"charles/internal/engine"
 )
@@ -148,5 +150,61 @@ func TestStringLiteralQuoting(t *testing.T) {
 	want := "(master: {'Jan de Boer', 'O''Neill', 'true'})"
 	if got := q.String(); got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}
+
+// renderKey is an independent statement of the canonical form: each
+// constraint's surface syntax, in stored order, comma-joined inside
+// parentheses.
+func renderKey(q Query) string {
+	parts := make([]string, 0, len(q.Constraints()))
+	for _, c := range q.Constraints() {
+		parts = append(parts, c.String())
+	}
+	return "(" + strings.Join(parts, ", ") + ")"
+}
+
+// TestQueryKeyRenderedOnce pins the key memo: every constructor leaves
+// Key() and String() equal to the canonical rendering of the query it
+// returns (a derived query never inherits its parent's key), the key
+// survives a parse round trip, copies share its bytes, and a repeated
+// Key() allocates nothing.
+func TestQueryKeyRenderedOnce(t *testing.T) {
+	tab := bindTable(t)
+	base := MustQuery(Any("type"), RangeC("tonnage", engine.Int(100), engine.Int(300), true, false))
+	with := base.WithConstraint(SetC("type", engine.String_("jacht"), engine.String_("fluit")))
+	added := base.WithConstraint(ClosedRange("departure", engine.Date(0), engine.Date(50)))
+	conj, ok, err := Conjoin(base, MustQuery(ClosedRange("tonnage", engine.Int(200), engine.Int(400)), Any("armed")))
+	if err != nil || !ok {
+		t.Fatalf("Conjoin: ok=%v err=%v", ok, err)
+	}
+	parsed := MustParse("(type: {fluit}, tonnage: [1, 2), speed:)")
+	bound, err := ParseBound("type: {fluit, 'O''Neill'}, departure: [1600-01-01, 1650-12-31], armed: {true}", tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]Query{
+		"zero": {}, "NewQuery": base, "WithConstraint/replace": with, "WithConstraint/insert": added,
+		"Conjoin": conj, "Parse": parsed, "ParseBound": bound,
+	}
+	for name, q := range cases {
+		want := renderKey(q)
+		if q.Key() != want || q.String() != want {
+			t.Errorf("%s: Key() = %q, String() = %q, want %q", name, q.Key(), q.String(), want)
+		}
+		back, err := Parse(q.Key())
+		if err != nil || back.Key() != q.Key() {
+			t.Errorf("%s: Parse(Key()) = %q, %v; want %q", name, back.Key(), err, q.Key())
+		}
+		cp := q
+		if q.key != "" && unsafe.StringData(cp.Key()) != unsafe.StringData(q.Key()) {
+			t.Errorf("%s: a copy re-rendered its key", name)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = q.Key() }); n != 0 {
+			t.Errorf("%s: Key() allocates %.1f/op", name, n)
+		}
+	}
+	if got := base.Key(); got != "(tonnage: [100, 300), type:)" {
+		t.Fatalf("WithConstraint changed its receiver's key: %q", got)
 	}
 }

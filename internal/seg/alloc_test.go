@@ -14,10 +14,13 @@ import (
 // cached, bitmaps packed, pair sides memoized, scratch pools primed —
 // a CellCounts/INDEP/chi-squared evaluation must cost a handful of
 // allocations (slice headers, memo keys, closures), never anything
-// proportional to the cell grid or the table. The budgets are pinned
-// with ~2× headroom over the measured steady state; if this test
-// fails, some hot-loop buffer stopped being pooled or a conversion
-// started materializing per call.
+// proportional to the cell grid or the table. Each operator is
+// measured twice: served by the pair-table tier, and on a table miss
+// (the tier emptied before every run) where both sides come from the
+// PairMemo and only the stored copy of the table is new. The budgets
+// are pinned with ~2× headroom over the measured steady state; if this
+// test fails, some hot-loop buffer stopped being pooled or a
+// conversion started materializing per call.
 func TestWarmPairwiseAllocBudget(t *testing.T) {
 	tab := dataset.VOC(20000, 7)
 	ev := NewEvaluator(tab)
@@ -35,6 +38,7 @@ func TestWarmPairwiseAllocBudget(t *testing.T) {
 		CutPointCalcs: &obs.Counter{}, CutCacheHits: &obs.Counter{},
 		DeltaRefreshes: &obs.Counter{}, CutRefreshes: &obs.Counter{},
 		PairMemoHits: &obs.Counter{}, PairMemoMisses: &obs.Counter{},
+		PairTableHits: &obs.Counter{},
 	}
 	ev.SetEvalMetrics(em)
 	ctx, err := sdl.ContextOn(tab, "tonnage", "built")
@@ -65,11 +69,12 @@ func TestWarmPairwiseAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	checks := []struct {
+	type check struct {
 		name   string
 		budget float64
 		run    func() error
-	}{
+	}
+	checks := []check{
 		// CellCounts hands the table to the caller, so it legitimately
 		// allocates the flat vector and the row headers — and nothing
 		// else.
@@ -87,6 +92,13 @@ func TestWarmPairwiseAllocBudget(t *testing.T) {
 			_, err := ChiSquareIndependentOpt(ev, s1, s2, 0.05, po)
 			return err
 		}},
+	}
+	for _, c := range checks[:3] {
+		run := c.run
+		checks = append(checks, check{c.name + "/TableMiss", c.budget, func() error {
+			dropPairTables(ev)
+			return run()
+		}})
 	}
 	for _, c := range checks {
 		c := c
@@ -106,7 +118,10 @@ func TestWarmPairwiseAllocBudget(t *testing.T) {
 			t.Logf("warm %s: %.1f allocs/op (budget %.0f)", c.name, avg, c.budget)
 		})
 	}
+	if em.PairTableHits.Value() == 0 {
+		t.Error("live recorder saw no pair-table hits on the warm path: the counters are not wired")
+	}
 	if em.PairMemoHits.Value() == 0 {
-		t.Error("live recorder saw no pair-memo hits on the warm path: the counters are not wired")
+		t.Error("live recorder saw no pair-memo hits on a table miss: the counters are not wired")
 	}
 }

@@ -160,7 +160,10 @@ func TestCutMatchesAcrossChunkLayouts(t *testing.T) {
 // TestPairMemoSharesSides pins the satellite reuse claim: with a
 // memo in the options, repeated pairwise operator calls over the
 // same segmentations stop re-fetching their selections — the
-// cache-hit counter stays flat after the first call.
+// cache-hit counter stays flat after the first call. The repeats of
+// one pair are answered by the pair-table tier before any side is
+// needed, so the memo is exercised on table misses: the transposed
+// pair is another table over the same two sides.
 func TestPairMemoSharesSides(t *testing.T) {
 	tab := dataset.VOC(2000, 9)
 	ev := NewEvaluator(tab)
@@ -168,14 +171,15 @@ func TestPairMemoSharesSides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, ok, err := InitialCut(ev, ctx, "type_of_boat", DefaultCutOptions())
-	if err != nil || !ok {
-		t.Fatalf("cut: %v", err)
+	var segs []*Segmentation
+	for _, attr := range []string{"type_of_boat", "tonnage", "departure_harbour"} {
+		s, ok, err := InitialCut(ev, ctx, attr, DefaultCutOptions())
+		if err != nil || !ok {
+			t.Fatalf("cut %s: %v", attr, err)
+		}
+		segs = append(segs, s)
 	}
-	s2, ok, err := InitialCut(ev, ctx, "tonnage", DefaultCutOptions())
-	if err != nil || !ok {
-		t.Fatalf("cut: %v", err)
-	}
+	s1, s2, s3 := segs[0], segs[1], segs[2]
 	memo := NewPairMemo()
 	opt := PairOptions{Workers: 1, Memo: memo}
 	base, err := IndepOpt(ev, s1, s2, opt)
@@ -183,30 +187,40 @@ func TestPairMemoSharesSides(t *testing.T) {
 		t.Fatal(err)
 	}
 	hitsAfterFirst := ev.Counters().CacheHits
-	// Product + CellCounts + Indep + ChiSquare over the same pair:
-	// all sides come from the memo, no further selection lookups.
-	if _, err := ProductOpt(ev, s1, s2, opt); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CellCountsOpt(ev, s1, s2, opt); err != nil {
-		t.Fatal(err)
+	// Product + CellCounts + Indep + ChiSquare over the same pair
+	// (tier hits) and over the transposed pair (tier misses): all
+	// sides come from the memo, no further selection lookups.
+	for _, p := range [][2]*Segmentation{{s1, s2}, {s2, s1}} {
+		if _, err := ProductOpt(ev, p[0], p[1], opt); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := CellCountsOpt(ev, p[0], p[1], opt); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ChiSquareIndependentOpt(ev, p[0], p[1], 0.05, opt); err != nil {
+			t.Fatal(err)
+		}
 	}
 	again, err := IndepOpt(ev, s1, s2, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ChiSquareIndependentOpt(ev, s1, s2, 0.05, opt); err != nil {
-		t.Fatal(err)
+	c := ev.Counters()
+	if c.CacheHits != hitsAfterFirst {
+		t.Fatalf("memoized operator calls still hit the selection cache: %d -> %d", hitsAfterFirst, c.CacheHits)
 	}
-	if got := ev.Counters().CacheHits; got != hitsAfterFirst {
-		t.Fatalf("memoized operator calls still hit the selection cache: %d -> %d", hitsAfterFirst, got)
+	if c.PairMemoHits == 0 {
+		t.Fatal("the transposed pair missed the tier but took no side from the memo")
+	}
+	if c.PairTableHits == 0 {
+		t.Fatal("repeated calls over one pair were not served by the pair-table tier")
 	}
 	if again != base {
 		t.Fatalf("memoized INDEP = %v, want %v", again, base)
 	}
-	// Without a memo the same calls do re-fetch selections.
+	// Without a memo a table miss does re-fetch selections.
 	plain := PairOptions{Workers: 1}
-	if _, err := IndepOpt(ev, s1, s2, plain); err != nil {
+	if _, err := IndepOpt(ev, s1, s3, plain); err != nil {
 		t.Fatal(err)
 	}
 	if got := ev.Counters().CacheHits; got == hitsAfterFirst {

@@ -75,23 +75,11 @@ func (e *Evaluator) cachedCutEntry(key string) (cachedCut, bool) {
 	return ent, ok
 }
 
-// storeCut records a cut entry under the same bounded
-// random-replacement policy as the selection stores: concurrent
-// computations of the same key produce identical pieces, so last
-// write wins.
+// storeCut records a cut entry: concurrent computations of the same
+// key produce identical pieces, so last write wins.
 func (e *Evaluator) storeCut(key string, ent cachedCut) {
-	limit := int(e.limit.Load())
 	e.cutMu.Lock()
-	if limit > 0 && len(e.cuts) >= limit {
-		if _, exists := e.cuts[key]; !exists {
-			//lint:deterministic random-replacement eviction is deliberately arbitrary: cache contents affect reuse, never results
-			for k := range e.cuts {
-				delete(e.cuts, k)
-				break
-			}
-		}
-	}
-	e.cuts[key] = ent
+	boundedPut(e.cuts, key, ent, int(e.limit.Load()))
 	e.cutMu.Unlock()
 }
 

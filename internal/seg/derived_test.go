@@ -96,6 +96,10 @@ func checkPairs(t *testing.T, ev *Evaluator, segs []*Segmentation) {
 	fp := tab.Fingerprint()
 	for _, s1 := range segs {
 		for _, s2 := range segs {
+			// An empty tier makes every pair build its sides, so the
+			// memo's side shapes are checked even for a hand-built copy
+			// whose key equals a proven segmentation's.
+			dropPairTables(ev)
 			memo := NewPairMemo()
 			got, err := CellCountsOpt(ev, s1, s2, PairOptions{Workers: 2, Memo: memo})
 			if err != nil {
@@ -124,19 +128,12 @@ func checkPairs(t *testing.T, ev *Evaluator, segs []*Segmentation) {
 	}
 }
 
-// TestDerivedCellsMatchFullTable holds the derived contingency table —
-// the last row and column taken from the segment counts — to a
-// brute-force table on every pair of HB-cuts candidates, initial and
-// composed, of a VOC and a sky-survey context. The sky table has NaN
-// in redshift (a range cut puts those rows in every child) and a
-// near-constant float column with NaN (the nominal fallback puts them
-// in none), so its NaN-touched candidates must carry no proof and
-// count every cell. Candidates of two different contexts, and
-// hand-built copies, count every cell too.
-func TestDerivedCellsMatchFullTable(t *testing.T) {
-	voc := dataset.VOC(3000, 21)
-	voc.SetChunkRows(512)
-
+// nanSky is a 3000-row sky survey at 512-row chunks with NaN in
+// redshift (every 37th row) and an extra near-constant float column
+// "flag" with NaN (every 41st row): the two cases where a cut's
+// children do not partition its parent.
+func nanSky(t *testing.T) *engine.Table {
+	t.Helper()
 	sky := dataset.SkySurvey(3000, 5)
 	cols := make([]engine.Column, 0, sky.NumCols()+1)
 	for i := 0; i < sky.NumCols(); i++ {
@@ -164,6 +161,23 @@ func TestDerivedCellsMatchFullTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	sky.SetChunkRows(512)
+	return sky
+}
+
+// TestDerivedCellsMatchFullTable holds the derived contingency table —
+// the last row and column taken from the segment counts — to a
+// brute-force table on every pair of HB-cuts candidates, initial and
+// composed, of a VOC and a sky-survey context. The sky table has NaN
+// in redshift (a range cut puts those rows in every child) and a
+// near-constant float column with NaN (the nominal fallback puts them
+// in none), so its NaN-touched candidates must carry no proof and
+// count every cell. Candidates of two different contexts, and
+// hand-built copies, count every cell too.
+func TestDerivedCellsMatchFullTable(t *testing.T) {
+	voc := dataset.VOC(3000, 21)
+	voc.SetChunkRows(512)
+
+	sky := nanSky(t)
 
 	for _, tc := range []struct {
 		tab   *engine.Table

@@ -49,6 +49,9 @@ type Counters struct {
 	// served from (or built into) a PairMemo.
 	PairMemoHits   int
 	PairMemoMisses int
+	// PairTableHits counts contingency tables served from the
+	// evaluator's pair-table tier without building either side.
+	PairTableHits int
 }
 
 // EvalMetrics is the evaluator's external instrumentation hook:
@@ -67,6 +70,7 @@ type EvalMetrics struct {
 	CutCacheHits   *obs.Counter
 	PairMemoHits   *obs.Counter
 	PairMemoMisses *obs.Counter
+	PairTableHits  *obs.Counter
 }
 
 // cacheShards is the number of independent lock stripes of the
@@ -132,8 +136,16 @@ type Evaluator struct {
 	// entries are far fewer than selections — pieces, plus per-chunk
 	// value counts where a refresh can splice them — so one stripe
 	// suffices.
-	cutMu   sync.RWMutex
-	cuts    map[string]cachedCut
+	cutMu sync.RWMutex
+	cuts  map[string]cachedCut
+	// pairMu guards the pair-table tier: the contingency tables of
+	// segmentation pairs (keyed by the two segmentation keys) counted
+	// at table fingerprint pairFP, and only those. A store at another
+	// fingerprint drops the whole map first, so the tier never holds
+	// two table versions.
+	pairMu  sync.RWMutex
+	pairFP  string
+	pairs   map[[2]string][]int
 	caching atomic.Bool
 	// zonePruning gates the zone-map verdicts (numeric bounds and
 	// nominal presence alike). On by default; the off position is the
@@ -159,6 +171,7 @@ type Evaluator struct {
 	cutCacheHits   atomic.Int64
 	pairMemoHits   atomic.Int64
 	pairMemoMisses atomic.Int64
+	pairTableHits  atomic.Int64
 
 	// em is the installed EvalMetrics hook; always non-nil (zero
 	// value = no-op), swapped atomically by SetEvalMetrics.
@@ -167,7 +180,7 @@ type Evaluator struct {
 
 // NewEvaluator returns a caching evaluator over t.
 func NewEvaluator(t *engine.Table) *Evaluator {
-	e := &Evaluator{tab: t, cuts: make(map[string]cachedCut)}
+	e := &Evaluator{tab: t, cuts: make(map[string]cachedCut), pairs: make(map[[2]string][]int)}
 	for i := range e.shards {
 		e.shards[i].m = make(map[string]cachedSel)
 	}
@@ -202,6 +215,7 @@ func (e *Evaluator) countCutRefresh()   { e.cutRefreshes.Add(1); e.em.Load().Cut
 func (e *Evaluator) countCutCacheHit()  { e.cutCacheHits.Add(1); e.em.Load().CutCacheHits.Inc() }
 func (e *Evaluator) countPairMemoHit()  { e.pairMemoHits.Add(1); e.em.Load().PairMemoHits.Inc() }
 func (e *Evaluator) countPairMemoMiss() { e.pairMemoMisses.Add(1); e.em.Load().PairMemoMisses.Inc() }
+func (e *Evaluator) countPairTableHit() { e.pairTableHits.Add(1); e.em.Load().PairTableHits.Inc() }
 
 // SetZonePruning toggles zone-map chunk pruning (numeric min/max and
 // nominal presence verdicts). Pruning never changes results — only
@@ -223,10 +237,11 @@ func (e *Evaluator) allRows() *engine.ChunkedSelection {
 	return cs
 }
 
-// SetCacheLimit bounds the number of cached selections; at the
-// limit an arbitrary entry per shard is evicted to make room.
-// n <= 0 means unbounded (the default, right for one-shot advisory
-// runs and the paper experiments).
+// SetCacheLimit bounds each of the evaluator's stores — selections,
+// packed bitmaps, cut points and pair tables — to n entries; at the
+// limit an arbitrary entry is evicted to make room (per shard for the
+// sharded selection stores). n <= 0 means unbounded (the default,
+// right for one-shot advisory runs and the paper experiments).
 func (e *Evaluator) SetCacheLimit(n int) {
 	if n < 0 {
 		n = 0
@@ -256,6 +271,9 @@ func (e *Evaluator) SetCaching(on bool) {
 		e.cutMu.Lock()
 		e.cuts = make(map[string]cachedCut)
 		e.cutMu.Unlock()
+		e.pairMu.Lock()
+		e.pairs = make(map[[2]string][]int)
+		e.pairMu.Unlock()
 	}
 }
 
@@ -271,6 +289,7 @@ func (e *Evaluator) Counters() Counters {
 		CutCacheHits:   int(e.cutCacheHits.Load()),
 		PairMemoHits:   int(e.pairMemoHits.Load()),
 		PairMemoMisses: int(e.pairMemoMisses.Load()),
+		PairTableHits:  int(e.pairTableHits.Load()),
 	}
 }
 
@@ -285,6 +304,7 @@ func (e *Evaluator) ResetCounters() {
 	e.cutCacheHits.Store(0)
 	e.pairMemoHits.Store(0)
 	e.pairMemoMisses.Store(0)
+	e.pairTableHits.Store(0)
 }
 
 // CacheLen returns the number of cached selections.
@@ -314,32 +334,42 @@ func (e *Evaluator) cached(key string) (cachedSel, bool) {
 	return ent, ok
 }
 
-// store records key → sel. Concurrent evaluators may compute the
-// same selection twice; the results are identical, so last write
-// wins and both callers' values stay valid (selections are
-// immutable by contract). Over the cache limit, one arbitrary entry
-// of the shard makes room — random-replacement is crude but keeps
-// the hot path lock-cheap and bounds memory. Overwriting a key that
-// is already present never evicts: the store does not grow the
-// shard, so there is nothing to make room for (evicting anyway
-// would shrink the cache by one on every re-store at the limit).
-func (e *Evaluator) store(key string, sel *engine.ChunkedSelection, stamp *engine.EpochStamp) {
-	perShard := 0
-	if limit := e.limit.Load(); limit > 0 {
-		perShard = int((limit + cacheShards - 1) / cacheShards)
-	}
-	s := e.shard(key)
-	s.mu.Lock()
-	if perShard > 0 && len(s.m) >= perShard {
-		if _, exists := s.m[key]; !exists {
+// boundedPut is the one eviction policy of every evaluator store:
+// m[key] = v, and when m already holds limit entries and key is new,
+// one arbitrary entry makes room first. Random replacement is crude
+// but keeps the hot path lock-cheap and bounds memory. Overwriting a
+// key that is already present never evicts: the store does not grow
+// m, so there is nothing to make room for (evicting anyway would
+// shrink the store by one on every re-store at the limit). limit <= 0
+// means unbounded. The caller holds m's write lock.
+func boundedPut[K comparable, V any](m map[K]V, key K, v V, limit int) {
+	if limit > 0 && len(m) >= limit {
+		if _, exists := m[key]; !exists {
 			//lint:deterministic random-replacement eviction is deliberately arbitrary: cache contents affect reuse, never results
-			for k := range s.m {
-				delete(s.m, k)
+			for k := range m {
+				delete(m, k)
 				break
 			}
 		}
 	}
-	s.m[key] = cachedSel{cs: sel, stamp: stamp}
+	m[key] = v
+}
+
+// shardLimit is the cache limit's share of one selection-store shard
+// (0 = unbounded).
+func (e *Evaluator) shardLimit() int {
+	limit := e.limit.Load()
+	return int((limit + cacheShards - 1) / cacheShards)
+}
+
+// store records key → sel. Concurrent evaluators may compute the
+// same selection twice; the results are identical, so last write
+// wins and both callers' values stay valid (selections are
+// immutable by contract).
+func (e *Evaluator) store(key string, sel *engine.ChunkedSelection, stamp *engine.EpochStamp) {
+	s := e.shard(key)
+	s.mu.Lock()
+	boundedPut(s.m, key, cachedSel{cs: sel, stamp: stamp}, e.shardLimit())
 	s.mu.Unlock()
 }
 
@@ -354,26 +384,41 @@ func (e *Evaluator) cachedPacked(key string) (cachedBitmap, bool) {
 	return ent, ok
 }
 
-// storeBitmap records key → bm in the packed-selection cache, with
-// the same bounded random-replacement policy as the selection store.
+// storeBitmap records key → bm in the packed-selection cache.
 func (e *Evaluator) storeBitmap(key string, bm *engine.Bitmap, stamp *engine.EpochStamp) {
-	perShard := 0
-	if limit := e.limit.Load(); limit > 0 {
-		perShard = int((limit + cacheShards - 1) / cacheShards)
-	}
 	s := &e.bmShards[maphash.String(cacheSeed, key)%cacheShards]
 	s.mu.Lock()
-	if perShard > 0 && len(s.m) >= perShard {
-		if _, exists := s.m[key]; !exists {
-			//lint:deterministic random-replacement eviction is deliberately arbitrary: cache contents affect reuse, never results
-			for k := range s.m {
-				delete(s.m, k)
-				break
-			}
-		}
-	}
-	s.m[key] = cachedBitmap{bm: bm, stamp: stamp}
+	boundedPut(s.m, key, cachedBitmap{bm: bm, stamp: stamp}, e.shardLimit())
 	s.mu.Unlock()
+}
+
+// pairTable copies the contingency table of the segmentation pair key
+// into flat when the tier holds it at fingerprint fp.
+func (e *Evaluator) pairTable(fp string, key [2]string, flat []int) bool {
+	e.pairMu.RLock()
+	t, ok := e.pairs[key]
+	ok = ok && e.pairFP == fp && len(t) == len(flat)
+	if ok {
+		copy(flat, t)
+	}
+	e.pairMu.RUnlock()
+	return ok
+}
+
+// storePairTable records a copy of the contingency table flat, counted
+// at fingerprint fp, under the segmentation pair key. A table counted
+// across a mutation is not stored: its cells may mix two versions.
+func (e *Evaluator) storePairTable(fp string, key [2]string, flat []int) {
+	if e.tab.Fingerprint() != fp {
+		return
+	}
+	t := slices.Clone(flat)
+	e.pairMu.Lock()
+	if e.pairFP != fp {
+		e.pairFP, e.pairs = fp, make(map[[2]string][]int)
+	}
+	boundedPut(e.pairs, key, t, int(e.limit.Load()))
+	e.pairMu.Unlock()
 }
 
 // packedSelection returns the word-packed form of q's selection,

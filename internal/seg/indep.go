@@ -267,21 +267,45 @@ func CellCounts(ev *Evaluator, s1, s2 *Segmentation) ([][]int, error) {
 
 // cellCountsInto fills flat (row-major, length n1×n2) with the joint
 // contingency table — the shared core of PRODUCT, CellCounts, INDEP
-// and the chi-squared rule. Each segmentation's selections are
-// gathered and packed once, then the cell loop fans out across
-// opt.Workers; every cell writes its own slot, so the table is
-// deterministic at every width. Cell errors are impossible once both
-// sides are built; only cancellation can surface, and a cancelled
-// table must not be read as all-zero counts.
-//
-// When both segmentations carry partition proofs of one context at
-// the current fingerprint, the table's row sums are s1.Counts and its
-// column sums s2.Counts, so only the cells i < n1−1, j < n2−1 are
-// counted: the last column is Counts[i] − Σ of its row and the last
-// row s2.Counts[j] − Σ of its column. A binary pair then costs one
-// intersection instead of four. Any other pair counts every cell.
+// and the chi-squared rule. The table is a pure function of the table
+// version and the two segmentations, so with caching on it is served
+// from the evaluator's pair-table tier when that holds it at the
+// current fingerprint (HB-cuts on a revisited path re-pairs the same
+// candidates), and a freshly counted table is stored there. The key
+// leaves out the representation and the side shape: every path counts
+// the same cells. A cancelled count is never stored.
 func cellCountsInto(ev *Evaluator, s1, s2 *Segmentation, opt PairOptions, flat []int) error {
 	fp := ev.Table().Fingerprint()
+	if !ev.caching.Load() {
+		return countCells(ev, s1, s2, opt, fp, flat)
+	}
+	key := [2]string{s1.Key(), s2.Key()}
+	if ev.pairTable(fp, key, flat) {
+		ev.countPairTableHit()
+		return nil
+	}
+	if err := countCells(ev, s1, s2, opt, fp, flat); err != nil {
+		return err
+	}
+	ev.storePairTable(fp, key, flat)
+	return nil
+}
+
+// countCells counts the contingency table of s1 and s2 at fingerprint
+// fp into flat. Each segmentation's selections are gathered and packed
+// once, then the cell loop fans out across opt.Workers; every cell
+// writes its own slot, so the table is deterministic at every width.
+// Cell errors are impossible once both sides are built; only
+// cancellation can surface, and a cancelled table must not be read as
+// all-zero counts.
+//
+// When both segmentations carry partition proofs of one context at
+// fp, the table's row sums are s1.Counts and its column sums
+// s2.Counts, so only the cells i < n1−1, j < n2−1 are counted: the
+// last column is Counts[i] − Σ of its row and the last row
+// s2.Counts[j] − Σ of its column. A binary pair then costs one
+// intersection instead of four. Any other pair counts every cell.
+func countCells(ev *Evaluator, s1, s2 *Segmentation, opt PairOptions, fp string, flat []int) error {
 	derived := sameContextAt(s1, s2, fp)
 	a, err := buildSide(ev, s1, opt, fp, derived)
 	if err != nil {
