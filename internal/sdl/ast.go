@@ -325,6 +325,7 @@ var _ fmt.Stringer = Query{}
 // (date: [1550-01-01, 1650-12-31], tonnage:, type: {fluit, jacht}).
 func (q Query) String() string { return q.Key() }
 
+// render is the canonical SDL form of constraints in canonical order.
 func render(cs []Constraint) string {
 	var b strings.Builder
 	b.WriteByte('(')
