@@ -8,7 +8,7 @@ GO ?= go
 # baselines never overwrite each other in the artifact history.
 BENCH_OUT ?= BENCH_10.json
 
-.PHONY: all build test test-race bench bench-smoke bench-json bench-scale bench-delta fmt fmt-check vet lint layers-build fuzz-smoke chaos metrics-smoke docs-check ci
+.PHONY: all build test test-race bench bench-smoke bench-json bench-scale bench-delta bench-check fmt fmt-check vet lint layers-build fuzz-smoke chaos metrics-smoke docs-check ci
 
 all: build
 
@@ -27,9 +27,9 @@ bench:
 
 # One iteration per benchmark: proves they still run, in CI time.
 # -bench=. sweeps everything, including the E14 bitmap-intersect /
-# E15 parallel-cells pair guarding the selection-representation work
-# and the E16 chunked-scan benchmark guarding the chunked storage
-# path. (E17 self-skips without CHARLES_SCALE.)
+# E15 parallel-cells pair guarding the pairwise cell loop and the E16
+# chunked-scan benchmark guarding the chunked storage path. (E17
+# self-skips without CHARLES_SCALE.)
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -51,6 +51,14 @@ bench-json:
 bench-delta:
 	$(GO) test -run=NONE -bench=BenchmarkE21DeltaAdvise -benchtime=1x .
 	CHARLES_DELTA_GATE=1 $(GO) test -run='TestE21DeltaAdviseGate' -v -timeout=15m .
+
+# The advise benchmark's output check (bench/README.md) on 100k-row
+# tables: every workload runs its op list, and every distinct context's
+# cached answer is held to a fresh advisor's deep check. It fails only
+# on a check violation or a failed op; timings are printed, never
+# judged.
+bench-check:
+	$(GO) run ./bench -check -rows 100000
 
 # The 10M-row scale comparison (E17) plus the 1M-row chunked scan
 # (E16), locally: generates ~10M rows of VOC (several hundred MB),
@@ -127,4 +135,4 @@ metrics-smoke:
 docs-check:
 	$(GO) test -run='TestDocs' .
 
-ci: fmt-check vet lint build layers-build test-race chaos fuzz-smoke metrics-smoke docs-check bench-json bench-delta
+ci: fmt-check vet lint build layers-build test-race chaos fuzz-smoke metrics-smoke docs-check bench-json bench-delta bench-check

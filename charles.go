@@ -69,9 +69,6 @@ type (
 	Evaluator = seg.Evaluator
 	// CutOptions parameterizes the CUT primitive.
 	CutOptions = seg.CutOptions
-	// SelectionRep picks the physical representation of segment
-	// selections in the pairwise operators (Config.Selection).
-	SelectionRep = seg.SelectionRep
 	// Progress is one advise progress report (AdviseCtx).
 	Progress = core.Progress
 	// ProgressFunc receives progress reports during an advise; calls
@@ -87,17 +84,6 @@ const (
 	PhasePairs = core.PhasePairs
 	// PhaseTrials covers adaptive attribute trial-cuts (open-ended).
 	PhaseTrials = core.PhaseTrials
-)
-
-// Selection representations for Config.Selection: RepAuto (default)
-// packs dense extents — ≥ 1/64 of the table — into word-wise
-// AND+popcount bitmaps and keeps sparse ones as sorted row-id
-// vectors; the other two force one representation. All settings
-// produce identical ranked output.
-const (
-	RepAuto   = seg.RepAuto
-	RepVector = seg.RepVector
-	RepBitmap = seg.RepBitmap
 )
 
 // DefaultChunkRows is the automatic row-range chunk width of the

@@ -533,14 +533,13 @@ func TestFailedAdviseNeverCached(t *testing.T) {
 }
 
 // TestConfigFingerprintKnobs pins the satellite's fingerprint
-// semantics: output-equivalent knobs (Workers, Selection, ChunkRows)
+// semantics: output-equivalent knobs (Workers, ChunkRows)
 // share a fingerprint; output-changing knobs do not.
 func TestConfigFingerprintKnobs(t *testing.T) {
 	base := charles.DefaultConfig()
 	fp := configFingerprint(base)
 	same := base
 	same.Workers = 8
-	same.Selection = charles.RepBitmap
 	same.ChunkRows = 512
 	if configFingerprint(same) != fp {
 		t.Fatal("equivalence knobs fragmented the fingerprint")

@@ -65,23 +65,14 @@ type Config struct {
 	// available CPU (runtime.GOMAXPROCS). The ranked output is
 	// identical for every worker count.
 	Workers int
-	// Selection picks the physical representation of segment
-	// selections inside the pairwise operators (PRODUCT and the
-	// contingency tables behind INDEP): seg.RepAuto (the default)
-	// packs extents covering ≥ 1/64 of the table into word-wise
-	// AND+popcount bitmaps and keeps sparse ones as sorted row-id
-	// vectors; seg.RepVector and seg.RepBitmap force one
-	// representation everywhere. All settings produce identical
-	// ranked output — only the wall-clock moves.
-	Selection seg.SelectionRep
 	// ChunkRows fixes the storage layer's row-range chunk width —
 	// the shard the table, its selections and its bitmaps split into
 	// for parallel scanning and zone-map skipping. 0 (the default)
 	// means the automatic width (engine.DefaultChunkRows, 64K rows);
-	// other values are rounded up to a power of two. Like Workers
-	// and Selection it never changes ranked output — the k-th
-	// smallest of a multiset does not depend on how the multiset is
-	// sharded — only where the wall-clock and memory go.
+	// other values are rounded up to a power of two. Like Workers it
+	// never changes ranked output — the k-th smallest of a multiset
+	// does not depend on how the multiset is sharded — only where the
+	// wall-clock and memory go.
 	ChunkRows int
 }
 

@@ -198,7 +198,7 @@ func newHBStateCtx(ctx context.Context, ev *seg.Evaluator, context sdl.Query, cf
 	}
 	cuts := make([]initial, len(attrs))
 	err := par.ForEachCtx(ctx, cfg.Workers, len(attrs), func(i int) error {
-		s, ok, err := seg.InitialCandidate(ev, context, attrs[i], cfg.Cut, cfg.Selection)
+		s, ok, err := seg.InitialCandidate(ev, context, attrs[i], cfg.Cut)
 		if err != nil {
 			return err
 		}
@@ -263,7 +263,7 @@ func (st *hbState) step() (*seg.Segmentation, bool, error) {
 		return nil, false, nil
 	}
 	spCompose := tr.Start("compose")
-	composed, err := seg.ComposeCandidate(st.ev, s1.seg, s2.seg, st.cfg.Cut, st.cfg.Selection, st.cfg.MaxDepth)
+	composed, err := seg.ComposeCandidate(st.ev, s1.seg, s2.seg, st.cfg.Cut, st.cfg.MaxDepth)
 	spCompose.End()
 	if err != nil {
 		return nil, false, err
@@ -364,10 +364,10 @@ func (st *hbState) pickPair() (int, int, float64, error) {
 }
 
 // pairOpts builds the options one pairwise operator call runs
-// under: the configured selection representation, the advise-wide
-// pair-side memo, with the cell loop bounded at workers goroutines.
+// under: the advise-wide pair-side memo, with the cell loop bounded at
+// workers goroutines.
 func (st *hbState) pairOpts(workers int) seg.PairOptions {
-	return seg.PairOptions{Workers: workers, Rep: st.cfg.Selection, Memo: st.memo, Ctx: st.ctx}
+	return seg.PairOptions{Workers: workers, Memo: st.memo, Ctx: st.ctx}
 }
 
 func pairKey(a, b candidate) [2]int {

@@ -28,9 +28,9 @@ func bmEqual(t *testing.T, name string, got *Bitmap, wantCS *ChunkedSelection) {
 }
 
 // TestFusedBitmapFiltersMatchChunked is the fused-path equivalence
-// property: every Filter*ChunkedBitmap must produce exactly the
-// bitmap that packing the corresponding Filter*Chunked result
-// produces, over adversarial parent shapes, with and without zone
+// property: FilterChunkedBitmap, under every typed predicate, must
+// produce exactly the bitmap that packing the corresponding
+// Filter*Chunked result produces, over adversarial parent shapes, with and without zone
 // maps.
 func TestFusedBitmapFiltersMatchChunked(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -58,34 +58,34 @@ func TestFusedBitmapFiltersMatchChunked(t *testing.T) {
 						FilterIntRangeChunkedBitmap(ton, cs, r, sum),
 						FilterIntRangeChunked(ton, cs, r, sum))
 				}
-				bmEqual(t, "FilterIntSetChunkedBitmap",
-					FilterIntSetChunkedBitmap(ton, cs, []int64{0, 17, 100, 999}, sum),
+				bmEqual(t, "IntSetPred",
+					FilterChunkedBitmap(cs, IntSetPred(ton, []int64{0, 17, 100, 999}, sum)),
 					FilterIntSetChunked(ton, cs, []int64{0, 17, 100, 999}, sum))
 			}
 			fr := FloatRange{Lo: 5, Hi: 30, LoIncl: true, HiIncl: true}
-			bmEqual(t, "FilterFloatRangeChunkedBitmap",
-				FilterFloatRangeChunkedBitmap(speed, cs, fr, speedSum),
+			bmEqual(t, "FloatRangePred",
+				FilterChunkedBitmap(cs, FloatRangePred(speed, fr, speedSum)),
 				FilterFloatRangeChunked(speed, cs, fr, speedSum))
 			frAll := FloatRange{Lo: math.Inf(-1), Hi: math.Inf(1), LoIncl: true, HiIncl: true}
-			bmEqual(t, "FilterFloatRangeChunkedBitmap all",
-				FilterFloatRangeChunkedBitmap(speed, cs, frAll, speedSum),
+			bmEqual(t, "FloatRangePred all",
+				FilterChunkedBitmap(cs, FloatRangePred(speed, frAll, speedSum)),
 				FilterFloatRangeChunked(speed, cs, frAll, speedSum))
-			bmEqual(t, "FilterFloatSetChunkedBitmap",
-				FilterFloatSetChunkedBitmap(speed, cs, []float64{3, 20}, speedSum),
+			bmEqual(t, "FloatSetPred",
+				FilterChunkedBitmap(cs, FloatSetPred(speed, []float64{3, 20}, speedSum)),
 				FilterFloatSetChunked(speed, cs, []float64{3, 20}, speedSum))
 			for _, sum := range []*ChunkSummary{typSum, nil} {
 				bmEqual(t, "FilterStringSetChunkedBitmap",
 					FilterStringSetChunkedBitmap(typ, cs, []string{"fluit", "galjoot"}, sum),
 					FilterStringSetChunked(typ, cs, []string{"fluit", "galjoot"}, sum))
-				bmEqual(t, "FilterStringRangeChunkedBitmap",
-					FilterStringRangeChunkedBitmap(typ, cs, "g", "k", true, false, sum),
+				bmEqual(t, "StringRangePred",
+					FilterChunkedBitmap(cs, StringRangePred(typ, "g", "k", true, false, sum)),
 					FilterStringRangeChunked(typ, cs, "g", "k", true, false, sum))
 			}
-			bmEqual(t, "FilterBoolSetChunkedBitmap",
-				FilterBoolSetChunkedBitmap(armed, cs, []bool{true}, armedSum),
+			bmEqual(t, "BoolSetPred",
+				FilterChunkedBitmap(cs, BoolSetPred(armed, []bool{true}, armedSum)),
 				FilterBoolSetChunked(armed, cs, []bool{true}, armedSum))
-			bmEqual(t, "FilterBoolSetChunkedBitmap both",
-				FilterBoolSetChunkedBitmap(armed, cs, []bool{true, false}, armedSum),
+			bmEqual(t, "BoolSetPred both",
+				FilterChunkedBitmap(cs, BoolSetPred(armed, []bool{true, false}, armedSum)),
 				FilterBoolSetChunked(armed, cs, []bool{true, false}, armedSum))
 		}
 	}
@@ -103,8 +103,8 @@ func TestFusedBitmapEmptySets(t *testing.T) {
 	for name, bm := range map[string]*Bitmap{
 		"string empty":      FilterStringSetChunkedBitmap(typ, all, nil, tab.SummaryByName("type")),
 		"string unresolved": FilterStringSetChunkedBitmap(typ, all, []string{"nope"}, tab.SummaryByName("type")),
-		"int empty":         FilterIntSetChunkedBitmap(ton, all, nil, tab.SummaryByName("ton")),
-		"bool empty":        FilterBoolSetChunkedBitmap(tab.MustColumn("armed").(*BoolColumn), all, nil, tab.SummaryByName("armed")),
+		"int empty":         FilterChunkedBitmap(all, IntSetPred(ton, nil, tab.SummaryByName("ton"))),
+		"bool empty":        FilterChunkedBitmap(all, BoolSetPred(tab.MustColumn("armed").(*BoolColumn), nil, tab.SummaryByName("armed"))),
 	} {
 		if bm.Count() != 0 || len(bm.Selection()) != 0 {
 			t.Fatalf("%s: expected empty bitmap, got %d rows", name, bm.Count())

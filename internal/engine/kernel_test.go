@@ -89,7 +89,7 @@ func checkFloatRange(t testing.TB, col FloatValued, sum *ChunkSummary, cs *Chunk
 			return FilterFloatRangeChunked(col, cs, r, s)
 		},
 		func(cs *ChunkedSelection, s *ChunkSummary) *Bitmap {
-			return FilterFloatRangeChunkedBitmap(col, cs, r, s)
+			return FilterChunkedBitmap(cs, FloatRangePred(col, r, s))
 		},
 		func(row int32) bool { return r.Contains(vals[row]) })
 }
@@ -102,7 +102,7 @@ func checkIntSet(t testing.TB, col IntValued, sum *ChunkSummary, cs *ChunkedSele
 			return FilterIntSetChunked(col, cs, values, s)
 		},
 		func(cs *ChunkedSelection, s *ChunkSummary) *Bitmap {
-			return FilterIntSetChunkedBitmap(col, cs, values, s)
+			return FilterChunkedBitmap(cs, IntSetPred(col, values, s))
 		},
 		func(row int32) bool {
 			for _, v := range values {
@@ -124,7 +124,7 @@ func checkFloatSet(t testing.TB, col FloatValued, sum *ChunkSummary, cs *Chunked
 			return FilterFloatSetChunked(col, cs, values, s)
 		},
 		func(cs *ChunkedSelection, s *ChunkSummary) *Bitmap {
-			return FilterFloatSetChunkedBitmap(col, cs, values, s)
+			return FilterChunkedBitmap(cs, FloatSetPred(col, values, s))
 		},
 		func(row int32) bool {
 			for _, v := range values {
@@ -159,7 +159,7 @@ func checkStringRange(t testing.TB, col *StringColumn, sum *ChunkSummary, cs *Ch
 			return FilterStringRangeChunked(col, cs, lo, hi, loIncl, hiIncl, s)
 		},
 		func(cs *ChunkedSelection, s *ChunkSummary) *Bitmap {
-			return FilterStringRangeChunkedBitmap(col, cs, lo, hi, loIncl, hiIncl, s)
+			return FilterChunkedBitmap(cs, StringRangePred(col, lo, hi, loIncl, hiIncl, s))
 		},
 		func(row int32) bool {
 			v := col.Str(int(row))
@@ -174,7 +174,7 @@ func checkBoolSet(t testing.TB, col *BoolColumn, sum *ChunkSummary, cs *ChunkedS
 			return FilterBoolSetChunked(col, cs, values, s)
 		},
 		func(cs *ChunkedSelection, s *ChunkSummary) *Bitmap {
-			return FilterBoolSetChunkedBitmap(col, cs, values, s)
+			return FilterChunkedBitmap(cs, BoolSetPred(col, values, s))
 		},
 		func(row int32) bool {
 			for _, v := range values {

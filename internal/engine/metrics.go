@@ -27,7 +27,9 @@ type Metrics struct {
 	ZoneScan *obs.Counter
 	// VectorKernels / FusedKernels count driver invocations by
 	// output representation: row-id selections (per predicate) vs
-	// bitmaps built by the fused filter→bitmap scan.
+	// bitmaps built by the fused filter→bitmap scan, which no advise
+	// runs. FusedKernels is kept only for the per-layer probes until
+	// ROADMAP item 4 drops them.
 	VectorKernels *obs.Counter
 	FusedKernels  *obs.Counter
 }

@@ -394,16 +394,6 @@ func cutSeg(ev *Evaluator, s *Segmentation, attr string, opt CutOptions, packBel
 	return out, nil
 }
 
-// candidatePack is cutSeg's packBelow for a candidate INDEP pairs under
-// rep until it reaches maxDepth queries: RepVector pairs no bitmap, so
-// nothing is packed for it.
-func candidatePack(rep SelectionRep, maxDepth int) int {
-	if rep == RepVector {
-		return 0
-	}
-	return maxDepth
-}
-
 // InitialCut builds the binary segmentation CUT_attr(context), the
 // seed candidates of HB-cuts (Figure 4, lines 3-5). The boolean is
 // false when the attribute cannot be split (constant within the
@@ -413,11 +403,10 @@ func InitialCut(ev *Evaluator, context sdl.Query, attr string, opt CutOptions) (
 }
 
 // InitialCandidate is InitialCut for HB-cuts, which pairs every seed
-// candidate with INDEP under rep: unless rep is RepVector, the cut
-// also packs its dense children's bitmaps, so building the INDEP
-// sides re-packs none of them.
-func InitialCandidate(ev *Evaluator, context sdl.Query, attr string, opt CutOptions, rep SelectionRep) (*Segmentation, bool, error) {
-	return initialCut(ev, context, attr, opt, candidatePack(rep, math.MaxInt))
+// candidate with INDEP: the cut also packs its dense children's
+// bitmaps, so building the INDEP sides re-packs none of them.
+func InitialCandidate(ev *Evaluator, context sdl.Query, attr string, opt CutOptions) (*Segmentation, bool, error) {
+	return initialCut(ev, context, attr, opt, math.MaxInt)
 }
 
 func initialCut(ev *Evaluator, context sdl.Query, attr string, opt CutOptions, pack int) (*Segmentation, bool, error) {
@@ -447,12 +436,12 @@ func Compose(ev *Evaluator, s1, s2 *Segmentation, opt CutOptions) (*Segmentation
 }
 
 // ComposeCandidate is Compose for HB-cuts, which pairs the result
-// with INDEP under rep unless it reaches maxDepth queries (a deeper
-// composition stops the search unpaired). Only the outermost cut's
-// result is that candidate, so only it may pack bitmaps: unless rep is
-// RepVector, and only when it cannot reach maxDepth pieces.
-func ComposeCandidate(ev *Evaluator, s1, s2 *Segmentation, opt CutOptions, rep SelectionRep, maxDepth int) (*Segmentation, error) {
-	return compose(ev, s1, s2, opt, candidatePack(rep, maxDepth))
+// with INDEP unless it reaches maxDepth queries (a deeper composition
+// stops the search unpaired). Only the outermost cut's result is that
+// candidate, so only it may pack bitmaps, and only when it cannot
+// reach maxDepth pieces.
+func ComposeCandidate(ev *Evaluator, s1, s2 *Segmentation, opt CutOptions, maxDepth int) (*Segmentation, error) {
+	return compose(ev, s1, s2, opt, maxDepth)
 }
 
 func compose(ev *Evaluator, s1, s2 *Segmentation, opt CutOptions, pack int) (*Segmentation, error) {

@@ -62,7 +62,7 @@ func candidates(t *testing.T, ev *Evaluator, context sdl.Query) []*Segmentation 
 	opt := DefaultCutOptions()
 	var initial []*Segmentation
 	for _, attr := range context.Attrs() {
-		s, ok, err := InitialCandidate(ev, context, attr, opt, RepAuto)
+		s, ok, err := InitialCandidate(ev, context, attr, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func candidates(t *testing.T, ev *Evaluator, context sdl.Query) []*Segmentation 
 			if a == b {
 				continue
 			}
-			c, err := ComposeCandidate(ev, a, b, opt, RepAuto, 12)
+			c, err := ComposeCandidate(ev, a, b, opt, 12)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -234,7 +234,7 @@ func TestDerivedCellsMatchFullTable(t *testing.T) {
 	var segs []*Segmentation
 	for _, ctx := range []sdl.Query{wide, narrow} {
 		for _, attr := range []string{"type_of_boat", "tonnage"} {
-			s, ok, err := InitialCandidate(ev, ctx, attr, opt, RepAuto)
+			s, ok, err := InitialCandidate(ev, ctx, attr, opt)
 			if err != nil || !ok {
 				t.Fatalf("cut %s of %s: %v ok=%v", attr, ctx, err, ok)
 			}
@@ -269,11 +269,11 @@ func TestDerivedCellsAfterAppend(t *testing.T) {
 	}
 	ev := NewEvaluator(tab)
 	opt := DefaultCutOptions()
-	s1, _, err := InitialCandidate(ev, ctx, "tonnage", opt, RepAuto)
+	s1, _, err := InitialCandidate(ev, ctx, "tonnage", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _, err := InitialCandidate(ev, ctx, "type_of_boat", opt, RepAuto)
+	s2, _, err := InitialCandidate(ev, ctx, "type_of_boat", opt)
 	if err != nil {
 		t.Fatal(err)
 	}

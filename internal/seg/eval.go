@@ -425,12 +425,11 @@ func (e *Evaluator) storePairTable(fp string, key [2]string, flat []int) {
 // serving repeats from a per-query cache: HB-cuts evaluates each
 // candidate against O(n) partners per step, and without the cache
 // every pairwise operator call would re-pack the same bitmaps. The
-// caller decides whether packing pays (the representation knob and
-// density heuristic live in the pairwise operators); this only
-// memoizes the result of that decision, so cached and uncached runs
-// take identical code paths. Bitmaps inherit the table's chunk
-// layout — chunks with no selected rows are never allocated — and
-// are immutable by contract, like selections.
+// caller decides whether packing pays (the density rule lives in the
+// pairwise operators); this only memoizes the result of that decision,
+// so cached and uncached runs take identical code paths. Bitmaps
+// inherit the table's chunk layout — chunks with no selected rows are
+// never allocated — and are immutable by contract, like selections.
 func (e *Evaluator) packedSelection(q sdl.Query, cs *engine.ChunkedSelection) *engine.Bitmap {
 	if !e.caching.Load() {
 		return engine.NewBitmapChunked(cs)
@@ -459,83 +458,16 @@ func (e *Evaluator) packedSelection(q sdl.Query, cs *engine.ChunkedSelection) *e
 }
 
 // SelectBitmap returns R(Q) word-packed, the form the dense side of
-// the pairwise operators consumes. Cached forms are served in
-// cheapest-first order: the packed cache directly (where a candidate
-// cut's partition pass already put its dense children), then the
-// chunked selection cache (one packing pass). Only when neither holds
-// the query does it evaluate — and then the final predicate runs as a
-// fused filter→bitmap scan (engine.FilterChunkedBitmap) that writes
-// the bitmap words straight from the typed comparison loop, never
-// materializing the row-id selection it would otherwise build and
-// immediately discard. The returned bitmap must not be mutated.
+// the pairwise operators consumes: the chunked selection
+// (SelectChunked), packed through the packed-selection cache, which
+// serves a current entry as is and splices a stale one's dirty chunks.
+// The returned bitmap must not be mutated.
 func (e *Evaluator) SelectBitmap(q sdl.Query) (*engine.Bitmap, error) {
-	key := q.Key()
-	caching := e.caching.Load()
-	cur := e.tab.Stamp()
-	if caching {
-		if ent, ok := e.cachedPacked(key); ok {
-			if ent.stamp.Version() == cur.Version() {
-				e.countCacheHit()
-				return ent.bm, nil
-			}
-			if bm, ok := e.refreshBitmap(q, ent, cur); ok {
-				e.countDeltaRefresh()
-				e.storeBitmap(key, bm, cur)
-				return bm, nil
-			}
-		}
-		if ent, ok := e.cached(key); ok {
-			if ent.stamp.Version() == cur.Version() {
-				e.countCacheHit()
-				bm := engine.NewBitmapChunked(ent.cs)
-				e.storeBitmap(key, bm, ent.stamp)
-				return bm, nil
-			}
-			if cs, ok := e.refreshChunked(q, ent, cur); ok {
-				e.countDeltaRefresh()
-				e.store(key, cs, cur)
-				bm := engine.NewBitmapChunked(cs)
-				e.storeBitmap(key, bm, cur)
-				return bm, nil
-			}
-		}
-	}
-	cs := e.allRows()
-	last := -1
-	cons := q.Constraints()
-	for i, c := range cons {
-		if !c.IsAny() {
-			last = i
-		}
-	}
-	if last < 0 {
-		// Unconstrained context: pack the identity selection.
-		bm := engine.NewBitmapChunked(cs)
-		e.countFullEval()
-		if caching {
-			e.storeBitmap(key, bm, cur)
-		}
-		return bm, nil
-	}
-	for _, c := range cons[:last] {
-		if c.IsAny() {
-			continue
-		}
-		var err error
-		cs, err = e.applyConstraint(cs, c)
-		if err != nil {
-			return nil, err
-		}
-	}
-	bm, err := e.applyConstraintBitmap(cs, cons[last])
+	cs, err := e.SelectChunked(q)
 	if err != nil {
 		return nil, err
 	}
-	e.countFullEval()
-	if caching {
-		e.storeBitmap(key, bm, cur)
-	}
-	return bm, nil
+	return e.packedSelection(q, cs), nil
 }
 
 // deltaDirty decides whether a stale cache entry qualifies for a
@@ -580,46 +512,6 @@ func (e *Evaluator) refreshChunked(q sdl.Query, old cachedSel, cur *engine.Epoch
 		}
 	}
 	return engine.SpliceChunked(old.cs, cs, dirty), true
-}
-
-// refreshBitmap is refreshChunked for the packed cache: the dirty
-// chunks re-evaluate with the final predicate fused into bitmap
-// construction, then splice word-slices with the cached clean
-// chunks.
-func (e *Evaluator) refreshBitmap(q sdl.Query, old cachedBitmap, cur *engine.EpochStamp) (*engine.Bitmap, bool) {
-	dirty := e.deltaDirty(old.stamp, old.bm.NumRows(), old.bm.ChunkRows(), cur)
-	if dirty == nil {
-		return nil, false
-	}
-	cs := engine.PartialIdentity(cur.NumRows(), cur.ChunkRows(), dirty)
-	cons := q.Constraints()
-	last := -1
-	for i, c := range cons {
-		if !c.IsAny() {
-			last = i
-		}
-	}
-	var fresh *engine.Bitmap
-	if last < 0 {
-		fresh = engine.NewBitmapChunked(cs)
-	} else {
-		for _, c := range cons[:last] {
-			if c.IsAny() {
-				continue
-			}
-			var err error
-			cs, err = e.applyConstraint(cs, c)
-			if err != nil {
-				return nil, false
-			}
-		}
-		var err error
-		fresh, err = e.applyConstraintBitmap(cs, cons[last])
-		if err != nil {
-			return nil, false
-		}
-	}
-	return engine.SpliceBitmap(old.bm, fresh, dirty), true
 }
 
 // Select returns the sorted row selection R(Q) as a flat vector —
@@ -697,8 +589,8 @@ func (e *Evaluator) Count(q sdl.Query) (int, error) {
 // sides INDEP will read (the cut's result becomes an HB-cuts
 // candidate): a whole-parent pass also packs their bitmap words while
 // the chunk is hot, and a child dense enough to be a bitmap pair side
-// is stored in the packed cache, where SelectBitmap finds it instead
-// of re-packing.
+// is stored in the packed cache, where building its pair side finds it
+// instead of re-packing.
 func (e *Evaluator) cutChildren(parentCS *engine.ChunkedSelection, children []sdl.Query, attr string, packed int) ([]*engine.ChunkedSelection, error) {
 	keys := make([]string, len(children))
 	cons := make([]sdl.Constraint, len(children))
@@ -832,9 +724,9 @@ func (e *Evaluator) resolveConstraint(cs *engine.ChunkedSelection, attr string) 
 
 // constraintPred resolves one constraint over col into the engine's
 // chunked predicate, sum being the column's zone map (nil when pruning
-// is off). It is the one dispatch behind every evaluation form — row-id
-// filters, fused bitmap scans and cut partitions — so they agree on
-// every constraint by construction.
+// is off). It is the one dispatch behind both evaluation forms — row-id
+// filters and cut partitions — so they agree on every constraint by
+// construction.
 func constraintPred(col engine.Column, c sdl.Constraint, sum *engine.ChunkSummary) (engine.Pred, error) {
 	switch col := col.(type) {
 	case *engine.StringColumn:
@@ -908,23 +800,4 @@ func (e *Evaluator) applyConstraint(cs *engine.ChunkedSelection, c sdl.Constrain
 		return nil, err
 	}
 	return engine.FilterChunked(cs, p), nil
-}
-
-// applyConstraintBitmap is applyConstraint fused into bitmap
-// construction: the same predicate, but its loop packs the word
-// bitmap directly instead of materializing a selection that would
-// only be packed and dropped.
-func (e *Evaluator) applyConstraintBitmap(cs *engine.ChunkedSelection, c sdl.Constraint) (*engine.Bitmap, error) {
-	if c.IsAny() {
-		return engine.NewBitmapChunked(cs), nil
-	}
-	cs, col, sum, err := e.resolveConstraint(cs, c.Attr)
-	if err != nil {
-		return nil, err
-	}
-	p, err := constraintPred(col, c, sum)
-	if err != nil {
-		return nil, err
-	}
-	return engine.FilterChunkedBitmap(cs, p), nil
 }

@@ -11,55 +11,15 @@ import (
 	"charles/internal/stats"
 )
 
-// SelectionRep selects the physical representation of segment
-// selections inside the pairwise operators (PRODUCT, CellCounts,
-// INDEP). Section 5.1 names segment-pair evaluation as the vertical
-// bottleneck: every INDEP costs a contingency table, one intersection
-// count per counted cell. Dense selections count faster as
-// word-packed bitmaps (AND + popcount); sparse ones stay cheaper as
-// sorted row-id vectors.
-type SelectionRep uint8
-
-// Selection representations.
-const (
-	// RepAuto picks per selection: bitmap when the extent covers at
-	// least 1/64 of the table (engine.DenseEnough), row-id vector
-	// otherwise. Mixed cells probe the sparse vector against the
-	// dense bitmap.
-	RepAuto SelectionRep = iota
-	// RepVector forces sorted row-id vectors everywhere (the
-	// pre-bitmap behavior, and the ablation baseline).
-	RepVector
-	// RepBitmap forces word-packed bitmaps everywhere.
-	RepBitmap
-)
-
-// String names the representation for benchmarks and logs.
-func (r SelectionRep) String() string {
-	switch r {
-	case RepAuto:
-		return "auto"
-	case RepVector:
-		return "vector"
-	case RepBitmap:
-		return "bitmap"
-	default:
-		return fmt.Sprintf("rep(%d)", uint8(r))
-	}
-}
-
 // PairOptions parameterizes the pairwise segmentation operators.
-// The zero value — all CPUs, automatic representation, no memo — is
-// the right default for direct callers; the advisor core threads
-// Config.Workers, Config.Selection and a per-advise memo through
-// instead.
+// The zero value — all CPUs, no memo — is the right default for
+// direct callers; the advisor core threads Config.Workers and a
+// per-advise memo through instead.
 type PairOptions struct {
 	// Workers bounds the fan-out of the cell loop and the per-query
 	// selection gather. Values below 1 mean one worker per available
 	// CPU; 1 keeps everything on the calling goroutine.
 	Workers int
-	// Rep selects the selection representation.
-	Rep SelectionRep
 	// Memo, when non-nil, caches built pair sides — one segmentation's
 	// gathered selections plus their packed bitmaps — across operator
 	// calls. HB-cuts evaluates every candidate against O(n) partners
@@ -109,10 +69,11 @@ func (m *PairMemo) put(key string, s *pairSide) {
 	m.mu.Unlock()
 }
 
-// pairSide holds one segmentation's selections, each in exactly the
-// representation the options chose for it: segment i is either
-// bitmap-packed (bms[i] non-nil) or a flat row-id vector (sels[i]
-// non-nil), never materialized as both. A side built for a derived
+// pairSide holds one segmentation's selections, each in the one
+// representation its density picks: segment i is either bitmap-packed
+// (bms[i] non-nil) when its extent covers at least 1/64 of the table
+// (engine.DenseEnough), or a flat row-id vector (sels[i] non-nil)
+// otherwise, never materialized as both. A side built for a derived
 // table holds every segment but the last.
 type pairSide struct {
 	sels []engine.Selection
@@ -120,40 +81,33 @@ type pairSide struct {
 }
 
 // buildSide gathers a segmentation's selections across the worker
-// pool, each in exactly the representation the options choose for
-// it; the cell loop then reuses them |other| times each. Segment
-// counts are already recorded on the segmentation, so the density
-// decision needs no evaluation — a segment destined for the bitmap
-// representation is fetched through SelectBitmap, whose cache-miss
-// path fuses the final predicate scan into bitmap construction and
-// never materializes the row-id selection. The flat row-id view only
-// materializes for segments that stay vectors: the cell loop never
-// reads the vector side of a bitmap-packed segment, so flattening it
-// would be a pure O(|sel|) copy wasted. With a memo in the options
-// the assembled side is shared across every operator call of the
-// advise that mentions the same segmentation. Task errors are rare
-// but cancellation is not, and it must surface — or a half-built
-// side would be memoized as complete. fp is the table fingerprint the
-// caller read; derived marks a side for a derived table, which leaves
-// out the last segment.
+// pool, and the cell loop then reuses them |other| times each. Every
+// segment takes one route: its chunked selection (SelectChunked), then
+// the packed-selection cache when it is dense enough — where a
+// candidate cut's partition pass has usually put it already — and its
+// flat row-id view otherwise. The cell loop never reads the vector
+// side of a packed segment, so flattening it would be a pure O(|sel|)
+// copy wasted. With a memo in the options the assembled side is
+// shared across every operator call of the advise that mentions the
+// same segmentation. Task errors are rare but cancellation is not, and
+// it must surface — or a half-built side would be memoized as
+// complete. fp is the table fingerprint the caller read; derived marks
+// a side for a derived table, which leaves out the last segment.
 func buildSide(ev *Evaluator, s *Segmentation, opt PairOptions, fp string, derived bool) (*pairSide, error) {
 	n := len(s.Queries)
 	var memoKey string
 	if opt.Memo != nil {
-		// The representation knob changes which segments get packed,
-		// so sides built under different reps never alias, and the
-		// shape marker keeps a side without its last segment apart
-		// from a whole one. The table fingerprint keys out sides
-		// built before a mutation: a memo can outlive one advise (a
-		// Stream holds its across Next calls), and a stale side would
-		// silently miscount cells. The fingerprint is cached per
-		// table version, so this stays a single concatenation on the
-		// warm path.
+		// The shape marker keeps a side without its last segment apart
+		// from a whole one. The table fingerprint keys out sides built
+		// before a mutation: a memo can outlive one advise (a Stream
+		// holds its across Next calls), and a stale side would silently
+		// miscount cells. The fingerprint is cached per table version,
+		// so this stays a single concatenation on the warm path.
 		shape := "\x00"
 		if derived {
 			shape = "\x00-"
 		}
-		memoKey = fp + shape + opt.Rep.String() + "\x00" + s.Key()
+		memoKey = fp + shape + "\x00" + s.Key()
 		if side, ok := opt.Memo.get(memoKey); ok {
 			ev.countPairMemoHit()
 			return side, nil
@@ -166,28 +120,12 @@ func buildSide(ev *Evaluator, s *Segmentation, opt PairOptions, fp string, deriv
 	sels := make([]engine.Selection, n)
 	bms := make([]*engine.Bitmap, n)
 	nRows := ev.Table().NumRows()
-	// Counts normally mirror |R(Q_i)| by construction (Cut and
-	// Product record them); a hand-built segmentation without them
-	// falls back to evaluating before deciding the representation.
-	countsKnown := len(s.Counts) == n
 	err := par.ForEachCtx(opt.Ctx, opt.Workers, n, func(i int) error {
-		wantBitmap := opt.Rep == RepBitmap
-		if opt.Rep == RepAuto && countsKnown {
-			wantBitmap = engine.DenseEnough(s.Counts[i], nRows)
-		}
-		if wantBitmap {
-			bm, err := ev.SelectBitmap(s.Queries[i])
-			if err != nil {
-				return err
-			}
-			bms[i] = bm
-			return nil
-		}
 		cs, err := ev.SelectChunked(s.Queries[i])
 		if err != nil {
 			return err
 		}
-		if opt.Rep == RepAuto && !countsKnown && engine.DenseEnough(cs.Len(), nRows) {
+		if engine.DenseEnough(cs.Len(), nRows) {
 			bms[i] = ev.packedSelection(s.Queries[i], cs)
 		} else {
 			sels[i] = cs.Flat()
@@ -204,9 +142,9 @@ func buildSide(ev *Evaluator, s *Segmentation, opt PairOptions, fp string, deriv
 	return side, nil
 }
 
-// cellCount returns |R(Q1i) ∩ R(Q2j)| using the fastest path the
-// chosen representations allow. All three paths return identical
-// counts, so the representation knob never changes advisor output.
+// cellCount returns |R(Q1i) ∩ R(Q2j)| using the fastest path the two
+// segments' representations allow. All three paths return identical
+// counts.
 func cellCount(a *pairSide, i int, b *pairSide, j int) int {
 	switch {
 	case a.bms[i] != nil && b.bms[j] != nil:
@@ -221,7 +159,7 @@ func cellCount(a *pairSide, i int, b *pairSide, j int) int {
 }
 
 // Product implements the SDL product S1 × S2 (Definition 8) with the
-// default options (all-CPU fan-out, automatic representation).
+// default options (all-CPU fan-out).
 func Product(ev *Evaluator, s1, s2 *Segmentation) (*Segmentation, error) {
 	return ProductOpt(ev, s1, s2, PairOptions{})
 }
@@ -260,7 +198,7 @@ func ProductOpt(ev *Evaluator, s1, s2 *Segmentation, opt PairOptions) (*Segmenta
 }
 
 // CellCounts returns the |S1| × |S2| joint contingency table with
-// the default options (all-CPU fan-out, automatic representation).
+// the default options (all-CPU fan-out).
 func CellCounts(ev *Evaluator, s1, s2 *Segmentation) ([][]int, error) {
 	return CellCountsOpt(ev, s1, s2, PairOptions{})
 }
@@ -272,8 +210,8 @@ func CellCounts(ev *Evaluator, s1, s2 *Segmentation) ([][]int, error) {
 // from the evaluator's pair-table tier when that holds it at the
 // current fingerprint (HB-cuts on a revisited path re-pairs the same
 // candidates), and a freshly counted table is stored there. The key
-// leaves out the representation and the side shape: every path counts
-// the same cells. A cancelled count is never stored.
+// leaves out the side shape: whole and derived sides count the same
+// cells. A cancelled count is never stored.
 func cellCountsInto(ev *Evaluator, s1, s2 *Segmentation, opt PairOptions, flat []int) error {
 	fp := ev.Table().Fingerprint()
 	if !ev.caching.Load() {

@@ -7,12 +7,15 @@ import (
 
 	"charles/internal/engine"
 	"charles/internal/sdl"
+	"charles/internal/stats"
 )
 
 // pairFixture builds two multi-segment segmentations over a 4096-row
 // table plus a hand-built third whose segments straddle the bitmap
 // density crossover: one dense majority segment and two sparse tail
-// segments, so RepAuto exercises the mixed bitmap×vector cell path.
+// segments, so its pair side holds both representations and the
+// fixture's pairs run every cell path — bitmap×bitmap, bitmap×vector
+// and vector×vector.
 func pairFixture(t testing.TB) (*Evaluator, *Segmentation, *Segmentation, *Segmentation) {
 	const n = 4096
 	xs := make([]int64, n)
@@ -63,22 +66,51 @@ func pairFixture(t testing.TB) (*Evaluator, *Segmentation, *Segmentation, *Segme
 	return ev, s1, s2, s3
 }
 
-// pairGrid is the worker × representation sweep every equivalence
-// test runs over.
+// TestPairFixtureSidesMixRepresentations pins what makes the pair
+// tests cover every cellCount path: the cut sides pack every segment,
+// and the hand-built side holds both a bitmap and a row-id vector.
+func TestPairFixtureSidesMixRepresentations(t *testing.T) {
+	ev, s1, s2, s3 := pairFixture(t)
+	fp := ev.Table().Fingerprint()
+	for name, s := range map[string]*Segmentation{"s1": s1, "s2": s2, "s3": s3} {
+		side, err := buildSide(ev, s, PairOptions{}.normalize(), fp, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitmaps, vectors := 0, 0
+		for i, bm := range side.bms {
+			switch {
+			case bm != nil && side.sels[i] != nil:
+				t.Fatalf("%s: segment %d is held as both a bitmap and a vector", name, i)
+			case bm != nil:
+				bitmaps++
+			default:
+				vectors++
+			}
+		}
+		if name == "s3" && (bitmaps == 0 || vectors == 0) {
+			t.Fatalf("s3: side holds %d bitmaps and %d vectors, want both kinds", bitmaps, vectors)
+		}
+		if name != "s3" && vectors != 0 {
+			t.Fatalf("%s: side holds %d vectors, want every segment packed", name, vectors)
+		}
+	}
+}
+
+// pairGrid is the worker sweep every equivalence test runs over.
 func pairGrid() []PairOptions {
 	var out []PairOptions
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, rep := range []SelectionRep{RepVector, RepBitmap, RepAuto} {
-			out = append(out, PairOptions{Workers: workers, Rep: rep})
-		}
+		out = append(out, PairOptions{Workers: workers})
 	}
 	return out
 }
 
 // TestCellCountsParallelMatchesSequential pins the tentpole
-// guarantee cell-for-cell: the contingency table is identical at
-// every worker count and representation. Run with -race, this also
-// exercises the parallel cell loop for data races.
+// guarantee cell-for-cell: the contingency table equals the row-at-a-
+// time count at every worker count, on every mix of representations.
+// Run with -race, this also exercises the parallel cell loop for data
+// races.
 func TestCellCountsParallelMatchesSequential(t *testing.T) {
 	ev, s1, s2, s3 := pairFixture(t)
 	pairs := []struct {
@@ -88,12 +120,10 @@ func TestCellCountsParallelMatchesSequential(t *testing.T) {
 		{"dense×dense", s1, s2},
 		{"dense×mixed", s1, s3},
 		{"mixed×dense", s3, s2},
+		{"mixed×mixed", s3, s3},
 	}
 	for _, pair := range pairs {
-		want, err := CellCountsOpt(ev, pair.a, pair.b, PairOptions{Workers: 1, Rep: RepVector})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := bruteCells(t, ev.Table(), pair.a, pair.b)
 		if len(want) < 2 || len(want[0]) < 2 {
 			t.Fatalf("%s: table %dx%d is too small to be meaningful", pair.name, len(want), len(want[0]))
 		}
@@ -118,13 +148,24 @@ func TestCellCountsParallelMatchesSequential(t *testing.T) {
 }
 
 // TestProductParallelMatchesSequential pins that the parallel
-// product merges in (i, j) order: queries and counts are identical
-// to the sequential nested loop at every width and representation.
+// product merges in (i, j) order: its queries and counts are the
+// nonempty row-at-a-time cells, conjoined in (i, j) order, at every
+// width.
 func TestProductParallelMatchesSequential(t *testing.T) {
 	ev, s1, _, s3 := pairFixture(t)
-	want, err := ProductOpt(ev, s1, s3, PairOptions{Workers: 1, Rep: RepVector})
-	if err != nil {
-		t.Fatal(err)
+	want := &Segmentation{CutAttrs: mergeAttrs(s1.CutAttrs, s3.CutAttrs)}
+	for i, row := range bruteCells(t, ev.Table(), s1, s3) {
+		for j, count := range row {
+			if count == 0 {
+				continue
+			}
+			q, nonEmpty, err := sdl.Conjoin(s1.Queries[i], s3.Queries[j])
+			if err != nil || !nonEmpty {
+				t.Fatalf("conjoin (%d, %d): %v nonEmpty=%v", i, j, err, nonEmpty)
+			}
+			want.Queries = append(want.Queries, q)
+			want.Counts = append(want.Counts, count)
+		}
 	}
 	if want.Depth() < 4 {
 		t.Fatalf("product depth %d is too small to be meaningful", want.Depth())
@@ -146,19 +187,15 @@ func TestProductParallelMatchesSequential(t *testing.T) {
 }
 
 // TestIndepAndChiSquareInvariantAcrossOptions pins exact float
-// equality of INDEP (counts are integers, so entropy inputs are
-// identical) and agreement of the chi-squared stopping rule.
+// equality of INDEP against the row-at-a-time table (counts are
+// integers, so entropy inputs are identical) and agreement of the
+// chi-squared stopping rule.
 func TestIndepAndChiSquareInvariantAcrossOptions(t *testing.T) {
 	ev, s1, s2, s3 := pairFixture(t)
-	for _, pair := range [][2]*Segmentation{{s1, s2}, {s1, s3}} {
-		want, err := IndepOpt(ev, pair[0], pair[1], PairOptions{Workers: 1, Rep: RepVector})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantChi, err := ChiSquareIndependentOpt(ev, pair[0], pair[1], 0.05, PairOptions{Workers: 1, Rep: RepVector})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, pair := range [][2]*Segmentation{{s1, s2}, {s1, s3}, {s3, s3}} {
+		cells := bruteCells(t, ev.Table(), pair[0], pair[1])
+		want := IndepFromCells(cells)
+		wantChi := stats.ChiSquareIndependent(cells, 0.05)
 		for _, opt := range pairGrid() {
 			got, err := IndepOpt(ev, pair[0], pair[1], opt)
 			if err != nil {
@@ -183,10 +220,7 @@ func TestIndepAndChiSquareInvariantAcrossOptions(t *testing.T) {
 // under -race.
 func TestCellCountsConcurrentCallers(t *testing.T) {
 	ev, s1, s2, s3 := pairFixture(t)
-	want, err := CellCountsOpt(ev, s1, s2, PairOptions{Workers: 1, Rep: RepVector})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := bruteCells(t, ev.Table(), s1, s2)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -194,7 +228,7 @@ func TestCellCountsConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			opt := PairOptions{Workers: 1 + g%4, Rep: SelectionRep(g % 3)}
+			opt := PairOptions{Workers: 1 + g%4}
 			got, err := CellCountsOpt(ev, s1, s2, opt)
 			if err != nil {
 				errs <- err

@@ -347,9 +347,9 @@ func TestCutChildrenSpliceAfterMutation(t *testing.T) {
 // bitmaps: only those whose result HB-cuts pairs with bitmap sides.
 // Plain InitialCut and Compose pack nothing; InitialCandidate packs
 // its dense children; ComposeCandidate packs only its outermost cut,
-// and only while the result stays below maxDepth queries; under
-// RepVector neither packs. The candidates carry partition proofs, so
-// their last piece — which INDEP derives, never pairs — is not packed.
+// and only while the result stays below maxDepth queries. The
+// candidates carry partition proofs, so their last piece — which INDEP
+// derives, never pairs — is not packed.
 func TestCandidateCutsPackOnlyPairedResults(t *testing.T) {
 	tab := dataset.VOC(20000, 4)
 	tab.SetChunkRows(1024)
@@ -384,18 +384,16 @@ func TestCandidateCutsPackOnlyPairedResults(t *testing.T) {
 		return ev, s1, composed
 	}
 	opt := DefaultCutOptions()
-	initialCand := func(rep SelectionRep) func(ev *Evaluator) (*Segmentation, bool, error) {
-		return func(ev *Evaluator) (*Segmentation, bool, error) {
-			return InitialCandidate(ev, ctx, "tonnage", opt, rep)
-		}
+	initialCand := func(ev *Evaluator) (*Segmentation, bool, error) {
+		return InitialCandidate(ev, ctx, "tonnage", opt)
 	}
-	composeCand := func(rep SelectionRep, maxDepth int) func(ev *Evaluator, s1 *Segmentation) (*Segmentation, error) {
+	composeCand := func(maxDepth int) func(ev *Evaluator, s1 *Segmentation) (*Segmentation, error) {
 		return func(ev *Evaluator, s1 *Segmentation) (*Segmentation, error) {
-			return ComposeCandidate(ev, s1, s2, opt, rep, maxDepth)
+			return ComposeCandidate(ev, s1, s2, opt, maxDepth)
 		}
 	}
 
-	ev, s1, composed := run(initialCand(RepAuto), composeCand(RepAuto, 12))
+	ev, s1, composed := run(initialCand, composeCand(12))
 	if got, want := packedCount(ev, s1.Queries), dense(s1); want == 0 || got != want {
 		t.Fatalf("InitialCandidate packed %d children, want its %d dense ones but the last", got, want)
 	}
@@ -412,24 +410,15 @@ func TestCandidateCutsPackOnlyPairedResults(t *testing.T) {
 
 	// A composition that may reach maxDepth is not paired: nothing of
 	// it is packed.
-	ev, _, composed = run(initialCand(RepAuto), composeCand(RepAuto, composed.Depth()))
+	ev, _, composed = run(initialCand, composeCand(composed.Depth()))
 	if got := packedCount(ev, composed.Queries); got != 0 {
 		t.Fatalf("a composition at maxDepth packed %d children", got)
 	}
 
-	for name, r := range map[string]struct {
-		initial func(ev *Evaluator) (*Segmentation, bool, error)
-		compose func(ev *Evaluator, s1 *Segmentation) (*Segmentation, error)
-	}{
-		"plain": {
-			func(ev *Evaluator) (*Segmentation, bool, error) { return InitialCut(ev, ctx, "tonnage", opt) },
-			func(ev *Evaluator, s1 *Segmentation) (*Segmentation, error) { return Compose(ev, s1, s2, opt) },
-		},
-		"vector": {initialCand(RepVector), composeCand(RepVector, 12)},
-	} {
-		ev, s1, composed := run(r.initial, r.compose)
-		if got := packedCount(ev, s1.Queries) + packedCount(ev, composed.Queries); got != 0 {
-			t.Fatalf("%s: packed %d children", name, got)
-		}
+	ev, s1, composed = run(
+		func(ev *Evaluator) (*Segmentation, bool, error) { return InitialCut(ev, ctx, "tonnage", opt) },
+		func(ev *Evaluator, s1 *Segmentation) (*Segmentation, error) { return Compose(ev, s1, s2, opt) })
+	if got := packedCount(ev, s1.Queries) + packedCount(ev, composed.Queries); got != 0 {
+		t.Fatalf("plain InitialCut and Compose packed %d children", got)
 	}
 }

@@ -10,9 +10,8 @@ import (
 )
 
 // selectBitmapQueries builds a spread of query shapes over VOC: the
-// unconstrained context, single nominal and numeric predicates, and
-// a multi-constraint conjunction (whose final predicate is the one
-// the fused path scans).
+// unconstrained context, single nominal and numeric predicates, a
+// multi-constraint conjunction and an empty extent.
 func selectBitmapQueries(t *testing.T, tab *engine.Table) []sdl.Query {
 	t.Helper()
 	ctx := sdl.ContextAll(tab)
@@ -23,35 +22,53 @@ func selectBitmapQueries(t *testing.T, tab *engine.Table) []sdl.Query {
 	return []sdl.Query{ctx, qString, qRange, qConj, qEmpty}
 }
 
-// TestSelectBitmapMatchesPacked pins the fused evaluation tier to
-// the pack-a-cached-selection tier: for every query shape,
-// SelectBitmap on a cold evaluator (fused scan), on a warm one
-// (cache hits), and with caching off must all equal packing the
-// chunked selection, bit for bit.
+// packedRef returns q's selection on a fresh evaluator over tab,
+// packed: what SelectBitmap must equal bit for bit.
+func packedRef(t *testing.T, tab *engine.Table, q sdl.Query) *engine.Bitmap {
+	t.Helper()
+	cs, err := NewEvaluator(tab).SelectChunked(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return engine.NewBitmapChunked(cs)
+}
+
+// sameBitmap reports whether a and b select the same rows under the
+// same chunk layout.
+func sameBitmap(a, b *engine.Bitmap) bool {
+	return a.Count() == b.Count() && a.ChunkRows() == b.ChunkRows() && reflect.DeepEqual(a.Selection(), b.Selection())
+}
+
+// TestSelectBitmapMatchesPacked pins SelectBitmap to packing the
+// chunked selection, for every query shape: on a cold evaluator (one
+// FullEvals, then a repeat served from the packed cache), on a warm
+// one whose selection is cached but not packed (no evaluation), and
+// with caching off.
 func TestSelectBitmapMatchesPacked(t *testing.T) {
 	tab := dataset.VOC(3000, 5)
-	ref := NewEvaluator(tab)
 	for _, q := range selectBitmapQueries(t, tab) {
-		cs, err := ref.SelectChunked(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := engine.NewBitmapChunked(cs)
+		want := packedRef(t, tab, q)
 
 		cold := NewEvaluator(tab)
-		fused, err := cold.SelectBitmap(q) // miss on both caches: fused scan
+		first, err := cold.SelectBitmap(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fused.Count() != want.Count() || !reflect.DeepEqual(fused.Selection(), want.Selection()) {
-			t.Fatalf("%s: fused bitmap differs from packed selection", q)
+		if !sameBitmap(first, want) {
+			t.Fatalf("%s: cold SelectBitmap differs from the packed selection", q)
 		}
-		hit, err := cold.SelectBitmap(q) // bitmap cache hit
+		if c := cold.Counters(); c.FullEvals != 1 || c.CacheHits != 0 {
+			t.Fatalf("%s: cold SelectBitmap counted %d full evals and %d hits, want 1 and 0", q, c.FullEvals, c.CacheHits)
+		}
+		hit, err := cold.SelectBitmap(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hit != fused {
+		if hit != first {
 			t.Fatalf("%s: repeated SelectBitmap did not serve the cached bitmap", q)
+		}
+		if c := cold.Counters(); c.FullEvals != 1 || c.CacheHits != 1 {
+			t.Fatalf("%s: repeated SelectBitmap counted %d full evals and %d hits, want 1 and 1", q, c.FullEvals, c.CacheHits)
 		}
 
 		warm := NewEvaluator(tab)
@@ -62,8 +79,11 @@ func TestSelectBitmapMatchesPacked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(packed.Selection(), want.Selection()) {
-			t.Fatalf("%s: pack-from-selection tier differs", q)
+		if !sameBitmap(packed, want) {
+			t.Fatalf("%s: packing the cached selection differs", q)
+		}
+		if c := warm.Counters(); c.FullEvals != 1 {
+			t.Fatalf("%s: warm SelectBitmap re-evaluated (%d full evals)", q, c.FullEvals)
 		}
 
 		off := NewEvaluator(tab)
@@ -72,8 +92,58 @@ func TestSelectBitmapMatchesPacked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(uncached.Selection(), want.Selection()) {
-			t.Fatalf("%s: caching-off fused bitmap differs", q)
+		if !sameBitmap(uncached, want) {
+			t.Fatalf("%s: caching-off SelectBitmap differs", q)
+		}
+	}
+}
+
+// TestSelectBitmapSplicesStaleEntry pins the delta path of the packed
+// cache: after an append, a query whose selection has been refreshed
+// finds its packed entry stale, and SelectBitmap splices fresh words
+// for the dirty chunks only — one DeltaRefreshes, no FullEvals — into
+// a bitmap equal to packing a fresh evaluator's selection.
+func TestSelectBitmapSplicesStaleEntry(t *testing.T) {
+	tab := dataset.VOC(3000, 5)
+	tab.SetChunkRows(512)
+	ev := NewEvaluator(tab)
+	qs := selectBitmapQueries(t, tab)
+	stale := make([]*engine.Bitmap, len(qs))
+	for i, q := range qs {
+		bm, err := ev.SelectBitmap(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale[i] = bm
+	}
+	var rows [][]engine.Value
+	for r := 0; r < 400; r += 7 {
+		rows = append(rows, valueRow(tab, r))
+	}
+	if err := tab.AppendRows(rows...); err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range qs {
+		if _, err := ev.SelectChunked(q); err != nil { // refreshes the selection
+			t.Fatal(err)
+		}
+		before := ev.Counters()
+		got, err := ev.SelectBitmap(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := ev.Counters()
+		if d := after.DeltaRefreshes - before.DeltaRefreshes; d != 1 {
+			t.Fatalf("%s: SelectBitmap after the append counted %d delta refreshes, want 1", q, d)
+		}
+		if d := after.FullEvals - before.FullEvals; d != 0 {
+			t.Fatalf("%s: SelectBitmap after the append counted %d full evals, want 0", q, d)
+		}
+		if got == stale[i] || got.NumRows() != tab.NumRows() {
+			t.Fatalf("%s: SelectBitmap served the pre-append bitmap", q)
+		}
+		if !sameBitmap(got, packedRef(t, tab, q)) {
+			t.Fatalf("%s: spliced bitmap differs from packing a fresh selection", q)
 		}
 	}
 }
