@@ -101,13 +101,13 @@ layers-build:
 # statistics (radix select and narrow-span value counts against a
 # slices.Sort reference), the filter kernels (both drivers, with
 # and without zone maps, against a row-at-a-time Contains /
-# membership reference) and the partition kernels (every child of a
-# one-pass cut against its one-piece filter, and every packed bitmap
-# against NewBitmapChunked, at 1 and 4 scan workers): enough budget
-# to exercise the mutators on
-# every seed class, small enough for CI. The exec-denominated
-# minimize budget keeps a newly found interesting input from eating
-# the wall-clock budget.
+# membership reference) and the partition kernels (every unpacked
+# child of a one-pass cut against its one-piece filter, and every
+# packed piece — bitmap and count, no row-id child — against
+# NewBitmapChunked of that filter, at 1 and 4 scan workers): enough
+# budget to exercise the mutators on every seed class, small enough
+# for CI. The exec-denominated minimize budget keeps a newly found
+# interesting input from eating the wall-clock budget.
 fuzz-smoke:
 	$(GO) test ./internal/colfile -run=NONE -fuzz=FuzzReadPage -fuzztime=20s -fuzzminimizetime=30x
 	$(GO) test ./internal/colfile -run=NONE -fuzz=FuzzOpenColumnFile -fuzztime=20s -fuzzminimizetime=30x

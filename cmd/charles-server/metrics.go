@@ -70,16 +70,17 @@ func newServerMetrics(ev *seg.Evaluator) *serverMetrics {
 	// splice paths (charles_delta_refreshes_total is the counter that
 	// proves the PR 8 epoch-splice path engaged in production).
 	ev.SetEvalMetrics(&seg.EvalMetrics{
-		FullEvals:      reg.NewCounter("charles_seg_full_evals_total", "full constraint-chain query evaluations (selection cache misses)"),
-		NarrowEvals:    reg.NewCounter("charles_seg_narrow_evals_total", "cut children evaluated from their parent's selection"),
-		CacheHits:      reg.NewCounter("charles_seg_cache_hits_total", "selections and bitmaps served from the evaluator cache"),
-		CutPointCalcs:  reg.NewCounter("charles_seg_cut_point_calcs_total", "median/quantile cut-point computations"),
-		CutCacheHits:   reg.NewCounter("charles_seg_cut_cache_hits_total", "cut-point sets served from the cut cache"),
-		DeltaRefreshes: reg.NewCounter("charles_delta_refreshes_total", "cached selections spliced up to date after a mutation"),
-		CutRefreshes:   reg.NewCounter("charles_delta_cut_refreshes_total", "cached cut points spliced up to date after a mutation"),
-		PairMemoHits:   reg.NewCounter("charles_seg_pair_memo_hits_total", "pairwise operand sides reused from a PairMemo"),
-		PairMemoMisses: reg.NewCounter("charles_seg_pair_memo_misses_total", "pairwise operand sides built fresh"),
-		PairTableHits:  reg.NewCounter("charles_seg_pair_table_hits_total", "contingency tables served from the evaluator's pair-table tier"),
+		FullEvals:           reg.NewCounter("charles_seg_full_evals_total", "full constraint-chain query evaluations (selection cache misses)"),
+		NarrowEvals:         reg.NewCounter("charles_seg_narrow_evals_total", "cut children evaluated from their parent's selection"),
+		CacheHits:           reg.NewCounter("charles_seg_cache_hits_total", "selections and bitmaps served from the evaluator cache"),
+		CutPointCalcs:       reg.NewCounter("charles_seg_cut_point_calcs_total", "median/quantile cut-point computations"),
+		CutCacheHits:        reg.NewCounter("charles_seg_cut_cache_hits_total", "cut-point sets served from the cut cache"),
+		DeltaRefreshes:      reg.NewCounter("charles_delta_refreshes_total", "cached selections spliced up to date after a mutation"),
+		CutRefreshes:        reg.NewCounter("charles_delta_cut_refreshes_total", "cached cut points spliced up to date after a mutation"),
+		PairMemoHits:        reg.NewCounter("charles_seg_pair_memo_hits_total", "pairwise operand sides reused from a PairMemo"),
+		PairMemoMisses:      reg.NewCounter("charles_seg_pair_memo_misses_total", "pairwise operand sides built fresh"),
+		PairTableHits:       reg.NewCounter("charles_seg_pair_table_hits_total", "contingency tables served from the evaluator's pair-table tier"),
+		RowMaterializations: reg.NewCounter("charles_seg_row_materializations_total", "row-id selections built on demand from packed-only cut children"),
 	})
 
 	panicsRecovered := reg.NewCounter("charles_panics_recovered_total",

@@ -98,6 +98,17 @@ func (b *Bitmap) packChunk(c int, seg Selection) int {
 // about once per word; storing only at boundaries measured slower at
 // every density but a fully contiguous run.
 func setSegBits(words []uint64, seg Selection, base int32) int {
+	if n := len(seg); n > 0 && int(seg[n-1]-seg[0]) == n-1 {
+		// A sorted, duplicate-free run this long is contiguous — a
+		// chunk taken whole from a parent that holds all its rows —
+		// so whole words are filled at once.
+		for lo, hi := int(seg[0]-base), int(seg[n-1]-base)+1; lo < hi; {
+			span := min(64-lo&63, hi-lo)
+			words[lo>>6] |= ^uint64(0) >> (64 - span) << (lo & 63)
+			lo += span
+		}
+		return n
+	}
 	var w uint64
 	cur := uint32(0)
 	for _, row := range seg {
@@ -284,6 +295,40 @@ func (b *Bitmap) Selection() Selection {
 		}
 	}
 	return out
+}
+
+// Chunked materializes the bitmap's row ids as a chunked selection
+// in the bitmap's own layout — the inverse of NewBitmapChunked — one
+// chunk per scan-pool task. A chunk's rows are decoded into pooled
+// scratch and copied out at exact length, which allocates without
+// zeroing, as the filter kernels' matches are; a chunk without words
+// stays empty.
+func (b *Bitmap) Chunked() *ChunkedSelection {
+	segs := make([]Selection, len(b.chunks))
+	forEachChunk(len(b.chunks), b.ones, func(c int) {
+		words := b.chunks[c]
+		if words == nil {
+			return
+		}
+		buf := int32Scratch.Get(len(words) << 6)
+		rows := (*buf)[:len(words)<<6]
+		k := 0
+		base := int32(c * b.chunkRows)
+		for wi, w := range words {
+			for at := base + int32(wi)<<6; w != 0; w &= w - 1 {
+				rows[k] = at + int32(bits.TrailingZeros64(w))
+				k++
+			}
+		}
+		if k > 0 {
+			matched := rows[:k]
+			seg := make(Selection, len(matched))
+			copy(seg, matched)
+			segs[c] = seg
+		}
+		int32Scratch.Put(buf)
+	})
+	return &ChunkedSelection{nRows: b.nRows, chunkRows: b.chunkRows, count: b.ones, segs: segs}
 }
 
 // AndCountSelection returns |b ∩ sel| by probing the bitmap with

@@ -40,6 +40,8 @@ func bitmapCases(rng *rand.Rand) []struct {
 		{"dense", 10000, randSelection(rng, 10000, 0.5)},
 		{"sparse", 10000, randSelection(rng, 10000, 0.01)},
 		{"tiny-universe", 1, Selection{0}},
+		{"run-mid-word", 1000, AllRows(900)[37:]},
+		{"run-in-one-word", 1000, AllRows(70)[66:]},
 	}
 }
 
@@ -171,6 +173,62 @@ func TestDenseEnough(t *testing.T) {
 	for _, tc := range cases {
 		if got := DenseEnough(tc.selLen, tc.nRows); got != tc.want {
 			t.Errorf("DenseEnough(%d, %d) = %v, want %v", tc.selLen, tc.nRows, got, tc.want)
+		}
+	}
+}
+
+// TestBitmapChunkedRoundTrip pins the materializer: Bitmap.Chunked
+// returns, in the bitmap's own layout, exactly ChunkSelection of
+// Bitmap.Selection — chunk for chunk, exact-length segments, empty
+// chunks empty — at scan workers 1 and 4. The large shapes hold more
+// than parallelScanMinRows rows over several chunks, so workers 4
+// fans out; every shape ends in a partial chunk or leaves whole
+// chunks empty.
+func TestBitmapChunkedRoundTrip(t *testing.T) {
+	defer SetScanWorkers(0)
+	rng := rand.New(rand.NewSource(11))
+	const chunkRows = 1 << 13
+	big := 9*chunkRows + 77
+	// gappy keeps every other chunk empty.
+	var gappy Selection
+	for _, row := range randSelection(rng, big, 0.7) {
+		if int(row)/chunkRows%2 == 0 {
+			gappy = append(gappy, row)
+		}
+	}
+	cases := []struct {
+		name      string
+		nRows     int
+		chunkRows int
+		sel       Selection
+	}{
+		{"gappy", big, chunkRows, gappy},
+		{"run-across-chunks", big, chunkRows, AllRows(3*chunkRows + 5)[chunkRows-3:]},
+		{"dense-partial-last", big, chunkRows, randSelection(rng, big, 0.6)},
+		{"all-rows", big, chunkRows, AllRows(big)},
+		{"last-row-only", big, chunkRows, Selection{int32(big - 1)}},
+		{"empty", big, chunkRows, Selection{}},
+		{"one-chunk", 1000, chunkRows, randSelection(rng, 1000, 0.5)},
+		{"odd-width", 1000, 100, randSelection(rng, 1000, 0.3)},
+	}
+	for _, workers := range []int{1, 4} {
+		SetScanWorkers(workers)
+		for _, c := range cases {
+			bm := NewBitmapChunked(ChunkSelection(c.sel, c.nRows, c.chunkRows))
+			got := bm.Chunked()
+			want := ChunkSelection(bm.Selection(), c.nRows, c.chunkRows)
+			if got.NumRows() != c.nRows || got.ChunkRows() != c.chunkRows || got.NumChunks() != want.NumChunks() || got.Len() != len(c.sel) {
+				t.Fatalf("workers %d, %s: materialized %d rows in %d chunks of %d, want %d in %d of %d",
+					workers, c.name, got.Len(), got.NumChunks(), got.ChunkRows(), len(c.sel), want.NumChunks(), c.chunkRows)
+			}
+			for k := 0; k < want.NumChunks(); k++ {
+				if g := got.Seg(k); !selectionsEqual(g, want.Seg(k)) || cap(g) != len(g) {
+					t.Fatalf("workers %d, %s: chunk %d holds %d rows (cap %d), want %d", workers, c.name, k, len(g), cap(g), len(want.Seg(k)))
+				}
+			}
+			if !selectionsEqual(got.Flat(), c.sel) {
+				t.Fatalf("workers %d, %s: flat view differs from the packed selection", workers, c.name)
+			}
 		}
 	}
 }

@@ -23,13 +23,18 @@ import "charles/internal/par"
 // parallelize, and never more than chunks−1 — slots beyond that
 // would idle while starving concurrent scans. The paired release
 // must always be called. This is the single reservation policy for
-// every chunked operation (filters, partitions, bitmap packing, key
-// gathers, reductions and value counts), so the sequential-threshold
-// and cap rules cannot drift between them.
+// every chunked operation (filters, partitions, bitmap packing and
+// unpacking, key gathers, reductions and value counts), so the
+// sequential-threshold and cap rules cannot drift between them.
 func reserveSegSlots(cs *ChunkedSelection) (extra int, release func()) {
+	return reserveChunkSlots(cs.NumChunks(), cs.Len())
+}
+
+// reserveChunkSlots is reserveSegSlots for nc chunks holding rows
+// selected rows in any representation.
+func reserveChunkSlots(nc, rows int) (extra int, release func()) {
 	workers := ScanWorkers()
-	nc := cs.NumChunks()
-	if workers <= 1 || nc <= 1 || cs.Len() < parallelScanMinRows {
+	if workers <= 1 || nc <= 1 || rows < parallelScanMinRows {
 		return 0, func() {}
 	}
 	want := workers - 1
@@ -49,19 +54,24 @@ func reserveSegSlots(cs *ChunkedSelection) (extra int, release func()) {
 // goroutine, exactly like the flat path. Callers assemble results by
 // chunk index, so scheduling never influences output.
 func forEachSeg(cs *ChunkedSelection, fn func(c int)) {
-	n := cs.NumChunks()
-	if n == 0 {
+	forEachChunk(cs.NumChunks(), cs.Len(), fn)
+}
+
+// forEachChunk is forEachSeg over nc chunks holding rows selected
+// rows in any representation.
+func forEachChunk(nc, rows int, fn func(c int)) {
+	if nc == 0 {
 		return
 	}
-	extra, release := reserveSegSlots(cs)
+	extra, release := reserveChunkSlots(nc, rows)
 	defer release()
 	if extra == 0 {
-		for c := 0; c < n; c++ {
+		for c := 0; c < nc; c++ {
 			fn(c)
 		}
 		return
 	}
-	_ = par.ForEach(extra+1, n, func(c int) error {
+	_ = par.ForEach(extra+1, nc, func(c int) error {
 		fn(c)
 		return nil
 	})

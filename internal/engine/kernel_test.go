@@ -472,14 +472,14 @@ func metricCounts(m *Metrics) [5]int64 {
 }
 
 // checkPartition holds PartitionChunked over pieces to one filter per
-// piece, with the zone map and without it, at scan workers 1 and 4:
-// every child equals its piece's filter chunk for chunk (exact-length
-// segments), every packed bitmap equals NewBitmapChunked of its child
-// (no words for an empty chunk), the piece at index unpacked — packing
-// off, as for the last piece of a proven cut — gets a nil bitmap while
-// the others are still packed, the unpacked pass returns the same
-// children, and the metrics hook counts exactly what the per-piece
-// filters count.
+// piece, with the zone map and without it, at scan workers 1 and 4.
+// In the packed pass every piece but the one at index unpacked is
+// packed: it returns no child, and its bitmap and Count equal
+// NewBitmapChunked of its piece's filter (no words for an empty
+// chunk). The unpacked piece gets a nil bitmap and a child equal to
+// its filter chunk for chunk (exact-length segments), as does every
+// piece of the pass with packing off. The metrics hook counts exactly
+// what the per-piece filters count.
 func checkPartition(t testing.TB, cs *ChunkedSelection, sum *ChunkSummary, pieces []partPiece, unpacked int) {
 	t.Helper()
 	defer SetScanWorkers(0)
@@ -502,25 +502,23 @@ func checkPartition(t testing.TB, cs *ChunkedSelection, sum *ChunkSummary, piece
 			got := metricCounts(m)
 			m = countingMetrics()
 			SetMetrics(m)
+			wants := make([]*ChunkedSelection, len(pieces))
 			for i, p := range pieces {
-				want, child := p.filter(cs, s), children[i]
-				if child.NumRows() != want.NumRows() || child.NumChunks() != want.NumChunks() || child.Len() != want.Len() {
-					t.Fatalf("%s (%s): child holds %d rows in %d chunks, filter %d in %d", p.name, where, child.Len(), child.NumChunks(), want.Len(), want.NumChunks())
-				}
-				for c := 0; c < want.NumChunks(); c++ {
-					if g := child.Seg(c); !sameRows(g, want.Seg(c)) || cap(g) != len(g) {
-						t.Fatalf("%s (%s): chunk %d holds %v (cap %d), filter %v", p.name, where, c, g, cap(g), want.Seg(c))
-					}
-				}
-				ref, bm := NewBitmapChunked(child), bms[i]
+				wants[i] = p.filter(cs, s)
+				bm := bms[i]
 				if i == unpacked {
 					if bm != nil {
 						t.Fatalf("%s (%s): piece with packing off got a bitmap", p.name, where)
 					}
+					checkChild(t, p.name+" ("+where+")", children[i], wants[i])
 					continue
 				}
+				if children[i] != nil {
+					t.Fatalf("%s (%s): packed piece returned a row-id child", p.name, where)
+				}
+				ref := NewBitmapChunked(wants[i])
 				if bm.Count() != ref.Count() || bm.NumRows() != ref.NumRows() || bm.ChunkRows() != ref.ChunkRows() || len(bm.chunks) != len(ref.chunks) {
-					t.Fatalf("%s (%s): packed bitmap of %d rows, child %d", p.name, where, bm.Count(), ref.Count())
+					t.Fatalf("%s (%s): packed bitmap of %d rows, filter %d", p.name, where, bm.Count(), ref.Count())
 				}
 				for c := range ref.chunks {
 					if (bm.chunks[c] == nil) != (ref.chunks[c] == nil) || !slices.Equal(bm.chunks[c], ref.chunks[c]) {
@@ -535,11 +533,26 @@ func checkPartition(t testing.TB, cs *ChunkedSelection, sum *ChunkSummary, piece
 			if none != nil {
 				t.Fatalf("%s: unpacked partition returned bitmaps", where)
 			}
-			for i := range plain {
-				if !sameRows(plain[i].Flat(), children[i].Flat()) {
-					t.Fatalf("%s (%s): unpacked child differs from packed", pieces[i].name, where)
-				}
+			for i, p := range pieces {
+				checkChild(t, p.name+" ("+where+", packing off)", plain[i], wants[i])
 			}
+		}
+	}
+}
+
+// checkChild holds one partition child to its piece's filter, chunk
+// for chunk, with exact-length segments.
+func checkChild(t testing.TB, name string, child, want *ChunkedSelection) {
+	t.Helper()
+	if child == nil {
+		t.Fatalf("%s: unpacked piece returned no child", name)
+	}
+	if child.NumRows() != want.NumRows() || child.NumChunks() != want.NumChunks() || child.Len() != want.Len() {
+		t.Fatalf("%s: child holds %d rows in %d chunks, filter %d in %d", name, child.Len(), child.NumChunks(), want.Len(), want.NumChunks())
+	}
+	for c := 0; c < want.NumChunks(); c++ {
+		if g := child.Seg(c); !sameRows(g, want.Seg(c)) || cap(g) != len(g) {
+			t.Fatalf("%s: chunk %d holds %v (cap %d), filter %v", name, c, g, cap(g), want.Seg(c))
 		}
 	}
 }
@@ -598,6 +611,7 @@ const (
 	partSorted = 1 << 3 // sort the values, so whole chunks fall to one side of a piece
 	partBig    = 1 << 4 // tile the rows past parallelScanMinRows, so workers 4 fans out
 	partSmall  = 1 << 5 // fold the values into a small domain holding NaN and ±0
+	partRuns   = 1 << 6 // 256-row chunks, the parent one contiguous run in each
 )
 
 // FuzzPartitionKernels holds the partition driver to one filter per
@@ -608,7 +622,9 @@ const (
 // chunks), folded into a small domain with NaN and ±0, or tiled past
 // the parallel-scan threshold; seed draws the parent selection, with
 // empty chunks, 2–7 pieces, empty spans and sets included, and the one
-// piece whose packing is off.
+// piece whose packing is off. With partRuns the parent holds one
+// contiguous run per 256-row chunk — the whole chunk or any sub-run —
+// which packed pieces pack straight from the values (packRun).
 func FuzzPartitionKernels(f *testing.F) {
 	word := func(ws ...uint64) []byte {
 		var b []byte
@@ -642,6 +658,16 @@ func FuzzPartitionKernels(f *testing.F) {
 	f.Add(mixed, uint64(42<<8|6), uint8(5))
 	f.Add(mixed, uint64(66<<8), uint8(5|partBig))
 	f.Add(mixed, uint64(66<<8|6), uint8(6))
+	// Contiguous parents: whole chunks and sub-runs, every shared test
+	// kind, an opaque set kind, and a short table of partial words.
+	f.Add(mixed, uint64(6), uint8(0|partRuns|partBig))
+	f.Add(mixed, uint64(12), uint8(1|partRuns|partBig|partSorted))
+	f.Add(mixed, uint64(18), uint8(2|partRuns|partBig|partSmall))
+	f.Add(mixed, uint64(5), uint8(2|partRuns|partBig))
+	f.Add(mixed, uint64(7), uint8(3|partRuns|partBig))
+	f.Add(mixed, uint64(42<<8|6), uint8(5|partRuns|partBig))
+	f.Add(mixed, uint64(66<<8|6), uint8(6|partRuns|partBig))
+	f.Add(mixed, uint64(9), uint8(0|partRuns))
 	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, shape uint8) {
 		const chunkRows = 64
 		n := min(len(raw)/8, 16*chunkRows)
@@ -820,22 +846,40 @@ func FuzzPartitionKernels(f *testing.F) {
 				})
 			}
 		}
+		layout := chunkRows
+		if shape&partRuns != 0 {
+			layout = 4 * chunkRows
+		}
 		tab := MustNewTable("fuzz", col)
-		tab.SetChunkRows(chunkRows)
+		tab.SetChunkRows(layout)
 		p := rng.Float64()
 		if big {
 			p = 0.97
 		}
-		drop := make([]bool, numChunksFor(nRows, chunkRows))
+		drop := make([]bool, numChunksFor(nRows, layout))
 		for c := range drop {
 			drop[c] = (big && c%9 == 4) || (!big && rng.Intn(4) == 0)
 		}
 		var sel Selection
-		for r := 0; r < nRows; r++ {
-			if !drop[r/chunkRows] && rng.Float64() < p {
-				sel = append(sel, int32(r))
+		for c, dropped := range drop {
+			lo, hi := c*layout, min((c+1)*layout, nRows)
+			if dropped {
+				continue
+			}
+			if shape&partRuns != 0 {
+				if rng.Intn(3) != 0 {
+					lo += rng.Intn(hi - lo)
+					hi = lo + 1 + rng.Intn(hi-lo)
+				}
+				sel = append(sel, AllRows(hi)[lo:]...)
+				continue
+			}
+			for r := lo; r < hi; r++ {
+				if rng.Float64() < p {
+					sel = append(sel, int32(r))
+				}
 			}
 		}
-		checkPartition(t, ChunkSelection(sel, nRows, chunkRows), tab.SummaryByName("v"), pieces, rng.Intn(len(pieces)))
+		checkPartition(t, ChunkSelection(sel, nRows, layout), tab.SummaryByName("v"), pieces, rng.Intn(len(pieces)))
 	})
 }

@@ -38,7 +38,7 @@ func TestWarmPairwiseAllocBudget(t *testing.T) {
 		CutPointCalcs: &obs.Counter{}, CutCacheHits: &obs.Counter{},
 		DeltaRefreshes: &obs.Counter{}, CutRefreshes: &obs.Counter{},
 		PairMemoHits: &obs.Counter{}, PairMemoMisses: &obs.Counter{},
-		PairTableHits: &obs.Counter{},
+		PairTableHits: &obs.Counter{}, RowMaterializations: &obs.Counter{},
 	}
 	ev.SetEvalMetrics(em)
 	ctx, err := sdl.ContextOn(tab, "tonnage", "built")

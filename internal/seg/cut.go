@@ -58,29 +58,18 @@ func CutQuery(ev *Evaluator, q sdl.Query, attr string, opt CutOptions) ([]sdl.Qu
 	if !ok {
 		return nil, fmt.Errorf("seg: cut on unknown column %q", attr)
 	}
-	cs, err := ev.SelectChunked(q)
+	ent, err := ev.extent(q)
 	if err != nil {
 		return nil, err
 	}
-	if cs.Len() < 2 {
+	if ent.count() < 2 {
 		return []sdl.Query{q}, nil // nothing to split
 	}
-	// Sampled cut points draw a systematic sample from the flat view;
-	// exact ones run shard-at-a-time on the chunked selection and
-	// never materialize it. (Nominal cuts always see the full extent
-	// regardless: a sampled dictionary could miss rare values, and
-	// rows holding them would fall outside every piece, breaking
-	// Definition 3. Counting is a single O(n) pass, so there is
-	// nothing to save anyway — sampling targets the numeric medians
-	// and quantiles.)
-	var pointSel engine.Selection
-	if opt.SampleSize > 0 && cs.Len() > opt.SampleSize {
-		pointSel = stats.StridedInt32(cs.Flat(), opt.SampleSize)
-	}
 	// All piece computation routes through the evaluator's cut-point
-	// cache: version-equal entries are served outright, stale exact
-	// entries refresh only the mutation-dirtied chunks.
-	pieces, err := ev.cutPieces(q, attr, col, cs, pointSel, opt)
+	// cache: version-equal entries are served outright without reading
+	// q's rows, stale exact entries refresh only the mutation-dirtied
+	// chunks.
+	pieces, err := ev.cutPieces(q, attr, col, ent, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -316,16 +305,16 @@ func Cut(ev *Evaluator, s *Segmentation, attr string, opt CutOptions) (*Segmenta
 // cutSeg is Cut for a result INDEP may pair: packBelow > 0 marks one
 // that becomes an HB-cuts candidate as long as it has fewer than
 // packBelow queries. When its queries cut into fewer pieces than
-// that, the partition passes also pack the dense children's bitmaps
-// (Evaluator.cutChildren); a cut with more pieces may leave packBelow
-// queries, which HB-cuts discards unpaired, so it packs nothing.
+// that, the partition passes pack the children of every dense parent
+// and cache them packed-only (Evaluator.cutChildren), the last piece
+// included; a cut with more pieces may leave packBelow queries, which
+// HB-cuts discards unpaired, so it packs nothing.
 //
 // The result keeps s's partition proof when that proof names the
 // current fingerprint and every split query's children sum to the
 // query's count. The sum fails in exactly the two NaN cases: a float
 // range cut puts a NaN row in every child, the numeric nominal
-// fallback puts it in none. A proven result's last piece is never
-// paired (INDEP derives it from the counts), so it is not packed.
+// fallback puts it in none.
 func cutSeg(ev *Evaluator, s *Segmentation, attr string, opt CutOptions, packBelow int) (*Segmentation, error) {
 	fp := ev.Table().Fingerprint()
 	proven := s.provenAt(fp)
@@ -357,24 +346,13 @@ func cutSeg(ev *Evaluator, s *Segmentation, attr string, opt CutOptions, packBel
 			continue
 		}
 		anySplit = true
-		parentCS, err := ev.SelectChunked(q)
-		if err != nil {
-			return nil, err
-		}
-		packed := 0
-		if pairSides {
-			packed = len(children)
-			if proven && i == len(s.Queries)-1 {
-				packed--
-			}
-		}
-		childCS, err := ev.cutChildren(parentCS, children, attr, packed)
+		counts, err := ev.cutChildren(q, children, attr, pairSides)
 		if err != nil {
 			return nil, err
 		}
 		sum := 0
 		for j, child := range children {
-			if n := childCS[j].Len(); n > 0 {
+			if n := counts[j]; n > 0 {
 				out.Queries = append(out.Queries, child)
 				out.Counts = append(out.Counts, n)
 				sum += n
@@ -403,8 +381,9 @@ func InitialCut(ev *Evaluator, context sdl.Query, attr string, opt CutOptions) (
 }
 
 // InitialCandidate is InitialCut for HB-cuts, which pairs every seed
-// candidate with INDEP: the cut also packs its dense children's
-// bitmaps, so building the INDEP sides re-packs none of them.
+// candidate with INDEP: the cut's children are born packed-only when
+// the context is dense, so building the INDEP sides re-packs none of
+// them and builds no row ids.
 func InitialCandidate(ev *Evaluator, context sdl.Query, attr string, opt CutOptions) (*Segmentation, bool, error) {
 	return initialCut(ev, context, attr, opt, math.MaxInt)
 }
@@ -438,8 +417,8 @@ func Compose(ev *Evaluator, s1, s2 *Segmentation, opt CutOptions) (*Segmentation
 // ComposeCandidate is Compose for HB-cuts, which pairs the result
 // with INDEP unless it reaches maxDepth queries (a deeper composition
 // stops the search unpaired). Only the outermost cut's result is that
-// candidate, so only it may pack bitmaps, and only when it cannot
-// reach maxDepth pieces.
+// candidate, so only its children may be born packed-only, and only
+// when it cannot reach maxDepth pieces.
 func ComposeCandidate(ev *Evaluator, s1, s2 *Segmentation, opt CutOptions, maxDepth int) (*Segmentation, error) {
 	return compose(ev, s1, s2, opt, maxDepth)
 }

@@ -35,6 +35,7 @@ import (
 
 	"charles/internal/engine"
 	"charles/internal/sdl"
+	"charles/internal/stats"
 )
 
 // cutStateMinRows is the selection size below which count vectors
@@ -86,25 +87,49 @@ func (e *Evaluator) storeCut(key string, ent cachedCut) {
 // cutPieces computes (or reuses) the piece constraints CUT splits q
 // into along attr — the single entry point CutQuery dispatches
 // through, so cached and uncached runs produce identical pieces by
-// construction. pointSel, when non-nil, is the systematic sample the
-// points are estimated from (Section 5.2); sampled points are cached
-// but never refreshed incrementally.
-func (e *Evaluator) cutPieces(q sdl.Query, attr string, col engine.Column, cs *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions) ([]sdl.Constraint, error) {
-	if !e.caching.Load() {
+// construction. ext is q's extent (Evaluator.extent); its row ids
+// are read — and a packed-only entry's built — only when the pieces
+// are not served from a version-equal cache entry. With
+// opt.SampleSize set, the points are estimated from a systematic
+// sample of the rows (Section 5.2); sampled points are cached but
+// never refreshed incrementally.
+func (e *Evaluator) cutPieces(q sdl.Query, attr string, col engine.Column, ext cachedSel, opt CutOptions) ([]sdl.Constraint, error) {
+	caching := e.caching.Load()
+	var key string
+	var cur *engine.EpochStamp
+	var stale *cachedCut
+	if caching {
+		key, cur = cutKey(q, attr, opt), e.tab.Stamp()
+		if ent, ok := e.cachedCutEntry(key); ok {
+			if ent.stamp.Version() == cur.Version() {
+				e.countCutCacheHit()
+				return ent.pieces, nil
+			}
+			stale = &ent
+		}
+	}
+	cs := e.rows(q.Key(), ext)
+	// Sampled cut points draw a systematic sample from the flat view;
+	// exact ones run shard-at-a-time on the chunked selection and
+	// never materialize it. (Nominal cuts always see the full extent
+	// regardless: a sampled dictionary could miss rare values, and
+	// rows holding them would fall outside every piece, breaking
+	// Definition 3. Counting is a single O(n) pass, so there is
+	// nothing to save anyway — sampling targets the numeric medians
+	// and quantiles.)
+	var pointSel engine.Selection
+	if opt.SampleSize > 0 && cs.Len() > opt.SampleSize {
+		pointSel = stats.StridedInt32(cs.Flat(), opt.SampleSize)
+	}
+	if !caching {
 		pieces, _, err := e.computeCut(attr, col, cs, pointSel, opt, false)
 		if err == nil && len(pieces) >= 2 {
 			e.countCutPointCalc()
 		}
 		return pieces, err
 	}
-	key := cutKey(q, attr, opt)
-	cur := e.tab.Stamp()
-	if ent, ok := e.cachedCutEntry(key); ok {
-		if ent.stamp.Version() == cur.Version() {
-			e.countCutCacheHit()
-			return ent.pieces, nil
-		}
-		if pieces, ok := e.refreshCut(key, ent, attr, col, cs, pointSel, opt, cur); ok {
+	if stale != nil {
+		if pieces, ok := e.refreshCut(key, *stale, attr, col, cs, pointSel, opt, cur); ok {
 			return pieces, nil
 		}
 	}

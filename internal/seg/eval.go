@@ -52,6 +52,10 @@ type Counters struct {
 	// PairTableHits counts contingency tables served from the
 	// evaluator's pair-table tier without building either side.
 	PairTableHits int
+	// RowMaterializations counts row-id selections built on demand
+	// from a packed-only cache entry: a cut child born as a bitmap
+	// alone (cutChildren) that a caller then needed as row ids.
+	RowMaterializations int
 }
 
 // EvalMetrics is the evaluator's external instrumentation hook:
@@ -61,16 +65,17 @@ type Counters struct {
 // NarrowEvals count exactly the lookups that missed. The default
 // hook (all-nil fields) records nothing and costs one atomic load.
 type EvalMetrics struct {
-	FullEvals      *obs.Counter
-	NarrowEvals    *obs.Counter
-	CacheHits      *obs.Counter
-	CutPointCalcs  *obs.Counter
-	DeltaRefreshes *obs.Counter
-	CutRefreshes   *obs.Counter
-	CutCacheHits   *obs.Counter
-	PairMemoHits   *obs.Counter
-	PairMemoMisses *obs.Counter
-	PairTableHits  *obs.Counter
+	FullEvals           *obs.Counter
+	NarrowEvals         *obs.Counter
+	CacheHits           *obs.Counter
+	CutPointCalcs       *obs.Counter
+	DeltaRefreshes      *obs.Counter
+	CutRefreshes        *obs.Counter
+	CutCacheHits        *obs.Counter
+	PairMemoHits        *obs.Counter
+	PairMemoMisses      *obs.Counter
+	PairTableHits       *obs.Counter
+	RowMaterializations *obs.Counter
 }
 
 // cacheShards is the number of independent lock stripes of the
@@ -85,9 +90,34 @@ const cacheShards = 32
 // which chunks to re-evaluate (DirtyVs) before serving it again.
 // Never cache a bare selection: without its stamp a stale entry is
 // indistinguishable from a fresh one.
+//
+// The result is in one of two forms. Usually it is cs, the row ids.
+// A packed child of a cut HB-cuts will pair (cutChildren) is born
+// packed-only: bm alone, the same bitmap the packed-selection cache
+// holds under the same stamp. Its count, its pair side and a cut
+// cache hit on it read the bitmap; rows builds its row ids the first
+// time a caller needs them and stores them in its place.
 type cachedSel struct {
 	cs    *engine.ChunkedSelection
+	bm    *engine.Bitmap
 	stamp *engine.EpochStamp
+}
+
+// count returns |R(Q)| from whichever form the entry holds.
+func (c cachedSel) count() int {
+	if c.cs != nil {
+		return c.cs.Len()
+	}
+	return c.bm.Count()
+}
+
+// layout returns the universe size and chunk width of the entry's
+// form.
+func (c cachedSel) layout() (nRows, chunkRows int) {
+	if c.cs != nil {
+		return c.cs.NumRows(), c.cs.ChunkRows()
+	}
+	return c.bm.NumRows(), c.bm.ChunkRows()
 }
 
 // cachedBitmap is cachedSel for the word-packed form.
@@ -162,16 +192,17 @@ type Evaluator struct {
 	// it so user-supplied contexts cannot grow memory without bound.
 	limit atomic.Int64
 
-	fullEvals      atomic.Int64
-	narrowEvals    atomic.Int64
-	cacheHits      atomic.Int64
-	cutPointCalcs  atomic.Int64
-	deltaRefreshes atomic.Int64
-	cutRefreshes   atomic.Int64
-	cutCacheHits   atomic.Int64
-	pairMemoHits   atomic.Int64
-	pairMemoMisses atomic.Int64
-	pairTableHits  atomic.Int64
+	fullEvals           atomic.Int64
+	narrowEvals         atomic.Int64
+	cacheHits           atomic.Int64
+	cutPointCalcs       atomic.Int64
+	deltaRefreshes      atomic.Int64
+	cutRefreshes        atomic.Int64
+	cutCacheHits        atomic.Int64
+	pairMemoHits        atomic.Int64
+	pairMemoMisses      atomic.Int64
+	pairTableHits       atomic.Int64
+	rowMaterializations atomic.Int64
 
 	// em is the installed EvalMetrics hook; always non-nil (zero
 	// value = no-op), swapped atomically by SetEvalMetrics.
@@ -216,6 +247,10 @@ func (e *Evaluator) countCutCacheHit()  { e.cutCacheHits.Add(1); e.em.Load().Cut
 func (e *Evaluator) countPairMemoHit()  { e.pairMemoHits.Add(1); e.em.Load().PairMemoHits.Inc() }
 func (e *Evaluator) countPairMemoMiss() { e.pairMemoMisses.Add(1); e.em.Load().PairMemoMisses.Inc() }
 func (e *Evaluator) countPairTableHit() { e.pairTableHits.Add(1); e.em.Load().PairTableHits.Inc() }
+func (e *Evaluator) countRowMaterialization() {
+	e.rowMaterializations.Add(1)
+	e.em.Load().RowMaterializations.Inc()
+}
 
 // SetZonePruning toggles zone-map chunk pruning (numeric min/max and
 // nominal presence verdicts). Pruning never changes results — only
@@ -280,16 +315,17 @@ func (e *Evaluator) SetCaching(on bool) {
 // Counters returns a snapshot of the instrumentation counters.
 func (e *Evaluator) Counters() Counters {
 	return Counters{
-		FullEvals:      int(e.fullEvals.Load()),
-		NarrowEvals:    int(e.narrowEvals.Load()),
-		CacheHits:      int(e.cacheHits.Load()),
-		CutPointCalcs:  int(e.cutPointCalcs.Load()),
-		DeltaRefreshes: int(e.deltaRefreshes.Load()),
-		CutRefreshes:   int(e.cutRefreshes.Load()),
-		CutCacheHits:   int(e.cutCacheHits.Load()),
-		PairMemoHits:   int(e.pairMemoHits.Load()),
-		PairMemoMisses: int(e.pairMemoMisses.Load()),
-		PairTableHits:  int(e.pairTableHits.Load()),
+		FullEvals:           int(e.fullEvals.Load()),
+		NarrowEvals:         int(e.narrowEvals.Load()),
+		CacheHits:           int(e.cacheHits.Load()),
+		CutPointCalcs:       int(e.cutPointCalcs.Load()),
+		DeltaRefreshes:      int(e.deltaRefreshes.Load()),
+		CutRefreshes:        int(e.cutRefreshes.Load()),
+		CutCacheHits:        int(e.cutCacheHits.Load()),
+		PairMemoHits:        int(e.pairMemoHits.Load()),
+		PairMemoMisses:      int(e.pairMemoMisses.Load()),
+		PairTableHits:       int(e.pairTableHits.Load()),
+		RowMaterializations: int(e.rowMaterializations.Load()),
 	}
 }
 
@@ -305,6 +341,7 @@ func (e *Evaluator) ResetCounters() {
 	e.pairMemoHits.Store(0)
 	e.pairMemoMisses.Store(0)
 	e.pairTableHits.Store(0)
+	e.rowMaterializations.Store(0)
 }
 
 // CacheLen returns the number of cached selections.
@@ -362,15 +399,38 @@ func (e *Evaluator) shardLimit() int {
 	return int((limit + cacheShards - 1) / cacheShards)
 }
 
-// store records key → sel. Concurrent evaluators may compute the
+// store records key → ent. Concurrent evaluators may compute the
 // same selection twice; the results are identical, so last write
 // wins and both callers' values stay valid (selections are
-// immutable by contract).
-func (e *Evaluator) store(key string, sel *engine.ChunkedSelection, stamp *engine.EpochStamp) {
+// immutable by contract). A packed-only entry's bitmap goes into the
+// packed-selection cache too, under the same stamp.
+func (e *Evaluator) store(key string, ent cachedSel) {
 	s := e.shard(key)
 	s.mu.Lock()
-	boundedPut(s.m, key, cachedSel{cs: sel, stamp: stamp}, e.shardLimit())
+	boundedPut(s.m, key, ent, e.shardLimit())
 	s.mu.Unlock()
+	if ent.cs == nil {
+		e.storeBitmap(key, ent.bm, ent.stamp)
+	}
+}
+
+// rows returns the row ids of ent, the entry extent returned for key.
+// A packed-only entry's are built from its bitmap (Bitmap.Chunked)
+// and stored in its place unless the entry changed meanwhile; callers
+// racing on one entry may each build them, and every copy is equal.
+func (e *Evaluator) rows(key string, ent cachedSel) *engine.ChunkedSelection {
+	if ent.cs != nil {
+		return ent.cs
+	}
+	cs := ent.bm.Chunked()
+	e.countRowMaterialization()
+	s := e.shard(key)
+	s.mu.Lock()
+	if cur, ok := s.m[key]; ok && cur.cs == nil && cur.bm == ent.bm {
+		s.m[key] = cachedSel{cs: cs, stamp: ent.stamp}
+	}
+	s.mu.Unlock()
+	return cs
 }
 
 // cachedPacked looks key up in the packed-selection cache. The
@@ -382,6 +442,15 @@ func (e *Evaluator) cachedPacked(key string) (cachedBitmap, bool) {
 	ent, ok := s.m[key]
 	s.mu.RUnlock()
 	return ent, ok
+}
+
+// currentPacked returns key's packed-cache bitmap when its stamp is
+// the table's current version, nil otherwise.
+func (e *Evaluator) currentPacked(key string) *engine.Bitmap {
+	if ent, ok := e.cachedPacked(key); ok && ent.stamp.Version() == e.tab.Stamp().Version() {
+		return ent.bm
+	}
+	return nil
 }
 
 // storeBitmap records key → bm in the packed-selection cache.
@@ -458,16 +527,20 @@ func (e *Evaluator) packedSelection(q sdl.Query, cs *engine.ChunkedSelection) *e
 }
 
 // SelectBitmap returns R(Q) word-packed, the form the dense side of
-// the pairwise operators consumes: the chunked selection
-// (SelectChunked), packed through the packed-selection cache, which
-// serves a current entry as is and splices a stale one's dirty chunks.
+// the pairwise operators consumes: a packed-only entry's bitmap, or
+// the chunked selection packed through the packed-selection cache,
+// which serves a current entry as is and splices a stale one's dirty
+// chunks.
 // The returned bitmap must not be mutated.
 func (e *Evaluator) SelectBitmap(q sdl.Query) (*engine.Bitmap, error) {
-	cs, err := e.SelectChunked(q)
+	ent, err := e.extent(q)
 	if err != nil {
 		return nil, err
 	}
-	return e.packedSelection(q, cs), nil
+	if ent.cs == nil {
+		return ent.bm, nil
+	}
+	return e.packedSelection(q, ent.cs), nil
 }
 
 // deltaDirty decides whether a stale cache entry qualifies for a
@@ -494,11 +567,14 @@ func (e *Evaluator) deltaDirty(old *engine.EpochStamp, nRows, chunkRows int, cur
 // and splicing the result into the cached clean segments. This is
 // sound because SDL constraints are per-row predicates: R(Q)
 // restricted to a chunk depends on that chunk's rows alone, so a
-// clean chunk's cached segment is still exact.
-func (e *Evaluator) refreshChunked(q sdl.Query, old cachedSel, cur *engine.EpochStamp) (*engine.ChunkedSelection, bool) {
-	dirty := e.deltaDirty(old.stamp, old.cs.NumRows(), old.cs.ChunkRows(), cur)
+// clean chunk's cached segment is still exact. A packed-only entry
+// stays packed-only: the dirty chunks' rows are packed and spliced
+// into its clean words.
+func (e *Evaluator) refreshChunked(q sdl.Query, old cachedSel, cur *engine.EpochStamp) (cachedSel, bool) {
+	nRows, chunkRows := old.layout()
+	dirty := e.deltaDirty(old.stamp, nRows, chunkRows, cur)
 	if dirty == nil {
-		return nil, false
+		return cachedSel{}, false
 	}
 	cs := engine.PartialIdentity(cur.NumRows(), cur.ChunkRows(), dirty)
 	for _, c := range q.Constraints() {
@@ -508,10 +584,13 @@ func (e *Evaluator) refreshChunked(q sdl.Query, old cachedSel, cur *engine.Epoch
 		var err error
 		cs, err = e.applyConstraint(cs, c)
 		if err != nil {
-			return nil, false
+			return cachedSel{}, false
 		}
 	}
-	return engine.SpliceChunked(old.cs, cs, dirty), true
+	if old.cs == nil {
+		return cachedSel{bm: engine.SpliceBitmap(old.bm, engine.NewBitmapChunked(cs), dirty), stamp: cur}, true
+	}
+	return cachedSel{cs: engine.SpliceChunked(old.cs, cs, dirty), stamp: cur}, true
 }
 
 // Select returns the sorted row selection R(Q) as a flat vector —
@@ -526,9 +605,22 @@ func (e *Evaluator) Select(q sdl.Query) (engine.Selection, error) {
 }
 
 // SelectChunked returns R(Q) sharded by the table's row-range
-// chunks. Results are cached under the query's canonical key. The
+// chunks. Results are cached under the query's canonical key; a
+// packed-only entry's row ids are built on this first demand. The
 // returned selection must not be mutated.
 func (e *Evaluator) SelectChunked(q sdl.Query) (*engine.ChunkedSelection, error) {
+	ent, err := e.extent(q)
+	if err != nil {
+		return nil, err
+	}
+	return e.rows(q.Key(), ent), nil
+}
+
+// extent returns R(Q) as the cache holds it at the current version —
+// row ids, or a packed-only entry's bitmap — evaluating it in full or
+// refreshing a stale entry's dirty chunks first, and never building
+// row ids from a bitmap. With caching off it evaluates in full.
+func (e *Evaluator) extent(q sdl.Query) (cachedSel, error) {
 	key := q.Key()
 	// One snapshot per evaluation: a concurrent SetCaching flip
 	// cannot make lookup and store disagree within one call.
@@ -538,12 +630,12 @@ func (e *Evaluator) SelectChunked(q sdl.Query) (*engine.ChunkedSelection, error)
 		if ent, ok := e.cached(key); ok {
 			if ent.stamp.Version() == cur.Version() {
 				e.countCacheHit()
-				return ent.cs, nil
+				return ent, nil
 			}
-			if cs, ok := e.refreshChunked(q, ent, cur); ok {
+			if ent, ok := e.refreshChunked(q, ent, cur); ok {
 				e.countDeltaRefresh()
-				e.store(key, cs, cur)
-				return cs, nil
+				e.store(key, ent)
+				return ent, nil
 			}
 		}
 	}
@@ -555,27 +647,28 @@ func (e *Evaluator) SelectChunked(q sdl.Query) (*engine.ChunkedSelection, error)
 		var err error
 		cs, err = e.applyConstraint(cs, c)
 		if err != nil {
-			return nil, err
+			return cachedSel{}, err
 		}
 	}
 	e.countFullEval()
+	ent := cachedSel{cs: cs, stamp: cur}
 	if caching {
-		e.store(key, cs, cur)
+		e.store(key, ent)
 	}
-	return cs, nil
+	return ent, nil
 }
 
-// Count returns |R(Q)|.
+// Count returns |R(Q)|. A packed-only entry answers from its bitmap.
 func (e *Evaluator) Count(q sdl.Query) (int, error) {
-	cs, err := e.SelectChunked(q)
+	ent, err := e.extent(q)
 	if err != nil {
 		return 0, err
 	}
-	return cs.Len(), nil
+	return ent.count(), nil
 }
 
-// cutChildren evaluates the children of one cut from their parent's
-// selection and caches each under its own key. children[i] is the
+// cutChildren evaluates the children of one cut of parent, caches
+// each under its own key and returns their counts. children[i] is the
 // parent query with attr's constraint replaced by its piece (Cut's
 // childQuery), so child i is the parent's extent narrowed by that one
 // constraint, and only chunks where the parent has rows are touched.
@@ -584,14 +677,14 @@ func (e *Evaluator) Count(q sdl.Query) (int, error) {
 // child: a child cached at the current version is served as is
 // (CacheHits); children stale with the same dirty chunks share one
 // pass over just those chunks of the parent and are spliced into
-// their cached segments (DeltaRefreshes); the rest share one pass over
-// the whole parent (NarrowEvals). The first packed children are pair
-// sides INDEP will read (the cut's result becomes an HB-cuts
-// candidate): a whole-parent pass also packs their bitmap words while
-// the chunk is hot, and a child dense enough to be a bitmap pair side
-// is stored in the packed cache, where building its pair side finds it
-// instead of re-packing.
-func (e *Evaluator) cutChildren(parentCS *engine.ChunkedSelection, children []sdl.Query, attr string, packed int) ([]*engine.ChunkedSelection, error) {
+// their cached segments or words (DeltaRefreshes); the rest share one
+// pass over the whole parent (NarrowEvals). The parent's row ids are
+// fetched only when some child needs a pass. With pack set the cut's
+// result is an HB-cuts candidate INDEP will pair: a whole-parent pass
+// over a dense parent then packs every child while the chunk is hot
+// and caches it packed-only, so its pair side finds its bitmap and no
+// row ids are built unless something asks for them.
+func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr string, pack bool) ([]int, error) {
 	keys := make([]string, len(children))
 	cons := make([]sdl.Constraint, len(children))
 	for i, child := range children {
@@ -601,13 +694,12 @@ func (e *Evaluator) cutChildren(parentCS *engine.ChunkedSelection, children []sd
 		}
 		keys[i], cons[i] = child.Key(), c
 	}
-	out := make([]*engine.ChunkedSelection, len(children))
+	counts := make([]int, len(children))
 	caching := e.caching.Load()
 	cur := e.tab.Stamp()
-	olds := make([]*engine.ChunkedSelection, len(children))
+	olds := make([]cachedSel, len(children))
 	var stale, full []int
 	var dirty []bool
-	canSplice := parentCS.NumRows() == cur.NumRows() && parentCS.ChunkRows() == cur.ChunkRows()
 	for i, key := range keys {
 		if !caching {
 			full = append(full, i)
@@ -616,62 +708,84 @@ func (e *Evaluator) cutChildren(parentCS *engine.ChunkedSelection, children []sd
 		ent, ok := e.cached(key)
 		if ok && ent.stamp.Version() == cur.Version() {
 			e.countCacheHit()
-			out[i] = ent.cs
+			counts[i] = ent.count()
 			continue
 		}
 		var d []bool
-		if ok && canSplice {
-			d = e.deltaDirty(ent.stamp, ent.cs.NumRows(), ent.cs.ChunkRows(), cur)
+		if ok {
+			nRows, chunkRows := ent.layout()
+			d = e.deltaDirty(ent.stamp, nRows, chunkRows, cur)
 		}
 		if d != nil && (dirty == nil || slices.Equal(d, dirty)) {
-			dirty, olds[i] = d, ent.cs
+			dirty, olds[i] = d, ent
 			stale = append(stale, i)
 		} else {
 			full = append(full, i)
 		}
 	}
+	if len(stale)+len(full) == 0 {
+		return counts, nil
+	}
+	parentCS, err := e.SelectChunked(parent)
+	if err != nil {
+		return nil, err
+	}
+	if parentCS.NumRows() != cur.NumRows() || parentCS.ChunkRows() != cur.ChunkRows() {
+		full, stale = append(full, stale...), nil
+	}
 	if len(stale) > 0 {
-		if err := e.partitionInto(engine.RestrictChunked(parentCS, dirty), attr, cons, stale, 0, func(i int, cs *engine.ChunkedSelection, _ *engine.Bitmap) {
-			cs = engine.SpliceChunked(olds[i], cs, dirty)
+		packs := make([]bool, len(children))
+		for _, i := range stale {
+			packs[i] = olds[i].cs == nil
+		}
+		if err := e.partitionInto(engine.RestrictChunked(parentCS, dirty), attr, cons, stale, packs, func(i int, cs *engine.ChunkedSelection, bm *engine.Bitmap) {
+			ent := cachedSel{stamp: cur}
+			if bm != nil {
+				ent.bm = engine.SpliceBitmap(olds[i].bm, bm, dirty)
+			} else {
+				ent.cs = engine.SpliceChunked(olds[i].cs, cs, dirty)
+			}
 			e.countDeltaRefresh()
-			e.store(keys[i], cs, cur)
-			out[i] = cs
+			e.store(keys[i], ent)
+			counts[i] = ent.count()
 		}); err != nil {
 			return nil, err
 		}
 	}
 	if len(full) > 0 {
-		nRows := e.tab.NumRows()
-		if !caching || !engine.DenseEnough(parentCS.Len(), nRows) {
-			packed = 0
-		}
-		if err := e.partitionInto(parentCS, attr, cons, full, packed, func(i int, cs *engine.ChunkedSelection, bm *engine.Bitmap) {
-			e.countNarrowEval()
-			if caching {
-				e.store(keys[i], cs, cur)
-				if bm != nil && engine.DenseEnough(cs.Len(), nRows) {
-					e.storeBitmap(keys[i], bm, cur)
-				}
+		var packs []bool
+		if pack && caching && engine.DenseEnough(parentCS.Len(), e.tab.NumRows()) {
+			packs = make([]bool, len(children))
+			for i := range packs {
+				packs[i] = true
 			}
-			out[i] = cs
+		}
+		if err := e.partitionInto(parentCS, attr, cons, full, packs, func(i int, cs *engine.ChunkedSelection, bm *engine.Bitmap) {
+			e.countNarrowEval()
+			ent := cachedSel{cs: cs, bm: bm, stamp: cur}
+			if caching {
+				e.store(keys[i], ent)
+			}
+			counts[i] = ent.count()
 		}); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return counts, nil
 }
 
 // partitionInto runs one partition pass over cs for the constraints
-// cons[i], i in which, handing each child to done — with its packed
-// bitmap when i < packed, nil otherwise.
-func (e *Evaluator) partitionInto(cs *engine.ChunkedSelection, attr string, cons []sdl.Constraint, which []int, packed int, done func(i int, cs *engine.ChunkedSelection, bm *engine.Bitmap)) error {
+// cons[i], i in which, handing each child to done: packed-only — a nil
+// selection and its bitmap — when packs[i] is set, as row ids with a
+// nil bitmap otherwise. A nil packs packs nothing.
+func (e *Evaluator) partitionInto(cs *engine.ChunkedSelection, attr string, cons []sdl.Constraint, which []int, packs []bool, done func(i int, cs *engine.ChunkedSelection, bm *engine.Bitmap)) error {
 	cs, col, sum, err := e.resolveConstraint(cs, attr)
 	if err != nil {
 		return err
 	}
 	preds := make([]engine.Pred, len(which))
 	var pack []bool
-	if packed > 0 {
+	if packs != nil {
 		pack = make([]bool, len(which))
 	}
 	for j, i := range which {
@@ -679,7 +793,7 @@ func (e *Evaluator) partitionInto(cs *engine.ChunkedSelection, attr string, cons
 			return err
 		}
 		if pack != nil {
-			pack[j] = i < packed
+			pack[j] = packs[i]
 		}
 	}
 	parts, bms := engine.PartitionChunked(cs, preds, pack)

@@ -224,7 +224,7 @@ func TestCacheLimitBoundsEntries(t *testing.T) {
 // one on every re-store at the limit.
 func TestStoreAtLimitKeepsExistingKey(t *testing.T) {
 	tab, ev := figure2Table(t)
-	sel := tab.AllChunked()
+	sel := cachedSel{cs: tab.AllChunked(), stamp: tab.Stamp()}
 	// perShard = ceil(limit/shards) = 2.
 	ev.SetCacheLimit(2 * cacheShards)
 	// Find two keys that land in the same shard, then fill it.
@@ -237,14 +237,14 @@ func TestStoreAtLimitKeepsExistingKey(t *testing.T) {
 			keyB = k
 		}
 	}
-	ev.store(keyA, sel, tab.Stamp())
-	ev.store(keyB, sel, tab.Stamp())
+	ev.store(keyA, sel)
+	ev.store(keyB, sel)
 	if len(shard.m) != 2 {
 		t.Fatalf("shard holds %d entries after filling, want 2", len(shard.m))
 	}
 	// Re-store an existing key ten times: the shard must keep both.
 	for i := 0; i < 10; i++ {
-		ev.store(keyA, sel, tab.Stamp())
+		ev.store(keyA, sel)
 	}
 	if _, ok := ev.cached(keyB); !ok {
 		t.Fatal("re-storing an existing key evicted an unrelated entry")
@@ -260,7 +260,7 @@ func TestStoreAtLimitKeepsExistingKey(t *testing.T) {
 			keyC = k
 		}
 	}
-	ev.store(keyC, sel, tab.Stamp())
+	ev.store(keyC, sel)
 	if len(shard.m) != 2 {
 		t.Fatalf("shard holds %d entries after eviction, want 2", len(shard.m))
 	}

@@ -82,17 +82,20 @@ type pairSide struct {
 
 // buildSide gathers a segmentation's selections across the worker
 // pool, and the cell loop then reuses them |other| times each. Every
-// segment takes one route: its chunked selection (SelectChunked), then
-// the packed-selection cache when it is dense enough — where a
-// candidate cut's partition pass has usually put it already — and its
-// flat row-id view otherwise. The cell loop never reads the vector
-// side of a packed segment, so flattening it would be a pure O(|sel|)
-// copy wasted. With a memo in the options the assembled side is
-// shared across every operator call of the advise that mentions the
-// same segmentation. Task errors are rare but cancellation is not, and
-// it must surface — or a half-built side would be memoized as
-// complete. fp is the table fingerprint the caller read; derived marks
-// a side for a derived table, which leaves out the last segment.
+// segment takes one route, chosen by its density: a dense segment is
+// packed and a sparse one is a flat row-id view. A dense segment's
+// bitmap comes from the packed-selection cache when it holds one at
+// the current version — a candidate cut's partition pass has usually
+// put it there — then from a packed-only selection entry, and is
+// packed from the segment's row ids (SelectChunked) only when neither
+// exists. Row ids are read only for a segment that is not packed:
+// the cell loop never reads the vector side of a packed segment. With
+// a memo in the options the assembled side is shared across every
+// operator call of the advise that mentions the same segmentation.
+// Task errors are rare but cancellation is not, and it must surface —
+// or a half-built side would be memoized as complete. fp is the table
+// fingerprint the caller read; derived marks a side for a derived
+// table, which leaves out the last segment.
 func buildSide(ev *Evaluator, s *Segmentation, opt PairOptions, fp string, derived bool) (*pairSide, error) {
 	n := len(s.Queries)
 	var memoKey string
@@ -121,14 +124,22 @@ func buildSide(ev *Evaluator, s *Segmentation, opt PairOptions, fp string, deriv
 	bms := make([]*engine.Bitmap, n)
 	nRows := ev.Table().NumRows()
 	err := par.ForEachCtx(opt.Ctx, opt.Workers, n, func(i int) error {
-		cs, err := ev.SelectChunked(s.Queries[i])
+		q := s.Queries[i]
+		if bm := ev.currentPacked(q.Key()); bm != nil && engine.DenseEnough(bm.Count(), nRows) {
+			bms[i] = bm
+			return nil
+		}
+		ent, err := ev.extent(q)
 		if err != nil {
 			return err
 		}
-		if engine.DenseEnough(cs.Len(), nRows) {
-			bms[i] = ev.packedSelection(s.Queries[i], cs)
-		} else {
-			sels[i] = cs.Flat()
+		switch {
+		case !engine.DenseEnough(ent.count(), nRows):
+			sels[i] = ev.rows(q.Key(), ent).Flat()
+		case ent.cs == nil:
+			bms[i] = ent.bm
+		default:
+			bms[i] = ev.packedSelection(q, ent.cs)
 		}
 		return nil
 	})

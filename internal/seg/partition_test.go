@@ -41,11 +41,12 @@ type cutOutcome struct {
 // checkCut runs cutSeg and holds what it left in ev's caches to a
 // cold evaluator on the same table. With caching on, every child of a
 // split parent is cached at the current version with exactly a cold
-// SelectChunked's segments, and a fresh packed entry for a child
-// equals a cold SelectBitmap; when the cut evaluated every child and
-// packs (fewer pieces than packBelow, caching on, parent dense
-// enough), every child dense enough to be a bitmap pair side has one.
-// The result's counts are the cold counts.
+// SelectChunked's rows — as row ids, or as the bitmap of a packed-only
+// entry, which is then the packed cache's own bitmap — and a fresh
+// packed entry for a child equals a cold SelectBitmap; when the cut
+// evaluated every child and packs (fewer pieces than packBelow,
+// caching on, parent dense enough), every child is packed-only. The
+// result's counts are the cold counts.
 func checkCut(t *testing.T, ev *Evaluator, in *Segmentation, attr string, opt CutOptions, packBelow int) cutOutcome {
 	t.Helper()
 	before := ev.Counters()
@@ -92,13 +93,20 @@ func checkCut(t *testing.T, ev *Evaluator, in *Segmentation, attr string, opt Cu
 		if !ok || ent.stamp.Version() != version {
 			t.Fatalf("cut on %s: child %s is not cached at the current version", attr, child)
 		}
-		if !sameChunked(ent.cs, want) {
+		got := ent.cs
+		if got == nil {
+			got = ent.bm.Chunked()
+		}
+		if !sameChunked(got, want) {
 			t.Fatalf("cut on %s: cached child %s differs from a cold evaluation", attr, child)
 		}
 		pe, packed := ev.cachedPacked(child.Key())
 		packed = packed && pe.stamp.Version() == version
-		if pieces < packBelow && denseParent[k] && evaluatedAll && engine.DenseEnough(want.Len(), nRows) && !packed {
-			t.Fatalf("cut on %s: dense child %s (%d rows) was not packed", attr, child, want.Len())
+		if ent.cs == nil && (!packed || pe.bm != ent.bm) {
+			t.Fatalf("cut on %s: packed-only child %s does not hold the packed cache's bitmap", attr, child)
+		}
+		if pieces < packBelow && denseParent[k] && evaluatedAll && ent.cs != nil {
+			t.Fatalf("cut on %s: child %s (%d rows) of a dense parent was not packed", attr, child, want.Len())
 		}
 		if packed {
 			bm, err := cold.SelectBitmap(child)
@@ -127,6 +135,18 @@ func packedCount(ev *Evaluator, qs []sdl.Query) int {
 	n := 0
 	for _, q := range qs {
 		if _, ok := ev.cachedPacked(q.Key()); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// packedOnlyCount counts the queries whose selection entry is
+// packed-only: no row ids built yet.
+func packedOnlyCount(ev *Evaluator, qs []sdl.Query) int {
+	n := 0
+	for _, q := range qs {
+		if ent, ok := ev.cached(q.Key()); ok && ent.cs == nil {
 			n++
 		}
 	}
@@ -252,10 +272,11 @@ func valueRow(tab *engine.Table, r int) []engine.Value {
 }
 
 // TestCutChildrenSpliceAfterMutation pins the cached paths of a cut's
-// children. Re-cutting an unmutated parent serves every child from
-// the cache with no pass. After an append or an in-place update the
-// children are stale with the same dirty chunks, so one pass
-// re-partitions only those chunks of the parent and splices each —
+// children, born packed-only. Re-cutting an unmutated parent serves
+// every child from the cache with no pass and without reading the
+// parent's rows. After an append or an in-place update the children
+// are stale with the same dirty chunks, so one pass re-partitions
+// only those chunks of the parent and splices each into its words —
 // one DeltaRefreshes per child — while a child never cached before,
 // cut alongside them, takes a whole-parent pass (one NarrowEvals).
 // Every child equals a cold evaluation; so does a whole cut afterwards.
@@ -276,23 +297,22 @@ func TestCutChildrenSpliceAfterMutation(t *testing.T) {
 			if len(children) < 2 {
 				t.Fatalf("tonnage did not split: %v", children)
 			}
-			cutChildren := func(children []sdl.Query) []*engine.ChunkedSelection {
+			cutChildren := func(children []sdl.Query) []int {
 				t.Helper()
-				parent, err := ev.SelectChunked(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := ev.cutChildren(parent, children, "tonnage", len(children))
+				got, err := ev.cutChildren(ctx, children, "tonnage", true)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return got
 			}
 			cutChildren(children)
+			if got := packedOnlyCount(ev, children); got != len(children) {
+				t.Fatalf("%d of %d children were born packed-only", got, len(children))
+			}
 			before := ev.Counters()
 			cutChildren(children)
 			after := ev.Counters()
-			if after.CacheHits-before.CacheHits != 1+len(children) || after.NarrowEvals != before.NarrowEvals || after.DeltaRefreshes != before.DeltaRefreshes {
+			if after.CacheHits-before.CacheHits != len(children) || after.NarrowEvals != before.NarrowEvals || after.DeltaRefreshes != before.DeltaRefreshes || after.RowMaterializations != before.RowMaterializations {
 				t.Fatalf("re-cut of cached children: counters %+v -> %+v", before, after)
 			}
 
@@ -318,9 +338,13 @@ func TestCutChildrenSpliceAfterMutation(t *testing.T) {
 			got := cutChildren(mixed)
 			after = ev.Counters()
 			// One refresh for the parent itself, one splice per cached
-			// child, one evaluation for the new one.
-			if after.DeltaRefreshes-before.DeltaRefreshes != 1+len(children) || after.NarrowEvals-before.NarrowEvals != 1 {
+			// child, one evaluation for the new one; no child's row ids
+			// are built.
+			if after.DeltaRefreshes-before.DeltaRefreshes != 1+len(children) || after.NarrowEvals-before.NarrowEvals != 1 || after.RowMaterializations != before.RowMaterializations {
 				t.Fatalf("re-cut after %s: counters %+v -> %+v", mutation, before, after)
+			}
+			if got := packedOnlyCount(ev, mixed); got != len(mixed) {
+				t.Fatalf("%d of %d children are packed-only after the splice", got, len(mixed))
 			}
 			cold := NewEvaluator(tab)
 			for i, child := range mixed {
@@ -328,7 +352,11 @@ func TestCutChildrenSpliceAfterMutation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !sameChunked(got[i], want) {
+				cs, err := ev.SelectChunked(child)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[i] != want.Len() || !sameChunked(cs, want) {
 					t.Fatalf("spliced child %s differs from a cold evaluation", child)
 				}
 			}
@@ -343,13 +371,13 @@ func TestCutChildrenSpliceAfterMutation(t *testing.T) {
 	}
 }
 
-// TestCandidateCutsPackOnlyPairedResults pins which cuts pack
-// bitmaps: only those whose result HB-cuts pairs with bitmap sides.
+// TestCandidateCutsPackOnlyPairedResults pins which cuts pack their
+// children: only those whose result HB-cuts pairs with bitmap sides.
 // Plain InitialCut and Compose pack nothing; InitialCandidate packs
-// its dense children; ComposeCandidate packs only its outermost cut,
-// and only while the result stays below maxDepth queries. The
-// candidates carry partition proofs, so their last piece — which INDEP
-// derives, never pairs — is not packed.
+// every child of its dense context; ComposeCandidate packs only its
+// outermost cut, and only while the result stays below maxDepth
+// queries. Every piece is packed, the last one included, though INDEP
+// derives rather than pairs it: it is born in one form either way.
 func TestCandidateCutsPackOnlyPairedResults(t *testing.T) {
 	tab := dataset.VOC(20000, 4)
 	tab.SetChunkRows(1024)
@@ -358,17 +386,18 @@ func TestCandidateCutsPackOnlyPairedResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := &Segmentation{CutAttrs: []string{"departure_date", "type_of_boat"}}
-	dense := func(s *Segmentation) int {
+	// every returns the depth of a candidate whose parents were all
+	// dense, so that every piece is packed.
+	every := func(parents, s *Segmentation) int {
 		if !s.provenAt(tab.Fingerprint()) {
 			t.Fatalf("candidate %s carries no partition proof", s)
 		}
-		n := 0
-		for _, c := range s.Counts[:s.Depth()-1] {
-			if engine.DenseEnough(c, tab.NumRows()) {
-				n++
+		for _, c := range parents.Counts {
+			if !engine.DenseEnough(c, tab.NumRows()) {
+				t.Fatalf("parent of %d rows is not dense: the test needs dense parents", c)
 			}
 		}
-		return n
+		return s.Depth()
 	}
 	run := func(initial func(ev *Evaluator) (*Segmentation, bool, error), compose func(ev *Evaluator, s1 *Segmentation) (*Segmentation, error)) (ev *Evaluator, s1, composed *Segmentation) {
 		t.Helper()
@@ -394,8 +423,12 @@ func TestCandidateCutsPackOnlyPairedResults(t *testing.T) {
 	}
 
 	ev, s1, composed := run(initialCand, composeCand(12))
-	if got, want := packedCount(ev, s1.Queries), dense(s1); want == 0 || got != want {
-		t.Fatalf("InitialCandidate packed %d children, want its %d dense ones but the last", got, want)
+	n, err := ev.Count(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := packedCount(ev, s1.Queries), every(singleton(ctx, n, ""), s1); got != want {
+		t.Fatalf("InitialCandidate packed %d children, want all %d", got, want)
 	}
 	inner, err := Cut(NewEvaluator(tab), s1, "type_of_boat", opt)
 	if err != nil {
@@ -404,8 +437,8 @@ func TestCandidateCutsPackOnlyPairedResults(t *testing.T) {
 	if got := packedCount(ev, inner.Queries); got != 0 {
 		t.Fatalf("the inner cut of a COMPOSE packed %d of its %d children", got, inner.Depth())
 	}
-	if got, want := packedCount(ev, composed.Queries), dense(composed); composed.Depth() >= 12 || want == 0 || got != want {
-		t.Fatalf("the outermost cut packed %d children, want its %d dense ones but the last", got, want)
+	if got, want := packedCount(ev, composed.Queries), every(inner, composed); composed.Depth() >= 12 || got != want {
+		t.Fatalf("the outermost cut packed %d children, want all %d", got, want)
 	}
 
 	// A composition that may reach maxDepth is not paired: nothing of

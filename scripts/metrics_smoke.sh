@@ -71,6 +71,7 @@ for fam in \
     charles_engine_zone_skip_total \
     charles_seg_full_evals_total \
     charles_seg_pair_table_hits_total \
+    charles_seg_row_materializations_total \
     charles_delta_refreshes_total \
     charles_jobs_run_seconds \
     charles_http_requests_total \
