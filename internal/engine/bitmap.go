@@ -141,25 +141,34 @@ func NewBitmapChunked(cs *ChunkedSelection) *Bitmap {
 // result lives in fresh's layout (whose universe may have grown past
 // old's after appends — a clean chunk always existed in old at full
 // width, so its word slice carries over unchanged). The popcount is
-// recomputed from the kept words.
+// old's, corrected by the replaced chunks' words alone, so a splice
+// costs the dirty chunks, not the table.
 func SpliceBitmap(old, fresh *Bitmap, dirty []bool) *Bitmap {
 	out := newBitmapShell(fresh.nRows, fresh.chunkRows, len(fresh.chunks))
-	for c := range out.chunks {
-		var words []uint64
-		if dirty[c] || c >= len(old.chunks) {
-			words = fresh.chunks[c]
+	out.ones = old.ones
+	for c := range old.chunks {
+		if c >= len(out.chunks) || dirty[c] {
+			out.ones -= popcount(old.chunks[c])
 		} else {
-			words = old.chunks[c]
+			out.chunks[c] = old.chunks[c]
 		}
-		if words == nil {
-			continue
-		}
-		out.chunks[c] = words
-		for _, w := range words {
-			out.ones += bits.OnesCount64(w)
+	}
+	for c := range out.chunks {
+		if c >= len(old.chunks) || dirty[c] {
+			out.chunks[c] = fresh.chunks[c]
+			out.ones += popcount(fresh.chunks[c])
 		}
 	}
 	return out
+}
+
+// popcount returns the number of bits set in words.
+func popcount(words []uint64) int {
+	n := 0
+	for _, w := range words {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // NumRows returns the universe size the bitmap was built over.

@@ -232,3 +232,29 @@ func TestBitmapChunkedRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestSpliceBitmapMatchesRepack holds SpliceBitmap to packing the
+// spliced selection afresh — clean chunks from the old bitmap, dirty
+// and new ones from the fresh — words and Count alike, after the
+// universe grew past the old bitmap's partial last chunk.
+func TestSpliceBitmapMatchesRepack(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const chunkRows = 256
+	for trial := 0; trial < 50; trial++ {
+		oldRows := 1 + rng.Intn(8*chunkRows)
+		newRows := oldRows + rng.Intn(3*chunkRows)
+		old := ChunkSelection(randSelection(rng, oldRows, rng.Float64()), oldRows, chunkRows)
+		fresh := ChunkSelection(randSelection(rng, newRows, rng.Float64()), newRows, chunkRows)
+		dirty := make([]bool, fresh.NumChunks())
+		for c := range dirty {
+			// The old partial last chunk changed when rows were added.
+			grown := c == old.NumChunks()-1 && newRows > oldRows && oldRows%chunkRows != 0
+			dirty[c] = c >= old.NumChunks() || grown || rng.Intn(3) == 0
+		}
+		got := SpliceBitmap(NewBitmapChunked(old), NewBitmapChunked(fresh), dirty)
+		want := NewBitmapChunked(SpliceChunked(old, fresh, dirty))
+		if got.Count() != want.Count() || got.NumRows() != want.NumRows() || !selectionsEqual(got.Selection(), want.Selection()) {
+			t.Fatalf("trial %d: spliced bitmap holds %d rows, repacked %d", trial, got.Count(), want.Count())
+		}
+	}
+}
