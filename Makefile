@@ -104,7 +104,9 @@ layers-build:
 # membership reference) and the partition kernels (every unpacked
 # child of a one-pass cut against its one-piece filter, and every
 # packed piece — bitmap and count, no row-id child — against
-# NewBitmapChunked of that filter, at 1 and 4 scan workers): enough
+# NewBitmapChunked of that filter, at 1 and 4 scan workers, with the
+# same parent cut as row ids and as words — full, dense, sparse and
+# empty words, a partial last word, NaN and ±0 floats): enough
 # budget to exercise the mutators on every seed class, small enough
 # for CI. The exec-denominated minimize budget keeps a newly found
 # interesting input from eating the wall-clock budget.

@@ -186,10 +186,11 @@ func newHBStateCtx(ctx context.Context, ev *seg.Evaluator, context sdl.Query, cf
 	defer spCuts.End()
 	// Prime the context selection before fanning out: every initial
 	// cut starts from it, and on a cold cache W workers would all
-	// miss the same key at once and each pay the full-table scan. The
-	// chunked form caches the selection without building a flat view
-	// nothing downstream reads.
-	if _, err := ev.SelectChunked(context); err != nil {
+	// miss the same key at once and each pay the full-table scan.
+	// Count evaluates and caches the selection in whatever form the
+	// cache holds it — a zoomed context may be a packed-only child —
+	// and builds no row ids.
+	if _, err := ev.Count(context); err != nil {
 		return nil, err
 	}
 	type initial struct {

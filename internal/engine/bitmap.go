@@ -20,7 +20,11 @@ import "math/bits"
 // A Bitmap is immutable after construction and therefore safe for
 // concurrent readers, matching the Selection contract.
 type Bitmap struct {
-	chunks    [][]uint64
+	chunks [][]uint64
+	// counts[c] is the number of bits set in chunks[c]: the chunk's
+	// row count, which the chunked readers and splices would otherwise
+	// popcount from its words.
+	counts    []int32
 	nRows     int
 	chunkRows int
 	// chunkShift/chunkMask hold the shift+mask form of the chunk
@@ -54,10 +58,11 @@ func NewBitmap(sel Selection, nRows int) *Bitmap {
 
 // newBitmapShell returns an all-empty bitmap in the given layout,
 // with the shift+mask addressing precomputed. Callers fill chunks
-// and the ones count.
+// through setChunk and the ones count.
 func newBitmapShell(nRows, chunkRows, nc int) *Bitmap {
 	b := &Bitmap{
 		chunks:    make([][]uint64, nc),
+		counts:    make([]int32, nc),
 		nRows:     nRows,
 		chunkRows: chunkRows,
 	}
@@ -68,6 +73,12 @@ func newBitmapShell(nRows, chunkRows, nc int) *Bitmap {
 		}
 	}
 	return b
+}
+
+// setChunk stores words, holding n set bits, as chunk c. A chunk
+// without a set bit stays nil.
+func (b *Bitmap) setChunk(c int, words []uint64, n int) {
+	b.chunks[c], b.counts[c] = words, int32(n)
 }
 
 // chunkWordCount returns the number of words chunk c's bitset needs
@@ -84,8 +95,9 @@ func (b *Bitmap) chunkWordCount(c int) int {
 // rows inside chunk c, and returns the count set.
 func (b *Bitmap) packChunk(c int, seg Selection) int {
 	words := make([]uint64, b.chunkWordCount(c))
-	b.chunks[c] = words
-	return setSegBits(words, seg, int32(c*b.chunkRows))
+	n := setSegBits(words, seg, int32(c*b.chunkRows))
+	b.setChunk(c, words, n)
+	return n
 }
 
 // setSegBits sets every row of seg in the zeroed words (rows local to
@@ -141,22 +153,22 @@ func NewBitmapChunked(cs *ChunkedSelection) *Bitmap {
 // result lives in fresh's layout (whose universe may have grown past
 // old's after appends — a clean chunk always existed in old at full
 // width, so its word slice carries over unchanged). The popcount is
-// old's, corrected by the replaced chunks' words alone, so a splice
-// costs the dirty chunks, not the table.
+// old's, corrected by the replaced chunks' counts alone, so a splice
+// costs the chunk count, not the table.
 func SpliceBitmap(old, fresh *Bitmap, dirty []bool) *Bitmap {
 	out := newBitmapShell(fresh.nRows, fresh.chunkRows, len(fresh.chunks))
 	out.ones = old.ones
 	for c := range old.chunks {
 		if c >= len(out.chunks) || dirty[c] {
-			out.ones -= popcount(old.chunks[c])
+			out.ones -= int(old.counts[c])
 		} else {
-			out.chunks[c] = old.chunks[c]
+			out.setChunk(c, old.chunks[c], int(old.counts[c]))
 		}
 	}
 	for c := range out.chunks {
 		if c >= len(old.chunks) || dirty[c] {
-			out.chunks[c] = fresh.chunks[c]
-			out.ones += popcount(fresh.chunks[c])
+			out.setChunk(c, fresh.chunks[c], int(fresh.counts[c]))
+			out.ones += int(fresh.counts[c])
 		}
 	}
 	return out
@@ -180,6 +192,12 @@ func (b *Bitmap) ChunkRows() int { return b.chunkRows }
 
 // Count returns the number of selected rows (the popcount).
 func (b *Bitmap) Count() int { return b.ones }
+
+// Len is Count, as a Source reads it.
+func (b *Bitmap) Len() int { return b.ones }
+
+// NumChunks returns the number of chunks the words are sharded by.
+func (b *Bitmap) NumChunks() int { return len(b.chunks) }
 
 // Contains reports whether row is selected. Rows outside the
 // universe are never selected.
@@ -257,13 +275,7 @@ func (b *Bitmap) And(o *Bitmap) *Bitmap {
 		sel := Intersect(small.Selection(), big.Selection())
 		return NewBitmapChunked(ChunkSelection(sel, small.nRows, small.chunkRows))
 	}
-	out := &Bitmap{
-		chunks:     make([][]uint64, len(small.chunks)),
-		nRows:      small.nRows,
-		chunkRows:  small.chunkRows,
-		chunkShift: small.chunkShift,
-		chunkMask:  small.chunkMask,
-	}
+	out := newBitmapShell(small.nRows, small.chunkRows, len(small.chunks))
 	for c := range small.chunks {
 		wa, wb := small.chunks[c], big.chunks[c]
 		if wa == nil || wb == nil {
@@ -273,14 +285,15 @@ func (b *Bitmap) And(o *Bitmap) *Bitmap {
 			wa, wb = wb, wa
 		}
 		words := make([]uint64, len(wa))
-		onesBefore := out.ones
+		n := 0
 		for i, x := range wa {
 			w := x & wb[i]
 			words[i] = w
-			out.ones += bits.OnesCount64(w)
+			n += bits.OnesCount64(w)
 		}
-		if out.ones > onesBefore {
-			out.chunks[c] = words
+		if n > 0 {
+			out.setChunk(c, words, n)
+			out.ones += n
 		}
 	}
 	return out
@@ -308,34 +321,12 @@ func (b *Bitmap) Selection() Selection {
 
 // Chunked materializes the bitmap's row ids as a chunked selection
 // in the bitmap's own layout — the inverse of NewBitmapChunked — one
-// chunk per scan-pool task. A chunk's rows are decoded into pooled
-// scratch and copied out at exact length, which allocates without
-// zeroing, as the filter kernels' matches are; a chunk without words
-// stays empty.
+// chunk per scan-pool task, each decoded at exact length; a chunk
+// without words stays empty.
 func (b *Bitmap) Chunked() *ChunkedSelection {
 	segs := make([]Selection, len(b.chunks))
 	forEachChunk(len(b.chunks), b.ones, func(c int) {
-		words := b.chunks[c]
-		if words == nil {
-			return
-		}
-		buf := int32Scratch.Get(len(words) << 6)
-		rows := (*buf)[:len(words)<<6]
-		k := 0
-		base := int32(c * b.chunkRows)
-		for wi, w := range words {
-			for at := base + int32(wi)<<6; w != 0; w &= w - 1 {
-				rows[k] = at + int32(bits.TrailingZeros64(w))
-				k++
-			}
-		}
-		if k > 0 {
-			matched := rows[:k]
-			seg := make(Selection, len(matched))
-			copy(seg, matched)
-			segs[c] = seg
-		}
-		int32Scratch.Put(buf)
+		segs[c] = decodeSeg(b.chunks[c], int(b.counts[c]), int32(c*b.chunkRows))
 	})
 	return &ChunkedSelection{nRows: b.nRows, chunkRows: b.chunkRows, count: b.ones, segs: segs}
 }

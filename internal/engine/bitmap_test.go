@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -126,6 +127,7 @@ func TestBitmapAndCountMatchesIntersectCount(t *testing.T) {
 			if and.Count() != want {
 				t.Errorf("%s∩%s: And().Count = %d, want %d", ca.name, cb.name, and.Count(), want)
 			}
+			checkChunkCounts(t, ca.name+"∩"+cb.name, and)
 			if !selectionsEqual(and.Selection(), Intersect(ca.sel, cb.sel)) {
 				t.Errorf("%s∩%s: And().Selection() != Intersect", ca.name, cb.name)
 			}
@@ -255,6 +257,23 @@ func TestSpliceBitmapMatchesRepack(t *testing.T) {
 		want := NewBitmapChunked(SpliceChunked(old, fresh, dirty))
 		if got.Count() != want.Count() || got.NumRows() != want.NumRows() || !selectionsEqual(got.Selection(), want.Selection()) {
 			t.Fatalf("trial %d: spliced bitmap holds %d rows, repacked %d", trial, got.Count(), want.Count())
+		}
+		checkChunkCounts(t, "spliced", got)
+		checkChunkCounts(t, "restricted", Restrict(got, dirty).(*Bitmap))
+	}
+}
+
+// checkChunkCounts holds every chunk's cached row count to the bits
+// its words set, and every chunk without a row to nil words.
+func checkChunkCounts(t *testing.T, name string, b *Bitmap) {
+	t.Helper()
+	for c, words := range b.chunks {
+		n := 0
+		for _, w := range words {
+			n += bits.OnesCount64(w)
+		}
+		if int(b.counts[c]) != n || (n == 0) != (words == nil) {
+			t.Fatalf("%s: chunk %d counts %d rows, its words %d (nil %v)", name, c, b.counts[c], n, words == nil)
 		}
 	}
 }

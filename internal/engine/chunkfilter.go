@@ -19,15 +19,15 @@ import "charles/internal/par"
 // consume the same Preds.
 
 // reserveSegSlots reserves extra scan-pool goroutines for a
-// per-chunk fan-out over cs: nothing for selections too small to
+// per-chunk fan-out over src: nothing for selections too small to
 // parallelize, and never more than chunks−1 — slots beyond that
 // would idle while starving concurrent scans. The paired release
 // must always be called. This is the single reservation policy for
 // every chunked operation (filters, partitions, bitmap packing and
 // unpacking, key gathers, reductions and value counts), so the
 // sequential-threshold and cap rules cannot drift between them.
-func reserveSegSlots(cs *ChunkedSelection) (extra int, release func()) {
-	return reserveChunkSlots(cs.NumChunks(), cs.Len())
+func reserveSegSlots(src Source) (extra int, release func()) {
+	return reserveChunkSlots(src.NumChunks(), src.Len())
 }
 
 // reserveChunkSlots is reserveSegSlots for nc chunks holding rows
@@ -45,7 +45,7 @@ func reserveChunkSlots(nc, rows int) (extra int, release func()) {
 	return extra, func() { releaseScanSlots(extra) }
 }
 
-// forEachSeg runs fn(c) once per chunk of cs, fanning chunks out
+// forEachSeg runs fn(c) once per chunk of src, fanning chunks out
 // across the scan worker pool. Unlike the flat statChunks splitter —
 // which cuts a selection into exactly worker-count pieces — a
 // chunked selection usually has far more chunks than workers, so the
@@ -53,8 +53,8 @@ func reserveChunkSlots(nc, rows int) (extra int, release func()) {
 // selections and slot-exhausted processes stay on the calling
 // goroutine, exactly like the flat path. Callers assemble results by
 // chunk index, so scheduling never influences output.
-func forEachSeg(cs *ChunkedSelection, fn func(c int)) {
-	forEachChunk(cs.NumChunks(), cs.Len(), fn)
+func forEachSeg(src Source, fn func(c int)) {
+	forEachChunk(src.NumChunks(), src.Len(), fn)
 }
 
 // forEachChunk is forEachSeg over nc chunks holding rows selected
@@ -106,13 +106,13 @@ type Pred struct {
 	none    bool
 }
 
-// FilterChunked is the row-id chunked-filter driver: it narrows cs to
+// FilterChunked is the row-id chunked-filter driver: it narrows src to
 // the rows p keeps, chunk by chunk — the verdict prunes or passes whole
 // chunks from the zone map, the kernel narrows the rest, and the
 // per-chunk outputs are reassembled in chunk order. It is
 // PartitionChunked for one predicate.
-func FilterChunked(cs *ChunkedSelection, p Pred) *ChunkedSelection {
-	parts, _ := PartitionChunked(cs, []Pred{p}, nil)
+func FilterChunked(src Source, p Pred) *ChunkedSelection {
+	parts, _ := PartitionChunked(src, []Pred{p}, nil)
 	return parts[0]
 }
 
@@ -135,9 +135,9 @@ func exactSeg(seg, matched Selection) Selection {
 	return out
 }
 
-// emptyLike returns the all-empty selection in cs's layout.
-func emptyLike(cs *ChunkedSelection) *ChunkedSelection {
-	return NewChunkedSelection(cs.nRows, cs.chunkRows, make([]Selection, cs.NumChunks()))
+// emptyLike returns the all-empty selection in src's layout.
+func emptyLike(src Source) *ChunkedSelection {
+	return NewChunkedSelection(src.NumRows(), src.ChunkRows(), make([]Selection, src.NumChunks()))
 }
 
 // scanAlways is the verdict for predicates without a zone map.

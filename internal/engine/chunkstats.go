@@ -47,19 +47,23 @@ func GatherFloatChunked(col FloatValued, cs *ChunkedSelection) [][]float64 {
 	return out
 }
 
-// IntMinMaxChunked returns the minimum and maximum of col over cs by
+// IntMinMaxChunked returns the minimum and maximum of col over src by
 // reducing per-chunk partials. ok is false when the selection is
 // empty.
-func IntMinMaxChunked(col IntValued, cs *ChunkedSelection) (lo, hi int64, ok bool) {
-	if cs.Len() == 0 {
+func IntMinMaxChunked(col IntValued, src Source) (lo, hi int64, ok bool) {
+	if src.Len() == 0 {
 		return 0, 0, false
 	}
-	src := col.Int64s()
-	nc := cs.NumChunks()
+	vals := col.Int64s()
+	nc := src.NumChunks()
 	los := make([]int64, nc)
 	his := make([]int64, nc)
-	forEachSeg(cs, func(c int) {
-		los[c], his[c] = intBounds(src, cs.Seg(c))
+	forEachSeg(src, func(c int) {
+		los[c], his[c] = math.MaxInt64, math.MinInt64
+		eachRows(src, c, func(rows Selection) {
+			lo, hi := intBounds(vals, rows)
+			los[c], his[c] = min(los[c], lo), max(his[c], hi)
+		})
 	})
 	lo, hi = reduceIntBounds(los, his)
 	return lo, hi, true
@@ -90,19 +94,23 @@ func reduceIntBounds(los, his []int64) (lo, hi int64) {
 // exactly like FloatMinMax: NaN rows never seed or move a bound, and
 // an all-NaN selection yields NaN bounds. A zero bound is +0.0
 // whichever zero the scan met first.
-func FloatMinMaxChunked(col FloatValued, cs *ChunkedSelection) (min, max float64, ok bool) {
-	if cs.Len() == 0 {
+func FloatMinMaxChunked(col FloatValued, src Source) (lo, hi float64, ok bool) {
+	if src.Len() == 0 {
 		return 0, 0, false
 	}
-	src := col.Float64s()
-	nc := cs.NumChunks()
+	vals := col.Float64s()
+	nc := src.NumChunks()
 	los := make([]uint64, nc)
 	his := make([]uint64, nc)
-	forEachSeg(cs, func(c int) {
-		los[c], his[c] = floatKeyBounds(src, cs.Seg(c))
+	forEachSeg(src, func(c int) {
+		los[c] = math.MaxUint64
+		eachRows(src, c, func(rows Selection) {
+			lo, hi := floatKeyBounds(vals, rows)
+			los[c], his[c] = min(los[c], lo), max(his[c], hi)
+		})
 	})
-	lo, hi := reduceKeyBounds(los, his)
-	return stats.Float64FromKey(lo), stats.Float64FromKey(hi), true
+	klo, khi := reduceKeyBounds(los, his)
+	return stats.Float64FromKey(klo), stats.Float64FromKey(khi), true
 }
 
 // floatKeyBounds reduces src over rows to its smallest stats.Float64Key
@@ -156,36 +164,36 @@ func reduceKeyBounds(los, his []uint64) (lo, hi uint64) {
 // themselves. Reserve only after the gather phase: the gather takes
 // slots of its own, and holding them across it would starve it to
 // sequential.
-func statWorkers(cs *ChunkedSelection) (workers int, release func()) {
-	extra, release := reserveSegSlots(cs)
+func statWorkers(src Source) (workers int, release func()) {
+	extra, release := reserveSegSlots(src)
 	return extra + 1, release
 }
 
 // gatherIntKeys is gatherFloatKeys for int and date columns: col over
-// cs as stats.Int64Key keys in pooled scratch, one shard per chunk,
+// src as stats.Int64Key keys in pooled scratch, one shard per chunk,
 // nothing dropped. lo and hi are the smallest and largest key,
-// reduced as the keys are written (MaxUint64 and 0 when cs is empty).
+// reduced as the keys are written (MaxUint64 and 0 when src is empty).
 // Callers must not retain any shard past release.
-func gatherIntKeys(col IntValued, cs *ChunkedSelection) (chunks [][]uint64, lo, hi uint64, release func()) {
-	src := col.Int64s()
-	nc := cs.NumChunks()
+func gatherIntKeys(col IntValued, src Source) (chunks [][]uint64, lo, hi uint64, release func()) {
+	vals := col.Int64s()
+	nc := src.NumChunks()
 	chunks = make([][]uint64, nc)
 	ptrs := make([]*[]uint64, nc)
 	los := make([]uint64, nc)
 	his := make([]uint64, nc)
-	forEachSeg(cs, func(c int) {
-		seg := cs.Seg(c)
+	forEachSeg(src, func(c int) {
 		los[c] = math.MaxUint64
-		if len(seg) == 0 {
+		n := chunkLen(src, c)
+		if n == 0 {
 			return
 		}
-		p := uint64Scratch.Get(len(seg))
-		ks, klo, khi := *p, uint64(math.MaxUint64), uint64(0)
-		for i, row := range seg {
-			k := stats.Int64Key(src[row])
-			ks[i] = k
-			klo, khi = min(klo, k), max(khi, k)
-		}
+		p := uint64Scratch.Get(n)
+		ks, m, klo, khi := *p, 0, uint64(math.MaxUint64), uint64(0)
+		eachRows(src, c, func(rows Selection) {
+			blo, bhi := intKeys(ks[m:], vals, rows)
+			m += len(rows)
+			klo, khi = min(klo, blo), max(khi, bhi)
+		})
 		ptrs[c], chunks[c], los[c], his[c] = p, ks, klo, khi
 	})
 	lo = math.MaxUint64
@@ -201,7 +209,21 @@ func gatherIntKeys(col IntValued, cs *ChunkedSelection) (chunks [][]uint64, lo, 
 	}
 }
 
-// gatherFloatKeys gathers col over cs as stats.Float64Key keys into
+// intKeys writes the stats.Int64Key keys of vals at rows to keys and
+// returns the smallest and largest (MaxUint64 and 0 for no row).
+// len(keys) must be at least len(rows).
+func intKeys(keys []uint64, vals []int64, rows Selection) (lo, hi uint64) {
+	lo = math.MaxUint64
+	keys = keys[:len(rows)]
+	for i, row := range rows {
+		k := stats.Int64Key(vals[row])
+		keys[i] = k
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	return lo, hi
+}
+
+// gatherFloatKeys gathers col over src as stats.Float64Key keys into
 // pooled scratch, one shard per chunk, dropping NaN values: the order
 // statistics need a totally ordered multiset and NaN has no rank.
 // Dropping it here — always, in every branch — keeps the cut points
@@ -210,22 +232,27 @@ func gatherIntKeys(col IntValued, cs *ChunkedSelection) (chunks [][]uint64, lo, 
 // the NaN convention of FloatMinMax.) lo and hi are the smallest and
 // largest key gathered, reduced as the keys are written; both are 0
 // when there is none. Callers must not retain any shard past release.
-func gatherFloatKeys(col FloatValued, cs *ChunkedSelection) (chunks [][]uint64, lo, hi uint64, release func()) {
-	src := col.Float64s()
-	nc := cs.NumChunks()
+func gatherFloatKeys(col FloatValued, src Source) (chunks [][]uint64, lo, hi uint64, release func()) {
+	vals := col.Float64s()
+	nc := src.NumChunks()
 	chunks = make([][]uint64, nc)
 	ptrs := make([]*[]uint64, nc)
 	los := make([]uint64, nc)
 	his := make([]uint64, nc)
-	forEachSeg(cs, func(c int) {
-		seg := cs.Seg(c)
+	forEachSeg(src, func(c int) {
 		los[c] = math.MaxUint64
-		if len(seg) == 0 {
+		n := chunkLen(src, c)
+		if n == 0 {
 			return
 		}
-		p := uint64Scratch.Get(len(seg))
-		m, klo, khi := gatherKeys(*p, src, seg)
-		ptrs[c], chunks[c], los[c], his[c] = p, (*p)[:m], klo, khi
+		p := uint64Scratch.Get(n)
+		ks, m, klo, khi := *p, 0, uint64(math.MaxUint64), uint64(0)
+		eachRows(src, c, func(rows Selection) {
+			k, blo, bhi := gatherKeys(ks[m:], vals, rows)
+			m += k
+			klo, khi = min(klo, blo), max(khi, bhi)
+		})
+		ptrs[c], chunks[c], los[c], his[c] = p, ks[:m], klo, khi
 	})
 	lo, hi = reduceKeyBounds(los, his)
 	return chunks, lo, hi, func() {
@@ -237,19 +264,19 @@ func gatherFloatKeys(col FloatValued, cs *ChunkedSelection) (chunks [][]uint64, 
 	}
 }
 
-// IntMedianChunked returns the upper median of col over cs — the
+// IntMedianChunked returns the upper median of col over src — the
 // Definition 5 cut point — radix-selected from keys gathered per
 // chunk into pooled scratch: nothing is sorted and no flat vector is
 // built. ok is false when the selection is empty.
-func IntMedianChunked(col IntValued, cs *ChunkedSelection) (int64, bool) {
-	if cs.Len() == 0 {
+func IntMedianChunked(col IntValued, src Source) (int64, bool) {
+	if src.Len() == 0 {
 		return 0, false
 	}
-	keys, lo, hi, put := gatherIntKeys(col, cs)
+	keys, lo, hi, put := gatherIntKeys(col, src)
 	defer put()
-	workers, release := statWorkers(cs)
+	workers, release := statWorkers(src)
 	defer release()
-	return stats.KthInt64Keys(keys, lo, hi, cs.Len()/2, workers), true
+	return stats.KthInt64Keys(keys, lo, hi, src.Len()/2, workers), true
 }
 
 // NumCut is one exact numeric cut-point computation over a selection:
@@ -274,27 +301,27 @@ type IntCounts struct {
 
 // IntCutPointsChunked returns the same strictly increasing
 // equi-depth points as IntCutPoints, computed shard-at-a-time.
-func IntCutPointsChunked(col IntValued, cs *ChunkedSelection, arity int) []int64 {
-	cut, _ := IntCutChunked(col, cs, arity, false)
+func IntCutPointsChunked(col IntValued, src Source, arity int) []int64 {
+	cut, _ := IntCutChunked(col, src, arity, false)
 	return cut.Points
 }
 
-// IntCutChunked computes col's exact cut over cs with one pass over
+// IntCutChunked computes col's exact cut over src with one pass over
 // the rows: keys are gathered per chunk into pooled scratch, the
 // bounds reduced as they are written, and the points radix-selected
 // from the keys. With retain set, a span narrow enough to count
 // (stats.CountCells) whose per-chunk vectors take no more cells than
-// cs has rows is counted per chunk instead, and the counts come back
+// src has rows is counted per chunk instead, and the counts come back
 // for the cut cache to splice; otherwise counts is nil.
-func IntCutChunked(col IntValued, cs *ChunkedSelection, arity int, retain bool) (cut NumCut[int64], counts *IntCounts) {
-	if cs.Len() == 0 {
+func IntCutChunked(col IntValued, src Source, arity int, retain bool) (cut NumCut[int64], counts *IntCounts) {
+	if src.Len() == 0 {
 		return cut, nil
 	}
-	keys, lo, hi, put := gatherIntKeys(col, cs)
+	keys, lo, hi, put := gatherIntKeys(col, src)
 	defer put()
-	workers, release := statWorkers(cs)
+	workers, release := statWorkers(src)
 	defer release()
-	if cells, ok := stats.CountCells(lo, hi); ok && retain && countsFit(cs, cells) {
+	if cells, ok := stats.CountCells(lo, hi); ok && retain && countsFit(src, cells) {
 		counts = &IntCounts{Lo: stats.Int64FromKey(lo), Cells: cells, Chunks: make([][]int, len(keys))}
 		_ = par.ForEach(workers, len(keys), func(c int) error {
 			if len(keys[c]) > 0 {
@@ -318,12 +345,12 @@ func IntCutChunked(col IntValued, cs *ChunkedSelection, arity int, retain bool) 
 // longer fit the extent (countsFit); the cut is exact either way. ok
 // is false, and the caller must recompute in full, on a structural
 // mismatch or when a dirty chunk holds a value outside the window.
-func IntCutSplice(col IntValued, cs *ChunkedSelection, old *IntCounts, dirty []bool, arity int) (cut NumCut[int64], counts *IntCounts, ok bool) {
-	chunks, ok := spliceCounts(cs, old.Chunks, dirty)
+func IntCutSplice(col IntValued, src Source, old *IntCounts, dirty []bool, arity int) (cut NumCut[int64], counts *IntCounts, ok bool) {
+	chunks, ok := spliceCounts(src, old.Chunks, dirty)
 	if !ok {
 		return cut, nil, false
 	}
-	keys, lo, hi, put := gatherIntKeys(col, RestrictChunked(cs, dirty))
+	keys, lo, hi, put := gatherIntKeys(col, Restrict(src, dirty))
 	defer put()
 	wlo := stats.Int64Key(old.Lo)
 	if lo <= hi && (lo < wlo || hi-wlo >= uint64(old.Cells)) {
@@ -336,7 +363,7 @@ func IntCutSplice(col IntValued, cs *ChunkedSelection, old *IntCounts, dirty []b
 	}
 	counts = &IntCounts{Lo: old.Lo, Cells: old.Cells, Chunks: chunks}
 	cut = counts.cut(arity)
-	if !countsFit(cs, counts.Cells) {
+	if !countsFit(src, counts.Cells) {
 		counts = nil
 	}
 	return cut, counts, true
@@ -371,24 +398,24 @@ func (ic *IntCounts) cut(arity int) NumCut[int64] {
 }
 
 // countsFit reports whether per-chunk vectors of cells counts, one per
-// chunk holding a selected row, take no more cells than cs has rows:
+// chunk holding a selected row, take no more cells than src has rows:
 // retained counts are then never larger than the values they stand
 // for.
-func countsFit(cs *ChunkedSelection, cells int) bool {
+func countsFit(src Source, cells int) bool {
 	nonEmpty := 0
-	for c := 0; c < cs.NumChunks(); c++ {
-		nonEmpty += b2i(len(cs.Seg(c)) > 0)
+	for c := 0; c < src.NumChunks(); c++ {
+		nonEmpty += b2i(chunkLen(src, c) > 0)
 	}
-	return nonEmpty*cells <= cs.Len()
+	return nonEmpty*cells <= src.Len()
 }
 
 // spliceCounts is the clean half of a count-vector splice: a vector
-// per chunk of cs, old's for every clean chunk and nil for the dirty
+// per chunk of src, old's for every clean chunk and nil for the dirty
 // ones the caller recounts. ok is false on a structural mismatch — a
 // stamp and selection of a different chunk count, or a clean chunk
 // whose vector no longer counts its selected rows.
-func spliceCounts(cs *ChunkedSelection, old [][]int, dirty []bool) (counts [][]int, ok bool) {
-	nc := cs.NumChunks()
+func spliceCounts(src Source, old [][]int, dirty []bool) (counts [][]int, ok bool) {
+	nc := src.NumChunks()
 	if len(dirty) != nc {
 		return nil, false
 	}
@@ -404,7 +431,7 @@ func spliceCounts(cs *ChunkedSelection, old [][]int, dirty []bool) (counts [][]i
 		for _, k := range old[c] {
 			n += k
 		}
-		if n != len(cs.Seg(c)) {
+		if n != chunkLen(src, c) {
 			return nil, false
 		}
 		counts[c] = old[c]
@@ -413,21 +440,21 @@ func spliceCounts(cs *ChunkedSelection, old [][]int, dirty []bool) (counts [][]i
 }
 
 // FloatCutPointsChunked is IntCutPointsChunked for float columns.
-func FloatCutPointsChunked(col FloatValued, cs *ChunkedSelection, arity int) []float64 {
-	return FloatCutChunked(col, cs, arity).Points
+func FloatCutPointsChunked(col FloatValued, src Source, arity int) []float64 {
+	return FloatCutChunked(col, src, arity).Points
 }
 
 // FloatCutChunked is IntCutChunked for float columns, never retaining:
 // keys and bounds from one gather with NaN values excluded
 // (gatherFloatKeys), the points radix-selected from the keys. An
 // all-NaN extent has NaN bounds and no points.
-func FloatCutChunked(col FloatValued, cs *ChunkedSelection, arity int) NumCut[float64] {
-	if cs.Len() == 0 {
+func FloatCutChunked(col FloatValued, src Source, arity int) NumCut[float64] {
+	if src.Len() == 0 {
 		return NumCut[float64]{}
 	}
-	keys, lo, hi, put := gatherFloatKeys(col, cs)
+	keys, lo, hi, put := gatherFloatKeys(col, src)
 	defer put()
-	workers, release := statWorkers(cs)
+	workers, release := statWorkers(src)
 	defer release()
 	return NumCut[float64]{
 		Min:    stats.Float64FromKey(lo),
@@ -437,16 +464,16 @@ func FloatCutChunked(col FloatValued, cs *ChunkedSelection, arity int) NumCut[fl
 }
 
 // StringValueCountsChunked returns the per-value frequencies of col
-// over cs. Chunks are grouped into contiguous bands, one histogram
+// over src. Chunks are grouped into contiguous bands, one histogram
 // per band, so the transient memory is worker-count × cardinality —
 // not chunk-count × cardinality, which on a 10M-row table with a
 // high-cardinality column would dwarf the data scanned. Counts are
 // additive, so the band merge is order-independent and the result
 // (ordered by dictionary code) matches StringValueCounts exactly.
-func StringValueCountsChunked(col *StringColumn, cs *ChunkedSelection) []stats.ValueCount {
+func StringValueCountsChunked(col *StringColumn, src Source) []stats.ValueCount {
 	codes := col.Codes()
-	nc := cs.NumChunks()
-	workers, release := statWorkers(cs)
+	nc := src.NumChunks()
+	workers, release := statWorkers(src)
 	defer release()
 	if workers > nc {
 		workers = nc
@@ -467,9 +494,7 @@ func StringValueCountsChunked(col *StringColumn, cs *ChunkedSelection) []stats.V
 			hi = nc
 		}
 		for c := b * bandSize; c < hi; c++ {
-			for _, row := range cs.Seg(c) {
-				counts[codes[row]]++
-			}
+			eachRows(src, c, func(rows Selection) { countCodes(counts, codes, rows) })
 		}
 		partials[b] = counts
 		return nil
@@ -489,20 +514,30 @@ func StringValueCountsChunked(col *StringColumn, cs *ChunkedSelection) []stats.V
 	return out
 }
 
+// countCodes adds one to counts[code] for the code of every row of
+// rows.
+func countCodes(counts []int, codes []uint32, rows Selection) {
+	for _, row := range rows {
+		counts[codes[row]]++
+	}
+}
+
 // BoolValueCountsChunked is StringValueCountsChunked for bool
 // columns.
-func BoolValueCountsChunked(col *BoolColumn, cs *ChunkedSelection) []stats.ValueCount {
-	nc := cs.NumChunks()
+func BoolValueCountsChunked(col *BoolColumn, src Source) []stats.ValueCount {
+	vals := col.Bools()
+	nc := src.NumChunks()
 	trues := make([]int, nc)
 	falses := make([]int, nc)
-	forEachSeg(cs, func(c int) {
-		for _, row := range cs.Seg(c) {
-			if col.Bool(int(row)) {
-				trues[c]++
-			} else {
-				falses[c]++
+	forEachSeg(src, func(c int) {
+		eachRows(src, c, func(rows Selection) {
+			n := 0
+			for _, row := range rows {
+				n += b2i(vals[row])
 			}
-		}
+			trues[c] += n
+			falses[c] += len(rows) - n
+		})
 	})
 	var nTrue, nFalse int
 	for c := 0; c < nc; c++ {
@@ -558,25 +593,22 @@ func IntSortedRunsSplice(col IntValued, cs *ChunkedSelection, old [][]int64, dir
 }
 
 // StringChunkCounts returns per-chunk value frequencies of col over
-// cs, indexed by dictionary code: counts[c][code]. This is the
+// src, indexed by dictionary code: counts[c][code]. This is the
 // splice-friendly decomposition of StringValueCountsChunked — counts
 // are additive over chunks, so a mutation only invalidates the dirty
 // chunks' vectors. The vectors are owned by the caller and must be
 // treated as immutable once returned.
-func StringChunkCounts(col *StringColumn, cs *ChunkedSelection) [][]int {
+func StringChunkCounts(col *StringColumn, src Source) [][]int {
 	codes := col.Codes()
 	card := col.Cardinality()
-	nc := cs.NumChunks()
+	nc := src.NumChunks()
 	counts := make([][]int, nc)
-	forEachSeg(cs, func(c int) {
-		seg := cs.Seg(c)
-		if len(seg) == 0 {
+	forEachSeg(src, func(c int) {
+		if chunkLen(src, c) == 0 {
 			return
 		}
 		v := make([]int, card)
-		for _, row := range seg {
-			v[codes[row]]++
-		}
+		eachRows(src, c, func(rows Selection) { countCodes(v, codes, rows) })
 		counts[c] = v
 	})
 	return counts
@@ -589,12 +621,12 @@ func StringChunkCounts(col *StringColumn, cs *ChunkedSelection) [][]int {
 // minted after it was counted cannot occur in an unchanged chunk, so
 // the missing tail is implicitly zero. ok is false on a structural
 // mismatch.
-func StringChunkCountsSplice(col *StringColumn, cs *ChunkedSelection, old [][]int, dirty []bool) (counts [][]int, ok bool) {
-	counts, ok = spliceCounts(cs, old, dirty)
+func StringChunkCountsSplice(col *StringColumn, src Source, old [][]int, dirty []bool) (counts [][]int, ok bool) {
+	counts, ok = spliceCounts(src, old, dirty)
 	if !ok {
 		return nil, false
 	}
-	fresh := StringChunkCounts(col, RestrictChunked(cs, dirty))
+	fresh := StringChunkCounts(col, Restrict(src, dirty))
 	for c := range counts {
 		if dirty[c] {
 			counts[c] = fresh[c]

@@ -472,8 +472,9 @@ func metricCounts(m *Metrics) [5]int64 {
 }
 
 // checkPartition holds PartitionChunked over pieces to one filter per
-// piece, with the zone map and without it, at scan workers 1 and 4.
-// In the packed pass every piece but the one at index unpacked is
+// piece, with the zone map and without it, at scan workers 1 and 4,
+// and with the parent as row ids and as words (NewBitmapChunked of
+// it). In the packed pass every piece but the one at index unpacked is
 // packed: it returns no child, and its bitmap and Count equal
 // NewBitmapChunked of its piece's filter (no words for an empty
 // chunk). The unpacked piece gets a nil bitmap and a child equal to
@@ -486,57 +487,67 @@ func checkPartition(t testing.TB, cs *ChunkedSelection, sum *ChunkSummary, piece
 	defer SetMetrics(nil)
 	for _, workers := range []int{1, 4} {
 		SetScanWorkers(workers)
-		for _, s := range []*ChunkSummary{sum, nil} {
-			where := fmt.Sprintf("workers %d, zone map %v", workers, s != nil)
-			preds := make([]Pred, len(pieces))
-			for i, p := range pieces {
-				preds[i] = p.pred(s)
-			}
-			pack := make([]bool, len(pieces))
-			for i := range pack {
-				pack[i] = i != unpacked
-			}
-			m := countingMetrics()
-			SetMetrics(m)
-			children, bms := PartitionChunked(cs, preds, pack)
-			got := metricCounts(m)
-			m = countingMetrics()
-			SetMetrics(m)
-			wants := make([]*ChunkedSelection, len(pieces))
-			for i, p := range pieces {
-				wants[i] = p.filter(cs, s)
-				bm := bms[i]
-				if i == unpacked {
-					if bm != nil {
-						t.Fatalf("%s (%s): piece with packing off got a bitmap", p.name, where)
-					}
-					checkChild(t, p.name+" ("+where+")", children[i], wants[i])
-					continue
-				}
-				if children[i] != nil {
-					t.Fatalf("%s (%s): packed piece returned a row-id child", p.name, where)
-				}
-				ref := NewBitmapChunked(wants[i])
-				if bm.Count() != ref.Count() || bm.NumRows() != ref.NumRows() || bm.ChunkRows() != ref.ChunkRows() || len(bm.chunks) != len(ref.chunks) {
-					t.Fatalf("%s (%s): packed bitmap of %d rows, filter %d", p.name, where, bm.Count(), ref.Count())
-				}
-				for c := range ref.chunks {
-					if (bm.chunks[c] == nil) != (ref.chunks[c] == nil) || !slices.Equal(bm.chunks[c], ref.chunks[c]) {
-						t.Fatalf("%s (%s): packed chunk %d differs from NewBitmapChunked", p.name, where, c)
-					}
-				}
-			}
-			if want := metricCounts(m); got != want {
-				t.Fatalf("%s: partition counted skip/take/scan/vector/fused %v, per-piece filters %v", where, got, want)
-			}
-			plain, none := PartitionChunked(cs, preds, nil)
-			if none != nil {
-				t.Fatalf("%s: unpacked partition returned bitmaps", where)
-			}
-			for i, p := range pieces {
-				checkChild(t, p.name+" ("+where+", packing off)", plain[i], wants[i])
+		for _, parent := range []Source{cs, NewBitmapChunked(cs)} {
+			for _, s := range []*ChunkSummary{sum, nil} {
+				checkPartitionOf(t, cs, parent, s, pieces, unpacked, workers)
 			}
 		}
+	}
+}
+
+// checkPartitionOf is one checkPartition pass: parent is cs in either
+// form, and the children are held to the filters of cs.
+func checkPartitionOf(t testing.TB, cs *ChunkedSelection, parent Source, s *ChunkSummary, pieces []partPiece, unpacked, workers int) {
+	t.Helper()
+	_, packedParent := parent.(*Bitmap)
+	where := fmt.Sprintf("workers %d, zone map %v, packed parent %v", workers, s != nil, packedParent)
+	preds := make([]Pred, len(pieces))
+	for i, p := range pieces {
+		preds[i] = p.pred(s)
+	}
+	pack := make([]bool, len(pieces))
+	for i := range pack {
+		pack[i] = i != unpacked
+	}
+	m := countingMetrics()
+	SetMetrics(m)
+	children, bms := PartitionChunked(parent, preds, pack)
+	got := metricCounts(m)
+	m = countingMetrics()
+	SetMetrics(m)
+	wants := make([]*ChunkedSelection, len(pieces))
+	for i, p := range pieces {
+		wants[i] = p.filter(cs, s)
+		bm := bms[i]
+		if i == unpacked {
+			if bm != nil {
+				t.Fatalf("%s (%s): piece with packing off got a bitmap", p.name, where)
+			}
+			checkChild(t, p.name+" ("+where+")", children[i], wants[i])
+			continue
+		}
+		if children[i] != nil {
+			t.Fatalf("%s (%s): packed piece returned a row-id child", p.name, where)
+		}
+		ref := NewBitmapChunked(wants[i])
+		if bm.Count() != ref.Count() || bm.NumRows() != ref.NumRows() || bm.ChunkRows() != ref.ChunkRows() || len(bm.chunks) != len(ref.chunks) {
+			t.Fatalf("%s (%s): packed bitmap of %d rows, filter %d", p.name, where, bm.Count(), ref.Count())
+		}
+		for c := range ref.chunks {
+			if (bm.chunks[c] == nil) != (ref.chunks[c] == nil) || !slices.Equal(bm.chunks[c], ref.chunks[c]) || bm.counts[c] != ref.counts[c] {
+				t.Fatalf("%s (%s): packed chunk %d differs from NewBitmapChunked", p.name, where, c)
+			}
+		}
+	}
+	if want := metricCounts(m); got != want {
+		t.Fatalf("%s: partition counted skip/take/scan/vector/fused %v, per-piece filters %v", where, got, want)
+	}
+	plain, none := PartitionChunked(parent, preds, nil)
+	if none != nil {
+		t.Fatalf("%s: unpacked partition returned bitmaps", where)
+	}
+	for i, p := range pieces {
+		checkChild(t, p.name+" ("+where+", packing off)", plain[i], wants[i])
 	}
 }
 
@@ -612,6 +623,7 @@ const (
 	partBig    = 1 << 4 // tile the rows past parallelScanMinRows, so workers 4 fans out
 	partSmall  = 1 << 5 // fold the values into a small domain holding NaN and ±0
 	partRuns   = 1 << 6 // 256-row chunks, the parent one contiguous run in each
+	partWords  = 1 << 7 // draw the parent word by word (before partRuns): full, dense, sparse or empty
 )
 
 // FuzzPartitionKernels holds the partition driver to one filter per
@@ -624,7 +636,12 @@ const (
 // empty chunks, 2–7 pieces, empty spans and sets included, and the one
 // piece whose packing is off. With partRuns the parent holds one
 // contiguous run per 256-row chunk — the whole chunk or any sub-run —
-// which packed pieces pack straight from the values (packRun).
+// which the driver cuts as the run of words it fills. With
+// partWords each 64-row word of the parent is full, dense (4 rows in
+// 5), sparse (1 in 16) or empty, so a packed parent's words reach both
+// the word kernels and the set-bit loops; a table whose row count is
+// not a multiple of 64 ends in a partial word. checkPartition cuts
+// every parent both as row ids and as words.
 func FuzzPartitionKernels(f *testing.F) {
 	word := func(ws ...uint64) []byte {
 		var b []byte
@@ -668,6 +685,26 @@ func FuzzPartitionKernels(f *testing.F) {
 	f.Add(mixed, uint64(42<<8|6), uint8(5|partRuns|partBig))
 	f.Add(mixed, uint64(66<<8|6), uint8(6|partRuns|partBig))
 	f.Add(mixed, uint64(9), uint8(0|partRuns))
+	// Parents drawn word by word, cut as words: every test kind, binary
+	// cuts in the two-piece word kernels, floats with NaN and ±0, an
+	// opaque kind, and a 230-row table ending in a 38-row word.
+	long := make([]uint64, 230)
+	for i := range long {
+		long[i] = uint64(i*7919) ^ uint64(i)<<40
+	}
+	tail := word(long...)
+	f.Add(mixed, uint64(6), uint8(0|partWords|partBig))
+	f.Add(mixed, uint64(12), uint8(1|partWords|partBig|partSorted))
+	f.Add(mixed, uint64(18), uint8(2|partWords|partBig|partSmall))
+	f.Add(mixed, uint64(5), uint8(2|partWords|partBig|partSmall))
+	f.Add(mixed, uint64(7), uint8(3|partWords|partBig))
+	f.Add(mixed, uint64(42<<8|6), uint8(5|partWords|partBig))
+	f.Add(mixed, uint64(66<<8|6), uint8(6|partWords|partBig))
+	f.Add(mixed, uint64(9), uint8(7|partWords|partBig))
+	f.Add(tail, uint64(7), uint8(0|partWords))
+	f.Add(tail, uint64(7), uint8(2|partWords))
+	f.Add(tail, uint64(24), uint8(2|partWords|partSmall))
+	f.Add(tail, uint64(30<<8|6), uint8(5|partWords|partRuns))
 	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, shape uint8) {
 		const chunkRows = 64
 		n := min(len(raw)/8, 16*chunkRows)
@@ -866,6 +903,17 @@ func FuzzPartitionKernels(f *testing.F) {
 			if dropped {
 				continue
 			}
+			if shape&partWords != 0 {
+				for w := lo; w < hi; w += 64 {
+					end, density := min(w+64, hi), rng.Intn(4)
+					for r := w; r < end; r++ {
+						if density == 0 || (density == 1 && rng.Intn(5) != 0) || (density == 2 && rng.Intn(16) == 0) {
+							sel = append(sel, int32(r))
+						}
+					}
+				}
+				continue
+			}
 			if shape&partRuns != 0 {
 				if rng.Intn(3) != 0 {
 					lo += rng.Intn(hi - lo)
@@ -874,6 +922,7 @@ func FuzzPartitionKernels(f *testing.F) {
 				sel = append(sel, AllRows(hi)[lo:]...)
 				continue
 			}
+
 			for r := lo; r < hi; r++ {
 				if rng.Float64() < p {
 					sel = append(sel, int32(r))

@@ -22,6 +22,12 @@ import (
 // own test — nothing assumes the pieces are disjoint or cover the
 // parent — so child i is exactly FilterChunked(parent, preds[i]), NaN
 // rows included: they match every float range and no float set.
+//
+// The parent is a Source in either form, dispatched once per chunk. A
+// packed parent chunk is cut from its words and its row ids are never
+// built: a taken piece shares the parent's words, a scanned piece
+// builds its child words from them word by word (packPieces), and a
+// piece wanted as row ids decodes them from its own child words.
 
 // testKind names the form of a Pred's row test the two-piece
 // partition kernels share. testOpaque has only its own scan kernel:
@@ -52,22 +58,24 @@ type rowTest struct {
 // the stack; wider partitions spill it to the heap.
 const partInline = 8
 
-// PartitionChunked narrows cs by each of preds — predicates over one
-// column — in one pass, returning child i equal to FilterChunked(cs,
-// preds[i]): exact-length segments, or cs's own segment by reference
-// where every row matched. pack, when non-nil, is aligned with preds
-// and marks the pieces wanted only word-packed: for each pack[i] set,
-// the returned bitmaps hold child i's bitmap, equal to
+// PartitionChunked narrows src by each of preds — predicates over one
+// column — in one pass, returning child i equal to FilterChunked(src,
+// preds[i]): exact-length segments, or a row-id parent's own segment
+// by reference where every row matched. pack, when non-nil, is aligned
+// with preds and marks the pieces wanted only word-packed: for each
+// pack[i] set, the returned bitmaps hold child i's bitmap, equal to
 // NewBitmapChunked of the child and carrying its Count, and the
 // returned children hold nil — a packed piece's matches go from the
-// scratch buffer (or, for a taken chunk, the parent segment) straight
-// into words, with no exact-length copy. Every other piece has a
-// child and a nil bitmap. Bitmap.Chunked builds a packed child's row
-// ids when a caller needs them. The metrics hook counts what one
-// filter per pred would: a VectorKernels per pred that can match, and
-// one verdict per such pred per non-empty chunk.
-func PartitionChunked(cs *ChunkedSelection, preds []Pred, pack []bool) ([]*ChunkedSelection, []*Bitmap) {
-	nc := cs.NumChunks()
+// scratch buffer (or, for a taken chunk, the parent's segment or
+// words) straight into words, with no exact-length copy. Every other
+// piece has a child and a nil bitmap. Bitmap.Chunked builds a packed
+// child's row ids when a caller needs them. A packed parent is cut
+// from its words (partition.words) and its row ids are never built. The
+// metrics hook counts what one filter per pred would: a VectorKernels
+// per pred that can match, and one verdict per such pred per non-empty
+// chunk.
+func PartitionChunked(src Source, preds []Pred, pack []bool) ([]*ChunkedSelection, []*Bitmap) {
+	nRows, chunkRows, nc := src.NumRows(), src.ChunkRows(), src.NumChunks()
 	m := metricsHook.Load()
 	var bms []*Bitmap
 	var ones []atomic.Int64
@@ -76,7 +84,7 @@ func PartitionChunked(cs *ChunkedSelection, preds []Pred, pack []bool) ([]*Chunk
 		ones = make([]atomic.Int64, len(preds))
 		for i := range bms {
 			if pack[i] {
-				bms[i] = newBitmapShell(cs.nRows, cs.chunkRows, nc)
+				bms[i] = newBitmapShell(nRows, chunkRows, nc)
 			}
 		}
 	}
@@ -93,7 +101,14 @@ func PartitionChunked(cs *ChunkedSelection, preds []Pred, pack []bool) ([]*Chunk
 		live = append(live, i)
 	}
 	if len(live) > 0 {
-		forEachSeg(cs, func(c int) { partitionChunk(cs.Seg(c), c, preds, live, segs, bms, ones, m) })
+		part := &partition{preds: preds, live: live, segs: segs, bms: bms, ones: ones, m: m, nRows: nRows, chunkRows: chunkRows}
+		forEachSeg(src, func(c int) {
+			if rows, words, n := src.chunk(c); words != nil {
+				part.words(words, n, c)
+			} else {
+				part.rows(rows, c)
+			}
+		})
 	}
 	out := make([]*ChunkedSelection, len(preds))
 	for i := range preds {
@@ -101,48 +116,65 @@ func PartitionChunked(cs *ChunkedSelection, preds []Pred, pack []bool) ([]*Chunk
 		case bms != nil && bms[i] != nil:
 			bms[i].ones = int(ones[i].Load())
 		case segs[i] == nil:
-			out[i] = emptyLike(cs)
+			out[i] = emptyLike(src)
 		default:
-			out[i] = NewChunkedSelection(cs.nRows, cs.chunkRows, segs[i])
+			out[i] = NewChunkedSelection(nRows, chunkRows, segs[i])
 		}
 	}
 	return out, bms
 }
 
-// partitionChunk is one chunk's task: the verdicts, one scratch buffer
+// partition is one PartitionChunked pass: the pieces, the outputs
+// every chunk's task fills — row-id children in segs, packed children
+// in bms with their counts in ones — and the metrics hook.
+type partition struct {
+	preds            []Pred
+	live             []int
+	segs             [][]Selection
+	bms              []*Bitmap
+	ones             []atomic.Int64
+	m                *Metrics
+	nRows, chunkRows int
+}
+
+// packed reports whether piece i is wanted only word-packed.
+func (p *partition) packed(i int) bool { return p.bms != nil && p.bms[i] != nil }
+
+// rows is one row-id parent chunk's task: the verdicts, one scratch buffer
 // holding every scanning piece's output, the shared row loop, and each
 // piece's matches either copied out at exact length or, for a piece
 // with a bitmap in bms, packed into its words (the count added to
-// ones[i]) — straight from the values when the parent segment is one
-// contiguous run.
-func partitionChunk(seg Selection, c int, preds []Pred, live []int, segs [][]Selection, bms []*Bitmap, ones []atomic.Int64, m *Metrics) {
+// ones[i]). A contiguous parent segment — a whole chunk of an
+// unconstrained context, or a range on the column the table is
+// clustered by — is cut as the run of words it fills when a piece is
+// packed, so the word kernels test it 64 rows at a time and a taken
+// packed piece shares its words.
+func (p *partition) rows(seg Selection, c int) {
 	if len(seg) == 0 {
 		return
 	}
+	preds, segs, bms, ones := p.preds, p.segs, p.bms, p.ones
+	if bms != nil && int(seg[len(seg)-1]-seg[0]) == len(seg)-1 {
+		words := make([]uint64, (min(p.chunkRows, p.nRows-c*p.chunkRows)+63)>>6)
+		p.words(words, setSegBits(words, seg, int32(c*p.chunkRows)), c)
+		return
+	}
 	keep := func(i int, s, matched Selection) {
-		if bms == nil || bms[i] == nil {
+		if !p.packed(i) {
 			segs[i][c] = exactSeg(s, matched)
 		} else if len(matched) > 0 {
 			ones[i].Add(int64(bms[i].packChunk(c, matched)))
 		}
 	}
-	// A contiguous parent segment — a whole chunk of an unconstrained
-	// context, or a range on the column the table is clustered by —
-	// lets a packed piece with a shared row test set its words straight
-	// from the values (packRun), with no row ids in between.
-	run := bms != nil && int(seg[len(seg)-1]-seg[0]) == len(seg)-1
 	var scanArr [partInline]int
 	scan := scanArr[:0]
-	for _, i := range live {
+	for _, i := range p.live {
 		v := preds[i].verdict(c)
-		m.countVerdict(v)
-		switch {
-		case v == chunkTake:
+		p.m.countVerdict(v)
+		switch v {
+		case chunkTake:
 			keep(i, seg, seg)
-		case v != chunkScan:
-		case run && bms[i] != nil && preds[i].test.kind != testOpaque:
-			ones[i].Add(int64(bms[i].packRun(c, &preds[i].test, seg)))
-		default:
+		case chunkScan:
 			scan = append(scan, i)
 		}
 	}
@@ -164,115 +196,297 @@ func partitionChunk(seg Selection, c int, preds []Pred, live []int, segs [][]Sel
 	}
 }
 
-// packRun sets chunk c's words to the rows of run, a contiguous run of
-// rows inside chunk c, that t matches, and returns their count; it
-// allocates no words when none matches. Each 64-row word the run covers
-// whole is computed in registers by a word kernel and stored once; the
-// run's partial words at either end test row by row.
-func (b *Bitmap) packRun(c int, t *rowTest, run Selection) int {
-	words := make([]uint64, b.chunkWordCount(c))
-	base := c * b.chunkRows
-	n := 0
-	for lo, hi := int(run[0]), int(run[len(run)-1])+1; lo < hi; {
-		wi := (lo - base) >> 6
-		end := min(base+(wi+1)<<6, hi)
-		var w uint64
-		if end-lo == 64 {
-			w = t.word(lo)
-		} else {
-			for r := lo; r < end; r++ {
-				w |= uint64(b2i(t.match(r))) << ((r - base) & 63)
+// denseWordBits is the popcount from which a scanned piece tests a
+// packed parent word's 64 rows at once — the word kernel's result
+// masked by the parent word — rather than iterating its set bits. Half
+// the parent words of a drill-down hold at most 8 bits while a third of
+// its parent rows sit in full words, so neither kernel alone serves
+// both; BenchmarkPartitionSource measures the crossover.
+const denseWordBits = 32
+
+// words is the task of a chunk the parent holds as words — a packed
+// parent's, or a contiguous row-id segment's run — pw chunk c's words,
+// holding n rows. A taken piece shares pw when packed and decodes it
+// when not. A scanned piece with a shared row test builds its child
+// words from pw word by word (packPieces) into one scratch buffer; a
+// packed piece's are copied out, an unpacked piece's decoded at exact
+// length, so its rows come from its own words only. An opaque piece
+// runs its row kernel over the chunk's rows, decoded into scratch once
+// for all of them.
+func (p *partition) words(pw []uint64, n, c int) {
+	preds := p.preds
+	base := c * p.chunkRows
+	// The words a scanned piece may test 64 at a time: those whose 64
+	// rows are all in the chunk and the table.
+	full := min(p.chunkRows, p.nRows-base) >> 6
+	var scanArr, opaqueArr [partInline]int
+	scan, opaque := scanArr[:0], opaqueArr[:0]
+	for _, i := range p.live {
+		v := preds[i].verdict(c)
+		p.m.countVerdict(v)
+		switch {
+		case v == chunkTake:
+			p.keepWords(i, c, base, pw, n, true)
+		case v != chunkScan:
+		case preds[i].test.kind == testOpaque:
+			opaque = append(opaque, i)
+		default:
+			scan = append(scan, i)
+		}
+	}
+	if len(scan) > 0 {
+		nw := len(pw)
+		buf := uint64Scratch.Get(len(scan) * nw)
+		var outArr [partInline][]uint64
+		var nsArr [partInline]int
+		outs, ns := outArr[:0], nsArr[:0]
+		for j := range scan {
+			outs = append(outs, (*buf)[j*nw:(j+1)*nw:(j+1)*nw])
+			ns = append(ns, 0)
+		}
+		packPieces(preds, scan, pw, base, full, outs, ns)
+		for j, i := range scan {
+			p.keepWords(i, c, base, outs[j], ns[j], false)
+		}
+		uint64Scratch.Put(buf)
+	}
+	if len(opaque) > 0 {
+		buf := int32Scratch.Get((1 + len(opaque)) * n)
+		rows := (*buf)[:n:n]
+		decodeWords(rows, pw, int32(base))
+		for j, i := range opaque {
+			out := (*buf)[(j+1)*n : (j+2)*n : (j+2)*n]
+			matched := out[:preds[i].scan(rows, out)]
+			switch {
+			case len(matched) == 0:
+			case p.packed(i):
+				p.ones[i].Add(int64(p.bms[i].packChunk(c, matched)))
+			default:
+				p.segs[i][c] = exactSeg(nil, matched)
 			}
 		}
-		words[wi] = w
-		n += bits.OnesCount64(w)
-		lo = end
+		int32Scratch.Put(buf)
 	}
-	if n > 0 {
-		b.chunks[c] = words
-	}
-	return n
 }
 
-// match is t's test of one row.
-func (t *rowTest) match(r int) bool {
-	switch t.kind {
-	case testIntRange:
-		return uint64(t.ints[r]-t.ispan.lo) <= t.ispan.span
-	case testFloatRange:
-		v := t.floats[r]
-		return floatKey(v)-t.fspan.lo <= t.fspan.span || v != v
+// keepWords stores piece i's child words of chunk c, n of their bits
+// set: a packed piece keeps the words — its own copy unless shared, the
+// parent's words a taken chunk shares — and an unpacked piece their
+// rows at exact length. A piece with no row in the chunk keeps nothing.
+func (p *partition) keepWords(i, c, base int, words []uint64, n int, shared bool) {
+	switch {
+	case n == 0:
+	case !p.packed(i):
+		p.segs[i][c] = decodeSeg(words, n, int32(base))
 	default:
-		code := t.codes[r]
-		return t.want[code>>6]>>(code&63)&1 != 0
+		if !shared {
+			own := make([]uint64, len(words))
+			copy(own, words)
+			words = own
+		}
+		p.bms[i].setChunk(c, words, n)
+		p.ones[i].Add(int64(n))
 	}
 }
 
-// word returns t's matches among the 64 rows from lo as one word, bit
-// j for row lo+j.
-func (t *rowTest) word(lo int) uint64 {
-	switch t.kind {
-	case testIntRange:
-		return intRangeWord(t.ints[lo:lo+64:lo+64], t.ispan)
-	case testFloatRange:
-		return floatRangeWord(t.floats[lo:lo+64:lo+64], t.fspan)
-	default:
-		return codeSetWord(t.codes[lo:lo+64:lo+64], t.want)
+// packPieces builds the child words of the pieces in scan (indices
+// into preds) from a packed parent chunk's words pw, writing piece
+// scan[j]'s to outs[j] and their count to ns[j]. The pieces of one cut
+// share a column, so every scanned piece has the one shared test kind,
+// and they run two at a time through the two-piece word kernels: each
+// loads a row's value once and builds both child words in registers. A
+// lone last piece runs paired with itself. Each parent word picks its
+// kernel by density (isDense): a dense word is tested whole, eight
+// rows per step, and masked by the parent word; a sparser word tests
+// its set bits one by one.
+func packPieces(preds []Pred, scan []int, pw []uint64, base, full int, outs [][]uint64, ns []int) {
+	for j := 0; j < len(scan); j += 2 {
+		k := min(j+1, len(scan)-1)
+		a, b := &preds[scan[j]].test, &preds[scan[k]].test
+		switch a.kind {
+		case testIntRange:
+			ns[j], ns[k] = packIntRange2(a.ints, a.ispan, b.ispan, pw, base, full, outs[j], outs[k])
+		case testFloatRange:
+			ns[j], ns[k] = packFloatRange2(a.floats, a.fspan, b.fspan, pw, base, full, outs[j], outs[k])
+		default:
+			ns[j], ns[k] = packCodeSet2(a.codes, a.want, b.want, pw, base, full, outs[j], outs[k])
+		}
 	}
 }
 
-// The word kernels test eight rows per step and shift each outcome to
-// a constant position, so the word is built in registers without a
-// variable shift or a store per row.
-
-func intRangeWord(vals []int64, s intSpan) uint64 {
-	lo, span := s.lo, s.span
-	var w uint64
-	for j := 0; j < 64; j += 8 {
-		x := vals[j : j+8 : j+8]
-		w |= (uint64(b2i(uint64(x[0]-lo) <= span)) |
-			uint64(b2i(uint64(x[1]-lo) <= span))<<1 |
-			uint64(b2i(uint64(x[2]-lo) <= span))<<2 |
-			uint64(b2i(uint64(x[3]-lo) <= span))<<3 |
-			uint64(b2i(uint64(x[4]-lo) <= span))<<4 |
-			uint64(b2i(uint64(x[5]-lo) <= span))<<5 |
-			uint64(b2i(uint64(x[6]-lo) <= span))<<6 |
-			uint64(b2i(uint64(x[7]-lo) <= span))<<7) << j
-	}
-	return w
+// isDense reports whether parent word wi, holding w, is tested whole:
+// it has at least denseWordBits bits and all its rows are in the table
+// (wi < full).
+func isDense(wi, full int, w uint64) bool {
+	return wi < full && ones(w) >= denseWordBits
 }
 
-func floatRangeWord(vals []float64, s floatSpan) uint64 {
-	lo, span := s.lo, s.span
-	var w uint64
-	for j := 0; j < 64; j += 8 {
-		x := vals[j : j+8 : j+8]
-		w |= (uint64(b2i(floatKey(x[0])-lo <= span)|b2i(x[0] != x[0])) |
-			uint64(b2i(floatKey(x[1])-lo <= span)|b2i(x[1] != x[1]))<<1 |
-			uint64(b2i(floatKey(x[2])-lo <= span)|b2i(x[2] != x[2]))<<2 |
-			uint64(b2i(floatKey(x[3])-lo <= span)|b2i(x[3] != x[3]))<<3 |
-			uint64(b2i(floatKey(x[4])-lo <= span)|b2i(x[4] != x[4]))<<4 |
-			uint64(b2i(floatKey(x[5])-lo <= span)|b2i(x[5] != x[5]))<<5 |
-			uint64(b2i(floatKey(x[6])-lo <= span)|b2i(x[6] != x[6]))<<6 |
-			uint64(b2i(floatKey(x[7])-lo <= span)|b2i(x[7] != x[7]))<<7) << j
-	}
-	return w
+// ones is bits.OnesCount64 as a branch-free SWAR sum: without the
+// intrinsic's fallback call the word kernels make no call, so their
+// loop state stays in registers.
+func ones(w uint64) int {
+	w -= w >> 1 & 0x5555555555555555
+	w = w&0x3333333333333333 + w>>2&0x3333333333333333
+	w = (w + w>>4) & 0x0f0f0f0f0f0f0f0f
+	return int(w * 0x0101010101010101 >> 56)
 }
 
-func codeSetWord(codes []uint32, want codeSet) uint64 {
-	var w uint64
-	for j := 0; j < 64; j += 8 {
-		x := codes[j : j+8 : j+8]
-		w |= (want[x[0]>>6]>>(x[0]&63)&1 |
-			want[x[1]>>6]>>(x[1]&63)&1<<1 |
-			want[x[2]>>6]>>(x[2]&63)&1<<2 |
-			want[x[3]>>6]>>(x[3]&63)&1<<3 |
-			want[x[4]>>6]>>(x[4]&63)&1<<4 |
-			want[x[5]>>6]>>(x[5]&63)&1<<5 |
-			want[x[6]>>6]>>(x[6]&63)&1<<6 |
-			want[x[7]>>6]>>(x[7]&63)&1<<7) << j
+// The two-piece word kernels build the child words of pieces a and b
+// from the parent words pw — word i of each is pw[i] narrowed to the
+// rows its test matches, the first of them row base — and return their
+// counts; outA and outB may be the same slice when a and b are the
+// same test. They make no call, so their loop state stays in
+// registers, and like the two-piece row loops they stay out of line.
+
+//go:noinline
+func packIntRange2(vals []int64, a, b intSpan, pw []uint64, base, full int, outA, outB []uint64) (na, nb int) {
+	aLo, aSpan, bLo, bSpan := a.lo, a.span, b.lo, b.span
+	outA, outB = outA[:len(pw)], outB[:len(pw)]
+	for wi, w := range pw {
+		lo := base + wi<<6
+		var xa, xb uint64
+		if isDense(wi, full, w) {
+			for j := 0; j < 64; j += 8 {
+				x := vals[lo+j : lo+j+8 : lo+j+8]
+				xa |= (uint64(b2i(uint64(x[0]-aLo) <= aSpan)) |
+					uint64(b2i(uint64(x[1]-aLo) <= aSpan))<<1 |
+					uint64(b2i(uint64(x[2]-aLo) <= aSpan))<<2 |
+					uint64(b2i(uint64(x[3]-aLo) <= aSpan))<<3 |
+					uint64(b2i(uint64(x[4]-aLo) <= aSpan))<<4 |
+					uint64(b2i(uint64(x[5]-aLo) <= aSpan))<<5 |
+					uint64(b2i(uint64(x[6]-aLo) <= aSpan))<<6 |
+					uint64(b2i(uint64(x[7]-aLo) <= aSpan))<<7) << j
+				xb |= (uint64(b2i(uint64(x[0]-bLo) <= bSpan)) |
+					uint64(b2i(uint64(x[1]-bLo) <= bSpan))<<1 |
+					uint64(b2i(uint64(x[2]-bLo) <= bSpan))<<2 |
+					uint64(b2i(uint64(x[3]-bLo) <= bSpan))<<3 |
+					uint64(b2i(uint64(x[4]-bLo) <= bSpan))<<4 |
+					uint64(b2i(uint64(x[5]-bLo) <= bSpan))<<5 |
+					uint64(b2i(uint64(x[6]-bLo) <= bSpan))<<6 |
+					uint64(b2i(uint64(x[7]-bLo) <= bSpan))<<7) << j
+			}
+			xa &= w
+			xb &= w
+			na += ones(xa)
+			nb += ones(xb)
+		} else {
+			for ; w != 0; w &= w - 1 {
+				j := bits.TrailingZeros64(w)
+				v := vals[lo+j]
+				ha, hb := b2i(uint64(v-aLo) <= aSpan), b2i(uint64(v-bLo) <= bSpan)
+				xa |= uint64(ha) << j
+				xb |= uint64(hb) << j
+				na += ha
+				nb += hb
+			}
+		}
+		outA[wi], outB[wi] = xa, xb
 	}
-	return w
+	return na, nb
+}
+
+// packFloatRange2 keeps a NaN row in both pieces, as partFloatRange2
+// does.
+//
+//go:noinline
+func packFloatRange2(vals []float64, a, b floatSpan, pw []uint64, base, full int, outA, outB []uint64) (na, nb int) {
+	aLo, aSpan, bLo, bSpan := a.lo, a.span, b.lo, b.span
+	outA, outB = outA[:len(pw)], outB[:len(pw)]
+	for wi, w := range pw {
+		lo := base + wi<<6
+		var xa, xb uint64
+		if isDense(wi, full, w) {
+			for j := 0; j < 64; j += 8 {
+				x := vals[lo+j : lo+j+8 : lo+j+8]
+				k0, k1, k2, k3 := floatKey(x[0]), floatKey(x[1]), floatKey(x[2]), floatKey(x[3])
+				k4, k5, k6, k7 := floatKey(x[4]), floatKey(x[5]), floatKey(x[6]), floatKey(x[7])
+				nan := uint64(b2i(x[0] != x[0]) | b2i(x[1] != x[1])<<1 | b2i(x[2] != x[2])<<2 | b2i(x[3] != x[3])<<3 |
+					b2i(x[4] != x[4])<<4 | b2i(x[5] != x[5])<<5 | b2i(x[6] != x[6])<<6 | b2i(x[7] != x[7])<<7)
+				xa |= (nan | uint64(b2i(k0-aLo <= aSpan)) |
+					uint64(b2i(k1-aLo <= aSpan))<<1 |
+					uint64(b2i(k2-aLo <= aSpan))<<2 |
+					uint64(b2i(k3-aLo <= aSpan))<<3 |
+					uint64(b2i(k4-aLo <= aSpan))<<4 |
+					uint64(b2i(k5-aLo <= aSpan))<<5 |
+					uint64(b2i(k6-aLo <= aSpan))<<6 |
+					uint64(b2i(k7-aLo <= aSpan))<<7) << j
+				xb |= (nan | uint64(b2i(k0-bLo <= bSpan)) |
+					uint64(b2i(k1-bLo <= bSpan))<<1 |
+					uint64(b2i(k2-bLo <= bSpan))<<2 |
+					uint64(b2i(k3-bLo <= bSpan))<<3 |
+					uint64(b2i(k4-bLo <= bSpan))<<4 |
+					uint64(b2i(k5-bLo <= bSpan))<<5 |
+					uint64(b2i(k6-bLo <= bSpan))<<6 |
+					uint64(b2i(k7-bLo <= bSpan))<<7) << j
+			}
+			xa &= w
+			xb &= w
+			na += ones(xa)
+			nb += ones(xb)
+		} else {
+			for ; w != 0; w &= w - 1 {
+				j := bits.TrailingZeros64(w)
+				v := vals[lo+j]
+				k, nan := floatKey(v), b2i(v != v)
+				ha, hb := b2i(k-aLo <= aSpan)|nan, b2i(k-bLo <= bSpan)|nan
+				xa |= uint64(ha) << j
+				xb |= uint64(hb) << j
+				na += ha
+				nb += hb
+			}
+		}
+		outA[wi], outB[wi] = xa, xb
+	}
+	return na, nb
+}
+
+//go:noinline
+func packCodeSet2(codes []uint32, a, b codeSet, pw []uint64, base, full int, outA, outB []uint64) (na, nb int) {
+	b = b[:len(a)]
+	outA, outB = outA[:len(pw)], outB[:len(pw)]
+	for wi, w := range pw {
+		lo := base + wi<<6
+		var xa, xb uint64
+		if isDense(wi, full, w) {
+			for j := 0; j < 64; j += 8 {
+				x := codes[lo+j : lo+j+8 : lo+j+8]
+				w0, w1, w2, w3, w4, w5, w6, w7 := x[0]>>6, x[1]>>6, x[2]>>6, x[3]>>6, x[4]>>6, x[5]>>6, x[6]>>6, x[7]>>6
+				xa |= (a[w0]>>(x[0]&63)&1 |
+					a[w1]>>(x[1]&63)&1<<1 |
+					a[w2]>>(x[2]&63)&1<<2 |
+					a[w3]>>(x[3]&63)&1<<3 |
+					a[w4]>>(x[4]&63)&1<<4 |
+					a[w5]>>(x[5]&63)&1<<5 |
+					a[w6]>>(x[6]&63)&1<<6 |
+					a[w7]>>(x[7]&63)&1<<7) << j
+				xb |= (b[w0]>>(x[0]&63)&1 |
+					b[w1]>>(x[1]&63)&1<<1 |
+					b[w2]>>(x[2]&63)&1<<2 |
+					b[w3]>>(x[3]&63)&1<<3 |
+					b[w4]>>(x[4]&63)&1<<4 |
+					b[w5]>>(x[5]&63)&1<<5 |
+					b[w6]>>(x[6]&63)&1<<6 |
+					b[w7]>>(x[7]&63)&1<<7) << j
+			}
+			xa &= w
+			xb &= w
+			na += ones(xa)
+			nb += ones(xb)
+		} else {
+			for ; w != 0; w &= w - 1 {
+				j := bits.TrailingZeros64(w)
+				code := codes[lo+j]
+				cw, bit := code>>6, code&63
+				ha, hb := a[cw]>>bit&1, b[cw]>>bit&1
+				xa |= ha << j
+				xb |= hb << j
+				na += int(ha)
+				nb += int(hb)
+			}
+		}
+		outA[wi], outB[wi] = xa, xb
+	}
+	return na, nb
 }
 
 // scanPieces runs one chunk's row loop for the pieces in scan

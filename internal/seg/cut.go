@@ -118,14 +118,14 @@ func childQuery(q sdl.Query, piece sdl.Constraint) (sdl.Query, bool, error) {
 // retain set may also return the per-chunk counts the cut cache keeps;
 // sampled points are estimated from pointSel and the bounds still
 // taken over the full extent.
-func intPieces(attr string, col engine.IntValued, cs *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions, retain bool) ([]sdl.Constraint, *engine.IntCounts) {
+func intPieces(attr string, col engine.IntValued, src engine.Source, pointSel engine.Selection, opt CutOptions, retain bool) ([]sdl.Constraint, *engine.IntCounts) {
 	var cut engine.NumCut[int64]
 	var counts *engine.IntCounts
 	if pointSel != nil {
-		cut.Min, cut.Max, _ = engine.IntMinMaxChunked(col, cs)
+		cut.Min, cut.Max, _ = engine.IntMinMaxChunked(col, src)
 		cut.Points = engine.IntCutPoints(col, pointSel, opt.Arity)
 	} else {
-		cut, counts = engine.IntCutChunked(col, cs, opt.Arity, retain)
+		cut, counts = engine.IntCutChunked(col, src, opt.Arity, retain)
 	}
 	return intCutPieces(attr, col, cut), counts
 }
@@ -139,13 +139,13 @@ func intCutPieces(attr string, col engine.IntValued, cut engine.NumCut[int64]) [
 	return rangePieces(attr, cut, mk)
 }
 
-func floatPieces(attr string, col engine.FloatValued, cs *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions) []sdl.Constraint {
+func floatPieces(attr string, col engine.FloatValued, src engine.Source, pointSel engine.Selection, opt CutOptions) []sdl.Constraint {
 	var cut engine.NumCut[float64]
 	if pointSel != nil {
-		cut.Min, cut.Max, _ = engine.FloatMinMaxChunked(col, cs)
+		cut.Min, cut.Max, _ = engine.FloatMinMaxChunked(col, src)
 		cut.Points = engine.FloatCutPoints(col, pointSel, opt.Arity)
 	} else {
-		cut = engine.FloatCutChunked(col, cs, opt.Arity)
+		cut = engine.FloatCutChunked(col, src, opt.Arity)
 	}
 	return rangePieces(attr, cut, engine.Float)
 }
@@ -191,8 +191,9 @@ func errCutKind(attr string, col engine.Column) error {
 // categorical column. Documented deviation: the paper's Definition 5
 // simply cannot split such a column.
 //
-// Counting walks cs chunk by chunk over the column's backing slice —
-// no flat copy of the selection is built or cached — and keys the map
+// Counting walks src chunk by chunk over the column's backing slice —
+// a packed extent by set-bit iteration, and no flat copy of the
+// selection is built or cached — and keys the map
 // on the raw 64-bit payload: one integer map op per row, no Value
 // boxing and no string formatting in the loop. Values are formatted
 // once per distinct value at the end, where nominalPieces needs the
@@ -200,7 +201,7 @@ func errCutKind(attr string, col engine.Column) error {
 // deterministic (ties broken on the value string) regardless of map
 // iteration order, which TestNumericNominalFallbackDeterministic
 // pins.
-func numericNominalFallback(attr string, col engine.Column, cs *engine.ChunkedSelection, opt CutOptions) []sdl.Constraint {
+func numericNominalFallback(attr string, col engine.Column, src engine.Source, opt CutOptions) []sdl.Constraint {
 	// The fallback only fires on near-constant extents, so the
 	// distinct count is small; a modest size hint avoids both rehash
 	// churn and a |sel|-sized over-allocation.
@@ -209,11 +210,11 @@ func numericNominalFallback(attr string, col engine.Column, cs *engine.ChunkedSe
 	switch col := col.(type) {
 	case engine.IntValued:
 		vals := col.Int64s()
-		for c := 0; c < cs.NumChunks(); c++ {
-			for _, row := range cs.Seg(c) {
+		engine.RowBatches(src, func(rows engine.Selection) {
+			for _, row := range rows {
 				counts[uint64(vals[row])]++
 			}
-		}
+		})
 		if col.Kind() == engine.KindDate {
 			toValue = func(bits uint64) engine.Value { return engine.Date(int64(bits)) }
 		} else {
@@ -221,8 +222,8 @@ func numericNominalFallback(attr string, col engine.Column, cs *engine.ChunkedSe
 		}
 	case engine.FloatValued:
 		vals := col.Float64s()
-		for c := 0; c < cs.NumChunks(); c++ {
-			for _, row := range cs.Seg(c) {
+		engine.RowBatches(src, func(rows engine.Selection) {
+			for _, row := range rows {
 				v := vals[row]
 				if v != v {
 					// Canonicalize NaN: every payload renders as the
@@ -233,7 +234,7 @@ func numericNominalFallback(attr string, col engine.Column, cs *engine.ChunkedSe
 				}
 				counts[math.Float64bits(v)]++
 			}
-		}
+		})
 		toValue = func(bits uint64) engine.Value { return engine.Float(math.Float64frombits(bits)) }
 	default:
 		return nil
@@ -308,7 +309,9 @@ func Cut(ev *Evaluator, s *Segmentation, attr string, opt CutOptions) (*Segmenta
 // that, the partition passes pack the children of every dense parent
 // and cache them packed-only (Evaluator.cutChildren), the last piece
 // included; a cut with more pieces may leave packBelow queries, which
-// HB-cuts discards unpaired, so it packs nothing.
+// HB-cuts discards unpaired, so it packs nothing. Either way a query
+// cached packed-only is cut — its cut points and its children — from
+// its words, and its row ids are never built.
 //
 // The result keeps s's partition proof when that proof names the
 // current fingerprint and every split query's children sum to the

@@ -87,12 +87,13 @@ func (e *Evaluator) storeCut(key string, ent cachedCut) {
 // cutPieces computes (or reuses) the piece constraints CUT splits q
 // into along attr — the single entry point CutQuery dispatches
 // through, so cached and uncached runs produce identical pieces by
-// construction. ext is q's extent (Evaluator.extent); its row ids
-// are read — and a packed-only entry's built — only when the pieces
-// are not served from a version-equal cache entry. With
-// opt.SampleSize set, the points are estimated from a systematic
-// sample of the rows (Section 5.2); sampled points are cached but
-// never refreshed incrementally.
+// construction. ext is q's extent (Evaluator.extent), read in the form
+// the cache holds it — a packed-only entry by set-bit iteration over
+// its words — and only when the pieces are not served from a
+// version-equal cache entry. With opt.SampleSize set, the points are
+// estimated from a systematic sample of the rows (Section 5.2), the
+// one cut that builds a packed-only extent's row ids; sampled points
+// are cached but never refreshed incrementally.
 func (e *Evaluator) cutPieces(q sdl.Query, attr string, col engine.Column, ext cachedSel, opt CutOptions) ([]sdl.Constraint, error) {
 	caching := e.caching.Load()
 	var key string
@@ -108,33 +109,33 @@ func (e *Evaluator) cutPieces(q sdl.Query, attr string, col engine.Column, ext c
 			stale = &ent
 		}
 	}
-	cs := e.rows(q.Key(), ext)
+	src := ext.source()
 	// Sampled cut points draw a systematic sample from the flat view;
-	// exact ones run shard-at-a-time on the chunked selection and
-	// never materialize it. (Nominal cuts always see the full extent
-	// regardless: a sampled dictionary could miss rare values, and
-	// rows holding them would fall outside every piece, breaking
-	// Definition 3. Counting is a single O(n) pass, so there is
-	// nothing to save anyway — sampling targets the numeric medians
-	// and quantiles.)
+	// exact ones run shard-at-a-time on the extent and never flatten
+	// it. (Nominal cuts always see the full extent regardless: a
+	// sampled dictionary could miss rare values, and rows holding them
+	// would fall outside every piece, breaking Definition 3. Counting
+	// is a single O(n) pass, so there is nothing to save anyway —
+	// sampling targets the numeric medians and quantiles.)
 	var pointSel engine.Selection
-	if opt.SampleSize > 0 && cs.Len() > opt.SampleSize {
-		pointSel = stats.StridedInt32(cs.Flat(), opt.SampleSize)
+	if opt.SampleSize > 0 && src.Len() > opt.SampleSize {
+		cs := e.rows(q.Key(), ext)
+		src, pointSel = cs, stats.StridedInt32(cs.Flat(), opt.SampleSize)
 	}
 	if !caching {
-		pieces, _, err := e.computeCut(attr, col, cs, pointSel, opt, false)
+		pieces, _, err := e.computeCut(attr, col, src, pointSel, opt, false)
 		if err == nil && len(pieces) >= 2 {
 			e.countCutPointCalc()
 		}
 		return pieces, err
 	}
 	if stale != nil {
-		if pieces, ok := e.refreshCut(key, *stale, attr, col, cs, pointSel, opt, cur); ok {
+		if pieces, ok := e.refreshCut(key, *stale, attr, col, src, pointSel, opt, cur); ok {
 			return pieces, nil
 		}
 	}
-	retain := e.tab.Mutable() && cs.Len() >= cutStateMinRows
-	pieces, state, err := e.computeCut(attr, col, cs, pointSel, opt, retain)
+	retain := e.tab.Mutable() && src.Len() >= cutStateMinRows
+	pieces, state, err := e.computeCut(attr, col, src, pointSel, opt, retain)
 	if err != nil {
 		return nil, err
 	}
@@ -159,29 +160,29 @@ type cutState struct {
 // Everything else — sampled points, wide int spans, floats, bools,
 // the degenerate fallback — takes exactly the code path the uncached
 // evaluator takes.
-func (e *Evaluator) computeCut(attr string, col engine.Column, cs *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions, retain bool) ([]sdl.Constraint, cutState, error) {
+func (e *Evaluator) computeCut(attr string, col engine.Column, src engine.Source, pointSel engine.Selection, opt CutOptions, retain bool) ([]sdl.Constraint, cutState, error) {
 	var state cutState
 	var pieces []sdl.Constraint
 	var err error
 	switch col := col.(type) {
 	case *engine.StringColumn:
 		if retain && pointSel == nil {
-			state.strCounts = engine.StringChunkCounts(col, cs)
+			state.strCounts = engine.StringChunkCounts(col, src)
 			pieces, err = nominalPieces(attr, engine.StringCountsFromChunks(col, state.strCounts), stringSetValue, opt)
 		} else {
-			pieces, err = nominalPieces(attr, engine.StringValueCountsChunked(col, cs), stringSetValue, opt)
+			pieces, err = nominalPieces(attr, engine.StringValueCountsChunked(col, src), stringSetValue, opt)
 		}
 	case *engine.BoolColumn:
-		pieces, err = nominalPieces(attr, engine.BoolValueCountsChunked(col, cs), boolSetValue, opt)
+		pieces, err = nominalPieces(attr, engine.BoolValueCountsChunked(col, src), boolSetValue, opt)
 	case *engine.FloatColumn:
-		pieces = floatPieces(attr, col, cs, pointSel, opt)
+		pieces = floatPieces(attr, col, src, pointSel, opt)
 		if len(pieces) < 2 {
-			pieces = numericNominalFallback(attr, col, cs, opt)
+			pieces = numericNominalFallback(attr, col, src, opt)
 		}
 	case engine.IntValued:
-		pieces, state.intCounts = intPieces(attr, col, cs, pointSel, opt, retain)
+		pieces, state.intCounts = intPieces(attr, col, src, pointSel, opt, retain)
 		if len(pieces) < 2 {
-			pieces = numericNominalFallback(attr, col, cs, opt)
+			pieces = numericNominalFallback(attr, col, src, opt)
 		}
 	default:
 		return nil, state, errCutKind(attr, col)
@@ -197,11 +198,11 @@ func (e *Evaluator) computeCut(attr string, col engine.Column, cs *engine.Chunke
 // chunk's unchanged rows. Entries with no retained state, structural
 // mismatches, int values outside the entry's window, and sampled
 // points all return false and recompute in full.
-func (e *Evaluator) refreshCut(key string, ent cachedCut, attr string, col engine.Column, cs *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions, cur *engine.EpochStamp) ([]sdl.Constraint, bool) {
+func (e *Evaluator) refreshCut(key string, ent cachedCut, attr string, col engine.Column, src engine.Source, pointSel engine.Selection, opt CutOptions, cur *engine.EpochStamp) ([]sdl.Constraint, bool) {
 	if pointSel != nil {
 		return nil, false
 	}
-	if cs.NumRows() != cur.NumRows() || cs.ChunkRows() != cur.ChunkRows() {
+	if src.NumRows() != cur.NumRows() || src.ChunkRows() != cur.ChunkRows() {
 		return nil, false
 	}
 	dirty, ok := cur.DirtyVs(ent.stamp)
@@ -215,7 +216,7 @@ func (e *Evaluator) refreshCut(key string, ent cachedCut, attr string, col engin
 		if ent.strCounts == nil {
 			return nil, false
 		}
-		counts, ok := engine.StringChunkCountsSplice(col, cs, ent.strCounts, dirty)
+		counts, ok := engine.StringChunkCountsSplice(col, src, ent.strCounts, dirty)
 		if !ok {
 			return nil, false
 		}
@@ -229,13 +230,13 @@ func (e *Evaluator) refreshCut(key string, ent cachedCut, attr string, col engin
 		if ent.intCounts == nil {
 			return nil, false
 		}
-		cut, counts, ok := engine.IntCutSplice(col, cs, ent.intCounts, dirty, opt.Arity)
+		cut, counts, ok := engine.IntCutSplice(col, src, ent.intCounts, dirty, opt.Arity)
 		if !ok {
 			return nil, false
 		}
 		pieces = intCutPieces(attr, col, cut)
 		if len(pieces) < 2 {
-			pieces = numericNominalFallback(attr, col, cs, opt)
+			pieces = numericNominalFallback(attr, col, src, opt)
 		}
 		state.intCounts = counts
 	default:

@@ -94,9 +94,10 @@ const cacheShards = 32
 // The result is in one of two forms. Usually it is cs, the row ids.
 // A packed child of a cut HB-cuts will pair (cutChildren) is born
 // packed-only: bm alone, the same bitmap the packed-selection cache
-// holds under the same stamp. Its count, its pair side and a cut
-// cache hit on it read the bitmap; rows builds its row ids the first
-// time a caller needs them and stores them in its place.
+// holds under the same stamp. Its count, its pair side, its cut points
+// and the cuts of it read the bitmap; rows builds its row ids only
+// when Select or SelectChunked asks for them, or a sampled cut
+// draws its sample, and stores them in its place.
 type cachedSel struct {
 	cs    *engine.ChunkedSelection
 	bm    *engine.Bitmap
@@ -114,10 +115,17 @@ func (c cachedSel) count() int {
 // layout returns the universe size and chunk width of the entry's
 // form.
 func (c cachedSel) layout() (nRows, chunkRows int) {
+	src := c.source()
+	return src.NumRows(), src.ChunkRows()
+}
+
+// source returns the entry's one form as the engine's chunked readers
+// take it.
+func (c cachedSel) source() engine.Source {
 	if c.cs != nil {
-		return c.cs.NumRows(), c.cs.ChunkRows()
+		return c.cs
 	}
-	return c.bm.NumRows(), c.bm.ChunkRows()
+	return c.bm
 }
 
 // cachedBitmap is cachedSel for the word-packed form.
@@ -418,6 +426,8 @@ func (e *Evaluator) store(key string, ent cachedSel) {
 // A packed-only entry's are built from its bitmap (Bitmap.Chunked)
 // and stored in its place unless the entry changed meanwhile; callers
 // racing on one entry may each build them, and every copy is equal.
+// Only SelectChunked (and Select through it) and a sampled cut call
+// it: every other reader takes the entry's source as it is.
 func (e *Evaluator) rows(key string, ent cachedSel) *engine.ChunkedSelection {
 	if ent.cs != nil {
 		return ent.cs
@@ -678,12 +688,14 @@ func (e *Evaluator) Count(q sdl.Query) (int, error) {
 // (CacheHits); children stale with the same dirty chunks share one
 // pass over just those chunks of the parent and are spliced into
 // their cached segments or words (DeltaRefreshes); the rest share one
-// pass over the whole parent (NarrowEvals). The parent's row ids are
-// fetched only when some child needs a pass. With pack set the cut's
-// result is an HB-cuts candidate INDEP will pair: a whole-parent pass
-// over a dense parent then packs every child while the chunk is hot
-// and caches it packed-only, so its pair side finds its bitmap and no
-// row ids are built unless something asks for them.
+// pass over the whole parent (NarrowEvals). The parent's extent is
+// fetched only when some child needs a pass, and is cut in the form
+// the cache holds it: a packed-only parent from its words, its row ids
+// never built. With pack set the cut's result is an HB-cuts candidate
+// INDEP will pair: a whole-parent pass over a dense parent then packs
+// every child while the chunk is hot and caches it packed-only, so its
+// pair side finds its bitmap and no row ids are built unless something
+// asks for them.
 func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr string, pack bool) ([]int, error) {
 	keys := make([]string, len(children))
 	cons := make([]sdl.Constraint, len(children))
@@ -726,11 +738,12 @@ func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr str
 	if len(stale)+len(full) == 0 {
 		return counts, nil
 	}
-	parentCS, err := e.SelectChunked(parent)
+	pent, err := e.extent(parent)
 	if err != nil {
 		return nil, err
 	}
-	if parentCS.NumRows() != cur.NumRows() || parentCS.ChunkRows() != cur.ChunkRows() {
+	src := pent.source()
+	if src.NumRows() != cur.NumRows() || src.ChunkRows() != cur.ChunkRows() {
 		full, stale = append(full, stale...), nil
 	}
 	if len(stale) > 0 {
@@ -738,7 +751,7 @@ func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr str
 		for _, i := range stale {
 			packs[i] = olds[i].cs == nil
 		}
-		if err := e.partitionInto(engine.RestrictChunked(parentCS, dirty), attr, cons, stale, packs, func(i int, cs *engine.ChunkedSelection, bm *engine.Bitmap) {
+		if err := e.partitionInto(engine.Restrict(src, dirty), attr, cons, stale, packs, func(i int, cs *engine.ChunkedSelection, bm *engine.Bitmap) {
 			ent := cachedSel{stamp: cur}
 			if bm != nil {
 				ent.bm = engine.SpliceBitmap(olds[i].bm, bm, dirty)
@@ -754,13 +767,13 @@ func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr str
 	}
 	if len(full) > 0 {
 		var packs []bool
-		if pack && caching && engine.DenseEnough(parentCS.Len(), e.tab.NumRows()) {
+		if pack && caching && engine.DenseEnough(src.Len(), e.tab.NumRows()) {
 			packs = make([]bool, len(children))
 			for i := range packs {
 				packs[i] = true
 			}
 		}
-		if err := e.partitionInto(parentCS, attr, cons, full, packs, func(i int, cs *engine.ChunkedSelection, bm *engine.Bitmap) {
+		if err := e.partitionInto(src, attr, cons, full, packs, func(i int, cs *engine.ChunkedSelection, bm *engine.Bitmap) {
 			e.countNarrowEval()
 			ent := cachedSel{cs: cs, bm: bm, stamp: cur}
 			if caching {
@@ -774,12 +787,12 @@ func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr str
 	return counts, nil
 }
 
-// partitionInto runs one partition pass over cs for the constraints
+// partitionInto runs one partition pass over src for the constraints
 // cons[i], i in which, handing each child to done: packed-only — a nil
 // selection and its bitmap — when packs[i] is set, as row ids with a
 // nil bitmap otherwise. A nil packs packs nothing.
-func (e *Evaluator) partitionInto(cs *engine.ChunkedSelection, attr string, cons []sdl.Constraint, which []int, packs []bool, done func(i int, cs *engine.ChunkedSelection, bm *engine.Bitmap)) error {
-	cs, col, sum, err := e.resolveConstraint(cs, attr)
+func (e *Evaluator) partitionInto(src engine.Source, attr string, cons []sdl.Constraint, which []int, packs []bool, done func(i int, cs *engine.ChunkedSelection, bm *engine.Bitmap)) error {
+	src, col, sum, err := e.resolveConstraint(src, attr)
 	if err != nil {
 		return err
 	}
@@ -796,7 +809,7 @@ func (e *Evaluator) partitionInto(cs *engine.ChunkedSelection, attr string, cons
 			pack[j] = packs[i]
 		}
 	}
-	parts, bms := engine.PartitionChunked(cs, preds, pack)
+	parts, bms := engine.PartitionChunked(src, preds, pack)
 	for j, i := range which {
 		var bm *engine.Bitmap
 		if bms != nil {
@@ -812,18 +825,18 @@ func (e *Evaluator) partitionInto(cs *engine.ChunkedSelection, attr string, cons
 // older layout (zone maps index the snapshot layout's chunks, so a
 // verdict must never see mismatched addressing), resolves the
 // column, and fetches its zone map when pruning is on.
-func (e *Evaluator) resolveConstraint(cs *engine.ChunkedSelection, attr string) (*engine.ChunkedSelection, engine.Column, *engine.ChunkSummary, error) {
+func (e *Evaluator) resolveConstraint(src engine.Source, attr string) (engine.Source, engine.Column, *engine.ChunkSummary, error) {
 	// One layout snapshot per constraint: the selection's chunking
 	// and the zone map consulted for it must describe the same
 	// layout, even while another advisor concurrently re-shards the
 	// table.
 	layout := e.tab.Layout()
-	if cs.ChunkRows() != layout.ChunkRows() {
+	if src.ChunkRows() != layout.ChunkRows() {
 		// The selection was built (and possibly cached) under an
-		// older layout — the table has been re-sharded since. The
-		// flat row ids are layout-independent, making this a pure
-		// re-addressing.
-		cs = engine.ChunkSelection(cs.Flat(), e.tab.NumRows(), layout.ChunkRows())
+		// older layout — the table has been re-sharded since. Its row
+		// ids are layout-independent, making this a pure
+		// re-addressing; a packed one's are built for it.
+		src = engine.ChunkSelection(e.flatRows(src), e.tab.NumRows(), layout.ChunkRows())
 	}
 	col, ok := e.tab.ColumnByName(attr)
 	if !ok {
@@ -833,7 +846,18 @@ func (e *Evaluator) resolveConstraint(cs *engine.ChunkedSelection, attr string) 
 	if e.zonePruning.Load() {
 		sum = layout.SummaryByName(attr)
 	}
-	return cs, col, sum, nil
+	return src, col, sum, nil
+}
+
+// flatRows returns src's rows as one sorted vector: a row-id
+// selection's flat view, or a bitmap's rows decoded (a row
+// materialization).
+func (e *Evaluator) flatRows(src engine.Source) engine.Selection {
+	if cs, ok := src.(*engine.ChunkedSelection); ok {
+		return cs.Flat()
+	}
+	e.countRowMaterialization()
+	return src.(*engine.Bitmap).Selection()
 }
 
 // constraintPred resolves one constraint over col into the engine's
@@ -905,7 +929,7 @@ func (e *Evaluator) applyConstraint(cs *engine.ChunkedSelection, c sdl.Constrain
 	if c.IsAny() {
 		return cs, nil
 	}
-	cs, col, sum, err := e.resolveConstraint(cs, c.Attr)
+	src, col, sum, err := e.resolveConstraint(cs, c.Attr)
 	if err != nil {
 		return nil, err
 	}
@@ -913,5 +937,5 @@ func (e *Evaluator) applyConstraint(cs *engine.ChunkedSelection, c sdl.Constrain
 	if err != nil {
 		return nil, err
 	}
-	return engine.FilterChunked(cs, p), nil
+	return engine.FilterChunked(src, p), nil
 }

@@ -82,14 +82,14 @@ type pairSide struct {
 
 // buildSide gathers a segmentation's selections across the worker
 // pool, and the cell loop then reuses them |other| times each. Every
-// segment takes one route, chosen by its density: a dense segment is
-// packed and a sparse one is a flat row-id view. A dense segment's
-// bitmap comes from the packed-selection cache when it holds one at
-// the current version — a candidate cut's partition pass has usually
-// put it there — then from a packed-only selection entry, and is
-// packed from the segment's row ids (SelectChunked) only when neither
-// exists. Row ids are read only for a segment that is not packed:
-// the cell loop never reads the vector side of a packed segment. With
+// segment takes one route. A segment the packed-selection cache holds
+// densely at the current version — a candidate cut's partition pass
+// has usually put it there — takes that bitmap, and a packed-only
+// selection entry its bitmap at any density: the cell loop counts a
+// bitmap against either form, so no row ids are built for it. A
+// segment held as row ids is packed when dense (through the
+// packed-selection cache) and read as a flat row-id view when sparse.
+// The cell loop never reads the vector side of a packed segment. With
 // a memo in the options the assembled side is shared across every
 // operator call of the advise that mentions the same segmentation.
 // Task errors are rare but cancellation is not, and it must surface —
@@ -134,10 +134,10 @@ func buildSide(ev *Evaluator, s *Segmentation, opt PairOptions, fp string, deriv
 			return err
 		}
 		switch {
-		case !engine.DenseEnough(ent.count(), nRows):
-			sels[i] = ev.rows(q.Key(), ent).Flat()
 		case ent.cs == nil:
 			bms[i] = ent.bm
+		case !engine.DenseEnough(ent.cs.Len(), nRows):
+			sels[i] = ent.cs.Flat()
 		default:
 			bms[i] = ev.packedSelection(q, ent.cs)
 		}

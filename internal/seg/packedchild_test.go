@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -131,9 +132,10 @@ func TestPackedChildrenMatchUncached(t *testing.T) {
 }
 
 // TestRepeatedHBCutsBuildsNoRows runs the HB-cuts candidates of one
-// context and every pair's INDEP twice on one evaluator: the second
-// run reads only cached counts, cut points, bitmaps and pair tables,
-// so it builds no row ids and evaluates nothing.
+// context and every pair's INDEP twice on one evaluator. The first run
+// COMPOSEs packed-only children, cutting them from their words, and
+// builds no row ids; the second reads only cached counts, cut points,
+// bitmaps and pair tables, so it evaluates nothing either.
 func TestRepeatedHBCutsBuildsNoRows(t *testing.T) {
 	tab, ctx := packedVOC(t)
 	ev := NewEvaluator(tab)
@@ -149,8 +151,8 @@ func TestRepeatedHBCutsBuildsNoRows(t *testing.T) {
 		}
 	}
 	run()
-	if ev.Counters().RowMaterializations == 0 {
-		t.Fatal("the first run built no rows: COMPOSE should cut packed-only children")
+	if c := ev.Counters(); c.RowMaterializations != 0 || c.NarrowEvals == 0 {
+		t.Fatalf("first run: %d row materializations over %d narrow evaluations", c.RowMaterializations, c.NarrowEvals)
 	}
 	before := ev.Counters()
 	run()
@@ -161,10 +163,10 @@ func TestRepeatedHBCutsBuildsNoRows(t *testing.T) {
 }
 
 // TestCachedCutReadsNoRows cuts a candidate's packed-only children
-// once — which builds their rows, as a COMPOSE does — then puts them
-// back packed-only and cuts them again. The second cut takes its count,
-// its cut points and every grandchild from the caches, so it builds
-// no rows and reads no parent's rows.
+// twice, as a COMPOSE does. The first cut computes their cut points
+// and grandchildren from their words and leaves them packed-only; the
+// second takes its count, its cut points and every grandchild from the
+// caches. Neither builds a row.
 func TestCachedCutReadsNoRows(t *testing.T) {
 	tab, ctx := packedVOC(t)
 	ev := NewEvaluator(tab)
@@ -172,19 +174,12 @@ func TestCachedCutReadsNoRows(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("InitialCandidate: %v ok=%v", err, ok)
 	}
-	born := make([]cachedSel, s.Depth())
-	for i, q := range s.Queries {
-		born[i], _ = ev.cached(q.Key())
-	}
 	first, err := Cut(ev, s, "type_of_boat", DefaultCutOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := packedOnlyCount(ev, s.Queries); got != 0 {
-		t.Fatalf("%d children still packed-only after a cut computed their cut points", got)
-	}
-	for i, q := range s.Queries {
-		ev.store(q.Key(), born[i])
+	if got := packedOnlyCount(ev, s.Queries); got != s.Depth() || ev.Counters().RowMaterializations != 0 {
+		t.Fatalf("%d of %d children packed-only after a cut computed their cut points, %d rows built", got, s.Depth(), ev.Counters().RowMaterializations)
 	}
 	before := ev.Counters()
 	again, err := Cut(ev, s, "type_of_boat", DefaultCutOptions())
@@ -380,5 +375,210 @@ func TestPackedChildOutlivesPackedCacheEviction(t *testing.T) {
 	}
 	if after := ev.Counters(); after.FullEvals != before.FullEvals || after.RowMaterializations != before.RowMaterializations {
 		t.Fatalf("pair sides with the selection entry evicted: counters %+v -> %+v", before, after)
+	}
+}
+
+// coldEvaluator is a caching-off evaluator over tab: every query is
+// evaluated in full and nothing is packed-only.
+func coldEvaluator(tab *engine.Table) *Evaluator {
+	cold := NewEvaluator(tab)
+	cold.SetCaching(false)
+	return cold
+}
+
+// sameSegs reports whether two segmentations hold the same queries
+// with the same counts.
+func sameSegs(a, b *Segmentation) bool {
+	return a.Key() == b.Key() && slices.Equal(a.Counts, b.Counts)
+}
+
+// TestComposePackedParentsBuildsNoRows COMPOSEs two HB-cuts candidates
+// whose children are packed-only, both ways and as a plain Compose and
+// a candidate one: every inner cut computes its cut points and its
+// grandchildren from a packed parent's words, so no row is built, and
+// every result equals a caching-off evaluator's.
+func TestComposePackedParentsBuildsNoRows(t *testing.T) {
+	tab, ctx := packedVOC(t)
+	ev, cold := NewEvaluator(tab), coldEvaluator(tab)
+	opt := DefaultCutOptions()
+	initial := func(ev *Evaluator, attr string) *Segmentation {
+		t.Helper()
+		s, ok, err := InitialCandidate(ev, ctx, attr, opt)
+		if err != nil || !ok {
+			t.Fatalf("InitialCandidate(%s): %v ok=%v", attr, err, ok)
+		}
+		return s
+	}
+	a, b := initial(ev, "tonnage"), initial(ev, "type_of_boat")
+	if n := len(packedOnlyQueries(ev, []*Segmentation{a, b})); n != a.Depth()+b.Depth() {
+		t.Fatalf("%d of %d candidate children are packed-only", n, a.Depth()+b.Depth())
+	}
+	ca, cb := initial(cold, "tonnage"), initial(cold, "type_of_boat")
+	before := ev.Counters()
+	for _, tc := range []struct {
+		name      string
+		got, want func() (*Segmentation, error)
+	}{
+		{"Compose(tonnage, type_of_boat)", func() (*Segmentation, error) { return Compose(ev, a, b, opt) }, func() (*Segmentation, error) { return Compose(cold, ca, cb, opt) }},
+		{"Compose(type_of_boat, tonnage)", func() (*Segmentation, error) { return Compose(ev, b, a, opt) }, func() (*Segmentation, error) { return Compose(cold, cb, ca, opt) }},
+		{"ComposeCandidate(tonnage, type_of_boat)", func() (*Segmentation, error) { return ComposeCandidate(ev, a, b, opt, 12) }, func() (*Segmentation, error) { return ComposeCandidate(cold, ca, cb, opt, 12) }},
+	} {
+		got, err := tc.got()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := tc.want()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameSegs(got, want) {
+			t.Fatalf("%s = %s %v, caching off %s %v", tc.name, got, got.Counts, want, want.Counts)
+		}
+	}
+	after := ev.Counters()
+	if after.RowMaterializations != before.RowMaterializations || after.NarrowEvals == before.NarrowEvals || after.CutPointCalcs == before.CutPointCalcs {
+		t.Fatalf("COMPOSE over packed-only candidates: counters %+v -> %+v", before, after)
+	}
+}
+
+// TestZoomedReadviseBuildsNoRows zooms into a packed-only child of a
+// candidate — it becomes the context — and re-advises there: every
+// candidate of the zoomed context and every pair's INDEP, on an
+// evaluator whose caches hold the first advise. The zoomed context is
+// read, cut and paired from its words, so no row is built, and every
+// candidate and INDEP value equals a caching-off evaluator's.
+func TestZoomedReadviseBuildsNoRows(t *testing.T) {
+	tab, ctx := packedVOC(t)
+	ev, cold := NewEvaluator(tab), coldEvaluator(tab)
+	first := candidates(t, ev, ctx)
+	zoomed := bornPacked(t, ev, ctx, "tonnage")[0]
+	if len(first) == 0 {
+		t.Fatal("no candidate")
+	}
+	before := ev.Counters()
+	if _, err := ev.Count(zoomed); err != nil {
+		t.Fatal(err)
+	}
+	segs, want := candidates(t, ev, zoomed), candidates(t, cold, zoomed)
+	if len(segs) != len(want) || len(segs) == 0 {
+		t.Fatalf("zoomed re-advise: %d candidates, caching off %d", len(segs), len(want))
+	}
+	opt := PairOptions{Workers: 2, Memo: NewPairMemo()}
+	for i := range segs {
+		if !sameSegs(segs[i], want[i]) {
+			t.Fatalf("zoomed candidate %d = %s %v, caching off %s %v", i, segs[i], segs[i].Counts, want[i], want[i].Counts)
+		}
+		for j := range segs {
+			got, err := IndepOpt(ev, segs[i], segs[j], opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := IndepOpt(cold, want[i], want[j], PairOptions{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != ref {
+				t.Fatalf("INDEP(%d, %d) = %v, caching off %v", i, j, got, ref)
+			}
+		}
+	}
+	if after := ev.Counters(); after.RowMaterializations != before.RowMaterializations || after.NarrowEvals == before.NarrowEvals {
+		t.Fatalf("zoomed re-advise: counters %+v -> %+v", before, after)
+	}
+}
+
+// TestSparsePackedPairSide packs a cut of a dense context into a piece
+// holding under 1/64 of the table and the rest, and pairs it with a
+// candidate. The sparse piece's pair side is its packed-only bitmap, so
+// the pair builds no row, and its table equals a caching-off
+// evaluator's.
+func TestSparsePackedPairSide(t *testing.T) {
+	tab, ctx := packedVOC(t)
+	ev := NewEvaluator(tab)
+	col, _ := tab.ColumnByName("tonnage")
+	vals := slices.Clone(col.(engine.IntValued).Int64s())
+	slices.Sort(vals)
+	lo, split, hi := vals[0], vals[len(vals)/200], vals[len(vals)-1]
+	var children []sdl.Query
+	for _, piece := range []sdl.Constraint{
+		sdl.RangeC("tonnage", engine.Int(lo), engine.Int(split), true, false),
+		sdl.RangeC("tonnage", engine.Int(split), engine.Int(hi), true, true),
+	} {
+		child, _, err := childQuery(ctx, piece)
+		if err != nil {
+			t.Fatal(err)
+		}
+		children = append(children, child)
+	}
+	counts, err := ev.cutChildren(ctx, children, "tonnage", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counts[0] == 0 || engine.DenseEnough(counts[0], tab.NumRows()) || packedOnlyCount(ev, children) != 2 {
+		t.Fatalf("piece counts %v: want a packed-only piece under 1/64 of %d rows", counts, tab.NumRows())
+	}
+	s := &Segmentation{Queries: children, CutAttrs: []string{"tonnage"}, Counts: counts}
+	other, ok, err := InitialCandidate(ev, ctx, "type_of_boat", DefaultCutOptions())
+	if err != nil || !ok {
+		t.Fatalf("InitialCandidate: %v ok=%v", err, ok)
+	}
+	before := ev.Counters()
+	memo := NewPairMemo()
+	cells, err := CellCountsOpt(ev, s, other, PairOptions{Workers: 1, Memo: memo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh := freshCells(t, tab, s, other); !equalCells(cells, fresh) {
+		t.Fatalf("pair table %v, caching off %v", cells, fresh)
+	}
+	if after := ev.Counters(); after.RowMaterializations != before.RowMaterializations || after.FullEvals != before.FullEvals {
+		t.Fatalf("sparse packed pair side: counters %+v -> %+v", before, after)
+	}
+	for key, side := range memo.m {
+		if strings.HasSuffix(key, "\x00"+s.Key()) && (side.bms[0] == nil || side.sels[0] != nil) {
+			t.Fatal("the sparse packed-only piece's pair side is not its bitmap")
+		}
+	}
+}
+
+// TestStalePackedParentCutRefresh computes a string cut of a
+// packed-only child on a memory table — its per-chunk counts retained
+// — then appends rows and cuts it again. The child is refreshed as
+// words, and its cut points are refreshed by recounting the dirty
+// chunks of its words (CutRefreshes +1) without building a row; the
+// pieces equal a caching-off evaluator's.
+func TestStalePackedParentCutRefresh(t *testing.T) {
+	tab, ctx := packedVOC(t)
+	ev := NewEvaluator(tab)
+	q := bornPacked(t, ev, ctx, "tonnage")[0]
+	opt := DefaultCutOptions()
+	if _, err := CutQuery(ev, q, "type_of_boat", opt); err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]engine.Value
+	for r := 0; r < 300; r++ {
+		rows = append(rows, valueRow(tab, r*61))
+	}
+	if err := tab.AppendRows(rows...); err != nil {
+		t.Fatal(err)
+	}
+	before := ev.Counters()
+	got, err := CutQuery(ev, q, "type_of_boat", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := ev.Counters()
+	if after.CutRefreshes != before.CutRefreshes+1 || after.CutPointCalcs != before.CutPointCalcs+1 || after.RowMaterializations != before.RowMaterializations || after.FullEvals != before.FullEvals {
+		t.Fatalf("re-cut of a stale packed-only parent: counters %+v -> %+v", before, after)
+	}
+	if packedOnlyCount(ev, []sdl.Query{q}) != 1 {
+		t.Fatalf("%s is no longer packed-only", q)
+	}
+	want, err := CutQuery(coldEvaluator(tab), q, "type_of_boat", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("refreshed pieces %v, caching off %v", got, want)
 	}
 }
