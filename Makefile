@@ -4,11 +4,7 @@
 
 GO ?= go
 
-# Perf-trajectory artifact name; tracks the PR sequence so successive
-# baselines never overwrite each other in the artifact history.
-BENCH_OUT ?= BENCH_10.json
-
-.PHONY: all build test test-race bench bench-smoke bench-json bench-scale bench-delta bench-check fmt fmt-check vet lint layers-build fuzz-smoke chaos metrics-smoke docs-check ci
+.PHONY: all build test test-race bench bench-paper bench-smoke bench-scale bench-check fmt fmt-check vet lint layers-build fuzz-smoke chaos metrics-smoke docs-check ci
 
 all: build
 
@@ -21,36 +17,24 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Full benchmark sweep (slow; regenerates every paper experiment).
+# The advise benchmark (bench/README.md): the one source of
+# performance numbers. Four workloads, every end-to-end metric by name
+# and unit; pass flags through `go run ./bench` directly (-workload,
+# -trace 1, -compare old.json new.json).
 bench:
+	$(GO) run ./bench
+
+# Full paper-experiment sweep (slow; times every E1–E21 benchmark).
+bench-paper:
 	$(GO) test -run=NONE -bench=. -benchmem ./...
 
 # One iteration per benchmark: proves they still run, in CI time.
 # -bench=. sweeps everything, including the E14 bitmap-intersect /
-# E15 parallel-cells pair guarding the pairwise cell loop and the E16
-# chunked-scan benchmark guarding the chunked storage path. (E17
-# self-skips without CHARLES_SCALE.)
+# E15 parallel-cells pair guarding the pairwise cell loop, the E16
+# chunked-scan benchmark guarding the chunked storage path and the
+# E21 warm/cold delta pair. (E17 self-skips without CHARLES_SCALE.)
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
-
-# Perf trajectory: the bench-smoke set with -benchmem, recorded as
-# op → ns/op + B/op + allocs/op JSON. CI uploads $(BENCH_OUT) as an
-# artifact so future PRs have a baseline to diff against. Two steps,
-# not a pipe: a pipe would report the converter's exit status and let
-# a failing benchmark slip through the CI gate.
-bench-json:
-	$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem ./... > bench-smoke.out
-	$(GO) run ./cmd/charles-benchjson < bench-smoke.out > $(BENCH_OUT)
-	@rm -f bench-smoke.out
-
-# Incremental-advise smoke: one E21 delta benchmark iteration proves
-# the cold/warm pair still runs, and the env-gated E21 test enforces
-# the conservative CI-safe floor (warm re-advise after a 1% append at
-# least 5x faster than cold). CHARLES_DELTA_GATE=10 checks the
-# paper-facing 10x claim on a quiet machine.
-bench-delta:
-	$(GO) test -run=NONE -bench=BenchmarkE21DeltaAdvise -benchtime=1x .
-	CHARLES_DELTA_GATE=1 $(GO) test -run='TestE21DeltaAdviseGate' -v -timeout=15m .
 
 # The advise benchmark's output check (bench/README.md) on 100k-row
 # tables: every workload runs its op list, and every distinct context's
@@ -137,4 +121,4 @@ metrics-smoke:
 docs-check:
 	$(GO) test -run='TestDocs' .
 
-ci: fmt-check vet lint build layers-build test-race chaos fuzz-smoke metrics-smoke docs-check bench-json bench-delta bench-check
+ci: fmt-check vet lint build layers-build test-race chaos fuzz-smoke metrics-smoke docs-check bench-smoke bench-check

@@ -1,7 +1,7 @@
-// Command charles-bench regenerates the reproduction experiments of
-// EXPERIMENTS.md: one per paper figure (E1–E4) and one per
-// quantitative claim (E5–E12), each emitting a markdown table with
-// the paper's expectation next to the measured numbers.
+// Command charles-bench prints the reproduction experiments of the
+// runners table in internal/harness: one per paper figure (E1–E4) and
+// one per quantitative claim (E5–E12), each emitting a markdown table
+// with the paper's expectation next to the measured numbers.
 //
 // Usage:
 //
@@ -9,12 +9,8 @@
 //	charles-bench -experiment E7       # one experiment
 //	charles-bench -scale 0.1           # quick pass
 //
-// With -async-url it instead hammers a running charles-server's
-// async advise API (POST /advise + poll) and reports throughput:
-//
-//	charles-bench -async-url http://localhost:8080 \
-//	    -async-jobs 200 -async-concurrency 16 \
-//	    -async-contexts '(tonnage:); (type_of_boat:, tonnage:)'
+// With -table it instead opens a .chc file and reports cold-start and
+// first-advise timings.
 package main
 
 import (
@@ -22,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"charles/internal/harness"
 )
@@ -33,11 +28,6 @@ func main() {
 		scale      = flag.Float64("scale", 1, "row-count scale factor")
 		seed       = flag.Int64("seed", 1, "generator seed")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
-		asyncURL   = flag.String("async-url", "", "base URL of a running charles-server; switches to async-API load mode")
-		asyncJobs  = flag.Int("async-jobs", 64, "async mode: total submissions")
-		asyncConc  = flag.Int("async-concurrency", 8, "async mode: concurrent clients")
-		asyncCtxs  = flag.String("async-contexts", "", "async mode: semicolon-separated SDL contexts to cycle (SDL itself uses commas; empty = whole-table context)")
-		asyncPoll  = flag.Duration("async-poll", 25*time.Millisecond, "async mode: poll interval")
 		tablePath  = flag.String("table", "", "open this .chc columnar file and report cold-start + first-advise timings")
 		tableCtx   = flag.String("table-context", "", "-table mode: SDL context to advise on (empty = all columns)")
 		workers    = flag.Int("workers", 0, "-table mode: advisor worker goroutines (0 = all CPUs)")
@@ -56,26 +46,6 @@ func main() {
 	}
 	if *list {
 		fmt.Println(strings.Join(harness.Experiments(), "\n"))
-		return
-	}
-	if *asyncURL != "" {
-		var contexts []string
-		if *asyncCtxs != "" {
-			for _, c := range strings.Split(*asyncCtxs, ";") {
-				contexts = append(contexts, strings.TrimSpace(c))
-			}
-		}
-		err := runAsync(os.Stdout, asyncOptions{
-			URL:         *asyncURL,
-			Jobs:        *asyncJobs,
-			Concurrency: *asyncConc,
-			Contexts:    contexts,
-			PollEvery:   *asyncPoll,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "charles-bench:", err)
-			os.Exit(1)
-		}
 		return
 	}
 	opt := harness.Options{Scale: *scale, Seed: *seed}

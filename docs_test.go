@@ -1,10 +1,12 @@
 // Documentation checks, run by `make docs-check` (and plain go
 // test): every relative markdown link in README.md and docs/ must
-// resolve to a file in the repository, and every spec section the
-// colfile implementation cites (§N in comments, errors and tests)
-// must exist as a numbered heading in docs/FORMAT.md — the spec's
-// numbering is load-bearing, so this is what makes renumbering a
-// section a test failure instead of silent doc rot.
+// resolve to a file in the repository, every `make <target>` the docs
+// and CI tell a reader to run must be a Makefile target, and every
+// spec section the colfile implementation cites (§N in comments,
+// errors and tests) must exist as a numbered heading in
+// docs/FORMAT.md — the spec's numbering is load-bearing, so this is
+// what makes renumbering a section a test failure instead of silent
+// doc rot.
 package charles_test
 
 import (
@@ -24,6 +26,39 @@ func docFiles(t *testing.T) []string {
 		t.Fatal(err)
 	}
 	return append(files, more...)
+}
+
+// makeCmd matches a make invocation in code position: inline code,
+// a command line in a code block, or a CI step's run line — not
+// prose that happens to say "make".
+var makeCmd = regexp.MustCompile("(?m)(?:^[ \t]*|`|run: )make ([a-z][a-z0-9-]*)")
+
+// TestDocsMakeTargetsExist fails on any `make <target>` in the docs,
+// the verify skill or the CI workflow that names no Makefile target,
+// so a retired target cannot linger in the instructions.
+func TestDocsMakeTargetsExist(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`).FindAllStringSubmatch(string(mk), -1) {
+		targets[m[1]] = true
+	}
+	files := append(docFiles(t),
+		filepath.Join(".claude", "skills", "verify", "SKILL.md"),
+		filepath.Join(".github", "workflows", "ci.yml"))
+	for _, file := range files {
+		body, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range makeCmd.FindAllStringSubmatch(string(body), -1) {
+			if !targets[m[1]] {
+				t.Errorf("%s: `make %s` names no Makefile target", file, m[1])
+			}
+		}
+	}
 }
 
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)

@@ -1,10 +1,10 @@
-// Package harness runs the reproduction experiments E1–E12 of
-// DESIGN.md: one per paper figure plus one per quantitative claim in
-// the text. Every experiment emits a markdown table carrying the
-// paper's qualitative expectation next to the measured result, so
-// `charles-bench` regenerates the material recorded in
-// EXPERIMENTS.md. All experiments are deterministic under a fixed
-// seed; Options.Scale shrinks row counts for quick runs.
+// Package harness runs the reproduction experiments E1–E12 listed in
+// its runners table: one per paper figure plus one per quantitative
+// claim in the text. Every experiment emits a markdown table carrying
+// the paper's qualitative expectation next to the measured result;
+// `charles-bench` prints the full report. All experiments are
+// deterministic under a fixed seed; Options.Scale shrinks row counts
+// for quick runs.
 package harness
 
 import (
@@ -18,8 +18,8 @@ import (
 // Options configures an experiment run.
 type Options struct {
 	// Scale multiplies every experiment's row counts (default 1).
-	// Benchmarks and CI use small scales; the recorded EXPERIMENTS.md
-	// numbers use 1.
+	// Benchmarks and CI use small scales; the full `charles-bench`
+	// report uses 1.
 	Scale float64
 	// Seed drives all generators (default 1).
 	Seed int64

@@ -99,41 +99,3 @@ func (h *Histogram) snapshot() (counts []int64, inf int64) {
 	}
 	return counts, h.inf.Load()
 }
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear
-// interpolation within the owning bucket, the same estimate
-// Prometheus' histogram_quantile makes. With no observations it
-// returns 0; if the quantile lands in the overflow bucket it
-// returns the last finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || q < 0 || q > 1 {
-		return 0
-	}
-	counts, inf := h.snapshot()
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	total += inf
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i, c := range counts {
-		if float64(cum+c) >= rank {
-			lower := 0.0
-			if i > 0 {
-				lower = h.bounds[i-1]
-			}
-			upper := h.bounds[i]
-			if c == 0 {
-				return upper
-			}
-			frac := (rank - float64(cum)) / float64(c)
-			return lower + (upper-lower)*frac
-		}
-		cum += c
-	}
-	return h.bounds[len(h.bounds)-1]
-}
