@@ -81,9 +81,12 @@ lint:
 layers-build:
 	$(GO) build -tags layers -o /dev/null ./bench/layers
 
-# Short native-fuzz pass over the .chc parsers, the chunked order
-# statistics (radix select and narrow-span value counts against a
-# slices.Sort reference), the filter kernels (both drivers, with
+# Short native-fuzz pass over the .chc parsers, the .chc cluster
+# permutation (every column gathered through the radix order against
+# a sort.SliceStable reference, over NaNs, ±0, ±Inf and int
+# extremes), the chunked order statistics (radix select and
+# narrow-span value counts against a slices.Sort reference), the
+# filter kernels (both drivers, with
 # and without zone maps, against a row-at-a-time Contains /
 # membership reference) and the partition kernels (every unpacked
 # child of a one-pass cut against its one-piece filter, and every
@@ -97,6 +100,7 @@ layers-build:
 fuzz-smoke:
 	$(GO) test ./internal/colfile -run=NONE -fuzz=FuzzReadPage -fuzztime=20s -fuzzminimizetime=30x
 	$(GO) test ./internal/colfile -run=NONE -fuzz=FuzzOpenColumnFile -fuzztime=20s -fuzzminimizetime=30x
+	$(GO) test ./internal/colfile -run=NONE -fuzz=FuzzClusterPermutation -fuzztime=20s -fuzzminimizetime=30x
 	$(GO) test ./internal/stats -run=NONE -fuzz=FuzzEquiDepthChunks -fuzztime=20s -fuzzminimizetime=30x
 	$(GO) test ./internal/engine -run=NONE -fuzz=FuzzFilterKernels -fuzztime=20s -fuzzminimizetime=30x
 	$(GO) test ./internal/engine -run=NONE -fuzz=FuzzPartitionKernels -fuzztime=20s -fuzzminimizetime=30x

@@ -261,11 +261,11 @@ func truthy(s string) bool {
 
 // handleAdvise submits an advise job. A result-cache hit answers
 // immediately (200, cached: true); a coalesced or fresh submission
-// answers 202 with the job to poll — unless the hit job already
-// finished, which answers 200 with the result inline. Refusals are
-// distinct on purpose (docs/ROBUSTNESS.md): 413 body too large, 429
-// over quota (your bucket — back off per its Retry-After), 503 queue
-// full (the server — everyone backs off).
+// answers 202 with the job to poll — unless it joined a job that
+// already finished, which answers 200 with the result inline.
+// Refusals are distinct on purpose (docs/ROBUSTNESS.md): 413 body too
+// large, 429 over quota (your bucket — back off per its Retry-After),
+// 503 queue full (the server — everyone backs off).
 func (sv *server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
@@ -316,7 +316,7 @@ func (sv *server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		}
 		return res, err
 	}
-	j, err := sv.jobs.SubmitTimeout(key, run, timeout)
+	j, joined, err := sv.jobs.SubmitTimeout(key, run, timeout)
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
 		sv.metrics.queueFull.Inc()
@@ -332,8 +332,11 @@ func (sv *server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := j.Snapshot()
 	status := http.StatusAccepted
-	if snap.State == jobs.StateDone {
-		status = http.StatusOK // TTL'd hot hit: the job already ran
+	if joined && snap.State == jobs.StateDone {
+		// TTL'd hot hit: the key joined a job that already ran. A
+		// new job answers 202 even when it finished before this
+		// snapshot — the submission did cause the run.
+		status = http.StatusOK
 	}
 	jj := sv.renderJob(snap, true)
 	if !wantTrace {

@@ -118,8 +118,8 @@ func TestAsyncAdviseLifecycle(t *testing.T) {
 	sv := testServer(t)
 	c := newClient(t, sv)
 	status, jj := c.submitAdvise("(tonnage:, type_of_boat:)")
-	if status != http.StatusAccepted && status != http.StatusOK {
-		t.Fatalf("submit status = %d", status)
+	if status != http.StatusAccepted {
+		t.Fatalf("fresh submit status = %d, want 202", status)
 	}
 	if jj.ID == "" {
 		t.Fatalf("no job id in %+v", jj)
@@ -156,6 +156,40 @@ func TestAsyncAdviseLifecycle(t *testing.T) {
 	}
 	if h.JobsSubmitted != 1 {
 		t.Fatalf("jobs_submitted = %d, want 1", h.JobsSubmitted)
+	}
+}
+
+// TestAsyncFreshSubmissionIs202 pins the hot-hit rule: a submission
+// that creates a job answers 202 however fast that job finishes, and
+// only a resubmission that joins the finished job answers 200. The
+// result cache is out of the way (custom ScoreFunc), so every
+// resubmission reaches the jobs layer; each context is fresh once.
+func TestAsyncFreshSubmissionIs202(t *testing.T) {
+	cfg := charles.DefaultConfig()
+	cfg.Score = func(m charles.Metrics) float64 { return m.Entropy }
+	sv := testServerOpts(t, cfg, jobs.Options{Workers: 2})
+	c := newClient(t, sv)
+	cols := []string{"type_of_boat", "tonnage", "built", "yard", "departure_date",
+		"departure_harbour", "cape_arrival", "trip", "master"}
+	for i, a := range cols {
+		for _, b := range cols[i:] {
+			sdl := "(" + a + ":)"
+			if b != a {
+				sdl = "(" + a + ":, " + b + ":)"
+			}
+			code, jj := c.submitAdvise(sdl)
+			if code != http.StatusAccepted {
+				t.Fatalf("fresh submit %s: status %d (state %s), want 202", sdl, code, jj.State)
+			}
+			if done := c.pollJob(jj.ID); done.State != "done" {
+				t.Fatalf("%s: job ended %s (%s)", sdl, done.State, done.Error)
+			}
+			code, jj2 := c.submitAdvise(sdl)
+			if code != http.StatusOK || jj2.ID != jj.ID || jj2.Result == nil {
+				t.Fatalf("resubmit %s: status %d job %s (want 200 joining %s with its result)",
+					sdl, code, jj2.ID, jj.ID)
+			}
+		}
 	}
 }
 
@@ -331,8 +365,8 @@ func TestAsyncJSONSubmission(t *testing.T) {
 	req.Header.Set("Content-Type", "application/json")
 	rec := httptest.NewRecorder()
 	c.mux.ServeHTTP(rec, req)
-	if rec.Code != http.StatusAccepted && rec.Code != http.StatusOK {
-		t.Fatalf("JSON submit: %d\n%s", rec.Code, rec.Body.String())
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("JSON submit: %d, want 202\n%s", rec.Code, rec.Body.String())
 	}
 	var jj jsonJob
 	if err := json.Unmarshal(rec.Body.Bytes(), &jj); err != nil {

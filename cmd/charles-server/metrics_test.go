@@ -237,8 +237,8 @@ func TestAdviseTraceRequested(t *testing.T) {
 	sv := testServerOpts(t, cfg, jobs.Options{})
 	c := newClient(t, sv)
 	code, job := c.submitAdvise("(tonnage:)")
-	if code != http.StatusAccepted && code != http.StatusOK {
-		t.Fatalf("submit: %d", code)
+	if code != http.StatusAccepted {
+		t.Fatalf("fresh submit: %d, want 202", code)
 	}
 	c.pollJob(job.ID)
 	resp, body := c.doForm(http.MethodPost, "/advise",

@@ -118,6 +118,17 @@ func elemAlign(k engine.Kind) int64 {
 	return elemSize(k)
 }
 
+// checkRows bounds a table's row count to the engine's 31-bit row
+// addressing (§8). Open refuses a footer past it and Write a table
+// past it, so no file outside the bound is written or read, and the
+// writer's int32 cluster permutation never sees one.
+func checkRows(n int64) error {
+	if n < 0 || n > math.MaxInt32 {
+		return fmt.Errorf("row count %d outside the engine's 31-bit row addressing (§8)", n)
+	}
+	return nil
+}
+
 // hostLittleEndian reports whether this machine stores integers the
 // way the format does (§2). The zero-copy mmap views require it;
 // big-endian hosts get a descriptive error instead of garbage.

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"sort"
 	"sync"
 	"unsafe"
@@ -117,8 +116,8 @@ func (f *File) parse() error {
 	if f.ft.Version != Version {
 		return fmt.Errorf("footer version %d disagrees with header version %d (§10)", f.ft.Version, Version)
 	}
-	if f.ft.Rows < 0 || f.ft.Rows > math.MaxInt32 {
-		return fmt.Errorf("row count %d outside the engine's 31-bit row addressing (§8)", f.ft.Rows)
+	if err := checkRows(f.ft.Rows); err != nil {
+		return err
 	}
 	f.rows = int(f.ft.Rows)
 	if f.ft.ChunkRows != int64(engine.NormalizeChunkRows(int(f.ft.ChunkRows))) {

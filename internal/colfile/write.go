@@ -6,11 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 	"unsafe"
 
 	"charles/internal/engine"
+	"charles/internal/stats"
 )
 
 // WriteOptions parameterizes an ingest.
@@ -33,6 +36,9 @@ type WriteOptions struct {
 func Write(path string, t *engine.Table, opts WriteOptions) error {
 	if !hostLittleEndian() {
 		return fmt.Errorf("colfile: writing requires a little-endian host (§2)")
+	}
+	if err := checkRows(int64(t.NumRows())); err != nil {
+		return fmt.Errorf("colfile: writing %s: %w", path, err)
 	}
 	chunkRows := opts.ChunkRows
 	if chunkRows == 0 {
@@ -207,84 +213,148 @@ func columnBytes(col engine.Column) (data []byte, dict []string, err error) {
 
 // clusterColumns returns the table's columns reordered by a stable
 // sort on the named column: ints/dates/floats ascending with NaN
-// floats last, strings in byte order, bools false before true.
+// floats last (−0 equal to +0), strings in byte order, bools false
+// before true. The sort is a radix permutation over one
+// order-preserving key per row, gathered into every column.
 func clusterColumns(t *engine.Table, by string) ([]engine.Column, error) {
 	key, ok := t.ColumnByName(by)
 	if !ok {
 		return nil, fmt.Errorf("colfile: cluster column %q does not exist", by)
 	}
-	rows := t.NumRows()
-	perm := make([]int, rows)
-	for i := range perm {
-		perm[i] = i
-	}
-	var less func(a, b int) bool
+	keys := make([]uint64, t.NumRows())
 	switch key := key.(type) {
 	case engine.IntValued:
-		less = func(a, b int) bool { return key.Int64(a) < key.Int64(b) }
+		for i, v := range key.Int64s() {
+			keys[i] = stats.Int64Key(v)
+		}
 	case engine.FloatValued:
-		less = func(a, b int) bool {
-			av, bv := key.Float64(a), key.Float64(b)
-			if av != av || bv != bv { // NaN sorts after every number
-				return av == av && bv != bv
+		for i, v := range key.Float64s() {
+			if v != v {
+				keys[i] = ^uint64(0) // NaN sorts after every number
+			} else {
+				keys[i] = stats.Float64Key(v)
 			}
-			return av < bv
 		}
 	case *engine.StringColumn:
-		less = func(a, b int) bool { return key.Str(a) < key.Str(b) }
+		// Sort the dictionary, not the rows: a code's key is its
+		// value's rank in byte order.
+		byBytes := make([]uint32, key.Cardinality())
+		for i := range byBytes {
+			byBytes[i] = uint32(i)
+		}
+		slices.SortFunc(byBytes, func(a, b uint32) int {
+			return strings.Compare(key.DictValue(a), key.DictValue(b))
+		})
+		rank := make([]uint64, len(byBytes))
+		for r, code := range byBytes {
+			rank[code] = uint64(r)
+		}
+		for i, c := range key.Codes() {
+			keys[i] = rank[c]
+		}
 	case *engine.BoolColumn:
-		less = func(a, b int) bool { return !key.Bool(a) && key.Bool(b) }
+		for i, v := range key.Bools() {
+			if v {
+				keys[i] = 1
+			}
+		}
 	default:
 		return nil, fmt.Errorf("colfile: cannot cluster by column %q of type %T", by, key)
 	}
-	sort.SliceStable(perm, func(i, j int) bool { return less(perm[i], perm[j]) })
+	perm := stablePerm(keys)
 
 	out := make([]engine.Column, t.NumCols())
 	for ci, col := range t.Columns() {
 		switch col := col.(type) {
 		case *engine.IntColumn:
-			vals := make([]int64, rows)
-			for i, r := range perm {
-				vals[i] = col.Int64(r)
-			}
-			out[ci] = engine.NewIntColumn(col.Name(), vals)
+			out[ci] = engine.NewIntColumn(col.Name(), gather(col.Int64s(), perm))
 		case *engine.DateColumn:
-			vals := make([]int64, rows)
-			for i, r := range perm {
-				vals[i] = col.Int64(r)
-			}
-			out[ci] = engine.NewDateColumn(col.Name(), vals)
+			out[ci] = engine.NewDateColumn(col.Name(), gather(col.Int64s(), perm))
 		case *engine.FloatColumn:
-			vals := make([]float64, rows)
-			for i, r := range perm {
-				vals[i] = col.Float64(r)
-			}
-			out[ci] = engine.NewFloatColumn(col.Name(), vals)
+			out[ci] = engine.NewFloatColumn(col.Name(), gather(col.Float64s(), perm))
 		case *engine.StringColumn:
-			codes := make([]uint32, rows)
-			for i, r := range perm {
-				codes[i] = col.Code(r)
-			}
 			dict := make([]string, col.Cardinality())
 			for i := range dict {
 				dict[i] = col.DictValue(uint32(i))
 			}
-			sc, err := engine.NewStringColumnFromDict(col.Name(), codes, dict)
+			sc, err := engine.NewStringColumnFromDict(col.Name(), gather(col.Codes(), perm), dict)
 			if err != nil {
 				return nil, err
 			}
 			out[ci] = sc
 		case *engine.BoolColumn:
-			vals := make([]bool, rows)
-			for i, r := range perm {
-				vals[i] = col.Bool(r)
-			}
-			out[ci] = engine.NewBoolColumn(col.Name(), vals)
+			out[ci] = engine.NewBoolColumn(col.Name(), gather(col.Bools(), perm))
 		default:
 			return nil, fmt.Errorf("colfile: cannot persist column %q of type %T", col.Name(), col)
 		}
 	}
 	return out, nil
+}
+
+// permDigitBits is the digit width of stablePerm's counting passes:
+// 2^11 counters per digit stay cache resident, as in stats' radix
+// select.
+const permDigitBits = 11
+
+// stablePerm returns the row order that sorts keys ascending with
+// equal keys in input order: an LSD radix sort over permDigitBits-bit
+// digits of key − min. It runs one stable counting pass per digit of
+// the span max − min, so a narrow span (a date column's days) costs
+// two passes whatever the row count. Row ids are int32: Write refuses
+// a table past 31-bit row addressing before it clusters.
+func stablePerm(keys []uint64) []int32 {
+	perm := make([]int32, len(keys))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	if len(keys) < 2 {
+		return perm
+	}
+	lo, hi := keys[0], keys[0]
+	for _, k := range keys[1:] {
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	width := bits.Len64(hi - lo)
+	passes := (width + permDigitBits - 1) / permDigitBits
+	if passes == 0 {
+		return perm
+	}
+	// One sequential read histograms every digit up front; each pass
+	// then turns its histogram into start offsets and scatters.
+	const buckets = 1 << permDigitBits
+	counts := make([]int, passes*buckets)
+	for _, k := range keys {
+		k -= lo
+		for p := 0; p < passes; p++ {
+			counts[p*buckets+int(k>>(p*permDigitBits))&(buckets-1)]++
+		}
+	}
+	next := make([]int32, len(keys))
+	for p := 0; p < passes; p++ {
+		count := counts[p*buckets : (p+1)*buckets]
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		shift := p * permDigitBits
+		for _, r := range perm {
+			d := int((keys[r]-lo)>>shift) & (buckets - 1)
+			next[count[d]] = r
+			count[d]++
+		}
+		perm, next = next, perm
+	}
+	return perm
+}
+
+// gather returns src reordered by perm: out[i] = src[perm[i]].
+func gather[T any](src []T, perm []int32) []T {
+	out := make([]T, len(perm))
+	for i, r := range perm {
+		out[i] = src[r]
+	}
+	return out
 }
 
 // Zero-copy little-endian byte views of value vectors (§5). Valid

@@ -286,7 +286,8 @@ func NewManager(opt Options) *Manager {
 // after a failure runs fresh. A full queue returns ErrQueueFull, a
 // shut-down manager ErrClosed.
 func (m *Manager) Submit(key string, run RunFunc) (*Job, error) {
-	return m.SubmitTimeout(key, run, 0)
+	j, _, err := m.SubmitTimeout(key, run, 0)
+	return j, err
 }
 
 // SubmitTimeout is Submit with a per-job deadline override. The
@@ -294,8 +295,11 @@ func (m *Manager) Submit(key string, run RunFunc) (*Job, error) {
 // extend it — a client may ask for less patience than the operator
 // configured, not more; zero (or negative) means "use the default".
 // A coalesced submission joins the existing job with the existing
-// job's deadline.
-func (m *Manager) SubmitTimeout(key string, run RunFunc, timeout time.Duration) (*Job, error) {
+// job's deadline. joined reports that the key was answered by an
+// existing job rather than a new one: only a joined job can be a hot
+// hit, since a new job may already be done by the time its caller
+// reads its state.
+func (m *Manager) SubmitTimeout(key string, run RunFunc, timeout time.Duration) (j *Job, joined bool, err error) {
 	if timeout <= 0 || (m.opt.Timeout > 0 && timeout > m.opt.Timeout) {
 		timeout = m.opt.Timeout
 	}
@@ -303,20 +307,20 @@ func (m *Manager) SubmitTimeout(key string, run RunFunc, timeout time.Duration) 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, ErrClosed
+		return nil, false, ErrClosed
 	}
 	m.purgeLocked(now)
-	if j, ok := m.byKey[key]; ok {
+	if live, ok := m.byKey[key]; ok {
 		m.coalesced++
-		return j, nil
+		return live, true, nil
 	}
 	if len(m.fifo) >= m.opt.QueueDepth {
-		return nil, ErrQueueFull
+		return nil, false, ErrQueueFull
 	}
 	//lint:ctxflow deliberate detach: a queued job outlives its submitting request; cancellation arrives via Job.Cancel/Manager.Shutdown driving abort
 	cctx, abort := context.WithCancel(context.Background())
 	m.seq++
-	j := &Job{
+	j = &Job{
 		id:      fmt.Sprintf("job-%d", m.seq),
 		key:     key,
 		run:     run,
@@ -333,7 +337,7 @@ func (m *Manager) SubmitTimeout(key string, run RunFunc, timeout time.Duration) 
 	m.order = append(m.order, j)
 	m.submitted++
 	m.cond.Signal()
-	return j, nil
+	return j, false, nil
 }
 
 // Peek returns the job currently registered under key — queued,
@@ -523,25 +527,28 @@ func (m *Manager) worker() {
 
 // execute runs one job to a terminal state.
 func (m *Manager) execute(j *Job) {
+	// The running count moves under the manager lock held across the
+	// state change, so a caller that sees the job running and then
+	// reads Stats finds it counted.
+	m.mu.Lock()
 	j.mu.Lock()
 	if j.state != StateQueued { // cancelled while waiting
 		j.mu.Unlock()
+		m.mu.Unlock()
 		return
 	}
 	j.state = StateRunning
 	j.started = time.Now()
 	started, created := j.started, j.created
 	j.mu.Unlock()
+	m.running++
+	m.mu.Unlock()
 
 	wait := started.Sub(created)
 	j.trace.Observe("queue_wait", wait)
 	if m.opt.Metrics != nil {
 		m.opt.Metrics.QueueWait.Observe(wait.Seconds())
 	}
-
-	m.mu.Lock()
-	m.running++
-	m.mu.Unlock()
 
 	// The run context is the job's cancel context, tightened by the
 	// job's deadline when one is set. The two are distinguishable

@@ -83,6 +83,11 @@ func TestJobLifecycle(t *testing.T) {
 	if snap.Started.IsZero() || snap.Created.IsZero() {
 		t.Fatal("running job missing timestamps")
 	}
+	// The run reports progress only after the job turns running.
+	for deadline := time.Now().Add(10 * time.Second); snap.Progress.Phase != core.PhaseCuts && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		snap = j.Snapshot()
+	}
 	if snap.Progress.Phase != core.PhaseCuts {
 		t.Fatalf("progress not threaded: %+v", snap.Progress)
 	}
@@ -167,6 +172,56 @@ func TestSingleFlightCoalesce(t *testing.T) {
 	st := m.Stats()
 	if st.Submitted != 1 || st.Coalesced != M-1 {
 		t.Fatalf("submitted/coalesced = %d/%d, want 1/%d", st.Submitted, st.Coalesced, M-1)
+	}
+}
+
+// TestSubmitTimeoutReportsJoined pins "joined vs new": joined is true
+// only when an existing job answers the key — queued, running or done
+// within the TTL — and false for a new job, even one that finished
+// before its submitter looked at it, and for a resubmission after a
+// failure.
+func TestSubmitTimeoutReportsJoined(t *testing.T) {
+	m := NewManager(Options{Workers: 1})
+	defer shutdown(t, m)
+	var runs atomic.Int64
+
+	j, joined, err := m.SubmitTimeout("k", instantRun(&runs), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	if joined || j.Snapshot().State != StateDone {
+		t.Fatalf("new job: joined=%v state=%v, want a new done job", joined, j.Snapshot().State)
+	}
+	if j2, joined, err := m.SubmitTimeout("k", instantRun(&runs), 0); err != nil || !joined || j2 != j {
+		t.Fatalf("resubmit onto done job: job %v joined=%v err=%v, want job %s joined", j2, joined, err, j.ID())
+	}
+
+	release := make(chan struct{})
+	r, joined, err := m.SubmitTimeout("r", blockingRun(&runs, release), 0)
+	if err != nil || joined {
+		t.Fatalf("new blocking job: joined=%v err=%v", joined, err)
+	}
+	waitState(t, m, r.ID(), StateRunning)
+	if r2, joined, err := m.SubmitTimeout("r", blockingRun(&runs, release), 0); err != nil || !joined || r2 != r {
+		t.Fatalf("resubmit onto running job: joined=%v err=%v", joined, err)
+	}
+	close(release)
+	<-r.Done()
+
+	failing := func(ctx context.Context, progress core.ProgressFunc) (*core.Result, error) {
+		return nil, errors.New("boom")
+	}
+	f, _, err := m.SubmitTimeout("f", failing, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, f.ID(), StateFailed)
+	if f2, joined, err := m.SubmitTimeout("f", failing, 0); err != nil || joined || f2 == f {
+		t.Fatalf("resubmit after failure: joined=%v err=%v, want a new job", joined, err)
+	}
+	if st := m.Stats(); st.Submitted != 4 || st.Coalesced != 2 {
+		t.Fatalf("submitted/coalesced = %d/%d, want 4/2", st.Submitted, st.Coalesced)
 	}
 }
 

@@ -97,21 +97,21 @@ func TestSubmitTimeoutTightensNeverExtends(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 
-	j, err := m.SubmitTimeout("a", blockingRun(&runs, release), 10*time.Millisecond)
+	j, _, err := m.SubmitTimeout("a", blockingRun(&runs, release), 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if j.timeout != 10*time.Millisecond {
 		t.Fatalf("override timeout = %v, want 10ms", j.timeout)
 	}
-	j2, err := m.SubmitTimeout("b", blockingRun(&runs, release), 2*time.Hour)
+	j2, _, err := m.SubmitTimeout("b", blockingRun(&runs, release), 2*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if j2.timeout != time.Hour {
 		t.Fatalf("timeout = %v: an override must not extend the manager deadline", j2.timeout)
 	}
-	j3, err := m.SubmitTimeout("c", blockingRun(&runs, release), 0)
+	j3, _, err := m.SubmitTimeout("c", blockingRun(&runs, release), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
