@@ -509,12 +509,13 @@ func BenchmarkAdvisorFacade(b *testing.B) {
 	}
 }
 
-// BenchmarkE14BitmapIntersect isolates the tentpole claim: on dense
-// selections (≥ 1/8 density here, far above the 1/64 crossover) the
-// word-packed AND+popcount intersection count must beat the sorted-
-// merge IntersectCount by ≥ 5×. BitmapBuildAndCount includes the
-// one-time packing cost the pairwise operators amortize over a whole
-// contingency row; MixedProbe is the sparse-against-dense path.
+// BenchmarkE14BitmapIntersect isolates the word-packed claim: on dense
+// selections (≥ 1/8 density here, far above the 1/32 storage rule) a
+// chunked selection holds words, and its AND+popcount intersection
+// count must beat the sorted-merge IntersectCount by ≥ 5×.
+// BitmapBuildAndCount includes the one-time packing cost a selection
+// pays when it is written; MixedProbe is a sparse chunk's row ids
+// probed against a dense one's words.
 func BenchmarkE14BitmapIntersect(b *testing.B) {
 	const nRows = 200000
 	mk := func(stride int) engine.Selection {
@@ -530,7 +531,10 @@ func BenchmarkE14BitmapIntersect(b *testing.B) {
 			_ = engine.IntersectCount(dense2, dense3)
 		}
 	})
-	ba, bc := engine.NewBitmap(dense2, nRows), engine.NewBitmap(dense3, nRows)
+	chunked := func(sel engine.Selection) *engine.ChunkedSelection {
+		return engine.ChunkSelection(sel, nRows, engine.DefaultChunkRows)
+	}
+	ba, bc := chunked(dense2), chunked(dense3)
 	b.Run("BitmapAndCount", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = ba.AndCount(bc)
@@ -538,14 +542,13 @@ func BenchmarkE14BitmapIntersect(b *testing.B) {
 	})
 	b.Run("BitmapBuildAndCount", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			x, y := engine.NewBitmap(dense2, nRows), engine.NewBitmap(dense3, nRows)
-			_ = x.AndCount(y)
+			_ = chunked(dense2).AndCount(chunked(dense3))
 		}
 	})
-	sparse := mk(1024)
+	sparse := chunked(mk(1024))
 	b.Run("MixedProbe", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = engine.AndCountSelection(ba, sparse)
+			_ = ba.AndCount(sparse)
 		}
 	})
 }
@@ -584,13 +587,13 @@ func BenchmarkE15ParallelCells(b *testing.B) {
 }
 
 // BenchmarkE16ChunkedScan measures the chunked storage path on a
-// 1M-row table: full-selection range filter, median cut point and
-// bitmap pack, each iterating 64K-row chunks through the scan worker
-// pool. The outputs are identical at every width (the chunked
-// equivalence property tests pin this); the wall-clock should fall
-// as workers rise on multi-core hardware. The single-width flat
-// subbenchmark is the pre-chunking baseline for the same pipeline:
-// no zone map, and the median and pack over the flat selection.
+// 1M-row table: full-selection range filter and median cut point,
+// each iterating 64K-row chunks through the scan worker pool. The
+// outputs are identical at every width (the chunked equivalence
+// property tests pin this); the wall-clock should fall as workers rise
+// on multi-core hardware. The single-width flat subbenchmark is the
+// pre-chunking baseline for the same pipeline: no zone map, and the
+// median over the flat selection.
 func BenchmarkE16ChunkedScan(b *testing.B) {
 	const nRows = 1_000_000
 	tab := table(b, "voc", nRows, 1)
@@ -611,9 +614,6 @@ func BenchmarkE16ChunkedScan(b *testing.B) {
 			if _, ok := engine.IntMedian(ton, sel); !ok {
 				b.Fatal("empty selection")
 			}
-			// Pack like the chunked loop does, so the two compare
-			// the same filter+median+pack pipeline.
-			_ = engine.NewBitmap(sel, nRows)
 		}
 	})
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -626,7 +626,6 @@ func BenchmarkE16ChunkedScan(b *testing.B) {
 				if _, ok := engine.IntMedianChunked(ton, cs); !ok {
 					b.Fatal("empty selection")
 				}
-				_ = engine.NewBitmapChunked(cs)
 			}
 		})
 	}
@@ -639,8 +638,7 @@ func BenchmarkE16ChunkedScan(b *testing.B) {
 // consulted than with every chunk scanned — the wanted value lives
 // in 1 of 16 chunks, so pruning skips ~94% of the rows. The pruned
 // and unpruned selections are identical (the nominal equivalence
-// property tests pin this); only the chunks touched differ. Fused
-// measures the same pruned predicate straight into a bitmap.
+// property tests pin this); only the chunks touched differ.
 func BenchmarkE19NominalPrune(b *testing.B) {
 	const nRows = 1_000_000
 	const values = 64 // 15625 rows per value, clustered: ~4 values per 64K chunk
@@ -667,13 +665,6 @@ func BenchmarkE19NominalPrune(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if cs := engine.FilterStringSetChunked(col, all, want, sum); cs.Len() == 0 {
 				b.Fatal("empty selection")
-			}
-		}
-	})
-	b.Run("pruned-fused-bitmap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if bm := engine.FilterStringSetChunkedBitmap(col, all, want, sum); bm.Count() == 0 {
-				b.Fatal("empty bitmap")
 			}
 		}
 	})

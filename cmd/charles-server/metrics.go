@@ -62,8 +62,8 @@ func newServerMetrics(ev *seg.Evaluator) *serverMetrics {
 		ZoneSkip:      reg.NewCounter("charles_engine_zone_skip_total", "chunks skipped whole by a zone-map verdict"),
 		ZoneTake:      reg.NewCounter("charles_engine_zone_take_total", "chunks passed through whole by a zone-map verdict"),
 		ZoneScan:      reg.NewCounter("charles_engine_zone_scan_total", "chunks scanned row by row"),
-		VectorKernels: reg.NewCounter("charles_engine_vector_kernels_total", "chunked filters answered with row-id selections, one per predicate or cut child"),
-		FusedKernels:  reg.NewCounter("charles_engine_fused_kernels_total", "chunked filters fused straight into bitmap words"),
+		VectorKernels: reg.NewCounter("charles_engine_vector_kernels_total", "chunked filters run, one per predicate or cut child"),
+		FusedKernels:  reg.NewCounter("charles_engine_fused_kernels_total", "always 0: the fused filter-to-bitmap scan is gone (kept for the per-layer probes)"),
 	})
 
 	// Evaluator: cache effectiveness and the incremental-advise
@@ -72,7 +72,7 @@ func newServerMetrics(ev *seg.Evaluator) *serverMetrics {
 	ev.SetEvalMetrics(&seg.EvalMetrics{
 		FullEvals:           reg.NewCounter("charles_seg_full_evals_total", "full constraint-chain query evaluations (selection cache misses)"),
 		NarrowEvals:         reg.NewCounter("charles_seg_narrow_evals_total", "cut children evaluated from their parent's selection"),
-		CacheHits:           reg.NewCounter("charles_seg_cache_hits_total", "selections and bitmaps served from the evaluator cache"),
+		CacheHits:           reg.NewCounter("charles_seg_cache_hits_total", "selections served from the evaluator cache"),
 		CutPointCalcs:       reg.NewCounter("charles_seg_cut_point_calcs_total", "median/quantile cut-point computations"),
 		CutCacheHits:        reg.NewCounter("charles_seg_cut_cache_hits_total", "cut-point sets served from the cut cache"),
 		DeltaRefreshes:      reg.NewCounter("charles_delta_refreshes_total", "cached selections spliced up to date after a mutation"),
@@ -80,7 +80,7 @@ func newServerMetrics(ev *seg.Evaluator) *serverMetrics {
 		PairMemoHits:        reg.NewCounter("charles_seg_pair_memo_hits_total", "pairwise operand sides reused from a PairMemo"),
 		PairMemoMisses:      reg.NewCounter("charles_seg_pair_memo_misses_total", "pairwise operand sides built fresh"),
 		PairTableHits:       reg.NewCounter("charles_seg_pair_table_hits_total", "contingency tables served from the evaluator's pair-table tier"),
-		RowMaterializations: reg.NewCounter("charles_seg_row_materializations_total", "row-id selections built on demand from packed-only cut children"),
+		RowMaterializations: reg.NewCounter("charles_seg_row_materializations_total", "flat row-id views decoded from selections holding words chunks"),
 	})
 
 	panicsRecovered := reg.NewCounter("charles_panics_recovered_total",

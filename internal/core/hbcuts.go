@@ -94,8 +94,8 @@ type hbState struct {
 	indep   map[[2]int]float64
 	rng     *rand.Rand
 	res     *Result
-	// memo shares assembled pair sides (gathered selections +
-	// packed bitmaps) across every pairwise operator call of this
+	// memo shares assembled pair sides (gathered selections) across
+	// every pairwise operator call of this
 	// advise, so a candidate evaluated against O(n) partners is
 	// built once, not once per INDEP.
 	memo *seg.PairMemo
@@ -187,9 +187,8 @@ func newHBStateCtx(ctx context.Context, ev *seg.Evaluator, context sdl.Query, cf
 	// Prime the context selection before fanning out: every initial
 	// cut starts from it, and on a cold cache W workers would all
 	// miss the same key at once and each pay the full-table scan.
-	// Count evaluates and caches the selection in whatever form the
-	// cache holds it — a zoomed context may be a packed-only child —
-	// and builds no row ids.
+	// Count evaluates and caches the selection and builds no row ids
+	// from words.
 	if _, err := ev.Count(context); err != nil {
 		return nil, err
 	}
@@ -199,7 +198,7 @@ func newHBStateCtx(ctx context.Context, ev *seg.Evaluator, context sdl.Query, cf
 	}
 	cuts := make([]initial, len(attrs))
 	err := par.ForEachCtx(ctx, cfg.Workers, len(attrs), func(i int) error {
-		s, ok, err := seg.InitialCandidate(ev, context, attrs[i], cfg.Cut)
+		s, ok, err := seg.InitialCut(ev, context, attrs[i], cfg.Cut)
 		if err != nil {
 			return err
 		}
@@ -264,7 +263,7 @@ func (st *hbState) step() (*seg.Segmentation, bool, error) {
 		return nil, false, nil
 	}
 	spCompose := tr.Start("compose")
-	composed, err := seg.ComposeCandidate(st.ev, s1.seg, s2.seg, st.cfg.Cut, st.cfg.MaxDepth)
+	composed, err := seg.Compose(st.ev, s1.seg, s2.seg, st.cfg.Cut)
 	spCompose.End()
 	if err != nil {
 		return nil, false, err

@@ -38,8 +38,8 @@ func NormalizeChunkRows(n int) int { return normalizeChunkRows(n) }
 // normalizeChunkRows resolves a configured chunk width: values < 1
 // mean the automatic default, everything else is clamped to
 // [64, 2^30] and rounded up to the next power of two. Power-of-two
-// widths keep the per-row chunk addressing — the Bitmap.Contains
-// hot path — a shift+mask instead of a hardware divide.
+// widths keep per-row chunk addressing a shift+mask instead of a
+// hardware divide.
 func normalizeChunkRows(n int) int {
 	if n < 1 {
 		return DefaultChunkRows

@@ -7,26 +7,25 @@ import "charles/internal/par"
 // kernel (filter.go) and, for ranges and code sets, in the operand
 // form a binary cut's shared row loop reads (partition.go) — and
 // a driver fans the chunks out across the scan workers. A skipped
-// chunk costs nothing, a taken chunk passes its parent segment
+// chunk costs nothing, a taken chunk passes its parent container
 // through by reference, and a scanned chunk costs a load, some
 // arithmetic and a store per row (no call, hash or data-dependent
 // branch except in the int/float set and summary-less string range
 // kernels: a string set is a bitset over dictionary codes precisely so
 // its test is a bit extract). Scanned rows are compacted into pooled
-// scratch and copied out at exact length, so a cached child selection
-// holds exactly its rows. The partition driver (the row-id filter is
-// its one-predicate case) and the bitmap driver (bitmapfilter.go)
-// consume the same Preds.
+// scratch, from which the chunk setter copies them at exact length or
+// packs them into words, so a cached child selection holds exactly its
+// rows. The partition pass (partition.go), whose one-predicate case is
+// the filter, consumes the Preds.
 
 // reserveSegSlots reserves extra scan-pool goroutines for a
 // per-chunk fan-out over src: nothing for selections too small to
 // parallelize, and never more than chunks−1 — slots beyond that
 // would idle while starving concurrent scans. The paired release
 // must always be called. This is the single reservation policy for
-// every chunked operation (filters, partitions, bitmap packing and
-// unpacking, key gathers, reductions and value counts), so the
+// every chunked operation (filters, partitions, key gathers, reductions and value counts), so the
 // sequential-threshold and cap rules cannot drift between them.
-func reserveSegSlots(src Source) (extra int, release func()) {
+func reserveSegSlots(src *ChunkedSelection) (extra int, release func()) {
 	return reserveChunkSlots(src.NumChunks(), src.Len())
 }
 
@@ -53,7 +52,7 @@ func reserveChunkSlots(nc, rows int) (extra int, release func()) {
 // selections and slot-exhausted processes stay on the calling
 // goroutine, exactly like the flat path. Callers assemble results by
 // chunk index, so scheduling never influences output.
-func forEachSeg(src Source, fn func(c int)) {
+func forEachSeg(src *ChunkedSelection, fn func(c int)) {
 	forEachChunk(src.NumChunks(), src.Len(), fn)
 }
 
@@ -83,10 +82,10 @@ type chunkVerdict uint8
 const (
 	// chunkScan: the predicate must be evaluated row by row.
 	chunkScan chunkVerdict = iota
-	// chunkSkip: no row of the chunk can match; the segment is
+	// chunkSkip: no row of the chunk can match; the chunk is
 	// dropped without a scan.
 	chunkSkip
-	// chunkTake: every row of the chunk matches; the parent segment
+	// chunkTake: every row of the chunk matches; the parent container
 	// passes through by reference without a scan.
 	chunkTake
 )
@@ -96,8 +95,8 @@ const (
 // kernel, for a range or code set the same test in the form the
 // two-piece partition kernels share, and none when no row can match (the
 // drivers then return the empty result without visiting a chunk).
-// Every driver — row ids, bitmap, partition — consumes the same Pred,
-// so the output representations share every decision. Build one with
+// PartitionChunked and its one-predicate filter consume the same
+// Pred, so they share every decision. Build one with
 // a *Pred constructor; the zero Pred is not valid.
 type Pred struct {
 	verdict func(c int) chunkVerdict
@@ -106,38 +105,12 @@ type Pred struct {
 	none    bool
 }
 
-// FilterChunked is the row-id chunked-filter driver: it narrows src to
-// the rows p keeps, chunk by chunk — the verdict prunes or passes whole
-// chunks from the zone map, the kernel narrows the rest, and the
-// per-chunk outputs are reassembled in chunk order. It is
-// PartitionChunked for one predicate.
-func FilterChunked(src Source, p Pred) *ChunkedSelection {
-	parts, _ := PartitionChunked(src, []Pred{p}, nil)
-	return parts[0]
-}
-
-// exactSeg returns a scanned chunk's matches as an exact-length
-// selection: nil when none match, seg itself when all do (what a take
-// verdict would have passed), and a right-sized copy of the pooled
-// scratch otherwise. A narrow child therefore never pins a
-// parent-sized array in the evaluator's selection cache.
-func exactSeg(seg, matched Selection) Selection {
-	switch len(matched) {
-	case 0:
-		return nil
-	case len(seg):
-		return seg
-	}
-	// make+copy of one named slice compiles to a single non-zeroing
-	// allocation.
-	out := make(Selection, len(matched))
-	copy(out, matched)
-	return out
-}
-
-// emptyLike returns the all-empty selection in src's layout.
-func emptyLike(src Source) *ChunkedSelection {
-	return NewChunkedSelection(src.NumRows(), src.ChunkRows(), make([]Selection, src.NumChunks()))
+// FilterChunked narrows src to the rows p keeps, chunk by chunk: the
+// verdict prunes or passes whole chunks from the zone map, the kernel
+// narrows the rest, and the per-chunk outputs are reassembled in chunk
+// order. It is PartitionChunked for one predicate.
+func FilterChunked(src *ChunkedSelection, p Pred) *ChunkedSelection {
+	return PartitionChunked(src, []Pred{p})[0]
 }
 
 // scanAlways is the verdict for predicates without a zone map.
@@ -283,7 +256,7 @@ func setPred[T int64 | float64](vals, values []T, bounds func(c int) (lo, hi T))
 // codeSetVerdict classifies a chunk against a wanted dictionary-code
 // set using the column's presence summary: skip when the chunk holds
 // none of the wanted codes, take when every distinct code it holds
-// is wanted (so the whole segment passes through by reference), scan
+// is wanted (so the whole chunk passes through by reference), scan
 // otherwise. Chunks whose sparse code list overflowed always scan.
 // The dense form ANDs the chunk's presence words with want's; a
 // presence bit past want's words (a summary built over a larger

@@ -25,8 +25,13 @@ func selEqual(t *testing.T, name string, got *ChunkedSelection, want Selection) 
 // adversarialSelections generates the shapes the chunk math can get
 // wrong: empty, single row, runs straddling chunk edges, exactly one
 // chunk, final partial chunk, rows only in the first and last chunk
-// (every middle chunk empty), and dense random selections.
+// (every middle chunk empty), and dense random selections. An empty
+// universe has only the empty selection: every row id must be in
+// [0, nRows).
 func adversarialSelections(nRows, chunkRows int, rng *rand.Rand) []Selection {
+	if nRows == 0 {
+		return []Selection{{}}
+	}
 	sels := []Selection{
 		{},
 		{0},
@@ -241,68 +246,56 @@ func TestChunkedStatsMatchMonolithic(t *testing.T) {
 	}
 }
 
-// TestChunkedBitmapMatchesFlat pins the chunk-segmented bitmap to
-// the selection semantics: build, count, contains, intersection
-// count and materialization agree with the row-id vector paths, and
-// empty chunks stay unallocated.
+// TestChunkedBitmapMatchesFlat pins the chunk forms to the selection
+// semantics: build, count, per-chunk views, intersection count and
+// materialization agree with the row-id vector paths in every form,
+// and empty chunks hold neither form.
 func TestChunkedBitmapMatchesFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	nRows, chunkRows := 1000, 128
 	for _, a := range adversarialSelections(nRows, chunkRows, rng) {
 		ca := ChunkSelection(a, nRows, chunkRows)
-		ba := NewBitmapChunked(ca)
-		if ba.Count() != len(a) {
-			t.Fatalf("Count = %d, want %d", ba.Count(), len(a))
-		}
-		back := ba.Selection()
-		if len(back) != len(a) {
-			t.Fatalf("Selection() has %d rows, want %d", len(back), len(a))
-		}
-		for i := range back {
-			if back[i] != a[i] {
-				t.Fatalf("Selection()[%d] = %d, want %d", i, back[i], a[i])
+		checkRule(t, "adversarial", ca)
+		fa := formsOf(ca, rng)
+		for form, x := range fa {
+			if x.Len() != len(a) || !selectionsEqual(x.Flat(), a) {
+				t.Fatalf("%s: %d rows, flat view differs from %d", form, x.Len(), len(a))
 			}
-		}
-		for c := 0; c < ca.NumChunks(); c++ {
-			if len(ca.Seg(c)) == 0 && ba.chunks[c] != nil {
-				t.Fatalf("empty chunk %d allocated words", c)
+			for c := 0; c < x.NumChunks(); c++ {
+				if len(ca.Seg(c)) == 0 && (x.Words(c) != nil || x.Seg(c) != nil) {
+					t.Fatalf("%s: empty chunk %d holds a form", form, c)
+				}
 			}
 		}
 		for _, b := range adversarialSelections(nRows, chunkRows, rng) {
-			cb := ChunkSelection(b, nRows, chunkRows)
-			bb := NewBitmapChunked(cb)
 			want := IntersectCount(a, b)
-			if got := ba.AndCount(bb); got != want {
-				t.Fatalf("AndCount = %d, want %d", got, want)
-			}
-			if got := AndCountSelection(ba, b); got != want {
-				t.Fatalf("AndCountSelection = %d, want %d", got, want)
-			}
-			and := ba.And(bb)
-			if and.Count() != want {
-				t.Fatalf("And().Count() = %d, want %d", and.Count(), want)
+			for fb, y := range formsOf(ChunkSelection(b, nRows, chunkRows), rng) {
+				if got := fa["mixed"].AndCount(y); got != want {
+					t.Fatalf("mixed ∩ %s: AndCount = %d, want %d", fb, got, want)
+				}
 			}
 		}
 	}
 }
 
-// TestBitmapMismatchedLayouts covers the off-path: bitmaps packed at
-// different chunk widths still intersect correctly.
+// TestBitmapMismatchedLayouts covers the off-path: selections sharded
+// at different chunk widths still intersect correctly, in any form.
 func TestBitmapMismatchedLayouts(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
 	a := Selection{1, 5, 64, 65, 700, 901}
 	b := Selection{5, 64, 200, 901}
-	ba := NewBitmapChunked(ChunkSelection(a, 1000, 128))
-	bb := NewBitmapChunked(ChunkSelection(b, 1000, 256))
-	if got, want := ba.AndCount(bb), IntersectCount(a, b); got != want {
-		t.Fatalf("mismatched AndCount = %d, want %d", got, want)
-	}
-	if got := ba.And(bb).Count(); got != 3 {
-		t.Fatalf("mismatched And().Count() = %d, want 3", got)
+	want := IntersectCount(a, b)
+	for fa, x := range formsOf(ChunkSelection(a, 1000, 128), rng) {
+		for fb, y := range formsOf(ChunkSelection(b, 1000, 256), rng) {
+			if got := x.AndCount(y); got != want {
+				t.Fatalf("%s ∩ %s: mismatched AndCount = %d, want %d", fa, fb, got, want)
+			}
+		}
 	}
 }
 
 // TestChunkedParallelLoopsRace drives the chunked filter, stat and
-// bitmap loops with a selection large enough to fan out across scan
+// intersection loops with a selection large enough to fan out across scan
 // workers; run under -race it proves the per-chunk slots are
 // disjoint. The outputs are compared against the sequential path, so
 // it doubles as a determinism check at width > 1.
@@ -329,9 +322,8 @@ func TestChunkedParallelLoopsRace(t *testing.T) {
 	if med, _ := IntMedianChunked(col, got); med == 0 && wantMed != 0 {
 		t.Fatal("parallel median degenerated")
 	}
-	bm := NewBitmapChunked(got)
-	if bm.Count() != got.Len() {
-		t.Fatalf("parallel bitmap count %d != %d", bm.Count(), got.Len())
+	if n := got.AndCount(withForms(got, func(int) bool { return false })); n != got.Len() {
+		t.Fatalf("parallel self-intersection %d != %d", n, got.Len())
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // GatherIntChunked materializes col's int64 values per chunk: one
-// output slice per chunk, aligned with cs's segments, gathered
+// output slice per chunk, aligned with cs's chunks, gathered
 // across the scan worker pool. Unlike GatherInt there is no global
 // copy — downstream chunked order statistics consume the shards
 // directly.
@@ -16,15 +16,15 @@ func GatherIntChunked(col IntValued, cs *ChunkedSelection) [][]int64 {
 	src := col.Int64s()
 	out := make([][]int64, cs.NumChunks())
 	forEachSeg(cs, func(c int) {
-		seg := cs.Seg(c)
-		if len(seg) == 0 {
-			return
+		if n := cs.chunkCount(c); n > 0 {
+			vals := make([]int64, 0, n)
+			eachRows(cs, c, func(rows Selection) {
+				for _, row := range rows {
+					vals = append(vals, src[row])
+				}
+			})
+			out[c] = vals
 		}
-		vals := make([]int64, len(seg))
-		for i, row := range seg {
-			vals[i] = src[row]
-		}
-		out[c] = vals
 	})
 	return out
 }
@@ -34,15 +34,15 @@ func GatherFloatChunked(col FloatValued, cs *ChunkedSelection) [][]float64 {
 	src := col.Float64s()
 	out := make([][]float64, cs.NumChunks())
 	forEachSeg(cs, func(c int) {
-		seg := cs.Seg(c)
-		if len(seg) == 0 {
-			return
+		if n := cs.chunkCount(c); n > 0 {
+			vals := make([]float64, 0, n)
+			eachRows(cs, c, func(rows Selection) {
+				for _, row := range rows {
+					vals = append(vals, src[row])
+				}
+			})
+			out[c] = vals
 		}
-		vals := make([]float64, len(seg))
-		for i, row := range seg {
-			vals[i] = src[row]
-		}
-		out[c] = vals
 	})
 	return out
 }
@@ -50,7 +50,7 @@ func GatherFloatChunked(col FloatValued, cs *ChunkedSelection) [][]float64 {
 // IntMinMaxChunked returns the minimum and maximum of col over src by
 // reducing per-chunk partials. ok is false when the selection is
 // empty.
-func IntMinMaxChunked(col IntValued, src Source) (lo, hi int64, ok bool) {
+func IntMinMaxChunked(col IntValued, src *ChunkedSelection) (lo, hi int64, ok bool) {
 	if src.Len() == 0 {
 		return 0, 0, false
 	}
@@ -94,7 +94,7 @@ func reduceIntBounds(los, his []int64) (lo, hi int64) {
 // exactly like FloatMinMax: NaN rows never seed or move a bound, and
 // an all-NaN selection yields NaN bounds. A zero bound is +0.0
 // whichever zero the scan met first.
-func FloatMinMaxChunked(col FloatValued, src Source) (lo, hi float64, ok bool) {
+func FloatMinMaxChunked(col FloatValued, src *ChunkedSelection) (lo, hi float64, ok bool) {
 	if src.Len() == 0 {
 		return 0, 0, false
 	}
@@ -164,7 +164,7 @@ func reduceKeyBounds(los, his []uint64) (lo, hi uint64) {
 // themselves. Reserve only after the gather phase: the gather takes
 // slots of its own, and holding them across it would starve it to
 // sequential.
-func statWorkers(src Source) (workers int, release func()) {
+func statWorkers(src *ChunkedSelection) (workers int, release func()) {
 	extra, release := reserveSegSlots(src)
 	return extra + 1, release
 }
@@ -174,7 +174,7 @@ func statWorkers(src Source) (workers int, release func()) {
 // nothing dropped. lo and hi are the smallest and largest key,
 // reduced as the keys are written (MaxUint64 and 0 when src is empty).
 // Callers must not retain any shard past release.
-func gatherIntKeys(col IntValued, src Source) (chunks [][]uint64, lo, hi uint64, release func()) {
+func gatherIntKeys(col IntValued, src *ChunkedSelection) (chunks [][]uint64, lo, hi uint64, release func()) {
 	vals := col.Int64s()
 	nc := src.NumChunks()
 	chunks = make([][]uint64, nc)
@@ -183,7 +183,7 @@ func gatherIntKeys(col IntValued, src Source) (chunks [][]uint64, lo, hi uint64,
 	his := make([]uint64, nc)
 	forEachSeg(src, func(c int) {
 		los[c] = math.MaxUint64
-		n := chunkLen(src, c)
+		n := src.chunkCount(c)
 		if n == 0 {
 			return
 		}
@@ -232,7 +232,7 @@ func intKeys(keys []uint64, vals []int64, rows Selection) (lo, hi uint64) {
 // the NaN convention of FloatMinMax.) lo and hi are the smallest and
 // largest key gathered, reduced as the keys are written; both are 0
 // when there is none. Callers must not retain any shard past release.
-func gatherFloatKeys(col FloatValued, src Source) (chunks [][]uint64, lo, hi uint64, release func()) {
+func gatherFloatKeys(col FloatValued, src *ChunkedSelection) (chunks [][]uint64, lo, hi uint64, release func()) {
 	vals := col.Float64s()
 	nc := src.NumChunks()
 	chunks = make([][]uint64, nc)
@@ -241,7 +241,7 @@ func gatherFloatKeys(col FloatValued, src Source) (chunks [][]uint64, lo, hi uin
 	his := make([]uint64, nc)
 	forEachSeg(src, func(c int) {
 		los[c] = math.MaxUint64
-		n := chunkLen(src, c)
+		n := src.chunkCount(c)
 		if n == 0 {
 			return
 		}
@@ -268,7 +268,7 @@ func gatherFloatKeys(col FloatValued, src Source) (chunks [][]uint64, lo, hi uin
 // Definition 5 cut point — radix-selected from keys gathered per
 // chunk into pooled scratch: nothing is sorted and no flat vector is
 // built. ok is false when the selection is empty.
-func IntMedianChunked(col IntValued, src Source) (int64, bool) {
+func IntMedianChunked(col IntValued, src *ChunkedSelection) (int64, bool) {
 	if src.Len() == 0 {
 		return 0, false
 	}
@@ -301,7 +301,7 @@ type IntCounts struct {
 
 // IntCutPointsChunked returns the same strictly increasing
 // equi-depth points as IntCutPoints, computed shard-at-a-time.
-func IntCutPointsChunked(col IntValued, src Source, arity int) []int64 {
+func IntCutPointsChunked(col IntValued, src *ChunkedSelection, arity int) []int64 {
 	cut, _ := IntCutChunked(col, src, arity, false)
 	return cut.Points
 }
@@ -313,7 +313,7 @@ func IntCutPointsChunked(col IntValued, src Source, arity int) []int64 {
 // (stats.CountCells) whose per-chunk vectors take no more cells than
 // src has rows is counted per chunk instead, and the counts come back
 // for the cut cache to splice; otherwise counts is nil.
-func IntCutChunked(col IntValued, src Source, arity int, retain bool) (cut NumCut[int64], counts *IntCounts) {
+func IntCutChunked(col IntValued, src *ChunkedSelection, arity int, retain bool) (cut NumCut[int64], counts *IntCounts) {
 	if src.Len() == 0 {
 		return cut, nil
 	}
@@ -345,7 +345,7 @@ func IntCutChunked(col IntValued, src Source, arity int, retain bool) (cut NumCu
 // longer fit the extent (countsFit); the cut is exact either way. ok
 // is false, and the caller must recompute in full, on a structural
 // mismatch or when a dirty chunk holds a value outside the window.
-func IntCutSplice(col IntValued, src Source, old *IntCounts, dirty []bool, arity int) (cut NumCut[int64], counts *IntCounts, ok bool) {
+func IntCutSplice(col IntValued, src *ChunkedSelection, old *IntCounts, dirty []bool, arity int) (cut NumCut[int64], counts *IntCounts, ok bool) {
 	chunks, ok := spliceCounts(src, old.Chunks, dirty)
 	if !ok {
 		return cut, nil, false
@@ -401,10 +401,10 @@ func (ic *IntCounts) cut(arity int) NumCut[int64] {
 // chunk holding a selected row, take no more cells than src has rows:
 // retained counts are then never larger than the values they stand
 // for.
-func countsFit(src Source, cells int) bool {
+func countsFit(src *ChunkedSelection, cells int) bool {
 	nonEmpty := 0
 	for c := 0; c < src.NumChunks(); c++ {
-		nonEmpty += b2i(chunkLen(src, c) > 0)
+		nonEmpty += b2i(src.chunkCount(c) > 0)
 	}
 	return nonEmpty*cells <= src.Len()
 }
@@ -414,7 +414,7 @@ func countsFit(src Source, cells int) bool {
 // ones the caller recounts. ok is false on a structural mismatch — a
 // stamp and selection of a different chunk count, or a clean chunk
 // whose vector no longer counts its selected rows.
-func spliceCounts(src Source, old [][]int, dirty []bool) (counts [][]int, ok bool) {
+func spliceCounts(src *ChunkedSelection, old [][]int, dirty []bool) (counts [][]int, ok bool) {
 	nc := src.NumChunks()
 	if len(dirty) != nc {
 		return nil, false
@@ -431,7 +431,7 @@ func spliceCounts(src Source, old [][]int, dirty []bool) (counts [][]int, ok boo
 		for _, k := range old[c] {
 			n += k
 		}
-		if n != chunkLen(src, c) {
+		if n != src.chunkCount(c) {
 			return nil, false
 		}
 		counts[c] = old[c]
@@ -440,7 +440,7 @@ func spliceCounts(src Source, old [][]int, dirty []bool) (counts [][]int, ok boo
 }
 
 // FloatCutPointsChunked is IntCutPointsChunked for float columns.
-func FloatCutPointsChunked(col FloatValued, src Source, arity int) []float64 {
+func FloatCutPointsChunked(col FloatValued, src *ChunkedSelection, arity int) []float64 {
 	return FloatCutChunked(col, src, arity).Points
 }
 
@@ -448,7 +448,7 @@ func FloatCutPointsChunked(col FloatValued, src Source, arity int) []float64 {
 // keys and bounds from one gather with NaN values excluded
 // (gatherFloatKeys), the points radix-selected from the keys. An
 // all-NaN extent has NaN bounds and no points.
-func FloatCutChunked(col FloatValued, src Source, arity int) NumCut[float64] {
+func FloatCutChunked(col FloatValued, src *ChunkedSelection, arity int) NumCut[float64] {
 	if src.Len() == 0 {
 		return NumCut[float64]{}
 	}
@@ -470,7 +470,7 @@ func FloatCutChunked(col FloatValued, src Source, arity int) NumCut[float64] {
 // high-cardinality column would dwarf the data scanned. Counts are
 // additive, so the band merge is order-independent and the result
 // (ordered by dictionary code) matches StringValueCounts exactly.
-func StringValueCountsChunked(col *StringColumn, src Source) []stats.ValueCount {
+func StringValueCountsChunked(col *StringColumn, src *ChunkedSelection) []stats.ValueCount {
 	codes := col.Codes()
 	nc := src.NumChunks()
 	workers, release := statWorkers(src)
@@ -524,7 +524,7 @@ func countCodes(counts []int, codes []uint32, rows Selection) {
 
 // BoolValueCountsChunked is StringValueCountsChunked for bool
 // columns.
-func BoolValueCountsChunked(col *BoolColumn, src Source) []stats.ValueCount {
+func BoolValueCountsChunked(col *BoolColumn, src *ChunkedSelection) []stats.ValueCount {
 	vals := col.Bools()
 	nc := src.NumChunks()
 	trues := make([]int, nc)
@@ -578,12 +578,12 @@ func IntSortedRunsSplice(col IntValued, cs *ChunkedSelection, old [][]int64, dir
 		if dirty[c] {
 			continue
 		}
-		if c >= len(old) || len(old[c]) != len(cs.Seg(c)) {
+		if c >= len(old) || len(old[c]) != cs.chunkCount(c) {
 			return nil, false
 		}
 		runs[c] = old[c]
 	}
-	fresh := IntSortedRuns(col, RestrictChunked(cs, dirty))
+	fresh := IntSortedRuns(col, Restrict(cs, dirty))
 	for c := 0; c < nc; c++ {
 		if dirty[c] {
 			runs[c] = fresh[c]
@@ -598,13 +598,13 @@ func IntSortedRunsSplice(col IntValued, cs *ChunkedSelection, old [][]int64, dir
 // are additive over chunks, so a mutation only invalidates the dirty
 // chunks' vectors. The vectors are owned by the caller and must be
 // treated as immutable once returned.
-func StringChunkCounts(col *StringColumn, src Source) [][]int {
+func StringChunkCounts(col *StringColumn, src *ChunkedSelection) [][]int {
 	codes := col.Codes()
 	card := col.Cardinality()
 	nc := src.NumChunks()
 	counts := make([][]int, nc)
 	forEachSeg(src, func(c int) {
-		if chunkLen(src, c) == 0 {
+		if src.chunkCount(c) == 0 {
 			return
 		}
 		v := make([]int, card)
@@ -621,7 +621,7 @@ func StringChunkCounts(col *StringColumn, src Source) [][]int {
 // minted after it was counted cannot occur in an unchanged chunk, so
 // the missing tail is implicitly zero. ok is false on a structural
 // mismatch.
-func StringChunkCountsSplice(col *StringColumn, src Source, old [][]int, dirty []bool) (counts [][]int, ok bool) {
+func StringChunkCountsSplice(col *StringColumn, src *ChunkedSelection, old [][]int, dirty []bool) (counts [][]int, ok bool) {
 	counts, ok = spliceCounts(src, old, dirty)
 	if !ok {
 		return nil, false

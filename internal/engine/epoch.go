@@ -15,7 +15,7 @@ var tableIDs atomic.Uint64
 // a monotonically increasing version, the row count and chunk width
 // at that version, and one epoch per chunk — the version of the last
 // mutation that touched the chunk's rows. Derived state (zone maps,
-// cached selections, packed bitmaps) records the stamp it was built
+// cached selections, cut points) records the stamp it was built
 // under; comparing that stamp against the table's current one yields
 // exactly the set of chunks whose contribution must be recomputed,
 // which is what makes a 1% delta cost ~1% of a cold advise.

@@ -40,13 +40,12 @@ func (r FloatRange) Contains(v float64) bool {
 	return true
 }
 
-// The scan kernels below narrow one chunk's segment by one typed
-// predicate. Each is the single row loop of its predicate: the
-// row-id driver (FilterChunked), the bitmap driver
-// (FilterChunkedBitmap) and the partition driver, for a chunk where
-// one piece alone scans, all run it, so the output representations
-// cannot drift apart. The partition kernels (partition.go) are the
-// same tests over several pieces at once.
+// The scan kernels below narrow one row-id chunk by one typed
+// predicate. Each is the single row loop of its predicate:
+// FilterChunked and PartitionChunked, for a chunk where one piece
+// alone scans, both run it, so they cannot drift apart. The
+// partition kernels (partition.go) are the same tests over several
+// pieces at once.
 //
 // A kernel reads the column's backing slice directly — Int64s,
 // Float64s, Codes, Bools — and writes every row of seg into buf

@@ -35,36 +35,28 @@ func sameRows(a, b Selection) bool {
 	return true
 }
 
-type (
-	rowsFilter   func(cs *ChunkedSelection, sum *ChunkSummary) *ChunkedSelection
-	bitmapFilter func(cs *ChunkedSelection, sum *ChunkSummary) *Bitmap
-)
+type rowsFilter func(cs *ChunkedSelection, sum *ChunkSummary) *ChunkedSelection
 
-// checkKernel holds both drivers of one predicate — row ids and
-// bitmap — to the naive reference over cs, with the column's zone map
-// (verdicts engaged) and without it (every chunk scanned). It also
-// pins the output shapes: every row-id segment is exact-length, and
-// a chunk with no match allocates no bitmap words.
-func checkKernel(t testing.TB, name string, cs *ChunkedSelection, sum *ChunkSummary, rows rowsFilter, bits bitmapFilter, keep func(row int32) bool) {
+// checkKernel holds one predicate's filter to the naive reference over
+// cs, with every chunk of the parent as row ids and as words, with the
+// column's zone map (verdicts engaged) and without it (every chunk
+// scanned). It also pins the output shapes: every chunk is in its
+// smaller form, and every row-id segment is exact-length.
+func checkKernel(t testing.TB, name string, cs *ChunkedSelection, sum *ChunkSummary, rows rowsFilter, keep func(row int32) bool) {
 	t.Helper()
 	want := naiveFilter(cs.Flat(), keep)
-	for _, s := range []*ChunkSummary{sum, nil} {
-		got := rows(cs, s)
-		if !sameRows(got.Flat(), want) || got.Len() != len(want) {
-			t.Fatalf("%s (zone map %v): rows %v, want %v", name, s != nil, got.Flat(), want)
-		}
-		for c := 0; c < got.NumChunks(); c++ {
-			if seg := got.Seg(c); cap(seg) != len(seg) {
-				t.Fatalf("%s: chunk %d holds %d rows in a %d-row array", name, c, len(seg), cap(seg))
+	for _, words := range []bool{false, true} {
+		parent := withForms(cs, func(int) bool { return words })
+		for _, s := range []*ChunkSummary{sum, nil} {
+			got := rows(parent, s)
+			if !sameRows(got.Flat(), want) || got.Len() != len(want) {
+				t.Fatalf("%s (words %v, zone map %v): rows %v, want %v", name, words, s != nil, got.Flat(), want)
 			}
-		}
-		bm := bits(cs, s)
-		if bm.Count() != len(want) || !sameRows(bm.Selection(), want) {
-			t.Fatalf("%s (zone map %v): bitmap %v, want %v", name, s != nil, bm.Selection(), want)
-		}
-		for c, words := range bm.chunks {
-			if words != nil && len(got.Seg(c)) == 0 {
-				t.Fatalf("%s: chunk %d matched nothing but allocated bitmap words", name, c)
+			checkRule(t, name, got)
+			for c := 0; c < got.NumChunks(); c++ {
+				if seg := got.Seg(c); cap(seg) != len(seg) {
+					t.Fatalf("%s: chunk %d holds %d rows in a %d-row array", name, c, len(seg), cap(seg))
+				}
 			}
 		}
 	}
@@ -77,7 +69,6 @@ func checkIntRange(t testing.TB, col IntValued, sum *ChunkSummary, cs *ChunkedSe
 		func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
 			return FilterIntRangeChunked(col, cs, r, s)
 		},
-		func(cs *ChunkedSelection, s *ChunkSummary) *Bitmap { return FilterIntRangeChunkedBitmap(col, cs, r, s) },
 		func(row int32) bool { return r.Contains(vals[row]) })
 }
 
@@ -88,9 +79,6 @@ func checkFloatRange(t testing.TB, col FloatValued, sum *ChunkSummary, cs *Chunk
 		func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
 			return FilterFloatRangeChunked(col, cs, r, s)
 		},
-		func(cs *ChunkedSelection, s *ChunkSummary) *Bitmap {
-			return FilterChunkedBitmap(cs, FloatRangePred(col, r, s))
-		},
 		func(row int32) bool { return r.Contains(vals[row]) })
 }
 
@@ -100,9 +88,6 @@ func checkIntSet(t testing.TB, col IntValued, sum *ChunkSummary, cs *ChunkedSele
 	checkKernel(t, fmt.Sprintf("int set %v", values), cs, sum,
 		func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
 			return FilterIntSetChunked(col, cs, values, s)
-		},
-		func(cs *ChunkedSelection, s *ChunkSummary) *Bitmap {
-			return FilterChunkedBitmap(cs, IntSetPred(col, values, s))
 		},
 		func(row int32) bool {
 			for _, v := range values {
@@ -122,9 +107,6 @@ func checkFloatSet(t testing.TB, col FloatValued, sum *ChunkSummary, cs *Chunked
 	checkKernel(t, fmt.Sprintf("float set %v", values), cs, sum,
 		func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
 			return FilterFloatSetChunked(col, cs, values, s)
-		},
-		func(cs *ChunkedSelection, s *ChunkSummary) *Bitmap {
-			return FilterChunkedBitmap(cs, FloatSetPred(col, values, s))
 		},
 		func(row int32) bool {
 			for _, v := range values {
@@ -146,9 +128,6 @@ func checkStringSet(t testing.TB, col *StringColumn, sum *ChunkSummary, cs *Chun
 		func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
 			return FilterStringSetChunked(col, cs, values, s)
 		},
-		func(cs *ChunkedSelection, s *ChunkSummary) *Bitmap {
-			return FilterStringSetChunkedBitmap(col, cs, values, s)
-		},
 		func(row int32) bool { return want[col.Str(int(row))] })
 }
 
@@ -157,9 +136,6 @@ func checkStringRange(t testing.TB, col *StringColumn, sum *ChunkSummary, cs *Ch
 	checkKernel(t, fmt.Sprintf("string range %q..%q %v/%v (dict %d)", lo, hi, loIncl, hiIncl, col.Cardinality()), cs, sum,
 		func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
 			return FilterStringRangeChunked(col, cs, lo, hi, loIncl, hiIncl, s)
-		},
-		func(cs *ChunkedSelection, s *ChunkSummary) *Bitmap {
-			return FilterChunkedBitmap(cs, StringRangePred(col, lo, hi, loIncl, hiIncl, s))
 		},
 		func(row int32) bool {
 			v := col.Str(int(row))
@@ -172,9 +148,6 @@ func checkBoolSet(t testing.TB, col *BoolColumn, sum *ChunkSummary, cs *ChunkedS
 	checkKernel(t, fmt.Sprintf("bool set %v", values), cs, sum,
 		func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
 			return FilterBoolSetChunked(col, cs, values, s)
-		},
-		func(cs *ChunkedSelection, s *ChunkSummary) *Bitmap {
-			return FilterChunkedBitmap(cs, BoolSetPred(col, values, s))
 		},
 		func(row int32) bool {
 			for _, v := range values {
@@ -473,94 +446,69 @@ func metricCounts(m *Metrics) [5]int64 {
 
 // checkPartition holds PartitionChunked over pieces to one filter per
 // piece, with the zone map and without it, at scan workers 1 and 4,
-// and with the parent as row ids and as words (NewBitmapChunked of
-// it). In the packed pass every piece but the one at index unpacked is
-// packed: it returns no child, and its bitmap and Count equal
-// NewBitmapChunked of its piece's filter (no words for an empty
-// chunk). The unpacked piece gets a nil bitmap and a child equal to
-// its filter chunk for chunk (exact-length segments), as does every
-// piece of the pass with packing off. The metrics hook counts exactly
+// and with the parent in four chunk forms: as the storage rule built
+// it, every chunk as row ids, every chunk as words, and each chunk's
+// form drawn from rng — the same rows every time. Every child equals
+// its piece's filter of the row-id parent chunk for chunk, every child
+// chunk is in its smaller form, and the metrics hook counts exactly
 // what the per-piece filters count.
-func checkPartition(t testing.TB, cs *ChunkedSelection, sum *ChunkSummary, pieces []partPiece, unpacked int) {
+func checkPartition(t testing.TB, cs *ChunkedSelection, sum *ChunkSummary, pieces []partPiece, rng *rand.Rand) {
 	t.Helper()
 	defer SetScanWorkers(0)
 	defer SetMetrics(nil)
+	checkRule(t, "parent", cs)
+	rows := withForms(cs, func(int) bool { return false })
+	parents := []struct {
+		form string
+		cs   *ChunkedSelection
+	}{
+		{"rule", cs},
+		{"rows", rows},
+		{"words", withForms(cs, func(int) bool { return true })},
+		{"mixed", withForms(cs, func(int) bool { return rng.Intn(2) == 0 })},
+	}
 	for _, workers := range []int{1, 4} {
 		SetScanWorkers(workers)
-		for _, parent := range []Source{cs, NewBitmapChunked(cs)} {
+		for _, parent := range parents {
 			for _, s := range []*ChunkSummary{sum, nil} {
-				checkPartitionOf(t, cs, parent, s, pieces, unpacked, workers)
+				where := fmt.Sprintf("workers %d, zone map %v, %s parent", workers, s != nil, parent.form)
+				checkPartitionOf(t, rows, parent.cs, s, pieces, where)
 			}
 		}
 	}
 }
 
-// checkPartitionOf is one checkPartition pass: parent is cs in either
-// form, and the children are held to the filters of cs.
-func checkPartitionOf(t testing.TB, cs *ChunkedSelection, parent Source, s *ChunkSummary, pieces []partPiece, unpacked, workers int) {
+// checkPartitionOf is one checkPartition pass: parent is rows in some
+// chunk forms, and the children are held to the filters of rows.
+func checkPartitionOf(t testing.TB, rows, parent *ChunkedSelection, s *ChunkSummary, pieces []partPiece, where string) {
 	t.Helper()
-	_, packedParent := parent.(*Bitmap)
-	where := fmt.Sprintf("workers %d, zone map %v, packed parent %v", workers, s != nil, packedParent)
 	preds := make([]Pred, len(pieces))
 	for i, p := range pieces {
 		preds[i] = p.pred(s)
 	}
-	pack := make([]bool, len(pieces))
-	for i := range pack {
-		pack[i] = i != unpacked
-	}
 	m := countingMetrics()
 	SetMetrics(m)
-	children, bms := PartitionChunked(parent, preds, pack)
+	children := PartitionChunked(parent, preds)
 	got := metricCounts(m)
 	m = countingMetrics()
 	SetMetrics(m)
-	wants := make([]*ChunkedSelection, len(pieces))
 	for i, p := range pieces {
-		wants[i] = p.filter(cs, s)
-		bm := bms[i]
-		if i == unpacked {
-			if bm != nil {
-				t.Fatalf("%s (%s): piece with packing off got a bitmap", p.name, where)
-			}
-			checkChild(t, p.name+" ("+where+")", children[i], wants[i])
-			continue
-		}
-		if children[i] != nil {
-			t.Fatalf("%s (%s): packed piece returned a row-id child", p.name, where)
-		}
-		ref := NewBitmapChunked(wants[i])
-		if bm.Count() != ref.Count() || bm.NumRows() != ref.NumRows() || bm.ChunkRows() != ref.ChunkRows() || len(bm.chunks) != len(ref.chunks) {
-			t.Fatalf("%s (%s): packed bitmap of %d rows, filter %d", p.name, where, bm.Count(), ref.Count())
-		}
-		for c := range ref.chunks {
-			if (bm.chunks[c] == nil) != (ref.chunks[c] == nil) || !slices.Equal(bm.chunks[c], ref.chunks[c]) || bm.counts[c] != ref.counts[c] {
-				t.Fatalf("%s (%s): packed chunk %d differs from NewBitmapChunked", p.name, where, c)
-			}
-		}
+		checkChild(t, p.name+" ("+where+")", children[i], p.filter(rows, s))
 	}
 	if want := metricCounts(m); got != want {
 		t.Fatalf("%s: partition counted skip/take/scan/vector/fused %v, per-piece filters %v", where, got, want)
 	}
-	plain, none := PartitionChunked(parent, preds, nil)
-	if none != nil {
-		t.Fatalf("%s: unpacked partition returned bitmaps", where)
-	}
-	for i, p := range pieces {
-		checkChild(t, p.name+" ("+where+", packing off)", plain[i], wants[i])
-	}
 }
 
 // checkChild holds one partition child to its piece's filter, chunk
-// for chunk, with exact-length segments.
+// for chunk, every chunk in its smaller form with exact-length
+// segments.
 func checkChild(t testing.TB, name string, child, want *ChunkedSelection) {
 	t.Helper()
-	if child == nil {
-		t.Fatalf("%s: unpacked piece returned no child", name)
-	}
 	if child.NumRows() != want.NumRows() || child.NumChunks() != want.NumChunks() || child.Len() != want.Len() {
 		t.Fatalf("%s: child holds %d rows in %d chunks, filter %d in %d", name, child.Len(), child.NumChunks(), want.Len(), want.NumChunks())
 	}
+	checkRule(t, name, child)
 	for c := 0; c < want.NumChunks(); c++ {
 		if g := child.Seg(c); !sameRows(g, want.Seg(c)) || cap(g) != len(g) {
 			t.Fatalf("%s: chunk %d holds %v (cap %d), filter %v", name, c, g, cap(g), want.Seg(c))
@@ -640,8 +588,13 @@ const (
 // partWords each 64-row word of the parent is full, dense (4 rows in
 // 5), sparse (1 in 16) or empty, so a packed parent's words reach both
 // the word kernels and the set-bit loops; a table whose row count is
-// not a multiple of 64 ends in a partial word. checkPartition cuts
-// every parent both as row ids and as words.
+// not a multiple of 64 ends in a partial word. Bits 32–33 of seed, when
+// not zero, put every chunk of lenC rows at the storage rule's
+// boundary instead: it holds 2·⌈lenC/64⌉ − 1, exactly 2·⌈lenC/64⌉ or
+// 2·⌈lenC/64⌉ + 1 rows (a run under partRuns), so a partial last chunk
+// must be judged by its own length, not chunkRows'. checkPartition cuts
+// every parent as the rule stores it, as row ids, as words and in a
+// mix of both.
 func FuzzPartitionKernels(f *testing.F) {
 	word := func(ws ...uint64) []byte {
 		var b []byte
@@ -705,6 +658,16 @@ func FuzzPartitionKernels(f *testing.F) {
 	f.Add(tail, uint64(7), uint8(2|partWords))
 	f.Add(tail, uint64(24), uint8(2|partWords|partSmall))
 	f.Add(tail, uint64(30<<8|6), uint8(5|partWords|partRuns))
+	// Parents at the storage rule's boundary, one row under, at and
+	// over it: 64-row chunks (2 rows), and 256-row chunks (8 rows) over
+	// a 300-row table whose 44-row last chunk has a boundary of 2.
+	edge := word(append(long, long[:70]...)...)
+	for bnd := uint64(1); bnd <= 3; bnd++ {
+		f.Add(mixed, bnd<<32|6, uint8(0|partBig))
+		f.Add(mixed, bnd<<32|12, uint8(2|partBig|partSmall))
+		f.Add(edge, bnd<<32|6, uint8(0|partRuns))
+		f.Add(edge, bnd<<32|66<<8|6, uint8(5|partRuns))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, shape uint8) {
 		const chunkRows = 64
 		n := min(len(raw)/8, 16*chunkRows)
@@ -898,9 +861,24 @@ func FuzzPartitionKernels(f *testing.F) {
 			drop[c] = (big && c%9 == 4) || (!big && rng.Intn(4) == 0)
 		}
 		var sel Selection
+		bnd := int(seed>>32) & 3
 		for c, dropped := range drop {
 			lo, hi := c*layout, min((c+1)*layout, nRows)
-			if dropped {
+			if dropped && bnd == 0 {
+				continue
+			}
+			if bnd != 0 {
+				k := min(hi-lo, 2*((hi-lo+63)>>6)+bnd-2)
+				if shape&partRuns != 0 {
+					lo += rng.Intn(hi - lo - k + 1)
+					sel = append(sel, AllRows(lo + k)[lo:]...)
+					continue
+				}
+				offs := rng.Perm(hi - lo)[:k]
+				slices.Sort(offs)
+				for _, o := range offs {
+					sel = append(sel, int32(lo+o))
+				}
 				continue
 			}
 			if shape&partWords != 0 {
@@ -929,6 +907,6 @@ func FuzzPartitionKernels(f *testing.F) {
 				}
 			}
 		}
-		checkPartition(t, ChunkSelection(sel, nRows, layout), tab.SummaryByName("v"), pieces, rng.Intn(len(pieces)))
+		checkPartition(t, ChunkSelection(sel, nRows, layout), tab.SummaryByName("v"), pieces, rng)
 	})
 }

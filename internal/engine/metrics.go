@@ -8,12 +8,11 @@ import (
 
 // Metrics is the engine's instrumentation hook: counters for the
 // zone-map verdicts the chunked filter drivers hand down and for
-// which driver (row-id selection vs bitmap words) served each
-// filter. A partition pass (PartitionChunked: a cut's children in one
+// the filters run. A partition pass (PartitionChunked: a cut's children in one
 // pass) counts as one row-id filter per piece — a VectorKernels per
 // piece that can match and one verdict per such piece per non-empty
 // chunk — so the counts do not depend on whether children were
-// evaluated together; the bitmaps it packs count nothing. Fields are
+// evaluated together. Fields are
 // nil-safe obs counters, so a partially-populated
 // hook records only what it names; the default hook records nothing.
 // The hook influences nothing — verdicts and kernels are chosen
@@ -25,11 +24,10 @@ type Metrics struct {
 	ZoneSkip *obs.Counter
 	ZoneTake *obs.Counter
 	ZoneScan *obs.Counter
-	// VectorKernels / FusedKernels count driver invocations by
-	// output representation: row-id selections (per predicate) vs
-	// bitmaps built by the fused filter→bitmap scan, which no advise
-	// runs. FusedKernels is kept only for the per-layer probes until
-	// ROADMAP item 4 drops them.
+	// VectorKernels counts filters run (per predicate). FusedKernels
+	// counts nothing since the fused filter→bitmap scan is gone; the
+	// field stays only for the engine.fused_kernels probe until
+	// ROADMAP item 4 drops it.
 	VectorKernels *obs.Counter
 	FusedKernels  *obs.Counter
 }

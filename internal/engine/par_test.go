@@ -43,7 +43,7 @@ func TestParallelFiltersMatchSequential(t *testing.T) {
 		return FilterIntRangeChunked(ic, cs, r, nil).Flat(),
 			FilterFloatRangeChunked(fc, cs, fr, nil).Flat(),
 			FilterStringSetChunked(sc, cs, want, nil).Flat(),
-			FilterIntRangeChunkedBitmap(ic, cs, r, nil).Selection()
+			FilterIntRangeChunked(ic, withForms(cs, func(int) bool { return false }), r, nil).Flat()
 	}
 	withScanWorkers(t, 1, func() { seqInt, seqFloat, seqStr, seqBits = run() })
 	withScanWorkers(t, 4, func() { parInt, parFloat, parStr, parBits = run() })
@@ -51,7 +51,7 @@ func TestParallelFiltersMatchSequential(t *testing.T) {
 		"int":    {seqInt, parInt},
 		"float":  {seqFloat, parFloat},
 		"string": {seqStr, parStr},
-		"bitmap": {seqBits, parBits},
+		"rows":   {seqBits, parBits},
 	} {
 		seq, par := pair[0], pair[1]
 		if len(seq) == 0 {

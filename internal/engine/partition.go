@@ -1,33 +1,26 @@
 package engine
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // The partition driver. A CUT's children are its parent's selection
 // narrowed by one piece each, all on the cut's column; filtering the
 // parent once per piece costs a driver call, a verdict pass and a
 // scratch round trip per piece. The partition driver makes one pass.
 // Per chunk it runs every piece's zone verdict, hands a piece the
-// chunk by reference when its verdict takes it and nothing when it
-// skips, and scans the pieces left into one scratch buffer. A piece
-// the caller wants only word-packed has its taken chunk or its
-// matches packed into bitmap words instead, and never gets row ids.
-// A binary cut's two pieces share one row loop: each row and its
-// value are loaded once, then each piece stores the row at its own
-// cursor and advances the cursor by its own 0/1 test. Any other scan
-// runs each piece's own kernel in turn (a loop over k pieces' tests
-// per row runs slower than k separate kernels). Each piece keeps its
-// own test — nothing assumes the pieces are disjoint or cover the
-// parent — so child i is exactly FilterChunked(parent, preds[i]), NaN
-// rows included: they match every float range and no float set.
-//
-// The parent is a Source in either form, dispatched once per chunk. A
-// packed parent chunk is cut from its words and its row ids are never
-// built: a taken piece shares the parent's words, a scanned piece
-// builds its child words from them word by word (packPieces), and a
-// piece wanted as row ids decodes them from its own child words.
+// parent's chunk as it is when its verdict takes it and nothing when it
+// skips, and scans the pieces left in the parent chunk's own form. A
+// row-id chunk is scanned into one scratch buffer: a binary cut's two
+// pieces share one row loop, where each row and its value are loaded
+// once, then each piece stores the row at its own cursor and advances
+// the cursor by its own 0/1 test; any other scan runs each piece's own
+// kernel in turn (a loop over k pieces' tests per row runs slower than
+// k separate kernels). A words chunk is cut from its words and its row
+// ids are never built: each piece's child words are built word by word
+// (packPieces). Either way each child chunk is stored by the one chunk
+// setter, which picks its form from its count. Each piece keeps its own
+// test — nothing assumes the pieces are disjoint or cover the parent —
+// so child i is exactly FilterChunked(parent, preds[i]), NaN rows
+// included: they match every float range and no float set.
 
 // testKind names the form of a Pred's row test the two-piece
 // partition kernels share. testOpaque has only its own scan kernel:
@@ -60,112 +53,53 @@ const partInline = 8
 
 // PartitionChunked narrows src by each of preds — predicates over one
 // column — in one pass, returning child i equal to FilterChunked(src,
-// preds[i]): exact-length segments, or a row-id parent's own segment
-// by reference where every row matched. pack, when non-nil, is aligned
-// with preds and marks the pieces wanted only word-packed: for each
-// pack[i] set, the returned bitmaps hold child i's bitmap, equal to
-// NewBitmapChunked of the child and carrying its Count, and the
-// returned children hold nil — a packed piece's matches go from the
-// scratch buffer (or, for a taken chunk, the parent's segment or
-// words) straight into words, with no exact-length copy. Every other
-// piece has a child and a nil bitmap. Bitmap.Chunked builds a packed
-// child's row ids when a caller needs them. A packed parent is cut
-// from its words (partition.words) and its row ids are never built. The
-// metrics hook counts what one filter per pred would: a VectorKernels
-// per pred that can match, and one verdict per such pred per non-empty
-// chunk.
-func PartitionChunked(src Source, preds []Pred, pack []bool) ([]*ChunkedSelection, []*Bitmap) {
-	nRows, chunkRows, nc := src.NumRows(), src.ChunkRows(), src.NumChunks()
+// preds[i]), each chunk in the form its count picks (denseEnough). A
+// chunk every row of which a piece keeps is the parent's container,
+// shared. The metrics hook counts what one filter per pred would: a
+// VectorKernels per pred that can match, and one verdict per such pred
+// per non-empty chunk.
+func PartitionChunked(src *ChunkedSelection, preds []Pred) []*ChunkedSelection {
 	m := metricsHook.Load()
-	var bms []*Bitmap
-	var ones []atomic.Int64
-	if pack != nil {
-		bms = make([]*Bitmap, len(preds))
-		ones = make([]atomic.Int64, len(preds))
-		for i := range bms {
-			if pack[i] {
-				bms[i] = newBitmapShell(nRows, chunkRows, nc)
-			}
-		}
-	}
-	segs := make([][]Selection, len(preds))
+	out := make([]*ChunkedSelection, len(preds))
 	live := make([]int, 0, len(preds))
 	for i, p := range preds {
-		if p.none {
-			continue
+		out[i] = emptyLike(src)
+		if !p.none {
+			m.VectorKernels.Inc()
+			live = append(live, i)
 		}
-		m.VectorKernels.Inc()
-		if bms == nil || bms[i] == nil {
-			segs[i] = make([]Selection, nc)
-		}
-		live = append(live, i)
 	}
 	if len(live) > 0 {
-		part := &partition{preds: preds, live: live, segs: segs, bms: bms, ones: ones, m: m, nRows: nRows, chunkRows: chunkRows}
+		part := &partition{preds: preds, live: live, out: out, m: m}
 		forEachSeg(src, func(c int) {
-			if rows, words, n := src.chunk(c); words != nil {
-				part.words(words, n, c)
-			} else {
-				part.rows(rows, c)
+			if ct := src.chunks[c]; ct.words != nil {
+				part.words(ct, c, src.chunkRows*c, src.chunkLen(c))
+			} else if ct.n > 0 {
+				part.rows(ct, c)
 			}
 		})
 	}
-	out := make([]*ChunkedSelection, len(preds))
-	for i := range preds {
-		switch {
-		case bms != nil && bms[i] != nil:
-			bms[i].ones = int(ones[i].Load())
-		case segs[i] == nil:
-			out[i] = emptyLike(src)
-		default:
-			out[i] = NewChunkedSelection(nRows, chunkRows, segs[i])
-		}
+	for _, cs := range out {
+		cs.seal()
 	}
-	return out, bms
+	return out
 }
 
-// partition is one PartitionChunked pass: the pieces, the outputs
-// every chunk's task fills — row-id children in segs, packed children
-// in bms with their counts in ones — and the metrics hook.
+// partition is one PartitionChunked pass: the pieces, the children
+// every chunk's task fills, and the metrics hook.
 type partition struct {
-	preds            []Pred
-	live             []int
-	segs             [][]Selection
-	bms              []*Bitmap
-	ones             []atomic.Int64
-	m                *Metrics
-	nRows, chunkRows int
+	preds []Pred
+	live  []int
+	out   []*ChunkedSelection
+	m     *Metrics
 }
 
-// packed reports whether piece i is wanted only word-packed.
-func (p *partition) packed(i int) bool { return p.bms != nil && p.bms[i] != nil }
-
-// rows is one row-id parent chunk's task: the verdicts, one scratch buffer
-// holding every scanning piece's output, the shared row loop, and each
-// piece's matches either copied out at exact length or, for a piece
-// with a bitmap in bms, packed into its words (the count added to
-// ones[i]). A contiguous parent segment — a whole chunk of an
-// unconstrained context, or a range on the column the table is
-// clustered by — is cut as the run of words it fills when a piece is
-// packed, so the word kernels test it 64 rows at a time and a taken
-// packed piece shares its words.
-func (p *partition) rows(seg Selection, c int) {
-	if len(seg) == 0 {
-		return
-	}
-	preds, segs, bms, ones := p.preds, p.segs, p.bms, p.ones
-	if bms != nil && int(seg[len(seg)-1]-seg[0]) == len(seg)-1 {
-		words := make([]uint64, (min(p.chunkRows, p.nRows-c*p.chunkRows)+63)>>6)
-		p.words(words, setSegBits(words, seg, int32(c*p.chunkRows)), c)
-		return
-	}
-	keep := func(i int, s, matched Selection) {
-		if !p.packed(i) {
-			segs[i][c] = exactSeg(s, matched)
-		} else if len(matched) > 0 {
-			ones[i].Add(int64(bms[i].packChunk(c, matched)))
-		}
-	}
+// rows is one row-id parent chunk's task: the verdicts, one scratch
+// buffer holding every scanning piece's output, the shared row loop,
+// and each piece's matches stored — the parent's container where every
+// row matched.
+func (p *partition) rows(ct container, c int) {
+	preds, seg := p.preds, ct.rows
 	var scanArr [partInline]int
 	scan := scanArr[:0]
 	for _, i := range p.live {
@@ -173,52 +107,53 @@ func (p *partition) rows(seg Selection, c int) {
 		p.m.countVerdict(v)
 		switch v {
 		case chunkTake:
-			keep(i, seg, seg)
+			p.out[i].take(c, ct)
 		case chunkScan:
 			scan = append(scan, i)
 		}
 	}
-	if len(scan) > 0 {
-		n := len(seg)
-		buf := int32Scratch.Get(len(scan) * n)
-		var outArr [partInline]Selection
-		var nsArr [partInline]int
-		outs, ns := outArr[:0], nsArr[:0]
-		for j := range scan {
-			outs = append(outs, (*buf)[j*n:(j+1)*n:(j+1)*n])
-			ns = append(ns, 0)
-		}
-		scanPieces(preds, scan, seg, outs, ns)
-		for j, i := range scan {
-			keep(i, seg, outs[j][:ns[j]])
-		}
-		int32Scratch.Put(buf)
+	if len(scan) == 0 {
+		return
 	}
+	n := len(seg)
+	buf := int32Scratch.Get(len(scan) * n)
+	var outArr [partInline]Selection
+	var nsArr [partInline]int
+	outs, ns := outArr[:0], nsArr[:0]
+	for j := range scan {
+		outs = append(outs, (*buf)[j*n:(j+1)*n:(j+1)*n])
+		ns = append(ns, 0)
+	}
+	scanPieces(preds, scan, seg, outs, ns)
+	for j, i := range scan {
+		if ns[j] == n {
+			p.out[i].take(c, ct)
+		} else {
+			p.out[i].set(c, outs[j][:ns[j]], nil, ns[j], false)
+		}
+	}
+	int32Scratch.Put(buf)
 }
 
 // denseWordBits is the popcount from which a scanned piece tests a
-// packed parent word's 64 rows at once — the word kernel's result
+// parent word's 64 rows at once — the word kernel's result
 // masked by the parent word — rather than iterating its set bits. Half
 // the parent words of a drill-down hold at most 8 bits while a third of
 // its parent rows sit in full words, so neither kernel alone serves
 // both; BenchmarkPartitionSource measures the crossover.
 const denseWordBits = 32
 
-// words is the task of a chunk the parent holds as words — a packed
-// parent's, or a contiguous row-id segment's run — pw chunk c's words,
-// holding n rows. A taken piece shares pw when packed and decodes it
-// when not. A scanned piece with a shared row test builds its child
-// words from pw word by word (packPieces) into one scratch buffer; a
-// packed piece's are copied out, an unpacked piece's decoded at exact
-// length, so its rows come from its own words only. An opaque piece
-// runs its row kernel over the chunk's rows, decoded into scratch once
-// for all of them.
-func (p *partition) words(pw []uint64, n, c int) {
-	preds := p.preds
-	base := c * p.chunkRows
+// words is the task of a chunk the parent holds as words: ct holds
+// its words, base is its first row and lenC its row count. A scanned
+// piece with a shared row test builds its child words from the
+// parent's word by word (packPieces) into one scratch buffer, which the
+// chunk setter copies or decodes. An opaque piece runs its row kernel
+// over the chunk's rows, decoded into scratch once for all of them.
+func (p *partition) words(ct container, c, base, lenC int) {
+	preds, pw, n := p.preds, ct.words, ct.n
 	// The words a scanned piece may test 64 at a time: those whose 64
 	// rows are all in the chunk and the table.
-	full := min(p.chunkRows, p.nRows-base) >> 6
+	full := lenC >> 6
 	var scanArr, opaqueArr [partInline]int
 	scan, opaque := scanArr[:0], opaqueArr[:0]
 	for _, i := range p.live {
@@ -226,7 +161,7 @@ func (p *partition) words(pw []uint64, n, c int) {
 		p.m.countVerdict(v)
 		switch {
 		case v == chunkTake:
-			p.keepWords(i, c, base, pw, n, true)
+			p.out[i].take(c, ct)
 		case v != chunkScan:
 		case preds[i].test.kind == testOpaque:
 			opaque = append(opaque, i)
@@ -246,7 +181,11 @@ func (p *partition) words(pw []uint64, n, c int) {
 		}
 		packPieces(preds, scan, pw, base, full, outs, ns)
 		for j, i := range scan {
-			p.keepWords(i, c, base, outs[j], ns[j], false)
+			if ns[j] == n {
+				p.out[i].take(c, ct)
+			} else {
+				p.out[i].set(c, nil, outs[j], ns[j], false)
+			}
 		}
 		uint64Scratch.Put(buf)
 	}
@@ -256,60 +195,49 @@ func (p *partition) words(pw []uint64, n, c int) {
 		decodeWords(rows, pw, int32(base))
 		for j, i := range opaque {
 			out := (*buf)[(j+1)*n : (j+2)*n : (j+2)*n]
-			matched := out[:preds[i].scan(rows, out)]
-			switch {
-			case len(matched) == 0:
-			case p.packed(i):
-				p.ones[i].Add(int64(p.bms[i].packChunk(c, matched)))
-			default:
-				p.segs[i][c] = exactSeg(nil, matched)
+			k := preds[i].scan(rows, out)
+			if k == n {
+				p.out[i].take(c, ct)
+			} else {
+				p.out[i].set(c, out[:k], nil, k, false)
 			}
 		}
 		int32Scratch.Put(buf)
 	}
 }
 
-// keepWords stores piece i's child words of chunk c, n of their bits
-// set: a packed piece keeps the words — its own copy unless shared, the
-// parent's words a taken chunk shares — and an unpacked piece their
-// rows at exact length. A piece with no row in the chunk keeps nothing.
-func (p *partition) keepWords(i, c, base int, words []uint64, n int, shared bool) {
-	switch {
-	case n == 0:
-	case !p.packed(i):
-		p.segs[i][c] = decodeSeg(words, n, int32(base))
-	default:
-		if !shared {
-			own := make([]uint64, len(words))
-			copy(own, words)
-			words = own
-		}
-		p.bms[i].setChunk(c, words, n)
-		p.ones[i].Add(int64(n))
-	}
-}
-
 // packPieces builds the child words of the pieces in scan (indices
-// into preds) from a packed parent chunk's words pw, writing piece
+// into preds) from a words parent chunk's words pw, writing piece
 // scan[j]'s to outs[j] and their count to ns[j]. The pieces of one cut
 // share a column, so every scanned piece has the one shared test kind,
 // and they run two at a time through the two-piece word kernels: each
 // loads a row's value once and builds both child words in registers. A
-// lone last piece runs paired with itself. Each parent word picks its
-// kernel by density (isDense): a dense word is tested whole, eight
-// rows per step, and masked by the parent word; a sparser word tests
-// its set bits one by one.
+// lone last piece — every one-predicate filter — runs its one-piece
+// kernel. Each parent word picks its kernel by density (isDense): a
+// dense word is tested whole, eight rows per step, and masked by the
+// parent word; a sparser word tests its set bits one by one.
 func packPieces(preds []Pred, scan []int, pw []uint64, base, full int, outs [][]uint64, ns []int) {
 	for j := 0; j < len(scan); j += 2 {
-		k := min(j+1, len(scan)-1)
-		a, b := &preds[scan[j]].test, &preds[scan[k]].test
+		a := &preds[scan[j]].test
+		if j+1 == len(scan) {
+			switch a.kind {
+			case testIntRange:
+				ns[j] = packIntRange1(a.ints, a.ispan, pw, base, full, outs[j])
+			case testFloatRange:
+				ns[j] = packFloatRange1(a.floats, a.fspan, pw, base, full, outs[j])
+			default:
+				ns[j] = packCodeSet1(a.codes, a.want, pw, base, full, outs[j])
+			}
+			return
+		}
+		b := &preds[scan[j+1]].test
 		switch a.kind {
 		case testIntRange:
-			ns[j], ns[k] = packIntRange2(a.ints, a.ispan, b.ispan, pw, base, full, outs[j], outs[k])
+			ns[j], ns[j+1] = packIntRange2(a.ints, a.ispan, b.ispan, pw, base, full, outs[j], outs[j+1])
 		case testFloatRange:
-			ns[j], ns[k] = packFloatRange2(a.floats, a.fspan, b.fspan, pw, base, full, outs[j], outs[k])
+			ns[j], ns[j+1] = packFloatRange2(a.floats, a.fspan, b.fspan, pw, base, full, outs[j], outs[j+1])
 		default:
-			ns[j], ns[k] = packCodeSet2(a.codes, a.want, b.want, pw, base, full, outs[j], outs[k])
+			ns[j], ns[j+1] = packCodeSet2(a.codes, a.want, b.want, pw, base, full, outs[j], outs[j+1])
 		}
 	}
 }
@@ -331,12 +259,110 @@ func ones(w uint64) int {
 	return int(w * 0x0101010101010101 >> 56)
 }
 
-// The two-piece word kernels build the child words of pieces a and b
-// from the parent words pw — word i of each is pw[i] narrowed to the
-// rows its test matches, the first of them row base — and return their
-// counts; outA and outB may be the same slice when a and b are the
-// same test. They make no call, so their loop state stays in
-// registers, and like the two-piece row loops they stay out of line.
+// The word kernels build the child words of piece a (and b) from the
+// parent words pw — word i of each is pw[i] narrowed to the rows its
+// test matches, the first of them row base — and return their counts.
+// They make no call, so their loop state stays in registers, and like
+// the two-piece row loops they stay out of line.
+
+//go:noinline
+func packIntRange1(vals []int64, a intSpan, pw []uint64, base, full int, out []uint64) (n int) {
+	lo, span := a.lo, a.span
+	out = out[:len(pw)]
+	for wi, w := range pw {
+		at := base + wi<<6
+		var x uint64
+		if isDense(wi, full, w) {
+			for j := 0; j < 64; j += 8 {
+				v := vals[at+j : at+j+8 : at+j+8]
+				x |= (uint64(b2i(uint64(v[0]-lo) <= span)) |
+					uint64(b2i(uint64(v[1]-lo) <= span))<<1 |
+					uint64(b2i(uint64(v[2]-lo) <= span))<<2 |
+					uint64(b2i(uint64(v[3]-lo) <= span))<<3 |
+					uint64(b2i(uint64(v[4]-lo) <= span))<<4 |
+					uint64(b2i(uint64(v[5]-lo) <= span))<<5 |
+					uint64(b2i(uint64(v[6]-lo) <= span))<<6 |
+					uint64(b2i(uint64(v[7]-lo) <= span))<<7) << j
+			}
+			x &= w
+		} else {
+			for ; w != 0; w &= w - 1 {
+				j := bits.TrailingZeros64(w)
+				x |= uint64(b2i(uint64(vals[at+j]-lo) <= span)) << j
+			}
+		}
+		out[wi] = x
+		n += ones(x)
+	}
+	return n
+}
+
+// packFloatRange1 keeps a NaN row, as the float range kernels do.
+//
+//go:noinline
+func packFloatRange1(vals []float64, a floatSpan, pw []uint64, base, full int, out []uint64) (n int) {
+	lo, span := a.lo, a.span
+	out = out[:len(pw)]
+	for wi, w := range pw {
+		at := base + wi<<6
+		var x uint64
+		if isDense(wi, full, w) {
+			for j := 0; j < 64; j += 8 {
+				v := vals[at+j : at+j+8 : at+j+8]
+				x |= (uint64(b2i(floatKey(v[0])-lo <= span)|b2i(v[0] != v[0])) |
+					uint64(b2i(floatKey(v[1])-lo <= span)|b2i(v[1] != v[1]))<<1 |
+					uint64(b2i(floatKey(v[2])-lo <= span)|b2i(v[2] != v[2]))<<2 |
+					uint64(b2i(floatKey(v[3])-lo <= span)|b2i(v[3] != v[3]))<<3 |
+					uint64(b2i(floatKey(v[4])-lo <= span)|b2i(v[4] != v[4]))<<4 |
+					uint64(b2i(floatKey(v[5])-lo <= span)|b2i(v[5] != v[5]))<<5 |
+					uint64(b2i(floatKey(v[6])-lo <= span)|b2i(v[6] != v[6]))<<6 |
+					uint64(b2i(floatKey(v[7])-lo <= span)|b2i(v[7] != v[7]))<<7) << j
+			}
+			x &= w
+		} else {
+			for ; w != 0; w &= w - 1 {
+				j := bits.TrailingZeros64(w)
+				v := vals[at+j]
+				x |= uint64(b2i(floatKey(v)-lo <= span)|b2i(v != v)) << j
+			}
+		}
+		out[wi] = x
+		n += ones(x)
+	}
+	return n
+}
+
+//go:noinline
+func packCodeSet1(codes []uint32, a codeSet, pw []uint64, base, full int, out []uint64) (n int) {
+	out = out[:len(pw)]
+	for wi, w := range pw {
+		at := base + wi<<6
+		var x uint64
+		if isDense(wi, full, w) {
+			for j := 0; j < 64; j += 8 {
+				v := codes[at+j : at+j+8 : at+j+8]
+				x |= (a[v[0]>>6]>>(v[0]&63)&1 |
+					a[v[1]>>6]>>(v[1]&63)&1<<1 |
+					a[v[2]>>6]>>(v[2]&63)&1<<2 |
+					a[v[3]>>6]>>(v[3]&63)&1<<3 |
+					a[v[4]>>6]>>(v[4]&63)&1<<4 |
+					a[v[5]>>6]>>(v[5]&63)&1<<5 |
+					a[v[6]>>6]>>(v[6]&63)&1<<6 |
+					a[v[7]>>6]>>(v[7]&63)&1<<7) << j
+			}
+			x &= w
+		} else {
+			for ; w != 0; w &= w - 1 {
+				j := bits.TrailingZeros64(w)
+				code := codes[at+j]
+				x |= a[code>>6] >> (code & 63) & 1 << j
+			}
+		}
+		out[wi] = x
+		n += ones(x)
+	}
+	return n
+}
 
 //go:noinline
 func packIntRange2(vals []int64, a, b intSpan, pw []uint64, base, full int, outA, outB []uint64) (na, nb int) {

@@ -11,9 +11,9 @@ import "charles/internal/pool"
 // single largest source of steady-state garbage, so the gather targets
 // recycle through internal/pool. The filter kernels compact each
 // scanned chunk's matching row ids into int32 scratch the same way;
-// the driver then copies them out at exact length or packs them into
-// bitmap words. Anything that escapes to a caller (filter results,
-// bitmaps, cached selections, the cut cache's count vectors) is never
+// the chunk setter then copies them out at exact length or packs them
+// into words. Anything that escapes to a caller (filter results,
+// cached selections, the cut cache's count vectors) is never
 // pooled.
 var (
 	int32Scratch  pool.Slice[int32]

@@ -10,7 +10,7 @@ import (
 
 // wordSelections draws selections word by word over nRows rows: every
 // 64-row word full, dense (4 rows in 5), sparse (1 in 16) or empty, the
-// mix a packed parent's words hold.
+// mix a words parent's chunks hold.
 func wordSelections(nRows int, rng *rand.Rand) []Selection {
 	out := make([]Selection, 3)
 	for i := range out {
@@ -26,8 +26,8 @@ func wordSelections(nRows int, rng *rand.Rand) []Selection {
 	return out
 }
 
-// gatherResult is everything the bitmap-source gathers compute from
-// one selection, compared between its two forms.
+// gatherResult is everything the chunked gathers compute from one
+// selection, compared between its chunk forms.
 type gatherResult struct {
 	IntKeys     [][]uint64
 	IntLo       uint64
@@ -58,7 +58,7 @@ type gatherResult struct {
 
 // gatherAll runs every gather over src. dirty marks the chunks the
 // splices recount; old are the count vectors they splice into.
-func gatherAll(src Source, ic, narrow *IntColumn, fc *FloatColumn, sc *StringColumn, bc *BoolColumn, dirty []bool, oldNarrow *IntCounts, oldStr [][]int) gatherResult {
+func gatherAll(src *ChunkedSelection, ic, narrow *IntColumn, fc *FloatColumn, sc *StringColumn, bc *BoolColumn, dirty []bool, oldNarrow *IntCounts, oldStr [][]int) gatherResult {
 	var g gatherResult
 	keys, lo, hi, put := gatherIntKeys(ic, src)
 	g.IntKeys, g.IntLo, g.IntHi = cloneKeys(keys), lo, hi
@@ -88,7 +88,7 @@ func gatherAll(src Source, ic, narrow *IntColumn, fc *FloatColumn, sc *StringCol
 	RowBatches(src, func(rows Selection) { g.Rows = append(g.Rows, rows...) })
 	g.CountsFit = countsFit(src, 8)
 	for c := 0; c < src.NumChunks(); c++ {
-		g.NonEmptyLen = append(g.NonEmptyLen, chunkLen(src, c))
+		g.NonEmptyLen = append(g.NonEmptyLen, src.chunkCount(c))
 	}
 	return g
 }
@@ -103,12 +103,13 @@ func cloneKeys(keys [][]uint64) [][]uint64 {
 	return out
 }
 
-// TestGatherSourceMatchesRows holds every gather that reads a bitmap
-// source — the int and float key gathers and the cuts, medians, bounds
+// TestGatherSourceMatchesRows holds every gather over a selection whose
+// chunks are words — the int and float key gathers and the cuts, medians, bounds
 // and retained counts built on them, the int count splice over dirty
 // chunks, the string and bool value counts and the string count splice,
 // and the row batches the numeric-nominal fallback counts — to its
-// result over the same selection as row ids: adversarial shapes and
+// result over the same selection as row ids, with every chunk as words
+// and with the forms mixed: adversarial shapes and
 // word-by-word mixes, a partial last chunk and word, NaN and ±0 floats,
 // at scan workers 1 and 4.
 func TestGatherSourceMatchesRows(t *testing.T) {
@@ -138,27 +139,21 @@ func TestGatherSourceMatchesRows(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		SetScanWorkers(workers)
 		for k, sel := range sels {
-			cs := ChunkSelection(sel, nRows, chunkRows)
+			cs := withForms(ChunkSelection(sel, nRows, chunkRows), func(int) bool { return false })
 			// The splices start from the counts of a different
 			// selection's clean chunks, as after a mutation.
 			base := ChunkSelection(sels[(k+1)%len(sels)], nRows, chunkRows)
-			segs := make([]Selection, nChunks)
-			for c := range segs {
-				if dirty[c] {
-					segs[c] = base.Seg(c)
-				} else {
-					segs[c] = cs.Seg(c)
-				}
-			}
-			old := NewChunkedSelection(nRows, chunkRows, segs)
+			old := Splice(cs, base, dirty)
 			_, oldNarrow := IntCutChunked(nc, old, 2, true)
 			oldStr := StringChunkCounts(sc, old)
 			want := gatherAll(cs, ic, nc, fc, sc, bc, dirty, oldNarrow, oldStr)
-			got := gatherAll(NewBitmapChunked(cs), ic, nc, fc, sc, bc, dirty, oldNarrow, oldStr)
-			if !reflect.DeepEqual(got, want) {
-				for i := 0; i < reflect.TypeOf(got).NumField(); i++ {
-					if g, w := reflect.ValueOf(got).Field(i).Interface(), reflect.ValueOf(want).Field(i).Interface(); !reflect.DeepEqual(g, w) {
-						t.Fatalf("workers %d, selection %d (%d rows): %s from words differs from rows", workers, k, len(sel), reflect.TypeOf(got).Field(i).Name)
+			for form, src := range formsOf(cs, rng) {
+				got := gatherAll(src, ic, nc, fc, sc, bc, dirty, oldNarrow, oldStr)
+				if !reflect.DeepEqual(got, want) {
+					for i := 0; i < reflect.TypeOf(got).NumField(); i++ {
+						if g, w := reflect.ValueOf(got).Field(i).Interface(), reflect.ValueOf(want).Field(i).Interface(); !reflect.DeepEqual(g, w) {
+							t.Fatalf("workers %d, selection %d (%d rows): %s from %s differs from rows", workers, k, len(sel), reflect.TypeOf(got).Field(i).Name, form)
+						}
 					}
 				}
 			}
@@ -169,7 +164,7 @@ func TestGatherSourceMatchesRows(t *testing.T) {
 // sourceBenchParent is a parent of 1/den of 2^18 rows, drawn uniformly
 // at random, so its words hold about 64/den bits each, over an int
 // column of uniform values: as row ids and as words.
-func sourceBenchParent(den int) (*IntColumn, *ChunkedSelection, *Bitmap) {
+func sourceBenchParent(den int) (*IntColumn, *ChunkedSelection, *ChunkedSelection) {
 	const nRows, chunkRows = 1 << 18, 1 << 16
 	rng := rand.New(rand.NewSource(int64(den)))
 	vals := make([]int64, nRows)
@@ -181,14 +176,14 @@ func sourceBenchParent(den int) (*IntColumn, *ChunkedSelection, *Bitmap) {
 		}
 	}
 	cs := ChunkSelection(sel, nRows, chunkRows)
-	return NewIntColumn("v", vals), cs, NewBitmapChunked(cs)
+	return NewIntColumn("v", vals), withForms(cs, func(int) bool { return false }), withForms(cs, func(int) bool { return true })
 }
 
 var sourceBenchDensities = []int{64, 8, 2, 1}
 
-// BenchmarkPartitionSource times a binary median cut of an int column,
-// both pieces packed, over a parent at density 1/64, 1/8, 1/2 and 1, as
-// row ids and as words, on one scan worker. A packed parent's word of
+// BenchmarkPartitionSource times a binary median cut of an int column
+// over a parent at density 1/64, 1/8, 1/2 and 1, as row ids and as
+// words, on one scan worker. A words parent's word of
 // at least denseWordBits bits runs the word kernel and a sparser one
 // iterates its set bits, so the densities 1/8 and 1 time each kernel
 // alone: their per-word costs put the crossover popcount.
@@ -202,11 +197,10 @@ func BenchmarkPartitionSource(b *testing.B) {
 			IntRangePred(col, IntRange{Lo: 0, Hi: mid, LoIncl: true}, nil),
 			IntRangePred(col, IntRange{Lo: mid, Hi: 1 << 20, LoIncl: true, HiIncl: true}, nil),
 		}
-		pack := []bool{true, true}
-		for _, src := range []Source{cs, bm} {
+		for _, src := range []*ChunkedSelection{cs, bm} {
 			b.Run(fmt.Sprintf("density=1/%d/%s", den, sourceForm(src)), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					PartitionChunked(src, preds, pack)
+					PartitionChunked(src, preds)
 				}
 			})
 		}
@@ -221,7 +215,7 @@ func BenchmarkGatherSource(b *testing.B) {
 	SetScanWorkers(1)
 	for _, den := range sourceBenchDensities {
 		col, cs, bm := sourceBenchParent(den)
-		for _, src := range []Source{cs, bm} {
+		for _, src := range []*ChunkedSelection{cs, bm} {
 			b.Run(fmt.Sprintf("density=1/%d/%s", den, sourceForm(src)), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					IntCutChunked(col, src, 2, false)
@@ -231,8 +225,8 @@ func BenchmarkGatherSource(b *testing.B) {
 	}
 }
 
-func sourceForm(src Source) string {
-	if _, ok := src.(*Bitmap); ok {
+func sourceForm(src *ChunkedSelection) string {
+	if src.Words(0) != nil {
 		return "words"
 	}
 	return "rows"

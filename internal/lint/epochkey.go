@@ -10,8 +10,9 @@ import (
 // stamp it was computed under, because the stamp is the only thing
 // that lets a later lookup distinguish "still valid", "refreshable
 // chunk-by-chunk" and "recompute". Two shapes violate it. A map
-// whose values are raw *engine.ChunkedSelection or *engine.Bitmap is
-// a cache with no stamp at all — after a mutation it serves stale
+// whose values are raw *engine.ChunkedSelection — the one selection
+// type, also spelled *engine.Bitmap through its alias — is a cache
+// with no stamp at all — after a mutation it serves stale
 // selections with no way to notice (store a stamp-carrying entry
 // struct instead). And a keyed composite literal of a stamp-carrying
 // entry struct that omits the stamp field builds an entry that can
@@ -49,26 +50,22 @@ func runEpochKey(pass *Pass) error {
 	return nil
 }
 
-// rawSelectionType reports whether t is a pointer to one of the
-// engine's selection representations.
+// rawSelectionType reports whether t is a pointer to the engine's
+// selection type, under any alias of it.
 func rawSelectionType(t types.Type) (string, bool) {
 	ptr, ok := t.(*types.Pointer)
 	if !ok {
 		return "", false
 	}
-	named, ok := ptr.Elem().(*types.Named)
+	named, ok := types.Unalias(ptr.Elem()).(*types.Named)
 	if !ok {
 		return "", false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "charles/internal/engine" {
+	if obj.Pkg() == nil || obj.Pkg().Path() != "charles/internal/engine" || obj.Name() != "ChunkedSelection" {
 		return "", false
 	}
-	switch obj.Name() {
-	case "ChunkedSelection", "Bitmap":
-		return obj.Name(), true
-	}
-	return "", false
+	return obj.Name(), true
 }
 
 // isStampPtr reports whether t is *engine.EpochStamp.

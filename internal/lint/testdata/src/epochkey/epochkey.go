@@ -1,7 +1,8 @@
 // Package epochkey is the analysistest fixture for the epochkey
-// analyzer: raw selection-valued maps and entry literals that omit
-// their epoch stamp are flagged; stamped entries, zero values,
-// unkeyed literals and justified sites are not.
+// analyzer: raw selection-valued maps — the selection type named
+// directly or through its engine.Bitmap alias — and entry literals
+// that omit their epoch stamp are flagged; stamped entries, zero
+// values, unkeyed literals and justified sites are not.
 package epochkey
 
 import "charles/internal/engine"
@@ -16,11 +17,11 @@ type entry struct {
 type caches struct {
 	good map[string]entry
 	sels map[string]*engine.ChunkedSelection // want "map holds raw \\*engine.ChunkedSelection values"
-	bms  map[string]*engine.Bitmap           // want "map holds raw \\*engine.Bitmap values"
+	bms  map[string]*engine.Bitmap           // want "map holds raw \\*engine.ChunkedSelection values"
 }
 
-func makeRaw() map[string]*engine.Bitmap { // want "map holds raw \\*engine.Bitmap values"
-	m := make(map[string]*engine.Bitmap) // want "map holds raw \\*engine.Bitmap values"
+func makeRaw() map[string]*engine.Bitmap { // want "map holds raw \\*engine.ChunkedSelection values"
+	m := make(map[string]*engine.Bitmap) // want "map holds raw \\*engine.ChunkedSelection values"
 	return m
 }
 

@@ -62,7 +62,7 @@ func CutQuery(ev *Evaluator, q sdl.Query, attr string, opt CutOptions) ([]sdl.Qu
 	if err != nil {
 		return nil, err
 	}
-	if ent.count() < 2 {
+	if ent.sel.Len() < 2 {
 		return []sdl.Query{q}, nil // nothing to split
 	}
 	// All piece computation routes through the evaluator's cut-point
@@ -118,7 +118,7 @@ func childQuery(q sdl.Query, piece sdl.Constraint) (sdl.Query, bool, error) {
 // retain set may also return the per-chunk counts the cut cache keeps;
 // sampled points are estimated from pointSel and the bounds still
 // taken over the full extent.
-func intPieces(attr string, col engine.IntValued, src engine.Source, pointSel engine.Selection, opt CutOptions, retain bool) ([]sdl.Constraint, *engine.IntCounts) {
+func intPieces(attr string, col engine.IntValued, src *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions, retain bool) ([]sdl.Constraint, *engine.IntCounts) {
 	var cut engine.NumCut[int64]
 	var counts *engine.IntCounts
 	if pointSel != nil {
@@ -139,7 +139,7 @@ func intCutPieces(attr string, col engine.IntValued, cut engine.NumCut[int64]) [
 	return rangePieces(attr, cut, mk)
 }
 
-func floatPieces(attr string, col engine.FloatValued, src engine.Source, pointSel engine.Selection, opt CutOptions) []sdl.Constraint {
+func floatPieces(attr string, col engine.FloatValued, src *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions) []sdl.Constraint {
 	var cut engine.NumCut[float64]
 	if pointSel != nil {
 		cut.Min, cut.Max, _ = engine.FloatMinMaxChunked(col, src)
@@ -192,7 +192,7 @@ func errCutKind(attr string, col engine.Column) error {
 // simply cannot split such a column.
 //
 // Counting walks src chunk by chunk over the column's backing slice —
-// a packed extent by set-bit iteration, and no flat copy of the
+// a words chunk by set-bit iteration, and no flat copy of the
 // selection is built or cached — and keys the map
 // on the raw 64-bit payload: one integer map op per row, no Value
 // boxing and no string formatting in the loop. Values are formatted
@@ -201,7 +201,7 @@ func errCutKind(attr string, col engine.Column) error {
 // deterministic (ties broken on the value string) regardless of map
 // iteration order, which TestNumericNominalFallbackDeterministic
 // pins.
-func numericNominalFallback(attr string, col engine.Column, src engine.Source, opt CutOptions) []sdl.Constraint {
+func numericNominalFallback(attr string, col engine.Column, src *engine.ChunkedSelection, opt CutOptions) []sdl.Constraint {
 	// The fallback only fires on near-constant extents, so the
 	// distinct count is small; a modest size hint avoids both rehash
 	// churn and a |sel|-sized over-allocation.
@@ -298,40 +298,26 @@ func nominalPieces(attr string, vcs []stats.ValueCount, mk func(string) engine.V
 // Cut applies CUT to a whole segmentation (Definition 6): every
 // query is cut on attr with its own cut points. Queries that cannot
 // be split are kept whole, so the result is always a valid partition
-// of the same context.
-func Cut(ev *Evaluator, s *Segmentation, attr string, opt CutOptions) (*Segmentation, error) {
-	return cutSeg(ev, s, attr, opt, 0)
-}
-
-// cutSeg is Cut for a result INDEP may pair: packBelow > 0 marks one
-// that becomes an HB-cuts candidate as long as it has fewer than
-// packBelow queries. When its queries cut into fewer pieces than
-// that, the partition passes pack the children of every dense parent
-// and cache them packed-only (Evaluator.cutChildren), the last piece
-// included; a cut with more pieces may leave packBelow queries, which
-// HB-cuts discards unpaired, so it packs nothing. Either way a query
-// cached packed-only is cut — its cut points and its children — from
-// its words, and its row ids are never built.
+// of the same context. A query's cut points and children are computed
+// from its selection chunk by chunk, each chunk in the form it is
+// held in, and no row ids are built from words.
 //
 // The result keeps s's partition proof when that proof names the
 // current fingerprint and every split query's children sum to the
 // query's count. The sum fails in exactly the two NaN cases: a float
 // range cut puts a NaN row in every child, the numeric nominal
 // fallback puts it in none.
-func cutSeg(ev *Evaluator, s *Segmentation, attr string, opt CutOptions, packBelow int) (*Segmentation, error) {
+func Cut(ev *Evaluator, s *Segmentation, attr string, opt CutOptions) (*Segmentation, error) {
 	fp := ev.Table().Fingerprint()
 	proven := s.provenAt(fp)
 	kids := make([][]sdl.Query, len(s.Queries))
-	pieces := 0
 	for i, q := range s.Queries {
 		children, err := CutQuery(ev, q, attr, opt)
 		if err != nil {
 			return nil, err
 		}
 		kids[i] = children
-		pieces += len(children)
 	}
-	pairSides := pieces < packBelow
 	out := &Segmentation{CutAttrs: addAttr(s.CutAttrs, attr)}
 	anySplit := false
 	for i, q := range s.Queries {
@@ -349,7 +335,7 @@ func cutSeg(ev *Evaluator, s *Segmentation, attr string, opt CutOptions, packBel
 			continue
 		}
 		anySplit = true
-		counts, err := ev.cutChildren(q, children, attr, pairSides)
+		counts, err := ev.cutChildren(q, children, attr)
 		if err != nil {
 			return nil, err
 		}
@@ -380,18 +366,6 @@ func cutSeg(ev *Evaluator, s *Segmentation, attr string, opt CutOptions, packBel
 // false when the attribute cannot be split (constant within the
 // context).
 func InitialCut(ev *Evaluator, context sdl.Query, attr string, opt CutOptions) (*Segmentation, bool, error) {
-	return initialCut(ev, context, attr, opt, 0)
-}
-
-// InitialCandidate is InitialCut for HB-cuts, which pairs every seed
-// candidate with INDEP: the cut's children are born packed-only when
-// the context is dense, so building the INDEP sides re-packs none of
-// them and builds no row ids.
-func InitialCandidate(ev *Evaluator, context sdl.Query, attr string, opt CutOptions) (*Segmentation, bool, error) {
-	return initialCut(ev, context, attr, opt, math.MaxInt)
-}
-
-func initialCut(ev *Evaluator, context sdl.Query, attr string, opt CutOptions, pack int) (*Segmentation, bool, error) {
 	fp := ev.Table().Fingerprint()
 	count, err := ev.Count(context)
 	if err != nil {
@@ -400,7 +374,7 @@ func initialCut(ev *Evaluator, context sdl.Query, attr string, opt CutOptions, p
 	if count == 0 {
 		return nil, false, fmt.Errorf("seg: context %s selects no rows", context)
 	}
-	s, err := cutSeg(ev, singleton(context, count, fp), attr, opt, pack)
+	s, err := Cut(ev, singleton(context, count, fp), attr, opt)
 	if err != nil {
 		return nil, false, err
 	}
@@ -414,28 +388,11 @@ func initialCut(ev *Evaluator, context sdl.Query, attr string, opt CutOptions, p
 // successively on each attribute S2 is based on, innermost last
 // (CUT_att1(CUT_att2(...CUT_attN(S1)))).
 func Compose(ev *Evaluator, s1, s2 *Segmentation, opt CutOptions) (*Segmentation, error) {
-	return compose(ev, s1, s2, opt, 0)
-}
-
-// ComposeCandidate is Compose for HB-cuts, which pairs the result
-// with INDEP unless it reaches maxDepth queries (a deeper composition
-// stops the search unpaired). Only the outermost cut's result is that
-// candidate, so only its children may be born packed-only, and only
-// when it cannot reach maxDepth pieces.
-func ComposeCandidate(ev *Evaluator, s1, s2 *Segmentation, opt CutOptions, maxDepth int) (*Segmentation, error) {
-	return compose(ev, s1, s2, opt, maxDepth)
-}
-
-func compose(ev *Evaluator, s1, s2 *Segmentation, opt CutOptions, pack int) (*Segmentation, error) {
 	out := s1
 	attrs := s2.CutAttrs
 	for i := len(attrs) - 1; i >= 0; i-- {
-		outer := 0
-		if i == 0 {
-			outer = pack
-		}
 		var err error
-		out, err = cutSeg(ev, out, attrs[i], opt, outer)
+		out, err = Cut(ev, out, attrs[i], opt)
 		if err != nil {
 			return nil, err
 		}

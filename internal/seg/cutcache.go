@@ -87,13 +87,13 @@ func (e *Evaluator) storeCut(key string, ent cachedCut) {
 // cutPieces computes (or reuses) the piece constraints CUT splits q
 // into along attr — the single entry point CutQuery dispatches
 // through, so cached and uncached runs produce identical pieces by
-// construction. ext is q's extent (Evaluator.extent), read in the form
-// the cache holds it — a packed-only entry by set-bit iteration over
-// its words — and only when the pieces are not served from a
+// construction. ext is q's extent (Evaluator.extent), read chunk by
+// chunk in the form each is held in — a words chunk by set-bit
+// iteration — and only when the pieces are not served from a
 // version-equal cache entry. With opt.SampleSize set, the points are
 // estimated from a systematic sample of the rows (Section 5.2), the
-// one cut that builds a packed-only extent's row ids; sampled points
-// are cached but never refreshed incrementally.
+// one cut that builds row ids from words; sampled points are cached
+// but never refreshed incrementally.
 func (e *Evaluator) cutPieces(q sdl.Query, attr string, col engine.Column, ext cachedSel, opt CutOptions) ([]sdl.Constraint, error) {
 	caching := e.caching.Load()
 	var key string
@@ -109,7 +109,7 @@ func (e *Evaluator) cutPieces(q sdl.Query, attr string, col engine.Column, ext c
 			stale = &ent
 		}
 	}
-	src := ext.source()
+	src := ext.sel
 	// Sampled cut points draw a systematic sample from the flat view;
 	// exact ones run shard-at-a-time on the extent and never flatten
 	// it. (Nominal cuts always see the full extent regardless: a
@@ -119,8 +119,7 @@ func (e *Evaluator) cutPieces(q sdl.Query, attr string, col engine.Column, ext c
 	// sampling targets the numeric medians and quantiles.)
 	var pointSel engine.Selection
 	if opt.SampleSize > 0 && src.Len() > opt.SampleSize {
-		cs := e.rows(q.Key(), ext)
-		src, pointSel = cs, stats.StridedInt32(cs.Flat(), opt.SampleSize)
+		pointSel = stats.StridedInt32(e.flat(src), opt.SampleSize)
 	}
 	if !caching {
 		pieces, _, err := e.computeCut(attr, col, src, pointSel, opt, false)
@@ -160,7 +159,7 @@ type cutState struct {
 // Everything else — sampled points, wide int spans, floats, bools,
 // the degenerate fallback — takes exactly the code path the uncached
 // evaluator takes.
-func (e *Evaluator) computeCut(attr string, col engine.Column, src engine.Source, pointSel engine.Selection, opt CutOptions, retain bool) ([]sdl.Constraint, cutState, error) {
+func (e *Evaluator) computeCut(attr string, col engine.Column, src *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions, retain bool) ([]sdl.Constraint, cutState, error) {
 	var state cutState
 	var pieces []sdl.Constraint
 	var err error
@@ -198,7 +197,7 @@ func (e *Evaluator) computeCut(attr string, col engine.Column, src engine.Source
 // chunk's unchanged rows. Entries with no retained state, structural
 // mismatches, int values outside the entry's window, and sampled
 // points all return false and recompute in full.
-func (e *Evaluator) refreshCut(key string, ent cachedCut, attr string, col engine.Column, src engine.Source, pointSel engine.Selection, opt CutOptions, cur *engine.EpochStamp) ([]sdl.Constraint, bool) {
+func (e *Evaluator) refreshCut(key string, ent cachedCut, attr string, col engine.Column, src *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions, cur *engine.EpochStamp) ([]sdl.Constraint, bool) {
 	if pointSel != nil {
 		return nil, false
 	}

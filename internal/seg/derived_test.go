@@ -55,14 +55,14 @@ func handBuilt(s *Segmentation) *Segmentation {
 }
 
 // candidates builds the HB-cuts candidates of context the way the
-// advisor does: one InitialCandidate per context attribute, then a
-// ComposeCandidate of every ordered pair of them.
+// advisor does: one InitialCut per context attribute, then a Compose
+// of every ordered pair of them.
 func candidates(t *testing.T, ev *Evaluator, context sdl.Query) []*Segmentation {
 	t.Helper()
 	opt := DefaultCutOptions()
 	var initial []*Segmentation
 	for _, attr := range context.Attrs() {
-		s, ok, err := InitialCandidate(ev, context, attr, opt)
+		s, ok, err := InitialCut(ev, context, attr, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func candidates(t *testing.T, ev *Evaluator, context sdl.Query) []*Segmentation 
 			if a == b {
 				continue
 			}
-			c, err := ComposeCandidate(ev, a, b, opt, 12)
+			c, err := Compose(ev, a, b, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,8 +120,8 @@ func checkPairs(t *testing.T, ev *Evaluator, segs []*Segmentation) {
 				if derived {
 					n--
 				}
-				if len(side.bms) != n {
-					t.Fatalf("%s × %s (derived %v): side %q holds %d segments, want %d", s1.Key(), s2.Key(), derived, key, len(side.bms), n)
+				if len(side) != n {
+					t.Fatalf("%s × %s (derived %v): side %q holds %d segments, want %d", s1.Key(), s2.Key(), derived, key, len(side), n)
 				}
 			}
 		}
@@ -234,7 +234,7 @@ func TestDerivedCellsMatchFullTable(t *testing.T) {
 	var segs []*Segmentation
 	for _, ctx := range []sdl.Query{wide, narrow} {
 		for _, attr := range []string{"type_of_boat", "tonnage"} {
-			s, ok, err := InitialCandidate(ev, ctx, attr, opt)
+			s, ok, err := InitialCut(ev, ctx, attr, opt)
 			if err != nil || !ok {
 				t.Fatalf("cut %s of %s: %v ok=%v", attr, ctx, err, ok)
 			}
@@ -269,11 +269,11 @@ func TestDerivedCellsAfterAppend(t *testing.T) {
 	}
 	ev := NewEvaluator(tab)
 	opt := DefaultCutOptions()
-	s1, _, err := InitialCandidate(ev, ctx, "tonnage", opt)
+	s1, _, err := InitialCut(ev, ctx, "tonnage", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _, err := InitialCandidate(ev, ctx, "type_of_boat", opt)
+	s2, _, err := InitialCut(ev, ctx, "type_of_boat", opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,9 +52,9 @@ type Counters struct {
 	// PairTableHits counts contingency tables served from the
 	// evaluator's pair-table tier without building either side.
 	PairTableHits int
-	// RowMaterializations counts row-id selections built on demand
-	// from a packed-only cache entry: a cut child born as a bitmap
-	// alone (cutChildren) that a caller then needed as row ids.
+	// RowMaterializations counts flat row-id views built from
+	// selections holding words chunks: by Select, a sampled cut, or a
+	// re-layout. The advise path builds none.
 	RowMaterializations int
 }
 
@@ -89,64 +89,18 @@ const cacheShards = 32
 // entry is exact, and a moved version tells the evaluator precisely
 // which chunks to re-evaluate (DirtyVs) before serving it again.
 // Never cache a bare selection: without its stamp a stale entry is
-// indistinguishable from a fresh one.
-//
-// The result is in one of two forms. Usually it is cs, the row ids.
-// A packed child of a cut HB-cuts will pair (cutChildren) is born
-// packed-only: bm alone, the same bitmap the packed-selection cache
-// holds under the same stamp. Its count, its pair side, its cut points
-// and the cuts of it read the bitmap; rows builds its row ids only
-// when Select or SelectChunked asks for them, or a sampled cut
-// draws its sample, and stores them in its place.
+// indistinguishable from a fresh one. Each chunk of the selection is
+// in the smaller of its two forms, picked by the engine as the chunk
+// is written, so the entry is never rewritten in another form.
 type cachedSel struct {
-	cs    *engine.ChunkedSelection
-	bm    *engine.Bitmap
+	sel   *engine.ChunkedSelection
 	stamp *engine.EpochStamp
 }
 
-// count returns |R(Q)| from whichever form the entry holds.
-func (c cachedSel) count() int {
-	if c.cs != nil {
-		return c.cs.Len()
-	}
-	return c.bm.Count()
-}
-
-// layout returns the universe size and chunk width of the entry's
-// form.
-func (c cachedSel) layout() (nRows, chunkRows int) {
-	src := c.source()
-	return src.NumRows(), src.ChunkRows()
-}
-
-// source returns the entry's one form as the engine's chunked readers
-// take it.
-func (c cachedSel) source() engine.Source {
-	if c.cs != nil {
-		return c.cs
-	}
-	return c.bm
-}
-
-// cachedBitmap is cachedSel for the word-packed form.
-type cachedBitmap struct {
-	bm    *engine.Bitmap
-	stamp *engine.EpochStamp
-}
-
-// cacheShard is one lock stripe of the selection cache. Selections
-// are cached in their chunked form; the flat view every chunked
-// selection lazily carries means vector consumers share the same
-// cache entries.
+// cacheShard is one lock stripe of the selection cache.
 type cacheShard struct {
 	mu sync.RWMutex
 	m  map[string]cachedSel
-}
-
-// bitmapShard is one lock stripe of the packed-selection cache.
-type bitmapShard struct {
-	mu sync.RWMutex
-	m  map[string]cachedBitmap
 }
 
 // cacheSeed keys the shard hash; shared by all evaluators so shard
@@ -167,9 +121,8 @@ var cacheSeed = maphash.MakeSeed()
 // one Evaluator safely serves many goroutines — the foundation of
 // the parallel advisor core and the multi-session server.
 type Evaluator struct {
-	tab      *engine.Table
-	shards   [cacheShards]cacheShard
-	bmShards [cacheShards]bitmapShard
+	tab    *engine.Table
+	shards [cacheShards]cacheShard
 	// cutMu guards cuts, the cut-point cache (cutcache.go). Cut
 	// entries are far fewer than selections — pieces, plus per-chunk
 	// value counts where a refresh can splice them — so one stripe
@@ -222,9 +175,6 @@ func NewEvaluator(t *engine.Table) *Evaluator {
 	e := &Evaluator{tab: t, cuts: make(map[string]cachedCut), pairs: make(map[[2]string][]int)}
 	for i := range e.shards {
 		e.shards[i].m = make(map[string]cachedSel)
-	}
-	for i := range e.bmShards {
-		e.bmShards[i].m = make(map[string]cachedBitmap)
 	}
 	e.caching.Store(true)
 	e.zonePruning.Store(true)
@@ -281,7 +231,7 @@ func (e *Evaluator) allRows() *engine.ChunkedSelection {
 }
 
 // SetCacheLimit bounds each of the evaluator's stores — selections,
-// packed bitmaps, cut points and pair tables — to n entries; at the
+// cut points and pair tables — to n entries; at the
 // limit an arbitrary entry is evicted to make room (per shard for the
 // sharded selection stores). n <= 0 means unbounded (the default,
 // right for one-shot advisory runs and the paper experiments).
@@ -303,12 +253,6 @@ func (e *Evaluator) SetCaching(on bool) {
 			s := &e.shards[i]
 			s.mu.Lock()
 			s.m = make(map[string]cachedSel)
-			s.mu.Unlock()
-		}
-		for i := range e.bmShards {
-			s := &e.bmShards[i]
-			s.mu.Lock()
-			s.m = make(map[string]cachedBitmap)
 			s.mu.Unlock()
 		}
 		e.cutMu.Lock()
@@ -410,65 +354,24 @@ func (e *Evaluator) shardLimit() int {
 // store records key → ent. Concurrent evaluators may compute the
 // same selection twice; the results are identical, so last write
 // wins and both callers' values stay valid (selections are
-// immutable by contract). A packed-only entry's bitmap goes into the
-// packed-selection cache too, under the same stamp.
+// immutable by contract).
 func (e *Evaluator) store(key string, ent cachedSel) {
 	s := e.shard(key)
 	s.mu.Lock()
 	boundedPut(s.m, key, ent, e.shardLimit())
 	s.mu.Unlock()
-	if ent.cs == nil {
-		e.storeBitmap(key, ent.bm, ent.stamp)
-	}
 }
 
-// rows returns the row ids of ent, the entry extent returned for key.
-// A packed-only entry's are built from its bitmap (Bitmap.Chunked)
-// and stored in its place unless the entry changed meanwhile; callers
-// racing on one entry may each build them, and every copy is equal.
-// Only SelectChunked (and Select through it) and a sampled cut call
-// it: every other reader takes the entry's source as it is.
-func (e *Evaluator) rows(key string, ent cachedSel) *engine.ChunkedSelection {
-	if ent.cs != nil {
-		return ent.cs
+// flat returns cs's rows as one sorted vector, counting a row
+// materialization when some of them are decoded from words.
+func (e *Evaluator) flat(cs *engine.ChunkedSelection) engine.Selection {
+	for c := range cs.NumChunks() {
+		if cs.Words(c) != nil {
+			e.countRowMaterialization()
+			break
+		}
 	}
-	cs := ent.bm.Chunked()
-	e.countRowMaterialization()
-	s := e.shard(key)
-	s.mu.Lock()
-	if cur, ok := s.m[key]; ok && cur.cs == nil && cur.bm == ent.bm {
-		s.m[key] = cachedSel{cs: cs, stamp: ent.stamp}
-	}
-	s.mu.Unlock()
-	return cs
-}
-
-// cachedPacked looks key up in the packed-selection cache. The
-// caller must check the entry's stamp against the table's before
-// serving it.
-func (e *Evaluator) cachedPacked(key string) (cachedBitmap, bool) {
-	s := &e.bmShards[maphash.String(cacheSeed, key)%cacheShards]
-	s.mu.RLock()
-	ent, ok := s.m[key]
-	s.mu.RUnlock()
-	return ent, ok
-}
-
-// currentPacked returns key's packed-cache bitmap when its stamp is
-// the table's current version, nil otherwise.
-func (e *Evaluator) currentPacked(key string) *engine.Bitmap {
-	if ent, ok := e.cachedPacked(key); ok && ent.stamp.Version() == e.tab.Stamp().Version() {
-		return ent.bm
-	}
-	return nil
-}
-
-// storeBitmap records key → bm in the packed-selection cache.
-func (e *Evaluator) storeBitmap(key string, bm *engine.Bitmap, stamp *engine.EpochStamp) {
-	s := &e.bmShards[maphash.String(cacheSeed, key)%cacheShards]
-	s.mu.Lock()
-	boundedPut(s.m, key, cachedBitmap{bm: bm, stamp: stamp}, e.shardLimit())
-	s.mu.Unlock()
+	return cs.Flat()
 }
 
 // pairTable copies the contingency table of the segmentation pair key
@@ -500,58 +403,9 @@ func (e *Evaluator) storePairTable(fp string, key [2]string, flat []int) {
 	e.pairMu.Unlock()
 }
 
-// packedSelection returns the word-packed form of q's selection,
-// serving repeats from a per-query cache: HB-cuts evaluates each
-// candidate against O(n) partners per step, and without the cache
-// every pairwise operator call would re-pack the same bitmaps. The
-// caller decides whether packing pays (the density rule lives in the
-// pairwise operators); this only memoizes the result of that decision,
-// so cached and uncached runs take identical code paths. Bitmaps
-// inherit the table's chunk layout — chunks with no selected rows are
-// never allocated — and are immutable by contract, like selections.
-func (e *Evaluator) packedSelection(q sdl.Query, cs *engine.ChunkedSelection) *engine.Bitmap {
-	if !e.caching.Load() {
-		return engine.NewBitmapChunked(cs)
-	}
-	key := q.Key()
-	cur := e.tab.Stamp()
-	if ent, ok := e.cachedPacked(key); ok {
-		if ent.stamp.Version() == cur.Version() {
-			return ent.bm
-		}
-		// Stale after mutation: cs is the query's current selection,
-		// so only the dirty chunks need re-packing — splice their
-		// fresh words into the cached clean ones.
-		if dirty, ok := cur.DirtyVs(ent.stamp); ok &&
-			ent.bm.NumRows() == ent.stamp.NumRows() && ent.bm.ChunkRows() == cur.ChunkRows() &&
-			cs.NumRows() == cur.NumRows() && cs.ChunkRows() == cur.ChunkRows() {
-			bm := engine.SpliceBitmap(ent.bm, engine.NewBitmapChunked(engine.RestrictChunked(cs, dirty)), dirty)
-			e.countDeltaRefresh()
-			e.storeBitmap(key, bm, cur)
-			return bm
-		}
-	}
-	bm := engine.NewBitmapChunked(cs)
-	e.storeBitmap(key, bm, cur)
-	return bm
-}
-
-// SelectBitmap returns R(Q) word-packed, the form the dense side of
-// the pairwise operators consumes: a packed-only entry's bitmap, or
-// the chunked selection packed through the packed-selection cache,
-// which serves a current entry as is and splices a stale one's dirty
-// chunks.
-// The returned bitmap must not be mutated.
-func (e *Evaluator) SelectBitmap(q sdl.Query) (*engine.Bitmap, error) {
-	ent, err := e.extent(q)
-	if err != nil {
-		return nil, err
-	}
-	if ent.cs == nil {
-		return ent.bm, nil
-	}
-	return e.packedSelection(q, ent.cs), nil
-}
+// SelectBitmap is SelectChunked under the name the
+// seg.select_bitmap_cold_ms and seg.select_bitmap_warm_us probes call.
+func (e *Evaluator) SelectBitmap(q sdl.Query) (*engine.Bitmap, error) { return e.SelectChunked(q) }
 
 // deltaDirty decides whether a stale cache entry qualifies for a
 // chunk-granular refresh against stamp cur: the stamps must be
@@ -577,12 +431,9 @@ func (e *Evaluator) deltaDirty(old *engine.EpochStamp, nRows, chunkRows int, cur
 // and splicing the result into the cached clean segments. This is
 // sound because SDL constraints are per-row predicates: R(Q)
 // restricted to a chunk depends on that chunk's rows alone, so a
-// clean chunk's cached segment is still exact. A packed-only entry
-// stays packed-only: the dirty chunks' rows are packed and spliced
-// into its clean words.
+// clean chunk's cached container is still exact.
 func (e *Evaluator) refreshChunked(q sdl.Query, old cachedSel, cur *engine.EpochStamp) (cachedSel, bool) {
-	nRows, chunkRows := old.layout()
-	dirty := e.deltaDirty(old.stamp, nRows, chunkRows, cur)
+	dirty := e.deltaDirty(old.stamp, old.sel.NumRows(), old.sel.ChunkRows(), cur)
 	if dirty == nil {
 		return cachedSel{}, false
 	}
@@ -597,10 +448,7 @@ func (e *Evaluator) refreshChunked(q sdl.Query, old cachedSel, cur *engine.Epoch
 			return cachedSel{}, false
 		}
 	}
-	if old.cs == nil {
-		return cachedSel{bm: engine.SpliceBitmap(old.bm, engine.NewBitmapChunked(cs), dirty), stamp: cur}, true
-	}
-	return cachedSel{cs: engine.SpliceChunked(old.cs, cs, dirty), stamp: cur}, true
+	return cachedSel{sel: engine.Splice(old.sel, cs, dirty), stamp: cur}, true
 }
 
 // Select returns the sorted row selection R(Q) as a flat vector —
@@ -611,25 +459,23 @@ func (e *Evaluator) Select(q sdl.Query) (engine.Selection, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cs.Flat(), nil
+	return e.flat(cs), nil
 }
 
 // SelectChunked returns R(Q) sharded by the table's row-range
-// chunks. Results are cached under the query's canonical key; a
-// packed-only entry's row ids are built on this first demand. The
-// returned selection must not be mutated.
+// chunks, as the cache holds it. Results are cached under the query's
+// canonical key. The returned selection must not be mutated.
 func (e *Evaluator) SelectChunked(q sdl.Query) (*engine.ChunkedSelection, error) {
 	ent, err := e.extent(q)
 	if err != nil {
 		return nil, err
 	}
-	return e.rows(q.Key(), ent), nil
+	return ent.sel, nil
 }
 
-// extent returns R(Q) as the cache holds it at the current version —
-// row ids, or a packed-only entry's bitmap — evaluating it in full or
-// refreshing a stale entry's dirty chunks first, and never building
-// row ids from a bitmap. With caching off it evaluates in full.
+// extent returns R(Q) as the cache holds it at the current version,
+// evaluating it in full or refreshing a stale entry's dirty chunks
+// first. With caching off it evaluates in full.
 func (e *Evaluator) extent(q sdl.Query) (cachedSel, error) {
 	key := q.Key()
 	// One snapshot per evaluation: a concurrent SetCaching flip
@@ -661,20 +507,20 @@ func (e *Evaluator) extent(q sdl.Query) (cachedSel, error) {
 		}
 	}
 	e.countFullEval()
-	ent := cachedSel{cs: cs, stamp: cur}
+	ent := cachedSel{sel: cs, stamp: cur}
 	if caching {
 		e.store(key, ent)
 	}
 	return ent, nil
 }
 
-// Count returns |R(Q)|. A packed-only entry answers from its bitmap.
+// Count returns |R(Q)|.
 func (e *Evaluator) Count(q sdl.Query) (int, error) {
 	ent, err := e.extent(q)
 	if err != nil {
 		return 0, err
 	}
-	return ent.count(), nil
+	return ent.sel.Len(), nil
 }
 
 // cutChildren evaluates the children of one cut of parent, caches
@@ -687,16 +533,12 @@ func (e *Evaluator) Count(q sdl.Query) (int, error) {
 // child: a child cached at the current version is served as is
 // (CacheHits); children stale with the same dirty chunks share one
 // pass over just those chunks of the parent and are spliced into
-// their cached segments or words (DeltaRefreshes); the rest share one
-// pass over the whole parent (NarrowEvals). The parent's extent is
-// fetched only when some child needs a pass, and is cut in the form
-// the cache holds it: a packed-only parent from its words, its row ids
-// never built. With pack set the cut's result is an HB-cuts candidate
-// INDEP will pair: a whole-parent pass over a dense parent then packs
-// every child while the chunk is hot and caches it packed-only, so its
-// pair side finds its bitmap and no row ids are built unless something
-// asks for them.
-func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr string, pack bool) ([]int, error) {
+// their cached chunks (DeltaRefreshes); the rest share one pass over
+// the whole parent (NarrowEvals). The parent's extent is fetched only
+// when some child needs a pass, and each of its chunks is cut in the
+// form it is held in: a words chunk from its words, its row ids never
+// built.
+func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr string) ([]int, error) {
 	keys := make([]string, len(children))
 	cons := make([]sdl.Constraint, len(children))
 	for i, child := range children {
@@ -720,13 +562,12 @@ func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr str
 		ent, ok := e.cached(key)
 		if ok && ent.stamp.Version() == cur.Version() {
 			e.countCacheHit()
-			counts[i] = ent.count()
+			counts[i] = ent.sel.Len()
 			continue
 		}
 		var d []bool
 		if ok {
-			nRows, chunkRows := ent.layout()
-			d = e.deltaDirty(ent.stamp, nRows, chunkRows, cur)
+			d = e.deltaDirty(ent.stamp, ent.sel.NumRows(), ent.sel.ChunkRows(), cur)
 		}
 		if d != nil && (dirty == nil || slices.Equal(d, dirty)) {
 			dirty, olds[i] = d, ent
@@ -742,44 +583,27 @@ func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr str
 	if err != nil {
 		return nil, err
 	}
-	src := pent.source()
+	src := pent.sel
 	if src.NumRows() != cur.NumRows() || src.ChunkRows() != cur.ChunkRows() {
 		full, stale = append(full, stale...), nil
 	}
 	if len(stale) > 0 {
-		packs := make([]bool, len(children))
-		for _, i := range stale {
-			packs[i] = olds[i].cs == nil
-		}
-		if err := e.partitionInto(engine.Restrict(src, dirty), attr, cons, stale, packs, func(i int, cs *engine.ChunkedSelection, bm *engine.Bitmap) {
-			ent := cachedSel{stamp: cur}
-			if bm != nil {
-				ent.bm = engine.SpliceBitmap(olds[i].bm, bm, dirty)
-			} else {
-				ent.cs = engine.SpliceChunked(olds[i].cs, cs, dirty)
-			}
+		if err := e.partitionInto(engine.Restrict(src, dirty), attr, cons, stale, func(i int, cs *engine.ChunkedSelection) {
+			ent := cachedSel{sel: engine.Splice(olds[i].sel, cs, dirty), stamp: cur}
 			e.countDeltaRefresh()
 			e.store(keys[i], ent)
-			counts[i] = ent.count()
+			counts[i] = ent.sel.Len()
 		}); err != nil {
 			return nil, err
 		}
 	}
 	if len(full) > 0 {
-		var packs []bool
-		if pack && caching && engine.DenseEnough(src.Len(), e.tab.NumRows()) {
-			packs = make([]bool, len(children))
-			for i := range packs {
-				packs[i] = true
-			}
-		}
-		if err := e.partitionInto(src, attr, cons, full, packs, func(i int, cs *engine.ChunkedSelection, bm *engine.Bitmap) {
+		if err := e.partitionInto(src, attr, cons, full, func(i int, cs *engine.ChunkedSelection) {
 			e.countNarrowEval()
-			ent := cachedSel{cs: cs, bm: bm, stamp: cur}
 			if caching {
-				e.store(keys[i], ent)
+				e.store(keys[i], cachedSel{sel: cs, stamp: cur})
 			}
-			counts[i] = ent.count()
+			counts[i] = cs.Len()
 		}); err != nil {
 			return nil, err
 		}
@@ -788,34 +612,20 @@ func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr str
 }
 
 // partitionInto runs one partition pass over src for the constraints
-// cons[i], i in which, handing each child to done: packed-only — a nil
-// selection and its bitmap — when packs[i] is set, as row ids with a
-// nil bitmap otherwise. A nil packs packs nothing.
-func (e *Evaluator) partitionInto(src engine.Source, attr string, cons []sdl.Constraint, which []int, packs []bool, done func(i int, cs *engine.ChunkedSelection, bm *engine.Bitmap)) error {
+// cons[i], i in which, handing each child to done.
+func (e *Evaluator) partitionInto(src *engine.ChunkedSelection, attr string, cons []sdl.Constraint, which []int, done func(i int, cs *engine.ChunkedSelection)) error {
 	src, col, sum, err := e.resolveConstraint(src, attr)
 	if err != nil {
 		return err
 	}
 	preds := make([]engine.Pred, len(which))
-	var pack []bool
-	if packs != nil {
-		pack = make([]bool, len(which))
-	}
 	for j, i := range which {
 		if preds[j], err = constraintPred(col, cons[i], sum); err != nil {
 			return err
 		}
-		if pack != nil {
-			pack[j] = packs[i]
-		}
 	}
-	parts, bms := engine.PartitionChunked(src, preds, pack)
-	for j, i := range which {
-		var bm *engine.Bitmap
-		if bms != nil {
-			bm = bms[j]
-		}
-		done(i, parts[j], bm)
+	for j, cs := range engine.PartitionChunked(src, preds) {
+		done(which[j], cs)
 	}
 	return nil
 }
@@ -825,7 +635,7 @@ func (e *Evaluator) partitionInto(src engine.Source, attr string, cons []sdl.Con
 // older layout (zone maps index the snapshot layout's chunks, so a
 // verdict must never see mismatched addressing), resolves the
 // column, and fetches its zone map when pruning is on.
-func (e *Evaluator) resolveConstraint(src engine.Source, attr string) (engine.Source, engine.Column, *engine.ChunkSummary, error) {
+func (e *Evaluator) resolveConstraint(src *engine.ChunkedSelection, attr string) (*engine.ChunkedSelection, engine.Column, *engine.ChunkSummary, error) {
 	// One layout snapshot per constraint: the selection's chunking
 	// and the zone map consulted for it must describe the same
 	// layout, even while another advisor concurrently re-shards the
@@ -835,8 +645,8 @@ func (e *Evaluator) resolveConstraint(src engine.Source, attr string) (engine.So
 		// The selection was built (and possibly cached) under an
 		// older layout — the table has been re-sharded since. Its row
 		// ids are layout-independent, making this a pure
-		// re-addressing; a packed one's are built for it.
-		src = engine.ChunkSelection(e.flatRows(src), e.tab.NumRows(), layout.ChunkRows())
+		// re-addressing.
+		src = engine.ChunkSelection(e.flat(src), e.tab.NumRows(), layout.ChunkRows())
 	}
 	col, ok := e.tab.ColumnByName(attr)
 	if !ok {
@@ -847,17 +657,6 @@ func (e *Evaluator) resolveConstraint(src engine.Source, attr string) (engine.So
 		sum = layout.SummaryByName(attr)
 	}
 	return src, col, sum, nil
-}
-
-// flatRows returns src's rows as one sorted vector: a row-id
-// selection's flat view, or a bitmap's rows decoded (a row
-// materialization).
-func (e *Evaluator) flatRows(src engine.Source) engine.Selection {
-	if cs, ok := src.(*engine.ChunkedSelection); ok {
-		return cs.Flat()
-	}
-	e.countRowMaterialization()
-	return src.(*engine.Bitmap).Selection()
 }
 
 // constraintPred resolves one constraint over col into the engine's

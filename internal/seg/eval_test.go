@@ -224,7 +224,7 @@ func TestCacheLimitBoundsEntries(t *testing.T) {
 // one on every re-store at the limit.
 func TestStoreAtLimitKeepsExistingKey(t *testing.T) {
 	tab, ev := figure2Table(t)
-	sel := cachedSel{cs: tab.AllChunked(), stamp: tab.Stamp()}
+	sel := cachedSel{sel: tab.AllChunked(), stamp: tab.Stamp()}
 	// perShard = ceil(limit/shards) = 2.
 	ev.SetCacheLimit(2 * cacheShards)
 	// Find two keys that land in the same shard, then fill it.
@@ -269,9 +269,10 @@ func TestStoreAtLimitKeepsExistingKey(t *testing.T) {
 	}
 }
 
-// TestPackedSelectionMemoized pins the bitmap cache: repeated packs
-// of the same query return the identical (immutable) bitmap when
-// caching is on, and fresh ones when it is off.
+// TestPackedSelectionMemoized pins the selection cache behind the
+// probes' SelectBitmap: repeated calls return the identical
+// (immutable) selection the cache holds when caching is on, and fresh
+// ones when it is off.
 func TestPackedSelectionMemoized(t *testing.T) {
 	tab, ev := figure2Table(t)
 	q := sdl.MustQuery(sdl.SetC("type", engine.String_("fluit")))
@@ -279,18 +280,18 @@ func TestPackedSelectionMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := ev.packedSelection(q, sel)
-	b := ev.packedSelection(q, sel)
-	if a != b {
-		t.Fatal("caching on: repeated pack returned a fresh bitmap")
+	a, _ := ev.SelectBitmap(q)
+	b, _ := ev.SelectBitmap(q)
+	if a != b || a != sel {
+		t.Fatal("caching on: repeated select returned a fresh selection")
 	}
-	if a.Count() != sel.Len() || a.NumRows() != tab.NumRows() {
-		t.Fatalf("packed bitmap shape %d/%d, want %d/%d", a.Count(), a.NumRows(), sel.Len(), tab.NumRows())
+	if a.Len() != sel.Len() || a.NumRows() != tab.NumRows() {
+		t.Fatalf("selection shape %d/%d, want %d/%d", a.Len(), a.NumRows(), sel.Len(), tab.NumRows())
 	}
 	ev.SetCaching(false)
-	c := ev.packedSelection(q, sel)
-	d := ev.packedSelection(q, sel)
+	c, _ := ev.SelectBitmap(q)
+	d, _ := ev.SelectBitmap(q)
 	if c == a || c == d {
-		t.Fatal("caching off: packs must not be shared")
+		t.Fatal("caching off: selections must not be shared")
 	}
 }

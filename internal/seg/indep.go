@@ -21,8 +21,7 @@ type PairOptions struct {
 	// CPU; 1 keeps everything on the calling goroutine.
 	Workers int
 	// Memo, when non-nil, caches built pair sides — one segmentation's
-	// gathered selections plus their packed bitmaps — across operator
-	// calls. HB-cuts evaluates every candidate against O(n) partners
+	// gathered selections — across operator calls. HB-cuts evaluates every candidate against O(n) partners
 	// per step, and without the memo each Product/CellCounts/Indep/
 	// ChiSquare call rebuilds the same sides; the advisor core shares
 	// one memo per advise so each segmentation is assembled exactly
@@ -48,55 +47,41 @@ func (o PairOptions) normalize() PairOptions {
 // immutable results make either correct.
 type PairMemo struct {
 	mu sync.RWMutex
-	m  map[string]*pairSide
+	m  map[string]pairSide
 }
 
 // NewPairMemo returns an empty pair-side memo for one advise run.
 func NewPairMemo() *PairMemo {
-	return &PairMemo{m: make(map[string]*pairSide)}
+	return &PairMemo{m: make(map[string]pairSide)}
 }
 
-func (m *PairMemo) get(key string) (*pairSide, bool) {
+func (m *PairMemo) get(key string) (pairSide, bool) {
 	m.mu.RLock()
 	s, ok := m.m[key]
 	m.mu.RUnlock()
 	return s, ok
 }
 
-func (m *PairMemo) put(key string, s *pairSide) {
+func (m *PairMemo) put(key string, s pairSide) {
 	m.mu.Lock()
 	m.m[key] = s
 	m.mu.Unlock()
 }
 
-// pairSide holds one segmentation's selections, each in the one
-// representation its density picks: segment i is either bitmap-packed
-// (bms[i] non-nil) when its extent covers at least 1/64 of the table
-// (engine.DenseEnough), or a flat row-id vector (sels[i] non-nil)
-// otherwise, never materialized as both. A side built for a derived
-// table holds every segment but the last.
-type pairSide struct {
-	sels []engine.Selection
-	bms  []*engine.Bitmap
-}
+// pairSide holds one segmentation's selections as the evaluator caches
+// them, each chunk in its own form. A side built for a derived table
+// holds every segment but the last.
+type pairSide []*engine.ChunkedSelection
 
 // buildSide gathers a segmentation's selections across the worker
-// pool, and the cell loop then reuses them |other| times each. Every
-// segment takes one route. A segment the packed-selection cache holds
-// densely at the current version — a candidate cut's partition pass
-// has usually put it there — takes that bitmap, and a packed-only
-// selection entry its bitmap at any density: the cell loop counts a
-// bitmap against either form, so no row ids are built for it. A
-// segment held as row ids is packed when dense (through the
-// packed-selection cache) and read as a flat row-id view when sparse.
-// The cell loop never reads the vector side of a packed segment. With
-// a memo in the options the assembled side is shared across every
+// pool, and the cell loop then reuses them |other| times each. With a
+// memo in the options the assembled side is shared across every
 // operator call of the advise that mentions the same segmentation.
 // Task errors are rare but cancellation is not, and it must surface —
 // or a half-built side would be memoized as complete. fp is the table
 // fingerprint the caller read; derived marks a side for a derived
 // table, which leaves out the last segment.
-func buildSide(ev *Evaluator, s *Segmentation, opt PairOptions, fp string, derived bool) (*pairSide, error) {
+func buildSide(ev *Evaluator, s *Segmentation, opt PairOptions, fp string, derived bool) (pairSide, error) {
 	n := len(s.Queries)
 	var memoKey string
 	if opt.Memo != nil {
@@ -120,53 +105,19 @@ func buildSide(ev *Evaluator, s *Segmentation, opt PairOptions, fp string, deriv
 	if derived {
 		n--
 	}
-	sels := make([]engine.Selection, n)
-	bms := make([]*engine.Bitmap, n)
-	nRows := ev.Table().NumRows()
+	side := make(pairSide, n)
 	err := par.ForEachCtx(opt.Ctx, opt.Workers, n, func(i int) error {
-		q := s.Queries[i]
-		if bm := ev.currentPacked(q.Key()); bm != nil && engine.DenseEnough(bm.Count(), nRows) {
-			bms[i] = bm
-			return nil
-		}
-		ent, err := ev.extent(q)
-		if err != nil {
-			return err
-		}
-		switch {
-		case ent.cs == nil:
-			bms[i] = ent.bm
-		case !engine.DenseEnough(ent.cs.Len(), nRows):
-			sels[i] = ent.cs.Flat()
-		default:
-			bms[i] = ev.packedSelection(q, ent.cs)
-		}
-		return nil
+		ent, err := ev.extent(s.Queries[i])
+		side[i] = ent.sel
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	side := &pairSide{sels: sels, bms: bms}
 	if opt.Memo != nil {
 		opt.Memo.put(memoKey, side)
 	}
 	return side, nil
-}
-
-// cellCount returns |R(Q1i) ∩ R(Q2j)| using the fastest path the two
-// segments' representations allow. All three paths return identical
-// counts.
-func cellCount(a *pairSide, i int, b *pairSide, j int) int {
-	switch {
-	case a.bms[i] != nil && b.bms[j] != nil:
-		return a.bms[i].AndCount(b.bms[j])
-	case a.bms[i] != nil:
-		return engine.AndCountSelection(a.bms[i], b.sels[j])
-	case b.bms[j] != nil:
-		return engine.AndCountSelection(b.bms[j], a.sels[i])
-	default:
-		return engine.IntersectCount(a.sels[i], b.sels[j])
-	}
 }
 
 // Product implements the SDL product S1 × S2 (Definition 8) with the
@@ -241,8 +192,7 @@ func cellCountsInto(ev *Evaluator, s1, s2 *Segmentation, opt PairOptions, flat [
 }
 
 // countCells counts the contingency table of s1 and s2 at fingerprint
-// fp into flat. Each segmentation's selections are gathered and packed
-// once, then the cell loop fans out across opt.Workers; every cell
+// fp into flat. Each segmentation's selections are gathered once, then the cell loop fans out across opt.Workers; every cell
 // writes its own slot, so the table is deterministic at every width.
 // Cell errors are impossible once both sides are built; only
 // cancellation can surface, and a cancelled table must not be read as
@@ -265,10 +215,10 @@ func countCells(ev *Evaluator, s1, s2 *Segmentation, opt PairOptions, fp string,
 		return err
 	}
 	n2 := len(s2.Queries)
-	m1, m2 := len(a.bms), len(b.bms)
+	m1, m2 := len(a), len(b)
 	if err := par.ForEachCtx(opt.Ctx, opt.Workers, m1*m2, func(k int) error {
 		i, j := k/m2, k%m2
-		flat[i*n2+j] = cellCount(a, i, b, j)
+		flat[i*n2+j] = a[i].AndCount(b[j])
 		return nil
 	}); err != nil || !derived {
 		return err

@@ -11,11 +11,10 @@ import (
 )
 
 // pairFixture builds two multi-segment segmentations over a 4096-row
-// table plus a hand-built third whose segments straddle the bitmap
-// density crossover: one dense majority segment and two sparse tail
-// segments, so its pair side holds both representations and the
-// fixture's pairs run every cell path — bitmap×bitmap, bitmap×vector
-// and vector×vector.
+// table plus a hand-built third whose segments straddle the storage
+// rule: one dense majority segment and two sparse tail segments, so its
+// pair side holds both chunk forms and the fixture's pairs run every
+// cell path — words×words, words×row ids and row ids×row ids.
 func pairFixture(t testing.TB) (*Evaluator, *Segmentation, *Segmentation, *Segmentation) {
 	const n = 4096
 	xs := make([]int64, n)
@@ -25,7 +24,7 @@ func pairFixture(t testing.TB) (*Evaluator, *Segmentation, *Segmentation, *Segme
 		xs[i] = int64(i % 16)
 		ys[i] = int64((i / 3) % 11)
 		switch {
-		case i%409 == 0: // ~10 rows: density ≈ 1/409, well under 1/64
+		case i%409 == 0: // ~10 rows: density ≈ 1/409, well under 1/32
 			zs[i] = 1
 		case i%487 == 1: // ~8 rows
 			zs[i] = 2
@@ -67,8 +66,8 @@ func pairFixture(t testing.TB) (*Evaluator, *Segmentation, *Segmentation, *Segme
 }
 
 // TestPairFixtureSidesMixRepresentations pins what makes the pair
-// tests cover every cellCount path: the cut sides pack every segment,
-// and the hand-built side holds both a bitmap and a row-id vector.
+// tests cover every AndCount path: the cut sides hold every segment as
+// words, and the hand-built side holds both words and row ids.
 func TestPairFixtureSidesMixRepresentations(t *testing.T) {
 	ev, s1, s2, s3 := pairFixture(t)
 	fp := ev.Table().Fingerprint()
@@ -77,22 +76,23 @@ func TestPairFixtureSidesMixRepresentations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bitmaps, vectors := 0, 0
-		for i, bm := range side.bms {
-			switch {
-			case bm != nil && side.sels[i] != nil:
-				t.Fatalf("%s: segment %d is held as both a bitmap and a vector", name, i)
-			case bm != nil:
-				bitmaps++
-			default:
-				vectors++
+		words, rows := 0, 0
+		for i, sel := range side {
+			checkSmallerForm(t, s.Queries[i].String(), sel)
+			for c := 0; c < sel.NumChunks(); c++ {
+				switch {
+				case sel.Words(c) != nil:
+					words++
+				case len(sel.Seg(c)) > 0:
+					rows++
+				}
 			}
 		}
-		if name == "s3" && (bitmaps == 0 || vectors == 0) {
-			t.Fatalf("s3: side holds %d bitmaps and %d vectors, want both kinds", bitmaps, vectors)
+		if name == "s3" && (words == 0 || rows == 0) {
+			t.Fatalf("s3: side holds %d words chunks and %d row-id chunks, want both forms", words, rows)
 		}
-		if name != "s3" && vectors != 0 {
-			t.Fatalf("%s: side holds %d vectors, want every segment packed", name, vectors)
+		if name != "s3" && rows != 0 {
+			t.Fatalf("%s: side holds %d row-id chunks, want every chunk as words", name, rows)
 		}
 	}
 }

@@ -13,16 +13,16 @@ import (
 	"charles/internal/sdl"
 )
 
-// packedOnlyQueries returns the distinct queries of segs whose
-// selection entry is packed-only at the current version.
-func packedOnlyQueries(ev *Evaluator, segs []*Segmentation) []sdl.Query {
+// wordsQueries returns the distinct queries of segs whose
+// selection entry holds words at the current version.
+func wordsQueries(ev *Evaluator, segs []*Segmentation) []sdl.Query {
 	version := ev.Table().Stamp().Version()
 	seen := map[string]bool{}
 	var out []sdl.Query
 	for _, s := range segs {
 		for _, q := range s.Queries {
 			ent, ok := ev.cached(q.Key())
-			if seen[q.Key()] || !ok || ent.cs != nil || ent.stamp.Version() != version {
+			if seen[q.Key()] || !ok || !holdsWords(ent.sel) || ent.stamp.Version() != version {
 				continue
 			}
 			seen[q.Key()] = true
@@ -45,8 +45,8 @@ func uncachedRows(t *testing.T, tab *engine.Table, q sdl.Query) *engine.ChunkedS
 }
 
 // packedVOC is a 20 000-row VOC table at 1 024-row chunks and the
-// context of the packed-child tests: every HB-cuts candidate of it
-// has dense children.
+// context of the words-child tests: every HB-cuts candidate of it
+// has dense children, so they hold words.
 func packedVOC(t *testing.T) (*engine.Table, sdl.Query) {
 	t.Helper()
 	tab := dataset.VOC(20000, 5)
@@ -58,26 +58,27 @@ func packedVOC(t *testing.T) (*engine.Table, sdl.Query) {
 	return tab, ctx
 }
 
-// bornPacked runs one InitialCandidate on ctx and returns its children,
-// every one of them packed-only.
+// bornPacked runs one InitialCut on ctx and returns its children,
+// every one of them holding words.
 func bornPacked(t *testing.T, ev *Evaluator, ctx sdl.Query, attr string) []sdl.Query {
 	t.Helper()
-	s, ok, err := InitialCandidate(ev, ctx, attr, DefaultCutOptions())
+	s, ok, err := InitialCut(ev, ctx, attr, DefaultCutOptions())
 	if err != nil || !ok {
-		t.Fatalf("InitialCandidate(%s): %v ok=%v", attr, err, ok)
+		t.Fatalf("InitialCut(%s): %v ok=%v", attr, err, ok)
 	}
-	kids := packedOnlyQueries(ev, []*Segmentation{s})
+	kids := wordsQueries(ev, []*Segmentation{s})
 	if len(kids) != s.Depth() {
-		t.Fatalf("%d of the %d children of the cut on %s are packed-only", len(kids), s.Depth(), attr)
+		t.Fatalf("%d of the %d children of the cut on %s hold words", len(kids), s.Depth(), attr)
 	}
 	return kids
 }
 
-// TestPackedChildrenMatchUncached holds every packed-only child the
-// HB-cuts candidates of a VOC context and of the NaN sky table leave
-// behind to a caching-off evaluator: its count and bitmap before any
-// row is built, then the row ids SelectChunked builds, once per
-// child (one RowMaterializations each) and in place of the bitmap.
+// TestPackedChildrenMatchUncached holds every words child the HB-cuts
+// candidates of a VOC context and of the NaN sky table leave behind to
+// a caching-off evaluator: its count, SelectBitmap and SelectChunked —
+// the cached selection itself, no row built — then the flat rows Select
+// decodes from its words, one RowMaterializations per call, the cache
+// entry left as it was.
 func TestPackedChildrenMatchUncached(t *testing.T) {
 	voc, vocCtx := packedVOC(t)
 	sky := nanSky(t)
@@ -90,12 +91,13 @@ func TestPackedChildrenMatchUncached(t *testing.T) {
 		ctx sdl.Query
 	}{{voc, vocCtx}, {sky, skyCtx}} {
 		ev := NewEvaluator(tc.tab)
-		kids := packedOnlyQueries(ev, candidates(t, ev, tc.ctx))
+		kids := wordsQueries(ev, candidates(t, ev, tc.ctx))
 		if len(kids) == 0 {
-			t.Fatalf("%s: no candidate child is packed-only", tc.tab.Name())
+			t.Fatalf("%s: no candidate child holds words", tc.tab.Name())
 		}
 		for _, q := range kids {
 			want := uncachedRows(t, tc.tab, q)
+			ent, _ := ev.cached(q.Key())
 			before := ev.Counters()
 			n, err := ev.Count(q)
 			if err != nil {
@@ -105,27 +107,30 @@ func TestPackedChildrenMatchUncached(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n != want.Len() || bm.Count() != want.Len() || !sameChunked(bm.Chunked(), want) {
-				t.Fatalf("%s: packed-only %s counts %d (bitmap %d), uncached %d", tc.tab.Name(), q, n, bm.Count(), want.Len())
-			}
-			if c := ev.Counters(); c.RowMaterializations != before.RowMaterializations || c.FullEvals != before.FullEvals {
-				t.Fatalf("%s: Count and SelectBitmap of %s built rows: %+v -> %+v", tc.tab.Name(), q, before, c)
-			}
 			got, err := ev.SelectChunked(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameChunked(got, want) {
-				t.Fatalf("%s: materialized %s differs from the uncached evaluation", tc.tab.Name(), q)
+			if n != want.Len() || bm != ent.sel || got != ent.sel || !sameChunked(got, want) {
+				t.Fatalf("%s: words child %s counts %d, uncached %d, or is not the cached selection", tc.tab.Name(), q, n, want.Len())
 			}
-			if c := ev.Counters(); c.RowMaterializations != before.RowMaterializations+1 || c.FullEvals != before.FullEvals {
-				t.Fatalf("%s: first SelectChunked of %s: counters %+v -> %+v", tc.tab.Name(), q, before, c)
+			if c := ev.Counters(); c.RowMaterializations != before.RowMaterializations || c.FullEvals != before.FullEvals {
+				t.Fatalf("%s: Count, SelectBitmap and SelectChunked of %s built rows: %+v -> %+v", tc.tab.Name(), q, before, c)
 			}
-			if ent, _ := ev.cached(q.Key()); ent.cs != got {
-				t.Fatalf("%s: %s's built rows did not replace its bitmap in the cache", tc.tab.Name(), q)
+			for i := 1; i <= 2; i++ {
+				flat, err := ev.Select(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(flat, want.Flat()) {
+					t.Fatalf("%s: Select of %s differs from the uncached evaluation", tc.tab.Name(), q)
+				}
+				if c := ev.Counters(); c.RowMaterializations != before.RowMaterializations+i || c.FullEvals != before.FullEvals {
+					t.Fatalf("%s: Select %d of %s: counters %+v -> %+v", tc.tab.Name(), i, q, before, c)
+				}
 			}
-			if again, _ := ev.SelectChunked(q); again != got || ev.Counters().RowMaterializations != before.RowMaterializations+1 {
-				t.Fatalf("%s: a second SelectChunked of %s built its rows again", tc.tab.Name(), q)
+			if again, _ := ev.cached(q.Key()); again.sel != ent.sel {
+				t.Fatalf("%s: Select of %s rewrote its cache entry", tc.tab.Name(), q)
 			}
 		}
 	}
@@ -133,9 +138,9 @@ func TestPackedChildrenMatchUncached(t *testing.T) {
 
 // TestRepeatedHBCutsBuildsNoRows runs the HB-cuts candidates of one
 // context and every pair's INDEP twice on one evaluator. The first run
-// COMPOSEs packed-only children, cutting them from their words, and
-// builds no row ids; the second reads only cached counts, cut points,
-// bitmaps and pair tables, so it evaluates nothing either.
+// COMPOSEs words children, cutting them from their words, and builds no
+// row ids; the second reads only cached counts, cut points, selections
+// and pair tables, so it evaluates nothing either.
 func TestRepeatedHBCutsBuildsNoRows(t *testing.T) {
 	tab, ctx := packedVOC(t)
 	ev := NewEvaluator(tab)
@@ -162,24 +167,24 @@ func TestRepeatedHBCutsBuildsNoRows(t *testing.T) {
 	}
 }
 
-// TestCachedCutReadsNoRows cuts a candidate's packed-only children
-// twice, as a COMPOSE does. The first cut computes their cut points
-// and grandchildren from their words and leaves them packed-only; the
+// TestCachedCutReadsNoRows cuts a candidate's words children twice, as
+// a COMPOSE does. The first cut computes their cut points and
+// grandchildren from their words and leaves them as they are; the
 // second takes its count, its cut points and every grandchild from the
 // caches. Neither builds a row.
 func TestCachedCutReadsNoRows(t *testing.T) {
 	tab, ctx := packedVOC(t)
 	ev := NewEvaluator(tab)
-	s, ok, err := InitialCandidate(ev, ctx, "tonnage", DefaultCutOptions())
+	s, ok, err := InitialCut(ev, ctx, "tonnage", DefaultCutOptions())
 	if err != nil || !ok {
-		t.Fatalf("InitialCandidate: %v ok=%v", err, ok)
+		t.Fatalf("InitialCut: %v ok=%v", err, ok)
 	}
 	first, err := Cut(ev, s, "type_of_boat", DefaultCutOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := packedOnlyCount(ev, s.Queries); got != s.Depth() || ev.Counters().RowMaterializations != 0 {
-		t.Fatalf("%d of %d children packed-only after a cut computed their cut points, %d rows built", got, s.Depth(), ev.Counters().RowMaterializations)
+	if got := wordsCount(ev, s.Queries); got != s.Depth() || ev.Counters().RowMaterializations != 0 {
+		t.Fatalf("%d of %d children hold words after a cut computed their cut points, %d rows built", got, s.Depth(), ev.Counters().RowMaterializations)
 	}
 	before := ev.Counters()
 	again, err := Cut(ev, s, "type_of_boat", DefaultCutOptions())
@@ -195,13 +200,13 @@ func TestCachedCutReadsNoRows(t *testing.T) {
 	}
 }
 
-// TestStalePackedChildSplices appends rows and reads a packed-only
-// child two ways. Count refreshes it through its constraint chain
-// over the dirty chunks alone and splices the result into its words
-// (one DeltaRefreshes, no full evaluation), leaving it packed-only.
-// Re-running the cut splices every stale child from one pass over the
-// parent's dirty chunks, again without building rows. Each equals an
-// uncached evaluation, as do its rows once built.
+// TestStalePackedChildSplices appends rows and reads a words child two
+// ways. Count refreshes it through its constraint chain over the dirty
+// chunks alone and splices the result into its clean chunks (one
+// DeltaRefreshes, no full evaluation). Re-running the cut splices every
+// stale child from one pass over the parent's dirty chunks, again
+// without building rows. Each equals an uncached evaluation, every
+// chunk in its smaller form.
 func TestStalePackedChildSplices(t *testing.T) {
 	tab, ctx := packedVOC(t)
 	ev := NewEvaluator(tab)
@@ -219,12 +224,14 @@ func TestStalePackedChildSplices(t *testing.T) {
 	check := func(q sdl.Query) {
 		t.Helper()
 		want := uncachedRows(t, tab, q)
-		if ent, ok := ev.cached(q.Key()); !ok || ent.cs != nil || ent.stamp.Version() != tab.Stamp().Version() {
-			t.Fatalf("%s is not packed-only at the current version", q)
+		ent, ok := ev.cached(q.Key())
+		if !ok || !holdsWords(ent.sel) || ent.stamp.Version() != tab.Stamp().Version() {
+			t.Fatalf("%s does not hold words at the current version", q)
 		}
-		if bm, _ := ev.SelectBitmap(q); bm.Count() != want.Len() || !sameChunked(bm.Chunked(), want) {
+		if !sameChunked(ent.sel, want) {
 			t.Fatalf("spliced %s differs from an uncached evaluation", q)
 		}
+		checkSmallerForm(t, q.String(), ent.sel)
 	}
 
 	appendSome(0)
@@ -235,7 +242,7 @@ func TestStalePackedChildSplices(t *testing.T) {
 	}
 	after := ev.Counters()
 	if after.DeltaRefreshes != before.DeltaRefreshes+1 || after.FullEvals != before.FullEvals || after.RowMaterializations != before.RowMaterializations {
-		t.Fatalf("Count of a stale packed-only child: counters %+v -> %+v", before, after)
+		t.Fatalf("Count of a stale words child: counters %+v -> %+v", before, after)
 	}
 	if n != uncachedRows(t, tab, kids[0]).Len() {
 		t.Fatalf("stale %s counted %d after the splice", kids[0], n)
@@ -252,44 +259,39 @@ func TestStalePackedChildSplices(t *testing.T) {
 	}
 	for _, q := range again {
 		check(q)
-		got, err := ev.SelectChunked(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameChunked(got, uncachedRows(t, tab, q)) {
-			t.Fatalf("rows of spliced %s differ from an uncached evaluation", q)
-		}
 	}
 }
 
-// TestConcurrentMaterialization has four goroutines ask for the rows
-// of one packed-only child at once: each gets the same row ids, equal
-// to an uncached evaluation, and the cache ends up holding row ids.
+// TestConcurrentMaterialization has four goroutines ask for the flat
+// rows of one words child at once: each gets the same row ids, equal to
+// an uncached evaluation, each decode is counted, and the cache still
+// holds the child as it was.
 func TestConcurrentMaterialization(t *testing.T) {
 	tab, ctx := packedVOC(t)
 	ev := NewEvaluator(tab)
 	q := bornPacked(t, ev, ctx, "type_of_boat")[0]
-	want := uncachedRows(t, tab, q)
-	got := make([]*engine.ChunkedSelection, 4)
+	ent, _ := ev.cached(q.Key())
+	want := uncachedRows(t, tab, q).Flat()
+	got := make([]engine.Selection, 4)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], _ = ev.SelectChunked(q)
+			got[i], _ = ev.Select(q)
 		}()
 	}
 	wg.Wait()
-	for i, cs := range got {
-		if cs == nil || !sameChunked(cs, want) {
+	for i, rows := range got {
+		if !slices.Equal(rows, want) {
 			t.Fatalf("goroutine %d got rows that differ from an uncached evaluation", i)
 		}
 	}
-	if n := ev.Counters().RowMaterializations; n < 1 || n > len(got) {
+	if n := ev.Counters().RowMaterializations; n != len(got) {
 		t.Fatalf("%d row materializations for %d concurrent readers", n, len(got))
 	}
-	if ent, _ := ev.cached(q.Key()); ent.cs == nil {
-		t.Fatal("the cache still holds the child packed-only")
+	if again, _ := ev.cached(q.Key()); again.sel != ent.sel {
+		t.Fatal("reading the rows rewrote the cache entry")
 	}
 }
 
@@ -310,39 +312,29 @@ func evictUnder(t *testing.T, ev *Evaluator, q sdl.Query, present func() bool, p
 	}
 }
 
-// TestPackedChildOutlivesPackedCacheEviction evicts a packed-only
-// child's packed-cache entry under a cache limit: the selection entry
-// still holds the bitmap, so the child's count, pair side and rows
-// stay readable and exact, and the pair side builds no rows. Evicting
-// the selection entry instead leaves the packed entry, which a pair
-// side reads first: it evaluates nothing.
+// TestPackedChildOutlivesPackedCacheEviction evicts a words child's
+// selection entry, the one store, under a cache limit: its count, pair
+// side and rows are evaluated afresh and stay exact, and the pair side
+// builds no rows.
 func TestPackedChildOutlivesPackedCacheEviction(t *testing.T) {
 	tab, ctx := packedVOC(t)
 	opt := DefaultCutOptions()
 	candidate := func(ev *Evaluator, attr string) *Segmentation {
 		t.Helper()
-		s, ok, err := InitialCandidate(ev, ctx, attr, opt)
+		s, ok, err := InitialCut(ev, ctx, attr, opt)
 		if err != nil || !ok {
-			t.Fatalf("InitialCandidate(%s): %v ok=%v", attr, err, ok)
+			t.Fatalf("InitialCut(%s): %v ok=%v", attr, err, ok)
 		}
 		return s
 	}
-	all := engine.NewBitmapChunked(tab.AllChunked())
-
 	ev := NewEvaluator(tab)
 	s, other := candidate(ev, "tonnage"), candidate(ev, "type_of_boat")
 	q := s.Queries[0]
-	evictUnder(t, ev, q, func() bool {
-		_, ok := ev.cachedPacked(q.Key())
-		return ok
-	}, func(k string) { ev.storeBitmap(k, all, tab.Stamp()) })
-	if ent, ok := ev.cached(q.Key()); !ok || ent.cs != nil {
-		t.Fatal("the selection entry is no longer packed-only")
-	}
 	want := uncachedRows(t, tab, q)
-	if n, err := ev.Count(q); err != nil || n != want.Len() {
-		t.Fatalf("Count after eviction = %d, %v; want %d", n, err, want.Len())
-	}
+	evictUnder(t, ev, q, func() bool {
+		_, ok := ev.cached(q.Key())
+		return ok
+	}, func(k string) { ev.store(k, cachedSel{sel: want, stamp: tab.Stamp()}) })
 	before := ev.Counters()
 	cells, err := CellCountsOpt(ev, s, other, PairOptions{Workers: 1})
 	if err != nil {
@@ -351,35 +343,21 @@ func TestPackedChildOutlivesPackedCacheEviction(t *testing.T) {
 	if fresh := freshCells(t, tab, s, other); !equalCells(cells, fresh) {
 		t.Fatalf("pair table after eviction %v, fresh %v", cells, fresh)
 	}
-	if ev.Counters().RowMaterializations != before.RowMaterializations {
-		t.Fatal("the pair side of an evicted packed child built its rows instead of reading its bitmap")
+	if after := ev.Counters(); after.FullEvals == before.FullEvals || after.RowMaterializations != before.RowMaterializations {
+		t.Fatalf("pair sides with the selection entry evicted: counters %+v -> %+v", before, after)
+	}
+	if n, err := ev.Count(q); err != nil || n != want.Len() {
+		t.Fatalf("Count after eviction = %d, %v; want %d", n, err, want.Len())
 	}
 	got, err := ev.SelectChunked(q)
 	if err != nil || !sameChunked(got, want) {
 		t.Fatalf("rows after eviction differ from an uncached evaluation (%v)", err)
 	}
-
-	ev = NewEvaluator(tab)
-	s, other = candidate(ev, "tonnage"), candidate(ev, "type_of_boat")
-	q = s.Queries[0]
-	evictUnder(t, ev, q, func() bool {
-		_, ok := ev.cached(q.Key())
-		return ok
-	}, func(k string) { ev.store(k, cachedSel{cs: want, stamp: tab.Stamp()}) })
-	before = ev.Counters()
-	if cells, err = CellCountsOpt(ev, s, other, PairOptions{Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if fresh := freshCells(t, tab, s, other); !equalCells(cells, fresh) {
-		t.Fatalf("pair table after evicting the selection entry %v, fresh %v", cells, fresh)
-	}
-	if after := ev.Counters(); after.FullEvals != before.FullEvals || after.RowMaterializations != before.RowMaterializations {
-		t.Fatalf("pair sides with the selection entry evicted: counters %+v -> %+v", before, after)
-	}
+	checkSmallerForm(t, q.String(), got)
 }
 
 // coldEvaluator is a caching-off evaluator over tab: every query is
-// evaluated in full and nothing is packed-only.
+// evaluated in full.
 func coldEvaluator(tab *engine.Table) *Evaluator {
 	cold := NewEvaluator(tab)
 	cold.SetCaching(false)
@@ -393,25 +371,24 @@ func sameSegs(a, b *Segmentation) bool {
 }
 
 // TestComposePackedParentsBuildsNoRows COMPOSEs two HB-cuts candidates
-// whose children are packed-only, both ways and as a plain Compose and
-// a candidate one: every inner cut computes its cut points and its
-// grandchildren from a packed parent's words, so no row is built, and
-// every result equals a caching-off evaluator's.
+// whose children hold words, both ways: every inner cut computes its
+// cut points and its grandchildren from a parent's words, so no row is
+// built, and every result equals a caching-off evaluator's.
 func TestComposePackedParentsBuildsNoRows(t *testing.T) {
 	tab, ctx := packedVOC(t)
 	ev, cold := NewEvaluator(tab), coldEvaluator(tab)
 	opt := DefaultCutOptions()
 	initial := func(ev *Evaluator, attr string) *Segmentation {
 		t.Helper()
-		s, ok, err := InitialCandidate(ev, ctx, attr, opt)
+		s, ok, err := InitialCut(ev, ctx, attr, opt)
 		if err != nil || !ok {
-			t.Fatalf("InitialCandidate(%s): %v ok=%v", attr, err, ok)
+			t.Fatalf("InitialCut(%s): %v ok=%v", attr, err, ok)
 		}
 		return s
 	}
 	a, b := initial(ev, "tonnage"), initial(ev, "type_of_boat")
-	if n := len(packedOnlyQueries(ev, []*Segmentation{a, b})); n != a.Depth()+b.Depth() {
-		t.Fatalf("%d of %d candidate children are packed-only", n, a.Depth()+b.Depth())
+	if n := len(wordsQueries(ev, []*Segmentation{a, b})); n != a.Depth()+b.Depth() {
+		t.Fatalf("%d of %d candidate children hold words", n, a.Depth()+b.Depth())
 	}
 	ca, cb := initial(cold, "tonnage"), initial(cold, "type_of_boat")
 	before := ev.Counters()
@@ -421,7 +398,6 @@ func TestComposePackedParentsBuildsNoRows(t *testing.T) {
 	}{
 		{"Compose(tonnage, type_of_boat)", func() (*Segmentation, error) { return Compose(ev, a, b, opt) }, func() (*Segmentation, error) { return Compose(cold, ca, cb, opt) }},
 		{"Compose(type_of_boat, tonnage)", func() (*Segmentation, error) { return Compose(ev, b, a, opt) }, func() (*Segmentation, error) { return Compose(cold, cb, ca, opt) }},
-		{"ComposeCandidate(tonnage, type_of_boat)", func() (*Segmentation, error) { return ComposeCandidate(ev, a, b, opt, 12) }, func() (*Segmentation, error) { return ComposeCandidate(cold, ca, cb, opt, 12) }},
 	} {
 		got, err := tc.got()
 		if err != nil {
@@ -437,11 +413,11 @@ func TestComposePackedParentsBuildsNoRows(t *testing.T) {
 	}
 	after := ev.Counters()
 	if after.RowMaterializations != before.RowMaterializations || after.NarrowEvals == before.NarrowEvals || after.CutPointCalcs == before.CutPointCalcs {
-		t.Fatalf("COMPOSE over packed-only candidates: counters %+v -> %+v", before, after)
+		t.Fatalf("COMPOSE over words candidates: counters %+v -> %+v", before, after)
 	}
 }
 
-// TestZoomedReadviseBuildsNoRows zooms into a packed-only child of a
+// TestZoomedReadviseBuildsNoRows zooms into a words child of a
 // candidate — it becomes the context — and re-advises there: every
 // candidate of the zoomed context and every pair's INDEP, on an
 // evaluator whose caches hold the first advise. The zoomed context is
@@ -487,11 +463,11 @@ func TestZoomedReadviseBuildsNoRows(t *testing.T) {
 	}
 }
 
-// TestSparsePackedPairSide packs a cut of a dense context into a piece
-// holding under 1/64 of the table and the rest, and pairs it with a
-// candidate. The sparse piece's pair side is its packed-only bitmap, so
-// the pair builds no row, and its table equals a caching-off
-// evaluator's.
+// TestSparsePackedPairSide cuts a dense context into a piece holding
+// under 1/32 of every chunk and the rest, and pairs it with a candidate.
+// The sparse piece is stored as row ids and the rest as words, the pair
+// sides are the cached selections as they are, the pair builds no row,
+// and its table equals a caching-off evaluator's.
 func TestSparsePackedPairSide(t *testing.T) {
 	tab, ctx := packedVOC(t)
 	ev := NewEvaluator(tab)
@@ -510,17 +486,18 @@ func TestSparsePackedPairSide(t *testing.T) {
 		}
 		children = append(children, child)
 	}
-	counts, err := ev.cutChildren(ctx, children, "tonnage", true)
+	counts, err := ev.cutChildren(ctx, children, "tonnage")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counts[0] == 0 || engine.DenseEnough(counts[0], tab.NumRows()) || packedOnlyCount(ev, children) != 2 {
-		t.Fatalf("piece counts %v: want a packed-only piece under 1/64 of %d rows", counts, tab.NumRows())
+	sparse, _ := ev.cached(children[0].Key())
+	if counts[0] == 0 || holdsWords(sparse.sel) || wordsCount(ev, children[1:]) != 1 {
+		t.Fatalf("piece counts %v: want a row-id piece under 1/32 of every chunk and a words piece", counts)
 	}
 	s := &Segmentation{Queries: children, CutAttrs: []string{"tonnage"}, Counts: counts}
-	other, ok, err := InitialCandidate(ev, ctx, "type_of_boat", DefaultCutOptions())
+	other, ok, err := InitialCut(ev, ctx, "type_of_boat", DefaultCutOptions())
 	if err != nil || !ok {
-		t.Fatalf("InitialCandidate: %v ok=%v", err, ok)
+		t.Fatalf("InitialCut: %v ok=%v", err, ok)
 	}
 	before := ev.Counters()
 	memo := NewPairMemo()
@@ -532,18 +509,18 @@ func TestSparsePackedPairSide(t *testing.T) {
 		t.Fatalf("pair table %v, caching off %v", cells, fresh)
 	}
 	if after := ev.Counters(); after.RowMaterializations != before.RowMaterializations || after.FullEvals != before.FullEvals {
-		t.Fatalf("sparse packed pair side: counters %+v -> %+v", before, after)
+		t.Fatalf("sparse pair side: counters %+v -> %+v", before, after)
 	}
 	for key, side := range memo.m {
-		if strings.HasSuffix(key, "\x00"+s.Key()) && (side.bms[0] == nil || side.sels[0] != nil) {
-			t.Fatal("the sparse packed-only piece's pair side is not its bitmap")
+		if strings.HasSuffix(key, "\x00"+s.Key()) && side[0] != sparse.sel {
+			t.Fatal("the sparse piece's pair side is not its cached selection")
 		}
 	}
 }
 
-// TestStalePackedParentCutRefresh computes a string cut of a
-// packed-only child on a memory table — its per-chunk counts retained
-// — then appends rows and cuts it again. The child is refreshed as
+// TestStalePackedParentCutRefresh computes a string cut of a words
+// child on a memory table — its per-chunk counts retained — then
+// appends rows and cuts it again. The child is refreshed, still holding
 // words, and its cut points are refreshed by recounting the dirty
 // chunks of its words (CutRefreshes +1) without building a row; the
 // pieces equal a caching-off evaluator's.
@@ -569,10 +546,10 @@ func TestStalePackedParentCutRefresh(t *testing.T) {
 	}
 	after := ev.Counters()
 	if after.CutRefreshes != before.CutRefreshes+1 || after.CutPointCalcs != before.CutPointCalcs+1 || after.RowMaterializations != before.RowMaterializations || after.FullEvals != before.FullEvals {
-		t.Fatalf("re-cut of a stale packed-only parent: counters %+v -> %+v", before, after)
+		t.Fatalf("re-cut of a stale words parent: counters %+v -> %+v", before, after)
 	}
-	if packedOnlyCount(ev, []sdl.Query{q}) != 1 {
-		t.Fatalf("%s is no longer packed-only", q)
+	if wordsCount(ev, []sdl.Query{q}) != 1 {
+		t.Fatalf("%s no longer holds words", q)
 	}
 	want, err := CutQuery(coldEvaluator(tab), q, "type_of_boat", opt)
 	if err != nil {

@@ -2,7 +2,6 @@ package seg
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"charles/internal/dataset"
@@ -38,19 +37,15 @@ type cutOutcome struct {
 	delta    Counters
 }
 
-// checkCut runs cutSeg and holds what it left in ev's caches to a
-// cold evaluator on the same table. With caching on, every child of a
-// split parent is cached at the current version with exactly a cold
-// SelectChunked's rows — as row ids, or as the bitmap of a packed-only
-// entry, which is then the packed cache's own bitmap — and a fresh
-// packed entry for a child equals a cold SelectBitmap; when the cut
-// evaluated every child and packs (fewer pieces than packBelow,
-// caching on, parent dense enough), every child is packed-only. The
-// result's counts are the cold counts.
-func checkCut(t *testing.T, ev *Evaluator, in *Segmentation, attr string, opt CutOptions, packBelow int) cutOutcome {
+// checkCut runs Cut and holds what it left in ev's caches to a cold
+// evaluator on the same table. With caching on, every child of a split
+// parent is cached at the current version with exactly a cold
+// SelectChunked's rows, every chunk in its smaller form. The result's
+// counts are the cold counts.
+func checkCut(t *testing.T, ev *Evaluator, in *Segmentation, attr string, opt CutOptions) cutOutcome {
 	t.Helper()
 	before := ev.Counters()
-	out, err := cutSeg(ev, in, attr, opt, packBelow)
+	out, err := Cut(ev, in, attr, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,62 +56,33 @@ func checkCut(t *testing.T, ev *Evaluator, in *Segmentation, attr string, opt Cu
 		DeltaRefreshes: after.DeltaRefreshes - before.DeltaRefreshes,
 	}}
 	tab := ev.Table()
-	nRows, version := tab.NumRows(), tab.Stamp().Version()
-	caching := ev.caching.Load()
-	var denseParent []bool
-	pieces := 0
-	for i, q := range in.Queries {
+	version := tab.Stamp().Version()
+	for _, q := range in.Queries {
 		children, err := CutQuery(ev, q, attr, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pieces += len(children)
-		if len(children) < 2 {
-			continue
+		if len(children) >= 2 {
+			res.children = append(res.children, children...)
 		}
-		for range children {
-			denseParent = append(denseParent, engine.DenseEnough(in.Counts[i], nRows))
-		}
-		res.children = append(res.children, children...)
 	}
-	evaluatedAll := res.delta.NarrowEvals == len(res.children)
 	cold := NewEvaluator(tab)
-	for k, child := range res.children {
+	for _, child := range res.children {
 		want, err := cold.SelectChunked(child)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !caching {
+		if !ev.caching.Load() {
 			continue
 		}
 		ent, ok := ev.cached(child.Key())
 		if !ok || ent.stamp.Version() != version {
 			t.Fatalf("cut on %s: child %s is not cached at the current version", attr, child)
 		}
-		got := ent.cs
-		if got == nil {
-			got = ent.bm.Chunked()
-		}
-		if !sameChunked(got, want) {
+		if !sameChunked(ent.sel, want) {
 			t.Fatalf("cut on %s: cached child %s differs from a cold evaluation", attr, child)
 		}
-		pe, packed := ev.cachedPacked(child.Key())
-		packed = packed && pe.stamp.Version() == version
-		if ent.cs == nil && (!packed || pe.bm != ent.bm) {
-			t.Fatalf("cut on %s: packed-only child %s does not hold the packed cache's bitmap", attr, child)
-		}
-		if pieces < packBelow && denseParent[k] && evaluatedAll && ent.cs != nil {
-			t.Fatalf("cut on %s: child %s (%d rows) of a dense parent was not packed", attr, child, want.Len())
-		}
-		if packed {
-			bm, err := cold.SelectBitmap(child)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pe.bm.Count() != bm.Count() || pe.bm.ChunkRows() != bm.ChunkRows() || !reflect.DeepEqual(pe.bm.Selection(), bm.Selection()) {
-				t.Fatalf("cut on %s: packed child %s differs from a cold SelectBitmap", attr, child)
-			}
-		}
+		checkSmallerForm(t, child.String(), ent.sel)
 	}
 	for i, q := range out.Queries {
 		n, err := cold.Count(q)
@@ -130,35 +96,45 @@ func checkCut(t *testing.T, ev *Evaluator, in *Segmentation, attr string, opt Cu
 	return res
 }
 
-// packedCount counts the queries holding a packed-cache entry.
-func packedCount(ev *Evaluator, qs []sdl.Query) int {
+// checkSmallerForm holds every chunk of cs to the storage rule: words
+// exactly when its n of lenC rows take no more memory as words, 4·n ≥
+// 8·⌈lenC/64⌉ bytes, row ids otherwise.
+func checkSmallerForm(t *testing.T, name string, cs *engine.ChunkedSelection) {
+	t.Helper()
+	for c := 0; c < cs.NumChunks(); c++ {
+		n := len(cs.Seg(c))
+		lenC := min(cs.ChunkRows(), cs.NumRows()-c*cs.ChunkRows())
+		if words := n > 0 && 4*n >= 8*((lenC+63)/64); (cs.Words(c) != nil) != words {
+			t.Fatalf("%s: chunk %d holds %d of %d rows as words %v, want words %v", name, c, n, lenC, cs.Words(c) != nil, words)
+		}
+	}
+}
+
+// wordsCount counts the queries whose cached selection holds words.
+func wordsCount(ev *Evaluator, qs []sdl.Query) int {
 	n := 0
 	for _, q := range qs {
-		if _, ok := ev.cachedPacked(q.Key()); ok {
+		if ent, ok := ev.cached(q.Key()); ok && holdsWords(ent.sel) {
 			n++
 		}
 	}
 	return n
 }
 
-// packedOnlyCount counts the queries whose selection entry is
-// packed-only: no row ids built yet.
-func packedOnlyCount(ev *Evaluator, qs []sdl.Query) int {
-	n := 0
-	for _, q := range qs {
-		if ent, ok := ev.cached(q.Key()); ok && ent.cs == nil {
-			n++
+// holdsWords reports whether some chunk of cs is held as words.
+func holdsWords(cs *engine.ChunkedSelection) bool {
+	for c := 0; c < cs.NumChunks(); c++ {
+		if cs.Words(c) != nil {
+			return true
 		}
 	}
-	return n
+	return false
 }
 
 // TestCutChildrenMatchColdEvaluation holds every child a cut's
-// partition pass evaluates — and every bitmap it packs for an HB-cuts
-// candidate — to a cold evaluation of the child query on a VOC
-// context: initial cuts on every column kind, then a COMPOSE-shaped
-// pair of arity-3 cuts whose inner cut is no candidate and packs
-// nothing. It runs at the default layout and at 1 024-row chunks, with
+// partition pass evaluates to a cold evaluation of the child query on a
+// VOC context, every chunk in its smaller form: initial cuts on every
+// column kind, then a COMPOSE-shaped pair of arity-3 cuts. It runs at the default layout and at 1 024-row chunks, with
 // caching off and with zone pruning off. Every child is evaluated
 // exactly once: one NarrowEvals per child.
 func TestCutChildrenMatchColdEvaluation(t *testing.T) {
@@ -191,7 +167,7 @@ func TestCutChildrenMatchColdEvaluation(t *testing.T) {
 			}
 			var first *Segmentation
 			for _, attr := range ctx.Attrs() {
-				r := checkCut(t, ev, singleton(ctx, n, ""), attr, DefaultCutOptions(), math.MaxInt)
+				r := checkCut(t, ev, singleton(ctx, n, ""), attr, DefaultCutOptions())
 				if len(r.children) < 2 || r.delta.NarrowEvals != len(r.children) {
 					t.Fatalf("initial cut on %s: %d narrow evals for %d children", attr, r.delta.NarrowEvals, len(r.children))
 				}
@@ -200,11 +176,8 @@ func TestCutChildrenMatchColdEvaluation(t *testing.T) {
 				}
 			}
 			arity3 := CutOptions{Arity: 3}
-			inner := checkCut(t, ev, first, "tonnage", arity3, 0)
-			if got := packedCount(ev, inner.children); got != 0 {
-				t.Fatalf("a cut that is no candidate packed %d children", got)
-			}
-			outer := checkCut(t, ev, inner.out, "departure_date", arity3, math.MaxInt)
+			inner := checkCut(t, ev, first, "tonnage", arity3)
+			outer := checkCut(t, ev, inner.out, "departure_date", arity3)
 			for _, r := range []cutOutcome{inner, outer} {
 				if r.delta.NarrowEvals != len(r.children) {
 					t.Fatalf("composed cut: %d narrow evals for %d children", r.delta.NarrowEvals, len(r.children))
@@ -241,7 +214,7 @@ func TestCutPartitionKeepsNaNTraps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := checkCut(t, ev, singleton(ctx, n, ""), "redshift", DefaultCutOptions(), math.MaxInt)
+		r := checkCut(t, ev, singleton(ctx, n, ""), "redshift", DefaultCutOptions())
 		k := r.out.Depth()
 		if want := n + len(rows)*(k-1); k < 2 || r.out.Total() != want {
 			t.Fatalf("pruning %v: range cut into %d children covers %d rows, want %d (every NaN row in every child)", pruning, k, r.out.Total(), want)
@@ -250,7 +223,7 @@ func TestCutPartitionKeepsNaNTraps(t *testing.T) {
 
 	status := skewedStatusTable(t)
 	ev := NewEvaluator(status)
-	r := checkCut(t, ev, singleton(sdl.ContextAll(status), status.NumRows(), ""), "latency", DefaultCutOptions(), math.MaxInt)
+	r := checkCut(t, ev, singleton(sdl.ContextAll(status), status.NumRows(), ""), "latency", DefaultCutOptions())
 	nonNaN := 0
 	for _, v := range status.MustColumn("latency").(*engine.FloatColumn).Float64s() {
 		if v == v {
@@ -272,11 +245,11 @@ func valueRow(tab *engine.Table, r int) []engine.Value {
 }
 
 // TestCutChildrenSpliceAfterMutation pins the cached paths of a cut's
-// children, born packed-only. Re-cutting an unmutated parent serves
+// children, dense enough to be born as words. Re-cutting an unmutated parent serves
 // every child from the cache with no pass and without reading the
 // parent's rows. After an append or an in-place update the children
 // are stale with the same dirty chunks, so one pass re-partitions
-// only those chunks of the parent and splices each into its words —
+// only those chunks of the parent and splices each into its chunks —
 // one DeltaRefreshes per child — while a child never cached before,
 // cut alongside them, takes a whole-parent pass (one NarrowEvals).
 // Every child equals a cold evaluation; so does a whole cut afterwards.
@@ -299,15 +272,15 @@ func TestCutChildrenSpliceAfterMutation(t *testing.T) {
 			}
 			cutChildren := func(children []sdl.Query) []int {
 				t.Helper()
-				got, err := ev.cutChildren(ctx, children, "tonnage", true)
+				got, err := ev.cutChildren(ctx, children, "tonnage")
 				if err != nil {
 					t.Fatal(err)
 				}
 				return got
 			}
 			cutChildren(children)
-			if got := packedOnlyCount(ev, children); got != len(children) {
-				t.Fatalf("%d of %d children were born packed-only", got, len(children))
+			if got := wordsCount(ev, children); got != len(children) {
+				t.Fatalf("%d of %d children were born holding words", got, len(children))
 			}
 			before := ev.Counters()
 			cutChildren(children)
@@ -338,13 +311,13 @@ func TestCutChildrenSpliceAfterMutation(t *testing.T) {
 			got := cutChildren(mixed)
 			after = ev.Counters()
 			// One refresh for the parent itself, one splice per cached
-			// child, one evaluation for the new one; no child's row ids
-			// are built.
+			// child, one evaluation for the new one; no row ids are
+			// built from words.
 			if after.DeltaRefreshes-before.DeltaRefreshes != 1+len(children) || after.NarrowEvals-before.NarrowEvals != 1 || after.RowMaterializations != before.RowMaterializations {
 				t.Fatalf("re-cut after %s: counters %+v -> %+v", mutation, before, after)
 			}
-			if got := packedOnlyCount(ev, mixed); got != len(mixed) {
-				t.Fatalf("%d of %d children are packed-only after the splice", got, len(mixed))
+			if got := wordsCount(ev, mixed); got != len(mixed) {
+				t.Fatalf("%d of %d children hold words after the splice", got, len(mixed))
 			}
 			cold := NewEvaluator(tab)
 			for i, child := range mixed {
@@ -359,99 +332,15 @@ func TestCutChildrenSpliceAfterMutation(t *testing.T) {
 				if got[i] != want.Len() || !sameChunked(cs, want) {
 					t.Fatalf("spliced child %s differs from a cold evaluation", child)
 				}
+				checkSmallerForm(t, child.String(), cs)
 			}
 			n, err := ev.Count(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, attr := range []string{"tonnage", "type_of_boat"} {
-				checkCut(t, ev, singleton(ctx, n, ""), attr, DefaultCutOptions(), math.MaxInt)
+				checkCut(t, ev, singleton(ctx, n, ""), attr, DefaultCutOptions())
 			}
 		})
-	}
-}
-
-// TestCandidateCutsPackOnlyPairedResults pins which cuts pack their
-// children: only those whose result HB-cuts pairs with bitmap sides.
-// Plain InitialCut and Compose pack nothing; InitialCandidate packs
-// every child of its dense context; ComposeCandidate packs only its
-// outermost cut, and only while the result stays below maxDepth
-// queries. Every piece is packed, the last one included, though INDEP
-// derives rather than pairs it: it is born in one form either way.
-func TestCandidateCutsPackOnlyPairedResults(t *testing.T) {
-	tab := dataset.VOC(20000, 4)
-	tab.SetChunkRows(1024)
-	ctx, err := sdl.ContextOn(tab, "type_of_boat", "tonnage", "departure_date")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := &Segmentation{CutAttrs: []string{"departure_date", "type_of_boat"}}
-	// every returns the depth of a candidate whose parents were all
-	// dense, so that every piece is packed.
-	every := func(parents, s *Segmentation) int {
-		if !s.provenAt(tab.Fingerprint()) {
-			t.Fatalf("candidate %s carries no partition proof", s)
-		}
-		for _, c := range parents.Counts {
-			if !engine.DenseEnough(c, tab.NumRows()) {
-				t.Fatalf("parent of %d rows is not dense: the test needs dense parents", c)
-			}
-		}
-		return s.Depth()
-	}
-	run := func(initial func(ev *Evaluator) (*Segmentation, bool, error), compose func(ev *Evaluator, s1 *Segmentation) (*Segmentation, error)) (ev *Evaluator, s1, composed *Segmentation) {
-		t.Helper()
-		ev = NewEvaluator(tab)
-		s1, ok, err := initial(ev)
-		if err != nil || !ok {
-			t.Fatalf("initial cut: %v ok=%v", err, ok)
-		}
-		composed, err = compose(ev, s1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ev, s1, composed
-	}
-	opt := DefaultCutOptions()
-	initialCand := func(ev *Evaluator) (*Segmentation, bool, error) {
-		return InitialCandidate(ev, ctx, "tonnage", opt)
-	}
-	composeCand := func(maxDepth int) func(ev *Evaluator, s1 *Segmentation) (*Segmentation, error) {
-		return func(ev *Evaluator, s1 *Segmentation) (*Segmentation, error) {
-			return ComposeCandidate(ev, s1, s2, opt, maxDepth)
-		}
-	}
-
-	ev, s1, composed := run(initialCand, composeCand(12))
-	n, err := ev.Count(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := packedCount(ev, s1.Queries), every(singleton(ctx, n, ""), s1); got != want {
-		t.Fatalf("InitialCandidate packed %d children, want all %d", got, want)
-	}
-	inner, err := Cut(NewEvaluator(tab), s1, "type_of_boat", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := packedCount(ev, inner.Queries); got != 0 {
-		t.Fatalf("the inner cut of a COMPOSE packed %d of its %d children", got, inner.Depth())
-	}
-	if got, want := packedCount(ev, composed.Queries), every(inner, composed); composed.Depth() >= 12 || got != want {
-		t.Fatalf("the outermost cut packed %d children, want all %d", got, want)
-	}
-
-	// A composition that may reach maxDepth is not paired: nothing of
-	// it is packed.
-	ev, _, composed = run(initialCand, composeCand(composed.Depth()))
-	if got := packedCount(ev, composed.Queries); got != 0 {
-		t.Fatalf("a composition at maxDepth packed %d children", got)
-	}
-
-	ev, s1, composed = run(
-		func(ev *Evaluator) (*Segmentation, bool, error) { return InitialCut(ev, ctx, "tonnage", opt) },
-		func(ev *Evaluator, s1 *Segmentation) (*Segmentation, error) { return Compose(ev, s1, s2, opt) })
-	if got := packedCount(ev, s1.Queries) + packedCount(ev, composed.Queries); got != 0 {
-		t.Fatalf("plain InitialCut and Compose packed %d children", got)
 	}
 }

@@ -22,28 +22,35 @@ func selectBitmapQueries(t *testing.T, tab *engine.Table) []sdl.Query {
 	return []sdl.Query{ctx, qString, qRange, qConj, qEmpty}
 }
 
-// packedRef returns q's selection on a fresh evaluator over tab,
-// packed: what SelectBitmap must equal bit for bit.
+// packedRef returns q's selection on a fresh evaluator over tab: what
+// SelectBitmap must equal chunk for chunk, form included.
 func packedRef(t *testing.T, tab *engine.Table, q sdl.Query) *engine.Bitmap {
 	t.Helper()
 	cs, err := NewEvaluator(tab).SelectChunked(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return engine.NewBitmapChunked(cs)
+	return cs
 }
 
 // sameBitmap reports whether a and b select the same rows under the
-// same chunk layout.
+// same chunk layout, each chunk in the same form.
 func sameBitmap(a, b *engine.Bitmap) bool {
-	return a.Count() == b.Count() && a.ChunkRows() == b.ChunkRows() && reflect.DeepEqual(a.Selection(), b.Selection())
+	if a.Len() != b.Len() || a.ChunkRows() != b.ChunkRows() || a.NumChunks() != b.NumChunks() || !reflect.DeepEqual(a.Flat(), b.Flat()) {
+		return false
+	}
+	for c := 0; c < a.NumChunks(); c++ {
+		if (a.Words(c) == nil) != (b.Words(c) == nil) {
+			return false
+		}
+	}
+	return true
 }
 
-// TestSelectBitmapMatchesPacked pins SelectBitmap to packing the
-// chunked selection, for every query shape: on a cold evaluator (one
-// FullEvals, then a repeat served from the packed cache), on a warm
-// one whose selection is cached but not packed (no evaluation), and
-// with caching off.
+// TestSelectBitmapMatchesPacked pins SelectBitmap to the chunked
+// selection, for every query shape: on a cold evaluator (one FullEvals,
+// then a repeat served from the cache), on a warm one whose selection
+// is cached (the same selection, no evaluation), and with caching off.
 func TestSelectBitmapMatchesPacked(t *testing.T) {
 	tab := dataset.VOC(3000, 5)
 	for _, q := range selectBitmapQueries(t, tab) {
@@ -55,7 +62,7 @@ func TestSelectBitmapMatchesPacked(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !sameBitmap(first, want) {
-			t.Fatalf("%s: cold SelectBitmap differs from the packed selection", q)
+			t.Fatalf("%s: cold SelectBitmap differs from a fresh selection", q)
 		}
 		if c := cold.Counters(); c.FullEvals != 1 || c.CacheHits != 0 {
 			t.Fatalf("%s: cold SelectBitmap counted %d full evals and %d hits, want 1 and 0", q, c.FullEvals, c.CacheHits)
@@ -65,22 +72,23 @@ func TestSelectBitmapMatchesPacked(t *testing.T) {
 			t.Fatal(err)
 		}
 		if hit != first {
-			t.Fatalf("%s: repeated SelectBitmap did not serve the cached bitmap", q)
+			t.Fatalf("%s: repeated SelectBitmap did not serve the cached selection", q)
 		}
 		if c := cold.Counters(); c.FullEvals != 1 || c.CacheHits != 1 {
 			t.Fatalf("%s: repeated SelectBitmap counted %d full evals and %d hits, want 1 and 1", q, c.FullEvals, c.CacheHits)
 		}
 
 		warm := NewEvaluator(tab)
-		if _, err := warm.SelectChunked(q); err != nil { // selection cached, bitmap not
+		cached, err := warm.SelectChunked(q)
+		if err != nil {
 			t.Fatal(err)
 		}
 		packed, err := warm.SelectBitmap(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameBitmap(packed, want) {
-			t.Fatalf("%s: packing the cached selection differs", q)
+		if packed != cached || !sameBitmap(packed, want) {
+			t.Fatalf("%s: SelectBitmap is not the cached selection", q)
 		}
 		if c := warm.Counters(); c.FullEvals != 1 {
 			t.Fatalf("%s: warm SelectBitmap re-evaluated (%d full evals)", q, c.FullEvals)
@@ -98,11 +106,11 @@ func TestSelectBitmapMatchesPacked(t *testing.T) {
 	}
 }
 
-// TestSelectBitmapSplicesStaleEntry pins the delta path of the packed
-// cache: after an append, a query whose selection has been refreshed
-// finds its packed entry stale, and SelectBitmap splices fresh words
-// for the dirty chunks only — one DeltaRefreshes, no FullEvals — into
-// a bitmap equal to packing a fresh evaluator's selection.
+// TestSelectBitmapSplicesStaleEntry pins the delta path of the
+// selection cache: after an append, SelectBitmap finds each entry
+// stale and splices fresh chunks for the dirty chunks only — one
+// DeltaRefreshes, no FullEvals — into a selection equal to a fresh
+// evaluator's, chunk forms included.
 func TestSelectBitmapSplicesStaleEntry(t *testing.T) {
 	tab := dataset.VOC(3000, 5)
 	tab.SetChunkRows(512)
@@ -124,9 +132,6 @@ func TestSelectBitmapSplicesStaleEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range qs {
-		if _, err := ev.SelectChunked(q); err != nil { // refreshes the selection
-			t.Fatal(err)
-		}
 		before := ev.Counters()
 		got, err := ev.SelectBitmap(q)
 		if err != nil {
@@ -140,10 +145,10 @@ func TestSelectBitmapSplicesStaleEntry(t *testing.T) {
 			t.Fatalf("%s: SelectBitmap after the append counted %d full evals, want 0", q, d)
 		}
 		if got == stale[i] || got.NumRows() != tab.NumRows() {
-			t.Fatalf("%s: SelectBitmap served the pre-append bitmap", q)
+			t.Fatalf("%s: SelectBitmap served the pre-append selection", q)
 		}
 		if !sameBitmap(got, packedRef(t, tab, q)) {
-			t.Fatalf("%s: spliced bitmap differs from packing a fresh selection", q)
+			t.Fatalf("%s: spliced selection differs from a fresh one", q)
 		}
 	}
 }
