@@ -72,9 +72,9 @@ func newServerMetrics(ev *seg.Evaluator) *serverMetrics {
 	ev.SetEvalMetrics(&seg.EvalMetrics{
 		FullEvals:           reg.NewCounter("charles_seg_full_evals_total", "full constraint-chain query evaluations (selection cache misses)"),
 		NarrowEvals:         reg.NewCounter("charles_seg_narrow_evals_total", "cut children evaluated from their parent's selection"),
-		CacheHits:           reg.NewCounter("charles_seg_cache_hits_total", "selections served from the evaluator cache"),
+		CacheHits:           reg.NewCounter("charles_seg_cache_hits_total", "selections served from the evaluator cache (a cut served from the cut cache looks none up)"),
 		CutPointCalcs:       reg.NewCounter("charles_seg_cut_point_calcs_total", "median/quantile cut-point computations"),
-		CutCacheHits:        reg.NewCounter("charles_seg_cut_cache_hits_total", "cut-point sets served from the cut cache"),
+		CutCacheHits:        reg.NewCounter("charles_seg_cut_cache_hits_total", "cuts served whole (children and counts) from a version-equal cut-cache entry"),
 		DeltaRefreshes:      reg.NewCounter("charles_delta_refreshes_total", "cached selections spliced up to date after a mutation"),
 		CutRefreshes:        reg.NewCounter("charles_delta_cut_refreshes_total", "cached cut points spliced up to date after a mutation"),
 		PairMemoHits:        reg.NewCounter("charles_seg_pair_memo_hits_total", "pairwise operand sides reused from a PairMemo"),

@@ -1,7 +1,8 @@
 // Documentation checks, run by `make docs-check` (and plain go
 // test): every relative markdown link in README.md and docs/ must
 // resolve to a file in the repository, every `make <target>` the docs
-// and CI tell a reader to run must be a Makefile target, and every
+// and CI tell a reader to run must be a Makefile target, every Go
+// benchmark the docs name must exist, and every
 // spec section the colfile implementation cites (§N in comments,
 // errors and tests) must exist as a numbered heading in
 // docs/FORMAT.md — the spec's numbering is load-bearing, so this is
@@ -26,6 +27,55 @@ func docFiles(t *testing.T) []string {
 		t.Fatal(err)
 	}
 	return append(files, more...)
+}
+
+// docBenchmark matches a Go benchmark name in prose or code.
+var docBenchmark = regexp.MustCompile(`\bBenchmark[A-Z0-9_][A-Za-z0-9_]*`)
+
+// benchFunc matches a benchmark function declaration.
+var benchFunc = regexp.MustCompile(`(?m)^func (Benchmark[A-Za-z0-9_]*)\(`)
+
+// TestDocsBenchmarksExist fails on any BenchmarkX named in README.md
+// or docs/*.md that no _test.go file in the module declares, so a
+// deleted or renamed benchmark cannot linger in the docs.
+func TestDocsBenchmarksExist(t *testing.T) {
+	declared := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		body, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range benchFunc.FindAllStringSubmatch(string(body), -1) {
+			declared[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range docFiles(t) {
+		body, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range docBenchmark.FindAllString(string(body), -1) {
+			if !declared[name] {
+				t.Errorf("%s: %s is not a benchmark function in any _test.go file", file, name)
+			}
+		}
+	}
 }
 
 // makeCmd matches a make invocation in code position: inline code,

@@ -248,14 +248,18 @@ type Manager struct {
 	opt Options
 	wg  sync.WaitGroup
 
-	mu        sync.Mutex
-	cond      *sync.Cond // signals workers: fifo non-empty or closed
-	fifo      []*Job     // jobs awaiting a worker, oldest first
-	closed    bool
-	seq       int
-	jobs      map[string]*Job
-	byKey     map[string]*Job // latest live-or-successful job per key
-	order     []*Job          // creation order, for List
+	mu     sync.Mutex
+	cond   *sync.Cond // signals workers: fifo non-empty or closed
+	fifo   []*Job     // jobs awaiting a worker, oldest first
+	closed bool
+	seq    int
+	jobs   map[string]*Job
+	// byKey is the coalescing index: the latest queued, running or
+	// Done job per key. A job that ends any other way leaves it under
+	// m.mu before its done channel closes, so a submission can never
+	// join a failed, timed-out or cancelled job.
+	byKey     map[string]*Job
+	order     []*Job // creation order, for List
 	running   int
 	submitted int
 	coalesced int
@@ -379,27 +383,21 @@ func (m *Manager) Cancel(id string) error {
 	return nil
 }
 
-// cancelJob cancels one non-terminal job: its context is aborted,
-// its coalescing entry is dropped at once — new submissions of the
-// key must run fresh, not join a doomed job — and, when it never
-// started running, it is finalized in place and its queue slot
-// freed.
+// cancelJob cancels one non-terminal job: its coalescing entry is
+// dropped at once — new submissions of the key must run fresh, not
+// join a doomed job — its context is aborted, and, when it never
+// started running, it is finalized in place and its queue slot freed.
+// Like execute's finish, it unmaps the key before done closes.
 func (m *Manager) cancelJob(j *Job) {
+	m.mu.Lock()
 	j.mu.Lock()
 	if j.state.Terminal() {
 		j.mu.Unlock()
+		m.mu.Unlock()
 		return
 	}
+	m.unmapLocked(j)
 	wasQueued := j.state == StateQueued
-	if wasQueued {
-		j.state = StateCancelled
-		j.err = context.Canceled
-		j.finished = time.Now()
-		close(j.done)
-	}
-	j.mu.Unlock()
-	j.abort()
-	m.mu.Lock()
 	if wasQueued {
 		for i, q := range m.fifo {
 			if q == j {
@@ -407,21 +405,25 @@ func (m *Manager) cancelJob(j *Job) {
 				break
 			}
 		}
+		j.state = StateCancelled
+		j.err = context.Canceled
+		j.finished = time.Now()
+		close(j.done)
 	}
-	if m.byKey[j.key] == j {
-		delete(m.byKey, j.key)
-	}
+	j.mu.Unlock()
 	m.mu.Unlock()
+	if wasQueued {
+		_ = fault.Inject("jobs.finish") // latency only, as in execute
+	}
+	j.abort()
 }
 
-// dropKeyFor unmaps a failed or cancelled job from the coalescing
-// index so the next submission of its key runs fresh.
-func (m *Manager) dropKeyFor(j *Job) {
-	m.mu.Lock()
+// unmapLocked removes j from the coalescing index if it is still the
+// job registered under its key. Caller holds m.mu.
+func (m *Manager) unmapLocked(j *Job) {
 	if m.byKey[j.key] == j {
 		delete(m.byKey, j.key)
 	}
-	m.mu.Unlock()
 }
 
 // List returns a snapshot of every tracked job in creation order.
@@ -495,9 +497,7 @@ func (m *Manager) purgeLocked(now time.Time) {
 		s := j.Snapshot()
 		if s.State.Terminal() && !s.Finished.IsZero() && now.Sub(s.Finished) > m.opt.TTL {
 			delete(m.jobs, j.id)
-			if m.byKey[j.key] == j {
-				delete(m.byKey, j.key)
-			}
+			m.unmapLocked(j)
 			continue
 		}
 		kept = append(kept, j)
@@ -571,10 +571,12 @@ func (m *Manager) execute(j *Job) {
 		m.opt.Metrics.Run.Observe(time.Since(started).Seconds())
 	}
 
+	// The job turns terminal under both locks (m.mu before j.mu, as
+	// purgeLocked takes them), and a job that did not succeed leaves
+	// the coalescing index before done closes: whoever sees done
+	// closed can no longer join it.
 	m.mu.Lock()
 	m.running--
-	m.mu.Unlock()
-
 	j.mu.Lock()
 	j.finished = time.Now()
 	switch {
@@ -594,14 +596,17 @@ func (m *Manager) execute(j *Job) {
 		j.state = StateFailed
 		j.err = err
 	}
-	terminal := j.state
-	close(j.done)
-	j.mu.Unlock()
-	if terminal != StateDone {
+	if j.state != StateDone {
 		// Only successful results may serve future submissions of
 		// the same key.
-		m.dropKeyFor(j)
+		m.unmapLocked(j)
 	}
+	close(j.done)
+	j.mu.Unlock()
+	m.mu.Unlock()
+	// Latency-only failpoint: the job is already final, so an
+	// injected error has nowhere to go.
+	_ = fault.Inject("jobs.finish")
 }
 
 // runContained invokes the job's RunFunc with panic containment: a

@@ -177,6 +177,72 @@ func TestRunFailpoint(t *testing.T) {
 	waitState(t, m, j2.ID(), StateDone)
 }
 
+// TestChaosFinishedJobNeverJoined holds the coalescing rule at its
+// edge: once a job's done channel has closed on a failure or a cancel,
+// neither Peek nor a resubmission of its key may find that job. The
+// jobs.finish failpoint sleeps right after done closes, so a finisher
+// that unmapped the key only after closing done would leave the dead
+// job joinable for the whole sleep.
+func TestChaosFinishedJobNeverJoined(t *testing.T) {
+	fault.Reset()
+	t.Cleanup(fault.Reset)
+	if err := fault.Enable("jobs.finish", "sleep(300ms)"); err != nil {
+		t.Fatal(err)
+	}
+	var runs atomic.Int64
+	requireFresh := func(t *testing.T, m *Manager, key string, dead *Job) {
+		t.Helper()
+		if j, ok := m.Peek(key); ok {
+			t.Fatalf("Peek(%q) found %s after its done closed", key, j.ID())
+		}
+		j, joined, err := m.SubmitTimeout(key, instantRun(&runs), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if joined || j == dead {
+			t.Fatalf("resubmission of %q joined the dead job %s", key, dead.ID())
+		}
+		<-j.Done()
+		waitState(t, m, j.ID(), StateDone)
+	}
+
+	t.Run("failed", func(t *testing.T) {
+		m := NewManager(Options{Workers: 1})
+		defer shutdown(t, m)
+		j, err := m.Submit("k", func(ctx context.Context, progress core.ProgressFunc) (*core.Result, error) {
+			return nil, errors.New("advise failed")
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		requireFresh(t, m, "k", j)
+	})
+
+	t.Run("cancelled while queued", func(t *testing.T) {
+		m := NewManager(Options{Workers: 1})
+		defer shutdown(t, m)
+		release := make(chan struct{})
+		busy, err := m.Submit("busy", blockingRun(&runs, release))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, m, busy.ID(), StateRunning)
+		queued, err := m.Submit("q", instantRun(&runs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cancelled := make(chan error, 1)
+		go func() { cancelled <- m.Cancel(queued.ID()) }()
+		<-queued.Done()
+		close(release)
+		requireFresh(t, m, "q", queued)
+		if err := <-cancelled; err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 func TestShutdownLeaksNothing(t *testing.T) {
 	leakcheck.Check(t)
 	m := NewManager(Options{Workers: 4, QueueDepth: 16})

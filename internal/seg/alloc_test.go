@@ -125,3 +125,64 @@ func TestWarmPairwiseAllocBudget(t *testing.T) {
 		t.Error("live recorder saw no pair-memo hits on a table miss: the counters are not wired")
 	}
 }
+
+// TestRevisitedCutAllocBudget is the allocation guard for a revisited
+// CUT: once a cut's entry holds its children and their counts, cutting
+// the same segmentation again at the same table version allocates only
+// the output segmentation and the cut-cache keys: nothing proportional
+// to the rows, no child query rebuilt (each rebuild renders the
+// child's key), no child extent looked up. Rebuilding and looking up
+// cost 170 allocations here; the served cut measures 15, and the
+// budget leaves about 2× headroom.
+func TestRevisitedCutAllocBudget(t *testing.T) {
+	tab := dataset.VOC(20000, 7)
+	ev := NewEvaluator(tab)
+	em := &EvalMetrics{
+		FullEvals: &obs.Counter{}, NarrowEvals: &obs.Counter{}, CacheHits: &obs.Counter{},
+		CutPointCalcs: &obs.Counter{}, CutCacheHits: &obs.Counter{},
+		DeltaRefreshes: &obs.Counter{}, CutRefreshes: &obs.Counter{},
+		PairMemoHits: &obs.Counter{}, PairMemoMisses: &obs.Counter{},
+		PairTableHits: &obs.Counter{}, RowMaterializations: &obs.Counter{},
+	}
+	ev.SetEvalMetrics(em)
+	ctx, err := sdl.ContextOn(tab, "tonnage", "built", "type_of_boat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultCutOptions()
+	s1, ok, err := InitialCut(ev, ctx, "tonnage", opt)
+	if err != nil || !ok {
+		t.Fatalf("InitialCut(tonnage): %v ok=%v", err, ok)
+	}
+	s2, ok, err := InitialCut(ev, ctx, "built", opt)
+	if err != nil || !ok {
+		t.Fatalf("InitialCut(built): %v ok=%v", err, ok)
+	}
+	s, err := Compose(ev, s1, s2, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Depth() != 4 {
+		t.Fatalf("composed segmentation has %d segments, want 4", s.Depth())
+	}
+	const attr, budget = "type_of_boat", 32
+	if _, err := Cut(ev, s, attr, opt); err != nil {
+		t.Fatal(err)
+	}
+	var runErr error
+	avg := testing.AllocsPerRun(200, func() {
+		if _, err := Cut(ev, s, attr, opt); err != nil {
+			runErr = err
+		}
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if avg > budget {
+		t.Fatalf("revisited Cut averaged %.1f allocs/op, budget %d", avg, budget)
+	}
+	t.Logf("revisited Cut: %.1f allocs/op (budget %d)", avg, budget)
+	if em.CutCacheHits.Value() == 0 {
+		t.Error("live recorder saw no cut-cache hits on the revisit: the counters are not wired")
+	}
+}

@@ -3,6 +3,7 @@ package seg
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"charles/internal/engine"
 	"charles/internal/sdl"
@@ -53,26 +54,60 @@ func (o CutOptions) normalize() CutOptions {
 // unchanged as a single piece (documented deviation: the paper is
 // silent on degenerate cuts).
 func CutQuery(ev *Evaluator, q sdl.Query, attr string, opt CutOptions) ([]sdl.Query, error) {
+	children, _, _, err := ev.cutQuery(q, attr, opt)
+	// The cut cache keeps children; the caller gets its own slice.
+	return slices.Clone(children), err
+}
+
+// cutQuery is CutQuery through the evaluator's cut cache, keyed by
+// key (cutKey, "" with caching off). An entry at the table's current
+// version is served whole — its children, and their counts once Cut
+// has stored them (nil before) — without reading q's extent or
+// building a child. A stale exact entry refreshes only the
+// mutation-dirtied chunks; anything else is computed from the extent.
+// The fresh entry holds the children and no counts.
+func (e *Evaluator) cutQuery(q sdl.Query, attr string, opt CutOptions) (children []sdl.Query, counts []int, key string, err error) {
 	opt = opt.normalize()
-	col, ok := ev.Table().ColumnByName(attr)
+	col, ok := e.tab.ColumnByName(attr)
 	if !ok {
-		return nil, fmt.Errorf("seg: cut on unknown column %q", attr)
+		return nil, nil, "", fmt.Errorf("seg: cut on unknown column %q", attr)
 	}
-	ent, err := ev.extent(q)
+	var cur *engine.EpochStamp
+	var stale *cachedCut
+	if e.caching.Load() {
+		key, cur = cutKey(q, attr, opt), e.tab.Stamp()
+		if ent, ok := e.cachedCutEntry(key); ok {
+			if ent.stamp.Version() == cur.Version() {
+				e.countCutCacheHit()
+				return ent.children, ent.counts, key, nil
+			}
+			stale = &ent
+		}
+	}
+	ext, err := e.extent(q)
 	if err != nil {
-		return nil, err
+		return nil, nil, "", err
 	}
-	if ent.sel.Len() < 2 {
-		return []sdl.Query{q}, nil // nothing to split
+	if ext.sel.Len() < 2 {
+		return []sdl.Query{q}, nil, key, nil // nothing to split
 	}
-	// All piece computation routes through the evaluator's cut-point
-	// cache: version-equal entries are served outright without reading
-	// q's rows, stale exact entries refresh only the mutation-dirtied
-	// chunks.
-	pieces, err := ev.cutPieces(q, attr, col, ent, opt)
+	pieces, state, err := e.cutPieces(attr, col, ext.sel, opt, stale, cur)
 	if err != nil {
-		return nil, err
+		return nil, nil, "", err
 	}
+	if children, err = childQueries(q, pieces); err != nil {
+		return nil, nil, "", err
+	}
+	if key != "" {
+		e.storeCut(key, cachedCut{children: children, stamp: cur, intCounts: state.intCounts, strCounts: state.strCounts})
+	}
+	return children, nil, key, nil
+}
+
+// childQueries builds q's children from its cut pieces, dropping
+// pieces that intersect q's own constraint to nothing. Fewer than two
+// pieces or children mean the cut degenerates: q is its only child.
+func childQueries(q sdl.Query, pieces []sdl.Constraint) ([]sdl.Query, error) {
 	if len(pieces) < 2 {
 		return []sdl.Query{q}, nil // degenerate: constant within extent
 	}
@@ -82,10 +117,9 @@ func CutQuery(ev *Evaluator, q sdl.Query, attr string, opt CutOptions) ([]sdl.Qu
 		if err != nil {
 			return nil, err
 		}
-		if !nonEmpty {
-			continue
+		if nonEmpty {
+			out = append(out, child)
 		}
-		out = append(out, child)
 	}
 	if len(out) < 2 {
 		return []sdl.Query{q}, nil
@@ -300,7 +334,9 @@ func nominalPieces(attr string, vcs []stats.ValueCount, mk func(string) engine.V
 // be split are kept whole, so the result is always a valid partition
 // of the same context. A query's cut points and children are computed
 // from its selection chunk by chunk, each chunk in the form it is
-// held in, and no row ids are built from words.
+// held in, and no row ids are built from words. A query whose cut the
+// cache serves with counts (cutQuery) reads no selection at all; the
+// counts a fresh cut takes are stored in its entry.
 //
 // The result keeps s's partition proof when that proof names the
 // current fingerprint and every split query's children sum to the
@@ -310,18 +346,23 @@ func nominalPieces(attr string, vcs []stats.ValueCount, mk func(string) engine.V
 func Cut(ev *Evaluator, s *Segmentation, attr string, opt CutOptions) (*Segmentation, error) {
 	fp := ev.Table().Fingerprint()
 	proven := s.provenAt(fp)
-	kids := make([][]sdl.Query, len(s.Queries))
+	type queryCut struct {
+		children []sdl.Query
+		counts   []int
+		key      string
+	}
+	cuts := make([]queryCut, len(s.Queries))
 	for i, q := range s.Queries {
-		children, err := CutQuery(ev, q, attr, opt)
-		if err != nil {
+		c := &cuts[i]
+		var err error
+		if c.children, c.counts, c.key, err = ev.cutQuery(q, attr, opt); err != nil {
 			return nil, err
 		}
-		kids[i] = children
 	}
 	out := &Segmentation{CutAttrs: addAttr(s.CutAttrs, attr)}
 	anySplit := false
 	for i, q := range s.Queries {
-		children := kids[i]
+		children, counts := cuts[i].children, cuts[i].counts
 		if len(children) == 1 {
 			// Degenerate cut: the query survives whole and its count
 			// is already known, so the parent selection is never
@@ -335,9 +376,15 @@ func Cut(ev *Evaluator, s *Segmentation, attr string, opt CutOptions) (*Segmenta
 			continue
 		}
 		anySplit = true
-		counts, err := ev.cutChildren(q, children, attr)
-		if err != nil {
-			return nil, err
+		if counts == nil {
+			v := ev.tab.Version()
+			var err error
+			if counts, err = ev.cutChildren(q, children, attr); err != nil {
+				return nil, err
+			}
+			if cuts[i].key != "" {
+				ev.storeCutCounts(cuts[i].key, v, counts)
+			}
 		}
 		sum := 0
 		for j, child := range children {

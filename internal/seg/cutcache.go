@@ -13,21 +13,26 @@
 // order-statistic argument.
 //
 // Entries are keyed by (query, attribute, cut options) and stamped
-// with the table epoch exactly like cachedSel: equal versions serve
-// the cached pieces outright, comparable stamps refresh dirty chunks
-// only, anything else recomputes in full. Count vectors are retained
-// only where a refresh can happen: on a table that accepts mutation
-// (engine.Table.Mutable), for extents of at least cutStateMinRows
-// rows — and, for an int or date column, only when its span is narrow
-// enough to count (below the select's 2 048 buckets) and the vectors
-// take no more cells than the extent has rows. A read-only .chc
-// table's stamp never moves, so its entries keep the pieces alone. A
-// refresh whose dirty chunk holds an int outside the entry's window
-// recomputes in full. Sampled cut points, wide int and date spans,
-// float and bool columns, and the numeric-nominal fallback cache
-// their pieces for version-equal reuse but always recompute when
-// stale: their points are radix-selected and nothing is left to
-// splice.
+// with the table epoch exactly like cachedSel. An entry holds the
+// children CutQuery built from the pieces and, once Cut has counted
+// them, the child counts, so an equal version serves the whole cut:
+// no extent read, no child query rebuilt, no child selection looked
+// up. Comparable stamps refresh dirty chunks only, anything else
+// recomputes in full; either way the new entry starts with fresh
+// children and no child counts.
+//
+// Count vectors are retained only where a refresh can happen: on a
+// table that accepts mutation (engine.Table.Mutable), for extents of
+// at least cutStateMinRows rows — and, for an int or date column,
+// only when its span is narrow enough to count (below the select's
+// 2 048 buckets) and the vectors take no more cells than the extent
+// has rows. A read-only .chc table's stamp never moves, so its
+// entries keep children and child counts alone. A refresh whose dirty
+// chunk holds an int outside the entry's window recomputes in full.
+// Sampled cut points, wide int and date spans, float and bool
+// columns, and the numeric-nominal fallback are served on version
+// equality but always recompute when stale: their points are
+// radix-selected and nothing is left to splice.
 package seg
 
 import (
@@ -41,19 +46,22 @@ import (
 // cutStateMinRows is the selection size below which count vectors
 // are not retained, even on a mutable table: tiny extents recompute
 // in microseconds, and the long tail of small segments would otherwise
-// dominate entry count. Pieces are still cached for version-equal
-// reuse.
+// dominate entry count. The cut itself is still cached for
+// version-equal reuse.
 const cutStateMinRows = 1 << 12
 
-// cachedCut is one cut-point cache entry: the computed pieces plus
-// the epoch stamp they were computed under, and — for exact cuts over
-// narrow int-valued and string columns — the per-chunk counts a stale
-// entry refreshes from. Count vectors are immutable once stored: a
-// splice shares the clean chunks' vectors between the old and new
-// entry.
+// cachedCut is one cut-point cache entry: the children CutQuery
+// built from the computed pieces, their counts once Cut has taken
+// them (nil until then), the epoch stamp they were computed under,
+// and — for exact cuts over narrow int-valued and string columns —
+// the per-chunk counts a stale entry refreshes from. Children and
+// counts hold at stamp only: a refresh rebuilds the children and
+// drops the counts. Count vectors are immutable once stored: a splice
+// shares the clean chunks' vectors between the old and new entry.
 type cachedCut struct {
-	pieces []sdl.Constraint
-	stamp  *engine.EpochStamp
+	children []sdl.Query
+	counts   []int
+	stamp    *engine.EpochStamp
 	// intCounts holds per-chunk value counts (IntColumn, DateColumn).
 	intCounts *engine.IntCounts
 	// strCounts holds per-chunk value frequencies by dictionary code.
@@ -77,39 +85,41 @@ func (e *Evaluator) cachedCutEntry(key string) (cachedCut, bool) {
 }
 
 // storeCut records a cut entry: concurrent computations of the same
-// key produce identical pieces, so last write wins.
+// key produce identical children, so last write wins.
 func (e *Evaluator) storeCut(key string, ent cachedCut) {
 	e.cutMu.Lock()
 	boundedPut(e.cuts, key, ent, int(e.limit.Load()))
 	e.cutMu.Unlock()
 }
 
-// cutPieces computes (or reuses) the piece constraints CUT splits q
-// into along attr — the single entry point CutQuery dispatches
-// through, so cached and uncached runs produce identical pieces by
-// construction. ext is q's extent (Evaluator.extent), read chunk by
-// chunk in the form each is held in — a words chunk by set-bit
-// iteration — and only when the pieces are not served from a
-// version-equal cache entry. With opt.SampleSize set, the points are
-// estimated from a systematic sample of the rows (Section 5.2), the
-// one cut that builds row ids from words; sampled points are cached
-// but never refreshed incrementally.
-func (e *Evaluator) cutPieces(q sdl.Query, attr string, col engine.Column, ext cachedSel, opt CutOptions) ([]sdl.Constraint, error) {
-	caching := e.caching.Load()
-	var key string
-	var cur *engine.EpochStamp
-	var stale *cachedCut
-	if caching {
-		key, cur = cutKey(q, attr, opt), e.tab.Stamp()
-		if ent, ok := e.cachedCutEntry(key); ok {
-			if ent.stamp.Version() == cur.Version() {
-				e.countCutCacheHit()
-				return ent.pieces, nil
-			}
-			stale = &ent
-		}
+// storeCutCounts records counts, taken by Cut while the table stood
+// at version v, in key's entry — only when both the table and the
+// entry are still at v, since the counts belong to v's children.
+func (e *Evaluator) storeCutCounts(key string, v uint64, counts []int) {
+	if e.tab.Version() != v {
+		return
 	}
-	src := ext.sel
+	e.cutMu.Lock()
+	if ent, ok := e.cuts[key]; ok && ent.counts == nil && ent.stamp.Version() == v {
+		ent.counts = counts
+		e.cuts[key] = ent
+	}
+	e.cutMu.Unlock()
+}
+
+// cutPieces computes the piece constraints CUT splits src, q's
+// extent, into along attr — the one path cached and uncached cuts
+// share, so both produce identical pieces by construction. src is
+// read chunk by chunk in the form each is held in — a words chunk by
+// set-bit iteration. stale is q's cut entry at an older version, if
+// the cache holds one; it is refreshed from its retained counts where
+// it can be, and everything else is computed in full. cur is the
+// stamp the result will be cached under, nil with caching off. With
+// opt.SampleSize set, the points are estimated from a systematic
+// sample of the rows (Section 5.2), the one cut that builds row ids
+// from words; sampled points are cached but never refreshed
+// incrementally.
+func (e *Evaluator) cutPieces(attr string, col engine.Column, src *engine.ChunkedSelection, opt CutOptions, stale *cachedCut, cur *engine.EpochStamp) ([]sdl.Constraint, cutState, error) {
 	// Sampled cut points draw a systematic sample from the flat view;
 	// exact ones run shard-at-a-time on the extent and never flatten
 	// it. (Nominal cuts always see the full extent regardless: a
@@ -121,28 +131,20 @@ func (e *Evaluator) cutPieces(q sdl.Query, attr string, col engine.Column, ext c
 	if opt.SampleSize > 0 && src.Len() > opt.SampleSize {
 		pointSel = stats.StridedInt32(e.flat(src), opt.SampleSize)
 	}
-	if !caching {
-		pieces, _, err := e.computeCut(attr, col, src, pointSel, opt, false)
-		if err == nil && len(pieces) >= 2 {
-			e.countCutPointCalc()
-		}
-		return pieces, err
-	}
 	if stale != nil {
-		if pieces, ok := e.refreshCut(key, *stale, attr, col, src, pointSel, opt, cur); ok {
-			return pieces, nil
+		if pieces, state, ok := e.refreshCut(*stale, attr, col, src, pointSel, opt, cur); ok {
+			return pieces, state, nil
 		}
 	}
-	retain := e.tab.Mutable() && src.Len() >= cutStateMinRows
+	retain := cur != nil && e.tab.Mutable() && src.Len() >= cutStateMinRows
 	pieces, state, err := e.computeCut(attr, col, src, pointSel, opt, retain)
 	if err != nil {
-		return nil, err
+		return nil, state, err
 	}
 	if len(pieces) >= 2 {
 		e.countCutPointCalc()
 	}
-	e.storeCut(key, cachedCut{pieces: pieces, stamp: cur, intCounts: state.intCounts, strCounts: state.strCounts})
-	return pieces, nil
+	return pieces, state, nil
 }
 
 // cutState carries the refreshable per-chunk state a computation
@@ -189,49 +191,50 @@ func (e *Evaluator) computeCut(attr string, col engine.Column, src *engine.Chunk
 	return pieces, state, err
 }
 
-// refreshCut brings a stale cut entry up to stamp cur by splicing:
-// dirty chunks are recounted from the query's current selection,
-// clean chunks reuse the cached count vectors. Sound for the same
-// reason selection splicing is — a selection restricted to a clean
-// chunk, and hence its value multiset, is a pure function of that
-// chunk's unchanged rows. Entries with no retained state, structural
+// refreshCut recomputes a stale cut entry's pieces at stamp cur by
+// splicing, and returns them with the count vectors the refreshed
+// entry keeps: dirty chunks are recounted from the query's current
+// selection, clean chunks reuse the cached count vectors. Sound for
+// the same reason selection splicing is — a selection restricted to a
+// clean chunk, and hence its value multiset, is a pure function of
+// that chunk's unchanged rows. Entries with no retained state, structural
 // mismatches, int values outside the entry's window, and sampled
 // points all return false and recompute in full.
-func (e *Evaluator) refreshCut(key string, ent cachedCut, attr string, col engine.Column, src *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions, cur *engine.EpochStamp) ([]sdl.Constraint, bool) {
+func (e *Evaluator) refreshCut(ent cachedCut, attr string, col engine.Column, src *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions, cur *engine.EpochStamp) ([]sdl.Constraint, cutState, bool) {
+	var state cutState
 	if pointSel != nil {
-		return nil, false
+		return nil, state, false
 	}
 	if src.NumRows() != cur.NumRows() || src.ChunkRows() != cur.ChunkRows() {
-		return nil, false
+		return nil, state, false
 	}
 	dirty, ok := cur.DirtyVs(ent.stamp)
 	if !ok {
-		return nil, false
+		return nil, state, false
 	}
 	var pieces []sdl.Constraint
-	var state cutState
 	switch col := col.(type) {
 	case *engine.StringColumn:
 		if ent.strCounts == nil {
-			return nil, false
+			return nil, state, false
 		}
 		counts, ok := engine.StringChunkCountsSplice(col, src, ent.strCounts, dirty)
 		if !ok {
-			return nil, false
+			return nil, state, false
 		}
 		var err error
 		pieces, err = nominalPieces(attr, engine.StringCountsFromChunks(col, counts), stringSetValue, opt)
 		if err != nil {
-			return nil, false
+			return nil, state, false
 		}
 		state.strCounts = counts
 	case engine.IntValued:
 		if ent.intCounts == nil {
-			return nil, false
+			return nil, state, false
 		}
 		cut, counts, ok := engine.IntCutSplice(col, src, ent.intCounts, dirty, opt.Arity)
 		if !ok {
-			return nil, false
+			return nil, state, false
 		}
 		pieces = intCutPieces(attr, col, cut)
 		if len(pieces) < 2 {
@@ -239,12 +242,11 @@ func (e *Evaluator) refreshCut(key string, ent cachedCut, attr string, col engin
 		}
 		state.intCounts = counts
 	default:
-		return nil, false
+		return nil, state, false
 	}
 	e.countCutRefresh()
 	if len(pieces) >= 2 {
 		e.countCutPointCalc()
 	}
-	e.storeCut(key, cachedCut{pieces: pieces, stamp: cur, intCounts: state.intCounts, strCounts: state.strCounts})
-	return pieces, true
+	return pieces, state, true
 }

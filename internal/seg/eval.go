@@ -42,8 +42,9 @@ type Counters struct {
 	// same way: dirty chunks recounted, clean chunks' count vectors
 	// reused.
 	CutRefreshes int
-	// CutCacheHits counts cut-point sets served straight from the cut
-	// cache without recomputation.
+	// CutCacheHits counts cuts served whole from a version-equal
+	// cut-cache entry: its children, and their counts once counted,
+	// with no cut points computed and no child rebuilt.
 	CutCacheHits int
 	// PairMemoHits / PairMemoMisses count pairwise-operand sides
 	// served from (or built into) a PairMemo.
