@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-paper bench-smoke bench-scale bench-check fmt fmt-check vet lint layers-build fuzz-smoke chaos metrics-smoke docs-check ci
+.PHONY: all build test test-race bench bench-paper bench-smoke bench-scale bench-check bench-kernels fmt fmt-check vet lint layers-build fuzz-smoke chaos metrics-smoke docs-check ci
 
 all: build
 
@@ -50,6 +50,13 @@ bench-check:
 bench-scale:
 	CHARLES_SCALE=1 $(GO) test -run=NONE -bench='E16ChunkedScan|E17ScaleAdvise' -benchtime=1x -timeout=30m .
 
+# The partition and gather kernels alone, ten runs each for benchstat:
+# a binary int cut with and without the cover promise, and an exact
+# int cut by gather and radix select and by narrow count, over parents
+# at four densities held as row ids and as words, on one scan worker.
+bench-kernels:
+	$(GO) test ./internal/engine -run '^$$' -bench 'PartitionSource|GatherSource' -count=10
+
 fmt:
 	gofmt -w .
 
@@ -88,12 +95,12 @@ layers-build:
 # narrow-span value counts against a slices.Sort reference), the
 # filter kernels (both drivers, with
 # and without zone maps, against a row-at-a-time Contains /
-# membership reference) and the partition kernels (every unpacked
-# child of a one-pass cut against its one-piece filter, and every
-# packed piece — bitmap and count, no row-id child — against
-# NewBitmapChunked of that filter, at 1 and 4 scan workers, with the
-# same parent cut as row ids and as words — full, dense, sparse and
-# empty words, a partial last word, NaN and ±0 floats): enough
+# membership reference) and the partition kernels (every child of a
+# one-pass cut against its one-piece filter, with and without the
+# cover promise under which a piece is derived, at 1 and 4 scan
+# workers, with the same parent cut as row ids and as words — full,
+# dense, sparse and empty words, a partial last word, NaN and ±0
+# floats): enough
 # budget to exercise the mutators on every seed class, small enough
 # for CI. The exec-denominated minimize budget keeps a newly found
 # interesting input from eating the wall-clock budget.

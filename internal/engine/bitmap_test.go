@@ -277,10 +277,10 @@ func TestBitmapChunkedRoundTrip(t *testing.T) {
 				if got.NumRows() != c.nRows || got.ChunkRows() != c.chunkRows || got.Len() != len(c.sel) {
 					t.Fatalf("workers %d, %s (%s): %d rows in chunks of %d, want %d", workers, c.name, form, got.Len(), got.ChunkRows(), len(c.sel))
 				}
-				var batched Selection
-				RowBatches(got, func(rows Selection) { batched = append(batched, rows...) })
-				if !selectionsEqual(got.Flat(), c.sel) || !selectionsEqual(batched, c.sel) {
-					t.Fatalf("workers %d, %s (%s): flat view or row batches differ from the selection", workers, c.name, form)
+				var each Selection
+				EachRow(got, func(row int) { each = append(each, int32(row)) })
+				if !selectionsEqual(got.Flat(), c.sel) || !selectionsEqual(each, c.sel) {
+					t.Fatalf("workers %d, %s (%s): flat view or rows read one by one differ from the selection", workers, c.name, form)
 				}
 				at := 0
 				for k := 0; k < got.NumChunks(); k++ {

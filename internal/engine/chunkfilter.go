@@ -5,7 +5,7 @@ import "charles/internal/par"
 // The chunked filters: every predicate resolves once into a Pred — a
 // zone-map verdict per chunk plus its row test, as a single-predicate
 // kernel (filter.go) and, for ranges and code sets, in the operand
-// form a binary cut's shared row loop reads (partition.go) — and
+// form the partition's word kernels read (partition.go) — and
 // a driver fans the chunks out across the scan workers. A skipped
 // chunk costs nothing, a taken chunk passes its parent container
 // through by reference, and a scanned chunk costs a load, some
@@ -93,7 +93,7 @@ const (
 // Pred is one predicate over one column, resolved for a chunked
 // scan: the zone-map verdict per chunk, the single-predicate row
 // kernel, for a range or code set the same test in the form the
-// two-piece partition kernels share, and none when no row can match (the
+// partition's word kernels read, and none when no row can match (the
 // drivers then return the empty result without visiting a chunk).
 // PartitionChunked and its one-predicate filter consume the same
 // Pred, so they share every decision. Build one with
@@ -110,7 +110,7 @@ type Pred struct {
 // narrows the rest, and the per-chunk outputs are reassembled in chunk
 // order. It is PartitionChunked for one predicate.
 func FilterChunked(src *ChunkedSelection, p Pred) *ChunkedSelection {
-	return PartitionChunked(src, []Pred{p})[0]
+	return PartitionChunked(src, []Pred{p}, false)[0]
 }
 
 // scanAlways is the verdict for predicates without a zone map.
@@ -190,11 +190,15 @@ func FilterFloatRangeChunked(col FloatValued, cs *ChunkedSelection, r FloatRange
 // FloatRangePred is IntRangePred over floats: NaN rows match it.
 func FloatRangePred(col FloatValued, r FloatRange, sum *ChunkSummary) Pred {
 	s := r.span()
-	return Pred{
+	p := Pred{
 		verdict: floatRangeVerdict(sum, r),
 		scan:    s.kernel(col.Float64s()),
 		test:    rowTest{kind: testFloatRange, floats: col.Float64s(), fspan: s},
 	}
+	if sum != nil {
+		p.test.pure = sum.floatPure
+	}
+	return p
 }
 
 // FilterIntSetChunked narrows cs to rows whose int64 value appears

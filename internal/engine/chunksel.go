@@ -373,44 +373,6 @@ func setSegBits(words []uint64, seg Selection, base int32) int {
 	return len(seg)
 }
 
-// batchWords is the number of words a dense chunk is decoded by at a
-// time: 1 024 rows, 4 KiB of row ids, which stay in L1 between the
-// decode and the loop that reads them.
-const batchWords = 16
-
-// eachRows is the one per-chunk loop shape of the gathers and counts:
-// it hands fn chunk c's rows, ascending, in batches — a row-id chunk
-// whole, a words chunk batchWords words at a time, decoded by set-bit
-// iteration into pooled scratch. fn is called once per batch, so the
-// row loop inside it makes no call per row; it must not retain rows.
-func eachRows(cs *ChunkedSelection, c int, fn func(rows Selection)) {
-	rows, words, _ := cs.chunk(c)
-	if words == nil {
-		if len(rows) > 0 {
-			fn(rows)
-		}
-		return
-	}
-	buf := int32Scratch.Get(batchWords << 6)
-	base := int32(c * cs.chunkRows)
-	for lo := 0; lo < len(words); lo += batchWords {
-		hi := min(lo+batchWords, len(words))
-		if n := decodeWords(*buf, words[lo:hi], base+int32(lo)<<6); n > 0 {
-			fn((*buf)[:n])
-		}
-	}
-	int32Scratch.Put(buf)
-}
-
-// RowBatches hands fn every row cs selects, ascending, chunk by chunk
-// in eachRows' batches, on the calling goroutine. fn must not retain
-// rows.
-func RowBatches(cs *ChunkedSelection, fn func(rows Selection)) {
-	for c := range cs.chunks {
-		eachRows(cs, c, fn)
-	}
-}
-
 // decodeWords writes the rows of words' set bits to rows, ascending —
 // bit j of words[i] is row base+64i+j — and returns their count. rows
 // must hold every set bit.

@@ -1,11 +1,21 @@
 package engine
 
 import (
+	"errors"
 	"math"
+	"math/bits"
 
 	"charles/internal/par"
 	"charles/internal/stats"
 )
+
+// The gathers and counts read each chunk of a selection in its own
+// form and never decode words into row ids: a row-id chunk row by row,
+// a words chunk word by word — a full word as a run of 64 rows, any
+// other by set-bit iteration — straight into the key buffer or the
+// counter. (Reading a half-full word as a masked run of 64 rows, every
+// key stored and the cursor advanced past selected rows only, measured
+// slower than its set-bit iteration at every density below full.)
 
 // GatherIntChunked materializes col's int64 values per chunk: one
 // output slice per chunk, aligned with cs's chunks, gathered
@@ -13,81 +23,78 @@ import (
 // copy — downstream chunked order statistics consume the shards
 // directly.
 func GatherIntChunked(col IntValued, cs *ChunkedSelection) [][]int64 {
-	src := col.Int64s()
-	out := make([][]int64, cs.NumChunks())
-	forEachSeg(cs, func(c int) {
-		if n := cs.chunkCount(c); n > 0 {
-			vals := make([]int64, 0, n)
-			eachRows(cs, c, func(rows Selection) {
-				for _, row := range rows {
-					vals = append(vals, src[row])
-				}
-			})
-			out[c] = vals
-		}
-	})
-	return out
+	return gatherChunked(col.Int64s(), cs)
 }
 
 // GatherFloatChunked is GatherIntChunked for float columns.
 func GatherFloatChunked(col FloatValued, cs *ChunkedSelection) [][]float64 {
-	src := col.Float64s()
-	out := make([][]float64, cs.NumChunks())
+	return gatherChunked(col.Float64s(), cs)
+}
+
+func gatherChunked[T int64 | float64](src []T, cs *ChunkedSelection) [][]T {
+	out := make([][]T, cs.NumChunks())
 	forEachSeg(cs, func(c int) {
-		if n := cs.chunkCount(c); n > 0 {
-			vals := make([]float64, 0, n)
-			eachRows(cs, c, func(rows Selection) {
-				for _, row := range rows {
-					vals = append(vals, src[row])
-				}
-			})
-			out[c] = vals
+		ct := &cs.chunks[c]
+		if ct.n == 0 {
+			return
 		}
+		vals := make([]T, ct.n)
+		if ct.words == nil {
+			for i, row := range ct.rows {
+				vals[i] = src[row]
+			}
+		} else {
+			m, at := 0, cs.chunkRows*c
+			for wi, w := range ct.words {
+				if w == ^uint64(0) {
+					m += copy(vals[m:], src[at+wi<<6:at+wi<<6+64])
+					continue
+				}
+				for ; w != 0; w &= w - 1 {
+					vals[m] = src[at+wi<<6+bits.TrailingZeros64(w)]
+					m++
+				}
+			}
+		}
+		out[c] = vals
 	})
 	return out
 }
 
-// IntMinMaxChunked returns the minimum and maximum of col over src by
-// reducing per-chunk partials. ok is false when the selection is
+// EachRow hands fn every row cs selects, ascending, chunk by chunk on
+// the calling goroutine, reading each chunk in its own form (a words
+// chunk is never decoded): one call per row, for loops that do more
+// per row than the call costs.
+func EachRow(cs *ChunkedSelection, fn func(row int)) {
+	for c := range cs.chunks {
+		eachRow(cs, c, fn)
+	}
+}
+
+// eachRow is EachRow over chunk c.
+func eachRow(cs *ChunkedSelection, c int, fn func(row int)) {
+	ct := &cs.chunks[c]
+	for _, row := range ct.rows {
+		fn(int(row))
+	}
+	for wi, w := range ct.words {
+		at := cs.chunkRows*c + wi<<6
+		for ; w != 0; w &= w - 1 {
+			fn(at + bits.TrailingZeros64(w))
+		}
+	}
+}
+
+// IntMinMaxChunked returns the minimum and maximum of col over src,
+// reduced as its keys are gathered. ok is false when the selection is
 // empty.
 func IntMinMaxChunked(col IntValued, src *ChunkedSelection) (lo, hi int64, ok bool) {
 	if src.Len() == 0 {
 		return 0, 0, false
 	}
-	vals := col.Int64s()
-	nc := src.NumChunks()
-	los := make([]int64, nc)
-	his := make([]int64, nc)
-	forEachSeg(src, func(c int) {
-		los[c], his[c] = math.MaxInt64, math.MinInt64
-		eachRows(src, c, func(rows Selection) {
-			lo, hi := intBounds(vals, rows)
-			los[c], his[c] = min(los[c], lo), max(his[c], hi)
-		})
-	})
-	lo, hi = reduceIntBounds(los, his)
-	return lo, hi, true
-}
-
-// intBounds reduces src over rows to its minimum and maximum,
-// branch-free; an empty set yields (MaxInt64, MinInt64), which no
-// reduction picks.
-func intBounds(src []int64, rows Selection) (lo, hi int64) {
-	lo, hi = math.MaxInt64, math.MinInt64
-	for _, row := range rows {
-		v := src[row]
-		lo, hi = min(lo, v), max(hi, v)
-	}
-	return lo, hi
-}
-
-// reduceIntBounds folds per-part intBounds results.
-func reduceIntBounds(los, his []int64) (lo, hi int64) {
-	lo, hi = math.MaxInt64, math.MinInt64
-	for i := range los {
-		lo, hi = min(lo, los[i]), max(hi, his[i])
-	}
-	return lo, hi
+	_, klo, khi, put := gatherIntKeys(col, src)
+	put()
+	return stats.Int64FromKey(klo), stats.Int64FromKey(khi), true
 }
 
 // FloatMinMaxChunked is IntMinMaxChunked over floats, ignoring NaN
@@ -98,72 +105,22 @@ func FloatMinMaxChunked(col FloatValued, src *ChunkedSelection) (lo, hi float64,
 	if src.Len() == 0 {
 		return 0, 0, false
 	}
-	vals := col.Float64s()
-	nc := src.NumChunks()
-	los := make([]uint64, nc)
-	his := make([]uint64, nc)
-	forEachSeg(src, func(c int) {
-		los[c] = math.MaxUint64
-		eachRows(src, c, func(rows Selection) {
-			lo, hi := floatKeyBounds(vals, rows)
-			los[c], his[c] = min(los[c], lo), max(his[c], hi)
-		})
-	})
-	klo, khi := reduceKeyBounds(los, his)
+	_, klo, khi, put := gatherFloatKeys(col, src)
+	put()
 	return stats.Float64FromKey(klo), stats.Float64FromKey(khi), true
-}
-
-// floatKeyBounds reduces src over rows to its smallest stats.Float64Key
-// minus one and its largest key, branch-free. A NaN's key is 0, so the
-// minus one wraps it to MaxUint64 where the minimum never picks it, and
-// the maximum never picks it either; an all-NaN (or empty) set yields
-// (MaxUint64, 0).
-func floatKeyBounds(src []float64, rows Selection) (loMinus1, hi uint64) {
-	loMinus1 = math.MaxUint64
-	for _, row := range rows {
-		k := stats.Float64Key(src[row])
-		loMinus1, hi = min(loMinus1, k-1), max(hi, k)
-	}
-	return loMinus1, hi
-}
-
-// gatherKeys is floatKeyBounds that also writes the keys of src's
-// numbers at rows to keys, dropping NaN without a branch: every key is
-// stored, and the cursor advances past a number's only. It returns how
-// many it kept. len(keys) must be at least len(rows).
-func gatherKeys(keys []uint64, src []float64, rows Selection) (m int, loMinus1, hi uint64) {
-	loMinus1 = math.MaxUint64
-	for _, row := range rows {
-		k := stats.Float64Key(src[row])
-		keys[m] = k
-		m += b2i(k != 0) // only a NaN's key is 0
-		loMinus1, hi = min(loMinus1, k-1), max(hi, k)
-	}
-	return m, loMinus1, hi
-}
-
-// reduceKeyBounds folds per-part floatKeyBounds results into the
-// smallest and largest key: NaN's key 0 for both when no part held a
-// number, which stats.Float64FromKey decodes to NaN.
-func reduceKeyBounds(los, his []uint64) (lo, hi uint64) {
-	lo = math.MaxUint64
-	for i := range los {
-		lo, hi = min(lo, los[i]), max(hi, his[i])
-	}
-	return lo + 1, hi
 }
 
 // statWorkers reserves scan-pool slots for a chunked order-statistic
 // computation (the radix select, per-chunk value counts, or the
-// banded string counts), returning the worker count to hand to
-// internal/stats and the paired release. With no slot free the count
-// is 1 and the same path runs on the calling goroutine. Routing the
-// work through the same slot budget (reserveSegSlots) as the scans keeps nested
-// parallelism — many advise workers each computing cut points — from
-// oversubscribing the scheduler, exactly like the chunked scans
-// themselves. Reserve only after the gather phase: the gather takes
-// slots of its own, and holding them across it would starve it to
-// sequential.
+// banded string and narrow int counts), returning the worker count to
+// hand to internal/stats and the paired release. With no slot free the
+// count is 1 and the same path runs on the calling goroutine. Routing
+// the work through the same slot budget (reserveSegSlots) as the scans
+// keeps nested parallelism — many advise workers each computing cut
+// points — from oversubscribing the scheduler, exactly like the
+// chunked scans themselves. Reserve only after the gather phase: the
+// gather takes slots of its own, and holding them across it would
+// starve it to sequential.
 func statWorkers(src *ChunkedSelection) (workers int, release func()) {
 	extra, release := reserveSegSlots(src)
 	return extra + 1, release
@@ -176,51 +133,33 @@ func statWorkers(src *ChunkedSelection) (workers int, release func()) {
 // Callers must not retain any shard past release.
 func gatherIntKeys(col IntValued, src *ChunkedSelection) (chunks [][]uint64, lo, hi uint64, release func()) {
 	vals := col.Int64s()
-	nc := src.NumChunks()
-	chunks = make([][]uint64, nc)
-	ptrs := make([]*[]uint64, nc)
-	los := make([]uint64, nc)
-	his := make([]uint64, nc)
-	forEachSeg(src, func(c int) {
-		los[c] = math.MaxUint64
-		n := src.chunkCount(c)
-		if n == 0 {
-			return
+	return gatherKeyShards(src, func(ks []uint64, ct *container, base int) (int, uint64, uint64) {
+		m, lo, hi := 0, uint64(math.MaxUint64), uint64(0)
+		for _, row := range ct.rows {
+			m, lo, hi = putIntKey(ks, m, vals[row], lo, hi)
 		}
-		p := uint64Scratch.Get(n)
-		ks, m, klo, khi := *p, 0, uint64(math.MaxUint64), uint64(0)
-		eachRows(src, c, func(rows Selection) {
-			blo, bhi := intKeys(ks[m:], vals, rows)
-			m += len(rows)
-			klo, khi = min(klo, blo), max(khi, bhi)
-		})
-		ptrs[c], chunks[c], los[c], his[c] = p, ks, klo, khi
-	})
-	lo = math.MaxUint64
-	for c := range los {
-		lo, hi = min(lo, los[c]), max(hi, his[c])
-	}
-	return chunks, lo, hi, func() {
-		for _, p := range ptrs {
-			if p != nil {
-				uint64Scratch.Put(p)
+		for wi, w := range ct.words {
+			at := base + wi<<6
+			if w == ^uint64(0) {
+				for _, v := range vals[at : at+64 : at+64] {
+					m, lo, hi = putIntKey(ks, m, v, lo, hi)
+				}
+				continue
+			}
+			for ; w != 0; w &= w - 1 {
+				m, lo, hi = putIntKey(ks, m, vals[at+bits.TrailingZeros64(w)], lo, hi)
 			}
 		}
-	}
+		return m, lo, hi
+	})
 }
 
-// intKeys writes the stats.Int64Key keys of vals at rows to keys and
-// returns the smallest and largest (MaxUint64 and 0 for no row).
-// len(keys) must be at least len(rows).
-func intKeys(keys []uint64, vals []int64, rows Selection) (lo, hi uint64) {
-	lo = math.MaxUint64
-	keys = keys[:len(rows)]
-	for i, row := range rows {
-		k := stats.Int64Key(vals[row])
-		keys[i] = k
-		lo, hi = min(lo, k), max(hi, k)
-	}
-	return lo, hi
+// putIntKey stores v's stats.Int64Key at ks[m] and folds it into the
+// bounds lo and hi.
+func putIntKey(ks []uint64, m int, v int64, lo, hi uint64) (int, uint64, uint64) {
+	k := stats.Int64Key(v)
+	ks[m] = k
+	return m + 1, min(lo, k), max(hi, k)
 }
 
 // gatherFloatKeys gathers col over src as stats.Float64Key keys into
@@ -234,6 +173,48 @@ func intKeys(keys []uint64, vals []int64, rows Selection) (lo, hi uint64) {
 // when there is none. Callers must not retain any shard past release.
 func gatherFloatKeys(col FloatValued, src *ChunkedSelection) (chunks [][]uint64, lo, hi uint64, release func()) {
 	vals := col.Float64s()
+	chunks, lo, hi, release = gatherKeyShards(src, func(ks []uint64, ct *container, base int) (int, uint64, uint64) {
+		m, loMinus1, hi := 0, uint64(math.MaxUint64), uint64(0)
+		for _, row := range ct.rows {
+			m, loMinus1, hi = putFloatKey(ks, m, vals[row], loMinus1, hi)
+		}
+		for wi, w := range ct.words {
+			at := base + wi<<6
+			if w == ^uint64(0) {
+				for _, v := range vals[at : at+64 : at+64] {
+					m, loMinus1, hi = putFloatKey(ks, m, v, loMinus1, hi)
+				}
+				continue
+			}
+			for ; w != 0; w &= w - 1 {
+				m, loMinus1, hi = putFloatKey(ks, m, vals[at+bits.TrailingZeros64(w)], loMinus1, hi)
+			}
+		}
+		return m, loMinus1, hi
+	})
+	// Every shard's minimum is its smallest key minus one, so that a
+	// NaN's key 0 wraps to MaxUint64 and is never picked: undo it,
+	// leaving 0 for both bounds when no shard held a number.
+	return chunks, lo + 1, hi, release
+}
+
+// putFloatKey stores v's stats.Float64Key at ks[m] and folds it into
+// the bounds, dropping NaN without a branch: the key is always stored,
+// and the cursor advances past a number's only. A NaN's key is 0, so
+// the minimum, taken over key − 1, wraps it to MaxUint64 where it is
+// never picked, and the maximum never picks it either.
+func putFloatKey(ks []uint64, m int, v float64, loMinus1, hi uint64) (int, uint64, uint64) {
+	k := stats.Float64Key(v)
+	ks[m] = k
+	return m + b2i(k != 0), min(loMinus1, k-1), max(hi, k)
+}
+
+// gatherKeyShards runs gather on every non-empty chunk of src, each
+// into a pooled shard of the chunk's row count, keeping the keys it
+// reports writing; the per-shard bounds it reports are folded into lo
+// (the smallest) and hi (the largest). Empty chunks fold (MaxUint64,
+// 0). Callers must not retain any shard past release.
+func gatherKeyShards(src *ChunkedSelection, gather func(ks []uint64, ct *container, base int) (int, uint64, uint64)) (chunks [][]uint64, lo, hi uint64, release func()) {
 	nc := src.NumChunks()
 	chunks = make([][]uint64, nc)
 	ptrs := make([]*[]uint64, nc)
@@ -241,20 +222,18 @@ func gatherFloatKeys(col FloatValued, src *ChunkedSelection) (chunks [][]uint64,
 	his := make([]uint64, nc)
 	forEachSeg(src, func(c int) {
 		los[c] = math.MaxUint64
-		n := src.chunkCount(c)
-		if n == 0 {
+		ct := &src.chunks[c]
+		if ct.n == 0 {
 			return
 		}
-		p := uint64Scratch.Get(n)
-		ks, m, klo, khi := *p, 0, uint64(math.MaxUint64), uint64(0)
-		eachRows(src, c, func(rows Selection) {
-			k, blo, bhi := gatherKeys(ks[m:], vals, rows)
-			m += k
-			klo, khi = min(klo, blo), max(khi, bhi)
-		})
-		ptrs[c], chunks[c], los[c], his[c] = p, ks[:m], klo, khi
+		p := uint64Scratch.Get(ct.n)
+		m, klo, khi := gather(*p, ct, src.chunkRows*c)
+		ptrs[c], chunks[c], los[c], his[c] = p, (*p)[:m], klo, khi
 	})
-	lo, hi = reduceKeyBounds(los, his)
+	lo = math.MaxUint64
+	for c := range los {
+		lo, hi = min(lo, los[c]), max(hi, his[c])
+	}
 	return chunks, lo, hi, func() {
 		for _, p := range ptrs {
 			if p != nil {
@@ -302,63 +281,207 @@ type IntCounts struct {
 // IntCutPointsChunked returns the same strictly increasing
 // equi-depth points as IntCutPoints, computed shard-at-a-time.
 func IntCutPointsChunked(col IntValued, src *ChunkedSelection, arity int) []int64 {
-	cut, _ := IntCutChunked(col, src, arity, false)
+	cut, _ := IntCutChunked(col, src, nil, arity, false)
 	return cut.Points
 }
 
-// IntCutChunked computes col's exact cut over src with one pass over
-// the rows: keys are gathered per chunk into pooled scratch, the
-// bounds reduced as they are written, and the points radix-selected
-// from the keys. With retain set, a span narrow enough to count
-// (stats.CountCells) whose per-chunk vectors take no more cells than
-// src has rows is counted per chunk instead, and the counts come back
-// for the cut cache to splice; otherwise counts is nil.
-func IntCutChunked(col IntValued, src *ChunkedSelection, arity int, retain bool) (cut NumCut[int64], counts *IntCounts) {
+// IntCutChunked computes col's exact cut over src. sum is col's zone
+// map (nil without one). When the union of the zone map's bounds over
+// the chunks src selects rows in spans no more cells than the select
+// has buckets (stats.CountCells), the chunks' selected rows are
+// counted into that window straight from the column — no key is
+// gathered and nothing is selected — and the bounds and points are
+// read off the summed counts. Otherwise, or when a value falls outside
+// the window (a zone map that does not describe src's chunks), the
+// keys are gathered per chunk into pooled scratch, the bounds reduced
+// as they are written, and the points radix-selected from the keys.
+// With retain set, an extent whose exact span is narrow enough to
+// count comes back with its per-chunk counts over that span, for the
+// cut cache to splice, when they take no more cells than src has rows
+// (countsFit); otherwise counts is nil.
+func IntCutChunked(col IntValued, src *ChunkedSelection, sum *ChunkSummary, arity int, retain bool) (cut NumCut[int64], counts *IntCounts) {
 	if src.Len() == 0 {
 		return cut, nil
 	}
+	if lo, cells, ok := zoneWindow(sum, src); ok {
+		if cut, counts, ok := countCut(col, src, lo, cells, arity, retain); ok {
+			return cut, counts
+		}
+	}
 	keys, lo, hi, put := gatherIntKeys(col, src)
 	defer put()
+	if cells, ok := stats.CountCells(lo, hi); ok && retain && countsFit(src, cells) {
+		// Counted over the extent's exact bounds, no value is outside.
+		cut, counts, _ = countCut(col, src, stats.Int64FromKey(lo), cells, arity, true)
+		return cut, counts
+	}
 	workers, release := statWorkers(src)
 	defer release()
-	if cells, ok := stats.CountCells(lo, hi); ok && retain && countsFit(src, cells) {
-		counts = &IntCounts{Lo: stats.Int64FromKey(lo), Cells: cells, Chunks: make([][]int, len(keys))}
-		_ = par.ForEach(workers, len(keys), func(c int) error {
-			if len(keys[c]) > 0 {
-				counts.Chunks[c] = stats.CountInt64Keys(keys[c], lo, cells)
-			}
-			return nil
-		})
-		return counts.cut(arity), counts
-	}
 	cut = NumCut[int64]{Min: stats.Int64FromKey(lo), Max: stats.Int64FromKey(hi)}
 	cut.Points = stats.EquiDepthPointsInt64Keys(keys, lo, hi, arity, workers)
 	return cut, nil
 }
 
+// zoneWindow returns the union of sum's bounds over the chunks src
+// selects rows in as a count window [lo, lo+cells), and whether it is
+// narrow enough to count: never without a zone map, or with one of
+// another chunk count than src's.
+func zoneWindow(sum *ChunkSummary, src *ChunkedSelection) (lo int64, cells int, ok bool) {
+	if sum == nil || len(sum.intMin) != src.NumChunks() {
+		return 0, 0, false
+	}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for c, ct := range src.chunks {
+		if ct.n > 0 {
+			lo, hi = min(lo, sum.intMin[c]), max(hi, sum.intMax[c])
+		}
+	}
+	if lo > hi {
+		return 0, 0, false
+	}
+	cells, ok = stats.CountCells(stats.Int64Key(lo), stats.Int64Key(hi))
+	return lo, cells, ok
+}
+
+// errOutsideWindow stops a count that met a value outside its window.
+var errOutsideWindow = errors.New("engine: value outside the count window")
+
+// countCut counts col over src into the window [lo, lo+cells) and
+// reads the cut off the summed counts. The chunks are counted in bands,
+// each into its own vector of one pooled buffer: one band per worker,
+// or with retain one per chunk, whose vectors come back trimmed to the
+// counted [Min, Max] when they fit (countsFit). ok is false when a
+// value lies outside the window.
+func countCut(col IntValued, src *ChunkedSelection, lo int64, cells, arity int, retain bool) (cut NumCut[int64], counts *IntCounts, ok bool) {
+	vals := col.Int64s()
+	nc := src.NumChunks()
+	workers, release := statWorkers(src)
+	defer release()
+	bandSize := 1
+	if !retain {
+		bandSize = (nc + workers - 1) / workers
+	}
+	numBands := (nc + bandSize - 1) / bandSize
+	// The band vectors are cut from one buffer of the key gathers'
+	// scratch, which those keep warm with chunk-sized buffers.
+	bp := uint64Scratch.Get((numBands + 1) * cells)
+	defer uint64Scratch.Put(bp)
+	buf := *bp
+	clear(buf)
+	if par.ForEach(workers, numBands, func(b int) error {
+		v := buf[b*cells : (b+1)*cells]
+		for c := b * bandSize; c < min((b+1)*bandSize, nc); c++ {
+			if !countInts(v, vals, lo, &src.chunks[c], src.chunkRows*c) {
+				return errOutsideWindow
+			}
+		}
+		return nil
+	}) != nil {
+		return cut, nil, false
+	}
+	total := buf[numBands*cells:]
+	for b := range numBands {
+		for i, k := range buf[b*cells : (b+1)*cells] {
+			total[i] += k
+		}
+	}
+	first, last := countedSpan(total)
+	cut = NumCut[int64]{
+		Min:    lo + int64(first),
+		Max:    lo + int64(last),
+		Points: stats.EquiDepthPointsCounts(total[first:last+1], lo+int64(first), arity),
+	}
+	if exact := last - first + 1; retain && countsFit(src, exact) {
+		counts = &IntCounts{Lo: cut.Min, Cells: exact, Chunks: make([][]int, nc)}
+		for c := range nc {
+			if src.chunkCount(c) > 0 {
+				v := make([]int, exact)
+				for i, k := range buf[c*cells+first : c*cells+last+1] {
+					v[i] = int(k)
+				}
+				counts.Chunks[c] = v
+			}
+		}
+	}
+	return cut, counts, true
+}
+
+// countInts adds one to counts[v−lo] for the value v of every row ct
+// selects (its first table row base), and reports false, having
+// stopped, at a value outside [lo, lo+len(counts)).
+func countInts[C int | uint64](counts []C, vals []int64, lo int64, ct *container, base int) bool {
+	for _, row := range ct.rows {
+		if !countInt(counts, vals[row]-lo) {
+			return false
+		}
+	}
+	for wi, w := range ct.words {
+		at := base + wi<<6
+		if w == ^uint64(0) {
+			for _, v := range vals[at : at+64 : at+64] {
+				if !countInt(counts, v-lo) {
+					return false
+				}
+			}
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			if !countInt(counts, vals[at+bits.TrailingZeros64(w)]-lo) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// countInt adds one to counts[d], or reports false when d is outside
+// counts. d is a value less the window's lo: wrapped around when the
+// value is below it, so one unsigned compare checks both ends.
+func countInt[C int | uint64](counts []C, d int64) bool {
+	if uint64(d) >= uint64(len(counts)) {
+		return false
+	}
+	counts[d]++
+	return true
+}
+
+// countedSpan returns the first and last cell of counts holding a
+// count, (-1, -1) when none does.
+func countedSpan[C int | uint64](counts []C) (first, last int) {
+	first, last = -1, -1
+	for i, k := range counts {
+		if k > 0 {
+			last = i
+			if first < 0 {
+				first = i
+			}
+		}
+	}
+	return first, last
+}
+
 // IntCutSplice brings retained counts up to date after a mutation and
 // reads the cut off them: dirty chunks are recounted from the current
-// selection, clean chunks keep their vectors. Sound for the same
-// reason selection splicing is — a selection restricted to a clean
-// chunk, and hence its value multiset, is a pure function of that
-// chunk's unchanged rows. counts is nil when the spliced vectors no
-// longer fit the extent (countsFit); the cut is exact either way. ok
-// is false, and the caller must recompute in full, on a structural
-// mismatch or when a dirty chunk holds a value outside the window.
+// selection straight from the column into the old window, clean chunks
+// keep their vectors. Sound for the same reason selection splicing is
+// — a selection restricted to a clean chunk, and hence its value
+// multiset, is a pure function of that chunk's unchanged rows. counts
+// is nil when the spliced vectors no longer fit the extent
+// (countsFit); the cut is exact either way. ok is false, and the
+// caller must recompute in full, on a structural mismatch or when a
+// dirty chunk holds a value outside the window.
 func IntCutSplice(col IntValued, src *ChunkedSelection, old *IntCounts, dirty []bool, arity int) (cut NumCut[int64], counts *IntCounts, ok bool) {
 	chunks, ok := spliceCounts(src, old.Chunks, dirty)
 	if !ok {
 		return cut, nil, false
 	}
-	keys, lo, hi, put := gatherIntKeys(col, Restrict(src, dirty))
-	defer put()
-	wlo := stats.Int64Key(old.Lo)
-	if lo <= hi && (lo < wlo || hi-wlo >= uint64(old.Cells)) {
-		return cut, nil, false
-	}
-	for c, ks := range keys {
-		if len(ks) > 0 {
-			chunks[c] = stats.CountInt64Keys(ks, wlo, old.Cells)
+	vals := col.Int64s()
+	for c, d := range dirty {
+		if d && src.chunkCount(c) > 0 {
+			chunks[c] = make([]int, old.Cells)
+			if !countInts(chunks[c], vals, old.Lo, &src.chunks[c], src.chunkRows*c) {
+				return cut, nil, false
+			}
 		}
 	}
 	counts = &IntCounts{Lo: old.Lo, Cells: old.Cells, Chunks: chunks}
@@ -378,15 +501,7 @@ func (ic *IntCounts) cut(arity int) NumCut[int64] {
 			total[i] += k
 		}
 	}
-	first, last := -1, -1
-	for i, k := range total {
-		if k > 0 {
-			last = i
-			if first < 0 {
-				first = i
-			}
-		}
-	}
+	first, last := countedSpan(total)
 	if first < 0 {
 		return NumCut[int64]{}
 	}
@@ -494,7 +609,7 @@ func StringValueCountsChunked(col *StringColumn, src *ChunkedSelection) []stats.
 			hi = nc
 		}
 		for c := b * bandSize; c < hi; c++ {
-			eachRows(src, c, func(rows Selection) { countCodes(counts, codes, rows) })
+			countCodes(counts, codes, &src.chunks[c], src.chunkRows*c)
 		}
 		partials[b] = counts
 		return nil
@@ -514,11 +629,23 @@ func StringValueCountsChunked(col *StringColumn, src *ChunkedSelection) []stats.
 	return out
 }
 
-// countCodes adds one to counts[code] for the code of every row of
-// rows.
-func countCodes(counts []int, codes []uint32, rows Selection) {
-	for _, row := range rows {
+// countCodes adds one to counts[code] for the code of every row ct
+// selects, its first table row base.
+func countCodes(counts []int, codes []uint32, ct *container, base int) {
+	for _, row := range ct.rows {
 		counts[codes[row]]++
+	}
+	for wi, w := range ct.words {
+		at := base + wi<<6
+		if w == ^uint64(0) {
+			for _, code := range codes[at : at+64 : at+64] {
+				counts[code]++
+			}
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			counts[codes[at+bits.TrailingZeros64(w)]]++
+		}
 	}
 }
 
@@ -530,14 +657,8 @@ func BoolValueCountsChunked(col *BoolColumn, src *ChunkedSelection) []stats.Valu
 	trues := make([]int, nc)
 	falses := make([]int, nc)
 	forEachSeg(src, func(c int) {
-		eachRows(src, c, func(rows Selection) {
-			n := 0
-			for _, row := range rows {
-				n += b2i(vals[row])
-			}
-			trues[c] += n
-			falses[c] += len(rows) - n
-		})
+		eachRow(src, c, func(row int) { trues[c] += b2i(vals[row]) })
+		falses[c] = src.chunkCount(c) - trues[c]
 	})
 	var nTrue, nFalse int
 	for c := 0; c < nc; c++ {
@@ -608,7 +729,7 @@ func StringChunkCounts(col *StringColumn, src *ChunkedSelection) [][]int {
 			return
 		}
 		v := make([]int, card)
-		eachRows(src, c, func(rows Selection) { countCodes(v, codes, rows) })
+		countCodes(v, codes, &src.chunks[c], src.chunkRows*c)
 		counts[c] = v
 	})
 	return counts

@@ -444,15 +444,16 @@ func metricCounts(m *Metrics) [5]int64 {
 	return [5]int64{m.ZoneSkip.Value(), m.ZoneTake.Value(), m.ZoneScan.Value(), m.VectorKernels.Value(), m.FusedKernels.Value()}
 }
 
-// checkPartition holds PartitionChunked over pieces to one filter per
-// piece, with the zone map and without it, at scan workers 1 and 4,
+// checkPartition holds PartitionChunked over pieces — promised to
+// partition cs when cover is set — to one filter per piece, with the
+// zone map and without it, at scan workers 1 and 4,
 // and with the parent in four chunk forms: as the storage rule built
 // it, every chunk as row ids, every chunk as words, and each chunk's
 // form drawn from rng — the same rows every time. Every child equals
 // its piece's filter of the row-id parent chunk for chunk, every child
 // chunk is in its smaller form, and the metrics hook counts exactly
 // what the per-piece filters count.
-func checkPartition(t testing.TB, cs *ChunkedSelection, sum *ChunkSummary, pieces []partPiece, rng *rand.Rand) {
+func checkPartition(t testing.TB, cs *ChunkedSelection, sum *ChunkSummary, pieces []partPiece, cover bool, rng *rand.Rand) {
 	t.Helper()
 	defer SetScanWorkers(0)
 	defer SetMetrics(nil)
@@ -472,7 +473,7 @@ func checkPartition(t testing.TB, cs *ChunkedSelection, sum *ChunkSummary, piece
 		for _, parent := range parents {
 			for _, s := range []*ChunkSummary{sum, nil} {
 				where := fmt.Sprintf("workers %d, zone map %v, %s parent", workers, s != nil, parent.form)
-				checkPartitionOf(t, rows, parent.cs, s, pieces, where)
+				checkPartitionOf(t, rows, parent.cs, s, pieces, cover, where)
 			}
 		}
 	}
@@ -480,7 +481,7 @@ func checkPartition(t testing.TB, cs *ChunkedSelection, sum *ChunkSummary, piece
 
 // checkPartitionOf is one checkPartition pass: parent is rows in some
 // chunk forms, and the children are held to the filters of rows.
-func checkPartitionOf(t testing.TB, rows, parent *ChunkedSelection, s *ChunkSummary, pieces []partPiece, where string) {
+func checkPartitionOf(t testing.TB, rows, parent *ChunkedSelection, s *ChunkSummary, pieces []partPiece, cover bool, where string) {
 	t.Helper()
 	preds := make([]Pred, len(pieces))
 	for i, p := range pieces {
@@ -488,7 +489,7 @@ func checkPartitionOf(t testing.TB, rows, parent *ChunkedSelection, s *ChunkSumm
 	}
 	m := countingMetrics()
 	SetMetrics(m)
-	children := PartitionChunked(parent, preds)
+	children := PartitionChunked(parent, preds, cover)
 	got := metricCounts(m)
 	m = countingMetrics()
 	SetMetrics(m)
@@ -564,14 +565,173 @@ func valueSets[T int64 | float64](vals, extra []T, rng *rand.Rand, arity int) []
 	return sets
 }
 
+// The piece constructors: each pairs a predicate with the filter it
+// must agree with.
+
+func intRangePiece(ic IntValued, r IntRange) partPiece {
+	return partPiece{
+		name: fmt.Sprintf("int range %+v", r),
+		pred: func(s *ChunkSummary) Pred { return IntRangePred(ic, r, s) },
+		filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
+			return FilterIntRangeChunked(ic, cs, r, s)
+		},
+	}
+}
+
+func floatRangePiece(fc FloatValued, r FloatRange) partPiece {
+	return partPiece{
+		name: fmt.Sprintf("float range %+v", r),
+		pred: func(s *ChunkSummary) Pred { return FloatRangePred(fc, r, s) },
+		filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
+			return FilterFloatRangeChunked(fc, cs, r, s)
+		},
+	}
+}
+
+func intSetPiece(ic IntValued, set []int64) partPiece {
+	return partPiece{
+		name: fmt.Sprintf("int set %v", set),
+		pred: func(s *ChunkSummary) Pred { return IntSetPred(ic, set, s) },
+		filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
+			return FilterIntSetChunked(ic, cs, set, s)
+		},
+	}
+}
+
+func floatSetPiece(fc FloatValued, set []float64) partPiece {
+	return partPiece{
+		name: fmt.Sprintf("float set %v", set),
+		pred: func(s *ChunkSummary) Pred { return FloatSetPred(fc, set, s) },
+		filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
+			return FilterFloatSetChunked(fc, cs, set, s)
+		},
+	}
+}
+
+func stringSetPiece(sc *StringColumn, values []string) partPiece {
+	return partPiece{
+		name: fmt.Sprintf("string set %q", values),
+		pred: func(s *ChunkSummary) Pred { return StringSetPred(sc, values, s) },
+		filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
+			return FilterStringSetChunked(sc, cs, values, s)
+		},
+	}
+}
+
+func boolSetPiece(bc *BoolColumn, values []bool) partPiece {
+	return partPiece{
+		name: fmt.Sprintf("bool set %v", values),
+		pred: func(s *ChunkSummary) Pred { return BoolSetPred(bc, values, s) },
+		filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
+			return FilterBoolSetChunked(bc, cs, values, s)
+		},
+	}
+}
+
+// coverPieces draws two or three pieces that partition the rows sel
+// selects of col, the way a cut's children do. For an int, date or
+// float column they are adjacent ranges over the selected numbers'
+// exact [min, max], split at selected values (a NaN row matches every
+// one of them) or, with sets, the distinct selected values shuffled
+// and dealt into sets, as the numeric-nominal fallback's are (a float
+// set matches no NaN row, so it covers only the numbers: an opaque
+// test is never derived). A string column's pieces deal the codes the
+// selection holds, a bool column's are {false} and {true}.
+func coverPieces(col Column, sel Selection, sets bool, rng *rand.Rand, arity int) []partPiece {
+	switch col := col.(type) {
+	case IntValued:
+		vals := gatherDistinct(col.Int64s(), sel, cmp.Compare[int64])
+		if sets {
+			return setPieces(dealSets(vals, rng, arity), func(set []int64) partPiece { return intSetPiece(col, set) })
+		}
+		return coverRanges(vals, rng, arity, func(lo, hi int64, hiIncl bool) partPiece {
+			return intRangePiece(col, IntRange{Lo: lo, Hi: hi, LoIncl: true, HiIncl: hiIncl})
+		})
+	case FloatValued:
+		vals := gatherDistinct(col.Float64s(), sel, cmp.Compare[float64])
+		if sets {
+			return setPieces(dealSets(vals, rng, arity), func(set []float64) partPiece { return floatSetPiece(col, set) })
+		}
+		vals = slices.DeleteFunc(vals, func(v float64) bool { return v != v })
+		return coverRanges(vals, rng, arity, func(lo, hi float64, hiIncl bool) partPiece {
+			return floatRangePiece(col, FloatRange{Lo: lo, Hi: hi, LoIncl: true, HiIncl: hiIncl})
+		})
+	case *StringColumn:
+		codes := gatherDistinct(col.Codes(), sel, cmp.Compare[uint32])
+		return setPieces(dealSets(codes, rng, arity), func(set []uint32) partPiece {
+			values := make([]string, len(set))
+			for i, code := range set {
+				values[i] = col.DictValue(code)
+			}
+			return stringSetPiece(col, values)
+		})
+	case *BoolColumn:
+		return []partPiece{boolSetPiece(col, []bool{false}), boolSetPiece(col, []bool{true})}
+	}
+	return nil
+}
+
+func setPieces[T any](sets [][]T, piece func([]T) partPiece) []partPiece {
+	pieces := make([]partPiece, len(sets))
+	for i, set := range sets {
+		pieces[i] = piece(set)
+	}
+	return pieces
+}
+
+// gatherDistinct returns the distinct values of vals at sel, ascending
+// by compare (NaN first, the zeros as one value).
+func gatherDistinct[T any](vals []T, sel Selection, compare func(a, b T) int) []T {
+	out := make([]T, len(sel))
+	for i, row := range sel {
+		out[i] = vals[row]
+	}
+	slices.SortFunc(out, compare)
+	return slices.CompactFunc(out, func(a, b T) bool { return compare(a, b) == 0 })
+}
+
+// coverRanges splits the sorted distinct values vals into up to arity
+// adjacent ranges [b_i, b_i+1), the last closed at the maximum, the
+// first bound the minimum and the rest drawn from vals.
+func coverRanges[T int64 | float64](vals []T, rng *rand.Rand, arity int, piece func(lo, hi T, hiIncl bool) partPiece) []partPiece {
+	if len(vals) == 0 {
+		return nil
+	}
+	bounds := []T{vals[0]}
+	if len(vals) > 1 {
+		for _, i := range rng.Perm(len(vals) - 1)[:min(arity, len(vals))-1] {
+			bounds = append(bounds, vals[1+i])
+		}
+	}
+	slices.Sort(bounds)
+	bounds = append(bounds, vals[len(vals)-1])
+	var pieces []partPiece
+	for i := 0; i+1 < len(bounds); i++ {
+		pieces = append(pieces, piece(bounds[i], bounds[i+1], i+2 == len(bounds)))
+	}
+	return pieces
+}
+
+// dealSets shuffles vals and deals them into arity non-empty sets (fewer
+// when there are fewer values).
+func dealSets[T any](vals []T, rng *rand.Rand, arity int) [][]T {
+	rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+	sets := make([][]T, min(arity, len(vals)))
+	for i, v := range vals {
+		sets[i%len(sets)] = append(sets[i%len(sets)], v)
+	}
+	return sets
+}
+
 // Shape bits of FuzzPartitionKernels: the low three pick the column
-// kind and piece family, the rest transform the column.
+// kind and piece family, the rest transform the column or the pieces.
 const (
 	partSorted = 1 << 3 // sort the values, so whole chunks fall to one side of a piece
 	partBig    = 1 << 4 // tile the rows past parallelScanMinRows, so workers 4 fans out
 	partSmall  = 1 << 5 // fold the values into a small domain holding NaN and ±0
 	partRuns   = 1 << 6 // 256-row chunks, the parent one contiguous run in each
 	partWords  = 1 << 7 // draw the parent word by word (before partRuns): full, dense, sparse or empty
+	partCover  = 1 << 8 // draw pieces that partition the parent (coverPieces) and promise the cover
 )
 
 // FuzzPartitionKernels holds the partition driver to one filter per
@@ -592,9 +752,13 @@ const (
 // not zero, put every chunk of lenC rows at the storage rule's
 // boundary instead: it holds 2·⌈lenC/64⌉ − 1, exactly 2·⌈lenC/64⌉ or
 // 2·⌈lenC/64⌉ + 1 rows (a run under partRuns), so a partial last chunk
-// must be judged by its own length, not chunkRows'. checkPartition cuts
-// every parent as the rule stores it, as row ids, as words and in a
-// mix of both.
+// must be judged by its own length, not chunkRows'. With partCover the
+// pieces partition the parent instead (coverPieces) and the pass is
+// promised so: every child must still equal its filter, whether the
+// pass derived it (ranges and code sets; float ranges only in NaN-free
+// chunks) or tested it (sets, the fallback's among them, and float
+// ranges where NaN is). checkPartition cuts every parent as the rule
+// stores it, as row ids, as words and in a mix of both.
 func FuzzPartitionKernels(f *testing.F) {
 	word := func(ws ...uint64) []byte {
 		var b []byte
@@ -606,38 +770,38 @@ func FuzzPartitionKernels(f *testing.F) {
 		return b
 	}
 	mixed := word(0, 1, 2, 3, 1<<63, 1<<63-1, 0x7ff8000000000000, 0xfff0000000000000, 5, 9, 12, 7)
-	f.Add(mixed, uint64(1), uint8(0))
-	f.Add(mixed, uint64(2), uint8(1|partSorted|partSmall))
-	f.Add(mixed, uint64(3), uint8(2|partSmall))
-	f.Add(mixed, uint64(4), uint8(3|partSmall|partSorted))
-	f.Add(mixed, uint64(5), uint8(4|partSmall))
-	f.Add(mixed, uint64(6<<8|6), uint8(5|partSorted))
-	f.Add(mixed, uint64(40<<8|3), uint8(6))
-	f.Add(mixed, uint64(7), uint8(7|partSorted))
-	f.Add(mixed, uint64(9), uint8(7))
-	f.Add(mixed, uint64(14), uint8(7))
-	f.Add(mixed, uint64(8), uint8(2|partBig|partSorted|partSmall))
-	f.Add(mixed, uint64(11), uint8(5|partBig))
+	f.Add(mixed, uint64(1), uint16(0))
+	f.Add(mixed, uint64(2), uint16(1|partSorted|partSmall))
+	f.Add(mixed, uint64(3), uint16(2|partSmall))
+	f.Add(mixed, uint64(4), uint16(3|partSmall|partSorted))
+	f.Add(mixed, uint64(5), uint16(4|partSmall))
+	f.Add(mixed, uint64(6<<8|6), uint16(5|partSorted))
+	f.Add(mixed, uint64(40<<8|3), uint16(6))
+	f.Add(mixed, uint64(7), uint16(7|partSorted))
+	f.Add(mixed, uint64(9), uint16(7))
+	f.Add(mixed, uint64(14), uint16(7))
+	f.Add(mixed, uint64(8), uint16(2|partBig|partSorted|partSmall))
+	f.Add(mixed, uint64(11), uint16(5|partBig))
 	// Binary cuts (seed%6 == 0), which scan in the two-piece loops: int,
 	// date, float with NaN and ±0, string sets over a one-word and a
 	// two-word dictionary, and string ranges.
-	f.Add(mixed, uint64(6), uint8(0))
-	f.Add(mixed, uint64(12), uint8(1|partSmall))
-	f.Add(mixed, uint64(18), uint8(2|partSmall))
-	f.Add(mixed, uint64(24), uint8(2|partBig))
-	f.Add(mixed, uint64(42<<8|6), uint8(5))
-	f.Add(mixed, uint64(66<<8), uint8(5|partBig))
-	f.Add(mixed, uint64(66<<8|6), uint8(6))
+	f.Add(mixed, uint64(6), uint16(0))
+	f.Add(mixed, uint64(12), uint16(1|partSmall))
+	f.Add(mixed, uint64(18), uint16(2|partSmall))
+	f.Add(mixed, uint64(24), uint16(2|partBig))
+	f.Add(mixed, uint64(42<<8|6), uint16(5))
+	f.Add(mixed, uint64(66<<8), uint16(5|partBig))
+	f.Add(mixed, uint64(66<<8|6), uint16(6))
 	// Contiguous parents: whole chunks and sub-runs, every shared test
 	// kind, an opaque set kind, and a short table of partial words.
-	f.Add(mixed, uint64(6), uint8(0|partRuns|partBig))
-	f.Add(mixed, uint64(12), uint8(1|partRuns|partBig|partSorted))
-	f.Add(mixed, uint64(18), uint8(2|partRuns|partBig|partSmall))
-	f.Add(mixed, uint64(5), uint8(2|partRuns|partBig))
-	f.Add(mixed, uint64(7), uint8(3|partRuns|partBig))
-	f.Add(mixed, uint64(42<<8|6), uint8(5|partRuns|partBig))
-	f.Add(mixed, uint64(66<<8|6), uint8(6|partRuns|partBig))
-	f.Add(mixed, uint64(9), uint8(0|partRuns))
+	f.Add(mixed, uint64(6), uint16(0|partRuns|partBig))
+	f.Add(mixed, uint64(12), uint16(1|partRuns|partBig|partSorted))
+	f.Add(mixed, uint64(18), uint16(2|partRuns|partBig|partSmall))
+	f.Add(mixed, uint64(5), uint16(2|partRuns|partBig))
+	f.Add(mixed, uint64(7), uint16(3|partRuns|partBig))
+	f.Add(mixed, uint64(42<<8|6), uint16(5|partRuns|partBig))
+	f.Add(mixed, uint64(66<<8|6), uint16(6|partRuns|partBig))
+	f.Add(mixed, uint64(9), uint16(0|partRuns))
 	// Parents drawn word by word, cut as words: every test kind, binary
 	// cuts in the two-piece word kernels, floats with NaN and ±0, an
 	// opaque kind, and a 230-row table ending in a 38-row word.
@@ -646,29 +810,44 @@ func FuzzPartitionKernels(f *testing.F) {
 		long[i] = uint64(i*7919) ^ uint64(i)<<40
 	}
 	tail := word(long...)
-	f.Add(mixed, uint64(6), uint8(0|partWords|partBig))
-	f.Add(mixed, uint64(12), uint8(1|partWords|partBig|partSorted))
-	f.Add(mixed, uint64(18), uint8(2|partWords|partBig|partSmall))
-	f.Add(mixed, uint64(5), uint8(2|partWords|partBig|partSmall))
-	f.Add(mixed, uint64(7), uint8(3|partWords|partBig))
-	f.Add(mixed, uint64(42<<8|6), uint8(5|partWords|partBig))
-	f.Add(mixed, uint64(66<<8|6), uint8(6|partWords|partBig))
-	f.Add(mixed, uint64(9), uint8(7|partWords|partBig))
-	f.Add(tail, uint64(7), uint8(0|partWords))
-	f.Add(tail, uint64(7), uint8(2|partWords))
-	f.Add(tail, uint64(24), uint8(2|partWords|partSmall))
-	f.Add(tail, uint64(30<<8|6), uint8(5|partWords|partRuns))
+	f.Add(mixed, uint64(6), uint16(0|partWords|partBig))
+	f.Add(mixed, uint64(12), uint16(1|partWords|partBig|partSorted))
+	f.Add(mixed, uint64(18), uint16(2|partWords|partBig|partSmall))
+	f.Add(mixed, uint64(5), uint16(2|partWords|partBig|partSmall))
+	f.Add(mixed, uint64(7), uint16(3|partWords|partBig))
+	f.Add(mixed, uint64(42<<8|6), uint16(5|partWords|partBig))
+	f.Add(mixed, uint64(66<<8|6), uint16(6|partWords|partBig))
+	f.Add(mixed, uint64(9), uint16(7|partWords|partBig))
+	f.Add(tail, uint64(7), uint16(0|partWords))
+	f.Add(tail, uint64(7), uint16(2|partWords))
+	f.Add(tail, uint64(24), uint16(2|partWords|partSmall))
+	f.Add(tail, uint64(30<<8|6), uint16(5|partWords|partRuns))
 	// Parents at the storage rule's boundary, one row under, at and
 	// over it: 64-row chunks (2 rows), and 256-row chunks (8 rows) over
 	// a 300-row table whose 44-row last chunk has a boundary of 2.
 	edge := word(append(long, long[:70]...)...)
 	for bnd := uint64(1); bnd <= 3; bnd++ {
-		f.Add(mixed, bnd<<32|6, uint8(0|partBig))
-		f.Add(mixed, bnd<<32|12, uint8(2|partBig|partSmall))
-		f.Add(edge, bnd<<32|6, uint8(0|partRuns))
-		f.Add(edge, bnd<<32|66<<8|6, uint8(5|partRuns))
+		f.Add(mixed, bnd<<32|6, uint16(0|partBig))
+		f.Add(mixed, bnd<<32|12, uint16(2|partBig|partSmall))
+		f.Add(edge, bnd<<32|6, uint16(0|partRuns))
+		f.Add(edge, bnd<<32|66<<8|6, uint16(5|partRuns))
 	}
-	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, shape uint8) {
+	// Covering pieces under the promise: every kind, binary and
+	// ternary, with NaN and ±0 (small), sorted so that NaN clusters in
+	// the last chunks and the rest are NaN-free, drawn word by word, in
+	// runs, and at the storage rule's boundary.
+	for kind := uint16(0); kind < 8; kind++ {
+		f.Add(mixed, uint64(6+kind), kind|partCover|partSmall|partBig)
+		f.Add(mixed, uint64(7+kind), kind|partCover|partSmall|partSorted|partBig)
+		f.Add(mixed, uint64(8+kind), kind|partCover|partWords|partBig)
+		f.Add(tail, uint64(9+kind), kind|partCover|partSmall|partWords)
+		f.Add(edge, uint64(10+kind), kind|partCover|partSmall|partRuns)
+		for bnd := uint64(1); bnd <= 3; bnd++ {
+			f.Add(mixed, bnd<<32|uint64(kind), kind|partCover|partSmall|partBig)
+			f.Add(edge, bnd<<32|uint64(kind+1), kind|partCover|partSmall|partSorted|partRuns)
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, shape uint16) {
 		const chunkRows = 64
 		n := min(len(raw)/8, 16*chunkRows)
 		words := make([]uint64, n)
@@ -727,53 +906,25 @@ func FuzzPartitionKernels(f *testing.F) {
 			col = ic
 			pieces = rangePieces(ic.Int64s(), []int64{math.MinInt64, math.MaxInt64, 0, -1, 1}, rng, arity,
 				func(lo, hi int64, loIncl, hiIncl bool) partPiece {
-					r := IntRange{Lo: lo, Hi: hi, LoIncl: loIncl, HiIncl: hiIncl}
-					return partPiece{
-						name: fmt.Sprintf("int range %+v", r),
-						pred: func(s *ChunkSummary) Pred { return IntRangePred(ic, r, s) },
-						filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
-							return FilterIntRangeChunked(ic, cs, r, s)
-						},
-					}
+					return intRangePiece(ic, IntRange{Lo: lo, Hi: hi, LoIncl: loIncl, HiIncl: hiIncl})
 				})
 		case 2:
 			fc := NewFloatColumn("v", floats())
 			col = fc
 			pieces = rangePieces(fc.Float64s(), partFloatEdges, rng, arity,
 				func(lo, hi float64, loIncl, hiIncl bool) partPiece {
-					r := FloatRange{Lo: lo, Hi: hi, LoIncl: loIncl, HiIncl: hiIncl}
-					return partPiece{
-						name: fmt.Sprintf("float range %+v", r),
-						pred: func(s *ChunkSummary) Pred { return FloatRangePred(fc, r, s) },
-						filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
-							return FilterFloatRangeChunked(fc, cs, r, s)
-						},
-					}
+					return floatRangePiece(fc, FloatRange{Lo: lo, Hi: hi, LoIncl: loIncl, HiIncl: hiIncl})
 				})
 		case 3:
 			ic := NewIntColumn("v", ints())
 			col = ic
-			for _, set := range valueSets(ic.Int64s(), []int64{math.MinInt64, 0, 99, math.MaxInt64}, rng, arity) {
-				pieces = append(pieces, partPiece{
-					name: fmt.Sprintf("int set %v", set),
-					pred: func(s *ChunkSummary) Pred { return IntSetPred(ic, set, s) },
-					filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
-						return FilterIntSetChunked(ic, cs, set, s)
-					},
-				})
-			}
+			sets := valueSets(ic.Int64s(), []int64{math.MinInt64, 0, 99, math.MaxInt64}, rng, arity)
+			pieces = setPieces(sets, func(set []int64) partPiece { return intSetPiece(ic, set) })
 		case 4:
 			fc := NewFloatColumn("v", floats())
 			col = fc
-			for _, set := range valueSets(fc.Float64s(), partFloatEdges, rng, arity) {
-				pieces = append(pieces, partPiece{
-					name: fmt.Sprintf("float set %v", set),
-					pred: func(s *ChunkSummary) Pred { return FloatSetPred(fc, set, s) },
-					filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
-						return FilterFloatSetChunked(fc, cs, set, s)
-					},
-				})
-			}
+			sets := valueSets(fc.Float64s(), partFloatEdges, rng, arity)
+			pieces = setPieces(sets, func(set []float64) partPiece { return floatSetPiece(fc, set) })
 		case 5, 6:
 			dictLen := 1 + int(seed>>8)%70
 			dict := make([]string, dictLen)
@@ -804,13 +955,7 @@ func FuzzPartitionKernels(f *testing.F) {
 					for k := rng.Intn(5); k > 0; k-- {
 						values = append(values, pick())
 					}
-					pieces = append(pieces, partPiece{
-						name: fmt.Sprintf("string set %q", values),
-						pred: func(s *ChunkSummary) Pred { return StringSetPred(sc, values, s) },
-						filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
-							return FilterStringSetChunked(sc, cs, values, s)
-						},
-					})
+					pieces = append(pieces, stringSetPiece(sc, values))
 					continue
 				}
 				lo, hi, loIncl, hiIncl := pick(), pick(), rng.Intn(2) == 0, rng.Intn(2) == 0
@@ -837,13 +982,7 @@ func FuzzPartitionKernels(f *testing.F) {
 				for k := rng.Intn(3); k > 0; k-- {
 					values = append(values, rng.Intn(2) == 0)
 				}
-				pieces = append(pieces, partPiece{
-					name: fmt.Sprintf("bool set %v", values),
-					pred: func(s *ChunkSummary) Pred { return BoolSetPred(bc, values, s) },
-					filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
-						return FilterBoolSetChunked(bc, cs, values, s)
-					},
-				})
+				pieces = append(pieces, boolSetPiece(bc, values))
 			}
 		}
 		layout := chunkRows
@@ -907,6 +1046,11 @@ func FuzzPartitionKernels(f *testing.F) {
 				}
 			}
 		}
-		checkPartition(t, ChunkSelection(sel, nRows, layout), tab.SummaryByName("v"), pieces, rng)
+		cover := shape&partCover != 0
+		if cover {
+			kind := shape & 7
+			pieces = coverPieces(col, sel, kind == 3 || kind == 4, rng, 2+arity%2)
+		}
+		checkPartition(t, ChunkSelection(sel, nRows, layout), tab.SummaryByName("v"), pieces, cover, rng)
 	})
 }

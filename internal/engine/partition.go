@@ -8,24 +8,38 @@ import "math/bits"
 // scratch round trip per piece. The partition driver makes one pass.
 // Per chunk it runs every piece's zone verdict, hands a piece the
 // parent's chunk as it is when its verdict takes it and nothing when it
-// skips, and scans the pieces left in the parent chunk's own form. A
-// row-id chunk is scanned into one scratch buffer: a binary cut's two
-// pieces share one row loop, where each row and its value are loaded
-// once, then each piece stores the row at its own cursor and advances
-// the cursor by its own 0/1 test; any other scan runs each piece's own
-// kernel in turn (a loop over k pieces' tests per row runs slower than
-// k separate kernels). A words chunk is cut from its words and its row
-// ids are never built: each piece's child words are built word by word
-// (packPieces). Either way each child chunk is stored by the one chunk
-// setter, which picks its form from its count. Each piece keeps its own
-// test — nothing assumes the pieces are disjoint or cover the parent —
-// so child i is exactly FilterChunked(parent, preds[i]), NaN rows
-// included: they match every float range and no float set.
+// skips, and scans the pieces left in the parent chunk's own form: a
+// row-id chunk through each piece's row kernel into one scratch buffer,
+// a words chunk through each piece's word kernel (packPiece), which
+// builds the child words word by word and never the chunk's row ids.
+// Each child chunk is stored by the one chunk setter, which picks its
+// form from its count.
+//
+// The cover rule. Without a promise every piece keeps its own test, so
+// child i is exactly FilterChunked(parent, preds[i]), NaN rows
+// included: they match every float range and no float set. A caller
+// may promise that the pieces partition the parent — every parent row
+// lies in exactly one piece. seg makes that promise for a pass that
+// holds every child of one cut: the pieces of rangePieces span the
+// extent's exact [min, max] with adjacent half-open ranges, and
+// nominal pieces split the list of every value the extent holds. Under
+// the promise, in each chunk where it holds, the last scanned piece is
+// derived instead of tested: parent &^ others per word, or the
+// parent's row ids minus the others' by one merge that loads no value;
+// a lone scanned piece is the parent chunk, and a piece whose verdict
+// takes the chunk settles it for every other piece. The promise holds
+// in a chunk when every piece is an int/date range or a code set, or a
+// float range over a chunk the zone map marks NaN-free: a NaN row
+// matches every float range, so in a chunk holding one the pieces
+// overlap and each keeps its test. Opaque tests — int, float and bool
+// sets (the numeric-nominal fallback's pieces among them, which match
+// no NaN row) and the summary-less string range — never derive, so a
+// pass holding one scans every piece. Verdicts are computed and
+// counted for every piece either way.
 
-// testKind names the form of a Pred's row test the two-piece
-// partition kernels share. testOpaque has only its own scan kernel:
-// int/float/bool sets, a range no int64 satisfies, and the
-// summary-less string range.
+// testKind names the form of a Pred's row test the word kernels read.
+// testOpaque has only its own row kernel: int/float/bool sets, a range
+// no int64 satisfies, and the summary-less string range.
 type testKind uint8
 
 const (
@@ -36,7 +50,8 @@ const (
 )
 
 // rowTest is a Pred's row test in shared form: the column's backing
-// slice plus the operand its kind resolves to.
+// slice plus the operand its kind resolves to. pure is the float zone
+// map's NaN-free flag per chunk (nil without a zone map).
 type rowTest struct {
 	kind   testKind
 	ints   []int64
@@ -45,6 +60,21 @@ type rowTest struct {
 	ispan  intSpan
 	fspan  floatSpan
 	want   codeSet
+	pure   []bool
+}
+
+// covers reports whether a promised cover may derive this piece's rows
+// in chunk c: always for int/date ranges and code sets, for a float
+// range only in a chunk the zone map proves NaN-free, never for an
+// opaque test.
+func (t *rowTest) covers(c int) bool {
+	switch t.kind {
+	case testIntRange, testCodeSet:
+		return true
+	case testFloatRange:
+		return t.pure != nil && t.pure[c]
+	}
+	return false
 }
 
 // partInline is the piece count whose per-chunk bookkeeping stays on
@@ -55,10 +85,12 @@ const partInline = 8
 // column — in one pass, returning child i equal to FilterChunked(src,
 // preds[i]), each chunk in the form its count picks (denseEnough). A
 // chunk every row of which a piece keeps is the parent's container,
-// shared. The metrics hook counts what one filter per pred would: a
-// VectorKernels per pred that can match, and one verdict per such pred
-// per non-empty chunk.
-func PartitionChunked(src *ChunkedSelection, preds []Pred) []*ChunkedSelection {
+// shared. cover is the caller's promise that preds partition src (the
+// cover rule above); with it the pass derives a piece in every chunk
+// where the rule holds, and without it tests every piece. The metrics
+// hook counts what one filter per pred would: a VectorKernels per pred
+// that can match, and one verdict per such pred per non-empty chunk.
+func PartitionChunked(src *ChunkedSelection, preds []Pred, cover bool) []*ChunkedSelection {
 	m := metricsHook.Load()
 	out := make([]*ChunkedSelection, len(preds))
 	live := make([]int, 0, len(preds))
@@ -70,14 +102,8 @@ func PartitionChunked(src *ChunkedSelection, preds []Pred) []*ChunkedSelection {
 		}
 	}
 	if len(live) > 0 {
-		part := &partition{preds: preds, live: live, out: out, m: m}
-		forEachSeg(src, func(c int) {
-			if ct := src.chunks[c]; ct.words != nil {
-				part.words(ct, c, src.chunkRows*c, src.chunkLen(c))
-			} else if ct.n > 0 {
-				part.rows(ct, c)
-			}
-		})
+		part := &partition{src: src, preds: preds, live: live, out: out, m: m, cover: cover}
+		forEachSeg(src, part.chunk)
 	}
 	for _, cs := range out {
 		cs.seal()
@@ -85,37 +111,59 @@ func PartitionChunked(src *ChunkedSelection, preds []Pred) []*ChunkedSelection {
 	return out
 }
 
-// partition is one PartitionChunked pass: the pieces, the children
-// every chunk's task fills, and the metrics hook.
+// partition is one PartitionChunked pass: the parent, the pieces, the
+// children every chunk's task fills, the metrics hook and the cover
+// promise.
 type partition struct {
+	src   *ChunkedSelection
 	preds []Pred
 	live  []int
 	out   []*ChunkedSelection
 	m     *Metrics
+	cover bool
 }
 
-// rows is one row-id parent chunk's task: the verdicts, one scratch
-// buffer holding every scanning piece's output, the shared row loop,
-// and each piece's matches stored — the parent's container where every
-// row matched.
-func (p *partition) rows(ct container, c int) {
-	preds, seg := p.preds, ct.rows
-	var scanArr [partInline]int
-	scan := scanArr[:0]
+// chunk is one parent chunk's task: the verdicts, then the scan of the
+// pieces left — the last of them derived where the cover rule holds.
+func (p *partition) chunk(c int) {
+	ct := p.src.chunks[c]
+	if ct.n == 0 {
+		return
+	}
+	derive := p.cover
 	for _, i := range p.live {
-		v := preds[i].verdict(c)
+		derive = derive && p.preds[i].test.covers(c)
+	}
+	var scanArr [partInline]int
+	scan, took := scanArr[:0], false
+	for _, i := range p.live {
+		v := p.preds[i].verdict(c)
 		p.m.countVerdict(v)
 		switch v {
 		case chunkTake:
 			p.out[i].take(c, ct)
+			took = true
 		case chunkScan:
 			scan = append(scan, i)
 		}
 	}
-	if len(scan) == 0 {
-		return
+	switch {
+	case len(scan) == 0 || derive && took:
+	case derive && len(scan) == 1:
+		p.out[scan[0]].take(c, ct)
+	case ct.words != nil:
+		p.words(ct, c, scan, derive)
+	default:
+		p.rows(ct, c, scan, derive)
 	}
-	n := len(seg)
+}
+
+// rows scans a row-id parent chunk: every piece in scan runs its row
+// kernel into one scratch buffer — but the last, when derive is set,
+// which keeps the parent's rows no other piece kept — and each piece's
+// matches are stored, the parent's container where every row matched.
+func (p *partition) rows(ct container, c int, scan []int, derive bool) {
+	seg, n := ct.rows, ct.n
 	buf := int32Scratch.Get(len(scan) * n)
 	var outArr [partInline]Selection
 	var nsArr [partInline]int
@@ -124,7 +172,17 @@ func (p *partition) rows(ct container, c int) {
 		outs = append(outs, (*buf)[j*n:(j+1)*n:(j+1)*n])
 		ns = append(ns, 0)
 	}
-	scanPieces(preds, scan, seg, outs, ns)
+	tested := len(scan) - b2i(derive)
+	for j, i := range scan[:tested] {
+		ns[j] = p.preds[i].scan(seg, outs[j])
+	}
+	if derive {
+		rest := seg
+		for j := range tested {
+			rest = outs[tested][:exceptRows(rest, outs[j][:ns[j]], outs[tested])]
+		}
+		ns[tested] = len(rest)
+	}
 	for j, i := range scan {
 		if ns[j] == n {
 			p.out[i].take(c, ct)
@@ -135,6 +193,23 @@ func (p *partition) rows(ct container, c int) {
 	int32Scratch.Put(buf)
 }
 
+// exceptRows writes the rows of seg that are not in other — a sorted
+// subset of seg — to out and returns their count: one merge that loads
+// no value. out may be seg itself.
+func exceptRows(seg, other, out Selection) int {
+	n, j := 0, 0
+	for i, row := range seg {
+		if j == len(other) {
+			return n + copy(out[n:], seg[i:])
+		}
+		out[n] = row
+		hit := b2i(row == other[j])
+		n += 1 - hit
+		j += hit
+	}
+	return n
+}
+
 // denseWordBits is the popcount from which a scanned piece tests a
 // parent word's 64 rows at once — the word kernel's result
 // masked by the parent word — rather than iterating its set bits. Half
@@ -143,44 +218,58 @@ func (p *partition) rows(ct container, c int) {
 // both; BenchmarkPartitionSource measures the crossover.
 const denseWordBits = 32
 
-// words is the task of a chunk the parent holds as words: ct holds
-// its words, base is its first row and lenC its row count. A scanned
-// piece with a shared row test builds its child words from the
-// parent's word by word (packPieces) into one scratch buffer, which the
-// chunk setter copies or decodes. An opaque piece runs its row kernel
-// over the chunk's rows, decoded into scratch once for all of them.
-func (p *partition) words(ct container, c, base, lenC int) {
-	preds, pw, n := p.preds, ct.words, ct.n
+// words scans a chunk the parent holds as words: a piece with a shared
+// row test builds its child words from the parent's word by word
+// (packPiece) into one scratch buffer, which the chunk setter copies or
+// decodes; when derive is set the last piece's words are the parent's
+// less the others' (no piece is then opaque). An opaque piece runs its
+// row kernel over the chunk's rows, decoded into scratch once for all
+// of them.
+func (p *partition) words(ct container, c int, scan []int, derive bool) {
+	pw, n := ct.words, ct.n
+	base := p.src.chunkRows * c
 	// The words a scanned piece may test 64 at a time: those whose 64
 	// rows are all in the chunk and the table.
-	full := lenC >> 6
-	var scanArr, opaqueArr [partInline]int
-	scan, opaque := scanArr[:0], opaqueArr[:0]
-	for _, i := range p.live {
-		v := preds[i].verdict(c)
-		p.m.countVerdict(v)
-		switch {
-		case v == chunkTake:
-			p.out[i].take(c, ct)
-		case v != chunkScan:
-		case preds[i].test.kind == testOpaque:
+	full := p.src.chunkLen(c) >> 6
+	var sharedArr, opaqueArr [partInline]int
+	shared, opaque := sharedArr[:0], opaqueArr[:0]
+	for _, i := range scan {
+		if p.preds[i].test.kind == testOpaque {
 			opaque = append(opaque, i)
-		default:
-			scan = append(scan, i)
+		} else {
+			shared = append(shared, i)
 		}
 	}
-	if len(scan) > 0 {
+	if len(shared) > 0 {
 		nw := len(pw)
-		buf := uint64Scratch.Get(len(scan) * nw)
+		buf := uint64Scratch.Get(len(shared) * nw)
 		var outArr [partInline][]uint64
 		var nsArr [partInline]int
 		outs, ns := outArr[:0], nsArr[:0]
-		for j := range scan {
+		for j := range shared {
 			outs = append(outs, (*buf)[j*nw:(j+1)*nw:(j+1)*nw])
 			ns = append(ns, 0)
 		}
-		packPieces(preds, scan, pw, base, full, outs, ns)
-		for j, i := range scan {
+		tested := len(shared) - b2i(derive)
+		for j, i := range shared[:tested] {
+			ns[j] = packPiece(&p.preds[i].test, pw, base, full, outs[j])
+		}
+		if derive {
+			// The last piece is the parent's words less the tested
+			// pieces'. Under the cover the pieces are disjoint subsets
+			// of the parent, so its rows number the parent's less theirs.
+			rest, from := outs[tested], pw
+			ns[tested] = n
+			for j := range tested {
+				o := outs[j][:len(from)]
+				for wi, x := range from {
+					rest[wi] = x &^ o[wi]
+				}
+				from = rest
+				ns[tested] -= ns[j]
+			}
+		}
+		for j, i := range shared {
 			if ns[j] == n {
 				p.out[i].take(c, ct)
 			} else {
@@ -195,7 +284,7 @@ func (p *partition) words(ct container, c, base, lenC int) {
 		decodeWords(rows, pw, int32(base))
 		for j, i := range opaque {
 			out := (*buf)[(j+1)*n : (j+2)*n : (j+2)*n]
-			k := preds[i].scan(rows, out)
+			k := p.preds[i].scan(rows, out)
 			if k == n {
 				p.out[i].take(c, ct)
 			} else {
@@ -206,39 +295,19 @@ func (p *partition) words(ct container, c, base, lenC int) {
 	}
 }
 
-// packPieces builds the child words of the pieces in scan (indices
-// into preds) from a words parent chunk's words pw, writing piece
-// scan[j]'s to outs[j] and their count to ns[j]. The pieces of one cut
-// share a column, so every scanned piece has the one shared test kind,
-// and they run two at a time through the two-piece word kernels: each
-// loads a row's value once and builds both child words in registers. A
-// lone last piece — every one-predicate filter — runs its one-piece
-// kernel. Each parent word picks its kernel by density (isDense): a
+// packPiece builds the child words of one piece with a shared row test
+// from a words parent chunk's words pw into out, and returns their
+// count. Each parent word picks its kernel by density (isDense): a
 // dense word is tested whole, eight rows per step, and masked by the
 // parent word; a sparser word tests its set bits one by one.
-func packPieces(preds []Pred, scan []int, pw []uint64, base, full int, outs [][]uint64, ns []int) {
-	for j := 0; j < len(scan); j += 2 {
-		a := &preds[scan[j]].test
-		if j+1 == len(scan) {
-			switch a.kind {
-			case testIntRange:
-				ns[j] = packIntRange1(a.ints, a.ispan, pw, base, full, outs[j])
-			case testFloatRange:
-				ns[j] = packFloatRange1(a.floats, a.fspan, pw, base, full, outs[j])
-			default:
-				ns[j] = packCodeSet1(a.codes, a.want, pw, base, full, outs[j])
-			}
-			return
-		}
-		b := &preds[scan[j+1]].test
-		switch a.kind {
-		case testIntRange:
-			ns[j], ns[j+1] = packIntRange2(a.ints, a.ispan, b.ispan, pw, base, full, outs[j], outs[j+1])
-		case testFloatRange:
-			ns[j], ns[j+1] = packFloatRange2(a.floats, a.fspan, b.fspan, pw, base, full, outs[j], outs[j+1])
-		default:
-			ns[j], ns[j+1] = packCodeSet2(a.codes, a.want, b.want, pw, base, full, outs[j], outs[j+1])
-		}
+func packPiece(t *rowTest, pw []uint64, base, full int, out []uint64) int {
+	switch t.kind {
+	case testIntRange:
+		return packIntRange(t.ints, t.ispan, pw, base, full, out)
+	case testFloatRange:
+		return packFloatRange(t.floats, t.fspan, pw, base, full, out)
+	default:
+		return packCodeSet(t.codes, t.want, pw, base, full, out)
 	}
 }
 
@@ -259,14 +328,14 @@ func ones(w uint64) int {
 	return int(w * 0x0101010101010101 >> 56)
 }
 
-// The word kernels build the child words of piece a (and b) from the
-// parent words pw — word i of each is pw[i] narrowed to the rows its
-// test matches, the first of them row base — and return their counts.
-// They make no call, so their loop state stays in registers, and like
-// the two-piece row loops they stay out of line.
+// The word kernels build the child words of one piece from the
+// parent words pw — word i is pw[i] narrowed to the rows its
+// test matches, the first of them row base — and return their count.
+// They make no call, so their loop state stays in registers, and they
+// stay out of line.
 
 //go:noinline
-func packIntRange1(vals []int64, a intSpan, pw []uint64, base, full int, out []uint64) (n int) {
+func packIntRange(vals []int64, a intSpan, pw []uint64, base, full int, out []uint64) (n int) {
 	lo, span := a.lo, a.span
 	out = out[:len(pw)]
 	for wi, w := range pw {
@@ -285,22 +354,24 @@ func packIntRange1(vals []int64, a intSpan, pw []uint64, base, full int, out []u
 					uint64(b2i(uint64(v[7]-lo) <= span))<<7) << j
 			}
 			x &= w
+			n += ones(x)
 		} else {
 			for ; w != 0; w &= w - 1 {
 				j := bits.TrailingZeros64(w)
-				x |= uint64(b2i(uint64(vals[at+j]-lo) <= span)) << j
+				hit := b2i(uint64(vals[at+j]-lo) <= span)
+				x |= uint64(hit) << j
+				n += hit
 			}
 		}
 		out[wi] = x
-		n += ones(x)
 	}
 	return n
 }
 
-// packFloatRange1 keeps a NaN row, as the float range kernels do.
+// packFloatRange keeps a NaN row, as the float range kernels do.
 //
 //go:noinline
-func packFloatRange1(vals []float64, a floatSpan, pw []uint64, base, full int, out []uint64) (n int) {
+func packFloatRange(vals []float64, a floatSpan, pw []uint64, base, full int, out []uint64) (n int) {
 	lo, span := a.lo, a.span
 	out = out[:len(pw)]
 	for wi, w := range pw {
@@ -319,21 +390,23 @@ func packFloatRange1(vals []float64, a floatSpan, pw []uint64, base, full int, o
 					uint64(b2i(floatKey(v[7])-lo <= span)|b2i(v[7] != v[7]))<<7) << j
 			}
 			x &= w
+			n += ones(x)
 		} else {
 			for ; w != 0; w &= w - 1 {
 				j := bits.TrailingZeros64(w)
 				v := vals[at+j]
-				x |= uint64(b2i(floatKey(v)-lo <= span)|b2i(v != v)) << j
+				hit := b2i(floatKey(v)-lo <= span) | b2i(v != v)
+				x |= uint64(hit) << j
+				n += hit
 			}
 		}
 		out[wi] = x
-		n += ones(x)
 	}
 	return n
 }
 
 //go:noinline
-func packCodeSet1(codes []uint32, a codeSet, pw []uint64, base, full int, out []uint64) (n int) {
+func packCodeSet(codes []uint32, a codeSet, pw []uint64, base, full int, out []uint64) (n int) {
 	out = out[:len(pw)]
 	for wi, w := range pw {
 		at := base + wi<<6
@@ -351,264 +424,17 @@ func packCodeSet1(codes []uint32, a codeSet, pw []uint64, base, full int, out []
 					a[v[7]>>6]>>(v[7]&63)&1<<7) << j
 			}
 			x &= w
+			n += ones(x)
 		} else {
 			for ; w != 0; w &= w - 1 {
 				j := bits.TrailingZeros64(w)
 				code := codes[at+j]
-				x |= a[code>>6] >> (code & 63) & 1 << j
+				hit := a[code>>6] >> (code & 63) & 1
+				x |= hit << j
+				n += int(hit)
 			}
 		}
 		out[wi] = x
-		n += ones(x)
 	}
 	return n
-}
-
-//go:noinline
-func packIntRange2(vals []int64, a, b intSpan, pw []uint64, base, full int, outA, outB []uint64) (na, nb int) {
-	aLo, aSpan, bLo, bSpan := a.lo, a.span, b.lo, b.span
-	outA, outB = outA[:len(pw)], outB[:len(pw)]
-	for wi, w := range pw {
-		lo := base + wi<<6
-		var xa, xb uint64
-		if isDense(wi, full, w) {
-			for j := 0; j < 64; j += 8 {
-				x := vals[lo+j : lo+j+8 : lo+j+8]
-				xa |= (uint64(b2i(uint64(x[0]-aLo) <= aSpan)) |
-					uint64(b2i(uint64(x[1]-aLo) <= aSpan))<<1 |
-					uint64(b2i(uint64(x[2]-aLo) <= aSpan))<<2 |
-					uint64(b2i(uint64(x[3]-aLo) <= aSpan))<<3 |
-					uint64(b2i(uint64(x[4]-aLo) <= aSpan))<<4 |
-					uint64(b2i(uint64(x[5]-aLo) <= aSpan))<<5 |
-					uint64(b2i(uint64(x[6]-aLo) <= aSpan))<<6 |
-					uint64(b2i(uint64(x[7]-aLo) <= aSpan))<<7) << j
-				xb |= (uint64(b2i(uint64(x[0]-bLo) <= bSpan)) |
-					uint64(b2i(uint64(x[1]-bLo) <= bSpan))<<1 |
-					uint64(b2i(uint64(x[2]-bLo) <= bSpan))<<2 |
-					uint64(b2i(uint64(x[3]-bLo) <= bSpan))<<3 |
-					uint64(b2i(uint64(x[4]-bLo) <= bSpan))<<4 |
-					uint64(b2i(uint64(x[5]-bLo) <= bSpan))<<5 |
-					uint64(b2i(uint64(x[6]-bLo) <= bSpan))<<6 |
-					uint64(b2i(uint64(x[7]-bLo) <= bSpan))<<7) << j
-			}
-			xa &= w
-			xb &= w
-			na += ones(xa)
-			nb += ones(xb)
-		} else {
-			for ; w != 0; w &= w - 1 {
-				j := bits.TrailingZeros64(w)
-				v := vals[lo+j]
-				ha, hb := b2i(uint64(v-aLo) <= aSpan), b2i(uint64(v-bLo) <= bSpan)
-				xa |= uint64(ha) << j
-				xb |= uint64(hb) << j
-				na += ha
-				nb += hb
-			}
-		}
-		outA[wi], outB[wi] = xa, xb
-	}
-	return na, nb
-}
-
-// packFloatRange2 keeps a NaN row in both pieces, as partFloatRange2
-// does.
-//
-//go:noinline
-func packFloatRange2(vals []float64, a, b floatSpan, pw []uint64, base, full int, outA, outB []uint64) (na, nb int) {
-	aLo, aSpan, bLo, bSpan := a.lo, a.span, b.lo, b.span
-	outA, outB = outA[:len(pw)], outB[:len(pw)]
-	for wi, w := range pw {
-		lo := base + wi<<6
-		var xa, xb uint64
-		if isDense(wi, full, w) {
-			for j := 0; j < 64; j += 8 {
-				x := vals[lo+j : lo+j+8 : lo+j+8]
-				k0, k1, k2, k3 := floatKey(x[0]), floatKey(x[1]), floatKey(x[2]), floatKey(x[3])
-				k4, k5, k6, k7 := floatKey(x[4]), floatKey(x[5]), floatKey(x[6]), floatKey(x[7])
-				nan := uint64(b2i(x[0] != x[0]) | b2i(x[1] != x[1])<<1 | b2i(x[2] != x[2])<<2 | b2i(x[3] != x[3])<<3 |
-					b2i(x[4] != x[4])<<4 | b2i(x[5] != x[5])<<5 | b2i(x[6] != x[6])<<6 | b2i(x[7] != x[7])<<7)
-				xa |= (nan | uint64(b2i(k0-aLo <= aSpan)) |
-					uint64(b2i(k1-aLo <= aSpan))<<1 |
-					uint64(b2i(k2-aLo <= aSpan))<<2 |
-					uint64(b2i(k3-aLo <= aSpan))<<3 |
-					uint64(b2i(k4-aLo <= aSpan))<<4 |
-					uint64(b2i(k5-aLo <= aSpan))<<5 |
-					uint64(b2i(k6-aLo <= aSpan))<<6 |
-					uint64(b2i(k7-aLo <= aSpan))<<7) << j
-				xb |= (nan | uint64(b2i(k0-bLo <= bSpan)) |
-					uint64(b2i(k1-bLo <= bSpan))<<1 |
-					uint64(b2i(k2-bLo <= bSpan))<<2 |
-					uint64(b2i(k3-bLo <= bSpan))<<3 |
-					uint64(b2i(k4-bLo <= bSpan))<<4 |
-					uint64(b2i(k5-bLo <= bSpan))<<5 |
-					uint64(b2i(k6-bLo <= bSpan))<<6 |
-					uint64(b2i(k7-bLo <= bSpan))<<7) << j
-			}
-			xa &= w
-			xb &= w
-			na += ones(xa)
-			nb += ones(xb)
-		} else {
-			for ; w != 0; w &= w - 1 {
-				j := bits.TrailingZeros64(w)
-				v := vals[lo+j]
-				k, nan := floatKey(v), b2i(v != v)
-				ha, hb := b2i(k-aLo <= aSpan)|nan, b2i(k-bLo <= bSpan)|nan
-				xa |= uint64(ha) << j
-				xb |= uint64(hb) << j
-				na += ha
-				nb += hb
-			}
-		}
-		outA[wi], outB[wi] = xa, xb
-	}
-	return na, nb
-}
-
-//go:noinline
-func packCodeSet2(codes []uint32, a, b codeSet, pw []uint64, base, full int, outA, outB []uint64) (na, nb int) {
-	b = b[:len(a)]
-	outA, outB = outA[:len(pw)], outB[:len(pw)]
-	for wi, w := range pw {
-		lo := base + wi<<6
-		var xa, xb uint64
-		if isDense(wi, full, w) {
-			for j := 0; j < 64; j += 8 {
-				x := codes[lo+j : lo+j+8 : lo+j+8]
-				w0, w1, w2, w3, w4, w5, w6, w7 := x[0]>>6, x[1]>>6, x[2]>>6, x[3]>>6, x[4]>>6, x[5]>>6, x[6]>>6, x[7]>>6
-				xa |= (a[w0]>>(x[0]&63)&1 |
-					a[w1]>>(x[1]&63)&1<<1 |
-					a[w2]>>(x[2]&63)&1<<2 |
-					a[w3]>>(x[3]&63)&1<<3 |
-					a[w4]>>(x[4]&63)&1<<4 |
-					a[w5]>>(x[5]&63)&1<<5 |
-					a[w6]>>(x[6]&63)&1<<6 |
-					a[w7]>>(x[7]&63)&1<<7) << j
-				xb |= (b[w0]>>(x[0]&63)&1 |
-					b[w1]>>(x[1]&63)&1<<1 |
-					b[w2]>>(x[2]&63)&1<<2 |
-					b[w3]>>(x[3]&63)&1<<3 |
-					b[w4]>>(x[4]&63)&1<<4 |
-					b[w5]>>(x[5]&63)&1<<5 |
-					b[w6]>>(x[6]&63)&1<<6 |
-					b[w7]>>(x[7]&63)&1<<7) << j
-			}
-			xa &= w
-			xb &= w
-			na += ones(xa)
-			nb += ones(xb)
-		} else {
-			for ; w != 0; w &= w - 1 {
-				j := bits.TrailingZeros64(w)
-				code := codes[lo+j]
-				cw, bit := code>>6, code&63
-				ha, hb := a[cw]>>bit&1, b[cw]>>bit&1
-				xa |= ha << j
-				xb |= hb << j
-				na += int(ha)
-				nb += int(hb)
-			}
-		}
-		outA[wi], outB[wi] = xa, xb
-	}
-	return na, nb
-}
-
-// scanPieces runs one chunk's row loop for the pieces in scan
-// (indices into preds), writing piece scan[j]'s matches into outs[j]
-// and their count into ns[j]. Two pieces of one shared test kind —
-// every binary cut of an int, date, float or string column — share
-// one row loop; anything else (one scanning piece, wider cuts, set
-// and bool pieces, opaque tests) runs each piece's own kernel in turn.
-func scanPieces(preds []Pred, scan []int, seg Selection, outs []Selection, ns []int) {
-	if len(scan) == 2 {
-		a, b := &preds[scan[0]].test, &preds[scan[1]].test
-		if a.kind == b.kind {
-			switch a.kind {
-			case testIntRange:
-				ns[0], ns[1] = partIntRange2(a.ints, a.ispan, b.ispan, seg, outs[0], outs[1])
-				return
-			case testFloatRange:
-				ns[0], ns[1] = partFloatRange2(a.floats, a.fspan, b.fspan, seg, outs[0], outs[1])
-				return
-			case testCodeSet:
-				ns[0], ns[1] = partCodeSet2(a.codes, a.want, b.want, seg, outs[0], outs[1])
-				return
-			}
-		}
-	}
-	for j, i := range scan {
-		ns[j] = preds[i].scan(seg, outs[j])
-	}
-}
-
-// partIntRange2 is the two-piece int range loop: every binary cut of
-// an int or date column. The two-piece loops keep both cursors in
-// registers — the loop-carried values — so they stay out of line (an
-// inlined copy shares scanPieces' registers and spills the cursors)
-// and copy the operands to locals and cut the outputs to len(seg),
-// which lets one length serve every output bounds check.
-//
-//go:noinline
-func partIntRange2(vals []int64, a, b intSpan, seg, outA, outB Selection) (na, nb int) {
-	aLo, aSpan, bLo, bSpan := a.lo, a.span, b.lo, b.span
-	outA, outB = outA[:len(seg)], outB[:len(seg)]
-	for _, row := range seg {
-		v := vals[row]
-		outA[na] = row
-		outB[nb] = row
-		na += b2i(uint64(v-aLo) <= aSpan)
-		nb += b2i(uint64(v-bLo) <= bSpan)
-	}
-	return na, nb
-}
-
-// partFloatRange2 is the two-piece float range loop; the key and the
-// NaN test are computed once per row.
-//
-//go:noinline
-func partFloatRange2(vals []float64, a, b floatSpan, seg, outA, outB Selection) (na, nb int) {
-	aLo, aSpan, bLo, bSpan := a.lo, a.span, b.lo, b.span
-	outA, outB = outA[:len(seg)], outB[:len(seg)]
-	for _, row := range seg {
-		v := vals[row]
-		k, nan := floatKey(v), b2i(v != v)
-		outA[na] = row
-		outB[nb] = row
-		na += b2i(k-aLo <= aSpan) | nan
-		nb += b2i(k-bLo <= bSpan) | nan
-	}
-	return na, nb
-}
-
-// partCodeSet2 is the two-piece code-set loop: every binary cut of a
-// string column. Both sets are sized to the dictionary, so one word
-// index serves both; a dictionary of at most 64 codes — the common
-// nominal column — keeps both sets in registers.
-//
-//go:noinline
-func partCodeSet2(codes []uint32, a, b codeSet, seg, outA, outB Selection) (na, nb int) {
-	b = b[:len(a)]
-	outA, outB = outA[:len(seg)], outB[:len(seg)]
-	if len(a) == 1 {
-		a0, b0 := a[0], b[0]
-		for _, row := range seg {
-			code := codes[row] & 63
-			outA[na] = row
-			outB[nb] = row
-			na += int(a0 >> code & 1)
-			nb += int(b0 >> code & 1)
-		}
-		return na, nb
-	}
-	for _, row := range seg {
-		code := codes[row]
-		w, bit := code>>6, code&63
-		outA[na] = row
-		outB[nb] = row
-		na += int(a[w] >> bit & 1)
-		nb += int(b[w] >> bit & 1)
-	}
-	return na, nb
 }

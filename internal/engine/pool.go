@@ -12,7 +12,8 @@ import "charles/internal/pool"
 // recycle through internal/pool. The filter kernels compact each
 // scanned chunk's matching row ids into int32 scratch the same way;
 // the chunk setter then copies them out at exact length or packs them
-// into words. Anything that escapes to a caller (filter results,
+// into words, and a narrow int extent is counted into vectors cut from
+// one key buffer. Anything that escapes to a caller (filter results,
 // cached selections, the cut cache's count vectors) is never
 // pooled.
 var (

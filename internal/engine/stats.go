@@ -50,22 +50,10 @@ func chunkOffsets(chunks []Selection) []int {
 }
 
 // IntMinMax returns the minimum and maximum of col over sel. ok is
-// false when the selection is empty. Large selections reduce
-// per-chunk partials computed on all scan workers.
+// false when the selection is empty. It is IntMinMaxChunked over sel
+// sharded at the default chunk width.
 func IntMinMax(col IntValued, sel Selection) (lo, hi int64, ok bool) {
-	if len(sel) == 0 {
-		return 0, 0, false
-	}
-	src := col.Int64s()
-	chunks, release := statChunks(sel)
-	defer release()
-	los := make([]int64, len(chunks))
-	his := make([]int64, len(chunks))
-	runChunks(chunks, func(c int) {
-		los[c], his[c] = intBounds(src, chunks[c])
-	})
-	lo, hi = reduceIntBounds(los, his)
-	return lo, hi, true
+	return IntMinMaxChunked(col, ChunkSelection(sel, col.Len(), DefaultChunkRows))
 }
 
 // FloatMinMax returns the minimum and maximum of col over sel,
@@ -76,19 +64,7 @@ func IntMinMax(col IntValued, sel Selection) (lo, hi int64, ok bool) {
 // the scan met first, so the bounds never depend on row order. ok is
 // false when the selection is empty.
 func FloatMinMax(col FloatValued, sel Selection) (min, max float64, ok bool) {
-	if len(sel) == 0 {
-		return 0, 0, false
-	}
-	src := col.Float64s()
-	chunks, release := statChunks(sel)
-	defer release()
-	los := make([]uint64, len(chunks))
-	his := make([]uint64, len(chunks))
-	runChunks(chunks, func(c int) {
-		los[c], his[c] = floatKeyBounds(src, chunks[c])
-	})
-	lo, hi := reduceKeyBounds(los, his)
-	return stats.Float64FromKey(lo), stats.Float64FromKey(hi), true
+	return FloatMinMaxChunked(col, ChunkSelection(sel, col.Len(), DefaultChunkRows))
 }
 
 // IntMedian returns the upper median of col over sel (the Definition

@@ -54,7 +54,7 @@ func (o CutOptions) normalize() CutOptions {
 // unchanged as a single piece (documented deviation: the paper is
 // silent on degenerate cuts).
 func CutQuery(ev *Evaluator, q sdl.Query, attr string, opt CutOptions) ([]sdl.Query, error) {
-	children, _, _, err := ev.cutQuery(q, attr, opt)
+	children, _, _, _, err := ev.cutQuery(q, attr, opt)
 	// The cut cache keeps children; the caller gets its own slice.
 	return slices.Clone(children), err
 }
@@ -65,43 +65,48 @@ func CutQuery(ev *Evaluator, q sdl.Query, attr string, opt CutOptions) ([]sdl.Qu
 // has stored them (nil before) — without reading q's extent or
 // building a child. A stale exact entry refreshes only the
 // mutation-dirtied chunks; anything else is computed from the extent.
-// The fresh entry holds the children and no counts.
-func (e *Evaluator) cutQuery(q sdl.Query, attr string, opt CutOptions) (children []sdl.Query, counts []int, key string, err error) {
+// The fresh entry holds the children and no counts. v is the table
+// version the children were cut at: they partition q's extent at v.
+func (e *Evaluator) cutQuery(q sdl.Query, attr string, opt CutOptions) (children []sdl.Query, counts []int, key string, v uint64, err error) {
 	opt = opt.normalize()
 	col, ok := e.tab.ColumnByName(attr)
 	if !ok {
-		return nil, nil, "", fmt.Errorf("seg: cut on unknown column %q", attr)
+		return nil, nil, "", 0, fmt.Errorf("seg: cut on unknown column %q", attr)
 	}
+	// Read before the extent: a mutation in between only makes v older
+	// than the extent, which no caller then trusts to cover it.
+	v = e.tab.Version()
 	var cur *engine.EpochStamp
 	var stale *cachedCut
 	if e.caching.Load() {
 		key, cur = cutKey(q, attr, opt), e.tab.Stamp()
+		v = cur.Version()
 		if ent, ok := e.cachedCutEntry(key); ok {
-			if ent.stamp.Version() == cur.Version() {
+			if ent.stamp.Version() == v {
 				e.countCutCacheHit()
-				return ent.children, ent.counts, key, nil
+				return ent.children, ent.counts, key, v, nil
 			}
 			stale = &ent
 		}
 	}
 	ext, err := e.extent(q)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, nil, "", 0, err
 	}
 	if ext.sel.Len() < 2 {
-		return []sdl.Query{q}, nil, key, nil // nothing to split
+		return []sdl.Query{q}, nil, key, v, nil // nothing to split
 	}
 	pieces, state, err := e.cutPieces(attr, col, ext.sel, opt, stale, cur)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, nil, "", 0, err
 	}
 	if children, err = childQueries(q, pieces); err != nil {
-		return nil, nil, "", err
+		return nil, nil, "", 0, err
 	}
 	if key != "" {
 		e.storeCut(key, cachedCut{children: children, stamp: cur, intCounts: state.intCounts, strCounts: state.strCounts})
 	}
-	return children, nil, key, nil
+	return children, nil, key, v, nil
 }
 
 // childQueries builds q's children from its cut pieces, dropping
@@ -148,18 +153,20 @@ func childQuery(q sdl.Query, piece sdl.Constraint) (sdl.Query, bool, error) {
 }
 
 // intPieces computes an int or date cut's pieces. Exact points and
-// the bounds come from one pass (engine.IntCutChunked), which with
-// retain set may also return the per-chunk counts the cut cache keeps;
-// sampled points are estimated from pointSel and the bounds still
-// taken over the full extent.
-func intPieces(attr string, col engine.IntValued, src *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions, retain bool) ([]sdl.Constraint, *engine.IntCounts) {
+// the bounds come from one pass (engine.IntCutChunked) — a count
+// straight from the column when sum, the column's zone map (nil with
+// zone pruning off), bounds src's values to a narrow window — which
+// with retain set may also return the per-chunk counts the cut cache
+// keeps; sampled points are estimated from pointSel and the bounds
+// still taken over the full extent.
+func intPieces(attr string, col engine.IntValued, src *engine.ChunkedSelection, sum *engine.ChunkSummary, pointSel engine.Selection, opt CutOptions, retain bool) ([]sdl.Constraint, *engine.IntCounts) {
 	var cut engine.NumCut[int64]
 	var counts *engine.IntCounts
 	if pointSel != nil {
 		cut.Min, cut.Max, _ = engine.IntMinMaxChunked(col, src)
 		cut.Points = engine.IntCutPoints(col, pointSel, opt.Arity)
 	} else {
-		cut, counts = engine.IntCutChunked(col, src, opt.Arity, retain)
+		cut, counts = engine.IntCutChunked(col, src, sum, opt.Arity, retain)
 	}
 	return intCutPieces(attr, col, cut), counts
 }
@@ -226,8 +233,8 @@ func errCutKind(attr string, col engine.Column) error {
 // simply cannot split such a column.
 //
 // Counting walks src chunk by chunk over the column's backing slice —
-// a words chunk by set-bit iteration, and no flat copy of the
-// selection is built or cached — and keys the map
+// a words chunk by set-bit iteration, never decoded, and no flat copy
+// of the selection is built or cached — and keys the map
 // on the raw 64-bit payload: one integer map op per row, no Value
 // boxing and no string formatting in the loop. Values are formatted
 // once per distinct value at the end, where nominalPieces needs the
@@ -244,11 +251,7 @@ func numericNominalFallback(attr string, col engine.Column, src *engine.ChunkedS
 	switch col := col.(type) {
 	case engine.IntValued:
 		vals := col.Int64s()
-		engine.RowBatches(src, func(rows engine.Selection) {
-			for _, row := range rows {
-				counts[uint64(vals[row])]++
-			}
-		})
+		engine.EachRow(src, func(row int) { counts[uint64(vals[row])]++ })
 		if col.Kind() == engine.KindDate {
 			toValue = func(bits uint64) engine.Value { return engine.Date(int64(bits)) }
 		} else {
@@ -256,18 +259,16 @@ func numericNominalFallback(attr string, col engine.Column, src *engine.ChunkedS
 		}
 	case engine.FloatValued:
 		vals := col.Float64s()
-		engine.RowBatches(src, func(rows engine.Selection) {
-			for _, row := range rows {
-				v := vals[row]
-				if v != v {
-					// Canonicalize NaN: every payload renders as the
-					// one string "NaN", so distinct NaN bit patterns
-					// must count as one value exactly like the
-					// string-keyed counting always did.
-					v = math.NaN()
-				}
-				counts[math.Float64bits(v)]++
+		engine.EachRow(src, func(row int) {
+			v := vals[row]
+			if v != v {
+				// Canonicalize NaN: every payload renders as the one
+				// string "NaN", so distinct NaN bit patterns must count
+				// as one value exactly like the string-keyed counting
+				// always did.
+				v = math.NaN()
 			}
+			counts[math.Float64bits(v)]++
 		})
 		toValue = func(bits uint64) engine.Value { return engine.Float(math.Float64frombits(bits)) }
 	default:
@@ -350,12 +351,13 @@ func Cut(ev *Evaluator, s *Segmentation, attr string, opt CutOptions) (*Segmenta
 		children []sdl.Query
 		counts   []int
 		key      string
+		v        uint64
 	}
 	cuts := make([]queryCut, len(s.Queries))
 	for i, q := range s.Queries {
 		c := &cuts[i]
 		var err error
-		if c.children, c.counts, c.key, err = ev.cutQuery(q, attr, opt); err != nil {
+		if c.children, c.counts, c.key, c.v, err = ev.cutQuery(q, attr, opt); err != nil {
 			return nil, err
 		}
 	}
@@ -379,7 +381,7 @@ func Cut(ev *Evaluator, s *Segmentation, attr string, opt CutOptions) (*Segmenta
 		if counts == nil {
 			v := ev.tab.Version()
 			var err error
-			if counts, err = ev.cutChildren(q, children, attr); err != nil {
+			if counts, err = ev.cutChildren(q, children, attr, cuts[i].v); err != nil {
 				return nil, err
 			}
 			if cuts[i].key != "" {

@@ -6,8 +6,10 @@
 // a per-chunk summary the ranks resolve over: per-chunk VALUE COUNTS,
 // for string columns by dictionary code and for a narrow int or date
 // column over the window [min, max] of its extent
-// (engine.IntCounts). Counts add across chunks, so a mutation
-// invalidates only the dirty chunks' vectors: a warm re-advise
+// (engine.IntCounts): the counts the engine takes anyway when it cuts
+// an extent whose zone-map window is narrow, straight from the column,
+// trimmed to the extent's exact span. Counts add across chunks, so a
+// mutation invalidates only the dirty chunks' vectors: a warm re-advise
 // recounts ~1% of the data and reads the ranks off the summed
 // vectors, byte-identical to a cold computation by the
 // order-statistic argument.
@@ -24,7 +26,7 @@
 // Count vectors are retained only where a refresh can happen: on a
 // table that accepts mutation (engine.Table.Mutable), for extents of
 // at least cutStateMinRows rows — and, for an int or date column,
-// only when its span is narrow enough to count (below the select's
+// only when its span is narrow enough to count (at most the select's
 // 2 048 buckets) and the vectors take no more cells than the extent
 // has rows. A read-only .chc table's stamp never moves, so its
 // entries keep children and child counts alone. A refresh whose dirty
@@ -181,7 +183,7 @@ func (e *Evaluator) computeCut(attr string, col engine.Column, src *engine.Chunk
 			pieces = numericNominalFallback(attr, col, src, opt)
 		}
 	case engine.IntValued:
-		pieces, state.intCounts = intPieces(attr, col, src, pointSel, opt, retain)
+		pieces, state.intCounts = intPieces(attr, col, src, e.zoneMap(e.tab.Layout(), attr), pointSel, opt, retain)
 		if len(pieces) < 2 {
 			pieces = numericNominalFallback(attr, col, src, opt)
 		}

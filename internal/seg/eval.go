@@ -538,8 +538,11 @@ func (e *Evaluator) Count(q sdl.Query) (int, error) {
 // the whole parent (NarrowEvals). The parent's extent is fetched only
 // when some child needs a pass, and each of its chunks is cut in the
 // form it is held in: a words chunk from its words, its row ids never
-// built.
-func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr string) ([]int, error) {
+// built. The children are the pieces of one cut computed at table
+// version v, so they partition the parent's extent at v: a pass over
+// that extent at v holding every child derives one of them (the cover
+// rule) rather than testing it.
+func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr string, v uint64) ([]int, error) {
 	keys := make([]string, len(children))
 	cons := make([]sdl.Constraint, len(children))
 	for i, child := range children {
@@ -588,8 +591,9 @@ func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr str
 	if src.NumRows() != cur.NumRows() || src.ChunkRows() != cur.ChunkRows() {
 		full, stale = append(full, stale...), nil
 	}
+	covered := v == cur.Version() && pent.stamp.Version() == v
 	if len(stale) > 0 {
-		if err := e.partitionInto(engine.Restrict(src, dirty), attr, cons, stale, func(i int, cs *engine.ChunkedSelection) {
+		if err := e.partitionInto(engine.Restrict(src, dirty), attr, cons, stale, covered, func(i int, cs *engine.ChunkedSelection) {
 			ent := cachedSel{sel: engine.Splice(olds[i].sel, cs, dirty), stamp: cur}
 			e.countDeltaRefresh()
 			e.store(keys[i], ent)
@@ -599,7 +603,7 @@ func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr str
 		}
 	}
 	if len(full) > 0 {
-		if err := e.partitionInto(src, attr, cons, full, func(i int, cs *engine.ChunkedSelection) {
+		if err := e.partitionInto(src, attr, cons, full, covered, func(i int, cs *engine.ChunkedSelection) {
 			e.countNarrowEval()
 			if caching {
 				e.store(keys[i], cachedSel{sel: cs, stamp: cur})
@@ -613,8 +617,11 @@ func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr str
 }
 
 // partitionInto runs one partition pass over src for the constraints
-// cons[i], i in which, handing each child to done.
-func (e *Evaluator) partitionInto(src *engine.ChunkedSelection, attr string, cons []sdl.Constraint, which []int, done func(i int, cs *engine.ChunkedSelection)) error {
+// cons[i], i in which, handing each child to done. covered says that
+// cons, all of them, partition src (engine.PartitionChunked's cover
+// rule); the pass is promised so only when it holds every one of
+// them. A Restricted src keeps the cover: its clean chunks are empty.
+func (e *Evaluator) partitionInto(src *engine.ChunkedSelection, attr string, cons []sdl.Constraint, which []int, covered bool, done func(i int, cs *engine.ChunkedSelection)) error {
 	src, col, sum, err := e.resolveConstraint(src, attr)
 	if err != nil {
 		return err
@@ -625,7 +632,7 @@ func (e *Evaluator) partitionInto(src *engine.ChunkedSelection, attr string, con
 			return err
 		}
 	}
-	for j, cs := range engine.PartitionChunked(src, preds) {
+	for j, cs := range engine.PartitionChunked(src, preds, covered && len(which) == len(cons)) {
 		done(which[j], cs)
 	}
 	return nil
@@ -653,11 +660,15 @@ func (e *Evaluator) resolveConstraint(src *engine.ChunkedSelection, attr string)
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("seg: no column %q in table %q", attr, e.tab.Name())
 	}
-	var sum *engine.ChunkSummary
-	if e.zonePruning.Load() {
-		sum = layout.SummaryByName(attr)
+	return src, col, e.zoneMap(layout, attr), nil
+}
+
+// zoneMap returns attr's zone map in layout, nil with zone pruning off.
+func (e *Evaluator) zoneMap(layout engine.Layout, attr string) *engine.ChunkSummary {
+	if !e.zonePruning.Load() {
+		return nil
 	}
-	return src, col, sum, nil
+	return layout.SummaryByName(attr)
 }
 
 // constraintPred resolves one constraint over col into the engine's

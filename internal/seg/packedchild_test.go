@@ -486,7 +486,7 @@ func TestSparsePackedPairSide(t *testing.T) {
 		}
 		children = append(children, child)
 	}
-	counts, err := ev.cutChildren(ctx, children, "tonnage")
+	counts, err := ev.cutChildren(ctx, children, "tonnage", tab.Version())
 	if err != nil {
 		t.Fatal(err)
 	}

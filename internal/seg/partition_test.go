@@ -263,6 +263,7 @@ func TestCutChildrenSpliceAfterMutation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			v := tab.Version()
 			children, err := CutQuery(ev, ctx, "tonnage", DefaultCutOptions())
 			if err != nil {
 				t.Fatal(err)
@@ -272,7 +273,7 @@ func TestCutChildrenSpliceAfterMutation(t *testing.T) {
 			}
 			cutChildren := func(children []sdl.Query) []int {
 				t.Helper()
-				got, err := ev.cutChildren(ctx, children, "tonnage")
+				got, err := ev.cutChildren(ctx, children, "tonnage", v)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -6,11 +6,12 @@
 // layer probes). Int, date and float values become order-preserving
 // uint64 keys and the requested ranks are radix-selected (selectKeys,
 // radix.go); over an int span below radixBuckets that select is a
-// single value count.
-// A mutable table's cut cache retains such a narrow int or date
-// column as per-chunk value counts (CountInt64Keys), which add across
-// chunks, and reads its ranks off their sum by one prefix walk
-// (EquiDepthPointsCounts). No step concatenates the whole extent.
+// single value count. The engine counts an int or date extent whose
+// zone-map window is that narrow straight from the column instead,
+// per chunk, and reads its ranks off the counts' sum by one prefix
+// walk (EquiDepthPointsCounts); a mutable table's cut cache retains
+// those per-chunk counts, which add across chunks. No step
+// concatenates the whole extent.
 // Every function returns exactly what its flat counterpart returns on
 // the concatenation of the chunks: the k-th smallest of a multiset
 // does not depend on how the multiset is sharded, selected or counted.
@@ -254,7 +255,8 @@ func KthInt64Keys(chunks [][]uint64, lo, hi uint64, k, workers int) int64 {
 // CountCells returns how many value-count cells keys in [lo, hi]
 // take, and whether the span is narrow enough to count: below
 // radixBuckets, where one select histogram already holds one value
-// per bucket.
+// per bucket, so counting the values straight from the column costs no
+// more than the select's first round and needs no gather.
 func CountCells(lo, hi uint64) (cells int, ok bool) {
 	if hi-lo >= radixBuckets {
 		return 0, false
@@ -262,34 +264,17 @@ func CountCells(lo, hi uint64) (cells int, ok bool) {
 	return int(hi-lo) + 1, true
 }
 
-// CountInt64Keys returns a fresh vector of cells value counts: cell i
-// counts the keys equal to lo+i. Every key must lie in
-// [lo, lo+cells), and cells must come from CountCells.
-func CountInt64Keys(keys []uint64, lo uint64, cells int) []int {
-	hp := countScratch.Get(2 * radixBuckets)
-	defer countScratch.Put(hp)
-	clear(*hp)
-	h := (*[radixBuckets]int)(*hp)
-	h2 := (*[radixBuckets]int)((*hp)[radixBuckets:])
-	countDigits(h, h2, keys, lo, 0)
-	v := make([]int, cells)
-	for i := range v {
-		v[i] = h[i] + h2[i]
-	}
-	return v
-}
-
 // EquiDepthPointsCounts is EquiDepthPoints over a multiset given as
-// value counts — value lo+i occurs counts[i] times, the sum of the
-// per-chunk vectors CountInt64Keys returns: the ranks resolve by one
-// prefix walk over the counts.
-func EquiDepthPointsCounts(counts []int, lo int64, arity int) []int64 {
+// value counts — value lo+i occurs counts[i] times, the sum of a
+// narrow int or date extent's per-chunk counts: the ranks resolve by
+// one prefix walk over the counts.
+func EquiDepthPointsCounts[C int | uint64](counts []C, lo int64, arity int) []int64 {
 	n, first := 0, -1
 	for i, c := range counts {
 		if first < 0 && c > 0 {
 			first = i
 		}
-		n += c
+		n += int(c)
 	}
 	if arity < 2 || n == 0 {
 		return nil
@@ -304,11 +289,11 @@ func EquiDepthPointsCounts(counts []int, lo int64, arity int) []int64 {
 // countRanks sets out[i] to the key at 0-based rank ranks[i] of the
 // multiset in which key lo+d occurs counts[d] times. ranks must be
 // ascending and below the multiset's size.
-func countRanks(counts []int, lo uint64, ranks []int, out []uint64) {
+func countRanks[C int | uint64](counts []C, lo uint64, ranks []int, out []uint64) {
 	d, below := 0, 0
 	for i, r := range ranks {
-		for below+counts[d] <= r {
-			below += counts[d]
+		for below+int(counts[d]) <= r {
+			below += int(counts[d])
 			d++
 		}
 		out[i] = lo + uint64(d)

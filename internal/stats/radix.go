@@ -17,11 +17,14 @@ import (
 // most selectSortMax candidates, so reading arity − 1 ranks costs a
 // pass or two over the data. When the span max − min is
 // below radixBuckets a bucket is one value: the first histogram is a
-// value count and the ranks resolve from it with no gather. The same
-// narrow-span count, kept per chunk (CountInt64Keys), is what a
-// mutable table's cut cache retains for an int or date column: counts
-// add across chunks, so a splice recounts the dirty chunks only.
-// 2^11 buckets keep one histogram (16 KiB) cache resident.
+// value count and the ranks resolve from it with no gather. An int or
+// date extent whose zone-map window is that narrow never reaches the
+// select: the engine counts it straight from the column, per chunk
+// (CountCells bounds the window, EquiDepthPointsCounts reads the
+// ranks), and a mutable table's cut cache retains those per-chunk
+// counts, which add across chunks, so a splice recounts the dirty
+// chunks only. 2^11 buckets keep one histogram (16 KiB) cache
+// resident.
 const (
 	radixBits    = 11
 	radixBuckets = 1 << radixBits

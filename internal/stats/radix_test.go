@@ -237,9 +237,9 @@ func selectInt64Ranks(chunks [][]int64, ranks []int, workers int) []int64 {
 	return vals
 }
 
-// summedCounts is the cut cache's count path up to the rank walk: one
-// CountInt64Keys vector per non-empty chunk over the chunks' span,
-// summed. ok is false when the span is too wide to count.
+// summedCounts is the narrow count path up to the rank walk: the
+// chunks' values counted over their span. ok is false when the span
+// is too wide to count.
 func summedCounts(chunks [][]int64) (total []int, lo int64, ok bool) {
 	keys, klo, khi := int64KeyChunks(chunks)
 	cells, ok := CountCells(klo, khi)
@@ -248,11 +248,8 @@ func summedCounts(chunks [][]int64) (total []int, lo int64, ok bool) {
 	}
 	total = make([]int, cells)
 	for _, ks := range keys {
-		if len(ks) == 0 {
-			continue
-		}
-		for i, c := range CountInt64Keys(ks, klo, cells) {
-			total[i] += c
+		for _, k := range ks {
+			total[k-klo]++
 		}
 	}
 	return total, Int64FromKey(klo), true

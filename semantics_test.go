@@ -6,10 +6,12 @@ package charles_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"charles"
 	"charles/internal/engine"
+	"charles/internal/sdl"
 )
 
 // TestNaNPiecesUnderCoverFloatFallback pins the NaN under-coverage
@@ -58,5 +60,46 @@ func TestNaNPiecesUnderCoverFloatFallback(t *testing.T) {
 	}
 	if got, want := tab.NumRows()-covered, nan; got != want {
 		t.Fatalf("under-coverage is %d rows, want exactly the %d NaN rows", got, want)
+	}
+}
+
+// TestNumericFallbackOrdersValuesAsStrings pins the string order of the
+// numeric-nominal fallback from README.md: a column whose minimum holds
+// the majority is cut nominally, and with more distinct values than the
+// frequency-order threshold its values are ordered by their rendered
+// strings — "-1" < "-3" < "10" < "9". A strictly increasing map of the
+// column (here x → x + 95) reorders those strings, so the pieces it
+// splits the values into, and their counts, change with it: metamorphic
+// relation 2 holds for range cuts only.
+func TestNumericFallbackOrdersValuesAsStrings(t *testing.T) {
+	const n = 1000
+	vals, shifted := make([]int64, n), make([]int64, n)
+	for i := range vals {
+		vals[i] = -3 // the majority, at the minimum: the median cut collapses
+		if i%10 >= 6 {
+			vals[i] = -2 + int64(i*7%200)
+		}
+		shifted[i] = vals[i] + 95
+	}
+	counts := func(col []int64) []int {
+		adv := charles.NewAdvisor(engine.MustNewTable("skew", engine.NewIntColumn("x", col)), charles.DefaultConfig())
+		res, err := adv.AdviseString("(x:)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Segmentations) == 0 {
+			t.Fatal("the skewed column was not cut")
+		}
+		s := res.Segmentations[0].Seg
+		for _, q := range s.Queries {
+			if c, _ := q.Constraint("x"); c.Kind != sdl.KindSet {
+				t.Fatalf("piece %s is not a fallback set", q)
+			}
+		}
+		return s.Counts
+	}
+	a, b := counts(vals), counts(shifted)
+	if slices.Equal(a, b) || slices.Equal(a, []int{b[1], b[0]}) {
+		t.Fatalf("the fallback split %v and its shifted copy %v alike: it no longer orders by string", a, b)
 	}
 }
