@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-paper bench-smoke bench-scale bench-check bench-kernels fmt fmt-check vet lint layers-build fuzz-smoke chaos metrics-smoke docs-check ci
+.PHONY: all build test test-race loc bench bench-paper bench-smoke bench-scale bench-check bench-kernels fmt fmt-check vet lint layers-build fuzz-smoke chaos metrics-smoke docs-check ci
 
 all: build
 
@@ -16,6 +16,12 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# Non-test Go lines per package, plus the internal/engine +
+# internal/stats total that ROADMAP item gates cite and the total
+# outside bench/ (scripts/loc.sh).
+loc:
+	sh scripts/loc.sh
 
 # The advise benchmark (bench/README.md): the one source of
 # performance numbers. Four workloads, every end-to-end metric by name

@@ -226,7 +226,7 @@ func BenchmarkE7Vertical(b *testing.B) {
 func BenchmarkE7ColumnVsRow(b *testing.B) {
 	tab := table(b, "voc", 100000, 1)
 	ton := tab.MustColumn("tonnage").(*engine.IntColumn)
-	all, chunked := tab.All(), tab.AllChunked()
+	chunked := tab.AllChunked()
 	r := engine.IntRange{Lo: 200, Hi: 600, LoIncl: true, HiIncl: true}
 	rt := engine.NewRowTable(tab)
 	tonIdx := rt.ColumnIndex("tonnage")
@@ -242,7 +242,7 @@ func BenchmarkE7ColumnVsRow(b *testing.B) {
 	})
 	b.Run("MedianColumn", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, ok := engine.IntMedian(ton, all); !ok {
+			if _, ok := engine.IntMedianChunked(ton, chunked); !ok {
 				b.Fatal("median failed")
 			}
 		}
@@ -400,10 +400,10 @@ func BenchmarkEngineFilterIntRange(b *testing.B) {
 func BenchmarkEngineMedianInt(b *testing.B) {
 	tab := table(b, "voc", 100000, 1)
 	ton := tab.MustColumn("tonnage").(*engine.IntColumn)
-	all := tab.All()
+	all := tab.AllChunked()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := engine.IntMedian(ton, all); !ok {
+		if _, ok := engine.IntMedianChunked(ton, all); !ok {
 			b.Fatal("median failed")
 		}
 	}
@@ -591,9 +591,7 @@ func BenchmarkE15ParallelCells(b *testing.B) {
 // each iterating 64K-row chunks through the scan worker pool. The
 // outputs are identical at every width (the chunked equivalence
 // property tests pin this); the wall-clock should fall as workers rise
-// on multi-core hardware. The single-width flat subbenchmark is the
-// pre-chunking baseline for the same pipeline: no zone map, and the
-// median over the flat selection.
+// on multi-core hardware.
 func BenchmarkE16ChunkedScan(b *testing.B) {
 	const nRows = 1_000_000
 	tab := table(b, "voc", nRows, 1)
@@ -605,17 +603,6 @@ func BenchmarkE16ChunkedScan(b *testing.B) {
 	sum := tab.SummaryByName("tonnage")
 	all := tab.AllChunked()
 	r := engine.IntRange{Lo: 150, Hi: 800, LoIncl: true, HiIncl: false}
-	b.Run("flat/workers=1", func(b *testing.B) {
-		engine.SetScanWorkers(1)
-		defer engine.SetScanWorkers(0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sel := engine.FilterIntRangeChunked(ton, all, r, nil).Flat()
-			if _, ok := engine.IntMedian(ton, sel); !ok {
-				b.Fatal("empty selection")
-			}
-		}
-	})
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("chunked/workers=%d", workers), func(b *testing.B) {
 			engine.SetScanWorkers(workers)

@@ -128,3 +128,14 @@ func TestSegmentationHomogeneityRandomSplitNearOne(t *testing.T) {
 		t.Fatalf("unrelated split homogeneity = %v, want ≈1", h)
 	}
 }
+
+func TestFloatMeanVar(t *testing.T) {
+	col := engine.NewFloatColumn("v", []float64{2, 4, 4, 4, 5, 5, 7, 9})
+	mean, variance, ok := floatMeanVar(col, engine.AllRows(8))
+	if !ok || mean != 5 || variance != 4 {
+		t.Fatalf("mean=%v var=%v ok=%v, want 5 4 true", mean, variance, ok)
+	}
+	if _, _, ok := floatMeanVar(col, engine.Selection{}); ok {
+		t.Fatal("empty selection reported ok")
+	}
+}

@@ -221,7 +221,7 @@ func TestCorrelatedPairKnob(t *testing.T) {
 func TestZipfCategoricalSkew(t *testing.T) {
 	tab := ZipfCategorical(5000, 20, 1.5, 4)
 	cat := tab.MustColumn("cat").(*engine.StringColumn)
-	counts := engine.StringValueCounts(cat, tab.All())
+	counts := engine.StringValueCountsChunked(cat, tab.AllChunked())
 	max, sum := 0, 0
 	for _, vc := range counts {
 		if vc.Count > max {

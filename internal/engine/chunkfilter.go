@@ -45,13 +45,12 @@ func reserveChunkSlots(nc, rows int) (extra int, release func()) {
 }
 
 // forEachSeg runs fn(c) once per chunk of src, fanning chunks out
-// across the scan worker pool. Unlike the flat statChunks splitter —
-// which cuts a selection into exactly worker-count pieces — a
+// across the scan worker pool: the engine's one scan fan-out. A
 // chunked selection usually has far more chunks than workers, so the
 // chunks stream through par.ForEach's shared work queue. Small
 // selections and slot-exhausted processes stay on the calling
-// goroutine, exactly like the flat path. Callers assemble results by
-// chunk index, so scheduling never influences output.
+// goroutine. Callers assemble results by chunk index, so scheduling
+// never influences output.
 func forEachSeg(src *ChunkedSelection, fn func(c int)) {
 	forEachChunk(src.NumChunks(), src.Len(), fn)
 }

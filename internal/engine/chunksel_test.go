@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"charles/internal/stats"
 )
 
 // selEqual compares a chunked selection's flat view to a flat one.
@@ -180,8 +182,9 @@ func TestChunkedFiltersMatchMonolithic(t *testing.T) {
 }
 
 // TestChunkedStatsMatchMonolithic pins the chunked reductions and
-// cut-point calculations to their flat counterparts over the same
-// adversarial selection shapes.
+// cut-point calculations to a sort-based reference (refSorted) over the
+// adversarial selection shapes, and the value counts and gathers to a
+// row-at-a-time loop over the flat selection.
 func TestChunkedStatsMatchMonolithic(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	nRows, chunkRows := 1000, 64
@@ -189,8 +192,8 @@ func TestChunkedStatsMatchMonolithic(t *testing.T) {
 	ton := tab.MustColumn("ton").(*IntColumn)
 	typ := tab.MustColumn("type").(*StringColumn)
 	armed := tab.MustColumn("armed").(*BoolColumn)
-	// Both float paths drop NaN before selecting, so the column holds
-	// some; an all-NaN selection's bounds are NaN on both paths.
+	// The float statistics drop NaN before selecting, so the column
+	// holds some; an all-NaN selection's bounds are NaN.
 	speedVals := make([]float64, nRows)
 	for i := range speedVals {
 		speedVals[i] = float64(rng.Intn(200)) / 4
@@ -201,46 +204,64 @@ func TestChunkedStatsMatchMonolithic(t *testing.T) {
 	speed := NewFloatColumn("speed", speedVals)
 	for _, sel := range adversarialSelections(nRows, chunkRows, rng) {
 		cs := ChunkSelection(sel, nRows, chunkRows)
-		wantMin, wantMax, wantOK := IntMinMax(ton, sel)
+		ints, floats := refSorted(ton.Int64s(), sel), refSorted(speedVals, sel)
 		gotMin, gotMax, gotOK := IntMinMaxChunked(ton, cs)
-		if gotMin != wantMin || gotMax != wantMax || gotOK != wantOK {
-			t.Fatalf("IntMinMaxChunked = (%d,%d,%v), want (%d,%d,%v)", gotMin, gotMax, gotOK, wantMin, wantMax, wantOK)
+		if gotOK != (len(sel) > 0) || gotOK && (gotMin != ints[0] || gotMax != ints[len(ints)-1]) {
+			t.Fatalf("IntMinMaxChunked = (%d,%d,%v) over %d rows", gotMin, gotMax, gotOK, len(sel))
 		}
-		fMin, fMax, fOK := FloatMinMax(speed, sel)
 		cMin, cMax, cOK := FloatMinMaxChunked(speed, cs)
-		if math.Float64bits(cMin) != math.Float64bits(fMin) || math.Float64bits(cMax) != math.Float64bits(fMax) || cOK != fOK {
-			t.Fatalf("FloatMinMaxChunked = (%v,%v,%v), want (%v,%v,%v)", cMin, cMax, cOK, fMin, fMax, fOK)
+		switch {
+		case cOK != (len(sel) > 0):
+			t.Fatalf("FloatMinMaxChunked ok = %v over %d rows", cOK, len(sel))
+		case cOK && len(floats) == 0 && !(math.IsNaN(cMin) && math.IsNaN(cMax)):
+			t.Fatalf("FloatMinMaxChunked = (%v,%v) over NaN only, want NaN bounds", cMin, cMax)
+		case len(floats) > 0 && (math.Float64bits(cMin) != math.Float64bits(floats[0]) || math.Float64bits(cMax) != math.Float64bits(floats[len(floats)-1])):
+			t.Fatalf("FloatMinMaxChunked = (%v,%v), want (%v,%v)", cMin, cMax, floats[0], floats[len(floats)-1])
 		}
-		if wm, wok := IntMedian(ton, sel.Clone()); true {
-			gm, gok := IntMedianChunked(ton, cs)
-			if gm != wm || gok != wok {
-				t.Fatalf("IntMedianChunked = (%d,%v), want (%d,%v)", gm, gok, wm, wok)
-			}
+		gm, gok := IntMedianChunked(ton, cs)
+		if gok != (len(sel) > 0) || gok && gm != ints[len(ints)/2] {
+			t.Fatalf("IntMedianChunked = (%d,%v) over %d rows", gm, gok, len(sel))
 		}
 		for _, arity := range []int{2, 3, 7} {
-			want := IntCutPoints(ton, sel.Clone(), arity)
-			got := IntCutPointsChunked(ton, cs, arity)
-			if !reflect.DeepEqual(got, want) {
+			if got, want := IntCutPointsChunked(ton, cs, arity), refPoints(ints, arity); !reflect.DeepEqual(got, want) {
 				t.Fatalf("IntCutPointsChunked(arity=%d) = %v, want %v", arity, got, want)
 			}
-			wantF := FloatCutPoints(speed, sel.Clone(), arity)
-			gotF := FloatCutPointsChunked(speed, cs, arity)
-			if !reflect.DeepEqual(gotF, wantF) {
-				t.Fatalf("FloatCutPointsChunked(arity=%d) = %v, want %v", arity, gotF, wantF)
+			if got, want := FloatCutPointsChunked(speed, cs, arity), refPoints(floats, arity); !reflect.DeepEqual(got, want) {
+				t.Fatalf("FloatCutPointsChunked(arity=%d) = %v, want %v", arity, got, want)
 			}
 		}
-		if !reflect.DeepEqual(StringValueCountsChunked(typ, cs), StringValueCounts(typ, sel)) {
-			t.Fatal("StringValueCountsChunked diverged")
+		codeCounts := make([]int, typ.Cardinality())
+		var trues, falses int
+		var gathered []int64
+		for _, row := range sel {
+			codeCounts[typ.Codes()[row]]++
+			if armed.Bool(int(row)) {
+				trues++
+			} else {
+				falses++
+			}
+			gathered = append(gathered, ton.Int64(int(row)))
 		}
-		if !reflect.DeepEqual(BoolValueCountsChunked(armed, cs), BoolValueCounts(armed, sel)) {
-			t.Fatal("BoolValueCountsChunked diverged")
+		var wantVC []stats.ValueCount
+		for code, n := range codeCounts {
+			if n > 0 {
+				wantVC = append(wantVC, stats.ValueCount{Value: typ.DictValue(uint32(code)), Count: n})
+			}
 		}
-		wantG := GatherInt(ton, sel)
-		var gotG []int64
-		for _, ch := range GatherIntChunked(ton, cs) {
-			gotG = append(gotG, ch...)
+		if got := StringValueCountsChunked(typ, cs); len(got) != len(wantVC) || len(got) > 0 && !reflect.DeepEqual(got, wantVC) {
+			t.Fatalf("StringValueCountsChunked = %v, want %v", got, wantVC)
 		}
-		if len(gotG) != len(wantG) || (len(wantG) > 0 && !reflect.DeepEqual(gotG, wantG)) {
+		var wantBool []stats.ValueCount
+		if falses > 0 {
+			wantBool = append(wantBool, stats.ValueCount{Value: "false", Count: falses})
+		}
+		if trues > 0 {
+			wantBool = append(wantBool, stats.ValueCount{Value: "true", Count: trues})
+		}
+		if got := BoolValueCountsChunked(armed, cs); len(got) != len(wantBool) || len(got) > 0 && !reflect.DeepEqual(got, wantBool) {
+			t.Fatalf("BoolValueCountsChunked = %v, want %v", got, wantBool)
+		}
+		if got := concat(GatherIntChunked(ton, cs)); len(got) != len(gathered) || len(got) > 0 && !reflect.DeepEqual(got, gathered) {
 			t.Fatal("GatherIntChunked diverged")
 		}
 	}
@@ -318,9 +339,8 @@ func TestChunkedParallelLoopsRace(t *testing.T) {
 	wantSel := naiveFilter(AllRows(nRows), func(row int32) bool { return r.Contains(vals[row]) })
 	got := FilterIntRangeChunked(col, cs, r, sum)
 	selEqual(t, "parallel FilterIntRangeChunked", got, wantSel)
-	wantMed, _ := IntMedian(col, AllRows(nRows))
-	if med, _ := IntMedianChunked(col, got); med == 0 && wantMed != 0 {
-		t.Fatal("parallel median degenerated")
+	if med, _ := IntMedianChunked(col, got); med != refSorted(vals, wantSel)[len(wantSel)/2] {
+		t.Fatal("parallel median diverged")
 	}
 	if n := got.AndCount(withForms(got, func(int) bool { return false })); n != got.Len() {
 		t.Fatalf("parallel self-intersection %d != %d", n, got.Len())
@@ -344,15 +364,9 @@ func TestFloatOrderStatsDeterministicWithNaN(t *testing.T) {
 			t.Fatalf("chunkRows=%d: FloatCutPointsChunked = %v, want [%v]", chunkRows, points, wantMed)
 		}
 	}
-	if points := FloatCutPoints(col, AllRows(len(vals)), 2); len(points) != 1 || points[0] != wantMed {
-		t.Fatalf("FloatCutPoints = %v, want [%v]", points, wantMed)
-	}
 	allNaN := NewFloatColumn("n", []float64{math.NaN(), math.NaN()})
 	if pts := FloatCutPointsChunked(allNaN, AllRowsChunked(2, 64), 2); pts != nil {
 		t.Fatalf("all-NaN extent produced cut points %v", pts)
-	}
-	if pts := FloatCutPoints(allNaN, AllRows(2), 2); pts != nil {
-		t.Fatalf("all-NaN selection produced cut points %v", pts)
 	}
 }
 
@@ -431,17 +445,16 @@ func TestFloatCutPointCanonicalZero(t *testing.T) {
 	}
 }
 
-// TestFloatMinMaxCanonicalZero pins that a zero bound is +0.0 in
-// both min/max scans, whichever zero a row order puts first.
+// TestFloatMinMaxCanonicalZero pins that a zero bound is +0.0,
+// whichever zero a row order puts first.
 func TestFloatMinMaxCanonicalZero(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	for _, vals := range [][]float64{{negZero, 0}, {0, negZero}, {negZero, negZero}} {
 		col := NewFloatColumn("v", vals)
-		lo, hi, _ := FloatMinMax(col, AllRows(len(vals)))
-		clo, chi, _ := FloatMinMaxChunked(col, AllRowsChunked(len(vals), 64))
-		for _, b := range []float64{lo, hi, clo, chi} {
+		lo, hi, _ := FloatMinMaxChunked(col, AllRowsChunked(len(vals), 64))
+		for _, b := range []float64{lo, hi} {
 			if b != 0 || math.Signbit(b) {
-				t.Fatalf("rows %v: bounds (%v,%v) chunked (%v,%v), want +0", vals, lo, hi, clo, chi)
+				t.Fatalf("rows %v: bounds (%v,%v), want +0", vals, lo, hi)
 			}
 		}
 	}

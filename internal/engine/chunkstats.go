@@ -19,9 +19,8 @@ import (
 
 // GatherIntChunked materializes col's int64 values per chunk: one
 // output slice per chunk, aligned with cs's chunks, gathered
-// across the scan worker pool. Unlike GatherInt there is no global
-// copy — downstream chunked order statistics consume the shards
-// directly.
+// across the scan worker pool. There is no global copy — downstream
+// chunked order statistics consume the shards directly.
 func GatherIntChunked(col IntValued, cs *ChunkedSelection) [][]int64 {
 	return gatherChunked(col.Int64s(), cs)
 }
@@ -97,10 +96,12 @@ func IntMinMaxChunked(col IntValued, src *ChunkedSelection) (lo, hi int64, ok bo
 	return stats.Int64FromKey(klo), stats.Int64FromKey(khi), true
 }
 
-// FloatMinMaxChunked is IntMinMaxChunked over floats, ignoring NaN
-// exactly like FloatMinMax: NaN rows never seed or move a bound, and
-// an all-NaN selection yields NaN bounds. A zero bound is +0.0
-// whichever zero the scan met first.
+// FloatMinMaxChunked is IntMinMaxChunked over floats, ignoring NaN:
+// NaN compares false against everything, so letting one seed a
+// running bound would poison it and make the result depend on where
+// chunk boundaries fall. NaN rows never seed or move a bound, and an
+// all-NaN selection yields NaN bounds. A zero bound is +0.0 whichever
+// zero the scan met first, so the bounds never depend on row order.
 func FloatMinMaxChunked(col FloatValued, src *ChunkedSelection) (lo, hi float64, ok bool) {
 	if src.Len() == 0 {
 		return 0, 0, false
@@ -167,10 +168,9 @@ func putIntKey(ks []uint64, m int, v int64, lo, hi uint64) (int, uint64, uint64)
 // statistics need a totally ordered multiset and NaN has no rank.
 // Dropping it here — always, in every branch — keeps the cut points
 // deterministic: they depend only on the finite values, never on
-// which worker count a particular call happened to get. (This mirrors
-// the NaN convention of FloatMinMax.) lo and hi are the smallest and
-// largest key gathered, reduced as the keys are written; both are 0
-// when there is none. Callers must not retain any shard past release.
+// which worker count a particular call happened to get. lo and hi
+// are the smallest and largest key gathered, reduced as the keys are
+// written; both are 0 when there is none. Callers must not retain any shard past release.
 func gatherFloatKeys(col FloatValued, src *ChunkedSelection) (chunks [][]uint64, lo, hi uint64, release func()) {
 	vals := col.Float64s()
 	chunks, lo, hi, release = gatherKeyShards(src, func(ks []uint64, ct *container, base int) (int, uint64, uint64) {
@@ -278,8 +278,10 @@ type IntCounts struct {
 	Chunks [][]int
 }
 
-// IntCutPointsChunked returns the same strictly increasing
-// equi-depth points as IntCutPoints, computed shard-at-a-time.
+// IntCutPointsChunked returns up to arity−1 strictly increasing
+// equi-depth cut points of col over src (Section 5.2's quantile
+// generalization; arity 2 is the paper's median cut): IntCutChunked's
+// points without a zone map.
 func IntCutPointsChunked(col IntValued, src *ChunkedSelection, arity int) []int64 {
 	cut, _ := IntCutChunked(col, src, nil, arity, false)
 	return cut.Points
@@ -583,8 +585,10 @@ func FloatCutChunked(col FloatValued, src *ChunkedSelection, arity int) NumCut[f
 // per band, so the transient memory is worker-count × cardinality —
 // not chunk-count × cardinality, which on a 10M-row table with a
 // high-cardinality column would dwarf the data scanned. Counts are
-// additive, so the band merge is order-independent and the result
-// (ordered by dictionary code) matches StringValueCounts exactly.
+// additive, so the band merge is order-independent and the result is
+// ordered by dictionary code whatever the band layout. The seg layer
+// orders the counts by frequency or alphabetically per the paper's
+// nominal-median rule.
 func StringValueCountsChunked(col *StringColumn, src *ChunkedSelection) []stats.ValueCount {
 	codes := col.Codes()
 	nc := src.NumChunks()

@@ -64,53 +64,3 @@ func releaseScanSlots(n int) {
 		activeScanGoroutines.Add(int32(-n))
 	}
 }
-
-// scanChunks splits sel into at most workers contiguous, equally
-// sized pieces. Contiguity preserves the sorted-selection invariant
-// when per-chunk outputs are concatenated in order.
-func scanChunks(sel Selection, workers int) []Selection {
-	if workers > len(sel) {
-		workers = len(sel)
-	}
-	chunks := make([]Selection, 0, workers)
-	size := (len(sel) + workers - 1) / workers
-	for lo := 0; lo < len(sel); lo += size {
-		hi := lo + size
-		if hi > len(sel) {
-			hi = len(sel)
-		}
-		chunks = append(chunks, sel[lo:hi])
-	}
-	return chunks
-}
-
-// statChunks splits sel for a chunked scan, reserving scan slots for
-// the extra goroutines; release must be called when the scan is
-// done. A single-element result means the scan stays sequential —
-// because the selection is small, the cap is 1, or the process is
-// already scanning at the cap. Chunk boundaries never influence scan
-// results, so the adaptive width keeps outputs deterministic.
-func statChunks(sel Selection) (chunks []Selection, release func()) {
-	workers := ScanWorkers()
-	if workers <= 1 || len(sel) < parallelScanMinRows {
-		return []Selection{sel}, func() {}
-	}
-	extra := grabScanSlots(workers-1, workers)
-	if extra == 0 {
-		return []Selection{sel}, func() {}
-	}
-	return scanChunks(sel, extra+1), func() { releaseScanSlots(extra) }
-}
-
-// runChunks executes fn(i) once per chunk index, across the chunks'
-// worth of workers (the calling goroutine included).
-func runChunks(chunks []Selection, fn func(i int)) {
-	if len(chunks) == 1 {
-		fn(0)
-		return
-	}
-	par.ForEach(len(chunks), len(chunks), func(i int) error {
-		fn(i)
-		return nil
-	})
-}

@@ -71,57 +71,50 @@ func TestParallelFiltersMatchSequential(t *testing.T) {
 	}
 }
 
+// TestParallelStatsMatchSequential runs the chunked reductions, gather
+// and value counts at scan widths 1 and 4 over 16 chunks and holds both
+// to a sort-based reference and a row-at-a-time count.
 func TestParallelStatsMatchSequential(t *testing.T) {
 	ic, fc, sc, all := parTable(t)
-	var seqMin, seqMax, parMin, parMax int64
-	var seqGather, parGather []int64
-	var seqFMin, seqFMax, parFMin, parFMax float64
-	var seqCounts, parCounts map[string]int
-	withScanWorkers(t, 1, func() {
-		seqMin, seqMax, _ = IntMinMax(ic, all)
-		seqFMin, seqFMax, _ = FloatMinMax(fc, all)
-		seqGather = GatherInt(ic, all)
-		seqCounts = map[string]int{}
-		for _, vc := range StringValueCounts(sc, all) {
-			seqCounts[vc.Value] = vc.Count
-		}
-	})
-	withScanWorkers(t, 4, func() {
-		parMin, parMax, _ = IntMinMax(ic, all)
-		parFMin, parFMax, _ = FloatMinMax(fc, all)
-		parGather = GatherInt(ic, all)
-		parCounts = map[string]int{}
-		for _, vc := range StringValueCounts(sc, all) {
-			parCounts[vc.Value] = vc.Count
-		}
-	})
-	if seqMin != parMin || seqMax != parMax {
-		t.Fatalf("IntMinMax: parallel (%d,%d) vs sequential (%d,%d)", parMin, parMax, seqMin, seqMax)
+	cs := AllRowsChunked(len(all), 1<<12)
+	ints, floats := refSorted(ic.Int64s(), all), refSorted(fc.Float64s(), all)
+	wantCounts := map[string]int{}
+	for _, row := range all {
+		wantCounts[sc.Value(int(row)).String()]++
 	}
-	if seqFMin != parFMin || seqFMax != parFMax {
-		t.Fatalf("FloatMinMax: parallel (%v,%v) vs sequential (%v,%v)", parFMin, parFMax, seqFMin, seqFMax)
-	}
-	if len(seqGather) != len(parGather) {
-		t.Fatalf("GatherInt length mismatch")
-	}
-	for i := range seqGather {
-		if seqGather[i] != parGather[i] {
-			t.Fatalf("GatherInt: index %d differs", i)
-		}
-	}
-	if len(seqCounts) != len(parCounts) {
-		t.Fatalf("StringValueCounts: %d values vs %d", len(parCounts), len(seqCounts))
-	}
-	for v, n := range seqCounts {
-		if parCounts[v] != n {
-			t.Fatalf("StringValueCounts: %q = %d, want %d", v, parCounts[v], n)
-		}
+	for _, workers := range []int{1, 4} {
+		withScanWorkers(t, workers, func() {
+			if lo, hi, _ := IntMinMaxChunked(ic, cs); lo != ints[0] || hi != ints[len(ints)-1] {
+				t.Fatalf("workers=%d: IntMinMaxChunked = (%d,%d), want (%d,%d)", workers, lo, hi, ints[0], ints[len(ints)-1])
+			}
+			if lo, hi, _ := FloatMinMaxChunked(fc, cs); lo != floats[0] || hi != floats[len(floats)-1] {
+				t.Fatalf("workers=%d: FloatMinMaxChunked = (%v,%v), want (%v,%v)", workers, lo, hi, floats[0], floats[len(floats)-1])
+			}
+			gathered := concat(GatherIntChunked(ic, cs))
+			if len(gathered) != len(all) {
+				t.Fatalf("workers=%d: GatherIntChunked gathered %d values, want %d", workers, len(gathered), len(all))
+			}
+			for i, row := range all {
+				if gathered[i] != ic.Int64(int(row)) {
+					t.Fatalf("workers=%d: GatherIntChunked: index %d differs", workers, i)
+				}
+			}
+			vcs := StringValueCountsChunked(sc, cs)
+			if len(vcs) != len(wantCounts) {
+				t.Fatalf("workers=%d: StringValueCountsChunked: %d values, want %d", workers, len(vcs), len(wantCounts))
+			}
+			for _, vc := range vcs {
+				if wantCounts[vc.Value] != vc.Count {
+					t.Fatalf("workers=%d: StringValueCountsChunked: %q = %d, want %d", workers, vc.Value, vc.Count, wantCounts[vc.Value])
+				}
+			}
+		})
 	}
 }
 
 // TestFloatMinMaxIgnoresNaNAcrossChunkings pins the determinism
 // guarantee: NaN values never poison a bound, wherever chunk
-// boundaries fall.
+// boundaries fall and at any scan width.
 func TestFloatMinMaxIgnoresNaNAcrossChunkings(t *testing.T) {
 	n := parallelScanMinRows * 2
 	vals := make([]float64, n)
@@ -133,15 +126,17 @@ func TestFloatMinMaxIgnoresNaNAcrossChunkings(t *testing.T) {
 		vals[i] = math.NaN()
 	}
 	col := NewFloatColumn("f", vals)
-	all := AllRows(n)
-	var seqMin, seqMax, parMin, parMax float64
-	withScanWorkers(t, 1, func() { seqMin, seqMax, _ = FloatMinMax(col, all) })
-	withScanWorkers(t, 4, func() { parMin, parMax, _ = FloatMinMax(col, all) })
-	if seqMin != parMin || seqMax != parMax {
-		t.Fatalf("NaN-laden column: parallel (%v,%v) vs sequential (%v,%v)", parMin, parMax, seqMin, seqMax)
-	}
-	if seqMin != 0 || seqMax != 996 {
-		t.Fatalf("bounds (%v,%v), want (0,996): NaN leaked into a bound", seqMin, seqMax)
+	finite := refSorted(vals, AllRows(n))
+	for _, chunkRows := range []int{64, 1 << 12, 1 << 14, DefaultChunkRows} {
+		cs := AllRowsChunked(n, chunkRows)
+		for _, workers := range []int{1, 4} {
+			withScanWorkers(t, workers, func() {
+				if lo, hi, _ := FloatMinMaxChunked(col, cs); lo != finite[0] || hi != finite[len(finite)-1] {
+					t.Fatalf("chunkRows=%d workers=%d: bounds (%v,%v), want (%v,%v): NaN leaked into a bound",
+						chunkRows, workers, lo, hi, finite[0], finite[len(finite)-1])
+				}
+			})
+		}
 	}
 }
 
@@ -153,7 +148,7 @@ func TestScanSlotsReleased(t *testing.T) {
 	withScanWorkers(t, 4, func() {
 		for i := 0; i < 10; i++ {
 			FilterFloatRangeChunked(fc, cs, FloatRange{Lo: 0, Hi: 100, LoIncl: true, HiIncl: true}, nil)
-			FloatMinMax(fc, all)
+			FloatMinMaxChunked(fc, cs)
 		}
 	})
 	if n := activeScanGoroutines.Load(); n != 0 {

@@ -16,29 +16,6 @@ func AllRows(n int) Selection {
 	return s
 }
 
-// Intersect returns the sorted intersection of two selections. Both
-// inputs must be sorted ascending; the result is a fresh slice.
-func Intersect(a, b Selection) Selection {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	out := make(Selection, 0, len(a))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // IntersectCount returns |a ∩ b| without materializing the result;
 // this is the hot operation behind SDL products and INDEP.
 func IntersectCount(a, b Selection) int {

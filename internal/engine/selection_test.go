@@ -16,18 +16,29 @@ func TestAllRows(t *testing.T) {
 	}
 }
 
+// refIntersectCount counts a's rows that b holds, by membership.
+func refIntersectCount(a, b Selection) int {
+	in := make(map[int32]bool, len(b))
+	for _, row := range b {
+		in[row] = true
+	}
+	n := 0
+	for _, row := range a {
+		if in[row] {
+			n++
+		}
+	}
+	return n
+}
+
 func TestIntersect(t *testing.T) {
 	a := Selection{1, 3, 5, 7, 9}
 	b := Selection{2, 3, 4, 7, 10}
-	got := Intersect(a, b)
-	if len(got) != 2 || got[0] != 3 || got[1] != 7 {
-		t.Fatalf("Intersect = %v, want [3 7]", got)
-	}
 	if n := IntersectCount(a, b); n != 2 {
 		t.Fatalf("IntersectCount = %d, want 2", n)
 	}
-	if got := Intersect(a, Selection{}); len(got) != 0 {
-		t.Fatalf("Intersect with empty = %v", got)
+	if n := IntersectCount(a, Selection{}); n != 0 {
+		t.Fatalf("IntersectCount with empty = %d", n)
 	}
 }
 
@@ -36,17 +47,8 @@ func TestIntersectCommutesProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomSelection(rng, 200)
 		b := randomSelection(rng, 200)
-		ab := Intersect(a, b)
-		ba := Intersect(b, a)
-		if len(ab) != len(ba) || len(ab) != IntersectCount(a, b) {
-			return false
-		}
-		for i := range ab {
-			if ab[i] != ba[i] {
-				return false
-			}
-		}
-		return ab.IsSorted() || len(ab) == 0
+		want := refIntersectCount(a, b)
+		return IntersectCount(a, b) == want && IntersectCount(b, a) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -57,21 +59,8 @@ func TestIntersectSubsetProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomSelection(rng, 300)
-		// a ∩ a == a, and a ∩ all == a.
-		if IntersectCount(a, a) != len(a) {
-			return false
-		}
-		all := AllRows(400)
-		got := Intersect(a, all)
-		if len(got) != len(a) {
-			return false
-		}
-		for i := range got {
-			if got[i] != a[i] {
-				return false
-			}
-		}
-		return true
+		// |a ∩ a| == |a ∩ all| == |a|.
+		return IntersectCount(a, a) == len(a) && IntersectCount(a, AllRows(400)) == len(a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

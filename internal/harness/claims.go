@@ -44,7 +44,8 @@ func runE5(opt Options) ([]*Table, error) {
 		for _, row := range cells {
 			joint = append(joint, row...)
 		}
-		stat, dof := stats.ChiSquare(cells)
+		nRows, nCols := len(cells), len(cells[0])
+		stat, dof := stats.ChiSquareFlat(joint, nRows, nCols, make([]float64, nRows), make([]float64, nCols))
 		t.Rows = append(t.Rows, []string{
 			f3(rho),
 			f4(sx.Entropy() + sy.Entropy()),
@@ -114,14 +115,13 @@ func runE7(opt Options) ([]*Table, error) {
 		rows := opt.rows(n)
 		tab := dataset.VOC(rows, opt.Seed)
 		ton := tab.MustColumn("tonnage").(*engine.IntColumn)
-		all := tab.All()
+		chunked := tab.AllChunked()
 		start := time.Now()
-		if _, ok := engine.IntMedian(ton, all); !ok {
+		if _, ok := engine.IntMedianChunked(ton, chunked); !ok {
 			return nil, fmt.Errorf("median failed")
 		}
 		medianTime := time.Since(start)
 		r := engine.IntRange{Lo: 200, Hi: 600, LoIncl: true, HiIncl: true}
-		chunked := tab.AllChunked()
 		start = time.Now()
 		_ = engine.FilterIntRangeChunked(ton, chunked, r, nil)
 		countTime := time.Since(start)
@@ -154,7 +154,7 @@ func runE7(opt Options) ([]*Table, error) {
 	tab := dataset.VOC(opt.rows(200000), opt.Seed)
 	rt := engine.NewRowTable(tab)
 	ton := tab.MustColumn("tonnage").(*engine.IntColumn)
-	all, chunked := tab.All(), tab.AllChunked()
+	chunked := tab.AllChunked()
 	r := engine.IntRange{Lo: 200, Hi: 600, LoIncl: true, HiIncl: true}
 
 	// No zone map: both executors pay the full scan.
@@ -169,7 +169,7 @@ func runE7(opt Options) ([]*Table, error) {
 		return nil, fmt.Errorf("executors disagree: %d vs %d", colCount, rowCount)
 	}
 	start = time.Now()
-	colMed, _ := engine.IntMedian(ton, all)
+	colMed, _ := engine.IntMedianChunked(ton, chunked)
 	colMedTime := time.Since(start)
 	start = time.Now()
 	rowMed, _ := rt.MedianInt(tonIdx)

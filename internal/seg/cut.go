@@ -159,12 +159,12 @@ func childQuery(q sdl.Query, piece sdl.Constraint) (sdl.Query, bool, error) {
 // with retain set may also return the per-chunk counts the cut cache
 // keeps; sampled points are estimated from pointSel and the bounds
 // still taken over the full extent.
-func intPieces(attr string, col engine.IntValued, src *engine.ChunkedSelection, sum *engine.ChunkSummary, pointSel engine.Selection, opt CutOptions, retain bool) ([]sdl.Constraint, *engine.IntCounts) {
+func intPieces(attr string, col engine.IntValued, src *engine.ChunkedSelection, sum *engine.ChunkSummary, pointSel *engine.ChunkedSelection, opt CutOptions, retain bool) ([]sdl.Constraint, *engine.IntCounts) {
 	var cut engine.NumCut[int64]
 	var counts *engine.IntCounts
 	if pointSel != nil {
 		cut.Min, cut.Max, _ = engine.IntMinMaxChunked(col, src)
-		cut.Points = engine.IntCutPoints(col, pointSel, opt.Arity)
+		cut.Points = engine.IntCutPointsChunked(col, pointSel, opt.Arity)
 	} else {
 		cut, counts = engine.IntCutChunked(col, src, sum, opt.Arity, retain)
 	}
@@ -180,11 +180,11 @@ func intCutPieces(attr string, col engine.IntValued, cut engine.NumCut[int64]) [
 	return rangePieces(attr, cut, mk)
 }
 
-func floatPieces(attr string, col engine.FloatValued, src *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions) []sdl.Constraint {
+func floatPieces(attr string, col engine.FloatValued, src, pointSel *engine.ChunkedSelection, opt CutOptions) []sdl.Constraint {
 	var cut engine.NumCut[float64]
 	if pointSel != nil {
 		cut.Min, cut.Max, _ = engine.FloatMinMaxChunked(col, src)
-		cut.Points = engine.FloatCutPoints(col, pointSel, opt.Arity)
+		cut.Points = engine.FloatCutPointsChunked(col, pointSel, opt.Arity)
 	} else {
 		cut = engine.FloatCutChunked(col, src, opt.Arity)
 	}

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"charles/internal/engine"
 	"charles/internal/sdl"
+	"charles/internal/stats"
 )
 
 func evalFor(t *testing.T, tab *engine.Table) *Evaluator {
@@ -417,6 +419,111 @@ func TestCutQuerySampledFloatIgnoresNaN(t *testing.T) {
 			t.Fatalf("sample=%d: pieces %v, %v, want [0, p) and [p, 99]", sample, lo, hi)
 		}
 	}
+}
+
+// TestCutQuerySampledPointsMatchReference pins the values of a sampled
+// cut, not only its validity: over an extent whose chunks are held
+// both as words and as row ids, the pieces CutQuery returns with
+// SampleSize set must equal a sort-based reference — the systematic
+// sample StridedInt32 draws from the extent, its numbers sorted, the
+// points read at the equi-depth ranks, and the bounds the full
+// extent's minimum and maximum. Floats carry NaN (no rank) and both
+// zeros (one +0.0 value).
+func TestCutQuerySampledPointsMatchReference(t *testing.T) {
+	const n, chunkRows, sample = 20000, 1024, 300
+	rng := rand.New(rand.NewSource(11))
+	ints, dates := make([]int64, n), make([]int64, n)
+	floats, keep := make([]float64, n), make([]bool, n)
+	for i := range n {
+		ints[i] = rng.Int63n(5000) - 1000
+		dates[i] = 10000 + rng.Int63n(3000)
+		switch rng.Intn(10) {
+		case 0:
+			floats[i] = math.NaN()
+		case 1:
+			floats[i] = math.Copysign(0, -1)
+		case 2:
+			floats[i] = 0
+		default:
+			floats[i] = math.Round(rng.NormFloat64()*400) / 8
+		}
+		// Even chunks keep most rows (words), odd ones a few (row ids).
+		if (i/chunkRows)%2 == 0 {
+			keep[i] = rng.Intn(4) != 0
+		} else {
+			keep[i] = rng.Intn(100) == 0
+		}
+	}
+	tab := engine.MustNewTable("t", engine.NewIntColumn("i", ints), engine.NewDateColumn("d", dates),
+		engine.NewFloatColumn("f", floats), engine.NewBoolColumn("k", keep))
+	tab.SetChunkRows(chunkRows)
+	var ext []int32
+	for i, k := range keep {
+		if k {
+			ext = append(ext, int32(i))
+		}
+	}
+	ctx := sdl.ContextAll(tab).WithConstraint(sdl.SetC("k", engine.Bool(true)))
+	for _, arity := range []int{2, 3} {
+		want := map[string][]sdl.Constraint{
+			"i": sampledPieces("i", ints, ext, sample, arity, engine.Int),
+			"d": sampledPieces("d", dates, ext, sample, arity, engine.Date),
+			"f": sampledPieces("f", floats, ext, sample, arity, engine.Float),
+		}
+		for attr, pieces := range want {
+			opt := DefaultCutOptions()
+			opt.Arity, opt.SampleSize = arity, sample
+			children, err := CutQuery(evalFor(t, tab), ctx, attr, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, wantKeys []string
+			for _, q := range children {
+				got = append(got, q.Key())
+			}
+			for _, p := range pieces {
+				wantKeys = append(wantKeys, ctx.WithConstraint(p).Key())
+			}
+			if len(wantKeys) < 2 || !slices.Equal(got, wantKeys) {
+				t.Fatalf("%s arity %d: sampled children\n%v\nwant\n%v", attr, arity, got, wantKeys)
+			}
+		}
+	}
+}
+
+// sampledPieces is the sort-based reference for a sampled range cut of
+// vals over the extent ext (ascending row ids): every point is the
+// sorted sample's value at rank ⌊i·m/arity⌋, kept when above the last
+// point kept (the first above the sample's minimum), and the pieces
+// run from the extent's minimum to its maximum. NaN is dropped and a
+// zero is +0.0 throughout.
+func sampledPieces[T int64 | float64](attr string, vals []T, ext []int32, sample, arity int, mk func(T) engine.Value) []sdl.Constraint {
+	numbers := func(rows []int32) []T {
+		var out []T
+		for _, r := range rows {
+			if v := vals[r]; v == v {
+				out = append(out, v+0)
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	all, pts := numbers(ext), numbers(stats.StridedInt32(ext, sample))
+	bounds, last := []T{all[0]}, pts[0]
+	for i := 1; i < arity; i++ {
+		if p := pts[int(float64(i)/float64(arity)*float64(len(pts)))]; p > last {
+			bounds, last = append(bounds, p), p
+		}
+	}
+	var out []sdl.Constraint
+	for i, lo := range bounds {
+		if i == len(bounds)-1 {
+			out = append(out, sdl.RangeC(attr, mk(lo), mk(all[len(all)-1]), true, true))
+		} else {
+			out = append(out, sdl.RangeC(attr, mk(lo), mk(bounds[i+1]), true, false))
+		}
+	}
+	return out
 }
 
 func TestCutSegmentationDoublesDepth(t *testing.T) {

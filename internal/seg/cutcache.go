@@ -122,16 +122,17 @@ func (e *Evaluator) storeCutCounts(key string, v uint64, counts []int) {
 // from words; sampled points are cached but never refreshed
 // incrementally.
 func (e *Evaluator) cutPieces(attr string, col engine.Column, src *engine.ChunkedSelection, opt CutOptions, stale *cachedCut, cur *engine.EpochStamp) ([]sdl.Constraint, cutState, error) {
-	// Sampled cut points draw a systematic sample from the flat view;
+	// Sampled cut points draw a systematic sample from the flat view
+	// and select them from the sample re-sharded by the same chunks;
 	// exact ones run shard-at-a-time on the extent and never flatten
 	// it. (Nominal cuts always see the full extent regardless: a
 	// sampled dictionary could miss rare values, and rows holding them
 	// would fall outside every piece, breaking Definition 3. Counting
 	// is a single O(n) pass, so there is nothing to save anyway —
 	// sampling targets the numeric medians and quantiles.)
-	var pointSel engine.Selection
+	var pointSel *engine.ChunkedSelection
 	if opt.SampleSize > 0 && src.Len() > opt.SampleSize {
-		pointSel = stats.StridedInt32(e.flat(src), opt.SampleSize)
+		pointSel = engine.ChunkSelection(stats.StridedInt32(e.flat(src), opt.SampleSize), src.NumRows(), src.ChunkRows())
 	}
 	if stale != nil {
 		if pieces, state, ok := e.refreshCut(*stale, attr, col, src, pointSel, opt, cur); ok {
@@ -163,7 +164,7 @@ type cutState struct {
 // Everything else — sampled points, wide int spans, floats, bools,
 // the degenerate fallback — takes exactly the code path the uncached
 // evaluator takes.
-func (e *Evaluator) computeCut(attr string, col engine.Column, src *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions, retain bool) ([]sdl.Constraint, cutState, error) {
+func (e *Evaluator) computeCut(attr string, col engine.Column, src *engine.ChunkedSelection, pointSel *engine.ChunkedSelection, opt CutOptions, retain bool) ([]sdl.Constraint, cutState, error) {
 	var state cutState
 	var pieces []sdl.Constraint
 	var err error
@@ -202,7 +203,7 @@ func (e *Evaluator) computeCut(attr string, col engine.Column, src *engine.Chunk
 // that chunk's unchanged rows. Entries with no retained state, structural
 // mismatches, int values outside the entry's window, and sampled
 // points all return false and recompute in full.
-func (e *Evaluator) refreshCut(ent cachedCut, attr string, col engine.Column, src *engine.ChunkedSelection, pointSel engine.Selection, opt CutOptions, cur *engine.EpochStamp) ([]sdl.Constraint, cutState, bool) {
+func (e *Evaluator) refreshCut(ent cachedCut, attr string, col engine.Column, src *engine.ChunkedSelection, pointSel *engine.ChunkedSelection, opt CutOptions, cur *engine.EpochStamp) ([]sdl.Constraint, cutState, bool) {
 	var state cutState
 	if pointSel != nil {
 		return nil, state, false

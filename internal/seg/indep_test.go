@@ -195,7 +195,12 @@ func TestIndepAndChiSquareInvariantAcrossOptions(t *testing.T) {
 	for _, pair := range [][2]*Segmentation{{s1, s2}, {s1, s3}, {s3, s3}} {
 		cells := bruteCells(t, ev.Table(), pair[0], pair[1])
 		want := IndepFromCells(cells)
-		wantChi := stats.ChiSquareIndependent(cells, 0.05)
+		var joint []int
+		for _, row := range cells {
+			joint = append(joint, row...)
+		}
+		n1, n2 := len(cells), len(cells[0])
+		wantChi := stats.ChiSquareIndependentFlat(joint, n1, n2, make([]float64, n1), make([]float64, n2), 0.05)
 		for _, opt := range pairGrid() {
 			got, err := IndepOpt(ev, pair[0], pair[1], opt)
 			if err != nil {

@@ -2,59 +2,6 @@ package stats
 
 import "math"
 
-// ChiSquare computes Pearson's chi-squared statistic and its degrees
-// of freedom for the joint count matrix cells (rows × columns).
-// Rows or columns whose marginal is zero are ignored. The second
-// return value is 0 when the table is degenerate (fewer than two
-// populated rows or columns), in which case the statistic is 0.
-func ChiSquare(cells [][]int) (stat float64, dof int) {
-	if len(cells) == 0 {
-		return 0, 0
-	}
-	nRows, nCols := len(cells), len(cells[0])
-	rowSum := make([]float64, nRows)
-	colSum := make([]float64, nCols)
-	total := 0.0
-	for i := range cells {
-		for j, c := range cells[i] {
-			rowSum[i] += float64(c)
-			colSum[j] += float64(c)
-			total += float64(c)
-		}
-	}
-	if total == 0 {
-		return 0, 0
-	}
-	liveRows, liveCols := 0, 0
-	for _, s := range rowSum {
-		if s > 0 {
-			liveRows++
-		}
-	}
-	for _, s := range colSum {
-		if s > 0 {
-			liveCols++
-		}
-	}
-	if liveRows < 2 || liveCols < 2 {
-		return 0, 0
-	}
-	for i := range cells {
-		if rowSum[i] == 0 {
-			continue
-		}
-		for j, c := range cells[i] {
-			if colSum[j] == 0 {
-				continue
-			}
-			expected := rowSum[i] * colSum[j] / total
-			d := float64(c) - expected
-			stat += d * d / expected
-		}
-	}
-	return stat, (liveRows - 1) * (liveCols - 1)
-}
-
 // ChiSquarePValue returns P(X ≥ stat) for a chi-squared variable
 // with dof degrees of freedom: the upper regularized incomplete
 // gamma function Q(dof/2, stat/2). It returns 1 for dof ≤ 0.
@@ -65,21 +12,14 @@ func ChiSquarePValue(stat float64, dof int) float64 {
 	return upperRegularizedGamma(float64(dof)/2, stat/2)
 }
 
-// ChiSquareIndependent reports whether the joint counts are
-// consistent with independence at significance level alpha: true
-// when the p-value is at least alpha (we fail to reject
-// independence).
-func ChiSquareIndependent(cells [][]int, alpha float64) bool {
-	stat, dof := ChiSquare(cells)
-	return ChiSquarePValue(stat, dof) >= alpha
-}
-
-// ChiSquareFlat is ChiSquare over a row-major flat nRows×nCols count
-// vector — the layout the pairwise cell loop fills — so callers that
-// own a flat buffer never materialize the [][]int view. It mirrors
-// ChiSquare case for case; rowSum and colSum are caller-provided
-// scratch of length nRows and nCols (overwritten), letting hot
-// callers pool them.
+// ChiSquareFlat computes Pearson's chi-squared statistic and its
+// degrees of freedom for the joint count matrix held row-major in
+// flat (nRows × nCols) — the layout the pairwise cell loop fills.
+// Rows or columns whose marginal is zero are ignored. The second
+// return value is 0 when the table is degenerate (fewer than two
+// populated rows or columns), in which case the statistic is 0.
+// rowSum and colSum are caller-provided scratch of length nRows and
+// nCols (overwritten), letting hot callers pool them.
 func ChiSquareFlat(flat []int, nRows, nCols int, rowSum, colSum []float64) (stat float64, dof int) {
 	if nRows == 0 || nCols == 0 {
 		return 0, 0
@@ -131,8 +71,10 @@ func ChiSquareFlat(flat []int, nRows, nCols int, rowSum, colSum []float64) (stat
 	return stat, (liveRows - 1) * (liveCols - 1)
 }
 
-// ChiSquareIndependentFlat is ChiSquareIndependent over the flat
-// layout, with caller-pooled marginal scratch.
+// ChiSquareIndependentFlat reports whether the joint counts are
+// consistent with independence at significance level alpha: true
+// when the p-value is at least alpha (we fail to reject
+// independence). The marginal scratch is as for ChiSquareFlat.
 func ChiSquareIndependentFlat(flat []int, nRows, nCols int, rowSum, colSum []float64, alpha float64) bool {
 	stat, dof := ChiSquareFlat(flat, nRows, nCols, rowSum, colSum)
 	return ChiSquarePValue(stat, dof) >= alpha

@@ -5,10 +5,26 @@ import (
 	"testing"
 )
 
+// chiSquare runs ChiSquareFlat over a row-major copy of cells.
+func chiSquare(cells [][]int) (float64, int) {
+	flat, nRows, nCols := flatten(cells)
+	return ChiSquareFlat(flat, nRows, nCols, make([]float64, nRows), make([]float64, nCols))
+}
+
+func flatten(cells [][]int) (flat []int, nRows, nCols int) {
+	for _, row := range cells {
+		flat = append(flat, row...)
+	}
+	if len(cells) > 0 {
+		nRows, nCols = len(cells), len(cells[0])
+	}
+	return flat, nRows, nCols
+}
+
 func TestChiSquareIndependentTable(t *testing.T) {
 	// Counts exactly proportional to marginal products: stat must be 0.
 	cells := [][]int{{20, 30}, {40, 60}}
-	stat, dof := ChiSquare(cells)
+	stat, dof := chiSquare(cells)
 	if dof != 1 {
 		t.Fatalf("dof = %d, want 1", dof)
 	}
@@ -22,7 +38,7 @@ func TestChiSquareIndependentTable(t *testing.T) {
 
 func TestChiSquareStrongDependence(t *testing.T) {
 	cells := [][]int{{100, 0}, {0, 100}}
-	stat, dof := ChiSquare(cells)
+	stat, dof := chiSquare(cells)
 	if dof != 1 {
 		t.Fatalf("dof = %d, want 1", dof)
 	}
@@ -37,18 +53,18 @@ func TestChiSquareStrongDependence(t *testing.T) {
 func TestChiSquareIgnoresEmptyRowsCols(t *testing.T) {
 	with := [][]int{{10, 20}, {0, 0}, {30, 5}}
 	without := [][]int{{10, 20}, {30, 5}}
-	s1, d1 := ChiSquare(with)
-	s2, d2 := ChiSquare(without)
+	s1, d1 := chiSquare(with)
+	s2, d2 := chiSquare(without)
 	if d1 != d2 || !almostEqual(s1, s2, 1e-9) {
 		t.Fatalf("empty row changed result: (%v,%d) vs (%v,%d)", s1, d1, s2, d2)
 	}
 }
 
 func TestChiSquareDegenerate(t *testing.T) {
-	if s, d := ChiSquare(nil); s != 0 || d != 0 {
+	if s, d := chiSquare(nil); s != 0 || d != 0 {
 		t.Fatalf("nil table: stat=%v dof=%d", s, d)
 	}
-	if s, d := ChiSquare([][]int{{5, 7}}); s != 0 || d != 0 {
+	if s, d := chiSquare([][]int{{5, 7}}); s != 0 || d != 0 {
 		t.Fatalf("one-row table: stat=%v dof=%d", s, d)
 	}
 }
@@ -75,12 +91,14 @@ func TestChiSquarePValueKnownValues(t *testing.T) {
 }
 
 func TestChiSquareIndependentHelper(t *testing.T) {
-	indep := [][]int{{25, 25}, {25, 25}}
-	if !ChiSquareIndependent(indep, 0.05) {
+	independent := func(cells [][]int) bool {
+		flat, nRows, nCols := flatten(cells)
+		return ChiSquareIndependentFlat(flat, nRows, nCols, make([]float64, nRows), make([]float64, nCols), 0.05)
+	}
+	if !independent([][]int{{25, 25}, {25, 25}}) {
 		t.Fatal("balanced independent table rejected")
 	}
-	dep := [][]int{{100, 0}, {0, 100}}
-	if ChiSquareIndependent(dep, 0.05) {
+	if independent([][]int{{100, 0}, {0, 100}}) {
 		t.Fatal("diagonal table accepted as independent")
 	}
 }

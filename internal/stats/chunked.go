@@ -12,9 +12,9 @@
 // walk (EquiDepthPointsCounts); a mutable table's cut cache retains
 // those per-chunk counts, which add across chunks. No step
 // concatenates the whole extent.
-// Every function returns exactly what its flat counterpart returns on
-// the concatenation of the chunks: the k-th smallest of a multiset
-// does not depend on how the multiset is sharded, selected or counted.
+// Every function returns exactly what it returns on the concatenation
+// of the chunks as one chunk: the k-th smallest of a multiset does not
+// depend on how the multiset is sharded, selected or counted.
 package stats
 
 import (
@@ -107,12 +107,15 @@ func KthSortedInt64Chunks(chunks [][]int64, k int) int64 {
 	return Int64FromKey(loK)
 }
 
-// EquiDepthPointsChunks returns exactly what EquiDepthPoints returns
-// on the concatenation of the chunks: up to arity−1 strictly
-// increasing equi-depth points, duplicates collapsed and points
-// equal to the global minimum dropped. The chunks are read, not
-// reordered: their values become Int64Key keys in pooled scratch and
-// the points are selected from those.
+// EquiDepthPointsChunks returns up to arity−1 split points dividing
+// the multiset union of the chunks into arity pieces of
+// (approximately) equal depth: the quantiles at i/arity for i in
+// 1..arity−1. The points are strictly increasing: duplicate quantile
+// values (heavy duplicates in the data) are collapsed, so fewer than
+// arity−1 points may be returned, and a point equal to the global
+// minimum splits off nothing, so it is dropped. The chunks are read,
+// not reordered: their values become Int64Key keys in pooled scratch
+// and the points are selected from those.
 func EquiDepthPointsChunks(chunks [][]int64, arity, workers int) []int64 {
 	n := 0
 	for _, ch := range chunks {
@@ -211,7 +214,7 @@ func float64Keys(ks []uint64, vals []float64) (m int, loMinus1, hi uint64) {
 // hi: the keys at the quantile ranks are radix-selected (selectKeys),
 // which overwrites the chunks — they are the caller's scratch. Points
 // come back strictly increasing, none equal to the minimum, as
-// EquiDepthPoints defines them.
+// EquiDepthPointsChunks defines them.
 func EquiDepthPointsInt64Keys(chunks [][]uint64, lo, hi uint64, arity, workers int) []int64 {
 	return equiDepthKeys(chunks, lo, hi, arity, workers, Int64FromKey)
 }
@@ -264,10 +267,10 @@ func CountCells(lo, hi uint64) (cells int, ok bool) {
 	return int(hi-lo) + 1, true
 }
 
-// EquiDepthPointsCounts is EquiDepthPoints over a multiset given as
-// value counts — value lo+i occurs counts[i] times, the sum of a
-// narrow int or date extent's per-chunk counts: the ranks resolve by
-// one prefix walk over the counts.
+// EquiDepthPointsCounts is EquiDepthPointsChunks over a multiset
+// given as value counts — value lo+i occurs counts[i] times, the sum
+// of a narrow int or date extent's per-chunk counts: the ranks resolve
+// by one prefix walk over the counts.
 func EquiDepthPointsCounts[C int | uint64](counts []C, lo int64, arity int) []int64 {
 	n, first := 0, -1
 	for i, c := range counts {

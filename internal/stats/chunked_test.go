@@ -3,7 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -107,7 +107,8 @@ func TestKthSortedFloat64ChunksMatchesSort(t *testing.T) {
 func TestMedianChunksMatchesFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, vals := range int64Cases(rng) {
-		want := MedianInt64(append([]int64(nil), vals...))
+		sorted := slices.Sorted(slices.Values(vals))
+		want := sorted[len(sorted)/2]
 		keys, lo, hi := int64KeyChunks(chunkInt64(vals, rng))
 		if got := KthInt64Keys(keys, lo, hi, len(vals)/2, 3); got != want {
 			t.Fatalf("KthInt64Keys median = %d, want %d", got, want)
@@ -124,13 +125,15 @@ func TestMedianChunksMatchesFlat(t *testing.T) {
 	}
 }
 
+// TestEquiDepthPointsChunksMatchesFlat holds the chunked points to
+// the definition read off one flat sorted copy (refEquiDepth).
 func TestEquiDepthPointsChunksMatchesFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for _, vals := range int64Cases(rng) {
 		for _, arity := range []int{2, 3, 4, 8, 13} {
-			want := EquiDepthPoints(append([]int64(nil), vals...), arity)
+			want := refEquiDepth(slices.Sorted(slices.Values(vals)), arity)
 			got := EquiDepthPointsChunks(chunkInt64(vals, rng), arity, 2)
-			if !reflect.DeepEqual(got, want) {
+			if !slices.Equal(got, want) {
 				t.Fatalf("EquiDepthPointsChunks(arity=%d) = %v, want %v (vals %v)", arity, got, want, vals)
 			}
 		}
@@ -140,9 +143,9 @@ func TestEquiDepthPointsChunksMatchesFlat(t *testing.T) {
 		fvals[i] = float64(rng.Intn(40)) / 4
 	}
 	for _, arity := range []int{2, 5} {
-		want := EquiDepthPointsFloat64(append([]float64(nil), fvals...), arity)
+		want := refEquiDepth(slices.Sorted(slices.Values(fvals)), arity)
 		got := EquiDepthPointsChunksFloat64(chunkFloat64(fvals, rng), arity, 2)
-		if !reflect.DeepEqual(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("EquiDepthPointsChunksFloat64(arity=%d) = %v, want %v", arity, got, want)
 		}
 	}

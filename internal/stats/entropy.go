@@ -1,6 +1,6 @@
 // Package stats provides the numerical foundations used throughout
 // Charles: entropy, order statistics (medians, quantiles), frequency
-// split points for nominal domains, reservoir sampling, and a
+// split points for nominal domains, systematic sampling, and a
 // chi-squared independence test. It has no dependencies on the rest
 // of the repository.
 package stats
@@ -33,33 +33,6 @@ func Entropy(counts []int) float64 {
 	return h
 }
 
-// EntropyFloat is Entropy over non-negative float64 masses. It is
-// used when cell masses are pre-normalized or fractional (for
-// example, sampled estimates).
-func EntropyFloat(masses []float64) float64 {
-	total := 0.0
-	for _, m := range masses {
-		if m > 0 {
-			total += m
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	h := 0.0
-	for _, m := range masses {
-		if m <= 0 {
-			continue
-		}
-		p := m / total
-		h -= p * math.Log2(p)
-	}
-	if h < 0 {
-		h = 0
-	}
-	return h
-}
-
 // MaxEntropy returns log2(k), the entropy of a perfectly balanced
 // k-way split, and 0 for k < 2.
 func MaxEntropy(k int) float64 {
@@ -84,30 +57,4 @@ func BalanceRatio(counts []int) float64 {
 		return 1
 	}
 	return Entropy(counts) / MaxEntropy(k)
-}
-
-// MutualInformation returns the mutual information, in bits, between
-// the row and column variables of the joint count matrix cells
-// (cells[i][j] = co-occurrence count of row class i and column class
-// j). It equals H(rows) + H(cols) − H(joint) and is never negative
-// up to floating-point noise.
-func MutualInformation(cells [][]int) float64 {
-	if len(cells) == 0 {
-		return 0
-	}
-	rows := make([]int, len(cells))
-	cols := make([]int, len(cells[0]))
-	flat := make([]int, 0, len(cells)*len(cells[0]))
-	for i, row := range cells {
-		for j, c := range row {
-			rows[i] += c
-			cols[j] += c
-			flat = append(flat, c)
-		}
-	}
-	mi := Entropy(rows) + Entropy(cols) - Entropy(flat)
-	if mi < 0 {
-		mi = 0
-	}
-	return mi
 }

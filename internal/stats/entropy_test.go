@@ -71,20 +71,6 @@ func TestEntropyBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestEntropyFloatMatchesInt(t *testing.T) {
-	counts := []int{3, 5, 8, 13}
-	masses := []float64{3, 5, 8, 13}
-	if a, b := Entropy(counts), EntropyFloat(masses); !almostEqual(a, b, 1e-12) {
-		t.Fatalf("int %v vs float %v", a, b)
-	}
-}
-
-func TestEntropyFloatNegativeMassIgnored(t *testing.T) {
-	if got, want := EntropyFloat([]float64{-1, 2, 2}), 1.0; !almostEqual(got, want, 1e-12) {
-		t.Fatalf("EntropyFloat = %v, want %v", got, want)
-	}
-}
-
 func TestMaxEntropy(t *testing.T) {
 	if MaxEntropy(0) != 0 || MaxEntropy(1) != 0 {
 		t.Fatal("MaxEntropy of degenerate k must be 0")
@@ -103,37 +89,5 @@ func TestBalanceRatio(t *testing.T) {
 	}
 	if got := BalanceRatio([]int{100}); got != 1 {
 		t.Fatalf("single-piece ratio = %v, want 1", got)
-	}
-}
-
-func TestMutualInformationIndependent(t *testing.T) {
-	// Perfectly independent 2x2: cells proportional to product of
-	// marginals.
-	cells := [][]int{{40, 60}, {40, 60}}
-	if got := MutualInformation(cells); !almostEqual(got, 0, 1e-9) {
-		t.Fatalf("MI of independent table = %v, want 0", got)
-	}
-}
-
-func TestMutualInformationPerfectDependence(t *testing.T) {
-	cells := [][]int{{50, 0}, {0, 50}}
-	if got := MutualInformation(cells); !almostEqual(got, 1, 1e-9) {
-		t.Fatalf("MI of diagonal table = %v, want 1 bit", got)
-	}
-}
-
-func TestMutualInformationNonNegativeProperty(t *testing.T) {
-	f := func(a, b, c, d uint8) bool {
-		cells := [][]int{{int(a), int(b)}, {int(c), int(d)}}
-		return MutualInformation(cells) >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMutualInformationEmpty(t *testing.T) {
-	if got := MutualInformation(nil); got != 0 {
-		t.Fatalf("MI(nil) = %v, want 0", got)
 	}
 }

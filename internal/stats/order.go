@@ -85,23 +85,3 @@ func quantileIndex(n int, q float64) int {
 	}
 	return k
 }
-
-// EquiDepthPoints returns arity−1 split points dividing vals into
-// arity pieces of (approximately) equal depth, i.e. the quantiles at
-// i/arity for i in 1..arity−1. The points are strictly increasing:
-// duplicate quantile values (heavy duplicates in the data) are
-// collapsed, so fewer than arity−1 points may be returned, and a
-// point equal to the minimum splits off nothing, so it is dropped.
-// This is the same select as EquiDepthPointsChunks over one chunk;
-// vals is not reordered.
-func EquiDepthPoints(vals []int64, arity int) []int64 {
-	return EquiDepthPointsChunks([][]int64{vals}, arity, 1)
-}
-
-// EquiDepthPointsFloat64 is EquiDepthPoints for float64 data: the
-// same select as EquiDepthPointsChunksFloat64 over one chunk, so NaN
-// values are dropped before any rank is read and a zero point is
-// +0.0. vals is not reordered.
-func EquiDepthPointsFloat64(vals []float64, arity int) []float64 {
-	return EquiDepthPointsChunksFloat64([][]float64{vals}, arity, 1)
-}

@@ -94,7 +94,7 @@ func TestQuantilesInt64(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	got := EquiDepthPoints(vals, 4)
+	got := EquiDepthPointsChunks([][]int64{vals}, 4, 1)
 	want := []int64{25, 50, 75}
 	if len(got) != len(want) {
 		t.Fatalf("quartiles = %v, want %v", got, want)
@@ -111,7 +111,7 @@ func TestEquiDepthPointsUniform(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	points := EquiDepthPoints(vals, 3)
+	points := EquiDepthPointsChunks([][]int64{vals[:45], vals[45:]}, 3, 2)
 	if len(points) != 2 || points[0] != 30 || points[1] != 60 {
 		t.Fatalf("tertile points = %v, want [30 60]", points)
 	}
@@ -122,16 +122,16 @@ func TestEquiDepthPointsCollapsesDuplicates(t *testing.T) {
 	for i := range vals {
 		vals[i] = 7 // constant column: no split possible
 	}
-	if points := EquiDepthPoints(vals, 4); len(points) != 0 {
+	if points := EquiDepthPointsChunks([][]int64{vals}, 4, 1); len(points) != 0 {
 		t.Fatalf("points on constant data = %v, want none", points)
 	}
 }
 
 func TestEquiDepthPointsDegenerateArity(t *testing.T) {
-	if points := EquiDepthPoints([]int64{1, 2, 3}, 1); points != nil {
+	if points := EquiDepthPointsChunks([][]int64{{1, 2, 3}}, 1, 1); points != nil {
 		t.Fatalf("arity 1 points = %v, want nil", points)
 	}
-	if points := EquiDepthPoints(nil, 3); points != nil {
+	if points := EquiDepthPointsChunks([][]int64{nil, {}}, 3, 1); points != nil {
 		t.Fatalf("empty input points = %v, want nil", points)
 	}
 }
@@ -141,7 +141,7 @@ func TestEquiDepthPointsFloat(t *testing.T) {
 	for i := range vals {
 		vals[i] = float64(i)
 	}
-	points := EquiDepthPointsFloat64(vals, 2)
+	points := EquiDepthPointsChunksFloat64([][]float64{vals}, 2, 1)
 	if len(points) != 1 || points[0] != 30 {
 		t.Fatalf("median point = %v, want [30]", points)
 	}

@@ -180,9 +180,9 @@ func shard[T any](vals []T, rng *rand.Rand) [][]T {
 	return chunks
 }
 
-// refEquiDepth is EquiDepthPoints' definition read off a reference
-// sort: the values at ranks quantileIndex(n, i/arity), strictly
-// increasing, none equal to the minimum.
+// refEquiDepth is EquiDepthPointsChunks' definition read off a
+// reference sort: the values at ranks quantileIndex(n, i/arity),
+// strictly increasing, none equal to the minimum.
 func refEquiDepth[T int64 | float64](sorted []T, arity int) []T {
 	if arity < 2 || len(sorted) == 0 {
 		return nil
@@ -373,20 +373,19 @@ func TestRadixSortFloat64MatchesReference(t *testing.T) {
 	}
 }
 
-// TestEquiDepthPointsFloat64DropsNaN pins the flat float path's NaN
-// rule: NaN has no rank, so it is dropped before any point is
-// selected — the exact chunked path's rule — and NaN-only input has
-// no points.
+// TestEquiDepthPointsFloat64DropsNaN pins the float points' NaN rule:
+// NaN has no rank, so it is dropped before any point is selected, and
+// NaN-only input has no points.
 func TestEquiDepthPointsFloat64DropsNaN(t *testing.T) {
 	vals := []float64{3, math.NaN(), -1, math.Inf(-1), math.NaN(), 7, 5}
 	for _, arity := range []int{2, 3} {
-		got := EquiDepthPointsFloat64(vals, arity)
-		want := EquiDepthPointsFloat64([]float64{3, -1, math.Inf(-1), 7, 5}, arity)
+		got := EquiDepthPointsChunksFloat64([][]float64{vals[:3], vals[3:]}, arity, 1)
+		want := refEquiDepth([]float64{math.Inf(-1), -1, 3, 5, 7}, arity)
 		if !slices.Equal(got, want) || len(got) == 0 {
 			t.Fatalf("arity=%d: points %v, want %v (NaN dropped)", arity, got, want)
 		}
 	}
-	if got := EquiDepthPointsFloat64([]float64{math.NaN(), math.NaN()}, 2); got != nil {
+	if got := EquiDepthPointsChunksFloat64([][]float64{{math.NaN(), math.NaN()}}, 2, 1); got != nil {
 		t.Fatalf("all-NaN points = %v, want nil", got)
 	}
 }

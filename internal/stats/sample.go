@@ -1,28 +1,5 @@
 package stats
 
-import "math/rand"
-
-// ReservoirInt32 draws a uniform sample without replacement of size
-// k from ids using Vitter's algorithm R with the provided source.
-// When k ≥ len(ids) a copy of ids is returned. The result order is
-// unspecified.
-func ReservoirInt32(ids []int32, k int, rng *rand.Rand) []int32 {
-	if k >= len(ids) {
-		out := make([]int32, len(ids))
-		copy(out, ids)
-		return out
-	}
-	out := make([]int32, k)
-	copy(out, ids[:k])
-	for i := k; i < len(ids); i++ {
-		j := rng.Intn(i + 1)
-		if j < k {
-			out[j] = ids[i]
-		}
-	}
-	return out
-}
-
 // StridedInt32 returns a deterministic systematic sample of about k
 // elements: every ceil(n/k)-th element of ids. It preserves order
 // and requires no randomness, which makes sampled runs exactly

@@ -1,61 +1,6 @@
 package stats
 
-import (
-	"math/rand"
-	"testing"
-)
-
-func TestReservoirInt32Size(t *testing.T) {
-	ids := make([]int32, 1000)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	rng := rand.New(rand.NewSource(3))
-	sample := ReservoirInt32(ids, 100, rng)
-	if len(sample) != 100 {
-		t.Fatalf("sample size = %d, want 100", len(sample))
-	}
-	seen := map[int32]bool{}
-	for _, id := range sample {
-		if seen[id] {
-			t.Fatalf("duplicate id %d in sample", id)
-		}
-		seen[id] = true
-		if id < 0 || id >= 1000 {
-			t.Fatalf("id %d outside population", id)
-		}
-	}
-}
-
-func TestReservoirInt32WholePopulation(t *testing.T) {
-	ids := []int32{5, 6, 7}
-	rng := rand.New(rand.NewSource(1))
-	sample := ReservoirInt32(ids, 10, rng)
-	if len(sample) != 3 {
-		t.Fatalf("sample size = %d, want 3", len(sample))
-	}
-	sample[0] = 99 // must be a copy, not an alias
-	if ids[0] == 99 {
-		t.Fatal("ReservoirInt32 aliased its input")
-	}
-}
-
-func TestReservoirInt32RoughlyUniform(t *testing.T) {
-	// Each of 10 ids should be picked ~500 times over 1000 draws of 5.
-	hits := make([]int, 10)
-	rng := rand.New(rand.NewSource(42))
-	ids := []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	for trial := 0; trial < 1000; trial++ {
-		for _, id := range ReservoirInt32(ids, 5, rng) {
-			hits[id]++
-		}
-	}
-	for id, h := range hits {
-		if h < 400 || h > 600 {
-			t.Fatalf("id %d hit %d times, want ≈500", id, h)
-		}
-	}
-}
+import "testing"
 
 func TestStridedInt32(t *testing.T) {
 	ids := make([]int32, 100)

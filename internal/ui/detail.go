@@ -2,6 +2,7 @@ package ui
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -35,24 +36,30 @@ func Sparkline(counts []int) string {
 }
 
 // HistogramBuckets computes a fixed-width histogram of a numeric
-// column over a selection: bucket counts plus the [lo, hi] range.
-// ok is false when the selection is empty or the column constant.
-func HistogramBuckets(col engine.Column, sel engine.Selection, buckets int) (counts []int, lo, hi float64, ok bool) {
-	if len(sel) == 0 || buckets < 1 {
+// column over a selection: bucket counts plus the [lo, hi] range of
+// its finite values. NaN and ±Inf rows are not bucketed — a fixed
+// width cannot place them. ok is false when the selection holds fewer
+// than two distinct finite values; lo and hi are then the one finite
+// value, or NaN when there is none.
+func HistogramBuckets(col engine.Column, sel *engine.ChunkedSelection, buckets int) (counts []int, lo, hi float64, ok bool) {
+	if sel.Len() == 0 || buckets < 1 {
 		return nil, 0, 0, false
 	}
-	vals := make([]float64, len(sel))
+	vals := make([]float64, 0, sel.Len())
 	switch c := col.(type) {
 	case *engine.FloatColumn:
-		for i, row := range sel {
-			vals[i] = c.Float64(int(row))
-		}
+		engine.EachRow(sel, func(row int) {
+			if v := c.Float64(row); !math.IsNaN(v) && !math.IsInf(v, 0) {
+				vals = append(vals, v)
+			}
+		})
 	case engine.IntValued:
-		for i, row := range sel {
-			vals[i] = float64(c.Int64(int(row)))
-		}
+		engine.EachRow(sel, func(row int) { vals = append(vals, float64(c.Int64(row))) })
 	default:
 		return nil, 0, 0, false
+	}
+	if len(vals) == 0 {
+		return nil, math.NaN(), math.NaN(), false
 	}
 	lo, hi = vals[0], vals[0]
 	for _, v := range vals {
@@ -84,13 +91,13 @@ func HistogramBuckets(col engine.Column, sel engine.Selection, buckets int) (cou
 // sparkline histograms for numeric columns, top-value shares for
 // nominal ones.
 func RenderSegmentDetail(ev *seg.Evaluator, q sdl.Query, attrs []string) (string, error) {
-	sel, err := ev.Select(q)
+	sel, err := ev.SelectChunked(q)
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "segment %s — %d rows\n", q, len(sel))
-	if len(sel) == 0 {
+	fmt.Fprintf(&b, "segment %s — %d rows\n", q, sel.Len())
+	if sel.Len() == 0 {
 		return b.String(), nil
 	}
 	for _, attr := range attrs {
@@ -100,13 +107,17 @@ func RenderSegmentDetail(ev *seg.Evaluator, q sdl.Query, attrs []string) (string
 		}
 		switch c := col.(type) {
 		case *engine.StringColumn:
-			renderNominalDetail(&b, attr, engine.StringValueCounts(c, sel), len(sel))
+			renderNominalDetail(&b, attr, engine.StringValueCountsChunked(c, sel), sel.Len())
 		case *engine.BoolColumn:
-			renderNominalDetail(&b, attr, engine.BoolValueCounts(c, sel), len(sel))
+			renderNominalDetail(&b, attr, engine.BoolValueCountsChunked(c, sel), sel.Len())
 		default:
 			counts, lo, hi, ok := HistogramBuckets(col, sel, 16)
 			if !ok {
-				fmt.Fprintf(&b, "  %-20s (constant: %s)\n", attr, col.Value(int(sel[0])).String())
+				v := formatBound(col, lo)
+				if col.Kind() == engine.KindFloat {
+					v = engine.Float(lo).String()
+				}
+				fmt.Fprintf(&b, "  %-20s (constant: %s)\n", attr, v)
 				continue
 			}
 			loV, hiV := formatBound(col, lo), formatBound(col, hi)

@@ -1,6 +1,7 @@
 package ui
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestHistogramBuckets(t *testing.T) {
 		vals[i] = int64(i)
 	}
 	col := engine.NewIntColumn("v", vals)
-	counts, lo, hi, ok := HistogramBuckets(col, engine.AllRows(100), 10)
+	counts, lo, hi, ok := HistogramBuckets(col, engine.AllRowsChunked(100, 64), 10)
 	if !ok || lo != 0 || hi != 99 {
 		t.Fatalf("bounds = %v %v ok=%v", lo, hi, ok)
 	}
@@ -48,15 +49,43 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestHistogramBucketsDegenerate(t *testing.T) {
 	col := engine.NewIntColumn("v", []int64{7, 7, 7})
-	if _, _, _, ok := HistogramBuckets(col, engine.AllRows(3), 8); ok {
+	if _, _, _, ok := HistogramBuckets(col, engine.AllRowsChunked(3, 64), 8); ok {
 		t.Fatal("constant column produced a histogram")
 	}
-	if _, _, _, ok := HistogramBuckets(col, engine.Selection{}, 8); ok {
+	if _, _, _, ok := HistogramBuckets(col, engine.ChunkSelection(nil, 3, 64), 8); ok {
 		t.Fatal("empty selection produced a histogram")
 	}
 	str := engine.NewStringColumn("s", []string{"a", "b"})
-	if _, _, _, ok := HistogramBuckets(str, engine.AllRows(2), 8); ok {
+	if _, _, _, ok := HistogramBuckets(str, engine.AllRowsChunked(2, 64), 8); ok {
 		t.Fatal("nominal column produced a histogram")
+	}
+}
+
+// TestRenderSegmentDetailNonFinite renders float columns holding NaN,
+// +Inf and −Inf: the histogram covers the finite values only, and a
+// segment with fewer than two distinct finite values renders as
+// constant. Bucketing a non-finite value indexed the bucket slice at
+// int(NaN) and panicked.
+func TestRenderSegmentDetailNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		vals []float64
+		want string
+	}{
+		{[]float64{1, 2, nan, 4}, "[1 .. 4]"},
+		{[]float64{1, 2, inf, 4}, "[1 .. 4]"},
+		{[]float64{-inf, 1, 2, 4}, "[1 .. 4]"},
+		{[]float64{nan, 5, inf, 5, -inf}, "(constant: 5)"},
+		{[]float64{nan, -inf, inf}, "(constant: NaN)"},
+	} {
+		tab := engine.MustNewTable("t", engine.NewFloatColumn("v", tc.vals))
+		out, err := RenderSegmentDetail(seg.NewEvaluator(tab), sdl.ContextAll(tab), []string{"v"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, tc.want) {
+			t.Fatalf("detail of %v = %q, want %q", tc.vals, out, tc.want)
+		}
 	}
 }
 
