@@ -52,10 +52,16 @@ const maxSessions = 1024
 // sessionCookie names the cookie carrying the session id.
 const sessionCookie = "charles_session"
 
-// evaluatorCacheLimit bounds the shared evaluator's selection cache:
-// users type arbitrary contexts, and without a cap each distinct
-// query would pin rows-sized selections in memory forever.
-const evaluatorCacheLimit = 1 << 16
+// evaluatorBytesPerRow sizes the shared evaluator's cache budget,
+// set once at boot from the table's rows: users type arbitrary
+// contexts, and without a bound each distinct query would pin
+// rows-sized selections in memory forever. 32 B per row is room for
+// 256 all-rows selections held as words (⌈rows/64⌉ words of 8 B
+// each): 32 MiB at 1 M rows. An entry count could not bound memory —
+// one selection holds a few bytes or 1.25 MB at 10 M rows — so the
+// budget is in bytes, and the clock evicts what the traffic does not
+// read again (seg.Evaluator.SetCacheBudget).
+const evaluatorBytesPerRow = 32
 
 // defaultMaxBodyBytes bounds POST bodies (-max-body-bytes): an SDL
 // context is a few hundred bytes and even generous append batches fit
@@ -225,7 +231,7 @@ type server struct {
 }
 
 func newServer(adv *charles.Advisor, initialCtx charles.Query, jopt jobs.Options) *server {
-	adv.Evaluator().SetCacheLimit(evaluatorCacheLimit)
+	adv.Evaluator().SetCacheBudget(evaluatorBytesPerRow * int64(adv.Table().NumRows()))
 	// Wire instrumentation before anything runs: the registry must
 	// exist for the job manager's histograms and the result cache's
 	// counters, and the engine/evaluator hooks are installed inside.
@@ -423,8 +429,8 @@ func main() {
 	if strings.HasPrefix(display, ":") {
 		display = "localhost" + display
 	}
-	log.Printf("charles-server: advising on %q (%d rows) at http://%s/ (async API at POST /advise)",
-		tab.Name(), tab.NumRows(), display)
+	log.Printf("charles-server: advising on %q (%d rows) at http://%s/ (async API at POST /advise); evaluator cache budget %d bytes",
+		tab.Name(), tab.NumRows(), display, evaluatorBytesPerRow*int64(tab.NumRows()))
 	if *pprofAddr != "" {
 		servePprof(*pprofAddr)
 	}

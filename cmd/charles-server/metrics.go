@@ -81,7 +81,9 @@ func newServerMetrics(ev *seg.Evaluator) *serverMetrics {
 		PairMemoMisses:      reg.NewCounter("charles_seg_pair_memo_misses_total", "pairwise operand sides built fresh"),
 		PairTableHits:       reg.NewCounter("charles_seg_pair_table_hits_total", "contingency tables served from the evaluator's pair-table tier"),
 		RowMaterializations: reg.NewCounter("charles_seg_row_materializations_total", "flat row-id views decoded from selections holding words chunks"),
+		Evictions:           reg.NewCounter("charles_seg_cache_evictions_total", "evaluator cache entries the clock evicted to stay within the byte budget"),
 	})
+	reg.NewGaugeFunc("charles_seg_cache_bytes", "bytes the evaluator's selection, cut and pair-table stores hold, against its byte budget", ev.CacheBytes)
 
 	panicsRecovered := reg.NewCounter("charles_panics_recovered_total",
 		"panics contained into a failed job or a 500 instead of killing the process")

@@ -168,6 +168,8 @@ func TestMetricsPrometheusGrammar(t *testing.T) {
 		"charles_seg_pair_memo_hits_total",
 		"charles_seg_pair_table_hits_total",
 		"charles_seg_row_materializations_total",
+		"charles_seg_cache_bytes",
+		"charles_seg_cache_evictions_total",
 		"charles_delta_refreshes_total",
 		"charles_jobs_queue_wait_seconds",
 		"charles_jobs_run_seconds",

@@ -225,6 +225,21 @@ func (cs *ChunkedSelection) NumChunks() int { return len(cs.chunks) }
 // Len returns the total number of selected rows.
 func (cs *ChunkedSelection) Len() int { return cs.count }
 
+// Bytes returns the memory the selection's containers hold: 4 B per
+// row id and 8 B per word. A chunk taken whole from a parent or a
+// cached selection (a covered chunk, a clean chunk of a splice, the
+// all-rows identity) shares that container rather than copying it, so
+// summing Bytes over selections that share containers — common on
+// clustered tables, where zone maps take whole chunks — over-counts
+// the memory they hold together.
+func (cs *ChunkedSelection) Bytes() int64 {
+	var n int64
+	for _, ct := range cs.chunks {
+		n += 4*int64(len(ct.rows)) + 8*int64(len(ct.words))
+	}
+	return n
+}
+
 // chunk returns chunk c in its own form — its row ids, or its words —
 // and the number of rows it selects. A chunk without rows has neither.
 func (cs *ChunkedSelection) chunk(c int) (Selection, []uint64, int) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -488,6 +489,64 @@ func TestCutQuerySampledPointsMatchReference(t *testing.T) {
 				t.Fatalf("%s arity %d: sampled children\n%v\nwant\n%v", attr, arity, got, wantKeys)
 			}
 		}
+	}
+}
+
+// hasFlatView reports whether cs carries a materialized flat row-id
+// view (engine.ChunkedSelection.Flat caches one on first use). It reads
+// the unexported field by reflection, which only inspects it.
+func hasFlatView(cs *engine.ChunkedSelection) bool {
+	return !reflect.ValueOf(cs).Elem().FieldByName("flat").FieldByName("v").IsNil()
+}
+
+// TestSampledCutBuildsNoRows: a sampled CutQuery strides the stored
+// extent chunk by chunk — words chunks by set-bit iteration — so it
+// counts no row materialization and leaves no flat view on the extent
+// the evaluator keeps, and the strided rows are exactly those
+// StridedInt32 takes from the flat view.
+func TestSampledCutBuildsNoRows(t *testing.T) {
+	const n, chunkRows = 20000, 1024
+	rng := rand.New(rand.NewSource(3))
+	vals, keep := make([]int64, n), make([]bool, n)
+	var ext []int32
+	for i := range n {
+		vals[i] = rng.Int63n(5000)
+		// Even chunks keep most rows (words), odd ones a few (row ids).
+		if (i/chunkRows)%2 == 0 {
+			keep[i] = rng.Intn(4) != 0
+		} else {
+			keep[i] = rng.Intn(100) == 0
+		}
+		if keep[i] {
+			ext = append(ext, int32(i))
+		}
+	}
+	tab := engine.MustNewTable("t", engine.NewIntColumn("i", vals), engine.NewBoolColumn("k", keep))
+	tab.SetChunkRows(chunkRows)
+	ctx := sdl.ContextAll(tab).WithConstraint(sdl.SetC("k", engine.Bool(true)))
+	ev := NewEvaluator(tab)
+	opt := DefaultCutOptions()
+	opt.SampleSize = 300
+	if _, err := CutQuery(ev, ctx, "i", opt); err != nil {
+		t.Fatal(err)
+	}
+	if got := ev.Counters().RowMaterializations; got != 0 {
+		t.Fatalf("a sampled cut counted %d row materializations", got)
+	}
+	stored, ok := ev.cached(ctx.Key())
+	if !ok || !holdsWords(stored.sel) {
+		t.Fatalf("the extent is not stored with words chunks (cached %v)", ok)
+	}
+	if hasFlatView(stored.sel) {
+		t.Fatal("a sampled cut attached a flat view to the stored extent")
+	}
+	for _, k := range []int{1, 7, 300, len(ext) / 2, len(ext) - 1} {
+		if got, want := stridedRows(stored.sel, k), stats.StridedInt32(ext, k); !slices.Equal(got, want) {
+			t.Fatalf("k=%d: strided %d rows, StridedInt32 %d, or they differ", k, len(got), len(want))
+		}
+	}
+	if hasFlatView(stored.sel) {
+		t.Fatal("striding attached a flat view to the extent")
 	}
 }
 

@@ -42,7 +42,6 @@ import (
 
 	"charles/internal/engine"
 	"charles/internal/sdl"
-	"charles/internal/stats"
 )
 
 // cutStateMinRows is the selection size below which count vectors
@@ -80,33 +79,32 @@ func cutKey(q sdl.Query, attr string, opt CutOptions) string {
 }
 
 func (e *Evaluator) cachedCutEntry(key string) (cachedCut, bool) {
-	e.cutMu.RLock()
-	ent, ok := e.cuts[key]
-	e.cutMu.RUnlock()
-	return ent, ok
+	return e.cuts.get(key)
 }
 
 // storeCut records a cut entry: concurrent computations of the same
 // key produce identical children, so last write wins.
 func (e *Evaluator) storeCut(key string, ent cachedCut) {
-	e.cutMu.Lock()
-	boundedPut(e.cuts, key, ent, int(e.limit.Load()))
-	e.cutMu.Unlock()
+	e.cuts.put(&e.clock, key, ent, cutBytes(key, ent))
+	e.shrink()
 }
 
 // storeCutCounts records counts, taken by Cut while the table stood
 // at version v, in key's entry — only when both the table and the
-// entry are still at v, since the counts belong to v's children.
+// entry are still at v, since the counts belong to v's children — and
+// charges them to the entry.
 func (e *Evaluator) storeCutCounts(key string, v uint64, counts []int) {
 	if e.tab.Version() != v {
 		return
 	}
-	e.cutMu.Lock()
-	if ent, ok := e.cuts[key]; ok && ent.counts == nil && ent.stamp.Version() == v {
-		ent.counts = counts
-		e.cuts[key] = ent
+	s := &e.cuts
+	s.mu.Lock()
+	if en, ok := s.m[key]; ok && en.val.counts == nil && en.val.stamp.Version() == v {
+		en.val.counts = counts
+		s.charge(&e.clock, &en.link, 8*int64(len(counts)))
 	}
-	e.cutMu.Unlock()
+	s.mu.Unlock()
+	e.shrink()
 }
 
 // cutPieces computes the piece constraints CUT splits src, q's
@@ -118,13 +116,12 @@ func (e *Evaluator) storeCutCounts(key string, v uint64, counts []int) {
 // it can be, and everything else is computed in full. cur is the
 // stamp the result will be cached under, nil with caching off. With
 // opt.SampleSize set, the points are estimated from a systematic
-// sample of the rows (Section 5.2), the one cut that builds row ids
-// from words; sampled points are cached but never refreshed
-// incrementally.
+// sample of the rows (Section 5.2); sampled points are cached but
+// never refreshed incrementally.
 func (e *Evaluator) cutPieces(attr string, col engine.Column, src *engine.ChunkedSelection, opt CutOptions, stale *cachedCut, cur *engine.EpochStamp) ([]sdl.Constraint, cutState, error) {
-	// Sampled cut points draw a systematic sample from the flat view
-	// and select them from the sample re-sharded by the same chunks;
-	// exact ones run shard-at-a-time on the extent and never flatten
+	// Sampled cut points are selected from a systematic sample of the
+	// extent, strided chunk by chunk and re-sharded by the same chunks;
+	// exact ones run shard-at-a-time on the extent. Neither flattens
 	// it. (Nominal cuts always see the full extent regardless: a
 	// sampled dictionary could miss rare values, and rows holding them
 	// would fall outside every piece, breaking Definition 3. Counting
@@ -132,7 +129,7 @@ func (e *Evaluator) cutPieces(attr string, col engine.Column, src *engine.Chunke
 	// sampling targets the numeric medians and quantiles.)
 	var pointSel *engine.ChunkedSelection
 	if opt.SampleSize > 0 && src.Len() > opt.SampleSize {
-		pointSel = engine.ChunkSelection(stats.StridedInt32(e.flat(src), opt.SampleSize), src.NumRows(), src.ChunkRows())
+		pointSel = engine.ChunkSelection(stridedRows(src, opt.SampleSize), src.NumRows(), src.ChunkRows())
 	}
 	if stale != nil {
 		if pieces, state, ok := e.refreshCut(*stale, attr, col, src, pointSel, opt, cur); ok {
@@ -148,6 +145,24 @@ func (e *Evaluator) cutPieces(attr string, col engine.Column, src *engine.Chunke
 		e.countCutPointCalc()
 	}
 	return pieces, state, nil
+}
+
+// stridedRows returns the rows stats.StridedInt32 takes from src's
+// flat view — every ⌈n/k⌉-th row by rank, n = src.Len() > k — read
+// chunk by chunk in the form each is held in, so no flat view is built
+// or attached to src.
+func stridedRows(src *engine.ChunkedSelection, k int) engine.Selection {
+	stride := (src.Len() + k - 1) / k
+	out := make(engine.Selection, 0, k)
+	rank, next := 0, 0
+	engine.EachRow(src, func(row int) {
+		if rank == next {
+			out = append(out, int32(row))
+			next += stride
+		}
+		rank++
+	})
+	return out
 }
 
 // cutState carries the refreshable per-chunk state a computation

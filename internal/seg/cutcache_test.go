@@ -146,9 +146,7 @@ func TestCutCacheRefreshAfterMutation(t *testing.T) {
 	// The appends opened a ninth chunk, and 9 × 1 000 cells outnumber
 	// the 8 200 rows: the refreshed entry keeps its pieces but no
 	// counts.
-	ev.cutMu.RLock()
-	ent := ev.cuts[cutKey(ctx, "v", DefaultCutOptions().normalize())]
-	ev.cutMu.RUnlock()
+	ent, _ := ev.cachedCutEntry(cutKey(ctx, "v", DefaultCutOptions().normalize()))
 	if ent.intCounts != nil {
 		t.Fatalf("refreshed entry kept %d-chunk counts past the size rule", len(ent.intCounts.Chunks))
 	}
@@ -267,9 +265,7 @@ func TestCutCacheRetainsStateOnlyWhenMutable(t *testing.T) {
 				t.Fatalf("%s cut on %s diverged from memory:\n%s\n%s", attr, tc.name, got, want)
 			}
 			pieces[attr] = got
-			ev.cutMu.RLock()
-			ent, ok := ev.cuts[cutKey(ctx, attr, DefaultCutOptions().normalize())]
-			ev.cutMu.RUnlock()
+			ent, ok := ev.cachedCutEntry(cutKey(ctx, attr, DefaultCutOptions().normalize()))
 			if !ok {
 				t.Fatalf("%s: no cut entry for %s", tc.name, attr)
 			}

@@ -216,14 +216,23 @@ func TestServedCutCachingOff(t *testing.T) {
 func TestServedCutBoundedCache(t *testing.T) {
 	tab := servedCutTable()
 	bounded, unbounded := seg.NewEvaluator(tab), seg.NewEvaluator(tab)
-	bounded.SetCacheLimit(2)
+	// A budget well under one cut's entries: the stores evict within
+	// every cut.
+	const budget = 2 << 10
+	bounded.SetCacheBudget(budget)
 	bBase, uBase := baseSeg(t, bounded), baseSeg(t, unbounded)
 	for round := 0; round < 3; round++ {
 		for _, attr := range servedCutAttrs {
 			if got, want := cutOn(t, bounded, bBase, attr), cutOn(t, unbounded, uBase, attr); got != want {
 				t.Fatalf("round %d: bounded cut on %s diverged:\n%s\nunbounded\n%s", round, attr, got, want)
 			}
+			if got := bounded.CacheBytes(); got > budget {
+				t.Fatalf("round %d: the bounded stores hold %d bytes, budget %d", round, got, budget)
+			}
 		}
+	}
+	if bounded.Counters().Evictions == 0 {
+		t.Fatal("the bounded evaluator evicted nothing")
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"charles/internal/engine"
@@ -54,9 +53,12 @@ type Counters struct {
 	// evaluator's pair-table tier without building either side.
 	PairTableHits int
 	// RowMaterializations counts flat row-id views built from
-	// selections holding words chunks: by Select, a sampled cut, or a
-	// re-layout. The advise path builds none.
+	// selections holding words chunks: by Select or a re-layout. The
+	// advise path builds none.
 	RowMaterializations int
+	// Evictions counts entries the clock evicted to keep the stores
+	// within their byte budget (SetCacheBudget).
+	Evictions int
 }
 
 // EvalMetrics is the evaluator's external instrumentation hook:
@@ -77,6 +79,7 @@ type EvalMetrics struct {
 	PairMemoMisses      *obs.Counter
 	PairTableHits       *obs.Counter
 	RowMaterializations *obs.Counter
+	Evictions           *obs.Counter
 }
 
 // cacheShards is the number of independent lock stripes of the
@@ -98,12 +101,6 @@ type cachedSel struct {
 	stamp *engine.EpochStamp
 }
 
-// cacheShard is one lock stripe of the selection cache.
-type cacheShard struct {
-	mu sync.RWMutex
-	m  map[string]cachedSel
-}
-
 // cacheSeed keys the shard hash; shared by all evaluators so shard
 // assignment is stable within a process.
 var cacheSeed = maphash.MakeSeed()
@@ -122,22 +119,23 @@ var cacheSeed = maphash.MakeSeed()
 // one Evaluator safely serves many goroutines — the foundation of
 // the parallel advisor core and the multi-session server.
 type Evaluator struct {
-	tab    *engine.Table
-	shards [cacheShards]cacheShard
-	// cutMu guards cuts, the cut-point cache (cutcache.go). Cut
-	// entries are far fewer than selections — pieces, plus per-chunk
-	// value counts where a refresh can splice them — so one stripe
-	// suffices.
-	cutMu sync.RWMutex
-	cuts  map[string]cachedCut
-	// pairMu guards the pair-table tier: the contingency tables of
+	tab *engine.Table
+	// shards are the lock stripes of the selection store.
+	shards [cacheShards]store[string, cachedSel]
+	// cuts is the cut-point cache (cutcache.go). Cut entries are far
+	// fewer than selections — children, plus per-chunk value counts
+	// where a refresh can splice them — so one stripe suffices.
+	cuts store[string, cachedCut]
+	// pairs is the pair-table tier: the contingency tables of
 	// segmentation pairs (keyed by the two segmentation keys) counted
-	// at table fingerprint pairFP, and only those. A store at another
-	// fingerprint drops the whole map first, so the tier never holds
-	// two table versions.
-	pairMu  sync.RWMutex
-	pairFP  string
-	pairs   map[[2]string][]int
+	// at table fingerprint pairFP (guarded by pairs.mu), and only
+	// those. A store at another fingerprint drops the whole generation
+	// first, so the tier never holds two table versions.
+	pairs  store[[2]string, []int]
+	pairFP string
+	// clock is the byte budget the three stores share and the ring
+	// they evict from (budget.go).
+	clock   clock
 	caching atomic.Bool
 	// zonePruning gates the zone-map verdicts (numeric bounds and
 	// nominal presence alike). On by default; the off position is the
@@ -149,10 +147,6 @@ type Evaluator struct {
 	// keeps cold full evaluations from each allocating an
 	// |table|-sized identity vector.
 	identity atomic.Pointer[engine.ChunkedSelection]
-	// limit bounds the total cached selections (0 = unbounded).
-	// Long-lived shared evaluators — the multi-session server — set
-	// it so user-supplied contexts cannot grow memory without bound.
-	limit atomic.Int64
 
 	fullEvals           atomic.Int64
 	narrowEvals         atomic.Int64
@@ -165,6 +159,7 @@ type Evaluator struct {
 	pairMemoMisses      atomic.Int64
 	pairTableHits       atomic.Int64
 	rowMaterializations atomic.Int64
+	evictions           atomic.Int64
 
 	// em is the installed EvalMetrics hook; always non-nil (zero
 	// value = no-op), swapped atomically by SetEvalMetrics.
@@ -173,9 +168,9 @@ type Evaluator struct {
 
 // NewEvaluator returns a caching evaluator over t.
 func NewEvaluator(t *engine.Table) *Evaluator {
-	e := &Evaluator{tab: t, cuts: make(map[string]cachedCut), pairs: make(map[[2]string][]int)}
+	e := &Evaluator{tab: t, cuts: newStore[string, cachedCut](), pairs: newStore[[2]string, []int]()}
 	for i := range e.shards {
-		e.shards[i].m = make(map[string]cachedSel)
+		e.shards[i] = newStore[string, cachedSel]()
 	}
 	e.caching.Store(true)
 	e.zonePruning.Store(true)
@@ -210,6 +205,7 @@ func (e *Evaluator) countRowMaterialization() {
 	e.rowMaterializations.Add(1)
 	e.em.Load().RowMaterializations.Inc()
 }
+func (e *Evaluator) countEviction() { e.evictions.Add(1); e.em.Load().Evictions.Inc() }
 
 // SetZonePruning toggles zone-map chunk pruning (numeric min/max and
 // nominal presence verdicts). Pruning never changes results — only
@@ -231,18 +227,6 @@ func (e *Evaluator) allRows() *engine.ChunkedSelection {
 	return cs
 }
 
-// SetCacheLimit bounds each of the evaluator's stores — selections,
-// cut points and pair tables — to n entries; at the
-// limit an arbitrary entry is evicted to make room (per shard for the
-// sharded selection stores). n <= 0 means unbounded (the default,
-// right for one-shot advisory runs and the paper experiments).
-func (e *Evaluator) SetCacheLimit(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.limit.Store(int64(n))
-}
-
 // SetCaching toggles the selection cache (the E6 ablation). Turning
 // caching off also drops the current cache. The toggle applies to
 // evaluations that start afterwards; flip it while the evaluator is
@@ -251,17 +235,10 @@ func (e *Evaluator) SetCaching(on bool) {
 	e.caching.Store(on)
 	if !on {
 		for i := range e.shards {
-			s := &e.shards[i]
-			s.mu.Lock()
-			s.m = make(map[string]cachedSel)
-			s.mu.Unlock()
+			e.shards[i].drop(&e.clock)
 		}
-		e.cutMu.Lock()
-		e.cuts = make(map[string]cachedCut)
-		e.cutMu.Unlock()
-		e.pairMu.Lock()
-		e.pairs = make(map[[2]string][]int)
-		e.pairMu.Unlock()
+		e.cuts.drop(&e.clock)
+		e.pairs.drop(&e.clock)
 	}
 }
 
@@ -279,6 +256,7 @@ func (e *Evaluator) Counters() Counters {
 		PairMemoMisses:      int(e.pairMemoMisses.Load()),
 		PairTableHits:       int(e.pairTableHits.Load()),
 		RowMaterializations: int(e.rowMaterializations.Load()),
+		Evictions:           int(e.evictions.Load()),
 	}
 }
 
@@ -295,6 +273,7 @@ func (e *Evaluator) ResetCounters() {
 	e.pairMemoMisses.Store(0)
 	e.pairTableHits.Store(0)
 	e.rowMaterializations.Store(0)
+	e.evictions.Store(0)
 }
 
 // CacheLen returns the number of cached selections.
@@ -310,46 +289,14 @@ func (e *Evaluator) CacheLen() int {
 }
 
 // shard returns the lock stripe responsible for key.
-func (e *Evaluator) shard(key string) *cacheShard {
+func (e *Evaluator) shard(key string) *store[string, cachedSel] {
 	return &e.shards[maphash.String(cacheSeed, key)%cacheShards]
 }
 
 // cached looks key up in its shard. The caller must check the
 // entry's stamp against the table's before serving it.
 func (e *Evaluator) cached(key string) (cachedSel, bool) {
-	s := e.shard(key)
-	s.mu.RLock()
-	ent, ok := s.m[key]
-	s.mu.RUnlock()
-	return ent, ok
-}
-
-// boundedPut is the one eviction policy of every evaluator store:
-// m[key] = v, and when m already holds limit entries and key is new,
-// one arbitrary entry makes room first. Random replacement is crude
-// but keeps the hot path lock-cheap and bounds memory. Overwriting a
-// key that is already present never evicts: the store does not grow
-// m, so there is nothing to make room for (evicting anyway would
-// shrink the store by one on every re-store at the limit). limit <= 0
-// means unbounded. The caller holds m's write lock.
-func boundedPut[K comparable, V any](m map[K]V, key K, v V, limit int) {
-	if limit > 0 && len(m) >= limit {
-		if _, exists := m[key]; !exists {
-			//lint:deterministic random-replacement eviction is deliberately arbitrary: cache contents affect reuse, never results
-			for k := range m {
-				delete(m, k)
-				break
-			}
-		}
-	}
-	m[key] = v
-}
-
-// shardLimit is the cache limit's share of one selection-store shard
-// (0 = unbounded).
-func (e *Evaluator) shardLimit() int {
-	limit := e.limit.Load()
-	return int((limit + cacheShards - 1) / cacheShards)
+	return e.shard(key).get(key)
 }
 
 // store records key → ent. Concurrent evaluators may compute the
@@ -357,10 +304,8 @@ func (e *Evaluator) shardLimit() int {
 // wins and both callers' values stay valid (selections are
 // immutable by contract).
 func (e *Evaluator) store(key string, ent cachedSel) {
-	s := e.shard(key)
-	s.mu.Lock()
-	boundedPut(s.m, key, ent, e.shardLimit())
-	s.mu.Unlock()
+	e.shard(key).put(&e.clock, key, ent, selBytes(key, ent))
+	e.shrink()
 }
 
 // flat returns cs's rows as one sorted vector, counting a row
@@ -378,13 +323,17 @@ func (e *Evaluator) flat(cs *engine.ChunkedSelection) engine.Selection {
 // pairTable copies the contingency table of the segmentation pair key
 // into flat when the tier holds it at fingerprint fp.
 func (e *Evaluator) pairTable(fp string, key [2]string, flat []int) bool {
-	e.pairMu.RLock()
-	t, ok := e.pairs[key]
-	ok = ok && e.pairFP == fp && len(t) == len(flat)
+	s := &e.pairs
+	s.mu.RLock()
+	en, ok := s.m[key]
+	ok = ok && e.pairFP == fp && len(en.val) == len(flat)
 	if ok {
-		copy(flat, t)
+		copy(flat, en.val)
 	}
-	e.pairMu.RUnlock()
+	s.mu.RUnlock()
+	if ok {
+		en.touch()
+	}
 	return ok
 }
 
@@ -396,12 +345,15 @@ func (e *Evaluator) storePairTable(fp string, key [2]string, flat []int) {
 		return
 	}
 	t := slices.Clone(flat)
-	e.pairMu.Lock()
+	s := &e.pairs
+	s.mu.Lock()
 	if e.pairFP != fp {
-		e.pairFP, e.pairs = fp, make(map[[2]string][]int)
+		s.dropLocked(&e.clock)
+		e.pairFP = fp
 	}
-	boundedPut(e.pairs, key, t, int(e.limit.Load()))
-	e.pairMu.Unlock()
+	s.putLocked(&e.clock, key, t, pairBytes(key, t))
+	s.mu.Unlock()
+	e.shrink()
 }
 
 // SelectBitmap is SelectChunked under the name the

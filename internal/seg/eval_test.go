@@ -1,7 +1,7 @@
 package seg
 
 import (
-	"fmt"
+	"slices"
 	"testing"
 
 	"charles/internal/engine"
@@ -187,85 +187,89 @@ func TestCountersAndReset(t *testing.T) {
 	}
 }
 
-func TestCacheLimitBoundsEntries(t *testing.T) {
+func TestCacheBudgetBoundsBytes(t *testing.T) {
 	tab, ev := figure2Table(t)
-	_ = tab
-	const limit = 8
-	ev.SetCacheLimit(limit)
-	// Far more distinct queries than the limit allows.
-	for lo := int64(0); lo < 200; lo++ {
-		q := sdl.MustQuery(sdl.ClosedRange("tonnage", engine.Int(lo), engine.Int(lo+100)))
-		if _, err := ev.Select(q); err != nil {
+	query := func(lo int64) sdl.Query {
+		return sdl.MustQuery(sdl.ClosedRange("tonnage", engine.Int(lo), engine.Int(lo+100)))
+	}
+	// Room for about eight of the selections below.
+	budget := 8 * selBytes(query(0).Key(), cachedSel{sel: tab.AllChunked()})
+	ev.SetCacheBudget(budget)
+	// Far more distinct queries than the budget holds.
+	const queries = 200
+	for lo := int64(0); lo < queries; lo++ {
+		if _, err := ev.Select(query(lo)); err != nil {
 			t.Fatal(err)
 		}
+		if got := ev.CacheBytes(); got > budget {
+			t.Fatalf("after %d selects the stores hold %d bytes, budget %d", lo+1, got, budget)
+		}
 	}
-	// Per-shard rounding allows at most ceil(limit/shards) per shard.
-	if n := ev.CacheLen(); n > limit+cacheShards {
-		t.Fatalf("cache holds %d entries, limit %d", n, limit)
+	if n := ev.CacheLen(); n == 0 || n >= queries/4 {
+		t.Fatalf("cache holds %d of %d selections under a %d-byte budget", n, queries, budget)
 	}
-	// Cached queries still answer correctly after evictions.
-	q := sdl.MustQuery(sdl.ClosedRange("tonnage", engine.Int(0), engine.Int(100)))
-	sel, err := ev.Select(q)
-	if err != nil {
-		t.Fatal(err)
+	if ev.Counters().Evictions == 0 {
+		t.Fatal("no eviction under the budget")
 	}
-	for _, row := range sel {
-		if !sel.IsSorted() {
-			t.Fatalf("row %d: unsorted selection after eviction", row)
+	// Cached and evicted queries still answer as an uncached evaluator.
+	cold := coldEvaluator(tab)
+	for lo := int64(0); lo < queries; lo += 7 {
+		got, err := ev.Select(query(lo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cold.Select(query(lo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s after evictions = %v, uncached %v", query(lo), got, want)
 		}
 	}
 }
 
 // TestStoreAtLimitKeepsExistingKey is the regression test for the
-// re-store eviction bug: overwriting a key that is already cached in
-// a full shard must not evict an unrelated entry — the store does
-// not grow the shard, so there is nothing to make room for. The old
-// code evicted first and overwrote second, shrinking the cache by
-// one on every re-store at the limit.
+// re-store eviction bug: overwriting a key that is already cached at
+// the budget must not evict an unrelated entry, and the re-stored key
+// is charged once — its old entry is credited as the new one is
+// charged. The old code evicted first and overwrote second, shrinking
+// the cache by one on every re-store at the limit.
 func TestStoreAtLimitKeepsExistingKey(t *testing.T) {
 	tab, ev := figure2Table(t)
 	sel := cachedSel{sel: tab.AllChunked(), stamp: tab.Stamp()}
-	// perShard = ceil(limit/shards) = 2.
-	ev.SetCacheLimit(2 * cacheShards)
-	// Find two keys that land in the same shard, then fill it.
-	keyA := "key-a"
-	shard := ev.shard(keyA)
-	keyB := ""
-	for i := 0; keyB == ""; i++ {
-		k := fmt.Sprintf("key-b-%d", i)
-		if ev.shard(k) == shard {
-			keyB = k
-		}
-	}
+	keyA, keyB, keyC := "key-a", "key-b", "key-c"
+	// Exactly two entries fit.
+	ev.SetCacheBudget(selBytes(keyA, sel) + selBytes(keyB, sel))
 	ev.store(keyA, sel)
 	ev.store(keyB, sel)
-	if len(shard.m) != 2 {
-		t.Fatalf("shard holds %d entries after filling, want 2", len(shard.m))
+	full := ev.CacheBytes()
+	if n := ev.CacheLen(); n != 2 || full != ev.clock.limit.Load() {
+		t.Fatalf("after filling: %d entries, %d bytes; want 2 entries at the budget", n, full)
 	}
-	// Re-store an existing key ten times: the shard must keep both.
+	// Re-store an existing key ten times: the store must keep both, at
+	// the same charge.
 	for i := 0; i < 10; i++ {
 		ev.store(keyA, sel)
 	}
 	if _, ok := ev.cached(keyB); !ok {
 		t.Fatal("re-storing an existing key evicted an unrelated entry")
 	}
-	if len(shard.m) != 2 {
-		t.Fatalf("shard shrank to %d entries after re-stores, want 2", len(shard.m))
+	if n, got := ev.CacheLen(), ev.CacheBytes(); n != 2 || got != full {
+		t.Fatalf("after re-stores: %d entries, %d bytes; want 2 entries, %d bytes", n, got, full)
 	}
-	// A genuinely new key at the limit still evicts exactly one.
-	keyC := ""
-	for i := 0; keyC == ""; i++ {
-		k := fmt.Sprintf("key-c-%d", i)
-		if ev.shard(k) == shard {
-			keyC = k
-		}
+	if ev.Counters().Evictions != 0 {
+		t.Fatalf("re-stores evicted %d entries", ev.Counters().Evictions)
 	}
+	// A genuinely new key at the budget still evicts exactly one.
 	ev.store(keyC, sel)
-	if len(shard.m) != 2 {
-		t.Fatalf("shard holds %d entries after eviction, want 2", len(shard.m))
+	if n := ev.CacheLen(); n != 2 {
+		t.Fatalf("store holds %d entries after eviction, want 2", n)
 	}
 	if _, ok := ev.cached(keyC); !ok {
-		t.Fatal("new key was not stored at the limit")
+		t.Fatal("new key was not stored at the budget")
+	}
+	if got := ev.Counters().Evictions; got != 1 {
+		t.Fatalf("storing a new key at the budget evicted %d entries, want 1", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package seg
 
 import (
 	"fmt"
-	"hash/maphash"
 	"slices"
 	"strings"
 	"sync"
@@ -295,20 +294,32 @@ func TestConcurrentMaterialization(t *testing.T) {
 	}
 }
 
-// evictUnder stores new keys of q's shard through put, under a limit
-// of one entry per shard, until present reports q's entry gone: each
-// such store evicts an arbitrary entry of the shard.
+// held reports whether the selection store holds key, without reading
+// the entry: the clock would spare an entry read on every check.
+func held(ev *Evaluator, key string) bool {
+	s := ev.shard(key)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.m[key]
+	return ok
+}
+
+// evictUnder stores new keys through put, under a byte budget of what
+// the stores hold now, until present reports q's entry gone: each such
+// store evicts at least one entry, and the clock spares a read entry
+// only once.
 func evictUnder(t *testing.T, ev *Evaluator, q sdl.Query, present func() bool, put func(key string)) {
 	t.Helper()
-	ev.SetCacheLimit(1)
-	shard := maphash.String(cacheSeed, q.Key()) % cacheShards
+	budget := ev.CacheBytes()
+	ev.SetCacheBudget(budget)
 	for i := 0; i < 100000 && present(); i++ {
-		if k := fmt.Sprintf("evict-%d", i); maphash.String(cacheSeed, k)%cacheShards == shard {
-			put(k)
+		put(fmt.Sprintf("evict-%d", i))
+		if got := ev.CacheBytes(); got > budget {
+			t.Fatalf("the stores hold %d bytes, budget %d", got, budget)
 		}
 	}
 	if present() {
-		t.Fatalf("%s's entry survived every store into its shard", q)
+		t.Fatalf("%s's entry survived every store", q)
 	}
 }
 
@@ -331,10 +342,7 @@ func TestPackedChildOutlivesPackedCacheEviction(t *testing.T) {
 	s, other := candidate(ev, "tonnage"), candidate(ev, "type_of_boat")
 	q := s.Queries[0]
 	want := uncachedRows(t, tab, q)
-	evictUnder(t, ev, q, func() bool {
-		_, ok := ev.cached(q.Key())
-		return ok
-	}, func(k string) { ev.store(k, cachedSel{sel: want, stamp: tab.Stamp()}) })
+	evictUnder(t, ev, q, func() bool { return held(ev, q.Key()) }, func(k string) { ev.store(k, cachedSel{sel: want, stamp: tab.Stamp()}) })
 	before := ev.Counters()
 	cells, err := CellCountsOpt(ev, s, other, PairOptions{Workers: 1})
 	if err != nil {

@@ -12,16 +12,14 @@ import (
 // dropPairTables empties the pair-table tier without allocating, so
 // the next pairwise call counts its table (and builds its sides).
 func dropPairTables(ev *Evaluator) {
-	ev.pairMu.Lock()
-	clear(ev.pairs)
-	ev.pairMu.Unlock()
+	ev.pairs.drop(&ev.clock)
 }
 
 // pairTables reports the tier's fingerprint and entry count.
 func pairTables(ev *Evaluator) (string, int) {
-	ev.pairMu.RLock()
-	defer ev.pairMu.RUnlock()
-	return ev.pairFP, len(ev.pairs)
+	ev.pairs.mu.RLock()
+	defer ev.pairs.mu.RUnlock()
+	return ev.pairFP, len(ev.pairs.m)
 }
 
 // freshCells counts the table of s1 × s2 on a new evaluator with every
@@ -141,7 +139,7 @@ func TestPairTablesOneGeneration(t *testing.T) {
 }
 
 // TestPairTablesObeyCachingAndLimit: SetCaching(false) bypasses and
-// empties the tier, and SetCacheLimit bounds its entry count.
+// empties the tier, and a byte budget (SetCacheBudget) bounds it.
 func TestPairTablesObeyCachingAndLimit(t *testing.T) {
 	tab := dataset.VOC(2000, 9)
 	ctx, err := sdl.ContextOn(tab, "type_of_boat", "tonnage", "departure_harbour", "trip")
@@ -181,11 +179,31 @@ func TestPairTablesObeyCachingAndLimit(t *testing.T) {
 	}
 
 	ev.SetCaching(true)
+	// Warm the pair sides' selections, then leave room for them and
+	// five of the largest tables.
+	for _, s := range segs {
+		for _, q := range s.Queries {
+			if _, err := ev.Count(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	widest := 0
+	for _, s := range segs {
+		widest = max(widest, len(s.Queries))
+	}
 	const limit = 5
-	ev.SetCacheLimit(limit)
+	budget := ev.CacheBytes() + limit*pairBytes([2]string{segs[0].Key(), segs[0].Key()}, make([]int, widest*widest))
+	ev.SetCacheBudget(budget)
 	pairAll()
-	if _, n := pairTables(ev); n == 0 || n > limit {
-		t.Fatalf("SetCacheLimit(%d): the tier holds %d tables", limit, n)
+	if _, n := pairTables(ev); n == 0 || n >= len(segs)*len(segs) {
+		t.Fatalf("a budget with room for %d tables: the tier holds %d of %d", limit, n, len(segs)*len(segs))
+	}
+	if got := ev.CacheBytes(); got > budget {
+		t.Fatalf("the stores hold %d bytes, budget %d", got, budget)
+	}
+	if ev.Counters().Evictions == 0 {
+		t.Fatal("no eviction under the budget")
 	}
 	hits = ev.Counters().PairTableHits
 	last := segs[len(segs)-1]

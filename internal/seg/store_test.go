@@ -46,10 +46,10 @@ func TestAdviseStoresSmallerForms(t *testing.T) {
 	}
 	entries, words := 0, 0
 	for i := range ev.shards {
-		for key, ent := range ev.shards[i].m {
-			checkSmallerForm(t, key, ent.sel)
+		for key, en := range ev.shards[i].m {
+			checkSmallerForm(t, key, en.val.sel)
 			entries++
-			if holdsWords(ent.sel) {
+			if holdsWords(en.val.sel) {
 				words++
 			}
 		}

@@ -4,7 +4,10 @@
 # end: /healthz and /metrics answer 200, the scrape parses as
 # non-empty Prometheus text, and the families every layer registers
 # (engine, seg, jobs, server) are present with the advise visible in
-# charles_advises_total. The in-process grammar test covers the
+# charles_advises_total, and after advises on novel contexts the
+# evaluator's caches hold no more bytes (charles_seg_cache_bytes) than
+# the budget the server logs at boot, and have evicted to stay so.
+# The in-process grammar test covers the
 # format; this covers the wiring a unit test can't — flags, listener,
 # middleware, a real HTTP round trip.
 set -eu
@@ -55,6 +58,18 @@ if [ -n "$ID" ]; then
     done
 fi
 
+# Novel contexts through the sync page, each its own tonnage range:
+# together they pin more selections than the evaluator's byte budget,
+# so its clock must evict.
+lo=50
+while [ "$lo" -le 740 ]; do
+    curl -fsS -G --data-urlencode "context=(tonnage: [$lo, $((lo + 400))], type_of_boat:, departure_harbour:)" "$BASE/" >/dev/null || {
+        echo "metrics-smoke: advise on tonnage [$lo, $((lo + 400))] failed" >&2
+        exit 1
+    }
+    lo=$((lo + 30))
+done
+
 HEALTH=$(curl -fsS "$BASE/healthz")
 printf '%s' "$HEALTH" | grep -q '"status":"ok"' || {
     echo "metrics-smoke: bad /healthz payload: $HEALTH" >&2
@@ -72,6 +87,8 @@ for fam in \
     charles_seg_full_evals_total \
     charles_seg_pair_table_hits_total \
     charles_seg_row_materializations_total \
+    charles_seg_cache_bytes \
+    charles_seg_cache_evictions_total \
     charles_delta_refreshes_total \
     charles_jobs_run_seconds \
     charles_http_requests_total \
@@ -93,6 +110,20 @@ if [ -z "$ADVISES" ] || [ "$ADVISES" -lt 1 ]; then
     exit 1
 fi
 
+# The shared evaluator's stores stay within the byte budget the server
+# set at boot from the table's rows, evicting to do so.
+BUDGET=$(sed -n 's/.*evaluator cache budget \([0-9]*\) bytes.*/\1/p' "$LOG")
+CACHED=$(printf '%s\n' "$METRICS" | sed -n 's/^charles_seg_cache_bytes \([0-9]*\)$/\1/p')
+if [ -z "$BUDGET" ] || [ -z "$CACHED" ] || [ "$CACHED" -gt "$BUDGET" ]; then
+    echo "metrics-smoke: charles_seg_cache_bytes = '$CACHED', budget '$BUDGET'" >&2
+    exit 1
+fi
+EVICTED=$(printf '%s\n' "$METRICS" | sed -n 's/^charles_seg_cache_evictions_total \([0-9]*\)$/\1/p')
+if [ -z "$EVICTED" ] || [ "$EVICTED" -lt 1 ]; then
+    echo "metrics-smoke: charles_seg_cache_evictions_total = '$EVICTED' after advises past the budget" >&2
+    exit 1
+fi
+
 # The real listener goes through the access-log middleware, so the
 # HTTP families must have moved too.
 REQS=$(printf '%s\n' "$METRICS" | sed -n 's/^charles_http_requests_total \([0-9]*\)$/\1/p')
@@ -101,4 +132,4 @@ if [ -z "$REQS" ] || [ "$REQS" -lt 1 ]; then
     exit 1
 fi
 
-echo "metrics-smoke: OK ($ADVISES advise(s), $REQS request(s) observed)"
+echo "metrics-smoke: OK ($ADVISES advise(s), $REQS request(s) observed, $CACHED of $BUDGET cache bytes, $EVICTED eviction(s))"
