@@ -18,8 +18,9 @@ test-race:
 	$(GO) test -race ./...
 
 # Non-test Go lines per package, plus the internal/engine +
-# internal/stats total that ROADMAP item gates cite and the total
-# outside bench/ (scripts/loc.sh).
+# internal/stats total that ROADMAP item gates cite, the total outside
+# bench/ and the count of Int/Float-named functions in internal/
+# (scripts/loc.sh).
 loc:
 	sh scripts/loc.sh
 

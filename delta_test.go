@@ -30,7 +30,11 @@ func cloneTable(tb testing.TB, t *engine.Table) *engine.Table {
 		case *engine.DateColumn:
 			cols[i] = engine.NewDateColumn(c.Name(), append([]int64(nil), c.Int64s()...))
 		case *engine.FloatColumn:
-			cols[i] = engine.NewFloatColumn(c.Name(), append([]float64(nil), c.Float64s()...))
+			vals := make([]float64, c.Len())
+			for r := range vals {
+				vals[r] = c.Float64(r)
+			}
+			cols[i] = engine.NewFloatColumn(c.Name(), vals)
 		case *engine.BoolColumn:
 			cols[i] = engine.NewBoolColumn(c.Name(), append([]bool(nil), c.Bools()...))
 		case *engine.StringColumn:

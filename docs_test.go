@@ -7,7 +7,8 @@
 // errors and tests) must exist as a numbered heading in
 // docs/FORMAT.md — the spec's numbering is load-bearing, so this is
 // what makes renumbering a section a test failure instead of silent
-// doc rot.
+// doc rot. docs/SEMANTICS.md is held the same way: its numeric values
+// section, and every `SEMANTICS.md §N` citation.
 package charles_test
 
 import (
@@ -177,5 +178,70 @@ func TestDocsFormatSectionsExist(t *testing.T) {
 				t.Errorf("%s cites §%s, which is not a heading in docs/FORMAT.md", file, m[1])
 			}
 		}
+	}
+}
+
+// semanticsCite matches a citation of a docs/SEMANTICS.md section.
+var semanticsCite = regexp.MustCompile(`SEMANTICS\.md §([0-9]+(?:\.[0-9]+)?)`)
+
+// TestDocsSemanticsSectionsExist pins docs/SEMANTICS.md: its numeric
+// values section and the rules it states under its own headings, every
+// `SEMANTICS.md §N` citation in the Go sources and the docs naming one
+// of its headings, and README's semantics notes linking to it.
+func TestDocsSemanticsSectionsExist(t *testing.T) {
+	spec, err := os.ReadFile(filepath.Join("docs", "SEMANTICS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	heading := regexp.MustCompile(`(?m)^#{2,3} ([0-9]+(?:\.[0-9]+)?)\.? (.+)$`)
+	sections := map[string]string{}
+	for _, m := range heading.FindAllStringSubmatch(string(spec), -1) {
+		sections[m[1]] = m[2]
+	}
+	for num, title := range map[string]string{
+		"1":   "Numeric values",
+		"1.1": "Ordinals",
+		"1.2": "Decoding",
+		"1.3": "Negative zero",
+		"1.4": "NaN",
+	} {
+		if sections[num] != title {
+			t.Errorf("docs/SEMANTICS.md §%s is %q, want %q", num, sections[num], title)
+		}
+	}
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, ".md") {
+			return nil
+		}
+		body, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range semanticsCite.FindAllStringSubmatch(string(body), -1) {
+			if _, ok := sections[m[1]]; !ok {
+				t.Errorf("%s cites SEMANTICS.md §%s, which is not a heading in docs/SEMANTICS.md", path, m[1])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	notes := string(readme)
+	if i := strings.Index(notes, "## Semantics notes"); i < 0 || !strings.Contains(notes[i:], "(docs/SEMANTICS.md)") {
+		t.Error("README's \"Semantics notes\" does not link docs/SEMANTICS.md")
 	}
 }

@@ -63,7 +63,8 @@ func facetOn(ev *seg.Evaluator, context sdl.Query, attr string, maxGroups int) (
 			return engine.Bool(s == "true")
 		})
 	case *engine.FloatColumn:
-		min, max, _ := engine.FloatMinMaxChunked(col, sel)
+		lo, hi, _ := engine.IntMinMaxChunked(col, sel)
+		min, max := col.OrdinalValue(lo).AsFloat(), col.OrdinalValue(hi).AsFloat()
 		if min == max {
 			return nil, nil
 		}

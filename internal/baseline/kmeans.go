@@ -219,13 +219,12 @@ func floatMeanVar(col engine.FloatValued, sel engine.Selection) (mean, variance 
 	if len(sel) == 0 {
 		return 0, 0, false
 	}
-	vals := col.Float64s()
 	for _, row := range sel {
-		mean += vals[row]
+		mean += col.Float64(int(row))
 	}
 	mean /= float64(len(sel))
 	for _, row := range sel {
-		d := vals[row] - mean
+		d := col.Float64(int(row)) - mean
 		variance += d * d
 	}
 	variance /= float64(len(sel))

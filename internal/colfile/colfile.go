@@ -7,9 +7,11 @@
 // The format is specified normatively in docs/FORMAT.md; section
 // references below (§N) point into that document. The reader
 // implements engine.ColumnBackend: Open maps the file and hands the
-// engine zero-copy column vectors that alias the mapping, plus the
-// persisted chunk summaries at the file's native chunk width, so no
-// row is touched until a scan actually needs it.
+// engine zero-copy column vectors that alias the mapping — but for a
+// float column, converted at open to the engine's ordinals in a heap
+// copy (§5.1) — plus the persisted chunk summaries at the file's
+// native chunk width, so no other row is touched until a scan
+// actually needs it.
 //
 // Structural validation (magic, version, checksummed footer, region
 // bounds and alignment) happens at Open and costs O(columns), not

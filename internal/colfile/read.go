@@ -16,7 +16,8 @@ import (
 // File is an opened columnar file: an engine.ColumnBackend whose
 // column vectors are zero-copy views into the file's memory mapping,
 // so opening reads metadata plus the validity scans over boolean and
-// string pages (§5.3, §5.4); other pages fault in from the page
+// string pages (§5.3, §5.4) and the conversion of float pages into a
+// heap copy of ordinals (§5.1); other pages fault in from the page
 // cache only when a scan touches them. A File must stay open for as
 // long as any table built over it is in use; Close unmaps it.
 type File struct {
@@ -185,6 +186,7 @@ func (f *File) parse() error {
 		case engine.KindDate:
 			f.cols[i] = engine.NewDateColumn(cm.Name, viewInt64(raw))
 		case engine.KindFloat:
+			// Converted, not viewed: any f64 pattern is accepted (§5.1).
 			f.cols[i] = engine.NewFloatColumn(cm.Name, viewFloat64(raw))
 		case engine.KindString:
 			if cm.Dict == nil {

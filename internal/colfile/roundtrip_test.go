@@ -2,8 +2,10 @@ package colfile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -206,7 +208,11 @@ func TestClusterByFloatNaNLast(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, got := writeOpen(t, tab, WriteOptions{ClusterBy: "x"})
-	x := got.MustColumn("x").(*engine.FloatColumn).Float64s()
+	xc := got.MustColumn("x").(*engine.FloatColumn)
+	x := make([]float64, xc.Len())
+	for i := range x {
+		x[i] = xc.Float64(i)
+	}
 	wantOrder := []float64{-1, 0, 2.5, 3, math.NaN(), math.NaN()}
 	for i, w := range wantOrder {
 		if math.IsNaN(w) != math.IsNaN(x[i]) || (!math.IsNaN(w) && w != x[i]) {
@@ -231,5 +237,74 @@ func TestRoundTripEmptyTable(t *testing.T) {
 	}
 	if err := f.Verify(); err != nil {
 		t.Fatalf("verify empty table: %v", err)
+	}
+}
+
+// TestRoundTripFloatCanonicalValues pins the float data rule (§5.1):
+// the writer stores +0 for either zero and math.NaN()'s pattern for
+// every NaN, every other value bit-exact; a reader accepts any pattern
+// — as a file written before the rule holds them — and reads back
+// those same canonical values.
+func TestRoundTripFloatCanonicalValues(t *testing.T) {
+	sub := math.SmallestNonzeroFloat64
+	in := []float64{
+		math.Copysign(0, -1), 0, math.NaN(),
+		math.Float64frombits(0xfff8000000000001), math.Float64frombits(0x7ff0000000000001),
+		math.Inf(1), math.Inf(-1), sub, -sub, math.MaxFloat64, -math.MaxFloat64, 1.5, -2.25,
+	}
+	canonical := func(v float64) uint64 {
+		switch {
+		case v == 0:
+			return 0
+		case v != v:
+			return math.Float64bits(math.NaN())
+		}
+		return math.Float64bits(v)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "canon"+Extension)
+	if err := Write(path, engine.MustNewTable("canon", engine.NewFloatColumn("x", in)), WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := f.ft.Columns[0].Data
+	f.Close()
+	data := raw[region.Offset : region.Offset+region.Length]
+	for r, v := range in {
+		if got := binary.LittleEndian.Uint64(data[8*r:]); got != canonical(v) {
+			t.Fatalf("row %d (%#x): file stores %#x, want %#x", r, math.Float64bits(v), got, canonical(v))
+		}
+	}
+	// The same file with the raw patterns in its data region.
+	for r, v := range in {
+		binary.LittleEndian.PutUint64(data[8*r:], math.Float64bits(v))
+	}
+	old := filepath.Join(dir, "old"+Extension)
+	if err := os.WriteFile(old, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{path, old} {
+		g, err := Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := engine.NewTableFromBackend(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := tab.MustColumn("x").(*engine.FloatColumn)
+		for r, v := range in {
+			if got := math.Float64bits(x.Float64(r)); got != canonical(v) {
+				t.Fatalf("%s row %d (%#x): read back %#x, want %#x", filepath.Base(p), r, math.Float64bits(v), got, canonical(v))
+			}
+		}
+		g.Close()
 	}
 }

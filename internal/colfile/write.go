@@ -188,8 +188,9 @@ func writeFile(f *os.File, t *engine.Table, clusterBy string) error {
 }
 
 // columnBytes returns the little-endian byte image of a column's
-// value vector (§5) — a zero-copy view of its backing slice — plus
-// the dictionary of a string column.
+// value vector (§5) — a zero-copy view of its backing slice, but for a
+// float column's, which is decoded — plus the dictionary of a string
+// column.
 func columnBytes(col engine.Column) (data []byte, dict []string, err error) {
 	switch col := col.(type) {
 	case *engine.IntColumn:
@@ -197,7 +198,7 @@ func columnBytes(col engine.Column) (data []byte, dict []string, err error) {
 	case *engine.DateColumn:
 		return int64Bytes(col.Int64s()), nil, nil
 	case *engine.FloatColumn:
-		return float64Bytes(col.Float64s()), nil, nil
+		return float64Bytes(floatValues(col)), nil, nil
 	case *engine.StringColumn:
 		dict = make([]string, col.Cardinality())
 		for i := range dict {
@@ -223,17 +224,16 @@ func clusterColumns(t *engine.Table, by string) ([]engine.Column, error) {
 	}
 	keys := make([]uint64, t.NumRows())
 	switch key := key.(type) {
-	case engine.IntValued:
-		for i, v := range key.Int64s() {
-			keys[i] = stats.Int64Key(v)
-		}
-	case engine.FloatValued:
-		for i, v := range key.Float64s() {
-			if v != v {
-				keys[i] = ^uint64(0) // NaN sorts after every number
-			} else {
-				keys[i] = stats.Float64Key(v)
+	case engine.Numeric:
+		// A float ordinal's key is its value's stats.Float64Key, 0 for
+		// NaN, which sorts after every number instead.
+		nanLast := key.Kind() == engine.KindFloat
+		for i, o := range key.Int64s() {
+			k := stats.Int64Key(o)
+			if nanLast && k == 0 {
+				k = ^uint64(0)
 			}
+			keys[i] = k
 		}
 	case *engine.StringColumn:
 		// Sort the dictionary, not the rows: a code's key is its
@@ -271,7 +271,7 @@ func clusterColumns(t *engine.Table, by string) ([]engine.Column, error) {
 		case *engine.DateColumn:
 			out[ci] = engine.NewDateColumn(col.Name(), gather(col.Int64s(), perm))
 		case *engine.FloatColumn:
-			out[ci] = engine.NewFloatColumn(col.Name(), gather(col.Float64s(), perm))
+			out[ci] = engine.NewFloatColumn(col.Name(), gather(floatValues(col), perm))
 		case *engine.StringColumn:
 			dict := make([]string, col.Cardinality())
 			for i := range dict {
@@ -353,6 +353,16 @@ func gather[T any](src []T, perm []int32) []T {
 	out := make([]T, len(perm))
 	for i, r := range perm {
 		out[i] = src[r]
+	}
+	return out
+}
+
+// floatValues decodes a float column's values: −0 comes back as +0 and
+// every NaN as the one NaN, the canonical values a file stores (§5.1).
+func floatValues(col *engine.FloatColumn) []float64 {
+	out := make([]float64, col.Len())
+	for i := range out {
+		out[i] = col.Float64(i)
 	}
 	return out
 }

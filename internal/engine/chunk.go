@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math"
 	"sort"
 	"sync/atomic"
 
@@ -173,21 +172,21 @@ const maxCodeListLen = 128
 
 // ChunkSummary is one column's per-chunk zone map, computed over the
 // raw column (not a selection). Numeric columns (int, date, float)
-// record the min/max of every row-range chunk: range filters consult
-// them to skip chunks no row of which can match, and to pass chunks
-// wholesale when every row must. Nominal columns (string, bool)
+// record the min/max ordinal of every row-range chunk: range filters
+// consult them to skip chunks no row of which can match, and to pass
+// chunks wholesale when every row must. Nominal columns (string, bool)
 // record per-chunk value presence — which dictionary codes occur in
 // the chunk — so set predicates get the same skip/take/scan verdicts
 // from set algebra: skip when the chunk holds none of the wanted
 // codes, take when every code it holds is wanted.
 type ChunkSummary struct {
-	intMin, intMax     []int64
-	floatMin, floatMax []float64
-	// floatPure[c] is true when chunk c holds no NaN: only then may a
-	// disjoint range skip the chunk, because NaN rows match every
-	// range (FloatRange.Contains(NaN) is true) regardless of the
-	// finite bounds.
-	floatPure []bool
+	intMin, intMax []int64
+	// nan[c] is true when chunk c holds a NaN, and nan is nil unless
+	// the column is a float column. A float chunk's bounds leave NaN
+	// out (an all-NaN chunk's are nanOrdinal), so a range disjoint from
+	// them may skip the chunk only where nan[c] is false: NaN rows
+	// match every range (FloatRange.Contains(NaN) is true).
+	nan []bool
 
 	// String-column presence, in exactly one of two forms. dictLen is
 	// the dictionary cardinality the summary was built for (the
@@ -214,16 +213,14 @@ type ChunkSummary struct {
 	stamp *EpochStamp
 }
 
-// IntBounds returns chunk c's [min, max] over the raw column.
+// IntBounds returns chunk c's [min, max] ordinal over the raw column,
+// NaN left out.
 func (s *ChunkSummary) IntBounds(c int) (lo, hi int64) {
 	return s.intMin[c], s.intMax[c]
 }
 
-// FloatBounds returns chunk c's NaN-ignoring [min, max] and whether
-// the chunk is NaN-free. On an all-NaN chunk the bounds are NaN.
-func (s *ChunkSummary) FloatBounds(c int) (lo, hi float64, pure bool) {
-	return s.floatMin[c], s.floatMax[c], s.floatPure[c]
-}
+// hasNaN reports whether chunk c holds a NaN.
+func (s *ChunkSummary) hasNaN(c int) bool { return s.nan != nil && s.nan[c] }
 
 // HasNominal reports whether the summary carries nominal presence
 // information (built over a string or bool column).
@@ -279,7 +276,7 @@ func (t *Table) SummaryByName(name string) *ChunkSummary {
 
 func (t *Table) summaryIn(lay *tableLayout, i int) *ChunkSummary {
 	switch t.cols[i].(type) {
-	case IntValued, FloatValued, *StringColumn, *BoolColumn:
+	case Numeric, *StringColumn, *BoolColumn:
 	default:
 		return nil
 	}
@@ -342,34 +339,26 @@ func (t *Table) WarmSummaries() int {
 	return n
 }
 
-// intChunkBounds scans one chunk's [lo, hi) rows for min/max.
-func intChunkBounds(col IntValued, lo, hi int) (mn, mx int64) {
-	vals := col.Int64s()[lo:hi]
+// numChunkBounds scans one chunk's ordinals for their [min, max].
+// With nan set (a float column) NaN's ordinal, the smallest, is left
+// out of both, so an all-NaN chunk's bounds are nanOrdinal, and hasNaN
+// reports whether the chunk holds one; only a chunk that does pays a
+// second pass.
+func numChunkBounds(vals []int64, nan bool) (mn, mx int64, hasNaN bool) {
 	mn, mx = vals[0], vals[0]
 	for _, v := range vals[1:] {
 		mn, mx = min(mn, v), max(mx, v)
 	}
-	return mn, mx
-}
-
-// floatChunkBounds scans one chunk for NaN-ignoring min/max and
-// NaN-freedom.
-func floatChunkBounds(col FloatValued, lo, hi int) (mn, mx float64, pure bool) {
-	mn, mx = math.NaN(), math.NaN()
-	pure = true
-	for _, v := range col.Float64s()[lo:hi] {
-		if v != v { // NaN
-			pure = false
-			continue
+	if nan && mn == nanOrdinal {
+		mn = mx
+		for _, v := range vals {
+			if v != nanOrdinal {
+				mn = min(mn, v)
+			}
 		}
-		if mn != mn || v < mn {
-			mn = v
-		}
-		if mx != mx || v > mx {
-			mx = v
-		}
+		return mn, mx, true
 	}
-	return mn, mx, pure
+	return mn, mx, false
 }
 
 // boolChunkPresence scans one chunk for which boolean values occur.
@@ -424,23 +413,8 @@ func (t *Table) buildSummary(lay *tableLayout, col Column) *ChunkSummary {
 	nc := numChunksFor(t.rows, lay.chunkRows)
 	s := &ChunkSummary{}
 	switch col := col.(type) {
-	case IntValued:
-		s.intMin = make([]int64, nc)
-		s.intMax = make([]int64, nc)
-		_ = par.ForEach(ScanWorkers(), nc, func(c int) error {
-			lo, hi := t.chunkBounds(lay, c)
-			s.intMin[c], s.intMax[c] = intChunkBounds(col, lo, hi)
-			return nil
-		})
-	case FloatValued:
-		s.floatMin = make([]float64, nc)
-		s.floatMax = make([]float64, nc)
-		s.floatPure = make([]bool, nc)
-		_ = par.ForEach(ScanWorkers(), nc, func(c int) error {
-			lo, hi := t.chunkBounds(lay, c)
-			s.floatMin[c], s.floatMax[c], s.floatPure[c] = floatChunkBounds(col, lo, hi)
-			return nil
-		})
+	case Numeric:
+		t.buildNumSummary(lay, s, col, nc, nil, nil)
 	case *StringColumn:
 		t.buildNominalSummary(lay, s, col, nc)
 	case *BoolColumn:
@@ -453,6 +427,31 @@ func (t *Table) buildSummary(lay *tableLayout, col Column) *ChunkSummary {
 		})
 	}
 	return s
+}
+
+// buildNumSummary computes a numeric column's per-chunk bounds, and a
+// float column's NaN bits, into s: for every chunk, or with dirty set
+// for the dirty ones only, the others' copied from old.
+func (t *Table) buildNumSummary(lay *tableLayout, s *ChunkSummary, col Numeric, nc int, old *ChunkSummary, dirty []bool) {
+	vals, nan := col.Int64s(), col.Kind() == KindFloat
+	s.intMin = make([]int64, nc)
+	s.intMax = make([]int64, nc)
+	if nan {
+		s.nan = make([]bool, nc)
+	}
+	_ = par.ForEach(ScanWorkers(), nc, func(c int) error {
+		var hasNaN bool
+		if dirty != nil && !dirty[c] {
+			s.intMin[c], s.intMax[c], hasNaN = old.intMin[c], old.intMax[c], old.hasNaN(c)
+		} else {
+			lo, hi := t.chunkBounds(lay, c)
+			s.intMin[c], s.intMax[c], hasNaN = numChunkBounds(vals[lo:hi], nan)
+		}
+		if nan {
+			s.nan[c] = hasNaN
+		}
+		return nil
+	})
 }
 
 // buildNominalSummary computes a string column's per-chunk presence
@@ -505,31 +504,8 @@ func (t *Table) refreshSummary(lay *tableLayout, col Column, old *ChunkSummary, 
 	nc := numChunksFor(t.rows, lay.chunkRows)
 	s := &ChunkSummary{stamp: cur}
 	switch col := col.(type) {
-	case IntValued:
-		s.intMin = make([]int64, nc)
-		s.intMax = make([]int64, nc)
-		_ = par.ForEach(ScanWorkers(), nc, func(c int) error {
-			if !dirty[c] {
-				s.intMin[c], s.intMax[c] = old.intMin[c], old.intMax[c]
-				return nil
-			}
-			lo, hi := t.chunkBounds(lay, c)
-			s.intMin[c], s.intMax[c] = intChunkBounds(col, lo, hi)
-			return nil
-		})
-	case FloatValued:
-		s.floatMin = make([]float64, nc)
-		s.floatMax = make([]float64, nc)
-		s.floatPure = make([]bool, nc)
-		_ = par.ForEach(ScanWorkers(), nc, func(c int) error {
-			if !dirty[c] {
-				s.floatMin[c], s.floatMax[c], s.floatPure[c] = old.floatMin[c], old.floatMax[c], old.floatPure[c]
-				return nil
-			}
-			lo, hi := t.chunkBounds(lay, c)
-			s.floatMin[c], s.floatMax[c], s.floatPure[c] = floatChunkBounds(col, lo, hi)
-			return nil
-		})
+	case Numeric:
+		t.buildNumSummary(lay, s, col, nc, old, dirty)
 	case *StringColumn:
 		s.dictLen = old.dictLen
 		codes := col.Codes()

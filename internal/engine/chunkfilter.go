@@ -10,7 +10,7 @@ import "charles/internal/par"
 // chunk costs nothing, a taken chunk passes its parent container
 // through by reference, and a scanned chunk costs a load, some
 // arithmetic and a store per row (no call, hash or data-dependent
-// branch except in the int/float set and summary-less string range
+// branch except in the numeric set and summary-less string range
 // kernels: a string set is a bitset over dictionary codes precisely so
 // its test is a bit extract). Scanned rows are compacted into pooled
 // scratch, from which the chunk setter copies them at exact length or
@@ -115,48 +115,26 @@ func FilterChunked(src *ChunkedSelection, p Pred) *ChunkedSelection {
 // scanAlways is the verdict for predicates without a zone map.
 func scanAlways(int) chunkVerdict { return chunkScan }
 
-// intRangeVerdict classifies a chunk against a range predicate: skip
-// when the chunk's value interval misses [r.Lo, r.Hi] entirely, take
-// when the range covers it, scan otherwise. The skip test compares
-// against the closed hull of r, which is conservative for exclusive
-// bounds; the take test uses r.Contains on both extremes, which is
-// exact because Contains is monotone over an interval.
-func intRangeVerdict(sum *ChunkSummary, r IntRange) func(c int) chunkVerdict {
+// rangeVerdict classifies a chunk against a range over ordinals: skip
+// when the chunk's interval misses [r.Lo, r.Hi] entirely, take when
+// the range covers it, scan otherwise. The skip test compares against
+// the closed hull of r, which is conservative for exclusive bounds;
+// the take test uses r.Contains on both extremes, which is exact
+// because Contains is monotone over an interval. With nan set — a
+// float range, which keeps every NaN row — a chunk the zone map marks
+// as holding NaN never skips, since its bounds leave NaN out, and an
+// all-NaN chunk, whose bounds are nanOrdinal, takes.
+func rangeVerdict(sum *ChunkSummary, r IntRange, nan bool) func(c int) chunkVerdict {
 	if sum == nil {
 		return scanAlways
 	}
+	in := func(v int64) bool { return r.Contains(v) || nan && v == nanOrdinal }
 	return func(c int) chunkVerdict {
 		lo, hi := sum.IntBounds(c)
-		if hi < r.Lo || lo > r.Hi {
+		if !(nan && sum.hasNaN(c)) && (hi < r.Lo || lo > r.Hi) {
 			return chunkSkip
 		}
-		if r.Contains(lo) && r.Contains(hi) {
-			return chunkTake
-		}
-		return chunkScan
-	}
-}
-
-// floatRangeVerdict is intRangeVerdict over floats, complicated by
-// NaN: FloatRange.Contains(NaN) is true (NaN fails both exclusion
-// comparisons), so the range kernel keeps NaN rows in every range and
-// the verdicts must match it exactly. Skipping therefore needs
-// the zone map's proof that the chunk is NaN-free — its finite
-// bounds say nothing about NaN rows, which would always match.
-// Taking needs no such proof: if the NaN-ignoring bounds fall inside
-// the range then every finite row matches, and the NaN rows match by
-// the Contains convention (an all-NaN chunk takes too: its NaN
-// bounds make Contains true).
-func floatRangeVerdict(sum *ChunkSummary, r FloatRange) func(c int) chunkVerdict {
-	if sum == nil {
-		return scanAlways
-	}
-	return func(c int) chunkVerdict {
-		lo, hi, pure := sum.FloatBounds(c)
-		if pure && (hi < r.Lo || lo > r.Hi) {
-			return chunkSkip
-		}
-		if r.Contains(lo) && r.Contains(hi) {
+		if in(lo) && in(hi) {
 			return chunkTake
 		}
 		return chunkScan
@@ -173,29 +151,30 @@ func FilterIntRangeChunked(col IntValued, cs *ChunkedSelection, r IntRange, sum 
 // IntRangePred resolves an int or date range predicate. A range no
 // int64 satisfies still runs its verdicts, then scans nothing.
 func IntRangePred(col IntValued, r IntRange, sum *ChunkSummary) Pred {
-	s := r.span()
-	p := Pred{verdict: intRangeVerdict(sum, r), scan: s.kernel(col.Int64s())}
-	if !s.empty {
-		p.test = rowTest{kind: testIntRange, ints: col.Int64s(), ispan: s}
-	}
-	return p
+	return rangePred(col.Int64s(), r, r.span(), sum)
 }
 
-// FilterFloatRangeChunked is FilterIntRangeChunked over floats.
+// FilterFloatRangeChunked is FilterIntRangeChunked over floats. Kept
+// for bench/layers until ROADMAP item 4.
 func FilterFloatRangeChunked(col FloatValued, cs *ChunkedSelection, r FloatRange, sum *ChunkSummary) *ChunkedSelection {
 	return FilterChunked(cs, FloatRangePred(col, r, sum))
 }
 
-// FloatRangePred is IntRangePred over floats: NaN rows match it.
+// FloatRangePred is IntRangePred over the column's ordinals: NaN rows
+// match it.
 func FloatRangePred(col FloatValued, r FloatRange, sum *ChunkSummary) Pred {
-	s := r.span()
-	p := Pred{
-		verdict: floatRangeVerdict(sum, r),
-		scan:    s.kernel(col.Float64s()),
-		test:    rowTest{kind: testFloatRange, floats: col.Float64s(), fspan: s},
-	}
-	if sum != nil {
-		p.test.pure = sum.floatPure
+	return rangePred(col.Int64s(), r.ordinals(), r.span(), sum)
+}
+
+// rangePred is the range predicate over ordinals vals: r's verdicts,
+// and s, r resolved, as the row test.
+func rangePred(vals []int64, r IntRange, s intSpan, sum *ChunkSummary) Pred {
+	p := Pred{verdict: rangeVerdict(sum, r, s.nan), scan: s.kernel(vals)}
+	if !s.empty {
+		p.test = rowTest{kind: testIntRange, ints: vals, ispan: s}
+		if s.nan && sum != nil {
+			p.test.chunkNaN = sum.nan
+		}
 	}
 	return p
 }
@@ -209,11 +188,7 @@ func FilterIntSetChunked(col IntValued, cs *ChunkedSelection, values []int64, su
 
 // IntSetPred resolves an int or date value-set predicate.
 func IntSetPred(col IntValued, values []int64, sum *ChunkSummary) Pred {
-	var bounds func(c int) (lo, hi int64)
-	if sum != nil {
-		bounds = sum.IntBounds
-	}
-	return setPred(col.Int64s(), values, bounds)
+	return setPred(col.Int64s(), values, sum)
 }
 
 // FilterFloatSetChunked is FilterIntSetChunked over floats.
@@ -221,31 +196,31 @@ func FilterFloatSetChunked(col FloatValued, cs *ChunkedSelection, values []float
 	return FilterChunked(cs, FloatSetPred(col, values, sum))
 }
 
-// FloatSetPred is IntSetPred over floats: NaN rows match no set.
+// FloatSetPred is IntSetPred over the ordinals of values, NaN left
+// out: NaN rows match no set, and −0 matches +0.
 func FloatSetPred(col FloatValued, values []float64, sum *ChunkSummary) Pred {
-	var bounds func(c int) (lo, hi float64)
-	if sum != nil {
-		bounds = func(c int) (lo, hi float64) {
-			lo, hi, _ = sum.FloatBounds(c)
-			return lo, hi
+	ords := make([]int64, 0, len(values))
+	for _, v := range values {
+		if v == v {
+			ords = append(ords, floatOrdinal(v))
 		}
 	}
-	return setPred(col.Float64s(), values, bounds)
+	return setPred(col.Int64s(), ords, sum)
 }
 
-// setPred is the int and float set predicate: a map probe per row,
-// and a skip for every chunk whose [lo, hi] (bounds is nil without a
-// zone map) misses the set's hull. NaN rows never match a set, so —
-// unlike the float range filter — skipping needs no NaN-free proof.
-func setPred[T int64 | float64](vals, values []T, bounds func(c int) (lo, hi T)) Pred {
+// setPred is the numeric set predicate over ordinals vals: a map probe
+// per row, and a skip for every chunk whose zone-map bounds miss the
+// set's hull. The bounds leave NaN out, and so does every set, so —
+// unlike a float range — skipping needs no NaN-free proof.
+func setPred(vals, values []int64, sum *ChunkSummary) Pred {
 	if len(values) == 0 {
 		return Pred{none: true}
 	}
 	want, wlo, whi := hullSet(values)
 	verdict := scanAlways
-	if bounds != nil {
+	if sum != nil {
 		verdict = func(c int) chunkVerdict {
-			if lo, hi := bounds(c); hi < wlo || lo > whi {
+			if lo, hi := sum.IntBounds(c); hi < wlo || lo > whi {
 				return chunkSkip
 			}
 			return chunkScan

@@ -145,6 +145,7 @@ func TestChunkedFiltersMatchMonolithic(t *testing.T) {
 		tab := chunkTestTable(t, nRows, chunkRows, rng)
 		ton := tab.MustColumn("ton").(*IntColumn)
 		speed := tab.MustColumn("speed").(*FloatColumn)
+		speedVals := floatValues(speed)
 		typ := tab.MustColumn("type").(*StringColumn)
 		armed := tab.MustColumn("armed").(*BoolColumn)
 		tonSum := tab.SummaryByName("ton")
@@ -169,10 +170,10 @@ func TestChunkedFiltersMatchMonolithic(t *testing.T) {
 			for _, r := range ranges {
 				checkIntRange(t, ton, tonSum, cs, r)
 			}
-			checkFloatRange(t, speed, speedSum, cs, FloatRange{Lo: 5, Hi: 30, LoIncl: true, HiIncl: true})
-			checkFloatRange(t, speed, speedSum, cs, FloatRange{Lo: math.Inf(-1), Hi: math.Inf(1), LoIncl: true, HiIncl: true})
+			checkFloatRange(t, speed, speedVals, speedSum, cs, FloatRange{Lo: 5, Hi: 30, LoIncl: true, HiIncl: true})
+			checkFloatRange(t, speed, speedVals, speedSum, cs, FloatRange{Lo: math.Inf(-1), Hi: math.Inf(1), LoIncl: true, HiIncl: true})
 			checkIntSet(t, ton, tonSum, cs, []int64{0, 17, 100, 999})
-			checkFloatSet(t, speed, speedSum, cs, []float64{3, 20})
+			checkFloatSet(t, speed, speedVals, speedSum, cs, []float64{3, 20})
 			checkStringSet(t, typ, typSum, cs, []string{"fluit", "galjoot"})
 			checkStringRange(t, typ, typSum, cs, "g", "k", true, false)
 			checkBoolSet(t, armed, armedSum, cs, []bool{true})
@@ -209,14 +210,14 @@ func TestChunkedStatsMatchMonolithic(t *testing.T) {
 		if gotOK != (len(sel) > 0) || gotOK && (gotMin != ints[0] || gotMax != ints[len(ints)-1]) {
 			t.Fatalf("IntMinMaxChunked = (%d,%d,%v) over %d rows", gotMin, gotMax, gotOK, len(sel))
 		}
-		cMin, cMax, cOK := FloatMinMaxChunked(speed, cs)
+		cMin, cMax, cOK := floatMinMax(speed, cs)
 		switch {
 		case cOK != (len(sel) > 0):
-			t.Fatalf("FloatMinMaxChunked ok = %v over %d rows", cOK, len(sel))
+			t.Fatalf("floatMinMax ok = %v over %d rows", cOK, len(sel))
 		case cOK && len(floats) == 0 && !(math.IsNaN(cMin) && math.IsNaN(cMax)):
-			t.Fatalf("FloatMinMaxChunked = (%v,%v) over NaN only, want NaN bounds", cMin, cMax)
+			t.Fatalf("floatMinMax = (%v,%v) over NaN only, want NaN bounds", cMin, cMax)
 		case len(floats) > 0 && (math.Float64bits(cMin) != math.Float64bits(floats[0]) || math.Float64bits(cMax) != math.Float64bits(floats[len(floats)-1])):
-			t.Fatalf("FloatMinMaxChunked = (%v,%v), want (%v,%v)", cMin, cMax, floats[0], floats[len(floats)-1])
+			t.Fatalf("floatMinMax = (%v,%v), want (%v,%v)", cMin, cMax, floats[0], floats[len(floats)-1])
 		}
 		gm, gok := IntMedianChunked(ton, cs)
 		if gok != (len(sel) > 0) || gok && gm != ints[len(ints)/2] {
@@ -451,7 +452,7 @@ func TestFloatMinMaxCanonicalZero(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	for _, vals := range [][]float64{{negZero, 0}, {0, negZero}, {negZero, negZero}} {
 		col := NewFloatColumn("v", vals)
-		lo, hi, _ := FloatMinMaxChunked(col, AllRowsChunked(len(vals), 64))
+		lo, hi, _ := floatMinMax(col, AllRowsChunked(len(vals), 64))
 		for _, b := range []float64{lo, hi} {
 			if b != 0 || math.Signbit(b) {
 				t.Fatalf("rows %v: bounds (%v,%v), want +0", vals, lo, hi)

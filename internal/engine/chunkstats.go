@@ -17,27 +17,19 @@ import (
 // key stored and the cursor advanced past selected rows only, measured
 // slower than its set-bit iteration at every density below full.)
 
-// GatherIntChunked materializes col's int64 values per chunk: one
-// output slice per chunk, aligned with cs's chunks, gathered
-// across the scan worker pool. There is no global copy — downstream
-// chunked order statistics consume the shards directly.
-func GatherIntChunked(col IntValued, cs *ChunkedSelection) [][]int64 {
-	return gatherChunked(col.Int64s(), cs)
-}
-
-// GatherFloatChunked is GatherIntChunked for float columns.
-func GatherFloatChunked(col FloatValued, cs *ChunkedSelection) [][]float64 {
-	return gatherChunked(col.Float64s(), cs)
-}
-
-func gatherChunked[T int64 | float64](src []T, cs *ChunkedSelection) [][]T {
-	out := make([][]T, cs.NumChunks())
+// GatherIntChunked materializes col's ordinals per chunk: one output
+// slice per chunk, aligned with cs's chunks, gathered across the scan
+// worker pool. There is no global copy — downstream chunked order
+// statistics consume the shards directly.
+func GatherIntChunked(col Numeric, cs *ChunkedSelection) [][]int64 {
+	src := col.Int64s()
+	out := make([][]int64, cs.NumChunks())
 	forEachSeg(cs, func(c int) {
 		ct := &cs.chunks[c]
 		if ct.n == 0 {
 			return
 		}
-		vals := make([]T, ct.n)
+		vals := make([]int64, ct.n)
 		if ct.words == nil {
 			for i, row := range ct.rows {
 				vals[i] = src[row]
@@ -57,6 +49,28 @@ func gatherChunked[T int64 | float64](src []T, cs *ChunkedSelection) [][]T {
 		}
 		out[c] = vals
 	})
+	return out
+}
+
+// GatherFloatChunked is GatherIntChunked decoded to floats. Kept for
+// bench/layers until ROADMAP item 4.
+func GatherFloatChunked(col FloatValued, cs *ChunkedSelection) [][]float64 {
+	out := make([][]float64, cs.NumChunks())
+	for c, ords := range GatherIntChunked(col, cs) {
+		out[c] = floats(ords)
+	}
+	return out
+}
+
+// floats decodes float ordinals, nil to nil.
+func floats(ords []int64) []float64 {
+	if ords == nil {
+		return nil
+	}
+	out := make([]float64, len(ords))
+	for i, o := range ords {
+		out[i] = ordinalFloat(o)
+	}
 	return out
 }
 
@@ -84,31 +98,20 @@ func eachRow(cs *ChunkedSelection, c int, fn func(row int)) {
 	}
 }
 
-// IntMinMaxChunked returns the minimum and maximum of col over src,
-// reduced as its keys are gathered. ok is false when the selection is
-// empty.
-func IntMinMaxChunked(col IntValued, src *ChunkedSelection) (lo, hi int64, ok bool) {
+// IntMinMaxChunked returns the minimum and maximum ordinal of col over
+// src, reduced as its keys are gathered, NaN left out: an all-NaN
+// selection yields nanOrdinal for both. ok is false when the selection
+// is empty.
+func IntMinMaxChunked(col Numeric, src *ChunkedSelection) (lo, hi int64, ok bool) {
 	if src.Len() == 0 {
 		return 0, 0, false
 	}
 	_, klo, khi, put := gatherIntKeys(col, src)
 	put()
-	return stats.Int64FromKey(klo), stats.Int64FromKey(khi), true
-}
-
-// FloatMinMaxChunked is IntMinMaxChunked over floats, ignoring NaN:
-// NaN compares false against everything, so letting one seed a
-// running bound would poison it and make the result depend on where
-// chunk boundaries fall. NaN rows never seed or move a bound, and an
-// all-NaN selection yields NaN bounds. A zero bound is +0.0 whichever
-// zero the scan met first, so the bounds never depend on row order.
-func FloatMinMaxChunked(col FloatValued, src *ChunkedSelection) (lo, hi float64, ok bool) {
-	if src.Len() == 0 {
-		return 0, 0, false
+	if klo > khi {
+		return nanOrdinal, nanOrdinal, true
 	}
-	_, klo, khi, put := gatherFloatKeys(col, src)
-	put()
-	return stats.Float64FromKey(klo), stats.Float64FromKey(khi), true
+	return stats.Int64FromKey(klo), stats.Int64FromKey(khi), true
 }
 
 // statWorkers reserves scan-pool slots for a chunked order-statistic
@@ -127,13 +130,20 @@ func statWorkers(src *ChunkedSelection) (workers int, release func()) {
 	return extra + 1, release
 }
 
-// gatherIntKeys is gatherFloatKeys for int and date columns: col over
-// src as stats.Int64Key keys in pooled scratch, one shard per chunk,
-// nothing dropped. lo and hi are the smallest and largest key,
-// reduced as the keys are written (MaxUint64 and 0 when src is empty).
-// Callers must not retain any shard past release.
-func gatherIntKeys(col IntValued, src *ChunkedSelection) (chunks [][]uint64, lo, hi uint64, release func()) {
-	vals := col.Int64s()
+// gatherIntKeys gathers col over src as stats.Int64Key keys of its
+// ordinals into pooled scratch, one shard per chunk. A float column's
+// NaN rows are dropped: the order statistics need a totally ordered
+// multiset and NaN has no rank. Dropping them here — always, in every
+// branch — keeps the cut points deterministic: they depend only on the
+// numbers, never on which worker count a particular call happened to
+// get. NaN's key is 0, below every number's, so a shard holds one
+// exactly when its smallest key is 0; only such a shard pays a second
+// pass (dropNaN). lo and hi are the smallest and largest key kept,
+// reduced as the keys are written: MaxUint64 and 0 when none is — an
+// empty selection, or a float one holding only NaN. Callers must not
+// retain any shard past release.
+func gatherIntKeys(col Numeric, src *ChunkedSelection) (chunks [][]uint64, lo, hi uint64, release func()) {
+	vals, nan := col.Int64s(), col.Kind() == KindFloat
 	return gatherKeyShards(src, func(ks []uint64, ct *container, base int) (int, uint64, uint64) {
 		m, lo, hi := 0, uint64(math.MaxUint64), uint64(0)
 		for _, row := range ct.rows {
@@ -151,6 +161,9 @@ func gatherIntKeys(col IntValued, src *ChunkedSelection) (chunks [][]uint64, lo,
 				m, lo, hi = putIntKey(ks, m, vals[at+bits.TrailingZeros64(w)], lo, hi)
 			}
 		}
+		if nan && lo == 0 {
+			m, lo = dropNaN(ks[:m])
+		}
 		return m, lo, hi
 	})
 }
@@ -163,50 +176,19 @@ func putIntKey(ks []uint64, m int, v int64, lo, hi uint64) (int, uint64, uint64)
 	return m + 1, min(lo, k), max(hi, k)
 }
 
-// gatherFloatKeys gathers col over src as stats.Float64Key keys into
-// pooled scratch, one shard per chunk, dropping NaN values: the order
-// statistics need a totally ordered multiset and NaN has no rank.
-// Dropping it here — always, in every branch — keeps the cut points
-// deterministic: they depend only on the finite values, never on
-// which worker count a particular call happened to get. lo and hi
-// are the smallest and largest key gathered, reduced as the keys are
-// written; both are 0 when there is none. Callers must not retain any shard past release.
-func gatherFloatKeys(col FloatValued, src *ChunkedSelection) (chunks [][]uint64, lo, hi uint64, release func()) {
-	vals := col.Float64s()
-	chunks, lo, hi, release = gatherKeyShards(src, func(ks []uint64, ct *container, base int) (int, uint64, uint64) {
-		m, loMinus1, hi := 0, uint64(math.MaxUint64), uint64(0)
-		for _, row := range ct.rows {
-			m, loMinus1, hi = putFloatKey(ks, m, vals[row], loMinus1, hi)
+// dropNaN moves the keys of ks other than NaN's key 0 to its front, in
+// order, and returns how many there are and the smallest of them
+// (MaxUint64 when there is none).
+func dropNaN(ks []uint64) (m int, lo uint64) {
+	lo = math.MaxUint64
+	for _, k := range ks {
+		if k != 0 {
+			ks[m] = k
+			m++
+			lo = min(lo, k)
 		}
-		for wi, w := range ct.words {
-			at := base + wi<<6
-			if w == ^uint64(0) {
-				for _, v := range vals[at : at+64 : at+64] {
-					m, loMinus1, hi = putFloatKey(ks, m, v, loMinus1, hi)
-				}
-				continue
-			}
-			for ; w != 0; w &= w - 1 {
-				m, loMinus1, hi = putFloatKey(ks, m, vals[at+bits.TrailingZeros64(w)], loMinus1, hi)
-			}
-		}
-		return m, loMinus1, hi
-	})
-	// Every shard's minimum is its smallest key minus one, so that a
-	// NaN's key 0 wraps to MaxUint64 and is never picked: undo it,
-	// leaving 0 for both bounds when no shard held a number.
-	return chunks, lo + 1, hi, release
-}
-
-// putFloatKey stores v's stats.Float64Key at ks[m] and folds it into
-// the bounds, dropping NaN without a branch: the key is always stored,
-// and the cursor advances past a number's only. A NaN's key is 0, so
-// the minimum, taken over key − 1, wraps it to MaxUint64 where it is
-// never picked, and the maximum never picks it either.
-func putFloatKey(ks []uint64, m int, v float64, loMinus1, hi uint64) (int, uint64, uint64) {
-	k := stats.Float64Key(v)
-	ks[m] = k
-	return m + b2i(k != 0), min(loMinus1, k-1), max(hi, k)
+	}
+	return m, lo
 }
 
 // gatherKeyShards runs gather on every non-empty chunk of src, each
@@ -258,12 +240,12 @@ func IntMedianChunked(col IntValued, src *ChunkedSelection) (int64, bool) {
 	return stats.KthInt64Keys(keys, lo, hi, src.Len()/2, workers), true
 }
 
-// NumCut is one exact numeric cut-point computation over a selection:
-// the extent's bounds and its equi-depth points, strictly increasing
-// and none equal to Min. An empty extent has no points.
-type NumCut[T int64 | float64] struct {
-	Min, Max T
-	Points   []T
+// NumCut is one exact numeric cut-point computation over a selection,
+// in ordinals: the extent's bounds and its equi-depth points, strictly
+// increasing and none equal to Min. An empty extent has no points.
+type NumCut struct {
+	Min, Max int64
+	Points   []int64
 }
 
 // IntCounts is the refreshable form of an int or date extent that a
@@ -282,7 +264,7 @@ type IntCounts struct {
 // equi-depth cut points of col over src (Section 5.2's quantile
 // generalization; arity 2 is the paper's median cut): IntCutChunked's
 // points without a zone map.
-func IntCutPointsChunked(col IntValued, src *ChunkedSelection, arity int) []int64 {
+func IntCutPointsChunked(col Numeric, src *ChunkedSelection, arity int) []int64 {
 	cut, _ := IntCutChunked(col, src, nil, arity, false)
 	return cut.Points
 }
@@ -301,7 +283,7 @@ func IntCutPointsChunked(col IntValued, src *ChunkedSelection, arity int) []int6
 // count comes back with its per-chunk counts over that span, for the
 // cut cache to splice, when they take no more cells than src has rows
 // (countsFit); otherwise counts is nil.
-func IntCutChunked(col IntValued, src *ChunkedSelection, sum *ChunkSummary, arity int, retain bool) (cut NumCut[int64], counts *IntCounts) {
+func IntCutChunked(col Numeric, src *ChunkedSelection, sum *ChunkSummary, arity int, retain bool) (cut NumCut, counts *IntCounts) {
 	if src.Len() == 0 {
 		return cut, nil
 	}
@@ -312,14 +294,20 @@ func IntCutChunked(col IntValued, src *ChunkedSelection, sum *ChunkSummary, arit
 	}
 	keys, lo, hi, put := gatherIntKeys(col, src)
 	defer put()
+	if lo > hi {
+		// Only NaN: no number to bound or rank.
+		return NumCut{Min: nanOrdinal, Max: nanOrdinal}, nil
+	}
 	if cells, ok := stats.CountCells(lo, hi); ok && retain && countsFit(src, cells) {
-		// Counted over the extent's exact bounds, no value is outside.
-		cut, counts, _ = countCut(col, src, stats.Int64FromKey(lo), cells, arity, true)
-		return cut, counts
+		// Counted over the extent's exact bounds, no number is outside;
+		// a NaN row is, and stops the count.
+		if cut, counts, ok := countCut(col, src, stats.Int64FromKey(lo), cells, arity, true); ok {
+			return cut, counts
+		}
 	}
 	workers, release := statWorkers(src)
 	defer release()
-	cut = NumCut[int64]{Min: stats.Int64FromKey(lo), Max: stats.Int64FromKey(hi)}
+	cut = NumCut{Min: stats.Int64FromKey(lo), Max: stats.Int64FromKey(hi)}
 	cut.Points = stats.EquiDepthPointsInt64Keys(keys, lo, hi, arity, workers)
 	return cut, nil
 }
@@ -327,7 +315,9 @@ func IntCutChunked(col IntValued, src *ChunkedSelection, sum *ChunkSummary, arit
 // zoneWindow returns the union of sum's bounds over the chunks src
 // selects rows in as a count window [lo, lo+cells), and whether it is
 // narrow enough to count: never without a zone map, or with one of
-// another chunk count than src's.
+// another chunk count than src's. The bounds leave NaN out, so a NaN
+// row stops the count and the cut gathers, which drops it — unless
+// every chunk counted is all NaN, whose cut has no point either way.
 func zoneWindow(sum *ChunkSummary, src *ChunkedSelection) (lo int64, cells int, ok bool) {
 	if sum == nil || len(sum.intMin) != src.NumChunks() {
 		return 0, 0, false
@@ -354,7 +344,7 @@ var errOutsideWindow = errors.New("engine: value outside the count window")
 // or with retain one per chunk, whose vectors come back trimmed to the
 // counted [Min, Max] when they fit (countsFit). ok is false when a
 // value lies outside the window.
-func countCut(col IntValued, src *ChunkedSelection, lo int64, cells, arity int, retain bool) (cut NumCut[int64], counts *IntCounts, ok bool) {
+func countCut(col Numeric, src *ChunkedSelection, lo int64, cells, arity int, retain bool) (cut NumCut, counts *IntCounts, ok bool) {
 	vals := col.Int64s()
 	nc := src.NumChunks()
 	workers, release := statWorkers(src)
@@ -388,7 +378,7 @@ func countCut(col IntValued, src *ChunkedSelection, lo int64, cells, arity int, 
 		}
 	}
 	first, last := countedSpan(total)
-	cut = NumCut[int64]{
+	cut = NumCut{
 		Min:    lo + int64(first),
 		Max:    lo + int64(last),
 		Points: stats.EquiDepthPointsCounts(total[first:last+1], lo+int64(first), arity),
@@ -472,7 +462,7 @@ func countedSpan[C int | uint64](counts []C) (first, last int) {
 // (countsFit); the cut is exact either way. ok is false, and the
 // caller must recompute in full, on a structural mismatch or when a
 // dirty chunk holds a value outside the window.
-func IntCutSplice(col IntValued, src *ChunkedSelection, old *IntCounts, dirty []bool, arity int) (cut NumCut[int64], counts *IntCounts, ok bool) {
+func IntCutSplice(col Numeric, src *ChunkedSelection, old *IntCounts, dirty []bool, arity int) (cut NumCut, counts *IntCounts, ok bool) {
 	chunks, ok := spliceCounts(src, old.Chunks, dirty)
 	if !ok {
 		return cut, nil, false
@@ -496,7 +486,7 @@ func IntCutSplice(col IntValued, src *ChunkedSelection, old *IntCounts, dirty []
 
 // cut sums the per-chunk vectors and reads the bounds and the
 // equi-depth points off the total.
-func (ic *IntCounts) cut(arity int) NumCut[int64] {
+func (ic *IntCounts) cut(arity int) NumCut {
 	total := make([]int, ic.Cells)
 	for _, v := range ic.Chunks {
 		for i, k := range v {
@@ -505,9 +495,9 @@ func (ic *IntCounts) cut(arity int) NumCut[int64] {
 	}
 	first, last := countedSpan(total)
 	if first < 0 {
-		return NumCut[int64]{}
+		return NumCut{}
 	}
-	return NumCut[int64]{
+	return NumCut{
 		Min:    ic.Lo + int64(first),
 		Max:    ic.Lo + int64(last),
 		Points: stats.EquiDepthPointsCounts(total, ic.Lo, arity),
@@ -556,28 +546,10 @@ func spliceCounts(src *ChunkedSelection, old [][]int, dirty []bool) (counts [][]
 	return counts, true
 }
 
-// FloatCutPointsChunked is IntCutPointsChunked for float columns.
+// FloatCutPointsChunked is IntCutPointsChunked decoded to floats. Kept
+// for bench/layers until ROADMAP item 4.
 func FloatCutPointsChunked(col FloatValued, src *ChunkedSelection, arity int) []float64 {
-	return FloatCutChunked(col, src, arity).Points
-}
-
-// FloatCutChunked is IntCutChunked for float columns, never retaining:
-// keys and bounds from one gather with NaN values excluded
-// (gatherFloatKeys), the points radix-selected from the keys. An
-// all-NaN extent has NaN bounds and no points.
-func FloatCutChunked(col FloatValued, src *ChunkedSelection, arity int) NumCut[float64] {
-	if src.Len() == 0 {
-		return NumCut[float64]{}
-	}
-	keys, lo, hi, put := gatherFloatKeys(col, src)
-	defer put()
-	workers, release := statWorkers(src)
-	defer release()
-	return NumCut[float64]{
-		Min:    stats.Float64FromKey(lo),
-		Max:    stats.Float64FromKey(hi),
-		Points: stats.EquiDepthPointsFloat64Keys(keys, lo, hi, arity, workers),
-	}
+	return floats(IntCutPointsChunked(col, src, arity))
 }
 
 // StringValueCountsChunked returns the per-value frequencies of col

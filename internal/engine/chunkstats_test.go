@@ -41,11 +41,11 @@ type gatherResult struct {
 	IntMax      int64
 	FloatMin    uint64
 	FloatMax    uint64
-	IntCut      NumCut[int64]
+	IntCut      NumCut
 	IntCounts   *IntCounts
-	NarrowCut   NumCut[int64]
+	NarrowCut   NumCut
 	Narrow      *IntCounts
-	Splice      NumCut[int64]
+	Splice      NumCut
 	SpliceOK    bool
 	FloatCut    []uint64 // Min, Max and Points as bits: NaN bounds compare equal
 	StrCounts   string
@@ -64,21 +64,21 @@ func gatherAll(src *ChunkedSelection, ic, narrow *IntColumn, fc *FloatColumn, sc
 	keys, lo, hi, put := gatherIntKeys(ic, src)
 	g.IntKeys, g.IntLo, g.IntHi = cloneKeys(keys), lo, hi
 	put()
-	keys, lo, hi, put = gatherFloatKeys(fc, src)
+	keys, lo, hi, put = gatherIntKeys(fc, src)
 	g.FloatKeys, g.FloatLo, g.FloatHi = cloneKeys(keys), lo, hi
 	put()
 	g.IntMedian, _ = IntMedianChunked(ic, src)
 	g.IntMin, g.IntMax, _ = IntMinMaxChunked(ic, src)
-	fmin, fmax, _ := FloatMinMaxChunked(fc, src)
+	fmin, fmax, _ := floatMinMax(fc, src)
 	g.FloatMin, g.FloatMax = math.Float64bits(fmin), math.Float64bits(fmax)
 	g.IntCut, g.IntCounts = IntCutChunked(ic, src, nil, 3, true)
 	g.NarrowCut, g.Narrow = IntCutChunked(narrow, src, nil, 2, true)
 	if oldNarrow != nil {
 		g.Splice, _, g.SpliceOK = IntCutSplice(narrow, src, oldNarrow, dirty, 2)
 	}
-	fcut := FloatCutChunked(fc, src, 4)
-	for _, v := range append([]float64{fcut.Min, fcut.Max}, fcut.Points...) {
-		g.FloatCut = append(g.FloatCut, math.Float64bits(v))
+	fcut, _ := IntCutChunked(fc, src, nil, 4, false)
+	for _, o := range append([]int64{fcut.Min, fcut.Max}, fcut.Points...) {
+		g.FloatCut = append(g.FloatCut, math.Float64bits(ordinalFloat(o)))
 	}
 	g.StrCounts = fmt.Sprint(StringValueCountsChunked(sc, src))
 	g.StrChunks = StringChunkCounts(sc, src)
@@ -92,6 +92,12 @@ func gatherAll(src *ChunkedSelection, ic, narrow *IntColumn, fc *FloatColumn, sc
 		g.NonEmptyLen = append(g.NonEmptyLen, src.chunkCount(c))
 	}
 	return g
+}
+
+// floatMinMax is IntMinMaxChunked over a float column, decoded.
+func floatMinMax(col FloatValued, src *ChunkedSelection) (lo, hi float64, ok bool) {
+	olo, ohi, ok := IntMinMaxChunked(col, src)
+	return ordinalFloat(olo), ordinalFloat(ohi), ok
 }
 
 func cloneKeys(keys [][]uint64) [][]uint64 {
@@ -331,6 +337,45 @@ func TestIntCutSpliceMatchesFreshCut(t *testing.T) {
 		want, _ := IntCutChunked(col.(IntValued), all, tab.SummaryByName("v"), 2, true)
 		if !reflect.DeepEqual(cut, want) || counts == nil {
 			t.Fatalf("%s: spliced cut %+v (counts %v), fresh %+v", tc.name, cut, counts != nil, want)
+		}
+	}
+}
+
+// TestNarrowFloatCutDropsNaN holds the count paths to NaN's rule over a
+// near-constant float column, whose ordinals span seven cells: with a
+// zone map or without, retained or not, a NaN row stops every count and
+// the cut is read off the numbers alone, as the sort-based reference
+// reads it. Without NaN rows the same extent is counted and its counts
+// are retained.
+func TestNarrowFloatCutDropsNaN(t *testing.T) {
+	const n, chunkRows = 4096, 1024
+	for _, withNaN := range []bool{true, false} {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = 1
+			for k := i * 5 % 7; k > 0; k-- {
+				vals[i] = math.Nextafter(vals[i], 2)
+			}
+			if withNaN && i%97 == 5 {
+				vals[i] = math.NaN()
+			}
+		}
+		tab := MustNewTable("f", NewFloatColumn("v", vals))
+		tab.SetChunkRows(chunkRows)
+		col, src := tab.MustColumn("v").(FloatValued), tab.AllChunked()
+		nums := refSorted(vals, src.Flat())
+		for _, sum := range []*ChunkSummary{tab.SummaryByName("v"), nil} {
+			for _, retain := range []bool{false, true} {
+				cut, counts := IntCutChunked(col, src, sum, 3, retain)
+				got := append([]float64{ordinalFloat(cut.Min), ordinalFloat(cut.Max)}, floats(cut.Points)...)
+				want := append([]float64{nums[0], nums[len(nums)-1]}, refPoints(nums, 3)...)
+				if !slices.Equal(got, want) {
+					t.Fatalf("NaN %v, zone map %v, retain %v: bounds and points %v, want %v", withNaN, sum != nil, retain, got, want)
+				}
+				if (counts != nil) != (retain && !withNaN) {
+					t.Fatalf("NaN %v, zone map %v, retain %v: retained counts %v", withNaN, sum != nil, retain, counts != nil)
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,11 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+
+	"charles/internal/stats"
+)
 
 // Column is one attribute of the stored relation: a named, typed,
 // immutable vector of values addressed by dense row id.
@@ -15,26 +20,53 @@ type Column interface {
 	Value(row int) Value
 }
 
+// Numeric is implemented by the int, date and float columns. Each
+// stores its values once as order-preserving int64 ordinals — an int
+// or a date as itself, a float as floatOrdinal(v) — so one body of
+// range kernels, gathers, counts, cuts and zone maps serves all three
+// kinds, and values are decoded only at the edges: docs/SEMANTICS.md §1.
+type Numeric interface {
+	Column
+	// Int64s exposes the backing ordinal vector, indexed by row id:
+	// the hot loops (filter kernels, gathers, counts, zone maps) index
+	// it directly instead of paying an interface call per row.
+	Int64s() []int64
+	// OrdinalValue decodes an ordinal to its value.
+	OrdinalValue(o int64) Value
+}
+
 // IntValued is implemented by columns whose values are exposed as
 // int64 (integers and dates). Cut logic treats both identically.
 type IntValued interface {
-	Column
+	Numeric
 	// Int64 returns the raw integer payload at the given row.
 	Int64(row int) int64
-	// Int64s exposes the backing vector, indexed by row id: the hot
-	// loops (filter kernels, gathers, min/max) index it directly
-	// instead of paying an interface call per row.
-	Int64s() []int64
 }
 
 // FloatValued is implemented by columns whose values are exposed as
 // float64.
 type FloatValued interface {
-	Column
-	// Float64 returns the raw float payload at the given row.
+	Numeric
+	// Float64 returns the value at the given row.
 	Float64(row int) float64
-	// Float64s exposes the backing vector, indexed by row id.
-	Float64s() []float64
+}
+
+// nanOrdinal is NaN's ordinal: every NaN, whatever its payload, is
+// stored as this one value, below −Inf's ordinal.
+const nanOrdinal = math.MinInt64
+
+// floatOrdinal maps v to an int64 whose order is the float order:
+// stats.Float64Key read as a signed int, so that Int64Key of the
+// ordinal is Float64Key(v). −0 shares +0's ordinal, and every NaN has
+// nanOrdinal.
+func floatOrdinal(v float64) int64 { return stats.Int64FromKey(stats.Float64Key(v)) }
+
+// ordinalFloat inverts floatOrdinal; nanOrdinal decodes to math.NaN().
+func ordinalFloat(o int64) float64 {
+	if o == nanOrdinal {
+		return math.NaN()
+	}
+	return stats.Float64FromKey(stats.Int64Key(o))
 }
 
 // IntColumn is a dense vector of int64 values.
@@ -63,8 +95,11 @@ func (c *IntColumn) Value(row int) Value { return Int(c.vals[row]) }
 // Int64 implements IntValued.
 func (c *IntColumn) Int64(row int) int64 { return c.vals[row] }
 
-// Int64s exposes the backing vector for column-at-a-time operators.
+// Int64s implements Numeric: an int is its own ordinal.
 func (c *IntColumn) Int64s() []int64 { return c.vals }
+
+// OrdinalValue implements Numeric.
+func (c *IntColumn) OrdinalValue(o int64) Value { return Int(o) }
 
 // DateColumn is a dense vector of dates stored as days since epoch.
 type DateColumn struct {
@@ -92,18 +127,27 @@ func (c *DateColumn) Value(row int) Value { return Date(c.days[row]) }
 // Int64 implements IntValued.
 func (c *DateColumn) Int64(row int) int64 { return c.days[row] }
 
-// Int64s exposes the backing vector for column-at-a-time operators.
+// Int64s implements Numeric: a date is its own ordinal.
 func (c *DateColumn) Int64s() []int64 { return c.days }
 
-// FloatColumn is a dense vector of float64 values.
+// OrdinalValue implements Numeric.
+func (c *DateColumn) OrdinalValue(o int64) Value { return Date(o) }
+
+// FloatColumn is a dense vector of float64 values, each stored as its
+// ordinal: −0 reads back as +0, and every NaN as the one NaN.
 type FloatColumn struct {
 	name string
-	vals []float64
+	ords []int64
 }
 
-// NewFloatColumn wraps vals (not copied) as a column.
+// NewFloatColumn stores vals as a column of ordinals: a copy, 8 bytes
+// per row.
 func NewFloatColumn(name string, vals []float64) *FloatColumn {
-	return &FloatColumn{name: name, vals: vals}
+	ords := make([]int64, len(vals))
+	for i, v := range vals {
+		ords[i] = floatOrdinal(v)
+	}
+	return &FloatColumn{name: name, ords: ords}
 }
 
 // Name implements Column.
@@ -113,16 +157,19 @@ func (c *FloatColumn) Name() string { return c.name }
 func (c *FloatColumn) Kind() Kind { return KindFloat }
 
 // Len implements Column.
-func (c *FloatColumn) Len() int { return len(c.vals) }
+func (c *FloatColumn) Len() int { return len(c.ords) }
 
 // Value implements Column.
-func (c *FloatColumn) Value(row int) Value { return Float(c.vals[row]) }
+func (c *FloatColumn) Value(row int) Value { return Float(c.Float64(row)) }
 
 // Float64 implements FloatValued.
-func (c *FloatColumn) Float64(row int) float64 { return c.vals[row] }
+func (c *FloatColumn) Float64(row int) float64 { return ordinalFloat(c.ords[row]) }
 
-// Float64s exposes the backing vector for column-at-a-time operators.
-func (c *FloatColumn) Float64s() []float64 { return c.vals }
+// Int64s implements Numeric.
+func (c *FloatColumn) Int64s() []int64 { return c.ords }
+
+// OrdinalValue implements Numeric.
+func (c *FloatColumn) OrdinalValue(o int64) Value { return Float(ordinalFloat(o)) }
 
 // StringColumn is a dictionary-encoded vector of strings: each row
 // stores a dense uint32 code into a per-column dictionary, the

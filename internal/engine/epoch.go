@@ -154,8 +154,8 @@ func (c *IntColumn) setValue(row int, v Value) { c.vals[row] = v.AsInt() }
 func (c *DateColumn) appendValue(v Value)       { c.days = append(c.days, v.AsInt()) }
 func (c *DateColumn) setValue(row int, v Value) { c.days[row] = v.AsInt() }
 
-func (c *FloatColumn) appendValue(v Value)       { c.vals = append(c.vals, v.AsFloat()) }
-func (c *FloatColumn) setValue(row int, v Value) { c.vals[row] = v.AsFloat() }
+func (c *FloatColumn) appendValue(v Value)       { c.ords = append(c.ords, floatOrdinal(v.AsFloat())) }
+func (c *FloatColumn) setValue(row int, v Value) { c.ords[row] = floatOrdinal(v.AsFloat()) }
 
 func (c *BoolColumn) appendValue(v Value)       { c.vals = append(c.vals, v.AsBool()) }
 func (c *BoolColumn) setValue(row int, v Value) { c.vals[row] = v.AsBool() }

@@ -40,6 +40,20 @@ func (r FloatRange) Contains(v float64) bool {
 	return true
 }
 
+// ordinals is the range of float ordinals holding r's numbers: a NaN
+// bound opens its side to the infinity, and both zeros share +0's
+// ordinal, as the stored values do. NaN rows are the caller's to add.
+func (r FloatRange) ordinals() IntRange {
+	o := IntRange{Lo: floatOrdinal(math.Inf(-1)), Hi: floatOrdinal(math.Inf(1)), LoIncl: true, HiIncl: true}
+	if r.Lo == r.Lo {
+		o.Lo, o.LoIncl = floatOrdinal(r.Lo), r.LoIncl
+	}
+	if r.Hi == r.Hi {
+		o.Hi, o.HiIncl = floatOrdinal(r.Hi), r.HiIncl
+	}
+	return o
+}
+
 // The scan kernels below narrow one row-id chunk by one typed
 // predicate. Each is the single row loop of its predicate:
 // FilterChunked and PartitionChunked, for a chunk where one piece
@@ -47,20 +61,20 @@ func (r FloatRange) Contains(v float64) bool {
 // partition kernels (partition.go) are the same tests over several
 // pieces at once.
 //
-// A kernel reads the column's backing slice directly — Int64s,
-// Float64s, Codes, Bools — and writes every row of seg into buf
-// unconditionally, advancing the output cursor by the 0/1 outcome of
-// the test (b2i compiles to a flag set, not a jump). So a row costs a
-// load, a little arithmetic and a store: no call, no hash, and no
-// branch whose direction depends on the data — the ≈50% selectivity a
-// median cut produces would mispredict half of them. The predicate is
-// resolved once per filter into that arithmetic form: an int range
-// into one unsigned compare (intSpan), a float range into one
-// unsigned compare in order-preserving key space plus a NaN test
-// (floatSpan), and a string set or range into a dense bitset over
-// dictionary codes (codeSet) whose per-row test is a bit extract.
-// Only int/float sets (a map probe) and the summary-less string range
-// (string compares) keep a data-dependent cost per row.
+// A kernel reads the column's backing slice directly — Int64s, Codes,
+// Bools — and writes every row of seg into buf unconditionally,
+// advancing the output cursor by the 0/1 outcome of the test (b2i
+// compiles to a flag set, not a jump). So a row costs a load, a little
+// arithmetic and a store: no call, no hash, and no branch whose
+// direction depends on the data — the ≈50% selectivity a median cut
+// produces would mispredict half of them. The predicate is resolved
+// once per filter into that arithmetic form: an int, date or float
+// range into one unsigned compare over ordinals (intSpan) — a float
+// range adds one equality, for NaN's ordinal — and a string set or
+// range into a dense bitset over dictionary codes (codeSet) whose
+// per-row test is a bit extract. Only numeric sets (a map probe) and
+// the summary-less string range (string compares) keep a
+// data-dependent cost per row.
 
 // scanKernel writes the rows of seg that satisfy a predicate into
 // buf, in order, and returns how many it wrote. len(buf) ≥ len(seg).
@@ -79,15 +93,17 @@ func b2i(b bool) int {
 // scanNone is the kernel of a predicate no value can satisfy.
 func scanNone(seg, buf Selection) int { return 0 }
 
-// intSpan is an IntRange resolved to the closed interval
+// intSpan is a range over ordinals resolved to the closed interval
 // [lo, lo+span]: v matches iff uint64(v-lo) <= span, because the
-// subtraction wraps every v below lo to above span. empty marks a
-// range no int64 satisfies — Lo > Hi, or an exclusive bound at the
-// edge of the domain (Lo = MaxInt64 or Hi = MinInt64).
+// subtraction wraps every v below lo to above span. nan marks a float
+// range, which NaN's ordinal matches too (FloatRange.Contains(NaN) is
+// true). empty marks an int or date range no int64 satisfies — Lo >
+// Hi, or an exclusive bound at the edge of the domain (Lo = MaxInt64
+// or Hi = MinInt64).
 type intSpan struct {
-	lo    int64
-	span  uint64
-	empty bool
+	lo         int64
+	span       uint64
+	empty, nan bool
 }
 
 func (r IntRange) span() intSpan {
@@ -110,9 +126,24 @@ func (r IntRange) span() intSpan {
 	return intSpan{lo: lo, span: uint64(hi - lo)}
 }
 
-func (s intSpan) kernel(vals []int64) scanKernel {
+// span is r's span over float ordinals. A range no number satisfies
+// still keeps NaN rows: its interval is [nanOrdinal, nanOrdinal],
+// which adds nothing the NaN test does not already keep.
+func (r FloatRange) span() intSpan {
+	s := r.ordinals().span()
 	if s.empty {
+		s = intSpan{lo: nanOrdinal}
+	}
+	s.nan = true
+	return s
+}
+
+func (s intSpan) kernel(vals []int64) scanKernel {
+	switch {
+	case s.empty:
 		return scanNone
+	case s.nan:
+		return func(seg, buf Selection) int { return scanNaNRange(vals, s.lo, s.span, seg, buf) }
 	}
 	return func(seg, buf Selection) int { return scanIntRange(vals, s.lo, s.span, seg, buf) }
 }
@@ -126,71 +157,15 @@ func scanIntRange(vals []int64, lo int64, span uint64, seg, buf Selection) int {
 	return n
 }
 
-// floatKey maps a float64 to a uint64 whose unsigned order is the
-// float order: non-negative values gain the sign bit, negative values
-// are complemented. -0.0 lands one key below +0.0 (no float lies
-// between them), and NaNs land above +Inf's key or below -Inf's.
-func floatKey(v float64) uint64 {
-	b := math.Float64bits(v)
-	return b ^ (uint64(int64(b)>>63) | 1<<63)
-}
-
-var (
-	keyNegInf  = floatKey(math.Inf(-1))
-	keyPosInf  = floatKey(math.Inf(1))
-	keyNegZero = floatKey(math.Copysign(0, -1))
-	keyPosZero = floatKey(0)
-)
-
-// floatSpan is a FloatRange resolved to the closed key interval
-// [lo, lo+span]: v matches iff uint64(floatKey(v)-lo) <= span or v is
-// NaN (FloatRange.Contains(NaN) is true). Both zeros compare equal to
-// a zero bound, so a zero bound covers or excludes the two adjacent
-// zero keys together. A NaN bound leaves its side open.
-type floatSpan struct{ lo, span uint64 }
-
-func (r FloatRange) span() floatSpan {
-	lo, hi := keyNegInf, keyPosInf
-	switch {
-	case r.Lo != r.Lo: // NaN: no lower limit
-	case r.Lo == 0 && r.LoIncl:
-		lo = keyNegZero
-	case r.Lo == 0:
-		lo = keyPosZero + 1
-	case r.LoIncl:
-		lo = floatKey(r.Lo)
-	default:
-		lo = floatKey(r.Lo) + 1
-	}
-	switch {
-	case r.Hi != r.Hi:
-	case r.Hi == 0 && r.HiIncl:
-		hi = keyPosZero
-	case r.Hi == 0:
-		hi = keyNegZero - 1
-	case r.HiIncl:
-		hi = floatKey(r.Hi)
-	default:
-		hi = floatKey(r.Hi) - 1
-	}
-	if lo > hi || lo > keyPosInf || hi < keyNegInf {
-		// No number qualifies; only NaN rows match. Key 0 is a NaN's,
-		// so [0, 0] adds nothing the NaN test does not already keep.
-		return floatSpan{}
-	}
-	return floatSpan{lo: lo, span: hi - lo}
-}
-
-func (s floatSpan) kernel(vals []float64) scanKernel {
-	return func(seg, buf Selection) int { return scanFloatRange(vals, s.lo, s.span, seg, buf) }
-}
-
-func scanFloatRange(vals []float64, lo, span uint64, seg, buf Selection) int {
+// scanNaNRange is scanIntRange that keeps NaN's ordinal too: the row
+// kernel of a float range, and its NaN-aware step in a words chunk that
+// may hold NaN (rowTest.shared).
+func scanNaNRange(vals []int64, lo int64, span uint64, seg, buf Selection) int {
 	n := 0
 	for _, row := range seg {
 		v := vals[row]
 		buf[n] = row
-		n += b2i(floatKey(v)-lo <= span) | b2i(v != v)
+		n += b2i(uint64(v-lo) <= span) | b2i(v == nanOrdinal)
 	}
 	return n
 }
@@ -278,29 +253,20 @@ func (r strRange) kernel(col *StringColumn) scanKernel {
 	}
 }
 
-// hullSet builds a set constraint's membership map plus its hull
-// [lo, hi] for zone-map pruning. NaN values enter the map (as
-// unreachable entries: map lookups never find NaN keys, so NaN rows
-// match no set) but not the hull; an all-NaN set keeps the hull
-// [0, 0], harmless since nothing can match it.
-func hullSet[T int64 | float64](values []T) (want map[T]struct{}, lo, hi T) {
-	want = make(map[T]struct{}, len(values))
-	first := true
+// hullSet builds a numeric set constraint's membership map plus its
+// hull [lo, hi] for zone-map pruning.
+func hullSet(values []int64) (want map[int64]struct{}, lo, hi int64) {
+	want = make(map[int64]struct{}, len(values))
+	lo, hi = values[0], values[0]
 	for _, v := range values {
 		want[v] = struct{}{}
-		switch {
-		case v != v: // NaN
-		case first:
-			lo, hi, first = v, v, false
-		default:
-			lo, hi = min(lo, v), max(hi, v)
-		}
+		lo, hi = min(lo, v), max(hi, v)
 	}
 	return want, lo, hi
 }
 
-// scanSet is the int and float set kernel: one map probe per row.
-func scanSet[T int64 | float64](vals []T, want map[T]struct{}, seg, buf Selection) int {
+// scanSet is the numeric set kernel: one map probe per row.
+func scanSet(vals []int64, want map[int64]struct{}, seg, buf Selection) int {
 	n := 0
 	for _, row := range seg {
 		_, ok := want[vals[row]]

@@ -72,9 +72,11 @@ func checkIntRange(t testing.TB, col IntValued, sum *ChunkSummary, cs *ChunkedSe
 		func(row int32) bool { return r.Contains(vals[row]) })
 }
 
-func checkFloatRange(t testing.TB, col FloatValued, sum *ChunkSummary, cs *ChunkedSelection, r FloatRange) {
+// checkFloatRange's reference is r.Contains over vals, the values the
+// column was built from: the column stores them as ordinals, −0 as +0
+// and every NaN as one, which no range may tell apart.
+func checkFloatRange(t testing.TB, col FloatValued, vals []float64, sum *ChunkSummary, cs *ChunkedSelection, r FloatRange) {
 	t.Helper()
-	vals := col.Float64s()
 	checkKernel(t, fmt.Sprintf("float range %+v", r), cs, sum,
 		func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
 			return FilterFloatRangeChunked(col, cs, r, s)
@@ -99,11 +101,11 @@ func checkIntSet(t testing.TB, col IntValued, sum *ChunkSummary, cs *ChunkedSele
 		})
 }
 
-// checkFloatSet's reference is ==, under which NaN matches nothing
-// (the set filters' documented convention) and -0 matches +0.
-func checkFloatSet(t testing.TB, col FloatValued, sum *ChunkSummary, cs *ChunkedSelection, values []float64) {
+// checkFloatSet's reference is == over vals, the values the column was
+// built from, under which NaN matches nothing (the set filters'
+// documented convention) and -0 matches +0.
+func checkFloatSet(t testing.TB, col FloatValued, vals []float64, sum *ChunkSummary, cs *ChunkedSelection, values []float64) {
 	t.Helper()
-	vals := col.Float64s()
 	checkKernel(t, fmt.Sprintf("float set %v", values), cs, sum,
 		func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
 			return FilterFloatSetChunked(col, cs, values, s)
@@ -237,12 +239,12 @@ func TestFloatRangeKernelEdges(t *testing.T) {
 		for _, lo := range bounds {
 			for _, hi := range bounds {
 				for _, in := range inclusivities {
-					checkFloatRange(t, col, sum, cs, FloatRange{Lo: lo, Hi: hi, LoIncl: in[0], HiIncl: in[1]})
+					checkFloatRange(t, col, vals, sum, cs, FloatRange{Lo: lo, Hi: hi, LoIncl: in[0], HiIncl: in[1]})
 				}
 			}
 		}
-		checkFloatSet(t, col, sum, cs, []float64{negZero, 1.5, math.NaN()})
-		checkFloatSet(t, col, sum, cs, []float64{math.Inf(1), sub})
+		checkFloatSet(t, col, vals, sum, cs, []float64{negZero, 1.5, math.NaN()})
+		checkFloatSet(t, col, vals, sum, cs, []float64{math.Inf(1), sub})
 	}
 }
 
@@ -382,8 +384,8 @@ func FuzzFilterKernels(f *testing.F) {
 
 		checkIntRange(t, icol, isum, cs, IntRange{Lo: lo, Hi: hi, LoIncl: incl&1 != 0, HiIncl: incl&2 != 0})
 		checkIntSet(t, icol, isum, cs, []int64{lo, hi})
-		checkFloatRange(t, fcol, fsum, cs, FloatRange{Lo: flo, Hi: fhi, LoIncl: incl&4 != 0, HiIncl: incl&8 != 0})
-		checkFloatSet(t, fcol, fsum, cs, []float64{flo, fhi})
+		checkFloatRange(t, fcol, floats, fsum, cs, FloatRange{Lo: flo, Hi: fhi, LoIncl: incl&4 != 0, HiIncl: incl&8 != 0})
+		checkFloatSet(t, fcol, floats, fsum, cs, []float64{flo, fhi})
 		var values []string
 		for d := 0; d < dictLen; d++ {
 			if uint64(lo)>>(d%64)&1 != 0 {
@@ -648,7 +650,7 @@ func coverPieces(col Column, sel Selection, sets bool, rng *rand.Rand, arity int
 			return intRangePiece(col, IntRange{Lo: lo, Hi: hi, LoIncl: true, HiIncl: hiIncl})
 		})
 	case FloatValued:
-		vals := gatherDistinct(col.Float64s(), sel, cmp.Compare[float64])
+		vals := gatherDistinct(floatValues(col), sel, cmp.Compare[float64])
 		if sets {
 			return setPieces(dealSets(vals, rng, arity), func(set []float64) partPiece { return floatSetPiece(col, set) })
 		}
@@ -669,6 +671,15 @@ func coverPieces(col Column, sel Selection, sets bool, rng *rand.Rand, arity int
 		return []partPiece{boolSetPiece(col, []bool{false}), boolSetPiece(col, []bool{true})}
 	}
 	return nil
+}
+
+// floatValues decodes col's values by row.
+func floatValues(col FloatValued) []float64 {
+	vals := make([]float64, col.Len())
+	for r := range vals {
+		vals[r] = col.Float64(r)
+	}
+	return vals
 }
 
 func setPieces[T any](sets [][]T, piece func([]T) partPiece) []partPiece {
@@ -891,7 +902,13 @@ func FuzzPartitionKernels(f *testing.F) {
 				}
 			}
 			if sorted {
-				slices.SortFunc(vals, func(a, b float64) int { return cmp.Compare(floatKey(a), floatKey(b)) })
+				// By the bits' order-preserving key: -0 before +0, NaNs
+				// outside ±Inf by sign.
+				key := func(v float64) uint64 {
+					b := math.Float64bits(v)
+					return b ^ (uint64(int64(b)>>63) | 1<<63)
+				}
+				slices.SortFunc(vals, func(a, b float64) int { return cmp.Compare(key(a), key(b)) })
 			}
 			return vals
 		}
@@ -909,9 +926,10 @@ func FuzzPartitionKernels(f *testing.F) {
 					return intRangePiece(ic, IntRange{Lo: lo, Hi: hi, LoIncl: loIncl, HiIncl: hiIncl})
 				})
 		case 2:
-			fc := NewFloatColumn("v", floats())
+			fvals := floats()
+			fc := NewFloatColumn("v", fvals)
 			col = fc
-			pieces = rangePieces(fc.Float64s(), partFloatEdges, rng, arity,
+			pieces = rangePieces(fvals, partFloatEdges, rng, arity,
 				func(lo, hi float64, loIncl, hiIncl bool) partPiece {
 					return floatRangePiece(fc, FloatRange{Lo: lo, Hi: hi, LoIncl: loIncl, HiIncl: hiIncl})
 				})
@@ -921,9 +939,10 @@ func FuzzPartitionKernels(f *testing.F) {
 			sets := valueSets(ic.Int64s(), []int64{math.MinInt64, 0, 99, math.MaxInt64}, rng, arity)
 			pieces = setPieces(sets, func(set []int64) partPiece { return intSetPiece(ic, set) })
 		case 4:
-			fc := NewFloatColumn("v", floats())
+			fvals := floats()
+			fc := NewFloatColumn("v", fvals)
 			col = fc
-			sets := valueSets(fc.Float64s(), partFloatEdges, rng, arity)
+			sets := valueSets(fvals, partFloatEdges, rng, arity)
 			pieces = setPieces(sets, func(set []float64) partPiece { return floatSetPiece(fc, set) })
 		case 5, 6:
 			dictLen := 1 + int(seed>>8)%70

@@ -77,7 +77,7 @@ func TestParallelFiltersMatchSequential(t *testing.T) {
 func TestParallelStatsMatchSequential(t *testing.T) {
 	ic, fc, sc, all := parTable(t)
 	cs := AllRowsChunked(len(all), 1<<12)
-	ints, floats := refSorted(ic.Int64s(), all), refSorted(fc.Float64s(), all)
+	ints, floats := refSorted(ic.Int64s(), all), refSorted(floatValues(fc), all)
 	wantCounts := map[string]int{}
 	for _, row := range all {
 		wantCounts[sc.Value(int(row)).String()]++
@@ -87,8 +87,8 @@ func TestParallelStatsMatchSequential(t *testing.T) {
 			if lo, hi, _ := IntMinMaxChunked(ic, cs); lo != ints[0] || hi != ints[len(ints)-1] {
 				t.Fatalf("workers=%d: IntMinMaxChunked = (%d,%d), want (%d,%d)", workers, lo, hi, ints[0], ints[len(ints)-1])
 			}
-			if lo, hi, _ := FloatMinMaxChunked(fc, cs); lo != floats[0] || hi != floats[len(floats)-1] {
-				t.Fatalf("workers=%d: FloatMinMaxChunked = (%v,%v), want (%v,%v)", workers, lo, hi, floats[0], floats[len(floats)-1])
+			if lo, hi, _ := floatMinMax(fc, cs); lo != floats[0] || hi != floats[len(floats)-1] {
+				t.Fatalf("workers=%d: floatMinMax = (%v,%v), want (%v,%v)", workers, lo, hi, floats[0], floats[len(floats)-1])
 			}
 			gathered := concat(GatherIntChunked(ic, cs))
 			if len(gathered) != len(all) {
@@ -131,7 +131,7 @@ func TestFloatMinMaxIgnoresNaNAcrossChunkings(t *testing.T) {
 		cs := AllRowsChunked(n, chunkRows)
 		for _, workers := range []int{1, 4} {
 			withScanWorkers(t, workers, func() {
-				if lo, hi, _ := FloatMinMaxChunked(col, cs); lo != finite[0] || hi != finite[len(finite)-1] {
+				if lo, hi, _ := floatMinMax(col, cs); lo != finite[0] || hi != finite[len(finite)-1] {
 					t.Fatalf("chunkRows=%d workers=%d: bounds (%v,%v), want (%v,%v): NaN leaked into a bound",
 						chunkRows, workers, lo, hi, finite[0], finite[len(finite)-1])
 				}
@@ -148,7 +148,7 @@ func TestScanSlotsReleased(t *testing.T) {
 	withScanWorkers(t, 4, func() {
 		for i := 0; i < 10; i++ {
 			FilterFloatRangeChunked(fc, cs, FloatRange{Lo: 0, Hi: 100, LoIncl: true, HiIncl: true}, nil)
-			FloatMinMaxChunked(fc, cs)
+			floatMinMax(fc, cs)
 		}
 	})
 	if n := activeScanGoroutines.Load(); n != 0 {

@@ -28,51 +28,52 @@ import "math/bits"
 // parent's row ids minus the others' by one merge that loads no value;
 // a lone scanned piece is the parent chunk, and a piece whose verdict
 // takes the chunk settles it for every other piece. The promise holds
-// in a chunk when every piece is an int/date range or a code set, or a
-// float range over a chunk the zone map marks NaN-free: a NaN row
-// matches every float range, so in a chunk holding one the pieces
-// overlap and each keeps its test. Opaque tests — int, float and bool
-// sets (the numeric-nominal fallback's pieces among them, which match
-// no NaN row) and the summary-less string range — never derive, so a
-// pass holding one scans every piece. Verdicts are computed and
-// counted for every piece either way.
+// in a chunk when every piece's test is shared there (rowTest.shared):
+// an int/date range or a code set anywhere, a float range only over a
+// chunk the zone map marks NaN-free — a NaN row matches every float
+// range, so in a chunk holding one the pieces overlap and each keeps
+// its test. Opaque tests — numeric and bool sets (the numeric-nominal
+// fallback's pieces among them, which match no NaN row) and the
+// summary-less string range — never derive, so a pass holding one
+// scans every piece. Verdicts are computed and counted for every piece
+// either way.
 
 // testKind names the form of a Pred's row test the word kernels read.
-// testOpaque has only its own row kernel: int/float/bool sets, a range
-// no int64 satisfies, and the summary-less string range.
+// testOpaque has only its own row kernel: numeric and bool sets, a
+// range no int64 satisfies, and the summary-less string range.
 type testKind uint8
 
 const (
 	testOpaque testKind = iota
 	testIntRange
-	testFloatRange
 	testCodeSet
 )
 
 // rowTest is a Pred's row test in shared form: the column's backing
-// slice plus the operand its kind resolves to. pure is the float zone
-// map's NaN-free flag per chunk (nil without a zone map).
+// slice plus the operand its kind resolves to. For a float range
+// (ispan.nan), which keeps NaN rows, chunkNaN is the zone map's NaN bit
+// per chunk (nil without a zone map).
 type rowTest struct {
-	kind   testKind
-	ints   []int64
-	floats []float64
-	codes  []uint32
-	ispan  intSpan
-	fspan  floatSpan
-	want   codeSet
-	pure   []bool
+	kind     testKind
+	ints     []int64
+	codes    []uint32
+	ispan    intSpan
+	want     codeSet
+	chunkNaN []bool
 }
 
-// covers reports whether a promised cover may derive this piece's rows
-// in chunk c: always for int/date ranges and code sets, for a float
-// range only in a chunk the zone map proves NaN-free, never for an
-// opaque test.
-func (t *rowTest) covers(c int) bool {
+// shared reports whether the test runs as a word kernel in chunk c,
+// and so whether a promised cover may derive its rows there: always
+// for int/date ranges and code sets; for a float range only in a chunk
+// the zone map proves NaN-free, because the word kernel does not test
+// for NaN's ordinal — in a chunk that may hold NaN a float range runs
+// its row kernel, which does; never for an opaque test.
+func (t *rowTest) shared(c int) bool {
 	switch t.kind {
-	case testIntRange, testCodeSet:
+	case testIntRange:
+		return !t.ispan.nan || t.chunkNaN != nil && !t.chunkNaN[c]
+	case testCodeSet:
 		return true
-	case testFloatRange:
-		return t.pure != nil && t.pure[c]
 	}
 	return false
 }
@@ -132,7 +133,7 @@ func (p *partition) chunk(c int) {
 	}
 	derive := p.cover
 	for _, i := range p.live {
-		derive = derive && p.preds[i].test.covers(c)
+		derive = derive && p.preds[i].test.shared(c)
 	}
 	var scanArr [partInline]int
 	scan, took := scanArr[:0], false
@@ -195,17 +196,26 @@ func (p *partition) rows(ct container, c int, scan []int, derive bool) {
 
 // exceptRows writes the rows of seg that are not in other — a sorted
 // subset of seg — to out and returns their count: one merge that loads
-// no value. out may be seg itself.
+// no value. out may be seg itself. The merge holds other's next two
+// rows and loads the one after them a row ahead, so no load sits on
+// the loop's chain of compare and select. An index past other's end
+// reads its last row, which a strictly ascending seg never meets again.
 func exceptRows(seg, other, out Selection) int {
+	if len(other) == 0 {
+		return copy(out, seg)
+	}
+	last := len(other) - 1
+	next, after := other[0], other[min(1, last)]
 	n, j := 0, 0
-	for i, row := range seg {
-		if j == len(other) {
-			return n + copy(out[n:], seg[i:])
-		}
+	for _, row := range seg {
+		ahead := other[min(j+2, last)]
 		out[n] = row
-		hit := b2i(row == other[j])
+		hit := b2i(row == next)
 		n += 1 - hit
 		j += hit
+		if hit != 0 {
+			next, after = after, ahead
+		}
 	}
 	return n
 }
@@ -218,13 +228,13 @@ func exceptRows(seg, other, out Selection) int {
 // both; BenchmarkPartitionSource measures the crossover.
 const denseWordBits = 32
 
-// words scans a chunk the parent holds as words: a piece with a shared
-// row test builds its child words from the parent's word by word
-// (packPiece) into one scratch buffer, which the chunk setter copies or
-// decodes; when derive is set the last piece's words are the parent's
-// less the others' (no piece is then opaque). An opaque piece runs its
-// row kernel over the chunk's rows, decoded into scratch once for all
-// of them.
+// words scans a chunk the parent holds as words: a piece whose row
+// test is shared in the chunk builds its child words from the parent's
+// word by word (packPiece) into one scratch buffer, which the chunk
+// setter copies or decodes; when derive is set the last piece's words
+// are the parent's less the others' (every piece is then shared). Any
+// other piece runs its row kernel over the chunk's rows, decoded into
+// scratch once for all of them.
 func (p *partition) words(ct container, c int, scan []int, derive bool) {
 	pw, n := ct.words, ct.n
 	base := p.src.chunkRows * c
@@ -234,10 +244,10 @@ func (p *partition) words(ct container, c int, scan []int, derive bool) {
 	var sharedArr, opaqueArr [partInline]int
 	shared, opaque := sharedArr[:0], opaqueArr[:0]
 	for _, i := range scan {
-		if p.preds[i].test.kind == testOpaque {
-			opaque = append(opaque, i)
-		} else {
+		if p.preds[i].test.shared(c) {
 			shared = append(shared, i)
+		} else {
+			opaque = append(opaque, i)
 		}
 	}
 	if len(shared) > 0 {
@@ -304,8 +314,6 @@ func packPiece(t *rowTest, pw []uint64, base, full int, out []uint64) int {
 	switch t.kind {
 	case testIntRange:
 		return packIntRange(t.ints, t.ispan, pw, base, full, out)
-	case testFloatRange:
-		return packFloatRange(t.floats, t.fspan, pw, base, full, out)
 	default:
 		return packCodeSet(t.codes, t.want, pw, base, full, out)
 	}
@@ -359,43 +367,6 @@ func packIntRange(vals []int64, a intSpan, pw []uint64, base, full int, out []ui
 			for ; w != 0; w &= w - 1 {
 				j := bits.TrailingZeros64(w)
 				hit := b2i(uint64(vals[at+j]-lo) <= span)
-				x |= uint64(hit) << j
-				n += hit
-			}
-		}
-		out[wi] = x
-	}
-	return n
-}
-
-// packFloatRange keeps a NaN row, as the float range kernels do.
-//
-//go:noinline
-func packFloatRange(vals []float64, a floatSpan, pw []uint64, base, full int, out []uint64) (n int) {
-	lo, span := a.lo, a.span
-	out = out[:len(pw)]
-	for wi, w := range pw {
-		at := base + wi<<6
-		var x uint64
-		if isDense(wi, full, w) {
-			for j := 0; j < 64; j += 8 {
-				v := vals[at+j : at+j+8 : at+j+8]
-				x |= (uint64(b2i(floatKey(v[0])-lo <= span)|b2i(v[0] != v[0])) |
-					uint64(b2i(floatKey(v[1])-lo <= span)|b2i(v[1] != v[1]))<<1 |
-					uint64(b2i(floatKey(v[2])-lo <= span)|b2i(v[2] != v[2]))<<2 |
-					uint64(b2i(floatKey(v[3])-lo <= span)|b2i(v[3] != v[3]))<<3 |
-					uint64(b2i(floatKey(v[4])-lo <= span)|b2i(v[4] != v[4]))<<4 |
-					uint64(b2i(floatKey(v[5])-lo <= span)|b2i(v[5] != v[5]))<<5 |
-					uint64(b2i(floatKey(v[6])-lo <= span)|b2i(v[6] != v[6]))<<6 |
-					uint64(b2i(floatKey(v[7])-lo <= span)|b2i(v[7] != v[7]))<<7) << j
-			}
-			x &= w
-			n += ones(x)
-		} else {
-			for ; w != 0; w &= w - 1 {
-				j := bits.TrailingZeros64(w)
-				v := vals[at+j]
-				hit := b2i(floatKey(v)-lo <= span) | b2i(v != v)
 				x |= uint64(hit) << j
 				n += hit
 			}

@@ -80,9 +80,9 @@ func TestIntMinMax(t *testing.T) {
 
 func TestFloatMinMax(t *testing.T) {
 	col := NewFloatColumn("v", []float64{2.5, 0.5, 1.5})
-	min, max, ok := FloatMinMaxChunked(col, AllRowsChunked(3, 64))
+	min, max, ok := floatMinMax(col, AllRowsChunked(3, 64))
 	if !ok || min != 0.5 || max != 2.5 {
-		t.Fatalf("FloatMinMaxChunked = %v %v %v", min, max, ok)
+		t.Fatalf("floatMinMax = %v %v %v", min, max, ok)
 	}
 }
 

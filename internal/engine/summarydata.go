@@ -9,7 +9,9 @@ import "fmt"
 // table re-scanning anything. Exactly one kind family is populated:
 // Int* for int/date columns, Float* for float columns, the code
 // fields for string columns, Bool* for bool columns. Slices are
-// shared, not copied — summaries are immutable once built.
+// shared, not copied — summaries are immutable once built — but for
+// the Float* family, which Export decodes from the summary's ordinal
+// bounds and ImportSummary encodes back.
 type SummaryData struct {
 	// Int/date columns: per-chunk [min, max].
 	IntMin, IntMax []int64
@@ -38,13 +40,22 @@ type SummaryData struct {
 
 // Export returns the summary's content for serialization.
 func (s *ChunkSummary) Export() SummaryData {
-	return SummaryData{
-		IntMin: s.intMin, IntMax: s.intMax,
-		FloatMin: s.floatMin, FloatMax: s.floatMax, FloatPure: s.floatPure,
+	d := SummaryData{
 		DictLen:  s.dictLen,
 		CodeBits: s.codeBits, CodeList: s.codeList, CodeOverflow: s.codeOverflow,
 		BoolHasTrue: s.boolHasTrue, BoolHasFalse: s.boolHasFalse,
 	}
+	if s.nan == nil {
+		d.IntMin, d.IntMax = s.intMin, s.intMax
+	} else {
+		d.FloatMin = make([]float64, len(s.nan))
+		d.FloatMax = make([]float64, len(s.nan))
+		d.FloatPure = make([]bool, len(s.nan))
+		for c, nan := range s.nan {
+			d.FloatMin[c], d.FloatMax[c], d.FloatPure[c] = ordinalFloat(s.intMin[c]), ordinalFloat(s.intMax[c]), !nan
+		}
+	}
+	return d
 }
 
 // ImportSummary validates deserialized summary content against the
@@ -75,7 +86,12 @@ func ImportSummary(d SummaryData, numChunks int) (*ChunkSummary, error) {
 		if err := lengthsOK("float", len(d.FloatMin), len(d.FloatMax), len(d.FloatPure)); err != nil {
 			return nil, err
 		}
-		s.floatMin, s.floatMax, s.floatPure = d.FloatMin, d.FloatMax, d.FloatPure
+		s.intMin = make([]int64, numChunks)
+		s.intMax = make([]int64, numChunks)
+		s.nan = make([]bool, numChunks)
+		for c, pure := range d.FloatPure {
+			s.intMin[c], s.intMax[c], s.nan[c] = floatOrdinal(d.FloatMin[c]), floatOrdinal(d.FloatMax[c]), !pure
+		}
 	}
 	if d.CodeBits != nil || d.CodeList != nil {
 		families++

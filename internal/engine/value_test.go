@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -135,5 +136,55 @@ func TestDaysFromDateEpoch(t *testing.T) {
 	}
 	if d := DaysFromDate(1970, time.January, 2); d != 1 {
 		t.Fatalf("epoch+1 days = %d, want 1", d)
+	}
+}
+
+// TestFloatColumnCanonicalValues pins how a float column stores its
+// values (docs/SEMANTICS.md §1): −0 reads back as +0, every NaN
+// payload as the one NaN math.NaN() returns, and every other value —
+// ±Inf, subnormals, ±MaxFloat64 — bit-exact, through Float64 and
+// Value alike and after an append. The ordinals order the numbers
+// as float comparison does, NaN's below all of them.
+func TestFloatColumnCanonicalValues(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	sub := math.SmallestNonzeroFloat64
+	in := []float64{
+		negZero, 0, math.NaN(),
+		math.Float64frombits(0xfff8000000000001), // negative quiet NaN
+		math.Float64frombits(0x7ff0000000000001), // signaling NaN
+		math.Float64frombits(0x7fffffffffffffff), // all-ones payload
+		math.Inf(1), math.Inf(-1), sub, -sub, 2 * sub, -2 * sub,
+		math.MaxFloat64, -math.MaxFloat64, 1.5, -2.25,
+	}
+	canonical := func(v float64) uint64 {
+		switch {
+		case v == 0:
+			return 0
+		case v != v:
+			return math.Float64bits(math.NaN())
+		}
+		return math.Float64bits(v)
+	}
+	col := NewFloatColumn("v", in[:len(in)-1])
+	col.appendValue(Float(in[len(in)-1]))
+	for r, v := range in {
+		for _, got := range []float64{col.Float64(r), col.Value(r).AsFloat()} {
+			if math.Float64bits(got) != canonical(v) {
+				t.Fatalf("row %d stored %v (%#x): read back %#x, want %#x", r, v, math.Float64bits(v), math.Float64bits(got), canonical(v))
+			}
+		}
+	}
+	ords := col.Int64s()
+	for i, a := range in {
+		for j, b := range in {
+			switch {
+			case a != a && b == b:
+				if ords[i] >= ords[j] {
+					t.Fatalf("NaN's ordinal %d not below %v's %d", ords[i], b, ords[j])
+				}
+			case a == a && b == b && (a < b) != (ords[i] < ords[j]):
+				t.Fatalf("%v < %v is %v, ordinals %d < %d is not", a, b, a < b, ords[i], ords[j])
+			}
+		}
 	}
 }

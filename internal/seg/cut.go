@@ -2,7 +2,6 @@ package seg
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"charles/internal/engine"
@@ -152,15 +151,16 @@ func childQuery(q sdl.Query, piece sdl.Constraint) (sdl.Query, bool, error) {
 	return q.WithConstraint(merged), true, nil
 }
 
-// intPieces computes an int or date cut's pieces. Exact points and
-// the bounds come from one pass (engine.IntCutChunked) — a count
-// straight from the column when sum, the column's zone map (nil with
-// zone pruning off), bounds src's values to a narrow window — which
-// with retain set may also return the per-chunk counts the cut cache
-// keeps; sampled points are estimated from pointSel and the bounds
-// still taken over the full extent.
-func intPieces(attr string, col engine.IntValued, src *engine.ChunkedSelection, sum *engine.ChunkSummary, pointSel *engine.ChunkedSelection, opt CutOptions, retain bool) ([]sdl.Constraint, *engine.IntCounts) {
-	var cut engine.NumCut[int64]
+// numPieces computes an int, date or float cut's pieces. Exact points
+// and the bounds come from one pass over the column's ordinals
+// (engine.IntCutChunked) — a count straight from the column when sum,
+// the column's zone map (nil with zone pruning off), bounds src's
+// values to a narrow window — which with retain set may also return
+// the per-chunk counts the cut cache keeps; sampled points are
+// estimated from pointSel and the bounds still taken over the full
+// extent.
+func numPieces(attr string, col engine.Numeric, src *engine.ChunkedSelection, sum *engine.ChunkSummary, pointSel *engine.ChunkedSelection, opt CutOptions, retain bool) ([]sdl.Constraint, *engine.IntCounts) {
+	var cut engine.NumCut
 	var counts *engine.IntCounts
 	if pointSel != nil {
 		cut.Min, cut.Max, _ = engine.IntMinMaxChunked(col, src)
@@ -168,36 +168,16 @@ func intPieces(attr string, col engine.IntValued, src *engine.ChunkedSelection, 
 	} else {
 		cut, counts = engine.IntCutChunked(col, src, sum, opt.Arity, retain)
 	}
-	return intCutPieces(attr, col, cut), counts
-}
-
-// intCutPieces is rangePieces with int or date bound values.
-func intCutPieces(attr string, col engine.IntValued, cut engine.NumCut[int64]) []sdl.Constraint {
-	mk := engine.Int
-	if col.Kind() == engine.KindDate {
-		mk = engine.Date
-	}
-	return rangePieces(attr, cut, mk)
-}
-
-func floatPieces(attr string, col engine.FloatValued, src, pointSel *engine.ChunkedSelection, opt CutOptions) []sdl.Constraint {
-	var cut engine.NumCut[float64]
-	if pointSel != nil {
-		cut.Min, cut.Max, _ = engine.FloatMinMaxChunked(col, src)
-		cut.Points = engine.FloatCutPointsChunked(col, pointSel, opt.Arity)
-	} else {
-		cut = engine.FloatCutChunked(col, src, opt.Arity)
-	}
-	return rangePieces(attr, cut, engine.Float)
+	return rangePieces(attr, col, cut), counts
 }
 
 // rangePieces assembles the half-open range constraints for the
-// bounds [min, p0), [p0, p1), ..., [p_last, max], or nil when no
-// point falls in the exact (min, max] interior. Only sampled points
-// can fall outside it, when the sample missed the extremes; they are
-// dropped.
-func rangePieces[T int64 | float64](attr string, cut engine.NumCut[T], mk func(T) engine.Value) []sdl.Constraint {
-	bounds := []T{cut.Min}
+// bounds [min, p0), [p0, p1), ..., [p_last, max], decoded by col, or
+// nil when no point falls in the exact (min, max] interior. Only
+// sampled points can fall outside it, when the sample missed the
+// extremes; they are dropped.
+func rangePieces(attr string, col engine.Numeric, cut engine.NumCut) []sdl.Constraint {
+	bounds := []int64{cut.Min}
 	for _, p := range cut.Points {
 		if p > cut.Min && p <= cut.Max {
 			bounds = append(bounds, p)
@@ -206,6 +186,7 @@ func rangePieces[T int64 | float64](attr string, cut engine.NumCut[T], mk func(T
 	if len(bounds) == 1 {
 		return nil
 	}
+	mk := col.OrdinalValue
 	out := make([]sdl.Constraint, 0, len(bounds))
 	for i, lo := range bounds {
 		if i == len(bounds)-1 {
@@ -232,56 +213,32 @@ func errCutKind(attr string, col engine.Column) error {
 // categorical column. Documented deviation: the paper's Definition 5
 // simply cannot split such a column.
 //
-// Counting walks src chunk by chunk over the column's backing slice —
-// a words chunk by set-bit iteration, never decoded, and no flat copy
-// of the selection is built or cached — and keys the map
-// on the raw 64-bit payload: one integer map op per row, no Value
-// boxing and no string formatting in the loop. Values are formatted
-// once per distinct value at the end, where nominalPieces needs the
-// canonical strings for ordering; the ordering itself is
-// deterministic (ties broken on the value string) regardless of map
-// iteration order, which TestNumericNominalFallbackDeterministic
+// Counting walks src chunk by chunk over the column's ordinals — a
+// words chunk by set-bit iteration, never decoded, and no flat copy of
+// the selection is built or cached — and keys the map on the ordinal:
+// one integer map op per row, no Value boxing and no string formatting
+// in the loop. Every NaN has the one ordinal, so NaN counts as one
+// value, as its one rendering "NaN" does; −0 is stored as +0. Values
+// are decoded and formatted once per distinct value at the end, where
+// nominalPieces needs the canonical strings for ordering; the ordering
+// itself is deterministic (ties broken on the value string) regardless
+// of map iteration order, which TestNumericNominalFallbackDeterministic
 // pins.
-func numericNominalFallback(attr string, col engine.Column, src *engine.ChunkedSelection, opt CutOptions) []sdl.Constraint {
+func numericNominalFallback(attr string, col engine.Numeric, src *engine.ChunkedSelection, opt CutOptions) []sdl.Constraint {
 	// The fallback only fires on near-constant extents, so the
 	// distinct count is small; a modest size hint avoids both rehash
 	// churn and a |sel|-sized over-allocation.
-	counts := make(map[uint64]int, 16)
-	var toValue func(bits uint64) engine.Value
-	switch col := col.(type) {
-	case engine.IntValued:
-		vals := col.Int64s()
-		engine.EachRow(src, func(row int) { counts[uint64(vals[row])]++ })
-		if col.Kind() == engine.KindDate {
-			toValue = func(bits uint64) engine.Value { return engine.Date(int64(bits)) }
-		} else {
-			toValue = func(bits uint64) engine.Value { return engine.Int(int64(bits)) }
-		}
-	case engine.FloatValued:
-		vals := col.Float64s()
-		engine.EachRow(src, func(row int) {
-			v := vals[row]
-			if v != v {
-				// Canonicalize NaN: every payload renders as the one
-				// string "NaN", so distinct NaN bit patterns must count
-				// as one value exactly like the string-keyed counting
-				// always did.
-				v = math.NaN()
-			}
-			counts[math.Float64bits(v)]++
-		})
-		toValue = func(bits uint64) engine.Value { return engine.Float(math.Float64frombits(bits)) }
-	default:
-		return nil
-	}
+	counts := make(map[int64]int, 16)
+	vals := col.Int64s()
+	engine.EachRow(src, func(row int) { counts[vals[row]]++ })
 	if len(counts) < 2 {
 		return nil
 	}
 	byKey := make(map[string]engine.Value, len(counts))
 	vcs := make([]stats.ValueCount, 0, len(counts))
 	//lint:deterministic vcs and byKey are value-keyed accumulators; nominalPieces fully re-orders vcs before anything ranked sees it
-	for bits, n := range counts {
-		v := toValue(bits)
+	for o, n := range counts {
+		v := col.OrdinalValue(o)
 		key := v.String()
 		byKey[key] = v
 		vcs = append(vcs, stats.ValueCount{Value: key, Count: n})

@@ -11,7 +11,6 @@ import (
 
 	"charles/internal/engine"
 	"charles/internal/sdl"
-	"charles/internal/stats"
 )
 
 func evalFor(t *testing.T, tab *engine.Table) *Evaluator {
@@ -426,7 +425,7 @@ func TestCutQuerySampledFloatIgnoresNaN(t *testing.T) {
 // cut, not only its validity: over an extent whose chunks are held
 // both as words and as row ids, the pieces CutQuery returns with
 // SampleSize set must equal a sort-based reference — the systematic
-// sample StridedInt32 draws from the extent, its numbers sorted, the
+// sample strided draws from the extent, its numbers sorted, the
 // points read at the equi-depth ranks, and the bounds the full
 // extent's minimum and maximum. Floats carry NaN (no rank) and both
 // zeros (one +0.0 value).
@@ -502,8 +501,8 @@ func hasFlatView(cs *engine.ChunkedSelection) bool {
 // TestSampledCutBuildsNoRows: a sampled CutQuery strides the stored
 // extent chunk by chunk — words chunks by set-bit iteration — so it
 // counts no row materialization and leaves no flat view on the extent
-// the evaluator keeps, and the strided rows are exactly those
-// StridedInt32 takes from the flat view.
+// the evaluator keeps, and the strided rows are exactly those the
+// reference strided takes from the extent's row ids.
 func TestSampledCutBuildsNoRows(t *testing.T) {
 	const n, chunkRows = 20000, 1024
 	rng := rand.New(rand.NewSource(3))
@@ -541,13 +540,25 @@ func TestSampledCutBuildsNoRows(t *testing.T) {
 		t.Fatal("a sampled cut attached a flat view to the stored extent")
 	}
 	for _, k := range []int{1, 7, 300, len(ext) / 2, len(ext) - 1} {
-		if got, want := stridedRows(stored.sel, k), stats.StridedInt32(ext, k); !slices.Equal(got, want) {
-			t.Fatalf("k=%d: strided %d rows, StridedInt32 %d, or they differ", k, len(got), len(want))
+		if got, want := stridedRows(stored.sel, k), strided(ext, k); !slices.Equal(got, want) {
+			t.Fatalf("k=%d: strided %d rows, the reference %d, or they differ", k, len(got), len(want))
 		}
 	}
 	if hasFlatView(stored.sel) {
 		t.Fatal("striding attached a flat view to the extent")
 	}
+}
+
+// strided is the reference for the systematic sample a sampled cut
+// draws, written out from its definition: every ⌈n/k⌉-th of the n ids,
+// in order, from the first, for 0 < k < n.
+func strided(ids []int32, k int) []int32 {
+	stride := (len(ids) + k - 1) / k
+	var out []int32
+	for i := 0; i < len(ids); i += stride {
+		out = append(out, ids[i])
+	}
+	return out
 }
 
 // sampledPieces is the sort-based reference for a sampled range cut of
@@ -567,7 +578,7 @@ func sampledPieces[T int64 | float64](attr string, vals []T, ext []int32, sample
 		slices.Sort(out)
 		return out
 	}
-	all, pts := numbers(ext), numbers(stats.StridedInt32(ext, sample))
+	all, pts := numbers(ext), numbers(strided(ext, sample))
 	bounds, last := []T{all[0]}, pts[0]
 	for i := 1; i < arity; i++ {
 		if p := pts[int(float64(i)/float64(arity)*float64(len(pts)))]; p > last {

@@ -4,8 +4,8 @@
 // bottleneck, and unlike selections it cannot be spliced — the k-th
 // smallest of a multiset is a global property. What can be reused is
 // a per-chunk summary the ranks resolve over: per-chunk VALUE COUNTS,
-// for string columns by dictionary code and for a narrow int or date
-// column over the window [min, max] of its extent
+// for string columns by dictionary code and for a narrow numeric
+// column over the window [min, max] of its extent's ordinals
 // (engine.IntCounts): the counts the engine takes anyway when it cuts
 // an extent whose zone-map window is narrow, straight from the column,
 // trimmed to the extent's exact span. Counts add across chunks, so a
@@ -25,16 +25,17 @@
 //
 // Count vectors are retained only where a refresh can happen: on a
 // table that accepts mutation (engine.Table.Mutable), for extents of
-// at least cutStateMinRows rows — and, for an int or date column,
-// only when its span is narrow enough to count (at most the select's
+// at least cutStateMinRows rows — and, for a numeric column, only
+// when its span is narrow enough to count (at most the select's
 // 2 048 buckets) and the vectors take no more cells than the extent
 // has rows. A read-only .chc table's stamp never moves, so its
 // entries keep children and child counts alone. A refresh whose dirty
-// chunk holds an int outside the entry's window recomputes in full.
-// Sampled cut points, wide int and date spans, float and bool
-// columns, and the numeric-nominal fallback are served on version
-// equality but always recompute when stale: their points are
-// radix-selected and nothing is left to splice.
+// chunk holds a value outside the entry's window, or a NaN, recomputes
+// in full. Sampled cut points, wide numeric spans (every float column
+// but a near-constant one), bool columns and the numeric-nominal
+// fallback are served on version equality but always recompute when
+// stale: their points are radix-selected and nothing is left to
+// splice.
 package seg
 
 import (
@@ -54,7 +55,7 @@ const cutStateMinRows = 1 << 12
 // cachedCut is one cut-point cache entry: the children CutQuery
 // built from the computed pieces, their counts once Cut has taken
 // them (nil until then), the epoch stamp they were computed under,
-// and — for exact cuts over narrow int-valued and string columns —
+// and — for exact cuts over narrow numeric and string columns —
 // the per-chunk counts a stale entry refreshes from. Children and
 // counts hold at stamp only: a refresh rebuilds the children and
 // drops the counts. Count vectors are immutable once stored: a splice
@@ -63,7 +64,7 @@ type cachedCut struct {
 	children []sdl.Query
 	counts   []int
 	stamp    *engine.EpochStamp
-	// intCounts holds per-chunk value counts (IntColumn, DateColumn).
+	// intCounts holds per-chunk ordinal counts (numeric columns).
 	intCounts *engine.IntCounts
 	// strCounts holds per-chunk value frequencies by dictionary code.
 	strCounts [][]int
@@ -147,10 +148,10 @@ func (e *Evaluator) cutPieces(attr string, col engine.Column, src *engine.Chunke
 	return pieces, state, nil
 }
 
-// stridedRows returns the rows stats.StridedInt32 takes from src's
-// flat view — every ⌈n/k⌉-th row by rank, n = src.Len() > k — read
-// chunk by chunk in the form each is held in, so no flat view is built
-// or attached to src.
+// stridedRows returns every ⌈n/k⌉-th row of src by rank, starting at
+// rank 0, n = src.Len() > k: a systematic sample of at most k rows,
+// read chunk by chunk in the form each is held in, so no flat view is
+// built or attached to src.
 func stridedRows(src *engine.ChunkedSelection, k int) engine.Selection {
 	stride := (src.Len() + k - 1) / k
 	out := make(engine.Selection, 0, k)
@@ -173,11 +174,11 @@ type cutState struct {
 }
 
 // computeCut runs the full cut-point computation for one column kind.
-// With retain set, the exact string path and a narrow exact int path
-// count per chunk so the entry can be refreshed chunk-at-a-time
+// With retain set, the exact string path and a narrow exact numeric
+// path count per chunk so the entry can be refreshed chunk-at-a-time
 // later; the results are pinned byte-identical to the uncached forms.
-// Everything else — sampled points, wide int spans, floats, bools,
-// the degenerate fallback — takes exactly the code path the uncached
+// Everything else — sampled points, wide numeric spans, bools, the
+// degenerate fallback — takes exactly the code path the uncached
 // evaluator takes.
 func (e *Evaluator) computeCut(attr string, col engine.Column, src *engine.ChunkedSelection, pointSel *engine.ChunkedSelection, opt CutOptions, retain bool) ([]sdl.Constraint, cutState, error) {
 	var state cutState
@@ -193,13 +194,8 @@ func (e *Evaluator) computeCut(attr string, col engine.Column, src *engine.Chunk
 		}
 	case *engine.BoolColumn:
 		pieces, err = nominalPieces(attr, engine.BoolValueCountsChunked(col, src), boolSetValue, opt)
-	case *engine.FloatColumn:
-		pieces = floatPieces(attr, col, src, pointSel, opt)
-		if len(pieces) < 2 {
-			pieces = numericNominalFallback(attr, col, src, opt)
-		}
-	case engine.IntValued:
-		pieces, state.intCounts = intPieces(attr, col, src, e.zoneMap(e.tab.Layout(), attr), pointSel, opt, retain)
+	case engine.Numeric:
+		pieces, state.intCounts = numPieces(attr, col, src, e.zoneMap(e.tab.Layout(), attr), pointSel, opt, retain)
 		if len(pieces) < 2 {
 			pieces = numericNominalFallback(attr, col, src, opt)
 		}
@@ -246,7 +242,7 @@ func (e *Evaluator) refreshCut(ent cachedCut, attr string, col engine.Column, sr
 			return nil, state, false
 		}
 		state.strCounts = counts
-	case engine.IntValued:
+	case engine.Numeric:
 		if ent.intCounts == nil {
 			return nil, state, false
 		}
@@ -254,7 +250,7 @@ func (e *Evaluator) refreshCut(ent cachedCut, attr string, col engine.Column, sr
 		if !ok {
 			return nil, state, false
 		}
-		pieces = intCutPieces(attr, col, cut)
+		pieces = rangePieces(attr, col, cut)
 		if len(pieces) < 2 {
 			pieces = numericNominalFallback(attr, col, src, opt)
 		}

@@ -131,12 +131,62 @@ func TestNumericNominalFallbackMatchesStringKeyed(t *testing.T) {
 	}
 	nonNaN := 0
 	lat := tab.MustColumn("latency").(*engine.FloatColumn)
-	for _, v := range lat.Float64s() {
-		if v == v {
+	for r := 0; r < lat.Len(); r++ {
+		if v := lat.Float64(r); v == v {
 			nonNaN++
 		}
 	}
 	if latTotal != nonNaN {
 		t.Fatalf("float pieces cover %d rows, non-NaN extent is %d", latTotal, nonNaN)
+	}
+}
+
+// TestNumericFallbackOneZero pins that the fallback over a float
+// column holding both −0 and +0 counts one value, rendered "0": the
+// column stores −0 as +0 (docs/SEMANTICS.md §1.3), so the zeros share a
+// piece and no constraint lists a "-0".
+func TestNumericFallbackOneZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	vals := make([]float64, 100)
+	for i := range vals {
+		switch {
+		case i%10 == 0:
+			vals[i] = 1.5
+		case i%3 == 0:
+			vals[i] = negZero
+		}
+	}
+	tab := engine.MustNewTable("zeros", engine.NewFloatColumn("x", vals))
+	ev := NewEvaluator(tab)
+	children, err := CutQuery(ev, sdl.ContextAll(tab), "x", DefaultCutOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sets []string
+	zeroRows := 0
+	for _, q := range children {
+		c, ok := q.Constraint("x")
+		if !ok || c.Kind != sdl.KindSet {
+			t.Fatalf("piece %s is not a set constraint", q)
+		}
+		for _, v := range c.Set {
+			sets = append(sets, v.String())
+			if v.AsFloat() == 0 {
+				if math.Signbit(v.AsFloat()) {
+					t.Fatalf("piece %s lists a -0", q)
+				}
+				n, err := ev.Count(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				zeroRows += n
+			}
+		}
+	}
+	if len(sets) != 2 || sets[0] != "0" || sets[1] != "1.5" {
+		t.Fatalf("fallback values %v, want [0 1.5]", sets)
+	}
+	if zeroRows != 90 {
+		t.Fatalf("the zero piece holds %d rows, want all 90 zeros", zeroRows)
 	}
 }

@@ -225,8 +225,9 @@ func TestCutPartitionKeepsNaNTraps(t *testing.T) {
 	ev := NewEvaluator(status)
 	r := checkCut(t, ev, singleton(sdl.ContextAll(status), status.NumRows(), ""), "latency", DefaultCutOptions())
 	nonNaN := 0
-	for _, v := range status.MustColumn("latency").(*engine.FloatColumn).Float64s() {
-		if v == v {
+	lat := status.MustColumn("latency").(*engine.FloatColumn)
+	for r := 0; r < lat.Len(); r++ {
+		if v := lat.Float64(r); v == v {
 			nonNaN++
 		}
 	}

@@ -190,7 +190,7 @@ func EquiDepthPointsChunksFloat64(chunks [][]float64, arity, workers int) []floa
 	for c := range chunks {
 		lo, hi = min(lo, los[c]), max(hi, his[c])
 	}
-	return EquiDepthPointsFloat64Keys(keys, lo+1, hi, arity, workers)
+	return equiDepthKeys(keys, lo+1, hi, arity, workers, Float64FromKey)
 }
 
 // float64Keys writes the keys of vals' numbers to ks, dropping NaN
@@ -217,12 +217,6 @@ func float64Keys(ks []uint64, vals []float64) (m int, loMinus1, hi uint64) {
 // EquiDepthPointsChunks defines them.
 func EquiDepthPointsInt64Keys(chunks [][]uint64, lo, hi uint64, arity, workers int) []int64 {
 	return equiDepthKeys(chunks, lo, hi, arity, workers, Int64FromKey)
-}
-
-// EquiDepthPointsFloat64Keys is EquiDepthPointsInt64Keys over chunks
-// of Float64Key keys, none of them NaN's. A zero point is +0.0.
-func EquiDepthPointsFloat64Keys(chunks [][]uint64, lo, hi uint64, arity, workers int) []float64 {
-	return equiDepthKeys(chunks, lo, hi, arity, workers, Float64FromKey)
 }
 
 func equiDepthKeys[T int64 | float64](chunks [][]uint64, lo, hi uint64, arity, workers int, decode func(uint64) T) []T {

@@ -81,7 +81,11 @@ func permuteTable(t *testing.T, tab *engine.Table, perm []int) *engine.Table {
 		case *engine.DateColumn:
 			cols[i] = engine.NewDateColumn(c.Name(), permuted(c.Int64s(), perm))
 		case *engine.FloatColumn:
-			cols[i] = engine.NewFloatColumn(c.Name(), permuted(c.Float64s(), perm))
+			vals := make([]float64, c.Len())
+			for r := range vals {
+				vals[r] = c.Float64(r)
+			}
+			cols[i] = engine.NewFloatColumn(c.Name(), permuted(vals, perm))
 		case *engine.BoolColumn:
 			cols[i] = engine.NewBoolColumn(c.Name(), permuted(c.Bools(), perm))
 		case *engine.StringColumn:
@@ -140,8 +144,9 @@ func floatScale(k int) monotoneMap {
 		name: fmt.Sprintf("x→x·2^%d", k),
 		column: func(c engine.Column) engine.Column {
 			vals := make([]float64, c.Len())
-			for r, v := range c.(engine.FloatValued).Float64s() {
-				vals[r] = v * s
+			fc := c.(engine.FloatValued)
+			for r := range vals {
+				vals[r] = fc.Float64(r) * s
 			}
 			return engine.NewFloatColumn(c.Name(), vals)
 		},

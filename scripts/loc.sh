@@ -1,7 +1,8 @@
 #!/bin/sh
 # loc.sh — count non-test Go lines (wc -l) per package directory, then
 # the internal/engine + internal/stats total that ROADMAP item gates
-# cite and the total outside bench/. Dot-directories (.git, the
+# cite, the total outside bench/, and the count of non-test functions
+# in internal/ named for Int or Float. Dot-directories (.git, the
 # benchmark's .bench_build) are skipped. Run from the repository root:
 # `make loc`.
 set -eu
@@ -22,3 +23,16 @@ END {
 	printf "%7d  internal/engine + internal/stats\n", core
 	printf "%7d  non-test Go outside bench/\n", outside
 }'
+
+# Non-test functions and methods in internal/ whose names contain Int
+# or Float (an unexported name may start int or float): the numeric
+# twins ROADMAP item 19 gates on halving.
+find ./internal -name '*.go' ! -name '*_test.go' -exec cat {} + | awk '
+/^func / {
+	s = $0
+	sub(/^func (\([^)]*\) )?/, "", s)
+	sub(/[\[(].*/, "", s)
+	if (s ~ /Int|Float|^int|^float/) n++
+	if (s ~ /Float|^float/) f++
+}
+END { printf "%7d  Int/Float-named non-test funcs in internal/ (%d Float)\n", n, f }'
