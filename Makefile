@@ -60,7 +60,8 @@ bench-scale:
 # The partition and gather kernels alone, ten runs each for benchstat:
 # a binary int cut with and without the cover promise, and an exact
 # int cut by gather and radix select and by narrow count, over parents
-# at four densities held as row ids and as words, on one scan worker.
+# at four densities held as row ids and as words, and by rank codes
+# (rank/: all rows, words at 1/2, row ids at 1/64), on one scan worker.
 bench-kernels:
 	$(GO) test ./internal/engine -run '^$$' -bench 'PartitionSource|GatherSource' -count=10
 

@@ -233,6 +233,10 @@ func TestE21DeltaAdviseGate(t *testing.T) {
 	const context = "(type_of_boat:, tonnage:, departure_harbour:)"
 	src := charles.GenerateVOC(nRows, 1)
 	tab := cloneTable(t, src)
+	// One earlier append: cut counts are retained only past version 0.
+	if err := tab.AppendRows(valueRow(src, 0)); err != nil {
+		t.Fatal(err)
+	}
 	cfg := charles.DefaultConfig()
 	warm := charles.NewAdvisor(tab, cfg)
 	_ = adviseRendered(t, warm, context) // prime

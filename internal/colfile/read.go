@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"sync"
 	"unsafe"
@@ -186,8 +187,9 @@ func (f *File) parse() error {
 		case engine.KindDate:
 			f.cols[i] = engine.NewDateColumn(cm.Name, viewInt64(raw))
 		case engine.KindFloat:
-			// Converted, not viewed: any f64 pattern is accepted (§5.1).
-			f.cols[i] = engine.NewFloatColumn(cm.Name, viewFloat64(raw))
+			// Copied and converted, not viewed: any f64 pattern is
+			// accepted (§5.1), and the mapping is read-only.
+			f.cols[i] = engine.NewFloatColumn(cm.Name, slices.Clone(viewFloat64(raw)))
 		case engine.KindString:
 			if cm.Dict == nil {
 				return fmt.Errorf("string column %q has no dictionary region (§6)", cm.Name)

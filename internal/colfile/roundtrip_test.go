@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -263,7 +264,7 @@ func TestRoundTripFloatCanonicalValues(t *testing.T) {
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "canon"+Extension)
-	if err := Write(path, engine.MustNewTable("canon", engine.NewFloatColumn("x", in)), WriteOptions{}); err != nil {
+	if err := Write(path, engine.MustNewTable("canon", engine.NewFloatColumn("x", slices.Clone(in))), WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

@@ -205,6 +205,10 @@ type ChunkSummary struct {
 	// Bool-column presence: which of the two values each chunk holds.
 	boolHasTrue, boolHasFalse []bool
 
+	// rank is a wide numeric column's rank codes (rank.go), nil unless
+	// the summary was scan-built on a warmed table.
+	rank *rankCodes
+
 	// stamp is the table epoch stamp the summary was built under; nil
 	// marks a backend-persisted summary, which describes the unmutated
 	// file contents (version 0). A summary is fresh while its stamp's
@@ -328,12 +332,27 @@ func summaryFresh(s *ChunkSummary, cur *EpochStamp) bool {
 // WarmSummaries eagerly builds every column's zone map under the
 // current layout — numeric min/max bounds and nominal presence sets
 // alike — so a server's first queries never pay the lazy build.
+// It also warms the table for cut points: every scan-built summary of
+// a wide numeric column then carries rank codes (rank.go), built here
+// and by every later full build, and kept up to date by refreshes.
 // It returns the number of summarized columns.
 func (t *Table) WarmSummaries() int {
+	t.warm.Store(true)
+	lay := t.layout.Load()
 	n := 0
-	for i := range t.cols {
-		if t.Summary(i) != nil {
-			n++
+	for i, col := range t.cols {
+		s := t.summaryIn(lay, i)
+		if s == nil {
+			continue
+		}
+		n++
+		// A summary built lazily before the table was warm has none.
+		if col, ok := col.(Numeric); ok && s.stamp != nil && s.rank == nil {
+			if rc := t.rankCodesFor(lay, s, col.Int64s(), col.Kind() == KindFloat, nil, nil); rc != nil {
+				ranked := *s
+				ranked.rank = rc
+				lay.summaries[i].CompareAndSwap(s, &ranked)
+			}
 		}
 	}
 	return n
@@ -429,9 +448,10 @@ func (t *Table) buildSummary(lay *tableLayout, col Column) *ChunkSummary {
 	return s
 }
 
-// buildNumSummary computes a numeric column's per-chunk bounds, and a
-// float column's NaN bits, into s: for every chunk, or with dirty set
-// for the dirty ones only, the others' copied from old.
+// buildNumSummary computes a numeric column's per-chunk bounds, a
+// float column's NaN bits and, on a warmed table, a wide column's rank
+// codes into s: for every chunk, or with dirty set for the dirty ones
+// only, the others' copied from old.
 func (t *Table) buildNumSummary(lay *tableLayout, s *ChunkSummary, col Numeric, nc int, old *ChunkSummary, dirty []bool) {
 	vals, nan := col.Int64s(), col.Kind() == KindFloat
 	s.intMin = make([]int64, nc)
@@ -452,6 +472,12 @@ func (t *Table) buildNumSummary(lay *tableLayout, s *ChunkSummary, col Numeric, 
 		}
 		return nil
 	})
+	switch {
+	case old == nil:
+		s.rank = t.rankCodesFor(lay, s, vals, nan, nil, nil)
+	case old.rank != nil: // a refresh keeps rank codes only where they were
+		s.rank = t.rankCodesFor(lay, s, vals, nan, old.rank, dirty)
+	}
 }
 
 // buildNominalSummary computes a string column's per-chunk presence

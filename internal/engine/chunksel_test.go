@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"charles/internal/stats"
@@ -202,7 +203,7 @@ func TestChunkedStatsMatchMonolithic(t *testing.T) {
 			speedVals[i] = math.NaN()
 		}
 	}
-	speed := NewFloatColumn("speed", speedVals)
+	speed := NewFloatColumn("speed", slices.Clone(speedVals))
 	for _, sel := range adversarialSelections(nRows, chunkRows, rng) {
 		cs := ChunkSelection(sel, nRows, chunkRows)
 		ints, floats := refSorted(ton.Int64s(), sel), refSorted(speedVals, sel)
@@ -402,7 +403,7 @@ func TestFloatRangeChunkedKeepsNaNInSkippedChunks(t *testing.T) {
 	for i := chunkRows; i < 2*chunkRows; i++ {
 		vals[i] = 20.0 // chunk 1: fully inside the range
 	}
-	tab := MustNewTable("nan", NewFloatColumn("v", vals))
+	tab := MustNewTable("nan", NewFloatColumn("v", slices.Clone(vals)))
 	tab.SetChunkRows(chunkRows)
 	col := tab.MustColumn("v").(*FloatColumn)
 	r := FloatRange{Lo: 10, Hi: 30, LoIncl: true, HiIncl: true}
@@ -417,7 +418,7 @@ func TestFloatRangeChunkedKeepsNaNInSkippedChunks(t *testing.T) {
 	for i := range allNaN {
 		allNaN[i] = math.NaN()
 	}
-	tab2 := MustNewTable("nan2", NewFloatColumn("v", allNaN))
+	tab2 := MustNewTable("nan2", NewFloatColumn("v", slices.Clone(allNaN)))
 	tab2.SetChunkRows(chunkRows)
 	col2 := tab2.MustColumn("v").(*FloatColumn)
 	want2 := naiveFilter(AllRows(chunkRows), func(row int32) bool { return r.Contains(allNaN[row]) })
@@ -451,7 +452,7 @@ func TestFloatCutPointCanonicalZero(t *testing.T) {
 func TestFloatMinMaxCanonicalZero(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	for _, vals := range [][]float64{{negZero, 0}, {0, negZero}, {negZero, negZero}} {
-		col := NewFloatColumn("v", vals)
+		col := NewFloatColumn("v", slices.Clone(vals))
 		lo, hi, _ := floatMinMax(col, AllRowsChunked(len(vals), 64))
 		for _, b := range []float64{lo, hi} {
 			if b != 0 || math.Signbit(b) {

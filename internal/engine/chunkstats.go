@@ -144,7 +144,8 @@ func statWorkers(src *ChunkedSelection) (workers int, release func()) {
 // retain any shard past release.
 func gatherIntKeys(col Numeric, src *ChunkedSelection) (chunks [][]uint64, lo, hi uint64, release func()) {
 	vals, nan := col.Int64s(), col.Kind() == KindFloat
-	return gatherKeyShards(src, func(ks []uint64, ct *container, base int) (int, uint64, uint64) {
+	return gatherKeyShards(src, func(ks []uint64, c int) (int, uint64, uint64) {
+		ct, base := &src.chunks[c], src.chunkRows*c
 		m, lo, hi := 0, uint64(math.MaxUint64), uint64(0)
 		for _, row := range ct.rows {
 			m, lo, hi = putIntKey(ks, m, vals[row], lo, hi)
@@ -191,12 +192,12 @@ func dropNaN(ks []uint64) (m int, lo uint64) {
 	return m, lo
 }
 
-// gatherKeyShards runs gather on every non-empty chunk of src, each
+// gatherKeyShards runs gather on every non-empty chunk c of src, each
 // into a pooled shard of the chunk's row count, keeping the keys it
 // reports writing; the per-shard bounds it reports are folded into lo
 // (the smallest) and hi (the largest). Empty chunks fold (MaxUint64,
 // 0). Callers must not retain any shard past release.
-func gatherKeyShards(src *ChunkedSelection, gather func(ks []uint64, ct *container, base int) (int, uint64, uint64)) (chunks [][]uint64, lo, hi uint64, release func()) {
+func gatherKeyShards(src *ChunkedSelection, gather func(ks []uint64, c int) (int, uint64, uint64)) (chunks [][]uint64, lo, hi uint64, release func()) {
 	nc := src.NumChunks()
 	chunks = make([][]uint64, nc)
 	ptrs := make([]*[]uint64, nc)
@@ -209,7 +210,7 @@ func gatherKeyShards(src *ChunkedSelection, gather func(ks []uint64, ct *contain
 			return
 		}
 		p := uint64Scratch.Get(ct.n)
-		m, klo, khi := gather(*p, ct, src.chunkRows*c)
+		m, klo, khi := gather(*p, c)
 		ptrs[c], chunks[c], los[c], his[c] = p, (*p)[:m], klo, khi
 	})
 	lo = math.MaxUint64
@@ -276,12 +277,16 @@ func IntCutPointsChunked(col Numeric, src *ChunkedSelection, arity int) []int64 
 // counted into that window straight from the column — no key is
 // gathered and nothing is selected — and the bounds and points are
 // read off the summed counts. Otherwise, or when a value falls outside
-// the window (a zone map that does not describe src's chunks), the
-// keys are gathered per chunk into pooled scratch, the bounds reduced
-// as they are written, and the points radix-selected from the keys.
-// With retain set, an extent whose exact span is narrow enough to
-// count comes back with its per-chunk counts over that span, for the
-// cut cache to splice, when they take no more cells than src has rows
+// the window (a zone map that does not describe src's chunks), keys
+// are gathered per chunk into pooled scratch, the bounds reduced as
+// they are written, and the points radix-selected from the keys: only
+// the keys of the rank codes holding the wanted ranks (and the
+// extremes', unless the zone map bounds the extent) when sum carries
+// rank codes (rankKeys, a warmed table's wide column) and those codes
+// hold at most rankShareMax of the extent, every key otherwise. With
+// retain set, an extent whose exact span is narrow enough to count
+// comes back with its per-chunk counts over that span, for the cut
+// cache to splice, when they take no more cells than src has rows
 // (countsFit); otherwise counts is nil.
 func IntCutChunked(col Numeric, src *ChunkedSelection, sum *ChunkSummary, arity int, retain bool) (cut NumCut, counts *IntCounts) {
 	if src.Len() == 0 {
@@ -292,7 +297,10 @@ func IntCutChunked(col Numeric, src *ChunkedSelection, sum *ChunkSummary, arity 
 			return cut, counts
 		}
 	}
-	keys, lo, hi, put := gatherIntKeys(col, src)
+	keys, lo, hi, ranks, put, ranked := rankKeys(col, src, sum, arity)
+	if !ranked {
+		keys, lo, hi, put = gatherIntKeys(col, src)
+	}
 	defer put()
 	if lo > hi {
 		// Only NaN: no number to bound or rank.
@@ -308,7 +316,12 @@ func IntCutChunked(col Numeric, src *ChunkedSelection, sum *ChunkSummary, arity 
 	workers, release := statWorkers(src)
 	defer release()
 	cut = NumCut{Min: stats.Int64FromKey(lo), Max: stats.Int64FromKey(hi)}
-	cut.Points = stats.EquiDepthPointsInt64Keys(keys, lo, hi, arity, workers)
+	switch {
+	case !ranked:
+		cut.Points = stats.EquiDepthPointsInt64Keys(keys, lo, hi, arity, workers)
+	case ranks != nil:
+		cut.Points = stats.PointsAtRanks(keys, lo, hi, ranks, workers)
+	}
 	return cut, nil
 }
 
@@ -316,8 +329,9 @@ func IntCutChunked(col Numeric, src *ChunkedSelection, sum *ChunkSummary, arity 
 // selects rows in as a count window [lo, lo+cells), and whether it is
 // narrow enough to count: never without a zone map, or with one of
 // another chunk count than src's. The bounds leave NaN out, so a NaN
-// row stops the count and the cut gathers, which drops it — unless
-// every chunk counted is all NaN, whose cut has no point either way.
+// row stops the count and the cut gathers, which drops it. Chunks all
+// NaN, whose bounds are NaN's, are not counted either: their cut, like
+// the gather's, has no number, and no counts to retain.
 func zoneWindow(sum *ChunkSummary, src *ChunkedSelection) (lo int64, cells int, ok bool) {
 	if sum == nil || len(sum.intMin) != src.NumChunks() {
 		return 0, 0, false
@@ -328,7 +342,7 @@ func zoneWindow(sum *ChunkSummary, src *ChunkedSelection) (lo int64, cells int, 
 			lo, hi = min(lo, sum.intMin[c]), max(hi, sum.intMax[c])
 		}
 	}
-	if lo > hi {
+	if lo > hi || sum.nan != nil && hi == nanOrdinal {
 		return 0, 0, false
 	}
 	cells, ok = stats.CountCells(stats.Int64Key(lo), stats.Int64Key(hi))

@@ -170,17 +170,32 @@ func TestGatherSourceMatchesRows(t *testing.T) {
 
 // BenchmarkGatherSource times an exact int median cut over the same
 // parents as BenchmarkPartitionSource: by key gather and radix select
-// over a wide column, and by narrow count (narrow/) over a column of
+// over a wide column, by narrow count (narrow/) over a column of
 // 1 150 values, tonnage-like, counted straight from the column into its
-// zone map's window.
+// zone map's window, and over the wide column's rank codes (rank/) on
+// a warmed table: all rows, taken whole from the stored counts; words
+// at density 1/2 and row ids at 1/64, whose codes are counted.
 func BenchmarkGatherSource(b *testing.B) {
 	defer SetScanWorkers(0)
 	SetScanWorkers(1)
 	tab, narrow := narrowColumn(1<<18, 1<<16, 50, 1150, rand.New(rand.NewSource(1)))
 	sum := tab.SummaryByName("v")
+	rankForms := map[int]string{1: "words", 2: "words", 64: "rows"}
 	for _, den := range sourceBenchDensities {
 		col, cs, bm := sourceBenchParent(den)
 		for _, src := range []*ChunkedSelection{cs, bm} {
+			if rankForms[den] == sourceForm(src) {
+				_, wide := warmedColumn(col, 1<<16)
+				name := fmt.Sprintf("rank/density=1/%d/%s", den, sourceForm(src))
+				if den == 1 {
+					name = "rank/all"
+				}
+				b.Run(name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						IntCutChunked(col, src, wide, 2, false)
+					}
+				})
+			}
 			b.Run(fmt.Sprintf("density=1/%d/%s", den, sourceForm(src)), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					IntCutChunked(col, src, nil, 2, false)
@@ -360,7 +375,7 @@ func TestNarrowFloatCutDropsNaN(t *testing.T) {
 				vals[i] = math.NaN()
 			}
 		}
-		tab := MustNewTable("f", NewFloatColumn("v", vals))
+		tab := MustNewTable("f", NewFloatColumn("v", slices.Clone(vals)))
 		tab.SetChunkRows(chunkRows)
 		col, src := tab.MustColumn("v").(FloatValued), tab.AllChunked()
 		nums := refSorted(vals, src.Flat())

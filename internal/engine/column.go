@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"charles/internal/stats"
 )
@@ -140,10 +141,13 @@ type FloatColumn struct {
 	ords []int64
 }
 
-// NewFloatColumn stores vals as a column of ordinals: a copy, 8 bytes
-// per row.
+// NewFloatColumn stores vals as a column of ordinals, converted in
+// place: the column takes vals over, as NewIntColumn and NewDateColumn
+// take theirs, so building it allocates nothing and a generator's
+// floats never live beside a copy. A caller that still needs the
+// floats passes a copy.
 func NewFloatColumn(name string, vals []float64) *FloatColumn {
-	ords := make([]int64, len(vals))
+	ords := unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals))
 	for i, v := range vals {
 		ords[i] = floatOrdinal(v)
 	}

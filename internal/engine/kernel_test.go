@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -232,7 +233,7 @@ func TestFloatRangeKernelEdges(t *testing.T) {
 			vals[i] = float64(rng.Intn(9)-4) / 2
 		}
 	}
-	tab := MustNewTable("floats", NewFloatColumn("v", vals))
+	tab := MustNewTable("floats", NewFloatColumn("v", slices.Clone(vals)))
 	tab.SetChunkRows(chunkRows)
 	col, sum := tab.MustColumn("v").(FloatValued), tab.SummaryByName("v")
 	for _, cs := range kernelSelections(nRows, chunkRows, rng) {
@@ -324,7 +325,9 @@ func TestCodeSetKernelDictionaries(t *testing.T) {
 // raw supplies one 64-bit word per row, read as an int, as a float
 // (so NaN payloads, ±0, subnormals and infinities all occur) and,
 // reduced, as a dictionary code; seed picks the parent selection;
-// the bounds and inclusivity bits build every predicate.
+// the bounds and inclusivity bits build every predicate. Its rank
+// mode then warms the table and holds the int and float cuts over the
+// rank codes to the key gather.
 func FuzzFilterKernels(f *testing.F) {
 	word := func(ws ...uint64) []byte {
 		var b []byte
@@ -366,7 +369,7 @@ func FuzzFilterKernels(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab := MustNewTable("fuzz", NewIntColumn("i", ints), NewFloatColumn("f", floats), strCol, NewBoolColumn("b", bools))
+		tab := MustNewTable("fuzz", NewIntColumn("i", ints), NewFloatColumn("f", slices.Clone(floats)), strCol, NewBoolColumn("b", bools))
 		tab.SetChunkRows(chunkRows)
 		rng := rand.New(rand.NewSource(int64(seed)))
 		p := rng.Float64()
@@ -396,6 +399,27 @@ func FuzzFilterKernels(f *testing.F) {
 		slo, shi := dict[uint64(hi)%uint64(dictLen)], fmt.Sprintf("s%02d", uint64(lo)%80)
 		checkStringRange(t, scol, ssum, cs, slo, shi, incl&16 != 0, incl&32 != 0)
 		checkBoolSet(t, bcol, bsum, cs, []bool{incl&64 != 0, incl&128 == 0})
+
+		// Rank mode: warmed, a wide int or float column's cut reads its
+		// rank codes — with the fallback share off, for every extent —
+		// and must equal the gather over no summary, in every chunk form.
+		tab.WarmSummaries()
+		defer func(m float64) { rankShareMax = m }(rankShareMax)
+		rankShareMax = 1
+		arity := 2 + int(incl>>4)%4
+		for _, name := range []string{"i", "f"} {
+			col, sum := tab.MustColumn(name).(Numeric), tab.SummaryByName(name)
+			for form, src := range formsOf(cs, rng) {
+				for _, retain := range []bool{false, true} {
+					cut, counts := IntCutChunked(col, src, sum, arity, retain)
+					want, wantCounts := IntCutChunked(col, src, nil, arity, retain)
+					if !reflect.DeepEqual(cut, want) || !reflect.DeepEqual(counts, wantCounts) {
+						t.Fatalf("column %s (rank codes %v), %s, arity %d, retain %v: cut %+v, gathered %+v",
+							name, sum.rank != nil, form, arity, retain, cut, want)
+					}
+				}
+			}
+		}
 	})
 }
 
@@ -927,7 +951,7 @@ func FuzzPartitionKernels(f *testing.F) {
 				})
 		case 2:
 			fvals := floats()
-			fc := NewFloatColumn("v", fvals)
+			fc := NewFloatColumn("v", slices.Clone(fvals))
 			col = fc
 			pieces = rangePieces(fvals, partFloatEdges, rng, arity,
 				func(lo, hi float64, loIncl, hiIncl bool) partPiece {
@@ -940,7 +964,7 @@ func FuzzPartitionKernels(f *testing.F) {
 			pieces = setPieces(sets, func(set []int64) partPiece { return intSetPiece(ic, set) })
 		case 4:
 			fvals := floats()
-			fc := NewFloatColumn("v", fvals)
+			fc := NewFloatColumn("v", slices.Clone(fvals))
 			col = fc
 			sets := valueSets(fvals, partFloatEdges, rng, arity)
 			pieces = setPieces(sets, func(set []float64) partPiece { return floatSetPiece(fc, set) })

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -125,7 +126,7 @@ func TestFloatMinMaxIgnoresNaNAcrossChunkings(t *testing.T) {
 	for _, i := range []int{0, parallelScanMinRows / 2, parallelScanMinRows, n / 3, n - 1} {
 		vals[i] = math.NaN()
 	}
-	col := NewFloatColumn("f", vals)
+	col := NewFloatColumn("f", slices.Clone(vals))
 	finite := refSorted(vals, AllRows(n))
 	for _, chunkRows := range []int{64, 1 << 12, 1 << 14, DefaultChunkRows} {
 		cs := AllRowsChunked(n, chunkRows)

@@ -43,6 +43,10 @@ type Table struct {
 	// fingerprint string for the current version.
 	stamp atomic.Pointer[EpochStamp]
 	fp    atomic.Pointer[string]
+
+	// warm is set by WarmSummaries: scan-built summaries of wide
+	// numeric columns then carry rank codes.
+	warm atomic.Bool
 }
 
 // NewTable builds a table from in-memory columns, validating that

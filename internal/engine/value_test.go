@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 )
@@ -165,7 +166,7 @@ func TestFloatColumnCanonicalValues(t *testing.T) {
 		}
 		return math.Float64bits(v)
 	}
-	col := NewFloatColumn("v", in[:len(in)-1])
+	col := NewFloatColumn("v", slices.Clone(in[:len(in)-1]))
 	col.appendValue(Float(in[len(in)-1]))
 	for r, v := range in {
 		for _, got := range []float64{col.Float64(r), col.Value(r).AsFloat()} {

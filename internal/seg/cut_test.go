@@ -108,7 +108,7 @@ func TestCutQueryFloatSignedZeroBound(t *testing.T) {
 		{2, 1, 0, negZero},
 		{1, negZero, 2, 0},
 	} {
-		tab := engine.MustNewTable("t", engine.NewFloatColumn("v", vals))
+		tab := engine.MustNewTable("t", engine.NewFloatColumn("v", slices.Clone(vals)))
 		children, err := CutQuery(evalFor(t, tab), sdl.ContextAll(tab), "v", DefaultCutOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -455,7 +455,7 @@ func TestCutQuerySampledPointsMatchReference(t *testing.T) {
 		}
 	}
 	tab := engine.MustNewTable("t", engine.NewIntColumn("i", ints), engine.NewDateColumn("d", dates),
-		engine.NewFloatColumn("f", floats), engine.NewBoolColumn("k", keep))
+		engine.NewFloatColumn("f", slices.Clone(floats)), engine.NewBoolColumn("k", keep))
 	tab.SetChunkRows(chunkRows)
 	var ext []int32
 	for i, k := range keep {

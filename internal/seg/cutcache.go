@@ -24,18 +24,20 @@
 // children and no child counts.
 //
 // Count vectors are retained only where a refresh can happen: on a
-// table that accepts mutation (engine.Table.Mutable), for extents of
-// at least cutStateMinRows rows — and, for a numeric column, only
-// when its span is narrow enough to count (at most the select's
-// 2 048 buckets) and the vectors take no more cells than the extent
-// has rows. A read-only .chc table's stamp never moves, so its
-// entries keep children and child counts alone. A refresh whose dirty
-// chunk holds a value outside the entry's window, or a NaN, recomputes
-// in full. Sampled cut points, wide numeric spans (every float column
-// but a near-constant one), bool columns and the numeric-nominal
-// fallback are served on version equality but always recompute when
-// stale: their points are radix-selected and nothing is left to
-// splice.
+// table that accepts mutation (engine.Table.Mutable) and has taken one
+// already (its stamp past version 0: a fresh advisor over a table
+// never appended to builds none), for extents of at least
+// cutStateMinRows rows — and, for a numeric column, only when its span
+// is narrow enough to count (at most the select's 2 048 buckets) and
+// the vectors take no more cells than the extent has rows. A read-only
+// .chc table's stamp never moves, so its entries keep children and
+// child counts alone. A refresh whose dirty chunk holds a value outside
+// the entry's window, or a NaN, recomputes in full. Sampled cut
+// points, wide numeric spans (every float column but a near-constant
+// one), bool columns and the numeric-nominal fallback are served on
+// version equality but always recompute when stale: their points are
+// selected from gathered keys (a warmed table's wide column gathers
+// only its rank codes' candidates) and nothing is left to splice.
 package seg
 
 import (
@@ -137,7 +139,7 @@ func (e *Evaluator) cutPieces(attr string, col engine.Column, src *engine.Chunke
 			return pieces, state, nil
 		}
 	}
-	retain := cur != nil && e.tab.Mutable() && src.Len() >= cutStateMinRows
+	retain := cur != nil && cur.Version() > 0 && e.tab.Mutable() && src.Len() >= cutStateMinRows
 	pieces, state, err := e.computeCut(attr, col, src, pointSel, opt, retain)
 	if err != nil {
 		return nil, state, err

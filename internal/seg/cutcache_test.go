@@ -12,12 +12,21 @@ import (
 
 // cutCacheTable is large enough (≥ cutStateMinRows) that cut entries
 // retain refreshable state, chunked small enough that mutations dirty
-// a strict subset of chunks. Its int columns sit on every side of the
-// retention rule: v spans 999 (countable, and 8 chunks × 1 000 cells
-// fit its 8 192 rows), w spans 1 500 (countable, but 8 × 1 501 cells
-// would outnumber the rows), and the date column d spans ~70 000 days
-// (too wide to count).
+// a strict subset of chunks, and already past version 0 (one row
+// rewritten with its own values), where retention starts. Its int
+// columns sit on every side of the retention rule: v spans 999
+// (countable, and 8 chunks × 1 000 cells fit its 8 192 rows), w spans
+// 1 500 (countable, but 8 × 1 501 cells would outnumber the rows), and
+// the date column d spans ~70 000 days (too wide to count).
 func cutCacheTable(t *testing.T) *engine.Table {
+	t.Helper()
+	tab := freshCutCacheTable(t)
+	updateCutRows(t, tab, "v", 0, []engine.Value{tab.MustColumn("v").Value(0)})
+	return tab
+}
+
+// freshCutCacheTable is cutCacheTable at version 0, never mutated.
+func freshCutCacheTable(t *testing.T) *engine.Table {
 	t.Helper()
 	const rows = 2 * cutStateMinRows
 	ints := make([]int64, rows)
@@ -276,6 +285,45 @@ func TestCutCacheRetainsStateOnlyWhenMutable(t *testing.T) {
 				checkIntCounts(t, ic, tc.tab.NumRows())
 			}
 		}
+	}
+}
+
+// TestCutCountsRetainedPastVersionZero pins where count vectors are
+// retained on a mutable table: not while it stands at version 0 — a
+// table never mutated, such as a fresh advisor's over generated data,
+// has nothing to splice — and from its first mutation on, after which
+// a further mutation refreshes the cuts from them.
+func TestCutCountsRetainedPastVersionZero(t *testing.T) {
+	tab := freshCutCacheTable(t)
+	ev := NewEvaluator(tab)
+	ctx := sdl.ContextAll(tab)
+	kept := func(attr string) bool {
+		ent, ok := ev.cachedCutEntry(cutKey(ctx, attr, DefaultCutOptions().normalize()))
+		if !ok {
+			t.Fatalf("no cut entry for %s", attr)
+		}
+		return ent.intCounts != nil || ent.strCounts != nil
+	}
+	for _, attr := range []string{"v", "s"} {
+		childKeys(t, ev, ctx, attr)
+		if kept(attr) {
+			t.Fatalf("version 0: the cut on %s retained count vectors", attr)
+		}
+	}
+	// Updates, not appends: a ninth chunk would outgrow v's vectors.
+	updateCutRows(t, tab, "v", 5, []engine.Value{engine.Int(5)})
+	for _, attr := range []string{"v", "s"} {
+		childKeys(t, ev, ctx, attr)
+		if !kept(attr) {
+			t.Fatalf("version %d: the cut on %s retained no count vectors", tab.Version(), attr)
+		}
+	}
+	updateCutRows(t, tab, "v", 2048, []engine.Value{engine.Int(999), engine.Int(998)})
+	updateCutRows(t, tab, "s", 2048, []engine.Value{engine.String_("pinas")})
+	before := ev.Counters().CutRefreshes
+	matchCold(t, ev, tab, "v", "s")
+	if got := ev.Counters().CutRefreshes - before; got != 2 {
+		t.Fatalf("after a second mutation: %d cut refreshes, want 2", got)
 	}
 }
 

@@ -527,13 +527,18 @@ func TestSparsePackedPairSide(t *testing.T) {
 }
 
 // TestStalePackedParentCutRefresh computes a string cut of a words
-// child on a memory table — its per-chunk counts retained — then
+// child on a memory table past version 0 — its per-chunk counts
+// retained — then
 // appends rows and cuts it again. The child is refreshed, still holding
 // words, and its cut points are refreshed by recounting the dirty
 // chunks of its words (CutRefreshes +1) without building a row; the
 // pieces equal a caching-off evaluator's.
 func TestStalePackedParentCutRefresh(t *testing.T) {
 	tab, ctx := packedVOC(t)
+	// Past version 0, where a cut starts retaining its counts.
+	if err := tab.AppendRows(valueRow(tab, 0)); err != nil {
+		t.Fatal(err)
+	}
 	ev := NewEvaluator(tab)
 	q := bornPacked(t, ev, ctx, "tonnage")[0]
 	opt := DefaultCutOptions()

@@ -227,7 +227,25 @@ func equiDepthKeys[T int64 | float64](chunks [][]uint64, lo, hi uint64, arity, w
 	if arity < 2 || n == 0 {
 		return nil
 	}
-	ranks := equiDepthRanks(n, arity)
+	return pointsAtRanks(chunks, n, lo, hi, EquiDepthRanks(n, arity), workers, decode)
+}
+
+// PointsAtRanks is EquiDepthPointsInt64Keys at ranks the caller
+// chose: the keys at the ascending 0-based ranks of chunks (keys whose
+// smallest is lo and largest hi) are radix-selected, which overwrites
+// the chunks, and come back as points, strictly increasing and none at
+// or below lo. The engine's rank-coded cuts use it with the ranks the
+// quantiles have among the candidate keys they gathered, lo being the
+// whole extent's minimum.
+func PointsAtRanks(chunks [][]uint64, lo, hi uint64, ranks []int, workers int) []int64 {
+	n := 0
+	for _, ch := range chunks {
+		n += len(ch)
+	}
+	return pointsAtRanks(chunks, n, lo, hi, ranks, workers, Int64FromKey)
+}
+
+func pointsAtRanks[T int64 | float64](chunks [][]uint64, n int, lo, hi uint64, ranks []int, workers int, decode func(uint64) T) []T {
 	keys := make([]uint64, len(ranks))
 	selectKeys(chunks, n, lo, hi, ranks, keys, par.Workers(workers))
 	return pointsAbove(keys, lo, decode)
@@ -276,7 +294,7 @@ func EquiDepthPointsCounts[C int | uint64](counts []C, lo int64, arity int) []in
 	if arity < 2 || n == 0 {
 		return nil
 	}
-	ranks := equiDepthRanks(n, arity)
+	ranks := EquiDepthRanks(n, arity)
 	keys := make([]uint64, len(ranks))
 	base := Int64Key(lo)
 	countRanks(counts, base, ranks, keys)
@@ -297,9 +315,10 @@ func countRanks[C int | uint64](counts []C, lo uint64, ranks []int, out []uint64
 	}
 }
 
-// equiDepthRanks returns the ascending 0-based ranks of the arity−1
-// equi-depth quantiles of n values.
-func equiDepthRanks(n, arity int) []int {
+// EquiDepthRanks returns the ascending 0-based ranks of the arity−1
+// equi-depth quantiles of n > 0 values: at arity 2, the rank n/2 of
+// the upper median, Definition 5's cut point.
+func EquiDepthRanks(n, arity int) []int {
 	ranks := make([]int, arity-1)
 	for i := range ranks {
 		ranks[i] = quantileIndex(n, float64(i+1)/float64(arity))

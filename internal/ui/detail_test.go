@@ -2,6 +2,7 @@ package ui
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,7 +79,7 @@ func TestRenderSegmentDetailNonFinite(t *testing.T) {
 		{[]float64{nan, 5, inf, 5, -inf}, "(constant: 5)"},
 		{[]float64{nan, -inf, inf}, "(constant: NaN)"},
 	} {
-		tab := engine.MustNewTable("t", engine.NewFloatColumn("v", tc.vals))
+		tab := engine.MustNewTable("t", engine.NewFloatColumn("v", slices.Clone(tc.vals)))
 		out, err := RenderSegmentDetail(seg.NewEvaluator(tab), sdl.ContextAll(tab), []string{"v"})
 		if err != nil {
 			t.Fatal(err)
