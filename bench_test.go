@@ -107,7 +107,7 @@ func BenchmarkE2Primitives(b *testing.B) {
 		ev, a, d := prep(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := seg.Product(ev, a, d); err != nil {
+			if _, err := seg.ProductOpt(ev, a, d, seg.PairOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -116,7 +116,7 @@ func BenchmarkE2Primitives(b *testing.B) {
 		ev, a, d := prep(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := seg.Indep(ev, a, d); err != nil {
+			if _, err := seg.IndepOpt(ev, a, d, seg.PairOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -178,7 +178,7 @@ func BenchmarkE5Independence(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := seg.Indep(ev, sx, sy); err != nil {
+				if _, err := seg.IndepOpt(ev, sx, sy, seg.PairOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

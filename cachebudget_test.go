@@ -26,9 +26,10 @@ func TestBudgetedAdviseByteIdentical(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.src.SetChunkRows(1 << 11)
+			if err := tc.src.SetChunkRows(1 << 11); err != nil {
+				t.Fatal(err)
+			}
 			cfg := charles.DefaultConfig()
-			cfg.ChunkRows = 1 << 11
 			bounded := charles.NewAdvisor(cloneTable(t, tc.src), cfg)
 			unbounded := charles.NewAdvisor(cloneTable(t, tc.src), cfg)
 			bounded.Evaluator().SetCacheBudget(budget)

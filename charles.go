@@ -89,7 +89,8 @@ const (
 // DefaultChunkRows is the automatic row-range chunk width of the
 // storage layer: tables, selections and bitmaps shard into 64K-row
 // chunks that scan in parallel and skip via per-chunk min/max
-// summaries. Config.ChunkRows overrides it per advisor.
+// summaries. Table.SetChunkRows picks another width while a table is
+// built.
 const DefaultChunkRows = engine.DefaultChunkRows
 
 // Value constructors for AppendRows/UpdateRows, one per column
@@ -227,14 +228,10 @@ type Advisor struct {
 	cfg Config
 }
 
-// NewAdvisor builds an advisory session over t. A positive
-// cfg.ChunkRows re-shards the table's row-range chunk layout before
-// the session starts; the layout is physical design shared by every
-// advisor over the same table, so set it once, before serving.
+// NewAdvisor builds an advisory session over t. The table's chunk
+// width is physical design fixed while it is built (Table.SetChunkRows),
+// never by an advisor.
 func NewAdvisor(t *Table, cfg Config) *Advisor {
-	if cfg.ChunkRows > 0 {
-		t.SetChunkRows(cfg.ChunkRows)
-	}
 	return &Advisor{tab: t, ev: seg.NewEvaluator(t), cfg: cfg}
 }
 

@@ -567,14 +567,13 @@ func TestFailedAdviseNeverCached(t *testing.T) {
 }
 
 // TestConfigFingerprintKnobs pins the satellite's fingerprint
-// semantics: output-equivalent knobs (Workers, ChunkRows)
-// share a fingerprint; output-changing knobs do not.
+// semantics: an output-equivalent knob (Workers) shares a
+// fingerprint; output-changing knobs do not.
 func TestConfigFingerprintKnobs(t *testing.T) {
 	base := charles.DefaultConfig()
 	fp := configFingerprint(base)
 	same := base
 	same.Workers = 8
-	same.ChunkRows = 512
 	if configFingerprint(same) != fp {
 		t.Fatal("equivalence knobs fragmented the fingerprint")
 	}

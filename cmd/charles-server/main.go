@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"charles"
-	"charles/internal/engine"
 	"charles/internal/fault"
 	"charles/internal/jobs"
 	"charles/internal/obs"
@@ -167,9 +166,10 @@ func (rc *resultCache) stats() (size, hits, misses int) {
 }
 
 // configFingerprint canonicalizes the knobs that shape advise
-// output. Workers and ChunkRows are deliberately absent:
-// ranked output is identical across them by design (and by test), so
-// including them would only fragment the cache. Score does change
+// output. Workers is deliberately absent: ranked output is identical
+// across worker counts by design (and by test), so including it would
+// only fragment the cache. The chunk width is the table's, fixed
+// before the server starts, and likewise never changes ranked output. Score does change
 // ranked output but is a function value with no canonical form;
 // newServer disables result caching entirely when one is set, so it
 // never needs to appear here.
@@ -341,6 +341,44 @@ func (sv *server) advise(ctx charles.Query) (*charles.Result, error) {
 	return res, err
 }
 
+// tableSource names the served table and the chunk width it is built
+// with: a .chc file, a CSV file, or a built-in dataset, in that order.
+type tableSource struct {
+	path, csv, dataset string
+	rows               int
+	seed               int64
+	chunkRows          int
+}
+
+// loadTable opens or generates the table src names and, with
+// src.chunkRows set, fixes its chunk width before anything reads it.
+// A .chc file's persisted zone maps serve only at its native width; at
+// another they rebuild by scanning the mapping.
+func loadTable(src tableSource) (*charles.Table, error) {
+	var tab *charles.Table
+	var err error
+	switch {
+	case src.path != "":
+		// A columnar file opens by mmap: cold start is O(metadata),
+		// rows fault in from the page cache only when scanned.
+		tab, err = charles.OpenColumnFile(src.path)
+	case src.csv != "":
+		tab, err = charles.LoadCSV(src.csv)
+	default:
+		tab, err = charles.GenerateDataset(src.dataset, src.rows, src.seed)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if src.chunkRows > 0 {
+		if err := tab.SetChunkRows(src.chunkRows); err != nil {
+			tab.Close()
+			return nil, err
+		}
+	}
+	return tab, nil
+}
+
 func main() {
 	var (
 		tablePath  = flag.String("table", "", "open this .chc columnar file via mmap (see docs/FORMAT.md)")
@@ -351,7 +389,7 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		initCtx    = flag.String("context", "", "initial SDL context (empty = all columns)")
 		workers    = flag.Int("workers", 0, "advisor worker goroutines per advise (0 = all CPUs)")
-		chunkRows  = flag.Int("chunk-rows", 0, "row-range chunk width of the storage layer (0 = auto, 64K)")
+		chunkRows  = flag.Int("chunk-rows", 0, "row-range chunk width the table is built with, rounded up to a power of two (0 = auto: 64K, or a .chc file's native width)")
 		queueDepth = flag.Int("queue-depth", 64, "async advise jobs the queue holds before rejecting (503)")
 		jobWorkers = flag.Int("job-workers", 2, "advises executing concurrently (independent of -workers, the per-advise fan-out)")
 		jobTTL     = flag.Duration("job-ttl", 5*time.Minute, "how long finished jobs stay pollable")
@@ -373,19 +411,11 @@ func main() {
 		log.Printf("charles-server: CHAOS: failpoints armed: %s — this process is deliberately unreliable", strings.Join(armed, ", "))
 	}
 
-	var tab *charles.Table
-	var err error
 	loadStart := time.Now()
-	switch {
-	case *tablePath != "":
-		// A columnar file opens by mmap: cold start is O(metadata),
-		// rows fault in from the page cache only when scanned.
-		tab, err = charles.OpenColumnFile(*tablePath)
-	case *csvPath != "":
-		tab, err = charles.LoadCSV(*csvPath)
-	default:
-		tab, err = charles.GenerateDataset(*dsName, *rows, *seed)
-	}
+	tab, err := loadTable(tableSource{
+		path: *tablePath, csv: *csvPath, dataset: *dsName,
+		rows: *rows, seed: *seed, chunkRows: *chunkRows,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "charles-server:", err)
 		os.Exit(1)
@@ -393,21 +423,12 @@ func main() {
 	loadDur := time.Since(loadStart)
 	cfg := charles.DefaultConfig()
 	cfg.Workers = *workers
-	cfg.ChunkRows = *chunkRows
-	if *tablePath != "" && *chunkRows > 0 && engine.NormalizeChunkRows(*chunkRows) != tab.ChunkRows() {
-		// Informational: re-sharding a file-backed table away from
-		// its native width discards the persisted zone maps; they
-		// rebuild lazily by scanning the mapping.
-		log.Printf("charles-server: -chunk-rows overrides the file's native width %d; persisted zone maps will be rebuilt",
-			tab.ChunkRows())
-	}
 	adv := charles.NewAdvisor(tab, cfg)
-	// Warm the zone maps after the advisor fixes the chunk layout.
-	// Memory-backed tables build them by scanning (lazily per column
-	// otherwise, inside a user-visible request); a file-backed table
-	// at its native width just installs the summaries persisted at
-	// ingest, so the warm-up stays within the millisecond cold-start
-	// budget.
+	// Warm the zone maps, which seals the chunk width. Memory-backed
+	// tables build them by scanning (lazily per column otherwise,
+	// inside a user-visible request); a file-backed table at its
+	// native width just installs the summaries persisted at ingest,
+	// so the warm-up stays within the millisecond cold-start budget.
 	warmStart := time.Now()
 	warmed := tab.WarmSummaries()
 	log.Printf("charles-server: loaded %q (%d rows) in %v; warmed %d zone maps (%d chunks/col) in %v",

@@ -355,3 +355,80 @@ func TestResultCacheLRUBounded(t *testing.T) {
 		t.Fatal("new entry c missing")
 	}
 }
+
+// TestChunkRowsFlagSetsWidth is `charles-server -dataset voc
+// -chunk-rows 4096`: the table is built at width 4096 before the
+// advisor exists, the server advises at that width with the same
+// ranked output as the automatic width, and warming the zone maps
+// seals the width. A .chc file served at another than its native width
+// answers the same.
+func TestChunkRowsFlagSetsWidth(t *testing.T) {
+	const rows, sdlCtx = 20000, "(type_of_boat:, tonnage:, departure_harbour:)"
+	ref, err := loadTable(tableSource{dataset: "voc", rows: rows, seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderAdvise(t, charles.NewAdvisor(ref, charles.DefaultConfig()), sdlCtx)
+
+	tab, err := loadTable(tableSource{dataset: "voc", rows: rows, seed: 1, chunkRows: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv := charles.NewAdvisor(tab, charles.DefaultConfig())
+	tab.WarmSummaries()
+	if tab.ChunkRows() != 4096 || tab.NumChunks() != 5 {
+		t.Fatalf("table at width %d in %d chunks, want 4096 in 5", tab.ChunkRows(), tab.NumChunks())
+	}
+	ctx, err := adv.ParseContext(sdlCtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := adv.Evaluator().SelectChunked(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sel.ChunkRows() != 4096 {
+		t.Fatalf("the advisor's selections are at width %d, want 4096", sel.ChunkRows())
+	}
+	if got := renderAdvise(t, adv, sdlCtx); got != want {
+		t.Fatalf("advise at width 4096 diverged from the automatic width:\n%s\nwant:\n%s", got, want)
+	}
+	sv := newServer(adv, ctx, jobs.Options{})
+	t.Cleanup(func() {
+		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		sv.jobs.Shutdown(sctx)
+	})
+	if res, body := newClient(t, sv).get("/"); res.StatusCode != http.StatusOK || !strings.Contains(body, "Proposed segmentations") {
+		t.Fatalf("GET / at width 4096: status %d", res.StatusCode)
+	}
+	if err := tab.SetChunkRows(8192); err == nil || tab.ChunkRows() != 4096 {
+		t.Fatalf("a served table took a new width (err %v, width %d)", err, tab.ChunkRows())
+	}
+
+	path := t.TempDir() + "/voc.chc"
+	if err := charles.SaveColumnFile(path, ref, charles.ColumnFileOptions{ChunkRows: 1024}); err != nil {
+		t.Fatal(err)
+	}
+	chc, err := loadTable(tableSource{path: path, chunkRows: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer chc.Close()
+	if chc.ChunkRows() != 4096 {
+		t.Fatalf(".chc table at width %d, want 4096 over its native 1024", chc.ChunkRows())
+	}
+	if got := renderAdvise(t, charles.NewAdvisor(chc, charles.DefaultConfig()), sdlCtx); got != want {
+		t.Fatalf(".chc advise at width 4096 diverged from memory:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// renderAdvise renders adv's full ranked answer list for sdlCtx.
+func renderAdvise(t *testing.T, adv *charles.Advisor, sdlCtx string) string {
+	t.Helper()
+	res, err := adv.AdviseString(sdlCtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return charles.RenderRanked(res, 0)
+}

@@ -24,9 +24,13 @@ func adviseChc(t *testing.T, path, context string, workers, chunkRows int) strin
 		t.Fatalf("open %s: %v", path, err)
 	}
 	defer tab.Close()
+	if chunkRows > 0 {
+		if err := tab.SetChunkRows(chunkRows); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cfg := charles.DefaultConfig()
 	cfg.Workers = workers
-	cfg.ChunkRows = chunkRows
 	adv := charles.NewAdvisor(tab, cfg)
 	res, err := adv.AdviseString(context)
 	if err != nil {
@@ -93,8 +97,9 @@ func TestColumnFileAdviseByteIdentical(t *testing.T) {
 // produces byte-identical advise output to the in-memory backend
 // across Workers × ChunkRows. chunkRows=0 advises at the file's
 // native width, where the persisted summaries (FORMAT.md §7) are
-// served; 8192 forces a re-shard, where zone maps rebuild by
-// scanning the mapping — both must be invisible in the output.
+// served; 8192 builds the opened table at another width, where zone
+// maps rebuild by scanning the mapping — both must be invisible in the
+// output.
 func TestColumnFileAdvise1M(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-row acceptance matrix; run without -short")

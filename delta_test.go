@@ -56,7 +56,9 @@ func cloneTable(tb testing.TB, t *engine.Table) *engine.Table {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	out.SetChunkRows(t.ChunkRows())
+	if err := out.SetChunkRows(t.ChunkRows()); err != nil {
+		tb.Fatal(err)
+	}
 	return out
 }
 
@@ -86,13 +88,13 @@ func adviseRendered(tb testing.TB, adv *charles.Advisor, context string) string 
 // over a from-scratch rebuild of the same data.
 func TestDeltaAdviseByteIdentical(t *testing.T) {
 	src := charles.GenerateVOC(20000, 7)
-	src.SetChunkRows(1 << 10)
+	if err := src.SetChunkRows(1 << 10); err != nil {
+		t.Fatal(err)
+	}
 	const context = "(type_of_boat:, tonnage:, departure_harbour:)"
 
 	tab := cloneTable(t, src)
-	cfg := charles.DefaultConfig()
-	cfg.ChunkRows = 1 << 10
-	warm := charles.NewAdvisor(tab, cfg)
+	warm := charles.NewAdvisor(tab, charles.DefaultConfig())
 	_ = adviseRendered(t, warm, context) // prime every cache
 
 	// Append 1%: rows sampled from the source so value distributions
@@ -121,7 +123,7 @@ func TestDeltaAdviseByteIdentical(t *testing.T) {
 	}
 
 	got := adviseRendered(t, warm, context)
-	cold := charles.NewAdvisor(cloneTable(t, tab), cfg)
+	cold := charles.NewAdvisor(cloneTable(t, tab), charles.DefaultConfig())
 	want := adviseRendered(t, cold, context)
 	if got != want {
 		t.Fatalf("warm advise diverged from cold rebuild after mutation:\n--- warm ---\n%s\n--- cold ---\n%s", got, want)
@@ -147,10 +149,11 @@ func TestDeltaAdviseProperty(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(workers)*1000 + int64(chunkRows)))
 				src := charles.GenerateVOC(8000, 3)
 				tab := cloneTable(t, src)
-				tab.SetChunkRows(chunkRows)
+				if err := tab.SetChunkRows(chunkRows); err != nil {
+					t.Fatal(err)
+				}
 				cfg := charles.DefaultConfig()
 				cfg.Workers = workers
-				cfg.ChunkRows = chunkRows
 				warm := charles.NewAdvisor(tab, cfg)
 				_ = adviseRendered(t, warm, context)
 				for step := 0; step < 6; step++ {

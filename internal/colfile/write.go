@@ -53,16 +53,18 @@ func Write(path string, t *engine.Table, opts WriteOptions) error {
 			return err
 		}
 	}
-	// A shadow table over the (possibly reordered) columns owns the
-	// chunk layout and summary build for the write, leaving the
-	// caller's table layout untouched. Its zone maps are built as each
+	// A shadow table over the (possibly reordered) columns is built at
+	// the file's chunk width and owns the summary build for the write,
+	// leaving the caller's table, whose width may be sealed, untouched. Its zone maps are built as each
 	// column is written; it is never warmed, so no rank codes are
 	// built for a file that does not persist them.
 	shadow, err := engine.NewTable(t.Name(), cols...)
 	if err != nil {
 		return fmt.Errorf("colfile: assembling table for write: %w", err)
 	}
-	shadow.SetChunkRows(chunkRows)
+	if err := shadow.SetChunkRows(chunkRows); err != nil {
+		return fmt.Errorf("colfile: assembling table for write: %w", err)
+	}
 
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)

@@ -65,15 +65,6 @@ type Config struct {
 	// available CPU (runtime.GOMAXPROCS). The ranked output is
 	// identical for every worker count.
 	Workers int
-	// ChunkRows fixes the storage layer's row-range chunk width —
-	// the shard the table, its selections and its bitmaps split into
-	// for parallel scanning and zone-map skipping. 0 (the default)
-	// means the automatic width (engine.DefaultChunkRows, 64K rows);
-	// other values are rounded up to a power of two. Like Workers it
-	// never changes ranked output — the k-th smallest of a multiset
-	// does not depend on how the multiset is sharded — only where the
-	// wall-clock and memory go.
-	ChunkRows int
 }
 
 // DefaultConfig returns the paper's configuration: maxIndep 0.99,

@@ -87,11 +87,11 @@ func TestVOCPlantedDependencies(t *testing.T) {
 	}
 	typeSeg, tonSeg := cut("type_of_boat"), cut("tonnage")
 	builtSeg, masterSeg := cut("built"), cut("master")
-	strong, err := seg.Indep(ev, typeSeg, tonSeg)
+	strong, err := seg.IndepOpt(ev, typeSeg, tonSeg, seg.PairOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	weak, err := seg.Indep(ev, builtSeg, masterSeg)
+	weak, err := seg.IndepOpt(ev, builtSeg, masterSeg, seg.PairOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestCorrelatedPairKnob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := seg.Indep(ev, sx, sy)
+		v, err := seg.IndepOpt(ev, sx, sy, seg.PairOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +250,7 @@ func TestFigure3PlantedStructure(t *testing.T) {
 		return s
 	}
 	ind := func(a, b *seg.Segmentation) float64 {
-		v, err := seg.Indep(ev, a, b)
+		v, err := seg.IndepOpt(ev, a, b, seg.PairOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"charles/internal/fault"
 )
@@ -115,6 +116,8 @@ func NewTableFromBackend(b ColumnBackend) (*Table, error) {
 		//lint:mmaplife Table is the sanctioned retainer: Table.Close closes this backend, so the views cannot outlive their mapping
 		t.cols[i] = c
 	}
-	t.SetChunkRows(b.NativeChunkRows())
+	t.summaries = make([]atomic.Pointer[ChunkSummary], n)
+	t.chunkRows = normalizeChunkRows(b.NativeChunkRows())
+	t.resetStamp()
 	return t, nil
 }

@@ -351,8 +351,8 @@ func TestSpliceBitmapMatchesRepack(t *testing.T) {
 
 // TestAndCountFormPairs is AndCount's table: every pair of chunk forms
 // — words × words, words × row ids, row ids × words, row ids × row
-// ids, empty × either — and the mismatched-layout path, each held to
-// IntersectCount of the two flat views.
+// ids, empty × either — each held to IntersectCount of the two flat
+// views.
 func TestAndCountFormPairs(t *testing.T) {
 	const nRows, chunkRows = 700, 256 // the last chunk is partial
 	rng := rand.New(rand.NewSource(40))
@@ -376,8 +376,6 @@ func TestAndCountFormPairs(t *testing.T) {
 		{"empty×rows", empty, sparse},
 		{"words×empty", dense, empty},
 		{"grown universe", dense, ChunkSelection(randSelection(rng, nRows+300, 0.5), nRows+300, chunkRows)},
-		{"mismatched layout", dense, ChunkSelection(sparse.Flat(), nRows, 128)},
-		{"mismatched layout, words", words(sparse), ChunkSelection(other.Flat(), nRows, 64)},
 	}
 	for _, tc := range cases {
 		want := IntersectCount(tc.a.Flat(), tc.b.Flat())

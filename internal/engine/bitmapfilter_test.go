@@ -53,7 +53,7 @@ func TestFusedBitmapFiltersMatchChunked(t *testing.T) {
 				}
 				bmEqual(t, "IntSetPred",
 					FilterChunked(cs, IntSetPred(ton, []int64{0, 17, 100, 999}, sum)),
-					FilterIntSetChunked(ton, rows, []int64{0, 17, 100, 999}, sum))
+					FilterChunked(rows, IntSetPred(ton, []int64{0, 17, 100, 999}, sum)))
 			}
 			fr := FloatRange{Lo: 5, Hi: 30, LoIncl: true, HiIncl: true}
 			bmEqual(t, "FloatRangePred",
@@ -65,21 +65,21 @@ func TestFusedBitmapFiltersMatchChunked(t *testing.T) {
 				FilterFloatRangeChunked(speed, rows, frAll, speedSum))
 			bmEqual(t, "FloatSetPred",
 				FilterChunked(cs, FloatSetPred(speed, []float64{3, 20}, speedSum)),
-				FilterFloatSetChunked(speed, rows, []float64{3, 20}, speedSum))
+				FilterChunked(rows, FloatSetPred(speed, []float64{3, 20}, speedSum)))
 			for _, sum := range []*ChunkSummary{typSum, nil} {
 				bmEqual(t, "FilterStringSetChunkedBitmap",
 					FilterStringSetChunkedBitmap(typ, cs, []string{"fluit", "galjoot"}, sum),
 					FilterStringSetChunked(typ, rows, []string{"fluit", "galjoot"}, sum))
 				bmEqual(t, "StringRangePred",
 					FilterChunked(cs, StringRangePred(typ, "g", "k", true, false, sum)),
-					FilterStringRangeChunked(typ, rows, "g", "k", true, false, sum))
+					FilterChunked(rows, StringRangePred(typ, "g", "k", true, false, sum)))
 			}
 			bmEqual(t, "BoolSetPred",
 				FilterChunked(cs, BoolSetPred(armed, []bool{true}, armedSum)),
-				FilterBoolSetChunked(armed, rows, []bool{true}, armedSum))
+				FilterChunked(rows, BoolSetPred(armed, []bool{true}, armedSum)))
 			bmEqual(t, "BoolSetPred both",
 				FilterChunked(cs, BoolSetPred(armed, []bool{true, false}, armedSum)),
-				FilterBoolSetChunked(armed, rows, []bool{true, false}, armedSum))
+				FilterChunked(rows, BoolSetPred(armed, []bool{true, false}, armedSum)))
 		}
 	}
 }

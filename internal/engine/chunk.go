@@ -1,8 +1,8 @@
 package engine
 
 import (
+	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"charles/internal/fault"
 	"charles/internal/par"
@@ -53,48 +53,42 @@ func normalizeChunkRows(n int) int {
 	return p
 }
 
-// tableLayout bundles a chunk width with the zone maps built for it.
-// The table swaps the whole bundle atomically on re-shard, so a
-// reader holding one snapshot can never pair one layout's width with
-// another layout's summaries.
-type tableLayout struct {
-	chunkRows int
-	summaries []atomic.Pointer[ChunkSummary]
-}
-
-func newTableLayout(chunkRows, numCols int) *tableLayout {
-	return &tableLayout{
-		chunkRows: chunkRows,
-		summaries: make([]atomic.Pointer[ChunkSummary], numCols),
-	}
-}
-
-// SetChunkRows fixes the table's row-range chunk width. n < 1
-// restores the automatic default; other values are rounded up to a
-// power of two (minimum 64, the bitmap word size). Setting a width
-// the table already has is a no-op, so advisors sharing a table with
-// the same configuration never churn its zone maps. Re-sharding
-// swaps the layout and its zone maps as one atomic unit, and
-// evaluators re-chunk selections cached under the old layout on use
-// — but a re-shard concurrent with serving still wastes the caches
-// it obsoletes, so fix the layout before the table serves queries.
-func (t *Table) SetChunkRows(n int) {
+// SetChunkRows fixes the table's row-range chunk width, a build step
+// like choosing its columns. n < 1 means the automatic default; other
+// values are rounded up to a power of two (minimum 64, the bitmap word
+// size). A call at the table's current width is a no-op. Once the
+// table is sealed — its first AllChunked or zone-map build has handed
+// out state addressed by the width — a different width is refused with
+// an error and the table is left as it was. Call it before the table
+// serves, never concurrently with its readers.
+func (t *Table) SetChunkRows(n int) error {
 	n = normalizeChunkRows(n)
-	if cur := t.layout.Load(); cur != nil && cur.chunkRows == n {
-		return
+	if n == t.chunkRows {
+		return nil
 	}
-	t.layout.Store(newTableLayout(n, len(t.cols)))
-	// Epoch history is addressed by chunk, so it restarts at the new
-	// width; the version carries over (the data did not change).
-	t.resetStamp(n)
+	if t.sealed.Load() {
+		return fmt.Errorf("engine: table %q is sealed at chunk width %d, refusing width %d", t.name, t.chunkRows, n)
+	}
+	t.chunkRows = n
+	t.resetStamp()
+	return nil
+}
+
+// seal fixes the chunk width for good. It runs wherever state
+// addressed by the width is first handed out; once sealed it is a
+// load, so a hot caller pays no store.
+func (t *Table) seal() {
+	if !t.sealed.Load() {
+		t.sealed.Store(true)
+	}
 }
 
 // ChunkRows returns the table's row-range chunk width.
-func (t *Table) ChunkRows() int { return t.layout.Load().chunkRows }
+func (t *Table) ChunkRows() int { return t.chunkRows }
 
 // NumChunks returns the number of row-range chunks the table splits
 // into: ceil(rows / chunkRows), 0 for an empty table.
-func (t *Table) NumChunks() int { return numChunksFor(t.rows, t.ChunkRows()) }
+func (t *Table) NumChunks() int { return numChunksFor(t.rows, t.chunkRows) }
 
 // numChunksFor is the chunk count for an nRows universe at the given
 // chunk width.
@@ -106,54 +100,17 @@ func numChunksFor(nRows, chunkRows int) int {
 }
 
 // ChunkBounds returns chunk c's half-open global row interval
-// [lo, hi) under the current layout.
+// [lo, hi).
 func (t *Table) ChunkBounds(c int) (lo, hi int) {
-	return t.chunkBounds(t.layout.Load(), c)
-}
-
-func (t *Table) chunkBounds(lay *tableLayout, c int) (lo, hi int) {
-	lo = c * lay.chunkRows
-	hi = lo + lay.chunkRows
-	if hi > t.rows {
-		hi = t.rows
-	}
-	return lo, hi
+	lo = c * t.chunkRows
+	return lo, min(lo+t.chunkRows, t.rows)
 }
 
 // AllChunked returns the identity selection over the table in
-// chunked form.
+// chunked form. It seals the table.
 func (t *Table) AllChunked() *ChunkedSelection {
-	return AllRowsChunked(t.rows, t.ChunkRows())
-}
-
-// Layout returns a consistent snapshot of the table's chunk design:
-// its width and the zone maps built for that width. Callers that
-// consult both — the evaluator pairing re-chunked selections with
-// zone-map verdicts — must read them through one snapshot, so a
-// concurrent re-shard can never mix layouts.
-func (t *Table) Layout() Layout { return Layout{t: t, lay: t.layout.Load()} }
-
-// Layout is one immutable chunk-design snapshot of a table.
-type Layout struct {
-	t   *Table
-	lay *tableLayout
-}
-
-// ChunkRows returns the snapshot's chunk width.
-func (l Layout) ChunkRows() int { return l.lay.chunkRows }
-
-// Summary returns the snapshot's lazily built zone map for column i,
-// or nil for column kinds that have none.
-func (l Layout) Summary(i int) *ChunkSummary { return l.t.summaryIn(l.lay, i) }
-
-// SummaryByName is Summary addressed by column name; nil when the
-// column does not exist or has no zone map.
-func (l Layout) SummaryByName(name string) *ChunkSummary {
-	i, ok := l.t.byName[name]
-	if !ok {
-		return nil
-	}
-	return l.t.summaryIn(l.lay, i)
+	t.seal()
+	return AllRowsChunked(t.rows, t.chunkRows)
 }
 
 // denseCodeDictMax is the dictionary cardinality at or below which a
@@ -259,43 +216,30 @@ func (s *ChunkSummary) canPruneCodes() bool {
 	return false
 }
 
-// Summary returns the current layout's lazily built zone map of
-// column i, or nil for column kinds that have none. Building fans
-// the chunks out across the scan worker pool; concurrent first calls
-// may build twice, and the identical results make either winner
-// correct.
+// Summary returns the lazily built zone map of column i, or nil for
+// column kinds that have none. Building fans the chunks out across the
+// scan worker pool; concurrent first calls may build twice, and the
+// identical results make either winner correct. The first build seals
+// the table.
 func (t *Table) Summary(i int) *ChunkSummary {
-	return t.summaryIn(t.layout.Load(), i)
-}
-
-// SummaryByName is Summary addressed by column name; nil when the
-// column does not exist or has no zone map.
-func (t *Table) SummaryByName(name string) *ChunkSummary {
-	i, ok := t.byName[name]
-	if !ok {
-		return nil
-	}
-	return t.Summary(i)
-}
-
-func (t *Table) summaryIn(lay *tableLayout, i int) *ChunkSummary {
 	switch t.cols[i].(type) {
 	case Numeric, *StringColumn, *BoolColumn:
 	default:
 		return nil
 	}
 	cur := t.stamp.Load()
-	if s := lay.summaries[i].Load(); s != nil {
+	if s := t.summaries[i].Load(); s != nil {
 		if summaryFresh(s, cur) {
 			return s
 		}
 		// Stale: recompute only the chunks whose epochs moved, keeping
 		// the clean chunks' entries. Store, not CAS — a fresher summary
 		// must replace the stale one even though a slot is occupied.
-		s = t.refreshSummary(lay, t.cols[i], s, cur)
-		lay.summaries[i].Store(s)
+		s = t.refreshSummary(t.cols[i], s, cur)
+		t.summaries[i].Store(s)
 		return s
 	}
+	t.seal()
 	// Precomputed summaries first: a file-backed table ships zone
 	// maps for its native chunk width, which beats re-scanning the
 	// column (and faulting its pages in) just to rediscover them.
@@ -307,15 +251,25 @@ func (t *Table) summaryIn(lay *tableLayout, i int) *ChunkSummary {
 	// below serves instead — same answers, just slower. Degradation,
 	// not failure, is the contract chaos tests pin here.
 	if t.backend != nil && cur.version == 0 && fault.Inject("engine.backendSummary") == nil {
-		if s, ok := t.backend.ChunkSummary(i, lay.chunkRows); ok && s != nil {
-			lay.summaries[i].CompareAndSwap(nil, s)
-			return lay.summaries[i].Load()
+		if s, ok := t.backend.ChunkSummary(i, t.chunkRows); ok && s != nil {
+			t.summaries[i].CompareAndSwap(nil, s)
+			return t.summaries[i].Load()
 		}
 	}
-	s := t.buildSummary(lay, t.cols[i])
+	s := t.buildSummary(t.cols[i])
 	s.stamp = cur
-	lay.summaries[i].CompareAndSwap(nil, s)
-	return lay.summaries[i].Load()
+	t.summaries[i].CompareAndSwap(nil, s)
+	return t.summaries[i].Load()
+}
+
+// SummaryByName is Summary addressed by column name; nil when the
+// column does not exist or has no zone map.
+func (t *Table) SummaryByName(name string) *ChunkSummary {
+	i, ok := t.byName[name]
+	if !ok {
+		return nil
+	}
+	return t.Summary(i)
 }
 
 // summaryFresh reports whether a cached summary still describes the
@@ -329,29 +283,28 @@ func summaryFresh(s *ChunkSummary, cur *EpochStamp) bool {
 	return s.stamp.version == cur.version
 }
 
-// WarmSummaries eagerly builds every column's zone map under the
-// current layout — numeric min/max bounds and nominal presence sets
-// alike — so a server's first queries never pay the lazy build.
+// WarmSummaries eagerly builds every column's zone map — numeric
+// min/max bounds and nominal presence sets alike — so a server's first
+// queries never pay the lazy build.
 // It also warms the table for cut points: every scan-built summary of
 // a wide numeric column then carries rank codes (rank.go), built here
 // and by every later full build, and kept up to date by refreshes.
 // It returns the number of summarized columns.
 func (t *Table) WarmSummaries() int {
 	t.warm.Store(true)
-	lay := t.layout.Load()
 	n := 0
 	for i, col := range t.cols {
-		s := t.summaryIn(lay, i)
+		s := t.Summary(i)
 		if s == nil {
 			continue
 		}
 		n++
 		// A summary built lazily before the table was warm has none.
 		if col, ok := col.(Numeric); ok && s.stamp != nil && s.rank == nil {
-			if rc := t.rankCodesFor(lay, s, col.Int64s(), col.Kind() == KindFloat, nil, nil); rc != nil {
+			if rc := t.rankCodesFor(s, col.Int64s(), col.Kind() == KindFloat, nil, nil); rc != nil {
 				ranked := *s
 				ranked.rank = rc
-				lay.summaries[i].CompareAndSwap(s, &ranked)
+				t.summaries[i].CompareAndSwap(s, &ranked)
 			}
 		}
 	}
@@ -428,19 +381,19 @@ func stringChunkList(codes []uint32, lo, hi int) (list []uint32, overflow bool) 
 
 // buildSummary computes the zone map, one chunk per worker-pool
 // task. The caller stamps the result.
-func (t *Table) buildSummary(lay *tableLayout, col Column) *ChunkSummary {
-	nc := numChunksFor(t.rows, lay.chunkRows)
+func (t *Table) buildSummary(col Column) *ChunkSummary {
+	nc := t.NumChunks()
 	s := &ChunkSummary{}
 	switch col := col.(type) {
 	case Numeric:
-		t.buildNumSummary(lay, s, col, nc, nil, nil)
+		t.buildNumSummary(s, col, nc, nil, nil)
 	case *StringColumn:
-		t.buildNominalSummary(lay, s, col, nc)
+		t.buildNominalSummary(s, col, nc)
 	case *BoolColumn:
 		s.boolHasTrue = make([]bool, nc)
 		s.boolHasFalse = make([]bool, nc)
 		_ = par.ForEach(ScanWorkers(), nc, func(c int) error {
-			lo, hi := t.chunkBounds(lay, c)
+			lo, hi := t.ChunkBounds(c)
 			s.boolHasTrue[c], s.boolHasFalse[c] = boolChunkPresence(col, lo, hi)
 			return nil
 		})
@@ -452,7 +405,7 @@ func (t *Table) buildSummary(lay *tableLayout, col Column) *ChunkSummary {
 // float column's NaN bits and, on a warmed table, a wide column's rank
 // codes into s: for every chunk, or with dirty set for the dirty ones
 // only, the others' copied from old.
-func (t *Table) buildNumSummary(lay *tableLayout, s *ChunkSummary, col Numeric, nc int, old *ChunkSummary, dirty []bool) {
+func (t *Table) buildNumSummary(s *ChunkSummary, col Numeric, nc int, old *ChunkSummary, dirty []bool) {
 	vals, nan := col.Int64s(), col.Kind() == KindFloat
 	s.intMin = make([]int64, nc)
 	s.intMax = make([]int64, nc)
@@ -464,7 +417,7 @@ func (t *Table) buildNumSummary(lay *tableLayout, s *ChunkSummary, col Numeric, 
 		if dirty != nil && !dirty[c] {
 			s.intMin[c], s.intMax[c], hasNaN = old.intMin[c], old.intMax[c], old.hasNaN(c)
 		} else {
-			lo, hi := t.chunkBounds(lay, c)
+			lo, hi := t.ChunkBounds(c)
 			s.intMin[c], s.intMax[c], hasNaN = numChunkBounds(vals[lo:hi], nan)
 		}
 		if nan {
@@ -474,23 +427,23 @@ func (t *Table) buildNumSummary(lay *tableLayout, s *ChunkSummary, col Numeric, 
 	})
 	switch {
 	case old == nil:
-		s.rank = t.rankCodesFor(lay, s, vals, nan, nil, nil)
+		s.rank = t.rankCodesFor(s, vals, nan, nil, nil)
 	case old.rank != nil: // a refresh keeps rank codes only where they were
-		s.rank = t.rankCodesFor(lay, s, vals, nan, old.rank, dirty)
+		s.rank = t.rankCodesFor(s, vals, nan, old.rank, dirty)
 	}
 }
 
 // buildNominalSummary computes a string column's per-chunk presence
 // summary: a dense code bitset for small dictionaries, a short
 // sorted distinct-code list (or an overflow mark) for large ones.
-func (t *Table) buildNominalSummary(lay *tableLayout, s *ChunkSummary, col *StringColumn, nc int) {
+func (t *Table) buildNominalSummary(s *ChunkSummary, col *StringColumn, nc int) {
 	s.dictLen = col.Cardinality()
 	codes := col.Codes()
 	if s.dictLen <= denseCodeDictMax {
 		s.codeBits = make([][]uint64, nc)
 		words := (s.dictLen + 63) / 64
 		_ = par.ForEach(ScanWorkers(), nc, func(c int) error {
-			lo, hi := t.chunkBounds(lay, c)
+			lo, hi := t.ChunkBounds(c)
 			s.codeBits[c] = stringChunkBits(codes, lo, hi, words)
 			return nil
 		})
@@ -499,7 +452,7 @@ func (t *Table) buildNominalSummary(lay *tableLayout, s *ChunkSummary, col *Stri
 	s.codeList = make([][]uint32, nc)
 	s.codeOverflow = make([]bool, nc)
 	_ = par.ForEach(ScanWorkers(), nc, func(c int) error {
-		lo, hi := t.chunkBounds(lay, c)
+		lo, hi := t.ChunkBounds(c)
 		s.codeList[c], s.codeOverflow[c] = stringChunkList(codes, lo, hi)
 		return nil
 	})
@@ -508,30 +461,25 @@ func (t *Table) buildNominalSummary(lay *tableLayout, s *ChunkSummary, col *Stri
 // refreshSummary brings a stale summary up to stamp cur, rescanning
 // only the chunks whose epochs moved and keeping the clean chunks'
 // entries. It falls back to a full rebuild when the stamps are not
-// chunk-comparable (width change, backend summary after mutation) or
-// when a string column's dictionary grew — the presence encoding is
-// sized and shaped by the dictionary, so clean chunks' bitsets would
-// not line up with the new code space.
-func (t *Table) refreshSummary(lay *tableLayout, col Column, old *ChunkSummary, cur *EpochStamp) *ChunkSummary {
-	var dirty []bool
-	if cur.chunkRows == lay.chunkRows {
-		if d, ok := cur.DirtyVs(old.stamp); ok {
-			dirty = d
-		}
-	}
+// chunk-comparable (a backend summary after mutation) or when a string
+// column's dictionary grew — the presence encoding is sized and shaped
+// by the dictionary, so clean chunks' bitsets would not line up with
+// the new code space.
+func (t *Table) refreshSummary(col Column, old *ChunkSummary, cur *EpochStamp) *ChunkSummary {
+	dirty, _ := cur.DirtyVs(old.stamp)
 	if sc, isStr := col.(*StringColumn); isStr && sc.Cardinality() != old.dictLen {
 		dirty = nil
 	}
 	if dirty == nil {
-		s := t.buildSummary(lay, col)
+		s := t.buildSummary(col)
 		s.stamp = cur
 		return s
 	}
-	nc := numChunksFor(t.rows, lay.chunkRows)
+	nc := t.NumChunks()
 	s := &ChunkSummary{stamp: cur}
 	switch col := col.(type) {
 	case Numeric:
-		t.buildNumSummary(lay, s, col, nc, old, dirty)
+		t.buildNumSummary(s, col, nc, old, dirty)
 	case *StringColumn:
 		s.dictLen = old.dictLen
 		codes := col.Codes()
@@ -543,7 +491,7 @@ func (t *Table) refreshSummary(lay *tableLayout, col Column, old *ChunkSummary, 
 					s.codeBits[c] = old.codeBits[c]
 					return nil
 				}
-				lo, hi := t.chunkBounds(lay, c)
+				lo, hi := t.ChunkBounds(c)
 				s.codeBits[c] = stringChunkBits(codes, lo, hi, words)
 				return nil
 			})
@@ -555,7 +503,7 @@ func (t *Table) refreshSummary(lay *tableLayout, col Column, old *ChunkSummary, 
 					s.codeList[c], s.codeOverflow[c] = old.codeList[c], old.codeOverflow[c]
 					return nil
 				}
-				lo, hi := t.chunkBounds(lay, c)
+				lo, hi := t.ChunkBounds(c)
 				s.codeList[c], s.codeOverflow[c] = stringChunkList(codes, lo, hi)
 				return nil
 			})
@@ -568,7 +516,7 @@ func (t *Table) refreshSummary(lay *tableLayout, col Column, old *ChunkSummary, 
 				s.boolHasTrue[c], s.boolHasFalse[c] = old.boolHasTrue[c], old.boolHasFalse[c]
 				return nil
 			}
-			lo, hi := t.chunkBounds(lay, c)
+			lo, hi := t.ChunkBounds(c)
 			s.boolHasTrue[c], s.boolHasFalse[c] = boolChunkPresence(col, lo, hi)
 			return nil
 		})

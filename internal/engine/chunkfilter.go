@@ -179,21 +179,10 @@ func rangePred(vals []int64, r IntRange, s intSpan, sum *ChunkSummary) Pred {
 	return p
 }
 
-// FilterIntSetChunked narrows cs to rows whose int64 value appears
-// in values. The zone map prunes chunks whose value interval misses
-// the set's hull [min(values), max(values)].
-func FilterIntSetChunked(col IntValued, cs *ChunkedSelection, values []int64, sum *ChunkSummary) *ChunkedSelection {
-	return FilterChunked(cs, IntSetPred(col, values, sum))
-}
-
-// IntSetPred resolves an int or date value-set predicate.
+// IntSetPred resolves an int or date value-set predicate. The zone map
+// prunes chunks whose value interval misses the set's hull.
 func IntSetPred(col IntValued, values []int64, sum *ChunkSummary) Pred {
 	return setPred(col.Int64s(), values, sum)
-}
-
-// FilterFloatSetChunked is FilterIntSetChunked over floats.
-func FilterFloatSetChunked(col FloatValued, cs *ChunkedSelection, values []float64, sum *ChunkSummary) *ChunkedSelection {
-	return FilterChunked(cs, FloatSetPred(col, values, sum))
 }
 
 // FloatSetPred is IntSetPred over the ordinals of values, NaN left
@@ -339,12 +328,6 @@ func codeSetPred(col *StringColumn, want codeSet, sum *ChunkSummary) Pred {
 	}
 }
 
-// FilterStringRangeChunked narrows cs to rows whose string value
-// lies in the lexicographic interval [lo, hi].
-func FilterStringRangeChunked(col *StringColumn, cs *ChunkedSelection, lo, hi string, loIncl, hiIncl bool, sum *ChunkSummary) *ChunkedSelection {
-	return FilterChunked(cs, StringRangePred(col, lo, hi, loIncl, hiIncl, sum))
-}
-
 // StringRangePred resolves a lexicographic interval predicate. With
 // a presence summary the range is resolved to the set of dictionary
 // codes it covers — one pass over the dictionary, not the rows —
@@ -364,14 +347,9 @@ func StringRangePred(col *StringColumn, lo, hi string, loIncl, hiIncl bool, sum 
 	return codeSetPred(col, r.codeSet(col), sum)
 }
 
-// FilterBoolSetChunked narrows cs to rows whose boolean value
-// appears in values, skipping chunks that hold no wanted value and
-// passing chunks every row of which must match.
-func FilterBoolSetChunked(col *BoolColumn, cs *ChunkedSelection, values []bool, sum *ChunkSummary) *ChunkedSelection {
-	return FilterChunked(cs, BoolSetPred(col, values, sum))
-}
-
-// BoolSetPred resolves a bool value-set predicate.
+// BoolSetPred resolves a bool value-set predicate. Its verdict skips
+// chunks that hold no wanted value and passes chunks every row of
+// which must match.
 func BoolSetPred(col *BoolColumn, values []bool, sum *ChunkSummary) Pred {
 	wantTrue, wantFalse := boolWants(values)
 	if !wantTrue && !wantFalse {

@@ -299,10 +299,9 @@ func (cs *ChunkedSelection) Flat() Selection {
 // words × row ids by probing each row's bit, row ids × row ids by a
 // sorted merge, and a chunk empty on either side costs nothing.
 // Universes may differ in size; the count is over the shared prefix.
+// Both selections must share a chunk width, as any two over one table
+// do.
 func (cs *ChunkedSelection) AndCount(o *ChunkedSelection) int {
-	if cs.chunkRows != o.chunkRows {
-		return andCountMismatched(cs, o)
-	}
 	n := 0
 	for c := range min(len(cs.chunks), len(o.chunks)) {
 		a, b := &cs.chunks[c], &o.chunks[c]
@@ -319,13 +318,6 @@ func (cs *ChunkedSelection) AndCount(o *ChunkedSelection) int {
 		}
 	}
 	return n
-}
-
-// andCountMismatched handles the off-path case of selections sharded
-// at different chunk widths (never produced by one evaluator): their
-// flat views are merged.
-func andCountMismatched(a, b *ChunkedSelection) int {
-	return IntersectCount(a.Flat(), b.Flat())
 }
 
 // andWords returns the popcount of a ∧ b over their common words.

@@ -301,22 +301,6 @@ func TestChunkedBitmapMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestBitmapMismatchedLayouts covers the off-path: selections sharded
-// at different chunk widths still intersect correctly, in any form.
-func TestBitmapMismatchedLayouts(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	a := Selection{1, 5, 64, 65, 700, 901}
-	b := Selection{5, 64, 200, 901}
-	want := IntersectCount(a, b)
-	for fa, x := range formsOf(ChunkSelection(a, 1000, 128), rng) {
-		for fb, y := range formsOf(ChunkSelection(b, 1000, 256), rng) {
-			if got := x.AndCount(y); got != want {
-				t.Fatalf("%s ∩ %s: mismatched AndCount = %d, want %d", fa, fb, got, want)
-			}
-		}
-	}
-}
-
 // TestChunkedParallelLoopsRace drives the chunked filter, stat and
 // intersection loops with a selection large enough to fan out across scan
 // workers; run under -race it proves the per-chunk slots are
@@ -369,22 +353,6 @@ func TestFloatOrderStatsDeterministicWithNaN(t *testing.T) {
 	allNaN := NewFloatColumn("n", []float64{math.NaN(), math.NaN()})
 	if pts := FloatCutPointsChunked(allNaN, AllRowsChunked(2, 64), 2); pts != nil {
 		t.Fatalf("all-NaN extent produced cut points %v", pts)
-	}
-}
-
-// TestSetChunkRowsSameWidthIsNoOp pins the re-shard guard: setting
-// the width a table already has must keep its zone maps.
-func TestSetChunkRowsSameWidthIsNoOp(t *testing.T) {
-	tab := MustNewTable("t", NewIntColumn("v", []int64{1, 2, 3}))
-	tab.SetChunkRows(128)
-	before := tab.SummaryByName("v")
-	tab.SetChunkRows(128)
-	if tab.SummaryByName("v") != before {
-		t.Fatal("same-width SetChunkRows rebuilt the zone maps")
-	}
-	tab.SetChunkRows(256)
-	if tab.SummaryByName("v") == before {
-		t.Fatal("re-shard kept stale zone maps")
 	}
 }
 

@@ -12,23 +12,23 @@ import (
 var tableIDs atomic.Uint64
 
 // EpochStamp is one immutable snapshot of a table's mutation state:
-// a monotonically increasing version, the row count and chunk width
-// at that version, and one epoch per chunk — the version of the last
-// mutation that touched the chunk's rows. Derived state (zone maps,
-// cached selections, cut points) records the stamp it was built
-// under; comparing that stamp against the table's current one yields
-// exactly the set of chunks whose contribution must be recomputed,
-// which is what makes a 1% delta cost ~1% of a cold advise.
+// a monotonically increasing version, the row count at that version,
+// and one epoch per chunk of the table's fixed width — the version of
+// the last mutation that touched the chunk's rows. Derived state
+// (zone maps, cached selections, cut points) records the stamp it was
+// built under; comparing that stamp against the table's current one
+// yields exactly the set of chunks whose contribution must be
+// recomputed, which is what makes a 1% delta cost ~1% of a cold
+// advise.
 //
 // Stamps are never mutated after publication: every AppendRows or
 // UpdateRows builds a fresh stamp and swaps it in atomically, so a
 // reader holding one sees a consistent (version, rows, epochs)
 // triple forever.
 type EpochStamp struct {
-	version   uint64
-	nRows     int
-	chunkRows int
-	epochs    []uint64
+	version uint64
+	nRows   int
+	epochs  []uint64
 }
 
 // Version returns the table version the stamp describes. Version 0
@@ -37,9 +37,6 @@ func (s *EpochStamp) Version() uint64 { return s.version }
 
 // NumRows returns the row count at the stamp's version.
 func (s *EpochStamp) NumRows() int { return s.nRows }
-
-// ChunkRows returns the chunk width the epochs are addressed by.
-func (s *EpochStamp) ChunkRows() int { return s.chunkRows }
 
 // NumChunks returns the number of chunks the stamp covers.
 func (s *EpochStamp) NumChunks() int { return len(s.epochs) }
@@ -51,11 +48,10 @@ func (s *EpochStamp) ChunkEpoch(c int) uint64 { return s.epochs[c] }
 // DirtyVs compares the stamp against an older one and returns the
 // per-chunk dirty set: dirty[c] is true when chunk c's data changed
 // between old and s — its epoch moved, or the chunk did not exist at
-// old (rows were appended past it). ok is false when the two stamps
-// are not chunk-comparable (different chunk widths, or old is not
-// actually older); callers then fall back to a full recomputation.
+// old (rows were appended past it). ok is false when old is nil or not
+// actually older; callers then fall back to a full recomputation.
 func (s *EpochStamp) DirtyVs(old *EpochStamp) (dirty []bool, ok bool) {
-	if old == nil || old.chunkRows != s.chunkRows || old.nRows > s.nRows || old.version > s.version {
+	if old == nil || old.nRows > s.nRows || old.version > s.version {
 		return nil, false
 	}
 	dirty = make([]bool, len(s.epochs))
@@ -91,21 +87,20 @@ func (t *Table) Fingerprint() string {
 }
 
 // resetStamp installs a fresh stamp for the current rows at the
-// given chunk width, preserving the version and marking every chunk
-// as last touched at that version. It runs at construction and on
-// re-shard — epoch history is per-width, so a width change restarts
-// it (stale-width artifacts are caught by the width check in DirtyVs
-// and recomputed in full).
-func (t *Table) resetStamp(chunkRows int) {
+// table's chunk width, preserving the version and marking every chunk
+// as last touched at that version. It runs while the table is built
+// (construction, SetChunkRows before the seal), so no derived state
+// holds an older stamp.
+func (t *Table) resetStamp() {
 	var version uint64
 	if s := t.stamp.Load(); s != nil {
 		version = s.version
 	}
-	epochs := make([]uint64, numChunksFor(t.rows, chunkRows))
+	epochs := make([]uint64, t.NumChunks())
 	for c := range epochs {
 		epochs[c] = version
 	}
-	t.stamp.Store(&EpochStamp{version: version, nRows: t.rows, chunkRows: chunkRows, epochs: epochs})
+	t.stamp.Store(&EpochStamp{version: version, nRows: t.rows, epochs: epochs})
 }
 
 // nextStamp clones the current stamp for a table that now holds
@@ -116,10 +111,9 @@ func (t *Table) resetStamp(chunkRows int) {
 func (t *Table) nextStamp(newRows int) *EpochStamp {
 	old := t.stamp.Load()
 	next := &EpochStamp{
-		version:   old.version + 1,
-		nRows:     newRows,
-		chunkRows: old.chunkRows,
-		epochs:    make([]uint64, numChunksFor(newRows, old.chunkRows)),
+		version: old.version + 1,
+		nRows:   newRows,
+		epochs:  make([]uint64, numChunksFor(newRows, t.chunkRows)),
 	}
 	copy(next.epochs, old.epochs)
 	for c := len(old.epochs); c < len(next.epochs); c++ {
@@ -218,7 +212,7 @@ func (t *Table) mutable() ([]mutableColumn, error) {
 // caches re-evaluate only those chunks.
 //
 // Mutations must not run concurrently with advises on the same
-// table (the same contract SetChunkRows has): the swap of rows,
+// table: the swap of rows,
 // stamp and summaries is not one atomic unit. Concurrent mutations
 // against each other are serialized internally.
 func (t *Table) AppendRows(rows ...[]Value) error {
@@ -248,7 +242,7 @@ func (t *Table) AppendRows(rows ...[]Value) error {
 		}
 	}
 	st := t.nextStamp(oldRows + len(rows))
-	for c := oldRows / st.chunkRows; c < len(st.epochs); c++ {
+	for c := oldRows / t.chunkRows; c < len(st.epochs); c++ {
 		st.epochs[c] = st.version
 	}
 	t.commitStamp(st)
@@ -291,7 +285,7 @@ func (t *Table) UpdateRows(sel Selection, column string, vals []Value) error {
 	}
 	st := t.nextStamp(t.rows)
 	for _, row := range sel {
-		st.epochs[int(row)/st.chunkRows] = st.version
+		st.epochs[int(row)/t.chunkRows] = st.version
 	}
 	t.commitStamp(st)
 	return nil

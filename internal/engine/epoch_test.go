@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -260,26 +261,102 @@ func TestMutationRefusedOffMemoryBackend(t *testing.T) {
 	}
 }
 
+// TestSetChunkRowsResetsEpochWidth pins the build step: before the
+// table is sealed, reading its width, chunk count and stamp seals
+// nothing, a new width re-addresses the stamp and keeps its version,
+// and a same-width call (after rounding) keeps the stamp.
 func TestSetChunkRowsResetsEpochWidth(t *testing.T) {
 	tab := mutTable(t, 4*minChunkRows)
 	if err := tab.AppendRows(sampleRow(tab, 0)); err != nil {
 		t.Fatal(err)
 	}
-	before := tab.Stamp()
-	tab.SetChunkRows(2 * minChunkRows)
+	_, _, _ = tab.ChunkRows(), tab.NumChunks(), tab.Stamp()
+	if err := tab.SetChunkRows(2 * minChunkRows); err != nil {
+		t.Fatalf("unsealed table refused a width: %v", err)
+	}
 	cur := tab.Stamp()
-	if cur.ChunkRows() != 2*minChunkRows {
-		t.Fatalf("stamp width = %d", cur.ChunkRows())
+	if tab.ChunkRows() != 2*minChunkRows || cur.NumChunks() != tab.NumChunks() || cur.NumChunks() != 3 {
+		t.Fatalf("width %d, stamp over %d chunks, table %d, want %d over 3",
+			tab.ChunkRows(), cur.NumChunks(), tab.NumChunks(), 2*minChunkRows)
 	}
-	if cur.Version() != before.Version() {
-		t.Fatal("re-shard changed the version (data did not change)")
+	if cur.Version() != 1 {
+		t.Fatalf("version %d after a width change, want 1 (the data did not change)", cur.Version())
 	}
-	if _, ok := cur.DirtyVs(before); ok {
-		t.Fatal("stamps across a width change must not be chunk-comparable")
+	if err := tab.SetChunkRows(2*minChunkRows - 1); err != nil || tab.Stamp() != cur {
+		t.Fatalf("same-width call changed the table (err %v)", err)
 	}
-	// Same-width SetChunkRows is a no-op and keeps the stamp.
-	tab.SetChunkRows(2 * minChunkRows)
-	if tab.Stamp() != cur {
-		t.Fatal("no-op SetChunkRows replaced the stamp")
+}
+
+// TestSealPointsSealOnTheirOwn pins the two seal points: the first
+// AllChunked and the first zone-map build each seal the table by
+// themselves, and a sealed table refuses another width.
+func TestSealPointsSealOnTheirOwn(t *testing.T) {
+	for name, hand := range map[string]func(*Table){
+		"AllChunked":    func(tab *Table) { tab.AllChunked() },
+		"Summary":       func(tab *Table) { tab.SummaryByName("n") },
+		"WarmSummaries": func(tab *Table) { tab.WarmSummaries() },
+	} {
+		tab := mutTable(t, 4*minChunkRows)
+		hand(tab)
+		if err := tab.SetChunkRows(2 * minChunkRows); err == nil {
+			t.Fatalf("%s did not seal the table", name)
+		}
+		if tab.ChunkRows() != minChunkRows {
+			t.Fatalf("%s: sealed table at width %d, want %d", name, tab.ChunkRows(), minChunkRows)
+		}
+	}
+}
+
+// sealedTable returns a sealed table holding every column's zone map,
+// and a check that it still has its width, stamp and zone maps.
+func sealedTable(t *testing.T) (*Table, func(what string)) {
+	t.Helper()
+	tab := mutTable(t, 4*minChunkRows)
+	all := tab.AllChunked()
+	sums := make([]*ChunkSummary, tab.NumCols())
+	for i := range sums {
+		sums[i] = tab.Summary(i)
+	}
+	stamp := tab.Stamp()
+	return tab, func(what string) {
+		t.Helper()
+		if tab.ChunkRows() != minChunkRows || tab.NumChunks() != 4 || tab.Stamp() != stamp {
+			t.Fatalf("%s: width %d in %d chunks, stamp kept %v", what, tab.ChunkRows(), tab.NumChunks(), tab.Stamp() == stamp)
+		}
+		for i, s := range sums {
+			if tab.Summary(i) != s {
+				t.Fatalf("%s: column %d's zone map was replaced", what, i)
+			}
+		}
+		if got := tab.AllChunked(); got.ChunkRows() != all.ChunkRows() || got.NumChunks() != all.NumChunks() {
+			t.Fatalf("%s: identity at width %d in %d chunks", what, got.ChunkRows(), got.NumChunks())
+		}
+	}
+}
+
+// TestSealedTableKeepsItsWidth pins the sealed contract: a different
+// width is refused with an error, and the table keeps its width, stamp
+// and zone maps.
+func TestSealedTableKeepsItsWidth(t *testing.T) {
+	tab, check := sealedTable(t)
+	for _, n := range []int{0, 2 * minChunkRows, maxChunkRows} {
+		err := tab.SetChunkRows(n)
+		if err == nil || !strings.Contains(err.Error(), "sealed") {
+			t.Fatalf("sealed table took width %d (err %v)", n, err)
+		}
+		check(fmt.Sprintf("after SetChunkRows(%d)", n))
+	}
+}
+
+// TestSetChunkRowsSameWidthIsNoOp pins that setting the width a sealed
+// table already has, after rounding, succeeds and keeps its width,
+// stamp and zone maps.
+func TestSetChunkRowsSameWidthIsNoOp(t *testing.T) {
+	tab, check := sealedTable(t)
+	for _, n := range []int{minChunkRows, minChunkRows - 1, 1} {
+		if err := tab.SetChunkRows(n); err != nil {
+			t.Fatalf("same-width SetChunkRows(%d) refused: %v", n, err)
+		}
+		check(fmt.Sprintf("after same-width SetChunkRows(%d)", n))
 	}
 }

@@ -88,17 +88,17 @@ func TestFilterBoolSet(t *testing.T) {
 	col := NewBoolColumn("armed", []bool{true, false, true, false})
 	filter := func(values []bool) Selection {
 		return flatFilter(AllRows(4), 4, func(cs *ChunkedSelection) *ChunkedSelection {
-			return FilterBoolSetChunked(col, cs, values, nil)
+			return FilterChunked(cs, BoolSetPred(col, values, nil))
 		})
 	}
 	if got := filter([]bool{true}); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("FilterBoolSetChunked(true) = %v", got)
+		t.Fatalf("BoolSetPred(true) = %v", got)
 	}
 	if got := filter([]bool{true, false}); len(got) != 4 {
-		t.Fatalf("FilterBoolSetChunked(both) = %v", got)
+		t.Fatalf("BoolSetPred(both) = %v", got)
 	}
 	if got := filter(nil); len(got) != 0 {
-		t.Fatalf("FilterBoolSetChunked(none) = %v", got)
+		t.Fatalf("BoolSetPred(none) = %v", got)
 	}
 }
 

@@ -90,7 +90,7 @@ func checkIntSet(t testing.TB, col IntValued, sum *ChunkSummary, cs *ChunkedSele
 	vals := col.Int64s()
 	checkKernel(t, fmt.Sprintf("int set %v", values), cs, sum,
 		func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
-			return FilterIntSetChunked(col, cs, values, s)
+			return FilterChunked(cs, IntSetPred(col, values, s))
 		},
 		func(row int32) bool {
 			for _, v := range values {
@@ -109,7 +109,7 @@ func checkFloatSet(t testing.TB, col FloatValued, vals []float64, sum *ChunkSumm
 	t.Helper()
 	checkKernel(t, fmt.Sprintf("float set %v", values), cs, sum,
 		func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
-			return FilterFloatSetChunked(col, cs, values, s)
+			return FilterChunked(cs, FloatSetPred(col, values, s))
 		},
 		func(row int32) bool {
 			for _, v := range values {
@@ -138,7 +138,7 @@ func checkStringRange(t testing.TB, col *StringColumn, sum *ChunkSummary, cs *Ch
 	t.Helper()
 	checkKernel(t, fmt.Sprintf("string range %q..%q %v/%v (dict %d)", lo, hi, loIncl, hiIncl, col.Cardinality()), cs, sum,
 		func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
-			return FilterStringRangeChunked(col, cs, lo, hi, loIncl, hiIncl, s)
+			return FilterChunked(cs, StringRangePred(col, lo, hi, loIncl, hiIncl, s))
 		},
 		func(row int32) bool {
 			v := col.Str(int(row))
@@ -150,7 +150,7 @@ func checkBoolSet(t testing.TB, col *BoolColumn, sum *ChunkSummary, cs *ChunkedS
 	t.Helper()
 	checkKernel(t, fmt.Sprintf("bool set %v", values), cs, sum,
 		func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
-			return FilterBoolSetChunked(col, cs, values, s)
+			return FilterChunked(cs, BoolSetPred(col, values, s))
 		},
 		func(row int32) bool {
 			for _, v := range values {
@@ -619,7 +619,7 @@ func intSetPiece(ic IntValued, set []int64) partPiece {
 		name: fmt.Sprintf("int set %v", set),
 		pred: func(s *ChunkSummary) Pred { return IntSetPred(ic, set, s) },
 		filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
-			return FilterIntSetChunked(ic, cs, set, s)
+			return FilterChunked(cs, IntSetPred(ic, set, s))
 		},
 	}
 }
@@ -629,7 +629,7 @@ func floatSetPiece(fc FloatValued, set []float64) partPiece {
 		name: fmt.Sprintf("float set %v", set),
 		pred: func(s *ChunkSummary) Pred { return FloatSetPred(fc, set, s) },
 		filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
-			return FilterFloatSetChunked(fc, cs, set, s)
+			return FilterChunked(cs, FloatSetPred(fc, set, s))
 		},
 	}
 }
@@ -649,7 +649,7 @@ func boolSetPiece(bc *BoolColumn, values []bool) partPiece {
 		name: fmt.Sprintf("bool set %v", values),
 		pred: func(s *ChunkSummary) Pred { return BoolSetPred(bc, values, s) },
 		filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
-			return FilterBoolSetChunked(bc, cs, values, s)
+			return FilterChunked(cs, BoolSetPred(bc, values, s))
 		},
 	}
 }
@@ -1006,7 +1006,7 @@ func FuzzPartitionKernels(f *testing.F) {
 					name: fmt.Sprintf("string range %q..%q %v/%v", lo, hi, loIncl, hiIncl),
 					pred: func(s *ChunkSummary) Pred { return StringRangePred(sc, lo, hi, loIncl, hiIncl, s) },
 					filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
-						return FilterStringRangeChunked(sc, cs, lo, hi, loIncl, hiIncl, s)
+						return FilterChunked(cs, StringRangePred(sc, lo, hi, loIncl, hiIncl, s))
 					},
 				})
 			}

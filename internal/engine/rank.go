@@ -161,11 +161,11 @@ func wideSpan(s *ChunkSummary) bool {
 	return !narrow
 }
 
-// rankCodesFor codes vals, one task per chunk of the layout: with old
+// rankCodesFor codes vals, one task per chunk of the table: with old
 // set, a refresh, which keeps old's boundaries and its codes and counts
 // for every chunk dirty leaves clean; without, a new index over s's
 // column, nil unless the table is warm and the column's span wide.
-func (t *Table) rankCodesFor(lay *tableLayout, s *ChunkSummary, vals []int64, nan bool, old *rankCodes, dirty []bool) *rankCodes {
+func (t *Table) rankCodesFor(s *ChunkSummary, vals []int64, nan bool, old *rankCodes, dirty []bool) *rankCodes {
 	var rc *rankCodes
 	if old != nil {
 		rc = &rankCodes{bounds: old.bounds, nan: old.nan}
@@ -175,7 +175,7 @@ func (t *Table) rankCodesFor(lay *tableLayout, s *ChunkSummary, vals []int64, na
 	if rc == nil {
 		return nil
 	}
-	nc := numChunksFor(t.rows, lay.chunkRows)
+	nc := t.NumChunks()
 	rc.codes = make([][]uint8, nc)
 	rc.counts = make([][rankCells]uint32, nc)
 	_ = par.ForEach(ScanWorkers(), nc, func(c int) error {
@@ -183,7 +183,7 @@ func (t *Table) rankCodesFor(lay *tableLayout, s *ChunkSummary, vals []int64, na
 			rc.codes[c], rc.counts[c] = old.codes[c], old.counts[c]
 			return nil
 		}
-		lo, hi := t.chunkBounds(lay, c)
+		lo, hi := t.ChunkBounds(c)
 		rc.codes[c], rc.counts[c] = rc.codeChunk(vals[lo:hi])
 		return nil
 	})

@@ -15,10 +15,11 @@ import (
 // at chunk granularity rather than wholesale.
 //
 // Physically the table is sharded by row range into fixed-width
-// chunks (SetChunkRows): chunks are the unit of parallel scanning
-// and of zone-map skipping. The columns stay contiguous — chunking
-// is an addressing scheme over them, so row ids remain dense and
-// global.
+// chunks: chunks are the unit of parallel scanning and of zone-map
+// skipping. The width is fixed while the table is built (SetChunkRows)
+// and cannot change once state addressed by it has been handed out.
+// The columns stay contiguous — chunking is an addressing scheme over
+// them, so row ids remain dense and global.
 type Table struct {
 	name    string
 	cols    []Column
@@ -34,9 +35,14 @@ type Table struct {
 	// mutation is not concurrent with advising, see AppendRows).
 	mu sync.Mutex
 
-	// layout is the current chunk design (width + per-column zone
-	// maps), swapped atomically as one unit by SetChunkRows.
-	layout atomic.Pointer[tableLayout]
+	// chunkRows is the row-range chunk width. sealed is set by the
+	// first AllChunked or zone-map build, after which SetChunkRows
+	// refuses another width.
+	chunkRows int
+	sealed    atomic.Bool
+
+	// summaries holds each column's lazily built zone map.
+	summaries []atomic.Pointer[ChunkSummary]
 
 	// stamp is the current epoch stamp (version + per-chunk epochs),
 	// swapped as one immutable unit by every mutation; fp caches the

@@ -35,7 +35,7 @@ func runE5(opt Options) ([]*Table, error) {
 		if err != nil || !ok2 {
 			return nil, fmt.Errorf("cut y: %v", err)
 		}
-		cells, err := seg.CellCounts(ev, sx, sy)
+		cells, err := seg.CellCountsOpt(ev, sx, sy, seg.PairOptions{})
 		if err != nil {
 			return nil, err
 		}

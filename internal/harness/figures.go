@@ -78,11 +78,11 @@ func runE2(opt Options) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	prod, err := seg.Product(ev, a, b)
+	prod, err := seg.ProductOpt(ev, a, b, seg.PairOptions{})
 	if err != nil {
 		return nil, err
 	}
-	ind, err := seg.Indep(ev, a, b)
+	ind, err := seg.IndepOpt(ev, a, b, seg.PairOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -197,7 +197,7 @@ func (e *Evaluator) computeCut(attr string, col engine.Column, src *engine.Chunk
 	case *engine.BoolColumn:
 		pieces, err = nominalPieces(attr, engine.BoolValueCountsChunked(col, src), boolSetValue, opt)
 	case engine.Numeric:
-		pieces, state.intCounts = numPieces(attr, col, src, e.zoneMap(e.tab.Layout(), attr), pointSel, opt, retain)
+		pieces, state.intCounts = numPieces(attr, col, src, e.zoneMap(attr), pointSel, opt, retain)
 		if len(pieces) < 2 {
 			pieces = numericNominalFallback(attr, col, src, opt)
 		}
@@ -221,7 +221,7 @@ func (e *Evaluator) refreshCut(ent cachedCut, attr string, col engine.Column, sr
 	if pointSel != nil {
 		return nil, state, false
 	}
-	if src.NumRows() != cur.NumRows() || src.ChunkRows() != cur.ChunkRows() {
+	if src.NumRows() != cur.NumRows() {
 		return nil, state, false
 	}
 	dirty, ok := cur.DirtyVs(ent.stamp)

@@ -194,26 +194,6 @@ func TestCutCacheRecomputesOutsideWindow(t *testing.T) {
 	}
 }
 
-// TestCutCacheWidthChangeRecomputes pins the bail-out: a re-shard
-// makes stamps chunk-incomparable, so the stale entry recomputes in
-// full — and still matches a cold evaluator.
-func TestCutCacheWidthChangeRecomputes(t *testing.T) {
-	tab := cutCacheTable(t)
-	ev := NewEvaluator(tab)
-	ctx := sdl.ContextAll(tab)
-	childKeys(t, ev, ctx, "v")
-	appendCutRow(t, tab, 999, "kof")
-	tab.SetChunkRows(2048)
-	warmKeys := childKeys(t, ev, ctx, "v")
-	coldKeys := childKeys(t, NewEvaluator(tab), ctx, "v")
-	if fmt.Sprint(warmKeys) != fmt.Sprint(coldKeys) {
-		t.Fatalf("post-reshard cut diverged:\nwarm %v\ncold %v", warmKeys, coldKeys)
-	}
-	if got := ev.Counters().CutRefreshes; got != 0 {
-		t.Fatalf("chunk-incomparable stamps took the refresh path (%d)", got)
-	}
-}
-
 // TestCutCacheCachingOff pins that the ablation path bypasses the cut
 // cache entirely and still answers identically.
 func TestCutCacheCachingOff(t *testing.T) {

@@ -53,8 +53,8 @@ type Counters struct {
 	// evaluator's pair-table tier without building either side.
 	PairTableHits int
 	// RowMaterializations counts flat row-id views built from
-	// selections holding words chunks: by Select or a re-layout. The
-	// advise path builds none.
+	// selections holding words chunks, by Select. The advise path
+	// builds none.
 	RowMaterializations int
 	// Evictions counts entries the clock evicted to keep the stores
 	// within their byte budget (SetCacheBudget).
@@ -217,9 +217,9 @@ func (e *Evaluator) SetZonePruning(on bool) { e.zonePruning.Store(on) }
 func (e *Evaluator) Table() *engine.Table { return e.tab }
 
 // allRows returns the shared chunked identity selection, rebuilding
-// it when the table was re-sharded — or grew — since it was built.
+// it when the table grew since it was built.
 func (e *Evaluator) allRows() *engine.ChunkedSelection {
-	if cs := e.identity.Load(); cs != nil && cs.ChunkRows() == e.tab.ChunkRows() && cs.NumRows() == e.tab.NumRows() {
+	if cs := e.identity.Load(); cs != nil && cs.NumRows() == e.tab.NumRows() {
 		return cs
 	}
 	cs := e.tab.AllChunked()
@@ -362,12 +362,12 @@ func (e *Evaluator) SelectBitmap(q sdl.Query) (*engine.Bitmap, error) { return e
 
 // deltaDirty decides whether a stale cache entry qualifies for a
 // chunk-granular refresh against stamp cur: the stamps must be
-// chunk-comparable and the cached result must structurally match the
-// stamp it claims to be from and the current layout. Anything else —
-// a re-shard, a shrink, a foreign layout — returns nil and the
-// caller re-evaluates in full.
-func (e *Evaluator) deltaDirty(old *engine.EpochStamp, nRows, chunkRows int, cur *engine.EpochStamp) []bool {
-	if old == nil || nRows != old.NumRows() || chunkRows != cur.ChunkRows() {
+// chunk-comparable and the cached result, over nRows rows, must
+// structurally match the stamp it claims to be from. Anything else — a
+// shrink, a foreign stamp — returns nil and the caller re-evaluates in
+// full.
+func (e *Evaluator) deltaDirty(old *engine.EpochStamp, nRows int, cur *engine.EpochStamp) []bool {
+	if old == nil || nRows != old.NumRows() {
 		return nil
 	}
 	dirty, ok := cur.DirtyVs(old)
@@ -386,11 +386,11 @@ func (e *Evaluator) deltaDirty(old *engine.EpochStamp, nRows, chunkRows int, cur
 // restricted to a chunk depends on that chunk's rows alone, so a
 // clean chunk's cached container is still exact.
 func (e *Evaluator) refreshChunked(q sdl.Query, old cachedSel, cur *engine.EpochStamp) (cachedSel, bool) {
-	dirty := e.deltaDirty(old.stamp, old.sel.NumRows(), old.sel.ChunkRows(), cur)
+	dirty := e.deltaDirty(old.stamp, old.sel.NumRows(), cur)
 	if dirty == nil {
 		return cachedSel{}, false
 	}
-	cs := engine.PartialIdentity(cur.NumRows(), cur.ChunkRows(), dirty)
+	cs := engine.PartialIdentity(cur.NumRows(), e.tab.ChunkRows(), dirty)
 	for _, c := range q.Constraints() {
 		if c.IsAny() {
 			continue
@@ -523,7 +523,7 @@ func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr str
 		}
 		var d []bool
 		if ok {
-			d = e.deltaDirty(ent.stamp, ent.sel.NumRows(), ent.sel.ChunkRows(), cur)
+			d = e.deltaDirty(ent.stamp, ent.sel.NumRows(), cur)
 		}
 		if d != nil && (dirty == nil || slices.Equal(d, dirty)) {
 			dirty, olds[i] = d, ent
@@ -540,7 +540,7 @@ func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr str
 		return nil, err
 	}
 	src := pent.sel
-	if src.NumRows() != cur.NumRows() || src.ChunkRows() != cur.ChunkRows() {
+	if src.NumRows() != cur.NumRows() {
 		full, stale = append(full, stale...), nil
 	}
 	covered := v == cur.Version() && pent.stamp.Version() == v
@@ -574,7 +574,7 @@ func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr str
 // rule); the pass is promised so only when it holds every one of
 // them. A Restricted src keeps the cover: its clean chunks are empty.
 func (e *Evaluator) partitionInto(src *engine.ChunkedSelection, attr string, cons []sdl.Constraint, which []int, covered bool, done func(i int, cs *engine.ChunkedSelection)) error {
-	src, col, sum, err := e.resolveConstraint(src, attr)
+	col, sum, err := e.resolveConstraint(attr)
 	if err != nil {
 		return err
 	}
@@ -590,37 +590,22 @@ func (e *Evaluator) partitionInto(src *engine.ChunkedSelection, attr string, con
 	return nil
 }
 
-// resolveConstraint prepares one predicate application: it takes a
-// consistent layout snapshot, re-chunks a selection cached under an
-// older layout (zone maps index the snapshot layout's chunks, so a
-// verdict must never see mismatched addressing), resolves the
-// column, and fetches its zone map when pruning is on.
-func (e *Evaluator) resolveConstraint(src *engine.ChunkedSelection, attr string) (*engine.ChunkedSelection, engine.Column, *engine.ChunkSummary, error) {
-	// One layout snapshot per constraint: the selection's chunking
-	// and the zone map consulted for it must describe the same
-	// layout, even while another advisor concurrently re-shards the
-	// table.
-	layout := e.tab.Layout()
-	if src.ChunkRows() != layout.ChunkRows() {
-		// The selection was built (and possibly cached) under an
-		// older layout — the table has been re-sharded since. Its row
-		// ids are layout-independent, making this a pure
-		// re-addressing.
-		src = engine.ChunkSelection(e.flat(src), e.tab.NumRows(), layout.ChunkRows())
-	}
+// resolveConstraint resolves attr's column for one predicate
+// application, with its zone map when pruning is on.
+func (e *Evaluator) resolveConstraint(attr string) (engine.Column, *engine.ChunkSummary, error) {
 	col, ok := e.tab.ColumnByName(attr)
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("seg: no column %q in table %q", attr, e.tab.Name())
+		return nil, nil, fmt.Errorf("seg: no column %q in table %q", attr, e.tab.Name())
 	}
-	return src, col, e.zoneMap(layout, attr), nil
+	return col, e.zoneMap(attr), nil
 }
 
-// zoneMap returns attr's zone map in layout, nil with zone pruning off.
-func (e *Evaluator) zoneMap(layout engine.Layout, attr string) *engine.ChunkSummary {
+// zoneMap returns attr's zone map, nil with zone pruning off.
+func (e *Evaluator) zoneMap(attr string) *engine.ChunkSummary {
 	if !e.zonePruning.Load() {
 		return nil
 	}
-	return layout.SummaryByName(attr)
+	return e.tab.SummaryByName(attr)
 }
 
 // constraintPred resolves one constraint over col into the engine's
@@ -692,7 +677,7 @@ func (e *Evaluator) applyConstraint(cs *engine.ChunkedSelection, c sdl.Constrain
 	if c.IsAny() {
 		return cs, nil
 	}
-	src, col, sum, err := e.resolveConstraint(cs, c.Attr)
+	col, sum, err := e.resolveConstraint(c.Attr)
 	if err != nil {
 		return nil, err
 	}
@@ -700,5 +685,5 @@ func (e *Evaluator) applyConstraint(cs *engine.ChunkedSelection, c sdl.Constrain
 	if err != nil {
 		return nil, err
 	}
-	return engine.FilterChunked(src, p), nil
+	return engine.FilterChunked(cs, p), nil
 }

@@ -173,7 +173,7 @@ func TestFigure2ProductAB(t *testing.T) {
 	ctx := context2(t, tab)
 	a := setA(t, ev, ctx)
 	b := setB(t, ev, ctx)
-	prod, err := Product(ev, a, b)
+	prod, err := ProductOpt(ev, a, b, PairOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestFigure2IndepDetectsDependence(t *testing.T) {
 	b := setB(t, ev, ctx)
 	// "The example of Figure 2 shows a dependence between the type
 	// of boat and the departure date": INDEP must be strictly < 1.
-	ind, err := Indep(ev, a, b)
+	ind, err := IndepOpt(ev, a, b, PairOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestFigure2IndepDetectsDependence(t *testing.T) {
 		t.Fatalf("INDEP(A,B) = %v, want in (0,1)", ind)
 	}
 	// And it must equal E(A×B)/(E(A)+E(B)) by definition.
-	prod, err := Product(ev, a, b)
+	prod, err := ProductOpt(ev, a, b, PairOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

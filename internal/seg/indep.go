@@ -120,12 +120,6 @@ func buildSide(ev *Evaluator, s *Segmentation, opt PairOptions, fp string, deriv
 	return side, nil
 }
 
-// Product implements the SDL product S1 × S2 (Definition 8) with the
-// default options (all-CPU fan-out).
-func Product(ev *Evaluator, s1, s2 *Segmentation) (*Segmentation, error) {
-	return ProductOpt(ev, s1, s2, PairOptions{})
-}
-
 // ProductOpt implements the SDL product S1 × S2 (Definition 8):
 // every pairwise conjunction (Q1i, Q2j). Pairs whose extents do not
 // overlap are dropped, as are provably empty conjunctions, so the
@@ -157,12 +151,6 @@ func ProductOpt(ev *Evaluator, s1, s2 *Segmentation, opt PairOptions) (*Segmenta
 		}
 	}
 	return out, nil
-}
-
-// CellCounts returns the |S1| × |S2| joint contingency table with
-// the default options (all-CPU fan-out).
-func CellCounts(ev *Evaluator, s1, s2 *Segmentation) ([][]int, error) {
-	return CellCountsOpt(ev, s1, s2, PairOptions{})
 }
 
 // cellCountsInto fills flat (row-major, length n1×n2) with the joint
@@ -257,11 +245,6 @@ func CellCountsOpt(ev *Evaluator, s1, s2 *Segmentation, opt PairOptions) ([][]in
 	return cells, nil
 }
 
-// Indep returns INDEP(S1, S2) with the default options.
-func Indep(ev *Evaluator, s1, s2 *Segmentation) (float64, error) {
-	return IndepOpt(ev, s1, s2, PairOptions{})
-}
-
 // IndepOpt returns INDEP(S1, S2) = E(S1×S2) / (E(S1) + E(S2)), the
 // dependence quotient of Proposition 1: 1 when the segment variables
 // are independent, decreasing with the degree of dependence. By
@@ -321,12 +304,6 @@ func IndepFromCells(cells [][]int) float64 {
 		copy(flat[i*n2:(i+1)*n2], row)
 	}
 	return indepFromFlat(flat, n1, n2)
-}
-
-// ChiSquareIndependent applies the Section 4.2 stopping rule with
-// the default options.
-func ChiSquareIndependent(ev *Evaluator, s1, s2 *Segmentation, alpha float64) (bool, error) {
-	return ChiSquareIndependentOpt(ev, s1, s2, alpha, PairOptions{})
 }
 
 // ChiSquareIndependentOpt applies the Section 4.2 suggestion of

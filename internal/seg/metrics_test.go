@@ -157,7 +157,7 @@ func TestPartitionInvariantRandomized(t *testing.T) {
 					err = err2
 					break
 				}
-				cur, err = Product(ev, cur, other)
+				cur, err = ProductOpt(ev, cur, other, PairOptions{})
 			}
 			if err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
@@ -200,7 +200,7 @@ func TestIndepBoundsRandomized(t *testing.T) {
 		if err1 != nil || err2 != nil || !ok1 || !ok2 {
 			continue
 		}
-		ind, err := Indep(ev, sa, sb)
+		ind, err := IndepOpt(ev, sa, sb, PairOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestChiSquareIndependentOnSegmentations(t *testing.T) {
 	ctx := sdl.ContextAll(tab)
 	sa, _, _ := InitialCut(ev, ctx, "a", DefaultCutOptions())
 	sb, _, _ := InitialCut(ev, ctx, "b", DefaultCutOptions())
-	indep, err := ChiSquareIndependent(ev, sa, sb, 0.01)
+	indep, err := ChiSquareIndependentOpt(ev, sa, sb, 0.01, PairOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

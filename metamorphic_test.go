@@ -32,13 +32,15 @@ import (
 	"charles/internal/seg"
 )
 
-// metaAdvise advises context on tab with a fresh advisor at the given
-// chunk width, and returns the result with its evaluator.
+// metaAdvise advises context on tab, built at the given chunk width,
+// with a fresh advisor, and returns the result with its evaluator.
 func metaAdvise(t *testing.T, tab *engine.Table, chunkRows int, context string) (*charles.Result, *charles.Evaluator) {
 	t.Helper()
+	if err := tab.SetChunkRows(chunkRows); err != nil {
+		t.Fatal(err)
+	}
 	cfg := charles.DefaultConfig()
 	cfg.Workers = 2
-	cfg.ChunkRows = chunkRows
 	adv := charles.NewAdvisor(tab, cfg)
 	res, err := adv.AdviseString(context)
 	if err != nil {
@@ -60,7 +62,7 @@ func metaFull(t *testing.T, res *charles.Result, ev *charles.Evaluator) string {
 	}
 	fmt.Fprintf(&b, "stop=%v iterations=%d\n", res.StopReason, res.Iterations)
 	if len(res.Segmentations) >= 2 {
-		ind, err := seg.Indep(ev, res.Segmentations[0].Seg, res.Segmentations[1].Seg)
+		ind, err := seg.IndepOpt(ev, res.Segmentations[0].Seg, res.Segmentations[1].Seg, seg.PairOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

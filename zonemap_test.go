@@ -23,9 +23,11 @@ func TestAdviseByteIdenticalAcrossZonePruning(t *testing.T) {
 	}
 	render := func(workers, chunkRows int, pruning bool, context string) string {
 		tab := charles.GenerateVOC(rows, 1)
+		if err := tab.SetChunkRows(chunkRows); err != nil {
+			t.Fatal(err)
+		}
 		cfg := charles.DefaultConfig()
 		cfg.Workers = workers
-		cfg.ChunkRows = chunkRows
 		adv := charles.NewAdvisor(tab, cfg)
 		adv.Evaluator().SetZonePruning(pruning)
 		res, err := adv.AdviseString(context)
