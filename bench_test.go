@@ -62,7 +62,7 @@ func BenchmarkE1Fig1EndToEnd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev := seg.NewEvaluator(tab)
-		if _, err := core.HBCuts(ev, ctx, core.DefaultConfig()); err != nil {
+		if _, err := core.HBCuts(nil, ev, ctx, core.DefaultConfig(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -130,7 +130,7 @@ func BenchmarkE3HBCutsFiveAttrs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev := seg.NewEvaluator(tab)
-		if _, err := core.HBCuts(ev, ctx, core.DefaultConfig()); err != nil {
+		if _, err := core.HBCuts(nil, ev, ctx, core.DefaultConfig(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func BenchmarkE4StoppingSweep(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					ev := seg.NewEvaluator(tab)
-					if _, err := core.HBCuts(ev, ctx, cfg); err != nil {
+					if _, err := core.HBCuts(nil, ev, ctx, cfg, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -196,7 +196,7 @@ func BenchmarkE6Horizontal(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ev := seg.NewEvaluator(tab)
-				if _, err := core.HBCuts(ev, ctx, core.DefaultConfig()); err != nil {
+				if _, err := core.HBCuts(nil, ev, ctx, core.DefaultConfig(), nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -213,7 +213,7 @@ func BenchmarkE7Vertical(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ev := seg.NewEvaluator(tab)
-				if _, err := core.HBCuts(ev, ctx, core.DefaultConfig()); err != nil {
+				if _, err := core.HBCuts(nil, ev, ctx, core.DefaultConfig(), nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -272,7 +272,7 @@ func BenchmarkE8Sampling(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ev := seg.NewEvaluator(tab)
-				if _, err := core.HBCuts(ev, ctx, cfg); err != nil {
+				if _, err := core.HBCuts(nil, ev, ctx, cfg, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -288,7 +288,7 @@ func BenchmarkE9Baselines(b *testing.B) {
 	b.Run("HBCuts", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ev := seg.NewEvaluator(tab)
-			if _, err := core.HBCuts(ev, ctx, core.DefaultConfig()); err != nil {
+			if _, err := core.HBCuts(nil, ev, ctx, core.DefaultConfig(), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -296,7 +296,7 @@ func BenchmarkE9Baselines(b *testing.B) {
 	b.Run("Adaptive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ev := seg.NewEvaluator(tab)
-			if _, err := core.AdaptiveCuts(ev, ctx, core.DefaultConfig()); err != nil {
+			if _, err := core.AdaptiveCuts(nil, ev, ctx, core.DefaultConfig(), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -306,7 +306,7 @@ func BenchmarkE9Baselines(b *testing.B) {
 		cfg.Pairing = core.PairRandom
 		for i := 0; i < b.N; i++ {
 			ev := seg.NewEvaluator(tab)
-			if _, err := core.HBCuts(ev, ctx, cfg); err != nil {
+			if _, err := core.HBCuts(nil, ev, ctx, cfg, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -365,7 +365,7 @@ func BenchmarkE11Lazy(b *testing.B) {
 	b.Run("EagerAll", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ev := seg.NewEvaluator(tab)
-			if _, err := core.HBCuts(ev, ctx, core.DefaultConfig()); err != nil {
+			if _, err := core.HBCuts(nil, ev, ctx, core.DefaultConfig(), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -469,7 +469,7 @@ func BenchmarkE12WorkersScaling(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ev := seg.NewEvaluator(tab)
-				if _, err := core.HBCuts(ev, ctx, cfg); err != nil {
+				if _, err := core.HBCuts(nil, ev, ctx, cfg, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -491,7 +491,7 @@ func BenchmarkE13ConcurrentSessions(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := core.HBCuts(ev, ctx, cfg); err != nil {
+			if _, err := core.HBCuts(nil, ev, ctx, cfg, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -677,7 +677,7 @@ func BenchmarkE17ScaleAdvise(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ev := seg.NewEvaluator(tab)
-				if _, err := core.HBCuts(ev, ctx, cfg); err != nil {
+				if _, err := core.HBCuts(nil, ev, ctx, cfg, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

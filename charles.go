@@ -209,12 +209,6 @@ func RenderContext(q Query, rows int) string { return ui.RenderContext(q, rows) 
 // RenderSegmentation renders one segmentation as proportion bars.
 func RenderSegmentation(s *Segmentation) string { return ui.RenderSegmentation(s) }
 
-// SetScanWorkers caps the number of goroutines one engine column
-// scan may use (filters, min/max, gathers). n < 1 restores the
-// default of one worker per available CPU. The cap is process-wide;
-// Config.Workers bounds the per-advise fan-out separately.
-func SetScanWorkers(n int) { engine.SetScanWorkers(n) }
-
 // Advisor is a ready-to-query advisory session over one table: it
 // owns the evaluator (and therefore the selection caches) and the
 // HB-cuts configuration. An Advisor is safe for concurrent use —
@@ -248,7 +242,7 @@ func (a *Advisor) Evaluator() *Evaluator { return a.ev }
 // Advise runs HB-cuts on a context query and returns the ranked
 // segmentations.
 func (a *Advisor) Advise(context Query) (*Result, error) {
-	return core.HBCuts(a.ev, context, a.cfg)
+	return core.HBCuts(nil, a.ev, context, a.cfg, nil)
 }
 
 // AdviseCtx is Advise with cooperative cancellation and progress
@@ -260,7 +254,7 @@ func (a *Advisor) Advise(context Query) (*Result, error) {
 // Neither changes ranked output: an uncancelled AdviseCtx returns
 // byte-identical results to Advise at every Workers setting.
 func (a *Advisor) AdviseCtx(ctx context.Context, context_ Query, progress ProgressFunc) (*Result, error) {
-	return core.HBCutsCtx(ctx, a.ev, context_, a.cfg, progress)
+	return core.HBCuts(ctx, a.ev, context_, a.cfg, progress)
 }
 
 // AdviseString parses, binds and advises in one step. An empty input
@@ -291,13 +285,13 @@ func (a *Advisor) Stream(context Query) (*Stream, error) {
 // Adaptive runs the per-piece adaptive-cuts extension, where each
 // piece may split on a different attribute.
 func (a *Advisor) Adaptive(context Query) ([]Scored, error) {
-	return core.AdaptiveCuts(a.ev, context, a.cfg)
+	return core.AdaptiveCuts(nil, a.ev, context, a.cfg, nil)
 }
 
 // AdaptiveCtx is Adaptive with cooperative cancellation and
 // PhaseTrials progress reporting, mirroring AdviseCtx.
 func (a *Advisor) AdaptiveCtx(ctx context.Context, context_ Query, progress ProgressFunc) ([]Scored, error) {
-	return core.AdaptiveCutsCtx(ctx, a.ev, context_, a.cfg, progress)
+	return core.AdaptiveCuts(ctx, a.ev, context_, a.cfg, progress)
 }
 
 // Facets produces the single-attribute faceted-search baseline for

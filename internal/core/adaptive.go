@@ -23,17 +23,12 @@ import (
 // paper hints at.
 //
 // The returned slice holds the segmentation after every split
-// (depths 2..MaxDepth), ranked like HBCuts output.
-func AdaptiveCuts(ev *seg.Evaluator, context sdl.Query, cfg Config) ([]Scored, error) {
-	return AdaptiveCutsCtx(nil, ev, context, cfg, nil)
-}
-
-// AdaptiveCutsCtx is AdaptiveCuts with cooperative cancellation and
-// progress reporting: ctx stops the greedy loop at the next trial
-// boundary, and progress (optional) receives one PhaseTrials report
-// per finished attribute trial-cut. Like HBCutsCtx, neither changes
-// the returned ranking.
-func AdaptiveCutsCtx(ctx context.Context, ev *seg.Evaluator, q sdl.Query, cfg Config, progress ProgressFunc) ([]Scored, error) {
+// (depths 2..MaxDepth), ranked like HBCuts output. A cancelled ctx
+// (nil: never cancelled) stops the greedy loop at the next trial
+// boundary, and progress (nil: none) receives one PhaseTrials report
+// per finished attribute trial-cut. Like HBCuts', neither changes the
+// returned ranking.
+func AdaptiveCuts(ctx context.Context, ev *seg.Evaluator, q sdl.Query, cfg Config, progress ProgressFunc) ([]Scored, error) {
 	context := q // the exploration context; shadows the context package below, which is only needed in the signature
 	cfg = cfg.normalize()
 	prog := newProgressSink(progress)

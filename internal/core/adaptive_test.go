@@ -16,7 +16,7 @@ func TestAdaptiveCutsPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := AdaptiveCuts(ev, ctx, DefaultConfig())
+	out, err := AdaptiveCuts(nil, ev, ctx, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestAdaptiveCutsMixedAttributes(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.MaxDepth = 6
-	out, err := AdaptiveCuts(ev, ctx, cfg)
+	out, err := AdaptiveCuts(nil, ev, ctx, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestAdaptiveCutsMixedAttributes(t *testing.T) {
 func TestAdaptiveCutsDegenerateInputs(t *testing.T) {
 	tab := dataset.Figure3(100, 1)
 	ev := seg.NewEvaluator(tab)
-	if _, err := AdaptiveCuts(ev, sdl.Query{}, DefaultConfig()); err == nil {
+	if _, err := AdaptiveCuts(nil, ev, sdl.Query{}, DefaultConfig(), nil); err == nil {
 		t.Fatal("empty context accepted")
 	}
 	ctx := sdl.MustQuery(sdl.RangeC("att1", engine.Int(-10), engine.Int(-5), true, true))
-	if _, err := AdaptiveCuts(ev, ctx, DefaultConfig()); err == nil {
+	if _, err := AdaptiveCuts(nil, ev, ctx, DefaultConfig(), nil); err == nil {
 		t.Fatal("empty extent accepted")
 	}
 }
@@ -88,7 +88,7 @@ func TestAdaptiveCutsBalancedSplits(t *testing.T) {
 	ctx := sdl.ContextAll(tab)
 	cfg := DefaultConfig()
 	cfg.MaxDepth = 8
-	out, err := AdaptiveCuts(ev, ctx, cfg)
+	out, err := AdaptiveCuts(nil, ev, ctx, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,24 +110,20 @@ type hbState struct {
 }
 
 // HBCuts runs the Figure 4 algorithm: seed one binary segmentation
-// per context attribute, repeatedly compose the most dependent pair,
-// stop on independence or depth, and return every segmentation
+// per context attribute of q, repeatedly compose the most dependent
+// pair, stop on independence or depth, and return every segmentation
 // encountered, ranked.
-func HBCuts(ev *seg.Evaluator, context sdl.Query, cfg Config) (*Result, error) {
-	return HBCutsCtx(nil, ev, context, cfg, nil)
-}
-
-// HBCutsCtx is HBCuts with cooperative cancellation and progress
-// reporting. A cancelled ctx stops the run at the next task boundary
-// — between initial cuts, between INDEP cell evaluations, between
-// composition steps — releases every worker goroutine, and returns
-// ctx.Err(). progress (optional) receives one report per completed
-// initial cut (PhaseCuts, Total = context attribute count) and one
-// per INDEP pair evaluation (PhasePairs, open-ended). Neither ctx
-// nor progress changes ranked output: an uncancelled run returns
-// byte-identical results to HBCuts.
-func HBCutsCtx(ctx context.Context, ev *seg.Evaluator, q sdl.Query, cfg Config, progress ProgressFunc) (*Result, error) {
-	st, err := newHBStateCtx(ctx, ev, q, cfg, progress)
+//
+// A cancelled ctx (nil: never cancelled) stops the run at the next
+// task boundary — between initial cuts, between INDEP cell
+// evaluations, between composition steps — releases every worker
+// goroutine, and returns ctx.Err(). progress (nil: none) receives one
+// report per completed initial cut (PhaseCuts, Total = context
+// attribute count) and one per INDEP pair evaluation (PhasePairs,
+// open-ended). Neither ctx nor progress changes ranked output: an
+// uncancelled run returns byte-identical results either way.
+func HBCuts(ctx context.Context, ev *seg.Evaluator, q sdl.Query, cfg Config, progress ProgressFunc) (*Result, error) {
+	st, err := newHBState(ctx, ev, q, cfg, progress)
 	if err != nil {
 		return nil, err
 	}
@@ -150,11 +146,7 @@ func HBCutsCtx(ctx context.Context, ev *seg.Evaluator, q sdl.Query, cfg Config, 
 	return st.res, nil
 }
 
-func newHBState(ev *seg.Evaluator, context sdl.Query, cfg Config) (*hbState, error) {
-	return newHBStateCtx(nil, ev, context, cfg, nil)
-}
-
-func newHBStateCtx(ctx context.Context, ev *seg.Evaluator, context sdl.Query, cfg Config, progress ProgressFunc) (*hbState, error) {
+func newHBState(ctx context.Context, ev *seg.Evaluator, context sdl.Query, cfg Config, progress ProgressFunc) (*hbState, error) {
 	cfg = cfg.normalize()
 	if len(context.Attrs()) == 0 {
 		return nil, fmt.Errorf("core: context mentions no attributes")

@@ -24,7 +24,7 @@ func figure3Env(t *testing.T, n int) (*seg.Evaluator, sdl.Query) {
 // independent ("No split" at the top of the figure).
 func TestHBCutsFigure3Shape(t *testing.T) {
 	ev, ctx := figure3Env(t, 20000)
-	res, err := HBCuts(ev, ctx, DefaultConfig())
+	res, err := HBCuts(nil, ev, ctx, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestHBCutsFigure3Shape(t *testing.T) {
 
 func TestHBCutsOutputsArePartitions(t *testing.T) {
 	ev, ctx := figure3Env(t, 5000)
-	res, err := HBCuts(ev, ctx, DefaultConfig())
+	res, err := HBCuts(nil, ev, ctx, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestHBCutsMaxDepthStops(t *testing.T) {
 	ev, ctx := figure3Env(t, 5000)
 	cfg := DefaultConfig()
 	cfg.MaxDepth = 4 // compositions reach 4 pieces immediately
-	res, err := HBCuts(ev, ctx, cfg)
+	res, err := HBCuts(nil, ev, ctx, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestHBCutsMaxIndepOne(t *testing.T) {
 	ev, ctx := figure3Env(t, 3000)
 	cfg := DefaultConfig()
 	cfg.MaxIndep = 1.000001
-	res, err := HBCuts(ev, ctx, cfg)
+	res, err := HBCuts(nil, ev, ctx, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestHBCutsMaxIndepOne(t *testing.T) {
 func TestHBCutsIndependentDataComposesNothing(t *testing.T) {
 	tab := dataset.UniformInts(20000, 4, 1000, 7)
 	ev := seg.NewEvaluator(tab)
-	res, err := HBCuts(ev, sdl.ContextAll(tab), DefaultConfig())
+	res, err := HBCuts(nil, ev, sdl.ContextAll(tab), DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestHBCutsSkipsConstantAttrs(t *testing.T) {
 		engine.NewIntColumn("c", []int64{7, 7, 7, 7, 7, 7, 7, 7}),
 	)
 	ev := seg.NewEvaluator(tab)
-	res, err := HBCuts(ev, sdl.ContextAll(tab), DefaultConfig())
+	res, err := HBCuts(nil, ev, sdl.ContextAll(tab), DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestHBCutsSkipsConstantAttrs(t *testing.T) {
 func TestHBCutsAllConstantFails(t *testing.T) {
 	tab := engine.MustNewTable("t", engine.NewIntColumn("c", []int64{7, 7}))
 	ev := seg.NewEvaluator(tab)
-	if _, err := HBCuts(ev, sdl.ContextAll(tab), DefaultConfig()); err == nil {
+	if _, err := HBCuts(nil, ev, sdl.ContextAll(tab), DefaultConfig(), nil); err == nil {
 		t.Fatal("all-constant context accepted")
 	}
 }
@@ -159,7 +159,7 @@ func TestHBCutsAllConstantFails(t *testing.T) {
 func TestHBCutsEmptyContextAttrsFails(t *testing.T) {
 	tab := engine.MustNewTable("t", engine.NewIntColumn("v", []int64{1, 2}))
 	ev := seg.NewEvaluator(tab)
-	if _, err := HBCuts(ev, sdl.Query{}, DefaultConfig()); err == nil {
+	if _, err := HBCuts(nil, ev, sdl.Query{}, DefaultConfig(), nil); err == nil {
 		t.Fatal("empty context accepted")
 	}
 }
@@ -173,7 +173,7 @@ func TestHBCutsRestrictsToContextColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := HBCuts(ev, ctx, DefaultConfig())
+	res, err := HBCuts(nil, ev, ctx, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestHBCutsConstrainedContext(t *testing.T) {
 		sdl.RangeC("att1", engine.Int(0), engine.Int(500), true, false),
 		sdl.Any("att2"), sdl.Any("att3"),
 	)
-	res, err := HBCuts(ev, ctx, DefaultConfig())
+	res, err := HBCuts(nil, ev, ctx, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestHBCutsConstrainedContext(t *testing.T) {
 
 func TestHBCutsIndepCacheReuse(t *testing.T) {
 	ev, ctx := figure3Env(t, 5000)
-	res, err := HBCuts(ev, ctx, DefaultConfig())
+	res, err := HBCuts(nil, ev, ctx, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestHBCutsChiSquareStopping(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.UseChiSquare = true
 	cfg.ChiAlpha = 0.01
-	res, err := HBCuts(ev, sdl.ContextAll(tab), cfg)
+	res, err := HBCuts(nil, ev, sdl.ContextAll(tab), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestHBCutsChiSquareStopping(t *testing.T) {
 	// And on strongly dependent data it lets composition proceed.
 	tab2 := dataset.CorrelatedPair(5000, 0.95, 2)
 	ev2 := seg.NewEvaluator(tab2)
-	res2, err := HBCuts(ev2, sdl.ContextAll(tab2), cfg)
+	res2, err := HBCuts(nil, ev2, sdl.ContextAll(tab2), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestHBCutsRandomPairingAblation(t *testing.T) {
 	cfg.Pairing = PairRandom
 	cfg.Seed = 42
 	cfg.MaxIndep = 1.000001 // random pairs stop too early otherwise
-	res, err := HBCuts(ev, ctx, cfg)
+	res, err := HBCuts(nil, ev, ctx, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestHBCutsRandomPairingAblation(t *testing.T) {
 	}
 	// Determinism under a fixed seed.
 	ev2 := seg.NewEvaluator(dataset.Figure3(5000, 1))
-	res2, err := HBCuts(ev2, ctx, cfg)
+	res2, err := HBCuts(nil, ev2, ctx, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestHBCutsQuantileArity(t *testing.T) {
 	ev, ctx := figure3Env(t, 5000)
 	cfg := DefaultConfig()
 	cfg.Cut.Arity = 3
-	res, err := HBCuts(ev, ctx, cfg)
+	res, err := HBCuts(nil, ev, ctx, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestHBCutsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := HBCuts(ev, ctx, DefaultConfig())
+		res, err := HBCuts(nil, ev, ctx, DefaultConfig(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,7 @@ type Stream struct {
 // (they are cheap and every one is an answer); composition work is
 // deferred to Next.
 func NewStream(ev *seg.Evaluator, context sdl.Query, cfg Config) (*Stream, error) {
-	st, err := newHBState(ev, context, cfg)
+	st, err := newHBState(nil, ev, context, cfg, nil)
 	if err != nil {
 		return nil, err
 	}

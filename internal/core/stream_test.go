@@ -15,7 +15,7 @@ func TestStreamYieldsSameSetAsEager(t *testing.T) {
 	tab := dataset.Figure3(5000, 1)
 	ctx := sdl.ContextAll(tab)
 
-	eager, err := HBCuts(seg.NewEvaluator(tab), ctx, DefaultConfig())
+	eager, err := HBCuts(nil, seg.NewEvaluator(tab), ctx, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

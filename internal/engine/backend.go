@@ -117,7 +117,7 @@ func NewTableFromBackend(b ColumnBackend) (*Table, error) {
 		t.cols[i] = c
 	}
 	t.summaries = make([]atomic.Pointer[ChunkSummary], n)
-	t.chunkRows = normalizeChunkRows(b.NativeChunkRows())
+	t.chunkRows = NormalizeChunkRows(b.NativeChunkRows())
 	t.resetStamp()
 	return t, nil
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"charles/internal/fault"
-	"charles/internal/par"
 )
 
 // DefaultChunkRows is the automatic row-range chunk width: 64K rows
@@ -30,16 +29,11 @@ const maxChunkRows = 1 << 30
 // NormalizeChunkRows resolves a configured chunk width the way
 // SetChunkRows does: values < 1 mean the automatic default,
 // everything else is clamped to [64, 2^30] and rounded up to the
-// next power of two. Storage backends that persist per-chunk state
-// use it to agree with the table on the width before writing.
-func NormalizeChunkRows(n int) int { return normalizeChunkRows(n) }
-
-// normalizeChunkRows resolves a configured chunk width: values < 1
-// mean the automatic default, everything else is clamped to
-// [64, 2^30] and rounded up to the next power of two. Power-of-two
-// widths keep per-row chunk addressing a shift+mask instead of a
-// hardware divide.
-func normalizeChunkRows(n int) int {
+// next power of two. Power-of-two widths keep per-row chunk
+// addressing a shift+mask instead of a hardware divide. Storage
+// backends that persist per-chunk state use it to agree with the
+// table on the width before writing.
+func NormalizeChunkRows(n int) int {
 	if n < 1 {
 		return DefaultChunkRows
 	}
@@ -62,7 +56,7 @@ func normalizeChunkRows(n int) int {
 // an error and the table is left as it was. Call it before the table
 // serves, never concurrently with its readers.
 func (t *Table) SetChunkRows(n int) error {
-	n = normalizeChunkRows(n)
+	n = NormalizeChunkRows(n)
 	if n == t.chunkRows {
 		return nil
 	}
@@ -256,7 +250,7 @@ func (t *Table) Summary(i int) *ChunkSummary {
 			return t.summaries[i].Load()
 		}
 	}
-	s := t.buildSummary(t.cols[i])
+	s := t.buildSummary(t.cols[i], nil, nil)
 	s.stamp = cur
 	t.summaries[i].CompareAndSwap(nil, s)
 	return t.summaries[i].Load()
@@ -379,147 +373,97 @@ func stringChunkList(codes []uint32, lo, hi int) (list []uint32, overflow bool) 
 	return list, false
 }
 
-// buildSummary computes the zone map, one chunk per worker-pool
-// task. The caller stamps the result.
-func (t *Table) buildSummary(col Column) *ChunkSummary {
+// buildSummary computes col's zone map: for every chunk, or with dirty
+// set for the dirty ones only, the others' entries copied from old.
+// The chunks fan out over the scan pool (forEachChunk). The caller
+// stamps the result.
+func (t *Table) buildSummary(col Column, old *ChunkSummary, dirty []bool) *ChunkSummary {
 	nc := t.NumChunks()
+	clean := func(c int) bool { return dirty != nil && !dirty[c] }
 	s := &ChunkSummary{}
 	switch col := col.(type) {
 	case Numeric:
-		t.buildNumSummary(s, col, nc, nil, nil)
+		vals, nan := col.Int64s(), col.Kind() == KindFloat
+		s.intMin = make([]int64, nc)
+		s.intMax = make([]int64, nc)
+		if nan {
+			s.nan = make([]bool, nc)
+		}
+		forEachChunk(nc, t.rows, func(c int) {
+			var hasNaN bool
+			if clean(c) {
+				s.intMin[c], s.intMax[c], hasNaN = old.intMin[c], old.intMax[c], old.hasNaN(c)
+			} else {
+				lo, hi := t.ChunkBounds(c)
+				s.intMin[c], s.intMax[c], hasNaN = numChunkBounds(vals[lo:hi], nan)
+			}
+			if nan {
+				s.nan[c] = hasNaN
+			}
+		})
+		switch {
+		case old == nil:
+			s.rank = t.rankCodesFor(s, vals, nan, nil, nil)
+		case old.rank != nil: // a refresh keeps rank codes only where they were
+			s.rank = t.rankCodesFor(s, vals, nan, old.rank, dirty)
+		}
 	case *StringColumn:
-		t.buildNominalSummary(s, col, nc)
+		// A string column's presence is a dense code bitset for a small
+		// dictionary, a short sorted distinct-code list (or an overflow
+		// mark) for a large one.
+		s.dictLen = col.Cardinality()
+		codes := col.Codes()
+		if s.dictLen <= denseCodeDictMax {
+			s.codeBits = make([][]uint64, nc)
+			words := (s.dictLen + 63) / 64
+			forEachChunk(nc, t.rows, func(c int) {
+				if clean(c) {
+					s.codeBits[c] = old.codeBits[c]
+					return
+				}
+				lo, hi := t.ChunkBounds(c)
+				s.codeBits[c] = stringChunkBits(codes, lo, hi, words)
+			})
+			break
+		}
+		s.codeList = make([][]uint32, nc)
+		s.codeOverflow = make([]bool, nc)
+		forEachChunk(nc, t.rows, func(c int) {
+			if clean(c) {
+				s.codeList[c], s.codeOverflow[c] = old.codeList[c], old.codeOverflow[c]
+				return
+			}
+			lo, hi := t.ChunkBounds(c)
+			s.codeList[c], s.codeOverflow[c] = stringChunkList(codes, lo, hi)
+		})
 	case *BoolColumn:
 		s.boolHasTrue = make([]bool, nc)
 		s.boolHasFalse = make([]bool, nc)
-		_ = par.ForEach(ScanWorkers(), nc, func(c int) error {
+		forEachChunk(nc, t.rows, func(c int) {
+			if clean(c) {
+				s.boolHasTrue[c], s.boolHasFalse[c] = old.boolHasTrue[c], old.boolHasFalse[c]
+				return
+			}
 			lo, hi := t.ChunkBounds(c)
 			s.boolHasTrue[c], s.boolHasFalse[c] = boolChunkPresence(col, lo, hi)
-			return nil
 		})
 	}
 	return s
 }
 
-// buildNumSummary computes a numeric column's per-chunk bounds, a
-// float column's NaN bits and, on a warmed table, a wide column's rank
-// codes into s: for every chunk, or with dirty set for the dirty ones
-// only, the others' copied from old.
-func (t *Table) buildNumSummary(s *ChunkSummary, col Numeric, nc int, old *ChunkSummary, dirty []bool) {
-	vals, nan := col.Int64s(), col.Kind() == KindFloat
-	s.intMin = make([]int64, nc)
-	s.intMax = make([]int64, nc)
-	if nan {
-		s.nan = make([]bool, nc)
-	}
-	_ = par.ForEach(ScanWorkers(), nc, func(c int) error {
-		var hasNaN bool
-		if dirty != nil && !dirty[c] {
-			s.intMin[c], s.intMax[c], hasNaN = old.intMin[c], old.intMax[c], old.hasNaN(c)
-		} else {
-			lo, hi := t.ChunkBounds(c)
-			s.intMin[c], s.intMax[c], hasNaN = numChunkBounds(vals[lo:hi], nan)
-		}
-		if nan {
-			s.nan[c] = hasNaN
-		}
-		return nil
-	})
-	switch {
-	case old == nil:
-		s.rank = t.rankCodesFor(s, vals, nan, nil, nil)
-	case old.rank != nil: // a refresh keeps rank codes only where they were
-		s.rank = t.rankCodesFor(s, vals, nan, old.rank, dirty)
-	}
-}
-
-// buildNominalSummary computes a string column's per-chunk presence
-// summary: a dense code bitset for small dictionaries, a short
-// sorted distinct-code list (or an overflow mark) for large ones.
-func (t *Table) buildNominalSummary(s *ChunkSummary, col *StringColumn, nc int) {
-	s.dictLen = col.Cardinality()
-	codes := col.Codes()
-	if s.dictLen <= denseCodeDictMax {
-		s.codeBits = make([][]uint64, nc)
-		words := (s.dictLen + 63) / 64
-		_ = par.ForEach(ScanWorkers(), nc, func(c int) error {
-			lo, hi := t.ChunkBounds(c)
-			s.codeBits[c] = stringChunkBits(codes, lo, hi, words)
-			return nil
-		})
-		return
-	}
-	s.codeList = make([][]uint32, nc)
-	s.codeOverflow = make([]bool, nc)
-	_ = par.ForEach(ScanWorkers(), nc, func(c int) error {
-		lo, hi := t.ChunkBounds(c)
-		s.codeList[c], s.codeOverflow[c] = stringChunkList(codes, lo, hi)
-		return nil
-	})
-}
-
 // refreshSummary brings a stale summary up to stamp cur, rescanning
 // only the chunks whose epochs moved and keeping the clean chunks'
-// entries. It falls back to a full rebuild when the stamps are not
-// chunk-comparable (a backend summary after mutation) or when a string
-// column's dictionary grew — the presence encoding is sized and shaped
-// by the dictionary, so clean chunks' bitsets would not line up with
-// the new code space.
+// entries. It builds in full when the stamps are not chunk-comparable
+// (a backend summary after mutation) or when a string column's
+// dictionary grew — the presence encoding is sized and shaped by the
+// dictionary, so clean chunks' bitsets would not line up with the new
+// code space.
 func (t *Table) refreshSummary(col Column, old *ChunkSummary, cur *EpochStamp) *ChunkSummary {
 	dirty, _ := cur.DirtyVs(old.stamp)
-	if sc, isStr := col.(*StringColumn); isStr && sc.Cardinality() != old.dictLen {
-		dirty = nil
+	if sc, isStr := col.(*StringColumn); dirty == nil || isStr && sc.Cardinality() != old.dictLen {
+		old, dirty = nil, nil
 	}
-	if dirty == nil {
-		s := t.buildSummary(col)
-		s.stamp = cur
-		return s
-	}
-	nc := t.NumChunks()
-	s := &ChunkSummary{stamp: cur}
-	switch col := col.(type) {
-	case Numeric:
-		t.buildNumSummary(s, col, nc, old, dirty)
-	case *StringColumn:
-		s.dictLen = old.dictLen
-		codes := col.Codes()
-		if old.codeBits != nil {
-			s.codeBits = make([][]uint64, nc)
-			words := (s.dictLen + 63) / 64
-			_ = par.ForEach(ScanWorkers(), nc, func(c int) error {
-				if !dirty[c] {
-					s.codeBits[c] = old.codeBits[c]
-					return nil
-				}
-				lo, hi := t.ChunkBounds(c)
-				s.codeBits[c] = stringChunkBits(codes, lo, hi, words)
-				return nil
-			})
-		} else {
-			s.codeList = make([][]uint32, nc)
-			s.codeOverflow = make([]bool, nc)
-			_ = par.ForEach(ScanWorkers(), nc, func(c int) error {
-				if !dirty[c] {
-					s.codeList[c], s.codeOverflow[c] = old.codeList[c], old.codeOverflow[c]
-					return nil
-				}
-				lo, hi := t.ChunkBounds(c)
-				s.codeList[c], s.codeOverflow[c] = stringChunkList(codes, lo, hi)
-				return nil
-			})
-		}
-	case *BoolColumn:
-		s.boolHasTrue = make([]bool, nc)
-		s.boolHasFalse = make([]bool, nc)
-		_ = par.ForEach(ScanWorkers(), nc, func(c int) error {
-			if !dirty[c] {
-				s.boolHasTrue[c], s.boolHasFalse[c] = old.boolHasTrue[c], old.boolHasFalse[c]
-				return nil
-			}
-			lo, hi := t.ChunkBounds(c)
-			s.boolHasTrue[c], s.boolHasFalse[c] = boolChunkPresence(col, lo, hi)
-			return nil
-		})
-	}
+	s := t.buildSummary(col, old, dirty)
+	s.stamp = cur
 	return s
 }

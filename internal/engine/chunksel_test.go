@@ -446,8 +446,8 @@ func TestNormalizeChunkRowsClamped(t *testing.T) {
 		math.MaxInt64: maxChunkRows,
 	}
 	for in, want := range cases {
-		if got := normalizeChunkRows(in); got != want {
-			t.Fatalf("normalizeChunkRows(%d) = %d, want %d", in, got, want)
+		if got := NormalizeChunkRows(in); got != want {
+			t.Fatalf("NormalizeChunkRows(%d) = %d, want %d", in, got, want)
 		}
 	}
 }

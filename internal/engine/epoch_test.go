@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -241,6 +243,112 @@ func TestSummaryRefreshAfterMutation(t *testing.T) {
 	if s := tab.Summary(2); s == nil || !s.HasNominal() {
 		t.Fatal("nominal summary missing after dict growth")
 	}
+}
+
+// summaryTable builds a 26-chunk table of every summarized kind at a
+// 256-row chunk width: int, float with NaN in some chunks, bool with
+// single-valued chunks, a dense string column of two values per chunk
+// and a sparse one whose
+// 5 200-value dictionary overflows the code list in its first 20
+// chunks and fits it in the rest.
+func summaryTable() *Table {
+	const chunk, rows = 256, 26 * 256
+	ints := make([]int64, rows)
+	floats := make([]float64, rows)
+	bools := make([]bool, rows)
+	dense := make([]string, rows)
+	sparse := make([]string, rows)
+	for r := range rows {
+		ints[r] = int64(r%97 - 40)
+		floats[r] = float64(r%13) / 4
+		if r%300 == 7 {
+			floats[r] = math.NaN()
+		}
+		bools[r] = r/chunk%3 == 0 || r%2 == 0
+		dense[r] = fmt.Sprintf("d%d", r/chunk%7+r%2)
+		if r < 5200 {
+			sparse[r] = fmt.Sprintf("s%d", r)
+		} else {
+			sparse[r] = fmt.Sprintf("s%d", r%5)
+		}
+	}
+	tab := MustNewTable("z",
+		NewIntColumn("n", ints),
+		NewFloatColumn("x", floats),
+		NewBoolColumn("flag", bools),
+		NewStringColumn("dense", dense),
+		NewStringColumn("sparse", sparse),
+	)
+	tab.SetChunkRows(chunk)
+	return tab
+}
+
+// requireSummariesMatchFullBuild holds every column's zone map, as
+// Summary serves it after a mutation, to a full build of the same data:
+// the cached summary is dropped and Summary rebuilt from the column.
+// Rank codes are left out: a refresh keeps their boundaries by design.
+func requireSummariesMatchFullBuild(t *testing.T, tab *Table, step string) {
+	t.Helper()
+	for i := range tab.NumCols() {
+		got := *tab.Summary(i)
+		tab.summaries[i].Store(nil)
+		want := *tab.Summary(i)
+		got.rank, want.rank = nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %s summary differs from a full build:\n%+v\n%+v", step, tab.Column(i).Name(), got, want)
+		}
+	}
+}
+
+// TestSummaryRefreshMatchesFullBuild pins the zone-map refresh for every
+// summarized kind — numeric bounds, float NaN bits, bool presence,
+// dense string bits and sparse or overflowed string lists: after an
+// UpdateRows, and after an AppendRows that does not grow a dictionary,
+// each refreshed summary equals a full build of the same data.
+func TestSummaryRefreshMatchesFullBuild(t *testing.T) {
+	tab := summaryTable()
+	for i := range tab.NumCols() {
+		if tab.Summary(i) == nil {
+			t.Fatalf("column %s has no summary", tab.Column(i).Name())
+		}
+	}
+	dense, sparse := tab.MustColumn("dense").(*StringColumn), tab.MustColumn("sparse").(*StringColumn)
+	cards := [2]int{dense.Cardinality(), sparse.Cardinality()}
+	if cards[0] > denseCodeDictMax || cards[1] <= denseCodeDictMax {
+		t.Fatalf("dictionaries of %v values: want one dense and one sparse summary", cards)
+	}
+	s := tab.Summary(4)
+	if !s.codeOverflow[0] || s.codeOverflow[25] {
+		t.Fatal("the sparse column wants overflowed and listed chunks")
+	}
+	for _, u := range []struct {
+		col  string
+		rows Selection
+		vals []Value
+	}{
+		{"n", Selection{3, 600}, []Value{Int(9000), Int(-9000)}},
+		{"x", Selection{7, 1000, 2000}, []Value{Float(0.5), Float(math.NaN()), Float(-3)}},
+		{"flag", Selection{0, 256 + 1}, []Value{Bool(false), Bool(true)}},
+		{"dense", Selection{10, 3000}, []Value{String_("d7"), String_("d0")}},
+		{"sparse", Selection{100, 25 * 256}, []Value{String_("s4"), String_("s4000")}},
+	} {
+		if err := tab.UpdateRows(u.rows, u.col, u.vals); err != nil {
+			t.Fatal(err)
+		}
+		requireSummariesMatchFullBuild(t, tab, "update of "+u.col)
+	}
+	var rows [][]Value
+	for r := range 300 {
+		rows = append(rows, sampleRow(tab, 5200+r))
+	}
+	rows[0][1], rows[1][2] = Float(math.NaN()), Bool(false)
+	if err := tab.AppendRows(rows...); err != nil {
+		t.Fatal(err)
+	}
+	if got := [2]int{dense.Cardinality(), sparse.Cardinality()}; got != cards {
+		t.Fatalf("the append grew the dictionaries from %v to %v", cards, got)
+	}
+	requireSummariesMatchFullBuild(t, tab, "append")
 }
 
 // readonlyBackend wraps MemoryBackend but is a distinct type, so the

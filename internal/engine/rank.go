@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"charles/internal/par"
 	"charles/internal/stats"
 )
 
@@ -178,14 +177,13 @@ func (t *Table) rankCodesFor(s *ChunkSummary, vals []int64, nan bool, old *rankC
 	nc := t.NumChunks()
 	rc.codes = make([][]uint8, nc)
 	rc.counts = make([][rankCells]uint32, nc)
-	_ = par.ForEach(ScanWorkers(), nc, func(c int) error {
+	forEachChunk(nc, t.rows, func(c int) {
 		if old != nil && !dirty[c] {
 			rc.codes[c], rc.counts[c] = old.codes[c], old.counts[c]
-			return nil
+			return
 		}
 		lo, hi := t.ChunkBounds(c)
 		rc.codes[c], rc.counts[c] = rc.codeChunk(vals[lo:hi])
-		return nil
 	})
 	return rc
 }

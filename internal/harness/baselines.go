@@ -60,14 +60,14 @@ func e9OnVOC(opt Options) (*Table, error) {
 	}
 
 	start := time.Now()
-	hb, err := core.HBCuts(ev, ctx, core.DefaultConfig())
+	hb, err := core.HBCuts(nil, ev, ctx, core.DefaultConfig(), nil)
 	if err != nil {
 		return nil, err
 	}
 	addScored("HB-cuts", hb.Segmentations, time.Since(start))
 
 	start = time.Now()
-	adaptive, err := core.AdaptiveCuts(ev, ctx, core.DefaultConfig())
+	adaptive, err := core.AdaptiveCuts(nil, ev, ctx, core.DefaultConfig(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +77,7 @@ func e9OnVOC(opt Options) (*Table, error) {
 	cfg.Pairing = core.PairRandom
 	cfg.Seed = opt.Seed
 	start = time.Now()
-	random, err := core.HBCuts(ev, ctx, cfg)
+	random, err := core.HBCuts(nil, ev, ctx, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +141,7 @@ func e9OnGaussian(opt Options) (*Table, error) {
 	// real.
 	cfg := core.DefaultConfig()
 	cfg.MaxIndep = 1.000001
-	res, err := core.HBCuts(ev, ctx, cfg)
+	res, err := core.HBCuts(nil, ev, ctx, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +244,7 @@ func runE11(opt Options) ([]*Table, error) {
 		Header: []string{"mode", "time to 1st answer (ms)", "time to 5th (ms)", "time to all (ms)", "answers"},
 	}
 	start := time.Now()
-	eager, err := core.HBCuts(seg.NewEvaluator(tab), ctx, core.DefaultConfig())
+	eager, err := core.HBCuts(nil, seg.NewEvaluator(tab), ctx, core.DefaultConfig(), nil)
 	if err != nil {
 		return nil, err
 	}

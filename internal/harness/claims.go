@@ -77,7 +77,7 @@ func runE6(opt Options) ([]*Table, error) {
 		ev := seg.NewEvaluator(tab)
 		ctx := sdl.ContextAll(tab)
 		start := time.Now()
-		res, err := core.HBCuts(ev, ctx, core.DefaultConfig())
+		res, err := core.HBCuts(nil, ev, ctx, core.DefaultConfig(), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -131,7 +131,7 @@ func runE7(opt Options) ([]*Table, error) {
 			return nil, err
 		}
 		start = time.Now()
-		res, err := core.HBCuts(ev, ctx, core.DefaultConfig())
+		res, err := core.HBCuts(nil, ev, ctx, core.DefaultConfig(), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -215,7 +215,7 @@ func runE8(opt Options) ([]*Table, error) {
 		cfg.Cut.SampleSize = sample
 		ev := seg.NewEvaluator(tab)
 		start := time.Now()
-		res, err := core.HBCuts(ev, ctx, cfg)
+		res, err := core.HBCuts(nil, ev, ctx, cfg, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -23,7 +23,7 @@ func runE1(opt Options) ([]*Table, error) {
 		return nil, err
 	}
 	start := time.Now()
-	res, err := core.HBCuts(ev, ctx, core.DefaultConfig())
+	res, err := core.HBCuts(nil, ev, ctx, core.DefaultConfig(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +115,7 @@ func runE3(opt Options) ([]*Table, error) {
 	tab := dataset.Figure3(opt.rows(20000), opt.Seed)
 	ev := seg.NewEvaluator(tab)
 	ctx := sdl.ContextAll(tab)
-	res, err := core.HBCuts(ev, ctx, core.DefaultConfig())
+	res, err := core.HBCuts(nil, ev, ctx, core.DefaultConfig(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +164,7 @@ func runE4(opt Options) ([]*Table, error) {
 			cfg.MaxIndep = maxIndep
 			cfg.MaxDepth = maxDepth
 			start := time.Now()
-			res, err := core.HBCuts(ev, ctx, cfg)
+			res, err := core.HBCuts(nil, ev, ctx, cfg, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -187,7 +187,7 @@ func runE4(opt Options) ([]*Table, error) {
 	// Chi-squared variant on the same context.
 	cfg := core.DefaultConfig()
 	cfg.UseChiSquare = true
-	res, err := core.HBCuts(ev, ctx, cfg)
+	res, err := core.HBCuts(nil, ev, ctx, cfg, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,8 @@
 // three stores — selections, cut entries and pair tables — and the one
 // eviction policy they obey. An entry is charged what it holds when it
 // is stored and credited when it is replaced, evicted or dropped with
-// its store (a pair-table generation, SetCaching(false)), so the
-// budget's total is always the sum over what the stores hold.
+// its pair-table generation, so the budget's total is always the sum
+// over what the stores hold.
 package seg
 
 import (
@@ -212,13 +212,6 @@ func (s *store[K, V]) dropLocked(c *clock) {
 	c.used.Add(-s.bytes)
 	s.bytes = 0
 	clear(s.m)
-}
-
-// drop is dropLocked under s.mu.
-func (s *store[K, V]) drop(c *clock) {
-	s.mu.Lock()
-	s.dropLocked(c)
-	s.mu.Unlock()
 }
 
 func (en *entry[K, V]) evict(c *clock) bool {

@@ -125,7 +125,7 @@ func tableRow(tab *engine.Table, r int) []engine.Value {
 // TestBudgetAccountingRandomSequences drives an evaluator through
 // random stores, re-stores, budget changes (which evict), cuts with
 // their counts, pair tables, appends (each starting a new pair-table
-// generation) and SetCaching(false): after every step the budget's
+// generation) and whole advises: after every step the budget's
 // total equals a walk of every store, every held entry is charged what
 // it holds and is on the ring, and a bounded total is within its
 // budget.
@@ -147,7 +147,7 @@ func TestBudgetAccountingRandomSequences(t *testing.T) {
 		}
 		keys := []string{"k0", "k1", "k2", "k3"}
 		for step := 0; step < 150; step++ {
-			switch op := rng.Intn(8); op {
+			switch op := rng.Intn(7); op {
 			case 0, 1: // a selection, stored or re-stored
 				if _, err := ev.Count(randomContext()); err != nil {
 					t.Fatal(err)
@@ -183,13 +183,7 @@ func TestBudgetAccountingRandomSequences(t *testing.T) {
 				if fp, _ := pairTables(ev); fp != "" && fp != tab.Fingerprint() {
 					t.Fatalf("the tier kept fingerprint %s after an append", fp)
 				}
-			case 6: // caching off drops every store
-				ev.SetCaching(false)
-				if got := walkBudget(t, ev); got != 0 || ev.CacheLen() != 0 {
-					t.Fatalf("SetCaching(false) left %d bytes, %d selections", got, ev.CacheLen())
-				}
-				ev.SetCaching(true)
-			case 7: // a whole advise
+			case 6: // a whole advise
 				if err := adviseOps(ev, randomContext()); err != nil {
 					t.Fatal(err)
 				}
@@ -308,7 +302,7 @@ func heapHeld() int64 {
 // unclustered 100K-row memory VOC, advises over novel tonnage ranges
 // fill an unbounded evaluator; the bytes accounted must be within 10%
 // of the heap the stores retain, measured as the live heap before and
-// after dropping them. (Clustered tables share whole chunks between
+// after a one-byte budget evicts them. (Clustered tables share whole chunks between
 // selections, so there the accounting over-counts; see
 // engine.ChunkedSelection.Bytes.)
 func TestCacheBytesTrackRetainedHeap(t *testing.T) {
@@ -328,12 +322,12 @@ func TestCacheBytesTrackRetainedHeap(t *testing.T) {
 	}
 	full := heapHeld()
 	accounted, entries := ev.CacheBytes(), ev.CacheLen()
-	ev.SetCaching(false)
+	ev.SetCacheBudget(1)
 	retained := full - heapHeld()
 	runtime.KeepAlive(ev)
 	t.Logf("accounted %d bytes, retained %d bytes (%d selections)", accounted, retained, entries)
 	if retained <= 0 {
-		t.Fatalf("dropping the stores freed %d bytes", retained)
+		t.Fatalf("evicting the stores freed %d bytes", retained)
 	}
 	if diff := accounted - retained; 10*max(diff, -diff) > retained {
 		t.Fatalf("accounted %d bytes, the stores retained %d: off by more than 10%%", accounted, retained)

@@ -59,10 +59,9 @@ func CutQuery(ev *Evaluator, q sdl.Query, attr string, opt CutOptions) ([]sdl.Qu
 }
 
 // cutQuery is CutQuery through the evaluator's cut cache, keyed by
-// key (cutKey, "" with caching off). An entry at the table's current
-// version is served whole — its children, and their counts once Cut
-// has stored them (nil before) — without reading q's extent or
-// building a child. A stale exact entry refreshes only the
+// key (cutKey). An entry at the table's current version is served
+// whole — its children, and their counts once Cut has stored them
+// (nil before) — without reading q's extent or building a child. A stale exact entry refreshes only the
 // mutation-dirtied chunks; anything else is computed from the extent.
 // The fresh entry holds the children and no counts. v is the table
 // version the children were cut at: they partition q's extent at v.
@@ -74,19 +73,15 @@ func (e *Evaluator) cutQuery(q sdl.Query, attr string, opt CutOptions) (children
 	}
 	// Read before the extent: a mutation in between only makes v older
 	// than the extent, which no caller then trusts to cover it.
-	v = e.tab.Version()
-	var cur *engine.EpochStamp
+	key, cur := cutKey(q, attr, opt), e.tab.Stamp()
+	v = cur.Version()
 	var stale *cachedCut
-	if e.caching.Load() {
-		key, cur = cutKey(q, attr, opt), e.tab.Stamp()
-		v = cur.Version()
-		if ent, ok := e.cachedCutEntry(key); ok {
-			if ent.stamp.Version() == v {
-				e.countCutCacheHit()
-				return ent.children, ent.counts, key, v, nil
-			}
-			stale = &ent
+	if ent, ok := e.cachedCutEntry(key); ok {
+		if ent.stamp.Version() == v {
+			e.countCutCacheHit()
+			return ent.children, ent.counts, key, v, nil
 		}
+		stale = &ent
 	}
 	ext, err := e.extent(q)
 	if err != nil {
@@ -102,9 +97,7 @@ func (e *Evaluator) cutQuery(q sdl.Query, attr string, opt CutOptions) (children
 	if children, err = childQueries(q, pieces); err != nil {
 		return nil, nil, "", 0, err
 	}
-	if key != "" {
-		e.storeCut(key, cachedCut{children: children, stamp: cur, intCounts: state.intCounts, strCounts: state.strCounts})
-	}
+	e.storeCut(key, cachedCut{children: children, stamp: cur, intCounts: state.intCounts, strCounts: state.strCounts})
 	return children, nil, key, v, nil
 }
 
@@ -198,8 +191,7 @@ func rangePieces(attr string, col engine.Numeric, cut engine.NumCut) []sdl.Const
 	return out
 }
 
-// errCutKind is the uncuttable-column error both the cached and
-// uncached dispatch return.
+// errCutKind is the uncuttable-column error.
 func errCutKind(attr string, col engine.Column) error {
 	return fmt.Errorf("seg: cannot cut column %q of kind %v", attr, col.Kind())
 }
@@ -325,9 +317,8 @@ func Cut(ev *Evaluator, s *Segmentation, attr string, opt CutOptions) (*Segmenta
 		if len(children) == 1 {
 			// Degenerate cut: the query survives whole and its count
 			// is already known, so the parent selection is never
-			// needed — fetching it anyway would be a wasted full
-			// evaluation with caching off and would skew the E6/E7
-			// FullEvals counters.
+			// needed — fetching it anyway would be a wasted lookup,
+			// and a full evaluation once the cache has evicted it.
 			if s.Counts[i] > 0 {
 				out.Queries = append(out.Queries, children[0])
 				out.Counts = append(out.Counts, s.Counts[i])
@@ -341,9 +332,7 @@ func Cut(ev *Evaluator, s *Segmentation, attr string, opt CutOptions) (*Segmenta
 			if counts, err = ev.cutChildren(q, children, attr, cuts[i].v); err != nil {
 				return nil, err
 			}
-			if cuts[i].key != "" {
-				ev.storeCutCounts(cuts[i].key, v, counts)
-			}
+			ev.storeCutCounts(cuts[i].key, v, counts)
 		}
 		sum := 0
 		for j, child := range children {

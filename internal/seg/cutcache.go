@@ -111,13 +111,12 @@ func (e *Evaluator) storeCutCounts(key string, v uint64, counts []int) {
 }
 
 // cutPieces computes the piece constraints CUT splits src, q's
-// extent, into along attr — the one path cached and uncached cuts
-// share, so both produce identical pieces by construction. src is
+// extent, into along attr. src is
 // read chunk by chunk in the form each is held in — a words chunk by
 // set-bit iteration. stale is q's cut entry at an older version, if
 // the cache holds one; it is refreshed from its retained counts where
 // it can be, and everything else is computed in full. cur is the
-// stamp the result will be cached under, nil with caching off. With
+// stamp the result will be cached under. With
 // opt.SampleSize set, the points are estimated from a systematic
 // sample of the rows (Section 5.2); sampled points are cached but
 // never refreshed incrementally.
@@ -139,7 +138,7 @@ func (e *Evaluator) cutPieces(attr string, col engine.Column, src *engine.Chunke
 			return pieces, state, nil
 		}
 	}
-	retain := cur != nil && cur.Version() > 0 && e.tab.Mutable() && src.Len() >= cutStateMinRows
+	retain := cur.Version() > 0 && e.tab.Mutable() && src.Len() >= cutStateMinRows
 	pieces, state, err := e.computeCut(attr, col, src, pointSel, opt, retain)
 	if err != nil {
 		return nil, state, err
@@ -178,10 +177,9 @@ type cutState struct {
 // computeCut runs the full cut-point computation for one column kind.
 // With retain set, the exact string path and a narrow exact numeric
 // path count per chunk so the entry can be refreshed chunk-at-a-time
-// later; the results are pinned byte-identical to the uncached forms.
-// Everything else — sampled points, wide numeric spans, bools, the
-// degenerate fallback — takes exactly the code path the uncached
-// evaluator takes.
+// later; the results are pinned byte-identical to the forms that
+// retain nothing, which everything else — sampled points, wide
+// numeric spans, bools, the degenerate fallback — always takes.
 func (e *Evaluator) computeCut(attr string, col engine.Column, src *engine.ChunkedSelection, pointSel *engine.ChunkedSelection, opt CutOptions, retain bool) ([]sdl.Constraint, cutState, error) {
 	var state cutState
 	var pieces []sdl.Constraint

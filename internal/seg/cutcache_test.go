@@ -194,23 +194,22 @@ func TestCutCacheRecomputesOutsideWindow(t *testing.T) {
 	}
 }
 
-// TestCutCacheCachingOff pins that the ablation path bypasses the cut
-// cache entirely and still answers identically.
-func TestCutCacheCachingOff(t *testing.T) {
+// TestCutCacheServedMatchesFresh pins that a cut the cache serves on
+// every column kind answers as a fresh evaluator's computed cut.
+func TestCutCacheServedMatchesFresh(t *testing.T) {
 	tab := cutCacheTable(t)
-	on := NewEvaluator(tab)
-	off := NewEvaluator(tab)
-	off.SetCaching(false)
+	ev := NewEvaluator(tab)
 	ctx := sdl.ContextAll(tab)
 	for _, attr := range []string{"v", "s", "w", "d"} {
-		a := childKeys(t, on, ctx, attr)
-		b := childKeys(t, off, ctx, attr)
-		if fmt.Sprint(a) != fmt.Sprint(b) {
-			t.Fatalf("%s: cached and uncached cuts diverged:\n%v\n%v", attr, a, b)
+		childKeys(t, ev, ctx, attr)
+		hits := ev.Counters().CutCacheHits
+		served := childKeys(t, ev, ctx, attr)
+		if got := ev.Counters().CutCacheHits; got != hits+1 {
+			t.Fatalf("%s: repeated cut took %d cache hits, want 1", attr, got-hits)
 		}
-	}
-	if off.CacheLen() != 0 {
-		t.Fatal("uncached evaluator stored selections")
+		if want := childKeys(t, NewEvaluator(tab), ctx, attr); fmt.Sprint(served) != fmt.Sprint(want) {
+			t.Fatalf("%s: served and fresh cuts diverged:\n%v\n%v", attr, served, want)
+		}
 	}
 }
 

@@ -195,24 +195,6 @@ func TestServedCutNeverStaleAfterAppend(t *testing.T) {
 	}
 }
 
-func TestServedCutCachingOff(t *testing.T) {
-	tab := servedCutTable()
-	ev := seg.NewEvaluator(tab)
-	ev.SetCaching(false)
-	base := baseSeg(t, ev)
-	for _, attr := range servedCutAttrs {
-		want := freshCut(t, tab, attr)
-		for range 2 {
-			if got := cutOn(t, ev, base, attr); got != want {
-				t.Fatalf("uncached cut on %s diverged:\n%s\nfresh\n%s", attr, got, want)
-			}
-		}
-	}
-	if got := ev.Counters().CutCacheHits; got != 0 {
-		t.Fatalf("caching off served %d cuts", got)
-	}
-}
-
 func TestServedCutBoundedCache(t *testing.T) {
 	tab := servedCutTable()
 	bounded, unbounded := seg.NewEvaluator(tab), seg.NewEvaluator(tab)
@@ -280,7 +262,7 @@ func TestServedCutAdaptive(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Workers = 1
 	render := func(ev *seg.Evaluator) string {
-		out, err := core.AdaptiveCuts(ev, ctx, cfg)
+		out, err := core.AdaptiveCuts(nil, ev, ctx, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

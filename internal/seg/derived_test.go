@@ -12,14 +12,13 @@ import (
 )
 
 // bruteCells counts the contingency table of s1 × s2 one row at a
-// time from each segment's cold, uncached extent: cell (i, j) is the
+// time from each segment's extent on a fresh evaluator: cell (i, j) is the
 // number of table rows in both R(Q1i) and R(Q2j). It assumes nothing
 // about either segmentation, so a row in several segments (or none)
 // counts exactly as often as it is selected.
 func bruteCells(t *testing.T, tab *engine.Table, s1, s2 *Segmentation) [][]int {
 	t.Helper()
 	cold := NewEvaluator(tab)
-	cold.SetCaching(false)
 	members := func(s *Segmentation) [][]int {
 		in := make([][]int, tab.NumRows())
 		for i, q := range s.Queries {

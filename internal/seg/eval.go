@@ -135,8 +135,7 @@ type Evaluator struct {
 	pairFP string
 	// clock is the byte budget the three stores share and the ring
 	// they evict from (budget.go).
-	clock   clock
-	caching atomic.Bool
+	clock clock
 	// zonePruning gates the zone-map verdicts (numeric bounds and
 	// nominal presence alike). On by default; the off position is the
 	// equivalence ablation — output must be byte-identical either
@@ -172,7 +171,6 @@ func NewEvaluator(t *engine.Table) *Evaluator {
 	for i := range e.shards {
 		e.shards[i] = newStore[string, cachedSel]()
 	}
-	e.caching.Store(true)
 	e.zonePruning.Store(true)
 	e.em.Store(&EvalMetrics{})
 	return e
@@ -225,21 +223,6 @@ func (e *Evaluator) allRows() *engine.ChunkedSelection {
 	cs := e.tab.AllChunked()
 	e.identity.Store(cs)
 	return cs
-}
-
-// SetCaching toggles the selection cache (the E6 ablation). Turning
-// caching off also drops the current cache. The toggle applies to
-// evaluations that start afterwards; flip it while the evaluator is
-// quiescent when exact ablation counters matter.
-func (e *Evaluator) SetCaching(on bool) {
-	e.caching.Store(on)
-	if !on {
-		for i := range e.shards {
-			e.shards[i].drop(&e.clock)
-		}
-		e.cuts.drop(&e.clock)
-		e.pairs.drop(&e.clock)
-	}
 }
 
 // Counters returns a snapshot of the instrumentation counters.
@@ -428,24 +411,19 @@ func (e *Evaluator) SelectChunked(q sdl.Query) (*engine.ChunkedSelection, error)
 
 // extent returns R(Q) as the cache holds it at the current version,
 // evaluating it in full or refreshing a stale entry's dirty chunks
-// first. With caching off it evaluates in full.
+// first.
 func (e *Evaluator) extent(q sdl.Query) (cachedSel, error) {
 	key := q.Key()
-	// One snapshot per evaluation: a concurrent SetCaching flip
-	// cannot make lookup and store disagree within one call.
-	caching := e.caching.Load()
 	cur := e.tab.Stamp()
-	if caching {
-		if ent, ok := e.cached(key); ok {
-			if ent.stamp.Version() == cur.Version() {
-				e.countCacheHit()
-				return ent, nil
-			}
-			if ent, ok := e.refreshChunked(q, ent, cur); ok {
-				e.countDeltaRefresh()
-				e.store(key, ent)
-				return ent, nil
-			}
+	if ent, ok := e.cached(key); ok {
+		if ent.stamp.Version() == cur.Version() {
+			e.countCacheHit()
+			return ent, nil
+		}
+		if ent, ok := e.refreshChunked(q, ent, cur); ok {
+			e.countDeltaRefresh()
+			e.store(key, ent)
+			return ent, nil
 		}
 	}
 	cs := e.allRows()
@@ -461,9 +439,7 @@ func (e *Evaluator) extent(q sdl.Query) (cachedSel, error) {
 	}
 	e.countFullEval()
 	ent := cachedSel{sel: cs, stamp: cur}
-	if caching {
-		e.store(key, ent)
-	}
+	e.store(key, ent)
 	return ent, nil
 }
 
@@ -505,16 +481,11 @@ func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr str
 		keys[i], cons[i] = child.Key(), c
 	}
 	counts := make([]int, len(children))
-	caching := e.caching.Load()
 	cur := e.tab.Stamp()
 	olds := make([]cachedSel, len(children))
 	var stale, full []int
 	var dirty []bool
 	for i, key := range keys {
-		if !caching {
-			full = append(full, i)
-			continue
-		}
 		ent, ok := e.cached(key)
 		if ok && ent.stamp.Version() == cur.Version() {
 			e.countCacheHit()
@@ -557,9 +528,7 @@ func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr str
 	if len(full) > 0 {
 		if err := e.partitionInto(src, attr, cons, full, covered, func(i int, cs *engine.ChunkedSelection) {
 			e.countNarrowEval()
-			if caching {
-				e.store(keys[i], cachedSel{sel: cs, stamp: cur})
-			}
+			e.store(keys[i], cachedSel{sel: cs, stamp: cur})
 			counts[i] = cs.Len()
 		}); err != nil {
 			return nil, err

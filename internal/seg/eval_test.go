@@ -46,25 +46,6 @@ func TestSelectCaches(t *testing.T) {
 	}
 }
 
-func TestSetCachingOff(t *testing.T) {
-	_, ev := figure2Table(t)
-	ev.SetCaching(false)
-	q := sdl.MustQuery(sdl.SetC("type", engine.String_("jacht")))
-	if _, err := ev.Select(q); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ev.Select(q); err != nil {
-		t.Fatal(err)
-	}
-	c := ev.Counters()
-	if c.CacheHits != 0 || c.FullEvals != 2 {
-		t.Fatalf("caching off but counters = %+v", c)
-	}
-	if ev.CacheLen() != 0 {
-		t.Fatal("cache populated while off")
-	}
-}
-
 // TestNarrowMatchesFullEval pins the narrow (parent→child)
 // evaluation a cut makes: every child equals a cold evaluation of the
 // child query, and after an append outside the parent's extent (the
@@ -211,8 +192,8 @@ func TestCacheBudgetBoundsBytes(t *testing.T) {
 	if ev.Counters().Evictions == 0 {
 		t.Fatal("no eviction under the budget")
 	}
-	// Cached and evicted queries still answer as an uncached evaluator.
-	cold := coldEvaluator(tab)
+	// Cached and evicted queries still answer as a fresh evaluator.
+	cold := NewEvaluator(tab)
 	for lo := int64(0); lo < queries; lo += 7 {
 		got, err := ev.Select(query(lo))
 		if err != nil {
@@ -223,7 +204,7 @@ func TestCacheBudgetBoundsBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("%s after evictions = %v, uncached %v", query(lo), got, want)
+			t.Fatalf("%s after evictions = %v, fresh %v", query(lo), got, want)
 		}
 	}
 }
@@ -275,8 +256,8 @@ func TestStoreAtLimitKeepsExistingKey(t *testing.T) {
 
 // TestPackedSelectionMemoized pins the selection cache behind the
 // probes' SelectBitmap: repeated calls return the identical
-// (immutable) selection the cache holds when caching is on, and fresh
-// ones when it is off.
+// (immutable) selection the cache holds, and another evaluator's
+// selection of the same rows is its own.
 func TestPackedSelectionMemoized(t *testing.T) {
 	tab, ev := figure2Table(t)
 	q := sdl.MustQuery(sdl.SetC("type", engine.String_("fluit")))
@@ -287,15 +268,13 @@ func TestPackedSelectionMemoized(t *testing.T) {
 	a, _ := ev.SelectBitmap(q)
 	b, _ := ev.SelectBitmap(q)
 	if a != b || a != sel {
-		t.Fatal("caching on: repeated select returned a fresh selection")
+		t.Fatal("repeated select returned a fresh selection")
 	}
 	if a.Len() != sel.Len() || a.NumRows() != tab.NumRows() {
 		t.Fatalf("selection shape %d/%d, want %d/%d", a.Len(), a.NumRows(), sel.Len(), tab.NumRows())
 	}
-	ev.SetCaching(false)
-	c, _ := ev.SelectBitmap(q)
-	d, _ := ev.SelectBitmap(q)
-	if c == a || c == d {
-		t.Fatal("caching off: selections must not be shared")
+	c, _ := NewEvaluator(tab).SelectBitmap(q)
+	if c == a || !sameBitmap(c, a) {
+		t.Fatal("a fresh evaluator shared the cached selection or selected other rows")
 	}
 }

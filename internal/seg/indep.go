@@ -156,7 +156,7 @@ func ProductOpt(ev *Evaluator, s1, s2 *Segmentation, opt PairOptions) (*Segmenta
 // cellCountsInto fills flat (row-major, length n1×n2) with the joint
 // contingency table — the shared core of PRODUCT, CellCounts, INDEP
 // and the chi-squared rule. The table is a pure function of the table
-// version and the two segmentations, so with caching on it is served
+// version and the two segmentations, so it is served
 // from the evaluator's pair-table tier when that holds it at the
 // current fingerprint (HB-cuts on a revisited path re-pairs the same
 // candidates), and a freshly counted table is stored there. The key
@@ -164,9 +164,6 @@ func ProductOpt(ev *Evaluator, s1, s2 *Segmentation, opt PairOptions) (*Segmenta
 // cells. A cancelled count is never stored.
 func cellCountsInto(ev *Evaluator, s1, s2 *Segmentation, opt PairOptions, flat []int) error {
 	fp := ev.Table().Fingerprint()
-	if !ev.caching.Load() {
-		return countCells(ev, s1, s2, opt, fp, flat)
-	}
 	key := [2]string{s1.Key(), s2.Key()}
 	if ev.pairTable(fp, key, flat) {
 		ev.countPairTableHit()

@@ -31,12 +31,10 @@ func wordsQueries(ev *Evaluator, segs []*Segmentation) []sdl.Query {
 	return out
 }
 
-// uncachedRows evaluates q on a new evaluator with caching off.
-func uncachedRows(t *testing.T, tab *engine.Table, q sdl.Query) *engine.ChunkedSelection {
+// freshRows evaluates q on a new evaluator.
+func freshRows(t *testing.T, tab *engine.Table, q sdl.Query) *engine.ChunkedSelection {
 	t.Helper()
-	cold := NewEvaluator(tab)
-	cold.SetCaching(false)
-	cs, err := cold.SelectChunked(q)
+	cs, err := NewEvaluator(tab).SelectChunked(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +72,7 @@ func bornPacked(t *testing.T, ev *Evaluator, ctx sdl.Query, attr string) []sdl.Q
 
 // TestPackedChildrenMatchUncached holds every words child the HB-cuts
 // candidates of a VOC context and of the NaN sky table leave behind to
-// a caching-off evaluator: its count, SelectBitmap and SelectChunked —
+// a fresh evaluator: its count, SelectBitmap and SelectChunked —
 // the cached selection itself, no row built — then the flat rows Select
 // decodes from its words, one RowMaterializations per call, the cache
 // entry left as it was.
@@ -95,7 +93,7 @@ func TestPackedChildrenMatchUncached(t *testing.T) {
 			t.Fatalf("%s: no candidate child holds words", tc.tab.Name())
 		}
 		for _, q := range kids {
-			want := uncachedRows(t, tc.tab, q)
+			want := freshRows(t, tc.tab, q)
 			ent, _ := ev.cached(q.Key())
 			before := ev.Counters()
 			n, err := ev.Count(q)
@@ -111,7 +109,7 @@ func TestPackedChildrenMatchUncached(t *testing.T) {
 				t.Fatal(err)
 			}
 			if n != want.Len() || bm != ent.sel || got != ent.sel || !sameChunked(got, want) {
-				t.Fatalf("%s: words child %s counts %d, uncached %d, or is not the cached selection", tc.tab.Name(), q, n, want.Len())
+				t.Fatalf("%s: words child %s counts %d, fresh %d, or is not the cached selection", tc.tab.Name(), q, n, want.Len())
 			}
 			if c := ev.Counters(); c.RowMaterializations != before.RowMaterializations || c.FullEvals != before.FullEvals {
 				t.Fatalf("%s: Count, SelectBitmap and SelectChunked of %s built rows: %+v -> %+v", tc.tab.Name(), q, before, c)
@@ -122,7 +120,7 @@ func TestPackedChildrenMatchUncached(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !slices.Equal(flat, want.Flat()) {
-					t.Fatalf("%s: Select of %s differs from the uncached evaluation", tc.tab.Name(), q)
+					t.Fatalf("%s: Select of %s differs from a fresh evaluation", tc.tab.Name(), q)
 				}
 				if c := ev.Counters(); c.RowMaterializations != before.RowMaterializations+i || c.FullEvals != before.FullEvals {
 					t.Fatalf("%s: Select %d of %s: counters %+v -> %+v", tc.tab.Name(), i, q, before, c)
@@ -204,7 +202,7 @@ func TestCachedCutReadsNoRows(t *testing.T) {
 // chunks alone and splices the result into its clean chunks (one
 // DeltaRefreshes, no full evaluation). Re-running the cut splices every
 // stale child from one pass over the parent's dirty chunks, again
-// without building rows. Each equals an uncached evaluation, every
+// without building rows. Each equals a fresh evaluation, every
 // chunk in its smaller form.
 func TestStalePackedChildSplices(t *testing.T) {
 	tab, ctx := packedVOC(t)
@@ -222,13 +220,13 @@ func TestStalePackedChildSplices(t *testing.T) {
 	}
 	check := func(q sdl.Query) {
 		t.Helper()
-		want := uncachedRows(t, tab, q)
+		want := freshRows(t, tab, q)
 		ent, ok := ev.cached(q.Key())
 		if !ok || !holdsWords(ent.sel) || ent.stamp.Version() != tab.Stamp().Version() {
 			t.Fatalf("%s does not hold words at the current version", q)
 		}
 		if !sameChunked(ent.sel, want) {
-			t.Fatalf("spliced %s differs from an uncached evaluation", q)
+			t.Fatalf("spliced %s differs from a fresh evaluation", q)
 		}
 		checkSmallerForm(t, q.String(), ent.sel)
 	}
@@ -243,7 +241,7 @@ func TestStalePackedChildSplices(t *testing.T) {
 	if after.DeltaRefreshes != before.DeltaRefreshes+1 || after.FullEvals != before.FullEvals || after.RowMaterializations != before.RowMaterializations {
 		t.Fatalf("Count of a stale words child: counters %+v -> %+v", before, after)
 	}
-	if n != uncachedRows(t, tab, kids[0]).Len() {
+	if n != freshRows(t, tab, kids[0]).Len() {
 		t.Fatalf("stale %s counted %d after the splice", kids[0], n)
 	}
 	check(kids[0])
@@ -263,14 +261,14 @@ func TestStalePackedChildSplices(t *testing.T) {
 
 // TestConcurrentMaterialization has four goroutines ask for the flat
 // rows of one words child at once: each gets the same row ids, equal to
-// an uncached evaluation, each decode is counted, and the cache still
+// a fresh evaluation, each decode is counted, and the cache still
 // holds the child as it was.
 func TestConcurrentMaterialization(t *testing.T) {
 	tab, ctx := packedVOC(t)
 	ev := NewEvaluator(tab)
 	q := bornPacked(t, ev, ctx, "type_of_boat")[0]
 	ent, _ := ev.cached(q.Key())
-	want := uncachedRows(t, tab, q).Flat()
+	want := freshRows(t, tab, q).Flat()
 	got := make([]engine.Selection, 4)
 	var wg sync.WaitGroup
 	for i := range got {
@@ -283,7 +281,7 @@ func TestConcurrentMaterialization(t *testing.T) {
 	wg.Wait()
 	for i, rows := range got {
 		if !slices.Equal(rows, want) {
-			t.Fatalf("goroutine %d got rows that differ from an uncached evaluation", i)
+			t.Fatalf("goroutine %d got rows that differ from a fresh evaluation", i)
 		}
 	}
 	if n := ev.Counters().RowMaterializations; n != len(got) {
@@ -341,7 +339,7 @@ func TestPackedChildOutlivesPackedCacheEviction(t *testing.T) {
 	ev := NewEvaluator(tab)
 	s, other := candidate(ev, "tonnage"), candidate(ev, "type_of_boat")
 	q := s.Queries[0]
-	want := uncachedRows(t, tab, q)
+	want := freshRows(t, tab, q)
 	evictUnder(t, ev, q, func() bool { return held(ev, q.Key()) }, func(k string) { ev.store(k, cachedSel{sel: want, stamp: tab.Stamp()}) })
 	before := ev.Counters()
 	cells, err := CellCountsOpt(ev, s, other, PairOptions{Workers: 1})
@@ -359,17 +357,9 @@ func TestPackedChildOutlivesPackedCacheEviction(t *testing.T) {
 	}
 	got, err := ev.SelectChunked(q)
 	if err != nil || !sameChunked(got, want) {
-		t.Fatalf("rows after eviction differ from an uncached evaluation (%v)", err)
+		t.Fatalf("rows after eviction differ from a fresh evaluation (%v)", err)
 	}
 	checkSmallerForm(t, q.String(), got)
-}
-
-// coldEvaluator is a caching-off evaluator over tab: every query is
-// evaluated in full.
-func coldEvaluator(tab *engine.Table) *Evaluator {
-	cold := NewEvaluator(tab)
-	cold.SetCaching(false)
-	return cold
 }
 
 // sameSegs reports whether two segmentations hold the same queries
@@ -381,10 +371,10 @@ func sameSegs(a, b *Segmentation) bool {
 // TestComposePackedParentsBuildsNoRows COMPOSEs two HB-cuts candidates
 // whose children hold words, both ways: every inner cut computes its
 // cut points and its grandchildren from a parent's words, so no row is
-// built, and every result equals a caching-off evaluator's.
+// built, and every result equals a fresh evaluator's.
 func TestComposePackedParentsBuildsNoRows(t *testing.T) {
 	tab, ctx := packedVOC(t)
-	ev, cold := NewEvaluator(tab), coldEvaluator(tab)
+	ev, cold := NewEvaluator(tab), NewEvaluator(tab)
 	opt := DefaultCutOptions()
 	initial := func(ev *Evaluator, attr string) *Segmentation {
 		t.Helper()
@@ -416,7 +406,7 @@ func TestComposePackedParentsBuildsNoRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !sameSegs(got, want) {
-			t.Fatalf("%s = %s %v, caching off %s %v", tc.name, got, got.Counts, want, want.Counts)
+			t.Fatalf("%s = %s %v, fresh %s %v", tc.name, got, got.Counts, want, want.Counts)
 		}
 	}
 	after := ev.Counters()
@@ -430,10 +420,10 @@ func TestComposePackedParentsBuildsNoRows(t *testing.T) {
 // candidate of the zoomed context and every pair's INDEP, on an
 // evaluator whose caches hold the first advise. The zoomed context is
 // read, cut and paired from its words, so no row is built, and every
-// candidate and INDEP value equals a caching-off evaluator's.
+// candidate and INDEP value equals a fresh evaluator's.
 func TestZoomedReadviseBuildsNoRows(t *testing.T) {
 	tab, ctx := packedVOC(t)
-	ev, cold := NewEvaluator(tab), coldEvaluator(tab)
+	ev, cold := NewEvaluator(tab), NewEvaluator(tab)
 	first := candidates(t, ev, ctx)
 	zoomed := bornPacked(t, ev, ctx, "tonnage")[0]
 	if len(first) == 0 {
@@ -445,12 +435,12 @@ func TestZoomedReadviseBuildsNoRows(t *testing.T) {
 	}
 	segs, want := candidates(t, ev, zoomed), candidates(t, cold, zoomed)
 	if len(segs) != len(want) || len(segs) == 0 {
-		t.Fatalf("zoomed re-advise: %d candidates, caching off %d", len(segs), len(want))
+		t.Fatalf("zoomed re-advise: %d candidates, fresh %d", len(segs), len(want))
 	}
 	opt := PairOptions{Workers: 2, Memo: NewPairMemo()}
 	for i := range segs {
 		if !sameSegs(segs[i], want[i]) {
-			t.Fatalf("zoomed candidate %d = %s %v, caching off %s %v", i, segs[i], segs[i].Counts, want[i], want[i].Counts)
+			t.Fatalf("zoomed candidate %d = %s %v, fresh %s %v", i, segs[i], segs[i].Counts, want[i], want[i].Counts)
 		}
 		for j := range segs {
 			got, err := IndepOpt(ev, segs[i], segs[j], opt)
@@ -462,7 +452,7 @@ func TestZoomedReadviseBuildsNoRows(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != ref {
-				t.Fatalf("INDEP(%d, %d) = %v, caching off %v", i, j, got, ref)
+				t.Fatalf("INDEP(%d, %d) = %v, fresh %v", i, j, got, ref)
 			}
 		}
 	}
@@ -475,7 +465,7 @@ func TestZoomedReadviseBuildsNoRows(t *testing.T) {
 // under 1/32 of every chunk and the rest, and pairs it with a candidate.
 // The sparse piece is stored as row ids and the rest as words, the pair
 // sides are the cached selections as they are, the pair builds no row,
-// and its table equals a caching-off evaluator's.
+// and its table equals a fresh evaluator's.
 func TestSparsePackedPairSide(t *testing.T) {
 	tab, ctx := packedVOC(t)
 	ev := NewEvaluator(tab)
@@ -514,7 +504,7 @@ func TestSparsePackedPairSide(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fresh := freshCells(t, tab, s, other); !equalCells(cells, fresh) {
-		t.Fatalf("pair table %v, caching off %v", cells, fresh)
+		t.Fatalf("pair table %v, fresh %v", cells, fresh)
 	}
 	if after := ev.Counters(); after.RowMaterializations != before.RowMaterializations || after.FullEvals != before.FullEvals {
 		t.Fatalf("sparse pair side: counters %+v -> %+v", before, after)
@@ -532,7 +522,7 @@ func TestSparsePackedPairSide(t *testing.T) {
 // appends rows and cuts it again. The child is refreshed, still holding
 // words, and its cut points are refreshed by recounting the dirty
 // chunks of its words (CutRefreshes +1) without building a row; the
-// pieces equal a caching-off evaluator's.
+// pieces equal a fresh evaluator's.
 func TestStalePackedParentCutRefresh(t *testing.T) {
 	tab, ctx := packedVOC(t)
 	// Past version 0, where a cut starts retaining its counts.
@@ -564,11 +554,11 @@ func TestStalePackedParentCutRefresh(t *testing.T) {
 	if wordsCount(ev, []sdl.Query{q}) != 1 {
 		t.Fatalf("%s no longer holds words", q)
 	}
-	want, err := CutQuery(coldEvaluator(tab), q, "type_of_boat", opt)
+	want, err := CutQuery(NewEvaluator(tab), q, "type_of_boat", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("refreshed pieces %v, caching off %v", got, want)
+		t.Fatalf("refreshed pieces %v, fresh %v", got, want)
 	}
 }

@@ -12,7 +12,9 @@ import (
 // dropPairTables empties the pair-table tier without allocating, so
 // the next pairwise call counts its table (and builds its sides).
 func dropPairTables(ev *Evaluator) {
-	ev.pairs.drop(&ev.clock)
+	ev.pairs.mu.Lock()
+	ev.pairs.dropLocked(&ev.clock)
+	ev.pairs.mu.Unlock()
 }
 
 // pairTables reports the tier's fingerprint and entry count.
@@ -22,13 +24,10 @@ func pairTables(ev *Evaluator) (string, int) {
 	return ev.pairFP, len(ev.pairs.m)
 }
 
-// freshCells counts the table of s1 × s2 on a new evaluator with every
-// cache off.
+// freshCells counts the table of s1 × s2 on a new evaluator.
 func freshCells(t *testing.T, tab *engine.Table, s1, s2 *Segmentation) [][]int {
 	t.Helper()
-	fresh := NewEvaluator(tab)
-	fresh.SetCaching(false)
-	cells, err := CellCountsOpt(fresh, s1, s2, PairOptions{Workers: 1})
+	cells, err := CellCountsOpt(NewEvaluator(tab), s1, s2, PairOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +137,9 @@ func TestPairTablesOneGeneration(t *testing.T) {
 	}
 }
 
-// TestPairTablesObeyCachingAndLimit: SetCaching(false) bypasses and
-// empties the tier, and a byte budget (SetCacheBudget) bounds it.
-func TestPairTablesObeyCachingAndLimit(t *testing.T) {
+// TestPairTablesObeyBudget: a byte budget (SetCacheBudget) bounds the
+// tier, and the most recently stored table survives it.
+func TestPairTablesObeyBudget(t *testing.T) {
 	tab := dataset.VOC(2000, 9)
 	ctx, err := sdl.ContextOn(tab, "type_of_boat", "tonnage", "departure_harbour", "trip")
 	if err != nil {
@@ -164,23 +163,9 @@ func TestPairTablesObeyCachingAndLimit(t *testing.T) {
 		t.Fatalf("unbounded tier holds %d tables, want %d", n, len(segs)*len(segs))
 	}
 
-	ev.SetCaching(false)
-	if _, n := pairTables(ev); n != 0 {
-		t.Fatalf("SetCaching(false) left %d tables in the tier", n)
-	}
-	hits := ev.Counters().PairTableHits
-	pairAll()
-	pairAll()
-	if got := ev.Counters().PairTableHits; got != hits {
-		t.Fatalf("caching off: %d tier hits", got-hits)
-	}
-	if _, n := pairTables(ev); n != 0 {
-		t.Fatalf("caching off: the tier stored %d tables", n)
-	}
-
-	ev.SetCaching(true)
-	// Warm the pair sides' selections, then leave room for them and
-	// five of the largest tables.
+	// Empty the tier, warm the pair sides' selections, then leave room
+	// for them and five of the largest tables.
+	dropPairTables(ev)
 	for _, s := range segs {
 		for _, q := range s.Queries {
 			if _, err := ev.Count(q); err != nil {
@@ -205,7 +190,7 @@ func TestPairTablesObeyCachingAndLimit(t *testing.T) {
 	if ev.Counters().Evictions == 0 {
 		t.Fatal("no eviction under the budget")
 	}
-	hits = ev.Counters().PairTableHits
+	hits := ev.Counters().PairTableHits
 	last := segs[len(segs)-1]
 	if _, err := IndepOpt(ev, last, last, opt); err != nil {
 		t.Fatal(err)

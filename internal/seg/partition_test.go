@@ -38,7 +38,7 @@ type cutOutcome struct {
 }
 
 // checkCut runs Cut and holds what it left in ev's caches to a cold
-// evaluator on the same table. With caching on, every child of a split
+// evaluator on the same table. Every child of a split
 // parent is cached at the current version with exactly a cold
 // SelectChunked's rows, every chunk in its smaller form. The result's
 // counts are the cold counts.
@@ -71,9 +71,6 @@ func checkCut(t *testing.T, ev *Evaluator, in *Segmentation, attr string, opt Cu
 		want, err := cold.SelectChunked(child)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !ev.caching.Load() {
-			continue
 		}
 		ent, ok := ev.cached(child.Key())
 		if !ok || ent.stamp.Version() != version {
@@ -134,20 +131,18 @@ func holdsWords(cs *engine.ChunkedSelection) bool {
 // TestCutChildrenMatchColdEvaluation holds every child a cut's
 // partition pass evaluates to a cold evaluation of the child query on a
 // VOC context, every chunk in its smaller form: initial cuts on every
-// column kind, then a COMPOSE-shaped pair of arity-3 cuts. It runs at the default layout and at 1 024-row chunks, with
-// caching off and with zone pruning off. Every child is evaluated
+// column kind, then a COMPOSE-shaped pair of arity-3 cuts. It runs at the default layout and at 1 024-row chunks, and
+// with zone pruning off. Every child is evaluated
 // exactly once: one NarrowEvals per child.
 func TestCutChildrenMatchColdEvaluation(t *testing.T) {
 	for _, cfg := range []struct {
 		name      string
 		chunkRows int
-		caching   bool
 		pruning   bool
 	}{
-		{"default", 0, true, true},
-		{"chunk-rows-1024", 1024, true, true},
-		{"caching-off", 1024, false, true},
-		{"pruning-off", 1024, true, false},
+		{"default", 0, true},
+		{"chunk-rows-1024", 1024, true},
+		{"pruning-off", 1024, false},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			tab := dataset.VOC(70000, 3)
@@ -155,7 +150,6 @@ func TestCutChildrenMatchColdEvaluation(t *testing.T) {
 				tab.SetChunkRows(cfg.chunkRows)
 			}
 			ev := NewEvaluator(tab)
-			ev.SetCaching(cfg.caching)
 			ev.SetZonePruning(cfg.pruning)
 			ctx, err := sdl.ContextOn(tab, "type_of_boat", "tonnage", "departure_date", "departure_harbour")
 			if err != nil {

@@ -50,7 +50,7 @@ func sameBitmap(a, b *engine.Bitmap) bool {
 // TestSelectBitmapMatchesPacked pins SelectBitmap to the chunked
 // selection, for every query shape: on a cold evaluator (one FullEvals,
 // then a repeat served from the cache), on a warm one whose selection
-// is cached (the same selection, no evaluation), and with caching off.
+// is cached (the same selection, no evaluation).
 func TestSelectBitmapMatchesPacked(t *testing.T) {
 	tab := dataset.VOC(3000, 5)
 	for _, q := range selectBitmapQueries(t, tab) {
@@ -92,16 +92,6 @@ func TestSelectBitmapMatchesPacked(t *testing.T) {
 		}
 		if c := warm.Counters(); c.FullEvals != 1 {
 			t.Fatalf("%s: warm SelectBitmap re-evaluated (%d full evals)", q, c.FullEvals)
-		}
-
-		off := NewEvaluator(tab)
-		off.SetCaching(false)
-		uncached, err := off.SelectBitmap(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameBitmap(uncached, want) {
-			t.Fatalf("%s: caching-off SelectBitmap differs", q)
 		}
 	}
 }

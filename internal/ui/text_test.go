@@ -15,7 +15,7 @@ func sampleResult(t *testing.T) (*core.Result, sdl.Query, *seg.Evaluator) {
 	tab := dataset.Figure3(2000, 1)
 	ev := seg.NewEvaluator(tab)
 	ctx := sdl.ContextAll(tab)
-	res, err := core.HBCuts(ev, ctx, core.DefaultConfig())
+	res, err := core.HBCuts(nil, ev, ctx, core.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

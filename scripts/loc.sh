@@ -2,8 +2,8 @@
 # loc.sh — count non-test Go lines (wc -l) per package directory, then
 # the internal/engine + internal/stats total that ROADMAP item gates
 # cite, the total outside bench/, the count of non-test functions in
-# internal/ named for Int or Float, and the count of exported non-test
-# identifiers in internal/. Dot-directories (.git, the
+# internal/ named for Int or Float, and the counts of exported non-test
+# identifiers in internal/ and in the root package. Dot-directories (.git, the
 # benchmark's .bench_build) are skipped. Run from the repository root:
 # `make loc`.
 set -eu
@@ -38,13 +38,15 @@ find ./internal -name '*.go' ! -name '*_test.go' -exec cat {} + | awk '
 }
 END { printf "%7d  Int/Float-named non-test funcs in internal/ (%d Float)\n", n, f }'
 
-# Exported package-level identifiers declared in non-test files under
-# internal/: funcs, methods, types, consts and vars, one per declared
-# name (a grouped const/var/type block counts each line that starts
-# with an exported name). Struct fields and interface methods are not
-# counted, nor are the analyzer fixtures under testdata/. ROADMAP item
-# 10 gates on this number going down.
-find ./internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | awk '
+# Exported package-level identifiers declared in non-test files: funcs,
+# methods, types, consts and vars, one per declared name (a grouped
+# const/var/type block counts each line that starts with an exported
+# name). Struct fields and interface methods are not counted, nor are
+# the analyzer fixtures under testdata/. Counted for internal/, which
+# ROADMAP item 10 gates on going down, and for the root charles
+# package, the facade.
+exports() {
+	awk -v label="$1" '
 /^(const|var|type) \($/ { blk = 1; next }
 blk && /^\)/ { blk = 0; next }
 blk {
@@ -53,4 +55,7 @@ blk {
 }
 /^func (\([^)]*\) )?[A-Z]/ { n++ }
 /^(const|var|type) [A-Z]/ { n++ }
-END { printf "%7d  exported non-test identifiers in internal/\n", n }'
+END { printf "%7d  exported non-test identifiers in %s\n", n, label }'
+}
+find ./internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | exports internal/
+find . -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | exports 'the root charles package'
