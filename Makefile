@@ -135,8 +135,9 @@ metrics-smoke:
 	sh scripts/metrics_smoke.sh
 
 # Documentation gate: relative markdown links in README + docs/ must
-# resolve, and every §N the colfile code cites must be a heading in
-# docs/FORMAT.md (the spec's numbering is load-bearing).
+# resolve, every §N the colfile code cites must be a heading in
+# docs/FORMAT.md (the spec's numbering is load-bearing), and every
+# evaluator counter family must have a row in docs/OBSERVABILITY.md.
 docs-check:
 	$(GO) test -run='TestDocs' .
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"charles"
+	"charles/internal/seg"
 )
 
 // TestBudgetedAdviseByteIdentical: an advisor whose evaluator budget is
@@ -35,11 +36,11 @@ func TestBudgetedAdviseByteIdentical(t *testing.T) {
 			bounded.Evaluator().SetCacheBudget(budget)
 			for round := 0; round < 3; round++ {
 				for _, ctx := range tc.contexts {
-					evicted := bounded.Evaluator().Counters().Evictions
+					evicted := bounded.Evaluator().Counters()[seg.Evictions]
 					if got, want := adviseRendered(t, bounded, ctx), adviseRendered(t, unbounded, ctx); got != want {
 						t.Fatalf("round %d %s: budgeted advise diverged:\n--- budgeted ---\n%s\n--- unbounded ---\n%s", round, ctx, got, want)
 					}
-					if bounded.Evaluator().Counters().Evictions == evicted {
+					if bounded.Evaluator().Counters()[seg.Evictions] == evicted {
 						t.Fatalf("round %d %s: the advise evicted nothing under a %d-byte budget", round, ctx, budget)
 					}
 					if got := bounded.Evaluator().CacheBytes(); got > budget {

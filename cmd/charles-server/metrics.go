@@ -21,8 +21,9 @@ import (
 )
 
 // serverMetrics owns the registry and the families the server
-// updates directly. Library families (engine, seg, jobs) live behind
-// their packages' hooks and only their registration happens here.
+// updates directly. Library families live in their packages: the
+// engine and jobs counters behind hooks registered here, the
+// evaluator's registered by seg.Evaluator.RegisterCounters.
 type serverMetrics struct {
 	reg *obs.Registry
 
@@ -51,9 +52,10 @@ type serverMetrics struct {
 	jobMetrics *jobs.Metrics
 }
 
-// newServerMetrics registers every metric family and installs the
-// engine and evaluator hooks. Call once per process: the engine hook
-// is global, and re-registering a family name panics by design.
+// newServerMetrics registers every metric family, the evaluator's
+// counters among them, and installs the engine hook. Call once per
+// process: the engine hook is global, and re-registering a family name
+// panics by design.
 func newServerMetrics(ev *seg.Evaluator) *serverMetrics {
 	reg := obs.NewRegistry()
 
@@ -63,26 +65,11 @@ func newServerMetrics(ev *seg.Evaluator) *serverMetrics {
 		ZoneTake:      reg.NewCounter("charles_engine_zone_take_total", "chunks passed through whole by a zone-map verdict"),
 		ZoneScan:      reg.NewCounter("charles_engine_zone_scan_total", "chunks scanned row by row"),
 		VectorKernels: reg.NewCounter("charles_engine_vector_kernels_total", "chunked filters run, one per predicate or cut child"),
-		FusedKernels:  reg.NewCounter("charles_engine_fused_kernels_total", "always 0: the fused filter-to-bitmap scan is gone (kept for the per-layer probes)"),
 	})
 
 	// Evaluator: cache effectiveness and the incremental-advise
-	// splice paths (charles_delta_refreshes_total is the counter that
-	// proves the PR 8 epoch-splice path engaged in production).
-	ev.SetEvalMetrics(&seg.EvalMetrics{
-		FullEvals:           reg.NewCounter("charles_seg_full_evals_total", "full constraint-chain query evaluations (selection cache misses)"),
-		NarrowEvals:         reg.NewCounter("charles_seg_narrow_evals_total", "cut children evaluated from their parent's selection"),
-		CacheHits:           reg.NewCounter("charles_seg_cache_hits_total", "selections served from the evaluator cache (a cut served from the cut cache looks none up)"),
-		CutPointCalcs:       reg.NewCounter("charles_seg_cut_point_calcs_total", "median/quantile cut-point computations"),
-		CutCacheHits:        reg.NewCounter("charles_seg_cut_cache_hits_total", "cuts served whole (children and counts) from a version-equal cut-cache entry"),
-		DeltaRefreshes:      reg.NewCounter("charles_delta_refreshes_total", "cached selections spliced up to date after a mutation"),
-		CutRefreshes:        reg.NewCounter("charles_delta_cut_refreshes_total", "cached cut points spliced up to date after a mutation"),
-		PairMemoHits:        reg.NewCounter("charles_seg_pair_memo_hits_total", "pairwise operand sides reused from a PairMemo"),
-		PairMemoMisses:      reg.NewCounter("charles_seg_pair_memo_misses_total", "pairwise operand sides built fresh"),
-		PairTableHits:       reg.NewCounter("charles_seg_pair_table_hits_total", "contingency tables served from the evaluator's pair-table tier"),
-		RowMaterializations: reg.NewCounter("charles_seg_row_materializations_total", "flat row-id views decoded from selections holding words chunks"),
-		Evictions:           reg.NewCounter("charles_seg_cache_evictions_total", "evaluator cache entries the clock evicted to stay within the byte budget"),
-	})
+	// splice paths, read from its live totals at scrape time.
+	ev.RegisterCounters(reg)
 	reg.NewGaugeFunc("charles_seg_cache_bytes", "bytes the evaluator's selection, cut and pair-table stores hold, against its byte budget", ev.CacheBytes)
 
 	panicsRecovered := reg.NewCounter("charles_panics_recovered_total",

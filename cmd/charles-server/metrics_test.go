@@ -6,12 +6,15 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"charles"
 	"charles/internal/jobs"
+	"charles/internal/obs"
+	"charles/internal/seg"
 )
 
 // Prometheus text-format grammar, per the exposition spec: metadata
@@ -157,32 +160,7 @@ func TestMetricsPrometheusGrammar(t *testing.T) {
 	}
 
 	// Every serving-plane layer must expose its families.
-	required := []string{
-		"charles_engine_zone_skip_total",
-		"charles_engine_zone_take_total",
-		"charles_engine_zone_scan_total",
-		"charles_engine_vector_kernels_total",
-		"charles_engine_fused_kernels_total",
-		"charles_seg_full_evals_total",
-		"charles_seg_cache_hits_total",
-		"charles_seg_pair_memo_hits_total",
-		"charles_seg_pair_table_hits_total",
-		"charles_seg_row_materializations_total",
-		"charles_seg_cache_bytes",
-		"charles_seg_cache_evictions_total",
-		"charles_delta_refreshes_total",
-		"charles_jobs_queue_wait_seconds",
-		"charles_jobs_run_seconds",
-		"charles_jobs_submitted_total",
-		"charles_http_requests_total",
-		"charles_http_request_seconds",
-		"charles_advises_total",
-		"charles_sessions",
-		"charles_result_cache_hits_total",
-		"charles_result_cache_misses_total",
-		"charles_result_cache_size",
-	}
-	for _, fam := range required {
+	for _, fam := range requiredFamilies {
 		if _, ok := typeOf[fam]; !ok {
 			t.Errorf("family %s missing from /metrics", fam)
 		}
@@ -201,6 +179,96 @@ func TestMetricsPrometheusGrammar(t *testing.T) {
 		// access-log middleware, so this stays 0 here — the middleware
 		// is exercised by TestAccessLogMiddleware.
 		t.Errorf("charles_http_requests_total = %v without the middleware", sampleValues["charles_http_requests_total"])
+	}
+
+	// Each evaluator family reads its own counter: the scrape agrees
+	// with a snapshot taken once the traffic above has finished.
+	ctr := sv.adv.Evaluator().Counters()
+	for fam, c := range segFamilies {
+		if got := sampleValues[fam]; got != float64(ctr[c]) {
+			t.Errorf("%s = %v, evaluator counter %d reads %d", fam, got, c, ctr[c])
+		}
+	}
+	if ctr[seg.FullEvals] == 0 || ctr[seg.NarrowEvals] == 0 {
+		t.Errorf("advises left full evals %d, narrow evals %d", ctr[seg.FullEvals], ctr[seg.NarrowEvals])
+	}
+}
+
+// requiredFamilies is the pinned list of families /metrics must expose,
+// one or more per serving-plane layer.
+var requiredFamilies = []string{
+	"charles_engine_zone_skip_total",
+	"charles_engine_zone_take_total",
+	"charles_engine_zone_scan_total",
+	"charles_engine_vector_kernels_total",
+	"charles_seg_full_evals_total",
+	"charles_seg_narrow_evals_total",
+	"charles_seg_cache_hits_total",
+	"charles_seg_cut_point_calcs_total",
+	"charles_seg_cut_cache_hits_total",
+	"charles_seg_pair_memo_hits_total",
+	"charles_seg_pair_memo_misses_total",
+	"charles_seg_pair_table_hits_total",
+	"charles_seg_row_materializations_total",
+	"charles_seg_cache_bytes",
+	"charles_seg_cache_evictions_total",
+	"charles_delta_refreshes_total",
+	"charles_delta_cut_refreshes_total",
+	"charles_jobs_queue_wait_seconds",
+	"charles_jobs_run_seconds",
+	"charles_jobs_submitted_total",
+	"charles_http_requests_total",
+	"charles_http_request_seconds",
+	"charles_advises_total",
+	"charles_sessions",
+	"charles_result_cache_hits_total",
+	"charles_result_cache_misses_total",
+	"charles_result_cache_size",
+}
+
+// segFamilies maps each evaluator counter family to the counter it
+// must read.
+var segFamilies = map[string]seg.Counter{
+	"charles_seg_full_evals_total":           seg.FullEvals,
+	"charles_seg_narrow_evals_total":         seg.NarrowEvals,
+	"charles_seg_cache_hits_total":           seg.CacheHits,
+	"charles_seg_cut_point_calcs_total":      seg.CutPointCalcs,
+	"charles_seg_cut_cache_hits_total":       seg.CutCacheHits,
+	"charles_delta_refreshes_total":          seg.DeltaRefreshes,
+	"charles_delta_cut_refreshes_total":      seg.CutRefreshes,
+	"charles_seg_pair_memo_hits_total":       seg.PairMemoHits,
+	"charles_seg_pair_memo_misses_total":     seg.PairMemoMisses,
+	"charles_seg_pair_table_hits_total":      seg.PairTableHits,
+	"charles_seg_row_materializations_total": seg.RowMaterializations,
+	"charles_seg_cache_evictions_total":      seg.Evictions,
+}
+
+// TestSegFamiliesMatchRegisterCounters holds the evaluator's
+// registration table to the pinned contract: the families
+// RegisterCounters registers are exactly the seg and delta counter
+// entries of requiredFamilies, and each has a counter in segFamilies.
+func TestSegFamiliesMatchRegisterCounters(t *testing.T) {
+	reg := obs.NewRegistry()
+	seg.NewEvaluator(charles.GenerateVOC(10, 1)).RegisterCounters(reg)
+	registered := reg.Names()
+	var pinned []string
+	for _, fam := range requiredFamilies {
+		if (strings.HasPrefix(fam, "charles_seg_") || strings.HasPrefix(fam, "charles_delta_")) && strings.HasSuffix(fam, "_total") {
+			pinned = append(pinned, fam)
+		}
+	}
+	slices.Sort(registered)
+	slices.Sort(pinned)
+	if !slices.Equal(registered, pinned) {
+		t.Errorf("RegisterCounters registers %v, pinned list has %v", registered, pinned)
+	}
+	if len(segFamilies) != len(registered) {
+		t.Errorf("segFamilies maps %d families, RegisterCounters registers %d", len(segFamilies), len(registered))
+	}
+	for _, fam := range registered {
+		if _, ok := segFamilies[fam]; !ok {
+			t.Errorf("registered family %s has no counter in segFamilies", fam)
+		}
 	}
 }
 

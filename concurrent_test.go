@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"charles"
+	"charles/internal/seg"
 )
 
 // rankedFingerprint serializes a result's ranked segmentations so
@@ -179,7 +180,7 @@ func TestRevisitedAdviseIdentical(t *testing.T) {
 		}
 		return nil
 	}
-	hits := adv.Evaluator().Counters().PairTableHits
+	hits := adv.Evaluator().Counters()[seg.PairTableHits]
 	second, err := adv.Advise(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +188,7 @@ func TestRevisitedAdviseIdentical(t *testing.T) {
 	if err := check(second); err != nil {
 		t.Fatal(err)
 	}
-	if adv.Evaluator().Counters().PairTableHits == hits {
+	if adv.Evaluator().Counters()[seg.PairTableHits] == hits {
 		t.Fatal("the revisited advise took no table from the pair-table tier (test premise)")
 	}
 	const goroutines = 4

@@ -14,6 +14,7 @@ import (
 	"charles"
 	"charles/internal/engine"
 	"charles/internal/obs"
+	"charles/internal/seg"
 )
 
 // cloneTable deep-copies a memory-backed table's columns into a
@@ -128,7 +129,7 @@ func TestDeltaAdviseByteIdentical(t *testing.T) {
 	if got != want {
 		t.Fatalf("warm advise diverged from cold rebuild after mutation:\n--- warm ---\n%s\n--- cold ---\n%s", got, want)
 	}
-	if ctr := warm.Evaluator().Counters(); ctr.DeltaRefreshes == 0 {
+	if ctr := warm.Evaluator().Counters(); ctr[seg.DeltaRefreshes] == 0 {
 		t.Fatal("warm advise took no delta-refresh path; the incremental machinery never engaged")
 	}
 }
@@ -280,13 +281,13 @@ func TestE21DeltaAdviseGate(t *testing.T) {
 	if n := int64(tab.NumChunks()); warmScans*n > coldScans*int64(dirty) {
 		t.Errorf("warm re-advise scanned %d chunks, cold %d: more than the dirty share %d/%d", warmScans, coldScans, dirty, n)
 	}
-	if c1.FullEvals != c0.FullEvals || c1.NarrowEvals != c0.NarrowEvals {
-		t.Errorf("warm re-advise re-evaluated selections: full %d→%d, narrow %d→%d", c0.FullEvals, c1.FullEvals, c0.NarrowEvals, c1.NarrowEvals)
+	if c1[seg.FullEvals] != c0[seg.FullEvals] || c1[seg.NarrowEvals] != c0[seg.NarrowEvals] {
+		t.Errorf("warm re-advise re-evaluated selections: full %d→%d, narrow %d→%d", c0[seg.FullEvals], c1[seg.FullEvals], c0[seg.NarrowEvals], c1[seg.NarrowEvals])
 	}
-	if cuts, refreshed := c1.CutPointCalcs-c0.CutPointCalcs, c1.CutRefreshes-c0.CutRefreshes; cuts == 0 || refreshed != cuts {
+	if cuts, refreshed := c1[seg.CutPointCalcs]-c0[seg.CutPointCalcs], c1[seg.CutRefreshes]-c0[seg.CutRefreshes]; cuts == 0 || refreshed != cuts {
 		t.Errorf("warm re-advise computed %d cut-point sets, refreshed %d: every cut must be spliced", cuts, refreshed)
 	}
-	if c1.DeltaRefreshes == c0.DeltaRefreshes {
+	if c1[seg.DeltaRefreshes] == c0[seg.DeltaRefreshes] {
 		t.Errorf("warm re-advise spliced no cached selection: %+v", c1)
 	}
 	t.Logf("delta advise: warm scanned %d chunks, cold %d; %d of %d chunks dirty", warmScans, coldScans, dirty, tab.NumChunks())

@@ -8,7 +8,8 @@
 // docs/FORMAT.md — the spec's numbering is load-bearing, so this is
 // what makes renumbering a section a test failure instead of silent
 // doc rot. docs/SEMANTICS.md is held the same way: its numeric values
-// section, and every `SEMANTICS.md §N` citation.
+// section, and every `SEMANTICS.md §N` citation. docs/OBSERVABILITY.md
+// must carry a table row for every evaluator counter family.
 package charles_test
 
 import (
@@ -17,6 +18,10 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"charles"
+	"charles/internal/obs"
+	"charles/internal/seg"
 )
 
 // docFiles returns the markdown files the link check covers.
@@ -243,5 +248,22 @@ func TestDocsSemanticsSectionsExist(t *testing.T) {
 	notes := string(readme)
 	if i := strings.Index(notes, "## Semantics notes"); i < 0 || !strings.Contains(notes[i:], "(docs/SEMANTICS.md)") {
 		t.Error("README's \"Semantics notes\" does not link docs/SEMANTICS.md")
+	}
+}
+
+// TestDocsObservabilityFamilies fails when docs/OBSERVABILITY.md has
+// no table row for a family seg.Evaluator.RegisterCounters registers,
+// so a new evaluator counter cannot ship undocumented.
+func TestDocsObservabilityFamilies(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("docs", "OBSERVABILITY.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	seg.NewEvaluator(charles.GenerateVOC(10, 1)).RegisterCounters(reg)
+	for _, fam := range reg.Names() {
+		if !strings.Contains(string(doc), "| `"+fam+"` |") {
+			t.Errorf("docs/OBSERVABILITY.md has no | `%s` | row", fam)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package seg
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"charles/internal/dataset"
@@ -33,14 +35,7 @@ func TestWarmPairwiseAllocBudget(t *testing.T) {
 		VectorKernels: &obs.Counter{}, FusedKernels: &obs.Counter{},
 	})
 	defer engine.SetMetrics(nil)
-	em := &EvalMetrics{
-		FullEvals: &obs.Counter{}, NarrowEvals: &obs.Counter{}, CacheHits: &obs.Counter{},
-		CutPointCalcs: &obs.Counter{}, CutCacheHits: &obs.Counter{},
-		DeltaRefreshes: &obs.Counter{}, CutRefreshes: &obs.Counter{},
-		PairMemoHits: &obs.Counter{}, PairMemoMisses: &obs.Counter{},
-		PairTableHits: &obs.Counter{}, RowMaterializations: &obs.Counter{},
-	}
-	ev.SetEvalMetrics(em)
+	em, reg := liveRecorders(ev)
 	ctx, err := sdl.ContextOn(tab, "tonnage", "built")
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +113,7 @@ func TestWarmPairwiseAllocBudget(t *testing.T) {
 			t.Logf("warm %s: %.1f allocs/op (budget %.0f)", c.name, avg, c.budget)
 		})
 	}
-	if em.PairTableHits.Value() == 0 {
+	if scraped(t, reg, "charles_seg_pair_table_hits_total") == 0 {
 		t.Error("live recorder saw no pair-table hits on the warm path: the counters are not wired")
 	}
 	if em.PairMemoHits.Value() == 0 {
@@ -137,14 +132,7 @@ func TestWarmPairwiseAllocBudget(t *testing.T) {
 func TestRevisitedCutAllocBudget(t *testing.T) {
 	tab := dataset.VOC(20000, 7)
 	ev := NewEvaluator(tab)
-	em := &EvalMetrics{
-		FullEvals: &obs.Counter{}, NarrowEvals: &obs.Counter{}, CacheHits: &obs.Counter{},
-		CutPointCalcs: &obs.Counter{}, CutCacheHits: &obs.Counter{},
-		DeltaRefreshes: &obs.Counter{}, CutRefreshes: &obs.Counter{},
-		PairMemoHits: &obs.Counter{}, PairMemoMisses: &obs.Counter{},
-		PairTableHits: &obs.Counter{}, RowMaterializations: &obs.Counter{},
-	}
-	ev.SetEvalMetrics(em)
+	em, reg := liveRecorders(ev)
 	ctx, err := sdl.ContextOn(tab, "tonnage", "built", "type_of_boat")
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +170,43 @@ func TestRevisitedCutAllocBudget(t *testing.T) {
 		t.Fatalf("revisited Cut averaged %.1f allocs/op, budget %d", avg, budget)
 	}
 	t.Logf("revisited Cut: %.1f allocs/op (budget %d)", avg, budget)
-	if em.CutCacheHits.Value() == 0 {
+	if em.CutCacheHits.Value() == 0 || scraped(t, reg, "charles_seg_cut_cache_hits_total") == 0 {
 		t.Error("live recorder saw no cut-cache hits on the revisit: the counters are not wired")
 	}
+}
+
+// liveRecorders registers ev's counters in a fresh registry and
+// installs the EvalMetrics mirrors, so an alloc budget holds with both
+// live readers attached.
+func liveRecorders(ev *Evaluator) (*EvalMetrics, *obs.Registry) {
+	reg := obs.NewRegistry()
+	ev.RegisterCounters(reg)
+	em := &EvalMetrics{
+		FullEvals: &obs.Counter{}, NarrowEvals: &obs.Counter{}, CacheHits: &obs.Counter{},
+		CutPointCalcs: &obs.Counter{}, CutCacheHits: &obs.Counter{},
+		DeltaRefreshes: &obs.Counter{}, CutRefreshes: &obs.Counter{},
+		PairMemoHits: &obs.Counter{}, PairMemoMisses: &obs.Counter{},
+	}
+	ev.SetEvalMetrics(em)
+	return em, reg
+}
+
+// scraped reads family's value from reg's Prometheus exposition.
+func scraped(t *testing.T, reg *obs.Registry, family string) int64 {
+	t.Helper()
+	var buf strings.Builder
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, family+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("family %s not exposed", family)
+	return 0
 }

@@ -253,7 +253,7 @@ func (e *Evaluator) shrink() {
 			return
 		}
 		if l.entry.evict(c) {
-			e.countEviction()
+			e.count(Evictions)
 		}
 	}
 }

@@ -196,7 +196,7 @@ func TestBudgetAccountingRandomSequences(t *testing.T) {
 				t.Fatalf("seed %d step %d: the stores hold %d bytes, budget %d", seed, step, total, limit)
 			}
 		}
-		if ev.Counters().Evictions == 0 {
+		if ev.Counters()[Evictions] == 0 {
 			t.Fatalf("seed %d: no step evicted", seed)
 		}
 	}
@@ -243,7 +243,7 @@ func TestBudgetAccountingConcurrentAdvises(t *testing.T) {
 	if total := walkBudget(t, ev); total > budget {
 		t.Fatalf("the stores hold %d bytes, budget %d", total, budget)
 	}
-	if ev.Counters().Evictions == 0 {
+	if ev.Counters()[Evictions] == 0 {
 		t.Fatal("no eviction under the budget")
 	}
 }
@@ -283,7 +283,7 @@ func TestClockSparesReadEntries(t *testing.T) {
 			}
 		}
 	}
-	if got := ev.Counters().Evictions; got != len(steps) {
+	if got := ev.Counters()[Evictions]; got != len(steps) {
 		t.Fatalf("%d evictions for %d stores at the budget", got, len(steps))
 	}
 }

@@ -186,7 +186,7 @@ func TestPairMemoSharesSides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hitsAfterFirst := ev.Counters().CacheHits
+	hitsAfterFirst := ev.Counters()[CacheHits]
 	// Product + CellCounts + Indep + ChiSquare over the same pair
 	// (tier hits) and over the transposed pair (tier misses): all
 	// sides come from the memo, no further selection lookups.
@@ -206,13 +206,13 @@ func TestPairMemoSharesSides(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := ev.Counters()
-	if c.CacheHits != hitsAfterFirst {
-		t.Fatalf("memoized operator calls still hit the selection cache: %d -> %d", hitsAfterFirst, c.CacheHits)
+	if c[CacheHits] != hitsAfterFirst {
+		t.Fatalf("memoized operator calls still hit the selection cache: %d -> %d", hitsAfterFirst, c[CacheHits])
 	}
-	if c.PairMemoHits == 0 {
+	if c[PairMemoHits] == 0 {
 		t.Fatal("the transposed pair missed the tier but took no side from the memo")
 	}
-	if c.PairTableHits == 0 {
+	if c[PairTableHits] == 0 {
 		t.Fatal("repeated calls over one pair were not served by the pair-table tier")
 	}
 	if again != base {
@@ -223,7 +223,7 @@ func TestPairMemoSharesSides(t *testing.T) {
 	if _, err := IndepOpt(ev, s1, s3, plain); err != nil {
 		t.Fatal(err)
 	}
-	if got := ev.Counters().CacheHits; got == hitsAfterFirst {
+	if got := ev.Counters()[CacheHits]; got == hitsAfterFirst {
 		t.Fatal("memo-less operator call did not consult the selection cache (test premise broken)")
 	}
 }

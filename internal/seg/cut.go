@@ -78,7 +78,7 @@ func (e *Evaluator) cutQuery(q sdl.Query, attr string, opt CutOptions) (children
 	var stale *cachedCut
 	if ent, ok := e.cachedCutEntry(key); ok {
 		if ent.stamp.Version() == v {
-			e.countCutCacheHit()
+			e.count(CutCacheHits)
 			return ent.children, ent.counts, key, v, nil
 		}
 		stale = &ent

@@ -529,7 +529,7 @@ func TestSampledCutBuildsNoRows(t *testing.T) {
 	if _, err := CutQuery(ev, ctx, "i", opt); err != nil {
 		t.Fatal(err)
 	}
-	if got := ev.Counters().RowMaterializations; got != 0 {
+	if got := ev.Counters()[RowMaterializations]; got != 0 {
 		t.Fatalf("a sampled cut counted %d row materializations", got)
 	}
 	stored, ok := ev.cached(ctx.Key())
@@ -695,7 +695,7 @@ func TestDegenerateCutSkipsParentEval(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
-	ev.ResetCounters()
+	before := ev.Counters()
 	noop, err := Cut(ev, a, "c", DefaultCutOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -705,7 +705,7 @@ func TestDegenerateCutSkipsParentEval(t *testing.T) {
 	}
 	// CutQuery needs one Select per query to find the (degenerate)
 	// cut points; the unused parent selection must not add a second.
-	if got := fetched(ev.Counters()); got != a.Depth() {
+	if got := fetched(before, ev.Counters()); got != a.Depth() {
 		t.Fatalf("degenerate cut fetched %d selections, want %d (one per query)", got, a.Depth())
 	}
 }
@@ -725,7 +725,7 @@ func TestMixedCutSkipsParentEvalForDegeneratePieces(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
-	ev.ResetCounters()
+	before := ev.Counters()
 	cut, err := Cut(ev, a, "c", DefaultCutOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -735,11 +735,13 @@ func TestMixedCutSkipsParentEvalForDegeneratePieces(t *testing.T) {
 	}
 	// Two CutQuery selects + one parent re-select for the split
 	// query only. (Narrow evaluations are counted separately.)
-	if got := fetched(ev.Counters()); got != 3 {
+	if got := fetched(before, ev.Counters()); got != 3 {
 		t.Fatalf("mixed cut fetched %d selections, want 3", got)
 	}
 }
 
-// fetched counts the selections an evaluation read: each is served
-// from the cache or evaluated in full.
-func fetched(c Counters) int { return c.CacheHits + c.FullEvals }
+// fetched counts the selections read between two snapshots: each is
+// served from the cache or evaluated in full.
+func fetched(before, after [numCounters]int) int {
+	return after[CacheHits] - before[CacheHits] + after[FullEvals] - before[FullEvals]
+}

@@ -144,7 +144,7 @@ func (e *Evaluator) cutPieces(attr string, col engine.Column, src *engine.Chunke
 		return nil, state, err
 	}
 	if len(pieces) >= 2 {
-		e.countCutPointCalc()
+		e.count(CutPointCalcs)
 	}
 	return pieces, state, nil
 }
@@ -258,9 +258,9 @@ func (e *Evaluator) refreshCut(ent cachedCut, attr string, col engine.Column, sr
 	default:
 		return nil, state, false
 	}
-	e.countCutRefresh()
+	e.count(CutRefreshes)
 	if len(pieces) >= 2 {
-		e.countCutPointCalc()
+		e.count(CutPointCalcs)
 	}
 	return pieces, state, true
 }

@@ -94,7 +94,7 @@ func matchCold(t *testing.T, ev *Evaluator, tab *engine.Table, attrs ...string) 
 			t.Fatalf("%s: warm cut diverged from cold cut:\nwarm %v\ncold %v", attr, warm, want)
 		}
 	}
-	if got := cold.Counters().CutRefreshes; got != 0 {
+	if got := cold.Counters()[CutRefreshes]; got != 0 {
 		t.Fatalf("cold evaluator took %d cut refreshes", got)
 	}
 }
@@ -107,7 +107,7 @@ func TestCutCacheVersionEqualHit(t *testing.T) {
 	ev := NewEvaluator(tab)
 	ctx := sdl.ContextAll(tab)
 	first := childKeys(t, ev, ctx, "v")
-	calcs := ev.Counters().CutPointCalcs
+	calcs := ev.Counters()[CutPointCalcs]
 	if calcs == 0 {
 		t.Fatal("priming cut computed no points")
 	}
@@ -116,11 +116,11 @@ func TestCutCacheVersionEqualHit(t *testing.T) {
 		t.Fatalf("cached cut diverged: %v vs %v", first, second)
 	}
 	after := ev.Counters()
-	if after.CutPointCalcs != calcs {
-		t.Fatalf("version-equal hit recomputed points: %d -> %d", calcs, after.CutPointCalcs)
+	if after[CutPointCalcs] != calcs {
+		t.Fatalf("version-equal hit recomputed points: %d -> %d", calcs, after[CutPointCalcs])
 	}
-	if after.CutRefreshes != 0 {
-		t.Fatalf("unmutated table took %d cut refreshes", after.CutRefreshes)
+	if after[CutRefreshes] != 0 {
+		t.Fatalf("unmutated table took %d cut refreshes", after[CutRefreshes])
 	}
 }
 
@@ -149,7 +149,7 @@ func TestCutCacheRefreshAfterMutation(t *testing.T) {
 	}
 
 	matchCold(t, ev, tab, "v", "s")
-	if got := ev.Counters().CutRefreshes; got < 2 {
+	if got := ev.Counters()[CutRefreshes]; got < 2 {
 		t.Fatalf("CutRefreshes = %d, want ≥2 (int and string cuts)", got)
 	}
 	// The appends opened a ninth chunk, and 9 × 1 000 cells outnumber
@@ -181,14 +181,14 @@ func TestCutCacheRecomputesOutsideWindow(t *testing.T) {
 			ev := NewEvaluator(tab)
 			childKeys(t, ev, sdl.ContextAll(tab), tc.attr)
 			updateCutRows(t, tab, tc.attr, 5*1024, []engine.Value{tc.val})
-			calcs := ev.Counters().CutPointCalcs
+			calcs := ev.Counters()[CutPointCalcs]
 			matchCold(t, ev, tab, tc.attr)
 			ctr := ev.Counters()
-			if ctr.CutRefreshes != 0 {
-				t.Fatalf("stale entry took %d cut refreshes, want a full recompute", ctr.CutRefreshes)
+			if ctr[CutRefreshes] != 0 {
+				t.Fatalf("stale entry took %d cut refreshes, want a full recompute", ctr[CutRefreshes])
 			}
-			if ctr.CutPointCalcs != calcs+1 {
-				t.Fatalf("CutPointCalcs %d -> %d, want one recompute", calcs, ctr.CutPointCalcs)
+			if ctr[CutPointCalcs] != calcs+1 {
+				t.Fatalf("CutPointCalcs %d -> %d, want one recompute", calcs, ctr[CutPointCalcs])
 			}
 		})
 	}
@@ -202,9 +202,9 @@ func TestCutCacheServedMatchesFresh(t *testing.T) {
 	ctx := sdl.ContextAll(tab)
 	for _, attr := range []string{"v", "s", "w", "d"} {
 		childKeys(t, ev, ctx, attr)
-		hits := ev.Counters().CutCacheHits
+		hits := ev.Counters()[CutCacheHits]
 		served := childKeys(t, ev, ctx, attr)
-		if got := ev.Counters().CutCacheHits; got != hits+1 {
+		if got := ev.Counters()[CutCacheHits]; got != hits+1 {
 			t.Fatalf("%s: repeated cut took %d cache hits, want 1", attr, got-hits)
 		}
 		if want := childKeys(t, NewEvaluator(tab), ctx, attr); fmt.Sprint(served) != fmt.Sprint(want) {
@@ -299,9 +299,9 @@ func TestCutCountsRetainedPastVersionZero(t *testing.T) {
 	}
 	updateCutRows(t, tab, "v", 2048, []engine.Value{engine.Int(999), engine.Int(998)})
 	updateCutRows(t, tab, "s", 2048, []engine.Value{engine.String_("pinas")})
-	before := ev.Counters().CutRefreshes
+	before := ev.Counters()[CutRefreshes]
 	matchCold(t, ev, tab, "v", "s")
-	if got := ev.Counters().CutRefreshes - before; got != 2 {
+	if got := ev.Counters()[CutRefreshes] - before; got != 2 {
 		t.Fatalf("after a second mutation: %d cut refreshes, want 2", got)
 	}
 }

@@ -140,13 +140,13 @@ func TestServedCutMatchesFresh(t *testing.T) {
 			if split := strings.Count(served, "\n")-1 > len(base.Queries); split != (attr != "c") {
 				t.Fatalf("cut on %s split=%v:\n%s", attr, split, served)
 			}
-			if got := after.CutCacheHits - before.CutCacheHits; got != len(base.Queries) {
+			if got := after[seg.CutCacheHits] - before[seg.CutCacheHits]; got != len(base.Queries) {
 				t.Fatalf("revisited cut took %d cut-cache hits, want one per query (%d)", got, len(base.Queries))
 			}
 			// Served whole: no extent fetched, no child looked up,
 			// nothing evaluated.
-			if after.CacheHits != before.CacheHits || after.NarrowEvals != before.NarrowEvals ||
-				after.FullEvals != before.FullEvals || after.CutPointCalcs != before.CutPointCalcs {
+			if after[seg.CacheHits] != before[seg.CacheHits] || after[seg.NarrowEvals] != before[seg.NarrowEvals] ||
+				after[seg.FullEvals] != before[seg.FullEvals] || after[seg.CutPointCalcs] != before[seg.CutPointCalcs] {
 				t.Fatalf("revisited cut did work: counters %+v -> %+v", before, after)
 			}
 		})
@@ -171,10 +171,10 @@ func TestServedCutNeverStaleAfterAppend(t *testing.T) {
 		}
 	}
 	after := ev.Counters()
-	if after.CutCacheHits != before.CutCacheHits {
-		t.Fatalf("%d cut-cache hits right after an append: a stale entry was served", after.CutCacheHits-before.CutCacheHits)
+	if after[seg.CutCacheHits] != before[seg.CutCacheHits] {
+		t.Fatalf("%d cut-cache hits right after an append: a stale entry was served", after[seg.CutCacheHits]-before[seg.CutCacheHits])
 	}
-	if after.CutPointCalcs == before.CutPointCalcs {
+	if after[seg.CutPointCalcs] == before[seg.CutPointCalcs] {
 		t.Fatal("no stale entry recomputed after the append")
 	}
 	// At the new version the refreshed entries serve again.
@@ -183,7 +183,7 @@ func TestServedCutNeverStaleAfterAppend(t *testing.T) {
 			t.Fatalf("served cut on %s after append diverged:\n%s\nfresh\n%s", attr, got, want)
 		}
 	}
-	if got := ev.Counters().CutCacheHits - after.CutCacheHits; got != len(servedCutAttrs)*len(base.Queries) {
+	if got := ev.Counters()[seg.CutCacheHits] - after[seg.CutCacheHits]; got != len(servedCutAttrs)*len(base.Queries) {
 		t.Fatalf("%d cuts served at the new version, want %d", got, len(servedCutAttrs)*len(base.Queries))
 	}
 	// A segmentation rebuilt at the new version cuts as a fresh one.
@@ -213,7 +213,7 @@ func TestServedCutBoundedCache(t *testing.T) {
 			}
 		}
 	}
-	if bounded.Counters().Evictions == 0 {
+	if bounded.Counters()[seg.Evictions] == 0 {
 		t.Fatal("the bounded evaluator evicted nothing")
 	}
 }
@@ -274,11 +274,11 @@ func TestServedCutAdaptive(t *testing.T) {
 	}
 	warm := seg.NewEvaluator(tab)
 	render(warm)
-	hits := warm.Counters().CutCacheHits
+	hits := warm.Counters()[seg.CutCacheHits]
 	if got, want := render(warm), render(seg.NewEvaluator(tab)); got != want {
 		t.Fatalf("warm adaptive cuts diverged:\n%s\ncold\n%s", got, want)
 	}
-	if warm.Counters().CutCacheHits == hits {
+	if warm.Counters()[seg.CutCacheHits] == hits {
 		t.Fatal("warm adaptive pass served no cut")
 	}
 }

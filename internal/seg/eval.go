@@ -17,69 +17,86 @@ import (
 	"charles/internal/sdl"
 )
 
-// Counters instruments the evaluator for the scalability experiments
-// (E6/E7): how often work was reused versus recomputed.
-type Counters struct {
+// Counter names one of the evaluator's instrumentation counters, which
+// count how often work was reused versus recomputed. Each is a
+// monotonic total: Counters snapshots them all, and RegisterCounters
+// exposes each as one metric family.
+type Counter int
+
+const (
 	// FullEvals counts constraint-by-constraint query evaluations.
-	FullEvals int
+	FullEvals Counter = iota
 	// NarrowEvals counts child evaluations from a parent's selection
 	// (the parent narrowed by one new constraint), the cheap path cuts
 	// take: one per child a cut's partition pass evaluates.
-	NarrowEvals int
+	NarrowEvals
 	// CacheHits counts selections served from the query cache.
-	CacheHits int
+	CacheHits
 	// CutPointCalcs counts median/quantile computations, the
 	// operation Section 5.1 calls the vertical-scalability
 	// bottleneck.
-	CutPointCalcs int
+	CutPointCalcs
 	// DeltaRefreshes counts cached selections brought up to date by
 	// re-evaluating only the mutation-dirtied chunks and splicing
 	// them into the cached clean segments — the incremental-advise
 	// path, neither a full eval nor a plain hit.
-	DeltaRefreshes int
+	DeltaRefreshes
 	// CutRefreshes counts cached cut points brought up to date the
 	// same way: dirty chunks recounted, clean chunks' count vectors
 	// reused.
-	CutRefreshes int
+	CutRefreshes
 	// CutCacheHits counts cuts served whole from a version-equal
 	// cut-cache entry: its children, and their counts once counted,
 	// with no cut points computed and no child rebuilt.
-	CutCacheHits int
-	// PairMemoHits / PairMemoMisses count pairwise-operand sides
-	// served from (or built into) a PairMemo.
-	PairMemoHits   int
-	PairMemoMisses int
+	CutCacheHits
+	// PairMemoHits counts pairwise-operand sides served from a
+	// PairMemo.
+	PairMemoHits
+	// PairMemoMisses counts pairwise-operand sides built into a
+	// PairMemo.
+	PairMemoMisses
 	// PairTableHits counts contingency tables served from the
 	// evaluator's pair-table tier without building either side.
-	PairTableHits int
+	PairTableHits
 	// RowMaterializations counts flat row-id views built from
 	// selections holding words chunks, by Select. The advise path
 	// builds none.
-	RowMaterializations int
+	RowMaterializations
 	// Evictions counts entries the clock evicted to keep the stores
 	// within their byte budget (SetCacheBudget).
-	Evictions int
+	Evictions
+
+	numCounters
+)
+
+// RegisterCounters registers one counter family per Counter in reg,
+// read from the evaluator's live total at scrape time. The family
+// names are an external API (docs/OBSERVABILITY.md); cache misses are
+// the evaluations themselves — full_evals and narrow_evals count
+// exactly the lookups that missed.
+func (e *Evaluator) RegisterCounters(reg *obs.Registry) {
+	c := &e.counts
+	reg.NewCounterFunc("charles_seg_full_evals_total", "full constraint-chain query evaluations (selection cache misses)", c[FullEvals].Load)
+	reg.NewCounterFunc("charles_seg_narrow_evals_total", "cut children evaluated from their parent's selection", c[NarrowEvals].Load)
+	reg.NewCounterFunc("charles_seg_cache_hits_total", "selections served from the evaluator cache (a cut served from the cut cache looks none up)", c[CacheHits].Load)
+	reg.NewCounterFunc("charles_seg_cut_point_calcs_total", "median/quantile cut-point computations", c[CutPointCalcs].Load)
+	reg.NewCounterFunc("charles_seg_cut_cache_hits_total", "cuts served whole (children and counts) from a version-equal cut-cache entry", c[CutCacheHits].Load)
+	reg.NewCounterFunc("charles_delta_refreshes_total", "cached selections spliced up to date after a mutation", c[DeltaRefreshes].Load)
+	reg.NewCounterFunc("charles_delta_cut_refreshes_total", "cached cut points spliced up to date after a mutation", c[CutRefreshes].Load)
+	reg.NewCounterFunc("charles_seg_pair_memo_hits_total", "pairwise operand sides reused from a PairMemo", c[PairMemoHits].Load)
+	reg.NewCounterFunc("charles_seg_pair_memo_misses_total", "pairwise operand sides built fresh", c[PairMemoMisses].Load)
+	reg.NewCounterFunc("charles_seg_pair_table_hits_total", "contingency tables served from the evaluator's pair-table tier", c[PairTableHits].Load)
+	reg.NewCounterFunc("charles_seg_row_materializations_total", "flat row-id views decoded from selections holding words chunks", c[RowMaterializations].Load)
+	reg.NewCounterFunc("charles_seg_cache_evictions_total", "evaluator cache entries the clock evicted to stay within the byte budget", c[Evictions].Load)
 }
 
-// EvalMetrics is the evaluator's external instrumentation hook:
-// nil-safe obs counters mirroring the Counters fields, bumped at the
-// same sites, so a server can expose live totals without polling.
-// Cache misses are the evaluations themselves — FullEvals and
-// NarrowEvals count exactly the lookups that missed. The default
-// hook (all-nil fields) records nothing and costs one atomic load.
+// EvalMetrics is a shim kept for bench/layers until ROADMAP item 4:
+// obs counters that SetEvalMetrics makes mirror nine of the
+// evaluator's counters. Do not add fields; RegisterCounters is how the
+// counters are exposed.
 type EvalMetrics struct {
-	FullEvals           *obs.Counter
-	NarrowEvals         *obs.Counter
-	CacheHits           *obs.Counter
-	CutPointCalcs       *obs.Counter
-	DeltaRefreshes      *obs.Counter
-	CutRefreshes        *obs.Counter
-	CutCacheHits        *obs.Counter
-	PairMemoHits        *obs.Counter
-	PairMemoMisses      *obs.Counter
-	PairTableHits       *obs.Counter
-	RowMaterializations *obs.Counter
-	Evictions           *obs.Counter
+	FullEvals, NarrowEvals, CacheHits, CutPointCalcs, DeltaRefreshes,
+	CutRefreshes, CutCacheHits, PairMemoHits, PairMemoMisses *obs.Counter
 }
 
 // cacheShards is the number of independent lock stripes of the
@@ -147,22 +164,11 @@ type Evaluator struct {
 	// |table|-sized identity vector.
 	identity atomic.Pointer[engine.ChunkedSelection]
 
-	fullEvals           atomic.Int64
-	narrowEvals         atomic.Int64
-	cacheHits           atomic.Int64
-	cutPointCalcs       atomic.Int64
-	deltaRefreshes      atomic.Int64
-	cutRefreshes        atomic.Int64
-	cutCacheHits        atomic.Int64
-	pairMemoHits        atomic.Int64
-	pairMemoMisses      atomic.Int64
-	pairTableHits       atomic.Int64
-	rowMaterializations atomic.Int64
-	evictions           atomic.Int64
-
-	// em is the installed EvalMetrics hook; always non-nil (zero
-	// value = no-op), swapped atomically by SetEvalMetrics.
-	em atomic.Pointer[EvalMetrics]
+	// counts holds one total per Counter.
+	counts [numCounters]atomic.Int64
+	// mirror is the obs counter per Counter that SetEvalMetrics
+	// installed, or nil.
+	mirror atomic.Pointer[[numCounters]*obs.Counter]
 }
 
 // NewEvaluator returns a caching evaluator over t.
@@ -172,38 +178,32 @@ func NewEvaluator(t *engine.Table) *Evaluator {
 		e.shards[i] = newStore[string, cachedSel]()
 	}
 	e.zonePruning.Store(true)
-	e.em.Store(&EvalMetrics{})
 	return e
 }
 
-// SetEvalMetrics installs the instrumentation hook; nil restores the
-// no-op default. Hook counters only ever accumulate — they never
-// influence evaluation — so installing one cannot change results.
+// SetEvalMetrics installs m's counters as mirrors that count bumps
+// beside the evaluator's own; nil removes them. Kept with EvalMetrics
+// for bench/layers until ROADMAP item 4.
 func (e *Evaluator) SetEvalMetrics(m *EvalMetrics) {
 	if m == nil {
-		m = &EvalMetrics{}
+		e.mirror.Store(nil)
+		return
 	}
-	e.em.Store(m)
+	e.mirror.Store(&[numCounters]*obs.Counter{
+		FullEvals: m.FullEvals, NarrowEvals: m.NarrowEvals, CacheHits: m.CacheHits,
+		CutPointCalcs: m.CutPointCalcs, DeltaRefreshes: m.DeltaRefreshes, CutRefreshes: m.CutRefreshes,
+		CutCacheHits: m.CutCacheHits, PairMemoHits: m.PairMemoHits, PairMemoMisses: m.PairMemoMisses,
+	})
 }
 
-// The count* helpers bump an internal counter and its hook mirror
-// together, so Counters() snapshots and live obs totals cannot
-// drift. All are alloc-free: two atomic adds and a pointer load.
-func (e *Evaluator) countFullEval()     { e.fullEvals.Add(1); e.em.Load().FullEvals.Inc() }
-func (e *Evaluator) countNarrowEval()   { e.narrowEvals.Add(1); e.em.Load().NarrowEvals.Inc() }
-func (e *Evaluator) countCacheHit()     { e.cacheHits.Add(1); e.em.Load().CacheHits.Inc() }
-func (e *Evaluator) countCutPointCalc() { e.cutPointCalcs.Add(1); e.em.Load().CutPointCalcs.Inc() }
-func (e *Evaluator) countDeltaRefresh() { e.deltaRefreshes.Add(1); e.em.Load().DeltaRefreshes.Inc() }
-func (e *Evaluator) countCutRefresh()   { e.cutRefreshes.Add(1); e.em.Load().CutRefreshes.Inc() }
-func (e *Evaluator) countCutCacheHit()  { e.cutCacheHits.Add(1); e.em.Load().CutCacheHits.Inc() }
-func (e *Evaluator) countPairMemoHit()  { e.pairMemoHits.Add(1); e.em.Load().PairMemoHits.Inc() }
-func (e *Evaluator) countPairMemoMiss() { e.pairMemoMisses.Add(1); e.em.Load().PairMemoMisses.Inc() }
-func (e *Evaluator) countPairTableHit() { e.pairTableHits.Add(1); e.em.Load().PairTableHits.Inc() }
-func (e *Evaluator) countRowMaterialization() {
-	e.rowMaterializations.Add(1)
-	e.em.Load().RowMaterializations.Inc()
+// count bumps counter c, and its mirror when one is installed. It is
+// alloc-free: one atomic add and a nil check.
+func (e *Evaluator) count(c Counter) {
+	e.counts[c].Add(1)
+	if m := e.mirror.Load(); m != nil {
+		m[c].Inc()
+	}
 }
-func (e *Evaluator) countEviction() { e.evictions.Add(1); e.em.Load().Evictions.Inc() }
 
 // SetZonePruning toggles zone-map chunk pruning (numeric min/max and
 // nominal presence verdicts). Pruning never changes results — only
@@ -225,38 +225,14 @@ func (e *Evaluator) allRows() *engine.ChunkedSelection {
 	return cs
 }
 
-// Counters returns a snapshot of the instrumentation counters.
-func (e *Evaluator) Counters() Counters {
-	return Counters{
-		FullEvals:           int(e.fullEvals.Load()),
-		NarrowEvals:         int(e.narrowEvals.Load()),
-		CacheHits:           int(e.cacheHits.Load()),
-		CutPointCalcs:       int(e.cutPointCalcs.Load()),
-		DeltaRefreshes:      int(e.deltaRefreshes.Load()),
-		CutRefreshes:        int(e.cutRefreshes.Load()),
-		CutCacheHits:        int(e.cutCacheHits.Load()),
-		PairMemoHits:        int(e.pairMemoHits.Load()),
-		PairMemoMisses:      int(e.pairMemoMisses.Load()),
-		PairTableHits:       int(e.pairTableHits.Load()),
-		RowMaterializations: int(e.rowMaterializations.Load()),
-		Evictions:           int(e.evictions.Load()),
+// Counters returns a snapshot of the instrumentation counters,
+// indexed by Counter.
+func (e *Evaluator) Counters() [numCounters]int {
+	var out [numCounters]int
+	for c := range out {
+		out[c] = int(e.counts[c].Load())
 	}
-}
-
-// ResetCounters zeroes the instrumentation counters.
-func (e *Evaluator) ResetCounters() {
-	e.fullEvals.Store(0)
-	e.narrowEvals.Store(0)
-	e.cacheHits.Store(0)
-	e.cutPointCalcs.Store(0)
-	e.deltaRefreshes.Store(0)
-	e.cutRefreshes.Store(0)
-	e.cutCacheHits.Store(0)
-	e.pairMemoHits.Store(0)
-	e.pairMemoMisses.Store(0)
-	e.pairTableHits.Store(0)
-	e.rowMaterializations.Store(0)
-	e.evictions.Store(0)
+	return out
 }
 
 // CacheLen returns the number of cached selections.
@@ -296,7 +272,7 @@ func (e *Evaluator) store(key string, ent cachedSel) {
 func (e *Evaluator) flat(cs *engine.ChunkedSelection) engine.Selection {
 	for c := range cs.NumChunks() {
 		if cs.Words(c) != nil {
-			e.countRowMaterialization()
+			e.count(RowMaterializations)
 			break
 		}
 	}
@@ -417,11 +393,11 @@ func (e *Evaluator) extent(q sdl.Query) (cachedSel, error) {
 	cur := e.tab.Stamp()
 	if ent, ok := e.cached(key); ok {
 		if ent.stamp.Version() == cur.Version() {
-			e.countCacheHit()
+			e.count(CacheHits)
 			return ent, nil
 		}
 		if ent, ok := e.refreshChunked(q, ent, cur); ok {
-			e.countDeltaRefresh()
+			e.count(DeltaRefreshes)
 			e.store(key, ent)
 			return ent, nil
 		}
@@ -437,7 +413,7 @@ func (e *Evaluator) extent(q sdl.Query) (cachedSel, error) {
 			return cachedSel{}, err
 		}
 	}
-	e.countFullEval()
+	e.count(FullEvals)
 	ent := cachedSel{sel: cs, stamp: cur}
 	e.store(key, ent)
 	return ent, nil
@@ -488,7 +464,7 @@ func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr str
 	for i, key := range keys {
 		ent, ok := e.cached(key)
 		if ok && ent.stamp.Version() == cur.Version() {
-			e.countCacheHit()
+			e.count(CacheHits)
 			counts[i] = ent.sel.Len()
 			continue
 		}
@@ -518,7 +494,7 @@ func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr str
 	if len(stale) > 0 {
 		if err := e.partitionInto(engine.Restrict(src, dirty), attr, cons, stale, covered, func(i int, cs *engine.ChunkedSelection) {
 			ent := cachedSel{sel: engine.Splice(olds[i].sel, cs, dirty), stamp: cur}
-			e.countDeltaRefresh()
+			e.count(DeltaRefreshes)
 			e.store(keys[i], ent)
 			counts[i] = ent.sel.Len()
 		}); err != nil {
@@ -527,7 +503,7 @@ func (e *Evaluator) cutChildren(parent sdl.Query, children []sdl.Query, attr str
 	}
 	if len(full) > 0 {
 		if err := e.partitionInto(src, attr, cons, full, covered, func(i int, cs *engine.ChunkedSelection) {
-			e.countNarrowEval()
+			e.count(NarrowEvals)
 			e.store(keys[i], cachedSel{sel: cs, stamp: cur})
 			counts[i] = cs.Len()
 		}); err != nil {

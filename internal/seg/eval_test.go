@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"charles/internal/engine"
+	"charles/internal/obs"
 	"charles/internal/sdl"
 )
 
@@ -38,10 +39,10 @@ func TestSelectCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := ev.Counters()
-	if after.CacheHits != before.CacheHits+1 {
+	if after[CacheHits] != before[CacheHits]+1 {
 		t.Fatalf("second select did not hit cache: %+v -> %+v", before, after)
 	}
-	if after.FullEvals != before.FullEvals {
+	if after[FullEvals] != before[FullEvals] {
 		t.Fatal("second select re-evaluated")
 	}
 }
@@ -94,8 +95,8 @@ func TestNarrowMatchesFullEval(t *testing.T) {
 		t.Fatalf("an append outside the parent moved the pieces: %s -> %s", first.Key(), second.Key())
 	}
 	// One refresh for the parent itself, one splice per child.
-	if got, want := after.DeltaRefreshes-before.DeltaRefreshes, 1+second.Depth(); got != want || after.NarrowEvals != before.NarrowEvals {
-		t.Fatalf("re-cut after append: %d delta refreshes (want %d), narrow evals %d -> %d", got, want, before.NarrowEvals, after.NarrowEvals)
+	if got, want := after[DeltaRefreshes]-before[DeltaRefreshes], 1+second.Depth(); got != want || after[NarrowEvals] != before[NarrowEvals] {
+		t.Fatalf("re-cut after append: %d delta refreshes (want %d), narrow evals %d -> %d", got, want, before[NarrowEvals], after[NarrowEvals])
 	}
 }
 
@@ -153,18 +154,69 @@ func TestSelectIntSetAndFloatSet(t *testing.T) {
 	}
 }
 
-func TestCountersAndReset(t *testing.T) {
+// TestRegisterCountersReadEachCounter pins the registration table's
+// wiring: with counter c bumped c+1 times, the registered families
+// read 1 to numCounters, each once — no counter unread, none read
+// twice — and each EvalMetrics mirror reads its own counter.
+func TestRegisterCountersReadEachCounter(t *testing.T) {
+	_, ev := figure2Table(t)
+	em, reg := liveRecorders(ev)
+	for c := range numCounters {
+		for range c + 1 {
+			ev.count(c)
+		}
+	}
+	seen := map[int64]string{}
+	for _, fam := range reg.Names() {
+		v := scraped(t, reg, fam)
+		if other, dup := seen[v]; dup || v < 1 || v > int64(numCounters) {
+			t.Errorf("%s reads %d (also read by %q)", fam, v, other)
+		}
+		seen[v] = fam
+	}
+	if len(seen) != int(numCounters) {
+		t.Errorf("%d families read %d distinct counters, want %d", len(reg.Names()), len(seen), numCounters)
+	}
+	ctr := ev.Counters()
+	for c, m := range map[Counter]*obs.Counter{
+		FullEvals: em.FullEvals, NarrowEvals: em.NarrowEvals, CacheHits: em.CacheHits,
+		CutPointCalcs: em.CutPointCalcs, DeltaRefreshes: em.DeltaRefreshes, CutRefreshes: em.CutRefreshes,
+		CutCacheHits: em.CutCacheHits, PairMemoHits: em.PairMemoHits, PairMemoMisses: em.PairMemoMisses,
+	} {
+		if m.Value() != int64(ctr[c]) {
+			t.Errorf("EvalMetrics mirror of counter %d reads %d, counter %d", c, m.Value(), ctr[c])
+		}
+	}
+}
+
+// TestCountersSnapshots pins how counters are read: a snapshot is a
+// copy indexed by Counter, and the work between two snapshots is their
+// difference — one new query is one full evaluation and nothing else.
+func TestCountersSnapshots(t *testing.T) {
 	_, ev := figure2Table(t)
 	q := sdl.MustQuery(sdl.SetC("type", engine.String_("fluit")))
 	if _, err := ev.Count(q); err != nil {
 		t.Fatal(err)
 	}
-	if ev.Counters().FullEvals != 1 {
-		t.Fatalf("counters = %+v", ev.Counters())
+	before := ev.Counters()
+	if before[FullEvals] != 1 {
+		t.Fatalf("counters = %v", before)
 	}
-	ev.ResetCounters()
-	if ev.Counters().FullEvals != 0 {
-		t.Fatal("ResetCounters did not reset")
+	if _, err := ev.Count(sdl.MustQuery(sdl.SetC("type", engine.String_("jacht")))); err != nil {
+		t.Fatal(err)
+	}
+	after := ev.Counters()
+	for c := range numCounters {
+		want := 0
+		if c == FullEvals {
+			want = 1
+		}
+		if got := after[c] - before[c]; got != want {
+			t.Errorf("counter %d moved by %d over one new query, want %d", c, got, want)
+		}
+	}
+	if before[FullEvals] != 1 {
+		t.Fatal("a later evaluation changed an earlier snapshot")
 	}
 }
 
@@ -189,7 +241,7 @@ func TestCacheBudgetBoundsBytes(t *testing.T) {
 	if n := ev.CacheLen(); n == 0 || n >= queries/4 {
 		t.Fatalf("cache holds %d of %d selections under a %d-byte budget", n, queries, budget)
 	}
-	if ev.Counters().Evictions == 0 {
+	if ev.Counters()[Evictions] == 0 {
 		t.Fatal("no eviction under the budget")
 	}
 	// Cached and evicted queries still answer as a fresh evaluator.
@@ -238,8 +290,8 @@ func TestStoreAtLimitKeepsExistingKey(t *testing.T) {
 	if n, got := ev.CacheLen(), ev.CacheBytes(); n != 2 || got != full {
 		t.Fatalf("after re-stores: %d entries, %d bytes; want 2 entries, %d bytes", n, got, full)
 	}
-	if ev.Counters().Evictions != 0 {
-		t.Fatalf("re-stores evicted %d entries", ev.Counters().Evictions)
+	if ev.Counters()[Evictions] != 0 {
+		t.Fatalf("re-stores evicted %d entries", ev.Counters()[Evictions])
 	}
 	// A genuinely new key at the budget still evicts exactly one.
 	ev.store(keyC, sel)
@@ -249,7 +301,7 @@ func TestStoreAtLimitKeepsExistingKey(t *testing.T) {
 	if _, ok := ev.cached(keyC); !ok {
 		t.Fatal("new key was not stored at the budget")
 	}
-	if got := ev.Counters().Evictions; got != 1 {
+	if got := ev.Counters()[Evictions]; got != 1 {
 		t.Fatalf("storing a new key at the budget evicted %d entries, want 1", got)
 	}
 }

@@ -97,10 +97,10 @@ func buildSide(ev *Evaluator, s *Segmentation, opt PairOptions, fp string, deriv
 		}
 		memoKey = fp + shape + "\x00" + s.Key()
 		if side, ok := opt.Memo.get(memoKey); ok {
-			ev.countPairMemoHit()
+			ev.count(PairMemoHits)
 			return side, nil
 		}
-		ev.countPairMemoMiss()
+		ev.count(PairMemoMisses)
 	}
 	if derived {
 		n--
@@ -166,7 +166,7 @@ func cellCountsInto(ev *Evaluator, s1, s2 *Segmentation, opt PairOptions, flat [
 	fp := ev.Table().Fingerprint()
 	key := [2]string{s1.Key(), s2.Key()}
 	if ev.pairTable(fp, key, flat) {
-		ev.countPairTableHit()
+		ev.count(PairTableHits)
 		return nil
 	}
 	if err := countCells(ev, s1, s2, opt, fp, flat); err != nil {

@@ -111,7 +111,7 @@ func TestPackedChildrenMatchUncached(t *testing.T) {
 			if n != want.Len() || bm != ent.sel || got != ent.sel || !sameChunked(got, want) {
 				t.Fatalf("%s: words child %s counts %d, fresh %d, or is not the cached selection", tc.tab.Name(), q, n, want.Len())
 			}
-			if c := ev.Counters(); c.RowMaterializations != before.RowMaterializations || c.FullEvals != before.FullEvals {
+			if c := ev.Counters(); c[RowMaterializations] != before[RowMaterializations] || c[FullEvals] != before[FullEvals] {
 				t.Fatalf("%s: Count, SelectBitmap and SelectChunked of %s built rows: %+v -> %+v", tc.tab.Name(), q, before, c)
 			}
 			for i := 1; i <= 2; i++ {
@@ -122,7 +122,7 @@ func TestPackedChildrenMatchUncached(t *testing.T) {
 				if !slices.Equal(flat, want.Flat()) {
 					t.Fatalf("%s: Select of %s differs from a fresh evaluation", tc.tab.Name(), q)
 				}
-				if c := ev.Counters(); c.RowMaterializations != before.RowMaterializations+i || c.FullEvals != before.FullEvals {
+				if c := ev.Counters(); c[RowMaterializations] != before[RowMaterializations]+i || c[FullEvals] != before[FullEvals] {
 					t.Fatalf("%s: Select %d of %s: counters %+v -> %+v", tc.tab.Name(), i, q, before, c)
 				}
 			}
@@ -153,13 +153,13 @@ func TestRepeatedHBCutsBuildsNoRows(t *testing.T) {
 		}
 	}
 	run()
-	if c := ev.Counters(); c.RowMaterializations != 0 || c.NarrowEvals == 0 {
-		t.Fatalf("first run: %d row materializations over %d narrow evaluations", c.RowMaterializations, c.NarrowEvals)
+	if c := ev.Counters(); c[RowMaterializations] != 0 || c[NarrowEvals] == 0 {
+		t.Fatalf("first run: %d row materializations over %d narrow evaluations", c[RowMaterializations], c[NarrowEvals])
 	}
 	before := ev.Counters()
 	run()
 	after := ev.Counters()
-	if after.RowMaterializations != before.RowMaterializations || after.FullEvals != before.FullEvals || after.NarrowEvals != before.NarrowEvals || after.CutPointCalcs != before.CutPointCalcs {
+	if after[RowMaterializations] != before[RowMaterializations] || after[FullEvals] != before[FullEvals] || after[NarrowEvals] != before[NarrowEvals] || after[CutPointCalcs] != before[CutPointCalcs] {
 		t.Fatalf("second run: counters %+v -> %+v", before, after)
 	}
 }
@@ -180,8 +180,8 @@ func TestCachedCutReadsNoRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := wordsCount(ev, s.Queries); got != s.Depth() || ev.Counters().RowMaterializations != 0 {
-		t.Fatalf("%d of %d children hold words after a cut computed their cut points, %d rows built", got, s.Depth(), ev.Counters().RowMaterializations)
+	if got := wordsCount(ev, s.Queries); got != s.Depth() || ev.Counters()[RowMaterializations] != 0 {
+		t.Fatalf("%d of %d children hold words after a cut computed their cut points, %d rows built", got, s.Depth(), ev.Counters()[RowMaterializations])
 	}
 	before := ev.Counters()
 	again, err := Cut(ev, s, "type_of_boat", DefaultCutOptions())
@@ -189,7 +189,7 @@ func TestCachedCutReadsNoRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := ev.Counters()
-	if after.RowMaterializations != before.RowMaterializations || after.NarrowEvals != before.NarrowEvals || after.CutPointCalcs != before.CutPointCalcs || after.FullEvals != before.FullEvals {
+	if after[RowMaterializations] != before[RowMaterializations] || after[NarrowEvals] != before[NarrowEvals] || after[CutPointCalcs] != before[CutPointCalcs] || after[FullEvals] != before[FullEvals] {
 		t.Fatalf("cached re-cut: counters %+v -> %+v", before, after)
 	}
 	if again.Key() != first.Key() || !slices.Equal(again.Counts, first.Counts) {
@@ -238,7 +238,7 @@ func TestStalePackedChildSplices(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := ev.Counters()
-	if after.DeltaRefreshes != before.DeltaRefreshes+1 || after.FullEvals != before.FullEvals || after.RowMaterializations != before.RowMaterializations {
+	if after[DeltaRefreshes] != before[DeltaRefreshes]+1 || after[FullEvals] != before[FullEvals] || after[RowMaterializations] != before[RowMaterializations] {
 		t.Fatalf("Count of a stale words child: counters %+v -> %+v", before, after)
 	}
 	if n != freshRows(t, tab, kids[0]).Len() {
@@ -251,7 +251,7 @@ func TestStalePackedChildSplices(t *testing.T) {
 	again := bornPacked(t, ev, ctx, "tonnage")
 	after = ev.Counters()
 	// One refresh for the context, one splice per child.
-	if after.DeltaRefreshes != before.DeltaRefreshes+1+len(kids) || after.FullEvals != before.FullEvals || after.NarrowEvals != before.NarrowEvals || after.RowMaterializations != before.RowMaterializations {
+	if after[DeltaRefreshes] != before[DeltaRefreshes]+1+len(kids) || after[FullEvals] != before[FullEvals] || after[NarrowEvals] != before[NarrowEvals] || after[RowMaterializations] != before[RowMaterializations] {
 		t.Fatalf("re-cut after an append: counters %+v -> %+v", before, after)
 	}
 	for _, q := range again {
@@ -284,7 +284,7 @@ func TestConcurrentMaterialization(t *testing.T) {
 			t.Fatalf("goroutine %d got rows that differ from a fresh evaluation", i)
 		}
 	}
-	if n := ev.Counters().RowMaterializations; n != len(got) {
+	if n := ev.Counters()[RowMaterializations]; n != len(got) {
 		t.Fatalf("%d row materializations for %d concurrent readers", n, len(got))
 	}
 	if again, _ := ev.cached(q.Key()); again.sel != ent.sel {
@@ -349,7 +349,7 @@ func TestPackedChildOutlivesPackedCacheEviction(t *testing.T) {
 	if fresh := freshCells(t, tab, s, other); !equalCells(cells, fresh) {
 		t.Fatalf("pair table after eviction %v, fresh %v", cells, fresh)
 	}
-	if after := ev.Counters(); after.FullEvals == before.FullEvals || after.RowMaterializations != before.RowMaterializations {
+	if after := ev.Counters(); after[FullEvals] == before[FullEvals] || after[RowMaterializations] != before[RowMaterializations] {
 		t.Fatalf("pair sides with the selection entry evicted: counters %+v -> %+v", before, after)
 	}
 	if n, err := ev.Count(q); err != nil || n != want.Len() {
@@ -410,7 +410,7 @@ func TestComposePackedParentsBuildsNoRows(t *testing.T) {
 		}
 	}
 	after := ev.Counters()
-	if after.RowMaterializations != before.RowMaterializations || after.NarrowEvals == before.NarrowEvals || after.CutPointCalcs == before.CutPointCalcs {
+	if after[RowMaterializations] != before[RowMaterializations] || after[NarrowEvals] == before[NarrowEvals] || after[CutPointCalcs] == before[CutPointCalcs] {
 		t.Fatalf("COMPOSE over words candidates: counters %+v -> %+v", before, after)
 	}
 }
@@ -456,7 +456,7 @@ func TestZoomedReadviseBuildsNoRows(t *testing.T) {
 			}
 		}
 	}
-	if after := ev.Counters(); after.RowMaterializations != before.RowMaterializations || after.NarrowEvals == before.NarrowEvals {
+	if after := ev.Counters(); after[RowMaterializations] != before[RowMaterializations] || after[NarrowEvals] == before[NarrowEvals] {
 		t.Fatalf("zoomed re-advise: counters %+v -> %+v", before, after)
 	}
 }
@@ -506,7 +506,7 @@ func TestSparsePackedPairSide(t *testing.T) {
 	if fresh := freshCells(t, tab, s, other); !equalCells(cells, fresh) {
 		t.Fatalf("pair table %v, fresh %v", cells, fresh)
 	}
-	if after := ev.Counters(); after.RowMaterializations != before.RowMaterializations || after.FullEvals != before.FullEvals {
+	if after := ev.Counters(); after[RowMaterializations] != before[RowMaterializations] || after[FullEvals] != before[FullEvals] {
 		t.Fatalf("sparse pair side: counters %+v -> %+v", before, after)
 	}
 	for key, side := range memo.m {
@@ -548,7 +548,7 @@ func TestStalePackedParentCutRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := ev.Counters()
-	if after.CutRefreshes != before.CutRefreshes+1 || after.CutPointCalcs != before.CutPointCalcs+1 || after.RowMaterializations != before.RowMaterializations || after.FullEvals != before.FullEvals {
+	if after[CutRefreshes] != before[CutRefreshes]+1 || after[CutPointCalcs] != before[CutPointCalcs]+1 || after[RowMaterializations] != before[RowMaterializations] || after[FullEvals] != before[FullEvals] {
 		t.Fatalf("re-cut of a stale words parent: counters %+v -> %+v", before, after)
 	}
 	if wordsCount(ev, []sdl.Query{q}) != 1 {

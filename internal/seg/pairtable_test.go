@@ -68,12 +68,12 @@ func TestPairTablesMatchFreshEvaluator(t *testing.T) {
 				if _, err := CellCountsOpt(ev, s1, s2, opt); err != nil {
 					t.Fatal(err)
 				}
-				hits := ev.Counters().PairTableHits
+				hits := ev.Counters()[PairTableHits]
 				served, err := CellCountsOpt(ev, s1, s2, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ev.Counters().PairTableHits != hits+1 {
+				if ev.Counters()[PairTableHits] != hits+1 {
 					t.Fatalf("%s: repeated pair %s × %s not served by the tier", tc.tab.Name(), s1.Key(), s2.Key())
 				}
 				if want := freshCells(t, tc.tab, s1, s2); !equalCells(served, want) {
@@ -117,12 +117,12 @@ func TestPairTablesOneGeneration(t *testing.T) {
 	if err := tab.AppendRows(rows...); err != nil {
 		t.Fatal(err)
 	}
-	hits := ev.Counters().PairTableHits
+	hits := ev.Counters()[PairTableHits]
 	got, err := IndepOpt(ev, segs[0], segs[1], opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Counters().PairTableHits != hits {
+	if ev.Counters()[PairTableHits] != hits {
 		t.Fatal("the tier served a table counted before the append")
 	}
 	if fp, n := pairTables(ev); fp != tab.Fingerprint() || n != 1 {
@@ -132,7 +132,7 @@ func TestPairTablesOneGeneration(t *testing.T) {
 		t.Fatalf("INDEP after the append = %v, full table at the new version %v", got, want)
 	}
 	again, err := IndepOpt(ev, segs[0], segs[1], opt)
-	if err != nil || again != got || ev.Counters().PairTableHits != hits+1 {
+	if err != nil || again != got || ev.Counters()[PairTableHits] != hits+1 {
 		t.Fatalf("repeat at the new version: %v (err %v), want %v served by the tier", again, err, got)
 	}
 }
@@ -187,15 +187,15 @@ func TestPairTablesObeyBudget(t *testing.T) {
 	if got := ev.CacheBytes(); got > budget {
 		t.Fatalf("the stores hold %d bytes, budget %d", got, budget)
 	}
-	if ev.Counters().Evictions == 0 {
+	if ev.Counters()[Evictions] == 0 {
 		t.Fatal("no eviction under the budget")
 	}
-	hits := ev.Counters().PairTableHits
+	hits := ev.Counters()[PairTableHits]
 	last := segs[len(segs)-1]
 	if _, err := IndepOpt(ev, last, last, opt); err != nil {
 		t.Fatal(err)
 	}
-	if ev.Counters().PairTableHits != hits+1 {
+	if ev.Counters()[PairTableHits] != hits+1 {
 		t.Fatal("the most recently stored table was not served under the limit")
 	}
 }

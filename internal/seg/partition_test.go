@@ -34,7 +34,7 @@ func sameChunked(a, b *engine.ChunkedSelection) bool {
 type cutOutcome struct {
 	out      *Segmentation
 	children []sdl.Query
-	delta    Counters
+	delta    [numCounters]int
 }
 
 // checkCut runs Cut and holds what it left in ev's caches to a cold
@@ -50,11 +50,10 @@ func checkCut(t *testing.T, ev *Evaluator, in *Segmentation, attr string, opt Cu
 		t.Fatal(err)
 	}
 	after := ev.Counters()
-	res := cutOutcome{out: out, delta: Counters{
-		NarrowEvals:    after.NarrowEvals - before.NarrowEvals,
-		CacheHits:      after.CacheHits - before.CacheHits,
-		DeltaRefreshes: after.DeltaRefreshes - before.DeltaRefreshes,
-	}}
+	res := cutOutcome{out: out}
+	for c := range res.delta {
+		res.delta[c] = after[c] - before[c]
+	}
 	tab := ev.Table()
 	version := tab.Stamp().Version()
 	for _, q := range in.Queries {
@@ -162,8 +161,8 @@ func TestCutChildrenMatchColdEvaluation(t *testing.T) {
 			var first *Segmentation
 			for _, attr := range ctx.Attrs() {
 				r := checkCut(t, ev, singleton(ctx, n, ""), attr, DefaultCutOptions())
-				if len(r.children) < 2 || r.delta.NarrowEvals != len(r.children) {
-					t.Fatalf("initial cut on %s: %d narrow evals for %d children", attr, r.delta.NarrowEvals, len(r.children))
+				if len(r.children) < 2 || r.delta[NarrowEvals] != len(r.children) {
+					t.Fatalf("initial cut on %s: %d narrow evals for %d children", attr, r.delta[NarrowEvals], len(r.children))
 				}
 				if first == nil {
 					first = r.out
@@ -173,8 +172,8 @@ func TestCutChildrenMatchColdEvaluation(t *testing.T) {
 			inner := checkCut(t, ev, first, "tonnage", arity3)
 			outer := checkCut(t, ev, inner.out, "departure_date", arity3)
 			for _, r := range []cutOutcome{inner, outer} {
-				if r.delta.NarrowEvals != len(r.children) {
-					t.Fatalf("composed cut: %d narrow evals for %d children", r.delta.NarrowEvals, len(r.children))
+				if r.delta[NarrowEvals] != len(r.children) {
+					t.Fatalf("composed cut: %d narrow evals for %d children", r.delta[NarrowEvals], len(r.children))
 				}
 			}
 		})
@@ -281,7 +280,7 @@ func TestCutChildrenSpliceAfterMutation(t *testing.T) {
 			before := ev.Counters()
 			cutChildren(children)
 			after := ev.Counters()
-			if after.CacheHits-before.CacheHits != len(children) || after.NarrowEvals != before.NarrowEvals || after.DeltaRefreshes != before.DeltaRefreshes || after.RowMaterializations != before.RowMaterializations {
+			if after[CacheHits]-before[CacheHits] != len(children) || after[NarrowEvals] != before[NarrowEvals] || after[DeltaRefreshes] != before[DeltaRefreshes] || after[RowMaterializations] != before[RowMaterializations] {
 				t.Fatalf("re-cut of cached children: counters %+v -> %+v", before, after)
 			}
 
@@ -309,7 +308,7 @@ func TestCutChildrenSpliceAfterMutation(t *testing.T) {
 			// One refresh for the parent itself, one splice per cached
 			// child, one evaluation for the new one; no row ids are
 			// built from words.
-			if after.DeltaRefreshes-before.DeltaRefreshes != 1+len(children) || after.NarrowEvals-before.NarrowEvals != 1 || after.RowMaterializations != before.RowMaterializations {
+			if after[DeltaRefreshes]-before[DeltaRefreshes] != 1+len(children) || after[NarrowEvals]-before[NarrowEvals] != 1 || after[RowMaterializations] != before[RowMaterializations] {
 				t.Fatalf("re-cut after %s: counters %+v -> %+v", mutation, before, after)
 			}
 			if got := wordsCount(ev, mixed); got != len(mixed) {

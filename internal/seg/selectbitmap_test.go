@@ -64,8 +64,8 @@ func TestSelectBitmapMatchesPacked(t *testing.T) {
 		if !sameBitmap(first, want) {
 			t.Fatalf("%s: cold SelectBitmap differs from a fresh selection", q)
 		}
-		if c := cold.Counters(); c.FullEvals != 1 || c.CacheHits != 0 {
-			t.Fatalf("%s: cold SelectBitmap counted %d full evals and %d hits, want 1 and 0", q, c.FullEvals, c.CacheHits)
+		if c := cold.Counters(); c[FullEvals] != 1 || c[CacheHits] != 0 {
+			t.Fatalf("%s: cold SelectBitmap counted %d full evals and %d hits, want 1 and 0", q, c[FullEvals], c[CacheHits])
 		}
 		hit, err := cold.SelectBitmap(q)
 		if err != nil {
@@ -74,8 +74,8 @@ func TestSelectBitmapMatchesPacked(t *testing.T) {
 		if hit != first {
 			t.Fatalf("%s: repeated SelectBitmap did not serve the cached selection", q)
 		}
-		if c := cold.Counters(); c.FullEvals != 1 || c.CacheHits != 1 {
-			t.Fatalf("%s: repeated SelectBitmap counted %d full evals and %d hits, want 1 and 1", q, c.FullEvals, c.CacheHits)
+		if c := cold.Counters(); c[FullEvals] != 1 || c[CacheHits] != 1 {
+			t.Fatalf("%s: repeated SelectBitmap counted %d full evals and %d hits, want 1 and 1", q, c[FullEvals], c[CacheHits])
 		}
 
 		warm := NewEvaluator(tab)
@@ -90,8 +90,8 @@ func TestSelectBitmapMatchesPacked(t *testing.T) {
 		if packed != cached || !sameBitmap(packed, want) {
 			t.Fatalf("%s: SelectBitmap is not the cached selection", q)
 		}
-		if c := warm.Counters(); c.FullEvals != 1 {
-			t.Fatalf("%s: warm SelectBitmap re-evaluated (%d full evals)", q, c.FullEvals)
+		if c := warm.Counters(); c[FullEvals] != 1 {
+			t.Fatalf("%s: warm SelectBitmap re-evaluated (%d full evals)", q, c[FullEvals])
 		}
 	}
 }
@@ -128,10 +128,10 @@ func TestSelectBitmapSplicesStaleEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 		after := ev.Counters()
-		if d := after.DeltaRefreshes - before.DeltaRefreshes; d != 1 {
+		if d := after[DeltaRefreshes] - before[DeltaRefreshes]; d != 1 {
 			t.Fatalf("%s: SelectBitmap after the append counted %d delta refreshes, want 1", q, d)
 		}
-		if d := after.FullEvals - before.FullEvals; d != 0 {
+		if d := after[FullEvals] - before[FullEvals]; d != 0 {
 			t.Fatalf("%s: SelectBitmap after the append counted %d full evals, want 0", q, d)
 		}
 		if got == stale[i] || got.NumRows() != tab.NumRows() {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"charles"
+	"charles/internal/seg"
 )
 
 // TestFigure1SessionBuildsNoRows runs a Figure 1 session twice —
@@ -61,8 +62,8 @@ func TestFigure1SessionBuildsNoRows(t *testing.T) {
 			}
 		}
 		c := adv.Evaluator().Counters()
-		if c.RowMaterializations != 0 || c.NarrowEvals == 0 {
-			t.Fatalf("%s %s: %d row materializations over %d narrow evaluations", tc.tab.Name(), tc.context, c.RowMaterializations, c.NarrowEvals)
+		if c[seg.RowMaterializations] != 0 || c[seg.NarrowEvals] == 0 {
+			t.Fatalf("%s %s: %d row materializations over %d narrow evaluations", tc.tab.Name(), tc.context, c[seg.RowMaterializations], c[seg.NarrowEvals])
 		}
 	}
 }

@@ -4,7 +4,8 @@
 # end: /healthz and /metrics answer 200, the scrape parses as
 # non-empty Prometheus text, and the families every layer registers
 # (engine, seg, jobs, server) are present with the advise visible in
-# charles_advises_total, and after advises on novel contexts the
+# charles_advises_total and in the evaluator's full and narrow
+# evaluation totals, and after advises on novel contexts the
 # evaluator's caches hold no more bytes (charles_seg_cache_bytes) than
 # the budget the server logs at boot, and have evicted to stay so.
 # The in-process grammar test covers the
@@ -109,6 +110,16 @@ if [ -z "$ADVISES" ] || [ "$ADVISES" -lt 1 ]; then
     echo "metrics-smoke: charles_advises_total = '$ADVISES' after an advise" >&2
     exit 1
 fi
+
+# The evaluator's readers see the live evaluator: the advises above
+# evaluated contexts in full and cut children from their parents.
+for fam in charles_seg_full_evals_total charles_seg_narrow_evals_total; do
+    N=$(printf '%s\n' "$METRICS" | sed -n "s/^$fam \([0-9]*\)\$/\1/p")
+    if [ -z "$N" ] || [ "$N" -lt 1 ]; then
+        echo "metrics-smoke: $fam = '$N' after advises" >&2
+        exit 1
+    fi
+done
 
 # The shared evaluator's stores stay within the byte budget the server
 # set at boot from the table's rows, evicting to do so.
