@@ -61,9 +61,13 @@ bench-scale:
 # a binary int cut with and without the cover promise, and an exact
 # int cut by gather and radix select and by narrow count, over parents
 # at four densities held as row ids and as words, and by rank codes
-# (rank/: all rows, words at 1/2, row ids at 1/64), on one scan worker.
+# (rank/: all rows, words at 1/2, row ids at 1/64), on one scan worker;
+# and over words parents the plane kernels beside the value kernels
+# they replace (planes/: a wide range with boundary tests, an exactly
+# coded range, a string set, string value counts). About 20 minutes,
+# past go test's default 10-minute timeout.
 bench-kernels:
-	$(GO) test ./internal/engine -run '^$$' -bench 'PartitionSource|GatherSource' -count=10
+	$(GO) test ./internal/engine -run '^$$' -bench 'PartitionSource|GatherSource' -count=10 -timeout=40m
 
 fmt:
 	gofmt -w .
@@ -108,7 +112,8 @@ layers-build:
 # cover promise under which a piece is derived, at 1 and 4 scan
 # workers, with the same parent cut as row ids and as words — full,
 # dense, sparse and empty words, a partial last word, NaN and ±0
-# floats): enough
+# floats — and on a warmed, appended table through the code planes):
+# enough
 # budget to exercise the mutators on every seed class, small enough
 # for CI. The exec-denominated minimize budget keeps a newly found
 # interesting input from eating the wall-clock budget.

@@ -156,9 +156,11 @@ type ChunkSummary struct {
 	// Bool-column presence: which of the two values each chunk holds.
 	boolHasTrue, boolHasFalse []bool
 
-	// rank is a wide numeric column's rank codes (rank.go), nil unless
-	// the summary was scan-built on a warmed table.
-	rank *rankCodes
+	// rank is a numeric column's rank codes (rank.go), and codePlanes
+	// a small dictionary's code planes (planes.go): nil unless the
+	// summary was scan-built on a warmed table.
+	rank       *rankCodes
+	codePlanes *bitPlanes
 
 	// stamp is the table epoch stamp the summary was built under; nil
 	// marks a backend-persisted summary, which describes the unmutated
@@ -280,9 +282,11 @@ func summaryFresh(s *ChunkSummary, cur *EpochStamp) bool {
 // WarmSummaries eagerly builds every column's zone map — numeric
 // min/max bounds and nominal presence sets alike — so a server's first
 // queries never pay the lazy build.
-// It also warms the table for cut points: every scan-built summary of
-// a wide numeric column then carries rank codes (rank.go), built here
-// and by every later full build, and kept up to date by refreshes.
+// It also warms the table for cuts and counts: every scan-built
+// summary then carries codes — rank codes and their planes for a
+// numeric column (rank.go), code planes for a string column of 2 to
+// maxPlaneDict values (planes.go) — built here and by every later
+// build, and kept up to date by refreshes.
 // It returns the number of summarized columns.
 func (t *Table) WarmSummaries() int {
 	t.warm.Store(true)
@@ -294,15 +298,25 @@ func (t *Table) WarmSummaries() int {
 		}
 		n++
 		// A summary built lazily before the table was warm has none.
-		if col, ok := col.(Numeric); ok && s.stamp != nil && s.rank == nil {
-			if rc := t.rankCodesFor(s, col.Int64s(), col.Kind() == KindFloat, nil, nil); rc != nil {
-				ranked := *s
-				ranked.rank = rc
-				t.summaries[i].CompareAndSwap(s, &ranked)
-			}
+		if s.stamp != nil && s.rank == nil && s.codePlanes == nil && codedColumn(col) {
+			coded := t.buildSummary(col, nil, nil)
+			coded.stamp = s.stamp
+			t.summaries[i].CompareAndSwap(s, coded)
 		}
 	}
 	return n
+}
+
+// codedColumn reports whether a warmed table's summaries of col carry
+// codes.
+func codedColumn(col Column) bool {
+	switch col := col.(type) {
+	case Numeric:
+		return true
+	case *StringColumn:
+		return dictPlaneBits(col.Cardinality()) > 0
+	}
+	return false
 }
 
 // numChunkBounds scans one chunk's ordinals for their [min, max].
@@ -401,18 +415,32 @@ func (t *Table) buildSummary(col Column, old *ChunkSummary, dirty []bool) *Chunk
 				s.nan[c] = hasNaN
 			}
 		})
-		switch {
-		case old == nil:
-			s.rank = t.rankCodesFor(s, vals, nan, nil, nil)
-		case old.rank != nil: // a refresh keeps rank codes only where they were
-			s.rank = t.rankCodesFor(s, vals, nan, old.rank, dirty)
+		if t.warm.Load() {
+			var oldRank *rankCodes
+			if old != nil {
+				oldRank = old.rank
+			}
+			s.rank = t.rankCodesFor(vals, nan, oldRank, dirty)
 		}
 	case *StringColumn:
 		// A string column's presence is a dense code bitset for a small
 		// dictionary, a short sorted distinct-code list (or an overflow
-		// mark) for a large one.
+		// mark) for a large one. Both are sized and shaped by the
+		// dictionary, so a clean chunk keeps its entry only while the
+		// dictionary has not grown; its code planes, only while they
+		// have as many bits.
 		s.dictLen = col.Cardinality()
 		codes := col.Codes()
+		if p := dictPlaneBits(s.dictLen); p > 0 && t.warm.Load() {
+			var oldPlanes *bitPlanes
+			if old != nil {
+				oldPlanes = old.codePlanes
+			}
+			s.codePlanes = t.dictPlanesFor(codes, p, oldPlanes, dirty)
+		}
+		if old != nil && old.dictLen != s.dictLen {
+			old, dirty = nil, nil
+		}
 		if s.dictLen <= denseCodeDictMax {
 			s.codeBits = make([][]uint64, nc)
 			words := (s.dictLen + 63) / 64
@@ -454,14 +482,12 @@ func (t *Table) buildSummary(col Column, old *ChunkSummary, dirty []bool) *Chunk
 // refreshSummary brings a stale summary up to stamp cur, rescanning
 // only the chunks whose epochs moved and keeping the clean chunks'
 // entries. It builds in full when the stamps are not chunk-comparable
-// (a backend summary after mutation) or when a string column's
-// dictionary grew — the presence encoding is sized and shaped by the
-// dictionary, so clean chunks' bitsets would not line up with the new
-// code space.
+// (a backend summary after mutation); a string column whose dictionary
+// grew rebuilds its presence in full (buildSummary).
 func (t *Table) refreshSummary(col Column, old *ChunkSummary, cur *EpochStamp) *ChunkSummary {
 	dirty, _ := cur.DirtyVs(old.stamp)
-	if sc, isStr := col.(*StringColumn); dirty == nil || isStr && sc.Cardinality() != old.dictLen {
-		old, dirty = nil, nil
+	if dirty == nil {
+		old = nil
 	}
 	s := t.buildSummary(col, old, dirty)
 	s.stamp = cur

@@ -167,13 +167,14 @@ func FloatRangePred(col FloatValued, r FloatRange, sum *ChunkSummary) Pred {
 }
 
 // rangePred is the range predicate over ordinals vals: r's verdicts,
-// and s, r resolved, as the row test.
+// and s, r resolved, as the row test — against the column's rank-code
+// planes too when its zone map carries them.
 func rangePred(vals []int64, r IntRange, s intSpan, sum *ChunkSummary) Pred {
 	p := Pred{verdict: rangeVerdict(sum, r, s.nan), scan: s.kernel(vals)}
 	if !s.empty {
-		p.test = rowTest{kind: testIntRange, ints: vals, ispan: s}
-		if s.nan && sum != nil {
-			p.test.chunkNaN = sum.nan
+		p.test = rowTest{kind: testIntRange, ints: vals, ispan: s, sum: sum}
+		if sum != nil && sum.rank != nil {
+			p.test.planes, p.test.pr = &sum.rank.planes, newPlaneRange(sum.rank, s)
 		}
 	}
 	return p
@@ -317,15 +318,32 @@ func StringSetPred(col *StringColumn, values []string, sum *ChunkSummary) Pred {
 	return codeSetPred(col, stringCodeSet(col, values), sum)
 }
 
+// codeSetPred is the predicate of the dictionary codes want over col,
+// its test resolved against the column's code planes too when its zone
+// map carries them for the whole dictionary.
 func codeSetPred(col *StringColumn, want codeSet, sum *ChunkSummary) Pred {
 	if want == nil {
 		return Pred{none: true}
 	}
-	return Pred{
+	p := Pred{
 		verdict: codeSetVerdict(sum, want),
 		scan:    want.kernel(col.Codes()),
 		test:    rowTest{kind: testCodeSet, codes: col.Codes(), want: want},
 	}
+	if pl := sumPlanes(sum, col); pl != nil {
+		p.test.planes, p.test.ps = pl, newPlaneSet(want, col.Cardinality())
+	}
+	return p
+}
+
+// sumPlanes returns col's code planes from its zone map sum, nil when
+// sum carries none or its planes cannot hold every code of col's
+// dictionary.
+func sumPlanes(sum *ChunkSummary, col *StringColumn) *bitPlanes {
+	if sum == nil || sum.codePlanes == nil || col.Cardinality() > 1<<sum.codePlanes.p {
+		return nil
+	}
+	return sum.codePlanes
 }
 
 // StringRangePred resolves a lexicographic interval predicate. With

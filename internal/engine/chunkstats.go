@@ -566,17 +566,25 @@ func FloatCutPointsChunked(col FloatValued, src *ChunkedSelection, arity int) []
 	return floats(IntCutPointsChunked(col, src, arity))
 }
 
-// StringValueCountsChunked returns the per-value frequencies of col
-// over src. Chunks are grouped into contiguous bands, one histogram
-// per band, so the transient memory is worker-count × cardinality —
-// not chunk-count × cardinality, which on a 10M-row table with a
-// high-cardinality column would dwarf the data scanned. Counts are
-// additive, so the band merge is order-independent and the result is
-// ordered by dictionary code whatever the band layout. The seg layer
-// orders the counts by frequency or alphabetically per the paper's
-// nominal-median rule.
+// StringValueCountsChunked is StringValueCounts without a zone map.
 func StringValueCountsChunked(col *StringColumn, src *ChunkedSelection) []stats.ValueCount {
+	return StringValueCounts(col, src, nil)
+}
+
+// StringValueCounts returns the per-value frequencies of col over src,
+// sum being col's zone map (nil without one). Chunks are grouped into
+// contiguous bands, one histogram per band, so the transient memory is
+// worker-count × cardinality — not chunk-count × cardinality, which on
+// a 10M-row table with a high-cardinality column would dwarf the data
+// scanned. A words chunk of a column whose zone map carries code
+// planes counts each code's rows by popcount (countPlanes); any other
+// chunk counts its rows' codes. Counts are additive, so the band merge
+// is order-independent and the result is ordered by dictionary code
+// whatever the band layout. The seg layer orders the counts by
+// frequency or alphabetically per the paper's nominal-median rule.
+func StringValueCounts(col *StringColumn, src *ChunkedSelection, sum *ChunkSummary) []stats.ValueCount {
 	codes := col.Codes()
+	planes := sumPlanes(sum, col)
 	nc := src.NumChunks()
 	workers, release := statWorkers(src)
 	defer release()
@@ -599,7 +607,12 @@ func StringValueCountsChunked(col *StringColumn, src *ChunkedSelection) []stats.
 			hi = nc
 		}
 		for c := b * bandSize; c < hi; c++ {
-			countCodes(counts, codes, &src.chunks[c], src.chunkRows*c)
+			ct := &src.chunks[c]
+			if pl := planes.chunk(c, len(ct.words)); pl != nil && ct.words != nil {
+				countPlanes(counts, pl, planes.p, ct.words)
+			} else {
+				countCodes(counts, codes, ct, src.chunkRows*c)
+			}
 		}
 		partials[b] = counts
 		return nil

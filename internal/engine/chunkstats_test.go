@@ -174,7 +174,10 @@ func TestGatherSourceMatchesRows(t *testing.T) {
 // 1 150 values, tonnage-like, counted straight from the column into its
 // zone map's window, and over the wide column's rank codes (rank/) on
 // a warmed table: all rows, taken whole from the stored counts; words
-// at density 1/2 and row ids at 1/64, whose codes are counted.
+// at density 1/2 and row ids at 1/64, whose codes are counted. The
+// counts/ cases time the value counts of a five-value string column
+// over the words parents, counting each row's code, and over the
+// column's code planes (planes/counts/), by popcount.
 func BenchmarkGatherSource(b *testing.B) {
 	defer SetScanWorkers(0)
 	SetScanWorkers(1)
@@ -204,6 +207,19 @@ func BenchmarkGatherSource(b *testing.B) {
 			b.Run(fmt.Sprintf("narrow/density=1/%d/%s", den, sourceForm(src)), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					IntCutChunked(narrow, src, sum, 2, false)
+				}
+			})
+		}
+		tab := planeBenchTable(col)
+		kind, ksum := tab.MustColumn("kind").(*StringColumn), tab.SummaryByName("kind")
+		for _, s := range []*ChunkSummary{nil, ksum} {
+			prefix := ""
+			if s != nil {
+				prefix = "planes/"
+			}
+			b.Run(fmt.Sprintf("%scounts/density=1/%d/words", prefix, den), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					StringValueCounts(kind, bm, s)
 				}
 			})
 		}

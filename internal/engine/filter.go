@@ -106,6 +106,9 @@ type intSpan struct {
 	empty, nan bool
 }
 
+// hi is the span's upper bound.
+func (s intSpan) hi() int64 { return int64(uint64(s.lo) + s.span) }
+
 func (r IntRange) span() intSpan {
 	lo, hi := r.Lo, r.Hi
 	if !r.LoIncl {
@@ -159,7 +162,7 @@ func scanIntRange(vals []int64, lo int64, span uint64, seg, buf Selection) int {
 
 // scanNaNRange is scanIntRange that keeps NaN's ordinal too: the row
 // kernel of a float range, and its NaN-aware step in a words chunk that
-// may hold NaN (rowTest.shared).
+// may hold NaN and has no code planes (rowTest.wordTest).
 func scanNaNRange(vals []int64, lo int64, span uint64, seg, buf Selection) int {
 	n := 0
 	for _, row := range seg {

@@ -767,6 +767,7 @@ const (
 	partRuns   = 1 << 6 // 256-row chunks, the parent one contiguous run in each
 	partWords  = 1 << 7 // draw the parent word by word (before partRuns): full, dense, sparse or empty
 	partCover  = 1 << 8 // draw pieces that partition the parent (coverPieces) and promise the cover
+	partPlanes = 1 << 9 // warm half the rows, append the rest (some past the outer boundaries): code planes
 )
 
 // FuzzPartitionKernels holds the partition driver to one filter per
@@ -792,8 +793,15 @@ const (
 // promised so: every child must still equal its filter, whether the
 // pass derived it (ranges and code sets; float ranges only in NaN-free
 // chunks) or tested it (sets, the fallback's among them, and float
-// ranges where NaN is). checkPartition cuts every parent as the rule
-// stores it, as row ids, as words and in a mix of both.
+// ranges where NaN is). With partPlanes the table is warmed over the
+// first half of the rows and the rest appended, every fifth of them a
+// value past the outer boundaries (the extremes, NaN and values just
+// past the small domain), so numeric pieces run the plane kernels over
+// rank codes — exact over a small domain, equi-depth otherwise — and
+// string pieces over code planes of a 2–16 value dictionary, each
+// child held to the value kernels of the row-id parent. checkPartition
+// cuts every parent as the rule stores it, as row ids, as words and in
+// a mix of both.
 func FuzzPartitionKernels(f *testing.F) {
 	word := func(ws ...uint64) []byte {
 		var b []byte
@@ -882,6 +890,26 @@ func FuzzPartitionKernels(f *testing.F) {
 			f.Add(edge, bnd<<32|uint64(kind+1), kind|partCover|partSmall|partSorted|partRuns)
 		}
 	}
+	// Code planes: every kind, exact (small) and equi-depth codes, NaN
+	// clustered by sorting, binary cuts and covers, parents drawn word
+	// by word and in runs.
+	for kind := uint16(0); kind < 8; kind++ {
+		f.Add(mixed, uint64(6+kind), kind|partPlanes|partWords|partBig)
+		f.Add(mixed, uint64(12+kind), kind|partPlanes|partSmall|partWords|partBig)
+		f.Add(mixed, uint64(18+kind), kind|partPlanes|partSmall|partSorted|partBig)
+		f.Add(tail, uint64(24+kind), kind|partPlanes|partWords)
+		f.Add(tail, uint64(30+kind), kind|partPlanes|partSmall|partWords|partCover)
+		f.Add(mixed, uint64(36+kind), kind|partPlanes|partSmall|partWords|partCover|partBig)
+		f.Add(edge, uint64(42+kind), kind|partPlanes|partSmall|partRuns|partCover)
+	}
+	// Dictionaries of 7, 11 and 16 values, whose sets list the wanted
+	// or the unwanted codes' minterms, whichever are fewer.
+	for _, d := range []uint64{5, 9, 14} {
+		f.Add(mixed, d<<8|6, uint16(5|partPlanes|partWords|partBig))
+		f.Add(mixed, d<<8|7, uint16(6|partPlanes|partWords|partBig))
+		f.Add(tail, d<<8|8, uint16(5|partPlanes|partWords|partCover))
+		f.Add(mixed, d<<8|9, uint16(6|partPlanes|partSorted|partWords|partBig))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, shape uint16) {
 		const chunkRows = 64
 		n := min(len(raw)/8, 16*chunkRows)
@@ -897,7 +925,10 @@ func FuzzPartitionKernels(f *testing.F) {
 			nRows = 640 * chunkRows
 		}
 		word := func(r int) uint64 { return words[r%n] }
-		sorted, small := shape&partSorted != 0, shape&partSmall != 0
+		sorted, small, planes := shape&partSorted != 0, shape&partSmall != 0, shape&partPlanes != 0
+		// past reports whether row r is appended past the outer
+		// boundaries in planes mode.
+		past := func(r int) bool { return planes && r >= nRows/2 && r%5 == 0 }
 		rng := rand.New(rand.NewSource(int64(seed)))
 		arity := 2 + int(seed%6)
 		ints := func() []int64 {
@@ -910,6 +941,11 @@ func FuzzPartitionKernels(f *testing.F) {
 			}
 			if sorted {
 				slices.Sort(vals)
+			}
+			for r := range vals {
+				if past(r) {
+					vals[r] = []int64{math.MinInt64, math.MaxInt64, -7, 7, 1 << 62}[r/5%5]
+				}
 			}
 			return vals
 		}
@@ -933,6 +969,11 @@ func FuzzPartitionKernels(f *testing.F) {
 					return b ^ (uint64(int64(b)>>63) | 1<<63)
 				}
 				slices.SortFunc(vals, func(a, b float64) int { return cmp.Compare(key(a), key(b)) })
+			}
+			for r := range vals {
+				if past(r) {
+					vals[r] = []float64{math.Inf(-1), math.Inf(1), math.NaN(), -4, 4, 1e300}[r/5%6]
+				}
 			}
 			return vals
 		}
@@ -970,6 +1011,9 @@ func FuzzPartitionKernels(f *testing.F) {
 			pieces = setPieces(sets, func(set []float64) partPiece { return floatSetPiece(fc, set) })
 		case 5, 6:
 			dictLen := 1 + int(seed>>8)%70
+			if planes {
+				dictLen = 2 + int(seed>>8)%15
+			}
 			dict := make([]string, dictLen)
 			for i := range dict {
 				dict[i] = fmt.Sprintf("s%02d", i)
@@ -1034,6 +1078,9 @@ func FuzzPartitionKernels(f *testing.F) {
 		}
 		tab := MustNewTable("fuzz", col)
 		tab.SetChunkRows(layout)
+		if planes {
+			tab = appendedTable(t, col, nRows/2, layout)
+		}
 		p := rng.Float64()
 		if big {
 			p = 0.97
@@ -1096,4 +1143,43 @@ func FuzzPartitionKernels(f *testing.F) {
 		}
 		checkPartition(t, ChunkSelection(sel, nRows, layout), tab.SummaryByName("v"), pieces, cover, rng)
 	})
+}
+
+// appendedTable is a table of col's first h rows in chunks of
+// chunkRows, warmed, with the rest of col's rows then appended: a
+// table holding col's values whose summaries were coded before the
+// append and refreshed after it. A string column keeps its dictionary.
+func appendedTable(t testing.TB, col Column, h, chunkRows int) *Table {
+	t.Helper()
+	var head Column
+	switch col := col.(type) {
+	case *IntColumn:
+		head = NewIntColumn("v", slices.Clone(col.Int64s()[:h]))
+	case *DateColumn:
+		head = NewDateColumn("v", slices.Clone(col.Int64s()[:h]))
+	case *FloatColumn:
+		head = NewFloatColumn("v", floatValues(col)[:h])
+	case *StringColumn:
+		dict := make([]string, col.Cardinality())
+		for k := range dict {
+			dict[k] = col.DictValue(uint32(k))
+		}
+		var err error
+		if head, err = NewStringColumnFromDict("v", slices.Clone(col.Codes()[:h]), dict); err != nil {
+			t.Fatal(err)
+		}
+	case *BoolColumn:
+		head = NewBoolColumn("v", slices.Clone(col.Bools()[:h]))
+	}
+	tab := MustNewTable("fuzz", head)
+	tab.SetChunkRows(chunkRows)
+	tab.WarmSummaries()
+	rows := make([][]Value, 0, col.Len()-h)
+	for r := h; r < col.Len(); r++ {
+		rows = append(rows, []Value{col.Value(r)})
+	}
+	if err := tab.AppendRows(rows...); err != nil {
+		t.Fatal(err)
+	}
+	return tab
 }

@@ -1,6 +1,9 @@
 package engine
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // The partition driver. A CUT's children are its parent's selection
 // narrowed by one piece each, all on the cut's column; filtering the
@@ -28,15 +31,17 @@ import "math/bits"
 // parent's row ids minus the others' by one merge that loads no value;
 // a lone scanned piece is the parent chunk, and a piece whose verdict
 // takes the chunk settles it for every other piece. The promise holds
-// in a chunk when every piece's test is shared there (rowTest.shared):
-// an int/date range or a code set anywhere, a float range only over a
+// in a chunk when every piece's test covers it (rowTest.covers): an
+// int/date range or a code set anywhere, a float range only over a
 // chunk the zone map marks NaN-free — a NaN row matches every float
 // range, so in a chunk holding one the pieces overlap and each keeps
 // its test. Opaque tests — numeric and bool sets (the numeric-nominal
 // fallback's pieces among them, which match no NaN row) and the
 // summary-less string range — never derive, so a pass holding one
 // scans every piece. Verdicts are computed and counted for every piece
-// either way.
+// either way. The promise also bounds the parent: no number in it lies
+// below the lowest range piece or above the highest, so their plane
+// tests drop those bounds (openEnds).
 
 // testKind names the form of a Pred's row test the word kernels read.
 // testOpaque has only its own row kernel: numeric and bool sets, a
@@ -50,32 +55,46 @@ const (
 )
 
 // rowTest is a Pred's row test in shared form: the column's backing
-// slice plus the operand its kind resolves to. For a float range
-// (ispan.nan), which keeps NaN rows, chunkNaN is the zone map's NaN bit
-// per chunk (nil without a zone map).
+// slice plus the operand its kind resolves to. sum is a range's zone
+// map (nil without one): its NaN bits tell where a float range
+// (ispan.nan), which keeps NaN rows, may derive, and its bounds where a
+// plane test's side is open. planes is the column's code planes
+// (planes.go) when its zone map carries them, with the operand
+// resolved against them: pr for a range, ps for a code set.
 type rowTest struct {
-	kind     testKind
-	ints     []int64
-	codes    []uint32
-	ispan    intSpan
-	want     codeSet
-	chunkNaN []bool
+	kind   testKind
+	ints   []int64
+	codes  []uint32
+	ispan  intSpan
+	want   codeSet
+	sum    *ChunkSummary
+	planes *bitPlanes
+	pr     planeRange
+	ps     planeSet
 }
 
-// shared reports whether the test runs as a word kernel in chunk c,
-// and so whether a promised cover may derive its rows there: always
-// for int/date ranges and code sets; for a float range only in a chunk
-// the zone map proves NaN-free, because the word kernel does not test
-// for NaN's ordinal — in a chunk that may hold NaN a float range runs
-// its row kernel, which does; never for an opaque test.
-func (t *rowTest) shared(c int) bool {
+// covers reports whether a promised cover may derive the test's rows
+// in chunk c: always for int/date ranges and code sets; for a float
+// range only in a chunk the zone map proves NaN-free, because a NaN row
+// matches every float range and the pieces overlap there; never for an
+// opaque test.
+func (t *rowTest) covers(c int) bool {
 	switch t.kind {
 	case testIntRange:
-		return !t.ispan.nan || t.chunkNaN != nil && !t.chunkNaN[c]
+		return !t.ispan.nan || t.sum != nil && !t.sum.hasNaN(c)
 	case testCodeSet:
 		return true
 	}
 	return false
+}
+
+// wordTest reports whether the test runs as a word kernel over chunk c
+// of a words parent of nw words: with the chunk's planes always, which
+// test NaN's code; without them where covers holds — in a chunk that
+// may hold NaN a float range runs its row kernel, which tests NaN's
+// ordinal.
+func (t *rowTest) wordTest(c, nw int) bool {
+	return t.kind != testOpaque && t.planes.chunk(c, nw) != nil || t.covers(c)
 }
 
 // partInline is the piece count whose per-chunk bookkeeping stays on
@@ -103,6 +122,9 @@ func PartitionChunked(src *ChunkedSelection, preds []Pred, cover bool) []*Chunke
 		}
 	}
 	if len(live) > 0 {
+		if cover {
+			preds = openEnds(preds, live)
+		}
 		part := &partition{src: src, preds: preds, live: live, out: out, m: m, cover: cover}
 		forEachSeg(src, part.chunk)
 	}
@@ -110,6 +132,41 @@ func PartitionChunked(src *ChunkedSelection, preds []Pred, cover bool) []*Chunke
 		cs.seal()
 	}
 	return out
+}
+
+// openEnds returns preds with the lowest live range piece's lower
+// bound and the highest's upper bound dropped from their plane tests,
+// when every live piece is a range with planes: under the cover
+// promise no parent number lies outside the pieces' hull, so those
+// bounds exclude nothing, and the boundary codes at them need no value
+// test. A float piece of NaN alone holds no number and bounds nothing.
+// preds itself is left as it is.
+func openEnds(preds []Pred, live []int) []Pred {
+	lowest, highest := -1, -1
+	var lo, hi int64
+	for _, i := range live {
+		t := &preds[i].test
+		if t.kind != testIntRange || t.planes == nil {
+			return preds
+		}
+		if t.pr.none {
+			continue
+		}
+		tlo, thi := t.ispan.lo, t.ispan.hi()
+		if lowest < 0 || tlo < lo {
+			lowest, lo = i, tlo
+		}
+		if highest < 0 || thi > hi {
+			highest, hi = i, thi
+		}
+	}
+	if lowest < 0 {
+		return preds
+	}
+	preds = slices.Clone(preds)
+	preds[lowest].test.pr.loOpen = true
+	preds[highest].test.pr.hiOpen = true
+	return preds
 }
 
 // partition is one PartitionChunked pass: the parent, the pieces, the
@@ -133,7 +190,7 @@ func (p *partition) chunk(c int) {
 	}
 	derive := p.cover
 	for _, i := range p.live {
-		derive = derive && p.preds[i].test.shared(c)
+		derive = derive && p.preds[i].test.covers(c)
 	}
 	var scanArr [partInline]int
 	scan, took := scanArr[:0], false
@@ -229,40 +286,41 @@ func exceptRows(seg, other, out Selection) int {
 const denseWordBits = 32
 
 // words scans a chunk the parent holds as words: a piece whose row
-// test is shared in the chunk builds its child words from the parent's
-// word by word (packPiece) into one scratch buffer, which the chunk
-// setter copies or decodes; when derive is set the last piece's words
-// are the parent's less the others' (every piece is then shared). Any
-// other piece runs its row kernel over the chunk's rows, decoded into
-// scratch once for all of them.
+// test runs as a word kernel in the chunk (rowTest.wordTest) builds its
+// child words from the parent's word by word (packPiece) into one
+// scratch buffer, which the chunk setter copies or decodes; when
+// derive is set the last piece's words are the parent's less the
+// others' (every piece then runs as a word kernel). Any other piece
+// runs its row kernel over the chunk's rows, decoded into scratch once
+// for all of them.
 func (p *partition) words(ct container, c int, scan []int, derive bool) {
 	pw, n := ct.words, ct.n
 	base := p.src.chunkRows * c
 	// The words a scanned piece may test 64 at a time: those whose 64
 	// rows are all in the chunk and the table.
 	full := p.src.chunkLen(c) >> 6
-	var sharedArr, opaqueArr [partInline]int
-	shared, opaque := sharedArr[:0], opaqueArr[:0]
+	var packedArr, opaqueArr [partInline]int
+	packed, opaque := packedArr[:0], opaqueArr[:0]
 	for _, i := range scan {
-		if p.preds[i].test.shared(c) {
-			shared = append(shared, i)
+		if p.preds[i].test.wordTest(c, len(pw)) {
+			packed = append(packed, i)
 		} else {
 			opaque = append(opaque, i)
 		}
 	}
-	if len(shared) > 0 {
+	if len(packed) > 0 {
 		nw := len(pw)
-		buf := uint64Scratch.Get(len(shared) * nw)
+		buf := uint64Scratch.Get(len(packed) * nw)
 		var outArr [partInline][]uint64
 		var nsArr [partInline]int
 		outs, ns := outArr[:0], nsArr[:0]
-		for j := range shared {
+		for j := range packed {
 			outs = append(outs, (*buf)[j*nw:(j+1)*nw:(j+1)*nw])
 			ns = append(ns, 0)
 		}
-		tested := len(shared) - b2i(derive)
-		for j, i := range shared[:tested] {
-			ns[j] = packPiece(&p.preds[i].test, pw, base, full, outs[j])
+		tested := len(packed) - b2i(derive)
+		for j, i := range packed[:tested] {
+			ns[j] = packPiece(&p.preds[i].test, pw, c, base, full, outs[j])
 		}
 		if derive {
 			// The last piece is the parent's words less the tested
@@ -279,7 +337,7 @@ func (p *partition) words(ct container, c int, scan []int, derive bool) {
 				ns[tested] -= ns[j]
 			}
 		}
-		for j, i := range shared {
+		for j, i := range packed {
 			if ns[j] == n {
 				p.out[i].take(c, ct)
 			} else {
@@ -305,15 +363,24 @@ func (p *partition) words(ct container, c int, scan []int, derive bool) {
 	}
 }
 
-// packPiece builds the child words of one piece with a shared row test
-// from a words parent chunk's words pw into out, and returns their
-// count. Each parent word picks its kernel by density (isDense): a
-// dense word is tested whole, eight rows per step, and masked by the
-// parent word; a sparser word tests its set bits one by one.
-func packPiece(t *rowTest, pw []uint64, base, full int, out []uint64) int {
-	switch t.kind {
-	case testIntRange:
+// packPiece builds the child words of one piece whose row test runs as
+// a word kernel from a words parent chunk c's words pw into out, and
+// returns their count. With the chunk's code planes the plane kernel
+// (planes.go) tests every nonzero parent word whole. Without, each
+// parent word picks its value kernel by density (isDense): a dense word
+// is tested whole, eight rows per step, and masked by the parent word;
+// a sparser word tests its set bits one by one.
+func packPiece(t *rowTest, pw []uint64, c, base, full int, out []uint64) int {
+	pl := t.planes.chunk(c, len(pw))
+	switch {
+	case t.kind == testIntRange && pl != nil:
+		lo, hi := t.sum.IntBounds(c)
+		pr := t.pr.inChunk(t.ispan, lo, hi)
+		return packPlaneRange(pl, &pr, t.ints, t.ispan, pw, base, out)
+	case t.kind == testIntRange:
 		return packIntRange(t.ints, t.ispan, pw, base, full, out)
+	case pl != nil:
+		return packPlaneSet(pl, t.planes.p, &t.ps, pw, out)
 	default:
 		return packCodeSet(t.codes, t.want, pw, base, full, out)
 	}

@@ -34,6 +34,14 @@ var sourceBenchDensities = []int{64, 8, 2, 1}
 // least denseWordBits bits runs the word kernel and a sparser one
 // iterates its set bits, so the densities 1/8 and 1 time each kernel
 // alone: their per-word costs put the crossover popcount.
+//
+// The planes/ cases run the same cuts of a words parent, each piece
+// tested, over a warmed table's code planes (planes.go), beside the
+// value kernels they replace: the wide column's median cut, whose
+// boundary code's rows are tested by value (planes/ against the plain
+// case); a cut of a column of 200 values, exactly coded (exact/ against
+// planes/exact/); and a cut of a five-value string column into two sets
+// of codes (set/ against planes/set/).
 func BenchmarkPartitionSource(b *testing.B) {
 	defer SetScanWorkers(0)
 	SetScanWorkers(1)
@@ -57,7 +65,68 @@ func BenchmarkPartitionSource(b *testing.B) {
 				})
 			}
 		}
+		tab := planeBenchTable(col)
+		exact, kind := tab.MustColumn("exact").(*IntColumn), tab.MustColumn("kind").(*StringColumn)
+		cases := []struct {
+			name  string
+			preds func(sum *ChunkSummary) []Pred
+			sum   *ChunkSummary
+		}{
+			{"", func(sum *ChunkSummary) []Pred {
+				return []Pred{
+					IntRangePred(col, IntRange{Lo: 0, Hi: mid, LoIncl: true}, sum),
+					IntRangePred(col, IntRange{Lo: mid, Hi: 1 << 20, LoIncl: true, HiIncl: true}, sum),
+				}
+			}, tab.SummaryByName("v")},
+			{"exact/", func(sum *ChunkSummary) []Pred {
+				return []Pred{
+					IntRangePred(exact, IntRange{Lo: 0, Hi: 100, LoIncl: true}, sum),
+					IntRangePred(exact, IntRange{Lo: 100, Hi: 199, LoIncl: true, HiIncl: true}, sum),
+				}
+			}, tab.SummaryByName("exact")},
+			{"set/", func(sum *ChunkSummary) []Pred {
+				return []Pred{
+					StringSetPred(kind, planeBenchKinds[:2], sum),
+					StringSetPred(kind, planeBenchKinds[2:], sum),
+				}
+			}, tab.SummaryByName("kind")},
+		}
+		for _, tc := range cases {
+			for _, planes := range []bool{false, true} {
+				sum, prefix := (*ChunkSummary)(nil), ""
+				if planes {
+					sum, prefix = tc.sum, "planes/"
+				} else if tc.name == "" {
+					continue // the plain case above
+				}
+				preds := tc.preds(sum)
+				b.Run(fmt.Sprintf("%s%sdensity=1/%d/words", prefix, tc.name, den), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						PartitionChunked(bm, preds, false)
+					}
+				})
+			}
+		}
 	}
+}
+
+// planeBenchKinds is the five-value dictionary of planeBenchTable's
+// string column.
+var planeBenchKinds = []string{"fluit", "jacht", "pinas", "hoeker", "spiegelretourschip"}
+
+// planeBenchTable is a warmed table in chunks of 2^16 rows of col
+// ("v"), a column of 200 uniform values ("exact") and a string column
+// of five uniform values ("kind"), over col's rows.
+func planeBenchTable(col *IntColumn) *Table {
+	rng := rand.New(rand.NewSource(7))
+	exact, kinds := make([]int64, col.Len()), make([]string, col.Len())
+	for r := range exact {
+		exact[r], kinds[r] = rng.Int63n(200), planeBenchKinds[rng.Intn(len(planeBenchKinds))]
+	}
+	tab := MustNewTable("planes", col, NewIntColumn("exact", exact), NewStringColumn("kind", kinds))
+	tab.SetChunkRows(1 << 16)
+	tab.WarmSummaries()
+	return tab
 }
 
 func sourceForm(src *ChunkedSelection) string {

@@ -9,17 +9,24 @@ import (
 	"charles/internal/stats"
 )
 
-// Rank codes are a wide numeric column's secondary index in rank
-// space, after column imprints (Sidirourgos and Kersten, "Column
-// imprints: a secondary index structure", SIGMOD 2013). A warmed table
-// (WarmSummaries) gives each numeric column whose whole-table zone
-// span is wider than the select's 2 048 cells (stats.CountCells) three
-// things in its scan-built summary: rankBounds ascending boundaries in
-// ordinal space, equi-depth over a strided sample of the column; one
-// byte per row, the row's code — how many boundaries lie at or below
-// its ordinal, or rankNaN for a float NaN; and per chunk, how many of
-// its rows hold each code. A code is monotone in the value, so the rows
-// of one code are one contiguous stretch of any extent's sorted order.
+// Rank codes are a numeric column's secondary index in rank space,
+// after column imprints (Sidirourgos and Kersten, "Column imprints: a
+// secondary index structure", SIGMOD 2013). A warmed table
+// (WarmSummaries) gives every numeric column four things in its
+// scan-built summary: rankBounds ascending boundaries in ordinal space,
+// drawn from a strided sample of the column — the sample's distinct
+// numbers themselves when it holds at most rankBounds+1 of them, so
+// that each of those numbers starts a code of its own, and its
+// equi-depth quantiles otherwise; one byte per row, the row's code —
+// how many boundaries lie at or below its ordinal, or rankNaN for a
+// float NaN; the same codes as 8 bit planes per 64-row word (planes.go),
+// which the range kernels test; and per chunk, how many of its rows
+// hold each code. A code is monotone in the value, so the rows of one
+// code are one contiguous stretch of any extent's sorted order. Coding
+// a number inside the sample's span reads a rank table of at most
+// rankLUTBuckets buckets, which holds a narrow column's codes outright
+// and leaves a wide one's at most a boundary or two to compare; only
+// numbers past the span search the boundaries.
 //
 // A wide cut (rankKeys) adds up the extent's code counts — a chunk the
 // extent takes whole from its stored counts, any other by counting its
@@ -34,13 +41,15 @@ import (
 // gathered, never the answer. When the wanted codes hold more than
 // rankShareMax of the extent (heavy duplicates, or a subset that lives
 // in a code or two) the cut gathers every key instead, as an unwarmed
-// column does.
+// column does. A narrow column's cut counts its values (countCut)
+// before it would reach the codes.
 //
-// Codes cost one byte per row per wide column and are not persisted: a
-// .chc file's summaries carry none, and its writer builds none. A
-// refresh after a mutation keeps the clean chunks' codes and counts
-// and recodes the dirty chunks against the fixed boundaries; values
-// appended beyond the outer boundaries take code 0 or rankBounds.
+// Codes cost two bytes per row per numeric column, the byte and its
+// planes, and are not persisted: a .chc file's summaries carry none,
+// and its writer builds none. A refresh after a mutation keeps the
+// clean chunks' codes, planes and counts and recodes the dirty chunks
+// against the fixed boundaries; values appended beyond the outer
+// boundaries take code 0 or rankBounds.
 const (
 	// rankBounds is the number of boundaries: codes 0..rankBounds
 	// are numbers, rankNaN is NaN.
@@ -51,6 +60,8 @@ const (
 	rankCells = 256
 	// rankSample is the most rows the boundaries are drawn from.
 	rankSample = 1 << 14
+	// rankLUTBuckets is the most buckets of the rank table.
+	rankLUTBuckets = 1 << 12
 )
 
 // rankShareMax is the share of the extent's numbers past which the
@@ -62,26 +73,38 @@ const (
 // path to every extent (1: no share exceeds it).
 var rankShareMax = 0.9
 
-// rankCodes is one column's rank index: its boundaries, and its codes
-// and code counts per chunk. It is immutable once built: a refresh
-// shares the clean chunks' codes and counts with the index it
-// replaces.
+// rankCodes is one column's rank index: its boundaries, and its codes,
+// their planes and code counts per chunk. It is immutable once built: a
+// refresh shares the clean chunks' codes, planes and counts with the
+// index it replaces.
 type rankCodes struct {
 	// bounds holds the rankBounds boundaries, ascending, then
 	// MaxInt64 up to rankCells entries for the branch-free search.
 	bounds [rankCells]int64
 	// nan is set for a float column, whose nanOrdinal codes to rankNaN.
 	nan bool
+	// lut is the rank table over the sample's span [lutLo, lutLo +
+	// lutSpan], cut into buckets of 2^lutShift numbers: lut[i] is the
+	// rank of bucket i's first number.
+	lut      []uint8
+	lutLo    int64
+	lutSpan  uint64
+	lutShift uint
 	// codes[c] holds chunk c's codes, row base+i at i, padded with
 	// rankNaN to whole 64-row words.
 	codes [][]uint8
+	// planes holds the codes as 8 bit planes per word.
+	planes bitPlanes
 	// counts[c][k] is how many rows of chunk c hold code k.
 	counts [][rankCells]uint32
 }
 
 // newRankCodes draws the boundaries from every ⌈n/rankSample⌉-th value
-// of vals, NaN left out, and returns an index with no chunk coded yet;
-// nil when no value is a number.
+// of vals, NaN left out — its distinct numbers but the smallest when
+// there are at most rankBounds+1 of them, the rest of the table
+// MaxInt64, and its equi-depth quantiles otherwise — and a rank table
+// over the sample's span, and returns an index with no chunk coded
+// yet; nil when no value is a number.
 func newRankCodes(vals []int64, nan bool) *rankCodes {
 	step := max(len(vals)/rankSample, 1)
 	sample := make([]int64, 0, len(vals)/step+1)
@@ -94,26 +117,78 @@ func newRankCodes(vals []int64, nan bool) *rankCodes {
 		return nil
 	}
 	slices.Sort(sample)
-	rc := &rankCodes{nan: nan}
-	for i := range rankBounds {
-		rc.bounds[i] = sample[(i+1)*len(sample)/(rankBounds+1)]
+	rc := &rankCodes{nan: nan, planes: bitPlanes{p: 8}}
+	k := 0
+	for i := 1; i < len(sample) && k <= rankBounds; i++ {
+		if sample[i] != sample[i-1] {
+			if k < rankBounds {
+				rc.bounds[k] = sample[i]
+			}
+			k++
+		}
 	}
-	for i := rankBounds; i < rankCells; i++ {
-		rc.bounds[i] = math.MaxInt64
+	if k > rankBounds {
+		for i := range rankBounds {
+			rc.bounds[i] = sample[(i+1)*len(sample)/(rankBounds+1)]
+		}
+		k = rankBounds
+	}
+	for ; k < rankCells; k++ {
+		rc.bounds[k] = math.MaxInt64
+	}
+	rc.lutLo, rc.lutSpan = sample[0], uint64(sample[len(sample)-1])-uint64(sample[0])
+	for rc.lutSpan>>rc.lutShift >= rankLUTBuckets {
+		rc.lutShift++
+	}
+	rc.lut = make([]uint8, rc.lutSpan>>rc.lutShift+1)
+	for i := range rc.lut {
+		rc.lut[i] = rc.rank(int64(uint64(rc.lutLo) + uint64(i)<<rc.lutShift))
 	}
 	return rc
 }
 
-// code returns v's code: rankNaN for a float NaN, otherwise the number
-// of boundaries at or below v, found by eight halvings of the padded
-// table (a MaxInt64 v passes the padding too, hence the cap). The
-// halvings are written out and add flags rather than branch: a branch
-// on each comparison, taken half the time at random, measured five
-// times slower.
+// code returns v's code: rankNaN for a float NaN, otherwise its rank
+// (lutRank or, for a number outside the rank table's span, rank).
 func (rc *rankCodes) code(v int64) uint8 {
+	if u := uint64(v - rc.lutLo); u <= rc.lutSpan {
+		return rc.lutRank(v, u>>rc.lutShift)
+	}
 	if rc.nan && v == nanOrdinal {
 		return rankNaN
 	}
+	return rc.rank(v)
+}
+
+// lutRank returns the rank of v, a number in bucket i of the rank
+// table: the bucket's own when it holds one number, otherwise at least
+// the bucket's first number's and at most the next bucket's, found by
+// halving the boundaries between the two — at most one in most
+// buckets, which takes one flag and no branch.
+func (rc *rankCodes) lutRank(v int64, i uint64) uint8 {
+	lo := int(rc.lut[i])
+	if rc.lutShift == 0 {
+		return uint8(lo)
+	}
+	hi := rankBounds
+	if i+1 < uint64(len(rc.lut)) {
+		hi = int(rc.lut[i+1])
+	}
+	for hi-lo > 1 {
+		if h := int(uint(lo+hi) >> 1); rc.bounds[h] <= v {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return uint8(lo + b2i(lo < hi && rc.bounds[lo] <= v))
+}
+
+// rank returns the number of boundaries at or below v, found by eight
+// halvings of the padded table (a MaxInt64 v passes the padding too,
+// hence the cap). The halvings are written out and add flags rather
+// than branch: a branch on each comparison, taken half the time at
+// random, measured five times slower.
+func (rc *rankCodes) rank(v int64) uint8 {
 	b, i := &rc.bounds, 0
 	i += 128 * b2i(b[127] <= v)
 	i += 64 * b2i(b[i+63] <= v)
@@ -126,64 +201,77 @@ func (rc *rankCodes) code(v int64) uint8 {
 	return uint8(min(i, rankBounds))
 }
 
-// codeChunk codes one chunk's ordinals.
-func (rc *rankCodes) codeChunk(vals []int64) (codes []uint8, counts [rankCells]uint32) {
+// codeChunk codes one chunk's ordinals: their codes, padded with
+// rankNaN to whole 64-row words, the codes' planes, and their counts.
+// A rank table of one number per bucket is read here directly, as code
+// does not inline.
+func (rc *rankCodes) codeChunk(vals []int64) (codes []uint8, planes []uint64, counts [rankCells]uint32) {
 	codes = make([]uint8, paddedLen(len(vals)))
+	lut, lo := rc.lut, rc.lutLo
+	if rc.lutShift != 0 {
+		lut = nil
+	}
 	for i, v := range vals {
-		k := rc.code(v)
-		codes[i] = k
-		counts[k]++
+		if u := uint64(v - lo); u < uint64(len(lut)) {
+			codes[i] = lut[u]
+		} else {
+			codes[i] = rc.code(v)
+		}
 	}
 	for i := len(vals); i < len(codes); i++ {
 		codes[i] = rankNaN
 	}
-	return codes, counts
+	return codes, bytePlanes(codes), countRanks(codes[:len(vals)])
+}
+
+// countRanks counts each code of codes, in two sets of counters taken
+// in turn, so that an increment does not wait on the one before, as a
+// run of equal codes would make it.
+func countRanks(codes []uint8) (counts [rankCells]uint32) {
+	var odd [rankCells]uint32
+	i := 0
+	for ; i+1 < len(codes); i += 2 {
+		counts[codes[i]]++
+		odd[codes[i+1]]++
+	}
+	for ; i < len(codes); i++ {
+		counts[codes[i]]++
+	}
+	for k, m := range odd {
+		counts[k] += m
+	}
+	return counts
 }
 
 // paddedLen rounds a chunk's row count up to whole 64-row words.
 func paddedLen(n int) int { return (n + 63) &^ 63 }
 
-// wideSpan reports whether a numeric summary's whole-table span, all-NaN
-// chunks left out, is too wide to count (stats.CountCells).
-func wideSpan(s *ChunkSummary) bool {
-	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for c := range s.intMin {
-		if s.hasNaN(c) && s.intMax[c] == nanOrdinal {
-			continue
-		}
-		lo, hi = min(lo, s.intMin[c]), max(hi, s.intMax[c])
-	}
-	if lo > hi {
-		return false
-	}
-	_, narrow := stats.CountCells(stats.Int64Key(lo), stats.Int64Key(hi))
-	return !narrow
-}
-
-// rankCodesFor codes vals, one task per chunk of the table: with old
-// set, a refresh, which keeps old's boundaries and its codes and counts
-// for every chunk dirty leaves clean; without, a new index over s's
-// column, nil unless the table is warm and the column's span wide.
-func (t *Table) rankCodesFor(s *ChunkSummary, vals []int64, nan bool, old *rankCodes, dirty []bool) *rankCodes {
+// rankCodesFor codes vals, their planes with them, one task per chunk
+// of the table: with old set, a refresh, which keeps old's boundaries
+// and its codes, planes and counts for every chunk dirty leaves clean;
+// without, a new index over the column, nil when no value is a number.
+func (t *Table) rankCodesFor(vals []int64, nan bool, old *rankCodes, dirty []bool) *rankCodes {
 	var rc *rankCodes
-	if old != nil {
-		rc = &rankCodes{bounds: old.bounds, nan: old.nan}
-	} else if t.warm.Load() && wideSpan(s) {
-		rc = newRankCodes(vals, nan)
+	if old != nil && dirty != nil {
+		kept := *old // the boundaries; every chunk is set below
+		rc = &kept
+	} else {
+		old, rc = nil, newRankCodes(vals, nan)
 	}
 	if rc == nil {
 		return nil
 	}
 	nc := t.NumChunks()
 	rc.codes = make([][]uint8, nc)
+	rc.planes.words = make([][]uint64, nc)
 	rc.counts = make([][rankCells]uint32, nc)
 	forEachChunk(nc, t.rows, func(c int) {
 		if old != nil && !dirty[c] {
-			rc.codes[c], rc.counts[c] = old.codes[c], old.counts[c]
+			rc.codes[c], rc.planes.words[c], rc.counts[c] = old.codes[c], old.planes.words[c], old.counts[c]
 			return
 		}
 		lo, hi := t.ChunkBounds(c)
-		rc.codes[c], rc.counts[c] = rc.codeChunk(vals[lo:hi])
+		rc.codes[c], rc.planes.words[c], rc.counts[c] = rc.codeChunk(vals[lo:hi])
 	})
 	return rc
 }

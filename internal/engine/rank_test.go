@@ -42,6 +42,62 @@ func TestCodeMatchMask(t *testing.T) {
 	}
 }
 
+// TestRankTableMatchesSearch holds code, which reads the rank table for
+// a number inside the sample's span, to the search over the boundaries
+// (rank) for every number of the column, every bucket's first and last
+// number, numbers past the span on both sides and the int64 extremes:
+// over a narrow column coded exactly (one number per bucket), narrow and
+// equi-depth, wide, wide with heavy duplicates (a run of equal
+// boundaries in one bucket), one spanning the whole int64 range, and
+// floats with NaN.
+func TestRankTableMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	const n = 50000
+	cols := map[string][]int64{}
+	for _, name := range []string{"exact", "narrow", "wide", "dup", "full"} {
+		cols[name] = make([]int64, n)
+	}
+	floats := make([]float64, n)
+	for r := range n {
+		cols["exact"][r] = 3 * rng.Int63n(100)
+		cols["narrow"][r] = 50 + rng.Int63n(1150)
+		cols["wide"][r] = rng.Int63n(80000)
+		cols["dup"][r] = rng.Int63n(1 << 30)
+		if rng.Intn(20) < 19 {
+			cols["dup"][r] = 1 << 29
+		}
+		cols["full"][r] = int64(rng.Uint64())
+		floats[r] = rng.NormFloat64()
+		if r%9 == 0 {
+			floats[r] = partFloatEdges[r%len(partFloatEdges)]
+		}
+	}
+	check := func(name string, rc *rankCodes, vals []int64) {
+		t.Helper()
+		probe := slices.Clone(vals)
+		for i := range rc.lut {
+			first := int64(uint64(rc.lutLo) + uint64(i)<<rc.lutShift)
+			probe = append(probe, first, first-1, first+1<<rc.lutShift-1)
+		}
+		end := int64(uint64(rc.lutLo) + rc.lutSpan)
+		probe = append(probe, rc.lutLo-1, end, end+1, math.MinInt64, math.MaxInt64, nanOrdinal)
+		for _, v := range probe {
+			want := rc.rank(v)
+			if rc.nan && v == nanOrdinal {
+				want = rankNaN
+			}
+			if got := rc.code(v); got != want {
+				t.Fatalf("%s: %d codes to %d by the rank table, %d by the search", name, v, got, want)
+			}
+		}
+	}
+	for name, vals := range cols {
+		check(name, newRankCodes(vals, false), vals)
+	}
+	fvals := NewFloatColumn("v", floats).Int64s()
+	check("floats", newRankCodes(fvals, true), fvals)
+}
+
 // warmedColumn is a warmed table in chunks of chunkRows holding col,
 // named "v", and the column's summary.
 func warmedColumn(col Column, chunkRows int) (*Table, *ChunkSummary) {
@@ -49,24 +105,6 @@ func warmedColumn(col Column, chunkRows int) (*Table, *ChunkSummary) {
 	tab.SetChunkRows(chunkRows)
 	tab.WarmSummaries()
 	return tab, tab.SummaryByName("v")
-}
-
-// withRankCodes returns sum with rank codes over the table's column
-// "v" whatever its span, built as a warmed wide column's are: for the
-// narrow columns (all rows equal) the rank path must still agree.
-func withRankCodes(tab *Table, sum *ChunkSummary) *ChunkSummary {
-	col := tab.MustColumn("v").(Numeric)
-	vals := col.Int64s()
-	rc := newRankCodes(vals, col.Kind() == KindFloat)
-	nc := tab.NumChunks()
-	rc.codes, rc.counts = make([][]uint8, nc), make([][rankCells]uint32, nc)
-	for c := range nc {
-		lo, hi := tab.ChunkBounds(c)
-		rc.codes[c], rc.counts[c] = rc.codeChunk(vals[lo:hi])
-	}
-	s := *sum
-	s.rank = rc
-	return &s
 }
 
 // takenChunks selects chunks 0 and 2 and the last whole, a third of
@@ -115,12 +153,13 @@ func checkRankCut(t *testing.T, name string, col Numeric, sum *ChunkSummary, sel
 // wide int columns (with both int64 extremes), a float column with
 // NaN, ±0 and ±Inf, heavy duplicates at the median straddling equal
 // boundaries (held by two fifths of the rows, under the fallback share,
-// and by nineteen twentieths, over it), an all-equal column and extents held
-// inside one code, IntCutChunked over the warmed summary equals the
-// gather over none: cut and retained counts, over row-id, words and
-// mixed chunks, chunks taken whole beside chunks counted, a partial
-// last chunk and word, at scan workers 1 and 4, arity 2–5. The last two
-// run with the fallback share off, so the rank path serves them too.
+// and by nineteen twentieths, over it), an all-equal column (coded
+// exactly: its one value is one code) and extents held inside one
+// code, IntCutChunked over the warmed summary equals the gather over
+// none: cut and retained counts, over row-id, words and mixed chunks,
+// chunks taken whole beside chunks counted, a partial last chunk and
+// word, at scan workers 1 and 4, arity 2–5. The last two run with the
+// fallback share off, so the rank path serves them too.
 func TestRankCutMatchesGather(t *testing.T) {
 	defer SetScanWorkers(0)
 	defer func(m float64) { rankShareMax = m }(rankShareMax)
@@ -145,10 +184,10 @@ func TestRankCutMatchesGather(t *testing.T) {
 	}
 	ints[5], ints[nRows-3] = math.MinInt64, math.MaxInt64
 	for _, tc := range []struct {
-		name      string
-		col       Numeric
-		forceRank bool   // codes over a narrow column, fallback share off
-		ranked    [2]int // how many of the 208 extents the rank path serves
+		name     string
+		col      Numeric
+		shareOff bool   // fallback share off: one code holds every row
+		ranked   [2]int // how many of the 208 extents the rank path serves
 	}{
 		{"wide ints", NewIntColumn("v", ints), false, [2]int{150, 208}},
 		{"floats with NaN", NewFloatColumn("v", floats), false, [2]int{150, 208}},
@@ -156,13 +195,13 @@ func TestRankCutMatchesGather(t *testing.T) {
 		{"duplicates, 19/20", NewIntColumn("v", dup95), false, [2]int{0, 40}},
 		{"all equal", NewIntColumn("v", equal), true, [2]int{208, 208}},
 	} {
-		tab, sum := warmedColumn(tc.col, chunkRows)
-		if (sum.rank != nil) == tc.forceRank {
-			t.Fatalf("%s: rank codes built %v on a warmed column", tc.name, sum.rank != nil)
+		_, sum := warmedColumn(tc.col, chunkRows)
+		if sum.rank == nil {
+			t.Fatalf("%s: no rank codes on a warmed column", tc.name)
 		}
 		rankShareMax = 0.9
-		if tc.forceRank {
-			sum, rankShareMax = withRankCodes(tab, sum), 1
+		if tc.shareOff {
+			rankShareMax = 1
 		}
 		sels := append(adversarialSelections(nRows, chunkRows, rng), wordSelections(nRows, rng)...)
 		sels = append(sels, takenChunks(nRows, chunkRows, rng))
@@ -194,42 +233,171 @@ func TestRankCutMatchesGather(t *testing.T) {
 	}
 }
 
-// TestRankCodesBuiltOnlyWhenWarmAndWide pins where rank codes exist:
-// never on a table that was not warmed, on a warmed table only for a
-// numeric column whose span is wider than the count window, and on a
-// summary built lazily before WarmSummaries once it runs.
-func TestRankCodesBuiltOnlyWhenWarmAndWide(t *testing.T) {
+// TestRankCodesBuiltOnlyWhenWarm pins where codes exist: never on a
+// table that was not warmed; on a warmed table, rank codes and their
+// planes for every numeric column, wide or narrow — a narrow column's
+// boundaries are its distinct sampled numbers but the smallest, so
+// each of its values is a code of its own — and code planes for a
+// string column of 2 to 16 values only, bits.Len(dictLen−1) of them;
+// and on a summary built lazily before WarmSummaries once it runs.
+// Every plane holds its bit of every row's code.
+func TestRankCodesBuiltOnlyWhenWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 5000
 	wide, narrow, floats := make([]int64, n), make([]int64, n), make([]float64, n)
+	strs := map[string][]string{"s1": make([]string, n), "s5": nil, "s16": nil, "s17": nil}
 	for r := range wide {
-		wide[r], narrow[r], floats[r] = rng.Int63n(1<<33), int64(rng.Intn(2048)), rng.Float64()
+		wide[r], narrow[r], floats[r] = rng.Int63n(1<<33), 3*int64(rng.Intn(200)), rng.Float64()
+		for _, name := range []string{"s5", "s16", "s17"} {
+			var d int
+			fmt.Sscanf(name, "s%d", &d)
+			strs[name] = append(strs[name], fmt.Sprint(r%d))
+		}
 	}
 	mk := func() *Table {
-		tab := MustNewTable("t", NewIntColumn("wide", wide), NewIntColumn("narrow", narrow),
-			NewFloatColumn("f", slices.Clone(floats)), NewStringColumn("s", make([]string, n)))
+		cols := []Column{NewIntColumn("wide", wide), NewIntColumn("narrow", narrow), NewFloatColumn("f", slices.Clone(floats))}
+		for _, name := range []string{"s1", "s5", "s16", "s17"} {
+			cols = append(cols, NewStringColumn(name, strs[name]))
+		}
+		tab := MustNewTable("t", cols...)
 		tab.SetChunkRows(1024)
 		return tab
 	}
 	cold := mk()
-	for _, name := range []string{"wide", "narrow", "f", "s"} {
-		if cold.SummaryByName(name).rank != nil {
-			t.Fatalf("%s: rank codes on a table never warmed", name)
+	for _, name := range []string{"wide", "narrow", "f", "s1", "s5", "s16", "s17"} {
+		if s := cold.SummaryByName(name); s.rank != nil || s.codePlanes != nil {
+			t.Fatalf("%s: codes on a table never warmed", name)
 		}
 	}
 	cold.WarmSummaries() // upgrades the lazily built summaries
 	warm := mk()
 	warm.WarmSummaries()
 	for _, tab := range []*Table{cold, warm} {
-		for name, want := range map[string]bool{"wide": true, "narrow": false, "f": true, "s": false} {
+		for _, name := range []string{"wide", "narrow", "f"} {
 			rc := tab.SummaryByName(name).rank
-			if (rc != nil) != want {
-				t.Fatalf("%s: rank codes %v, want %v", name, rc != nil, want)
+			if rc == nil || len(rc.codes) != tab.NumChunks() {
+				t.Fatalf("%s: rank codes %v on a warmed table", name, rc != nil)
 			}
-			if rc != nil && len(rc.codes) != tab.NumChunks() {
-				t.Fatalf("%s: codes for %d chunks, table has %d", name, len(rc.codes), tab.NumChunks())
+			vals := tab.MustColumn(name).(Numeric).Int64s()
+			for c := range tab.NumChunks() {
+				checkPlanes(t, name, &rc.planes, c, func(r int) uint32 { return uint32(rc.codes[c][r]) }, len(rc.codes[c]))
+				lo, _ := tab.ChunkBounds(c)
+				for r, k := range rc.codes[c][:min(1024, n-lo)] {
+					if name == "narrow" && int(k) != int(vals[lo+r]/3) {
+						t.Fatalf("narrow: value %d codes to %d, not to its rank among the distinct values", vals[lo+r], k)
+					}
+				}
 			}
 		}
+		for name, p := range map[string]int{"s1": 0, "s5": 3, "s16": 4, "s17": 0} {
+			pl := tab.SummaryByName(name).codePlanes
+			if pl == nil && p == 0 {
+				continue
+			}
+			if pl == nil || pl.p != p || len(pl.words) != tab.NumChunks() {
+				t.Fatalf("%s: code planes %v, want %d planes", name, pl, p)
+			}
+			codes := tab.MustColumn(name).(*StringColumn).Codes()
+			for c := range tab.NumChunks() {
+				lo, hi := tab.ChunkBounds(c)
+				checkPlanes(t, name, pl, c, func(r int) uint32 { return codes[lo+r] }, hi-lo)
+			}
+		}
+	}
+}
+
+// checkPlanes holds chunk c's planes in pl to the codes of its first n
+// rows, code(r) being row r's.
+func checkPlanes(t *testing.T, name string, pl *bitPlanes, c int, code func(r int) uint32, n int) {
+	t.Helper()
+	words := pl.chunk(c, (n+63)/64)
+	if words == nil {
+		t.Fatalf("%s: chunk %d has no planes for its %d rows", name, c, n)
+	}
+	for r := range n {
+		for b := range pl.p {
+			if got, want := words[r/64*pl.p+b]>>(r%64)&1, uint64(code(r)>>b&1); got != want {
+				t.Fatalf("%s: chunk %d row %d plane %d holds %d, its code %d", name, c, r, b, got, code(r))
+			}
+		}
+	}
+}
+
+// TestPlaneValueCounts holds StringValueCounts over a warmed table's
+// code planes to the counts of its rows' codes (no zone map: countCodes)
+// over row-id, words and mixed parents at scan workers 1 and 4, for
+// dictionaries of 2 to 16 values. Appends then grow a dictionary of 5
+// values to 6 (3 planes still: the clean chunks' planes kept), one of
+// 8 to 9 (3 planes to 4: rebuilt) and one of 16 to 17 (planes
+// dropped), and the counts still agree.
+func TestPlaneValueCounts(t *testing.T) {
+	defer SetScanWorkers(0)
+	const n, chunkRows = 9037, 1 << 10
+	rng := rand.New(rand.NewSource(51))
+	column := func(dictLen int) []string {
+		vals := make([]string, n)
+		for r := range vals {
+			vals[r] = fmt.Sprintf("v%02d", rng.Intn(dictLen))
+		}
+		return vals
+	}
+	check := func(name string, tab *Table, planed bool) {
+		t.Helper()
+		col, sum := tab.MustColumn("v").(*StringColumn), tab.SummaryByName("v")
+		if (sumPlanes(sum, col) != nil) != planed {
+			t.Fatalf("%s: code planes %v, want %v", name, sumPlanes(sum, col) != nil, planed)
+		}
+		nRows := tab.NumRows()
+		sels := append(adversarialSelections(nRows, chunkRows, rng), wordSelections(nRows, rng)...)
+		for _, workers := range []int{1, 4} {
+			SetScanWorkers(workers)
+			for k, sel := range sels {
+				for form, src := range formsOf(ChunkSelection(sel, nRows, chunkRows), rng) {
+					got, want := StringValueCounts(col, src, sum), StringValueCountsChunked(col, src)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s, workers %d, selection %d (%d rows, %s): plane counts %v, code counts %v", name, workers, k, len(sel), form, got, want)
+					}
+				}
+			}
+		}
+	}
+	for _, dictLen := range []int{2, 3, 5, 8, 13, 16} {
+		tab, _ := warmedColumn(NewStringColumn("v", column(dictLen)), chunkRows)
+		check(fmt.Sprintf("%d values", dictLen), tab, true)
+	}
+	for _, tc := range []struct{ from, to, p int }{{5, 6, 3}, {8, 9, 4}, {16, 17, 0}} {
+		name := fmt.Sprintf("%d values grown to %d", tc.from, tc.to)
+		tab, sum := warmedColumn(NewStringColumn("v", column(tc.from)), chunkRows)
+		old := sum.codePlanes
+		var rows [][]Value
+		for i := range 1500 {
+			v := fmt.Sprintf("v%02d", rng.Intn(tc.from))
+			if i%100 == 7 {
+				v = fmt.Sprintf("v%02d", tc.to-1)
+			}
+			rows = append(rows, []Value{String_(v)})
+		}
+		if err := tab.AppendRows(rows...); err != nil {
+			t.Fatal(err)
+		}
+		pl := tab.SummaryByName("v").codePlanes
+		if tc.p == 0 {
+			if pl != nil {
+				t.Fatalf("%s: planes kept past %d values", name, maxPlaneDict)
+			}
+		} else if pl == nil || pl.p != tc.p {
+			t.Fatalf("%s: planes %v, want %d of them", name, pl, tc.p)
+		} else if kept := &pl.words[0][0] == &old.words[0][0]; kept != (tc.p == old.p) {
+			t.Fatalf("%s: clean chunk's planes kept %v, from %d planes to %d", name, kept, old.p, tc.p)
+		}
+		if pl != nil {
+			codes := tab.MustColumn("v").(*StringColumn).Codes()
+			for c := range tab.NumChunks() {
+				lo, hi := tab.ChunkBounds(c)
+				checkPlanes(t, name, pl, c, func(r int) uint32 { return codes[lo+r] }, hi-lo)
+			}
+		}
+		check(name, tab, tc.p > 0)
 	}
 }
 

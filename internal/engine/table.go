@@ -50,8 +50,8 @@ type Table struct {
 	stamp atomic.Pointer[EpochStamp]
 	fp    atomic.Pointer[string]
 
-	// warm is set by WarmSummaries: scan-built summaries of wide
-	// numeric columns then carry rank codes.
+	// warm is set by WarmSummaries: scan-built summaries of numeric
+	// and small-dictionary string columns then carry codes.
 	warm atomic.Bool
 }
 

@@ -190,7 +190,7 @@ func (e *Evaluator) computeCut(attr string, col engine.Column, src *engine.Chunk
 			state.strCounts = engine.StringChunkCounts(col, src)
 			pieces, err = nominalPieces(attr, engine.StringCountsFromChunks(col, state.strCounts), stringSetValue, opt)
 		} else {
-			pieces, err = nominalPieces(attr, engine.StringValueCountsChunked(col, src), stringSetValue, opt)
+			pieces, err = nominalPieces(attr, engine.StringValueCounts(col, src, e.zoneMap(attr)), stringSetValue, opt)
 		}
 	case *engine.BoolColumn:
 		pieces, err = nominalPieces(attr, engine.BoolValueCountsChunked(col, src), boolSetValue, opt)

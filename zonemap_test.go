@@ -12,7 +12,10 @@ import (
 // never what the scan produces — so the fully rendered ranked answer
 // list must be byte-identical with summaries on and off, across
 // worker counts and chunk widths, on contexts that exercise string,
-// bool-free nominal, and numeric predicates together.
+// bool-free nominal, and numeric predicates together. The tables are
+// warmed, so with summaries on the cuts and counts run the plane
+// kernels over rank codes and small dictionaries' code planes, and with
+// them off the value kernels.
 func TestAdviseByteIdenticalAcrossZonePruning(t *testing.T) {
 	const rows = 6000
 	contexts := []string{
@@ -26,6 +29,7 @@ func TestAdviseByteIdenticalAcrossZonePruning(t *testing.T) {
 		if err := tab.SetChunkRows(chunkRows); err != nil {
 			t.Fatal(err)
 		}
+		tab.WarmSummaries()
 		cfg := charles.DefaultConfig()
 		cfg.Workers = workers
 		adv := charles.NewAdvisor(tab, cfg)
