@@ -7,23 +7,21 @@ import (
 	"testing"
 )
 
-// bmEqual asserts a filter's result over a parent in some chunk forms
-// holds exactly the rows of the same filter over the parent as row ids,
-// every chunk in its smaller form.
+// bmEqual asserts a filter's result holds exactly the rows of a
+// reference filter, every chunk in the one form.
 func bmEqual(t *testing.T, name string, got *Bitmap, wantCS *ChunkedSelection) {
 	t.Helper()
 	if got.Len() != wantCS.Len() || !reflect.DeepEqual(got.Flat(), wantCS.Flat()) {
 		t.Fatalf("%s: %d rows, want %d", name, got.Len(), wantCS.Len())
 	}
-	checkRule(t, name, got)
+	checkWords(t, name, got)
 }
 
-// TestFusedBitmapFiltersMatchChunked is the form-equivalence property
-// of the filters: under every typed predicate, a filter over a parent
-// in rule, word or mixed chunk forms (the probes' *Bitmap shims among
-// them) holds exactly the rows the filter over the parent as row ids
-// holds, every chunk in its smaller form, over adversarial parent
-// shapes, with and without zone maps.
+// TestFusedBitmapFiltersMatchChunked holds the filters to each other:
+// under every typed predicate, a filter resolved against the column's
+// zone map (the probes' *Bitmap shims among them) holds exactly the
+// rows the same filter holds without one, every chunk in the one form,
+// over adversarial parent shapes.
 func TestFusedBitmapFiltersMatchChunked(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, nRows := range []int{1, 130, 1000} {
@@ -42,44 +40,39 @@ func TestFusedBitmapFiltersMatchChunked(t *testing.T) {
 			{Lo: int64(nRows * 3), Hi: int64(nRows * 4), LoIncl: true},
 			{Lo: 100, Hi: 300, LoIncl: true, HiIncl: false},
 		}
-		for k, sel := range adversarialSelections(nRows, chunkRows, rng) {
-			rows := withForms(ChunkSelection(sel, nRows, chunkRows), func(int) bool { return false })
-			cs := formsOf(rows, rng)[[]string{"rule", "words", "mixed"}[k%3]]
-			for _, sum := range []*ChunkSummary{tonSum, nil} {
-				for _, r := range ranges {
-					bmEqual(t, "FilterIntRangeChunkedBitmap",
-						FilterIntRangeChunkedBitmap(ton, cs, r, sum),
-						FilterIntRangeChunked(ton, rows, r, sum))
-				}
-				bmEqual(t, "IntSetPred",
-					FilterChunked(cs, IntSetPred(ton, []int64{0, 17, 100, 999}, sum)),
-					FilterChunked(rows, IntSetPred(ton, []int64{0, 17, 100, 999}, sum)))
+		for _, sel := range adversarialSelections(nRows, chunkRows, rng) {
+			cs := ChunkSelection(sel, nRows, chunkRows)
+			for _, r := range ranges {
+				bmEqual(t, "FilterIntRangeChunkedBitmap",
+					FilterIntRangeChunkedBitmap(ton, cs, r, tonSum),
+					FilterIntRangeChunked(ton, cs, r, nil))
 			}
+			bmEqual(t, "IntSetPred",
+				FilterChunked(cs, IntSetPred(ton, []int64{0, 17, 100, 999}, tonSum)),
+				FilterChunked(cs, IntSetPred(ton, []int64{0, 17, 100, 999}, nil)))
 			fr := FloatRange{Lo: 5, Hi: 30, LoIncl: true, HiIncl: true}
 			bmEqual(t, "FloatRangePred",
 				FilterChunked(cs, FloatRangePred(speed, fr, speedSum)),
-				FilterFloatRangeChunked(speed, rows, fr, speedSum))
+				FilterFloatRangeChunked(speed, cs, fr, nil))
 			frAll := FloatRange{Lo: math.Inf(-1), Hi: math.Inf(1), LoIncl: true, HiIncl: true}
 			bmEqual(t, "FloatRangePred all",
 				FilterChunked(cs, FloatRangePred(speed, frAll, speedSum)),
-				FilterFloatRangeChunked(speed, rows, frAll, speedSum))
+				FilterFloatRangeChunked(speed, cs, frAll, nil))
 			bmEqual(t, "FloatSetPred",
 				FilterChunked(cs, FloatSetPred(speed, []float64{3, 20}, speedSum)),
-				FilterChunked(rows, FloatSetPred(speed, []float64{3, 20}, speedSum)))
-			for _, sum := range []*ChunkSummary{typSum, nil} {
-				bmEqual(t, "FilterStringSetChunkedBitmap",
-					FilterStringSetChunkedBitmap(typ, cs, []string{"fluit", "galjoot"}, sum),
-					FilterStringSetChunked(typ, rows, []string{"fluit", "galjoot"}, sum))
-				bmEqual(t, "StringRangePred",
-					FilterChunked(cs, StringRangePred(typ, "g", "k", true, false, sum)),
-					FilterChunked(rows, StringRangePred(typ, "g", "k", true, false, sum)))
-			}
+				FilterChunked(cs, FloatSetPred(speed, []float64{3, 20}, nil)))
+			bmEqual(t, "FilterStringSetChunkedBitmap",
+				FilterStringSetChunkedBitmap(typ, cs, []string{"fluit", "galjoot"}, typSum),
+				FilterStringSetChunked(typ, cs, []string{"fluit", "galjoot"}, nil))
+			bmEqual(t, "StringRangePred",
+				FilterChunked(cs, StringRangePred(typ, "g", "k", true, false, typSum)),
+				FilterChunked(cs, StringRangePred(typ, "g", "k", true, false, nil)))
 			bmEqual(t, "BoolSetPred",
 				FilterChunked(cs, BoolSetPred(armed, []bool{true}, armedSum)),
-				FilterChunked(rows, BoolSetPred(armed, []bool{true}, armedSum)))
+				FilterChunked(cs, BoolSetPred(armed, []bool{true}, nil)))
 			bmEqual(t, "BoolSetPred both",
 				FilterChunked(cs, BoolSetPred(armed, []bool{true, false}, armedSum)),
-				FilterChunked(rows, BoolSetPred(armed, []bool{true, false}, armedSum)))
+				FilterChunked(cs, BoolSetPred(armed, []bool{true, false}, nil)))
 		}
 	}
 }

@@ -7,18 +7,13 @@ import (
 )
 
 // ChunkedSelection is a selection sharded by the table's row-range
-// chunks, each chunk held in the smaller of two forms — the Roaring
-// container split (Chambi, Lemire, Kaser, Godin, "Better bitmap
-// performance with Roaring bitmaps", arXiv:1402.6407): the chunk's
-// selected row ids, still as global sorted int32 ids, or its 64-row
-// words, bit j of word i set when row base+64i+j is selected. A chunk
-// with no selected row holds neither. The form is picked once, when
-// the chunk is written (set), by its row count alone (denseEnough), so
-// no writer and no reader chooses one: every chunked operator — the
+// chunks, each chunk held as its 64-row words: bit j of word i is set
+// when row base+64i+j is selected, base the chunk's first row. A chunk
+// with no selected row holds no words. Every chunked operator — the
 // filters and partitions, the key gathers and value counts, AndCount —
-// dispatches on the form per chunk, never per row, and concatenating
-// the chunks in order reproduces the flat sorted selection, which is
-// why every chunked operator is deterministic at any worker count.
+// reads a chunk word by word, and concatenating the chunks' rows in
+// order reproduces the flat sorted selection, which is why every
+// chunked operator is deterministic at any worker count.
 //
 // The flat view is materialized lazily (Flat): operators that only
 // need per-chunk work never pay for it. Like Selection, a
@@ -31,10 +26,9 @@ type ChunkedSelection struct {
 	flat      atomic.Pointer[Selection]
 }
 
-// container is one chunk of a selection: n rows as sorted row ids, or
-// as words (exactly one of them non-nil when n > 0).
+// container is one chunk of a selection: n rows as words, nil when n
+// is 0.
 type container struct {
-	rows  Selection
 	words []uint64
 	n     int
 }
@@ -43,13 +37,6 @@ type container struct {
 // selection (engine.filter_int_range_bitmap_ms,
 // engine.bitmap_andcount_us, seg.select_bitmap_*).
 type Bitmap = ChunkedSelection
-
-// denseEnough is the storage rule: a chunk of lenC table rows holding
-// n of them is stored as words iff its words take no more memory than
-// its row ids, 4·n ≥ 8·⌈lenC/64⌉ bytes — about 1/32 of the chunk.
-func denseEnough(n, lenC int) bool {
-	return n > 0 && n >= 2*((lenC+63)>>6)
-}
 
 // newSelection returns the all-empty selection in the given layout;
 // its writers fill chunks through set and then seal it.
@@ -68,49 +55,34 @@ func (cs *ChunkedSelection) chunkLen(c int) int {
 	return min(cs.chunkRows, cs.nRows-c*cs.chunkRows)
 }
 
-// set stores chunk c's n rows, handed over as sorted row ids or as
-// words (the other nil), in the form denseEnough picks: row ids are
-// packed into fresh words when dense, words are decoded into exact-
-// length row ids when sparse. Input already in the picked form is kept
-// when keep is set — a parent's container, a caller's segment — and
-// copied otherwise (pooled scratch). This is the one place a form is
-// chosen. Chunks are set from concurrent per-chunk tasks, so the total
-// is summed afterwards (seal).
-func (cs *ChunkedSelection) set(c int, rows Selection, words []uint64, n int, keep bool) {
-	lenC := cs.chunkLen(c)
-	base := int32(c * cs.chunkRows)
-	switch {
-	case n == 0:
+// set stores chunk c's n rows, handed over as words in pooled
+// scratch, as a copy. Chunks are set from concurrent per-chunk tasks,
+// so the total is summed afterwards (seal).
+func (cs *ChunkedSelection) set(c int, words []uint64, n int) {
+	if n == 0 {
 		cs.chunks[c] = container{}
-	case !denseEnough(n, lenC):
-		if words != nil {
-			rows = decodeSeg(words, n, base)
-		} else if !keep {
-			// make+copy of one named slice compiles to a single
-			// non-zeroing allocation, so a child never pins its
-			// parent-sized scratch.
-			own := make(Selection, n)
-			copy(own, rows)
-			rows = own
-		}
-		cs.chunks[c] = container{rows: rows, n: n}
-	default:
-		if words == nil {
-			words = make([]uint64, (lenC+63)>>6)
-			setSegBits(words, rows, base)
-		} else if !keep {
-			own := make([]uint64, len(words))
-			copy(own, words)
-			words = own
-		}
-		cs.chunks[c] = container{words: words, n: n}
+		return
 	}
+	// make+copy of one named slice compiles to a single non-zeroing
+	// allocation, so a child never pins its parent-sized scratch.
+	own := make([]uint64, len(words))
+	copy(own, words)
+	cs.chunks[c] = container{words: own, n: n}
+}
+
+// setRows stores chunk c's rows, handed over as sorted row ids, packed
+// into fresh words.
+func (cs *ChunkedSelection) setRows(c int, rows Selection) {
+	if len(rows) == 0 {
+		cs.chunks[c] = container{}
+		return
+	}
+	words := make([]uint64, (cs.chunkLen(c)+63)>>6)
+	cs.chunks[c] = container{words: words, n: setSegBits(words, rows, int32(c*cs.chunkRows))}
 }
 
 // take stores the parent's chunk c as chunk c, shared as it is.
-func (cs *ChunkedSelection) take(c int, parent container) {
-	cs.set(c, parent.rows, parent.words, parent.n, true)
-}
+func (cs *ChunkedSelection) take(c int, parent container) { cs.chunks[c] = parent }
 
 // seal sums the chunk counts once every chunk is set.
 func (cs *ChunkedSelection) seal() *ChunkedSelection {
@@ -121,8 +93,8 @@ func (cs *ChunkedSelection) seal() *ChunkedSelection {
 	return cs
 }
 
-// ChunkSelection shards a flat sorted selection by chunk boundaries.
-// Sparse chunks alias sel.
+// ChunkSelection shards a flat sorted selection by chunk boundaries,
+// packing each chunk's rows into words.
 func ChunkSelection(sel Selection, nRows, chunkRows int) *ChunkedSelection {
 	cs := newSelection(nRows, chunkRows)
 	rest := sel
@@ -132,14 +104,14 @@ func ChunkSelection(sel Selection, nRows, chunkRows int) *ChunkedSelection {
 		// row-id ceiling and silently file the tail rows nowhere.
 		bound := (c + 1) * chunkRows
 		cut := sort.Search(len(rest), func(i int) bool { return int(rest[i]) >= bound })
-		cs.set(c, rest[:cut:cut], nil, cut, true)
+		cs.setRows(c, rest[:cut])
 		rest = rest[cut:]
 	}
 	return cs.seal()
 }
 
 // AllRowsChunked returns the chunked identity selection 0..nRows−1:
-// every chunk full, so words.
+// every chunk full.
 func AllRowsChunked(nRows, chunkRows int) *ChunkedSelection {
 	dirty := make([]bool, numChunksFor(nRows, chunkRows))
 	for c := range dirty {
@@ -175,7 +147,7 @@ func PartialIdentity(nRows, chunkRows int, dirty []bool) *ChunkedSelection {
 				full = words
 			}
 		}
-		cs.set(c, nil, words, lenC, true)
+		cs.chunks[c] = container{words: words, n: lenC}
 	}
 	return cs.seal()
 }
@@ -225,8 +197,8 @@ func (cs *ChunkedSelection) NumChunks() int { return len(cs.chunks) }
 // Len returns the total number of selected rows.
 func (cs *ChunkedSelection) Len() int { return cs.count }
 
-// Bytes returns the memory the selection's containers hold: 4 B per
-// row id and 8 B per word. A chunk taken whole from a parent or a
+// Bytes returns the memory the selection's containers hold: 8 B per
+// word. A chunk taken whole from a parent or a
 // cached selection (a covered chunk, a clean chunk of a splice, the
 // all-rows identity) shares that container rather than copying it, so
 // summing Bytes over selections that share containers — common on
@@ -235,87 +207,40 @@ func (cs *ChunkedSelection) Len() int { return cs.count }
 func (cs *ChunkedSelection) Bytes() int64 {
 	var n int64
 	for _, ct := range cs.chunks {
-		n += 4*int64(len(ct.rows)) + 8*int64(len(ct.words))
+		n += 8 * int64(len(ct.words))
 	}
 	return n
-}
-
-// chunk returns chunk c in its own form — its row ids, or its words —
-// and the number of rows it selects. A chunk without rows has neither.
-func (cs *ChunkedSelection) chunk(c int) (Selection, []uint64, int) {
-	ct := &cs.chunks[c]
-	return ct.rows, ct.words, ct.n
 }
 
 // chunkCount returns the number of rows chunk c selects.
 func (cs *ChunkedSelection) chunkCount(c int) int { return cs.chunks[c].n }
 
-// Seg returns chunk c's row ids: the stored segment of a sparse chunk
-// (must not be mutated), or a dense chunk's words decoded afresh.
-func (cs *ChunkedSelection) Seg(c int) Selection {
-	ct := &cs.chunks[c]
-	if ct.words != nil {
-		return decodeSeg(ct.words, ct.n, int32(c*cs.chunkRows))
-	}
-	return ct.rows
-}
-
-// Words returns chunk c's words, nil when the chunk holds row ids or
-// nothing. Must not be mutated.
-func (cs *ChunkedSelection) Words(c int) []uint64 { return cs.chunks[c].words }
-
 // Flat materializes (once) and returns the selection's flat sorted
-// view — the chunks' rows in chunk order, a dense chunk's decoded from
-// its words. Must not be mutated. Concurrent first calls may both
-// build it; the results are identical and either pointer wins.
+// view — the chunks' rows in chunk order, decoded from their words.
+// Must not be mutated. Concurrent first calls may both build it; the
+// results are identical and either pointer wins.
 func (cs *ChunkedSelection) Flat() Selection {
 	if p := cs.flat.Load(); p != nil {
 		return *p
 	}
-	var out Selection
-	switch {
-	case cs.count == 0:
-		out = Selection{}
-	case len(cs.chunks) == 1 && cs.chunks[0].words == nil:
-		out = cs.chunks[0].rows
-	default:
-		out = make(Selection, cs.count)
-		at := 0
-		for c, ct := range cs.chunks {
-			if ct.words != nil {
-				decodeWords(out[at:at+ct.n], ct.words, int32(c*cs.chunkRows))
-			} else {
-				copy(out[at:], ct.rows)
-			}
-			at += ct.n
-		}
+	out := make(Selection, cs.count)
+	at := 0
+	for c, ct := range cs.chunks {
+		at += decodeWords(out[at:at+ct.n], ct.words, int32(c*cs.chunkRows))
 	}
 	cs.flat.CompareAndSwap(nil, &out)
 	return *cs.flat.Load()
 }
 
-// AndCount returns |cs ∩ o| chunk pair by chunk pair, without
-// materializing the intersection: words ∧ words by AND + popcount,
-// words × row ids by probing each row's bit, row ids × row ids by a
-// sorted merge, and a chunk empty on either side costs nothing.
-// Universes may differ in size; the count is over the shared prefix.
-// Both selections must share a chunk width, as any two over one table
-// do.
+// AndCount returns |cs ∩ o| chunk pair by chunk pair, by AND and
+// popcount over their words, without materializing the intersection;
+// a chunk empty on either side costs nothing. Universes may differ in
+// size; the count is over the shared prefix. Both selections must
+// share a chunk width, as any two over one table do.
 func (cs *ChunkedSelection) AndCount(o *ChunkedSelection) int {
 	n := 0
 	for c := range min(len(cs.chunks), len(o.chunks)) {
-		a, b := &cs.chunks[c], &o.chunks[c]
-		switch {
-		case a.n == 0 || b.n == 0:
-		case a.words != nil && b.words != nil:
-			n += andWords(a.words, b.words)
-		case a.words != nil:
-			n += probeWords(a.words, b.rows, int32(c*cs.chunkRows))
-		case b.words != nil:
-			n += probeWords(b.words, a.rows, int32(c*cs.chunkRows))
-		default:
-			n += IntersectCount(a.rows, b.rows)
-		}
+		n += andWords(cs.chunks[c].words, o.chunks[c].words)
 	}
 	return n
 }
@@ -329,20 +254,6 @@ func andWords(a, b []uint64) int {
 	n := 0
 	for i, x := range a {
 		n += bits.OnesCount64(x & b[i])
-	}
-	return n
-}
-
-// probeWords returns how many of rows (global ids, base the first row
-// of words) have their bit set in words; a row past the words is not
-// set.
-func probeWords(words []uint64, rows Selection, base int32) int {
-	n := 0
-	for _, row := range rows {
-		local := uint32(row - base)
-		if wi := int(local >> 6); wi < len(words) {
-			n += int(words[wi] >> (local & 63) & 1)
-		}
 	}
 	return n
 }
@@ -403,15 +314,4 @@ func decodeWords(rows Selection, words []uint64, base int32) int {
 		}
 	}
 	return k
-}
-
-// decodeSeg returns the rows of one chunk's words, n of them, base
-// its first row, as an exact-length selection: nil when n is 0.
-func decodeSeg(words []uint64, n int, base int32) Selection {
-	if n == 0 {
-		return nil
-	}
-	seg := make(Selection, n)
-	decodeWords(seg, words, base)
-	return seg
 }

@@ -87,7 +87,7 @@ func TestChunkSelectionRoundTrip(t *testing.T) {
 				selEqual(t, "roundtrip", cs, sel)
 				// Every segment's rows must fall inside its chunk.
 				for c := 0; c < cs.NumChunks(); c++ {
-					for _, row := range cs.Seg(c) {
+					for _, row := range segOf(cs, c) {
 						if int(row)/chunkRows != c {
 							t.Fatalf("row %d filed under chunk %d (chunkRows=%d)", row, c, chunkRows)
 						}
@@ -135,7 +135,7 @@ func chunkTestTable(t *testing.T, nRows, chunkRows int, rng *rand.Rand) *Table {
 }
 
 // TestChunkedFiltersMatchMonolithic is the central equivalence
-// property: every chunked filter, row-id and bitmap alike, must
+// property: every chunked filter, the *Bitmap shims among them, must
 // produce exactly the selection the naive row-at-a-time reference
 // produces, for every adversarial parent selection shape, with and
 // without the zone map.
@@ -269,33 +269,23 @@ func TestChunkedStatsMatchMonolithic(t *testing.T) {
 	}
 }
 
-// TestChunkedBitmapMatchesFlat pins the chunk forms to the selection
-// semantics: build, count, per-chunk views, intersection count and
-// materialization agree with the row-id vector paths in every form,
-// and empty chunks hold neither form.
+// TestChunkedBitmapMatchesFlat pins the chunked selection to the
+// selection semantics: build, count, intersection count and
+// materialization agree with the row-id vector paths, and empty chunks
+// hold no words.
 func TestChunkedBitmapMatchesFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	nRows, chunkRows := 1000, 128
 	for _, a := range adversarialSelections(nRows, chunkRows, rng) {
 		ca := ChunkSelection(a, nRows, chunkRows)
-		checkRule(t, "adversarial", ca)
-		fa := formsOf(ca, rng)
-		for form, x := range fa {
-			if x.Len() != len(a) || !selectionsEqual(x.Flat(), a) {
-				t.Fatalf("%s: %d rows, flat view differs from %d", form, x.Len(), len(a))
-			}
-			for c := 0; c < x.NumChunks(); c++ {
-				if len(ca.Seg(c)) == 0 && (x.Words(c) != nil || x.Seg(c) != nil) {
-					t.Fatalf("%s: empty chunk %d holds a form", form, c)
-				}
-			}
+		checkWords(t, "adversarial", ca)
+		if ca.Len() != len(a) || !selectionsEqual(ca.Flat(), a) {
+			t.Fatalf("%d rows, flat view differs from %d", ca.Len(), len(a))
 		}
 		for _, b := range adversarialSelections(nRows, chunkRows, rng) {
 			want := IntersectCount(a, b)
-			for fb, y := range formsOf(ChunkSelection(b, nRows, chunkRows), rng) {
-				if got := fa["mixed"].AndCount(y); got != want {
-					t.Fatalf("mixed ∩ %s: AndCount = %d, want %d", fb, got, want)
-				}
+			if got := ca.AndCount(ChunkSelection(b, nRows, chunkRows)); got != want {
+				t.Fatalf("AndCount = %d, want %d", got, want)
 			}
 		}
 	}
@@ -328,7 +318,7 @@ func TestChunkedParallelLoopsRace(t *testing.T) {
 	if med, _ := IntMedianChunked(col, got); med != refSorted(vals, wantSel)[len(wantSel)/2] {
 		t.Fatal("parallel median diverged")
 	}
-	if n := got.AndCount(withForms(got, func(int) bool { return false })); n != got.Len() {
+	if n := got.AndCount(ChunkSelection(got.Flat(), got.NumRows(), got.ChunkRows())); n != got.Len() {
 		t.Fatalf("parallel self-intersection %d != %d", n, got.Len())
 	}
 }

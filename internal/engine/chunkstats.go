@@ -9,13 +9,13 @@ import (
 	"charles/internal/stats"
 )
 
-// The gathers and counts read each chunk of a selection in its own
-// form and never decode words into row ids: a row-id chunk row by row,
-// a words chunk word by word — a full word as a run of 64 rows, any
-// other by set-bit iteration — straight into the key buffer or the
-// counter. (Reading a half-full word as a masked run of 64 rows, every
-// key stored and the cursor advanced past selected rows only, measured
-// slower than its set-bit iteration at every density below full.)
+// The gathers and counts read each chunk of a selection word by word
+// and never decode words into row ids — a full word as a run of 64
+// rows, any other by set-bit iteration — straight into the key buffer
+// or the counter. (Reading a half-full word as a masked run of 64
+// rows, every key stored and the cursor advanced past selected rows
+// only, measured slower than its set-bit iteration at every density
+// below full.)
 
 // GatherIntChunked materializes col's ordinals per chunk: one output
 // slice per chunk, aligned with cs's chunks, gathered across the scan
@@ -30,21 +30,15 @@ func GatherIntChunked(col Numeric, cs *ChunkedSelection) [][]int64 {
 			return
 		}
 		vals := make([]int64, ct.n)
-		if ct.words == nil {
-			for i, row := range ct.rows {
-				vals[i] = src[row]
+		m, at := 0, cs.chunkRows*c
+		for wi, w := range ct.words {
+			if w == ^uint64(0) {
+				m += copy(vals[m:], src[at+wi<<6:at+wi<<6+64])
+				continue
 			}
-		} else {
-			m, at := 0, cs.chunkRows*c
-			for wi, w := range ct.words {
-				if w == ^uint64(0) {
-					m += copy(vals[m:], src[at+wi<<6:at+wi<<6+64])
-					continue
-				}
-				for ; w != 0; w &= w - 1 {
-					vals[m] = src[at+wi<<6+bits.TrailingZeros64(w)]
-					m++
-				}
+			for ; w != 0; w &= w - 1 {
+				vals[m] = src[at+wi<<6+bits.TrailingZeros64(w)]
+				m++
 			}
 		}
 		out[c] = vals
@@ -75,9 +69,9 @@ func floats(ords []int64) []float64 {
 }
 
 // EachRow hands fn every row cs selects, ascending, chunk by chunk on
-// the calling goroutine, reading each chunk in its own form (a words
-// chunk is never decoded): one call per row, for loops that do more
-// per row than the call costs.
+// the calling goroutine, reading each chunk's words (never decoded
+// into row ids): one call per row, for loops that do more per row than
+// the call costs.
 func EachRow(cs *ChunkedSelection, fn func(row int)) {
 	for c := range cs.chunks {
 		eachRow(cs, c, fn)
@@ -86,11 +80,7 @@ func EachRow(cs *ChunkedSelection, fn func(row int)) {
 
 // eachRow is EachRow over chunk c.
 func eachRow(cs *ChunkedSelection, c int, fn func(row int)) {
-	ct := &cs.chunks[c]
-	for _, row := range ct.rows {
-		fn(int(row))
-	}
-	for wi, w := range ct.words {
+	for wi, w := range cs.chunks[c].words {
 		at := cs.chunkRows*c + wi<<6
 		for ; w != 0; w &= w - 1 {
 			fn(at + bits.TrailingZeros64(w))
@@ -147,9 +137,6 @@ func gatherIntKeys(col Numeric, src *ChunkedSelection) (chunks [][]uint64, lo, h
 	return gatherKeyShards(src, func(ks []uint64, c int) (int, uint64, uint64) {
 		ct, base := &src.chunks[c], src.chunkRows*c
 		m, lo, hi := 0, uint64(math.MaxUint64), uint64(0)
-		for _, row := range ct.rows {
-			m, lo, hi = putIntKey(ks, m, vals[row], lo, hi)
-		}
 		for wi, w := range ct.words {
 			at := base + wi<<6
 			if w == ^uint64(0) {
@@ -416,11 +403,6 @@ func countCut(col Numeric, src *ChunkedSelection, lo int64, cells, arity int, re
 // selects (its first table row base), and reports false, having
 // stopped, at a value outside [lo, lo+len(counts)).
 func countInts[C int | uint64](counts []C, vals []int64, lo int64, ct *container, base int) bool {
-	for _, row := range ct.rows {
-		if !countInt(counts, vals[row]-lo) {
-			return false
-		}
-	}
 	for wi, w := range ct.words {
 		at := base + wi<<6
 		if w == ^uint64(0) {
@@ -576,14 +558,11 @@ func StringValueCountsChunked(col *StringColumn, src *ChunkedSelection) []stats.
 // contiguous bands, one histogram per band, so the transient memory is
 // worker-count × cardinality — not chunk-count × cardinality, which on
 // a 10M-row table with a high-cardinality column would dwarf the data
-// scanned. A words chunk of a column whose zone map carries code
-// planes counts each code's rows by popcount (countPlanes); any other
-// chunk counts its rows' codes. Counts are additive, so the band merge
-// is order-independent and the result is ordered by dictionary code
-// whatever the band layout. The seg layer orders the counts by
+// scanned. Each chunk is counted by countChunkCodes. Counts are
+// additive, so the band merge is order-independent and the result is
+// ordered by dictionary code whatever the band layout. The seg layer orders the counts by
 // frequency or alphabetically per the paper's nominal-median rule.
 func StringValueCounts(col *StringColumn, src *ChunkedSelection, sum *ChunkSummary) []stats.ValueCount {
-	codes := col.Codes()
 	planes := sumPlanes(sum, col)
 	nc := src.NumChunks()
 	workers, release := statWorkers(src)
@@ -607,12 +586,7 @@ func StringValueCounts(col *StringColumn, src *ChunkedSelection, sum *ChunkSumma
 			hi = nc
 		}
 		for c := b * bandSize; c < hi; c++ {
-			ct := &src.chunks[c]
-			if pl := planes.chunk(c, len(ct.words)); pl != nil && ct.words != nil {
-				countPlanes(counts, pl, planes.p, ct.words)
-			} else {
-				countCodes(counts, codes, ct, src.chunkRows*c)
-			}
+			countChunkCodes(counts, col, planes, src, c)
 		}
 		partials[b] = counts
 		return nil
@@ -632,12 +606,22 @@ func StringValueCounts(col *StringColumn, src *ChunkedSelection, sum *ChunkSumma
 	return out
 }
 
+// countChunkCodes adds one to counts[code] for the dictionary code of
+// every row chunk c of src selects: per code by popcount (countPlanes)
+// where planes, col's code planes or nil, hold the chunk, per row
+// otherwise (countCodes).
+func countChunkCodes(counts []int, col *StringColumn, planes *bitPlanes, src *ChunkedSelection, c int) {
+	ct := &src.chunks[c]
+	if pl := planes.chunk(c, len(ct.words)); pl != nil {
+		countPlanes(counts, pl, planes.p, ct.words)
+	} else {
+		countCodes(counts, col.Codes(), ct, src.chunkRows*c)
+	}
+}
+
 // countCodes adds one to counts[code] for the code of every row ct
 // selects, its first table row base.
 func countCodes(counts []int, codes []uint32, ct *container, base int) {
-	for _, row := range ct.rows {
-		counts[codes[row]]++
-	}
 	for wi, w := range ct.words {
 		at := base + wi<<6
 		if w == ^uint64(0) {
@@ -717,13 +701,14 @@ func IntSortedRunsSplice(col IntValued, cs *ChunkedSelection, old [][]int64, dir
 }
 
 // StringChunkCounts returns per-chunk value frequencies of col over
-// src, indexed by dictionary code: counts[c][code]. This is the
-// splice-friendly decomposition of StringValueCountsChunked — counts
-// are additive over chunks, so a mutation only invalidates the dirty
-// chunks' vectors. The vectors are owned by the caller and must be
-// treated as immutable once returned.
-func StringChunkCounts(col *StringColumn, src *ChunkedSelection) [][]int {
-	codes := col.Codes()
+// src, indexed by dictionary code: counts[c][code], each chunk counted
+// as StringValueCounts counts it, sum being col's zone map (nil
+// without one). This is the splice-friendly decomposition of
+// StringValueCounts — counts are additive over chunks, so a mutation
+// only invalidates the dirty chunks' vectors. The vectors are owned by
+// the caller and must be treated as immutable once returned.
+func StringChunkCounts(col *StringColumn, src *ChunkedSelection, sum *ChunkSummary) [][]int {
+	planes := sumPlanes(sum, col)
 	card := col.Cardinality()
 	nc := src.NumChunks()
 	counts := make([][]int, nc)
@@ -732,7 +717,7 @@ func StringChunkCounts(col *StringColumn, src *ChunkedSelection) [][]int {
 			return
 		}
 		v := make([]int, card)
-		countCodes(v, codes, &src.chunks[c], src.chunkRows*c)
+		countChunkCodes(v, col, planes, src, c)
 		counts[c] = v
 	})
 	return counts
@@ -743,14 +728,14 @@ func StringChunkCounts(col *StringColumn, src *ChunkedSelection) [][]int {
 // grown cardinality), clean chunks keep their vectors. A clean
 // chunk's vector may be shorter than the current cardinality — codes
 // minted after it was counted cannot occur in an unchanged chunk, so
-// the missing tail is implicitly zero. ok is false on a structural
-// mismatch.
-func StringChunkCountsSplice(col *StringColumn, src *ChunkedSelection, old [][]int, dirty []bool) (counts [][]int, ok bool) {
+// the missing tail is implicitly zero. sum is col's current zone map
+// (nil without one). ok is false on a structural mismatch.
+func StringChunkCountsSplice(col *StringColumn, src *ChunkedSelection, sum *ChunkSummary, old [][]int, dirty []bool) (counts [][]int, ok bool) {
 	counts, ok = spliceCounts(src, old, dirty)
 	if !ok {
 		return nil, false
 	}
-	fresh := StringChunkCounts(col, Restrict(src, dirty))
+	fresh := StringChunkCounts(col, Restrict(src, dirty), sum)
 	for c := range counts {
 		if dirty[c] {
 			counts[c] = fresh[c]
@@ -760,7 +745,7 @@ func StringChunkCountsSplice(col *StringColumn, src *ChunkedSelection, old [][]i
 }
 
 // StringCountsFromChunks reduces per-chunk count vectors to the exact
-// []ValueCount StringValueCountsChunked returns: summed per code, in
+// []ValueCount StringValueCounts returns: summed per code, in
 // dictionary-code order, zero-count values dropped.
 func StringCountsFromChunks(col *StringColumn, counts [][]int) []stats.ValueCount {
 	totals := make([]int, col.Cardinality())

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"charles/internal/stats"
 )
 
 // wordSelections draws selections word by word over nRows rows: every
@@ -28,7 +30,7 @@ func wordSelections(nRows int, rng *rand.Rand) []Selection {
 }
 
 // gatherResult is everything the chunked gathers compute from one
-// selection, compared between its chunk forms.
+// selection, compared between scan worker counts.
 type gatherResult struct {
 	IntKeys     [][]uint64
 	IntLo       uint64
@@ -81,9 +83,9 @@ func gatherAll(src *ChunkedSelection, ic, narrow *IntColumn, fc *FloatColumn, sc
 		g.FloatCut = append(g.FloatCut, math.Float64bits(ordinalFloat(o)))
 	}
 	g.StrCounts = fmt.Sprint(StringValueCountsChunked(sc, src))
-	g.StrChunks = StringChunkCounts(sc, src)
+	g.StrChunks = StringChunkCounts(sc, src, nil)
 	if oldStr != nil {
-		g.StrSplice, _ = StringChunkCountsSplice(sc, src, oldStr, dirty)
+		g.StrSplice, _ = StringChunkCountsSplice(sc, src, nil, oldStr, dirty)
 	}
 	g.BoolCounts = fmt.Sprint(BoolValueCountsChunked(bc, src))
 	EachRow(src, func(row int) { g.Rows = append(g.Rows, int32(row)) })
@@ -110,15 +112,14 @@ func cloneKeys(keys [][]uint64) [][]uint64 {
 	return out
 }
 
-// TestGatherSourceMatchesRows holds every gather over a selection whose
-// chunks are words — the int and float key gathers and the cuts, medians, bounds
+// TestGatherSourceMatchesRows holds every gather over a selection's
+// words — the int and float key gathers and the cuts, medians, bounds
 // and retained counts built on them, the int count splice over dirty
 // chunks, the string and bool value counts and the string count splice,
-// and the row batches the numeric-nominal fallback counts — to its
-// result over the same selection as row ids, with every chunk as words
-// and with the forms mixed: adversarial shapes and
-// word-by-word mixes, a partial last chunk and word, NaN and ±0 floats,
-// at scan workers 1 and 4.
+// and the row batches the numeric-nominal fallback counts — to what
+// reading the selection's rows one at a time gives, and to itself at
+// scan workers 1 and 4: adversarial shapes and word-by-word mixes, a
+// partial last chunk and word, NaN and ±0 floats.
 func TestGatherSourceMatchesRows(t *testing.T) {
 	defer SetScanWorkers(0)
 	const nRows, chunkRows = 70000, 1 << 13
@@ -143,27 +144,94 @@ func TestGatherSourceMatchesRows(t *testing.T) {
 		dirty[c] = c%3 == 1 || c == nChunks-1
 	}
 	sels := append(adversarialSelections(nRows, chunkRows, rng), wordSelections(nRows, rng)...)
-	for _, workers := range []int{1, 4} {
-		SetScanWorkers(workers)
-		for k, sel := range sels {
-			cs := withForms(ChunkSelection(sel, nRows, chunkRows), func(int) bool { return false })
-			// The splices start from the counts of a different
-			// selection's clean chunks, as after a mutation.
-			base := ChunkSelection(sels[(k+1)%len(sels)], nRows, chunkRows)
-			old := Splice(cs, base, dirty)
-			_, oldNarrow := IntCutChunked(nc, old, nil, 2, true)
-			oldStr := StringChunkCounts(sc, old)
-			want := gatherAll(cs, ic, nc, fc, sc, bc, dirty, oldNarrow, oldStr)
-			for form, src := range formsOf(cs, rng) {
-				got := gatherAll(src, ic, nc, fc, sc, bc, dirty, oldNarrow, oldStr)
-				if !reflect.DeepEqual(got, want) {
-					for i := 0; i < reflect.TypeOf(got).NumField(); i++ {
-						if g, w := reflect.ValueOf(got).Field(i).Interface(), reflect.ValueOf(want).Field(i).Interface(); !reflect.DeepEqual(g, w) {
-							t.Fatalf("workers %d, selection %d (%d rows): %s from %s differs from rows", workers, k, len(sel), reflect.TypeOf(got).Field(i).Name, form)
-						}
-					}
+	for k, sel := range sels {
+		cs := ChunkSelection(sel, nRows, chunkRows)
+		// The splices start from the counts of a different selection's
+		// dirty chunks, as after a mutation.
+		base := ChunkSelection(sels[(k+1)%len(sels)], nRows, chunkRows)
+		old := Splice(cs, base, dirty)
+		_, oldNarrow := IntCutChunked(nc, old, nil, 2, true)
+		oldStr := StringChunkCounts(sc, old, nil)
+		SetScanWorkers(1)
+		want := gatherAll(cs, ic, nc, fc, sc, bc, dirty, oldNarrow, oldStr)
+		checkGatherRows(t, fmt.Sprintf("selection %d (%d rows)", k, len(sel)), want, sel, chunkRows, ints, fc.Int64s(), strs, bools)
+		SetScanWorkers(4)
+		got := gatherAll(cs, ic, nc, fc, sc, bc, dirty, oldNarrow, oldStr)
+		if !reflect.DeepEqual(got, want) {
+			for i := 0; i < reflect.TypeOf(got).NumField(); i++ {
+				if g, w := reflect.ValueOf(got).Field(i).Interface(), reflect.ValueOf(want).Field(i).Interface(); !reflect.DeepEqual(g, w) {
+					t.Fatalf("selection %d (%d rows): %s at 4 workers differs from 1", k, len(sel), reflect.TypeOf(got).Field(i).Name)
 				}
 			}
+		}
+	}
+}
+
+// checkGatherRows holds the gathers' reads of a selection's words to
+// its rows sel read one at a time: each chunk's int and float keys in
+// row order (NaN's dropped; fords are the float column's ordinals) and their bounds, the median and extremes,
+// the per-chunk string counts (and their splice, which recounts every
+// chunk old did not take from sel), the bool counts, the rows and the
+// chunk counts.
+func checkGatherRows(t *testing.T, name string, g gatherResult, sel Selection, chunkRows int, ints, fords []int64, strs []string, bools []bool) {
+	t.Helper()
+	nc := len(g.NonEmptyLen)
+	intKeys, floatKeys := make([][]uint64, nc), make([][]uint64, nc)
+	lens := make([]int, nc)
+	ilo, ihi, flo, fhi := uint64(math.MaxUint64), uint64(0), uint64(math.MaxUint64), uint64(0)
+	strChunks := make([][]int, nc)
+	dict := map[string]int{}
+	for code, v := range NewStringColumn("s", strs).dict {
+		dict[v] = code
+	}
+	trues := 0
+	for _, row := range sel {
+		c := int(row) / chunkRows
+		if lens[c] == 0 {
+			intKeys[c], floatKeys[c], strChunks[c] = []uint64{}, []uint64{}, make([]int, len(dict))
+		}
+		lens[c]++
+		k := stats.Int64Key(ints[row])
+		intKeys[c] = append(intKeys[c], k)
+		ilo, ihi = min(ilo, k), max(ihi, k)
+		if o := fords[row]; o != nanOrdinal {
+			k := stats.Int64Key(o)
+			floatKeys[c] = append(floatKeys[c], k)
+			flo, fhi = min(flo, k), max(fhi, k)
+		}
+		strChunks[c][dict[strs[row]]]++
+		trues += b2i(bools[row])
+	}
+	sorted := refSorted(ints, sel)
+	var median, imin, imax int64
+	if len(sel) > 0 {
+		median, imin, imax = sorted[len(sorted)/2], sorted[0], sorted[len(sorted)-1]
+	}
+	bools2 := []stats.ValueCount{}
+	if n := len(sel) - trues; n > 0 {
+		bools2 = append(bools2, stats.ValueCount{Value: "false", Count: n})
+	}
+	if trues > 0 {
+		bools2 = append(bools2, stats.ValueCount{Value: "true", Count: trues})
+	}
+	for _, c := range []struct {
+		field     string
+		got, want any
+	}{
+		{"IntKeys", g.IntKeys, intKeys},
+		{"IntBounds", [2]uint64{g.IntLo, g.IntHi}, [2]uint64{ilo, ihi}},
+		{"FloatKeys", g.FloatKeys, floatKeys},
+		{"FloatBounds", [2]uint64{g.FloatLo, g.FloatHi}, [2]uint64{flo, fhi}},
+		{"IntMedian", g.IntMedian, median},
+		{"IntMinMax", [2]int64{g.IntMin, g.IntMax}, [2]int64{imin, imax}},
+		{"StrChunks", g.StrChunks, strChunks},
+		{"StrSplice", g.StrSplice, strChunks},
+		{"BoolCounts", g.BoolCounts, fmt.Sprint(bools2)},
+		{"Rows", g.Rows, sel},
+		{"NonEmptyLen", g.NonEmptyLen, lens},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) && !(len(sel) == 0 && c.field == "Rows" && len(g.Rows) == 0) {
+			t.Fatalf("%s: %s read from words differs from the rows read one by one", name, c.field)
 		}
 	}
 }
@@ -173,43 +241,40 @@ func TestGatherSourceMatchesRows(t *testing.T) {
 // over a wide column, by narrow count (narrow/) over a column of
 // 1 150 values, tonnage-like, counted straight from the column into its
 // zone map's window, and over the wide column's rank codes (rank/) on
-// a warmed table: all rows, taken whole from the stored counts; words
-// at density 1/2 and row ids at 1/64, whose codes are counted. The
+// a warmed table: all rows, taken whole from the stored counts, and
+// the parents at density 1/2 and 1/64, whose codes are counted. The
 // counts/ cases time the value counts of a five-value string column
-// over the words parents, counting each row's code, and over the
-// column's code planes (planes/counts/), by popcount.
+// over the parents, counting each row's code, and over the column's
+// code planes (planes/counts/), by popcount.
 func BenchmarkGatherSource(b *testing.B) {
 	defer SetScanWorkers(0)
 	SetScanWorkers(1)
 	tab, narrow := narrowColumn(1<<18, 1<<16, 50, 1150, rand.New(rand.NewSource(1)))
 	sum := tab.SummaryByName("v")
-	rankForms := map[int]string{1: "words", 2: "words", 64: "rows"}
 	for _, den := range sourceBenchDensities {
-		col, cs, bm := sourceBenchParent(den)
-		for _, src := range []*ChunkedSelection{cs, bm} {
-			if rankForms[den] == sourceForm(src) {
-				_, wide := warmedColumn(col, 1<<16)
-				name := fmt.Sprintf("rank/density=1/%d/%s", den, sourceForm(src))
-				if den == 1 {
-					name = "rank/all"
-				}
-				b.Run(name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						IntCutChunked(col, src, wide, 2, false)
-					}
-				})
+		col, bm := sourceBenchParent(den)
+		if den != 8 {
+			_, wide := warmedColumn(col, 1<<16)
+			name := fmt.Sprintf("rank/density=1/%d/words", den)
+			if den == 1 {
+				name = "rank/all"
 			}
-			b.Run(fmt.Sprintf("density=1/%d/%s", den, sourceForm(src)), func(b *testing.B) {
+			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					IntCutChunked(col, src, nil, 2, false)
-				}
-			})
-			b.Run(fmt.Sprintf("narrow/density=1/%d/%s", den, sourceForm(src)), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					IntCutChunked(narrow, src, sum, 2, false)
+					IntCutChunked(col, bm, wide, 2, false)
 				}
 			})
 		}
+		b.Run(fmt.Sprintf("density=1/%d/words", den), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				IntCutChunked(col, bm, nil, 2, false)
+			}
+		})
+		b.Run(fmt.Sprintf("narrow/density=1/%d/words", den), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				IntCutChunked(narrow, bm, sum, 2, false)
+			}
+		})
 		tab := planeBenchTable(col)
 		kind, ksum := tab.MustColumn("kind").(*StringColumn), tab.SummaryByName("kind")
 		for _, s := range []*ChunkSummary{nil, ksum} {
@@ -244,7 +309,7 @@ func narrowColumn(nRows, chunkRows int, lo, span int64, rng *rand.Rand) (*Table,
 // TestNarrowCountsMatchGather holds IntCutChunked's count path — each
 // chunk's selected rows counted straight from the column into the zone
 // map's window — to its gather path (no zone map), cut and retained
-// counts alike: over every container form, at scan workers 1 and 4,
+// counts alike: at scan workers 1 and 4,
 // for windows equal to the exact span, wider than it (the selection
 // misses the extremes), of 2 048 cells (a span of 2 047: counted) and
 // of 2 049 (too wide: gathered). A zone map whose window misses a selected value
@@ -282,14 +347,13 @@ func TestNarrowCountsMatchGather(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			SetScanWorkers(workers)
 			for k, sel := range sels {
-				for form, src := range formsOf(ChunkSelection(sel, nRows, chunkRows), rng) {
-					for _, retain := range []bool{false, true} {
-						where := fmt.Sprintf("%s, workers %d, selection %d (%d rows, %s), retain %v", tc.name, workers, k, len(sel), form, retain)
-						cut, counts := IntCutChunked(col, src, sum, 3, retain)
-						wantCut, wantCounts := IntCutChunked(col, src, nil, 3, retain)
-						if !reflect.DeepEqual(cut, wantCut) || !reflect.DeepEqual(counts, wantCounts) {
-							t.Fatalf("%s: counted cut %+v (counts %v), gathered %+v (counts %v)", where, cut, counts != nil, wantCut, wantCounts != nil)
-						}
+				src := ChunkSelection(sel, nRows, chunkRows)
+				for _, retain := range []bool{false, true} {
+					where := fmt.Sprintf("%s, workers %d, selection %d (%d rows), retain %v", tc.name, workers, k, len(sel), retain)
+					cut, counts := IntCutChunked(col, src, sum, 3, retain)
+					wantCut, wantCounts := IntCutChunked(col, src, nil, 3, retain)
+					if !reflect.DeepEqual(cut, wantCut) || !reflect.DeepEqual(counts, wantCounts) {
+						t.Fatalf("%s: counted cut %+v (counts %v), gathered %+v (counts %v)", where, cut, counts != nil, wantCut, wantCounts != nil)
 					}
 				}
 			}

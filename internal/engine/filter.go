@@ -54,12 +54,11 @@ func (r FloatRange) ordinals() IntRange {
 	return o
 }
 
-// The scan kernels below narrow one row-id chunk by one typed
-// predicate. Each is the single row loop of its predicate:
-// FilterChunked and PartitionChunked, for a chunk where one piece
-// alone scans, both run it, so they cannot drift apart. The
-// partition kernels (partition.go) are the same tests over several
-// pieces at once.
+// The scan kernels below narrow the row ids of one chunk, decoded from
+// its words into scratch, by one typed predicate. Each is the single
+// row loop of its predicate, run by the partition pass (partition.go)
+// for a piece without a word kernel in the chunk; the word kernels
+// there are the same tests over a word's rows.
 //
 // A kernel reads the column's backing slice directly — Int64s, Codes,
 // Bools — and writes every row of seg into buf unconditionally,
@@ -161,8 +160,8 @@ func scanIntRange(vals []int64, lo int64, span uint64, seg, buf Selection) int {
 }
 
 // scanNaNRange is scanIntRange that keeps NaN's ordinal too: the row
-// kernel of a float range, and its NaN-aware step in a words chunk that
-// may hold NaN and has no code planes (rowTest.wordTest).
+// kernel of a float range, and its NaN-aware step in a chunk that may
+// hold NaN and has no code planes (rowTest.wordTest).
 func scanNaNRange(vals []int64, lo int64, span uint64, seg, buf Selection) int {
 	n := 0
 	for _, row := range seg {

@@ -39,27 +39,18 @@ func sameRows(a, b Selection) bool {
 type rowsFilter func(cs *ChunkedSelection, sum *ChunkSummary) *ChunkedSelection
 
 // checkKernel holds one predicate's filter to the naive reference over
-// cs, with every chunk of the parent as row ids and as words, with the
-// column's zone map (verdicts engaged) and without it (every chunk
-// scanned). It also pins the output shapes: every chunk is in its
-// smaller form, and every row-id segment is exact-length.
+// cs, with the column's zone map (verdicts engaged) and without it
+// (every chunk scanned). It also pins the output shape: every chunk is
+// in the one form.
 func checkKernel(t testing.TB, name string, cs *ChunkedSelection, sum *ChunkSummary, rows rowsFilter, keep func(row int32) bool) {
 	t.Helper()
 	want := naiveFilter(cs.Flat(), keep)
-	for _, words := range []bool{false, true} {
-		parent := withForms(cs, func(int) bool { return words })
-		for _, s := range []*ChunkSummary{sum, nil} {
-			got := rows(parent, s)
-			if !sameRows(got.Flat(), want) || got.Len() != len(want) {
-				t.Fatalf("%s (words %v, zone map %v): rows %v, want %v", name, words, s != nil, got.Flat(), want)
-			}
-			checkRule(t, name, got)
-			for c := 0; c < got.NumChunks(); c++ {
-				if seg := got.Seg(c); cap(seg) != len(seg) {
-					t.Fatalf("%s: chunk %d holds %d rows in a %d-row array", name, c, len(seg), cap(seg))
-				}
-			}
+	for _, s := range []*ChunkSummary{sum, nil} {
+		got := rows(cs, s)
+		if !sameRows(got.Flat(), want) || got.Len() != len(want) {
+			t.Fatalf("%s (zone map %v): rows %v, want %v", name, s != nil, got.Flat(), want)
 		}
+		checkWords(t, name, got)
 	}
 }
 
@@ -402,21 +393,19 @@ func FuzzFilterKernels(f *testing.F) {
 
 		// Rank mode: warmed, a wide int or float column's cut reads its
 		// rank codes — with the fallback share off, for every extent —
-		// and must equal the gather over no summary, in every chunk form.
+		// and must equal the gather over no summary.
 		tab.WarmSummaries()
 		defer func(m float64) { rankShareMax = m }(rankShareMax)
 		rankShareMax = 1
 		arity := 2 + int(incl>>4)%4
 		for _, name := range []string{"i", "f"} {
 			col, sum := tab.MustColumn(name).(Numeric), tab.SummaryByName(name)
-			for form, src := range formsOf(cs, rng) {
-				for _, retain := range []bool{false, true} {
-					cut, counts := IntCutChunked(col, src, sum, arity, retain)
-					want, wantCounts := IntCutChunked(col, src, nil, arity, retain)
-					if !reflect.DeepEqual(cut, want) || !reflect.DeepEqual(counts, wantCounts) {
-						t.Fatalf("column %s (rank codes %v), %s, arity %d, retain %v: cut %+v, gathered %+v",
-							name, sum.rank != nil, form, arity, retain, cut, want)
-					}
+			for _, retain := range []bool{false, true} {
+				cut, counts := IntCutChunked(col, cs, sum, arity, retain)
+				want, wantCounts := IntCutChunked(col, cs, nil, arity, retain)
+				if !reflect.DeepEqual(cut, want) || !reflect.DeepEqual(counts, wantCounts) {
+					t.Fatalf("column %s (rank codes %v), arity %d, retain %v: cut %+v, gathered %+v",
+						name, sum.rank != nil, arity, retain, cut, want)
 				}
 			}
 		}
@@ -471,43 +460,38 @@ func metricCounts(m *Metrics) [5]int64 {
 }
 
 // checkPartition holds PartitionChunked over pieces — promised to
-// partition cs when cover is set — to one filter per piece, with the
-// zone map and without it, at scan workers 1 and 4,
-// and with the parent in four chunk forms: as the storage rule built
-// it, every chunk as row ids, every chunk as words, and each chunk's
-// form drawn from rng — the same rows every time. Every child equals
-// its piece's filter of the row-id parent chunk for chunk, every child
-// chunk is in its smaller form, and the metrics hook counts exactly
-// what the per-piece filters count.
-func checkPartition(t testing.TB, cs *ChunkedSelection, sum *ChunkSummary, pieces []partPiece, cover bool, rng *rand.Rand) {
+// partition cs when cover is set — to one filter per piece and to each
+// piece's row kernel run over cs's rows, with the zone map and without
+// it, at scan workers 1 and 4. Every child equals both chunk for chunk,
+// every child chunk is in the one form, and the metrics hook counts
+// exactly what the per-piece filters count.
+func checkPartition(t testing.TB, cs *ChunkedSelection, sum *ChunkSummary, pieces []partPiece, cover bool) {
 	t.Helper()
 	defer SetScanWorkers(0)
 	defer SetMetrics(nil)
-	checkRule(t, "parent", cs)
-	rows := withForms(cs, func(int) bool { return false })
-	parents := []struct {
-		form string
-		cs   *ChunkedSelection
-	}{
-		{"rule", cs},
-		{"rows", rows},
-		{"words", withForms(cs, func(int) bool { return true })},
-		{"mixed", withForms(cs, func(int) bool { return rng.Intn(2) == 0 })},
-	}
+	checkWords(t, "parent", cs)
 	for _, workers := range []int{1, 4} {
 		SetScanWorkers(workers)
-		for _, parent := range parents {
-			for _, s := range []*ChunkSummary{sum, nil} {
-				where := fmt.Sprintf("workers %d, zone map %v, %s parent", workers, s != nil, parent.form)
-				checkPartitionOf(t, rows, parent.cs, s, pieces, cover, where)
-			}
+		for _, s := range []*ChunkSummary{sum, nil} {
+			where := fmt.Sprintf("workers %d, zone map %v", workers, s != nil)
+			checkPartitionOf(t, cs, s, pieces, cover, where)
 		}
 	}
 }
 
-// checkPartitionOf is one checkPartition pass: parent is rows in some
-// chunk forms, and the children are held to the filters of rows.
-func checkPartitionOf(t testing.TB, rows, parent *ChunkedSelection, s *ChunkSummary, pieces []partPiece, cover bool, where string) {
+// rowFilter runs p's row kernel over every row of cs: the reference the
+// verdicts and word kernels are held to.
+func rowFilter(cs *ChunkedSelection, p Pred) *ChunkedSelection {
+	if p.none {
+		return emptyLike(cs).seal()
+	}
+	rows := cs.Flat()
+	out := make(Selection, len(rows))
+	return ChunkSelection(out[:p.scan(rows, out)], cs.nRows, cs.chunkRows)
+}
+
+// checkPartitionOf is one checkPartition pass over parent.
+func checkPartitionOf(t testing.TB, parent *ChunkedSelection, s *ChunkSummary, pieces []partPiece, cover bool, where string) {
 	t.Helper()
 	preds := make([]Pred, len(pieces))
 	for i, p := range pieces {
@@ -520,25 +504,26 @@ func checkPartitionOf(t testing.TB, rows, parent *ChunkedSelection, s *ChunkSumm
 	m = countingMetrics()
 	SetMetrics(m)
 	for i, p := range pieces {
-		checkChild(t, p.name+" ("+where+")", children[i], p.filter(rows, s))
+		want := rowFilter(parent, preds[i])
+		checkChild(t, p.name+" ("+where+")", children[i], want)
+		checkChild(t, p.name+" filter ("+where+")", p.filter(parent, s), want)
 	}
 	if want := metricCounts(m); got != want {
 		t.Fatalf("%s: partition counted skip/take/scan/vector/fused %v, per-piece filters %v", where, got, want)
 	}
 }
 
-// checkChild holds one partition child to its piece's filter, chunk
-// for chunk, every chunk in its smaller form with exact-length
-// segments.
+// checkChild holds one partition child to its reference, chunk for
+// chunk, every chunk in the one form.
 func checkChild(t testing.TB, name string, child, want *ChunkedSelection) {
 	t.Helper()
 	if child.NumRows() != want.NumRows() || child.NumChunks() != want.NumChunks() || child.Len() != want.Len() {
-		t.Fatalf("%s: child holds %d rows in %d chunks, filter %d in %d", name, child.Len(), child.NumChunks(), want.Len(), want.NumChunks())
+		t.Fatalf("%s: child holds %d rows in %d chunks, reference %d in %d", name, child.Len(), child.NumChunks(), want.Len(), want.NumChunks())
 	}
-	checkRule(t, name, child)
+	checkWords(t, name, child)
 	for c := 0; c < want.NumChunks(); c++ {
-		if g := child.Seg(c); !sameRows(g, want.Seg(c)) || cap(g) != len(g) {
-			t.Fatalf("%s: chunk %d holds %v (cap %d), filter %v", name, c, g, cap(g), want.Seg(c))
+		if g := segOf(child, c); !sameRows(g, segOf(want, c)) {
+			t.Fatalf("%s: chunk %d holds %v, reference %v", name, c, g, segOf(want, c))
 		}
 	}
 }
@@ -771,7 +756,7 @@ const (
 )
 
 // FuzzPartitionKernels holds the partition driver to one filter per
-// piece (checkPartition). raw supplies one 64-bit word per row; shape
+// piece and to each piece's row kernel (checkPartition). raw supplies one 64-bit word per row; shape
 // picks the column — int or date ranges, float ranges, int or float
 // sets (the nominal fallback), string sets or ranges, bool sets — and
 // whether its values are sorted (so the verdicts take and skip whole
@@ -785,10 +770,10 @@ const (
 // 5), sparse (1 in 16) or empty, so a packed parent's words reach both
 // the word kernels and the set-bit loops; a table whose row count is
 // not a multiple of 64 ends in a partial word. Bits 32–33 of seed, when
-// not zero, put every chunk of lenC rows at the storage rule's
-// boundary instead: it holds 2·⌈lenC/64⌉ − 1, exactly 2·⌈lenC/64⌉ or
-// 2·⌈lenC/64⌉ + 1 rows (a run under partRuns), so a partial last chunk
-// must be judged by its own length, not chunkRows'. With partCover the
+// not zero, make every chunk of lenC rows sparse instead: it holds
+// 2·⌈lenC/64⌉ − 1, exactly 2·⌈lenC/64⌉ or 2·⌈lenC/64⌉ + 1 rows (a run
+// under partRuns), about two rows a word, the partial last chunk by its
+// own length, not chunkRows'. With partCover the
 // pieces partition the parent instead (coverPieces) and the pass is
 // promised so: every child must still equal its filter, whether the
 // pass derived it (ranges and code sets; float ranges only in NaN-free
@@ -799,9 +784,7 @@ const (
 // past the small domain), so numeric pieces run the plane kernels over
 // rank codes — exact over a small domain, equi-depth otherwise — and
 // string pieces over code planes of a 2–16 value dictionary, each
-// child held to the value kernels of the row-id parent. checkPartition
-// cuts every parent as the rule stores it, as row ids, as words and in
-// a mix of both.
+// child held to the row kernels over the parent's rows.
 func FuzzPartitionKernels(f *testing.F) {
 	word := func(ws ...uint64) []byte {
 		var b []byte
@@ -865,9 +848,9 @@ func FuzzPartitionKernels(f *testing.F) {
 	f.Add(tail, uint64(7), uint16(2|partWords))
 	f.Add(tail, uint64(24), uint16(2|partWords|partSmall))
 	f.Add(tail, uint64(30<<8|6), uint16(5|partWords|partRuns))
-	// Parents at the storage rule's boundary, one row under, at and
+	// Sparse parents of about two rows a word, one row under, at and
 	// over it: 64-row chunks (2 rows), and 256-row chunks (8 rows) over
-	// a 300-row table whose 44-row last chunk has a boundary of 2.
+	// a 300-row table whose 44-row last chunk holds 1 to 3.
 	edge := word(append(long, long[:70]...)...)
 	for bnd := uint64(1); bnd <= 3; bnd++ {
 		f.Add(mixed, bnd<<32|6, uint16(0|partBig))
@@ -878,7 +861,7 @@ func FuzzPartitionKernels(f *testing.F) {
 	// Covering pieces under the promise: every kind, binary and
 	// ternary, with NaN and ±0 (small), sorted so that NaN clusters in
 	// the last chunks and the rest are NaN-free, drawn word by word, in
-	// runs, and at the storage rule's boundary.
+	// runs, and sparse.
 	for kind := uint16(0); kind < 8; kind++ {
 		f.Add(mixed, uint64(6+kind), kind|partCover|partSmall|partBig)
 		f.Add(mixed, uint64(7+kind), kind|partCover|partSmall|partSorted|partBig)
@@ -1141,7 +1124,7 @@ func FuzzPartitionKernels(f *testing.F) {
 			kind := shape & 7
 			pieces = coverPieces(col, sel, kind == 3 || kind == 4, rng, 2+arity%2)
 		}
-		checkPartition(t, ChunkSelection(sel, nRows, layout), tab.SummaryByName("v"), pieces, cover, rng)
+		checkPartition(t, ChunkSelection(sel, nRows, layout), tab.SummaryByName("v"), pieces, cover)
 	})
 }
 

@@ -9,7 +9,7 @@ import (
 // Metrics is the engine's instrumentation hook: counters for the
 // zone-map verdicts the chunked filter drivers hand down and for
 // the filters run. A partition pass (PartitionChunked: a cut's children in one
-// pass) counts as one row-id filter per piece — a VectorKernels per
+// pass) counts as one filter per piece — a VectorKernels per
 // piece that can match and one verdict per such piece per non-empty
 // chunk — so the counts do not depend on whether children were
 // evaluated together. Fields are

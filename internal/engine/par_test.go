@@ -36,23 +36,21 @@ func TestParallelFiltersMatchSequential(t *testing.T) {
 	ic, fc, sc, all := parTable(t)
 	// 16 chunks, so the chunked drivers fan out at width 4.
 	cs := AllRowsChunked(len(all), 1<<12)
-	var seqInt, parInt, seqFloat, parFloat, seqStr, parStr, seqBits, parBits Selection
+	var seqInt, parInt, seqFloat, parFloat, seqStr, parStr Selection
 	r := IntRange{Lo: 100, Hi: 700, LoIncl: true, HiIncl: false}
 	fr := FloatRange{Lo: 50, Hi: 200, LoIncl: true, HiIncl: true}
 	want := []string{"v3", "v7", "v11"}
-	run := func() (ints, floats, strs, bits Selection) {
+	run := func() (ints, floats, strs Selection) {
 		return FilterIntRangeChunked(ic, cs, r, nil).Flat(),
 			FilterFloatRangeChunked(fc, cs, fr, nil).Flat(),
-			FilterStringSetChunked(sc, cs, want, nil).Flat(),
-			FilterIntRangeChunked(ic, withForms(cs, func(int) bool { return false }), r, nil).Flat()
+			FilterStringSetChunked(sc, cs, want, nil).Flat()
 	}
-	withScanWorkers(t, 1, func() { seqInt, seqFloat, seqStr, seqBits = run() })
-	withScanWorkers(t, 4, func() { parInt, parFloat, parStr, parBits = run() })
+	withScanWorkers(t, 1, func() { seqInt, seqFloat, seqStr = run() })
+	withScanWorkers(t, 4, func() { parInt, parFloat, parStr = run() })
 	for name, pair := range map[string][2]Selection{
 		"int":    {seqInt, parInt},
 		"float":  {seqFloat, parFloat},
 		"string": {seqStr, parStr},
-		"rows":   {seqBits, parBits},
 	} {
 		seq, par := pair[0], pair[1]
 		if len(seq) == 0 {

@@ -11,12 +11,10 @@ import (
 // scratch round trip per piece. The partition driver makes one pass.
 // Per chunk it runs every piece's zone verdict, hands a piece the
 // parent's chunk as it is when its verdict takes it and nothing when it
-// skips, and scans the pieces left in the parent chunk's own form: a
-// row-id chunk through each piece's row kernel into one scratch buffer,
-// a words chunk through each piece's word kernel (packPiece), which
-// builds the child words word by word and never the chunk's row ids.
-// Each child chunk is stored by the one chunk setter, which picks its
-// form from its count.
+// skips, and scans the pieces left over the parent chunk's words: a
+// piece with a word kernel (packPiece) builds its child words word by
+// word and never the chunk's row ids; any other runs its row kernel
+// over the chunk's rows, decoded into scratch once.
 //
 // The cover rule. Without a promise every piece keeps its own test, so
 // child i is exactly FilterChunked(parent, preds[i]), NaN rows
@@ -27,9 +25,8 @@ import (
 // extent's exact [min, max] with adjacent half-open ranges, and
 // nominal pieces split the list of every value the extent holds. Under
 // the promise, in each chunk where it holds, the last scanned piece is
-// derived instead of tested: parent &^ others per word, or the
-// parent's row ids minus the others' by one merge that loads no value;
-// a lone scanned piece is the parent chunk, and a piece whose verdict
+// derived instead of tested: parent &^ others per word, which loads
+// no value; a lone scanned piece is the parent chunk, and a piece whose verdict
 // takes the chunk settles it for every other piece. The promise holds
 // in a chunk when every piece's test covers it (rowTest.covers): an
 // int/date range or a code set anywhere, a float range only over a
@@ -89,7 +86,7 @@ func (t *rowTest) covers(c int) bool {
 }
 
 // wordTest reports whether the test runs as a word kernel over chunk c
-// of a words parent of nw words: with the chunk's planes always, which
+// of a parent of nw words: with the chunk's planes always, which
 // test NaN's code; without them where covers holds — in a chunk that
 // may hold NaN a float range runs its row kernel, which tests NaN's
 // ordinal.
@@ -103,8 +100,7 @@ const partInline = 8
 
 // PartitionChunked narrows src by each of preds — predicates over one
 // column — in one pass, returning child i equal to FilterChunked(src,
-// preds[i]), each chunk in the form its count picks (denseEnough). A
-// chunk every row of which a piece keeps is the parent's container,
+// preds[i]). A chunk every row of which a piece keeps is the parent's container,
 // shared. cover is the caller's promise that preds partition src (the
 // cover rule above); with it the pass derives a piece in every chunk
 // where the rule holds, and without it tests every piece. The metrics
@@ -209,72 +205,9 @@ func (p *partition) chunk(c int) {
 	case len(scan) == 0 || derive && took:
 	case derive && len(scan) == 1:
 		p.out[scan[0]].take(c, ct)
-	case ct.words != nil:
-		p.words(ct, c, scan, derive)
 	default:
-		p.rows(ct, c, scan, derive)
+		p.scanPieces(ct, c, scan, derive)
 	}
-}
-
-// rows scans a row-id parent chunk: every piece in scan runs its row
-// kernel into one scratch buffer — but the last, when derive is set,
-// which keeps the parent's rows no other piece kept — and each piece's
-// matches are stored, the parent's container where every row matched.
-func (p *partition) rows(ct container, c int, scan []int, derive bool) {
-	seg, n := ct.rows, ct.n
-	buf := int32Scratch.Get(len(scan) * n)
-	var outArr [partInline]Selection
-	var nsArr [partInline]int
-	outs, ns := outArr[:0], nsArr[:0]
-	for j := range scan {
-		outs = append(outs, (*buf)[j*n:(j+1)*n:(j+1)*n])
-		ns = append(ns, 0)
-	}
-	tested := len(scan) - b2i(derive)
-	for j, i := range scan[:tested] {
-		ns[j] = p.preds[i].scan(seg, outs[j])
-	}
-	if derive {
-		rest := seg
-		for j := range tested {
-			rest = outs[tested][:exceptRows(rest, outs[j][:ns[j]], outs[tested])]
-		}
-		ns[tested] = len(rest)
-	}
-	for j, i := range scan {
-		if ns[j] == n {
-			p.out[i].take(c, ct)
-		} else {
-			p.out[i].set(c, outs[j][:ns[j]], nil, ns[j], false)
-		}
-	}
-	int32Scratch.Put(buf)
-}
-
-// exceptRows writes the rows of seg that are not in other — a sorted
-// subset of seg — to out and returns their count: one merge that loads
-// no value. out may be seg itself. The merge holds other's next two
-// rows and loads the one after them a row ahead, so no load sits on
-// the loop's chain of compare and select. An index past other's end
-// reads its last row, which a strictly ascending seg never meets again.
-func exceptRows(seg, other, out Selection) int {
-	if len(other) == 0 {
-		return copy(out, seg)
-	}
-	last := len(other) - 1
-	next, after := other[0], other[min(1, last)]
-	n, j := 0, 0
-	for _, row := range seg {
-		ahead := other[min(j+2, last)]
-		out[n] = row
-		hit := b2i(row == next)
-		n += 1 - hit
-		j += hit
-		if hit != 0 {
-			next, after = after, ahead
-		}
-	}
-	return n
 }
 
 // denseWordBits is the popcount from which a scanned piece tests a
@@ -285,15 +218,15 @@ func exceptRows(seg, other, out Selection) int {
 // both; BenchmarkPartitionSource measures the crossover.
 const denseWordBits = 32
 
-// words scans a chunk the parent holds as words: a piece whose row
-// test runs as a word kernel in the chunk (rowTest.wordTest) builds its
-// child words from the parent's word by word (packPiece) into one
-// scratch buffer, which the chunk setter copies or decodes; when
-// derive is set the last piece's words are the parent's less the
-// others' (every piece then runs as a word kernel). Any other piece
-// runs its row kernel over the chunk's rows, decoded into scratch once
-// for all of them.
-func (p *partition) words(ct container, c int, scan []int, derive bool) {
+// scanPieces scans the pieces left in parent chunk c: a piece whose
+// row test runs as a word kernel in the chunk (rowTest.wordTest) builds
+// its child words from the parent's word by word (packPiece) into one
+// scratch buffer, which the chunk setter copies; when derive is set the
+// last piece's words are the parent's less the others' (every piece
+// then runs as a word kernel). Any other piece runs its row kernel over
+// the chunk's rows, decoded into scratch once for all of them, and its
+// matches are packed back into words.
+func (p *partition) scanPieces(ct container, c int, scan []int, derive bool) {
 	pw, n := ct.words, ct.n
 	base := p.src.chunkRows * c
 	// The words a scanned piece may test 64 at a time: those whose 64
@@ -341,7 +274,7 @@ func (p *partition) words(ct container, c int, scan []int, derive bool) {
 			if ns[j] == n {
 				p.out[i].take(c, ct)
 			} else {
-				p.out[i].set(c, nil, outs[j], ns[j], false)
+				p.out[i].set(c, outs[j], ns[j])
 			}
 		}
 		uint64Scratch.Put(buf)
@@ -356,7 +289,7 @@ func (p *partition) words(ct container, c int, scan []int, derive bool) {
 			if k == n {
 				p.out[i].take(c, ct)
 			} else {
-				p.out[i].set(c, out[:k], nil, k, false)
+				p.out[i].setRows(c, out[:k])
 			}
 		}
 		int32Scratch.Put(buf)
@@ -364,8 +297,8 @@ func (p *partition) words(ct container, c int, scan []int, derive bool) {
 }
 
 // packPiece builds the child words of one piece whose row test runs as
-// a word kernel from a words parent chunk c's words pw into out, and
-// returns their count. With the chunk's code planes the plane kernel
+// a word kernel from parent chunk c's words pw into out, and returns
+// their count. With the chunk's code planes the plane kernel
 // (planes.go) tests every nonzero parent word whole. Without, each
 // parent word picks its value kernel by density (isDense): a dense word
 // is tested whole, eight rows per step, and masked by the parent word;

@@ -24,9 +24,9 @@ import (
 //     dictionary that outgrows 2^P values rebuilds them, and one past
 //     maxPlaneDict values drops them.
 //
-// The plane kernels serve a words chunk of a parent (partition.go, the
-// string value counts); a row-id chunk, and any column without planes,
-// keeps the value kernels.
+// The plane kernels serve every chunk of a parent (partition.go, the
+// string value counts); a column without planes keeps the value
+// kernels.
 
 // maxPlaneDict is the largest dictionary whose codes get planes: four
 // planes a word.

@@ -363,7 +363,7 @@ func rankKeys(col Numeric, src *ChunkedSelection, sum *ChunkSummary, arity int) 
 	keys, lo, hi, release = gatherKeyShards(src, func(ks []uint64, c int) (int, uint64, uint64) {
 		for k, w := range want {
 			if w && hists[c][k] > 0 {
-				return gatherCoded(ks, vals, rc.codes[c], &want, match, &src.chunks[c], src.chunkRows*c)
+				return gatherCoded(ks, vals, rc.codes[c], match, src.chunks[c].words, src.chunkRows*c)
 			}
 		}
 		return 0, math.MaxUint64, 0 // no wanted row in the chunk
@@ -414,29 +414,21 @@ func rankHists(src *ChunkedSelection, rc *rankCodes) []*[rankCells]uint32 {
 	if own != nil {
 		forEachSeg(src, func(c int) {
 			if hists[c] == &own[c] {
-				countCodesRank(hists[c], rc.codes[c], &src.chunks[c], src.chunkRows*c)
+				countCodesRank(hists[c], rc.codes[c], src.chunks[c].words)
 			}
 		})
 	}
 	return hists
 }
 
-// countCodesRank adds one to h[k] for the code k of every row ct
-// selects, its first table row base, codes being its chunk's. Rows
-// alternate between h and a second set of counters folded in at the
-// end: the increments then do not wait on each other's stores, which
-// measured more than twice as fast.
-func countCodesRank(h *[rankCells]uint32, codes []uint8, ct *container, base int) {
+// countCodesRank adds one to h[k] for the code k of every row the
+// words of a chunk select, codes being the chunk's. Rows alternate
+// between h and a second set of counters folded in at the end: the
+// increments then do not wait on each other's stores, which measured
+// more than twice as fast.
+func countCodesRank(h *[rankCells]uint32, codes []uint8, words []uint64) {
 	var h2 [rankCells]uint32
-	rows := ct.rows
-	for ; len(rows) >= 2; rows = rows[2:] {
-		h[codes[int(rows[0])-base]]++
-		h2[codes[int(rows[1])-base]]++
-	}
-	for _, row := range rows {
-		h[codes[int(row)-base]]++
-	}
-	for wi, w := range ct.words {
+	for wi, w := range words {
 		at := wi << 6
 		if w == ^uint64(0) {
 			for i := at; i < at+64; i += 2 {
@@ -459,19 +451,13 @@ func countCodesRank(h *[rankCells]uint32, codes []uint8, ct *container, base int
 	}
 }
 
-// gatherCoded stores the key of every row ct selects (its first table
-// row base) whose code is wanted into ks, returning how many and their
-// smallest and largest key. A row-id chunk looks each row's code up;
-// a words chunk tests a word's 64 codes eight per load (codeMatch) and
-// visits only the selected rows that match.
-func gatherCoded(ks []uint64, vals []int64, codes []uint8, want *[rankCells]bool, match codeMatch, ct *container, base int) (m int, lo, hi uint64) {
+// gatherCoded stores the key of every row the words of a chunk select
+// (its first table row base) whose code match wants into ks, returning
+// how many and their smallest and largest key. It tests a word's 64
+// codes eight per load and visits only the selected rows that match.
+func gatherCoded(ks []uint64, vals []int64, codes []uint8, match codeMatch, words []uint64, base int) (m int, lo, hi uint64) {
 	lo = math.MaxUint64
-	for _, row := range ct.rows {
-		if want[codes[int(row)-base]] {
-			m, lo, hi = putIntKey(ks, m, vals[row], lo, hi)
-		}
-	}
-	for wi, w := range ct.words {
+	for wi, w := range words {
 		if w == 0 {
 			continue
 		}

@@ -123,25 +123,24 @@ func takenChunks(nRows, chunkRows int, rng *rand.Rand) Selection {
 }
 
 // checkRankCut holds IntCutChunked over sum, whose rank codes the cut
-// reads, to the gather over no summary, for every form of every
-// selection at arity 2–5, retained or not, and returns how many of the
-// extents (per arity and form) the rank path served.
-func checkRankCut(t *testing.T, name string, col Numeric, sum *ChunkSummary, sels []Selection, nRows, chunkRows int, rng *rand.Rand) (ranked int) {
+// reads, to the gather over no summary, for every selection at arity
+// 2–5, retained or not, and returns how many of the extents (per
+// arity) the rank path served.
+func checkRankCut(t *testing.T, name string, col Numeric, sum *ChunkSummary, sels []Selection, nRows, chunkRows int) (ranked int) {
 	t.Helper()
 	for k, sel := range sels {
-		for form, src := range formsOf(ChunkSelection(sel, nRows, chunkRows), rng) {
-			for arity := 2; arity <= 5; arity++ {
-				if _, _, _, _, put, ok := rankKeys(col, src, sum, arity); ok {
-					put()
-					ranked++
-				}
-				for _, retain := range []bool{false, true} {
-					cut, counts := IntCutChunked(col, src, sum, arity, retain)
-					want, wantCounts := IntCutChunked(col, src, nil, arity, retain)
-					if !reflect.DeepEqual(cut, want) || !reflect.DeepEqual(counts, wantCounts) {
-						t.Fatalf("%s, workers %d, selection %d (%d rows, %s), arity %d, retain %v: rank-coded cut %+v (counts %v), gathered %+v (counts %v)",
-							name, ScanWorkers(), k, len(sel), form, arity, retain, cut, counts != nil, want, wantCounts != nil)
-					}
+		src := ChunkSelection(sel, nRows, chunkRows)
+		for arity := 2; arity <= 5; arity++ {
+			if _, _, _, _, put, ok := rankKeys(col, src, sum, arity); ok {
+				put()
+				ranked++
+			}
+			for _, retain := range []bool{false, true} {
+				cut, counts := IntCutChunked(col, src, sum, arity, retain)
+				want, wantCounts := IntCutChunked(col, src, nil, arity, retain)
+				if !reflect.DeepEqual(cut, want) || !reflect.DeepEqual(counts, wantCounts) {
+					t.Fatalf("%s, workers %d, selection %d (%d rows), arity %d, retain %v: rank-coded cut %+v (counts %v), gathered %+v (counts %v)",
+						name, ScanWorkers(), k, len(sel), arity, retain, cut, counts != nil, want, wantCounts != nil)
 				}
 			}
 		}
@@ -156,8 +155,8 @@ func checkRankCut(t *testing.T, name string, col Numeric, sum *ChunkSummary, sel
 // and by nineteen twentieths, over it), an all-equal column (coded
 // exactly: its one value is one code) and extents held inside one
 // code, IntCutChunked over the warmed summary equals the gather over
-// none: cut and retained counts, over row-id, words and mixed chunks,
-// chunks taken whole beside chunks counted, a partial last chunk and
+// none: cut and retained counts, over chunks taken whole beside chunks
+// counted, a partial last chunk and
 // word, at scan workers 1 and 4, arity 2–5. The last two run with the
 // fallback share off, so the rank path serves them too.
 func TestRankCutMatchesGather(t *testing.T) {
@@ -187,13 +186,13 @@ func TestRankCutMatchesGather(t *testing.T) {
 		name     string
 		col      Numeric
 		shareOff bool   // fallback share off: one code holds every row
-		ranked   [2]int // how many of the 208 extents the rank path serves
+		ranked   [2]int // how many of the 52 extents the rank path serves
 	}{
-		{"wide ints", NewIntColumn("v", ints), false, [2]int{150, 208}},
-		{"floats with NaN", NewFloatColumn("v", floats), false, [2]int{150, 208}},
-		{"duplicates, 2/5", NewIntColumn("v", dup40), false, [2]int{120, 208}},
-		{"duplicates, 19/20", NewIntColumn("v", dup95), false, [2]int{0, 40}},
-		{"all equal", NewIntColumn("v", equal), true, [2]int{208, 208}},
+		{"wide ints", NewIntColumn("v", ints), false, [2]int{38, 52}},
+		{"floats with NaN", NewFloatColumn("v", floats), false, [2]int{38, 52}},
+		{"duplicates, 2/5", NewIntColumn("v", dup40), false, [2]int{30, 52}},
+		{"duplicates, 19/20", NewIntColumn("v", dup95), false, [2]int{0, 10}},
+		{"all equal", NewIntColumn("v", equal), true, [2]int{52, 52}},
 	} {
 		_, sum := warmedColumn(tc.col, chunkRows)
 		if sum.rank == nil {
@@ -207,7 +206,7 @@ func TestRankCutMatchesGather(t *testing.T) {
 		sels = append(sels, takenChunks(nRows, chunkRows, rng))
 		for _, workers := range []int{1, 4} {
 			SetScanWorkers(workers)
-			ranked := checkRankCut(t, tc.name, tc.col, sum, sels, nRows, chunkRows, rng)
+			ranked := checkRankCut(t, tc.name, tc.col, sum, sels, nRows, chunkRows)
 			if ranked < tc.ranked[0] || ranked > tc.ranked[1] {
 				t.Fatalf("%s: the rank path served %d cuts, want %d to %d", tc.name, ranked, tc.ranked[0], tc.ranked[1])
 			}
@@ -228,7 +227,7 @@ func TestRankCutMatchesGather(t *testing.T) {
 				}
 			}
 			SetScanWorkers(1)
-			checkRankCut(t, fmt.Sprintf("%s, code %d", tc.name, k), col, sum, []Selection{one, two}, nRows, chunkRows, rng)
+			checkRankCut(t, fmt.Sprintf("%s, code %d", tc.name, k), col, sum, []Selection{one, two}, nRows, chunkRows)
 		}
 	}
 }
@@ -323,13 +322,15 @@ func checkPlanes(t *testing.T, name string, pl *bitPlanes, c int, code func(r in
 	}
 }
 
-// TestPlaneValueCounts holds StringValueCounts over a warmed table's
-// code planes to the counts of its rows' codes (no zone map: countCodes)
-// over row-id, words and mixed parents at scan workers 1 and 4, for
-// dictionaries of 2 to 16 values. Appends then grow a dictionary of 5
-// values to 6 (3 planes still: the clean chunks' planes kept), one of
-// 8 to 9 (3 planes to 4: rebuilt) and one of 16 to 17 (planes
-// dropped), and the counts still agree.
+// TestPlaneValueCounts holds StringValueCounts and StringChunkCounts
+// over a warmed table's code planes to the counts of its rows' codes
+// (no zone map: countCodes) at scan workers 1 and 4, for dictionaries
+// of 2 to 16 values. Appends then grow a dictionary of 5 values to 6
+// (3 planes still: the clean chunks' planes kept), one of 8 to 9 (3
+// planes to 4: rebuilt) and one of 16 to 17 (planes dropped): the
+// counts still agree, and StringChunkCountsSplice over the grown
+// table's planes, from counts taken over the planes before the append,
+// agrees with the codes' counts of the grown table.
 func TestPlaneValueCounts(t *testing.T) {
 	defer SetScanWorkers(0)
 	const n, chunkRows = 9037, 1 << 10
@@ -352,11 +353,13 @@ func TestPlaneValueCounts(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			SetScanWorkers(workers)
 			for k, sel := range sels {
-				for form, src := range formsOf(ChunkSelection(sel, nRows, chunkRows), rng) {
-					got, want := StringValueCounts(col, src, sum), StringValueCountsChunked(col, src)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s, workers %d, selection %d (%d rows, %s): plane counts %v, code counts %v", name, workers, k, len(sel), form, got, want)
-					}
+				src := ChunkSelection(sel, nRows, chunkRows)
+				got, want := StringValueCounts(col, src, sum), StringValueCountsChunked(col, src)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, workers %d, selection %d (%d rows): plane counts %v, code counts %v", name, workers, k, len(sel), got, want)
+				}
+				if got, want := StringChunkCounts(col, src, sum), StringChunkCounts(col, src, nil); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, workers %d, selection %d (%d rows): per-chunk plane counts differ from code counts", name, workers, k, len(sel))
 				}
 			}
 		}
@@ -369,6 +372,9 @@ func TestPlaneValueCounts(t *testing.T) {
 		name := fmt.Sprintf("%d values grown to %d", tc.from, tc.to)
 		tab, sum := warmedColumn(NewStringColumn("v", column(tc.from)), chunkRows)
 		old := sum.codePlanes
+		sel := wordSelections(n, rng)[0]
+		stamp := tab.Stamp()
+		oldCounts := StringChunkCounts(tab.MustColumn("v").(*StringColumn), ChunkSelection(sel, n, chunkRows), sum)
 		var rows [][]Value
 		for i := range 1500 {
 			v := fmt.Sprintf("v%02d", rng.Intn(tc.from))
@@ -390,14 +396,29 @@ func TestPlaneValueCounts(t *testing.T) {
 		} else if kept := &pl.words[0][0] == &old.words[0][0]; kept != (tc.p == old.p) {
 			t.Fatalf("%s: clean chunk's planes kept %v, from %d planes to %d", name, kept, old.p, tc.p)
 		}
+		col := tab.MustColumn("v").(*StringColumn)
 		if pl != nil {
-			codes := tab.MustColumn("v").(*StringColumn).Codes()
+			codes := col.Codes()
 			for c := range tab.NumChunks() {
 				lo, hi := tab.ChunkBounds(c)
 				checkPlanes(t, name, pl, c, func(r int) uint32 { return codes[lo+r] }, hi-lo)
 			}
 		}
 		check(name, tab, tc.p > 0)
+		dirty, ok := tab.Stamp().DirtyVs(stamp)
+		if !ok {
+			t.Fatalf("%s: stamps not comparable", name)
+		}
+		// The selection's clean chunks hold the rows they held; every
+		// appended row is selected.
+		grown := ChunkSelection(append(slices.Clone(sel), AllRows(tab.NumRows())[n:]...), tab.NumRows(), chunkRows)
+		spliced, ok := StringChunkCountsSplice(col, grown, tab.SummaryByName("v"), oldCounts, dirty)
+		if !ok {
+			t.Fatalf("%s: splice refused", name)
+		}
+		if got, want := StringCountsFromChunks(col, spliced), StringValueCountsChunked(col, grown); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: spliced counts %v, code counts %v", name, got, want)
+		}
 	}
 }
 
@@ -474,7 +495,7 @@ func TestRankCodesRefresh(t *testing.T) {
 		}
 		nRows := tab.NumRows()
 		sels := append(adversarialSelections(nRows, chunkRows, rng), takenChunks(nRows, chunkRows, rng))
-		if ranked := checkRankCut(t, fmt.Sprintf("%v after mutation", kind), col, sum, sels, nRows, chunkRows, rng); ranked == 0 {
+		if ranked := checkRankCut(t, fmt.Sprintf("%v after mutation", kind), col, sum, sels, nRows, chunkRows); ranked == 0 {
 			t.Fatalf("%v: the rank path served no cut after the mutation", kind)
 		}
 	}

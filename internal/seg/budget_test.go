@@ -304,7 +304,12 @@ func heapHeld() int64 {
 // of the heap the stores retain, measured as the live heap before and
 // after a one-byte budget evicts them. (Clustered tables share whole chunks between
 // selections, so there the accounting over-counts; see
-// engine.ChunkedSelection.Bytes.)
+// engine.ChunkedSelection.Bytes.) A drill then zooms one evaluator,
+// under the server's budget of 32 B per table row, through
+// departure-date ranges holding 1/10 down to 1/10 000 of the rows, where every
+// non-empty chunk of a selection is a chunk's words for a row or two:
+// the charge stays within the budget after every advise, and the heap
+// the stores retain at the end is logged.
 func TestCacheBytesTrackRetainedHeap(t *testing.T) {
 	tab := dataset.VOC(100000, 11)
 	ctx, err := sdl.ContextOn(tab, "type_of_boat", "tonnage", "departure_harbour")
@@ -332,4 +337,30 @@ func TestCacheBytesTrackRetainedHeap(t *testing.T) {
 	if diff := accounted - retained; 10*max(diff, -diff) > retained {
 		t.Fatalf("accounted %d bytes, the stores retained %d: off by more than 10%%", accounted, retained)
 	}
+
+	drillCtx, err := sdl.ContextOn(tab, "type_of_boat", "departure_date", "departure_harbour")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dates := sortedInts(tab, "departure_date")
+	drill := NewEvaluator(tab)
+	budget := int64(32 * tab.NumRows())
+	drill.SetCacheBudget(budget)
+	mid := 0.2 + rng.Float64()*0.6
+	for _, share := range []float64{1e-1, 1e-2, 1e-3, 1e-4} {
+		a, b := dates[int(mid*float64(len(dates)-1))], dates[int((mid+share)*float64(len(dates)-1))]
+		q := drillCtx.WithConstraint(sdl.ClosedRange("departure_date", engine.Date(a), engine.Date(b)))
+		if err := adviseOps(drill, q); err != nil {
+			t.Fatal(err)
+		}
+		if got := drill.CacheBytes(); got > budget {
+			t.Fatalf("drill to %g of the rows: %d bytes charged, budget %d", share, got, budget)
+		}
+	}
+	full = heapHeld()
+	accounted, entries, evicted := drill.CacheBytes(), drill.CacheLen(), drill.Counters()[Evictions]
+	drill.SetCacheBudget(1)
+	retained = full - heapHeld()
+	runtime.KeepAlive(drill)
+	t.Logf("drill to 1e-4: accounted %d bytes, retained %d bytes (%d selections, %d evictions)", accounted, retained, entries, evicted)
 }

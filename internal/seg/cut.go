@@ -205,9 +205,9 @@ func errCutKind(attr string, col engine.Column) error {
 // categorical column. Documented deviation: the paper's Definition 5
 // simply cannot split such a column.
 //
-// Counting walks src chunk by chunk over the column's ordinals — a
-// words chunk by set-bit iteration, never decoded, and no flat copy of
-// the selection is built or cached — and keys the map on the ordinal:
+// Counting walks src chunk by chunk over the column's ordinals — each
+// chunk's words by set-bit iteration, never decoded, and no flat copy
+// of the selection is built or cached — and keys the map on the ordinal:
 // one integer map op per row, no Value boxing and no string formatting
 // in the loop. Every NaN has the one ordinal, so NaN counts as one
 // value, as its one rendering "NaN" does; −0 is stored as +0. Values
@@ -283,8 +283,8 @@ func nominalPieces(attr string, vcs []stats.ValueCount, mk func(string) engine.V
 // query is cut on attr with its own cut points. Queries that cannot
 // be split are kept whole, so the result is always a valid partition
 // of the same context. A query's cut points and children are computed
-// from its selection chunk by chunk, each chunk in the form it is
-// held in, and no row ids are built from words. A query whose cut the
+// from its selection's words chunk by chunk, and no flat row ids are
+// built. A query whose cut the
 // cache serves with counts (cutQuery) reads no selection at all; the
 // counts a fresh cut takes are stored in its entry.
 //

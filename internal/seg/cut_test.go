@@ -422,8 +422,8 @@ func TestCutQuerySampledFloatIgnoresNaN(t *testing.T) {
 }
 
 // TestCutQuerySampledPointsMatchReference pins the values of a sampled
-// cut, not only its validity: over an extent whose chunks are held
-// both as words and as row ids, the pieces CutQuery returns with
+// cut, not only its validity: over an extent whose chunks are dense
+// and sparse by turns, the pieces CutQuery returns with
 // SampleSize set must equal a sort-based reference — the systematic
 // sample strided draws from the extent, its numbers sorted, the
 // points read at the equi-depth ranks, and the bounds the full
@@ -447,7 +447,7 @@ func TestCutQuerySampledPointsMatchReference(t *testing.T) {
 		default:
 			floats[i] = math.Round(rng.NormFloat64()*400) / 8
 		}
-		// Even chunks keep most rows (words), odd ones a few (row ids).
+		// Even chunks keep most rows, odd ones a few.
 		if (i/chunkRows)%2 == 0 {
 			keep[i] = rng.Intn(4) != 0
 		} else {
@@ -510,7 +510,7 @@ func TestSampledCutBuildsNoRows(t *testing.T) {
 	var ext []int32
 	for i := range n {
 		vals[i] = rng.Int63n(5000)
-		// Even chunks keep most rows (words), odd ones a few (row ids).
+		// Even chunks keep most rows, odd ones a few.
 		if (i/chunkRows)%2 == 0 {
 			keep[i] = rng.Intn(4) != 0
 		} else {

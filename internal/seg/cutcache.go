@@ -112,8 +112,7 @@ func (e *Evaluator) storeCutCounts(key string, v uint64, counts []int) {
 
 // cutPieces computes the piece constraints CUT splits src, q's
 // extent, into along attr. src is
-// read chunk by chunk in the form each is held in — a words chunk by
-// set-bit iteration. stale is q's cut entry at an older version, if
+// read chunk by chunk, each chunk's words by set-bit iteration. stale is q's cut entry at an older version, if
 // the cache holds one; it is refreshed from its retained counts where
 // it can be, and everything else is computed in full. cur is the
 // stamp the result will be cached under. With
@@ -187,7 +186,7 @@ func (e *Evaluator) computeCut(attr string, col engine.Column, src *engine.Chunk
 	switch col := col.(type) {
 	case *engine.StringColumn:
 		if retain && pointSel == nil {
-			state.strCounts = engine.StringChunkCounts(col, src)
+			state.strCounts = engine.StringChunkCounts(col, src, e.zoneMap(attr))
 			pieces, err = nominalPieces(attr, engine.StringCountsFromChunks(col, state.strCounts), stringSetValue, opt)
 		} else {
 			pieces, err = nominalPieces(attr, engine.StringValueCounts(col, src, e.zoneMap(attr)), stringSetValue, opt)
@@ -232,7 +231,7 @@ func (e *Evaluator) refreshCut(ent cachedCut, attr string, col engine.Column, sr
 		if ent.strCounts == nil {
 			return nil, state, false
 		}
-		counts, ok := engine.StringChunkCountsSplice(col, src, ent.strCounts, dirty)
+		counts, ok := engine.StringChunkCountsSplice(col, src, e.zoneMap(attr), ent.strCounts, dirty)
 		if !ok {
 			return nil, state, false
 		}

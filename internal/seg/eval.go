@@ -58,9 +58,8 @@ const (
 	// PairTableHits counts contingency tables served from the
 	// evaluator's pair-table tier without building either side.
 	PairTableHits
-	// RowMaterializations counts flat row-id views built from
-	// selections holding words chunks, by Select. The advise path
-	// builds none.
+	// RowMaterializations counts flat row-id views decoded from
+	// non-empty selections, by Select. The advise path builds none.
 	RowMaterializations
 	// Evictions counts entries the clock evicted to keep the stores
 	// within their byte budget (SetCacheBudget).
@@ -86,7 +85,7 @@ func (e *Evaluator) RegisterCounters(reg *obs.Registry) {
 	reg.NewCounterFunc("charles_seg_pair_memo_hits_total", "pairwise operand sides reused from a PairMemo", c[PairMemoHits].Load)
 	reg.NewCounterFunc("charles_seg_pair_memo_misses_total", "pairwise operand sides built fresh", c[PairMemoMisses].Load)
 	reg.NewCounterFunc("charles_seg_pair_table_hits_total", "contingency tables served from the evaluator's pair-table tier", c[PairTableHits].Load)
-	reg.NewCounterFunc("charles_seg_row_materializations_total", "flat row-id views decoded from selections holding words chunks", c[RowMaterializations].Load)
+	reg.NewCounterFunc("charles_seg_row_materializations_total", "flat row-id views decoded from non-empty selections", c[RowMaterializations].Load)
 	reg.NewCounterFunc("charles_seg_cache_evictions_total", "evaluator cache entries the clock evicted to stay within the byte budget", c[Evictions].Load)
 }
 
@@ -110,9 +109,8 @@ const cacheShards = 32
 // entry is exact, and a moved version tells the evaluator precisely
 // which chunks to re-evaluate (DirtyVs) before serving it again.
 // Never cache a bare selection: without its stamp a stale entry is
-// indistinguishable from a fresh one. Each chunk of the selection is
-// in the smaller of its two forms, picked by the engine as the chunk
-// is written, so the entry is never rewritten in another form.
+// indistinguishable from a fresh one. Each non-empty chunk of the
+// selection is held as words, so the entry is never rewritten.
 type cachedSel struct {
 	sel   *engine.ChunkedSelection
 	stamp *engine.EpochStamp
@@ -268,13 +266,10 @@ func (e *Evaluator) store(key string, ent cachedSel) {
 }
 
 // flat returns cs's rows as one sorted vector, counting a row
-// materialization when some of them are decoded from words.
+// materialization when it holds any: they are decoded from words.
 func (e *Evaluator) flat(cs *engine.ChunkedSelection) engine.Selection {
-	for c := range cs.NumChunks() {
-		if cs.Words(c) != nil {
-			e.count(RowMaterializations)
-			break
-		}
+	if cs.Len() > 0 {
+		e.count(RowMaterializations)
 	}
 	return cs.Flat()
 }
@@ -440,9 +435,8 @@ func (e *Evaluator) Count(q sdl.Query) (int, error) {
 // pass over just those chunks of the parent and are spliced into
 // their cached chunks (DeltaRefreshes); the rest share one pass over
 // the whole parent (NarrowEvals). The parent's extent is fetched only
-// when some child needs a pass, and each of its chunks is cut in the
-// form it is held in: a words chunk from its words, its row ids never
-// built. The children are the pieces of one cut computed at table
+// when some child needs a pass, and each of its chunks is cut from
+// its words, its row ids never built. The children are the pieces of one cut computed at table
 // version v, so they partition the parent's extent at v: a pass over
 // that extent at v holding every child derives one of them (the cover
 // rule) rather than testing it.
@@ -555,7 +549,7 @@ func (e *Evaluator) zoneMap(attr string) *engine.ChunkSummary {
 
 // constraintPred resolves one constraint over col into the engine's
 // chunked predicate, sum being the column's zone map (nil when pruning
-// is off). It is the one dispatch behind both evaluation forms — row-id
+// is off). It is the one dispatch behind both evaluation forms —
 // filters and cut partitions — so they agree on every constraint by
 // construction.
 func constraintPred(col engine.Column, c sdl.Constraint, sum *engine.ChunkSummary) (engine.Pred, error) {

@@ -69,7 +69,7 @@ func (m *PairMemo) put(key string, s pairSide) {
 }
 
 // pairSide holds one segmentation's selections as the evaluator caches
-// them, each chunk in its own form. A side built for a derived table
+// them, their words as they are. A side built for a derived table
 // holds every segment but the last.
 type pairSide []*engine.ChunkedSelection
 

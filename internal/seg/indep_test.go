@@ -11,10 +11,9 @@ import (
 )
 
 // pairFixture builds two multi-segment segmentations over a 4096-row
-// table plus a hand-built third whose segments straddle the storage
-// rule: one dense majority segment and two sparse tail segments, so its
-// pair side holds both chunk forms and the fixture's pairs run every
-// cell path — words×words, words×row ids and row ids×row ids.
+// table plus a hand-built third of one dense majority segment and two
+// sparse tail segments, whose words hold a bit or two each, so the
+// fixture's pairs AND dense words with dense and with near-empty ones.
 func pairFixture(t testing.TB) (*Evaluator, *Segmentation, *Segmentation, *Segmentation) {
 	const n = 4096
 	xs := make([]int64, n)
@@ -63,38 +62,6 @@ func pairFixture(t testing.TB) (*Evaluator, *Segmentation, *Segmentation, *Segme
 		s3.Counts = append(s3.Counts, count)
 	}
 	return ev, s1, s2, s3
-}
-
-// TestPairFixtureSidesMixRepresentations pins what makes the pair
-// tests cover every AndCount path: the cut sides hold every segment as
-// words, and the hand-built side holds both words and row ids.
-func TestPairFixtureSidesMixRepresentations(t *testing.T) {
-	ev, s1, s2, s3 := pairFixture(t)
-	fp := ev.Table().Fingerprint()
-	for name, s := range map[string]*Segmentation{"s1": s1, "s2": s2, "s3": s3} {
-		side, err := buildSide(ev, s, PairOptions{}.normalize(), fp, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		words, rows := 0, 0
-		for i, sel := range side {
-			checkSmallerForm(t, s.Queries[i].String(), sel)
-			for c := 0; c < sel.NumChunks(); c++ {
-				switch {
-				case sel.Words(c) != nil:
-					words++
-				case len(sel.Seg(c)) > 0:
-					rows++
-				}
-			}
-		}
-		if name == "s3" && (words == 0 || rows == 0) {
-			t.Fatalf("s3: side holds %d words chunks and %d row-id chunks, want both forms", words, rows)
-		}
-		if name != "s3" && rows != 0 {
-			t.Fatalf("%s: side holds %d row-id chunks, want every chunk as words", name, rows)
-		}
-	}
 }
 
 // pairGrid is the worker sweep every equivalence test runs over.

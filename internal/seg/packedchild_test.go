@@ -203,7 +203,7 @@ func TestCachedCutReadsNoRows(t *testing.T) {
 // DeltaRefreshes, no full evaluation). Re-running the cut splices every
 // stale child from one pass over the parent's dirty chunks, again
 // without building rows. Each equals a fresh evaluation, every
-// chunk in its smaller form.
+// chunk in the one form.
 func TestStalePackedChildSplices(t *testing.T) {
 	tab, ctx := packedVOC(t)
 	ev := NewEvaluator(tab)
@@ -228,7 +228,7 @@ func TestStalePackedChildSplices(t *testing.T) {
 		if !sameChunked(ent.sel, want) {
 			t.Fatalf("spliced %s differs from a fresh evaluation", q)
 		}
-		checkSmallerForm(t, q.String(), ent.sel)
+		checkOneForm(t, q.String(), ent.sel)
 	}
 
 	appendSome(0)
@@ -359,7 +359,7 @@ func TestPackedChildOutlivesPackedCacheEviction(t *testing.T) {
 	if err != nil || !sameChunked(got, want) {
 		t.Fatalf("rows after eviction differ from a fresh evaluation (%v)", err)
 	}
-	checkSmallerForm(t, q.String(), got)
+	checkOneForm(t, q.String(), got)
 }
 
 // sameSegs reports whether two segmentations hold the same queries
@@ -463,9 +463,9 @@ func TestZoomedReadviseBuildsNoRows(t *testing.T) {
 
 // TestSparsePackedPairSide cuts a dense context into a piece holding
 // under 1/32 of every chunk and the rest, and pairs it with a candidate.
-// The sparse piece is stored as row ids and the rest as words, the pair
-// sides are the cached selections as they are, the pair builds no row,
-// and its table equals a fresh evaluator's.
+// Both pieces are stored as words, the sparse one's words holding a bit
+// or two each; the pair sides are the cached selections as they are,
+// the pair builds no row, and its table equals a fresh evaluator's.
 func TestSparsePackedPairSide(t *testing.T) {
 	tab, ctx := packedVOC(t)
 	ev := NewEvaluator(tab)
@@ -489,8 +489,8 @@ func TestSparsePackedPairSide(t *testing.T) {
 		t.Fatal(err)
 	}
 	sparse, _ := ev.cached(children[0].Key())
-	if counts[0] == 0 || holdsWords(sparse.sel) || wordsCount(ev, children[1:]) != 1 {
-		t.Fatalf("piece counts %v: want a row-id piece under 1/32 of every chunk and a words piece", counts)
+	if counts[0] == 0 || counts[0]*32 >= tab.NumRows() || wordsCount(ev, children) != 2 {
+		t.Fatalf("piece counts %v: want a words piece under 1/32 of the rows and a words piece", counts)
 	}
 	s := &Segmentation{Queries: children, CutAttrs: []string{"tonnage"}, Counts: counts}
 	other, ok, err := InitialCut(ev, ctx, "type_of_boat", DefaultCutOptions())

@@ -2,6 +2,7 @@ package seg
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"charles/internal/dataset"
@@ -12,21 +13,14 @@ import (
 // sameChunked reports whether two chunked selections hold the same
 // rows in the same chunk layout.
 func sameChunked(a, b *engine.ChunkedSelection) bool {
-	if a.NumRows() != b.NumRows() || a.NumChunks() != b.NumChunks() || a.Len() != b.Len() {
-		return false
-	}
-	for c := 0; c < a.NumChunks(); c++ {
-		sa, sb := a.Seg(c), b.Seg(c)
-		if len(sa) != len(sb) {
-			return false
-		}
-		for i := range sa {
-			if sa[i] != sb[i] {
-				return false
-			}
-		}
-	}
-	return true
+	return a.NumRows() == b.NumRows() && a.ChunkRows() == b.ChunkRows() && a.Len() == b.Len() && slices.Equal(rowsOf(a), rowsOf(b))
+}
+
+// rowsOf reads cs's rows one by one (EachRow), attaching no flat view.
+func rowsOf(cs *engine.ChunkedSelection) engine.Selection {
+	var rows engine.Selection
+	engine.EachRow(cs, func(row int) { rows = append(rows, int32(row)) })
+	return rows
 }
 
 // cutOutcome is what one checked cut did: its result, the children of
@@ -40,7 +34,7 @@ type cutOutcome struct {
 // checkCut runs Cut and holds what it left in ev's caches to a cold
 // evaluator on the same table. Every child of a split
 // parent is cached at the current version with exactly a cold
-// SelectChunked's rows, every chunk in its smaller form. The result's
+// SelectChunked's rows, every chunk in the one form. The result's
 // counts are the cold counts.
 func checkCut(t *testing.T, ev *Evaluator, in *Segmentation, attr string, opt CutOptions) cutOutcome {
 	t.Helper()
@@ -78,7 +72,7 @@ func checkCut(t *testing.T, ev *Evaluator, in *Segmentation, attr string, opt Cu
 		if !sameChunked(ent.sel, want) {
 			t.Fatalf("cut on %s: cached child %s differs from a cold evaluation", attr, child)
 		}
-		checkSmallerForm(t, child.String(), ent.sel)
+		checkOneForm(t, child.String(), ent.sel)
 	}
 	for i, q := range out.Queries {
 		n, err := cold.Count(q)
@@ -92,17 +86,24 @@ func checkCut(t *testing.T, ev *Evaluator, in *Segmentation, attr string, opt Cu
 	return res
 }
 
-// checkSmallerForm holds every chunk of cs to the storage rule: words
-// exactly when its n of lenC rows take no more memory as words, 4·n ≥
-// 8·⌈lenC/64⌉ bytes, row ids otherwise.
-func checkSmallerForm(t *testing.T, name string, cs *engine.ChunkedSelection) {
+// checkOneForm holds cs's memory to the one form: the words of every
+// chunk holding a row, ⌈lenC/64⌉ of them for a chunk of lenC table
+// rows, and nothing for an empty chunk.
+func checkOneForm(t *testing.T, name string, cs *engine.ChunkedSelection) {
 	t.Helper()
-	for c := 0; c < cs.NumChunks(); c++ {
-		n := len(cs.Seg(c))
-		lenC := min(cs.ChunkRows(), cs.NumRows()-c*cs.ChunkRows())
-		if words := n > 0 && 4*n >= 8*((lenC+63)/64); (cs.Words(c) != nil) != words {
-			t.Fatalf("%s: chunk %d holds %d of %d rows as words %v, want words %v", name, c, n, lenC, cs.Words(c) != nil, words)
+	held := make([]bool, cs.NumChunks())
+	for _, row := range rowsOf(cs) {
+		held[int(row)/cs.ChunkRows()] = true
+	}
+	var want int64
+	for c, h := range held {
+		if h {
+			lenC := min(cs.ChunkRows(), cs.NumRows()-c*cs.ChunkRows())
+			want += 8 * int64((lenC+63)/64)
 		}
+	}
+	if got := cs.Bytes(); got != want {
+		t.Fatalf("%s: selection holds %d bytes, the words of its non-empty chunks %d", name, got, want)
 	}
 }
 
@@ -117,19 +118,15 @@ func wordsCount(ev *Evaluator, qs []sdl.Query) int {
 	return n
 }
 
-// holdsWords reports whether some chunk of cs is held as words.
+// holdsWords reports whether some chunk of cs holds words: whether it
+// selects a row, every non-empty chunk being words.
 func holdsWords(cs *engine.ChunkedSelection) bool {
-	for c := 0; c < cs.NumChunks(); c++ {
-		if cs.Words(c) != nil {
-			return true
-		}
-	}
-	return false
+	return cs.Len() > 0
 }
 
 // TestCutChildrenMatchColdEvaluation holds every child a cut's
 // partition pass evaluates to a cold evaluation of the child query on a
-// VOC context, every chunk in its smaller form: initial cuts on every
+// VOC context, every chunk in the one form: initial cuts on every
 // column kind, then a COMPOSE-shaped pair of arity-3 cuts. It runs at the default layout and at 1 024-row chunks, and
 // with zone pruning off. Every child is evaluated
 // exactly once: one NarrowEvals per child.
@@ -327,7 +324,7 @@ func TestCutChildrenSpliceAfterMutation(t *testing.T) {
 				if got[i] != want.Len() || !sameChunked(cs, want) {
 					t.Fatalf("spliced child %s differs from a cold evaluation", child)
 				}
-				checkSmallerForm(t, child.String(), cs)
+				checkOneForm(t, child.String(), cs)
 			}
 			n, err := ev.Count(ctx)
 			if err != nil {

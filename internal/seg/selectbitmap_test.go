@@ -23,7 +23,7 @@ func selectBitmapQueries(t *testing.T, tab *engine.Table) []sdl.Query {
 }
 
 // packedRef returns q's selection on a fresh evaluator over tab: what
-// SelectBitmap must equal chunk for chunk, form included.
+// SelectBitmap must equal chunk for chunk.
 func packedRef(t *testing.T, tab *engine.Table, q sdl.Query) *engine.Bitmap {
 	t.Helper()
 	cs, err := NewEvaluator(tab).SelectChunked(q)
@@ -34,17 +34,9 @@ func packedRef(t *testing.T, tab *engine.Table, q sdl.Query) *engine.Bitmap {
 }
 
 // sameBitmap reports whether a and b select the same rows under the
-// same chunk layout, each chunk in the same form.
+// same chunk layout.
 func sameBitmap(a, b *engine.Bitmap) bool {
-	if a.Len() != b.Len() || a.ChunkRows() != b.ChunkRows() || a.NumChunks() != b.NumChunks() || !reflect.DeepEqual(a.Flat(), b.Flat()) {
-		return false
-	}
-	for c := 0; c < a.NumChunks(); c++ {
-		if (a.Words(c) == nil) != (b.Words(c) == nil) {
-			return false
-		}
-	}
-	return true
+	return a.Len() == b.Len() && a.ChunkRows() == b.ChunkRows() && a.NumChunks() == b.NumChunks() && reflect.DeepEqual(a.Flat(), b.Flat())
 }
 
 // TestSelectBitmapMatchesPacked pins SelectBitmap to the chunked

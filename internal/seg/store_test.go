@@ -9,15 +9,13 @@ import (
 	"charles/internal/sdl"
 )
 
-// TestAdviseStoresSmallerForms runs what an advise runs — every HB-cuts
+// TestAdviseStoresOneForm runs what an advise runs — every HB-cuts
 // candidate of a context and every pair's INDEP — on a 100K-row VOC
 // under a tonnage range holding about 20% of the rows plus one nominal
-// attribute, then walks every entry of the selection store: each chunk
-// of each entry must be in its smaller form, words exactly when its
-// rows take at least as much memory as row ids. The context's extent,
-// a 20%-dense range, is the entry this pins hardest: as row ids it
-// would take about 6.5 times its words.
-func TestAdviseStoresSmallerForms(t *testing.T) {
+// attribute, then walks every entry of the selection store: each entry
+// must hold exactly the words of its non-empty chunks and nothing for
+// its empty ones.
+func TestAdviseStoresOneForm(t *testing.T) {
 	tab := dataset.VOC(100000, 7)
 	vals := slices.Clone(tab.MustColumn("tonnage").(engine.IntValued).Int64s())
 	slices.Sort(vals)
@@ -47,7 +45,7 @@ func TestAdviseStoresSmallerForms(t *testing.T) {
 	entries, words := 0, 0
 	for i := range ev.shards {
 		for key, en := range ev.shards[i].m {
-			checkSmallerForm(t, key, en.val.sel)
+			checkOneForm(t, key, en.val.sel)
 			entries++
 			if holdsWords(en.val.sel) {
 				words++

@@ -7,8 +7,7 @@
 //
 //  1. A row permutation changes no multiset, so no count, entropy,
 //     INDEP value or ranked rendering may change. A permutation also
-//     moves chunks across the storage rule (row ids or words), the zone
-//     verdicts (a clustered table takes and skips chunks, a shuffled
+//     moves rows between dense and sparse words, the zone verdicts (a clustered table takes and skips chunks, a shuffled
 //     one scans them) and the int cut's narrow count path.
 //  2. A strictly increasing map f on one numeric column maps every
 //     order statistic through f — a cut point p becomes f(p) — and
