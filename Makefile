@@ -112,8 +112,9 @@ layers-build:
 # cover promise under which a piece is derived, at 1 and 4 scan
 # workers, with the same parent cut as row ids and as words — full,
 # dense, sparse and empty words, a partial last word, NaN and ±0
-# floats — and on a warmed, appended table through the code planes):
-# enough
+# floats — and on a warmed, appended table through the code planes),
+# and the SDL parser (parse ∘ print a fixed point, over the rendered
+# NaN and ±Inf cut pieces): enough
 # budget to exercise the mutators on every seed class, small enough
 # for CI. The exec-denominated minimize budget keeps a newly found
 # interesting input from eating the wall-clock budget.
@@ -124,6 +125,7 @@ fuzz-smoke:
 	$(GO) test ./internal/stats -run=NONE -fuzz=FuzzEquiDepthChunks -fuzztime=20s -fuzzminimizetime=30x
 	$(GO) test ./internal/engine -run=NONE -fuzz=FuzzFilterKernels -fuzztime=20s -fuzzminimizetime=30x
 	$(GO) test ./internal/engine -run=NONE -fuzz=FuzzPartitionKernels -fuzztime=20s -fuzzminimizetime=30x
+	$(GO) test ./internal/sdl -run=NONE -fuzz=FuzzParse -fuzztime=20s -fuzzminimizetime=30x
 
 # Chaos gate: the failpoint suite under the race detector. Every
 # TestChaos* test arms an internal/fault failpoint (catalogue in

@@ -190,7 +190,8 @@ func TestDocsFormatSectionsExist(t *testing.T) {
 var semanticsCite = regexp.MustCompile(`SEMANTICS\.md §([0-9]+(?:\.[0-9]+)?)`)
 
 // TestDocsSemanticsSectionsExist pins docs/SEMANTICS.md: its numeric
-// values section and the rules it states under its own headings, every
+// values, CUT and partitions sections and the rules they state under
+// their own headings, every
 // `SEMANTICS.md §N` citation in the Go sources and the docs naming one
 // of its headings, and README's semantics notes linking to it.
 func TestDocsSemanticsSectionsExist(t *testing.T) {
@@ -209,6 +210,15 @@ func TestDocsSemanticsSectionsExist(t *testing.T) {
 		"1.2": "Decoding",
 		"1.3": "Negative zero",
 		"1.4": "NaN",
+		"2":   "CUT",
+		"2.1": "Numeric pieces",
+		"2.2": "The NaN piece",
+		"2.3": "Nominal pieces",
+		"2.4": "The numeric-nominal fallback",
+		"2.5": "Degenerate cuts",
+		"3":   "Partitions",
+		"3.1": "The partition proof",
+		"3.2": "The cover rule",
 	} {
 		if sections[num] != title {
 			t.Errorf("docs/SEMANTICS.md §%s is %q, want %q", num, sections[num], title)

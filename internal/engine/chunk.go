@@ -134,9 +134,10 @@ type ChunkSummary struct {
 	intMin, intMax []int64
 	// nan[c] is true when chunk c holds a NaN, and nan is nil unless
 	// the column is a float column. A float chunk's bounds leave NaN
-	// out (an all-NaN chunk's are nanOrdinal), so a range disjoint from
-	// them may skip the chunk only where nan[c] is false: NaN rows
-	// match every range (FloatRange.Contains(NaN) is true).
+	// out (an all-NaN chunk's are nanOrdinal). A NaN row matches no
+	// range, so a range takes a chunk only where nan[c] is false, and
+	// it matches a set listing NaN, so such a set skips a chunk only
+	// where nan[c] is false.
 	nan []bool
 
 	// String-column presence, in exactly one of two forms. dictLen is

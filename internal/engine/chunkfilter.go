@@ -3,20 +3,17 @@ package engine
 import "charles/internal/par"
 
 // The chunked filters: every predicate resolves once into a Pred — a
-// zone-map verdict per chunk plus its row test, as a single-predicate
-// kernel (filter.go) and, for ranges and code sets, in the operand
-// form the partition's word kernels read (partition.go) — and
-// a driver fans the chunks out across the scan workers. A skipped
+// zone-map verdict per chunk plus its row test: for ranges and code
+// sets the operand the partition's word kernels read (partition.go),
+// for any other predicate a single-predicate row kernel (filter.go) —
+// and a driver fans the chunks out across the scan workers. A skipped
 // chunk costs nothing, a taken chunk passes its parent container
-// through by reference, and a scanned chunk costs a load, some
-// arithmetic and a store per row (no call, hash or data-dependent
-// branch except in the numeric set and summary-less string range
-// kernels: a string set is a bitset over dictionary codes precisely so
-// its test is a bit extract). Scanned rows are compacted into pooled
-// scratch, from which the chunk setter copies them at exact length or
-// packs them into words, so a cached child selection holds exactly its
-// rows. The partition pass (partition.go), whose one-predicate case is
-// the filter, consumes the Preds.
+// through by reference, and a scanned chunk is tested word by word or,
+// for an opaque predicate, row by row. Rows a row kernel keeps are
+// compacted into pooled scratch and packed into words by the chunk
+// setter, so a cached child selection holds exactly its rows. The
+// partition pass (partition.go), whose one-predicate case is the
+// filter, consumes the Preds.
 
 // reserveSegSlots reserves extra scan-pool goroutines for a
 // per-chunk fan-out over src: nothing for selections too small to
@@ -90,9 +87,8 @@ const (
 )
 
 // Pred is one predicate over one column, resolved for a chunked
-// scan: the zone-map verdict per chunk, the single-predicate row
-// kernel, for a range or code set the same test in the form the
-// partition's word kernels read, and none when no row can match (the
+// scan: the zone-map verdict per chunk, its row test, a row kernel
+// only when that test is opaque, and none when no row can match (the
 // drivers then return the empty result without visiting a chunk).
 // PartitionChunked and its one-predicate filter consume the same
 // Pred, so they share every decision. Build one with
@@ -120,21 +116,20 @@ func scanAlways(int) chunkVerdict { return chunkScan }
 // the range covers it, scan otherwise. The skip test compares against
 // the closed hull of r, which is conservative for exclusive bounds;
 // the take test uses r.Contains on both extremes, which is exact
-// because Contains is monotone over an interval. With nan set — a
-// float range, which keeps every NaN row — a chunk the zone map marks
-// as holding NaN never skips, since its bounds leave NaN out, and an
-// all-NaN chunk, whose bounds are nanOrdinal, takes.
-func rangeVerdict(sum *ChunkSummary, r IntRange, nan bool) func(c int) chunkVerdict {
+// because Contains is monotone over an interval. The bounds leave NaN
+// out, and a NaN row matches no range, so a chunk the zone map marks
+// as holding NaN may skip but never takes; an all-NaN chunk, whose
+// bounds are NaN's ordinal, below every float range, skips.
+func rangeVerdict(sum *ChunkSummary, r IntRange) func(c int) chunkVerdict {
 	if sum == nil {
 		return scanAlways
 	}
-	in := func(v int64) bool { return r.Contains(v) || nan && v == nanOrdinal }
 	return func(c int) chunkVerdict {
 		lo, hi := sum.IntBounds(c)
-		if !(nan && sum.hasNaN(c)) && (hi < r.Lo || lo > r.Hi) {
+		switch {
+		case hi < r.Lo || lo > r.Hi:
 			return chunkSkip
-		}
-		if in(lo) && in(hi) {
+		case r.Contains(lo) && r.Contains(hi) && !sum.hasNaN(c):
 			return chunkTake
 		}
 		return chunkScan
@@ -151,7 +146,7 @@ func FilterIntRangeChunked(col IntValued, cs *ChunkedSelection, r IntRange, sum 
 // IntRangePred resolves an int or date range predicate. A range no
 // int64 satisfies still runs its verdicts, then scans nothing.
 func IntRangePred(col IntValued, r IntRange, sum *ChunkSummary) Pred {
-	return rangePred(col.Int64s(), r, r.span(), sum)
+	return rangePred(col.Int64s(), r, sum)
 }
 
 // FilterFloatRangeChunked is FilterIntRangeChunked over floats. Kept
@@ -160,22 +155,22 @@ func FilterFloatRangeChunked(col FloatValued, cs *ChunkedSelection, r FloatRange
 	return FilterChunked(cs, FloatRangePred(col, r, sum))
 }
 
-// FloatRangePred is IntRangePred over the column's ordinals: NaN rows
-// match it.
+// FloatRangePred is IntRangePred over the column's ordinals.
 func FloatRangePred(col FloatValued, r FloatRange, sum *ChunkSummary) Pred {
-	return rangePred(col.Int64s(), r.ordinals(), r.span(), sum)
+	return rangePred(col.Int64s(), r.ordinals(), sum)
 }
 
 // rangePred is the range predicate over ordinals vals: r's verdicts,
-// and s, r resolved, as the row test — against the column's rank-code
+// and r resolved as the word test — against the column's rank-code
 // planes too when its zone map carries them.
-func rangePred(vals []int64, r IntRange, s intSpan, sum *ChunkSummary) Pred {
-	p := Pred{verdict: rangeVerdict(sum, r, s.nan), scan: s.kernel(vals)}
-	if !s.empty {
-		p.test = rowTest{kind: testIntRange, ints: vals, ispan: s, sum: sum}
-		if sum != nil && sum.rank != nil {
-			p.test.planes, p.test.pr = &sum.rank.planes, newPlaneRange(sum.rank, s)
-		}
+func rangePred(vals []int64, r IntRange, sum *ChunkSummary) Pred {
+	s := r.span()
+	if s.empty {
+		return Pred{verdict: rangeVerdict(sum, r), scan: scanNone}
+	}
+	p := Pred{verdict: rangeVerdict(sum, r), test: rowTest{kind: testIntRange, ints: vals, ispan: s, sum: sum}}
+	if sum != nil && sum.rank != nil {
+		p.test.planes, p.test.pr = &sum.rank.planes, newPlaneRange(sum.rank, s)
 	}
 	return p
 }
@@ -186,22 +181,21 @@ func IntSetPred(col IntValued, values []int64, sum *ChunkSummary) Pred {
 	return setPred(col.Int64s(), values, sum)
 }
 
-// FloatSetPred is IntSetPred over the ordinals of values, NaN left
-// out: NaN rows match no set, and −0 matches +0.
+// FloatSetPred is IntSetPred over the ordinals of values: NaN matches
+// NaN rows, as NaN equals NaN, and −0 matches +0.
 func FloatSetPred(col FloatValued, values []float64, sum *ChunkSummary) Pred {
-	ords := make([]int64, 0, len(values))
-	for _, v := range values {
-		if v == v {
-			ords = append(ords, floatOrdinal(v))
-		}
+	ords := make([]int64, len(values))
+	for i, v := range values {
+		ords[i] = floatOrdinal(v)
 	}
 	return setPred(col.Int64s(), ords, sum)
 }
 
 // setPred is the numeric set predicate over ordinals vals: a map probe
 // per row, and a skip for every chunk whose zone-map bounds miss the
-// set's hull. The bounds leave NaN out, and so does every set, so —
-// unlike a float range — skipping needs no NaN-free proof.
+// set's hull. The bounds leave NaN out, so a set listing NaN, whose
+// hull starts at NaN's ordinal, skips no chunk the zone map marks as
+// holding NaN.
 func setPred(vals, values []int64, sum *ChunkSummary) Pred {
 	if len(values) == 0 {
 		return Pred{none: true}
@@ -210,7 +204,7 @@ func setPred(vals, values []int64, sum *ChunkSummary) Pred {
 	verdict := scanAlways
 	if sum != nil {
 		verdict = func(c int) chunkVerdict {
-			if lo, hi := sum.IntBounds(c); hi < wlo || lo > whi {
+			if lo, hi := sum.IntBounds(c); (hi < wlo || lo > whi) && !(wlo == nanOrdinal && sum.hasNaN(c)) {
 				return chunkSkip
 			}
 			return chunkScan
@@ -327,7 +321,6 @@ func codeSetPred(col *StringColumn, want codeSet, sum *ChunkSummary) Pred {
 	}
 	p := Pred{
 		verdict: codeSetVerdict(sum, want),
-		scan:    want.kernel(col.Codes()),
 		test:    rowTest{kind: testCodeSet, codes: col.Codes(), want: want},
 	}
 	if pl := sumPlanes(sum, col); pl != nil {

@@ -346,44 +346,42 @@ func TestFloatOrderStatsDeterministicWithNaN(t *testing.T) {
 	}
 }
 
-// TestFloatRangeChunkedKeepsNaNInSkippedChunks is the regression
-// test for the zone-map NaN hazard: FloatRange.Contains(NaN) is true
-// (range filters keep NaN rows), so a chunk whose finite bounds miss
-// the range entirely may only be skipped when the zone map proves it
-// NaN-free.
-func TestFloatRangeChunkedKeepsNaNInSkippedChunks(t *testing.T) {
+// TestFloatRangeChunkedNaNChunkVerdicts pins the zone-map verdicts of
+// a float range over chunks holding NaN: a NaN row matches no range
+// (FloatRange.Contains(NaN) is false) and the bounds leave NaN out, so
+// a chunk whose numbers miss the range skips though it holds NaN, a
+// chunk whose numbers all lie inside it scans rather than takes when
+// it holds NaN, and an all-NaN chunk, whose bounds are NaN's ordinal,
+// skips.
+func TestFloatRangeChunkedNaNChunkVerdicts(t *testing.T) {
 	const chunkRows = 64
-	vals := make([]float64, 2*chunkRows)
-	for i := 0; i < chunkRows; i++ {
-		vals[i] = 1.0 // chunk 0: finite bounds [1,1], outside [10,30]
+	vals := make([]float64, 4*chunkRows)
+	for i := range vals {
+		switch c := i / chunkRows; {
+		case c == 0:
+			vals[i] = 1 // outside [10, 30]
+		case c == 3:
+			vals[i] = math.NaN()
+		default:
+			vals[i] = 20 // inside [10, 30]
+		}
 	}
-	vals[7] = math.NaN() // ...but one NaN row the range must keep
-	for i := chunkRows; i < 2*chunkRows; i++ {
-		vals[i] = 20.0 // chunk 1: fully inside the range
-	}
+	vals[7], vals[2*chunkRows+7] = math.NaN(), math.NaN() // one NaN in chunks 0 and 2
 	tab := MustNewTable("nan", NewFloatColumn("v", slices.Clone(vals)))
 	tab.SetChunkRows(chunkRows)
-	col := tab.MustColumn("v").(*FloatColumn)
+	col, sum := tab.MustColumn("v").(*FloatColumn), tab.SummaryByName("v")
 	r := FloatRange{Lo: 10, Hi: 30, LoIncl: true, HiIncl: true}
+	p := FloatRangePred(col, r, sum)
+	for c, want := range []chunkVerdict{chunkSkip, chunkTake, chunkScan, chunkSkip} {
+		if got := p.verdict(c); got != want {
+			t.Errorf("chunk %d: verdict %d, want %d", c, got, want)
+		}
+	}
 	want := naiveFilter(AllRows(len(vals)), func(row int32) bool { return r.Contains(vals[row]) })
-	got := FilterFloatRangeChunked(col, tab.AllChunked(), r, tab.SummaryByName("v"))
-	selEqual(t, "NaN in skip-candidate chunk", got, want)
-	if got.Len() != chunkRows+1 { // chunk 1 plus the NaN row
-		t.Fatalf("kept %d rows, want %d (the NaN row must survive)", got.Len(), chunkRows+1)
-	}
-	// An all-NaN chunk is taken wholesale: every row matches.
-	allNaN := make([]float64, chunkRows)
-	for i := range allNaN {
-		allNaN[i] = math.NaN()
-	}
-	tab2 := MustNewTable("nan2", NewFloatColumn("v", slices.Clone(allNaN)))
-	tab2.SetChunkRows(chunkRows)
-	col2 := tab2.MustColumn("v").(*FloatColumn)
-	want2 := naiveFilter(AllRows(chunkRows), func(row int32) bool { return r.Contains(allNaN[row]) })
-	got2 := FilterFloatRangeChunked(col2, tab2.AllChunked(), r, tab2.SummaryByName("v"))
-	selEqual(t, "all-NaN chunk", got2, want2)
-	if got2.Len() != chunkRows {
-		t.Fatalf("all-NaN chunk kept %d rows, want %d", got2.Len(), chunkRows)
+	got := FilterFloatRangeChunked(col, tab.AllChunked(), r, sum)
+	selEqual(t, "NaN chunks", got, want)
+	if got.Len() != 2*chunkRows-1 { // chunk 1, and chunk 2 but its NaN row
+		t.Fatalf("kept %d rows, want %d (no NaN row matches a range)", got.Len(), 2*chunkRows-1)
 	}
 }
 

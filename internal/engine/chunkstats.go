@@ -230,10 +230,13 @@ func IntMedianChunked(col IntValued, src *ChunkedSelection) (int64, bool) {
 
 // NumCut is one exact numeric cut-point computation over a selection,
 // in ordinals: the extent's bounds and its equi-depth points, strictly
-// increasing and none equal to Min. An empty extent has no points.
+// increasing and none equal to Min, both over its numbers, and whether
+// it holds a NaN row, which no range holds. An empty extent has no
+// points.
 type NumCut struct {
 	Min, Max int64
 	Points   []int64
+	NaN      bool
 }
 
 // IntCounts is the refreshable form of an int or date extent that a
@@ -284,25 +287,29 @@ func IntCutChunked(col Numeric, src *ChunkedSelection, sum *ChunkSummary, arity 
 			return cut, counts
 		}
 	}
-	keys, lo, hi, ranks, put, ranked := rankKeys(col, src, sum, arity)
+	keys, lo, hi, ranks, nan, put, ranked := rankKeys(col, src, sum, arity)
 	if !ranked {
 		keys, lo, hi, put = gatherIntKeys(col, src)
+		n := 0
+		for _, ks := range keys {
+			n += len(ks)
+		}
+		nan = n < src.Len()
 	}
 	defer put()
 	if lo > hi {
 		// Only NaN: no number to bound or rank.
-		return NumCut{Min: nanOrdinal, Max: nanOrdinal}, nil
+		return NumCut{Min: nanOrdinal, Max: nanOrdinal, NaN: true}, nil
 	}
-	if cells, ok := stats.CountCells(lo, hi); ok && retain && countsFit(src, cells) {
-		// Counted over the extent's exact bounds, no number is outside;
-		// a NaN row is, and stops the count.
+	if cells, ok := stats.CountCells(lo, hi); ok && retain && !nan && countsFit(src, cells) {
+		// Counted over the extent's exact bounds, no value is outside.
 		if cut, counts, ok := countCut(col, src, stats.Int64FromKey(lo), cells, arity, true); ok {
 			return cut, counts
 		}
 	}
 	workers, release := statWorkers(src)
 	defer release()
-	cut = NumCut{Min: stats.Int64FromKey(lo), Max: stats.Int64FromKey(hi)}
+	cut = NumCut{Min: stats.Int64FromKey(lo), Max: stats.Int64FromKey(hi), NaN: nan}
 	switch {
 	case !ranked:
 		cut.Points = stats.EquiDepthPointsInt64Keys(keys, lo, hi, arity, workers)

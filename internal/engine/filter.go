@@ -20,18 +20,17 @@ func (r IntRange) Contains(v int64) bool {
 	return true
 }
 
-// FloatRange is IntRange over float64. Note that Contains(NaN) is
-// true — NaN fails both exclusion comparisons — so range filters
-// keep NaN rows; the zone-map verdicts must honor the same
-// convention. A NaN bound likewise excludes nothing on its side.
+// FloatRange is IntRange over float64. A NaN row matches no range, as
+// a NaN compares false with every bound (SEMANTICS.md §1.4), while a
+// NaN bound excludes nothing on its side.
 type FloatRange struct {
 	Lo, Hi         float64
 	LoIncl, HiIncl bool
 }
 
-// Contains reports whether v falls inside the range.
+// Contains reports whether v falls inside the range: never for NaN.
 func (r FloatRange) Contains(v float64) bool {
-	if v < r.Lo || (v == r.Lo && !r.LoIncl) {
+	if v != v || v < r.Lo || (v == r.Lo && !r.LoIncl) {
 		return false
 	}
 	if v > r.Hi || (v == r.Hi && !r.HiIncl) {
@@ -42,7 +41,9 @@ func (r FloatRange) Contains(v float64) bool {
 
 // ordinals is the range of float ordinals holding r's numbers: a NaN
 // bound opens its side to the infinity, and both zeros share +0's
-// ordinal, as the stored values do. NaN rows are the caller's to add.
+// ordinal, as the stored values do. NaN's ordinal lies below −Inf's,
+// outside every such range, so a float range is the int range over
+// ordinals with no NaN step.
 func (r FloatRange) ordinals() IntRange {
 	o := IntRange{Lo: floatOrdinal(math.Inf(-1)), Hi: floatOrdinal(math.Inf(1)), LoIncl: true, HiIncl: true}
 	if r.Lo == r.Lo {
@@ -54,26 +55,17 @@ func (r FloatRange) ordinals() IntRange {
 	return o
 }
 
-// The scan kernels below narrow the row ids of one chunk, decoded from
-// its words into scratch, by one typed predicate. Each is the single
-// row loop of its predicate, run by the partition pass (partition.go)
-// for a piece without a word kernel in the chunk; the word kernels
-// there are the same tests over a word's rows.
+// The row kernels below narrow the row ids of one chunk, decoded from
+// its words into scratch, by one opaque predicate — a numeric or bool
+// set, or the summary-less string range — which has no word kernel
+// (partition.go). Ranges over ordinals and code sets run only as word
+// kernels.
 //
-// A kernel reads the column's backing slice directly — Int64s, Codes,
-// Bools — and writes every row of seg into buf unconditionally,
-// advancing the output cursor by the 0/1 outcome of the test (b2i
-// compiles to a flag set, not a jump). So a row costs a load, a little
-// arithmetic and a store: no call, no hash, and no branch whose
-// direction depends on the data — the ≈50% selectivity a median cut
-// produces would mispredict half of them. The predicate is resolved
-// once per filter into that arithmetic form: an int, date or float
-// range into one unsigned compare over ordinals (intSpan) — a float
-// range adds one equality, for NaN's ordinal — and a string set or
-// range into a dense bitset over dictionary codes (codeSet) whose
-// per-row test is a bit extract. Only numeric sets (a map probe) and
-// the summary-less string range (string compares) keep a
-// data-dependent cost per row.
+// A kernel reads the column's backing slice directly — Int64s, Bools —
+// and writes every row of seg into buf unconditionally, advancing the
+// output cursor by the 0/1 outcome of the test (b2i compiles to a flag
+// set, not a jump). Only the numeric set (a map probe) and the string
+// range (string compares) keep a data-dependent cost per row.
 
 // scanKernel writes the rows of seg that satisfy a predicate into
 // buf, in order, and returns how many it wrote. len(buf) ≥ len(seg).
@@ -94,15 +86,13 @@ func scanNone(seg, buf Selection) int { return 0 }
 
 // intSpan is a range over ordinals resolved to the closed interval
 // [lo, lo+span]: v matches iff uint64(v-lo) <= span, because the
-// subtraction wraps every v below lo to above span. nan marks a float
-// range, which NaN's ordinal matches too (FloatRange.Contains(NaN) is
-// true). empty marks an int or date range no int64 satisfies — Lo >
-// Hi, or an exclusive bound at the edge of the domain (Lo = MaxInt64
-// or Hi = MinInt64).
+// subtraction wraps every v below lo to above span. empty marks a
+// range no int64 satisfies — Lo > Hi, or an exclusive bound at the
+// edge of the domain (Lo = MaxInt64 or Hi = MinInt64).
 type intSpan struct {
-	lo         int64
-	span       uint64
-	empty, nan bool
+	lo    int64
+	span  uint64
+	empty bool
 }
 
 // hi is the span's upper bound.
@@ -128,50 +118,6 @@ func (r IntRange) span() intSpan {
 	return intSpan{lo: lo, span: uint64(hi - lo)}
 }
 
-// span is r's span over float ordinals. A range no number satisfies
-// still keeps NaN rows: its interval is [nanOrdinal, nanOrdinal],
-// which adds nothing the NaN test does not already keep.
-func (r FloatRange) span() intSpan {
-	s := r.ordinals().span()
-	if s.empty {
-		s = intSpan{lo: nanOrdinal}
-	}
-	s.nan = true
-	return s
-}
-
-func (s intSpan) kernel(vals []int64) scanKernel {
-	switch {
-	case s.empty:
-		return scanNone
-	case s.nan:
-		return func(seg, buf Selection) int { return scanNaNRange(vals, s.lo, s.span, seg, buf) }
-	}
-	return func(seg, buf Selection) int { return scanIntRange(vals, s.lo, s.span, seg, buf) }
-}
-
-func scanIntRange(vals []int64, lo int64, span uint64, seg, buf Selection) int {
-	n := 0
-	for _, row := range seg {
-		buf[n] = row
-		n += b2i(uint64(vals[row]-lo) <= span)
-	}
-	return n
-}
-
-// scanNaNRange is scanIntRange that keeps NaN's ordinal too: the row
-// kernel of a float range, and its NaN-aware step in a chunk that may
-// hold NaN and has no code planes (rowTest.wordTest).
-func scanNaNRange(vals []int64, lo int64, span uint64, seg, buf Selection) int {
-	n := 0
-	for _, row := range seg {
-		v := vals[row]
-		buf[n] = row
-		n += b2i(uint64(v-lo) <= span) | b2i(v == nanOrdinal)
-	}
-	return n
-}
-
 // codeSet is a dense bitset over a string column's dictionary codes:
 // bit code is set when rows holding that code match.
 type codeSet []uint64
@@ -179,20 +125,6 @@ type codeSet []uint64
 func (s codeSet) has(code uint32) bool {
 	i := int(code >> 6)
 	return i < len(s) && s[i]>>(code&63)&1 != 0
-}
-
-func (s codeSet) kernel(codes []uint32) scanKernel {
-	return func(seg, buf Selection) int { return scanCodeSet(codes, s, seg, buf) }
-}
-
-func scanCodeSet(codes []uint32, want codeSet, seg, buf Selection) int {
-	n := 0
-	for _, row := range seg {
-		code := codes[row]
-		buf[n] = row
-		n += int(want[code>>6] >> (code & 63) & 1)
-	}
-	return n
 }
 
 // add sets code's bit, sizing the set to the dictionary on first use.

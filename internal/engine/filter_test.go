@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -27,6 +28,17 @@ func TestFloatRangeContains(t *testing.T) {
 	r := FloatRange{Lo: 1.5, Hi: 2.5, LoIncl: true, HiIncl: false}
 	if !r.Contains(1.5) || r.Contains(2.5) || !r.Contains(2.0) || r.Contains(1.4) {
 		t.Error("FloatRange.Contains broken")
+	}
+	// NaN matches no range, not even an unbounded one, and a NaN bound
+	// excludes nothing on its side (SEMANTICS.md §1.4).
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, r := range []FloatRange{r, {Lo: -inf, Hi: inf, LoIncl: true, HiIncl: true}, {Lo: nan, Hi: nan}} {
+		if r.Contains(nan) {
+			t.Errorf("%+v contains NaN", r)
+		}
+	}
+	if open := (FloatRange{Lo: nan, Hi: 2}); !open.Contains(-inf) || open.Contains(2) {
+		t.Error("a NaN lower bound must leave its side open")
 	}
 }
 

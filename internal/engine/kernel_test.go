@@ -93,23 +93,26 @@ func checkIntSet(t testing.TB, col IntValued, sum *ChunkSummary, cs *ChunkedSele
 		})
 }
 
-// checkFloatSet's reference is == over vals, the values the column was
-// built from, under which NaN matches nothing (the set filters'
-// documented convention) and -0 matches +0.
+// checkFloatSet's reference is floatIn over vals, the values the
+// column was built from.
 func checkFloatSet(t testing.TB, col FloatValued, vals []float64, sum *ChunkSummary, cs *ChunkedSelection, values []float64) {
 	t.Helper()
 	checkKernel(t, fmt.Sprintf("float set %v", values), cs, sum,
 		func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
 			return FilterChunked(cs, FloatSetPred(col, values, s))
 		},
-		func(row int32) bool {
-			for _, v := range values {
-				if vals[row] == v {
-					return true
-				}
-			}
-			return false
-		})
+		func(row int32) bool { return floatIn(vals[row], values) })
+}
+
+// floatIn is float set membership by SEMANTICS.md §1.4: == over the
+// values, under which −0 matches +0, and NaN equal to NaN.
+func floatIn(v float64, values []float64) bool {
+	for _, w := range values {
+		if v == w || v != v && w != w {
+			return true
+		}
+	}
+	return false
 }
 
 func checkStringSet(t testing.TB, col *StringColumn, sum *ChunkSummary, cs *ChunkedSelection, values []string) {
@@ -442,11 +445,13 @@ func TestCodeSetVerdictShortWantSet(t *testing.T) {
 }
 
 // partPiece is one predicate of a fuzzed partition: its Pred for the
-// partition, and the one-piece filter the partition must agree with.
+// partition, the one-piece filter the partition must agree with, and
+// the row-at-a-time reference both are held to.
 type partPiece struct {
 	name   string
 	pred   func(sum *ChunkSummary) Pred
 	filter func(cs *ChunkedSelection, sum *ChunkSummary) *ChunkedSelection
+	keep   func(row int32) bool
 }
 
 func countingMetrics() *Metrics {
@@ -461,7 +466,7 @@ func metricCounts(m *Metrics) [5]int64 {
 
 // checkPartition holds PartitionChunked over pieces — promised to
 // partition cs when cover is set — to one filter per piece and to each
-// piece's row kernel run over cs's rows, with the zone map and without
+// piece's reference run over cs's rows, with the zone map and without
 // it, at scan workers 1 and 4. Every child equals both chunk for chunk,
 // every child chunk is in the one form, and the metrics hook counts
 // exactly what the per-piece filters count.
@@ -479,15 +484,10 @@ func checkPartition(t testing.TB, cs *ChunkedSelection, sum *ChunkSummary, piece
 	}
 }
 
-// rowFilter runs p's row kernel over every row of cs: the reference the
-// verdicts and word kernels are held to.
-func rowFilter(cs *ChunkedSelection, p Pred) *ChunkedSelection {
-	if p.none {
-		return emptyLike(cs).seal()
-	}
-	rows := cs.Flat()
-	out := make(Selection, len(rows))
-	return ChunkSelection(out[:p.scan(rows, out)], cs.nRows, cs.chunkRows)
+// rowFilter runs keep over every row of cs: the reference the verdicts
+// and kernels are held to.
+func rowFilter(cs *ChunkedSelection, keep func(row int32) bool) *ChunkedSelection {
+	return ChunkSelection(naiveFilter(cs.Flat(), keep), cs.nRows, cs.chunkRows)
 }
 
 // checkPartitionOf is one checkPartition pass over parent.
@@ -504,7 +504,7 @@ func checkPartitionOf(t testing.TB, parent *ChunkedSelection, s *ChunkSummary, p
 	m = countingMetrics()
 	SetMetrics(m)
 	for i, p := range pieces {
-		want := rowFilter(parent, preds[i])
+		want := rowFilter(parent, p.keep)
 		checkChild(t, p.name+" ("+where+")", children[i], want)
 		checkChild(t, p.name+" filter ("+where+")", p.filter(parent, s), want)
 	}
@@ -586,9 +586,13 @@ func intRangePiece(ic IntValued, r IntRange) partPiece {
 		filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
 			return FilterIntRangeChunked(ic, cs, r, s)
 		},
+		keep: func(row int32) bool { return r.Contains(ic.Int64(int(row))) },
 	}
 }
 
+// floatRangePiece's reference reads the column's decoded values: −0
+// reads as +0 and every NaN as the one NaN, which no range tells apart
+// from the values the column was built from.
 func floatRangePiece(fc FloatValued, r FloatRange) partPiece {
 	return partPiece{
 		name: fmt.Sprintf("float range %+v", r),
@@ -596,6 +600,7 @@ func floatRangePiece(fc FloatValued, r FloatRange) partPiece {
 		filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
 			return FilterFloatRangeChunked(fc, cs, r, s)
 		},
+		keep: func(row int32) bool { return r.Contains(fc.Float64(int(row))) },
 	}
 }
 
@@ -606,6 +611,7 @@ func intSetPiece(ic IntValued, set []int64) partPiece {
 		filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
 			return FilterChunked(cs, IntSetPred(ic, set, s))
 		},
+		keep: func(row int32) bool { return slices.Contains(set, ic.Int64(int(row))) },
 	}
 }
 
@@ -616,6 +622,7 @@ func floatSetPiece(fc FloatValued, set []float64) partPiece {
 		filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
 			return FilterChunked(cs, FloatSetPred(fc, set, s))
 		},
+		keep: func(row int32) bool { return floatIn(fc.Float64(int(row)), set) },
 	}
 }
 
@@ -626,6 +633,7 @@ func stringSetPiece(sc *StringColumn, values []string) partPiece {
 		filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
 			return FilterStringSetChunked(sc, cs, values, s)
 		},
+		keep: func(row int32) bool { return slices.Contains(values, sc.Str(int(row))) },
 	}
 }
 
@@ -636,18 +644,18 @@ func boolSetPiece(bc *BoolColumn, values []bool) partPiece {
 		filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
 			return FilterChunked(cs, BoolSetPred(bc, values, s))
 		},
+		keep: func(row int32) bool { return slices.Contains(values, bc.Bool(int(row))) },
 	}
 }
 
 // coverPieces draws two or three pieces that partition the rows sel
 // selects of col, the way a cut's children do. For an int, date or
 // float column they are adjacent ranges over the selected numbers'
-// exact [min, max], split at selected values (a NaN row matches every
-// one of them) or, with sets, the distinct selected values shuffled
-// and dealt into sets, as the numeric-nominal fallback's are (a float
-// set matches no NaN row, so it covers only the numbers: an opaque
-// test is never derived). A string column's pieces deal the codes the
-// selection holds, a bool column's are {false} and {true}.
+// exact [min, max], split at selected values, and a {NaN} set when the
+// selection holds NaN, which no range matches, or, with sets, the
+// distinct selected values shuffled and dealt into sets, as the
+// numeric-nominal fallback's are. A string column's pieces deal the
+// codes the selection holds, a bool column's are {false} and {true}.
 func coverPieces(col Column, sel Selection, sets bool, rng *rand.Rand, arity int) []partPiece {
 	switch col := col.(type) {
 	case IntValued:
@@ -663,10 +671,14 @@ func coverPieces(col Column, sel Selection, sets bool, rng *rand.Rand, arity int
 		if sets {
 			return setPieces(dealSets(vals, rng, arity), func(set []float64) partPiece { return floatSetPiece(col, set) })
 		}
-		vals = slices.DeleteFunc(vals, func(v float64) bool { return v != v })
-		return coverRanges(vals, rng, arity, func(lo, hi float64, hiIncl bool) partPiece {
+		nums := slices.DeleteFunc(slices.Clone(vals), func(v float64) bool { return v != v })
+		pieces := coverRanges(nums, rng, arity, func(lo, hi float64, hiIncl bool) partPiece {
 			return floatRangePiece(col, FloatRange{Lo: lo, Hi: hi, LoIncl: true, HiIncl: hiIncl})
 		})
+		if len(nums) < len(vals) {
+			pieces = append(pieces, floatSetPiece(col, []float64{math.NaN()}))
+		}
+		return pieces
 	case *StringColumn:
 		codes := gatherDistinct(col.Codes(), sel, cmp.Compare[uint32])
 		return setPieces(dealSets(codes, rng, arity), func(set []uint32) partPiece {
@@ -756,7 +768,8 @@ const (
 )
 
 // FuzzPartitionKernels holds the partition driver to one filter per
-// piece and to each piece's row kernel (checkPartition). raw supplies one 64-bit word per row; shape
+// piece and to each piece's row-at-a-time reference (checkPartition),
+// under which NaN matches no range and a set listing NaN matches it. raw supplies one 64-bit word per row; shape
 // picks the column — int or date ranges, float ranges, int or float
 // sets (the nominal fallback), string sets or ranges, bool sets — and
 // whether its values are sorted (so the verdicts take and skip whole
@@ -776,15 +789,15 @@ const (
 // own length, not chunkRows'. With partCover the
 // pieces partition the parent instead (coverPieces) and the pass is
 // promised so: every child must still equal its filter, whether the
-// pass derived it (ranges and code sets; float ranges only in NaN-free
-// chunks) or tested it (sets, the fallback's among them, and float
-// ranges where NaN is). With partPlanes the table is warmed over the
+// pass derived it (ranges and code sets) or tested it (a pass holding
+// a set — the fallback's, or the {NaN} piece beside float ranges).
+// With partPlanes the table is warmed over the
 // first half of the rows and the rest appended, every fifth of them a
 // value past the outer boundaries (the extremes, NaN and values just
 // past the small domain), so numeric pieces run the plane kernels over
 // rank codes — exact over a small domain, equi-depth otherwise — and
 // string pieces over code planes of a 2–16 value dictionary, each
-// child held to the row kernels over the parent's rows.
+// child held to the references over the parent's rows.
 func FuzzPartitionKernels(f *testing.F) {
 	word := func(ws ...uint64) []byte {
 		var b []byte
@@ -1034,6 +1047,10 @@ func FuzzPartitionKernels(f *testing.F) {
 					pred: func(s *ChunkSummary) Pred { return StringRangePred(sc, lo, hi, loIncl, hiIncl, s) },
 					filter: func(cs *ChunkedSelection, s *ChunkSummary) *ChunkedSelection {
 						return FilterChunked(cs, StringRangePred(sc, lo, hi, loIncl, hiIncl, s))
+					},
+					keep: func(row int32) bool {
+						v := sc.Str(int(row))
+						return (lo < v || (loIncl && lo == v)) && (v < hi || (hiIncl && v == hi))
 					},
 				})
 			}

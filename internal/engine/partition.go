@@ -17,28 +17,25 @@ import (
 // over the chunk's rows, decoded into scratch once.
 //
 // The cover rule. Without a promise every piece keeps its own test, so
-// child i is exactly FilterChunked(parent, preds[i]), NaN rows
-// included: they match every float range and no float set. A caller
-// may promise that the pieces partition the parent — every parent row
-// lies in exactly one piece. seg makes that promise for a pass that
-// holds every child of one cut: the pieces of rangePieces span the
-// extent's exact [min, max] with adjacent half-open ranges, and
-// nominal pieces split the list of every value the extent holds. Under
-// the promise, in each chunk where it holds, the last scanned piece is
-// derived instead of tested: parent &^ others per word, which loads
-// no value; a lone scanned piece is the parent chunk, and a piece whose verdict
-// takes the chunk settles it for every other piece. The promise holds
-// in a chunk when every piece's test covers it (rowTest.covers): an
-// int/date range or a code set anywhere, a float range only over a
-// chunk the zone map marks NaN-free — a NaN row matches every float
-// range, so in a chunk holding one the pieces overlap and each keeps
-// its test. Opaque tests — numeric and bool sets (the numeric-nominal
-// fallback's pieces among them, which match no NaN row) and the
-// summary-less string range — never derive, so a pass holding one
-// scans every piece. Verdicts are computed and counted for every piece
-// either way. The promise also bounds the parent: no number in it lies
-// below the lowest range piece or above the highest, so their plane
-// tests drop those bounds (openEnds).
+// child i is exactly FilterChunked(parent, preds[i]). A caller may
+// promise that the pieces partition the parent — every parent row lies
+// in exactly one piece. seg makes that promise for a pass that holds
+// every child of one cut: the pieces of rangePieces span the extent's
+// exact [min, max] with adjacent half-open ranges, a {NaN} piece holds
+// the extent's NaN rows, which match no range, and nominal pieces
+// split the list of every value the extent holds (SEMANTICS.md §3).
+// Under the promise the last scanned piece is derived instead of
+// tested: parent &^ others per word, which loads no value; a lone
+// scanned piece is the parent chunk, and a piece whose verdict takes
+// the chunk settles it for every other piece. The promise is used only
+// when every piece has a word test — a range over ordinals or a code
+// set. Opaque tests — numeric and bool sets (the {NaN} piece and the
+// numeric-nominal fallback's pieces among them) and the summary-less
+// string range — never derive, so a pass holding one scans every
+// piece. Verdicts are computed and counted for every piece either way.
+// The promise also bounds the parent: no number in it lies below the
+// lowest range piece or above the highest, so their plane tests drop
+// those bounds (openEnds).
 
 // testKind names the form of a Pred's row test the word kernels read.
 // testOpaque has only its own row kernel: numeric and bool sets, a
@@ -53,11 +50,10 @@ const (
 
 // rowTest is a Pred's row test in shared form: the column's backing
 // slice plus the operand its kind resolves to. sum is a range's zone
-// map (nil without one): its NaN bits tell where a float range
-// (ispan.nan), which keeps NaN rows, may derive, and its bounds where a
-// plane test's side is open. planes is the column's code planes
-// (planes.go) when its zone map carries them, with the operand
-// resolved against them: pr for a range, ps for a code set.
+// map (nil without one): its bounds tell where a plane test's side is
+// open. planes is the column's code planes (planes.go) when its zone
+// map carries them, with the operand resolved against them: pr for a
+// range, ps for a code set.
 type rowTest struct {
 	kind   testKind
 	ints   []int64
@@ -70,30 +66,6 @@ type rowTest struct {
 	ps     planeSet
 }
 
-// covers reports whether a promised cover may derive the test's rows
-// in chunk c: always for int/date ranges and code sets; for a float
-// range only in a chunk the zone map proves NaN-free, because a NaN row
-// matches every float range and the pieces overlap there; never for an
-// opaque test.
-func (t *rowTest) covers(c int) bool {
-	switch t.kind {
-	case testIntRange:
-		return !t.ispan.nan || t.sum != nil && !t.sum.hasNaN(c)
-	case testCodeSet:
-		return true
-	}
-	return false
-}
-
-// wordTest reports whether the test runs as a word kernel over chunk c
-// of a parent of nw words: with the chunk's planes always, which
-// test NaN's code; without them where covers holds — in a chunk that
-// may hold NaN a float range runs its row kernel, which tests NaN's
-// ordinal.
-func (t *rowTest) wordTest(c, nw int) bool {
-	return t.kind != testOpaque && t.planes.chunk(c, nw) != nil || t.covers(c)
-}
-
 // partInline is the piece count whose per-chunk bookkeeping stays on
 // the stack; wider partitions spill it to the heap.
 const partInline = 8
@@ -102,8 +74,8 @@ const partInline = 8
 // column — in one pass, returning child i equal to FilterChunked(src,
 // preds[i]). A chunk every row of which a piece keeps is the parent's container,
 // shared. cover is the caller's promise that preds partition src (the
-// cover rule above); with it the pass derives a piece in every chunk
-// where the rule holds, and without it tests every piece. The metrics
+// cover rule above); with it, and every piece a word test, the pass
+// derives a piece in every chunk, and otherwise tests every piece. The metrics
 // hook counts what one filter per pred would: a VectorKernels per pred
 // that can match, and one verdict per such pred per non-empty chunk.
 func PartitionChunked(src *ChunkedSelection, preds []Pred, cover bool) []*ChunkedSelection {
@@ -118,10 +90,14 @@ func PartitionChunked(src *ChunkedSelection, preds []Pred, cover bool) []*Chunke
 		}
 	}
 	if len(live) > 0 {
-		if cover {
+		derive := cover
+		for _, i := range live {
+			derive = derive && preds[i].test.kind != testOpaque
+		}
+		if derive {
 			preds = openEnds(preds, live)
 		}
-		part := &partition{src: src, preds: preds, live: live, out: out, m: m, cover: cover}
+		part := &partition{src: src, preds: preds, live: live, out: out, m: m, derive: derive}
 		forEachSeg(src, part.chunk)
 	}
 	for _, cs := range out {
@@ -135,8 +111,7 @@ func PartitionChunked(src *ChunkedSelection, preds []Pred, cover bool) []*Chunke
 // when every live piece is a range with planes: under the cover
 // promise no parent number lies outside the pieces' hull, so those
 // bounds exclude nothing, and the boundary codes at them need no value
-// test. A float piece of NaN alone holds no number and bounds nothing.
-// preds itself is left as it is.
+// test. preds itself is left as it is.
 func openEnds(preds []Pred, live []int) []Pred {
 	lowest, highest := -1, -1
 	var lo, hi int64
@@ -144,9 +119,6 @@ func openEnds(preds []Pred, live []int) []Pred {
 		t := &preds[i].test
 		if t.kind != testIntRange || t.planes == nil {
 			return preds
-		}
-		if t.pr.none {
-			continue
 		}
 		tlo, thi := t.ispan.lo, t.ispan.hi()
 		if lowest < 0 || tlo < lo {
@@ -156,9 +128,6 @@ func openEnds(preds []Pred, live []int) []Pred {
 			highest, hi = i, thi
 		}
 	}
-	if lowest < 0 {
-		return preds
-	}
 	preds = slices.Clone(preds)
 	preds[lowest].test.pr.loOpen = true
 	preds[highest].test.pr.hiOpen = true
@@ -166,27 +135,23 @@ func openEnds(preds []Pred, live []int) []Pred {
 }
 
 // partition is one PartitionChunked pass: the parent, the pieces, the
-// children every chunk's task fills, the metrics hook and the cover
-// promise.
+// children every chunk's task fills, the metrics hook and whether the
+// cover rule derives a piece.
 type partition struct {
-	src   *ChunkedSelection
-	preds []Pred
-	live  []int
-	out   []*ChunkedSelection
-	m     *Metrics
-	cover bool
+	src    *ChunkedSelection
+	preds  []Pred
+	live   []int
+	out    []*ChunkedSelection
+	m      *Metrics
+	derive bool
 }
 
 // chunk is one parent chunk's task: the verdicts, then the scan of the
-// pieces left — the last of them derived where the cover rule holds.
+// pieces left — the last of them derived under the cover rule.
 func (p *partition) chunk(c int) {
 	ct := p.src.chunks[c]
 	if ct.n == 0 {
 		return
-	}
-	derive := p.cover
-	for _, i := range p.live {
-		derive = derive && p.preds[i].test.covers(c)
 	}
 	var scanArr [partInline]int
 	scan, took := scanArr[:0], false
@@ -202,11 +167,11 @@ func (p *partition) chunk(c int) {
 		}
 	}
 	switch {
-	case len(scan) == 0 || derive && took:
-	case derive && len(scan) == 1:
+	case len(scan) == 0 || p.derive && took:
+	case p.derive && len(scan) == 1:
 		p.out[scan[0]].take(c, ct)
 	default:
-		p.scanPieces(ct, c, scan, derive)
+		p.scanPieces(ct, c, scan, p.derive)
 	}
 }
 
@@ -218,14 +183,13 @@ func (p *partition) chunk(c int) {
 // both; BenchmarkPartitionSource measures the crossover.
 const denseWordBits = 32
 
-// scanPieces scans the pieces left in parent chunk c: a piece whose
-// row test runs as a word kernel in the chunk (rowTest.wordTest) builds
-// its child words from the parent's word by word (packPiece) into one
-// scratch buffer, which the chunk setter copies; when derive is set the
-// last piece's words are the parent's less the others' (every piece
-// then runs as a word kernel). Any other piece runs its row kernel over
-// the chunk's rows, decoded into scratch once for all of them, and its
-// matches are packed back into words.
+// scanPieces scans the pieces left in parent chunk c: a piece with a
+// word test builds its child words from the parent's word by word
+// (packPiece) into one scratch buffer, which the chunk setter copies;
+// when derive is set the last piece's words are the parent's less the
+// others' (every piece then has a word test). An opaque piece runs its
+// row kernel over the chunk's rows, decoded into scratch once for all
+// of them, and its matches are packed back into words.
 func (p *partition) scanPieces(ct container, c int, scan []int, derive bool) {
 	pw, n := ct.words, ct.n
 	base := p.src.chunkRows * c
@@ -235,7 +199,7 @@ func (p *partition) scanPieces(ct container, c int, scan []int, derive bool) {
 	var packedArr, opaqueArr [partInline]int
 	packed, opaque := packedArr[:0], opaqueArr[:0]
 	for _, i := range scan {
-		if p.preds[i].test.wordTest(c, len(pw)) {
+		if p.preds[i].test.kind != testOpaque {
 			packed = append(packed, i)
 		} else {
 			opaque = append(opaque, i)
@@ -296,8 +260,8 @@ func (p *partition) scanPieces(ct container, c int, scan []int, derive bool) {
 	}
 }
 
-// packPiece builds the child words of one piece whose row test runs as
-// a word kernel from parent chunk c's words pw into out, and returns
+// packPiece builds the child words of one piece with a word test from
+// parent chunk c's words pw into out, and returns
 // their count. With the chunk's code planes the plane kernel
 // (planes.go) tests every nonzero parent word whole. Without, each
 // parent word picks its value kernel by density (isDense): a dense word
@@ -308,7 +272,7 @@ func packPiece(t *rowTest, pw []uint64, c, base, full int, out []uint64) int {
 	switch {
 	case t.kind == testIntRange && pl != nil:
 		lo, hi := t.sum.IntBounds(c)
-		pr := t.pr.inChunk(t.ispan, lo, hi)
+		pr := t.pr.inChunk(t.ispan, lo, hi, t.sum.hasNaN(c))
 		return packPlaneRange(pl, &pr, t.ints, t.ispan, pw, base, out)
 	case t.kind == testIntRange:
 		return packIntRange(t.ints, t.ispan, pw, base, full, out)

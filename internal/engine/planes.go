@@ -168,7 +168,8 @@ func (t *Table) dictPlanesFor(codes []uint32, p int, old *bitPlanes, dirty []boo
 // lower code lo or the upper code hi, unless exact on that side — is a
 // boundary code, whose rows alone are tested by value. A side no
 // number of the parent's chunk lies beyond is open: its compare is
-// skipped. A float range keeps code rankNaN.
+// skipped. NaN's code, rankNaN, lies above every number's, so the
+// upper compare, which drops it, stays in a chunk holding NaN.
 type planeRange struct {
 	// lo and hi hold bit b of the lower and the upper code at index b,
 	// broadcast to a word.
@@ -177,8 +178,6 @@ type planeRange struct {
 	// lies inside the range on its lower (upper) side.
 	loExact, hiExact uint64
 	loOpen, hiOpen   bool
-	// none marks a float range of NaN alone; nan a float range.
-	none, nan bool
 }
 
 // newPlaneRange resolves s over rc's boundaries. Code k holds the
@@ -188,7 +187,7 @@ type planeRange struct {
 // starts at lo (ends just past hi) or the bound is the column's floor
 // (ceiling), and open when, besides, it is code 0 (rankBounds).
 func newPlaneRange(rc *rankCodes, s intSpan) planeRange {
-	pr := planeRange{nan: s.nan, none: s.nan && s.lo == nanOrdinal}
+	var pr planeRange
 	floor, ceil := int64(math.MinInt64), int64(math.MaxInt64)
 	if rc.nan {
 		floor, ceil = floatOrdinal(math.Inf(-1)), floatOrdinal(math.Inf(1))
@@ -206,11 +205,12 @@ func newPlaneRange(rc *rankCodes, s intSpan) planeRange {
 }
 
 // inChunk returns the range as tested over chunk c, whose zone-map
-// bounds are lo and hi: a side the chunk's numbers do not reach past
-// is open there.
-func (pr planeRange) inChunk(s intSpan, lo, hi int64) planeRange {
+// bounds are lo and hi and which holds NaN when nan is set: a side the
+// chunk's numbers do not reach past is open there, but the upper side
+// only in a chunk free of NaN.
+func (pr planeRange) inChunk(s intSpan, lo, hi int64, nan bool) planeRange {
 	pr.loOpen = pr.loOpen || s.lo <= lo
-	pr.hiOpen = pr.hiOpen || s.hi() >= hi
+	pr.hiOpen = (pr.hiOpen || s.hi() >= hi) && !nan
 	return pr
 }
 
@@ -246,23 +246,17 @@ func packPlaneRange(pl []uint64, t *planeRange, vals []int64, s intSpan, pw []ui
 		if w != 0 {
 			p := (*[8]uint64)(pl[wi*8:])
 			var bnd uint64
-			if !t.none {
-				x = w
-				if !t.loOpen {
-					lt, eq := planeLess(p, &t.lo)
-					bnd = eq &^ t.loExact
-					x &^= lt | bnd
-				}
-				if !t.hiOpen {
-					lt, eq := planeLess(p, &t.hi)
-					x &= lt | eq&t.hiExact
-					bnd |= eq &^ t.hiExact
-				}
+			x = w
+			if !t.loOpen {
+				lt, eq := planeLess(p, &t.lo)
+				bnd = eq &^ t.loExact
+				x &^= lt | bnd
 			}
-			if t.nan {
-				x |= p[0] & p[1] & p[2] & p[3] & p[4] & p[5] & p[6] & p[7]
+			if !t.hiOpen {
+				lt, eq := planeLess(p, &t.hi)
+				x &= lt | eq&t.hiExact
+				bnd |= eq &^ t.hiExact
 			}
-			x &= w
 			at := base + wi<<6
 			for bnd &= w; bnd != 0; bnd &= bnd - 1 {
 				j := bits.TrailingZeros64(bnd)

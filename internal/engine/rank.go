@@ -281,31 +281,33 @@ func (t *Table) rankCodesFor(vals []int64, nan bool, old *rankCodes, dirty []boo
 // pooled scratch, and the ranks the quantiles have among them (nil
 // below arity 2), with the extent's bounds — the zone map's when the
 // extent takes every chunk it selects in whole, otherwise gathered
-// too, from the codes holding its smallest and its largest number. An
-// extent of NaN alone gathers nothing. ok is false,
+// too, from the codes holding its smallest and its largest number —
+// and whether it holds NaN (code rankNaN). An extent of NaN alone
+// gathers nothing. ok is false,
 // and nothing is gathered, when sum has no rank codes, when they do not
 // describe src's chunks, or when the wanted codes hold more than
 // rankShareMax of the extent. Callers must not retain any shard past
 // release.
-func rankKeys(col Numeric, src *ChunkedSelection, sum *ChunkSummary, arity int) (keys [][]uint64, lo, hi uint64, ranks []int, release func(), ok bool) {
+func rankKeys(col Numeric, src *ChunkedSelection, sum *ChunkSummary, arity int) (keys [][]uint64, lo, hi uint64, ranks []int, nan bool, release func(), ok bool) {
 	if sum == nil || sum.rank == nil || len(sum.rank.codes) != src.NumChunks() {
-		return nil, 0, 0, nil, nil, false
+		return nil, 0, 0, nil, false, nil, false
 	}
 	rc := sum.rank
 	for c := range rc.codes {
 		if len(rc.codes[c]) != paddedLen(src.chunkLen(c)) {
-			return nil, 0, 0, nil, nil, false
+			return nil, 0, 0, nil, false, nil, false
 		}
 	}
 	hists := rankHists(src, rc)
 	var total [rankCells]int
 	for _, h := range hists {
 		if h != nil {
-			for k, n := range h[:rankNaN] {
+			for k, n := range h {
 				total[k] += int(n)
 			}
 		}
 	}
+	nan = total[rankNaN] > 0
 	var want [rankCells]bool
 	first, last, n := -1, 0, 0
 	for k, m := range total[:rankNaN] {
@@ -319,7 +321,7 @@ func rankKeys(col Numeric, src *ChunkedSelection, sum *ChunkSummary, arity int) 
 	}
 	if n == 0 {
 		// NaN alone: nothing to bound or rank.
-		return nil, math.MaxUint64, 0, nil, func() {}, true
+		return nil, math.MaxUint64, 0, nil, nan, func() {}, true
 	}
 	// An extent of whole chunks takes its bounds from the zone map;
 	// any other gathers the codes holding its smallest and its largest
@@ -353,7 +355,7 @@ func rankKeys(col Numeric, src *ChunkedSelection, sum *ChunkSummary, arity int) 
 		}
 	}
 	if float64(m) > rankShareMax*float64(n) {
-		return nil, 0, 0, nil, nil, false
+		return nil, 0, 0, nil, false, nil, false
 	}
 	for i, k := range inCode {
 		ranks[i] += wantedBelow[k]
@@ -371,7 +373,7 @@ func rankKeys(col Numeric, src *ChunkedSelection, sum *ChunkSummary, arity int) 
 	if whole {
 		lo, hi = zlo, zhi
 	}
-	return keys, lo, hi, ranks, release, true
+	return keys, lo, hi, ranks, nan, release, true
 }
 
 // wholeBounds returns the union of sum's bounds over the chunks src

@@ -131,7 +131,7 @@ func checkRankCut(t *testing.T, name string, col Numeric, sum *ChunkSummary, sel
 	for k, sel := range sels {
 		src := ChunkSelection(sel, nRows, chunkRows)
 		for arity := 2; arity <= 5; arity++ {
-			if _, _, _, _, put, ok := rankKeys(col, src, sum, arity); ok {
+			if _, _, _, _, _, put, ok := rankKeys(col, src, sum, arity); ok {
 				put()
 				ranked++
 			}

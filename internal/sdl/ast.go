@@ -8,6 +8,7 @@
 package sdl
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -52,9 +53,13 @@ type Range struct {
 	LoIncl, HiIncl bool
 }
 
-// Contains reports whether v lies inside the range. Values must be
+// Contains reports whether v lies inside the range: never for a float
+// NaN, which satisfies no range (SEMANTICS.md §1.4). Values must be
 // comparable with the bounds (same kind family).
 func (r Range) Contains(v engine.Value) bool {
+	if f := v.AsFloat(); v.Kind() == engine.KindFloat && f != f {
+		return false
+	}
 	lo := v.Compare(r.Lo)
 	if lo < 0 || (lo == 0 && !r.LoIncl) {
 		return false
@@ -117,7 +122,7 @@ func canonicalSet(vals []engine.Value) []engine.Value {
 	sort.Slice(out, func(i, j int) bool { return valueLess(out[i], out[j]) })
 	dedup := out[:0]
 	for i, v := range out {
-		if i == 0 || !v.Equal(out[i-1]) {
+		if i == 0 || valueLess(out[i-1], v) {
 			dedup = append(dedup, v)
 		}
 	}
@@ -125,19 +130,23 @@ func canonicalSet(vals []engine.Value) []engine.Value {
 }
 
 // valueLess orders values of mixed kinds deterministically: by kind
-// family first, then by value. Within a single column all values
-// share a kind, so this only matters for canonical sorting.
+// family first, then by value, NaN first as its ordinal is, then by
+// rendering. The rendering sets apart ints past 2^53 that one float
+// holds, and leaves values that render alike, such as 1 and 1.0,
+// equal, as they parse back alike. Within a single column all values
+// share a kind, so families only matter for canonical sorting.
 func valueLess(a, b engine.Value) bool {
 	ka, kb := kindFamily(a.Kind()), kindFamily(b.Kind())
-	if ka != kb {
+	switch {
+	case ka != kb:
 		return ka < kb
-	}
-	switch ka {
-	case familyString:
+	case ka == familyString:
 		return a.AsString() < b.AsString()
-	default:
-		return a.AsFloat() < b.AsFloat()
 	}
+	if c := cmp.Compare(a.AsFloat(), b.AsFloat()); c != 0 {
+		return c < 0
+	}
+	return formatLiteral(a) < formatLiteral(b)
 }
 
 type family uint8
@@ -377,8 +386,12 @@ func (c Constraint) String() string {
 
 // formatLiteral renders a value as a parseable SDL literal: strings
 // are quoted when they could be mistaken for other token types or
-// contain delimiters.
+// contain delimiters, and a float zero is 0, as −0 means the same as
+// +0 (SEMANTICS.md §1.3) and would parse back as the int 0.
 func formatLiteral(v engine.Value) string {
+	if v.Kind() == engine.KindFloat && v.AsFloat() == 0 {
+		return "0"
+	}
 	if v.Kind() != engine.KindString {
 		return v.String()
 	}

@@ -3,6 +3,7 @@ package sdl
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"charles/internal/engine"
 )
@@ -10,8 +11,10 @@ import (
 // Bind validates the query against a table schema and coerces every
 // literal to the kind of its column. Coercions are conservative:
 //
-//   - int column:    int literals; floats only when integral
-//   - float column:  int and float literals
+//   - int column:    int literals; floats only when integral and finite
+//   - float column:  int and float literals, and the words NaN, Inf,
+//     +Inf and -Inf, the renderings of the non-finite floats; NaN in
+//     a set only
 //   - date column:   date literals, ISO strings, ints (days)
 //   - string column: any literal, rendered to its string form
 //   - bool column:   bool literals and the strings true/false
@@ -37,6 +40,11 @@ func Bind(q Query, t *engine.Table) (Query, error) {
 			if err != nil {
 				return Query{}, err
 			}
+			if math.IsNaN(lo.AsFloat()) || math.IsNaN(hi.AsFloat()) {
+				// No value compares with NaN, so no bound order holds
+				// (SEMANTICS.md §1.4); a set lists NaN instead.
+				return Query{}, fmt.Errorf("sdl: %s: NaN cannot bound a range", c.Attr)
+			}
 			out = out.WithConstraint(RangeC(c.Attr, lo, hi, c.Range.LoIncl, c.Range.HiIncl))
 		case KindSet:
 			vals := make([]engine.Value, len(c.Set))
@@ -61,13 +69,20 @@ func coerce(v engine.Value, kind engine.Kind, attr string) (engine.Value, error)
 	case engine.KindInt:
 		if v.Kind() == engine.KindFloat {
 			f := v.AsFloat()
-			if f == math.Trunc(f) {
+			if f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
 				return engine.Int(int64(f)), nil
 			}
 		}
 	case engine.KindFloat:
-		if v.Kind() == engine.KindInt {
+		switch v.Kind() {
+		case engine.KindInt:
 			return engine.Float(float64(v.AsInt())), nil
+		case engine.KindString:
+			switch s := v.AsString(); s {
+			case "NaN", "Inf", "+Inf", "-Inf":
+				f, _ := strconv.ParseFloat(s, 64)
+				return engine.Float(f), nil
+			}
 		}
 	case engine.KindDate:
 		switch v.Kind() {

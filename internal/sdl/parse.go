@@ -18,9 +18,11 @@ import (
 //	set        = "{" literal { "," literal } "}"
 //	literal    = number | date | quoted-string | bare-word
 //
-// Dates are ISO (1650-03-15), numbers without a dot are integers,
-// quoted strings use single quotes with ” escaping. Bare words are
-// string literals. The outer parentheses are optional so users can
+// Dates are ISO (1650-03-15), numbers without a dot or exponent are
+// integers, +Inf and -Inf are floats, quoted strings use single quotes
+// with ” escaping. Bare words are string literals; Bind reads the
+// words NaN and Inf on a float column as those floats, so every
+// rendered float parses back. The outer parentheses are optional so users can
 // type `tonnage:, type: {fluit}` directly. An empty input parses to
 // the empty query (no predicates).
 func Parse(input string) (Query, error) {
@@ -145,6 +147,9 @@ func (lx *lexer) run() ([]token, error) {
 				return nil, err
 			}
 			toks = append(toks, token{tokString, text, start})
+		case (c == '-' || c == '+') && lx.isInf():
+			lx.pos += len("+Inf")
+			toks = append(toks, token{tokNumber, lx.src[start:lx.pos], start})
 		case c == '-' || c == '+' || c == '.' || (c >= '0' && c <= '9'):
 			tok, err := lx.numberOrDate()
 			if err != nil {
@@ -207,20 +212,30 @@ func (lx *lexer) word() string {
 	return lx.src[start:lx.pos]
 }
 
+// isInf reports whether a signed infinity, +Inf or -Inf, starts at the
+// current position.
+func (lx *lexer) isInf() bool {
+	rest := lx.src[lx.pos+1:]
+	return strings.HasPrefix(rest, "Inf") && (len(rest) == 3 || !isWordChar(rest[3]))
+}
+
 // numberOrDate lexes a numeric token, promoting it to a date when it
-// matches DDDD-DD-DD.
+// matches DDDD-DD-DD. A sign is taken at the start and after an
+// exponent mark, as strconv.FormatFloat writes 1e+06.
 func (lx *lexer) numberOrDate() (token, error) {
 	start := lx.pos
 	// Greedily take number-ish characters, including '-' so ISO
 	// dates lex as one token.
+	dateDash := false
 	for lx.pos < len(lx.src) {
 		c := lx.src[lx.pos]
 		if (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
-			((c == '-' || c == '+') && lx.pos == start) {
+			((c == '-' || c == '+') && (lx.pos == start || lx.src[lx.pos-1]|0x20 == 'e')) {
 			lx.pos++
 			continue
 		}
 		if c == '-' && looksLikeDateSoFar(lx.src[start:lx.pos]) {
+			dateDash = true
 			lx.pos++
 			continue
 		}
@@ -230,7 +245,7 @@ func (lx *lexer) numberOrDate() (token, error) {
 	if isISODate(text) {
 		return token{tokDate, text, start}, nil
 	}
-	if strings.Contains(text[1:], "-") {
+	if dateDash {
 		return token{}, fmt.Errorf("sdl: malformed literal %q at offset %d", text, start)
 	}
 	if _, err := strconv.ParseFloat(text, 64); err != nil {

@@ -206,3 +206,88 @@ func TestParseErrorMessagesCarryOffsets(t *testing.T) {
 		t.Fatalf("error %v lacks offset", err)
 	}
 }
+
+// TestLiteralTable runs each expr through Parse then Bind, and through
+// ParseBound, on a table with a float, an int, a date and a string
+// column: both must fail with an error holding wantErr, or give the
+// query whose key is want, which itself parses and binds back to want.
+// The rendered pieces of a float cut — its ±Inf bounds and its {NaN}
+// piece — are among them.
+func TestLiteralTable(t *testing.T) {
+	tab := engine.MustNewTable("lits",
+		engine.NewFloatColumn("f", []float64{1}),
+		engine.NewIntColumn("i", []int64{1}),
+		engine.NewDateColumn("d", []int64{0}),
+		engine.NewStringColumn("s", []string{"x"}),
+	)
+	bind := func(expr string) (Query, error) {
+		q, err := Parse(expr)
+		if err != nil {
+			return Query{}, err
+		}
+		return Bind(q, tab)
+	}
+	for _, tc := range []struct{ expr, want, wantErr string }{
+		{expr: "(f: [49, +Inf])", want: "(f: [49, +Inf])"},
+		{expr: "(f: [-Inf, 2])", want: "(f: [-Inf, 2])"},
+		{expr: "(f: {NaN})", want: "(f: {NaN})"},
+		{expr: "(f: [1, Inf])", want: "(f: [1, +Inf])"},
+		{expr: "(f: {2, NaN, -Inf, 2.0})", want: "(f: {NaN, -Inf, 2})"},
+		{expr: "(f: [-0, 1e+06))", want: "(f: [0, 1e+06))"},
+		{expr: "(f: (-0.0, 1e-5])", want: "(f: (0, 1e-05])"},
+		{expr: "(f: [+Infinity, 2])", wantErr: "malformed number"},
+		{expr: "(f: [NaN, 2])", wantErr: "NaN cannot bound a range"},
+		{expr: "(i: {NaN})", wantErr: `cannot use string literal "NaN" on a int column`},
+		{expr: "(i: [1, +Inf])", wantErr: `cannot use float literal "+Inf" on a int column`},
+		{expr: "(i: [-5, 9.0])", want: "(i: [-5, 9])"},
+		{expr: "(d: [1650-03-15, 1700-01-01))", want: "(d: [1650-03-15, 1700-01-01))"},
+		{expr: "(d: [1650-03, 1700-01-01])", wantErr: "malformed literal"},
+		{expr: "(s: {'NaN', Inf, 'O''Neill', '3rd', '+Inf'})", want: "(s: {'+Inf', '3rd', Inf, NaN, 'O''Neill'})"},
+		{expr: "(s: {'unterminated})", wantErr: "unterminated string"},
+	} {
+		got, err := bind(tc.expr)
+		once, onceErr := ParseBound(tc.expr, tab)
+		if (err == nil) != (onceErr == nil) || err == nil && got.Key() != once.Key() {
+			t.Fatalf("%s: Parse then Bind gave %v (%v), ParseBound %v (%v)", tc.expr, got, err, once, onceErr)
+		}
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("%s: error %v, want one holding %q", tc.expr, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil || got.Key() != tc.want {
+			t.Fatalf("%s: got %v (%v), want %s", tc.expr, got, err, tc.want)
+		}
+		if back, err := bind(got.Key()); err != nil || back.Key() != tc.want {
+			t.Fatalf("%s: key %s binds back to %v (%v)", tc.expr, got.Key(), back, err)
+		}
+	}
+}
+
+// FuzzParse holds parse ∘ print to a fixed point: Parse never panics,
+// and a query it accepts renders a key that parses back to the same
+// key. The seeds include the rendered pieces of float cuts.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"(f: [49, +Inf])", "(f: [-Inf, 2])", "(f: {NaN})", "(f: [1, Inf])",
+		"(f: {NaN, -Inf, 2})", "(f: [-0, 1e+06))", "(d: [1650-03-15, 1700-01-01), s: {'O''Neill', x})",
+		"(a: {1, 1.0, 1970-01-01, 0}, b:, c: (true, false])",
+		"(a: {9007199254740993, 9007199254740992.0, 9007199254740992, 9.3e18, -0.0, 0})",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		q, err := Parse(in)
+		if err != nil {
+			return
+		}
+		back, err := Parse(q.Key())
+		if err != nil {
+			t.Fatalf("%q: key %q does not parse: %v", in, q.Key(), err)
+		}
+		if back.Key() != q.Key() {
+			t.Fatalf("%q: key %q parses back to %q", in, q.Key(), back.Key())
+		}
+	})
+}

@@ -2,6 +2,7 @@ package seg
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"charles/internal/engine"
@@ -45,9 +46,10 @@ func (o CutOptions) normalize() CutOptions {
 }
 
 // CutQuery splits one query into up to Arity pieces along attr
-// (Definition 5). The pieces partition R(q): numeric attributes are
-// split at equi-depth points into ranges [min,p0), [p0,p1), ...,
-// [p_last,max]; nominal attributes are split on the ordered value
+// (Definition 5). The pieces partition R(q) (SEMANTICS.md §2, §3):
+// numeric attributes are split at equi-depth points into ranges
+// [min,p0), [p0,p1), ..., [p_last,max], plus a {NaN} piece when the
+// extent holds NaN; nominal attributes are split on the ordered value
 // list at the accumulated-frequency points. A query whose attribute
 // is constant within its extent cannot be split and is returned
 // unchanged as a single piece (documented deviation: the paper is
@@ -151,24 +153,23 @@ func childQuery(q sdl.Query, piece sdl.Constraint) (sdl.Query, bool, error) {
 // values to a narrow window — which with retain set may also return
 // the per-chunk counts the cut cache keeps; sampled points are
 // estimated from pointSel and the bounds still taken over the full
-// extent.
+// extent, by the same pass at arity 1.
 func numPieces(attr string, col engine.Numeric, src *engine.ChunkedSelection, sum *engine.ChunkSummary, pointSel *engine.ChunkedSelection, opt CutOptions, retain bool) ([]sdl.Constraint, *engine.IntCounts) {
-	var cut engine.NumCut
-	var counts *engine.IntCounts
 	if pointSel != nil {
-		cut.Min, cut.Max, _ = engine.IntMinMaxChunked(col, src)
+		cut, _ := engine.IntCutChunked(col, src, sum, 1, false)
 		cut.Points = engine.IntCutPointsChunked(col, pointSel, opt.Arity)
-	} else {
-		cut, counts = engine.IntCutChunked(col, src, sum, opt.Arity, retain)
+		return rangePieces(attr, col, cut), nil
 	}
+	cut, counts := engine.IntCutChunked(col, src, sum, opt.Arity, retain)
 	return rangePieces(attr, col, cut), counts
 }
 
 // rangePieces assembles the half-open range constraints for the
-// bounds [min, p0), [p0, p1), ..., [p_last, max], decoded by col, or
-// nil when no point falls in the exact (min, max] interior. Only
-// sampled points can fall outside it, when the sample missed the
-// extremes; they are dropped.
+// bounds [min, p0), [p0, p1), ..., [p_last, max], decoded by col, and
+// a {NaN} set when the extent holds NaN, which no range matches
+// (SEMANTICS.md §2); nil when no point falls in the exact (min, max]
+// interior. Only sampled points can fall outside it, when the sample
+// missed the extremes; they are dropped.
 func rangePieces(attr string, col engine.Numeric, cut engine.NumCut) []sdl.Constraint {
 	bounds := []int64{cut.Min}
 	for _, p := range cut.Points {
@@ -180,13 +181,16 @@ func rangePieces(attr string, col engine.Numeric, cut engine.NumCut) []sdl.Const
 		return nil
 	}
 	mk := col.OrdinalValue
-	out := make([]sdl.Constraint, 0, len(bounds))
+	out := make([]sdl.Constraint, 0, len(bounds)+1)
 	for i, lo := range bounds {
 		if i == len(bounds)-1 {
 			out = append(out, sdl.RangeC(attr, mk(lo), mk(cut.Max), true, true))
 		} else {
 			out = append(out, sdl.RangeC(attr, mk(lo), mk(bounds[i+1]), true, false))
 		}
+	}
+	if cut.NaN {
+		out = append(out, sdl.SetC(attr, engine.Float(math.NaN())))
 	}
 	return out
 }
@@ -210,7 +214,8 @@ func errCutKind(attr string, col engine.Column) error {
 // of the selection is built or cached — and keys the map on the ordinal:
 // one integer map op per row, no Value boxing and no string formatting
 // in the loop. Every NaN has the one ordinal, so NaN counts as one
-// value, as its one rendering "NaN" does; −0 is stored as +0. Values
+// value, as its one rendering "NaN" does, and the piece listing it
+// matches the NaN rows; −0 is stored as +0. Values
 // are decoded and formatted once per distinct value at the end, where
 // nominalPieces needs the canonical strings for ordering; the ordering
 // itself is deterministic (ties broken on the value string) regardless
@@ -290,9 +295,9 @@ func nominalPieces(attr string, vcs []stats.ValueCount, mk func(string) engine.V
 //
 // The result keeps s's partition proof when that proof names the
 // current fingerprint and every split query's children sum to the
-// query's count. The sum fails in exactly the two NaN cases: a float
-// range cut puts a NaN row in every child, the numeric nominal
-// fallback puts it in none.
+// query's count. Every cut partitions its query (SEMANTICS.md §3), so
+// the sum fails only when the table moved between the cut and the
+// counts.
 func Cut(ev *Evaluator, s *Segmentation, attr string, opt CutOptions) (*Segmentation, error) {
 	fp := ev.Table().Fingerprint()
 	proven := s.provenAt(fp)

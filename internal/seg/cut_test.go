@@ -389,7 +389,8 @@ func TestCutQuerySampledStaysValid(t *testing.T) {
 // in a sampled float cut: the sampled points must drop NaN like the
 // exact ones, or NaN ranks below every number, no point lies above
 // the minimum, and the median cut falls through to the
-// numeric-nominal fallback's set pieces.
+// numeric-nominal fallback's set pieces. The NaN row, which no range
+// matches, is the third piece's, {NaN}, on both paths.
 func TestCutQuerySampledFloatIgnoresNaN(t *testing.T) {
 	vals := make([]float64, 4097)
 	vals[0] = math.NaN() // row 0 is always in the systematic sample
@@ -405,10 +406,13 @@ func TestCutQuerySampledFloatIgnoresNaN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(children) != 2 {
-			t.Fatalf("sample=%d: %d pieces, want 2", sample, len(children))
+		if len(children) != 3 {
+			t.Fatalf("sample=%d: %d pieces, want 3", sample, len(children))
 		}
-		for _, q := range children {
+		if c, _ := children[2].Constraint("v"); c.String() != "v: {NaN}" {
+			t.Fatalf("sample=%d: third piece %v, want v: {NaN}", sample, c)
+		}
+		for _, q := range children[:2] {
 			if c, _ := q.Constraint("v"); c.Kind != sdl.KindRange {
 				t.Fatalf("sample=%d: piece %v is not a range: the median cut degraded to a nominal one", sample, c)
 			}
@@ -427,8 +431,8 @@ func TestCutQuerySampledFloatIgnoresNaN(t *testing.T) {
 // SampleSize set must equal a sort-based reference — the systematic
 // sample strided draws from the extent, its numbers sorted, the
 // points read at the equi-depth ranks, and the bounds the full
-// extent's minimum and maximum. Floats carry NaN (no rank) and both
-// zeros (one +0.0 value).
+// extent's minimum and maximum, and a {NaN} piece after them. Floats
+// carry NaN (no rank, no range) and both zeros (one +0.0 value).
 func TestCutQuerySampledPointsMatchReference(t *testing.T) {
 	const n, chunkRows, sample = 20000, 1024, 300
 	rng := rand.New(rand.NewSource(11))
@@ -592,6 +596,9 @@ func sampledPieces[T int64 | float64](attr string, vals []T, ext []int32, sample
 		} else {
 			out = append(out, sdl.RangeC(attr, mk(lo), mk(bounds[i+1]), true, false))
 		}
+	}
+	if len(all) < len(ext) {
+		out = append(out, sdl.SetC(attr, engine.Float(math.NaN())))
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package seg
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"charles/internal/engine"
@@ -112,32 +113,30 @@ func TestNumericNominalFallbackMatchesStringKeyed(t *testing.T) {
 		t.Fatalf("majority value 200 not in first piece %s", children[0])
 	}
 
-	// Float fallback: NaN matches no set constraint (the float set
-	// filter's documented convention, unchanged from the string-keyed
-	// implementation), so the pieces partition exactly the non-NaN
-	// extent — finding more or fewer rows than that means the
-	// bits-keyed counting drifted.
+	// Float fallback: NaN counts as one value and the piece listing it
+	// matches the NaN rows (NaN equals NaN), so the pieces partition
+	// the whole extent, the NaN rows all in one piece — finding more or
+	// fewer rows than that means the bits-keyed counting drifted.
 	latChildren, err := CutQuery(ev, sdl.ContextAll(tab), "latency", DefaultCutOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	latTotal := 0
+	latTotal, nanPieces := 0, 0
 	for _, q := range latChildren {
 		n, err := ev.Count(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		latTotal += n
-	}
-	nonNaN := 0
-	lat := tab.MustColumn("latency").(*engine.FloatColumn)
-	for r := 0; r < lat.Len(); r++ {
-		if v := lat.Float64(r); v == v {
-			nonNaN++
+		if c, _ := q.Constraint("latency"); slices.ContainsFunc(c.Set, func(v engine.Value) bool { return math.IsNaN(v.AsFloat()) }) {
+			nanPieces++
 		}
 	}
-	if latTotal != nonNaN {
-		t.Fatalf("float pieces cover %d rows, non-NaN extent is %d", latTotal, nonNaN)
+	if latTotal != tab.NumRows() {
+		t.Fatalf("float pieces cover %d rows, the extent is %d", latTotal, tab.NumRows())
+	}
+	if nanPieces != 1 {
+		t.Fatalf("%d pieces list NaN, want one", nanPieces)
 	}
 }
 

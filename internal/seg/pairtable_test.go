@@ -41,8 +41,8 @@ func equalCells(a, b [][]int) bool {
 // TestPairTablesMatchFreshEvaluator holds every table the tier serves
 // to a fresh evaluator's count, for every ordered pair of HB-cuts
 // candidates (initial and composed) of a VOC context and of a sky
-// context with NaN in redshift, where the NaN-touched candidates carry
-// no partition proof and count every cell. A hand-built copy shares its
+// context with NaN in redshift, whose range cuts hold the NaN rows in a
+// {NaN} piece. A hand-built copy shares its
 // original's key, so it is served the original's table — which must be
 // its own as well.
 func TestPairTablesMatchFreshEvaluator(t *testing.T) {

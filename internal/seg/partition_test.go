@@ -1,6 +1,7 @@
 package seg
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -177,11 +178,14 @@ func TestCutChildrenMatchColdEvaluation(t *testing.T) {
 	}
 }
 
-// TestCutPartitionKeepsNaNTraps pins both NaN conventions through the
-// partition pass, with zone pruning on and off: a float range cut puts
-// a NaN row in every child (FloatRange.Contains(NaN) is true), and the
-// float nominal fallback puts it in none (NaN matches no set).
-func TestCutPartitionKeepsNaNTraps(t *testing.T) {
+// TestCutPartitionNaNPiece holds every float cut over an extent holding
+// NaN to Definition 3: a NaN row matches no range, so a range cut's
+// NaN rows are its {NaN} piece's, exact and sampled, at arity 2 and 3,
+// with zone pruning on and off, and over a warmed table (rank codes and
+// planes); and the float nominal fallback's piece listing NaN holds
+// them too (NaN equals NaN). Every cut passes ValidatePartition and
+// keeps its parent's partition proof.
+func TestCutPartitionNaNPiece(t *testing.T) {
 	tab := dataset.SkySurvey(30000, 5)
 	var rows engine.Selection
 	var nans []engine.Value
@@ -197,32 +201,51 @@ func TestCutPartitionKeepsNaNTraps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pruning := range []bool{true, false} {
-		ev := NewEvaluator(tab)
-		ev.SetZonePruning(pruning)
+	check := func(name string, ev *Evaluator, ctx sdl.Query, attr string, opt CutOptions) *Segmentation {
+		t.Helper()
 		n, err := ev.Count(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := checkCut(t, ev, singleton(ctx, n, ""), "redshift", DefaultCutOptions())
-		k := r.out.Depth()
-		if want := n + len(rows)*(k-1); k < 2 || r.out.Total() != want {
-			t.Fatalf("pruning %v: range cut into %d children covers %d rows, want %d (every NaN row in every child)", pruning, k, r.out.Total(), want)
+		fp := ev.Table().Fingerprint()
+		out := checkCut(t, ev, singleton(ctx, n, fp), attr, opt).out
+		if out.Depth() < 2 {
+			t.Fatalf("%s: the cut did not split", name)
+		}
+		if err := ValidatePartition(ev, ctx, out); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !out.provenAt(fp) {
+			t.Fatalf("%s: the cut lost its parent's partition proof", name)
+		}
+		return out
+	}
+	for _, warm := range []bool{false, true} {
+		if warm {
+			tab.WarmSummaries()
+		}
+		for _, pruning := range []bool{true, false} {
+			for _, sample := range []int{0, 2000} {
+				for _, arity := range []int{2, 3} {
+					ev := NewEvaluator(tab)
+					ev.SetZonePruning(pruning)
+					opt := DefaultCutOptions()
+					opt.Arity, opt.SampleSize = arity, sample
+					name := fmt.Sprintf("warm %v, pruning %v, sample %d, arity %d", warm, pruning, sample, arity)
+					out := check(name, ev, ctx, "redshift", opt)
+					last := out.Depth() - 1
+					if c, _ := out.Queries[last].Constraint("redshift"); c.String() != "redshift: {NaN}" || out.Counts[last] != len(rows) {
+						t.Fatalf("%s: last piece %v holds %d rows, want redshift: {NaN} holding the %d NaN rows", name, c, out.Counts[last], len(rows))
+					}
+				}
+			}
 		}
 	}
 
 	status := skewedStatusTable(t)
-	ev := NewEvaluator(status)
-	r := checkCut(t, ev, singleton(sdl.ContextAll(status), status.NumRows(), ""), "latency", DefaultCutOptions())
-	nonNaN := 0
-	lat := status.MustColumn("latency").(*engine.FloatColumn)
-	for r := 0; r < lat.Len(); r++ {
-		if v := lat.Float64(r); v == v {
-			nonNaN++
-		}
-	}
-	if r.out.Depth() < 2 || r.out.Total() != nonNaN {
-		t.Fatalf("fallback cut into %d children covers %d rows, want the %d non-NaN rows", r.out.Depth(), r.out.Total(), nonNaN)
+	out := check("fallback", NewEvaluator(status), sdl.ContextAll(status), "latency", DefaultCutOptions())
+	if out.Total() != status.NumRows() {
+		t.Fatalf("fallback cut into %d children covers %d rows, want all %d", out.Depth(), out.Total(), status.NumRows())
 	}
 }
 

@@ -15,10 +15,15 @@
 //     unchanged. A scale that pushes a narrow int column's span past
 //     the select's 2 048 buckets checks the count path against the
 //     radix path.
+//  3. Appending rows whose float column is NaN adds no number, so a
+//     cut of that column keeps its points: every range piece keeps its
+//     count, as a NaN row matches no range, and the {NaN} piece gains
+//     exactly the appended rows (SEMANTICS.md §2).
 package charles_test
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -368,5 +373,84 @@ func TestMetamorphicMonotoneMap(t *testing.T) {
 	}
 	if !checkMap(t, charles.GenerateSkySurvey(100_000, 5), 8192, "", "magnitude", floatScale(2)) {
 		t.Fatal("relation 2 on the sky survey's magnitude did not apply")
+	}
+}
+
+// nanPieceCounts cuts ContextAll(tab) on attr with ev and returns each
+// piece's count by its constraint on attr; nil when the cut
+// degenerates.
+func nanPieceCounts(t *testing.T, ev *seg.Evaluator, tab *engine.Table, attr string) map[string]int {
+	t.Helper()
+	s, ok, err := seg.InitialCut(ev, sdl.ContextAll(tab), attr, seg.DefaultCutOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		return nil
+	}
+	counts := make(map[string]int, s.Depth())
+	for i, q := range s.Queries {
+		c, _ := q.Constraint(attr)
+		counts[c.String()] = s.Counts[i]
+	}
+	return counts
+}
+
+// checkNaNAppend is relation 3 on tab's float column attr at the given
+// chunk width: k rows are appended, copies of tab's first rows but
+// NaN in attr, and the cut of the whole table on attr, by the
+// evaluator that cut it before (its caches stale) and by a fresh one,
+// must be the cut before with k more rows in its {NaN} piece. It
+// reports whether the column could be cut.
+func checkNaNAppend(t *testing.T, tab *engine.Table, chunkRows int, attr string, k int) bool {
+	t.Helper()
+	if err := tab.SetChunkRows(chunkRows); err != nil {
+		t.Fatal(err)
+	}
+	ev := seg.NewEvaluator(tab)
+	before := nanPieceCounts(t, ev, tab, attr)
+	if before == nil {
+		return false
+	}
+	nanPiece := attr + ": {NaN}"
+	want := maps.Clone(before)
+	want[nanPiece] += k
+	rows := make([][]engine.Value, k)
+	for i := range rows {
+		rows[i] = make([]engine.Value, tab.NumCols())
+		for c := range rows[i] {
+			rows[i][c] = tab.Column(c).Value(i % tab.NumRows())
+			if tab.ColumnNames()[c] == attr {
+				rows[i][c] = engine.Float(math.NaN())
+			}
+		}
+	}
+	if err := tab.AppendRows(rows...); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range []*seg.Evaluator{ev, seg.NewEvaluator(tab)} {
+		if got := nanPieceCounts(t, ev, tab, attr); !maps.Equal(got, want) {
+			t.Fatalf("relation 3 on %s (%d rows, chunks of %d), %s + %d NaN rows: pieces %v, want %v",
+				tab.Name(), tab.NumRows(), chunkRows, attr, k, got, want)
+		}
+	}
+	return true
+}
+
+// TestMetamorphicNaNAppend is relation 3 on random small tables at 64-
+// and 256-row chunks, whose float column holds NaN already, and on the
+// sky survey's redshift at 100K rows, which holds none.
+func TestMetamorphicNaNAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 12; i++ {
+		if !checkNaNAppend(t, metaTable(rng), 64<<(2*(i%2)), "f", 1+rng.Intn(300)) {
+			t.Fatalf("table %d: the float column did not cut", i)
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	if !checkNaNAppend(t, charles.GenerateSkySurvey(100_000, 5), 8192, "redshift", 777) {
+		t.Fatal("the sky survey's redshift did not cut")
 	}
 }

@@ -14,14 +14,12 @@ import (
 	"charles/internal/sdl"
 )
 
-// TestNaNPiecesUnderCoverFloatFallback pins the NaN under-coverage
-// note from README.md: when the nominal fallback cuts a skewed float
-// column that contains NaN rows, NaN is counted as one nominal value
-// and lands in some piece's set constraint — but set constraints
-// never match NaN at evaluation time, so the pieces cover exactly
-// the non-NaN extent and their counts sum to strictly less than the
-// parent context's count.
-func TestNaNPiecesUnderCoverFloatFallback(t *testing.T) {
+// TestNaNPieceCoversFloatFallback pins the NaN note from README.md:
+// when the nominal fallback cuts a skewed float column that contains
+// NaN rows, NaN is counted as one nominal value and lands in one
+// piece's set constraint, which matches the NaN rows (NaN equals NaN
+// in a set), so the pieces partition the whole context.
+func TestNaNPieceCoversFloatFallback(t *testing.T) {
 	const n = 2000
 	vals := make([]float64, n)
 	nan := 0
@@ -51,15 +49,18 @@ func TestNaNPiecesUnderCoverFloatFallback(t *testing.T) {
 	if len(seg.CutAttrs) != 1 || seg.CutAttrs[0] != "latency" {
 		t.Fatalf("first answer cut on %v, want [latency]", seg.CutAttrs)
 	}
-	covered := 0
-	for _, c := range seg.Counts {
-		covered += c
+	covered, nanPieces := 0, 0
+	for i, q := range seg.Queries {
+		covered += seg.Counts[i]
+		if c, _ := q.Constraint("latency"); slices.ContainsFunc(c.Set, func(v engine.Value) bool { return math.IsNaN(v.AsFloat()) }) {
+			nanPieces++
+			if seg.Counts[i] < nan {
+				t.Fatalf("piece %s holds %d rows, fewer than the %d NaN rows", q, seg.Counts[i], nan)
+			}
+		}
 	}
-	if covered >= tab.NumRows() {
-		t.Fatalf("pieces cover %d of %d rows; expected NaN rows to be excluded", covered, tab.NumRows())
-	}
-	if got, want := tab.NumRows()-covered, nan; got != want {
-		t.Fatalf("under-coverage is %d rows, want exactly the %d NaN rows", got, want)
+	if covered != tab.NumRows() || nanPieces != 1 {
+		t.Fatalf("pieces cover %d of %d rows, %d of them listing NaN; want every row, one piece listing NaN", covered, tab.NumRows(), nanPieces)
 	}
 }
 
