@@ -687,10 +687,11 @@ func BenchmarkE17ScaleAdvise(b *testing.B) {
 
 // BenchmarkE20ColdStart measures the out-of-core start-up path: open
 // a 1M-row .chc columnar file via mmap (docs/FORMAT.md) and warm
-// every zone map from the persisted summary regions. This is the
-// charles-server boot sequence with -table, and the number the
-// format exists for — milliseconds instead of the seconds a CSV
-// parse or generator run costs at the same scale.
+// every zone map from the persisted summary regions, coding each
+// numeric and small-dictionary column (a read of its every value).
+// This is the charles-server boot sequence with -table, and the
+// number the format exists for — milliseconds instead of the seconds
+// a CSV parse or generator run costs at the same scale.
 func BenchmarkE20ColdStart(b *testing.B) {
 	const nRows = 1_000_000
 	path := filepath.Join(b.TempDir(), "voc1m.chc")

@@ -26,12 +26,12 @@ func TestChaosBackendSummaryFaultKeepsOutputByteIdentical(t *testing.T) {
 	}
 	context := "(type_of_boat:, tonnage:, departure_harbour:)"
 
-	pristine := adviseChc(t, path, context, 4, 1024)
+	pristine := adviseChc(t, path, context, 4, 1024, true)
 
 	if err := fault.Enable("engine.backendSummary", "error(zone maps unreadable)"); err != nil {
 		t.Fatal(err)
 	}
-	degraded := adviseChc(t, path, context, 4, 1024)
+	degraded := adviseChc(t, path, context, 4, 1024, true)
 	if fault.Triggered("engine.backendSummary") == 0 {
 		t.Fatal("fault never fired: the degraded advise did not exercise the backend-summary path")
 	}
@@ -41,7 +41,7 @@ func TestChaosBackendSummaryFaultKeepsOutputByteIdentical(t *testing.T) {
 
 	// Disarmed, the fast path is back and the bytes still agree.
 	fault.Reset()
-	if again := adviseChc(t, path, context, 4, 1024); again != pristine {
+	if again := adviseChc(t, path, context, 4, 1024, true); again != pristine {
 		t.Error("advise output diverged after the fault was disarmed")
 	}
 }

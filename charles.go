@@ -158,9 +158,11 @@ func SaveColumnFile(path string, t *Table, opts ColumnFileOptions) error {
 // OpenColumnFile opens a .chc columnar file as a table backed by a
 // read-only memory mapping: opening costs metadata only, rows fault
 // in on first touch, and the persisted zone maps serve chunk
-// skipping without a warm-up scan. Close the table when done to
-// release the mapping; advise output over a file-backed table is
-// byte-identical to the same table held in memory.
+// skipping without a scan for their bounds; only the codes each
+// summary carries are derived, reading every coded column once.
+// Close the table when done to release the mapping; advise output
+// over a file-backed table is byte-identical to the same table held
+// in memory.
 func OpenColumnFile(path string) (*Table, error) { return colfile.OpenTable(path) }
 
 // GenerateVOC returns n synthetic Dutch East India Company voyages

@@ -10,9 +10,10 @@ import (
 
 // tableOptions parameterizes the -table load mode: open a .chc
 // columnar file the way charles-server does and report the cold
-// start (mmap open + zone-map warm-up) next to a first advise, so
-// the out-of-core claim — server start is O(metadata), not O(rows)
-// — has a number attached.
+// start (mmap open + zone-map warm-up, which codes every numeric and
+// small-dictionary column) next to a first advise, so the out-of-core
+// claim — server start reads the mapped columns once, never parses or
+// generates them — has a number attached.
 type tableOptions struct {
 	Path    string
 	Context string

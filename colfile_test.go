@@ -16,8 +16,10 @@ import (
 )
 
 // adviseChc renders the ranked answer list for a table loaded from
-// path with the given knobs.
-func adviseChc(t *testing.T, path, context string, workers, chunkRows int) string {
+// path with the given knobs; with pruning off the evaluator passes no
+// zone map, so the cuts and counts run the value kernels, not the
+// codes.
+func adviseChc(t *testing.T, path, context string, workers, chunkRows int, pruning bool) string {
 	t.Helper()
 	tab, err := charles.OpenColumnFile(path)
 	if err != nil {
@@ -32,9 +34,10 @@ func adviseChc(t *testing.T, path, context string, workers, chunkRows int) strin
 	cfg := charles.DefaultConfig()
 	cfg.Workers = workers
 	adv := charles.NewAdvisor(tab, cfg)
+	adv.Evaluator().SetZonePruning(pruning)
 	res, err := adv.AdviseString(context)
 	if err != nil {
-		t.Fatalf("advise on %s (workers=%d chunkRows=%d): %v", path, workers, chunkRows, err)
+		t.Fatalf("advise on %s (workers=%d chunkRows=%d pruning=%v): %v", path, workers, chunkRows, pruning, err)
 	}
 	return charles.RenderRanked(res, 0)
 }
@@ -53,9 +56,14 @@ func adviseMem(t *testing.T, rows int, context string) string {
 
 // TestColumnFileAdviseByteIdentical is the thorough small matrix:
 // several contexts, both selection-shaping knobs, a source-order and
-// a clustered file. Clustering reorders rows (FORMAT.md §8 records
-// the column), and advise output is row-order independent, so every
-// cell must render the reference bytes.
+// a clustered file, zone pruning on and off. Clustering reorders rows
+// (FORMAT.md §8 records the column), and advise output is row-order
+// independent, so every cell must render the reference bytes. With
+// pruning on, the .chc side's cuts and counts run the plane kernels
+// over the persisted zone maps and the codes the table derives (at
+// the file's native width) or over summaries it scans (at 512); with
+// it off, the value kernels, which the pruned cells are thereby held
+// to.
 func TestColumnFileAdviseByteIdentical(t *testing.T) {
 	const rows = 20000
 	dir := t.TempDir()
@@ -82,9 +90,11 @@ func TestColumnFileAdviseByteIdentical(t *testing.T) {
 		for _, path := range []string{plain, clustered} {
 			for _, workers := range []int{1, 4} {
 				for _, chunkRows := range []int{0, 512} {
-					if got := adviseChc(t, path, context, workers, chunkRows); got != want {
-						t.Errorf("context %q file=%s workers=%d chunkRows=%d: output diverged from in-memory reference",
-							context, filepath.Base(path), workers, chunkRows)
+					for _, pruning := range []bool{true, false} {
+						if got := adviseChc(t, path, context, workers, chunkRows, pruning); got != want {
+							t.Errorf("context %q file=%s workers=%d chunkRows=%d pruning=%v: output diverged from in-memory reference",
+								context, filepath.Base(path), workers, chunkRows, pruning)
+						}
 					}
 				}
 			}
@@ -116,7 +126,7 @@ func TestColumnFileAdvise1M(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		for _, chunkRows := range []int{0, 8192} {
-			if got := adviseChc(t, path, context, workers, chunkRows); got != want {
+			if got := adviseChc(t, path, context, workers, chunkRows, true); got != want {
 				t.Errorf("workers=%d chunkRows=%d: mmap-backed advise diverged from in-memory reference",
 					workers, chunkRows)
 			}

@@ -15,7 +15,8 @@ import (
 // thought of; fuzzing searches for the ones nobody did. The contract
 // under fuzz is the §11 loader contract: corrupt, truncated or
 // hostile input must produce an error or a valid File — never a
-// panic — and anything Open accepts must survive Verify and Close.
+// panic — and anything Open accepts must survive Verify, a table
+// over it warming its summaries, and Close.
 //
 // CI runs a short -fuzztime smoke (make fuzz-smoke); longer local
 // runs just work: go test -fuzz=FuzzOpenColumnFile ./internal/colfile
@@ -67,11 +68,12 @@ func fuzzSeedFile(f *testing.F) []byte {
 
 // FuzzOpenColumnFile drives the whole container path: header,
 // trailer, checksummed footer, region table, dictionaries, summary
-// regions, and — when Open accepts the input — the deep Verify pass
-// and Close. The corruption-suite corpus is reproduced as seeds:
-// the valid file plus the same classes of mutation the pinned tests
-// apply (flipped magic, truncations, oversized footer length, bit
-// flips in the footer JSON and in page data).
+// regions, and — when Open accepts the input — the deep Verify pass,
+// a table over the file warming every column's summary (zone maps
+// and codes), and Close. The corruption-suite corpus is reproduced
+// as seeds: the valid file plus the same classes of mutation the
+// pinned tests apply (flipped magic, truncations, oversized footer
+// length, bit flips in the footer JSON and in page data).
 func FuzzOpenColumnFile(f *testing.F) {
 	raw := fuzzSeedFile(f)
 	f.Add(raw)
@@ -124,6 +126,12 @@ func FuzzOpenColumnFile(f *testing.F) {
 		}
 		if err := file.Verify(); err != nil && err.Error() == "" {
 			t.Fatal("Verify returned an empty error")
+		}
+		// A table over the file takes every column's summary as it
+		// warms, coding each coded column: a read of its every value
+		// beside the persisted zone maps.
+		if tab, err := engine.NewTableFromBackend(file); err == nil {
+			tab.WarmSummaries()
 		}
 		if err := file.Close(); err != nil {
 			t.Fatalf("Close after successful Open: %v", err)

@@ -155,11 +155,30 @@ func TestRoundTripSummaries(t *testing.T) {
 			t.Fatalf("column %d (%v): persisted summary differs from scan-built summary", ci, kind)
 		}
 		// And the table over the backend must actually serve the
-		// persisted one rather than rebuilding.
-		if got.Summary(ci) != served {
+		// persisted zone map rather than rebuilding it: a coded copy
+		// holding the persisted arrays (engine's TestSummariesCarryCodes
+		// pins the copy), seen here through Export for every kind but
+		// float, whose Export decodes.
+		if kind != engine.KindFloat && !sameArrays(got.Summary(ci).Export(), served.Export()) {
 			t.Fatalf("column %d: table built its own summary instead of serving the persisted one", ci)
 		}
 	}
+}
+
+// sameArrays reports whether a and b hold the same per-chunk arrays,
+// not equal copies: the first array each populates has one backing.
+func sameArrays(a, b engine.SummaryData) bool {
+	switch {
+	case len(a.IntMin) > 0:
+		return len(b.IntMin) > 0 && &a.IntMin[0] == &b.IntMin[0]
+	case len(a.CodeBits) > 0:
+		return len(b.CodeBits) > 0 && &a.CodeBits[0] == &b.CodeBits[0]
+	case len(a.CodeList) > 0:
+		return len(b.CodeList) > 0 && &a.CodeList[0] == &b.CodeList[0]
+	case len(a.BoolHasTrue) > 0:
+		return len(b.BoolHasTrue) > 0 && &a.BoolHasTrue[0] == &b.BoolHasTrue[0]
+	}
+	return false
 }
 
 // TestClusterByReorders pins WriteOptions.ClusterBy: the clustered

@@ -56,8 +56,8 @@ func Write(path string, t *engine.Table, opts WriteOptions) error {
 	// A shadow table over the (possibly reordered) columns is built at
 	// the file's chunk width and owns the summary build for the write,
 	// leaving the caller's table, whose width may be sealed, untouched. Its zone maps are built as each
-	// column is written; it is never warmed, so no rank codes are
-	// built for a file that does not persist them.
+	// column is written; their codes are built with them and dropped,
+	// as the file persists the zone maps alone.
 	shadow, err := engine.NewTable(t.Name(), cols...)
 	if err != nil {
 		return fmt.Errorf("colfile: assembling table for write: %w", err)

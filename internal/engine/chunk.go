@@ -158,8 +158,8 @@ type ChunkSummary struct {
 	boolHasTrue, boolHasFalse []bool
 
 	// rank is a numeric column's rank codes (rank.go), and codePlanes
-	// a small dictionary's code planes (planes.go): nil unless the
-	// summary was scan-built on a warmed table.
+	// a small dictionary's code planes (planes.go), both set by
+	// withCodes on every summary the table serves.
 	rank       *rankCodes
 	codePlanes *bitPlanes
 
@@ -249,7 +249,11 @@ func (t *Table) Summary(i int) *ChunkSummary {
 	// not failure, is the contract chaos tests pin here.
 	if t.backend != nil && cur.version == 0 && fault.Inject("engine.backendSummary") == nil {
 		if s, ok := t.backend.ChunkSummary(i, t.chunkRows); ok && s != nil {
-			t.summaries[i].CompareAndSwap(nil, s)
+			// The backend's summary is shared: its codes go on a copy,
+			// whose nil stamp still marks the version-0 contents.
+			coded := *s
+			t.withCodes(t.cols[i], &coded, nil, nil)
+			t.summaries[i].CompareAndSwap(nil, &coded)
 			return t.summaries[i].Load()
 		}
 	}
@@ -281,43 +285,37 @@ func summaryFresh(s *ChunkSummary, cur *EpochStamp) bool {
 }
 
 // WarmSummaries eagerly builds every column's zone map — numeric
-// min/max bounds and nominal presence sets alike — so a server's first
-// queries never pay the lazy build.
-// It also warms the table for cuts and counts: every scan-built
-// summary then carries codes — rank codes and their planes for a
-// numeric column (rank.go), code planes for a string column of 2 to
-// maxPlaneDict values (planes.go) — built here and by every later
-// build, and kept up to date by refreshes.
-// It returns the number of summarized columns.
+// min/max bounds, nominal presence sets and the codes every summary
+// carries — so a server's first queries never pay the lazy build. It
+// returns the number of summarized columns.
 func (t *Table) WarmSummaries() int {
-	t.warm.Store(true)
 	n := 0
-	for i, col := range t.cols {
-		s := t.Summary(i)
-		if s == nil {
-			continue
-		}
-		n++
-		// A summary built lazily before the table was warm has none.
-		if s.stamp != nil && s.rank == nil && s.codePlanes == nil && codedColumn(col) {
-			coded := t.buildSummary(col, nil, nil)
-			coded.stamp = s.stamp
-			t.summaries[i].CompareAndSwap(s, coded)
+	for i := range t.cols {
+		if t.Summary(i) != nil {
+			n++
 		}
 	}
 	return n
 }
 
-// codedColumn reports whether a warmed table's summaries of col carry
-// codes.
-func codedColumn(col Column) bool {
+// withCodes sets s's codes for col: rank codes and their planes for a
+// numeric column (rank.go), code planes for a string column of 2 to
+// maxPlaneDict values (planes.go). With dirty set it refreshes old's,
+// keeping the clean chunks' codes.
+func (t *Table) withCodes(col Column, s, old *ChunkSummary, dirty []bool) {
+	var oldRank *rankCodes
+	var oldPlanes *bitPlanes
+	if old != nil {
+		oldRank, oldPlanes = old.rank, old.codePlanes
+	}
 	switch col := col.(type) {
 	case Numeric:
-		return true
+		s.rank = t.rankCodesFor(col.Int64s(), col.Kind() == KindFloat, oldRank, dirty)
 	case *StringColumn:
-		return dictPlaneBits(col.Cardinality()) > 0
+		if p := dictPlaneBits(col.Cardinality()); p > 0 {
+			s.codePlanes = t.dictPlanesFor(col.Codes(), p, oldPlanes, dirty)
+		}
 	}
-	return false
 }
 
 // numChunkBounds scans one chunk's ordinals for their [min, max].
@@ -388,14 +386,15 @@ func stringChunkList(codes []uint32, lo, hi int) (list []uint32, overflow bool) 
 	return list, false
 }
 
-// buildSummary computes col's zone map: for every chunk, or with dirty
-// set for the dirty ones only, the others' entries copied from old.
-// The chunks fan out over the scan pool (forEachChunk). The caller
-// stamps the result.
+// buildSummary computes col's zone map and codes: for every chunk, or
+// with dirty set for the dirty ones only, the others' entries copied
+// from old. The chunks fan out over the scan pool (forEachChunk). The
+// caller stamps the result.
 func (t *Table) buildSummary(col Column, old *ChunkSummary, dirty []bool) *ChunkSummary {
 	nc := t.NumChunks()
 	clean := func(c int) bool { return dirty != nil && !dirty[c] }
 	s := &ChunkSummary{}
+	t.withCodes(col, s, old, dirty)
 	switch col := col.(type) {
 	case Numeric:
 		vals, nan := col.Int64s(), col.Kind() == KindFloat
@@ -416,29 +415,15 @@ func (t *Table) buildSummary(col Column, old *ChunkSummary, dirty []bool) *Chunk
 				s.nan[c] = hasNaN
 			}
 		})
-		if t.warm.Load() {
-			var oldRank *rankCodes
-			if old != nil {
-				oldRank = old.rank
-			}
-			s.rank = t.rankCodesFor(vals, nan, oldRank, dirty)
-		}
 	case *StringColumn:
 		// A string column's presence is a dense code bitset for a small
 		// dictionary, a short sorted distinct-code list (or an overflow
 		// mark) for a large one. Both are sized and shaped by the
 		// dictionary, so a clean chunk keeps its entry only while the
-		// dictionary has not grown; its code planes, only while they
-		// have as many bits.
+		// dictionary has not grown (its code planes, only while they
+		// have as many bits: withCodes).
 		s.dictLen = col.Cardinality()
 		codes := col.Codes()
-		if p := dictPlaneBits(s.dictLen); p > 0 && t.warm.Load() {
-			var oldPlanes *bitPlanes
-			if old != nil {
-				oldPlanes = old.codePlanes
-			}
-			s.codePlanes = t.dictPlanesFor(codes, p, oldPlanes, dirty)
-		}
 		if old != nil && old.dictLen != s.dictLen {
 			old, dirty = nil, nil
 		}

@@ -272,7 +272,7 @@ func IntCutPointsChunked(col Numeric, src *ChunkedSelection, arity int) []int64 
 // they are written, and the points radix-selected from the keys: only
 // the keys of the rank codes holding the wanted ranks (and the
 // extremes', unless the zone map bounds the extent) when sum carries
-// rank codes (rankKeys, a warmed table's wide column) and those codes
+// rank codes (rankKeys: every summary of a numeric column) and those codes
 // hold at most rankShareMax of the extent, every key otherwise. With
 // retain set, an extent whose exact span is narrow enough to count
 // comes back with its per-chunk counts over that span, for the cut
@@ -363,7 +363,7 @@ func countCut(col Numeric, src *ChunkedSelection, lo int64, cells, arity int, re
 	}
 	numBands := (nc + bandSize - 1) / bandSize
 	// The band vectors are cut from one buffer of the key gathers'
-	// scratch, which those keep warm with chunk-sized buffers.
+	// scratch, which those keep stocked with chunk-sized buffers.
 	bp := uint64Scratch.Get((numBands + 1) * cells)
 	defer uint64Scratch.Put(bp)
 	buf := *bp

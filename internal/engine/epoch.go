@@ -76,7 +76,7 @@ func (t *Table) Version() uint64 { return t.stamp.Load().version }
 // memo a stream holds across Next calls, a server's result LRU —
 // fold it into their keys so entries computed over older data miss
 // instead of lying. The string is cached per version, so keying a
-// warm hot path on it costs a pointer load, not a format call.
+// steady-state hot path on it costs a pointer load, not a format call.
 func (t *Table) Fingerprint() string {
 	if p := t.fp.Load(); p != nil {
 		return *p

@@ -319,9 +319,10 @@ func TestCodeSetKernelDictionaries(t *testing.T) {
 // raw supplies one 64-bit word per row, read as an int, as a float
 // (so NaN payloads, ±0, subnormals and infinities all occur) and,
 // reduced, as a dictionary code; seed picks the parent selection;
-// the bounds and inclusivity bits build every predicate. Its rank
-// mode then warms the table and holds the int and float cuts over the
-// rank codes to the key gather.
+// the bounds and inclusivity bits build every predicate. With a zone
+// map the kernels run on its codes, so the summary-less filter and the
+// naive reference hold the plane kernels; its rank mode then holds the
+// int and float cuts over the rank codes to the key gather.
 func FuzzFilterKernels(f *testing.F) {
 	word := func(ws ...uint64) []byte {
 		var b []byte
@@ -394,10 +395,9 @@ func FuzzFilterKernels(f *testing.F) {
 		checkStringRange(t, scol, ssum, cs, slo, shi, incl&16 != 0, incl&32 != 0)
 		checkBoolSet(t, bcol, bsum, cs, []bool{incl&64 != 0, incl&128 == 0})
 
-		// Rank mode: warmed, a wide int or float column's cut reads its
-		// rank codes — with the fallback share off, for every extent —
-		// and must equal the gather over no summary.
-		tab.WarmSummaries()
+		// Rank mode: a wide int or float column's cut reads its rank
+		// codes — with the fallback share off, for every extent — and
+		// must equal the gather over no summary.
 		defer func(m float64) { rankShareMax = m }(rankShareMax)
 		rankShareMax = 1
 		arity := 2 + int(incl>>4)%4
@@ -764,7 +764,7 @@ const (
 	partRuns   = 1 << 6 // 256-row chunks, the parent one contiguous run in each
 	partWords  = 1 << 7 // draw the parent word by word (before partRuns): full, dense, sparse or empty
 	partCover  = 1 << 8 // draw pieces that partition the parent (coverPieces) and promise the cover
-	partPlanes = 1 << 9 // warm half the rows, append the rest (some past the outer boundaries): code planes
+	partPlanes = 1 << 9 // code half the rows, append the rest (some past the outer boundaries): refreshed code planes
 )
 
 // FuzzPartitionKernels holds the partition driver to one filter per
@@ -791,13 +791,16 @@ const (
 // promised so: every child must still equal its filter, whether the
 // pass derived it (ranges and code sets) or tested it (a pass holding
 // a set — the fallback's, or the {NaN} piece beside float ranges).
-// With partPlanes the table is warmed over the
+// Every pass with the zone map runs numeric and 2–16 value string
+// pieces on its codes (the plane kernels), and the pass without it on
+// the values. With partPlanes the table is coded over the
 // first half of the rows and the rest appended, every fifth of them a
 // value past the outer boundaries (the extremes, NaN and values just
 // past the small domain), so numeric pieces run the plane kernels over
-// rank codes — exact over a small domain, equi-depth otherwise — and
-// string pieces over code planes of a 2–16 value dictionary, each
-// child held to the references over the parent's rows.
+// refreshed rank codes — exact over a small domain, equi-depth
+// otherwise — and string pieces over code planes of a 2–16 value
+// dictionary, each child held to the references over the parent's
+// rows.
 func FuzzPartitionKernels(f *testing.F) {
 	word := func(ws ...uint64) []byte {
 		var b []byte
@@ -1146,9 +1149,9 @@ func FuzzPartitionKernels(f *testing.F) {
 }
 
 // appendedTable is a table of col's first h rows in chunks of
-// chunkRows, warmed, with the rest of col's rows then appended: a
-// table holding col's values whose summaries were coded before the
-// append and refreshed after it. A string column keeps its dictionary.
+// chunkRows, its summaries built, with the rest of col's rows then
+// appended: a table holding col's values whose summaries were coded
+// before the append and refreshed after it. A string column keeps its dictionary.
 func appendedTable(t testing.TB, col Column, h, chunkRows int) *Table {
 	t.Helper()
 	var head Column

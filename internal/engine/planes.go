@@ -14,9 +14,10 @@ import (
 // parent word's density, and counting a code's rows under a parent
 // word is one popcount of the word and the code's minterm.
 //
-// Two kinds of column carry planes, both only in the scan-built
-// summaries of a warmed table (WarmSummaries), both refreshed per
-// dirty chunk with the rest of the summary and neither persisted:
+// Two kinds of column carry planes in every summary the table serves
+// (withCodes), scan-built or a .chc file's persisted zone map, both
+// refreshed per dirty chunk with the rest of the summary and neither
+// persisted:
 //   - every numeric column, 8 planes of its rank codes (rank.go) per
 //     word, beside the code bytes the cut's gather reads;
 //   - a string column whose dictionary holds 2 to maxPlaneDict values,
@@ -25,8 +26,8 @@ import (
 //     maxPlaneDict values drops them.
 //
 // The plane kernels serve every chunk of a parent (partition.go, the
-// string value counts); a column without planes keeps the value
-// kernels.
+// string value counts); a column without planes, and a cut or filter
+// given no summary (zone pruning off), keep the value kernels.
 
 // maxPlaneDict is the largest dictionary whose codes get planes: four
 // planes a word.

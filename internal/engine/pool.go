@@ -7,7 +7,7 @@ import "charles/internal/pool"
 // gather the extent per chunk into transient buffers of
 // order-preserving keys, from which the ranks are radix-selected or
 // the values counted (the select's own scratch is pooled in
-// internal/stats), and drop them: on a warm advisor that is the
+// internal/stats), and drop them: on a long-lived advisor that is the
 // single largest source of steady-state garbage, so the gather targets
 // recycle through internal/pool. The row kernels compact each scanned
 // chunk's matching row ids into int32 scratch and the word kernels

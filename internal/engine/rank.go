@@ -11,17 +11,17 @@ import (
 
 // Rank codes are a numeric column's secondary index in rank space,
 // after column imprints (Sidirourgos and Kersten, "Column imprints: a
-// secondary index structure", SIGMOD 2013). A warmed table
-// (WarmSummaries) gives every numeric column four things in its
-// scan-built summary: rankBounds ascending boundaries in ordinal space,
-// drawn from a strided sample of the column — the sample's distinct
-// numbers themselves when it holds at most rankBounds+1 of them, so
-// that each of those numbers starts a code of its own, and its
-// equi-depth quantiles otherwise; one byte per row, the row's code —
-// how many boundaries lie at or below its ordinal, or rankNaN for a
-// float NaN; the same codes as 8 bit planes per 64-row word (planes.go),
-// which the range kernels test; and per chunk, how many of its rows
-// hold each code. A code is monotone in the value, so the rows of one
+// secondary index structure", SIGMOD 2013). Every summary of a
+// numeric column (withCodes) carries four things beside its zone map:
+// rankBounds ascending boundaries in ordinal space, drawn from a
+// strided sample of the column — the sample's distinct numbers
+// themselves when it holds at most rankBounds+1 of them, so that each
+// of those numbers starts a code of its own, and its equi-depth
+// quantiles otherwise; one byte per row, the row's code — how many
+// boundaries lie at or below its ordinal, or rankNaN for a float NaN;
+// the same codes as 8 bit planes per 64-row word (planes.go), which
+// the range kernels test; and per chunk, how many of its rows hold
+// each code. A code is monotone in the value, so the rows of one
 // code are one contiguous stretch of any extent's sorted order. Coding
 // a number inside the sample's span reads a rank table of at most
 // rankLUTBuckets buckets, which holds a narrow column's codes outright
@@ -40,16 +40,17 @@ import (
 // stand in for values. The boundaries set only how many rows are
 // gathered, never the answer. When the wanted codes hold more than
 // rankShareMax of the extent (heavy duplicates, or a subset that lives
-// in a code or two) the cut gathers every key instead, as an unwarmed
-// column does. A narrow column's cut counts its values (countCut)
+// in a code or two) the cut gathers every key instead, as a cut over
+// no summary does. A narrow column's cut counts its values (countCut)
 // before it would reach the codes.
 //
 // Codes cost two bytes per row per numeric column, the byte and its
-// planes, and are not persisted: a .chc file's summaries carry none,
-// and its writer builds none. A refresh after a mutation keeps the
-// clean chunks' codes, planes and counts and recodes the dirty chunks
-// against the fixed boundaries; values appended beyond the outer
-// boundaries take code 0 or rankBounds.
+// planes, and are derived, never persisted: a .chc file stores the
+// zone maps alone, and a table over it codes a copy of each as it
+// first serves it, reading every value of the column once. A refresh
+// after a mutation keeps the clean chunks' codes, planes and counts
+// and recodes the dirty chunks against the fixed boundaries; values
+// appended beyond the outer boundaries take code 0 or rankBounds.
 const (
 	// rankBounds is the number of boundaries: codes 0..rankBounds
 	// are numbers, rankNaN is NaN.

@@ -232,82 +232,82 @@ func TestRankCutMatchesGather(t *testing.T) {
 	}
 }
 
-// TestRankCodesBuiltOnlyWhenWarm pins where codes exist: never on a
-// table that was not warmed; on a warmed table, rank codes and their
-// planes for every numeric column, wide or narrow — a narrow column's
-// boundaries are its distinct sampled numbers but the smallest, so
-// each of its values is a code of its own — and code planes for a
-// string column of 2 to 16 values only, bits.Len(dictLen−1) of them;
-// and on a summary built lazily before WarmSummaries once it runs.
+// checkSummaryCodes holds every summary tab serves to its codes, the
+// oracle of TestSummariesCarryCodes (summarycodes_test.go): rank codes
+// and their planes for every numeric column, wide or narrow, each row
+// coded as its value codes; code planes for a string column of 2 to 16
+// values only, bits.Len(dictLen−1) of them. A column named "narrow"
+// holds multiples of 3 below 600 and no more than rankBounds+1 of
+// them: its boundaries are its distinct sampled numbers but the
+// smallest, so each value is a code of its own, its rank among them.
 // Every plane holds its bit of every row's code.
-func TestRankCodesBuiltOnlyWhenWarm(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const n = 5000
-	wide, narrow, floats := make([]int64, n), make([]int64, n), make([]float64, n)
-	strs := map[string][]string{"s1": make([]string, n), "s5": nil, "s16": nil, "s17": nil}
-	for r := range wide {
-		wide[r], narrow[r], floats[r] = rng.Int63n(1<<33), 3*int64(rng.Intn(200)), rng.Float64()
-		for _, name := range []string{"s5", "s16", "s17"} {
-			var d int
-			fmt.Sscanf(name, "s%d", &d)
-			strs[name] = append(strs[name], fmt.Sprint(r%d))
-		}
-	}
-	mk := func() *Table {
-		cols := []Column{NewIntColumn("wide", wide), NewIntColumn("narrow", narrow), NewFloatColumn("f", slices.Clone(floats))}
-		for _, name := range []string{"s1", "s5", "s16", "s17"} {
-			cols = append(cols, NewStringColumn(name, strs[name]))
-		}
-		tab := MustNewTable("t", cols...)
-		tab.SetChunkRows(1024)
-		return tab
-	}
-	cold := mk()
-	for _, name := range []string{"wide", "narrow", "f", "s1", "s5", "s16", "s17"} {
-		if s := cold.SummaryByName(name); s.rank != nil || s.codePlanes != nil {
-			t.Fatalf("%s: codes on a table never warmed", name)
-		}
-	}
-	cold.WarmSummaries() // upgrades the lazily built summaries
-	warm := mk()
-	warm.WarmSummaries()
-	for _, tab := range []*Table{cold, warm} {
-		for _, name := range []string{"wide", "narrow", "f"} {
-			rc := tab.SummaryByName(name).rank
+func checkSummaryCodes(t testing.TB, name string, tab *Table) {
+	t.Helper()
+	for i, col := range tab.Columns() {
+		s, where := tab.Summary(i), name+", "+col.Name()
+		switch col := col.(type) {
+		case Numeric:
+			rc := s.rank
 			if rc == nil || len(rc.codes) != tab.NumChunks() {
-				t.Fatalf("%s: rank codes %v on a warmed table", name, rc != nil)
+				t.Fatalf("%s: rank codes %v, want %d chunks coded", where, rc != nil, tab.NumChunks())
 			}
-			vals := tab.MustColumn(name).(Numeric).Int64s()
+			vals := col.Int64s()
 			for c := range tab.NumChunks() {
-				checkPlanes(t, name, &rc.planes, c, func(r int) uint32 { return uint32(rc.codes[c][r]) }, len(rc.codes[c]))
-				lo, _ := tab.ChunkBounds(c)
-				for r, k := range rc.codes[c][:min(1024, n-lo)] {
-					if name == "narrow" && int(k) != int(vals[lo+r]/3) {
-						t.Fatalf("narrow: value %d codes to %d, not to its rank among the distinct values", vals[lo+r], k)
+				checkPlanes(t, where, &rc.planes, c, func(r int) uint32 { return uint32(rc.codes[c][r]) }, len(rc.codes[c]))
+				lo, hi := tab.ChunkBounds(c)
+				for r, v := range vals[lo:hi] {
+					want := rc.code(v)
+					if col.Name() == "narrow" {
+						want = uint8(v / 3)
+					}
+					if k := rc.codes[c][r]; k != want {
+						t.Fatalf("%s: value %d codes to %d, want %d", where, v, k, want)
 					}
 				}
 			}
-		}
-		for name, p := range map[string]int{"s1": 0, "s5": 3, "s16": 4, "s17": 0} {
-			pl := tab.SummaryByName(name).codePlanes
+		case *StringColumn:
+			pl, p := s.codePlanes, dictPlaneBits(col.Cardinality())
 			if pl == nil && p == 0 {
 				continue
 			}
 			if pl == nil || pl.p != p || len(pl.words) != tab.NumChunks() {
-				t.Fatalf("%s: code planes %v, want %d planes", name, pl, p)
+				t.Fatalf("%s: code planes %v, want %d planes", where, pl, p)
 			}
-			codes := tab.MustColumn(name).(*StringColumn).Codes()
+			codes := col.Codes()
 			for c := range tab.NumChunks() {
 				lo, hi := tab.ChunkBounds(c)
-				checkPlanes(t, name, pl, c, func(r int) uint32 { return codes[lo+r] }, hi-lo)
+				checkPlanes(t, where, pl, c, func(r int) uint32 { return codes[lo+r] }, hi-lo)
 			}
 		}
 	}
 }
 
+// checkCodedCopy holds got, the summary a table serves at its
+// backend's native width, to served, the backend's persisted one: a
+// copy of it, not it — the backend's summary is shared and stays
+// uncoded — whose zone map is served's as read, its bounds the same
+// arrays rather than a rescan, and whose stamp stays nil (version 0).
+func checkCodedCopy(t testing.TB, name string, got, served *ChunkSummary) {
+	t.Helper()
+	bare := *got
+	bare.rank, bare.codePlanes = nil, nil
+	switch {
+	case got == served:
+		t.Fatalf("%s: the table serves the backend's own summary", name)
+	case served.rank != nil || served.codePlanes != nil:
+		t.Fatalf("%s: codes written into the backend's summary", name)
+	case got.stamp != nil:
+		t.Fatalf("%s: the coded copy has stamp %v, want nil", name, got.stamp)
+	case !reflect.DeepEqual(bare, *served):
+		t.Fatalf("%s: the coded copy's zone map differs from the persisted one", name)
+	case len(served.intMin) > 0 && (&got.intMin[0] != &served.intMin[0] || &got.intMax[0] != &served.intMax[0]):
+		t.Fatalf("%s: the coded copy's bounds were rebuilt, not kept as read", name)
+	}
+}
+
 // checkPlanes holds chunk c's planes in pl to the codes of its first n
 // rows, code(r) being row r's.
-func checkPlanes(t *testing.T, name string, pl *bitPlanes, c int, code func(r int) uint32, n int) {
+func checkPlanes(t testing.TB, name string, pl *bitPlanes, c int, code func(r int) uint32, n int) {
 	t.Helper()
 	words := pl.chunk(c, (n+63)/64)
 	if words == nil {

@@ -49,10 +49,6 @@ type Table struct {
 	// fingerprint string for the current version.
 	stamp atomic.Pointer[EpochStamp]
 	fp    atomic.Pointer[string]
-
-	// warm is set by WarmSummaries: scan-built summaries of numeric
-	// and small-dictionary string columns then carry codes.
-	warm atomic.Bool
 }
 
 // NewTable builds a table from in-memory columns, validating that

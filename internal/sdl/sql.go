@@ -2,6 +2,7 @@ package sdl
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"charles/internal/engine"
@@ -10,8 +11,13 @@ import (
 // WhereClause translates the query's predicates to a SQL boolean
 // expression, the bridge that makes Charles "a front-end for SQL
 // systems" (Section 1). Unconstrained predicates contribute nothing;
-// a query with no real predicates yields "TRUE". Strings are quoted
-// with doubled single quotes, dates as DATE 'YYYY-MM-DD'.
+// a query with no real predicates yields "TRUE". The dialect is
+// PostgreSQL's, which DuckDB also reads: strings are quoted with
+// doubled single quotes, dates as DATE 'YYYY-MM-DD', and the
+// non-finite floats as CAST('NaN' AS DOUBLE PRECISION), 'Infinity'
+// and '-Infinity'. Both order NaN above every number, so a two-sided
+// range, whose upper bound is a number, still holds no NaN row
+// (SEMANTICS.md §1.4).
 func WhereClause(q Query) string {
 	var parts []string
 	for _, c := range q.Constraints() {
@@ -77,6 +83,16 @@ func sqlLiteral(v engine.Value) string {
 			return "TRUE"
 		}
 		return "FALSE"
+	case engine.KindFloat:
+		switch f := v.AsFloat(); {
+		case math.IsNaN(f):
+			return "CAST('NaN' AS DOUBLE PRECISION)"
+		case math.IsInf(f, 1):
+			return "CAST('Infinity' AS DOUBLE PRECISION)"
+		case math.IsInf(f, -1):
+			return "CAST('-Infinity' AS DOUBLE PRECISION)"
+		}
+		return v.String()
 	default:
 		return v.String()
 	}

@@ -1,6 +1,7 @@
 package sdl
 
 import (
+	"math"
 	"testing"
 
 	"charles/internal/engine"
@@ -51,6 +52,34 @@ func TestWhereClauseQuotingAndKinds(t *testing.T) {
 	want := "armed = TRUE AND departure >= DATE '1970-01-01' AND departure <= DATE '1970-01-02' AND master = 'O''Neill'"
 	if got != want {
 		t.Fatalf("WhereClause = %q\nwant          %q", got, want)
+	}
+}
+
+// TestWhereClauseNonFiniteFloats pins the spelling of NaN and the
+// infinities, bound from SDL over float columns, in the PostgreSQL
+// and DuckDB form, and that finite floats keep theirs.
+func TestWhereClauseNonFiniteFloats(t *testing.T) {
+	tab := engine.MustNewTable("t",
+		engine.NewFloatColumn("f", []float64{2.5, math.NaN()}),
+		engine.NewFloatColumn("g", []float64{1.5, math.Inf(1)}))
+	const (
+		nan    = "CAST('NaN' AS DOUBLE PRECISION)"
+		inf    = "CAST('Infinity' AS DOUBLE PRECISION)"
+		negInf = "CAST('-Infinity' AS DOUBLE PRECISION)"
+	)
+	for _, tc := range []struct{ query, want string }{
+		{"(f: {NaN, 2.5}, g: [1.5, +Inf])", "f IN (" + nan + ", 2.5) AND g >= 1.5 AND g <= " + inf},
+		{"(f: {NaN})", "f = " + nan},
+		{"(f: [-Inf, Inf))", "f >= " + negInf + " AND f < " + inf},
+		{"(g: {-Inf, 1e300, -0.25})", "g IN (" + negInf + ", -0.25, 1e+300)"},
+	} {
+		q, err := ParseBound(tc.query, tab)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.query, err)
+		}
+		if got := WhereClause(q); got != tc.want {
+			t.Errorf("WhereClause(%s) = %q, want %q", tc.query, got, tc.want)
+		}
 	}
 }
 

@@ -181,8 +181,8 @@ func TestCutChildrenMatchColdEvaluation(t *testing.T) {
 // TestCutPartitionNaNPiece holds every float cut over an extent holding
 // NaN to Definition 3: a NaN row matches no range, so a range cut's
 // NaN rows are its {NaN} piece's, exact and sampled, at arity 2 and 3,
-// with zone pruning on and off, and over a warmed table (rank codes and
-// planes); and the float nominal fallback's piece listing NaN holds
+// with zone pruning on (the plane kernels over the summary's rank
+// codes) and off (the value kernels); and the float nominal fallback's piece listing NaN holds
 // them too (NaN equals NaN). Every cut passes ValidatePartition and
 // keeps its parent's partition proof.
 func TestCutPartitionNaNPiece(t *testing.T) {
@@ -220,23 +220,18 @@ func TestCutPartitionNaNPiece(t *testing.T) {
 		}
 		return out
 	}
-	for _, warm := range []bool{false, true} {
-		if warm {
-			tab.WarmSummaries()
-		}
-		for _, pruning := range []bool{true, false} {
-			for _, sample := range []int{0, 2000} {
-				for _, arity := range []int{2, 3} {
-					ev := NewEvaluator(tab)
-					ev.SetZonePruning(pruning)
-					opt := DefaultCutOptions()
-					opt.Arity, opt.SampleSize = arity, sample
-					name := fmt.Sprintf("warm %v, pruning %v, sample %d, arity %d", warm, pruning, sample, arity)
-					out := check(name, ev, ctx, "redshift", opt)
-					last := out.Depth() - 1
-					if c, _ := out.Queries[last].Constraint("redshift"); c.String() != "redshift: {NaN}" || out.Counts[last] != len(rows) {
-						t.Fatalf("%s: last piece %v holds %d rows, want redshift: {NaN} holding the %d NaN rows", name, c, out.Counts[last], len(rows))
-					}
+	for _, pruning := range []bool{true, false} {
+		for _, sample := range []int{0, 2000} {
+			for _, arity := range []int{2, 3} {
+				ev := NewEvaluator(tab)
+				ev.SetZonePruning(pruning)
+				opt := DefaultCutOptions()
+				opt.Arity, opt.SampleSize = arity, sample
+				name := fmt.Sprintf("pruning %v, sample %d, arity %d", pruning, sample, arity)
+				out := check(name, ev, ctx, "redshift", opt)
+				last := out.Depth() - 1
+				if c, _ := out.Queries[last].Constraint("redshift"); c.String() != "redshift: {NaN}" || out.Counts[last] != len(rows) {
+					t.Fatalf("%s: last piece %v holds %d rows, want redshift: {NaN} holding the %d NaN rows", name, c, out.Counts[last], len(rows))
 				}
 			}
 		}

@@ -13,9 +13,9 @@ import (
 // list must be byte-identical with summaries on and off, across
 // worker counts and chunk widths, on contexts that exercise string,
 // bool-free nominal, and numeric predicates together. The tables are
-// warmed, so with summaries on the cuts and counts run the plane
-// kernels over rank codes and small dictionaries' code planes, and with
-// them off the value kernels.
+// warmed, and every summary carries codes, so with summaries on the
+// cuts and counts run the plane kernels over rank codes and small
+// dictionaries' code planes, and with them off the value kernels.
 func TestAdviseByteIdenticalAcrossZonePruning(t *testing.T) {
 	const rows = 6000
 	contexts := []string{
