@@ -687,8 +687,8 @@ func BenchmarkE17ScaleAdvise(b *testing.B) {
 
 // BenchmarkE20ColdStart measures the out-of-core start-up path: open
 // a 1M-row .chc columnar file via mmap (docs/FORMAT.md) and warm
-// every zone map from the persisted summary regions, coding each
-// numeric and small-dictionary column (a read of its every value).
+// every zone map and its codes, scanning each summarized column (a
+// read of its every value).
 // This is the charles-server boot sequence with -table, and the
 // number the format exists for — milliseconds instead of the seconds
 // a CSV parse or generator run costs at the same scale.

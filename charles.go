@@ -142,25 +142,25 @@ func LoadCSVReader(r io.Reader, name string) (*Table, error) {
 func WriteCSV(path string, t *Table) error { return engine.WriteCSVFile(path, t) }
 
 // ColumnFileOptions parameterizes SaveColumnFile: the chunk width to
-// persist pages and zone maps at (0 keeps the table's width) and an
-// optional column to cluster rows by at ingest, which is what makes
-// chunk skipping pay off on the clustered column at query time.
+// write pages at (0 keeps the table's width), which tables opened over
+// the file default to, and an optional column to cluster rows by at
+// ingest, which is what makes chunk skipping pay off on the clustered
+// column at query time.
 type ColumnFileOptions = colfile.WriteOptions
 
 // SaveColumnFile persists a table in the Charles columnar format
-// (.chc, specified in docs/FORMAT.md): per-chunk value pages plus
-// precomputed zone-map and code-presence summaries, ready to be
-// reopened by mmap.
+// (.chc, specified in docs/FORMAT.md): per-chunk value pages and
+// string dictionaries, ready to be reopened by mmap.
 func SaveColumnFile(path string, t *Table, opts ColumnFileOptions) error {
 	return colfile.Write(path, t, opts)
 }
 
 // OpenColumnFile opens a .chc columnar file as a table backed by a
 // read-only memory mapping: opening costs metadata only, rows fault
-// in on first touch, and the persisted zone maps serve chunk
-// skipping without a scan for their bounds; only the codes each
-// summary carries are derived, reading every coded column once.
-// Close the table when done to release the mapping; advise output
+// in on first touch, and zone maps and the codes they carry are built
+// by scanning the columns, as for a table held in memory, reading each
+// summarized column once. Close the table when done to release the
+// mapping; advise output
 // over a file-backed table is byte-identical to the same table held
 // in memory.
 func OpenColumnFile(path string) (*Table, error) { return colfile.OpenTable(path) }

@@ -28,7 +28,7 @@ func main() {
 		rows      = flag.Int("rows", 100000, "rows to generate")
 		seed      = flag.Int64("seed", 1, "generator seed")
 		out       = flag.String("out", "", "output path; a .chc suffix writes the columnar format (default <dataset>.csv)")
-		chunkRows = flag.Int("chunk-rows", 0, ".chc output: chunk width to persist pages and zone maps at (0 = auto)")
+		chunkRows = flag.Int("chunk-rows", 0, ".chc output: chunk width to write pages at (0 = auto)")
 		clusterBy = flag.String("cluster-by", "", ".chc output: sort rows by this column while writing")
 	)
 	flag.Parse()

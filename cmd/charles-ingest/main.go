@@ -1,8 +1,9 @@
 // Command charles-ingest converts a data source — a CSV file or a
 // built-in synthetic dataset — into the Charles columnar format
-// (.chc, docs/FORMAT.md): per-chunk value pages with precomputed
-// zone-map and code-presence summaries, which charles-server then
-// opens by mmap in milliseconds regardless of table size.
+// (.chc, docs/FORMAT.md): per-chunk value pages and string
+// dictionaries, which charles-server then opens by mmap in
+// milliseconds regardless of table size, building its zone maps by
+// scanning the mapped columns.
 //
 // Clustering: -cluster-by sorts rows by the named column while
 // writing, so chunk skipping on that column (and anything
@@ -33,7 +34,7 @@ func main() {
 		rows      = flag.Int("rows", 100000, "rows for built-in datasets")
 		seed      = flag.Int64("seed", 1, "generator seed")
 		out       = flag.String("out", "", "output .chc path (default: source name with .chc)")
-		chunkRows = flag.Int("chunk-rows", 0, "chunk width to persist pages and zone maps at (0 = auto, 64K)")
+		chunkRows = flag.Int("chunk-rows", 0, "chunk width to write pages at, the default width of tables opened over the file (0 = auto, 64K)")
 		clusterBy = flag.String("cluster-by", "", "sort rows by this column while writing")
 		verify    = flag.String("verify", "", "verify an existing .chc file (checksums every page) and exit")
 	)

@@ -352,15 +352,16 @@ type tableSource struct {
 
 // loadTable opens or generates the table src names and, with
 // src.chunkRows set, fixes its chunk width before anything reads it.
-// A .chc file's persisted zone maps serve only at its native width; at
-// another they rebuild by scanning the mapping.
+// A .chc table defaults to the file's native width; at any width its
+// zone maps are built by scanning the mapping.
 func loadTable(src tableSource) (*charles.Table, error) {
 	var tab *charles.Table
 	var err error
 	switch {
 	case src.path != "":
-		// A columnar file opens by mmap: opening is O(metadata), and
-		// rows fault in from the page cache only when scanned.
+		// A columnar file opens by mmap: opening checks its string
+		// and boolean pages and copies its float pages, and other rows
+		// fault in from the page cache only when scanned.
 		tab, err = charles.OpenColumnFile(src.path)
 	case src.csv != "":
 		tab, err = charles.LoadCSV(src.csv)
@@ -425,11 +426,9 @@ func main() {
 	cfg.Workers = *workers
 	adv := charles.NewAdvisor(tab, cfg)
 	// Warm the zone maps and their codes, which seals the chunk width.
-	// Memory-backed tables build them by scanning (lazily per column
-	// otherwise, inside a user-visible request); a file-backed table at
-	// its native width copies the zone maps persisted at ingest and
-	// codes them, reading every coded column once (~50 ms for a 1M-row
-	// table).
+	// Every table builds them by scanning, reading each summarized
+	// column once — lazily per column otherwise, inside a user-visible
+	// request.
 	warmStart := time.Now()
 	warmed := tab.WarmSummaries()
 	log.Printf("charles-server: loaded %q (%d rows) in %v; warmed %d zone maps (%d chunks/col) in %v",

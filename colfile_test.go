@@ -2,10 +2,10 @@
 // from the mmap'd columnar format (internal/colfile, specified in
 // docs/FORMAT.md) must be byte-identical to the same table held in
 // memory, at every worker count and chunk width, clustered or not.
-// The format's value pages (FORMAT.md §5), dictionary encoding (§6)
-// and persisted zone maps (§7) are all on the hot path of these
-// advises, so a mis-encoded page or summary surfaces as diverging
-// ranked output here even when the unit round-trip tests pass.
+// The format's value pages (FORMAT.md §5) and dictionary encoding (§6)
+// are both on the hot path of these advises, so a mis-encoded page
+// surfaces as diverging ranked output here even when the unit
+// round-trip tests pass.
 package charles_test
 
 import (
@@ -60,10 +60,9 @@ func adviseMem(t *testing.T, rows int, context string) string {
 // (FORMAT.md §8 records the column), and advise output is row-order
 // independent, so every cell must render the reference bytes. With
 // pruning on, the .chc side's cuts and counts run the plane kernels
-// over the persisted zone maps and the codes the table derives (at
-// the file's native width) or over summaries it scans (at 512); with
-// it off, the value kernels, which the pruned cells are thereby held
-// to.
+// over the summaries the table scans, at the file's native width and
+// at 512; with it off, the value kernels, which the pruned cells are
+// thereby held to.
 func TestColumnFileAdviseByteIdentical(t *testing.T) {
 	const rows = 20000
 	dir := t.TempDir()
@@ -106,10 +105,9 @@ func TestColumnFileAdviseByteIdentical(t *testing.T) {
 // 1M-row table written to the columnar format and reopened via mmap
 // produces byte-identical advise output to the in-memory backend
 // across Workers × ChunkRows. chunkRows=0 advises at the file's
-// native width, where the persisted summaries (FORMAT.md §7) are
-// served; 8192 builds the opened table at another width, where zone
-// maps rebuild by scanning the mapping — both must be invisible in the
-// output.
+// native width and 8192 builds the opened table at another width; at
+// either, zone maps are built by scanning the mapping, which must be
+// invisible in the output.
 func TestColumnFileAdvise1M(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-row acceptance matrix; run without -short")

@@ -9,13 +9,21 @@
 // what makes renumbering a section a test failure instead of silent
 // doc rot. docs/SEMANTICS.md is held the same way: its numeric values
 // section, and every `SEMANTICS.md §N` citation. docs/OBSERVABILITY.md
-// must carry a table row for every evaluator counter family.
+// must carry a table row for every evaluator counter family, and
+// docs/ROBUSTNESS.md's failpoint catalogue a row for exactly the
+// failpoint sites the code defines.
 package charles_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -274,6 +282,88 @@ func TestDocsObservabilityFamilies(t *testing.T) {
 	for _, fam := range reg.Names() {
 		if !strings.Contains(string(doc), "| `"+fam+"` |") {
 			t.Errorf("docs/OBSERVABILITY.md has no | `%s` | row", fam)
+		}
+	}
+}
+
+// TestDocsFailpointsCatalogued holds docs/ROBUSTNESS.md's failpoint
+// catalogue to the tree: its table must list exactly the sites named
+// by a fault.Inject call in non-test Go code outside testdata/, so a
+// site cannot ship uncatalogued nor a deleted one linger in the docs.
+func TestDocsFailpointsCatalogued(t *testing.T) {
+	code := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Inject" {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "fault" {
+				return true
+			}
+			lit, ok := call.Args[0].(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				t.Errorf("%s: fault.Inject with a non-literal site", fset.Position(call.Pos()))
+				return true
+			}
+			site, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			code[site] = true
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	doc, err := os.ReadFile(filepath.Join("docs", "ROBUSTNESS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, catalogue, ok := strings.Cut(string(doc), "\n## Failpoint catalogue\n")
+	if !ok {
+		t.Fatal("docs/ROBUSTNESS.md has no \"## Failpoint catalogue\" section")
+	}
+	catalogue, _, _ = strings.Cut(catalogue, "\n## ")
+	docs := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z][a-zA-Z]*\\.[a-zA-Z.]+)` \\|").FindAllStringSubmatch(catalogue, -1) {
+		docs[m[1]] = true
+	}
+	if len(code) == 0 || len(docs) == 0 {
+		t.Fatalf("found %d failpoint sites in the code and %d in the catalogue", len(code), len(docs))
+	}
+	for _, site := range slices.Sorted(maps.Keys(code)) {
+		if !docs[site] {
+			t.Errorf("failpoint %q is injected in the code but has no row in docs/ROBUSTNESS.md's catalogue", site)
+		}
+	}
+	for _, site := range slices.Sorted(maps.Keys(docs)) {
+		if !code[site] {
+			t.Errorf("docs/ROBUSTNESS.md catalogues failpoint %q, which no fault.Inject call names", site)
 		}
 	}
 }

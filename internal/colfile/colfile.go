@@ -1,17 +1,17 @@
 // Package colfile reads and writes the Charles columnar file format
 // (.chc): a footer-indexed binary file of per-chunk column pages —
-// raw values, string dictionaries, and precomputed zone-map and
-// code-presence summaries — designed to be opened by memory-mapping
-// so a server starts in milliseconds on tables far larger than RAM.
+// raw values and string dictionaries — designed to be opened by
+// memory-mapping so a server starts in milliseconds on tables far
+// larger than RAM.
 //
 // The format is specified normatively in docs/FORMAT.md; section
 // references below (§N) point into that document. The reader
 // implements engine.ColumnBackend: Open maps the file and hands the
 // engine zero-copy column vectors that alias the mapping — but for a
 // float column, converted at open to the engine's ordinals in a heap
-// copy (§5.1) — plus the persisted chunk summaries at the file's
-// native chunk width, so no other row is touched until a scan
-// actually needs it.
+// copy (§5.1) — so no other row is touched until a scan actually
+// needs it. Zone maps are the engine's, built by scanning the columns
+// (§7).
 //
 // Structural validation (magic, version, checksummed footer, region
 // bounds and alignment) happens at Open and costs O(columns), not
@@ -48,10 +48,6 @@ const trailerSize = 24
 // Extension is the conventional file suffix.
 const Extension = ".chc"
 
-// overflowLen is the sentinel in a sparse code-presence summary
-// marking a chunk that held too many distinct codes to list (§7.3).
-const overflowLen = 0xFFFFFFFF
-
 // footer is the file's table of contents, serialized as UTF-8 JSON
 // immediately before the trailer (§8). Offsets are absolute file
 // offsets; readers must treat them as the only source of region
@@ -75,8 +71,9 @@ type region struct {
 }
 
 // columnMeta describes one column (§8): its value-page region, page
-// checksums, and — for string columns — the dictionary region, plus
-// an optional summary region holding the persisted zone map.
+// checksums, and — for string columns — the dictionary region. The
+// summary entry earlier writers gave each column (§7) is ignored like
+// any other unknown field (§10).
 type columnMeta struct {
 	Name string `json:"name"`
 	Kind string `json:"kind"`
@@ -89,8 +86,6 @@ type columnMeta struct {
 	Dict *region `json:"dict,omitempty"`
 	// DictCount is the number of dictionary entries.
 	DictCount int64 `json:"dict_count,omitempty"`
-	// Summary locates the column's persisted zone map (§7).
-	Summary *region `json:"summary,omitempty"`
 }
 
 // elemSize returns the fixed per-row byte width of a kind's value
@@ -167,28 +162,12 @@ func (r *byteReader) take(n int) []byte {
 	return b
 }
 
-func (r *byteReader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
 func (r *byteReader) u32() uint32 {
 	b := r.take(4)
 	if b == nil {
 		return 0
 	}
 	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *byteReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
 }
 
 // done reports any accumulated error, and flags trailing garbage:
@@ -245,189 +224,4 @@ func decodeDict(b []byte) ([]string, error) {
 		return nil, err
 	}
 	return dict, nil
-}
-
-// Summary form tags (§7.3).
-const (
-	summaryFormDenseBits  = 1
-	summaryFormSparseList = 2
-)
-
-// encodeSummary serializes a column's zone map (§7). The layout is
-// keyed by the column kind, which the footer already records, so the
-// region itself carries only the string-presence form tag.
-func encodeSummary(k engine.Kind, d engine.SummaryData) []byte {
-	var out []byte
-	switch k {
-	case engine.KindInt, engine.KindDate:
-		out = make([]byte, 0, 16*len(d.IntMin))
-		for _, v := range d.IntMin {
-			out = binary.LittleEndian.AppendUint64(out, uint64(v))
-		}
-		for _, v := range d.IntMax {
-			out = binary.LittleEndian.AppendUint64(out, uint64(v))
-		}
-	case engine.KindFloat:
-		out = make([]byte, 0, 17*len(d.FloatMin))
-		for _, v := range d.FloatMin {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
-		}
-		for _, v := range d.FloatMax {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
-		}
-		out = appendBools(out, d.FloatPure)
-	case engine.KindString:
-		out = binary.LittleEndian.AppendUint32(out, uint32(d.DictLen))
-		if d.CodeBits != nil {
-			out = append(out, summaryFormDenseBits)
-			for _, words := range d.CodeBits {
-				for _, w := range words {
-					out = binary.LittleEndian.AppendUint64(out, w)
-				}
-			}
-		} else {
-			out = append(out, summaryFormSparseList)
-			for c, list := range d.CodeList {
-				if d.CodeOverflow[c] {
-					out = binary.LittleEndian.AppendUint32(out, overflowLen)
-					continue
-				}
-				out = binary.LittleEndian.AppendUint32(out, uint32(len(list)))
-				for _, code := range list {
-					out = binary.LittleEndian.AppendUint32(out, code)
-				}
-			}
-		}
-	case engine.KindBool:
-		out = appendBools(nil, d.BoolHasTrue)
-		out = appendBools(out, d.BoolHasFalse)
-	}
-	return out
-}
-
-// decodeSummary parses a summary region (§7) for a column of kind k
-// spanning numChunks chunks, and validates it via the engine's
-// importer so a corrupt summary is rejected, not served.
-func decodeSummary(k engine.Kind, b []byte, numChunks int) (*engine.ChunkSummary, error) {
-	r := &byteReader{b: b}
-	var d engine.SummaryData
-	switch k {
-	case engine.KindInt, engine.KindDate:
-		if int64(len(b)) != int64(numChunks)*16 {
-			return nil, fmt.Errorf("colfile: int summary region is %d bytes, want %d for %d chunks (§7.1)", len(b), numChunks*16, numChunks)
-		}
-		d.IntMin = make([]int64, numChunks)
-		d.IntMax = make([]int64, numChunks)
-		for i := range d.IntMin {
-			d.IntMin[i] = int64(r.u64())
-		}
-		for i := range d.IntMax {
-			d.IntMax[i] = int64(r.u64())
-		}
-	case engine.KindFloat:
-		if int64(len(b)) != int64(numChunks)*17 {
-			return nil, fmt.Errorf("colfile: float summary region is %d bytes, want %d for %d chunks (§7.2)", len(b), numChunks*17, numChunks)
-		}
-		d.FloatMin = make([]float64, numChunks)
-		d.FloatMax = make([]float64, numChunks)
-		for i := range d.FloatMin {
-			d.FloatMin[i] = math.Float64frombits(r.u64())
-		}
-		for i := range d.FloatMax {
-			d.FloatMax[i] = math.Float64frombits(r.u64())
-		}
-		var err error
-		if d.FloatPure, err = takeBools(r, numChunks); err != nil {
-			return nil, err
-		}
-	case engine.KindString:
-		d.DictLen = int(r.u32())
-		form := r.u8()
-		switch {
-		case r.err != nil:
-		case form == summaryFormDenseBits:
-			if d.DictLen <= 0 {
-				return nil, fmt.Errorf("colfile: dense code summary with dictionary length %d", d.DictLen)
-			}
-			words := (d.DictLen + 63) / 64
-			// The per-chunk word count derives from the in-region
-			// DictLen, so bound the total against the region size
-			// before any chunk's bitset is allocated.
-			if int64(words)*8*int64(numChunks) != int64(len(b))-5 {
-				return nil, fmt.Errorf("colfile: dense code summary region is %d bytes, want %d for %d chunks of %d words (§7.3)",
-					len(b), 5+words*8*numChunks, numChunks, words)
-			}
-			d.CodeBits = make([][]uint64, numChunks)
-			for c := range d.CodeBits {
-				bits := make([]uint64, words)
-				for w := range bits {
-					bits[w] = r.u64()
-				}
-				d.CodeBits[c] = bits
-			}
-		case form == summaryFormSparseList:
-			d.CodeList = make([][]uint32, numChunks)
-			d.CodeOverflow = make([]bool, numChunks)
-			for c := range d.CodeList {
-				n := r.u32()
-				if n == overflowLen {
-					d.CodeOverflow[c] = true
-					continue
-				}
-				if int64(n)*4 > int64(len(b)) {
-					return nil, fmt.Errorf("colfile: chunk %d code list claims %d entries in a %d-byte region", c, n, len(b))
-				}
-				list := make([]uint32, n)
-				for i := range list {
-					list[i] = r.u32()
-				}
-				d.CodeList[c] = list
-			}
-		default:
-			return nil, fmt.Errorf("colfile: unknown code summary form %d", form)
-		}
-	case engine.KindBool:
-		var err error
-		if d.BoolHasTrue, err = takeBools(r, numChunks); err != nil {
-			return nil, err
-		}
-		if d.BoolHasFalse, err = takeBools(r, numChunks); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("colfile: summary for unsummarized kind %v", k)
-	}
-	if err := r.done("summary"); err != nil {
-		return nil, err
-	}
-	return engine.ImportSummary(d, numChunks)
-}
-
-// appendBools encodes a bool slice as one byte per value (§2).
-func appendBools(out []byte, vals []bool) []byte {
-	for _, v := range vals {
-		if v {
-			out = append(out, 1)
-		} else {
-			out = append(out, 0)
-		}
-	}
-	return out
-}
-
-// takeBools decodes n one-byte booleans, rejecting bytes other than
-// 0 and 1 (§2).
-func takeBools(r *byteReader, n int) ([]bool, error) {
-	b := r.take(n)
-	if r.err != nil {
-		return nil, r.err
-	}
-	out := make([]bool, n)
-	for i, v := range b {
-		if v > 1 {
-			return nil, fmt.Errorf("colfile: boolean byte 0x%02x at index %d, want 0 or 1", v, i)
-		}
-		out[i] = v == 1
-	}
-	return out, nil
 }

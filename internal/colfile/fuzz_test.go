@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"charles/internal/engine"
@@ -22,7 +23,7 @@ import (
 // runs just work: go test -fuzz=FuzzOpenColumnFile ./internal/colfile
 
 // fuzzSeedFile writes a small valid file covering every storable
-// kind and both code-presence summary forms, and returns its bytes.
+// kind, and returns its bytes.
 // It is the fuzzer's anchor seed: mutations of a structurally valid
 // file reach far deeper than random bytes.
 func fuzzSeedFile(f *testing.F) []byte {
@@ -67,8 +68,8 @@ func fuzzSeedFile(f *testing.F) []byte {
 }
 
 // FuzzOpenColumnFile drives the whole container path: header,
-// trailer, checksummed footer, region table, dictionaries, summary
-// regions, and — when Open accepts the input — the deep Verify pass,
+// trailer, checksummed footer, region table, dictionaries, and — when
+// Open accepts the input — the deep Verify pass,
 // a table over the file warming every column's summary (zone maps
 // and codes), and Close. The corruption-suite corpus is reproduced
 // as seeds: the valid file plus the same classes of mutation the
@@ -101,6 +102,13 @@ func FuzzOpenColumnFile(f *testing.F) {
 		ft.Columns[0].Data.Offset = 1 << 62
 		ft.Columns[0].Data.Length = math.MaxInt64 - 1<<62 + 100
 	}))
+	// A file from a writer that still emitted summary regions (§7),
+	// whose footer entries the reader skips.
+	old, err := os.ReadFile(summariesFixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old)
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
 
@@ -127,9 +135,8 @@ func FuzzOpenColumnFile(f *testing.F) {
 		if err := file.Verify(); err != nil && err.Error() == "" {
 			t.Fatal("Verify returned an empty error")
 		}
-		// A table over the file takes every column's summary as it
-		// warms, coding each coded column: a read of its every value
-		// beside the persisted zone maps.
+		// A table over the file builds every column's summary as it
+		// warms, zone map and codes: a read of its every value.
 		if tab, err := engine.NewTableFromBackend(file); err == nil {
 			tab.WarmSummaries()
 		}
@@ -139,50 +146,22 @@ func FuzzOpenColumnFile(f *testing.F) {
 	})
 }
 
-// FuzzReadPage drives the intra-region page parsers that Open and
-// decodeSummary feed mapped bytes into: the dictionary decoder and
-// the per-kind summary decoder (zone maps, float purity, dense and
-// sparse code presence). These see raw attacker-controlled bytes
-// bounded only by the footer's region table, so they must error —
-// never panic or over-read — on any input.
+// FuzzReadPage drives the intra-region parser that Open feeds mapped
+// bytes into: the dictionary decoder (§6). It sees raw
+// attacker-controlled bytes bounded only by the footer's region
+// table, so it must error — never panic or over-read — on any input.
 func FuzzReadPage(f *testing.F) {
-	f.Add(encodeDict([]string{"amsterdam", "batavia", ""}), uint8(2), 4)
-	f.Add(encodeDict(nil), uint8(2), 1)
-	intSum := encodeSummary(engine.KindInt, engine.SummaryData{
-		IntMin: []int64{-5, 0}, IntMax: []int64{10, 7},
-	})
-	f.Add(intSum, uint8(0), 2)
-	floatSum := encodeSummary(engine.KindFloat, engine.SummaryData{
-		FloatMin: []float64{0.5}, FloatMax: []float64{2.5}, FloatPure: []bool{true},
-	})
-	f.Add(floatSum, uint8(1), 1)
-	denseSum := encodeSummary(engine.KindString, engine.SummaryData{
-		DictLen:  3,
-		CodeBits: [][]uint64{{0b101}, {0b010}},
-	})
-	f.Add(denseSum, uint8(2), 2)
-	sparseSum := encodeSummary(engine.KindString, engine.SummaryData{
-		DictLen:      5000,
-		CodeList:     [][]uint32{{1, 9}, nil},
-		CodeOverflow: []bool{false, true},
-	})
-	f.Add(sparseSum, uint8(2), 2)
-	boolSum := encodeSummary(engine.KindBool, engine.SummaryData{
-		BoolHasTrue: []bool{true}, BoolHasFalse: []bool{false},
-	})
-	f.Add(boolSum, uint8(3), 1)
-
-	kinds := []engine.Kind{engine.KindInt, engine.KindFloat, engine.KindString, engine.KindBool, engine.KindDate}
-	f.Fuzz(func(t *testing.T, data []byte, kindSel uint8, numChunks int) {
-		if numChunks < 0 || numChunks > 1<<12 {
-			return
-		}
+	dict := encodeDict([]string{"amsterdam", "batavia", ""})
+	f.Add(dict)
+	f.Add(encodeDict(nil))
+	f.Add(dict[:len(dict)-1])                         // truncated last entry
+	f.Add(append(slices.Clone(dict), 0))              // trailing byte
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})             // a count past the region
+	f.Add([]byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f}) // an entry length past the region
+	f.Add([]byte{1, 0})                               // a truncated count
+	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := decodeDict(data); err != nil && err.Error() == "" {
 			t.Fatal("decodeDict returned an empty error")
-		}
-		kind := kinds[int(kindSel)%len(kinds)]
-		if _, err := decodeSummary(kind, data, numChunks); err != nil && err.Error() == "" {
-			t.Fatal("decodeSummary returned an empty error")
 		}
 	})
 }

@@ -28,7 +28,6 @@ type File struct {
 
 	ft        footer
 	cols      []engine.Column
-	sums      []*engine.ChunkSummary
 	rows      int
 	chunkRows int
 
@@ -38,7 +37,7 @@ type File struct {
 
 // Open maps path and validates its structure (§11): magic and
 // version at both ends, checksummed footer, region bounds,
-// alignment and lengths, dictionary and summary integrity, and the
+// alignment and lengths, dictionary integrity, and the
 // validity of boolean bytes and string dictionary codes — everything
 // the engine's zero-copy views would otherwise trust blindly. It
 // does not checksum value pages — that reads the whole file; call
@@ -79,8 +78,8 @@ func OpenTable(path string) (*engine.Table, error) {
 	return t, nil
 }
 
-// parse validates the container and materializes columns and
-// summaries. The validation order follows §11: fixed trailer and
+// parse validates the container and materializes columns. The
+// validation order follows §11: fixed trailer and
 // header first, then the checksummed footer, then every region the
 // footer declares.
 func (f *File) parse() error {
@@ -155,7 +154,6 @@ func (f *File) parse() error {
 
 	seen := make(map[string]bool, len(f.ft.Columns))
 	f.cols = make([]engine.Column, len(f.ft.Columns))
-	f.sums = make([]*engine.ChunkSummary, len(f.ft.Columns))
 	for i, cm := range f.ft.Columns {
 		what := fmt.Sprintf("column %q data", cm.Name)
 		if cm.Name == "" {
@@ -242,22 +240,6 @@ func (f *File) parse() error {
 		default:
 			return fmt.Errorf("column %q has unstorable kind %v (§8)", cm.Name, kind)
 		}
-
-		if cm.Summary != nil && nChunks > 0 {
-			if err := checkRegion(fmt.Sprintf("column %q summary", cm.Name), *cm.Summary, 1, -1); err != nil {
-				return err
-			}
-			sb := data[cm.Summary.Offset : cm.Summary.Offset+cm.Summary.Length]
-			if got := crc32.ChecksumIEEE(sb); got != cm.Summary.CRC {
-				return fmt.Errorf("column %q summary checksum mismatch: computed %#x, footer says %#x (§9)",
-					cm.Name, got, cm.Summary.CRC)
-			}
-			s, err := decodeSummary(kind, sb, nChunks)
-			if err != nil {
-				return fmt.Errorf("column %q: %w", cm.Name, err)
-			}
-			f.sums[i] = s
-		}
 	}
 
 	// No two regions may overlap (§3): a footer crafted to alias one
@@ -284,16 +266,6 @@ func (f *File) NumCols() int { return len(f.cols) }
 
 // Column implements engine.ColumnBackend.
 func (f *File) Column(i int) engine.Column { return f.cols[i] }
-
-// ChunkSummary implements engine.ColumnBackend: the persisted zone
-// maps are valid only at the file's native chunk width; at any other
-// width the table falls back to its lazy scan-time build.
-func (f *File) ChunkSummary(col, chunkRows int) (*engine.ChunkSummary, bool) {
-	if chunkRows != f.chunkRows || f.sums[col] == nil {
-		return nil, false
-	}
-	return f.sums[col], true
-}
 
 // NativeChunkRows implements engine.ColumnBackend.
 func (f *File) NativeChunkRows() int { return f.chunkRows }

@@ -1,7 +1,6 @@
 package colfile
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -16,8 +15,7 @@ import (
 
 // testTable builds a deterministic table exercising every storable
 // kind (§5): ints, dates, floats with NaN rows, a small-dictionary
-// string column (dense presence form, §7.3), a high-cardinality
-// string column (sparse presence form), and bools.
+// string column, a high-cardinality string column, and bools.
 func testTable(t *testing.T, rows int, seed int64) *engine.Table {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -126,61 +124,6 @@ func TestRoundTripValues(t *testing.T) {
 	}
 }
 
-// TestRoundTripSummaries pins §7: the zone maps persisted at write
-// time and served back through the backend must be byte-identical,
-// under encodeSummary, to the ones the engine builds by scanning the
-// reopened columns — same bounds, same NaN purity, same presence
-// form and contents.
-func TestRoundTripSummaries(t *testing.T) {
-	want := testTable(t, 3000, 2)
-	f, got := writeOpen(t, want, WriteOptions{ChunkRows: 256})
-	for ci := 0; ci < got.NumCols(); ci++ {
-		kind := got.Column(ci).Kind()
-		served, ok := f.ChunkSummary(ci, f.NativeChunkRows())
-		if !ok {
-			t.Fatalf("column %d: no persisted summary at native width", ci)
-		}
-		if _, ok := f.ChunkSummary(ci, f.NativeChunkRows()*2); ok {
-			t.Fatalf("column %d: summary served at a foreign chunk width", ci)
-		}
-		// Rebuild by scanning the mapped columns via a fresh memory
-		// table — the ground truth the persisted summary must match.
-		mem, err := engine.NewTable(got.Name(), got.Columns()...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mem.SetChunkRows(256)
-		built := mem.Summary(ci)
-		if !bytes.Equal(encodeSummary(kind, served.Export()), encodeSummary(kind, built.Export())) {
-			t.Fatalf("column %d (%v): persisted summary differs from scan-built summary", ci, kind)
-		}
-		// And the table over the backend must actually serve the
-		// persisted zone map rather than rebuilding it: a coded copy
-		// holding the persisted arrays (engine's TestSummariesCarryCodes
-		// pins the copy), seen here through Export for every kind but
-		// float, whose Export decodes.
-		if kind != engine.KindFloat && !sameArrays(got.Summary(ci).Export(), served.Export()) {
-			t.Fatalf("column %d: table built its own summary instead of serving the persisted one", ci)
-		}
-	}
-}
-
-// sameArrays reports whether a and b hold the same per-chunk arrays,
-// not equal copies: the first array each populates has one backing.
-func sameArrays(a, b engine.SummaryData) bool {
-	switch {
-	case len(a.IntMin) > 0:
-		return len(b.IntMin) > 0 && &a.IntMin[0] == &b.IntMin[0]
-	case len(a.CodeBits) > 0:
-		return len(b.CodeBits) > 0 && &a.CodeBits[0] == &b.CodeBits[0]
-	case len(a.CodeList) > 0:
-		return len(b.CodeList) > 0 && &a.CodeList[0] == &b.CodeList[0]
-	case len(a.BoolHasTrue) > 0:
-		return len(b.BoolHasTrue) > 0 && &a.BoolHasTrue[0] == &b.BoolHasTrue[0]
-	}
-	return false
-}
-
 // TestClusterByReorders pins WriteOptions.ClusterBy: the clustered
 // file holds the same multiset of rows sorted by the cluster column
 // (NaN floats last), and records the column in its footer.
@@ -242,7 +185,7 @@ func TestClusterByFloatNaNLast(t *testing.T) {
 }
 
 // TestRoundTripEmptyTable pins the zero-row edge: a rows=0 file has
-// no pages and no summaries (§5, §7) but must round-trip its schema.
+// no pages (§5) but must round-trip its schema.
 func TestRoundTripEmptyTable(t *testing.T) {
 	tab, err := engine.NewTable("empty",
 		engine.NewIntColumn("a", nil),

@@ -18,9 +18,11 @@ import (
 
 // WriteOptions parameterizes an ingest.
 type WriteOptions struct {
-	// ChunkRows is the chunk width to persist pages and summaries
-	// at; 0 keeps the table's current width. Other values normalize
-	// the way engine.SetChunkRows does (power of two in [64, 2^30]).
+	// ChunkRows is the chunk width to persist pages at — the page
+	// checksum unit (§9) and the default width of tables opened over
+	// the file; 0 keeps the table's current width. Other values
+	// normalize the way engine.SetChunkRows does (power of two in
+	// [64, 2^30]).
 	ChunkRows int
 	// ClusterBy, when non-empty, reorders rows by this column before
 	// writing (a stable sort, NaN floats last), so that zone-map and
@@ -53,26 +55,13 @@ func Write(path string, t *engine.Table, opts WriteOptions) error {
 			return err
 		}
 	}
-	// A shadow table over the (possibly reordered) columns is built at
-	// the file's chunk width and owns the summary build for the write,
-	// leaving the caller's table, whose width may be sealed, untouched. Its zone maps are built as each
-	// column is written; their codes are built with them and dropped,
-	// as the file persists the zone maps alone.
-	shadow, err := engine.NewTable(t.Name(), cols...)
-	if err != nil {
-		return fmt.Errorf("colfile: assembling table for write: %w", err)
-	}
-	if err := shadow.SetChunkRows(chunkRows); err != nil {
-		return fmt.Errorf("colfile: assembling table for write: %w", err)
-	}
-
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp)
-	if err := writeFile(f, shadow, opts.ClusterBy); err != nil {
+	if err := writeFile(f, t.Name(), cols, t.NumRows(), chunkRows, opts.ClusterBy); err != nil {
 		f.Close()
 		return err
 	}
@@ -107,8 +96,9 @@ func (cw *countingWriter) pad8() {
 	}
 }
 
-// writeFile emits header, per-column regions, footer and trailer.
-func writeFile(f *os.File, t *engine.Table, clusterBy string) error {
+// writeFile emits header, per-column regions, footer and trailer for
+// a table of the given name and rows, its pages chunkRows rows wide.
+func writeFile(f *os.File, name string, cols []engine.Column, rows, chunkRows int, clusterBy string) error {
 	cw := &countingWriter{w: bufio.NewWriterSize(f, 1<<20)}
 
 	// Header (§4.1).
@@ -120,13 +110,13 @@ func writeFile(f *os.File, t *engine.Table, clusterBy string) error {
 
 	ft := footer{
 		Version:   Version,
-		Table:     t.Name(),
-		Rows:      int64(t.NumRows()),
-		ChunkRows: int64(t.ChunkRows()),
+		Table:     name,
+		Rows:      int64(rows),
+		ChunkRows: int64(chunkRows),
 		ClusterBy: clusterBy,
 	}
-	nc := t.NumChunks()
-	for i, col := range t.Columns() {
+	nc := (rows + chunkRows - 1) / chunkRows
+	for _, col := range cols {
 		cm := columnMeta{Name: col.Name(), Kind: col.Kind().String()}
 
 		// Value pages (§5): the column's raw vector, viewed as bytes,
@@ -138,7 +128,7 @@ func writeFile(f *os.File, t *engine.Table, clusterBy string) error {
 		cw.pad8()
 		cm.Data = region{Offset: cw.off, Length: int64(len(data))}
 		cm.PageCRCs = make([]uint32, 0, nc)
-		pageBytes := int64(t.ChunkRows()) * elemSize(col.Kind())
+		pageBytes := int64(chunkRows) * elemSize(col.Kind())
 		for c := 0; c < nc; c++ {
 			lo := int64(c) * pageBytes
 			hi := lo + pageBytes
@@ -155,16 +145,6 @@ func writeFile(f *os.File, t *engine.Table, clusterBy string) error {
 			cw.pad8()
 			cm.Dict = &region{Offset: cw.off, Length: int64(len(enc)), CRC: crc32.ChecksumIEEE(enc)}
 			cm.DictCount = int64(len(dict))
-			cw.write(enc)
-		}
-
-		// Summary region (§7): the zone map the engine just built at
-		// the file's chunk width, serialized for the reader to serve
-		// back without scanning.
-		if s := t.Summary(i); s != nil && nc > 0 {
-			enc := encodeSummary(col.Kind(), s.Export())
-			cw.pad8()
-			cm.Summary = &region{Offset: cw.off, Length: int64(len(enc)), CRC: crc32.ChecksumIEEE(enc)}
 			cw.write(enc)
 		}
 		ft.Columns = append(ft.Columns, cm)

@@ -8,15 +8,12 @@ import (
 )
 
 // ColumnBackend is the storage seam under a Table: it supplies the
-// physical columns and, when it has them, precomputed per-chunk zone
-// maps. The engine's kernels never see the backend — they run on the
-// Column vectors it hands out — so a backend chooses the memory the
-// vectors live in: heap slices (MemoryBackend) or a read-only mmap
-// of an on-disk columnar file (internal/colfile). The interface sits
-// exactly at the chunk boundary the scan/gather/zone-map code
-// already speaks: a backend that persists summaries does so per
-// chunk, for one chunk width, and the table falls back to the lazy
-// in-memory build at any other width.
+// physical columns. The engine's kernels never see the backend — they
+// run on the Column vectors it hands out — so a backend chooses the
+// memory the vectors live in: heap slices (MemoryBackend) or a
+// read-only mmap of an on-disk columnar file (internal/colfile). Zone
+// maps are the table's, built by scanning the columns whatever the
+// backend.
 type ColumnBackend interface {
 	// TableName returns the stored relation's name.
 	TableName() string
@@ -26,15 +23,9 @@ type ColumnBackend interface {
 	NumCols() int
 	// Column returns the i-th column in declaration order.
 	Column(i int) Column
-	// ChunkSummary returns the backend's precomputed zone map for
-	// column i at the given chunk width. ok is false when the backend
-	// has none (wrong width, unsummarized kind, or a purely in-memory
-	// backend); the table then builds the summary lazily by scanning.
-	ChunkSummary(col, chunkRows int) (s *ChunkSummary, ok bool)
-	// NativeChunkRows is the chunk width the backend's precomputed
-	// summaries were built for, or 0 when it carries none. Tables
-	// built over the backend default to this width so the summaries
-	// are actually served.
+	// NativeChunkRows is the chunk width the backend stores its pages
+	// at, or 0 when it has none. Tables built over the backend default
+	// to this width.
 	NativeChunkRows() int
 	// Close releases backend resources (file mappings, handles).
 	// Columns handed out earlier must not be used after Close.
@@ -42,7 +33,7 @@ type ColumnBackend interface {
 }
 
 // MemoryBackend is the in-memory ColumnBackend: plain Go slices, no
-// precomputed summaries, nothing to close. It is what every table
+// native chunk width, nothing to close. It is what every table
 // built from NewTable, the CSV loader or the dataset generators runs
 // on.
 type MemoryBackend struct {
@@ -72,12 +63,6 @@ func (b *MemoryBackend) NumCols() int { return len(b.cols) }
 // Column implements ColumnBackend.
 func (b *MemoryBackend) Column(i int) Column { return b.cols[i] }
 
-// ChunkSummary implements ColumnBackend: memory backends precompute
-// nothing, so every summary is built lazily by the table.
-func (b *MemoryBackend) ChunkSummary(col, chunkRows int) (*ChunkSummary, bool) {
-	return nil, false
-}
-
 // NativeChunkRows implements ColumnBackend.
 func (b *MemoryBackend) NativeChunkRows() int { return 0 }
 
@@ -87,8 +72,7 @@ func (b *MemoryBackend) Close() error { return nil }
 // NewTableFromBackend builds a table over a storage backend,
 // validating the schema it exposes: at least one column, unique
 // non-empty names, equal lengths. The chunk width defaults to the
-// backend's native width when it has one, so precomputed summaries
-// are served rather than rebuilt.
+// backend's native width when it has one.
 func NewTableFromBackend(b ColumnBackend) (*Table, error) {
 	name := b.TableName()
 	n := b.NumCols()

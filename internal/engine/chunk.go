@@ -3,8 +3,6 @@ package engine
 import (
 	"fmt"
 	"sort"
-
-	"charles/internal/fault"
 )
 
 // DefaultChunkRows is the automatic row-range chunk width: 64K rows
@@ -163,11 +161,10 @@ type ChunkSummary struct {
 	rank       *rankCodes
 	codePlanes *bitPlanes
 
-	// stamp is the table epoch stamp the summary was built under; nil
-	// marks a backend-persisted summary, which describes the unmutated
-	// file contents (version 0). A summary is fresh while its stamp's
-	// version matches the table's; after a mutation only the chunks
-	// whose epochs moved are recomputed.
+	// stamp is the table epoch stamp the summary was built under. A
+	// summary is fresh while its stamp's version matches the table's;
+	// after a mutation only the chunks whose epochs moved are
+	// recomputed.
 	stamp *EpochStamp
 }
 
@@ -237,26 +234,6 @@ func (t *Table) Summary(i int) *ChunkSummary {
 		return s
 	}
 	t.seal()
-	// Precomputed summaries first: a file-backed table ships zone
-	// maps for its native chunk width, which beats re-scanning the
-	// column (and faulting its pages in) just to rediscover them.
-	// They describe the file's contents, so only an unmutated table
-	// (version 0 — the only version a file-backed table can have) may
-	// serve them.
-	// The failpoint models a backend whose persisted summaries are
-	// unreadable: the consult is skipped and the lazy scan-time build
-	// below serves instead — same answers, just slower. Degradation,
-	// not failure, is the contract chaos tests pin here.
-	if t.backend != nil && cur.version == 0 && fault.Inject("engine.backendSummary") == nil {
-		if s, ok := t.backend.ChunkSummary(i, t.chunkRows); ok && s != nil {
-			// The backend's summary is shared: its codes go on a copy,
-			// whose nil stamp still marks the version-0 contents.
-			coded := *s
-			t.withCodes(t.cols[i], &coded, nil, nil)
-			t.summaries[i].CompareAndSwap(nil, &coded)
-			return t.summaries[i].Load()
-		}
-	}
 	s := t.buildSummary(t.cols[i], nil, nil)
 	s.stamp = cur
 	t.summaries[i].CompareAndSwap(nil, s)
@@ -274,13 +251,8 @@ func (t *Table) SummaryByName(name string) *ChunkSummary {
 }
 
 // summaryFresh reports whether a cached summary still describes the
-// table at stamp cur. Equal versions mean identical data; a nil
-// summary stamp marks a backend-persisted summary, which is the
-// version-0 contents.
+// table at stamp cur: equal versions mean identical data.
 func summaryFresh(s *ChunkSummary, cur *EpochStamp) bool {
-	if s.stamp == nil {
-		return cur.version == 0
-	}
 	return s.stamp.version == cur.version
 }
 
@@ -467,9 +439,9 @@ func (t *Table) buildSummary(col Column, old *ChunkSummary, dirty []bool) *Chunk
 
 // refreshSummary brings a stale summary up to stamp cur, rescanning
 // only the chunks whose epochs moved and keeping the clean chunks'
-// entries. It builds in full when the stamps are not chunk-comparable
-// (a backend summary after mutation); a string column whose dictionary
-// grew rebuilds its presence in full (buildSummary).
+// entries. It builds in full when the stamps are not chunk-comparable;
+// a string column whose dictionary grew rebuilds its presence in full
+// (buildSummary).
 func (t *Table) refreshSummary(col Column, old *ChunkSummary, cur *EpochStamp) *ChunkSummary {
 	dirty, _ := cur.DirtyVs(old.stamp)
 	if dirty == nil {

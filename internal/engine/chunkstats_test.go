@@ -365,10 +365,7 @@ func TestNarrowCountsMatchGather(t *testing.T) {
 	tab, col := narrowColumn(nRows, chunkRows, 0, 600, rng)
 	all := tab.AllChunked()
 	nc := all.NumChunks()
-	stale, err := ImportSummary(SummaryData{IntMin: make([]int64, nc), IntMax: slices.Repeat([]int64{299}, nc)}, nc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stale := intBoundsSummary(make([]int64, nc), slices.Repeat([]int64{299}, nc))
 	if _, _, ok := countCut(col, all, 0, 300, 2, false); ok {
 		t.Fatal("a count over a window missing selected values reported success")
 	}
@@ -379,11 +376,7 @@ func TestNarrowCountsMatchGather(t *testing.T) {
 			t.Fatalf("stale window, retain %v: cut %+v, gathered %+v", retain, cut, wantCut)
 		}
 	}
-	misSized, err := ImportSummary(SummaryData{IntMin: make([]int64, nc+1), IntMax: make([]int64, nc+1)}, nc+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := zoneWindow(misSized, all); ok {
+	if _, _, ok := zoneWindow(intBoundsSummary(make([]int64, nc+1), make([]int64, nc+1)), all); ok {
 		t.Fatal("a zone map of another chunk count was read")
 	}
 }

@@ -15,9 +15,8 @@ import (
 // word is one popcount of the word and the code's minterm.
 //
 // Two kinds of column carry planes in every summary the table serves
-// (withCodes), scan-built or a .chc file's persisted zone map, both
-// refreshed per dirty chunk with the rest of the summary and neither
-// persisted:
+// (withCodes), refreshed per dirty chunk with the rest of the summary
+// and never persisted:
 //   - every numeric column, 8 planes of its rank codes (rank.go) per
 //     word, beside the code bytes the cut's gather reads;
 //   - a string column whose dictionary holds 2 to maxPlaneDict values,

@@ -45,9 +45,9 @@ import (
 // before it would reach the codes.
 //
 // Codes cost two bytes per row per numeric column, the byte and its
-// planes, and are derived, never persisted: a .chc file stores the
-// zone maps alone, and a table over it codes a copy of each as it
-// first serves it, reading every value of the column once. A refresh
+// planes, and are derived, never persisted: they are built with the
+// zone map, in the scan that reads every value of the column once,
+// over a .chc file as over memory. A refresh
 // after a mutation keeps the clean chunks' codes, planes and counts
 // and recodes the dirty chunks against the fixed boundaries; values
 // appended beyond the outer boundaries take code 0 or rankBounds.

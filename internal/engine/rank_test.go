@@ -282,29 +282,6 @@ func checkSummaryCodes(t testing.TB, name string, tab *Table) {
 	}
 }
 
-// checkCodedCopy holds got, the summary a table serves at its
-// backend's native width, to served, the backend's persisted one: a
-// copy of it, not it — the backend's summary is shared and stays
-// uncoded — whose zone map is served's as read, its bounds the same
-// arrays rather than a rescan, and whose stamp stays nil (version 0).
-func checkCodedCopy(t testing.TB, name string, got, served *ChunkSummary) {
-	t.Helper()
-	bare := *got
-	bare.rank, bare.codePlanes = nil, nil
-	switch {
-	case got == served:
-		t.Fatalf("%s: the table serves the backend's own summary", name)
-	case served.rank != nil || served.codePlanes != nil:
-		t.Fatalf("%s: codes written into the backend's summary", name)
-	case got.stamp != nil:
-		t.Fatalf("%s: the coded copy has stamp %v, want nil", name, got.stamp)
-	case !reflect.DeepEqual(bare, *served):
-		t.Fatalf("%s: the coded copy's zone map differs from the persisted one", name)
-	case len(served.intMin) > 0 && (&got.intMin[0] != &served.intMin[0] || &got.intMax[0] != &served.intMax[0]):
-		t.Fatalf("%s: the coded copy's bounds were rebuilt, not kept as read", name)
-	}
-}
-
 // checkPlanes holds chunk c's planes in pl to the codes of its first n
 // rows, code(r) being row r's.
 func checkPlanes(t testing.TB, name string, pl *bitPlanes, c int, code func(r int) uint32, n int) {

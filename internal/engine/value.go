@@ -9,8 +9,8 @@
 //
 // Where the column bytes live is abstracted behind ColumnBackend:
 // MemoryBackend holds ordinary Go slices, and internal/colfile
-// serves zero-copy views over a memory-mapped columnar file together
-// with its persisted zone maps (docs/FORMAT.md). Everything above
+// serves zero-copy views over a memory-mapped columnar file
+// (docs/FORMAT.md). Everything above
 // the backend seam — filters, medians, chunk pruning, the advisor —
 // is identical for both, which the round-trip tests pin by comparing
 // rendered advise output byte for byte.

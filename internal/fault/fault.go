@@ -19,7 +19,7 @@
 //
 //	fault.Enable("colfile.readPage", "error(simulated I/O error)")
 //	fault.Enable("jobs.run", "panic(chaos)")
-//	fault.Enable("engine.backendSummary", "sleep(50ms)")
+//	fault.Enable("jobs.finish", "sleep(50ms)")
 //	fault.Enable("jobs.run", "2*error(flaky twice, then clean)")
 //
 // or in bulk ("site=spec;site=spec") via Configure, which is what

@@ -73,11 +73,11 @@ func TestPanicAction(t *testing.T) {
 
 func TestSleepAction(t *testing.T) {
 	reset(t)
-	if err := Enable("engine.backendSummary", "sleep(20ms)"); err != nil {
+	if err := Enable("jobs.finish", "sleep(20ms)"); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if err := Inject("engine.backendSummary"); err != nil {
+	if err := Inject("jobs.finish"); err != nil {
 		t.Fatalf("sleep action returned error %v", err)
 	}
 	if d := time.Since(start); d < 20*time.Millisecond {

@@ -19,7 +19,7 @@ import (
 // never be validated — it would read as permanently fresh or
 // permanently stale depending on the nil-handling of the check.
 // The engine package itself is out of scope: it defines the stamp
-// machinery and documents nil-stamp sentinels (ChunkSummary).
+// machinery.
 var EpochKey = &Analyzer{
 	Name: "epochkey",
 	Doc: "evaluator cache entries must carry their epoch stamp: no raw " +

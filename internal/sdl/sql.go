@@ -98,12 +98,43 @@ func sqlLiteral(v engine.Value) string {
 	}
 }
 
+// quoteIdent renders name as a SQL identifier: bare when it is a
+// lower-case identifier and no reserved key word, double-quoted
+// otherwise.
 func quoteIdent(name string) string {
-	for i := 0; i < len(name); i++ {
+	quoted := pgReserved[name]
+	for i := 0; i < len(name) && !quoted; i++ {
 		c := name[i]
-		if !(c == '_' || (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9' && i > 0)) {
-			return `"` + strings.ReplaceAll(name, `"`, `""`) + `"`
-		}
+		quoted = !(c == '_' || (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9' && i > 0))
+	}
+	if quoted {
+		return `"` + strings.ReplaceAll(name, `"`, `""`) + `"`
 	}
 	return name
 }
+
+// pgReserved holds PostgreSQL's reserved key words, both "reserved"
+// categories of the key word appendix (Appendix C). Left bare, such a
+// name parses as the key word: `user = 'x'` compares current_user, a
+// silently wrong result, and `order` or `select` is a syntax error.
+var pgReserved = func() map[string]bool {
+	words := strings.Fields(`
+		all analyse analyze and any array as asc asymmetric both case cast
+		check collate column constraint create current_catalog
+		current_date current_role current_time current_timestamp
+		current_user default deferrable desc distinct do else end except
+		false fetch for foreign from grant group having in initially
+		intersect into lateral leading limit localtime localtimestamp not
+		null offset on only or order placing primary references returning
+		select session_user some symmetric system_user table then to
+		trailing true union unique user using variadic when where window
+		with
+		authorization binary collation concurrently cross current_schema
+		freeze full ilike inner is isnull join left like natural notnull
+		outer overlaps right similar tablesample verbose`)
+	m := make(map[string]bool, len(words))
+	for _, w := range words {
+		m[w] = true
+	}
+	return m
+}()

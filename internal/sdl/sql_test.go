@@ -103,4 +103,35 @@ func TestQuoteIdent(t *testing.T) {
 	if got := SelectCount(Query{}, "Table"); got != `SELECT COUNT(*) FROM "Table" WHERE TRUE` {
 		t.Fatalf("SelectCount = %q", got)
 	}
+	if got := SelectStar(MustQuery(SetC("user", engine.String_("x"))), "order"); got != `SELECT * FROM "order" WHERE "user" = 'x'` {
+		t.Fatalf("SelectStar = %q", got)
+	}
+	// PostgreSQL's reserved key words, of both reserved categories, are
+	// quoted; names that merely contain one are not.
+	for _, tc := range []struct{ name, want string }{
+		{"user", `"user"`},
+		{"order", `"order"`},
+		{"group", `"group"`},
+		{"select", `"select"`},
+		{"current_user", `"current_user"`},
+		{"analyse", `"analyse"`},
+		{"with", `"with"`},
+		{"left", `"left"`},
+		{"is", `"is"`},
+		{"authorization", `"authorization"`},
+		{"verbose", `"verbose"`},
+		{"users", "users"},
+		{"ordered", "ordered"},
+		{"type", "type"},
+		{"date", "date"},
+		{"tonnage", "tonnage"},
+		{"_x9", "_x9"},
+		{"User", `"User"`},
+		{"9lives", `"9lives"`},
+		{`a"b`, `"a""b"`},
+	} {
+		if got := quoteIdent(tc.name); got != tc.want {
+			t.Errorf("quoteIdent(%q) = %s, want %s", tc.name, got, tc.want)
+		}
+	}
 }
