@@ -60,8 +60,9 @@ bench-scale:
 # The partition and gather kernels alone, ten runs each for benchstat:
 # a binary int cut with and without the cover promise, and an exact
 # int cut by gather and radix select and by narrow count, over parents
-# at four densities, and by rank codes (rank/: all rows, 1/2 and
-# 1/64), on one scan worker; and over the same parents the plane
+# at four densities (the narrow count at three in four too), and by
+# rank codes (rank/: all rows, 1/2 and 1/64), on one scan worker; and
+# over the same parents the plane
 # kernels beside the value kernels they replace (planes/: a wide range
 # with boundary tests, an exactly coded range, a string set, string
 # value counts). Up to 20 minutes, past go test's default 10-minute

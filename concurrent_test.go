@@ -37,7 +37,8 @@ func concurrencyFixture(t *testing.T, workers int) (*charles.Advisor, charles.Qu
 }
 
 // TestWorkersDeterministic pins the tentpole guarantee: the ranked
-// output is bit-identical across worker counts.
+// output is bit-identical across worker counts, and so are the INDEP
+// and seg work counters.
 func TestWorkersDeterministic(t *testing.T) {
 	advSeq, ctx := concurrencyFixture(t, 1)
 	baseline, err := advSeq.Advise(ctx)
@@ -62,6 +63,12 @@ func TestWorkersDeterministic(t *testing.T) {
 		if res.IndepEvals != baseline.IndepEvals || res.IndepCacheHits != baseline.IndepCacheHits {
 			t.Fatalf("Workers=%d INDEP counters (%d evals, %d hits) differ from sequential (%d, %d)",
 				workers, res.IndepEvals, res.IndepCacheHits, baseline.IndepEvals, baseline.IndepCacheHits)
+		}
+		got, seq := adv.Evaluator().Counters(), advSeq.Evaluator().Counters()
+		for _, c := range []seg.Counter{seg.FullEvals, seg.NarrowEvals, seg.CutPointCalcs} {
+			if got[c] != seq[c] {
+				t.Fatalf("Workers=%d seg counter %d is %d, sequential %d", workers, c, got[c], seq[c])
+			}
 		}
 	}
 }

@@ -123,11 +123,15 @@ const maxCodeListLen = 128
 // raw column (not a selection). Numeric columns (int, date, float)
 // record the min/max ordinal of every row-range chunk: range filters
 // consult them to skip chunks no row of which can match, and to pass
-// chunks wholesale when every row must. Nominal columns (string, bool)
-// record per-chunk value presence — which dictionary codes occur in
-// the chunk — so set predicates get the same skip/take/scan verdicts
-// from set algebra: skip when the chunk holds none of the wanted
-// codes, take when every code it holds is wanted.
+// chunks wholesale when every row must. A numeric chunk whose bounds
+// span at most vcountCells values and that holds no NaN also records
+// how many of its rows hold each value, which a narrow cut adds up for
+// the chunks its extent selects whole (countCut), after
+// small materialized aggregates (Moerkotte, VLDB 1998). Nominal columns
+// (string, bool) record per-chunk value presence — which dictionary
+// codes occur in the chunk — so set predicates get the same
+// skip/take/scan verdicts from set algebra: skip when the chunk holds
+// none of the wanted codes, take when every code it holds is wanted.
 type ChunkSummary struct {
 	intMin, intMax []int64
 	// nan[c] is true when chunk c holds a NaN, and nan is nil unless
@@ -137,6 +141,14 @@ type ChunkSummary struct {
 	// it matches a set listing NaN, so such a set skips a chunk only
 	// where nan[c] is false.
 	nan []bool
+	// vcounts[c][i] is how many rows of chunk c hold the ordinal
+	// intMin[c]+i, over [intMin[c], intMax[c]]: at most vcountCells
+	// four-byte cells a chunk, and no more cells than the chunk has
+	// rows. It is nil for a chunk whose bounds span more values or that
+	// holds a NaN.
+	vcounts [][]uint32
+	// chunkRows is the chunk width the summary was built at.
+	chunkRows int
 
 	// String-column presence, in exactly one of two forms. dictLen is
 	// the dictionary cardinality the summary was built for (the
@@ -157,7 +169,7 @@ type ChunkSummary struct {
 
 	// rank is a numeric column's rank codes (rank.go), and codePlanes
 	// a small dictionary's code planes (planes.go), both set by
-	// withCodes on every summary the table serves.
+	// buildSummary on every summary the table serves.
 	rank       *rankCodes
 	codePlanes *bitPlanes
 
@@ -270,48 +282,6 @@ func (t *Table) WarmSummaries() int {
 	return n
 }
 
-// withCodes sets s's codes for col: rank codes and their planes for a
-// numeric column (rank.go), code planes for a string column of 2 to
-// maxPlaneDict values (planes.go). With dirty set it refreshes old's,
-// keeping the clean chunks' codes.
-func (t *Table) withCodes(col Column, s, old *ChunkSummary, dirty []bool) {
-	var oldRank *rankCodes
-	var oldPlanes *bitPlanes
-	if old != nil {
-		oldRank, oldPlanes = old.rank, old.codePlanes
-	}
-	switch col := col.(type) {
-	case Numeric:
-		s.rank = t.rankCodesFor(col.Int64s(), col.Kind() == KindFloat, oldRank, dirty)
-	case *StringColumn:
-		if p := dictPlaneBits(col.Cardinality()); p > 0 {
-			s.codePlanes = t.dictPlanesFor(col.Codes(), p, oldPlanes, dirty)
-		}
-	}
-}
-
-// numChunkBounds scans one chunk's ordinals for their [min, max].
-// With nan set (a float column) NaN's ordinal, the smallest, is left
-// out of both, so an all-NaN chunk's bounds are nanOrdinal, and hasNaN
-// reports whether the chunk holds one; only a chunk that does pays a
-// second pass.
-func numChunkBounds(vals []int64, nan bool) (mn, mx int64, hasNaN bool) {
-	mn, mx = vals[0], vals[0]
-	for _, v := range vals[1:] {
-		mn, mx = min(mn, v), max(mx, v)
-	}
-	if nan && mn == nanOrdinal {
-		mn = mx
-		for _, v := range vals {
-			if v != nanOrdinal {
-				mn = min(mn, v)
-			}
-		}
-		return mn, mx, true
-	}
-	return mn, mx, false
-}
-
 // boolChunkPresence scans one chunk for which boolean values occur.
 func boolChunkPresence(col *BoolColumn, lo, hi int) (hasTrue, hasFalse bool) {
 	for r := lo; r < hi; r++ {
@@ -360,31 +330,54 @@ func stringChunkList(codes []uint32, lo, hi int) (list []uint32, overflow bool) 
 
 // buildSummary computes col's zone map and codes: for every chunk, or
 // with dirty set for the dirty ones only, the others' entries copied
-// from old. The chunks fan out over the scan pool (forEachChunk). The
-// caller stamps the result.
+// from old. The chunks fan out over the scan pool (ForEachTask). A
+// numeric chunk is read once (scanNumChunk) for its bounds, value
+// counts and rank codes. The caller stamps the result.
 func (t *Table) buildSummary(col Column, old *ChunkSummary, dirty []bool) *ChunkSummary {
 	nc := t.NumChunks()
 	clean := func(c int) bool { return dirty != nil && !dirty[c] }
-	s := &ChunkSummary{}
-	t.withCodes(col, s, old, dirty)
+	s := &ChunkSummary{chunkRows: t.chunkRows}
 	switch col := col.(type) {
 	case Numeric:
+		// A refresh keeps old's rank boundaries and recodes the dirty
+		// chunks against them; without old rank codes every chunk is
+		// read again.
 		vals, nan := col.Int64s(), col.Kind() == KindFloat
-		s.intMin = make([]int64, nc)
-		s.intMax = make([]int64, nc)
+		var rc *rankCodes
+		if old != nil && dirty != nil && old.rank != nil {
+			kept := *old.rank // the boundaries; every chunk is set below
+			rc = &kept
+		} else {
+			old, dirty = nil, nil
+			rc = newRankCodes(vals, nan)
+		}
+		if rc != nil {
+			rc.codes, rc.planes.words, rc.counts = make([][]uint8, nc), make([][]uint64, nc), make([][rankCells]uint32, nc)
+		}
+		s.rank = rc
+		s.intMin, s.intMax, s.vcounts = make([]int64, nc), make([]int64, nc), make([][]uint32, nc)
 		if nan {
 			s.nan = make([]bool, nc)
 		}
-		forEachChunk(nc, t.rows, func(c int) {
-			var hasNaN bool
+		ForEachTask(nc, t.rows, func(c int) {
 			if clean(c) {
-				s.intMin[c], s.intMax[c], hasNaN = old.intMin[c], old.intMax[c], old.hasNaN(c)
-			} else {
-				lo, hi := t.ChunkBounds(c)
-				s.intMin[c], s.intMax[c], hasNaN = numChunkBounds(vals[lo:hi], nan)
+				s.intMin[c], s.intMax[c], s.vcounts[c] = old.intMin[c], old.intMax[c], old.vcounts[c]
+				if nan {
+					s.nan[c] = old.hasNaN(c)
+				}
+				if rc != nil {
+					rc.codes[c], rc.planes.words[c], rc.counts[c] = old.rank.codes[c], old.rank.planes.words[c], old.rank.counts[c]
+				}
+				return
 			}
+			lo, hi := t.ChunkBounds(c)
+			ch := scanNumChunk(rc, vals[lo:hi], nan)
+			s.intMin[c], s.intMax[c], s.vcounts[c] = ch.lo, ch.hi, ch.vcounts
 			if nan {
-				s.nan[c] = hasNaN
+				s.nan[c] = ch.nan
+			}
+			if rc != nil {
+				rc.codes[c], rc.planes.words[c], rc.counts[c] = ch.codes, ch.planes, ch.counts
 			}
 		})
 	case *StringColumn:
@@ -393,16 +386,23 @@ func (t *Table) buildSummary(col Column, old *ChunkSummary, dirty []bool) *Chunk
 		// mark) for a large one. Both are sized and shaped by the
 		// dictionary, so a clean chunk keeps its entry only while the
 		// dictionary has not grown (its code planes, only while they
-		// have as many bits: withCodes).
+		// have as many bits: dictPlanesFor).
 		s.dictLen = col.Cardinality()
 		codes := col.Codes()
+		if p := dictPlaneBits(s.dictLen); p > 0 {
+			var oldPlanes *bitPlanes
+			if old != nil {
+				oldPlanes = old.codePlanes
+			}
+			s.codePlanes = t.dictPlanesFor(codes, p, oldPlanes, dirty)
+		}
 		if old != nil && old.dictLen != s.dictLen {
 			old, dirty = nil, nil
 		}
 		if s.dictLen <= denseCodeDictMax {
 			s.codeBits = make([][]uint64, nc)
 			words := (s.dictLen + 63) / 64
-			forEachChunk(nc, t.rows, func(c int) {
+			ForEachTask(nc, t.rows, func(c int) {
 				if clean(c) {
 					s.codeBits[c] = old.codeBits[c]
 					return
@@ -414,7 +414,7 @@ func (t *Table) buildSummary(col Column, old *ChunkSummary, dirty []bool) *Chunk
 		}
 		s.codeList = make([][]uint32, nc)
 		s.codeOverflow = make([]bool, nc)
-		forEachChunk(nc, t.rows, func(c int) {
+		ForEachTask(nc, t.rows, func(c int) {
 			if clean(c) {
 				s.codeList[c], s.codeOverflow[c] = old.codeList[c], old.codeOverflow[c]
 				return
@@ -425,7 +425,7 @@ func (t *Table) buildSummary(col Column, old *ChunkSummary, dirty []bool) *Chunk
 	case *BoolColumn:
 		s.boolHasTrue = make([]bool, nc)
 		s.boolHasFalse = make([]bool, nc)
-		forEachChunk(nc, t.rows, func(c int) {
+		ForEachTask(nc, t.rows, func(c int) {
 			if clean(c) {
 				s.boolHasTrue[c], s.boolHasFalse[c] = old.boolHasTrue[c], old.boolHasFalse[c]
 				return

@@ -1,6 +1,9 @@
 package engine
 
-import "charles/internal/par"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // The chunked filters: every predicate resolves once into a Pred — a
 // zone-map verdict per chunk plus its row test: for ranges and code
@@ -15,61 +18,89 @@ import "charles/internal/par"
 // partition pass (partition.go), whose one-predicate case is the
 // filter, consumes the Preds.
 
-// reserveSegSlots reserves extra scan-pool goroutines for a
-// per-chunk fan-out over src: nothing for selections too small to
-// parallelize, and never more than chunks−1 — slots beyond that
-// would idle while starving concurrent scans. The paired release
-// must always be called. This is the single reservation policy for
-// every chunked operation (filters, partitions, key gathers, reductions and value counts), so the
-// sequential-threshold and cap rules cannot drift between them.
-func reserveSegSlots(src *ChunkedSelection) (extra int, release func()) {
-	return reserveChunkSlots(src.NumChunks(), src.Len())
-}
-
-// reserveChunkSlots is reserveSegSlots for nc chunks holding rows
-// selected rows in any representation.
+// reserveChunkSlots reserves extra scan-pool goroutines for a fan-out
+// of nc tasks (a selection's chunks, or bands of them) holding rows
+// selected rows between them: none for selections too small to
+// parallelize (taskWorkers), and never more than nc−1 — slots beyond
+// that would idle while starving concurrent scans. This is the single
+// reservation policy for every chunked operation (filters, partitions,
+// key gathers, reductions, value counts and order statistics), so the
+// sequential-threshold and cap rules cannot drift between them. The
+// engine's own fan-outs run through ForEachTask, whose workers each
+// give their slot back once no task is left for them; statWorkers'
+// callers size their work by the workers granted — internal/stats'
+// selects and sorts, and StringValueCounts' histograms of the
+// dictionary's size, one per worker — and hold the slots until the
+// call returns through the paired release.
 func reserveChunkSlots(nc, rows int) (extra int, release func()) {
-	workers := ScanWorkers()
-	if workers <= 1 || nc <= 1 || rows < parallelScanMinRows {
+	want := taskWorkers(nc, rows) - 1
+	if want == 0 {
 		return 0, func() {}
 	}
-	want := workers - 1
-	if want > nc-1 {
-		want = nc - 1
-	}
-	extra = grabScanSlots(want, workers)
+	extra = grabScanSlots(want, ScanWorkers())
 	return extra, func() { releaseScanSlots(extra) }
 }
 
-// forEachSeg runs fn(c) once per chunk of src, fanning chunks out
-// across the scan worker pool: the engine's one scan fan-out. A
-// chunked selection usually has far more chunks than workers, so the
-// chunks stream through par.ForEach's shared work queue. Small
-// selections and slot-exhausted processes stay on the calling
-// goroutine. Callers assemble results by chunk index, so scheduling
-// never influences output.
-func forEachSeg(src *ChunkedSelection, fn func(c int)) {
-	forEachChunk(src.NumChunks(), src.Len(), fn)
+// taskWorkers is the most workers a fan-out of nc tasks holding rows
+// selected rows may get: one, on the calling goroutine, when the scan
+// pool has one worker, there is one task, or the rows are too few to be
+// worth a hand-off.
+func taskWorkers(nc, rows int) int {
+	workers := ScanWorkers()
+	if workers <= 1 || nc <= 1 || rows < parallelScanMinRows {
+		return 1
+	}
+	return min(workers, nc)
 }
 
-// forEachChunk is forEachSeg over nc chunks holding rows selected
-// rows in any representation.
-func forEachChunk(nc, rows int, fn func(c int)) {
-	if nc == 0 {
+// forEachSeg runs fn(c) once per chunk of src, fanning chunks out
+// across the scan worker pool (ForEachTask). Callers assemble results
+// by chunk index, so scheduling never influences output.
+func forEachSeg(src *ChunkedSelection, fn func(c int)) {
+	ForEachTask(src.NumChunks(), src.Len(), fn)
+}
+
+// ForEachTask runs fn(i) once for each of n tasks holding rows
+// selected rows between them — a selection's chunks, a table's chunks
+// for a summary build, or a segmentation's uncached cuts (seg.Cut) —
+// fanning them out across the scan worker pool: the engine's one scan
+// fan-out. The workers take tasks from a shared counter, so there may
+// be far more tasks than workers. Tasks holding too few rows to be
+// worth a hand-off (taskWorkers) and slot-exhausted processes stay on
+// the calling goroutine. A task that scans in turn finds the
+// slots its caller holds taken; each worker gives its slot back as
+// soon as no task is left for it, so the scans of the tasks still
+// running can take it, rather than when the last task ends. Callers
+// assemble results by task index, so scheduling never influences
+// output.
+func ForEachTask(n, rows int, fn func(i int)) {
+	if n == 0 {
 		return
 	}
-	extra, release := reserveChunkSlots(nc, rows)
-	defer release()
+	extra, _ := reserveChunkSlots(n, rows) // released by each worker below
 	if extra == 0 {
-		for c := 0; c < nc; c++ {
-			fn(c)
+		for i := range n {
+			fn(i)
 		}
 		return
 	}
-	_ = par.ForEach(extra+1, nc, func(c int) error {
-		fn(c)
-		return nil
-	})
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(extra)
+	for range extra {
+		go func() {
+			defer wg.Done()
+			defer releaseScanSlots(1)
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // chunkVerdict is a zone-map decision for one chunk.

@@ -1,9 +1,9 @@
 package engine
 
 import (
-	"errors"
 	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"charles/internal/par"
 	"charles/internal/stats"
@@ -105,18 +105,18 @@ func IntMinMaxChunked(col Numeric, src *ChunkedSelection) (lo, hi int64, ok bool
 }
 
 // statWorkers reserves scan-pool slots for a chunked order-statistic
-// computation (the radix select, per-chunk value counts, or the
-// banded string and narrow int counts), returning the worker count to
-// hand to internal/stats and the paired release. With no slot free the
-// count is 1 and the same path runs on the calling goroutine. Routing
-// the work through the same slot budget (reserveSegSlots) as the scans
+// computation (the radix select and sort, or the banded string counts),
+// returning the worker count to hand to internal/stats and the paired
+// release. With no slot free the count is 1 and the same path runs on
+// the calling goroutine. Routing the work through the same slot budget
+// (reserveChunkSlots) as the scans
 // keeps nested parallelism — many advise workers each computing cut
 // points — from oversubscribing the scheduler, exactly like the
 // chunked scans themselves. Reserve only after the gather phase: the
 // gather takes slots of its own, and holding them across it would
 // starve it to sequential.
 func statWorkers(src *ChunkedSelection) (workers int, release func()) {
-	extra, release := reserveSegSlots(src)
+	extra, release := reserveChunkSlots(src.NumChunks(), src.Len())
 	return extra + 1, release
 }
 
@@ -263,27 +263,28 @@ func IntCutPointsChunked(col Numeric, src *ChunkedSelection, arity int) []int64 
 // IntCutChunked computes col's exact cut over src. sum is col's zone
 // map (nil without one). When the union of the zone map's bounds over
 // the chunks src selects rows in spans no more cells than the select
-// has buckets (stats.CountCells), the chunks' selected rows are
-// counted into that window straight from the column — no key is
-// gathered and nothing is selected — and the bounds and points are
-// read off the summed counts. Otherwise, or when a value falls outside
-// the window (a zone map that does not describe src's chunks), keys
-// are gathered per chunk into pooled scratch, the bounds reduced as
-// they are written, and the points radix-selected from the keys: only
-// the keys of the rank codes holding the wanted ranks (and the
-// extremes', unless the zone map bounds the extent) when sum carries
-// rank codes (rankKeys: every summary of a numeric column) and those codes
-// hold at most rankShareMax of the extent, every key otherwise. With
-// retain set, an extent whose exact span is narrow enough to count
-// comes back with its per-chunk counts over that span, for the cut
-// cache to splice, when they take no more cells than src has rows
-// (countsFit); otherwise counts is nil.
+// has buckets (stats.CountCells), the chunks' selected rows are counted
+// into that window (countCut) — from the zone map's stored value counts
+// for a chunk src selects whole, straight from the column otherwise —
+// no key is gathered and nothing is selected, and the bounds and points
+// are read off the summed counts. Otherwise, or when
+// a value falls outside the window (a zone map that does not describe
+// src's chunks), keys are gathered per chunk into pooled scratch, the
+// bounds reduced as they are written, and the points radix-selected
+// from the keys: only the keys of the rank codes holding the wanted
+// ranks (and the extremes', unless the zone map bounds the extent) when
+// sum carries rank codes (rankKeys: every summary of a numeric column)
+// and those codes hold at most rankShareMax of the extent, every key
+// otherwise. With retain set, an extent whose exact span is narrow
+// enough to count comes back with its per-chunk counts over that span,
+// for the cut cache to splice, when they take no more cells than src
+// has rows (countsFit); otherwise counts is nil.
 func IntCutChunked(col Numeric, src *ChunkedSelection, sum *ChunkSummary, arity int, retain bool) (cut NumCut, counts *IntCounts) {
 	if src.Len() == 0 {
 		return cut, nil
 	}
 	if lo, cells, ok := zoneWindow(sum, src); ok {
-		if cut, counts, ok := countCut(col, src, lo, cells, arity, retain); ok {
+		if cut, counts, ok := countCut(col, src, sum, lo, cells, arity, retain); ok {
 			return cut, counts
 		}
 	}
@@ -303,7 +304,7 @@ func IntCutChunked(col Numeric, src *ChunkedSelection, sum *ChunkSummary, arity 
 	}
 	if cells, ok := stats.CountCells(lo, hi); ok && retain && !nan && countsFit(src, cells) {
 		// Counted over the extent's exact bounds, no value is outside.
-		if cut, counts, ok := countCut(col, src, stats.Int64FromKey(lo), cells, arity, true); ok {
+		if cut, counts, ok := countCut(col, src, sum, stats.Int64FromKey(lo), cells, arity, true); ok {
 			return cut, counts
 		}
 	}
@@ -343,22 +344,23 @@ func zoneWindow(sum *ChunkSummary, src *ChunkedSelection) (lo int64, cells int, 
 	return lo, cells, ok
 }
 
-// errOutsideWindow stops a count that met a value outside its window.
-var errOutsideWindow = errors.New("engine: value outside the count window")
-
 // countCut counts col over src into the window [lo, lo+cells) and
-// reads the cut off the summed counts. The chunks are counted in bands,
-// each into its own vector of one pooled buffer: one band per worker,
-// or with retain one per chunk, whose vectors come back trimmed to the
-// counted [Min, Max] when they fit (countsFit). ok is false when a
-// value lies outside the window.
-func countCut(col Numeric, src *ChunkedSelection, lo int64, cells, arity int, retain bool) (cut NumCut, counts *IntCounts, ok bool) {
+// reads the cut off the summed counts. The chunks are counted in bands
+// (ForEachTask), each into its own vector of one pooled buffer: one
+// band per worker the scan may get (taskWorkers), or with retain one
+// per chunk, whose vectors come back trimmed to the counted [Min, Max]
+// when they fit (countsFit). Each chunk is counted
+// by countChunk, from sum's stored value counts where they describe
+// src (countsDescribe) and serve the chunk. ok is false when a value
+// lies outside the window.
+func countCut(col Numeric, src *ChunkedSelection, sum *ChunkSummary, lo int64, cells, arity int, retain bool) (cut NumCut, counts *IntCounts, ok bool) {
 	vals := col.Int64s()
 	nc := src.NumChunks()
-	workers, release := statWorkers(src)
-	defer release()
+	if !sum.countsDescribe(src) {
+		sum = nil
+	}
 	bandSize := 1
-	if !retain {
+	if workers := taskWorkers(nc, src.Len()); !retain {
 		bandSize = (nc + workers - 1) / workers
 	}
 	numBands := (nc + bandSize - 1) / bandSize
@@ -368,15 +370,16 @@ func countCut(col Numeric, src *ChunkedSelection, lo int64, cells, arity int, re
 	defer uint64Scratch.Put(bp)
 	buf := *bp
 	clear(buf)
-	if par.ForEach(workers, numBands, func(b int) error {
+	var outside atomic.Bool
+	ForEachTask(numBands, src.Len(), func(b int) {
 		v := buf[b*cells : (b+1)*cells]
-		for c := b * bandSize; c < min((b+1)*bandSize, nc); c++ {
-			if !countInts(v, vals, lo, &src.chunks[c], src.chunkRows*c) {
-				return errOutsideWindow
+		for c := b * bandSize; c < min((b+1)*bandSize, nc) && !outside.Load(); c++ {
+			if !countChunk(v, vals, lo, src, c, sum) {
+				outside.Store(true)
 			}
 		}
-		return nil
-	}) != nil {
+	})
+	if outside.Load() {
 		return cut, nil, false
 	}
 	total := buf[numBands*cells:]
@@ -404,6 +407,34 @@ func countCut(col Numeric, src *ChunkedSelection, lo int64, cells, arity int, re
 		}
 	}
 	return cut, counts, true
+}
+
+// countsDescribe reports whether s's per-chunk value counts describe
+// src's chunks: s summarizes as many rows at the same chunk width,
+// which fixes every chunk's rows. A nil s describes nothing.
+func (s *ChunkSummary) countsDescribe(src *ChunkedSelection) bool {
+	return s != nil && len(s.vcounts) == src.NumChunks() && s.chunkRows == src.chunkRows && s.stamp != nil && s.stamp.NumRows() == src.NumRows()
+}
+
+// countChunk adds chunk c of src to counts, the window from lo, and
+// reports false, having stopped, at a value outside it. sum, when not
+// nil, holds the chunk's stored value counts over [intMin[c],
+// intMax[c]] (nil for a chunk too wide). A chunk src selects whole adds
+// them. Any other chunk, and one whose stored counts do not lie inside
+// the window, is counted row by row (countInts): the sums are the same.
+func countChunk[C int | uint64](counts []C, vals []int64, lo int64, src *ChunkedSelection, c int, sum *ChunkSummary) bool {
+	ct := &src.chunks[c]
+	if sum != nil && sum.vcounts[c] != nil && ct.n == src.chunkLen(c) && sum.intMin[c] >= lo {
+		vc := sum.vcounts[c]
+		if d := uint64(sum.intMin[c] - lo); d < uint64(len(counts)) && uint64(len(vc)) <= uint64(len(counts))-d {
+			win := counts[d : d+uint64(len(vc))]
+			for i, k := range vc {
+				win[i] += C(k)
+			}
+			return true
+		}
+	}
+	return countInts(counts, vals, lo, ct, src.chunkRows*c)
 }
 
 // countInts adds one to counts[v−lo] for the value v of every row ct

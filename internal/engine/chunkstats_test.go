@@ -239,8 +239,11 @@ func checkGatherRows(t *testing.T, name string, g gatherResult, sel Selection, c
 // BenchmarkGatherSource times an exact int median cut over the same
 // parents as BenchmarkPartitionSource: by key gather and radix select
 // over a wide column, by narrow count (narrow/) over a column of
-// 1 150 values, tonnage-like, counted straight from the column into its
-// zone map's window, and over the wide column's rank codes (rank/) on
+// 1 150 values, tonnage-like, counted into its zone map's window — all
+// rows (narrow/all) from the chunks' stored value counts, parents of
+// three rows in four (narrow/density=3/4/words) and sparser straight
+// from the column —
+// and over the wide column's rank codes (rank/) on
 // a warmed table: all rows, taken whole from the stored counts, and
 // the parents at density 1/2 and 1/64, whose codes are counted. The
 // counts/ cases time the value counts of a five-value string column
@@ -270,7 +273,11 @@ func BenchmarkGatherSource(b *testing.B) {
 				IntCutChunked(col, bm, nil, 2, false)
 			}
 		})
-		b.Run(fmt.Sprintf("narrow/density=1/%d/words", den), func(b *testing.B) {
+		name := fmt.Sprintf("narrow/density=1/%d/words", den)
+		if den == 1 {
+			name = "narrow/all"
+		}
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				IntCutChunked(narrow, bm, sum, 2, false)
 			}
@@ -289,6 +296,19 @@ func BenchmarkGatherSource(b *testing.B) {
 			})
 		}
 	}
+	rng := rand.New(rand.NewSource(34))
+	var sel Selection
+	for r := range 1 << 18 {
+		if rng.Intn(4) != 0 {
+			sel = append(sel, int32(r))
+		}
+	}
+	bm := ChunkSelection(sel, 1<<18, 1<<16)
+	b.Run("narrow/density=3/4/words", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			IntCutChunked(narrow, bm, sum, 2, false)
+		}
+	})
 }
 
 // narrowColumn is a table of nRows rows in chunks of chunkRows holding
@@ -307,14 +327,18 @@ func narrowColumn(nRows, chunkRows int, lo, span int64, rng *rand.Rand) (*Table,
 }
 
 // TestNarrowCountsMatchGather holds IntCutChunked's count path — each
-// chunk's selected rows counted straight from the column into the zone
-// map's window — to its gather path (no zone map), cut and retained
-// counts alike: at scan workers 1 and 4,
-// for windows equal to the exact span, wider than it (the selection
-// misses the extremes), of 2 048 cells (a span of 2 047: counted) and
-// of 2 049 (too wide: gathered). A zone map whose window misses a selected value
-// falls back to the gather, and one of another chunk count is not
-// read.
+// chunk's selected rows counted into the zone map's window, from its
+// stored value counts or straight from the column — to its gather path
+// (no zone map), cut and retained counts alike, and countCut with the
+// zone map to countCut without it (checkStoredCounts): at scan workers
+// 1 and 4, for windows equal to the exact span, wider than it (the
+// selection misses the extremes), of 2 048 cells (a span of 2 047:
+// counted) and of 2 049 (too wide: gathered), over selections that
+// take chunks whole, more than half, half or less and sparsely, the
+// short tail chunk among them (densitySelections). A zone map whose
+// window misses a selected value falls back to the gather, and one of
+// another chunk count is not read. TestStoredCountsEdges covers the
+// stored counts' other cases.
 func TestNarrowCountsMatchGather(t *testing.T) {
 	defer SetScanWorkers(0)
 	const nRows, chunkRows = 20000, 1 << 11
@@ -344,6 +368,7 @@ func TestNarrowCountsMatchGather(t *testing.T) {
 		}
 		sels := append([]Selection{all.Flat(), inner}, adversarialSelections(nRows, chunkRows, rng)...)
 		sels = append(sels, wordSelections(nRows, rng)...)
+		sels = append(sels, densitySelections(nRows, chunkRows, rng)...)
 		for _, workers := range []int{1, 4} {
 			SetScanWorkers(workers)
 			for k, sel := range sels {
@@ -354,6 +379,9 @@ func TestNarrowCountsMatchGather(t *testing.T) {
 					wantCut, wantCounts := IntCutChunked(col, src, nil, 3, retain)
 					if !reflect.DeepEqual(cut, wantCut) || !reflect.DeepEqual(counts, wantCounts) {
 						t.Fatalf("%s: counted cut %+v (counts %v), gathered %+v (counts %v)", where, cut, counts != nil, wantCut, wantCounts != nil)
+					}
+					if lo, cells, ok := zoneWindow(sum, src); ok {
+						checkStoredCounts(t, where, col, src, sum, lo, cells, retain)
 					}
 				}
 			}
@@ -366,7 +394,7 @@ func TestNarrowCountsMatchGather(t *testing.T) {
 	all := tab.AllChunked()
 	nc := all.NumChunks()
 	stale := intBoundsSummary(make([]int64, nc), slices.Repeat([]int64{299}, nc))
-	if _, _, ok := countCut(col, all, 0, 300, 2, false); ok {
+	if _, _, ok := countCut(col, all, nil, 0, 300, 2, false); ok {
 		t.Fatal("a count over a window missing selected values reported success")
 	}
 	for _, retain := range []bool{false, true} {
@@ -379,6 +407,178 @@ func TestNarrowCountsMatchGather(t *testing.T) {
 	if _, _, ok := zoneWindow(intBoundsSummary(make([]int64, nc+1), make([]int64, nc+1)), all); ok {
 		t.Fatal("a zone map of another chunk count was read")
 	}
+}
+
+// densitySelections draws five selections over nRows rows in chunks of
+// chunkRows that hold each chunk whole, at density 3/4, 1/2 and 1/64,
+// or not at all, the densities rotating by one chunk from one
+// selection to the next, so that every chunk, the short tail chunk
+// too, is held at each of them once.
+func densitySelections(nRows, chunkRows int, rng *rand.Rand) []Selection {
+	dens := []float64{1, 0.75, 0.5, 1.0 / 64, 0}
+	out := make([]Selection, len(dens))
+	for k := range out {
+		for r := 0; r < nRows; r++ {
+			if d := dens[(r/chunkRows+k)%len(dens)]; d == 1 || rng.Float64() < d {
+				out[k] = append(out[k], int32(r))
+			}
+		}
+	}
+	return out
+}
+
+// checkStoredCounts holds countCut over sum's stored value counts to
+// countCut over none, into the window [lo, lo+cells): the same cut,
+// retained counts and verdict.
+func checkStoredCounts(t *testing.T, where string, col Numeric, src *ChunkedSelection, sum *ChunkSummary, lo int64, cells int, retain bool) {
+	t.Helper()
+	cut, counts, ok := countCut(col, src, sum, lo, cells, 3, retain)
+	wantCut, wantCounts, wantOK := countCut(col, src, nil, lo, cells, 3, retain)
+	if ok != wantOK || !reflect.DeepEqual(cut, wantCut) || !reflect.DeepEqual(counts, wantCounts) {
+		t.Fatalf("%s: window [%d, +%d): stored counts give %+v ok %v, the column %+v ok %v", where, lo, cells, cut, ok, wantCut, wantOK)
+	}
+}
+
+// TestStoredCountsEdges holds countCut over a zone map's stored value
+// counts to countCut over none where the stored counts are missing or
+// cannot be used: a chunk whose span is too wide to store (nil counts)
+// counted over a window that holds it, a window narrower than a
+// chunk's stored counts with the rows outside it left out, a float
+// chunk holding NaN, a table after AppendRows and UpdateRows, whose
+// refreshed zone map recounts the dirty chunks and shares the clean
+// chunks' counts, 64-row chunks, which store no counts wider than their
+// rows, and a selection of as many chunks at another width than the
+// zone map's.
+func TestStoredCountsEdges(t *testing.T) {
+	defer SetScanWorkers(0)
+	const nRows, chunkRows = 10000, 1 << 11
+	rng := rand.New(rand.NewSource(23))
+	check := func(where string, col Numeric, sum *ChunkSummary, width int, lo int64, cells int, keep func(v int64) bool) {
+		t.Helper()
+		vals := col.Int64s()
+		n := len(vals)
+		for k, sel := range append([]Selection{AllRows(n)}, densitySelections(n, width, rng)...) {
+			var kept Selection
+			for _, r := range sel {
+				if keep(vals[r]) {
+					kept = append(kept, r)
+				}
+			}
+			src := ChunkSelection(kept, n, width)
+			for _, workers := range []int{1, 4} {
+				SetScanWorkers(workers)
+				for _, retain := range []bool{false, true} {
+					checkStoredCounts(t, fmt.Sprintf("%s, selection %d, workers %d, retain %v", where, k, workers, retain), col, src, sum, lo, cells, retain)
+				}
+			}
+		}
+	}
+	every := func(int64) bool { return true }
+
+	// Chunk 2 spans 5 000 values: no stored counts, counted in a wide
+	// window beside chunks counted from theirs.
+	tab, col := narrowColumn(nRows, chunkRows, 0, 600, rng)
+	col.Int64s()[2*chunkRows+7] = 4999
+	tab = MustNewTable("wide", col)
+	tab.SetChunkRows(chunkRows)
+	sum := tab.SummaryByName("v")
+	if sum.vcounts[2] != nil || sum.vcounts[1] == nil {
+		t.Fatalf("stored counts: chunk 2 (span 5 000) %v, chunk 1 (span 600) %v; want none and some", sum.vcounts[2] != nil, sum.vcounts[1] != nil)
+	}
+	check("wide chunk", col, sum, chunkRows, 0, 5000, every)
+	// A window of [0, 500): every chunk's stored counts reach past it.
+	check("narrow window", col, sum, chunkRows, 0, 500, func(v int64) bool { return v < 500 })
+	check("narrow window, rows outside kept", col, sum, chunkRows, 0, 500, every)
+
+	// A float column of adjacent ordinals, NaN in chunk 1.
+	floats := make([]float64, nRows)
+	for r := range floats {
+		floats[r] = math.Float64frombits(math.Float64bits(1) + uint64(rng.Intn(700)))
+	}
+	floats[chunkRows+3] = math.NaN()
+	fcol := NewFloatColumn("f", floats)
+	ftab := MustNewTable("nan", fcol)
+	ftab.SetChunkRows(chunkRows)
+	fsum := ftab.SummaryByName("f")
+	if fsum.vcounts[1] != nil || fsum.vcounts[0] == nil {
+		t.Fatalf("stored counts: chunk 1 (NaN) %v, chunk 0 %v; want none and some", fsum.vcounts[1] != nil, fsum.vcounts[0] != nil)
+	}
+	flo, fcells, ok := zoneWindow(fsum, ftab.AllChunked())
+	if !ok {
+		t.Fatal("the float column's zone window is too wide to count")
+	}
+	check("float, NaN", fcol, fsum, chunkRows, flo, fcells, every)
+	check("float, NaN left out", fcol, fsum, chunkRows, flo, fcells, func(v int64) bool { return v != nanOrdinal })
+
+	// Appends grow the tail chunk and add one; an update moves a row of
+	// chunk 1. Only those chunks are recounted.
+	tab, col = narrowColumn(nRows-100, chunkRows, 50, 1151, rng)
+	old := tab.SummaryByName("v")
+	var rows [][]Value
+	for range 2200 {
+		rows = append(rows, []Value{Int(50 + rng.Int63n(1151))})
+	}
+	if err := tab.AppendRows(rows...); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.UpdateRows(Selection{chunkRows + 5}, "v", []Value{Int(900)}); err != nil {
+		t.Fatal(err)
+	}
+	col = tab.MustColumn("v").(*IntColumn)
+	sum = tab.SummaryByName("v")
+	fresh := MustNewTable("fresh", NewIntColumn("v", slices.Clone(col.Int64s())))
+	fresh.SetChunkRows(chunkRows)
+	if !reflect.DeepEqual(sum.vcounts, fresh.SummaryByName("v").vcounts) {
+		t.Fatal("refreshed stored counts differ from a fresh table's")
+	}
+	for c := range old.vcounts {
+		if shared := &sum.vcounts[c][0] == &old.vcounts[c][0]; shared != (c != 1 && c != 4) {
+			t.Fatalf("chunk %d: stored counts shared with the old zone map %v", c, shared)
+		}
+	}
+	lo, cells, ok := zoneWindow(sum, tab.AllChunked())
+	if !ok {
+		t.Fatal("the grown column's zone window is too wide to count")
+	}
+	check("after append and update", col, sum, chunkRows, lo, cells, every)
+
+	// At 64-row chunks a chunk stores its counts only when its span is
+	// no wider than its rows: the 40-row tail chunk of a span of 50
+	// stores none, and a span of 600 stores none at all.
+	for _, span := range []int64{50, 600} {
+		const nSmall, width = 1000, 64
+		tab, col := narrowColumn(nSmall, width, 7, span, rng)
+		sum := tab.SummaryByName("v")
+		stored := 0
+		for c := range sum.vcounts {
+			lo, hi := tab.ChunkBounds(c)
+			fits := sum.intMax[c]-sum.intMin[c] < int64(hi-lo)
+			if (sum.vcounts[c] != nil) != fits || len(sum.vcounts[c]) > hi-lo {
+				t.Fatalf("span %d, chunk %d of %d rows over [%d, %d]: %d stored counts", span, c, hi-lo, sum.intMin[c], sum.intMax[c], len(sum.vcounts[c]))
+			}
+			if fits {
+				stored++
+			}
+		}
+		if (stored > 0) != (span == 50) {
+			t.Fatalf("span %d: %d chunks of %d store counts", span, stored, len(sum.vcounts))
+		}
+		lo, cells, ok := zoneWindow(sum, tab.AllChunked())
+		if !ok {
+			t.Fatalf("span %d: the zone window is too wide to count", span)
+		}
+		check(fmt.Sprintf("64-row chunks, span %d", span), col, sum, width, lo, cells, every)
+	}
+
+	// A selection chunked at another width than the zone map's covers
+	// other rows even where the row and chunk counts agree (10 000 rows
+	// make 5 chunks at 2 000 as at 2 048): the stored counts are not
+	// read.
+	tab, col = narrowColumn(nRows, chunkRows, 0, 600, rng)
+	if numChunksFor(nRows, 2000) != tab.NumChunks() {
+		t.Fatalf("%d chunks at width 2 000, %d at %d", numChunksFor(nRows, 2000), tab.NumChunks(), chunkRows)
+	}
+	check("selection at another width", col, tab.SummaryByName("v"), 2000, 0, 600, every)
 }
 
 // TestIntCutSpliceMatchesFreshCut appends rows to a mutable table —

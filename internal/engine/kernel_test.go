@@ -321,8 +321,10 @@ func TestCodeSetKernelDictionaries(t *testing.T) {
 // reduced, as a dictionary code; seed picks the parent selection;
 // the bounds and inclusivity bits build every predicate. With a zone
 // map the kernels run on its codes, so the summary-less filter and the
-// naive reference hold the plane kernels; its rank mode then holds the
-// int and float cuts over the rank codes to the key gather.
+// naive reference hold the plane kernels; a narrow column's count over
+// the zone map's stored value counts is held to the count over none;
+// its rank mode then holds the int and float cuts over the rank codes
+// to the key gather.
 func FuzzFilterKernels(f *testing.F) {
 	word := func(ws ...uint64) []byte {
 		var b []byte
@@ -336,6 +338,17 @@ func FuzzFilterKernels(f *testing.F) {
 	f.Add(word(0, 1, 2, 3, 1<<63, 1<<63-1, 0x7ff8000000000000, 0xfff0000000000000), uint64(1), int64(1), int64(2), 0.0, 1.0, uint8(0xff))
 	f.Add(word(0x8000000000000000, 0, 1, 0x7ff0000000000000), uint64(7), int64(math.MinInt64), int64(math.MaxInt64), math.Copysign(0, -1), math.Inf(1), uint8(0))
 	f.Add(word(5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5), uint64(3), int64(math.MaxInt64), int64(math.MinInt64), math.NaN(), -math.MaxFloat64, uint8(0x5a))
+	// 1 000 rows of 40 values, as floats 40 adjacent subnormals: every
+	// chunk stores its value counts, the 40-row tail chunk too. Seed 459
+	// selects every row (every chunk whole), seed 14 three in four (no
+	// chunk whole); the second set puts a NaN in chunk 1.
+	narrow := make([]uint64, 1000)
+	for i := range narrow {
+		narrow[i] = uint64(i*37) % 40
+	}
+	f.Add(word(narrow...), uint64(459), int64(10), int64(30), 0.0, 1e-322, uint8(0x13))
+	narrow[70] = 0x7ff8000000000000
+	f.Add(word(narrow...), uint64(14), int64(10), int64(30), 0.0, 1e-322, uint8(0x13))
 	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, lo, hi int64, flo, fhi float64, incl uint8) {
 		const chunkRows = 64
 		nRows := len(raw) / 8
@@ -394,6 +407,18 @@ func FuzzFilterKernels(f *testing.F) {
 		slo, shi := dict[uint64(hi)%uint64(dictLen)], fmt.Sprintf("s%02d", uint64(lo)%80)
 		checkStringRange(t, scol, ssum, cs, slo, shi, incl&16 != 0, incl&32 != 0)
 		checkBoolSet(t, bcol, bsum, cs, []bool{incl&64 != 0, incl&128 == 0})
+
+		// A narrow column's count adds a chunk's stored value counts
+		// where it selects the chunk whole, and must count what the
+		// column holds.
+		for _, name := range []string{"i", "f"} {
+			col, sum := tab.MustColumn(name).(Numeric), tab.SummaryByName(name)
+			if lo, cells, ok := zoneWindow(sum, cs); ok {
+				for _, retain := range []bool{false, true} {
+					checkStoredCounts(t, fmt.Sprintf("column %s, retain %v", name, retain), col, cs, sum, lo, cells, retain)
+				}
+			}
+		}
 
 		// Rank mode: a wide int or float column's cut reads its rank
 		// codes — with the fallback share off, for every extent — and

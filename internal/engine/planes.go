@@ -15,7 +15,7 @@ import (
 // word is one popcount of the word and the code's minterm.
 //
 // Two kinds of column carry planes in every summary the table serves
-// (withCodes), refreshed per dirty chunk with the rest of the summary
+// (buildSummary), refreshed per dirty chunk with the rest of the summary
 // and never persisted:
 //   - every numeric column, 8 planes of its rank codes (rank.go) per
 //     word, beside the code bytes the cut's gather reads;
@@ -151,7 +151,7 @@ func (t *Table) dictPlanesFor(codes []uint32, p int, old *bitPlanes, dirty []boo
 	}
 	nc := t.NumChunks()
 	pl := &bitPlanes{p: p, words: make([][]uint64, nc)}
-	forEachChunk(nc, t.rows, func(c int) {
+	ForEachTask(nc, t.rows, func(c int) {
 		if old != nil && !dirty[c] && c < len(old.words) {
 			pl.words[c] = old.words[c]
 			return

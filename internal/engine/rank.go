@@ -12,7 +12,7 @@ import (
 // Rank codes are a numeric column's secondary index in rank space,
 // after column imprints (Sidirourgos and Kersten, "Column imprints: a
 // secondary index structure", SIGMOD 2013). Every summary of a
-// numeric column (withCodes) carries four things beside its zone map:
+// numeric column (buildSummary) carries four things beside its zone map:
 // rankBounds ascending boundaries in ordinal space, drawn from a
 // strided sample of the column — the sample's distinct numbers
 // themselves when it holds at most rankBounds+1 of them, so that each
@@ -46,8 +46,9 @@ import (
 //
 // Codes cost two bytes per row per numeric column, the byte and its
 // planes, and are derived, never persisted: they are built with the
-// zone map, in the scan that reads every value of the column once,
-// over a .chc file as over memory. A refresh
+// zone map, in the one read of each chunk that also yields its bounds
+// and value counts (scanNumChunk), over a .chc file as over memory. A
+// refresh
 // after a mutation keeps the clean chunks' codes, planes and counts
 // and recodes the dirty chunks against the fixed boundaries; values
 // appended beyond the outer boundaries take code 0 or rankBounds.
@@ -202,27 +203,79 @@ func (rc *rankCodes) rank(v int64) uint8 {
 	return uint8(min(i, rankBounds))
 }
 
-// codeChunk codes one chunk's ordinals: their codes, padded with
-// rankNaN to whole 64-row words, the codes' planes, and their counts.
-// A rank table of one number per bucket is read here directly, as code
-// does not inline.
-func (rc *rankCodes) codeChunk(vals []int64) (codes []uint8, planes []uint64, counts [rankCells]uint32) {
-	codes = make([]uint8, paddedLen(len(vals)))
-	lut, lo := rc.lut, rc.lutLo
-	if rc.lutShift != 0 {
-		lut = nil
+// vcountCells is the widest span whose per-value counts a chunk's
+// summary keeps: the most cells stats.CountCells passes.
+const vcountCells = 2048
+
+// numChunk is what one read of a numeric chunk's ordinals yields
+// (scanNumChunk): its bounds, NaN left out, whether it holds a NaN, its
+// per-value counts over the bounds, and with rank codes its codes,
+// padded with rankNaN to whole 64-row words, their planes and their
+// counts.
+type numChunk struct {
+	lo, hi  int64
+	nan     bool
+	vcounts []uint32
+	codes   []uint8
+	planes  []uint64
+	counts  [rankCells]uint32
+}
+
+// scanNumChunk reads one chunk's ordinals once, coding them when rc is
+// set. The bounds leave NaN, the smallest ordinal, out, so an all-NaN
+// chunk's are nanOrdinal, and only a chunk holding NaN (nan set: a
+// float column) pays a second pass for its smallest number. Every value
+// within vcountCells−1 of the chunk's first is counted as it is read:
+// when the bounds span at most vcountCells values, and no more than the
+// chunk has rows, and the chunk holds no NaN, those counts, cut to the
+// bounds, are vcounts; otherwise vcounts is nil. A rank table of one
+// number per bucket is read here directly, as code does not inline.
+func scanNumChunk(rc *rankCodes, vals []int64, nan bool) (ch numChunk) {
+	var win [2*vcountCells - 1]uint32
+	base := vals[0] - (vcountCells - 1)
+	lo, hi := vals[0], vals[0]
+	if rc == nil {
+		for _, v := range vals {
+			lo, hi = min(lo, v), max(hi, v)
+			if d := uint64(v - base); d < uint64(len(win)) {
+				win[d]++
+			}
+		}
+	} else {
+		codes := make([]uint8, paddedLen(len(vals)))
+		lut, llo := rc.lut, rc.lutLo
+		if rc.lutShift != 0 {
+			lut = nil
+		}
+		for i, v := range vals {
+			lo, hi = min(lo, v), max(hi, v)
+			if d := uint64(v - base); d < uint64(len(win)) {
+				win[d]++
+			}
+			if u := uint64(v - llo); u < uint64(len(lut)) {
+				codes[i] = lut[u]
+			} else {
+				codes[i] = rc.code(v)
+			}
+		}
+		for i := len(vals); i < len(codes); i++ {
+			codes[i] = rankNaN
+		}
+		ch.codes, ch.planes, ch.counts = codes, bytePlanes(codes), countRanks(codes[:len(vals)])
 	}
-	for i, v := range vals {
-		if u := uint64(v - lo); u < uint64(len(lut)) {
-			codes[i] = lut[u]
-		} else {
-			codes[i] = rc.code(v)
+	if nan && lo == nanOrdinal {
+		ch.nan, lo = true, hi
+		for _, v := range vals {
+			if v != nanOrdinal {
+				lo = min(lo, v)
+			}
 		}
 	}
-	for i := len(vals); i < len(codes); i++ {
-		codes[i] = rankNaN
+	ch.lo, ch.hi = lo, hi
+	if cells, ok := stats.CountCells(stats.Int64Key(lo), stats.Int64Key(hi)); ok && cells <= min(vcountCells, len(vals)) && !ch.nan {
+		ch.vcounts = slices.Clone(win[lo-base : lo-base+int64(cells)])
 	}
-	return codes, bytePlanes(codes), countRanks(codes[:len(vals)])
+	return ch
 }
 
 // countRanks counts each code of codes, in two sets of counters taken
@@ -246,36 +299,6 @@ func countRanks(codes []uint8) (counts [rankCells]uint32) {
 
 // paddedLen rounds a chunk's row count up to whole 64-row words.
 func paddedLen(n int) int { return (n + 63) &^ 63 }
-
-// rankCodesFor codes vals, their planes with them, one task per chunk
-// of the table: with old set, a refresh, which keeps old's boundaries
-// and its codes, planes and counts for every chunk dirty leaves clean;
-// without, a new index over the column, nil when no value is a number.
-func (t *Table) rankCodesFor(vals []int64, nan bool, old *rankCodes, dirty []bool) *rankCodes {
-	var rc *rankCodes
-	if old != nil && dirty != nil {
-		kept := *old // the boundaries; every chunk is set below
-		rc = &kept
-	} else {
-		old, rc = nil, newRankCodes(vals, nan)
-	}
-	if rc == nil {
-		return nil
-	}
-	nc := t.NumChunks()
-	rc.codes = make([][]uint8, nc)
-	rc.planes.words = make([][]uint64, nc)
-	rc.counts = make([][rankCells]uint32, nc)
-	forEachChunk(nc, t.rows, func(c int) {
-		if old != nil && !dirty[c] {
-			rc.codes[c], rc.planes.words[c], rc.counts[c] = old.codes[c], old.planes.words[c], old.counts[c]
-			return
-		}
-		lo, hi := t.ChunkBounds(c)
-		rc.codes[c], rc.planes.words[c], rc.counts[c] = rc.codeChunk(vals[lo:hi])
-	})
-	return rc
-}
 
 // rankKeys is IntCutChunked's gather over sum's rank codes: the keys of
 // the rows whose codes hold the extent's equi-depth ranks, per chunk in

@@ -55,52 +55,69 @@ func (o CutOptions) normalize() CutOptions {
 // unchanged as a single piece (documented deviation: the paper is
 // silent on degenerate cuts).
 func CutQuery(ev *Evaluator, q sdl.Query, attr string, opt CutOptions) ([]sdl.Query, error) {
-	children, _, _, _, err := ev.cutQuery(q, attr, opt)
+	children, _, _, err := ev.cutQuery(q, attr, ev.lookupCut(q, attr, opt))
 	// The cut cache keeps children; the caller gets its own slice.
 	return slices.Clone(children), err
 }
 
-// cutQuery is CutQuery through the evaluator's cut cache, keyed by
-// key (cutKey). An entry at the table's current version is served
-// whole — its children, and their counts once Cut has stored them
-// (nil before) — without reading q's extent or building a child. A stale exact entry refreshes only the
+// cutLookup is one query's cut-cache lookup: its key (cutKey), the
+// normalized options, the table stamp read before it, and the entry
+// the cache held, if any.
+type cutLookup struct {
+	key string
+	opt CutOptions
+	cur *engine.EpochStamp
+	ent cachedCut
+	hit bool
+}
+
+// lookupCut looks q's cut on attr up in the cut cache. The stamp is
+// read first, before any extent: a mutation in between only makes it
+// older than the extent, which no caller then trusts to cover it.
+func (e *Evaluator) lookupCut(q sdl.Query, attr string, opt CutOptions) cutLookup {
+	opt = opt.normalize()
+	l := cutLookup{key: cutKey(q, attr, opt), opt: opt, cur: e.tab.Stamp()}
+	l.ent, l.hit = e.cachedCutEntry(l.key)
+	return l
+}
+
+// cutQuery is CutQuery from q's cut-cache lookup l. An entry at the
+// table's current version is served whole — its children, and their
+// counts once Cut has stored them (nil before) — without reading q's
+// extent or building a child. A stale exact entry refreshes only the
 // mutation-dirtied chunks; anything else is computed from the extent.
 // The fresh entry holds the children and no counts. v is the table
 // version the children were cut at: they partition q's extent at v.
-func (e *Evaluator) cutQuery(q sdl.Query, attr string, opt CutOptions) (children []sdl.Query, counts []int, key string, v uint64, err error) {
-	opt = opt.normalize()
+func (e *Evaluator) cutQuery(q sdl.Query, attr string, l cutLookup) (children []sdl.Query, counts []int, v uint64, err error) {
 	col, ok := e.tab.ColumnByName(attr)
 	if !ok {
-		return nil, nil, "", 0, fmt.Errorf("seg: cut on unknown column %q", attr)
+		return nil, nil, 0, fmt.Errorf("seg: cut on unknown column %q", attr)
 	}
-	// Read before the extent: a mutation in between only makes v older
-	// than the extent, which no caller then trusts to cover it.
-	key, cur := cutKey(q, attr, opt), e.tab.Stamp()
-	v = cur.Version()
+	v = l.cur.Version()
 	var stale *cachedCut
-	if ent, ok := e.cachedCutEntry(key); ok {
-		if ent.stamp.Version() == v {
+	if l.hit {
+		if l.ent.stamp.Version() == v {
 			e.count(CutCacheHits)
-			return ent.children, ent.counts, key, v, nil
+			return l.ent.children, l.ent.counts, v, nil
 		}
-		stale = &ent
+		stale = &l.ent
 	}
 	ext, err := e.extent(q)
 	if err != nil {
-		return nil, nil, "", 0, err
+		return nil, nil, 0, err
 	}
 	if ext.sel.Len() < 2 {
-		return []sdl.Query{q}, nil, key, v, nil // nothing to split
+		return []sdl.Query{q}, nil, v, nil // nothing to split
 	}
-	pieces, state, err := e.cutPieces(attr, col, ext.sel, opt, stale, cur)
+	pieces, state, err := e.cutPieces(attr, col, ext.sel, l.opt, stale, l.cur)
 	if err != nil {
-		return nil, nil, "", 0, err
+		return nil, nil, 0, err
 	}
 	if children, err = childQueries(q, pieces); err != nil {
-		return nil, nil, "", 0, err
+		return nil, nil, 0, err
 	}
-	e.storeCut(key, cachedCut{children: children, stamp: cur, intCounts: state.intCounts, strCounts: state.strCounts})
-	return children, nil, key, v, nil
+	e.storeCut(l.key, cachedCut{children: children, stamp: l.cur, intCounts: state.intCounts, strCounts: state.strCounts})
+	return children, nil, v, nil
 }
 
 // childQueries builds q's children from its cut pieces, dropping
@@ -289,9 +306,18 @@ func nominalPieces(attr string, vcs []stats.ValueCount, mk func(string) engine.V
 // be split are kept whole, so the result is always a valid partition
 // of the same context. A query's cut points and children are computed
 // from its selection's words chunk by chunk, and no flat row ids are
-// built. A query whose cut the
-// cache serves with counts (cutQuery) reads no selection at all; the
-// counts a fresh cut takes are stored in its entry.
+// built. A query whose cut the cache serves with counts (cutQuery)
+// reads no selection at all; the counts a fresh cut takes are stored
+// in its entry.
+//
+// Each query's one cut-cache lookup sorts it. A query the cache holds
+// an entry for, current or refreshable, is cut on the calling
+// goroutine. A query it holds none for is cold: its cut and its
+// children's counts are one task, and the cold tasks fan out across
+// the engine's scan pool (engine.ForEachTask), sized by the rows the
+// cold queries hold. Results are merged by query index, so the output,
+// the counters and what the cache holds do not depend on the fan-out; a
+// fully cached Cut starts no goroutine.
 //
 // The result keeps s's partition proof when that proof names the
 // current fingerprint and every split query's children sum to the
@@ -301,17 +327,24 @@ func nominalPieces(attr string, vcs []stats.ValueCount, mk func(string) engine.V
 func Cut(ev *Evaluator, s *Segmentation, attr string, opt CutOptions) (*Segmentation, error) {
 	fp := ev.Table().Fingerprint()
 	proven := s.provenAt(fp)
-	type queryCut struct {
-		children []sdl.Query
-		counts   []int
-		key      string
-		v        uint64
-	}
 	cuts := make([]queryCut, len(s.Queries))
+	var cold []int
+	coldRows := 0
 	for i, q := range s.Queries {
 		c := &cuts[i]
+		c.cutLookup = ev.lookupCut(q, attr, opt)
+		if !c.hit {
+			cold = append(cold, i)
+			coldRows += s.Counts[i]
+			continue
+		}
 		var err error
-		if c.children, c.counts, c.key, c.v, err = ev.cutQuery(q, attr, opt); err != nil {
+		if c.children, c.counts, c.v, err = ev.cutQuery(q, attr, c.cutLookup); err != nil {
+			return nil, err
+		}
+	}
+	if cold != nil {
+		if err := ev.cutCold(s.Queries, attr, cuts, cold, coldRows); err != nil {
 			return nil, err
 		}
 	}
@@ -332,12 +365,10 @@ func Cut(ev *Evaluator, s *Segmentation, attr string, opt CutOptions) (*Segmenta
 		}
 		anySplit = true
 		if counts == nil {
-			v := ev.tab.Version()
 			var err error
-			if counts, err = ev.cutChildren(q, children, attr, cuts[i].v); err != nil {
+			if counts, err = ev.cutCounts(q, attr, &cuts[i]); err != nil {
 				return nil, err
 			}
-			ev.storeCutCounts(cuts[i].key, v, counts)
 		}
 		sum := 0
 		for j, child := range children {
@@ -359,6 +390,50 @@ func Cut(ev *Evaluator, s *Segmentation, attr string, opt CutOptions) (*Segmenta
 		out.proof = s.proof
 	}
 	return out, nil
+}
+
+// queryCut is one query's cut within Cut: its lookup, its children,
+// their counts (nil until taken) and the version it was cut at.
+type queryCut struct {
+	cutLookup
+	children []sdl.Query
+	counts   []int
+	v        uint64
+}
+
+// cutCold cuts the cold queries of qs, cuts[i] for each i of cold, and
+// counts each split one's children, one task per query over the scan
+// pool; rows is what the cold queries hold. The first error by query
+// index is returned.
+func (e *Evaluator) cutCold(qs []sdl.Query, attr string, cuts []queryCut, cold []int, rows int) error {
+	errs := make([]error, len(cold))
+	engine.ForEachTask(len(cold), rows, func(k int) {
+		i := cold[k]
+		c := &cuts[i]
+		var err error
+		if c.children, c.counts, c.v, err = e.cutQuery(qs[i], attr, c.cutLookup); err == nil && len(c.children) > 1 {
+			c.counts, err = e.cutCounts(qs[i], attr, c)
+		}
+		errs[k] = err
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// cutCounts counts the children of q's cut c and stores the counts in
+// its cut-cache entry.
+func (e *Evaluator) cutCounts(q sdl.Query, attr string, c *queryCut) ([]int, error) {
+	v := e.tab.Version()
+	counts, err := e.cutChildren(q, c.children, attr, c.v)
+	if err != nil {
+		return nil, err
+	}
+	e.storeCutCounts(c.key, v, counts)
+	return counts, nil
 }
 
 // InitialCut builds the binary segmentation CUT_attr(context), the

@@ -7,8 +7,10 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"charles/internal/dataset"
 	"charles/internal/engine"
 	"charles/internal/sdl"
 )
@@ -751,4 +753,108 @@ func TestMixedCutSkipsParentEvalForDegeneratePieces(t *testing.T) {
 // served from the cache or evaluated in full.
 func fetched(before, after [numCounters]int) int {
 	return after[CacheHits] - before[CacheHits] + after[FullEvals] - before[FullEvals]
+}
+
+// TestColdCutFanOutDeterministic holds Cut's fan-out of its cold
+// queries (cutCold) to the sequential cut: cold composes of 4 and more
+// queries — int, date and string cuts — at one scan worker, at the
+// default and at four give the same queries, counts and partition
+// proofs, and the evaluator counts the same work; so do three callers
+// composing on one evaluator at once. The cold queries hold the whole
+// table, past the engine's fan-out floor, so four workers fan out on
+// any machine. Run with -race.
+func TestColdCutFanOutDeterministic(t *testing.T) {
+	defer engine.SetScanWorkers(0)
+	tab := dataset.VOC(1<<16, 5)
+	attrs := []string{"tonnage", "built", "type_of_boat", "departure_harbour", "departure_date"}
+	ctx, err := sdl.ContextOn(tab, attrs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultCutOptions()
+	composes := func(ev *Evaluator) ([]*Segmentation, error) {
+		var init []*Segmentation
+		for _, attr := range attrs {
+			s, ok, err := InitialCut(ev, ctx, attr, opt)
+			if err != nil || !ok {
+				return nil, fmt.Errorf("InitialCut(%s): %v ok=%v", attr, err, ok)
+			}
+			init = append(init, s)
+		}
+		var err error
+		compose := func(s1, s2 *Segmentation) *Segmentation {
+			var s *Segmentation
+			if err == nil {
+				s, err = Compose(ev, s1, s2, opt)
+			}
+			return s
+		}
+		ab := compose(init[0], init[1])
+		abc := compose(ab, init[2])
+		out := []*Segmentation{ab, abc, compose(abc, init[3]), compose(init[4], ab)}
+		return out, err
+	}
+	same := func(got, want []*Segmentation) error {
+		for i, s := range got {
+			w := want[i]
+			if s.Key() != w.Key() || !slices.Equal(s.Counts, w.Counts) || !reflect.DeepEqual(s.proof, w.proof) || s.proof == nil {
+				return fmt.Errorf("compose %d: %s counts %v proven %v; one worker: %s counts %v proven %v",
+					i, s.Key(), s.Counts, s.proof != nil, w.Key(), w.Counts, w.proof != nil)
+			}
+		}
+		return nil
+	}
+	engine.SetScanWorkers(1)
+	seq := NewEvaluator(tab)
+	want, err := composes(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range want[1:] {
+		if s.Depth() < 4 {
+			t.Fatalf("a compose cut %d queries, want at least 4", s.Depth()/2)
+		}
+	}
+	wantCounters := seq.Counters()
+	for _, workers := range []int{0, 4} {
+		engine.SetScanWorkers(workers)
+		ev := NewEvaluator(tab)
+		got, err := composes(ev)
+		if err == nil {
+			err = same(got, want)
+		}
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		counters := ev.Counters()
+		for _, c := range []Counter{FullEvals, NarrowEvals, CutPointCalcs, CacheHits, CutCacheHits} {
+			if counters[c] != wantCounters[c] {
+				t.Fatalf("workers %d: counter %d is %d, %d at one worker", workers, c, counters[c], wantCounters[c])
+			}
+		}
+	}
+
+	// Three callers composing on one evaluator at once, their cold
+	// cuts fanned out beside each other's, each get the same answer.
+	engine.SetScanWorkers(4)
+	ev := NewEvaluator(tab)
+	var wg sync.WaitGroup
+	errs := make([]error, 3)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := composes(ev)
+			if err == nil {
+				err = same(got, want)
+			}
+			errs[g] = err
+		}()
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d on a shared evaluator: %v", g, err)
+		}
+	}
 }
